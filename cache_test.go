@@ -230,3 +230,40 @@ func TestDifferentialCacheOnOff(t *testing.T) {
 		}
 	}
 }
+
+// The join repertoire depends on whether a byte budget is set (sort-merge
+// without one, the spillable hash join with one), so a plan cached without
+// a budget must not be served under one: the cached sort-merge plan's sort
+// scratch cannot spill and would fail the query with ErrMemory. Same
+// System, same SQL, before and after SetLimits.
+func TestCacheKeySeparatesByteBudget(t *testing.T) {
+	sys := cacheTestSystem(t)
+	const sql = "SELECT COUNT(*) FROM R, S WHERE R.a = S.a"
+	free, err := sys.Query(sql, AlgorithmELS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := free.Estimate.JoinMethods; len(got) != 1 || got[0] != "SM" {
+		t.Fatalf("unbudgeted plan uses %v; the test needs a cached sort-merge plan", got)
+	}
+	sys.SetLimits(Limits{MaxMemory: 4096})
+	budgeted, err := sys.Query(sql, AlgorithmELS)
+	if err != nil {
+		t.Fatalf("budgeted run after an unbudgeted one: %v", err)
+	}
+	if got := budgeted.Estimate.JoinMethods; len(got) != 1 || got[0] != "HASH" {
+		t.Fatalf("budgeted plan uses %v, want the spillable hash join", got)
+	}
+	if budgeted.Count != free.Count {
+		t.Fatalf("budgeted count %d vs unbudgeted %d", budgeted.Count, free.Count)
+	}
+	// Dropping the budget finds the sort-merge entry still cached.
+	sys.SetLimits(Limits{})
+	hits := sys.CacheStats().Hits
+	if _, err := sys.Query(sql, AlgorithmELS); err != nil {
+		t.Fatal(err)
+	}
+	if sys.CacheStats().Hits != hits+1 {
+		t.Fatal("the unbudgeted entry was not reused after the budget was lifted")
+	}
+}

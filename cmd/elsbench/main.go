@@ -12,8 +12,7 @@
 // the intra-query parallelism of the executed experiments (0 = GOMAXPROCS;
 // results and work counters are worker-invariant). -json additionally writes
 // a machine-readable report with per-experiment wall time, tuples scanned and
-// worker count, plus columnar_speedup (columnar vs row-at-a-time execution
-// time on section8) and cache_hit_rate (the plan cache's hit rate on the
+// worker count, plus cache_hit_rate (the plan cache's hit rate on the
 // "repeated" Zipf-skewed statement workload).
 //
 // -max-concurrent and -queue-timeout route the run through the library's
@@ -215,25 +214,6 @@ func run(w io.Writer, which string, scale int, seed int64, estimatesOnly bool, w
 			fmt.Fprintln(w)
 			for _, row := range res.Rows {
 				fmt.Fprintf(w, "--- %s / %s plan:\n%s\n", row.Query, row.Algorithm, row.Plan)
-			}
-			if !estimatesOnly {
-				// Re-run with the columnar engine disabled and compare the
-				// summed per-query execution times (planning and data
-				// generation excluded). The differential harness pins that
-				// counts are engine-invariant, so this ratio is a pure
-				// engine-speed measurement.
-				rowRes, err := experiment.RunSection8(experiment.Section8Options{
-					Scale: scale, Seed: seed, Workers: workers, DisableColumnar: true,
-				})
-				if err != nil {
-					return 0, 0, err
-				}
-				colMs, rowMs := experiment.SumExecMillis(res), experiment.SumExecMillis(rowRes)
-				if colMs > 0 {
-					report.ColumnarSpeedup = rowMs / colMs
-					fmt.Fprintf(w, "columnar engine: %.3f ms vs row-at-a-time %.3f ms — %.2fx speedup\n\n",
-						colMs, rowMs, report.ColumnarSpeedup)
-				}
 			}
 			return experiment.SumTuplesScanned(res), resolveWorkers(workers), nil
 		}},

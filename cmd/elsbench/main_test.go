@@ -104,22 +104,6 @@ func TestRunRepeatedWorkload(t *testing.T) {
 	}
 }
 
-// The section8 step measures the columnar engine against the row engine and
-// records the speedup ratio.
-func TestRunSection8ColumnarSpeedup(t *testing.T) {
-	var buf bytes.Buffer
-	report := &experiment.BenchReport{}
-	if err := run(&buf, "section8", 100, 42, false, 0, report); err != nil {
-		t.Fatal(err)
-	}
-	if report.ColumnarSpeedup <= 0 {
-		t.Errorf("columnar_speedup = %g, want > 0", report.ColumnarSpeedup)
-	}
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Errorf("section8 output missing the speedup line:\n%s", buf.String())
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runFor(&buf, "nope", 1, 1, false); err == nil {

@@ -121,7 +121,7 @@ func assertSameRows(t *testing.T, seed int64, q querygen.Query, a, b *storage.Ta
 
 // diffReport appends one JSONL divergence record to the file named by the
 // ELS_DIFF_REPORT environment variable — the artifact the CI
-// columnar-differential job uploads on failure. Without the variable it is
+// executor-differential job uploads on failure. Without the variable it is
 // a no-op; the t.Fatalf that follows every call carries the same facts.
 func diffReport(t *testing.T, fields map[string]any) {
 	t.Helper()
@@ -147,10 +147,8 @@ func diffReport(t *testing.T, fields map[string]any) {
 // governor's tuple/row charge counters.
 func execEngine(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, workers int, columnar bool) (*executor.Result, [2]int64) {
 	t.Helper()
-	gov := governor.New(context.Background(), governor.Limits{Workers: workers})
-	exec := executor.NewGoverned(cat, gov)
-	exec.SetColumnar(columnar)
-	res, err := exec.Execute(plan)
+	gov := governor.New(context.Background(), governor.Limits{Workers: workers, DisableColumnar: !columnar})
+	res, err := executor.NewGoverned(cat, gov).Execute(plan)
 	if err != nil {
 		t.Fatalf("workers=%d columnar=%v: %v", workers, columnar, err)
 	}

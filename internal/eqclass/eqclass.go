@@ -1,8 +1,11 @@
 // Package eqclass maintains equivalence classes of join columns
 // ("j-equivalence" in the paper). Initially each column is a class by
 // itself; every equality predicate seen merges the classes of its two
-// columns (Section 2). The structure is a union-find with path compression
-// and union by size.
+// columns (Section 2). The structure is a union-find with union by size and
+// no path compression: every query method only reads, so once construction
+// (Add, Union) is done the classes may be shared by concurrent readers —
+// the optimizer's parallel plan search asks for ClassIDs from several
+// goroutines. Union by size alone keeps every path logarithmic.
 package eqclass
 
 import (
@@ -51,9 +54,6 @@ func (c *Classes) find(k string) string {
 	root := k
 	for c.parent[root] != root {
 		root = c.parent[root]
-	}
-	for c.parent[k] != root { // path compression
-		c.parent[k], k = root, c.parent[k]
 	}
 	return root
 }

@@ -2,14 +2,14 @@
 // column chunks: predicates evaluate type-specialized kernels over flat
 // column slices, qualifying rows live in selection vectors (no row is
 // materialized until the final gather), and matched join pairs gather
-// column-wise into the output. Scratch buffers are recycled through
-// internal/workpool arenas so chunk-parallel execution stays allocation-flat.
+// column-wise into the output. Selection vectors are recycled through an
+// internal/workpool arena so chunk-parallel execution stays allocation-flat.
 //
-// The engine is bit-identical to the row-at-a-time operators: same output
+// The engine is bit-identical to the row-at-a-time oracle: same output
 // rows in the same order, same TuplesScanned/Comparisons totals, same
 // governor tuple/row charges. That parity is load-bearing — the differential
 // harness referees the two engines against each other — so the kernels
-// replicate the row engine's short-circuit counting exactly: a conjunction
+// replicate the oracle's short-circuit counting exactly: a conjunction
 // evaluates each predicate only over the survivors of the previous one, a
 // NULL operand is counted as a comparison and then dropped, and OR-groups
 // stop counting a row at its first true disjunct.
@@ -29,22 +29,14 @@ import (
 // flushes matched pairs at the same granularity.
 const colBatch = 4096
 
-// Arenas for the batch engine's scratch buffers, shared across executors
+// selArena recycles the batch engine's selection vectors across executors
 // and worker goroutines.
-var (
-	selArena = workpool.NewArena[int]()
-	keyArena = workpool.NewArena[uint64]()
-)
+var selArena = workpool.NewArena[int]()
 
-// SetColumnar selects the execution engine: true (the default) runs the
-// vectorized batch kernels, false forces the row-at-a-time operators. Call
-// before Execute, not concurrently with it. A governed executor whose
-// Limits.DisableColumnar is set uses the row engine regardless.
-func (e *Executor) SetColumnar(on bool) { e.rowOnly = !on }
-
-// useColumnar resolves the engine choice for this execution.
+// useColumnar resolves the engine choice for this execution: the
+// vectorized kernels unless Limits.DisableColumnar asks for the row oracle.
 func (e *Executor) useColumnar() bool {
-	return !e.rowOnly && !e.gov.ColumnarDisabled()
+	return !e.gov.ColumnarDisabled()
 }
 
 // scanRangeColumnar is the vectorized scanRange body: rows [start, end) are
@@ -52,6 +44,7 @@ func (e *Executor) useColumnar() bool {
 // column-wise into out.
 func (e *Executor) scanRangeColumnar(base *storage.Table, start, end int, filter compiled,
 	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
+	ncols := base.Schema().NumColumns()
 	for b := start; b < end; b += colBatch {
 		bEnd := b + colBatch
 		if bEnd > end {
@@ -72,12 +65,9 @@ func (e *Executor) scanRangeColumnar(base *storage.Table, start, end int, filter
 		for r := b; r < bEnd; r++ {
 			sel = append(sel, r)
 		}
-		for _, p := range filter.preds {
-			if len(sel) == 0 {
-				break
-			}
-			sel = predSel(base, p, sel, stats)
-		}
+		// A single-table filter is the pair filter with both sides the
+		// same table and the same selection vector.
+		sel, _ = filterPairs(base, base, ncols, filter, sel, sel, stats)
 		sel = disjSel(base, orFilter, sel, stats)
 		if len(sel) > 0 {
 			if err := e.gov.TickRows(int64(len(sel))); err != nil {
@@ -108,142 +98,138 @@ func cmpOrd[T int64 | float64 | string](a, b T) int {
 	}
 }
 
-// predSel filters sel down to the rows of tbl satisfying p, compacting in
-// place. Every row in sel counts one comparison (NULL operands included),
-// matching compiledPred.evalOne.
-func predSel(tbl *storage.Table, p compiledPred, sel []int, stats *Stats) []int {
-	stats.Comparisons += int64(len(sel))
-	ld := tbl.ColumnData(p.leftIdx)
+// filterPairs applies a conjunction to candidate (left row, right row)
+// pairs, compacting lsel/rsel in place. Column ordinals below lcols address
+// left through lsel, the rest address right through rsel. Counting matches
+// compiled.eval per pair: each predicate evaluates only over the pairs that
+// survived the previous one.
+func filterPairs(left, right *storage.Table, lcols int, conj compiled, lsel, rsel []int, stats *Stats) ([]int, []int) {
+	for _, p := range conj.preds {
+		if len(lsel) == 0 {
+			break
+		}
+		n := predSel(left, right, lcols, p, lsel, rsel, stats)
+		lsel, rsel = lsel[:n], rsel[:n]
+	}
+	return lsel, rsel
+}
+
+// pairSide resolves a joined-schema column ordinal to the underlying input
+// column view and the pair-index slice that addresses it.
+func pairSide(left, right *storage.Table, lcols, idx int, lsel, rsel []int) (storage.ColumnData, []int) {
+	if idx < lcols {
+		return left.ColumnData(idx), lsel
+	}
+	return right.ColumnData(idx - lcols), rsel
+}
+
+// predSel is the one predicate kernel: it filters pairs by p, compacting
+// both selection vectors in place (they may be the same slice), and
+// returns how many pairs survive. Every pair counts one comparison (NULL
+// operands included), matching compiledPred.evalOne.
+func predSel(left, right *storage.Table, lcols int, p compiledPred, lsel, rsel []int, stats *Stats) int {
+	stats.Comparisons += int64(len(lsel))
+	ld, lrows := pairSide(left, right, lcols, p.leftIdx, lsel, rsel)
 	if p.rightIdx < 0 {
 		c := p.constant
-		if c.IsNull() {
-			return sel[:0]
-		}
 		switch {
+		case c.IsNull():
+			return 0 // counted, never true
 		case ld.Type == storage.TypeInt64 && c.Type() == storage.TypeInt64:
-			return selCmpConst(ld.Ints, ld.Nulls, c.Int(), p.op, sel)
+			return selCmpConst(ld.Ints, ld.Nulls, lrows, c.Int(), p.op, lsel, rsel)
 		case ld.Type == storage.TypeFloat64 && c.Type() == storage.TypeFloat64:
-			return selCmpConst(ld.Floats, ld.Nulls, c.Float(), p.op, sel)
+			return selCmpConst(ld.Floats, ld.Nulls, lrows, c.Float(), p.op, lsel, rsel)
 		case ld.Type == storage.TypeString && c.Type() == storage.TypeString:
-			return selCmpConst(ld.Strs, ld.Nulls, c.Str(), p.op, sel)
+			return selCmpConst(ld.Strs, ld.Nulls, lrows, c.Str(), p.op, lsel, rsel)
 		case numericType(ld.Type) && numericType(c.Type()):
-			return selCmpConstMixed(ld, c.AsFloat(), p.op, sel)
+			cf := c.AsFloat()
+			return selKeep(lsel, rsel, func(i int) bool {
+				r := lrows[i]
+				return !ld.Null(r) && p.op.Holds(cmpOrd(numericAt(ld, r), cf))
+			})
 		}
-	} else {
-		rd := tbl.ColumnData(p.rightIdx)
-		switch {
-		case ld.Type == storage.TypeInt64 && rd.Type == storage.TypeInt64:
-			return selCmpCols(ld.Ints, ld.Nulls, rd.Ints, rd.Nulls, p.op, sel)
-		case ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeFloat64:
-			return selCmpCols(ld.Floats, ld.Nulls, rd.Floats, rd.Nulls, p.op, sel)
-		case ld.Type == storage.TypeString && rd.Type == storage.TypeString:
-			return selCmpCols(ld.Strs, ld.Nulls, rd.Strs, rd.Nulls, p.op, sel)
-		case numericType(ld.Type) && numericType(rd.Type):
-			return selCmpColsMixed(ld, rd, p.op, sel)
-		}
+		// Boxed fallback with exactly the row oracle's semantics,
+		// including its panic on non-comparable type pairs.
+		return selKeep(lsel, rsel, func(i int) bool {
+			lv := ld.Value(lrows[i])
+			return !lv.IsNull() && p.op.Holds(storage.Compare(lv, c))
+		})
 	}
-	// Generic fallback: boxed compare with exactly the row engine's
-	// semantics, including its panic on non-comparable type pairs.
-	out := sel[:0]
-	for _, r := range sel {
-		lv := ld.Value(r)
-		rv := p.constant
-		if p.rightIdx >= 0 {
-			rv = tbl.ColumnData(p.rightIdx).Value(r)
-		}
-		if lv.IsNull() || rv.IsNull() {
-			continue
-		}
-		if p.op.Holds(storage.Compare(lv, rv)) {
-			out = append(out, r)
-		}
+	rd, rrows := pairSide(left, right, lcols, p.rightIdx, lsel, rsel)
+	switch {
+	case ld.Type == storage.TypeInt64 && rd.Type == storage.TypeInt64:
+		return selCmpCols(ld.Ints, ld.Nulls, lrows, rd.Ints, rd.Nulls, rrows, p.op, lsel, rsel)
+	case ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeFloat64:
+		return selCmpCols(ld.Floats, ld.Nulls, lrows, rd.Floats, rd.Nulls, rrows, p.op, lsel, rsel)
+	case ld.Type == storage.TypeString && rd.Type == storage.TypeString:
+		return selCmpCols(ld.Strs, ld.Nulls, lrows, rd.Strs, rd.Nulls, rrows, p.op, lsel, rsel)
+	case numericType(ld.Type) && numericType(rd.Type):
+		return selKeep(lsel, rsel, func(i int) bool {
+			lr, rr := lrows[i], rrows[i]
+			return !ld.Null(lr) && !rd.Null(rr) && p.op.Holds(cmpOrd(numericAt(ld, lr), numericAt(rd, rr)))
+		})
 	}
-	return out
+	return selKeep(lsel, rsel, func(i int) bool {
+		lv, rv := ld.Value(lrows[i]), rd.Value(rrows[i])
+		return !lv.IsNull() && !rv.IsNull() && p.op.Holds(storage.Compare(lv, rv))
+	})
 }
 
 func numericType(t storage.Type) bool {
 	return t == storage.TypeInt64 || t == storage.TypeFloat64
 }
 
-// selCmpConst is the column-vs-constant kernel for one ordered type.
-func selCmpConst[T int64 | float64 | string](vals []T, nulls []bool, c T, op expr.CompareOp, sel []int) []int {
-	out := sel[:0]
-	if nulls == nil {
-		for _, r := range sel {
-			if op.Holds(cmpOrd(vals[r], c)) {
-				out = append(out, r)
-			}
-		}
-		return out
+// numericAt reads row r of a numeric column as float64, storage.Compare's
+// rule for comparing an int64 with a float64.
+func numericAt(d storage.ColumnData, r int) float64 {
+	if d.Type == storage.TypeInt64 {
+		return float64(d.Ints[r])
 	}
-	for _, r := range sel {
-		if nulls[r] {
+	return d.Floats[r]
+}
+
+// selCmpConst is the column-vs-constant kernel for one ordered type: rows
+// addresses vals for each pair.
+func selCmpConst[T int64 | float64 | string](vals []T, nulls []bool, rows []int, c T,
+	op expr.CompareOp, lsel, rsel []int) int {
+	out := 0
+	for i, r := range rows {
+		if nulls != nil && nulls[r] {
 			continue
 		}
 		if op.Holds(cmpOrd(vals[r], c)) {
-			out = append(out, r)
+			lsel[out], rsel[out] = lsel[i], rsel[i]
+			out++
 		}
 	}
 	return out
 }
 
 // selCmpCols is the column-vs-column kernel for one ordered type.
-func selCmpCols[T int64 | float64 | string](l []T, ln []bool, r []T, rn []bool, op expr.CompareOp, sel []int) []int {
-	out := sel[:0]
-	for _, i := range sel {
-		if (ln != nil && ln[i]) || (rn != nil && rn[i]) {
+func selCmpCols[T int64 | float64 | string](l []T, ln []bool, lrows []int, r []T, rn []bool, rrows []int,
+	op expr.CompareOp, lsel, rsel []int) int {
+	out := 0
+	for i, lr := range lrows {
+		rr := rrows[i]
+		if (ln != nil && ln[lr]) || (rn != nil && rn[rr]) {
 			continue
 		}
-		if op.Holds(cmpOrd(l[i], r[i])) {
-			out = append(out, i)
+		if op.Holds(cmpOrd(l[lr], r[rr])) {
+			lsel[out], rsel[out] = lsel[i], rsel[i]
+			out++
 		}
 	}
 	return out
 }
 
-// selCmpConstMixed compares a numeric column against a numeric constant of
-// the other width via float64, matching storage.Compare's cross-type rule.
-func selCmpConstMixed(ld storage.ColumnData, c float64, op expr.CompareOp, sel []int) []int {
-	out := sel[:0]
-	for _, r := range sel {
-		if ld.Null(r) {
-			continue
-		}
-		var f float64
-		if ld.Type == storage.TypeInt64 {
-			f = float64(ld.Ints[r])
-		} else {
-			f = ld.Floats[r]
-		}
-		if op.Holds(cmpOrd(f, c)) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// selCmpColsMixed compares two numeric columns of different widths via
-// float64, matching storage.Compare's cross-type rule.
-func selCmpColsMixed(ld, rd storage.ColumnData, op expr.CompareOp, sel []int) []int {
-	out := sel[:0]
-	for _, i := range sel {
-		if ld.Null(i) || rd.Null(i) {
-			continue
-		}
-		lf := ld.Floats
-		var a, b float64
-		if ld.Type == storage.TypeInt64 {
-			a = float64(ld.Ints[i])
-		} else {
-			a = lf[i]
-		}
-		if rd.Type == storage.TypeInt64 {
-			b = float64(rd.Ints[i])
-		} else {
-			b = rd.Floats[i]
-		}
-		if op.Holds(cmpOrd(a, b)) {
-			out = append(out, i)
+// selKeep compacts the pairs for which keep holds. It serves the shapes
+// too rare to specialize: mixed-width numerics and the boxed fallback.
+func selKeep(lsel, rsel []int, keep func(i int) bool) int {
+	out := 0
+	for i := range lsel {
+		if keep(i) {
+			lsel[out], rsel[out] = lsel[i], rsel[i]
+			out++
 		}
 	}
 	return out
@@ -289,106 +275,98 @@ func disjRow(tbl *storage.Table, d compiledDisj, r int, stats *Stats) bool {
 	return false
 }
 
-// columnarHashJoin runs the vectorized hash join when both key columns have
-// the same specializable type. ok=false means the caller must fall back to
-// the row engine (bool or mixed-type keys — the latter never match under
-// Value.Key() anyway, so the row path is both correct and cheap there).
-func (e *Executor) columnarHashJoin(left, right *storage.Table, lKey, rKey int,
-	residual compiled, outSchema *storage.Schema, stats *Stats) (*storage.Table, bool, error) {
-	ld := left.ColumnData(lKey)
-	rd := right.ColumnData(rKey)
-	if ld.Type != rd.Type {
-		return nil, false, nil
-	}
-	switch ld.Type {
-	case storage.TypeInt64:
-		return colJoin(e, left, right, ld.Ints, rd.Ints, ld.Nulls, rd.Nulls, residual, outSchema, stats)
-	case storage.TypeFloat64:
-		lk := floatKeys(ld.Floats)
-		rk := floatKeys(rd.Floats)
-		arena := int64(8 * (cap(lk) + cap(rk)))
-		e.gov.ChargeBytes(arena) // key-arena scratch, released with the join
-		out, ok, err := colJoin(e, left, right, lk, rk, ld.Nulls, rd.Nulls, residual, outSchema, stats)
-		keyArena.Put(lk)
-		keyArena.Put(rk)
-		e.gov.ReleaseBytes(arena)
-		return out, ok, err
-	case storage.TypeString:
-		return colJoin(e, left, right, ld.Strs, rd.Strs, ld.Nulls, rd.Nulls, residual, outSchema, stats)
+// bindColumnar picks the key representation for one hash join and binds
+// spec.join to the typed kernel. Keys of one specializable type hash
+// natively; bool and mixed-type keys hash their Value.Key() strings, which
+// group exactly the values the row oracle groups (an int64 never equals a
+// float64 there).
+func (e *Executor) bindColumnar(spec *hashSpec) {
+	rtype := spec.buildSchema.Column(spec.rKey).Type
+	switch ltype := spec.left.Schema().Column(spec.lKey).Type; {
+	case ltype != rtype || ltype == storage.TypeBool:
+		bindKeys(e, spec, boxedKeys)
+	case ltype == storage.TypeInt64:
+		bindKeys(e, spec, func(t *storage.Table, col int) ([]int64, int64) { return t.ColumnData(col).Ints, 0 })
+	case ltype == storage.TypeFloat64:
+		bindKeys(e, spec, floatKeys)
 	default:
-		return nil, false, nil
+		bindKeys(e, spec, func(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 })
+	}
+}
+
+// bindKeys derives the probe side's keys once per join and the build
+// side's once per partition. keysOf reports the bytes of any array it had
+// to derive; they are charged as scratch of the running partition.
+func bindKeys[K comparable](e *Executor, spec *hashSpec, keysOf func(t *storage.Table, col int) ([]K, int64)) {
+	lk, lscratch := keysOf(spec.left, spec.lKey)
+	spec.join = func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
+		rk, rscratch := keysOf(build, spec.rKey)
+		e.gov.ChargeBytes(lscratch + rscratch)
+		defer e.gov.ReleaseBytes(lscratch + rscratch)
+		return colJoin(e, spec, lk, rk, build, lrows, stats)
 	}
 }
 
 // floatKeys normalizes a float64 column to hashable bit patterns. -0.0 maps
 // to 0.0, matching Value.Key()'s float encoding, so the typed map groups
-// exactly the values the row engine's string keys group.
-func floatKeys(vals []float64) []uint64 {
-	out := keyArena.Get(len(vals))
-	for _, f := range vals {
+// exactly the values the row oracle's string keys group.
+func floatKeys(t *storage.Table, col int) ([]uint64, int64) {
+	vals := t.ColumnData(col).Floats
+	out := make([]uint64, len(vals))
+	for i, f := range vals {
 		if f == 0 {
 			f = 0
 		}
-		out = append(out, math.Float64bits(f))
+		out[i] = math.Float64bits(f)
 	}
-	return out
+	return out, int64(8 * len(out))
 }
 
-// colJoin is the typed hash join: build a map over the right key column,
-// probe with the left in row order (chunk-parallel when workers allow),
-// batch matched pairs, filter them through the residual kernels, and gather
-// survivors column-wise. Chunk outputs concatenate in chunk order, so the
-// output is row-for-row identical to the serial row-engine join.
-func colJoin[K comparable](e *Executor, left, right *storage.Table, lk, rk []K, ln, rn []bool,
-	residual compiled, outSchema *storage.Schema, stats *Stats) (*storage.Table, bool, error) {
-	nRight := right.NumRows()
-	stats.TuplesScanned += int64(nRight)
-	if err := e.gov.TickTuples(int64(nRight)); err != nil {
-		return nil, true, err
+// boxedKeys renders any column as Value.Key() strings. NULL rows keep the
+// empty string; the kernel never looks at them.
+func boxedKeys(t *storage.Table, col int) ([]string, int64) {
+	out := make([]string, t.NumRows())
+	size := int64(16 * len(out))
+	for r := range out {
+		if v := t.Value(r, col); !v.IsNull() {
+			out[r] = v.Key()
+			size += int64(len(out[r]))
+		}
 	}
-	build := make(map[K][]int, nRight)
-	for r := 0; r < nRight; r++ {
+	return out, size
+}
+
+// colJoin is the typed build → probe → pair-gather kernel for one
+// partition: build a map over the build table's keys, probe it with the
+// left rows named by lrows (nil: every left row) in order — chunk-parallel
+// when workers allow — batch matched pairs, filter them through the
+// residual kernels, and gather survivors column-wise. With a probe-row
+// list the sink also reports the left row behind each output row.
+func colJoin[K comparable](e *Executor, spec *hashSpec, lk, rk []K, build *storage.Table,
+	lrows []int, stats *Stats) (*chunkSink, error) {
+	rn := build.ColumnData(spec.rKey).Nulls
+	m := make(map[K][]int, len(rk))
+	for r, k := range rk {
 		if rn != nil && rn[r] {
 			continue
 		}
-		build[rk[r]] = append(build[rk[r]], r)
+		m[k] = append(m[k], r)
 	}
-
-	workers := e.resolveWorkers()
-	ranges := chunkRanges(left.NumRows(), workers)
-	if workers > 1 && len(ranges) > 1 {
-		outs := make([]*storage.Table, len(ranges))
-		locals := make([]Stats, len(ranges))
-		err := workpool.Run(workers, len(ranges), func(i int) error {
-			if err := e.probe(PointJoinChunk); err != nil {
-				return err
-			}
-			outs[i] = storage.NewTable("join", outSchema)
-			return probeChunk(e, left, right, lk, ln, build, residual, outs[i], ranges[i][0], ranges[i][1], &locals[i])
-		})
-		if err != nil {
-			return nil, true, err
-		}
-		out, err := mergeChunks(outs, locals, stats)
-		return out, true, err
+	n := spec.left.NumRows()
+	if lrows != nil {
+		n = len(lrows)
 	}
-	out := storage.NewTable("join", outSchema)
-	if err := probeChunk(e, left, right, lk, ln, build, residual, out, 0, left.NumRows(), stats); err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
+	ln := spec.left.ColumnData(spec.lKey).Nulls
+	return e.chunked(n, PointJoinChunk, "join", spec.outSchema, stats, func(start, end int, sink *chunkSink) error {
+		return probeChunk(e, spec, build, lk, ln, m, lrows, start, end, sink)
+	})
 }
 
-// probeChunk probes left rows [start, end) against the shared build map,
-// accumulating matched (left, right) index pairs and flushing them through
-// the residual filter and pair gather in batches.
-func probeChunk[K comparable](e *Executor, left, right *storage.Table, lk []K, ln []bool,
-	build map[K][]int, residual compiled, out *storage.Table, start, end int, stats *Stats) error {
-	n := end - start
-	stats.TuplesScanned += int64(n)
-	if err := e.gov.TickTuples(int64(n)); err != nil {
-		return err
-	}
+// probeChunk probes positions [start, end) of the probe-row list against
+// the shared build map, accumulating matched (left, right) index pairs and
+// flushing them through the residual filter and pair gather in batches.
+func probeChunk[K comparable](e *Executor, spec *hashSpec, build *storage.Table, lk []K, ln []bool,
+	m map[K][]int, lrows []int, start, end int, sink *chunkSink) error {
 	lsel := selArena.Get(colBatch)
 	rsel := selArena.Get(colBatch)
 	arena := int64(8 * (cap(lsel) + cap(rsel)))
@@ -398,27 +376,32 @@ func probeChunk[K comparable](e *Executor, left, right *storage.Table, lk []K, l
 		selArena.Put(rsel)
 		e.gov.ReleaseBytes(arena)
 	}()
+	lcols := spec.left.Schema().NumColumns()
 	flush := func() error {
-		if len(lsel) == 0 {
-			return nil
-		}
-		fl, fr := filterPairs(left, right, residual, lsel, rsel, stats)
+		fl, fr := filterPairs(spec.left, build, lcols, spec.residual, lsel, rsel, &sink.stats)
 		if len(fl) > 0 {
 			if err := e.gov.TickRows(int64(len(fl))); err != nil {
 				return err
 			}
-			if err := out.AppendPairGather(left, right, fl, fr); err != nil {
+			if err := sink.out.AppendPairGather(spec.left, build, fl, fr); err != nil {
 				return err
+			}
+			if lrows != nil {
+				sink.origin = append(sink.origin, fl...)
 			}
 		}
 		lsel, rsel = lsel[:0], rsel[:0]
 		return nil
 	}
-	for l := start; l < end; l++ {
+	for i := start; i < end; i++ {
+		l := i
+		if lrows != nil {
+			l = lrows[i]
+		}
 		if ln != nil && ln[l] {
 			continue
 		}
-		for _, r := range build[lk[l]] {
+		for _, r := range m[lk[l]] {
 			lsel = append(lsel, l)
 			rsel = append(rsel, r)
 		}
@@ -429,112 +412,4 @@ func probeChunk[K comparable](e *Executor, left, right *storage.Table, lk []K, l
 		}
 	}
 	return flush()
-}
-
-// filterPairs applies the residual conjunction to matched pairs, compacting
-// lsel/rsel in place. Counting matches compiled.eval per pair: each
-// predicate evaluates only over the pairs that survived the previous one.
-func filterPairs(left, right *storage.Table, residual compiled, lsel, rsel []int, stats *Stats) ([]int, []int) {
-	lcols := left.Schema().NumColumns()
-	for _, p := range residual.preds {
-		if len(lsel) == 0 {
-			return lsel, rsel
-		}
-		lsel, rsel = predPairSel(left, right, lcols, p, lsel, rsel, stats)
-	}
-	return lsel, rsel
-}
-
-// pairSide resolves a joined-schema column ordinal to the underlying input
-// column view and the pair-index slice that addresses it.
-func pairSide(left, right *storage.Table, lcols, idx int, lsel, rsel []int) (storage.ColumnData, []int) {
-	if idx < lcols {
-		return left.ColumnData(idx), lsel
-	}
-	return right.ColumnData(idx - lcols), rsel
-}
-
-// predPairSel filters matched pairs by one residual predicate, compacting
-// both selection vectors in place. Every pair counts one comparison.
-func predPairSel(left, right *storage.Table, lcols int, p compiledPred, lsel, rsel []int, stats *Stats) ([]int, []int) {
-	n := len(lsel)
-	stats.Comparisons += int64(n)
-	ld, lrows := pairSide(left, right, lcols, p.leftIdx, lsel, rsel)
-	isConst := p.rightIdx < 0
-	var rd storage.ColumnData
-	var rrows []int
-	if !isConst {
-		rd, rrows = pairSide(left, right, lcols, p.rightIdx, lsel, rsel)
-	}
-	out := 0
-	keep := func(i int) {
-		lsel[out] = lsel[i]
-		rsel[out] = rsel[i]
-		out++
-	}
-	switch {
-	case isConst && p.constant.IsNull():
-		// NULL constant: counted, never true.
-	case isConst && ld.Type == storage.TypeInt64 && p.constant.Type() == storage.TypeInt64:
-		c := p.constant.Int()
-		for i := 0; i < n; i++ {
-			r := lrows[i]
-			if !ld.Null(r) && p.op.Holds(cmpOrd(ld.Ints[r], c)) {
-				keep(i)
-			}
-		}
-	case isConst && ld.Type == storage.TypeFloat64 && p.constant.Type() == storage.TypeFloat64:
-		c := p.constant.Float()
-		for i := 0; i < n; i++ {
-			r := lrows[i]
-			if !ld.Null(r) && p.op.Holds(cmpOrd(ld.Floats[r], c)) {
-				keep(i)
-			}
-		}
-	case isConst && ld.Type == storage.TypeString && p.constant.Type() == storage.TypeString:
-		c := p.constant.Str()
-		for i := 0; i < n; i++ {
-			r := lrows[i]
-			if !ld.Null(r) && p.op.Holds(cmpOrd(ld.Strs[r], c)) {
-				keep(i)
-			}
-		}
-	case !isConst && ld.Type == storage.TypeInt64 && rd.Type == storage.TypeInt64:
-		for i := 0; i < n; i++ {
-			lr, rr := lrows[i], rrows[i]
-			if !ld.Null(lr) && !rd.Null(rr) && p.op.Holds(cmpOrd(ld.Ints[lr], rd.Ints[rr])) {
-				keep(i)
-			}
-		}
-	case !isConst && ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeFloat64:
-		for i := 0; i < n; i++ {
-			lr, rr := lrows[i], rrows[i]
-			if !ld.Null(lr) && !rd.Null(rr) && p.op.Holds(cmpOrd(ld.Floats[lr], rd.Floats[rr])) {
-				keep(i)
-			}
-		}
-	case !isConst && ld.Type == storage.TypeString && rd.Type == storage.TypeString:
-		for i := 0; i < n; i++ {
-			lr, rr := lrows[i], rrows[i]
-			if !ld.Null(lr) && !rd.Null(rr) && p.op.Holds(cmpOrd(ld.Strs[lr], rd.Strs[rr])) {
-				keep(i)
-			}
-		}
-	default:
-		// Generic fallback: boxed compare, matching the row engine exactly.
-		for i := 0; i < n; i++ {
-			lv := ld.Value(lrows[i])
-			rv := p.constant
-			if !isConst {
-				rv = rd.Value(rrows[i])
-			}
-			if lv.IsNull() || rv.IsNull() {
-				continue
-			}
-			if p.op.Holds(storage.Compare(lv, rv)) {
-				keep(i)
-			}
-		}
-	}
-	return lsel[:out], rsel[:out]
 }

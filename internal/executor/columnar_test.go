@@ -27,10 +27,12 @@ func loadTable(t *testing.T, cat *catalog.Catalog, name string, schema *storage.
 	}
 }
 
-// columnarDiff plans the query and executes it with the row engine (the
-// oracle) and the columnar engine at workers 1 and 4. Rows, row order,
-// work counters, and governor charges must be bit-identical. Returns the
-// row-engine result for additional oracle assertions.
+// columnarDiff plans the query and executes it with the serial, unbudgeted
+// row engine (the oracle), then with the columnar engine at workers 1 and 4,
+// unbudgeted and under a 4 KiB byte budget (build sides that overflow it
+// take the Grace spill policy), and with the row engine under the same
+// budget. Rows, row order, work counters, and governor charges must be
+// bit-identical. Returns the oracle result for additional assertions.
 func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 	preds []expr.Predicate, disjs []expr.Disjunction, methods []optimizer.JoinMethod) *Result {
 	t.Helper()
@@ -46,41 +48,52 @@ func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, columnar bool) (*Result, [2]int64) {
-		gov := governor.New(context.Background(), governor.Limits{Workers: workers})
+	dir := t.TempDir()
+	run := func(workers int, columnar bool, budget int64) (*Result, [2]int64) {
+		gov := governor.New(context.Background(), governor.Limits{
+			Workers: workers, DisableColumnar: !columnar, MaxMemory: budget})
 		e := NewGoverned(cat, gov)
-		e.SetColumnar(columnar)
+		e.SetSpillDir(dir)
 		res, err := e.Execute(plan)
 		if err != nil {
-			t.Fatalf("workers=%d columnar=%v: %v", workers, columnar, err)
+			t.Fatalf("workers=%d columnar=%v budget=%d: %v", workers, columnar, budget, err)
 		}
 		tuples, rows, _ := gov.Usage()
 		return res, [2]int64{tuples, rows}
 	}
-	row, rowUsage := run(1, false)
-	for _, workers := range []int{1, 4} {
-		col, colUsage := run(workers, true)
+	row, rowUsage := run(1, false, 0)
+	for _, tc := range []struct {
+		workers  int
+		columnar bool
+		budget   int64
+	}{
+		{1, true, 0}, {4, true, 0}, {1, true, 4096}, {4, true, 4096}, {1, false, 4096},
+	} {
+		col, colUsage := run(tc.workers, tc.columnar, tc.budget)
 		if col.Stats.RowsProduced != row.Stats.RowsProduced ||
 			col.Stats.TuplesScanned != row.Stats.TuplesScanned ||
 			col.Stats.Comparisons != row.Stats.Comparisons {
-			t.Fatalf("workers=%d: columnar (rows %d, tuples %d, cmp %d) vs row (%d, %d, %d)",
-				workers, col.Stats.RowsProduced, col.Stats.TuplesScanned, col.Stats.Comparisons,
+			t.Fatalf("%+v: (rows %d, tuples %d, cmp %d) vs oracle (%d, %d, %d)",
+				tc, col.Stats.RowsProduced, col.Stats.TuplesScanned, col.Stats.Comparisons,
 				row.Stats.RowsProduced, row.Stats.TuplesScanned, row.Stats.Comparisons)
 		}
 		if colUsage != rowUsage {
-			t.Fatalf("workers=%d: governor usage %v (columnar) vs %v (row)", workers, colUsage, rowUsage)
+			t.Fatalf("%+v: governor usage %v vs oracle %v", tc, colUsage, rowUsage)
 		}
 		if col.Table.NumRows() != row.Table.NumRows() {
-			t.Fatalf("workers=%d: %d vs %d result rows", workers, col.Table.NumRows(), row.Table.NumRows())
+			t.Fatalf("%+v: %d vs %d result rows", tc, col.Table.NumRows(), row.Table.NumRows())
 		}
 		for r := 0; r < row.Table.NumRows(); r++ {
 			for c := 0; c < row.Table.Schema().NumColumns(); c++ {
 				if col.Table.Value(r, c).Key() != row.Table.Value(r, c).Key() {
-					t.Fatalf("workers=%d: row %d col %d: %s (columnar) vs %s (row)",
-						workers, r, c, col.Table.Value(r, c), row.Table.Value(r, c))
+					t.Fatalf("%+v: row %d col %d: %s vs oracle %s",
+						tc, r, c, col.Table.Value(r, c), row.Table.Value(r, c))
 				}
 			}
 		}
+	}
+	if files := listSpillFiles(t, dir); len(files) != 0 {
+		t.Fatalf("spill runs leaked: %v", files)
 	}
 	return row
 }
@@ -175,23 +188,70 @@ func TestColumnarInt64PrecisionKernel(t *testing.T) {
 	}
 }
 
-// Mixed-type join keys (int64 vs float64) force the columnar engine onto
-// the row fallback; results and counters still agree with the row oracle
-// (typed keys never cross-match in either engine).
-func TestColumnarMixedTypeKeyFallback(t *testing.T) {
+// keyTypeRows builds n two-column rows (k, v): k cycles through keys
+// (NULL every 7th row), v is the row number. Hundreds of rows make the
+// chunk-parallel probe and, under columnarDiff's budget, the spill policy
+// engage.
+func keyTypeRows(n int, keys []storage.Value) [][]storage.Value {
+	rows := make([][]storage.Value, n)
+	for i := range rows {
+		k := keys[i%len(keys)]
+		if i%7 == 3 {
+			k = storage.Null(k.Type())
+		}
+		rows[i] = []storage.Value{k, storage.Int64(int64(i))}
+	}
+	return rows
+}
+
+// loadKeyTypeTables registers the bool-key pair B1/B2 and the int64-key MI
+// against float64-key MF. Every table's build side overflows a 4 KiB
+// budget.
+func loadKeyTypeTables(t *testing.T, cat *catalog.Catalog) {
+	t.Helper()
+	schemaOf := func(k storage.Type) *storage.Schema {
+		return storage.MustSchema(storage.ColumnDef{Name: "k", Type: k}, storage.ColumnDef{Name: "v", Type: storage.TypeInt64})
+	}
+	bools := []storage.Value{storage.Bool(true), storage.Bool(false), storage.Bool(true)}
+	loadTable(t, cat, "B1", schemaOf(storage.TypeBool), keyTypeRows(300, bools))
+	loadTable(t, cat, "B2", schemaOf(storage.TypeBool), keyTypeRows(400, bools))
+	ints := []storage.Value{storage.Int64(1), storage.Int64(2), storage.Int64(3)}
+	floats := []storage.Value{storage.Float64(1), storage.Float64(2), storage.Float64(2.5)}
+	loadTable(t, cat, "MI", schemaOf(storage.TypeInt64), keyTypeRows(300, ints))
+	loadTable(t, cat, "MF", schemaOf(storage.TypeFloat64), keyTypeRows(400, floats))
+}
+
+// Bool join keys have no native hash specialization: they run through the
+// same typed kernel keyed by Value.Key() strings, and must agree with the
+// row oracle at every worker count, in memory and spilled. A residual over
+// v rides along to pin the comparison counters.
+func TestColumnarBoolKey(t *testing.T) {
 	cat := catalog.New()
-	icol := storage.MustSchema(storage.ColumnDef{Name: "k", Type: storage.TypeInt64})
-	fcol := storage.MustSchema(storage.ColumnDef{Name: "k", Type: storage.TypeFloat64})
-	loadTable(t, cat, "MI", icol, [][]storage.Value{
-		{storage.Int64(1)}, {storage.Int64(2)},
-	})
-	loadTable(t, cat, "MF", fcol, [][]storage.Value{
-		{storage.Float64(1)}, {storage.Float64(2)},
-	})
-	columnarDiff(t, cat,
+	loadKeyTypeTables(t, cat)
+	res := columnarDiff(t, cat,
+		[]cardest.TableRef{{Table: "B1"}, {Table: "B2"}},
+		[]expr.Predicate{
+			expr.NewJoin(ref("B1", "k"), expr.OpEQ, ref("B2", "k")),
+			expr.NewJoin(ref("B1", "v"), expr.OpLT, ref("B2", "v")),
+		}, nil, hashOnly)
+	if res.Stats.RowsProduced == 0 {
+		t.Fatal("bool-key join produced no rows; the case has no teeth")
+	}
+}
+
+// Mixed-type join keys (int64 vs float64) take the Value.Key() kernel too;
+// results and counters agree with the row oracle (typed keys never
+// cross-match in either engine).
+func TestColumnarMixedTypeKey(t *testing.T) {
+	cat := catalog.New()
+	loadKeyTypeTables(t, cat)
+	res := columnarDiff(t, cat,
 		[]cardest.TableRef{{Table: "MI"}, {Table: "MF"}},
 		[]expr.Predicate{expr.NewJoin(ref("MI", "k"), expr.OpEQ, ref("MF", "k"))},
 		nil, hashOnly)
+	if res.Stats.RowsProduced != 0 {
+		t.Fatalf("int64 keys matched float64 keys: %d rows", res.Stats.RowsProduced)
+	}
 }
 
 // OR-group filters run through the columnar disjunction path with the

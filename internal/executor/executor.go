@@ -7,14 +7,24 @@
 // chosen under a drastic underestimate pays the re-scans its optimizer
 // believed were free.
 //
-// Scans, hash joins, and nested-loops joins run in parallel on a bounded
-// worker pool (see internal/workpool) when the worker count — SetWorkers,
-// the governor's Limits.Workers, or GOMAXPROCS, in that order — exceeds
-// one. Parallel operators are deterministic: chunk outputs concatenate in
-// chunk order, so results are row-for-row identical to serial execution
-// and the work counters match exactly; the shared governor's atomic
-// budgets stay exact under concurrency. Sort-merge and index-nested-loops
-// run serially (their cost is dominated by sorting and index probes).
+// The hash join is one pipeline, partition → build → probe → pair-gather,
+// and three independent policies pick its shape (DESIGN §13 draws it). The
+// partition policy (Limits.MaxMemory) keeps the whole join as one partition
+// in memory or, when the build side does not fit, routes build rows to
+// checksummed spill runs and probe rows to index lists, Grace style, and
+// merges partition outputs back by origin. The worker policy
+// (Limits.Workers, via chunked) runs the probe in one call or as chunks on
+// the worker pool, concatenated in chunk order. The engine
+// (Limits.DisableColumnar) is colJoin — typed map, selection-vector
+// residuals, column gather — or rowJoin, the serial boxed oracle the tests
+// compare against. Every combination yields the same rows in the same
+// order with the same work counters and governor tuple/row charges; the
+// differential tests hold each policy against its degenerate case.
+//
+// Scans and nested-loops joins share the worker policy, and scans the
+// engine choice; sort-merge and index-nested-loops run serially (their
+// cost is dominated by sorting and index probes). The worker count is
+// SetWorkers, the governor's Limits.Workers, or GOMAXPROCS, in that order.
 //
 // The executor counts the base-table tuples it visits and the predicate
 // evaluations it performs, so experiments can report deterministic work
@@ -94,7 +104,6 @@ type Executor struct {
 	cat      *catalog.Catalog
 	gov      *governor.Governor
 	workers  int
-	rowOnly  bool   // SetColumnar(false): force the row-at-a-time engine
 	spillDir string // SetSpillDir: parent of per-query spill dirs
 }
 
@@ -268,32 +277,22 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 	if err != nil {
 		return nil, err
 	}
-	workers := e.resolveWorkers()
-	ranges := chunkRanges(base.NumRows(), workers)
-	if workers > 1 && len(ranges) > 1 {
-		return e.parallelScan(s, base, schema, filter, orFilter, workers, ranges, stats)
+	scanRange := e.scanRangeRows
+	if e.useColumnar() {
+		scanRange = e.scanRangeColumnar
 	}
-	out := storage.NewTable(s.Alias, schema)
-	if err := e.scanRange(base, 0, base.NumRows(), filter, orFilter, out, stats); err != nil {
+	sink, err := e.chunked(base.NumRows(), PointScanChunk, s.Alias, schema, stats, func(start, end int, sink *chunkSink) error {
+		return scanRange(base, start, end, filter, orFilter, sink.out, &sink.stats)
+	})
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return sink.out, nil
 }
 
-// scanRange filters base rows [start, end) into out, charging the visit
-// and row budgets. It is the shared body of the serial scan and of one
-// parallel scan chunk (then out and stats are chunk-local, the governor
-// shared). It dispatches to the vectorized or the row-at-a-time body;
-// both produce identical rows, counters, and governor charges.
-func (e *Executor) scanRange(base *storage.Table, start, end int, filter compiled,
-	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
-	if e.useColumnar() {
-		return e.scanRangeColumnar(base, start, end, filter, orFilter, out, stats)
-	}
-	return e.scanRangeRows(base, start, end, filter, orFilter, out, stats)
-}
-
-// scanRangeRows is the row-at-a-time scan body.
+// scanRangeRows is the row oracle's scan body: it filters base rows
+// [start, end) into out one boxed row at a time. scanRangeColumnar produces
+// identical rows, counters, and governor charges.
 func (e *Executor) scanRangeRows(base *storage.Table, start, end int, filter compiled,
 	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
 	buf := make([]storage.Value, 0, out.Schema().NumColumns())
@@ -324,46 +323,32 @@ func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth
 	if err != nil {
 		return nil, err
 	}
+	// The materialized inputs die with the join: they return to the bytes
+	// ledger once it has produced its output. Nested loops and index
+	// nested-loops read their inner side in place, so right stays nil.
+	var out, right *storage.Table
 	switch j.Method {
 	case optimizer.NestedLoop:
-		out, err := e.nestedLoop(j, left, stats, rec, depth)
-		if err != nil {
-			return nil, err
-		}
-		e.releaseTables(left)
-		return out, nil
-	case optimizer.SortMerge:
-		right, err := e.run(j.Right, stats, rec, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		out, err := e.sortMerge(j, left, right, stats)
-		if err != nil {
-			return nil, err
-		}
-		e.releaseTables(left, right)
-		return out, nil
-	case optimizer.HashJoin:
-		right, err := e.run(j.Right, stats, rec, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		out, err := e.hashJoin(j, left, right, stats)
-		if err != nil {
-			return nil, err
-		}
-		e.releaseTables(left, right)
-		return out, nil
+		out, err = e.nestedLoop(j, left, stats, rec, depth)
 	case optimizer.IndexNL:
-		out, err := e.indexNL(j, left, stats, rec, depth)
-		if err != nil {
+		out, err = e.indexNL(j, left, stats, rec, depth)
+	case optimizer.SortMerge, optimizer.HashJoin:
+		if right, err = e.run(j.Right, stats, rec, depth+1); err != nil {
 			return nil, err
 		}
-		e.releaseTables(left)
-		return out, nil
+		if j.Method == optimizer.SortMerge {
+			out, err = e.sortMerge(j, left, right, stats)
+		} else {
+			out, err = e.hashJoin(j, left, right, stats)
+		}
 	default:
 		return nil, fmt.Errorf("executor: unknown join method %v", j.Method)
 	}
+	if err != nil {
+		return nil, err
+	}
+	e.releaseTables(left, right)
+	return out, nil
 }
 
 // indexNL probes an ordered index on the inner base table's join column
@@ -530,15 +515,9 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 	if in.joinFilter, err = compileAll(j.Preds, outSchema); err != nil {
 		return nil, err
 	}
-	workers := e.resolveWorkers()
-	ranges := chunkRanges(left.NumRows(), workers)
-	var out *storage.Table
-	if workers > 1 && len(ranges) > 1 {
-		out, err = e.parallelNestedLoop(left, in, in.joinFilter, outSchema, workers, ranges, stats)
-	} else {
-		out = storage.NewTable("join", outSchema)
-		err = e.nlRange(left, in, in.joinFilter, out, 0, left.NumRows(), stats)
-	}
+	sink, err := e.chunked(left.NumRows(), PointJoinChunk, "join", outSchema, stats, func(start, end int, sink *chunkSink) error {
+		return e.nlRange(left, in, sink.out, start, end, &sink.stats)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -547,14 +526,13 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 		// with this join.
 		e.releaseTables(in.base)
 	}
-	return out, nil
+	return sink.out, nil
 }
 
 // nlRange runs the nested-loops join for outer rows [start, end),
-// re-reading the shared inner input per outer row. It is the shared body
-// of the serial operator and of one parallel outer chunk.
-func (e *Executor) nlRange(left *storage.Table, in nlInner, join compiled,
-	out *storage.Table, start, end int, stats *Stats) error {
+// re-reading the shared inner input per outer row, exactly as the serial
+// operator does.
+func (e *Executor) nlRange(left *storage.Table, in nlInner, out *storage.Table, start, end int, stats *Stats) error {
 	row := make([]storage.Value, 0, out.Schema().NumColumns())
 	inner := make([]storage.Value, 0, in.schema.NumColumns())
 	for lr := start; lr < end; lr++ {
@@ -574,7 +552,7 @@ func (e *Executor) nlRange(left *storage.Table, in nlInner, join compiled,
 			}
 			row = left.AppendRowTo(row[:0], lr)
 			row = append(row, inner...)
-			ok, err := join.eval(row, stats)
+			ok, err := in.joinFilter.eval(row, stats)
 			if err != nil {
 				return err
 			}
@@ -682,85 +660,123 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 	return out, nil
 }
 
-// hashJoin builds a hash table on the right input keyed by the first
-// equality predicate and probes it with the left input.
+// hashSpec is what every partition of one hash join shares: the probe
+// input, the build side's schema, the key ordinals, the residual
+// conjunction, and the engine's kernel.
+type hashSpec struct {
+	left        *storage.Table
+	buildSchema *storage.Schema
+	lKey, rKey  int
+	residual    compiled
+	outSchema   *storage.Schema
+	// join runs build → probe → pair-gather for one partition: every row
+	// of build against the left rows named by lrows, in order. A nil lrows
+	// means every left row; with a list, the sink's origin reports the
+	// left row behind each output row. The caller has already visited the
+	// rows.
+	join func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error)
+}
+
+// hashJoin joins on the first equality predicate as one pipeline:
+// partition → build → probe → pair-gather. The partition policy decides
+// which build rows and which probe rows meet (everything at once in
+// memory, or Grace partitions through spill runs) and visits both inputs;
+// the kernel behind spec.join — colJoin, or rowJoin for the row oracle —
+// joins one partition, chunk-parallel when workers allow.
 func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
 	keyPred, residuals := splitKey(j.Preds)
 	if keyPred == nil {
 		return nil, fmt.Errorf("executor: hash join requires an equality predicate")
 	}
-	outSchema, err := joinSchema(left.Schema(), right.Schema())
-	if err != nil {
+	spec := &hashSpec{left: left, buildSchema: right.Schema()}
+	var err error
+	if spec.outSchema, err = joinSchema(left.Schema(), right.Schema()); err != nil {
 		return nil, err
 	}
-	lKey, rKey, err := keyColumns(*keyPred, left.Schema(), right.Schema())
-	if err != nil {
+	if spec.lKey, spec.rKey, err = keyColumns(*keyPred, left.Schema(), right.Schema()); err != nil {
 		return nil, err
 	}
-	residual, err := compileAll(residuals, outSchema)
-	if err != nil {
+	if spec.residual, err = compileAll(residuals, spec.outSchema); err != nil {
 		return nil, err
+	}
+	if e.useColumnar() {
+		e.bindColumnar(spec)
+	} else {
+		spec.join = func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
+			return e.rowJoin(spec, build, lrows, stats)
+		}
 	}
 	if e.gov != nil {
 		// The build side pins the whole right input plus its hash map for
 		// the duration of the join. Its deterministic footprint (the input
 		// bytes, identical across engines and worker counts) both feeds the
-		// spill decision and is charged as working memory on the in-memory
-		// paths.
+		// spill decision and, when the join stays in memory, is charged as
+		// working memory.
 		need := right.ApproxBytes()
 		if e.gov.ShouldSpill(need) {
-			return e.spillHashJoin(left, right, lKey, rKey, residual, outSchema, stats, need)
+			return e.spillHashJoin(spec, right, need, stats)
 		}
 		e.gov.ChargeBytes(need)
 		defer e.gov.ReleaseBytes(need)
 	}
-	if e.useColumnar() {
-		if out, ok, cerr := e.columnarHashJoin(left, right, lKey, rKey, residual, outSchema, stats); ok {
-			return out, cerr
+	// In memory the whole join is one partition.
+	n := int64(right.NumRows()) + int64(left.NumRows())
+	stats.TuplesScanned += n
+	if err := e.gov.TickTuples(n); err != nil {
+		return nil, err
+	}
+	sink, err := spec.join(right, nil, stats)
+	if err != nil {
+		return nil, err
+	}
+	return sink.out, nil
+}
+
+// rowJoin is the row oracle's kernel for one partition: a serial, boxed,
+// Value.Key()-keyed build and probe that the columnar kernel is held
+// bit-identical to.
+func (e *Executor) rowJoin(spec *hashSpec, build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
+	m := make(map[string][]int, build.NumRows())
+	for r := 0; r < build.NumRows(); r++ {
+		if v := build.Value(r, spec.rKey); !v.IsNull() {
+			k := v.Key()
+			m[k] = append(m[k], r)
 		}
 	}
-	workers := e.resolveWorkers()
-	if workers > 1 && (len(chunkRanges(right.NumRows(), workers)) > 1 ||
-		len(chunkRanges(left.NumRows(), workers)) > 1) {
-		return e.partitionedHashJoin(left, right, lKey, rKey, residual, outSchema, workers, stats)
+	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
+	n := spec.left.NumRows()
+	if lrows != nil {
+		n = len(lrows)
 	}
-	build := make(map[string][]int, right.NumRows())
-	for r := 0; r < right.NumRows(); r++ {
-		if err := e.visit(stats); err != nil {
-			return nil, err
+	row := make([]storage.Value, 0, spec.outSchema.NumColumns())
+	for i := 0; i < n; i++ {
+		l := i
+		if lrows != nil {
+			l = lrows[i]
 		}
-		v := right.Value(r, rKey)
+		v := spec.left.Value(l, spec.lKey)
 		if v.IsNull() {
 			continue
 		}
-		k := v.Key()
-		build[k] = append(build[k], r)
-	}
-	out := storage.NewTable("join", outSchema)
-	row := make([]storage.Value, 0, outSchema.NumColumns())
-	for l := 0; l < left.NumRows(); l++ {
-		if err := e.visit(stats); err != nil {
-			return nil, err
-		}
-		v := left.Value(l, lKey)
-		if v.IsNull() {
-			continue
-		}
-		for _, r := range build[v.Key()] {
-			row = left.AppendRowTo(row[:0], l)
-			row = right.AppendRowTo(row, r)
-			ok, err := residual.eval(row, stats)
+		for _, r := range m[v.Key()] {
+			row = spec.left.AppendRowTo(row[:0], l)
+			row = build.AppendRowTo(row, r)
+			ok, err := spec.residual.eval(row, stats)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				if err := e.emit(out, row); err != nil {
-					return nil, err
-				}
+			if !ok {
+				continue
+			}
+			if err := e.emit(sink.out, row); err != nil {
+				return nil, err
+			}
+			if lrows != nil {
+				sink.origin = append(sink.origin, l)
 			}
 		}
 	}
-	return out, nil
+	return sink, nil
 }
 
 // splitKey picks the first equality join predicate as the physical key and

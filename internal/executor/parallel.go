@@ -3,22 +3,20 @@ package executor
 import (
 	"runtime"
 
-	"repro/internal/optimizer"
 	"repro/internal/storage"
 	"repro/internal/workpool"
 )
 
 // Fault-injection probe points inside parallel worker goroutines. They
-// fire at the start of each chunk or partition task, so tests can inject
-// failures and panics into the middle of a parallel operator and assert
-// clean shutdown.
+// fire at the start of each chunk task, so tests can inject failures and
+// panics into the middle of a parallel operator and assert clean shutdown.
 const (
 	// PointScanChunk fires in the worker goroutine at the start of each
 	// parallel scan chunk.
 	PointScanChunk = "executor.scan.chunk"
 	// PointJoinChunk fires in the worker goroutine at the start of each
-	// parallel join task: a build-side partitioning chunk, a probe chunk,
-	// or a nested-loops outer chunk.
+	// parallel join task: a hash-join probe chunk or a nested-loops outer
+	// chunk.
 	PointJoinChunk = "executor.join.chunk"
 )
 
@@ -61,189 +59,59 @@ func chunkRanges(n, workers int) [][2]int {
 	return out
 }
 
-// mergeChunks concatenates per-chunk output tables in chunk order (so the
-// parallel result has exactly the serial row order) and folds the
-// per-chunk work counters into stats.
-func mergeChunks(outs []*storage.Table, locals []Stats, stats *Stats) (*storage.Table, error) {
-	out := outs[0]
-	for _, t := range outs[1:] {
-		if err := out.AppendTable(t); err != nil {
+// chunkSink is the private output of one chunk of a chunk-parallel
+// operator. Chunks never share a sink, so bodies write it without
+// synchronisation, while every chunk ticks the one shared governor so
+// budget accounting stays exact.
+type chunkSink struct {
+	out   *storage.Table
+	stats Stats
+	// origin names the probe row behind each row of out. Only hash-join
+	// probes over a probe-row list fill it: the spill policy needs it to
+	// merge partition outputs back into probe order.
+	origin []int
+}
+
+// chunked is the worker policy of every parallel operator: it runs body
+// over the positions [0, n) — in one call when one worker or one chunk
+// suffices, otherwise per chunk on the worker pool, consulting the fault
+// point in each worker goroutine — and concatenates the chunk sinks in
+// chunk order. The result is therefore row-for-row identical to the serial
+// run, and so are the work counters folded into stats.
+func (e *Executor) chunked(n int, point, name string, schema *storage.Schema, stats *Stats,
+	body func(start, end int, sink *chunkSink) error) (*chunkSink, error) {
+	workers := e.resolveWorkers()
+	ranges := chunkRanges(n, workers)
+	if workers <= 1 || len(ranges) <= 1 {
+		ranges = [][2]int{{0, n}}
+	}
+	sinks := make([]chunkSink, len(ranges))
+	run := func(i int) error {
+		sinks[i].out = storage.NewTable(name, schema)
+		return body(ranges[i][0], ranges[i][1], &sinks[i])
+	}
+	var err error
+	if len(ranges) == 1 {
+		err = run(0)
+	} else {
+		err = workpool.Run(workers, len(ranges), func(i int) error {
+			if err := e.probe(point); err != nil {
+				return err
+			}
+			return run(i)
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	merged := &sinks[0]
+	stats.Add(merged.stats)
+	for i := 1; i < len(sinks); i++ {
+		if err := merged.out.AppendTable(sinks[i].out); err != nil {
 			return nil, err
 		}
+		merged.origin = append(merged.origin, sinks[i].origin...)
+		stats.Add(sinks[i].stats)
 	}
-	for i := range locals {
-		stats.Add(locals[i])
-	}
-	return out, nil
-}
-
-// parallelScan filters the base table's row chunks on the worker pool.
-// Each chunk writes a local output; chunk outputs are concatenated in
-// chunk order, so the result is row-for-row identical to the serial scan,
-// and every chunk ticks the shared governor so budget accounting stays
-// exact.
-func (e *Executor) parallelScan(s *optimizer.Scan, base *storage.Table, schema *storage.Schema,
-	filter compiled, orFilter []compiledDisj, workers int, ranges [][2]int, stats *Stats) (*storage.Table, error) {
-	outs := make([]*storage.Table, len(ranges))
-	locals := make([]Stats, len(ranges))
-	err := workpool.Run(workers, len(ranges), func(i int) error {
-		if err := e.probe(PointScanChunk); err != nil {
-			return err
-		}
-		outs[i] = storage.NewTable(s.Alias, schema)
-		return e.scanRange(base, ranges[i][0], ranges[i][1], filter, orFilter, outs[i], &locals[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeChunks(outs, locals, stats)
-}
-
-// buildEntry is one build-side row routed to a hash partition, carrying
-// its precomputed key so the partition map build never re-reads the table.
-type buildEntry struct {
-	row int
-	key string
-}
-
-// partitionOf routes a join key to one of p partitions (FNV-1a).
-func partitionOf(key string, p int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(p))
-}
-
-// partitionedHashJoin is the parallel hash join: the build side is
-// partitioned by key hash (chunk-parallel partitioning, then one map
-// built per partition in parallel), and probe-side chunks run on the
-// worker pool, each probing the read-only partition maps.
-//
-// Determinism: per-chunk partition lists are concatenated in chunk order,
-// so each partition map's per-key row lists keep base row order; probe
-// chunks emit in left-row order and are concatenated in chunk order. The
-// output is therefore row-for-row identical to the serial hash join, and
-// so are the tuple/comparison counters.
-func (e *Executor) partitionedHashJoin(left, right *storage.Table, lKey, rKey int,
-	residual compiled, outSchema *storage.Schema, workers int, stats *Stats) (*storage.Table, error) {
-	parts := workers
-
-	// Phase 1: route build rows to partitions, chunk-parallel.
-	buildRanges := chunkRanges(right.NumRows(), workers)
-	chunkParts := make([][][]buildEntry, len(buildRanges))
-	buildStats := make([]Stats, len(buildRanges))
-	err := workpool.Run(workers, len(buildRanges), func(i int) error {
-		if err := e.probe(PointJoinChunk); err != nil {
-			return err
-		}
-		local := make([][]buildEntry, parts)
-		for r := buildRanges[i][0]; r < buildRanges[i][1]; r++ {
-			if err := e.visit(&buildStats[i]); err != nil {
-				return err
-			}
-			v := right.Value(r, rKey)
-			if v.IsNull() {
-				continue
-			}
-			k := v.Key()
-			p := partitionOf(k, parts)
-			local[p] = append(local[p], buildEntry{row: r, key: k})
-		}
-		chunkParts[i] = local
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range buildStats {
-		stats.Add(buildStats[i])
-	}
-
-	// Phase 2: build one hash map per partition, partition-parallel.
-	builds := make([]map[string][]int, parts)
-	err = workpool.Run(workers, parts, func(p int) error {
-		n := 0
-		for _, ch := range chunkParts {
-			n += len(ch[p])
-		}
-		m := make(map[string][]int, n)
-		for _, ch := range chunkParts {
-			for _, en := range ch[p] {
-				m[en.key] = append(m[en.key], en.row)
-			}
-		}
-		builds[p] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: probe left chunks against the read-only partition maps.
-	probeRanges := chunkRanges(left.NumRows(), workers)
-	outs := make([]*storage.Table, len(probeRanges))
-	probeStats := make([]Stats, len(probeRanges))
-	err = workpool.Run(workers, len(probeRanges), func(i int) error {
-		if err := e.probe(PointJoinChunk); err != nil {
-			return err
-		}
-		out := storage.NewTable("join", outSchema)
-		row := make([]storage.Value, 0, outSchema.NumColumns())
-		for l := probeRanges[i][0]; l < probeRanges[i][1]; l++ {
-			if err := e.visit(&probeStats[i]); err != nil {
-				return err
-			}
-			v := left.Value(l, lKey)
-			if v.IsNull() {
-				continue
-			}
-			k := v.Key()
-			for _, r := range builds[partitionOf(k, parts)][k] {
-				row = left.AppendRowTo(row[:0], l)
-				row = right.AppendRowTo(row, r)
-				ok, err := residual.eval(row, &probeStats[i])
-				if err != nil {
-					return err
-				}
-				if ok {
-					if err := e.emit(out, row); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		outs[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) == 0 {
-		return storage.NewTable("join", outSchema), nil
-	}
-	return mergeChunks(outs, probeStats, stats)
-}
-
-// parallelNestedLoop runs the nested-loops outer rows in chunks on the
-// worker pool; each chunk re-scans (or re-reads) the shared inner input,
-// exactly as the serial operator does per outer row. Chunk outputs are
-// concatenated in chunk order, so the result and the work counters are
-// identical to the serial nested loop.
-func (e *Executor) parallelNestedLoop(left *storage.Table, in nlInner, join compiled,
-	outSchema *storage.Schema, workers int, ranges [][2]int, stats *Stats) (*storage.Table, error) {
-	outs := make([]*storage.Table, len(ranges))
-	locals := make([]Stats, len(ranges))
-	err := workpool.Run(workers, len(ranges), func(i int) error {
-		if err := e.probe(PointJoinChunk); err != nil {
-			return err
-		}
-		outs[i] = storage.NewTable("join", outSchema)
-		return e.nlRange(left, in, join, outs[i], ranges[i][0], ranges[i][1], &locals[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeChunks(outs, locals, stats)
+	return merged, nil
 }

@@ -270,15 +270,3 @@ func TestChunkRanges(t *testing.T) {
 		}
 	}
 }
-
-func TestPartitionOfStable(t *testing.T) {
-	for _, key := range []string{"", "a", "hello", "12345"} {
-		p := partitionOf(key, 7)
-		if p < 0 || p >= 7 {
-			t.Fatalf("partitionOf(%q) = %d out of range", key, p)
-		}
-		if partitionOf(key, 7) != p {
-			t.Fatalf("partitionOf(%q) unstable", key)
-		}
-	}
-}

@@ -1,11 +1,12 @@
-// Spill-to-disk hash join. When a build side would not fit the query's
-// byte budget (governor.Limits.MaxMemory) — or exceeds the planner's
-// estimate-informed reservation, the early trip for wildly underestimated
-// joins — the join switches to Grace-style recursive partitioning: build
-// rows are hashed into partitions and written to crc32-checksummed spill
-// runs through the durable.AtomicWriteFile discipline, then each
-// partition is joined within budget and the per-partition outputs are
-// merged back into the exact serial row order.
+// The spill partition policy of the hash join. When a build side would
+// not fit the query's byte budget (governor.Limits.MaxMemory) — or exceeds
+// the planner's estimate-informed reservation, the early trip for wildly
+// underestimated joins — the join switches to Grace-style recursive
+// partitioning: build rows are hashed into partitions and written to
+// crc32-checksummed spill runs through the durable.AtomicWriteFile
+// discipline, then each partition is joined within budget by the same
+// kernel the in-memory join runs (hashSpec.join) and the per-partition
+// outputs are merged back into the exact serial row order.
 //
 // Only the build side goes to disk: the probe side is already
 // materialized by the operator-at-a-time executor (its bytes are on the
@@ -186,16 +187,7 @@ func encodeValue(dst []byte, v storage.Value) []byte {
 	return dst
 }
 
-// encodeRow appends one table row to a spill run payload.
-func encodeRow(dst []byte, tbl *storage.Table, row int) []byte {
-	for c := 0; c < tbl.Schema().NumColumns(); c++ {
-		dst = encodeValue(dst, tbl.Value(row, c))
-	}
-	return dst
-}
-
-// encodeVals appends an already-boxed row to a spill run payload (the
-// recursive re-partition path, which streams rows file-to-file).
+// encodeVals appends one boxed row to a spill run payload.
 func encodeVals(dst []byte, vals []storage.Value) []byte {
 	for _, v := range vals {
 		dst = encodeValue(dst, v)
@@ -338,6 +330,34 @@ func (e *Executor) readSpillRun(path string) ([]byte, error) {
 	return payload, nil
 }
 
+// readRuns reads run files back in sequence — run order is the order rows
+// were routed in — and hands each decoded row to fn; vals is reused across
+// calls. Every failure of the read path comes back as a typed ErrMemory.
+func (e *Executor) readRuns(files []string, schema *storage.Schema, fn func(vals []storage.Value) error) error {
+	vals := make([]storage.Value, 0, schema.NumColumns())
+	for _, f := range files {
+		payload, err := e.readSpillRun(f)
+		if err != nil {
+			return err
+		}
+		for len(payload) > 0 {
+			// Decoding revisits rows already counted in the routing pass, so
+			// poll the governor without charging — counter parity with the
+			// in-memory join is load-bearing.
+			if err := e.gov.Err(); err != nil {
+				return err
+			}
+			if vals, payload, err = decodeRow(payload, schema, vals); err != nil {
+				return spillFail("read", err)
+			}
+			if err := fn(vals); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // spillRunLimit sizes one partition's run buffer: a quarter of the
 // budget shared across the partitions, floored so tiny budgets still
 // make progress.
@@ -352,13 +372,14 @@ func spillRunLimit(budget int64, parts int) int {
 	return limit
 }
 
-// spillHashJoin is the Grace hash join: the build side is partitioned
-// into checksummed spill runs, probe rows are routed to matching
-// in-memory index lists, each partition is joined within budget
+// spillHashJoin is the Grace partition policy of the hash-join pipeline:
+// the build side is partitioned into checksummed spill runs, probe rows
+// are routed to matching in-memory index lists, each partition is joined
+// within budget by the same kernel the in-memory join uses
 // (re-partitioning recursively while over), and partition outputs merge
-// back into exact probe-row order.
-func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
-	residual compiled, outSchema *storage.Schema, stats *Stats, need int64) (out *storage.Table, err error) {
+// back into exact probe-row order. Routing visits every row of both
+// inputs once, as the in-memory policy does.
+func (e *Executor) spillHashJoin(spec *hashSpec, right *storage.Table, need int64, stats *Stats) (out *storage.Table, err error) {
 	root := e.spillRoot()
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, spillFail("create dir", err)
@@ -389,135 +410,116 @@ func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
 	e.gov.ChargeBytes(bufCharge)
 	defer e.gov.ReleaseBytes(bufCharge)
 
-	// Phase 1: route build rows to partition run files, in row order.
+	// Route build rows to partition run files, in row order. NULL keys
+	// join nothing, so they are visited and dropped here.
 	writers := make([]*spillWriter, parts)
 	for p := range writers {
 		writers[p] = newSpillWriter(e, dir, fmt.Sprintf("b%d", p), limit)
 	}
+	vals := make([]storage.Value, 0, right.Schema().NumColumns())
 	for r := 0; r < right.NumRows(); r++ {
 		if err := e.visit(stats); err != nil {
 			return nil, err
 		}
-		v := right.Value(r, rKey)
-		if v.IsNull() {
+		vals = right.AppendRowTo(vals[:0], r)
+		if vals[spec.rKey].IsNull() {
 			continue
 		}
-		w := writers[spillPart(v.Key(), parts, 0)]
-		w.buf = encodeRow(w.buf, right, r)
+		w := writers[spillPart(vals[spec.rKey].Key(), parts, 0)]
+		w.buf = encodeVals(w.buf, vals)
 		if err := w.maybeFlush(); err != nil {
 			return nil, err
 		}
 	}
-	var spilled int64
-	for _, w := range writers {
-		if err := w.flush(); err != nil {
-			return nil, err
-		}
-		spilled += w.bytes
+	if err := e.finishRuns(writers); err != nil {
+		return nil, err
 	}
-	e.gov.RecordSpill(spilled)
 
-	// Phase 2: route probe rows to in-memory partition index lists, in
-	// row order (each list therefore stays ascending in original index).
+	// Route probe rows to in-memory partition index lists, in row order
+	// (each list therefore stays ascending in original index).
 	lparts := make([][]int, parts)
-	for l := 0; l < left.NumRows(); l++ {
+	for l := 0; l < spec.left.NumRows(); l++ {
 		if err := e.visit(stats); err != nil {
 			return nil, err
 		}
-		v := left.Value(l, lKey)
+		v := spec.left.Value(l, spec.lKey)
 		if v.IsNull() {
 			continue
 		}
 		p := spillPart(v.Key(), parts, 0)
 		lparts[p] = append(lparts[p], l)
 	}
-
-	// Phase 3: join each partition, then merge outputs by original
-	// probe-row index to restore the serial emit order.
-	outs := make([]*storage.Table, 0, parts)
-	origins := make([][]int, 0, parts)
-	for p := 0; p < parts; p++ {
-		pOut, pIdx, err := e.joinSpillPartition(dir, writers[p].files, writers[p].bytes,
-			lparts[p], left, right.Schema(), lKey, rKey, residual, outSchema, stats, 1)
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, pOut)
-		origins = append(origins, pIdx)
-	}
-	merged, _, err := e.mergeByOrigin(outSchema, outs, origins)
+	merged, _, err := e.joinSpillPartitions(spec, dir, writers, lparts, stats, 1)
 	return merged, err
+}
+
+// finishRuns flushes every partition's last run and records the spill.
+func (e *Executor) finishRuns(writers []*spillWriter) error {
+	var spilled int64
+	for _, w := range writers {
+		if err := w.flush(); err != nil {
+			return err
+		}
+		spilled += w.bytes
+	}
+	e.gov.RecordSpill(spilled)
+	return nil
+}
+
+// joinSpillPartitions joins each partition's runs against its probe-row
+// list, then merges the outputs by original probe-row index to restore
+// the serial emit order.
+func (e *Executor) joinSpillPartitions(spec *hashSpec, dir string, writers []*spillWriter, lparts [][]int,
+	stats *Stats, depth int) (*storage.Table, []int, error) {
+	outs := make([]*storage.Table, 0, len(writers))
+	origins := make([][]int, 0, len(writers))
+	for p, w := range writers {
+		out, origin, err := e.joinSpillPartition(spec, dir, w.files, w.bytes, lparts[p], stats, depth)
+		if err != nil {
+			return nil, nil, err
+		}
+		outs = append(outs, out)
+		origins = append(origins, origin)
+	}
+	return e.mergeByOrigin(spec.outSchema, outs, origins)
 }
 
 // joinSpillPartition joins one partition's build runs against its probe
 // index list. A partition still over budget re-partitions recursively
 // (streaming rows file-to-file, never holding the oversized partition in
 // memory) until maxSpillDepth.
-func (e *Executor) joinSpillPartition(dir string, files []string, payloadBytes int64,
-	lrows []int, left *storage.Table, rightSchema *storage.Schema, lKey, rKey int,
-	residual compiled, outSchema *storage.Schema, stats *Stats, depth int) (*storage.Table, []int, error) {
+func (e *Executor) joinSpillPartition(spec *hashSpec, dir string, files []string, payloadBytes int64,
+	lrows []int, stats *Stats, depth int) (*storage.Table, []int, error) {
 	if len(files) == 0 || len(lrows) == 0 {
 		// No matches possible; the runs (if any) die with the query dir.
-		return storage.NewTable("join", outSchema), nil, nil
+		// This also keeps an empty list from reaching the kernel, where
+		// nil means "every left row".
+		return storage.NewTable("join", spec.outSchema), nil, nil
 	}
 	used, _, _ := e.gov.MemoryUsage()
 	if budget := e.gov.MaxMemory(); budget > 0 && used+payloadBytes > budget && depth < maxSpillDepth {
-		return e.respillPartition(dir, files, lrows, left, rightSchema, lKey, rKey, residual, outSchema, stats, depth)
+		return e.respillPartition(spec, dir, files, lrows, stats, depth)
 	}
 
-	// Decode the partition's build rows (run order = original row order).
-	part := storage.NewTable("spill", rightSchema)
-	vals := make([]storage.Value, 0, rightSchema.NumColumns())
-	for _, f := range files {
-		payload, err := e.readSpillRun(f)
-		if err != nil {
-			return nil, nil, err
+	part := storage.NewTable("spill", spec.buildSchema)
+	err := e.readRuns(files, spec.buildSchema, func(vals []storage.Value) error {
+		if err := part.AppendRow(vals...); err != nil {
+			return spillFail("read", err)
 		}
-		for len(payload) > 0 {
-			// Decoding revisits rows already counted in the routing pass, so
-			// poll the governor without charging — counter parity with the
-			// in-memory join is load-bearing.
-			if err := e.gov.Err(); err != nil {
-				return nil, nil, err
-			}
-			var derr error
-			vals, payload, derr = decodeRow(payload, rightSchema, vals)
-			if derr != nil {
-				return nil, nil, spillFail("read", derr)
-			}
-			if err := part.AppendRow(vals...); err != nil {
-				return nil, nil, spillFail("read", err)
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	partBytes := part.ApproxBytes()
 	e.gov.ChargeBytes(partBytes)
 	defer e.gov.ReleaseBytes(partBytes)
 
-	build := make(map[string][]int, part.NumRows())
-	for r := 0; r < part.NumRows(); r++ {
-		build[part.Value(r, rKey).Key()] = append(build[part.Value(r, rKey).Key()], r)
+	sink, err := spec.join(part, lrows, stats)
+	if err != nil {
+		return nil, nil, err
 	}
-	out := storage.NewTable("join", outSchema)
-	var origin []int
-	row := make([]storage.Value, 0, outSchema.NumColumns())
-	for _, l := range lrows {
-		for _, r := range build[left.Value(l, lKey).Key()] {
-			row = left.AppendRowTo(row[:0], l)
-			row = part.AppendRowTo(row, r)
-			ok, err := residual.eval(row, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				if err := e.emit(out, row); err != nil {
-					return nil, nil, err
-				}
-				origin = append(origin, l)
-			}
-		}
-	}
-	return out, origin, nil
+	return sink.out, sink.origin, nil
 }
 
 // respillPartition splits an over-budget partition one level deeper:
@@ -525,61 +527,31 @@ func (e *Executor) joinSpillPartition(dir string, files []string, payloadBytes i
 // probe indices re-route in memory, and each sub-partition joins
 // recursively. Sub-outputs merge by origin, so the parent sees the same
 // order it would have produced without the extra level.
-func (e *Executor) respillPartition(dir string, files []string, lrows []int,
-	left *storage.Table, rightSchema *storage.Schema, lKey, rKey int,
-	residual compiled, outSchema *storage.Schema, stats *Stats, depth int) (*storage.Table, []int, error) {
-	budget := e.gov.MaxMemory()
+func (e *Executor) respillPartition(spec *hashSpec, dir string, files []string, lrows []int,
+	stats *Stats, depth int) (*storage.Table, []int, error) {
 	parts := minSpillParts * 2
-	limit := spillRunLimit(budget, parts)
+	limit := spillRunLimit(e.gov.MaxMemory(), parts)
 	writers := make([]*spillWriter, parts)
 	for p := range writers {
 		writers[p] = newSpillWriter(e, dir, fmt.Sprintf("d%d-%s-%d", depth, filepath.Base(files[0]), p), limit)
 	}
-	vals := make([]storage.Value, 0, rightSchema.NumColumns())
-	for _, f := range files {
-		payload, err := e.readSpillRun(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		for len(payload) > 0 {
-			var derr error
-			vals, payload, derr = decodeRow(payload, rightSchema, vals)
-			if derr != nil {
-				return nil, nil, spillFail("read", derr)
-			}
-			w := writers[spillPart(vals[rKey].Key(), parts, depth)]
-			w.buf = encodeVals(w.buf, vals)
-			if err := w.maybeFlush(); err != nil {
-				return nil, nil, err
-			}
-		}
+	err := e.readRuns(files, spec.buildSchema, func(vals []storage.Value) error {
+		w := writers[spillPart(vals[spec.rKey].Key(), parts, depth)]
+		w.buf = encodeVals(w.buf, vals)
+		return w.maybeFlush()
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	var spilled int64
-	for _, w := range writers {
-		if err := w.flush(); err != nil {
-			return nil, nil, err
-		}
-		spilled += w.bytes
+	if err := e.finishRuns(writers); err != nil {
+		return nil, nil, err
 	}
-	e.gov.RecordSpill(spilled)
-
 	subRows := make([][]int, parts)
 	for _, l := range lrows {
-		p := spillPart(left.Value(l, lKey).Key(), parts, depth)
+		p := spillPart(spec.left.Value(l, spec.lKey).Key(), parts, depth)
 		subRows[p] = append(subRows[p], l)
 	}
-	outs := make([]*storage.Table, 0, parts)
-	origins := make([][]int, 0, parts)
-	for p := 0; p < parts; p++ {
-		sOut, sIdx, err := e.joinSpillPartition(dir, writers[p].files, writers[p].bytes,
-			subRows[p], left, rightSchema, lKey, rKey, residual, outSchema, stats, depth+1)
-		if err != nil {
-			return nil, nil, err
-		}
-		outs = append(outs, sOut)
-		origins = append(origins, sIdx)
-	}
-	return e.mergeByOrigin(outSchema, outs, origins)
+	return e.joinSpillPartitions(spec, dir, writers, subRows, stats, depth+1)
 }
 
 // mergeByOrigin interleaves partition outputs by original probe-row

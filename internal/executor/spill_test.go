@@ -24,8 +24,14 @@ import (
 func spillPlan(t *testing.T) (*catalog.Catalog, optimizer.Plan) {
 	t.Helper()
 	cat := buildCatalog(t, chainSpecs(200, 260)...)
-	tabs := []cardest.TableRef{{Table: "T0"}, {Table: "T1"}}
-	preds := []expr.Predicate{expr.NewJoin(ref("T0", "k"), expr.OpEQ, ref("T1", "k"))}
+	return cat, hashPlan(t, cat, "T0", "T1")
+}
+
+// hashPlan plans l ⋈ r on column k with the hash join as the only method.
+func hashPlan(t *testing.T, cat *catalog.Catalog, l, r string) optimizer.Plan {
+	t.Helper()
+	tabs := []cardest.TableRef{{Table: l}, {Table: r}}
+	preds := []expr.Predicate{expr.NewJoin(ref(l, "k"), expr.OpEQ, ref(r, "k"))}
 	est, err := cardest.New(cat, tabs, preds, cardest.ELS())
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +44,7 @@ func spillPlan(t *testing.T) (*catalog.Catalog, optimizer.Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cat, plan
+	return plan
 }
 
 // execSpill runs the plan under the given byte budget (0 = unbudgeted)
@@ -82,38 +88,54 @@ func listSpillFiles(t *testing.T, dir string) []string {
 
 // The spilled join must be bit-identical to the unbudgeted in-memory
 // join — same rows in the same order, same TuplesScanned and Comparisons,
-// same governor tuple/row charges — at every worker count, and it must
-// clean its runs up on the way out.
+// same governor tuple/row charges — at every worker count and for every
+// key representation of the kernel (native int64, Value.Key() strings for
+// bool and for int64-vs-float64 keys), and it must clean its runs up on
+// the way out.
 func TestSpillHashJoinBitIdentical(t *testing.T) {
-	cat, plan := spillPlan(t)
-	dir := t.TempDir()
-	oracle, oracleUsage, _ := execSpill(t, cat, plan, 1, 0, dir)
-	for _, workers := range []int{1, 4, 8} {
-		res, usage, gov := execSpill(t, cat, plan, workers, 2048, dir)
-		if count, _ := gov.SpillStats(); count == 0 {
-			t.Fatalf("workers=%d: the 2 KiB budget did not force a spill", workers)
-		}
-		if res.Stats.RowsProduced != oracle.Stats.RowsProduced ||
-			res.Stats.TuplesScanned != oracle.Stats.TuplesScanned ||
-			res.Stats.Comparisons != oracle.Stats.Comparisons {
-			t.Fatalf("workers=%d: spilled stats (%d rows, %d tuples, %d cmp) vs in-memory (%d, %d, %d)",
-				workers, res.Stats.RowsProduced, res.Stats.TuplesScanned, res.Stats.Comparisons,
-				oracle.Stats.RowsProduced, oracle.Stats.TuplesScanned, oracle.Stats.Comparisons)
-		}
-		if usage != oracleUsage {
-			t.Fatalf("workers=%d: governor charges %v (spilled) vs %v (in-memory)", workers, usage, oracleUsage)
-		}
-		for r := 0; r < oracle.Table.NumRows(); r++ {
-			for c := 0; c < oracle.Table.Schema().NumColumns(); c++ {
-				if storage.Compare(oracle.Table.Value(r, c), res.Table.Value(r, c)) != 0 {
-					t.Fatalf("workers=%d: row %d col %d differs: %s vs %s",
-						workers, r, c, res.Table.Value(r, c), oracle.Table.Value(r, c))
+	intCat, intPlan := spillPlan(t)
+	keyCat := catalog.New()
+	loadKeyTypeTables(t, keyCat)
+	for _, tc := range []struct {
+		name string
+		cat  *catalog.Catalog
+		plan optimizer.Plan
+	}{
+		{"int64", intCat, intPlan},
+		{"bool", keyCat, hashPlan(t, keyCat, "B1", "B2")},
+		{"int64-vs-float64", keyCat, hashPlan(t, keyCat, "MI", "MF")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			oracle, oracleUsage, _ := execSpill(t, tc.cat, tc.plan, 1, 0, dir)
+			for _, workers := range []int{1, 4, 8} {
+				res, usage, gov := execSpill(t, tc.cat, tc.plan, workers, 2048, dir)
+				if count, _ := gov.SpillStats(); count == 0 {
+					t.Fatalf("workers=%d: the 2 KiB budget did not force a spill", workers)
+				}
+				if res.Stats.RowsProduced != oracle.Stats.RowsProduced ||
+					res.Stats.TuplesScanned != oracle.Stats.TuplesScanned ||
+					res.Stats.Comparisons != oracle.Stats.Comparisons {
+					t.Fatalf("workers=%d: spilled stats (%d rows, %d tuples, %d cmp) vs in-memory (%d, %d, %d)",
+						workers, res.Stats.RowsProduced, res.Stats.TuplesScanned, res.Stats.Comparisons,
+						oracle.Stats.RowsProduced, oracle.Stats.TuplesScanned, oracle.Stats.Comparisons)
+				}
+				if usage != oracleUsage {
+					t.Fatalf("workers=%d: governor charges %v (spilled) vs %v (in-memory)", workers, usage, oracleUsage)
+				}
+				for r := 0; r < oracle.Table.NumRows(); r++ {
+					for c := 0; c < oracle.Table.Schema().NumColumns(); c++ {
+						if storage.Compare(oracle.Table.Value(r, c), res.Table.Value(r, c)) != 0 {
+							t.Fatalf("workers=%d: row %d col %d differs: %s vs %s",
+								workers, r, c, res.Table.Value(r, c), oracle.Table.Value(r, c))
+						}
+					}
 				}
 			}
-		}
-	}
-	if files := listSpillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("spill runs leaked after clean completion: %v", files)
+			if files := listSpillFiles(t, dir); len(files) != 0 {
+				t.Fatalf("spill runs leaked after clean completion: %v", files)
+			}
+		})
 	}
 }
 
@@ -258,4 +280,73 @@ func TestSpillFixtureOversized(t *testing.T) {
 	if b := cat.Data("T1").ApproxBytes(); b <= 2048 {
 		t.Fatalf("fixture build side is only %d bytes; the spill tests' 2 KiB budget would not engage", b)
 	}
+}
+
+// FuzzSpillRun feeds arbitrary bytes to the spill read path twice: as a
+// whole run file, which the frame check (readSpillRun) must vet, and as
+// the payload of a correctly framed run, which reaches the row decoder
+// (decodeRow). Either way the read must succeed or fail with a typed
+// ErrMemory — never panic, whatever a torn or bit-rotted disk hands back.
+func FuzzSpillRun(f *testing.F) {
+	schema := storage.MustSchema(
+		storage.ColumnDef{Name: "i", Type: storage.TypeInt64},
+		storage.ColumnDef{Name: "f", Type: storage.TypeFloat64},
+		storage.ColumnDef{Name: "b", Type: storage.TypeBool},
+		storage.ColumnDef{Name: "s", Type: storage.TypeString})
+	exec := New(catalog.New())
+	dir := f.TempDir()
+	// frame writes payload as a well-formed run file and returns its path.
+	frame := func(tb testing.TB, payload []byte) string {
+		w := newSpillWriter(exec, dir, "fuzz", 0)
+		w.buf = payload
+		if err := w.flush(); err != nil {
+			tb.Fatal(err)
+		}
+		if len(w.files) == 0 { // empty payload: nothing to write
+			return ""
+		}
+		return w.files[0]
+	}
+	// Seed with a well-formed payload (one full row, one all-NULL row), its
+	// framed file, and torn and corrupted variants of both.
+	payload := encodeVals(nil, []storage.Value{
+		storage.Int64(-7), storage.Float64(2.5), storage.Bool(true), storage.String64("spill")})
+	payload = encodeVals(payload, []storage.Value{
+		storage.Null(storage.TypeInt64), storage.Null(storage.TypeFloat64),
+		storage.Null(storage.TypeBool), storage.Null(storage.TypeString)})
+	file, err := os.ReadFile(frame(f, payload))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{payload, file} {
+		flipped := append([]byte(nil), seed...)
+		flipped[len(flipped)-1] ^= 0x01
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw := filepath.Join(dir, "raw"+SpillSuffix)
+		if err := os.WriteFile(raw, data, 0o644); err != nil { //atomicwrite:allow test plants arbitrary bytes as a spill run
+			t.Fatal(err)
+		}
+		for _, path := range []string{raw, frame(t, data)} {
+			if path == "" {
+				continue
+			}
+			rows := 0
+			err := exec.readRuns([]string{path}, schema, func(vals []storage.Value) error {
+				if len(vals) != schema.NumColumns() {
+					t.Fatalf("decoded a %d-value row for a %d-column schema", len(vals), schema.NumColumns())
+				}
+				rows++
+				return nil
+			})
+			if err != nil && !errors.Is(err, governor.ErrMemory) {
+				t.Fatalf("%s: untyped spill read failure after %d rows: %v", filepath.Base(path), rows, err)
+			}
+		}
+	})
 }

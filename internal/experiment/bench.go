@@ -55,10 +55,6 @@ type BenchReport struct {
 	// workload (the "repeated" experiment): hits / (hits + misses) over a
 	// Zipf-skewed re-issue schedule. 0 when the run did not include it.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// ColumnarSpeedup is the row-engine / columnar-engine ratio of summed
-	// per-query execution time on the Section 8 experiment (> 1 means the
-	// columnar engine is faster). 0 when the run skipped execution.
-	ColumnarSpeedup float64 `json:"columnar_speedup"`
 	// ServerP99Millis is the client-observed p99 round-trip latency of
 	// the wire-server swarm benchmark (-server). 0 when the run did not
 	// include it.
@@ -85,17 +81,6 @@ func SumTuplesScanned(res *Section8Result) int64 {
 	var total int64
 	for _, row := range res.Rows {
 		total += row.Stats.TuplesScanned
-	}
-	return total
-}
-
-// SumExecMillis totals the pure execution wall time across a Section 8
-// table's rows — planning and data generation excluded — which is the
-// quantity the columnar-vs-row speedup compares.
-func SumExecMillis(res *Section8Result) float64 {
-	var total float64
-	for _, row := range res.Rows {
-		total += float64(row.Stats.Elapsed.Microseconds()) / 1000
 	}
 	return total
 }

@@ -45,11 +45,6 @@ type Section8Options struct {
 	// (0 = GOMAXPROCS, 1 = serial). The counts and tuple counters are
 	// worker-invariant; only wall-clock changes.
 	Workers int
-	// DisableColumnar forces the row-at-a-time engine for the executed
-	// queries. Counts and work counters are engine-invariant (the
-	// differential harness pins that); only wall-clock changes, which is
-	// exactly what the columnar-speedup benchmark measures.
-	DisableColumnar bool
 }
 
 // Section8Row is one line of the reproduced table.
@@ -174,7 +169,6 @@ func RunSection8(opts Section8Options) (*Section8Result, error) {
 	}
 	exec := executor.New(cat)
 	exec.SetWorkers(opts.Workers)
-	exec.SetColumnar(!opts.DisableColumnar)
 	for _, run := range runs {
 		est, err := cardest.New(cat, section8Tables(), preds, run.cfg)
 		if err != nil {

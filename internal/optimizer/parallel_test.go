@@ -103,3 +103,48 @@ func TestBestPlanParallelStarQuery(t *testing.T) {
 		}
 	}
 }
+
+// The parallel DP search reads the estimator's equivalence classes from
+// several goroutines at once, so class lookups must not write. The eight
+// tables here join on one column in an order (pairs, then pairs of pairs)
+// that builds a union-find tree two levels deep — the shape on which a
+// path-compressing find wrote its parent map under concurrent readers and
+// the runtime killed the process. Rule M without predicate transitive
+// closure is the configuration that never walks the classes while the
+// estimator is built, and each round plans on a fresh estimator, so every
+// search starts on an untouched tree; run under -race.
+func TestBestPlanParallelSharesEquivalenceClasses(t *testing.T) {
+	cat := catalog.New()
+	tabs := make([]cardest.TableRef, 8)
+	for i := range tabs {
+		name := fmt.Sprintf("E%d", i)
+		card := float64(1000 * (i + 1))
+		cat.MustAddTable(catalog.SimpleTable(name, card, map[string]float64{"k": card / 4}))
+		tabs[i] = cardest.TableRef{Table: name}
+	}
+	var preds []expr.Predicate
+	for _, pair := range [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {1, 3}, {5, 7}, {3, 7}} {
+		preds = append(preds, expr.NewJoin(
+			ref(tabs[pair[0]].Table, "k"), expr.OpEQ, ref(tabs[pair[1]].Table, "k")))
+	}
+	var want Plan
+	for round := 0; round < 20; round++ {
+		est, err := cardest.New(cat, tabs, preds, cardest.SM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := New(est, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := opt.BestPlan()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if want == nil {
+			want = got
+		} else if got.String() != want.String() {
+			t.Fatalf("round %d: plan %s differs from round 0's %s", round, got, want)
+		}
+	}
+}

@@ -172,8 +172,9 @@ type cachedPlan struct {
 // order forces the join order (EstimateOrder) and is folded into the cache
 // key, so forced-order estimates cache independently of best-plan ones.
 //
-// The cache key is (canonical normalized query, algorithm, pinned catalog
-// version): semantically identical query texts share an entry, and an
+// The cache key is (canonical normalized query [+ byte-budget marker],
+// algorithm, pinned catalog version): semantically identical query texts
+// planned from the same join repertoire share an entry, and an
 // entry can only ever be served against the exact catalog version it was
 // planned on. On a hit, parse and bind still run (the caller needs the
 // bound query, and binding is what canonicalization is defined over) but
@@ -196,7 +197,7 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	}
 	var key plancache.Key
 	if cache != nil {
-		key = plancache.Key{Query: cacheQueryText(q, order), Algo: int(algo), Version: snap.Version()}
+		key = plancache.Key{Query: cacheQueryText(q, order, gov.MemoryEnforced()), Algo: int(algo), Version: snap.Version()}
 		if v, ok := cache.Get(key); ok {
 			cp := v.(*cachedPlan)
 			est := cp.est // copy the template; callers may stamp their copy
@@ -262,21 +263,28 @@ func cachedPlanBytes(cp *cachedPlan) int64 {
 }
 
 // cacheQueryText renders the cache key's query component: the canonical
-// normalized query, plus a length-prefixed forced-order suffix when the
-// caller pinned a join order.
-func cacheQueryText(q *sqlparse.Query, order []string) string {
+// normalized query, plus a marker when the query runs under a byte budget
+// — optimizerOptions swaps sort-merge for the spillable hash join then, so
+// a plan chosen without a budget must not be served under one — plus a
+// length-prefixed forced-order suffix when the caller pinned a join order.
+func cacheQueryText(q *sqlparse.Query, order []string, budgeted bool) string {
 	norm := plancache.Canonical(q)
-	if len(order) == 0 {
+	if len(order) == 0 && !budgeted {
 		return norm
 	}
 	var b strings.Builder
 	b.WriteString(norm)
-	b.WriteString("order:")
-	for _, alias := range order {
-		a := strings.ToLower(alias)
-		fmt.Fprintf(&b, "%d:%s", len(a), a)
+	if budgeted {
+		b.WriteString("budgeted\n")
 	}
-	b.WriteByte('\n')
+	if len(order) > 0 {
+		b.WriteString("order:")
+		for _, alias := range order {
+			a := strings.ToLower(alias)
+			fmt.Fprintf(&b, "%d:%s", len(a), a)
+		}
+		b.WriteByte('\n')
+	}
 	return b.String()
 }
 
