@@ -1,9 +1,11 @@
-// Vectorized execution. The batch engine runs scans and hash joins over
-// column chunks: predicates evaluate type-specialized kernels over flat
-// column slices, qualifying rows live in selection vectors (no row is
-// materialized until the final gather), and matched join pairs gather
-// column-wise into the output. Selection vectors are recycled through an
-// internal/workpool arena so chunk-parallel execution stays allocation-flat.
+// Vectorized execution. The batch engine runs scans, hash joins and
+// sort-merge joins over column chunks: predicates evaluate type-specialized
+// kernels over flat column slices, qualifying rows live in selection vectors
+// (no row is materialized until the final gather), and both joins hand their
+// candidate (left row, right row) pairs to one pair sink that filters them
+// through the residual kernels and gathers survivors column-wise. Selection
+// vectors are recycled through an internal/workpool arena so chunk-parallel
+// execution stays allocation-flat.
 //
 // The engine is bit-identical to the row-at-a-time oracle: same output
 // rows in the same order, same TuplesScanned/Comparisons totals, same
@@ -16,6 +18,7 @@
 package executor
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/expr"
@@ -41,22 +44,38 @@ func (e *Executor) useColumnar() bool {
 
 // scanRangeColumnar is the vectorized scanRange body: rows [start, end) are
 // visited in batches, filtered through selection vectors, and gathered
-// column-wise into out.
+// column-wise into out. A scan without predicates has nothing to select:
+// each batch is charged the same and copied as a row range.
 func (e *Executor) scanRangeColumnar(base *storage.Table, start, end int, filter compiled,
 	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
 	ncols := base.Schema().NumColumns()
+	unfiltered := len(filter.preds) == 0 && len(orFilter) == 0
+	if unfiltered {
+		// One allocation for the whole range, but never for more rows than
+		// the budgets will let the batches below emit.
+		out.Reserve(int(e.gov.Headroom(int64(end - start))))
+	}
 	for b := start; b < end; b += colBatch {
-		bEnd := b + colBatch
-		if bEnd > end {
-			bEnd = end
-		}
+		bEnd := min(b+colBatch, end)
 		n := bEnd - b
 		stats.TuplesScanned += int64(n)
 		if err := e.gov.TickTuples(int64(n)); err != nil {
 			return err
 		}
+		if unfiltered {
+			if err := e.gov.TickRows(int64(n)); err != nil {
+				return err
+			}
+			if err := out.AppendRange(base, b, bEnd); err != nil {
+				return err
+			}
+			continue
+		}
 		sel := selArena.Get(n)
-		arena := int64(8 * cap(sel))
+		// Charge what the batch asked for, not what the arena happened to
+		// hand back: the ledger must not depend on which buffers earlier
+		// queries recycled.
+		arena := int64(8 * n)
 		e.gov.ChargeBytes(arena) // batch-arena scratch, released with the batch
 		put := func() {
 			e.gov.ReleaseBytes(arena)
@@ -303,7 +322,7 @@ func bindKeys[K comparable](e *Executor, spec *hashSpec, keysOf func(t *storage.
 		rk, rscratch := keysOf(build, spec.rKey)
 		e.gov.ChargeBytes(lscratch + rscratch)
 		defer e.gov.ReleaseBytes(lscratch + rscratch)
-		return colJoin(e, spec, lk, rk, build, lrows, stats)
+		return colJoin(e, spec.joinSpec, lk, rk, build, lrows, stats)
 	}
 }
 
@@ -342,7 +361,7 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 // when workers allow — batch matched pairs, filter them through the
 // residual kernels, and gather survivors column-wise. With a probe-row
 // list the sink also reports the left row behind each output row.
-func colJoin[K comparable](e *Executor, spec *hashSpec, lk, rk []K, build *storage.Table,
+func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, build *storage.Table,
 	lrows []int, stats *Stats) (*chunkSink, error) {
 	rn := build.ColumnData(spec.rKey).Nulls
 	m := make(map[K][]int, len(rk))
@@ -364,35 +383,11 @@ func colJoin[K comparable](e *Executor, spec *hashSpec, lk, rk []K, build *stora
 
 // probeChunk probes positions [start, end) of the probe-row list against
 // the shared build map, accumulating matched (left, right) index pairs and
-// flushing them through the residual filter and pair gather in batches.
-func probeChunk[K comparable](e *Executor, spec *hashSpec, build *storage.Table, lk []K, ln []bool,
+// flushing them through the pair sink in batches.
+func probeChunk[K comparable](e *Executor, spec *joinSpec, build *storage.Table, lk []K, ln []bool,
 	m map[K][]int, lrows []int, start, end int, sink *chunkSink) error {
-	lsel := selArena.Get(colBatch)
-	rsel := selArena.Get(colBatch)
-	arena := int64(8 * (cap(lsel) + cap(rsel)))
-	e.gov.ChargeBytes(arena) // pair-batch arena scratch, released with the chunk
-	defer func() {
-		selArena.Put(lsel)
-		selArena.Put(rsel)
-		e.gov.ReleaseBytes(arena)
-	}()
-	lcols := spec.left.Schema().NumColumns()
-	flush := func() error {
-		fl, fr := filterPairs(spec.left, build, lcols, spec.residual, lsel, rsel, &sink.stats)
-		if len(fl) > 0 {
-			if err := e.gov.TickRows(int64(len(fl))); err != nil {
-				return err
-			}
-			if err := sink.out.AppendPairGather(spec.left, build, fl, fr); err != nil {
-				return err
-			}
-			if lrows != nil {
-				sink.origin = append(sink.origin, fl...)
-			}
-		}
-		lsel, rsel = lsel[:0], rsel[:0]
-		return nil
-	}
+	pairs := e.newPairSink(spec, build, sink, lrows != nil)
+	defer pairs.release()
 	for i := start; i < end; i++ {
 		l := i
 		if lrows != nil {
@@ -402,13 +397,189 @@ func probeChunk[K comparable](e *Executor, spec *hashSpec, build *storage.Table,
 			continue
 		}
 		for _, r := range m[lk[l]] {
-			lsel = append(lsel, l)
-			rsel = append(rsel, r)
+			pairs.lsel = append(pairs.lsel, l)
+			pairs.rsel = append(pairs.rsel, r)
 		}
-		if len(lsel) >= colBatch {
-			if err := flush(); err != nil {
+		if len(pairs.lsel) >= colBatch {
+			if err := pairs.flush(); err != nil {
 				return err
 			}
+		}
+	}
+	return pairs.flush()
+}
+
+// pairSink is where the candidate pairs of either join become output rows.
+// The hash-join probe and the sort-merge merge append (left row, right row)
+// indices to lsel/rsel and flush about every colBatch pairs: the residual
+// kernels compact the batch, the survivors are charged to the row budget
+// and gathered column-wise into out.
+type pairSink struct {
+	e          *Executor
+	spec       *joinSpec
+	right      *storage.Table
+	out        *chunkSink
+	origin     bool // also report the left row behind each output row
+	lsel, rsel []int
+}
+
+// pairArenaBytes is the ledger charge for one sink's two pair batches: the
+// capacity it asks the arena for, whatever capacity the arena hands back.
+const pairArenaBytes = 8 * 2 * colBatch
+
+func (e *Executor) newPairSink(spec *joinSpec, right *storage.Table, out *chunkSink, origin bool) *pairSink {
+	p := &pairSink{e: e, spec: spec, right: right, out: out, origin: origin,
+		lsel: selArena.Get(colBatch), rsel: selArena.Get(colBatch)}
+	e.gov.ChargeBytes(pairArenaBytes) // pair-batch arena scratch, released with the sink
+	return p
+}
+
+func (p *pairSink) release() {
+	selArena.Put(p.lsel)
+	selArena.Put(p.rsel)
+	p.e.gov.ReleaseBytes(pairArenaBytes)
+}
+
+// flush turns the batched pairs into output rows and empties the batch.
+func (p *pairSink) flush() error {
+	left := p.spec.left
+	fl, fr := filterPairs(left, p.right, left.Schema().NumColumns(), p.spec.residual, p.lsel, p.rsel, &p.out.stats)
+	if len(fl) > 0 {
+		if err := p.e.gov.TickRows(int64(len(fl))); err != nil {
+			return err
+		}
+		if err := p.out.out.AppendPairGather(left, p.right, fl, fr); err != nil {
+			return err
+		}
+		if p.origin {
+			p.out.origin = append(p.out.origin, fl...)
+		}
+	}
+	p.lsel, p.rsel = p.lsel[:0], p.rsel[:0]
+	return nil
+}
+
+// mergeJoin is the typed sort-merge kernel: it sorts both inputs' keys with
+// storage's typed permutation kernel and merges them with the comparator
+// storage.Compare would pick for the key types. Bool keys merge as 0/1
+// integers; an int64 key meets a float64 key as float64, while runs of
+// equal keys within one input compare in that input's own type, exactly as
+// the oracle's Equal does.
+func (e *Executor) mergeJoin(spec *joinSpec, right *storage.Table, stats *Stats) (*storage.Table, error) {
+	ld, rd := spec.left.ColumnData(spec.lKey), right.ColumnData(spec.rKey)
+	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
+	pairs := e.newPairSink(spec, right, sink, false)
+	defer pairs.release()
+	l := mergeSide{spec.left.SortPermutation(spec.lKey), ld.Nulls}
+	r := mergeSide{right.SortPermutation(spec.rKey), rd.Nulls}
+	var err error
+	switch {
+	case ld.Type == storage.TypeInt64 && rd.Type == storage.TypeInt64:
+		err = mergeRuns(pairs, l, r, ld.Ints, rd.Ints, cmpOrd[int64])
+	case ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeFloat64:
+		err = mergeRuns(pairs, l, r, ld.Floats, rd.Floats, cmpOrd[float64])
+	case ld.Type == storage.TypeString && rd.Type == storage.TypeString:
+		err = mergeRuns(pairs, l, r, ld.Strs, rd.Strs, cmpOrd[string])
+	case ld.Type == storage.TypeBool && rd.Type == storage.TypeBool:
+		// Derived only now, with both sorts' scratch dead, so the join never
+		// holds more than sortScratchPerRow per input row.
+		err = mergeRuns(pairs, l, r, boolInts(ld.Bools), boolInts(rd.Bools), cmpOrd[int64])
+	case ld.Type == storage.TypeInt64 && rd.Type == storage.TypeFloat64:
+		err = mergeRuns(pairs, l, r, ld.Ints, rd.Floats,
+			func(l int64, r float64) int { return cmpOrd(float64(l), r) })
+	case ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeInt64:
+		err = mergeRuns(pairs, l, r, ld.Floats, rd.Ints,
+			func(l float64, r int64) int { return cmpOrd(l, float64(r)) })
+	default:
+		err = fmt.Errorf("executor: sort-merge keys of types %s and %s do not compare", ld.Type, rd.Type)
+	}
+	if err != nil {
+		return nil, err
+	}
+	stats.Add(sink.stats)
+	return sink.out, nil
+}
+
+// mergeSide is one sorted input of the merge: its rows in key order and the
+// key column's NULL flags (nil when it has none).
+type mergeSide struct {
+	perm  []int
+	nulls []bool
+}
+
+func (s mergeSide) null(r int) bool { return s.nulls != nil && s.nulls[r] }
+
+// boolInts renders a bool column as 0/1 so it merges through the int64
+// kernel in Compare's order, false before true.
+func boolInts(bools []bool) []int64 {
+	out := make([]int64, len(bools))
+	for i, b := range bools {
+		if b {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// mergeRuns merges the two sorted key sequences. Every loop iteration
+// counts one comparison, the steps over leading NULL keys included; each
+// pair of an equal-key run product, left-major, counts one visited tuple
+// and goes to the pair sink, which applies the residual.
+func mergeRuns[L, R int64 | float64 | string](pairs *pairSink, left, right mergeSide,
+	lk []L, rk []R, cross func(L, R) int) error {
+	stats, lperm, rperm := &pairs.out.stats, left.perm, right.perm
+	flush := func() error {
+		n := int64(len(pairs.lsel))
+		stats.TuplesScanned += n
+		if err := pairs.e.gov.TickTuples(n); err != nil {
+			return err
+		}
+		return pairs.flush()
+	}
+	li, ri := 0, 0
+	for li < len(lperm) && ri < len(rperm) {
+		stats.Comparisons++
+		l, r := lperm[li], rperm[ri]
+		if left.null(l) {
+			li++
+			continue
+		}
+		if right.null(r) {
+			ri++
+			continue
+		}
+		lv, rv := lk[l], rk[r]
+		switch c := cross(lv, rv); {
+		case c < 0:
+			li++
+		case c > 0:
+			ri++
+		default:
+			// A run ends at a NULL as it does for the oracle's Equal: only a
+			// column NaN keys left unordered has one past the front.
+			lEnd, rEnd := li+1, ri+1
+			for lEnd < len(lperm) && !left.null(lperm[lEnd]) && cmpOrd(lk[lperm[lEnd]], lv) == 0 {
+				lEnd++
+			}
+			for rEnd < len(rperm) && !right.null(rperm[rEnd]) && cmpOrd(rk[rperm[rEnd]], rv) == 0 {
+				rEnd++
+			}
+			for _, l := range lperm[li:lEnd] {
+				for run := rperm[ri:rEnd]; len(run) > 0; {
+					n := min(len(run), colBatch-len(pairs.lsel))
+					for _, r := range run[:n] {
+						pairs.lsel = append(pairs.lsel, l)
+						pairs.rsel = append(pairs.rsel, r)
+					}
+					run = run[n:]
+					if len(pairs.lsel) == colBatch {
+						if err := flush(); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			li, ri = lEnd, rEnd
 		}
 	}
 	return flush()

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cardest"
@@ -27,14 +28,9 @@ func loadTable(t *testing.T, cat *catalog.Catalog, name string, schema *storage.
 	}
 }
 
-// columnarDiff plans the query and executes it with the serial, unbudgeted
-// row engine (the oracle), then with the columnar engine at workers 1 and 4,
-// unbudgeted and under a 4 KiB byte budget (build sides that overflow it
-// take the Grace spill policy), and with the row engine under the same
-// budget. Rows, row order, work counters, and governor charges must be
-// bit-identical. Returns the oracle result for additional assertions.
-func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
-	preds []expr.Predicate, disjs []expr.Disjunction, methods []optimizer.JoinMethod) *Result {
+// planQuery plans the query serially over the given method repertoire.
+func planQuery(t testing.TB, cat *catalog.Catalog, tabs []cardest.TableRef,
+	preds []expr.Predicate, disjs []expr.Disjunction, methods []optimizer.JoinMethod) optimizer.Plan {
 	t.Helper()
 	est, err := cardest.NewQuery(cat, tabs, preds, disjs, cardest.ELS())
 	if err != nil {
@@ -47,6 +43,25 @@ func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 	plan, err := opt.BestPlan()
 	if err != nil {
 		t.Fatal(err)
+	}
+	return plan
+}
+
+// columnarDiff plans the query and executes it with the serial, unbudgeted
+// row engine (the oracle), then with the columnar engine at workers 1 and 4,
+// unbudgeted and under a byte budget, and with the row engine under the
+// same budget. A hash-join repertoire gets 4 KiB, so build sides that
+// overflow it take the Grace spill policy; a repertoire with sort-merge
+// gets 1 MiB, enough for the sort scratch, which cannot spill. Rows, row
+// order, work counters, and governor charges must be bit-identical. Returns
+// the oracle result for additional assertions.
+func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
+	preds []expr.Predicate, disjs []expr.Disjunction, methods []optimizer.JoinMethod) *Result {
+	t.Helper()
+	plan := planQuery(t, cat, tabs, preds, disjs, methods)
+	budget := int64(4096)
+	if slices.Contains(methods, optimizer.SortMerge) {
+		budget = 1 << 20
 	}
 	dir := t.TempDir()
 	run := func(workers int, columnar bool, budget int64) (*Result, [2]int64) {
@@ -67,7 +82,7 @@ func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 		columnar bool
 		budget   int64
 	}{
-		{1, true, 0}, {4, true, 0}, {1, true, 4096}, {4, true, 4096}, {1, false, 4096},
+		{1, true, 0}, {4, true, 0}, {1, true, budget}, {4, true, budget}, {1, false, budget},
 	} {
 		col, colUsage := run(tc.workers, tc.columnar, tc.budget)
 		if col.Stats.RowsProduced != row.Stats.RowsProduced ||

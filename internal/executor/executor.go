@@ -21,10 +21,17 @@
 // order with the same work counters and governor tuple/row charges; the
 // differential tests hold each policy against its degenerate case.
 //
+// The sort-merge join is key sort → merge → pair-gather and meets the hash
+// join at the pair sink: the typed kernel (mergeJoin) sorts each input with
+// storage's typed permutation kernel, merges with typed compares, and hands
+// every equal-key run product to the pairSink the hash-join probe feeds —
+// residual selection vectors, row-budget charge, column gather. Its oracle
+// behind Limits.DisableColumnar is rowMerge. The merge runs on one worker.
+//
 // Scans and nested-loops joins share the worker policy, and scans the
-// engine choice; sort-merge and index-nested-loops run serially (their
-// cost is dominated by sorting and index probes). The worker count is
-// SetWorkers, the governor's Limits.Workers, or GOMAXPROCS, in that order.
+// engine choice; nested loops and index-nested-loops evaluate boxed rows in
+// both engines. The worker count is SetWorkers, the governor's
+// Limits.Workers, or GOMAXPROCS, in that order.
 //
 // The executor counts the base-table tuples it visits and the predicate
 // evaluations it performs, so experiments can report deterministic work
@@ -566,41 +573,105 @@ func (e *Executor) nlRange(left *storage.Table, in nlInner, out *storage.Table, 
 	return nil
 }
 
-// sortMerge joins two materialized inputs on the first equality predicate,
-// applying the remaining predicates as residual filters.
-func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
+// joinSpec is what every step of one equi-join shares — every partition of
+// a hash join, the sort and the merge of a sort-merge join: the left input,
+// the right side's schema, the key ordinals and the residual conjunction.
+type joinSpec struct {
+	left        *storage.Table
+	buildSchema *storage.Schema
+	lKey, rKey  int
+	residual    compiled
+	outSchema   *storage.Schema
+}
+
+// hashSpec is a hash join's spec plus the kernel its partition policy calls.
+type hashSpec struct {
+	*joinSpec
+	// join runs build → probe → pair-gather for one partition: every row of
+	// build against the left rows named by lrows, in order. A nil lrows means
+	// every left row; with a list, the sink's origin reports the left row
+	// behind each output row. The caller has already visited the rows.
+	join func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error)
+}
+
+// newJoinSpec resolves the first equality predicate of an equi-join as its
+// physical key and compiles the remaining predicates as the residual.
+func newJoinSpec(j *optimizer.Join, left, right *storage.Table) (*joinSpec, error) {
 	keyPred, residuals := splitKey(j.Preds)
 	if keyPred == nil {
-		return nil, fmt.Errorf("executor: sort-merge join requires an equality predicate")
+		return nil, fmt.Errorf("executor: %v join requires an equality predicate", j.Method)
 	}
-	outSchema, err := joinSchema(left.Schema(), right.Schema())
-	if err != nil {
+	spec := &joinSpec{left: left, buildSchema: right.Schema()}
+	var err error
+	if spec.outSchema, err = joinSchema(left.Schema(), right.Schema()); err != nil {
 		return nil, err
 	}
-	lKey, rKey, err := keyColumns(*keyPred, left.Schema(), right.Schema())
-	if err != nil {
+	if spec.lKey, spec.rKey, err = keyColumns(*keyPred, left.Schema(), right.Schema()); err != nil {
 		return nil, err
 	}
-	residual, err := compileAll(residuals, outSchema)
-	if err != nil {
+	if spec.residual, err = compileAll(residuals, spec.outSchema); err != nil {
 		return nil, err
 	}
+	return spec, nil
+}
 
-	// The sort permutations are non-spillable scratch: unlike a hash
-	// build they cannot go to disk, so a budget that cannot cover them
-	// fails the query with a typed ErrMemory rather than overrunning.
-	scratch := int64(8) * (int64(left.NumRows()) + int64(right.NumRows()))
+// sortScratchPerRow is what a sort-merge join is charged per input row for
+// the life of the join: the typed sort kernel's peak (the permutation, its
+// radix double, the derived keys — storage.Table.SortPermutation). Nothing
+// mergeJoin holds exceeds it: while one input sorts the other holds at most
+// its permutation, and the merge holds the two permutations plus, for bool
+// keys only, an 8-byte key per row. The row oracle is charged the same, so a
+// byte budget admits or refuses a sort-merge join whichever engine runs it.
+const sortScratchPerRow = 24
+
+// sortMerge joins two materialized inputs on the first equality predicate
+// as key sort → merge → pair-gather, applying the remaining predicates as
+// residual filters. The engine picks the kernel: mergeJoin sorts and merges
+// typed keys and emits through the hash join's pair sink; rowMerge is the
+// boxed oracle it is held bit-identical to. The merge runs on one worker
+// whatever Limits.Workers says.
+func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
+	spec, err := newJoinSpec(j, left, right)
+	if err != nil {
+		return nil, err
+	}
+	// The sort scratch is non-spillable: unlike a hash build it cannot go
+	// to disk, so a budget that cannot cover it fails the query with a
+	// typed ErrMemory rather than overrunning.
+	n := int64(left.NumRows()) + int64(right.NumRows())
+	scratch := sortScratchPerRow * n
 	if err := e.gov.GrabBytes(scratch, "sort-merge scratch"); err != nil {
 		return nil, err
 	}
 	defer e.gov.ReleaseBytes(scratch)
+	stats.Comparisons += sortComparisons(left.NumRows()) + sortComparisons(right.NumRows())
 
+	merge := e.rowMerge
+	if e.useColumnar() {
+		merge = e.mergeJoin
+	}
+	out, err := merge(spec, right, stats)
+	if err != nil {
+		return nil, err
+	}
+	// Scanning both inputs counts as work even where keys never matched.
+	stats.TuplesScanned += n
+	if err := e.gov.TickTuples(n); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rowMerge is the row oracle's sort-merge kernel: a boxed stable sort of
+// each input and a merge that compares, filters and emits one []Value row
+// at a time.
+func (e *Executor) rowMerge(spec *joinSpec, right *storage.Table, stats *Stats) (*storage.Table, error) {
+	left, lKey, rKey := spec.left, spec.lKey, spec.rKey
 	lIdx := left.SortedIndices(lKey)
 	rIdx := right.SortedIndices(rKey)
-	stats.Comparisons += sortComparisons(len(lIdx)) + sortComparisons(len(rIdx))
 
-	out := storage.NewTable("join", outSchema)
-	row := make([]storage.Value, 0, outSchema.NumColumns())
+	out := storage.NewTable("join", spec.outSchema)
+	row := make([]storage.Value, 0, spec.outSchema.NumColumns())
 	li, ri := 0, 0
 	for li < len(lIdx) && ri < len(rIdx) {
 		lv := left.Value(lIdx[li], lKey)
@@ -637,7 +708,7 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 					}
 					row = left.AppendRowTo(row[:0], lIdx[a])
 					row = right.AppendRowTo(row, rIdx[b])
-					ok, err := residual.eval(row, stats)
+					ok, err := spec.residual.eval(row, stats)
 					if err != nil {
 						return nil, err
 					}
@@ -651,30 +722,7 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 			li, ri = lEnd, rEnd
 		}
 	}
-	// Scanning both inputs counts as work even where keys never matched.
-	n := int64(left.NumRows()) + int64(right.NumRows())
-	stats.TuplesScanned += n
-	if err := e.gov.TickTuples(n); err != nil {
-		return nil, err
-	}
 	return out, nil
-}
-
-// hashSpec is what every partition of one hash join shares: the probe
-// input, the build side's schema, the key ordinals, the residual
-// conjunction, and the engine's kernel.
-type hashSpec struct {
-	left        *storage.Table
-	buildSchema *storage.Schema
-	lKey, rKey  int
-	residual    compiled
-	outSchema   *storage.Schema
-	// join runs build → probe → pair-gather for one partition: every row
-	// of build against the left rows named by lrows, in order. A nil lrows
-	// means every left row; with a list, the sink's origin reports the
-	// left row behind each output row. The caller has already visited the
-	// rows.
-	join func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error)
 }
 
 // hashJoin joins on the first equality predicate as one pipeline:
@@ -684,26 +732,16 @@ type hashSpec struct {
 // the kernel behind spec.join — colJoin, or rowJoin for the row oracle —
 // joins one partition, chunk-parallel when workers allow.
 func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	keyPred, residuals := splitKey(j.Preds)
-	if keyPred == nil {
-		return nil, fmt.Errorf("executor: hash join requires an equality predicate")
-	}
-	spec := &hashSpec{left: left, buildSchema: right.Schema()}
-	var err error
-	if spec.outSchema, err = joinSchema(left.Schema(), right.Schema()); err != nil {
+	shared, err := newJoinSpec(j, left, right)
+	if err != nil {
 		return nil, err
 	}
-	if spec.lKey, spec.rKey, err = keyColumns(*keyPred, left.Schema(), right.Schema()); err != nil {
-		return nil, err
-	}
-	if spec.residual, err = compileAll(residuals, spec.outSchema); err != nil {
-		return nil, err
-	}
+	spec := &hashSpec{joinSpec: shared}
 	if e.useColumnar() {
 		e.bindColumnar(spec)
 	} else {
 		spec.join = func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
-			return e.rowJoin(spec, build, lrows, stats)
+			return e.rowJoin(shared, build, lrows, stats)
 		}
 	}
 	if e.gov != nil {
@@ -735,7 +773,7 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats
 // rowJoin is the row oracle's kernel for one partition: a serial, boxed,
 // Value.Key()-keyed build and probe that the columnar kernel is held
 // bit-identical to.
-func (e *Executor) rowJoin(spec *hashSpec, build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
+func (e *Executor) rowJoin(spec *joinSpec, build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
 	m := make(map[string][]int, build.NumRows())
 	for r := 0; r < build.NumRows(); r++ {
 		if v := build.Value(r, spec.rKey); !v.IsNull() {

@@ -106,6 +106,11 @@ func (e *Executor) chunked(n int, point, name string, schema *storage.Schema, st
 	}
 	merged := &sinks[0]
 	stats.Add(merged.stats)
+	rest := 0
+	for i := 1; i < len(sinks); i++ {
+		rest += sinks[i].out.NumRows()
+	}
+	merged.out.Reserve(rest)
 	for i := 1; i < len(sinks); i++ {
 		if err := merged.out.AppendTable(sinks[i].out); err != nil {
 			return nil, err

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ColumnData is a read-only view of one column's typed storage. Exactly one
 // payload slice is non-nil, selected by Type; Nulls is nil when the column
@@ -52,8 +55,19 @@ func (d ColumnData) Value(i int) Value {
 	}
 }
 
+// gather appends src[r] for every r of sel to dst, reserving the room once
+// and writing by index instead of growing value by value.
+func gather[T any](dst, src []T, sel []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
+	for i, r := range sel {
+		dst[n+i] = src[r]
+	}
+	return dst
+}
+
 // appendGather appends src's values at the selected row indices, in
-// selection order. Like AppendTable, the destination's nulls slice is
+// selection order. Like AppendRange, the destination's nulls slice is
 // materialized as soon as the source has one.
 func (c *column) appendGather(src *column, sel []int) {
 	if c.nulls == nil && src.nulls != nil {
@@ -61,30 +75,20 @@ func (c *column) appendGather(src *column, sel []int) {
 	}
 	if c.nulls != nil {
 		if src.nulls != nil {
-			for _, r := range sel {
-				c.nulls = append(c.nulls, src.nulls[r])
-			}
+			c.nulls = gather(c.nulls, src.nulls, sel)
 		} else {
 			c.nulls = append(c.nulls, make([]bool, len(sel))...)
 		}
 	}
 	switch c.typ {
 	case TypeInt64:
-		for _, r := range sel {
-			c.ints = append(c.ints, src.ints[r])
-		}
+		c.ints = gather(c.ints, src.ints, sel)
 	case TypeFloat64:
-		for _, r := range sel {
-			c.floats = append(c.floats, src.floats[r])
-		}
+		c.floats = gather(c.floats, src.floats, sel)
 	case TypeString:
-		for _, r := range sel {
-			c.strs = append(c.strs, src.strs[r])
-		}
+		c.strs = gather(c.strs, src.strs, sel)
 	case TypeBool:
-		for _, r := range sel {
-			c.bools = append(c.bools, src.bools[r])
-		}
+		c.bools = gather(c.bools, src.bools, sel)
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -228,8 +229,9 @@ func (t *Table) ColumnValues(name string) ([]Value, error) {
 }
 
 // SortedIndices returns row indices of the table ordered by the given
-// column (NULLs first). The table itself is not modified; sort-merge join
-// uses the permutation to stream rows in order.
+// column (NULLs first). The table itself is not modified. It is the boxed
+// reference: the row oracle's sort-merge join streams rows through it, and
+// SortPermutation, the typed kernel, is tested against it.
 func (t *Table) SortedIndices(col int) []int {
 	idx := make([]int, t.rows)
 	for i := range idx {
@@ -248,6 +250,14 @@ func (t *Table) SortedIndices(col int) []int {
 // operators use it to stitch per-chunk outputs back into one table in
 // chunk order.
 func (t *Table) AppendTable(src *Table) error {
+	return t.AppendRange(src, 0, src.rows)
+}
+
+// AppendRange appends rows [start, end) of src to t by copying slices of
+// the column storage. The schemas must have the same column count and
+// types (names may differ). It is how an unfiltered scan batch reaches its
+// output: no selection vector, no gather.
+func (t *Table) AppendRange(src *Table, start, end int) error {
 	if src.schema.NumColumns() != t.schema.NumColumns() {
 		return fmt.Errorf("storage: append %d-column table to %d-column table",
 			src.schema.NumColumns(), t.schema.NumColumns())
@@ -258,31 +268,53 @@ func (t *Table) AppendTable(src *Table) error {
 				i, src.cols[i].typ, c.typ)
 		}
 	}
+	n := end - start
 	for i, c := range t.cols {
 		sc := src.cols[i]
 		if c.nulls == nil && sc.nulls != nil {
-			c.nulls = make([]bool, c.length(), c.length()+sc.length())
+			c.nulls = make([]bool, c.length(), c.length()+n)
 		}
 		if c.nulls != nil {
 			if sc.nulls != nil {
-				c.nulls = append(c.nulls, sc.nulls...)
+				c.nulls = append(c.nulls, sc.nulls[start:end]...)
 			} else {
-				c.nulls = append(c.nulls, make([]bool, sc.length())...)
+				c.nulls = append(c.nulls, make([]bool, n)...)
 			}
 		}
 		switch c.typ {
 		case TypeInt64:
-			c.ints = append(c.ints, sc.ints...)
+			c.ints = append(c.ints, sc.ints[start:end]...)
 		case TypeFloat64:
-			c.floats = append(c.floats, sc.floats...)
+			c.floats = append(c.floats, sc.floats[start:end]...)
 		case TypeString:
-			c.strs = append(c.strs, sc.strs...)
+			c.strs = append(c.strs, sc.strs[start:end]...)
 		case TypeBool:
-			c.bools = append(c.bools, sc.bools...)
+			c.bools = append(c.bools, sc.bools[start:end]...)
 		}
 	}
-	t.rows += src.rows
+	t.rows += n
 	return nil
+}
+
+// Reserve makes room for n more rows, so that appends up to that many do
+// not regrow the column storage. Operators call it where they know their
+// output size before they produce it.
+func (t *Table) Reserve(n int) {
+	for _, c := range t.cols {
+		switch c.typ {
+		case TypeInt64:
+			c.ints = slices.Grow(c.ints, n)
+		case TypeFloat64:
+			c.floats = slices.Grow(c.floats, n)
+		case TypeString:
+			c.strs = slices.Grow(c.strs, n)
+		case TypeBool:
+			c.bools = slices.Grow(c.bools, n)
+		}
+		if c.nulls != nil {
+			c.nulls = slices.Grow(c.nulls, n)
+		}
+	}
 }
 
 // Rename returns a shallow copy of the table under a new name; the column

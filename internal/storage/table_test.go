@@ -341,3 +341,49 @@ func TestAppendTableTypeMismatch(t *testing.T) {
 		t.Fatal("column-count mismatch must be rejected")
 	}
 }
+
+// AppendRange copies exactly rows [start, end), NULLs included, whether or
+// not room was reserved first; Reserve itself adds no rows.
+func TestAppendRangeAndReserve(t *testing.T) {
+	schema := MustSchema(
+		ColumnDef{Name: "k", Type: TypeInt64},
+		ColumnDef{Name: "f", Type: TypeFloat64},
+		ColumnDef{Name: "s", Type: TypeString},
+		ColumnDef{Name: "b", Type: TypeBool},
+	)
+	src := NewTable("src", schema)
+	for i := 0; i < 10; i++ {
+		s := String64(string(rune('a' + i)))
+		if i == 6 {
+			s = Null(TypeString)
+		}
+		src.MustAppendRow(Int64(int64(i)), Float64(float64(i)/2), s, Bool(i%2 == 0))
+	}
+	for _, reserve := range []int{0, 3, 100} {
+		dst := NewTable("dst", schema)
+		dst.MustAppendRow(Int64(-1), Float64(-1), String64("z"), Bool(true))
+		dst.Reserve(reserve)
+		if dst.NumRows() != 1 {
+			t.Fatalf("Reserve(%d) changed the row count to %d", reserve, dst.NumRows())
+		}
+		if err := dst.AppendRange(src, 4, 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.AppendRange(src, 8, 8); err != nil {
+			t.Fatal(err)
+		}
+		if dst.NumRows() != 5 {
+			t.Fatalf("rows = %d, want 5", dst.NumRows())
+		}
+		for r := 1; r < dst.NumRows(); r++ {
+			for c := 0; c < schema.NumColumns(); c++ {
+				if got, want := dst.Value(r, c), src.Value(r+3, c); got.Key() != want.Key() {
+					t.Fatalf("reserve %d: row %d col %d = %s, want %s", reserve, r, c, got, want)
+				}
+			}
+		}
+		if dst.Value(0, 2).IsNull() || !dst.Value(3, 2).IsNull() {
+			t.Fatal("NULL bitmap misplaced by the range append")
+		}
+	}
+}
