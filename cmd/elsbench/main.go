@@ -15,11 +15,6 @@
 // worker count, plus cache_hit_rate (the plan cache's hit rate on the
 // "repeated" Zipf-skewed statement workload).
 //
-// -max-concurrent and -queue-timeout route the run through the library's
-// admission controller (the layer serving systems use to shed load), so a
-// bench run competing with other work on the box fails fast with a typed
-// overload error instead of queueing forever.
-//
 // -data-dir additionally benchmarks the durable catalog layer: the Section
 // 8 statistics catalog (at the run's -scale) is declared through the WAL,
 // checkpointed halfway, and then recovered with a fresh els.Open whose
@@ -39,13 +34,6 @@
 // client-observed p99 round-trip latency (server_p99_ms) and the fraction
 // of requests the admission bulkhead shed with the typed overload error
 // (shed_rate).
-//
-// -max-memory additionally benchmarks the memory-governance layer: the
-// seeded differential workload is executed under that per-query byte
-// budget so oversized hash-join build sides spill to disk, and the report
-// records the fraction of queries that spilled (spill_rate), the largest
-// per-query working-set high-water mark (peak_query_bytes), and the total
-// spilled run volume (memory_spilled_bytes).
 package main
 
 import (
@@ -62,14 +50,8 @@ import (
 	"time"
 
 	els "repro"
-	"repro/internal/admission"
-	"repro/internal/cardest"
-	"repro/internal/catalog"
-	"repro/internal/datagen"
-	"repro/internal/executor"
 	"repro/internal/experiment"
 	"repro/internal/governor"
-	"repro/internal/optimizer"
 	"repro/internal/querygen"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -78,26 +60,21 @@ import (
 
 func main() {
 	var (
-		which         = flag.String("experiment", "all", "experiments to run (comma-separated): all, section8, examples, indexed, chain, zipf, urn, sampled, independence, random, repeated")
-		scale         = flag.Int("scale", 1, "divide the Section 8 table sizes by this factor")
-		seed          = flag.Int64("seed", 42, "random seed for data generation")
-		estimates     = flag.Bool("estimates-only", false, "skip data generation and execution (Section 8)")
-		workers       = flag.Int("workers", 0, "intra-query parallelism for executed experiments (0 = GOMAXPROCS, 1 = serial)")
-		jsonPath      = flag.String("json", "", "also write a machine-readable bench report to this path")
-		timeout       = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-		maxConcurrent = flag.Int("max-concurrent", 0, "admission control: max concurrently admitted runs (0 = unlimited)")
-		queueTimeout  = flag.Duration("queue-timeout", 0, "admission control: max time the run waits for a slot (0 = forever)")
-		dataDir       = flag.String("data-dir", "", "durable catalog directory: persist the Section 8 statistics catalog, checkpoint on exit, and measure recovery_ms")
-		replicas      = flag.Int("replicas", 0, "with -data-dir: attach N WAL-shipped read replicas, measure cold catch-up time and follower read throughput")
-		serverBench   = flag.Bool("server", false, "benchmark the wire server: oversubscribed client swarm against an in-process elsserve tenant, measure server_p99_ms and shed_rate")
-		maxMemory     = flag.Int64("max-memory", 0, "benchmark memory governance: per-query byte budget for the spill workload, measure spill_rate and peak_query_bytes (0 = skip)")
+		which       = flag.String("experiment", "all", "experiments to run (comma-separated): all, section8, examples, indexed, chain, zipf, urn, sampled, independence, random, repeated")
+		scale       = flag.Int("scale", 1, "divide the Section 8 table sizes by this factor")
+		seed        = flag.Int64("seed", 42, "random seed for data generation")
+		estimates   = flag.Bool("estimates-only", false, "skip data generation and execution (Section 8)")
+		workers     = flag.Int("workers", 0, "intra-query parallelism for executed experiments (0 = GOMAXPROCS, 1 = serial)")
+		jsonPath    = flag.String("json", "", "also write a machine-readable bench report to this path")
+		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
+		dataDir     = flag.String("data-dir", "", "durable catalog directory: persist the Section 8 statistics catalog, checkpoint on exit, and measure recovery_ms")
+		replicas    = flag.Int("replicas", 0, "with -data-dir: attach N WAL-shipped read replicas, measure cold catch-up time and follower read throughput")
+		serverBench = flag.Bool("server", false, "benchmark the wire server: oversubscribed client swarm against an in-process elsserve tenant, measure server_p99_ms and shed_rate")
 	)
 	flag.Parse()
 	report := &experiment.BenchReport{Scale: *scale, Seed: *seed, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	err := admitted(*maxConcurrent, *queueTimeout, func() error {
-		return withTimeout(*timeout, func() error {
-			return run(os.Stdout, *which, *scale, *seed, *estimates, *workers, report)
-		})
+	err := withTimeout(*timeout, func() error {
+		return run(os.Stdout, *which, *scale, *seed, *estimates, *workers, report)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elsbench:", err)
@@ -131,14 +108,6 @@ func main() {
 		fmt.Fprintf(os.Stdout, "server: p99 round trip %.3f ms; %.1f%% of swarm requests shed by admission\n",
 			report.ServerP99Millis, report.ShedRate*100)
 	}
-	if *maxMemory > 0 {
-		if err := measureMemory(*maxMemory, *seed, report); err != nil {
-			fmt.Fprintln(os.Stderr, "elsbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stdout, "memory governance at %d bytes/query: %.1f%% of queries spilled; peak query working set %d bytes; %d bytes spilled to disk\n",
-			*maxMemory, report.SpillRate*100, report.PeakQueryBytes, report.MemorySpilledBytes)
-	}
 	if *jsonPath != "" {
 		if err := experiment.WriteBenchJSON(*jsonPath, report); err != nil {
 			fmt.Fprintln(os.Stderr, "elsbench:", err)
@@ -146,24 +115,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stdout, "bench report written to %s\n", *jsonPath)
 	}
-}
-
-// admitted routes f through the library's admission controller when
-// -max-concurrent is set: the run acquires an execution slot first,
-// waiting at most queueTimeout, and sheds with a typed overload error if
-// the wait expires. With maxConcurrent ≤ 0 admission is disabled and f
-// runs directly.
-func admitted(maxConcurrent int, queueTimeout time.Duration, f func() error) error {
-	if maxConcurrent <= 0 {
-		return f()
-	}
-	adm := admission.New(admission.Config{MaxConcurrent: maxConcurrent, QueueTimeout: queueTimeout})
-	slot, err := adm.Acquire(context.Background())
-	if err != nil {
-		return err
-	}
-	defer slot.Release()
-	return f()
 }
 
 // withTimeout bounds f's wall-clock time, reporting overrun as the same
@@ -592,65 +543,6 @@ func measureServer(report *experiment.BenchReport) error {
 	p99 := all[len(all)*99/100]
 	report.ServerP99Millis = float64(p99.Microseconds()) / 1000
 	report.ShedRate = float64(sheds) / float64(len(all))
-	return nil
-}
-
-// measureMemory benchmarks the memory-governance layer: the seeded
-// differential workload — hash joins only, so every oversized build side
-// takes the spill path rather than failing — executed under a per-query
-// byte budget. The fraction of queries whose hash joins spilled lands in
-// spill_rate, the largest per-query ledger high-water mark in
-// peak_query_bytes, and the total run volume written to disk in
-// memory_spilled_bytes.
-func measureMemory(maxMemory, seed int64, report *experiment.BenchReport) error {
-	const queries = 100
-	spillDir, err := os.MkdirTemp("", "elsbench-spill")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(spillDir)
-	var spilled int
-	for s := int64(0); s < queries; s++ {
-		q := querygen.Generate(seed + s)
-		q.Methods = []optimizer.JoinMethod{optimizer.HashJoin}
-		cat := catalog.New()
-		for _, spec := range q.Specs {
-			tbl, err := datagen.Generate(spec, q.DataSeed+int64(len(spec.Name)))
-			if err != nil {
-				return fmt.Errorf("memory workload seed %d: datagen: %w", seed+s, err)
-			}
-			if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{}); err != nil {
-				return fmt.Errorf("memory workload seed %d: analyze: %w", seed+s, err)
-			}
-		}
-		est, err := cardest.New(cat, q.Tables, q.Preds, cardest.ELS())
-		if err != nil {
-			return fmt.Errorf("memory workload seed %d: cardest: %w", seed+s, err)
-		}
-		opt, err := optimizer.New(est, optimizer.Options{Methods: q.Methods, Workers: 1})
-		if err != nil {
-			return fmt.Errorf("memory workload seed %d: optimizer: %w", seed+s, err)
-		}
-		plan, err := opt.BestPlan()
-		if err != nil {
-			return fmt.Errorf("memory workload seed %d: plan: %w", seed+s, err)
-		}
-		gov := governor.New(context.Background(), governor.Limits{MaxMemory: maxMemory})
-		exec := executor.NewGoverned(cat, gov)
-		exec.SetSpillDir(spillDir)
-		if _, err := exec.Execute(plan); err != nil {
-			return fmt.Errorf("memory workload seed %d: execute: %w", seed+s, err)
-		}
-		count, bytes := gov.SpillStats()
-		if count > 0 {
-			spilled++
-		}
-		report.MemorySpilledBytes += bytes
-		if _, peak, _ := gov.MemoryUsage(); peak > report.PeakQueryBytes {
-			report.PeakQueryBytes = peak
-		}
-	}
-	report.SpillRate = float64(spilled) / float64(queries)
 	return nil
 }
 

@@ -45,7 +45,7 @@ func main() {
 	algo := flag.String("algo", "", "single algorithm to show (default: all)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per explain (0 = none)")
 	maxPlans := flag.Int64("max-plans", 0, "enumerated-plan budget per explain (0 = none)")
-	maxMemory := flag.Int64("max-memory", 0, "working-memory byte budget per query (0 = none); hash joins over it spill to disk")
+	maxMemory := flag.Int64("max-memory", 0, "working-memory byte budget per query (0 = none); hash joins over it partition in memory")
 	workers := flag.Int("workers", 0, "plan-search parallelism (0 = GOMAXPROCS, 1 = serial)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrently executing explains (0 = unlimited)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time an explain waits for a slot (0 = forever)")

@@ -53,7 +53,7 @@ func TestParseColumnSpecErrors(t *testing.T) {
 
 func TestRunGeneratesCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, 1, 0, "gen", "", &buf); err != nil {
+	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, 1, "gen", "", &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -70,7 +70,7 @@ func TestRunGeneratesCSV(t *testing.T) {
 	}
 	// Deterministic for a seed.
 	var buf2 bytes.Buffer
-	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, 1, 0, "gen", "", &buf2); err != nil {
+	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, 1, "gen", "", &buf2); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {
@@ -83,12 +83,12 @@ func TestRunGeneratesCSV(t *testing.T) {
 func TestRunParallelFormattingIdentical(t *testing.T) {
 	const spec = "k:uniform:50,z:zipf:20:0.5"
 	var serial bytes.Buffer
-	if err := run(5000, spec, 7, true, 1, 0, "gen", "", &serial); err != nil {
+	if err := run(5000, spec, 7, true, 1, "gen", "", &serial); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 7} {
 		var par bytes.Buffer
-		if err := run(5000, spec, 7, true, workers, 0, "gen", "", &par); err != nil {
+		if err := run(5000, spec, 7, true, workers, "gen", "", &par); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if par.String() != serial.String() {
@@ -117,10 +117,10 @@ func TestChunkRows(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(5, "bad", 1, false, 1, 0, "gen", "", &buf); err == nil {
+	if err := run(5, "bad", 1, false, 1, "gen", "", &buf); err == nil {
 		t.Error("bad column spec should error")
 	}
-	if err := run(-1, "k:uniform:10", 1, false, 1, 0, "gen", "", &buf); err == nil {
+	if err := run(-1, "k:uniform:10", 1, false, 1, "gen", "", &buf); err == nil {
 		t.Error("negative rows should error")
 	}
 }
@@ -131,7 +131,7 @@ func TestRunErrors(t *testing.T) {
 func TestDataDirRecordsExactStats(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run(50, "k:uniform:10,s:sequential:50", 42, false, 1, 0, "mytab", dir, &buf); err != nil {
+	if err := run(50, "k:uniform:10,s:sequential:50", 42, false, 1, "mytab", dir, &buf); err != nil {
 		t.Fatal(err)
 	}
 	sys, err := els.Open(dir)

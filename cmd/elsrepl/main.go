@@ -50,7 +50,7 @@ func main() {
 	maxTuples := flag.Int64("max-tuples", 0, "per-query scanned-tuple budget (0 = none)")
 	maxRows := flag.Int64("max-rows", 0, "per-query materialized-row budget (0 = none)")
 	maxPlans := flag.Int64("max-plans", 0, "per-query enumerated-plan budget (0 = none)")
-	maxMemory := flag.Int64("max-memory", 0, "per-query working-memory byte budget (0 = none); hash joins over it spill to disk")
+	maxMemory := flag.Int64("max-memory", 0, "per-query working-memory byte budget (0 = none); hash joins over it partition in memory")
 	workers := flag.Int("workers", 0, "intra-query parallelism (0 = GOMAXPROCS, 1 = serial)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrently executing queries (0 = unlimited)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time a query waits for a slot (0 = forever)")

@@ -48,7 +48,7 @@ func main() {
 		queueLen  = flag.Int("queue-depth", 64, "per-tenant admission queue depth")
 		queueTO   = flag.Duration("queue-timeout", 2*time.Second, "per-tenant admission queue timeout")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-query wall-clock budget")
-		maxMemory = flag.Int64("max-memory", 0, "per-query working-memory byte budget (0 = none); hash joins over it spill to disk")
+		maxMemory = flag.Int64("max-memory", 0, "per-query working-memory byte budget (0 = none); hash joins over it partition in memory")
 		memPool   = flag.Int64("memory-pool", 0, "process-wide working-memory pool in bytes, split into equal per-tenant shares; reservations over a share shed with a retryable pressure error (0 = off)")
 		retries   = flag.Int("retries", 0, "per-tenant retry attempts for transient failures (0 = off)")
 		brkThresh = flag.Int("breaker-threshold", 0, "per-tenant circuit-breaker trip threshold (0 = off)")

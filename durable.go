@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/admission"
 	"repro/internal/durable"
@@ -39,11 +38,6 @@ func Open(dir string) (*System, error) {
 		adm:     admission.New(admission.Config{}),
 		breaker: admission.NewBreaker(admission.BreakerConfig{}),
 		dur:     d,
-		// Hash-join spills land under the durable directory so the Open
-		// recovery sweep (durable.SweepSpills, run just above by
-		// durable.Open) collects any *.spill runs a crash mid-spill left
-		// behind.
-		spillDir: filepath.Join(dir, durable.SpillDirName),
 	}
 	s.store.SetDurability(d)
 	s.initCache()

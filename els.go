@@ -185,36 +185,16 @@ type System struct {
 	retries        atomic.Uint64 // retry attempts performed
 	retrySuccesses atomic.Uint64 // queries that succeeded after ≥1 retry
 
-	// spillDir is the parent directory for per-query hash-join spill
-	// dirs, guarded by mu. Open sets it to <dir>/spill (and sweeps
-	// orphans at startup); empty — the default on in-memory systems —
-	// spills under os.TempDir(). See SetSpillDir.
-	spillDir string
-
 	// Memory-governance counters, cumulative since New/Open.
-	spilledQueries atomic.Uint64 // queries that spilled ≥1 hash-join build
-	spilledBytes   atomic.Int64  // run-file bytes written by spills
+	spilledQueries atomic.Uint64 // queries that partitioned ≥1 hash-join build
+	spilledBytes   atomic.Int64  // build bytes those partitioning passes routed
 	peakQueryBytes atomic.Int64  // largest single-query PeakMemoryBytes
 }
 
-// SetSpillDir sets the parent directory for per-query hash-join spill
-// directories (the spill-to-disk path of Limits.MaxMemory; each query
-// creates and removes its own subdirectory). Open defaults it to
-// <dir>/spill, which the recovery sweep clears of crash orphans; on an
-// in-memory system (New) the default is the operating system's temp
-// directory.
-func (s *System) SetSpillDir(dir string) {
-	s.mu.Lock()
-	s.spillDir = dir
-	s.mu.Unlock()
-}
-
-// spillRoot returns the current spill parent directory.
-func (s *System) spillRoot() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.spillDir
-}
+// SetSpillDir does nothing and is kept for callers written against the
+// spill-to-disk hash join: the byte-budgeted join (Limits.MaxMemory) now
+// partitions in memory and never touches the file system.
+func (s *System) SetSpillDir(dir string) {}
 
 // noteMemory rolls one finished query's memory outcome into the system's
 // cumulative counters (RobustnessStats).

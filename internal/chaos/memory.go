@@ -6,16 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math/rand"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	els "repro"
-	"repro/internal/durable"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/internal/workpool"
@@ -29,8 +25,7 @@ import (
 type MemoryConfig struct {
 	// Seed drives every random decision in the fleet.
 	Seed int64
-	// DataRoot is the durable tenant root (a test temp dir); the leaked
-	// spill-file audit walks it after the storm.
+	// DataRoot is the durable tenant root (a test temp dir).
 	DataRoot string
 	// HogWorkers is the hog tenant's client swarm size (default 6 — far
 	// past the pool share its reservations fit in, so pool sheds are part
@@ -53,7 +48,7 @@ type MemoryReport struct {
 	// HogOps counts the hog swarm's queries; HogSucceeded the ones that
 	// completed, HogShed the ones refused under memory-pool pressure
 	// (server-side count), and HogSpilled how many completed queries
-	// spilled at least one hash-join build side to disk.
+	// partitioned at least one hash-join build side to stay in budget.
 	HogOps, HogSucceeded int
 	HogShed, HogSpilled  uint64
 	// NeighborOps counts the neighbor swarms' queries — every one of
@@ -62,9 +57,6 @@ type MemoryReport struct {
 	// NeighborP99Millis is the worst neighbor tenant's client-observed
 	// p99 round-trip latency during the storm.
 	NeighborP99Millis float64
-	// SpillFiles lists *.spill paths still present under DataRoot after
-	// the drain — a clean storm leaks none.
-	SpillFiles []string
 	// Violations lists every contract breach. A clean storm has none.
 	Violations []string
 }
@@ -89,7 +81,7 @@ type memHarness struct {
 }
 
 // Hog-tenant sizing: the per-query byte budget is far below the join's
-// build side, so every completed hog query takes the spill path, and the
+// build side, so every completed hog query takes the partition policy, and the
 // process pool is sized so the hog swarm's reservations overflow the
 // hog's share while the neighbors' light reservations never can.
 const (
@@ -107,9 +99,9 @@ const (
 //     Retry-After hint) and spills, but every neighbor query succeeds
 //     and no neighbor is ever shed by the pool or spills;
 //   - the budget engages: the hog records pool sheds AND spilled
-//     queries — pressure was real, and the spill path actually ran;
-//   - nothing leaks: after the drain, no *.spill file survives anywhere
-//     under the data root and the server holds no connection.
+//     queries — pressure was real, and the partition policy actually ran;
+//   - nothing leaks: after the storm the pool holds no reservation, and
+//     after the drain the server holds no connection.
 //
 // The returned error reports a harness malfunction; contract breaches
 // land in MemoryReport.Violations.
@@ -177,27 +169,16 @@ func RunMemoryPressure(ctx context.Context, cfg MemoryConfig) (*MemoryReport, er
 		h.violation("the hog was never shed by the memory pool — the pressure valve never engaged")
 	}
 	if report.HogSpilled == 0 {
-		h.violation("no hog query spilled — the byte budget never forced the spill path")
+		h.violation("no hog query spilled — the byte budget never forced the partition policy")
 	}
 	if st.MemoryInUse != 0 {
 		h.violation(fmt.Sprintf("memory pool still holds %d bytes after the storm: a reservation leaked", st.MemoryInUse))
 	}
 
-	// Drain, then sweep the data root for leaked spill files: every
-	// spilling query cleaned up after itself, crash or not.
 	drainCtx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		h.violation(fmt.Sprintf("drain failed: %v", err))
-	}
-	filepath.WalkDir(cfg.DataRoot, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, durable.SpillSuffix) {
-			report.SpillFiles = append(report.SpillFiles, path)
-		}
-		return nil
-	})
-	for _, f := range report.SpillFiles {
-		h.violation(fmt.Sprintf("leaked spill file after drain: %s", f))
 	}
 
 	h.mu.Lock()

@@ -161,7 +161,6 @@ func OpenScoped(dir, scope string) (*Store, error) {
 			os.Remove(t)
 		}
 	}
-	SweepSpills(dir)
 
 	cat := catalog.New()
 	version := uint64(1) // the empty catalog every snapshot store starts at

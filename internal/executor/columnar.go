@@ -300,7 +300,7 @@ func disjRow(tbl *storage.Table, d compiledDisj, r int, stats *Stats) bool {
 // group exactly the values the row oracle groups (an int64 never equals a
 // float64 there).
 func (e *Executor) bindColumnar(spec *hashSpec) {
-	rtype := spec.buildSchema.Column(spec.rKey).Type
+	rtype := spec.right.Schema().Column(spec.rKey).Type
 	switch ltype := spec.left.Schema().Column(spec.lKey).Type; {
 	case ltype != rtype || ltype == storage.TypeBool:
 		bindKeys(e, spec, boxedKeys)
@@ -313,16 +313,15 @@ func (e *Executor) bindColumnar(spec *hashSpec) {
 	}
 }
 
-// bindKeys derives the probe side's keys once per join and the build
-// side's once per partition. keysOf reports the bytes of any array it had
-// to derive; they are charged as scratch of the running partition.
+// bindKeys derives both inputs' keys once per join, whatever the partition
+// policy does with them. keysOf reports the bytes of any array it had to
+// derive; the join holds them as scratch until it returns.
 func bindKeys[K comparable](e *Executor, spec *hashSpec, keysOf func(t *storage.Table, col int) ([]K, int64)) {
 	lk, lscratch := keysOf(spec.left, spec.lKey)
-	spec.join = func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
-		rk, rscratch := keysOf(build, spec.rKey)
-		e.gov.ChargeBytes(lscratch + rscratch)
-		defer e.gov.ReleaseBytes(lscratch + rscratch)
-		return colJoin(e, spec.joinSpec, lk, rk, build, lrows, stats)
+	rk, rscratch := keysOf(spec.right, spec.rKey)
+	spec.scratch = lscratch + rscratch
+	spec.join = func(rrows, lrows []int, stats *Stats) (*chunkSink, error) {
+		return colJoin(e, spec.joinSpec, lk, rk, rrows, lrows, stats)
 	}
 }
 
@@ -356,43 +355,36 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 }
 
 // colJoin is the typed build → probe → pair-gather kernel for one
-// partition: build a map over the build table's keys, probe it with the
-// left rows named by lrows (nil: every left row) in order — chunk-parallel
-// when workers allow — batch matched pairs, filter them through the
-// residual kernels, and gather survivors column-wise. With a probe-row
-// list the sink also reports the left row behind each output row.
-func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, build *storage.Table,
-	lrows []int, stats *Stats) (*chunkSink, error) {
-	rn := build.ColumnData(spec.rKey).Nulls
-	m := make(map[K][]int, len(rk))
-	for r, k := range rk {
-		if rn != nil && rn[r] {
-			continue
+// partition: build a map over the keys of the right rows named by rrows
+// (nil: every right row), probe it with the left rows named by lrows (nil:
+// every left row) in order — chunk-parallel when workers allow — batch
+// matched pairs, filter them through the residual kernels, and gather
+// survivors column-wise. With a probe-row list the sink also reports the
+// left row behind each output row.
+func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows []int, stats *Stats) (*chunkSink, error) {
+	rn := spec.right.ColumnData(spec.rKey).Nulls
+	builds := rowCount(rrows, len(rk))
+	m := make(map[K][]int, builds)
+	for i := 0; i < builds; i++ {
+		if r := rowAt(rrows, i); rn == nil || !rn[r] {
+			m[rk[r]] = append(m[rk[r]], r)
 		}
-		m[k] = append(m[k], r)
-	}
-	n := spec.left.NumRows()
-	if lrows != nil {
-		n = len(lrows)
 	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
-	return e.chunked(n, PointJoinChunk, "join", spec.outSchema, stats, func(start, end int, sink *chunkSink) error {
-		return probeChunk(e, spec, build, lk, ln, m, lrows, start, end, sink)
+	return e.chunked(rowCount(lrows, len(lk)), PointJoinChunk, "join", spec.outSchema, stats, func(start, end int, sink *chunkSink) error {
+		return probeChunk(e, spec, lk, ln, m, lrows, start, end, sink)
 	})
 }
 
 // probeChunk probes positions [start, end) of the probe-row list against
 // the shared build map, accumulating matched (left, right) index pairs and
 // flushing them through the pair sink in batches.
-func probeChunk[K comparable](e *Executor, spec *joinSpec, build *storage.Table, lk []K, ln []bool,
+func probeChunk[K comparable](e *Executor, spec *joinSpec, lk []K, ln []bool,
 	m map[K][]int, lrows []int, start, end int, sink *chunkSink) error {
-	pairs := e.newPairSink(spec, build, sink, lrows != nil)
+	pairs := e.newPairSink(spec, sink, lrows != nil)
 	defer pairs.release()
 	for i := start; i < end; i++ {
-		l := i
-		if lrows != nil {
-			l = lrows[i]
-		}
+		l := rowAt(lrows, i)
 		if ln != nil && ln[l] {
 			continue
 		}
@@ -417,7 +409,6 @@ func probeChunk[K comparable](e *Executor, spec *joinSpec, build *storage.Table,
 type pairSink struct {
 	e          *Executor
 	spec       *joinSpec
-	right      *storage.Table
 	out        *chunkSink
 	origin     bool // also report the left row behind each output row
 	lsel, rsel []int
@@ -427,8 +418,8 @@ type pairSink struct {
 // capacity it asks the arena for, whatever capacity the arena hands back.
 const pairArenaBytes = 8 * 2 * colBatch
 
-func (e *Executor) newPairSink(spec *joinSpec, right *storage.Table, out *chunkSink, origin bool) *pairSink {
-	p := &pairSink{e: e, spec: spec, right: right, out: out, origin: origin,
+func (e *Executor) newPairSink(spec *joinSpec, out *chunkSink, origin bool) *pairSink {
+	p := &pairSink{e: e, spec: spec, out: out, origin: origin,
 		lsel: selArena.Get(colBatch), rsel: selArena.Get(colBatch)}
 	e.gov.ChargeBytes(pairArenaBytes) // pair-batch arena scratch, released with the sink
 	return p
@@ -442,13 +433,13 @@ func (p *pairSink) release() {
 
 // flush turns the batched pairs into output rows and empties the batch.
 func (p *pairSink) flush() error {
-	left := p.spec.left
-	fl, fr := filterPairs(left, p.right, left.Schema().NumColumns(), p.spec.residual, p.lsel, p.rsel, &p.out.stats)
+	left, right := p.spec.left, p.spec.right
+	fl, fr := filterPairs(left, right, left.Schema().NumColumns(), p.spec.residual, p.lsel, p.rsel, &p.out.stats)
 	if len(fl) > 0 {
 		if err := p.e.gov.TickRows(int64(len(fl))); err != nil {
 			return err
 		}
-		if err := p.out.out.AppendPairGather(left, p.right, fl, fr); err != nil {
+		if err := p.out.out.AppendPairGather(left, right, fl, fr); err != nil {
 			return err
 		}
 		if p.origin {
@@ -465,10 +456,11 @@ func (p *pairSink) flush() error {
 // integers; an int64 key meets a float64 key as float64, while runs of
 // equal keys within one input compare in that input's own type, exactly as
 // the oracle's Equal does.
-func (e *Executor) mergeJoin(spec *joinSpec, right *storage.Table, stats *Stats) (*storage.Table, error) {
+func (e *Executor) mergeJoin(spec *joinSpec, stats *Stats) (*storage.Table, error) {
+	right := spec.right
 	ld, rd := spec.left.ColumnData(spec.lKey), right.ColumnData(spec.rKey)
 	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
-	pairs := e.newPairSink(spec, right, sink, false)
+	pairs := e.newPairSink(spec, sink, false)
 	defer pairs.release()
 	l := mergeSide{spec.left.SortPermutation(spec.lKey), ld.Nulls}
 	r := mergeSide{right.SortPermutation(spec.rKey), rd.Nulls}

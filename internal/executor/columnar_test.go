@@ -51,8 +51,8 @@ func planQuery(t testing.TB, cat *catalog.Catalog, tabs []cardest.TableRef,
 // row engine (the oracle), then with the columnar engine at workers 1 and 4,
 // unbudgeted and under a byte budget, and with the row engine under the
 // same budget. A hash-join repertoire gets 4 KiB, so build sides that
-// overflow it take the Grace spill policy; a repertoire with sort-merge
-// gets 1 MiB, enough for the sort scratch, which cannot spill. Rows, row
+// overflow it take the Grace partition policy; a repertoire with sort-merge
+// gets 1 MiB, enough for the sort scratch, which cannot be partitioned. Rows, row
 // order, work counters, and governor charges must be bit-identical. Returns
 // the oracle result for additional assertions.
 func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
@@ -107,8 +107,8 @@ func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 			}
 		}
 	}
-	if files := listSpillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("spill runs leaked: %v", files)
+	if files := dirEntries(t, dir); len(files) != 0 {
+		t.Fatalf("the joins wrote to their spill dir: %v", files)
 	}
 	return row
 }
@@ -205,7 +205,7 @@ func TestColumnarInt64PrecisionKernel(t *testing.T) {
 
 // keyTypeRows builds n two-column rows (k, v): k cycles through keys
 // (NULL every 7th row), v is the row number. Hundreds of rows make the
-// chunk-parallel probe and, under columnarDiff's budget, the spill policy
+// chunk-parallel probe and, under columnarDiff's budget, the partition policy
 // engage.
 func keyTypeRows(n int, keys []storage.Value) [][]storage.Value {
 	rows := make([][]storage.Value, n)
@@ -238,7 +238,7 @@ func loadKeyTypeTables(t *testing.T, cat *catalog.Catalog) {
 
 // Bool join keys have no native hash specialization: they run through the
 // same typed kernel keyed by Value.Key() strings, and must agree with the
-// row oracle at every worker count, in memory and spilled. A residual over
+// row oracle at every worker count, as one partition and partitioned. A residual over
 // v rides along to pin the comparison counters.
 func TestColumnarBoolKey(t *testing.T) {
 	cat := catalog.New()

@@ -10,9 +10,9 @@
 // The hash join is one pipeline, partition → build → probe → pair-gather,
 // and three independent policies pick its shape (DESIGN §13 draws it). The
 // partition policy (Limits.MaxMemory) keeps the whole join as one partition
-// in memory or, when the build side does not fit, routes build rows to
-// checksummed spill runs and probe rows to index lists, Grace style, and
-// merges partition outputs back by origin. The worker policy
+// or, when the build side's hash table does not fit, routes build and probe
+// rows to row lists per partition, Grace style but in memory, and merges
+// partition outputs back by origin. The worker policy
 // (Limits.Workers, via chunked) runs the probe in one call or as chunks on
 // the worker pool, concatenated in chunk order. The engine
 // (Limits.DisableColumnar) is colJoin — typed map, selection-vector
@@ -108,10 +108,9 @@ type Result struct {
 
 // Executor runs plans against the data tables of one catalog.
 type Executor struct {
-	cat      *catalog.Catalog
-	gov      *governor.Governor
-	workers  int
-	spillDir string // SetSpillDir: parent of per-query spill dirs
+	cat     *catalog.Catalog
+	gov     *governor.Governor
+	workers int
 }
 
 // New creates an executor over the catalog's registered data tables.
@@ -574,11 +573,10 @@ func (e *Executor) nlRange(left *storage.Table, in nlInner, out *storage.Table, 
 }
 
 // joinSpec is what every step of one equi-join shares — every partition of
-// a hash join, the sort and the merge of a sort-merge join: the left input,
-// the right side's schema, the key ordinals and the residual conjunction.
+// a hash join, the sort and the merge of a sort-merge join: the two inputs,
+// the key ordinals and the residual conjunction.
 type joinSpec struct {
-	left        *storage.Table
-	buildSchema *storage.Schema
+	left, right *storage.Table
 	lKey, rKey  int
 	residual    compiled
 	outSchema   *storage.Schema
@@ -587,11 +585,31 @@ type joinSpec struct {
 // hashSpec is a hash join's spec plus the kernel its partition policy calls.
 type hashSpec struct {
 	*joinSpec
-	// join runs build → probe → pair-gather for one partition: every row of
-	// build against the left rows named by lrows, in order. A nil lrows means
-	// every left row; with a list, the sink's origin reports the left row
-	// behind each output row. The caller has already visited the rows.
-	join func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error)
+	// join runs build → probe → pair-gather for one partition: the right
+	// rows named by rrows against the left rows named by lrows, in order. A
+	// nil list means every row of that input; with a probe-row list, the
+	// sink's origin reports the left row behind each output row. The caller
+	// has already visited the rows.
+	join func(rrows, lrows []int, stats *Stats) (*chunkSink, error)
+	// scratch is the bytes of key arrays join derived from the inputs; they
+	// live as long as the join does.
+	scratch int64
+}
+
+// rowAt resolves position i of a row list; a nil list names every row.
+func rowAt(rows []int, i int) int {
+	if rows == nil {
+		return i
+	}
+	return rows[i]
+}
+
+// rowCount is the length of a row list over a table of n rows.
+func rowCount(rows []int, n int) int {
+	if rows == nil {
+		return n
+	}
+	return len(rows)
 }
 
 // newJoinSpec resolves the first equality predicate of an equi-join as its
@@ -601,7 +619,7 @@ func newJoinSpec(j *optimizer.Join, left, right *storage.Table) (*joinSpec, erro
 	if keyPred == nil {
 		return nil, fmt.Errorf("executor: %v join requires an equality predicate", j.Method)
 	}
-	spec := &joinSpec{left: left, buildSchema: right.Schema()}
+	spec := &joinSpec{left: left, right: right}
 	var err error
 	if spec.outSchema, err = joinSchema(left.Schema(), right.Schema()); err != nil {
 		return nil, err
@@ -635,9 +653,9 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 	if err != nil {
 		return nil, err
 	}
-	// The sort scratch is non-spillable: unlike a hash build it cannot go
-	// to disk, so a budget that cannot cover it fails the query with a
-	// typed ErrMemory rather than overrunning.
+	// The sort scratch cannot be partitioned the way a hash build can, so a
+	// budget that cannot cover it fails the query with a typed ErrMemory
+	// rather than overrunning.
 	n := int64(left.NumRows()) + int64(right.NumRows())
 	scratch := sortScratchPerRow * n
 	if err := e.gov.GrabBytes(scratch, "sort-merge scratch"); err != nil {
@@ -650,7 +668,7 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 	if e.useColumnar() {
 		merge = e.mergeJoin
 	}
-	out, err := merge(spec, right, stats)
+	out, err := merge(spec, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -665,8 +683,8 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 // rowMerge is the row oracle's sort-merge kernel: a boxed stable sort of
 // each input and a merge that compares, filters and emits one []Value row
 // at a time.
-func (e *Executor) rowMerge(spec *joinSpec, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	left, lKey, rKey := spec.left, spec.lKey, spec.rKey
+func (e *Executor) rowMerge(spec *joinSpec, stats *Stats) (*storage.Table, error) {
+	left, right, lKey, rKey := spec.left, spec.right, spec.lKey, spec.rKey
 	lIdx := left.SortedIndices(lKey)
 	rIdx := right.SortedIndices(rKey)
 
@@ -727,43 +745,45 @@ func (e *Executor) rowMerge(spec *joinSpec, right *storage.Table, stats *Stats) 
 
 // hashJoin joins on the first equality predicate as one pipeline:
 // partition → build → probe → pair-gather. The partition policy decides
-// which build rows and which probe rows meet (everything at once in
-// memory, or Grace partitions through spill runs) and visits both inputs;
-// the kernel behind spec.join — colJoin, or rowJoin for the row oracle —
-// joins one partition, chunk-parallel when workers allow.
+// which build rows and which probe rows meet — everything at once, or
+// Grace partitions of row lists under a byte budget (partitionJoin); the
+// kernel behind spec.join — colJoin, or rowJoin for the row oracle — joins
+// one partition, chunk-parallel when workers allow.
 func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
 	shared, err := newJoinSpec(j, left, right)
 	if err != nil {
 		return nil, err
 	}
 	spec := &hashSpec{joinSpec: shared}
+	// The hash table pins about as much again as the right input for the
+	// duration of the join. That deterministic footprint (the input bytes,
+	// identical across engines and worker counts) both feeds the partition
+	// decision — taken here, at the operator boundary, before any engine's
+	// scratch is on the ledger — and, when the join runs as one partition,
+	// is charged as working memory.
+	need := right.ApproxBytes()
+	partition := e.gov.ShouldSpill(need)
 	if e.useColumnar() {
 		e.bindColumnar(spec)
 	} else {
-		spec.join = func(build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
-			return e.rowJoin(shared, build, lrows, stats)
+		spec.join = func(rrows, lrows []int, stats *Stats) (*chunkSink, error) {
+			return e.rowJoin(shared, rrows, lrows, stats)
 		}
 	}
-	if e.gov != nil {
-		// The build side pins the whole right input plus its hash map for
-		// the duration of the join. Its deterministic footprint (the input
-		// bytes, identical across engines and worker counts) both feeds the
-		// spill decision and, when the join stays in memory, is charged as
-		// working memory.
-		need := right.ApproxBytes()
-		if e.gov.ShouldSpill(need) {
-			return e.spillHashJoin(spec, right, need, stats)
-		}
-		e.gov.ChargeBytes(need)
-		defer e.gov.ReleaseBytes(need)
-	}
-	// In memory the whole join is one partition.
+	e.gov.ChargeBytes(spec.scratch)
+	defer e.gov.ReleaseBytes(spec.scratch)
+	// Whatever the partition policy, both inputs are visited once.
 	n := int64(right.NumRows()) + int64(left.NumRows())
 	stats.TuplesScanned += n
 	if err := e.gov.TickTuples(n); err != nil {
 		return nil, err
 	}
-	sink, err := spec.join(right, nil, stats)
+	if partition {
+		return e.partitionJoin(spec, need, stats)
+	}
+	e.gov.ChargeBytes(need)
+	defer e.gov.ReleaseBytes(need)
+	sink, err := spec.join(nil, nil, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -773,32 +793,28 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats
 // rowJoin is the row oracle's kernel for one partition: a serial, boxed,
 // Value.Key()-keyed build and probe that the columnar kernel is held
 // bit-identical to.
-func (e *Executor) rowJoin(spec *joinSpec, build *storage.Table, lrows []int, stats *Stats) (*chunkSink, error) {
-	m := make(map[string][]int, build.NumRows())
-	for r := 0; r < build.NumRows(); r++ {
-		if v := build.Value(r, spec.rKey); !v.IsNull() {
+func (e *Executor) rowJoin(spec *joinSpec, rrows, lrows []int, stats *Stats) (*chunkSink, error) {
+	left, right := spec.left, spec.right
+	builds := rowCount(rrows, right.NumRows())
+	m := make(map[string][]int, builds)
+	for i := 0; i < builds; i++ {
+		r := rowAt(rrows, i)
+		if v := right.Value(r, spec.rKey); !v.IsNull() {
 			k := v.Key()
 			m[k] = append(m[k], r)
 		}
 	}
 	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
-	n := spec.left.NumRows()
-	if lrows != nil {
-		n = len(lrows)
-	}
 	row := make([]storage.Value, 0, spec.outSchema.NumColumns())
-	for i := 0; i < n; i++ {
-		l := i
-		if lrows != nil {
-			l = lrows[i]
-		}
-		v := spec.left.Value(l, spec.lKey)
+	for i, n := 0, rowCount(lrows, left.NumRows()); i < n; i++ {
+		l := rowAt(lrows, i)
+		v := left.Value(l, spec.lKey)
 		if v.IsNull() {
 			continue
 		}
 		for _, r := range m[v.Key()] {
-			row = spec.left.AppendRowTo(row[:0], l)
-			row = build.AppendRowTo(row, r)
+			row = left.AppendRowTo(row[:0], l)
+			row = right.AppendRowTo(row, r)
 			ok, err := spec.residual.eval(row, stats)
 			if err != nil {
 				return nil, err

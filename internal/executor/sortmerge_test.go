@@ -245,7 +245,7 @@ func TestSortMergeRowBudgetMidMerge(t *testing.T) {
 	}
 }
 
-// The sort scratch cannot spill: a byte budget below it refuses the join
+// The sort scratch cannot be partitioned: a byte budget below it refuses the join
 // with a typed ErrMemory naming the operator, the same in both engines, and
 // one just above the inputs plus the scratch admits it in both.
 func TestSortMergeScratchOverBudget(t *testing.T) {

@@ -2,15 +2,13 @@ package executor
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cardest"
 	"repro/internal/catalog"
-	"repro/internal/durable"
+	"repro/internal/datagen"
 	"repro/internal/expr"
 	"repro/internal/faultinject"
 	"repro/internal/governor"
@@ -20,7 +18,7 @@ import (
 
 // spillPlan builds a two-table equijoin whose build side is far larger
 // than the tiny byte budget the tests run under, planned hash-only so the
-// spill path is the only way through.
+// partition policy is the only way through.
 func spillPlan(t *testing.T) (*catalog.Catalog, optimizer.Plan) {
 	t.Helper()
 	cat := buildCatalog(t, chainSpecs(200, 260)...)
@@ -63,35 +61,27 @@ func execSpill(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, workers 
 	return res, [2]int64{tuples, rows}, gov
 }
 
-// execSpillErr is execSpill for the fault tests: it returns the error
-// instead of failing on it.
-func execSpillErr(cat *catalog.Catalog, plan optimizer.Plan, budget int64, dir string) error {
-	gov := governor.New(context.Background(), governor.Limits{Workers: 1, MaxMemory: budget})
-	exec := NewGoverned(cat, gov)
-	exec.SetSpillDir(dir)
-	_, err := exec.Execute(plan)
-	return err
-}
-
-// listSpillFiles returns every *.spill path under dir (any depth).
-func listSpillFiles(t *testing.T, dir string) []string {
+// dirEntries names everything in dir. The tests hand the join a directory
+// through the SetSpillDir no-op and require it to stay empty.
+func dirEntries(t *testing.T, dir string) []string {
 	t.Helper()
-	var files []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) == SpillSuffix {
-			files = append(files, path)
-		}
-		return nil
-	})
-	return files
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 // The spilled join must be bit-identical to the unbudgeted in-memory
 // join — same rows in the same order, same TuplesScanned and Comparisons,
 // same governor tuple/row charges — at every worker count and for every
 // key representation of the kernel (native int64, Value.Key() strings for
-// bool and for int64-vs-float64 keys), and it must clean its runs up on
-// the way out.
+// bool and for int64-vs-float64 keys), and it must leave nothing in the
+// directory it was pointed at.
 func TestSpillHashJoinBitIdentical(t *testing.T) {
 	intCat, intPlan := spillPlan(t)
 	keyCat := catalog.New()
@@ -132,135 +122,154 @@ func TestSpillHashJoinBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			if files := listSpillFiles(t, dir); len(files) != 0 {
-				t.Fatalf("spill runs leaked after clean completion: %v", files)
+			if files := dirEntries(t, dir); len(files) != 0 {
+				t.Fatalf("the partitioned join wrote to its spill dir: %v", files)
 			}
 		})
 	}
 }
 
-// A failure injected at the spill-write probe must surface as a typed
-// ErrMemory — the query could not be served within its byte budget — with
-// no partial result and no leaked run files.
-func TestSpillWriteFault(t *testing.T) {
+// A budgeted join touches no disk, completed or torn down by a panic in a
+// probe worker: neither the directory handed to SetSpillDir nor the
+// process's temp directory gains an entry.
+func TestBudgetedJoinTouchesNoDisk(t *testing.T) {
 	cat, plan := spillPlan(t)
-	dir := t.TempDir()
-	boom := fmt.Errorf("disk full")
-	faultinject.Enable(PointSpillWrite, faultinject.Fault{Err: boom})
+	dir, tmp := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	run := func(budget, reserve int64) (spills int64) {
+		gov := governor.New(context.Background(), governor.Limits{Workers: 4, MaxMemory: budget})
+		gov.ReserveBytes(reserve)
+		exec := NewGoverned(cat, gov)
+		exec.SetSpillDir(dir)
+		defer func() {
+			recover() // the injected panic; the disk check below is the assertion
+			spills, _ = gov.SpillStats()
+		}()
+		exec.Execute(plan)
+		return
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, d := range []string{dir, tmp} {
+			if files := dirEntries(t, d); len(files) != 0 {
+				t.Fatalf("%s: %s holds %v", when, d, files)
+			}
+		}
+	}
+	if run(2048, 0) == 0 {
+		t.Fatal("the 2 KiB budget did not engage the partition policy")
+	}
+	check("after a budgeted join")
+
+	// A roomy budget whose one-byte reservation the build side overruns
+	// partitions two ways, ~100 probe rows each: enough for the worker policy
+	// to chunk the probe, so the chunk fault point is live.
+	faultinject.Enable(PointJoinChunk, faultinject.Fault{PanicValue: "boom"})
 	defer faultinject.Reset()
-	err := execSpillErr(cat, plan, 2048, dir)
-	if !errors.Is(err, governor.ErrMemory) {
-		t.Fatalf("spill write fault surfaced as %v, want ErrMemory", err)
+	run(1<<20, 1)
+	if faultinject.Hits(PointJoinChunk) == 0 {
+		t.Fatal("the panic was never injected: no partition probe was chunked")
 	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("spill write fault lost its cause: %v", err)
+	check("after a panic mid-partition")
+}
+
+// The ledger is exact under the partition policy: everything the policy
+// holds (routing ids, row lists, per-partition hash tables, key scratch) is
+// charged and released, so a finished query's ledger holds its output and
+// nothing else, and the peak is no higher than the spill-to-disk join's
+// was at the parent commit (measured there, Workers: 1).
+func TestPartitionLedger(t *testing.T) {
+	sparse := chainSpecs(2000, 3000)
+	for i := range sparse {
+		sparse[i].Columns[0] = datagen.ColumnSpec{Name: "k", Dist: datagen.DistUniform, Domain: 100000}
 	}
-	if files := listSpillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("spill runs leaked after write fault: %v", files)
+	denseCat, densePlan := spillPlan(t)
+	sparseCat := buildCatalog(t, sparse...)
+	for _, tc := range []struct {
+		name       string
+		cat        *catalog.Catalog
+		plan       optimizer.Plan
+		budget     int64
+		parentPeak int64
+	}{
+		{"spillPlan/2KiB", denseCat, densePlan, 2048, 165312},
+		{"spillPlan/4KiB", denseCat, densePlan, 4096, 165312},
+		{"sparse/16KiB", sparseCat, hashPlan(t, sparseCat, "T0", "T1"), 16 << 10, 180896},
+		{"sparse/64KiB", sparseCat, hashPlan(t, sparseCat, "T0", "T1"), 64 << 10, 166656},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, columnar := range []bool{true, false} {
+				gov := governor.New(context.Background(), governor.Limits{
+					Workers: 1, MaxMemory: tc.budget, DisableColumnar: !columnar})
+				res, err := NewGoverned(tc.cat, gov).Execute(tc.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if spills, _ := gov.SpillStats(); spills == 0 {
+					t.Fatalf("columnar=%v: the budget did not engage the partition policy", columnar)
+				}
+				used, peak, _ := gov.MemoryUsage()
+				if out := res.Table.ApproxBytes(); used != out {
+					t.Errorf("columnar=%v: ledger holds %d bytes after the query, its output is %d", columnar, used, out)
+				}
+				if peak > tc.parentPeak {
+					t.Errorf("columnar=%v: peak %d bytes, the parent commit's was %d", columnar, peak, tc.parentPeak)
+				}
+			}
+		})
 	}
 }
 
-// A short write (torn run file) behaves as a mid-write crash: typed
-// ErrMemory wrapping the simulated-crash sentinel; the per-query spill
-// directory (and the torn file) die with the failed query's cleanup.
-func TestSpillWriteTorn(t *testing.T) {
-	cat, plan := spillPlan(t)
-	dir := t.TempDir()
-	faultinject.Enable(PointSpillWrite, faultinject.Fault{Payload: faultinject.DiskFault{ShortWrite: 6}})
-	defer faultinject.Reset()
-	err := execSpillErr(cat, plan, 2048, dir)
-	if !errors.Is(err, governor.ErrMemory) || !errors.Is(err, faultinject.ErrCrash) {
-		t.Fatalf("torn spill write surfaced as %v, want ErrMemory wrapping ErrCrash", err)
-	}
-	if files := listSpillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("torn run survived the failed query's cleanup: %v", files)
-	}
-}
-
-// A failure injected at the spill-read probe must surface as ErrMemory
-// with nothing left behind.
-func TestSpillReadFault(t *testing.T) {
-	cat, plan := spillPlan(t)
-	dir := t.TempDir()
-	faultinject.Enable(PointSpillRead, faultinject.Fault{Err: fmt.Errorf("read gone bad")})
-	defer faultinject.Reset()
-	err := execSpillErr(cat, plan, 2048, dir)
-	if !errors.Is(err, governor.ErrMemory) {
-		t.Fatalf("spill read fault surfaced as %v, want ErrMemory", err)
-	}
-	if files := listSpillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("spill runs leaked after read fault: %v", files)
-	}
-}
-
-// A crash injected during cleanup leaves the runs on disk (that is the
-// point — a real crash would) and surfaces typed; the recovery sweep
-// (durable.SweepSpills, run by els.Open) must then collect the orphans.
-func TestSpillRemoveFaultThenSweep(t *testing.T) {
-	cat, plan := spillPlan(t)
-	// Mirror the durable layout exactly: queries spill into per-query
-	// temp dirs under <dataDir>/spill, the tree SweepSpills(dataDir)
-	// collects (els.Open wires the same path).
-	dataDir := t.TempDir()
-	spillDir := filepath.Join(dataDir, durable.SpillDirName)
-	faultinject.Enable(PointSpillRemove, faultinject.Fault{Err: faultinject.ErrCrash})
-	defer faultinject.Reset()
-	err := execSpillErr(cat, plan, 2048, spillDir)
-	if !errors.Is(err, governor.ErrMemory) {
-		t.Fatalf("spill remove fault surfaced as %v, want ErrMemory", err)
-	}
-	orphans := listSpillFiles(t, dataDir)
-	if len(orphans) == 0 {
-		t.Fatal("remove fault left no orphaned runs — the crash model has no teeth")
-	}
-	faultinject.Reset()
-	durable.SweepSpills(dataDir)
-	if files := listSpillFiles(t, dataDir); len(files) != 0 {
-		t.Fatalf("recovery sweep missed orphaned runs: %v", files)
+// mergeByOrigin restores probe order from partition outputs: three
+// partitions, one of them empty, runs of different lengths, and a probe row
+// that produced several output rows (duplicate origins stay together).
+func TestMergeByOrigin(t *testing.T) {
+	schema := storage.MustSchema(storage.ColumnDef{Name: "origin", Type: storage.TypeInt64},
+		storage.ColumnDef{Name: "seq", Type: storage.TypeInt64})
+	for _, tc := range []struct {
+		name    string
+		origins [][]int
+	}{
+		{"interleaved", [][]int{{0, 3, 3, 3, 7}, {}, {1, 2, 4, 4, 9, 10}}},
+		{"disjoint blocks", [][]int{{5, 6}, {0, 1, 1}, {2, 3, 4}}},
+		{"one live partition", [][]int{{}, {2, 2, 5}, {}}},
+		{"all empty", [][]int{{}, {}, {}}},
+		{"no partitions", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var outs []*storage.Table
+			var want []int
+			for _, o := range tc.origins {
+				out := storage.NewTable("p", schema)
+				for seq, origin := range o {
+					// seq pins the order of rows that share an origin.
+					out.MustAppendRow(storage.Int64(int64(origin)), storage.Int64(int64(seq)))
+				}
+				outs = append(outs, out)
+				want = append(want, o...)
+			}
+			slices.Sort(want)
+			merged, err := mergeByOrigin(schema, outs, tc.origins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if merged.NumRows() != len(want) {
+				t.Fatalf("%d merged rows, want %d", merged.NumRows(), len(want))
+			}
+			for r, origin := range want {
+				if got := merged.IntAt(r, 0); got != int64(origin) {
+					t.Fatalf("row %d has origin %d, want %d", r, got, origin)
+				}
+				if r > 0 && merged.IntAt(r-1, 0) == int64(origin) && merged.IntAt(r, 1) != merged.IntAt(r-1, 1)+1 {
+					t.Fatalf("row %d: rows of origin %d left their partition's order", r, origin)
+				}
+			}
+		})
 	}
 }
 
-// A corrupted run (bit-flip on disk) must be caught by the frame checksum
-// and surface as ErrMemory, never as wrong rows.
-func TestSpillCorruptRun(t *testing.T) {
-	cat, plan := spillPlan(t)
-	dir := t.TempDir()
-	// Arm the read probe with a payload-only fault so Fire reports hits
-	// without failing; use it to corrupt the first run before it is read.
-	corrupted := false
-	faultinject.Reset()
-	// Instead of a probe, corrupt between phases: run once with a remove
-	// fault to keep the runs, corrupt one, and decode it directly.
-	faultinject.Enable(PointSpillRemove, faultinject.Fault{Err: faultinject.ErrCrash})
-	_ = execSpillErr(cat, plan, 2048, dir)
-	faultinject.Reset()
-	files := listSpillFiles(t, dir)
-	if len(files) == 0 {
-		t.Fatal("no runs to corrupt")
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) > 12 {
-		data[12] ^= 0x40
-		corrupted = true
-	}
-	if !corrupted {
-		t.Fatalf("run file too short to corrupt: %d bytes", len(data))
-	}
-	if err := os.WriteFile(files[0], data, 0o644); err != nil { //atomicwrite:allow test corrupts a spill run in place
-		t.Fatal(err)
-	}
-	gov := governor.New(context.Background(), governor.Limits{MaxMemory: 2048})
-	exec := NewGoverned(catalog.New(), gov)
-	if _, rerr := exec.readSpillRun(files[0]); !errors.Is(rerr, governor.ErrMemory) || !errors.Is(rerr, errSpillCorrupt) {
-		t.Fatalf("corrupt run read back as %v, want ErrMemory wrapping the corruption sentinel", rerr)
-	}
-}
-
-// Unbudgeted queries must never touch the spill path, whatever the data
-// size: the budget is the only trigger.
+// Unbudgeted queries must never take the partition policy, whatever the
+// data size: the budget is the only trigger.
 func TestNoSpillWithoutBudget(t *testing.T) {
 	cat, plan := spillPlan(t)
 	dir := t.TempDir()
@@ -268,8 +277,8 @@ func TestNoSpillWithoutBudget(t *testing.T) {
 	if count, bytes := gov.SpillStats(); count != 0 || bytes != 0 {
 		t.Fatalf("unbudgeted query spilled: %d spills, %d bytes", count, bytes)
 	}
-	if files := listSpillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("unbudgeted query left spill files: %v", files)
+	if files := dirEntries(t, dir); len(files) != 0 {
+		t.Fatalf("unbudgeted query wrote to its spill dir: %v", files)
 	}
 }
 
@@ -282,71 +291,28 @@ func TestSpillFixtureOversized(t *testing.T) {
 	}
 }
 
-// FuzzSpillRun feeds arbitrary bytes to the spill read path twice: as a
-// whole run file, which the frame check (readSpillRun) must vet, and as
-// the payload of a correctly framed run, which reaches the row decoder
-// (decodeRow). Either way the read must succeed or fail with a typed
-// ErrMemory — never panic, whatever a torn or bit-rotted disk hands back.
-func FuzzSpillRun(f *testing.F) {
-	schema := storage.MustSchema(
-		storage.ColumnDef{Name: "i", Type: storage.TypeInt64},
-		storage.ColumnDef{Name: "f", Type: storage.TypeFloat64},
-		storage.ColumnDef{Name: "b", Type: storage.TypeBool},
-		storage.ColumnDef{Name: "s", Type: storage.TypeString})
-	exec := New(catalog.New())
-	dir := f.TempDir()
-	// frame writes payload as a well-formed run file and returns its path.
-	frame := func(tb testing.TB, payload []byte) string {
-		w := newSpillWriter(exec, dir, "fuzz", 0)
-		w.buf = payload
-		if err := w.flush(); err != nil {
-			tb.Fatal(err)
-		}
-		if len(w.files) == 0 { // empty payload: nothing to write
-			return ""
-		}
-		return w.files[0]
+// Routing drops NULL keys, and re-routing one partition under the next
+// depth's salt spreads it over every sub-partition — a salt that only
+// permuted the partitions would leave re-partitioning a skewed partition
+// with nothing to do.
+func TestRouteResplitsUnderNewSalt(t *testing.T) {
+	tbl := storage.NewTable("k", storage.MustSchema(storage.ColumnDef{Name: "k", Type: storage.TypeInt64}))
+	tbl.MustAppendRow(storage.Null(storage.TypeInt64))
+	for k := int64(0); k < 8000; k++ {
+		tbl.MustAppendRow(storage.Int64(k))
 	}
-	// Seed with a well-formed payload (one full row, one all-NULL row), its
-	// framed file, and torn and corrupted variants of both.
-	payload := encodeVals(nil, []storage.Value{
-		storage.Int64(-7), storage.Float64(2.5), storage.Bool(true), storage.String64("spill")})
-	payload = encodeVals(payload, []storage.Value{
-		storage.Null(storage.TypeInt64), storage.Null(storage.TypeFloat64),
-		storage.Null(storage.TypeBool), storage.Null(storage.TypeString)})
-	file, err := os.ReadFile(frame(f, payload))
-	if err != nil {
-		f.Fatal(err)
+	ids := route(tbl, 0, nil, 2, 0)
+	if ids[0] != noPart {
+		t.Fatalf("NULL key routed to partition %d", ids[0])
 	}
-	for _, seed := range [][]byte{payload, file} {
-		flipped := append([]byte(nil), seed...)
-		flipped[len(flipped)-1] ^= 0x01
-		f.Add(seed)
-		f.Add(seed[:len(seed)/2])
-		f.Add(flipped)
+	rows := pick(ids, nil, 0)
+	if len(rows) < 3000 || len(rows) > 5000 {
+		t.Fatalf("two-way split put %d of 8000 keys in partition 0", len(rows))
 	}
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		raw := filepath.Join(dir, "raw"+SpillSuffix)
-		if err := os.WriteFile(raw, data, 0o644); err != nil { //atomicwrite:allow test plants arbitrary bytes as a spill run
-			t.Fatal(err)
+	sub := route(tbl, 0, rows, 4, 1)
+	for p := uint8(0); p < 4; p++ {
+		if n := len(pick(sub, rows, p)); n < len(rows)/8 || n > len(rows)/2 {
+			t.Errorf("re-split sub-partition %d holds %d of %d rows", p, n, len(rows))
 		}
-		for _, path := range []string{raw, frame(t, data)} {
-			if path == "" {
-				continue
-			}
-			rows := 0
-			err := exec.readRuns([]string{path}, schema, func(vals []storage.Value) error {
-				if len(vals) != schema.NumColumns() {
-					t.Fatalf("decoded a %d-value row for a %d-column schema", len(vals), schema.NumColumns())
-				}
-				rows++
-				return nil
-			})
-			if err != nil && !errors.Is(err, governor.ErrMemory) {
-				t.Fatalf("%s: untyped spill read failure after %d rows: %v", filepath.Base(path), rows, err)
-			}
-		}
-	})
+	}
 }

@@ -63,17 +63,6 @@ type BenchReport struct {
 	// the typed overload error — the admission bulkhead engaging under
 	// the benchmark's deliberate oversubscription. 0 when absent.
 	ShedRate float64 `json:"shed_rate"`
-	// SpillRate is the fraction of the memory-governance workload's
-	// queries (-max-memory) whose hash-join build sides exceeded the byte
-	// budget and spilled to disk. 0 when the run had no memory leg.
-	SpillRate float64 `json:"spill_rate"`
-	// PeakQueryBytes is the largest per-query byte-ledger high-water mark
-	// the memory-governance workload observed — how much working memory
-	// the hungriest query would have held without a budget. 0 when absent.
-	PeakQueryBytes int64 `json:"peak_query_bytes"`
-	// MemorySpilledBytes is the total run volume the workload's spilling
-	// joins wrote to disk. 0 when absent.
-	MemorySpilledBytes int64 `json:"memory_spilled_bytes"`
 }
 
 // SumTuplesScanned totals the executor work across a Section 8 table's rows.

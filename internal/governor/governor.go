@@ -84,9 +84,8 @@ var (
 	// durable store). Other tenants on the same server are unaffected.
 	ErrTenant = errors.New("els: tenant unavailable")
 	// ErrMemory reports that a query's byte budget (Limits.MaxMemory) was
-	// exhausted by working memory that could not be spilled to disk, or
-	// that the spill machinery itself failed while trying to stay under
-	// the budget. Unlike ErrOverloaded it is a property of the query
+	// exhausted by working memory that cannot be partitioned down to fit
+	// (sort scratch). Unlike ErrOverloaded it is a property of the query
 	// against its budget, not of system load: resubmitting the same query
 	// under the same budget fails the same way, so it is not retryable.
 	ErrMemory = errors.New("els: memory budget exceeded")
@@ -234,12 +233,11 @@ func (e *TenantError) Unwrap() error { return ErrTenant }
 // could not be served within Limits.MaxMemory.
 type MemoryError struct {
 	// Operator names the materialization that tripped the budget (e.g.
-	// "sort-merge scratch", "spill write").
+	// "sort-merge scratch").
 	Operator string
 	// Limit is the configured MaxMemory budget in bytes; Used is the
 	// working set charged at detection; Requested is the allocation that
-	// did not fit. Requested may be zero when the failure is a spill I/O
-	// error rather than an oversized allocation.
+	// did not fit.
 	Limit, Used, Requested int64
 }
 
@@ -337,9 +335,9 @@ type Limits struct {
 	// single query's budget.
 	PlanCacheSize int
 	// MaxMemory bounds one query's working memory in bytes; 0 disables.
-	// Hash-join build sides that would not fit spill to disk (Grace-style
-	// partitioning, bit-identical results); non-spillable working memory
-	// (sort scratch) that would not fit fails with ErrMemory. Materialized
+	// Hash joins whose build side would not fit run partition by partition
+	// (Grace-style, in memory, bit-identical results); working memory that
+	// cannot be partitioned (sort scratch) fails with ErrMemory. Materialized
 	// operator outputs are charged to the bytes ledger for observability
 	// but are bounded by MaxRows, not MaxMemory, so a budgeted query
 	// returns the same rows as an unbudgeted one.
@@ -382,8 +380,9 @@ type Governor struct {
 
 	// Bytes ledger. memBytes is the live working set; memPeak its
 	// high-water mark; memReserved the planner's estimate-informed
-	// pre-reservation; spills/spilledBytes count hash-join build sides
-	// that went to disk. Charges at operator boundaries are deterministic
+	// pre-reservation; spills/spilledBytes count the hash joins'
+	// partitioning passes and the build bytes they routed. Charges at
+	// operator boundaries are deterministic
 	// for a given plan, which is what keeps the spill decision — and
 	// therefore the result bytes — identical across worker counts and
 	// engines.
@@ -546,7 +545,7 @@ func (g *Governor) QueueWait() time.Duration {
 	return time.Duration(g.queueWait.Load())
 }
 
-// MemoryEnforced reports whether the query has a byte budget; spill
+// MemoryEnforced reports whether the query has a byte budget; partition
 // decisions and hard memory grabs engage only when it does, so a query
 // without MaxMemory behaves exactly as before the ledger existed.
 func (g *Governor) MemoryEnforced() bool {
@@ -564,7 +563,7 @@ func (g *Governor) MaxMemory() int64 {
 // ReserveBytes records the planner's estimate-informed pre-reservation:
 // the working memory the plan is expected to need, derived from the ELS
 // estimates before execution starts. A hash-join build side that turns
-// out larger than the reservation spills immediately — the estimate was
+// out larger than the reservation is partitioned at once — the estimate was
 // wrong, so the budget stops trusting it — rather than growing toward
 // the OOM cliff.
 func (g *Governor) ReserveBytes(n int64) {
@@ -600,8 +599,8 @@ func (g *Governor) ChargeBytes(n int64) {
 }
 
 // ReleaseBytes returns n bytes to the ledger when a charged
-// materialization dies (operator inputs consumed, scratch freed, spill
-// buffers flushed).
+// materialization dies (operator inputs consumed, scratch freed,
+// partition state dropped).
 func (g *Governor) ReleaseBytes(n int64) {
 	if g == nil || n == 0 {
 		return
@@ -609,8 +608,8 @@ func (g *Governor) ReleaseBytes(n int64) {
 	g.memBytes.Add(-n)
 }
 
-// GrabBytes charges n bytes of non-spillable working memory (e.g. sort
-// scratch), failing with a *MemoryError when the budget cannot cover it.
+// GrabBytes charges n bytes of working memory that cannot be partitioned
+// (e.g. sort scratch), failing with a *MemoryError when the budget cannot cover it.
 // Call sites must ReleaseBytes(n) when the scratch dies iff the grab
 // succeeded.
 func (g *Governor) GrabBytes(n int64, operator string) error {
@@ -626,13 +625,13 @@ func (g *Governor) GrabBytes(n int64, operator string) error {
 	return nil
 }
 
-// ShouldSpill decides whether a hash-join build side of `need` bytes goes
-// to disk. It spills when the budget cannot cover the build on top of
-// the current working set, or when the build exceeds the planner's
-// pre-reservation — the estimate-informed early trip. The inputs (ledger
-// at an operator boundary, deterministic build size, per-query
-// reservation) are identical across worker counts and engines, so both
-// sides of the differential harness make the same call.
+// ShouldSpill decides whether a hash join whose build side needs `need`
+// bytes runs partition by partition. It does when the budget cannot cover
+// the build on top of the current working set, or when the build exceeds
+// the planner's pre-reservation — the estimate-informed early trip. The
+// inputs (ledger at an operator boundary, deterministic build size,
+// per-query reservation) are identical across worker counts and engines,
+// so both sides of the differential harness make the same call.
 func (g *Governor) ShouldSpill(need int64) bool {
 	if !g.MemoryEnforced() {
 		return false
@@ -646,7 +645,7 @@ func (g *Governor) ShouldSpill(need int64) bool {
 	return false
 }
 
-// RecordSpill counts one build side of n bytes written to spill runs.
+// RecordSpill counts one partitioning pass that routed n build-side bytes.
 func (g *Governor) RecordSpill(n int64) {
 	if g == nil {
 		return
@@ -664,8 +663,8 @@ func (g *Governor) MemoryUsage() (used, peak, reserved int64) {
 	return g.memBytes.Load(), g.memPeak.Load(), g.memReserved.Load()
 }
 
-// SpillStats reports how many hash-join build sides spilled and the total
-// bytes written to spill runs.
+// SpillStats reports how many partitioning passes the query's hash joins
+// ran and the total build-side bytes those passes routed.
 func (g *Governor) SpillStats() (count, bytes int64) {
 	if g == nil {
 		return 0, 0

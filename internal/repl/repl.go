@@ -128,7 +128,7 @@ func (p *Processor) help() error {
          [plan-cache-size=N]
                                             set per-query budgets (memory=N is
                                             the byte budget; over it, hash joins
-                                            spill to disk), parallelism,
+                                            partition in memory), parallelism,
                                             admission control, replica staleness,
                                             and the columnar/plan-cache engine
                                             switches ("limits off" clears)

@@ -18,7 +18,7 @@ import (
 //
 // The pool bounds reservations, not true allocations: inside the slot the
 // query's own governor (Limits.MaxMemory) enforces the byte budget
-// exactly and spills hash joins that exceed it, so the pool's job is only
+// exactly and partitions hash joins that exceed it, so the pool's job is only
 // to keep N tenants' worth of budgets from being admitted into a process
 // that cannot hold them simultaneously.
 type memPool struct {

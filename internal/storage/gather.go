@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -52,6 +53,34 @@ func (d ColumnData) Value(i int) Value {
 		return Bool(d.Bools[i])
 	default:
 		panic("storage: Value from invalid column view")
+	}
+}
+
+// KeyHash hashes the non-NULL value at row i so that rows whose Value.Key()
+// strings are equal hash alike, without boxing or allocating: -0.0 hashes as
+// 0.0, as Key() renders it. Values of different types may collide or not;
+// their Key() strings never match anyway.
+func (d ColumnData) KeyHash(i int) uint64 {
+	switch d.Type {
+	case TypeInt64:
+		return uint64(d.Ints[i])
+	case TypeFloat64:
+		f := d.Floats[i]
+		if f == 0 {
+			f = 0
+		}
+		return math.Float64bits(f)
+	case TypeBool:
+		if d.Bools[i] {
+			return 1
+		}
+		return 0
+	default:
+		h := uint64(14695981039346656037) // FNV-1a
+		for _, b := range []byte(d.Strs[i]) {
+			h = (h ^ uint64(b)) * 1099511628211
+		}
+		return h
 	}
 }
 

@@ -1,6 +1,9 @@
 package storage
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func gatherSchema(t *testing.T) *Schema {
 	t.Helper()
@@ -113,5 +116,27 @@ func TestAppendPairGather(t *testing.T) {
 	}
 	if err := dst.AppendPairGather(left, right, []int{0}, []int{0, 1}); err == nil {
 		t.Fatalf("expected length mismatch error")
+	}
+}
+
+// KeyHash must respect Value.Key() equality — rows the hash join would match
+// hash alike — and tell apart the keys of each column's small sample.
+func TestKeyHashFollowsKey(t *testing.T) {
+	tbl := NewTable("k", gatherSchema(t))
+	tbl.MustAppendRow(Int64(7), Float64(0), String64("ab"), Bool(true))
+	tbl.MustAppendRow(Int64(7), Float64(math.Copysign(0, -1)), String64("ab"), Bool(true))
+	tbl.MustAppendRow(Int64(-7), Float64(1), String64("ba"), Bool(false))
+	tbl.MustAppendRow(Int64(1<<62), Float64(math.NaN()), String64(""), Bool(false))
+	for c := 0; c < tbl.Schema().NumColumns(); c++ {
+		d := tbl.ColumnData(c)
+		for a := 0; a < tbl.NumRows(); a++ {
+			for b := 0; b < tbl.NumRows(); b++ {
+				sameKey := d.Value(a).Key() == d.Value(b).Key()
+				if sameHash := d.KeyHash(a) == d.KeyHash(b); sameHash != sameKey {
+					t.Errorf("column %d rows %d,%d (%s, %s): same key %v, same hash %v",
+						c, a, b, d.Value(a), d.Value(b), sameKey, sameHash)
+				}
+			}
+		}
 	}
 }

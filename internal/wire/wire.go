@@ -359,8 +359,9 @@ type TenantStats struct {
 	P99Millis     float64 `json:"p99_ms"`
 	P99WaitMillis float64 `json:"p99_admission_wait_ms"`
 	// SpilledQueries and SpilledBytes mirror the tenant system's memory
-	// governance counters: queries that spilled a hash-join build to disk
-	// and the run-file bytes they wrote. PeakQueryBytes is the largest
+	// governance counters: queries that partitioned a hash-join build to
+	// fit their byte budget and the build bytes those passes routed (no
+	// disk is involved). PeakQueryBytes is the largest
 	// single-query working-memory high-water mark.
 	SpilledQueries uint64 `json:"spilled_queries,omitempty"`
 	SpilledBytes   int64  `json:"spilled_bytes,omitempty"`

@@ -15,11 +15,11 @@ import (
 // below its build side, with a swarm big enough to overflow its pool
 // share, while two neighbor tenants run a steady light workload
 // throughout. The audits: the hog both sheds (typed, retryable, with a
-// Retry-After hint) and spills to disk; every neighbor query succeeds
-// with zero pool sheds and zero spills — degradation stays inside the
-// hog's bulkhead; the pool returns to zero reservation; and no *.spill
-// file survives the drain anywhere under the data root. Run with -race
-// in CI; CHAOS_LOG captures the JSONL event log artifact.
+// Retry-After hint) and partitions its joins to fit the budget; every
+// neighbor query succeeds with zero pool sheds and zero partitioned joins —
+// degradation stays inside the hog's bulkhead; and the pool returns to
+// zero reservation. Run with -race in CI; CHAOS_LOG captures the JSONL
+// event log artifact.
 func TestChaosMemoryPressure(t *testing.T) {
 	cfg := chaos.MemoryConfig{
 		Seed:            42,
@@ -50,7 +50,7 @@ func TestChaosMemoryPressure(t *testing.T) {
 		t.Fatal("the hog swarm issued no queries")
 	}
 	if rep.HogSucceeded == 0 {
-		t.Error("no hog query completed — the budget starved the tenant entirely instead of spilling")
+		t.Error("no hog query completed — the budget starved the tenant entirely instead of partitioning")
 	}
 	if rep.NeighborOps == 0 {
 		t.Fatal("the neighbor swarms issued no queries")

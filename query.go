@@ -109,13 +109,15 @@ type Result struct {
 	Nodes []NodeStat
 	// PeakMemoryBytes is the high-water mark of the query's byte ledger:
 	// the most working memory (operator outputs, hash-table build sides,
-	// columnar arenas, spill buffers) the query had charged at any instant.
+	// columnar arenas, partition routing state) the query had charged at any
+	// instant.
 	// Tracked whether or not Limits.MaxMemory was set.
 	PeakMemoryBytes int64
-	// SpillCount and SpilledBytes report how many hash-join build sides
-	// exceeded their memory reservation and were partitioned to disk, and
-	// how many run-file bytes they wrote. Both are 0 for queries that ran
-	// entirely in memory.
+	// SpillCount and SpilledBytes report how many partitioning passes the
+	// query's hash joins ran because a build side exceeded its byte budget
+	// or reservation, and how many build-side bytes those passes routed to
+	// partitions. Partitioning is in memory; both are 0 for queries whose
+	// joins each ran as one partition.
 	SpillCount, SpilledBytes int64
 }
 
@@ -545,7 +547,6 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 		return nil, err
 	}
 	exec := executor.NewGoverned(snap.Catalog(), gov)
-	exec.SetSpillDir(s.spillRoot())
 	if gov.MemoryEnforced() {
 		// Estimate-informed pre-reservation: size the working-memory
 		// reservation from the optimizer's own cardinality estimates so a

@@ -112,7 +112,7 @@ type DivergenceError = governor.DivergenceError
 type TenantError = governor.TenantError
 
 // MemoryError details a query killed by its byte budget: which operator
-// needed memory it could not spill its way out of, how much it asked for,
+// needed memory it could not partition its way out of, how much it asked for,
 // and the Limits.MaxMemory in force. It is deterministic for the same
 // submission and never retried.
 type MemoryError = governor.MemoryError

@@ -111,9 +111,9 @@ type RobustnessStats struct {
 	// transitions to open, queries failed fast while open, and half-open
 	// probe queries admitted.
 	BreakerOpens, BreakerRejections, BreakerProbes uint64
-	// SpilledQueries counts queries that spilled at least one hash-join
-	// build side to disk under Limits.MaxMemory; SpilledBytes is the
-	// cumulative run-file bytes they wrote.
+	// SpilledQueries counts queries that partitioned at least one hash-join
+	// build side to stay under Limits.MaxMemory; SpilledBytes is the
+	// cumulative build-side bytes their partitioning passes routed.
 	SpilledQueries uint64
 	SpilledBytes   int64
 	// PeakQueryBytes is the largest single-query working-memory high-water

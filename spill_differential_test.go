@@ -3,11 +3,9 @@ package els
 import (
 	"context"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/durable"
 	"repro/internal/executor"
 	"repro/internal/governor"
 	"repro/internal/optimizer"
@@ -16,13 +14,14 @@ import (
 
 // spillBudget is the per-query byte budget the spill differential runs
 // under: small enough that well over a quarter of the generated joins
-// overflow it and take the Grace spill path, large enough that scans and
-// probe-side scratch never hard-fail.
+// overflow it and take the Grace partition policy, large enough that scans
+// and probe-side scratch never hard-fail.
 const spillBudget = 4096
 
-// execBudgeted runs the plan under the given byte budget with spill runs
-// rooted at dir, returning the result, the governor's tuple/row charges,
-// and the governor for spill introspection.
+// execBudgeted runs the plan under the given byte budget (0: none) with the
+// executor pointed at dir through the SetSpillDir no-op, returning the
+// result, the governor's tuple/row charges, and the governor for spill and
+// ledger introspection.
 func execBudgeted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, workers int, budget int64, dir string) (*executor.Result, [2]int64, *governor.Governor) {
 	t.Helper()
 	gov := governor.New(context.Background(), governor.Limits{Workers: workers, MaxMemory: budget})
@@ -40,11 +39,12 @@ func execBudgeted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, worke
 // tentpole is locked down by: 500 seeded random queries planned hash-only,
 // each executed unbudgeted in memory (the oracle) and then under a byte
 // budget tiny enough to force at least a quarter of them through the
-// recursive spill path, at workers 1, 4, and 8. The spilled result must be
-// bit-identical — same rows in the same order, same TuplesScanned and
-// Comparisons, same governor tuple/row charges — and no *.spill file may
-// survive the run. Divergences are appended to the ELS_DIFF_REPORT
-// artifact before the test fails.
+// recursive partition policy, at workers 1, 4, and 8. The partitioned
+// result must be bit-identical — same rows in the same order, same
+// TuplesScanned and Comparisons, same governor tuple/row charges — and the
+// run must leave the directory it was pointed at empty. Divergences are
+// appended to the ELS_DIFF_REPORT artifact before the test fails, and so are
+// both runs' ledger peaks for every seed.
 func TestDifferentialSpillVsInMemory(t *testing.T) {
 	queries := differentialQueries(t)
 	dir := t.TempDir()
@@ -53,12 +53,21 @@ func TestDifferentialSpillVsInMemory(t *testing.T) {
 		q := querygen.Generate(seed)
 		q.Methods = []optimizer.JoinMethod{optimizer.HashJoin}
 		cat, plan := planGenerated(t, q)
-		oracle, oracleUsage := execWorkers(t, cat, plan, 1)
+		oracle, oracleUsage, oracleGov := execBudgeted(t, cat, plan, 1, 0, dir)
 		seedSpilled := false
 		for _, workers := range []int{1, 4, 8} {
 			res, usage, gov := execBudgeted(t, cat, plan, workers, spillBudget, dir)
-			if count, _ := gov.SpillStats(); count > 0 {
+			count, _ := gov.SpillStats()
+			if count > 0 {
 				seedSpilled = true
+			}
+			if workers == 1 {
+				_, peak, _ := gov.MemoryUsage()
+				_, oraclePeak, _ := oracleGov.MemoryUsage()
+				diffReport(t, map[string]any{
+					"harness": "spill-vs-inmemory", "seed": seed, "spills": count,
+					"peak_bytes": peak, "inmemory_peak_bytes": oraclePeak,
+				})
 			}
 			fail := func(field string, got, want any) {
 				diffReport(t, map[string]any{
@@ -89,15 +98,8 @@ func TestDifferentialSpillVsInMemory(t *testing.T) {
 	if spilled*4 < queries {
 		t.Errorf("only %d of %d queries spilled; the acceptance bar is at least 25%%", spilled, queries)
 	}
-	var leaked []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) == durable.SpillSuffix {
-			leaked = append(leaked, path)
-		}
-		return nil
-	})
-	if len(leaked) != 0 {
-		t.Errorf("spill runs leaked after %d queries: %v", queries, leaked)
+	if leaked, err := os.ReadDir(dir); err != nil || len(leaked) != 0 {
+		t.Errorf("%d queries left %d entries in the spill dir (err %v)", queries, len(leaked), err)
 	}
 	t.Logf("spill differential: %d/%d queries spilled under a %d-byte budget", spilled, queries, spillBudget)
 }
