@@ -4,15 +4,13 @@
 // Usage:
 //
 //	elsbench [-experiment all|section8|examples|chain|zipf|urn|random|repeated]
-//	         [-scale N] [-seed N] [-estimates-only] [-workers N]
+//	         [-scale N] [-seed N] [-estimates-only]
 //	         [-json BENCH_results.json]
 //
 // The default runs everything. -scale divides the Section 8 table sizes
-// (scale 1 is the paper's full size; 10 is a fast smoke test). -workers sets
-// the intra-query parallelism of the executed experiments (0 = GOMAXPROCS;
-// results and work counters are worker-invariant). -json additionally writes
-// a machine-readable report with per-experiment wall time, tuples scanned and
-// worker count, plus cache_hit_rate (the plan cache's hit rate on the
+// (scale 1 is the paper's full size; 10 is a fast smoke test). -json
+// additionally writes a machine-readable report with per-experiment wall time
+// and tuples scanned, plus cache_hit_rate (the plan cache's hit rate on the
 // "repeated" Zipf-skewed statement workload).
 //
 // -data-dir additionally benchmarks the durable catalog layer: the Section
@@ -27,54 +25,40 @@
 // report records how long the fleet takes to catch up to the primary's
 // version (replica_catchup_ms) and its aggregate estimate throughput once
 // caught up (replica_reads_per_sec).
-//
-// -server additionally benchmarks the networked serving layer: an
-// in-process wire server with one deliberately small tenant is hammered by
-// an oversubscribed client swarm, and the report records the
-// client-observed p99 round-trip latency (server_p99_ms) and the fraction
-// of requests the admission bulkhead shed with the typed overload error
-// (shed_rate).
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
 	els "repro"
 	"repro/internal/experiment"
-	"repro/internal/governor"
 	"repro/internal/querygen"
-	"repro/internal/server"
-	"repro/internal/wire"
 	"repro/internal/workpool"
 )
 
 func main() {
 	var (
-		which       = flag.String("experiment", "all", "experiments to run (comma-separated): all, section8, examples, indexed, chain, zipf, urn, sampled, independence, random, repeated")
-		scale       = flag.Int("scale", 1, "divide the Section 8 table sizes by this factor")
-		seed        = flag.Int64("seed", 42, "random seed for data generation")
-		estimates   = flag.Bool("estimates-only", false, "skip data generation and execution (Section 8)")
-		workers     = flag.Int("workers", 0, "intra-query parallelism for executed experiments (0 = GOMAXPROCS, 1 = serial)")
-		jsonPath    = flag.String("json", "", "also write a machine-readable bench report to this path")
-		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-		dataDir     = flag.String("data-dir", "", "durable catalog directory: persist the Section 8 statistics catalog, checkpoint on exit, and measure recovery_ms")
-		replicas    = flag.Int("replicas", 0, "with -data-dir: attach N WAL-shipped read replicas, measure cold catch-up time and follower read throughput")
-		serverBench = flag.Bool("server", false, "benchmark the wire server: oversubscribed client swarm against an in-process elsserve tenant, measure server_p99_ms and shed_rate")
+		which     = flag.String("experiment", "all", "experiments to run (comma-separated): all, section8, examples, indexed, chain, zipf, urn, sampled, independence, random, repeated")
+		scale     = flag.Int("scale", 1, "divide the Section 8 table sizes by this factor")
+		seed      = flag.Int64("seed", 42, "random seed for data generation")
+		estimates = flag.Bool("estimates-only", false, "skip data generation and execution (Section 8)")
+		jsonPath  = flag.String("json", "", "also write a machine-readable bench report to this path")
+		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
+		dataDir   = flag.String("data-dir", "", "durable catalog directory: persist the Section 8 statistics catalog, checkpoint on exit, and measure recovery_ms")
+		replicas  = flag.Int("replicas", 0, "with -data-dir: attach N WAL-shipped read replicas, measure cold catch-up time and follower read throughput")
 	)
 	flag.Parse()
 	report := &experiment.BenchReport{Scale: *scale, Seed: *seed, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	err := withTimeout(*timeout, func() error {
-		return run(os.Stdout, *which, *scale, *seed, *estimates, *workers, report)
+	err := workpool.WithTimeout(*timeout, func() error {
+		return run(os.Stdout, *which, *scale, *seed, *estimates, report)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elsbench:", err)
@@ -100,14 +84,6 @@ func main() {
 		fmt.Fprintf(os.Stdout, "replication: %d cold replicas caught up in %.3f ms; %.0f follower reads/s\n",
 			report.Replicas, report.ReplicaCatchupMillis, report.ReplicaReadsPerSec)
 	}
-	if *serverBench {
-		if err := measureServer(report); err != nil {
-			fmt.Fprintln(os.Stderr, "elsbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stdout, "server: p99 round trip %.3f ms; %.1f%% of swarm requests shed by admission\n",
-			report.ServerP99Millis, report.ShedRate*100)
-	}
 	if *jsonPath != "" {
 		if err := experiment.WriteBenchJSON(*jsonPath, report); err != nil {
 			fmt.Fprintln(os.Stderr, "elsbench:", err)
@@ -117,133 +93,110 @@ func main() {
 	}
 }
 
-// withTimeout bounds f's wall-clock time, reporting overrun as the same
-// typed budget error the library's governor produces. On timeout the
-// worker goroutine is abandoned — acceptable here because main exits
-// immediately afterwards.
-func withTimeout(d time.Duration, f func() error) error {
-	if d <= 0 {
-		return f()
-	}
-	start := time.Now()
-	done := workpool.Async(f)
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(d):
-		return &governor.BudgetError{
-			Resource: "wall-clock", Limit: int64(d), Used: int64(time.Since(start)),
-		}
-	}
-}
-
-func run(w io.Writer, which string, scale int, seed int64, estimatesOnly bool, workers int, report *experiment.BenchReport) error {
+func run(w io.Writer, which string, scale int, seed int64, estimatesOnly bool, report *experiment.BenchReport) error {
 	// Each step prints its human table and returns the executor tuples it
-	// scanned (0 for estimator-only sweeps) plus the worker count it used,
-	// so the bench report can record both alongside the measured wall time.
+	// scanned (0 for estimator-only sweeps), which the bench report records
+	// alongside the measured wall time.
 	steps := []struct {
 		name string
-		fn   func() (tuples int64, usedWorkers int, err error)
+		fn   func() (tuples int64, err error)
 	}{
-		{"examples", func() (int64, int, error) {
+		{"examples", func() (int64, error) {
 			examples, err := experiment.RunWorkedExamples()
 			if err != nil {
-				return 0, 1, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatWorkedExamples(examples))
 			fmt.Fprintln(w)
-			return 0, 1, nil
+			return 0, nil
 		}},
-		{"section8", func() (int64, int, error) {
+		{"section8", func() (int64, error) {
 			res, err := experiment.RunSection8(experiment.Section8Options{
-				Scale: scale, Seed: seed, SkipExecution: estimatesOnly, Workers: workers,
+				Scale: scale, Seed: seed, SkipExecution: estimatesOnly,
 			})
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatSection8(res))
 			fmt.Fprintln(w)
 			for _, row := range res.Rows {
 				fmt.Fprintf(w, "--- %s / %s plan:\n%s\n", row.Query, row.Algorithm, row.Plan)
 			}
-			return experiment.SumTuplesScanned(res), resolveWorkers(workers), nil
+			return experiment.SumTuplesScanned(res), nil
 		}},
-		{"indexed", func() (int64, int, error) {
+		{"indexed", func() (int64, error) {
 			if estimatesOnly {
 				fmt.Fprintln(w, "(indexed experiment skipped: requires execution)")
-				return 0, 1, nil
+				return 0, nil
 			}
 			res, err := experiment.RunSection8(experiment.Section8Options{
-				Scale: scale, Seed: seed, WithIndexes: true, Workers: workers,
+				Scale: scale, Seed: seed, WithIndexes: true,
 			})
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			fmt.Fprintln(w, "A6: Section 8 with ordered indexes on all join columns (index NL enabled)")
 			fmt.Fprint(w, experiment.FormatSection8(res))
 			fmt.Fprintln(w)
-			return experiment.SumTuplesScanned(res), resolveWorkers(workers), nil
+			return experiment.SumTuplesScanned(res), nil
 		}},
-		{"chain", func() (int64, int, error) {
+		{"chain", func() (int64, error) {
 			rows, err := experiment.RunChainLengthSweep(8, 30, seed)
 			if err != nil {
-				return 0, 1, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatChainLengthSweep(rows))
 			fmt.Fprintln(w)
-			return 0, 1, nil
+			return 0, nil
 		}},
-		{"zipf", func() (int64, int, error) {
+		{"zipf", func() (int64, error) {
 			rows, err := experiment.RunZipfSweep(2000, 5000, 500, []float64{0, 0.25, 0.5, 0.75, 1.0}, seed)
 			if err != nil {
-				return 0, 1, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatZipfSweep(rows))
 			fmt.Fprintln(w)
-			return 0, 1, nil
+			return 0, nil
 		}},
-		{"urn", func() (int64, int, error) {
+		{"urn", func() (int64, error) {
 			rows, err := experiment.RunUrnVsLinear(100000, 10000,
 				[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}, seed)
 			if err != nil {
-				return 0, 1, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatUrnVsLinear(rows))
 			fmt.Fprintln(w)
-			return 0, 1, nil
+			return 0, nil
 		}},
-		{"sampled", func() (int64, int, error) {
+		{"sampled", func() (int64, error) {
 			rows, err := experiment.RunSampledStats(20000, []int{500, 2000, 10000}, seed)
 			if err != nil {
-				return 0, 1, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatSampledStats(rows))
 			fmt.Fprintln(w)
-			return 0, 1, nil
+			return 0, nil
 		}},
-		{"independence", func() (int64, int, error) {
+		{"independence", func() (int64, error) {
 			rows, err := experiment.RunIndependenceSweep(100000, 200, 0.2, seed)
 			if err != nil {
-				return 0, 1, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatIndependenceSweep(rows))
 			fmt.Fprintln(w)
-			return 0, 1, nil
+			return 0, nil
 		}},
-		{"random", func() (int64, int, error) {
+		{"random", func() (int64, error) {
 			rows, err := experiment.RunRandomQueries(30, seed)
 			if err != nil {
-				return 0, 1, err
+				return 0, err
 			}
 			fmt.Fprint(w, experiment.FormatRandomQueries(rows))
 			fmt.Fprintln(w)
-			return 0, 1, nil
+			return 0, nil
 		}},
-		{"repeated", func() (int64, int, error) {
-			if err := runRepeated(w, seed, report); err != nil {
-				return 0, 1, err
-			}
-			return 0, 1, nil
+		{"repeated", func() (int64, error) {
+			return 0, runRepeated(w, seed, report)
 		}},
 	}
 	// -experiment accepts a comma-separated list ("section8,repeated"), so
@@ -266,13 +219,12 @@ func run(w io.Writer, which string, scale int, seed int64, estimatesOnly bool, w
 		}
 		delete(want, step.name)
 		start := time.Now()
-		tuples, usedWorkers, err := step.fn()
+		tuples, err := step.fn()
 		if err != nil {
 			return err
 		}
 		report.Results = append(report.Results, experiment.BenchResult{
 			Experiment:    step.name,
-			Workers:       usedWorkers,
 			WallMillis:    float64(time.Since(start).Microseconds()) / 1000,
 			TuplesScanned: tuples,
 		})
@@ -441,115 +393,4 @@ func measureReplication(dir string, n int, report *experiment.BenchReport) error
 	}
 	report.ReplicaReadsPerSec = float64(readsPerReplica*n) / time.Since(start).Seconds()
 	return nil
-}
-
-// measureServer benchmarks the networked serving path: an in-process wire
-// server hosting one tenant whose admission limits are deliberately small,
-// hammered by an oversubscribed swarm of wire clients executing count
-// queries over a loaded join.
-// Client-observed p99 round-trip latency lands in server_p99_ms, and the
-// fraction of requests shed with the typed overload error — the bulkhead
-// engaging, not a failure — lands in shed_rate.
-func measureServer(report *experiment.BenchReport) error {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv, err := server.Start(ctx, server.Config{
-		Addr: "127.0.0.1:0",
-		Tenants: []server.TenantConfig{{
-			Name: "bench",
-			Limits: els.Limits{
-				Timeout:       5 * time.Second,
-				MaxConcurrent: 4,
-				MaxQueue:      4,
-				QueueTimeout:  5 * time.Millisecond,
-			},
-			Bootstrap: func(sys *els.System) error {
-				mk := func(n, mod int) [][]int64 {
-					rows := make([][]int64, n)
-					for i := range rows {
-						rows[i] = []int64{int64(i % mod)}
-					}
-					return rows
-				}
-				if err := sys.LoadTable("S", []string{"s"}, mk(2500, 50)); err != nil {
-					return err
-				}
-				return sys.LoadTable("M", []string{"m"}, mk(2500, 50))
-			},
-		}},
-	})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer scancel()
-		srv.Shutdown(sctx)
-	}()
-
-	// 12 connections against 4 slots + 4 queue positions, with queries
-	// sized to tens of milliseconds: enough oversubscription that both
-	// shed paths (queue full, queue timeout) engage while most requests
-	// still succeed. The query must span several scheduler preemption
-	// quanta — sub-quantum queries complete before waiters can even enter
-	// the admission queue on a small box, and nothing sheds.
-	const clients = 12
-	const opsPerClient = 60
-	const probe = "SELECT COUNT(*) FROM S, M WHERE s = m"
-	type swarmResult struct {
-		latencies []time.Duration
-		sheds     int
-	}
-	results := make([]swarmResult, clients)
-	done := make([]<-chan error, clients)
-	for i := 0; i < clients; i++ {
-		i := i
-		done[i] = workpool.Async(func() error {
-			cl, err := wire.Dial(ctx, srv.Addr())
-			if err != nil {
-				return err
-			}
-			defer cl.Close()
-			res := &results[i]
-			res.latencies = make([]time.Duration, 0, opsPerClient)
-			for j := 0; j < opsPerClient; j++ {
-				start := time.Now()
-				_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: "bench", SQL: probe})
-				res.latencies = append(res.latencies, time.Since(start))
-				if err != nil {
-					if errors.Is(err, els.ErrOverloaded) {
-						res.sheds++
-						continue
-					}
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	for _, ch := range done {
-		if err := <-ch; err != nil {
-			return err
-		}
-	}
-
-	var all []time.Duration
-	var sheds int
-	for _, res := range results {
-		all = append(all, res.latencies...)
-		sheds += res.sheds
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	p99 := all[len(all)*99/100]
-	report.ServerP99Millis = float64(p99.Microseconds()) / 1000
-	report.ShedRate = float64(sheds) / float64(len(all))
-	return nil
-}
-
-// resolveWorkers mirrors the executor's default: 0 means GOMAXPROCS.
-func resolveWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }

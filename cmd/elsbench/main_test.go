@@ -15,7 +15,7 @@ import (
 
 // runFor is the test entry point: run with a throwaway report.
 func runFor(w *bytes.Buffer, which string, scale int, seed int64, estimatesOnly bool) error {
-	return run(w, which, scale, seed, estimatesOnly, 0, &experiment.BenchReport{})
+	return run(w, which, scale, seed, estimatesOnly, &experiment.BenchReport{})
 }
 
 func TestRunSection8Experiment(t *testing.T) {
@@ -93,7 +93,7 @@ func TestRunLargeAblations(t *testing.T) {
 func TestRunRepeatedWorkload(t *testing.T) {
 	var buf bytes.Buffer
 	report := &experiment.BenchReport{}
-	if err := run(&buf, "repeated", 1, 42, false, 0, report); err != nil {
+	if err := run(&buf, "repeated", 1, 42, false, report); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "hit rate") {
@@ -122,7 +122,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunExperimentList(t *testing.T) {
 	var buf bytes.Buffer
 	report := &experiment.BenchReport{}
-	if err := run(&buf, "examples,repeated", 1, 42, false, 0, report); err != nil {
+	if err := run(&buf, "examples,repeated", 1, 42, false, report); err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Results) != 2 {
@@ -134,20 +134,20 @@ func TestRunExperimentList(t *testing.T) {
 }
 
 // The bench report must record one result per executed experiment, with the
-// worker count resolved and the Section 8 work counters totalled, and the
-// JSON writer must round-trip it to disk.
+// Section 8 work counters totalled, and the JSON writer must round-trip it
+// to disk.
 func TestRunBenchReport(t *testing.T) {
 	var buf bytes.Buffer
 	report := &experiment.BenchReport{Scale: 100, Seed: 42, GoMaxProcs: 1}
-	if err := run(&buf, "section8", 100, 42, false, 3, report); err != nil {
+	if err := run(&buf, "section8", 100, 42, false, report); err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Results) != 1 {
 		t.Fatalf("results = %d, want 1", len(report.Results))
 	}
 	res := report.Results[0]
-	if res.Experiment != "section8" || res.Workers != 3 {
-		t.Errorf("result = %+v, want section8 with 3 workers", res)
+	if res.Experiment != "section8" {
+		t.Errorf("result = %+v, want section8", res)
 	}
 	if res.TuplesScanned <= 0 {
 		t.Errorf("tuples scanned = %d, want > 0", res.TuplesScanned)
@@ -160,7 +160,7 @@ func TestRunBenchReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"experiment": "section8"`, `"workers": 3`, `"tuples_scanned"`, `"gomaxprocs": 1`} {
+	for _, want := range []string{`"experiment": "section8"`, `"tuples_scanned"`, `"gomaxprocs": 1`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("bench JSON missing %s:\n%s", want, data)
 		}

@@ -19,20 +19,17 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	els "repro"
 	"repro/internal/datagen"
-	"repro/internal/governor"
 	"repro/internal/storage"
 	"repro/internal/workpool"
 )
@@ -42,14 +39,13 @@ func main() {
 	cols := flag.String("cols", "k:uniform:100", "column specs name:dist:domain[:theta], comma separated")
 	seed := flag.Int64("seed", 42, "generator seed")
 	header := flag.Bool("header", false, "emit a CSV header row")
-	workers := flag.Int("workers", 0, "CSV formatting parallelism (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for generation (0 = none)")
 	name := flag.String("name", "gen", "table name for the durable catalog entry (-data-dir)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory: record the generated table's exact statistics, checkpointed on exit")
 	flag.Parse()
 
-	err := withTimeout(*timeout, func() error {
-		return run(*rows, *cols, *seed, *header, *workers, *name, *dataDir, os.Stdout)
+	err := workpool.WithTimeout(*timeout, func() error {
+		return run(*rows, *cols, *seed, *header, *name, *dataDir, os.Stdout)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elsgen:", err)
@@ -57,27 +53,7 @@ func main() {
 	}
 }
 
-// withTimeout bounds f's wall-clock time, reporting overrun as the same
-// typed budget error the library's governor produces. On timeout the
-// worker goroutine is abandoned — acceptable here because main exits
-// immediately afterwards.
-func withTimeout(d time.Duration, f func() error) error {
-	if d <= 0 {
-		return f()
-	}
-	start := time.Now()
-	done := workpool.Async(f)
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(d):
-		return &governor.BudgetError{
-			Resource: "wall-clock", Limit: int64(d), Used: int64(time.Since(start)),
-		}
-	}
-}
-
-func run(rows int, cols string, seed int64, header bool, workers int, name, dataDir string, w io.Writer) error {
+func run(rows int, cols string, seed int64, header bool, name, dataDir string, w io.Writer) error {
 	spec := datagen.TableSpec{Name: name, Rows: rows}
 	var names []string
 	for _, c := range strings.Split(cols, ",") {
@@ -93,38 +69,24 @@ func run(rows int, cols string, seed int64, header bool, workers int, name, data
 		return err
 	}
 	out := bufio.NewWriter(w)
-	defer out.Flush()
 	if header {
-		fmt.Fprintln(out, strings.Join(names, ","))
+		out.WriteString(strings.Join(names, ","))
+		out.WriteByte('\n')
 	}
-	// Format row chunks in parallel and write the buffers in chunk order,
-	// so the output is byte-identical to a serial loop. Generation itself
-	// stays serial: the rng streams are seeded sequences.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunks := chunkRows(tbl.NumRows(), workers)
-	bufs := make([]bytes.Buffer, len(chunks))
-	err = workpool.Run(workers, len(chunks), func(i int) error {
-		buf := &bufs[i]
-		for r := chunks[i][0]; r < chunks[i][1]; r++ {
-			for c := 0; c < len(names); c++ {
-				if c > 0 {
-					buf.WriteByte(',')
-				}
-				fmt.Fprintf(buf, "%d", tbl.Value(r, c).Int())
+	// The writer's error is sticky: Flush reports the first failed write.
+	var num []byte
+	for r := 0; r < tbl.NumRows(); r++ {
+		for c := range names {
+			if c > 0 {
+				out.WriteByte(',')
 			}
-			buf.WriteByte('\n')
+			num = strconv.AppendInt(num[:0], tbl.Value(r, c).Int(), 10)
+			out.Write(num)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		out.WriteByte('\n')
 	}
-	for i := range bufs {
-		if _, err := out.Write(bufs[i].Bytes()); err != nil {
-			return err
-		}
+	if err := out.Flush(); err != nil {
+		return err
 	}
 	if dataDir != "" {
 		if err := persistStats(dataDir, name, names, tbl); err != nil {
@@ -162,27 +124,6 @@ func persistStats(dir, name string, colNames []string, tbl *storage.Table) error
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return sys.Close(ctx)
-}
-
-// chunkRows splits [0, n) into up to workers*4 contiguous [start, end)
-// ranges of at least 1024 rows each.
-func chunkRows(n, workers int) [][2]int {
-	const minChunk = 1024
-	chunks := workers * 4
-	if chunks > (n+minChunk-1)/minChunk {
-		chunks = (n + minChunk - 1) / minChunk
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	var out [][2]int
-	for i := 0; i < chunks; i++ {
-		start, end := i*n/chunks, (i+1)*n/chunks
-		if start < end {
-			out = append(out, [2]int{start, end})
-		}
-	}
-	return out
 }
 
 func parseColumnSpec(s string) (datagen.ColumnSpec, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestParseColumnSpecErrors(t *testing.T) {
 
 func TestRunGeneratesCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, 1, "gen", "", &buf); err != nil {
+	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, "gen", "", &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -70,7 +71,7 @@ func TestRunGeneratesCSV(t *testing.T) {
 	}
 	// Deterministic for a seed.
 	var buf2 bytes.Buffer
-	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, 1, "gen", "", &buf2); err != nil {
+	if err := run(5, "k:uniform:10,z:zipf:5:1.0", 42, true, "gen", "", &buf2); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {
@@ -78,52 +79,22 @@ func TestRunGeneratesCSV(t *testing.T) {
 	}
 }
 
-// Parallel formatting must be byte-identical to serial at every worker
-// count, including chunk boundaries (rows > minChunk forces real chunking).
-func TestRunParallelFormattingIdentical(t *testing.T) {
-	const spec = "k:uniform:50,z:zipf:20:0.5"
-	var serial bytes.Buffer
-	if err := run(5000, spec, 7, true, 1, "gen", "", &serial); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 7} {
-		var par bytes.Buffer
-		if err := run(5000, spec, 7, true, workers, "gen", "", &par); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.String() != serial.String() {
-			t.Errorf("workers=%d output differs from serial", workers)
-		}
-	}
-}
-
-func TestChunkRows(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {1023, 4}, {5000, 3}, {100000, 8},
-	} {
-		chunks := chunkRows(tc.n, tc.workers)
-		next := 0
-		for _, c := range chunks {
-			if c[0] != next || c[1] <= c[0] {
-				t.Fatalf("n=%d workers=%d: bad chunk %v at %d", tc.n, tc.workers, c, next)
-			}
-			next = c[1]
-		}
-		if tc.n > 0 && next != tc.n {
-			t.Errorf("n=%d workers=%d: chunks cover %d rows", tc.n, tc.workers, next)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(5, "bad", 1, false, 1, "gen", "", &buf); err == nil {
+	if err := run(5, "bad", 1, false, "gen", "", &buf); err == nil {
 		t.Error("bad column spec should error")
 	}
-	if err := run(-1, "k:uniform:10", 1, false, 1, "gen", "", &buf); err == nil {
+	if err := run(-1, "k:uniform:10", 1, false, "gen", "", &buf); err == nil {
 		t.Error("negative rows should error")
 	}
+	if err := run(5, "k:uniform:10", 1, false, "gen", "", failingWriter{}); err == nil {
+		t.Error("a failed write should error")
+	}
 }
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 // -data-dir records the generated table's exact statistics in a durable
 // catalog: cardinality is the row count and per-column distincts are
@@ -131,7 +102,7 @@ func TestRunErrors(t *testing.T) {
 func TestDataDirRecordsExactStats(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run(50, "k:uniform:10,s:sequential:50", 42, false, 1, "mytab", dir, &buf); err != nil {
+	if err := run(50, "k:uniform:10,s:sequential:50", 42, false, "mytab", dir, &buf); err != nil {
 		t.Fatal(err)
 	}
 	sys, err := els.Open(dir)

@@ -9,10 +9,9 @@
 //
 // Resource budgets applied to every query can be set up front with
 // -timeout, -max-tuples, -max-rows, and -max-plans, or at runtime with the
-// "limits" command inside the shell. -workers (or "limits workers=N") sets
-// the intra-query parallelism; results are identical at any setting.
-// -max-concurrent and -queue-timeout configure admission control for
-// sessions that share the system with other work.
+// "limits" command inside the shell. -max-concurrent and -queue-timeout
+// configure admission control for sessions that share the system with other
+// work.
 //
 // -data-dir backs the session with a durable catalog directory: statistics
 // declared in the shell are written ahead to a checksummed WAL and fsynced
@@ -51,7 +50,6 @@ func main() {
 	maxRows := flag.Int64("max-rows", 0, "per-query materialized-row budget (0 = none)")
 	maxPlans := flag.Int64("max-plans", 0, "per-query enumerated-plan budget (0 = none)")
 	maxMemory := flag.Int64("max-memory", 0, "per-query working-memory byte budget (0 = none); hash joins over it partition in memory")
-	workers := flag.Int("workers", 0, "intra-query parallelism (0 = GOMAXPROCS, 1 = serial)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrently executing queries (0 = unlimited)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time a query waits for a slot (0 = forever)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (WAL + checkpoints); recovered on start, checkpointed on exit")
@@ -62,7 +60,6 @@ func main() {
 		MaxRows:       *maxRows,
 		MaxPlans:      *maxPlans,
 		MaxMemory:     *maxMemory,
-		Workers:       *workers,
 		MaxConcurrent: *maxConcurrent,
 		QueueTimeout:  *queueTimeout,
 	}

@@ -2,7 +2,10 @@ package els
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"slices"
@@ -30,7 +33,7 @@ func differentialQueries(t *testing.T) int64 {
 }
 
 // planGenerated materializes one generated query's tables into a catalog
-// and plans it (serially, so the plan under test is fixed).
+// and plans it.
 func planGenerated(t *testing.T, q querygen.Query) (*catalog.Catalog, optimizer.Plan) {
 	t.Helper()
 	cat := catalog.New()
@@ -54,7 +57,7 @@ func planMethods(t *testing.T, cat *catalog.Catalog, q querygen.Query, methods [
 	if err != nil {
 		t.Fatalf("%s: cardest: %v", q, err)
 	}
-	opt, err := optimizer.New(est, optimizer.Options{Methods: methods, Workers: 1})
+	opt, err := optimizer.New(est, optimizer.Options{Methods: methods})
 	if err != nil {
 		t.Fatalf("%s: optimizer: %v", q, err)
 	}
@@ -65,50 +68,41 @@ func planMethods(t *testing.T, cat *catalog.Catalog, q querygen.Query, methods [
 	return plan
 }
 
-// execWorkers runs the plan with the given parallelism on a fresh
-// governor and returns the result plus the governor's usage counters.
-func execWorkers(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, workers int) (*executor.Result, [2]int64) {
-	t.Helper()
-	gov := governor.New(context.Background(), governor.Limits{Workers: workers})
-	res, err := executor.NewGoverned(cat, gov).Execute(plan)
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+// noHashMethods is the repertoire the columnar differential plans a second
+// time for a seed that offers sort-merge — the same methods minus the hash
+// join, which the optimizer otherwise always prefers — and false for a seed
+// that does not offer it.
+func noHashMethods(q querygen.Query) ([]optimizer.JoinMethod, bool) {
+	if !slices.Contains(q.Methods, optimizer.SortMerge) {
+		return nil, false
 	}
-	tuples, rows, _ := gov.Usage()
-	return res, [2]int64{tuples, rows}
+	return slices.DeleteFunc(slices.Clone(q.Methods), func(m optimizer.JoinMethod) bool { return m == optimizer.HashJoin }), true
 }
 
-// TestDifferentialSerialVsParallel is the harness the tentpole is locked
-// down by: 500 seeded random queries, each executed serially and with 4
-// workers on the same plan. Results must be identical row for row (the
-// parallel operators preserve serial order by construction), and the
-// deterministic work counters — TuplesScanned, Comparisons, and the
-// governor's tuple/row accounting — must match exactly.
-func TestDifferentialSerialVsParallel(t *testing.T) {
-	queries := differentialQueries(t)
-	for seed := int64(0); seed < queries; seed++ {
+// bestPlanDigest is the SHA-256 over the seed, the whole plan tree and the
+// cost of every plan the differentials build for seeds 0–499, computed where
+// BestPlan still deferred each level's winners and merged them afterwards
+// (workers 1 and 4 agreed there).
+const bestPlanDigest = "7c4a19d455a5d582046f459468c4b57c77425e297e475e1208afec9242d678c3"
+
+// TestBestPlanDigestPinned holds the DP search to the plans it chose before
+// it wrote winners straight into its table: any change in visiting order or
+// tie-breaking moves the digest.
+func TestBestPlanDigestPinned(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(0); seed < 500; seed++ {
 		q := querygen.Generate(seed)
 		cat, plan := planGenerated(t, q)
-		serial, serialUsage := execWorkers(t, cat, plan, 1)
-		parallel, parallelUsage := execWorkers(t, cat, plan, 4)
-
-		if parallel.Stats.RowsProduced != serial.Stats.RowsProduced {
-			t.Fatalf("seed %d (%s): rows %d (parallel) vs %d (serial)",
-				seed, q, parallel.Stats.RowsProduced, serial.Stats.RowsProduced)
+		plans := []optimizer.Plan{plan}
+		if methods, ok := noHashMethods(q); ok {
+			plans = append(plans, planMethods(t, cat, q, methods))
 		}
-		if parallel.Stats.TuplesScanned != serial.Stats.TuplesScanned {
-			t.Fatalf("seed %d (%s): tuples scanned %d vs %d",
-				seed, q, parallel.Stats.TuplesScanned, serial.Stats.TuplesScanned)
+		for _, plan := range plans {
+			fmt.Fprintf(h, "%d\n%s%v\n", seed, optimizer.Format(plan), plan.Cost())
 		}
-		if parallel.Stats.Comparisons != serial.Stats.Comparisons {
-			t.Fatalf("seed %d (%s): comparisons %d vs %d",
-				seed, q, parallel.Stats.Comparisons, serial.Stats.Comparisons)
-		}
-		if parallelUsage != serialUsage {
-			t.Fatalf("seed %d (%s): governor usage %v vs %v",
-				seed, q, parallelUsage, serialUsage)
-		}
-		assertSameRows(t, seed, q, serial.Table, parallel.Table)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != bestPlanDigest {
+		t.Fatalf("plan digest %s, want %s", got, bestPlanDigest)
 	}
 }
 
@@ -150,28 +144,27 @@ func diffReport(t *testing.T, fields map[string]any) {
 	f.Write(append(b, '\n'))
 }
 
-// execEngine runs the plan with the given parallelism and engine (columnar
-// or row-at-a-time) on a fresh governor, returning the result plus the
+// execEngine runs the plan with the given engine (columnar or
+// row-at-a-time) on a fresh governor, returning the result plus the
 // governor's tuple/row charge counters.
-func execEngine(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, workers int, columnar bool) (*executor.Result, [2]int64) {
+func execEngine(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, columnar bool) (*executor.Result, [2]int64) {
 	t.Helper()
-	gov := governor.New(context.Background(), governor.Limits{Workers: workers, DisableColumnar: !columnar})
+	gov := governor.New(context.Background(), governor.Limits{DisableColumnar: !columnar})
 	res, err := executor.NewGoverned(cat, gov).Execute(plan)
 	if err != nil {
-		t.Fatalf("workers=%d columnar=%v: %v", workers, columnar, err)
+		t.Fatalf("columnar=%v: %v", columnar, err)
 	}
 	tuples, rows, _ := gov.Usage()
 	return res, [2]int64{tuples, rows}
 }
 
 // TestDifferentialColumnarVsRow is the referee the columnar tentpole is
-// locked down by: for every seeded random query, the row-at-a-time serial
-// result is the oracle, and the columnar engine must reproduce it
-// bit-identically at workers 1, 4, and 8 — same rows in the same order,
-// same TuplesScanned and Comparisons, and the same governor tuple/row
-// charges. Any divergence is appended to the ELS_DIFF_REPORT artifact
-// before the test fails, and so is the number of seeds that ran a
-// sort-merge join, which has a floor.
+// locked down by: for every seeded random query, the row-at-a-time result
+// is the oracle, and the columnar engine must reproduce it bit-identically
+// — same rows in the same order, same TuplesScanned and Comparisons, and
+// the same governor tuple/row charges. Any divergence is appended to the
+// ELS_DIFF_REPORT artifact before the test fails, and so is the number of
+// seeds that ran a sort-merge join, which has a floor.
 func TestDifferentialColumnarVsRow(t *testing.T) {
 	queries := differentialQueries(t)
 	sortMerged := int64(0)
@@ -183,39 +176,36 @@ func TestDifferentialColumnarVsRow(t *testing.T) {
 		// offer, so a seed whose repertoire has sort-merge is also planned
 		// without the hash join: that plan is what referees the typed
 		// sort-merge kernel.
-		if slices.Contains(q.Methods, optimizer.SortMerge) {
-			noHash := slices.DeleteFunc(slices.Clone(q.Methods), func(m optimizer.JoinMethod) bool { return m == optimizer.HashJoin })
+		if noHash, ok := noHashMethods(q); ok {
 			plans = append(plans, planMethods(t, cat, q, noHash))
 			if hasJoinMethod(plans[1], optimizer.SortMerge) {
 				sortMerged++
 			}
 		}
 		for _, plan := range plans {
-			row, rowUsage := execEngine(t, cat, plan, 1, false)
-			for _, workers := range []int{1, 4, 8} {
-				col, colUsage := execEngine(t, cat, plan, workers, true)
-				fail := func(field string, got, want any) {
-					diffReport(t, map[string]any{
-						"harness": "columnar-vs-row", "seed": seed, "workers": workers, "plan": plan.String(),
-						"query": q.String(), "field": field, "columnar": got, "row": want,
-					})
-					t.Fatalf("seed %d workers %d (%s, plan %s): %s %v (columnar) vs %v (row)",
-						seed, workers, q, plan, field, got, want)
-				}
-				if col.Stats.RowsProduced != row.Stats.RowsProduced {
-					fail("rows_produced", col.Stats.RowsProduced, row.Stats.RowsProduced)
-				}
-				if col.Stats.TuplesScanned != row.Stats.TuplesScanned {
-					fail("tuples_scanned", col.Stats.TuplesScanned, row.Stats.TuplesScanned)
-				}
-				if col.Stats.Comparisons != row.Stats.Comparisons {
-					fail("comparisons", col.Stats.Comparisons, row.Stats.Comparisons)
-				}
-				if colUsage != rowUsage {
-					fail("governor_usage", colUsage, rowUsage)
-				}
-				assertSameRows(t, seed, q, row.Table, col.Table)
+			row, rowUsage := execEngine(t, cat, plan, false)
+			col, colUsage := execEngine(t, cat, plan, true)
+			fail := func(field string, got, want any) {
+				diffReport(t, map[string]any{
+					"harness": "columnar-vs-row", "seed": seed, "plan": plan.String(),
+					"query": q.String(), "field": field, "columnar": got, "row": want,
+				})
+				t.Fatalf("seed %d (%s, plan %s): %s %v (columnar) vs %v (row)",
+					seed, q, plan, field, got, want)
 			}
+			if col.Stats.RowsProduced != row.Stats.RowsProduced {
+				fail("rows_produced", col.Stats.RowsProduced, row.Stats.RowsProduced)
+			}
+			if col.Stats.TuplesScanned != row.Stats.TuplesScanned {
+				fail("tuples_scanned", col.Stats.TuplesScanned, row.Stats.TuplesScanned)
+			}
+			if col.Stats.Comparisons != row.Stats.Comparisons {
+				fail("comparisons", col.Stats.Comparisons, row.Stats.Comparisons)
+			}
+			if colUsage != rowUsage {
+				fail("governor_usage", colUsage, rowUsage)
+			}
+			assertSameRows(t, seed, q, row.Table, col.Table)
 		}
 	}
 	// querygen offers sort-merge on about half the seeds, and where nested
@@ -294,41 +284,5 @@ func TestDifferentialAdmissionOnOff(t *testing.T) {
 			t.Errorf("%q: estimate %v (admission on) vs %v (off)",
 				sql, onEst[i].FinalSize, offEst[i].FinalSize)
 		}
-	}
-}
-
-// The full public pipeline must also be worker-count invariant: the same
-// SQL through System.Query with Limits.Workers 1 vs 4 returns the same
-// count, tuples, and comparisons (TrueCount parity at the API level).
-func TestDifferentialSystemWorkers(t *testing.T) {
-	run := func(workers int) *Result {
-		sys := New()
-		mkRows := func(n, dom int) [][]int64 {
-			rows := make([][]int64, n)
-			for i := range rows {
-				rows[i] = []int64{int64(i % dom), int64(i % 7)}
-			}
-			return rows
-		}
-		if err := sys.LoadTable("R", []string{"a", "b"}, mkRows(200, 10)); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.LoadTable("S", []string{"a", "c"}, mkRows(300, 10)); err != nil {
-			t.Fatal(err)
-		}
-		sys.SetLimits(Limits{Workers: workers})
-		res, err := sys.Query("SELECT COUNT(*) FROM R, S WHERE R.a = S.a AND R.b < 5", AlgorithmELS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial, parallel := run(1), run(4)
-	if parallel.Count != serial.Count ||
-		parallel.TuplesScanned != serial.TuplesScanned ||
-		parallel.Comparisons != serial.Comparisons {
-		t.Fatalf("System.Query differs by workers: parallel (count %d, tuples %d, cmp %d) vs serial (%d, %d, %d)",
-			parallel.Count, parallel.TuplesScanned, parallel.Comparisons,
-			serial.Count, serial.TuplesScanned, serial.Comparisons)
 	}
 }

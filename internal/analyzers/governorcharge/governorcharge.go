@@ -4,8 +4,8 @@
 // unbounded output between budget checks. Charging is recognized through
 // the executor's own idioms — the visit/emit/probe helpers — and the raw
 // governor surface (TickTuples, TickRows, TickPlans, Charge, Err,
-// CheckCtx). Loops that assemble output wholesale (storage.AppendTable of
-// already-charged chunks) are deliberately out of scope, as are _test.go
+// CheckCtx). Loops that assemble output wholesale (storage.AppendRange of
+// already-charged runs) are deliberately out of scope, as are _test.go
 // files and every package other than internal/executor.
 package governorcharge
 

@@ -1,10 +1,9 @@
 // Package nakedgoroutine forbids raw go statements outside
 // internal/workpool and internal/admission. Every other goroutine in the
-// pipeline must be spawned through workpool (Run/Go/Async), whose workers
-// recover panics into *governor.InternalError and keep the admission
-// controller's slot accounting honest; a naked go statement silently opts
-// out of both. _test.go files are exempt — tests spawn goroutines by
-// design.
+// pipeline must be spawned through workpool (Go/Async), which recovers
+// panics into *governor.InternalError and keeps the admission controller's
+// slot accounting honest; a naked go statement silently opts out of both.
+// _test.go files are exempt — tests spawn goroutines by design.
 package nakedgoroutine
 
 import (
@@ -39,7 +38,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "naked go statement bypasses panic recovery and slot accounting; use workpool.Run, workpool.Go, or workpool.Async")
+				pass.Reportf(g.Pos(), "naked go statement bypasses panic recovery and slot accounting; use workpool.Go or workpool.Async")
 			}
 			return true
 		})

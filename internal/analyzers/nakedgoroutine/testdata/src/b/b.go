@@ -4,14 +4,14 @@ import "sync"
 
 func spawnRaw(wg *sync.WaitGroup) {
 	wg.Add(1)
-	go func() { // want `naked go statement`
+	go func() { // want `naked go statement .*; use workpool.Go or workpool.Async`
 		defer wg.Done()
 	}()
 }
 
 func spawnLoop(fs []func()) {
 	for _, f := range fs {
-		go f() // want `naked go statement`
+		go f() // want `naked go statement .*; use workpool.Go or workpool.Async`
 	}
 }
 

@@ -4,7 +4,7 @@ package workpool
 
 import "sync"
 
-func Run(wg *sync.WaitGroup, f func()) {
+func Go(wg *sync.WaitGroup, f func()) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

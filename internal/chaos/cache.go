@@ -59,7 +59,6 @@ func RunCacheSoak(cfg Config) (*Report, error) {
 		MaxConcurrent: cfg.MaxConcurrent,
 		MaxQueue:      cfg.MaxQueue,
 		QueueTimeout:  cfg.QueueTimeout,
-		Workers:       2,
 	})
 
 	stop := make(chan struct{})

@@ -154,7 +154,6 @@ func Run(cfg Config) (*Report, error) {
 		MaxConcurrent: cfg.MaxConcurrent,
 		MaxQueue:      cfg.MaxQueue,
 		QueueTimeout:  cfg.QueueTimeout,
-		Workers:       2,
 	})
 	if cfg.Retry.Enabled() {
 		h.sys.SetRetryPolicy(cfg.Retry)
@@ -246,8 +245,6 @@ func (h *harness) faulter(stop <-chan struct{}) {
 		cardest.PointNewQuery,
 		executor.PointScan,
 		executor.PointJoin,
-		executor.PointScanChunk,
-		executor.PointJoinChunk,
 	}
 	for {
 		select {

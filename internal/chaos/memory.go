@@ -223,7 +223,6 @@ func (h *memHarness) memServerConfig() server.Config {
 				MaxConcurrent: 2,
 				MaxQueue:      16,
 				QueueTimeout:  5 * time.Second,
-				Workers:       2,
 			},
 		}
 		if i == 0 {

@@ -269,7 +269,6 @@ func (h *serverHarness) serverConfig() server.Config {
 				MaxConcurrent: 2,
 				MaxQueue:      2,
 				QueueTimeout:  30 * time.Millisecond,
-				Workers:       2,
 			},
 			Bootstrap: func(sys *els.System) error {
 				mkRows := func(n, dom int) [][]int64 {

@@ -4,8 +4,8 @@
 // (no row is materialized until the final gather), and both joins hand their
 // candidate (left row, right row) pairs to one pair sink that filters them
 // through the residual kernels and gathers survivors column-wise. Selection
-// vectors are recycled through an internal/workpool arena so chunk-parallel
-// execution stays allocation-flat.
+// vectors are recycled through an internal/workpool arena shared by every
+// query in the process, so execution stays allocation-flat.
 //
 // The engine is bit-identical to the row-at-a-time oracle: same output
 // rows in the same order, same TuplesScanned/Comparisons totals, same
@@ -33,7 +33,7 @@ import (
 const colBatch = 4096
 
 // selArena recycles the batch engine's selection vectors across executors
-// and worker goroutines.
+// and the goroutines of concurrent queries.
 var selArena = workpool.NewArena[int]()
 
 // useColumnar resolves the engine choice for this execution: the
@@ -357,10 +357,9 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 // colJoin is the typed build → probe → pair-gather kernel for one
 // partition: build a map over the keys of the right rows named by rrows
 // (nil: every right row), probe it with the left rows named by lrows (nil:
-// every left row) in order — chunk-parallel when workers allow — batch
-// matched pairs, filter them through the residual kernels, and gather
-// survivors column-wise. With a probe-row list the sink also reports the
-// left row behind each output row.
+// every left row) in order, batch matched pairs, filter them through the
+// residual kernels, and gather survivors column-wise. With a probe-row list
+// the sink also reports the left row behind each output row.
 func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows []int, stats *Stats) (*chunkSink, error) {
 	rn := spec.right.ColumnData(spec.rKey).Nulls
 	builds := rowCount(rrows, len(rk))
@@ -371,19 +370,10 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows
 		}
 	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
-	return e.chunked(rowCount(lrows, len(lk)), PointJoinChunk, "join", spec.outSchema, stats, func(start, end int, sink *chunkSink) error {
-		return probeChunk(e, spec, lk, ln, m, lrows, start, end, sink)
-	})
-}
-
-// probeChunk probes positions [start, end) of the probe-row list against
-// the shared build map, accumulating matched (left, right) index pairs and
-// flushing them through the pair sink in batches.
-func probeChunk[K comparable](e *Executor, spec *joinSpec, lk []K, ln []bool,
-	m map[K][]int, lrows []int, start, end int, sink *chunkSink) error {
+	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
 	pairs := e.newPairSink(spec, sink, lrows != nil)
 	defer pairs.release()
-	for i := start; i < end; i++ {
+	for i, n := 0, rowCount(lrows, len(lk)); i < n; i++ {
 		l := rowAt(lrows, i)
 		if ln != nil && ln[l] {
 			continue
@@ -394,11 +384,15 @@ func probeChunk[K comparable](e *Executor, spec *joinSpec, lk []K, ln []bool,
 		}
 		if len(pairs.lsel) >= colBatch {
 			if err := pairs.flush(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return pairs.flush()
+	if err := pairs.flush(); err != nil {
+		return nil, err
+	}
+	stats.Add(sink.stats)
+	return sink, nil
 }
 
 // pairSink is where the candidate pairs of either join become output rows.

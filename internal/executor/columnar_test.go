@@ -28,7 +28,7 @@ func loadTable(t *testing.T, cat *catalog.Catalog, name string, schema *storage.
 	}
 }
 
-// planQuery plans the query serially over the given method repertoire.
+// planQuery plans the query over the given method repertoire.
 func planQuery(t testing.TB, cat *catalog.Catalog, tabs []cardest.TableRef,
 	preds []expr.Predicate, disjs []expr.Disjunction, methods []optimizer.JoinMethod) optimizer.Plan {
 	t.Helper()
@@ -36,7 +36,7 @@ func planQuery(t testing.TB, cat *catalog.Catalog, tabs []cardest.TableRef,
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := optimizer.New(est, optimizer.Options{Methods: methods, Workers: 1})
+	opt, err := optimizer.New(est, optimizer.Options{Methods: methods})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,14 @@ func planQuery(t testing.TB, cat *catalog.Catalog, tabs []cardest.TableRef,
 	return plan
 }
 
-// columnarDiff plans the query and executes it with the serial, unbudgeted
-// row engine (the oracle), then with the columnar engine at workers 1 and 4,
-// unbudgeted and under a byte budget, and with the row engine under the
-// same budget. A hash-join repertoire gets 4 KiB, so build sides that
-// overflow it take the Grace partition policy; a repertoire with sort-merge
-// gets 1 MiB, enough for the sort scratch, which cannot be partitioned. Rows, row
-// order, work counters, and governor charges must be bit-identical. Returns
-// the oracle result for additional assertions.
+// columnarDiff plans the query and executes it with the unbudgeted row
+// engine (the oracle), then with the columnar engine unbudgeted and under a
+// byte budget, and with the row engine under the same budget. A hash-join
+// repertoire gets 4 KiB, so build sides that overflow it take the Grace
+// partition policy; a repertoire with sort-merge gets 1 MiB, enough for the
+// sort scratch, which cannot be partitioned. Rows, row order, work counters,
+// and governor charges must be bit-identical. Returns the oracle result for
+// additional assertions.
 func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 	preds []expr.Predicate, disjs []expr.Disjunction, methods []optimizer.JoinMethod) *Result {
 	t.Helper()
@@ -64,27 +64,26 @@ func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 		budget = 1 << 20
 	}
 	dir := t.TempDir()
-	run := func(workers int, columnar bool, budget int64) (*Result, [2]int64) {
+	run := func(columnar bool, budget int64) (*Result, [2]int64) {
 		gov := governor.New(context.Background(), governor.Limits{
-			Workers: workers, DisableColumnar: !columnar, MaxMemory: budget})
+			DisableColumnar: !columnar, MaxMemory: budget})
 		e := NewGoverned(cat, gov)
 		e.SetSpillDir(dir)
 		res, err := e.Execute(plan)
 		if err != nil {
-			t.Fatalf("workers=%d columnar=%v budget=%d: %v", workers, columnar, budget, err)
+			t.Fatalf("columnar=%v budget=%d: %v", columnar, budget, err)
 		}
 		tuples, rows, _ := gov.Usage()
 		return res, [2]int64{tuples, rows}
 	}
-	row, rowUsage := run(1, false, 0)
+	row, rowUsage := run(false, 0)
 	for _, tc := range []struct {
-		workers  int
 		columnar bool
 		budget   int64
 	}{
-		{1, true, 0}, {4, true, 0}, {1, true, budget}, {4, true, budget}, {1, false, budget},
+		{true, 0}, {true, budget}, {false, budget},
 	} {
-		col, colUsage := run(tc.workers, tc.columnar, tc.budget)
+		col, colUsage := run(tc.columnar, tc.budget)
 		if col.Stats.RowsProduced != row.Stats.RowsProduced ||
 			col.Stats.TuplesScanned != row.Stats.TuplesScanned ||
 			col.Stats.Comparisons != row.Stats.Comparisons {
@@ -238,8 +237,8 @@ func loadKeyTypeTables(t *testing.T, cat *catalog.Catalog) {
 
 // Bool join keys have no native hash specialization: they run through the
 // same typed kernel keyed by Value.Key() strings, and must agree with the
-// row oracle at every worker count, as one partition and partitioned. A residual over
-// v rides along to pin the comparison counters.
+// row oracle as one partition and partitioned. A residual over v rides along
+// to pin the comparison counters.
 func TestColumnarBoolKey(t *testing.T) {
 	cat := catalog.New()
 	loadKeyTypeTables(t, cat)
@@ -300,7 +299,7 @@ func TestColumnarGovernorEscapeHatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(context.Background(), governor.Limits{DisableColumnar: true, Workers: 1})
+	gov := governor.New(context.Background(), governor.Limits{DisableColumnar: true})
 	e := NewGoverned(cat, gov)
 	if e.useColumnar() {
 		t.Fatal("Limits.DisableColumnar did not reach the executor")

@@ -8,30 +8,28 @@
 // believed were free.
 //
 // The hash join is one pipeline, partition → build → probe → pair-gather,
-// and three independent policies pick its shape (DESIGN §13 draws it). The
+// and two independent policies pick its shape (DESIGN §13 draws it). The
 // partition policy (Limits.MaxMemory) keeps the whole join as one partition
 // or, when the build side's hash table does not fit, routes build and probe
 // rows to row lists per partition, Grace style but in memory, and merges
-// partition outputs back by origin. The worker policy
-// (Limits.Workers, via chunked) runs the probe in one call or as chunks on
-// the worker pool, concatenated in chunk order. The engine
-// (Limits.DisableColumnar) is colJoin — typed map, selection-vector
-// residuals, column gather — or rowJoin, the serial boxed oracle the tests
-// compare against. Every combination yields the same rows in the same
-// order with the same work counters and governor tuple/row charges; the
-// differential tests hold each policy against its degenerate case.
+// partition outputs back by origin. The engine (Limits.DisableColumnar) is
+// colJoin — typed map, selection-vector residuals, column gather — or
+// rowJoin, the boxed oracle the tests compare against. Every combination
+// yields the same rows in the same order with the same work counters and
+// governor tuple/row charges; the differential tests hold each policy
+// against its degenerate case.
 //
 // The sort-merge join is key sort → merge → pair-gather and meets the hash
 // join at the pair sink: the typed kernel (mergeJoin) sorts each input with
 // storage's typed permutation kernel, merges with typed compares, and hands
 // every equal-key run product to the pairSink the hash-join probe feeds —
 // residual selection vectors, row-budget charge, column gather. Its oracle
-// behind Limits.DisableColumnar is rowMerge. The merge runs on one worker.
+// behind Limits.DisableColumnar is rowMerge.
 //
-// Scans and nested-loops joins share the worker policy, and scans the
-// engine choice; nested loops and index-nested-loops evaluate boxed rows in
-// both engines. The worker count is SetWorkers, the governor's
-// Limits.Workers, or GOMAXPROCS, in that order.
+// Scans share the engine choice; nested loops and index-nested-loops
+// evaluate boxed rows in both engines. A plan runs on the goroutine that
+// calls Execute and starts no other: cores are filled by concurrent queries,
+// each with its own Executor.
 //
 // The executor counts the base-table tuples it visits and the predicate
 // evaluations it performs, so experiments can report deterministic work
@@ -108,9 +106,8 @@ type Result struct {
 
 // Executor runs plans against the data tables of one catalog.
 type Executor struct {
-	cat     *catalog.Catalog
-	gov     *governor.Governor
-	workers int
+	cat *catalog.Catalog
+	gov *governor.Governor
 }
 
 // New creates an executor over the catalog's registered data tables.
@@ -123,16 +120,6 @@ func New(cat *catalog.Catalog) *Executor {
 // materialized, and poll cancellation periodically. gov may be nil.
 func NewGoverned(cat *catalog.Catalog, gov *governor.Governor) *Executor {
 	return &Executor{cat: cat, gov: gov}
-}
-
-// SetWorkers overrides the executor's parallelism degree: n ≤ 0 restores
-// the default (the governor's Limits.Workers, else GOMAXPROCS); 1 forces
-// serial execution. Call before Execute, not concurrently with it.
-func (e *Executor) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.workers = n
 }
 
 // visit charges one visited tuple to both the work counters and the
@@ -227,10 +214,9 @@ func (e *Executor) run(plan optimizer.Plan, stats *Stats, rec *recorder, depth i
 	}
 	// Charge the materialized operator output to the bytes ledger. The
 	// charge happens once per node at its boundary — identical totals
-	// whichever engine or worker count produced the rows — which is what
-	// keeps downstream spill decisions deterministic. Inputs consumed by
-	// a join are released in runJoin; output size itself is bounded by
-	// MaxRows, not MaxMemory.
+	// whichever engine produced the rows — which is what keeps downstream
+	// spill decisions deterministic. Inputs consumed by a join are released
+	// in runJoin; output size itself is bounded by MaxRows, not MaxMemory.
 	if e.gov != nil {
 		e.gov.ChargeBytes(tbl.ApproxBytes())
 	}
@@ -287,13 +273,11 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 	if e.useColumnar() {
 		scanRange = e.scanRangeColumnar
 	}
-	sink, err := e.chunked(base.NumRows(), PointScanChunk, s.Alias, schema, stats, func(start, end int, sink *chunkSink) error {
-		return scanRange(base, start, end, filter, orFilter, sink.out, &sink.stats)
-	})
-	if err != nil {
+	out := storage.NewTable(s.Alias, schema)
+	if err := scanRange(base, 0, base.NumRows(), filter, orFilter, out, stats); err != nil {
 		return nil, err
 	}
-	return sink.out, nil
+	return out, nil
 }
 
 // scanRangeRows is the row oracle's scan body: it filters base rows
@@ -468,8 +452,7 @@ func joinSchema(l, r *storage.Schema) (*storage.Schema, error) {
 
 // nlInner describes the inner input of a nested-loops join: either a base
 // table re-scanned (with its filters re-applied) per outer row, or a
-// materialized intermediate re-read per outer row. It is read-only during
-// the join, so parallel outer chunks share it.
+// materialized intermediate re-read per outer row.
 type nlInner struct {
 	base       *storage.Table
 	schema     *storage.Schema
@@ -521,10 +504,8 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 	if in.joinFilter, err = compileAll(j.Preds, outSchema); err != nil {
 		return nil, err
 	}
-	sink, err := e.chunked(left.NumRows(), PointJoinChunk, "join", outSchema, stats, func(start, end int, sink *chunkSink) error {
-		return e.nlRange(left, in, sink.out, start, end, &sink.stats)
-	})
-	if err != nil {
+	out := storage.NewTable("join", outSchema)
+	if err := e.nlRange(left, in, out, 0, left.NumRows(), stats); err != nil {
 		return nil, err
 	}
 	if !in.rescan {
@@ -532,12 +513,11 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 		// with this join.
 		e.releaseTables(in.base)
 	}
-	return sink.out, nil
+	return out, nil
 }
 
 // nlRange runs the nested-loops join for outer rows [start, end),
-// re-reading the shared inner input per outer row, exactly as the serial
-// operator does.
+// re-reading the inner input per outer row.
 func (e *Executor) nlRange(left *storage.Table, in nlInner, out *storage.Table, start, end int, stats *Stats) error {
 	row := make([]storage.Value, 0, out.Schema().NumColumns())
 	inner := make([]storage.Value, 0, in.schema.NumColumns())
@@ -580,6 +560,16 @@ type joinSpec struct {
 	lKey, rKey  int
 	residual    compiled
 	outSchema   *storage.Schema
+}
+
+// chunkSink is what a join kernel hands back: the output rows, the work
+// counters the kernel accumulated, and — only for a hash-join probe over a
+// probe-row list — the probe row behind each row of out, which the partition
+// policy needs to merge partition outputs back into probe order.
+type chunkSink struct {
+	out    *storage.Table
+	stats  Stats
+	origin []int
 }
 
 // hashSpec is a hash join's spec plus the kernel its partition policy calls.
@@ -646,8 +636,7 @@ const sortScratchPerRow = 24
 // as key sort → merge → pair-gather, applying the remaining predicates as
 // residual filters. The engine picks the kernel: mergeJoin sorts and merges
 // typed keys and emits through the hash join's pair sink; rowMerge is the
-// boxed oracle it is held bit-identical to. The merge runs on one worker
-// whatever Limits.Workers says.
+// boxed oracle it is held bit-identical to.
 func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
 	spec, err := newJoinSpec(j, left, right)
 	if err != nil {
@@ -748,7 +737,7 @@ func (e *Executor) rowMerge(spec *joinSpec, stats *Stats) (*storage.Table, error
 // which build rows and which probe rows meet — everything at once, or
 // Grace partitions of row lists under a byte budget (partitionJoin); the
 // kernel behind spec.join — colJoin, or rowJoin for the row oracle — joins
-// one partition, chunk-parallel when workers allow.
+// one partition.
 func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
 	shared, err := newJoinSpec(j, left, right)
 	if err != nil {
@@ -757,10 +746,10 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats
 	spec := &hashSpec{joinSpec: shared}
 	// The hash table pins about as much again as the right input for the
 	// duration of the join. That deterministic footprint (the input bytes,
-	// identical across engines and worker counts) both feeds the partition
-	// decision — taken here, at the operator boundary, before any engine's
-	// scratch is on the ledger — and, when the join runs as one partition,
-	// is charged as working memory.
+	// identical across engines) both feeds the partition decision — taken
+	// here, at the operator boundary, before any engine's scratch is on the
+	// ledger — and, when the join runs as one partition, is charged as
+	// working memory.
 	need := right.ApproxBytes()
 	partition := e.gov.ShouldSpill(need)
 	if e.useColumnar() {
@@ -790,7 +779,7 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats
 	return sink.out, nil
 }
 
-// rowJoin is the row oracle's kernel for one partition: a serial, boxed,
+// rowJoin is the row oracle's kernel for one partition: a boxed,
 // Value.Key()-keyed build and probe that the columnar kernel is held
 // bit-identical to.
 func (e *Executor) rowJoin(spec *joinSpec, rrows, lrows []int, stats *Stats) (*chunkSink, error) {

@@ -233,12 +233,12 @@ func smRunErr(t *testing.T, cat *catalog.Catalog, limits governor.Limits) [2]err
 // of the merge, typed, in both engines.
 func TestSortMergeRowBudgetMidMerge(t *testing.T) {
 	cat := buildCatalog(t, chainSpecs(300, 200)...) // 10 keys: about 6000 output rows
-	for i, err := range smRunErr(t, cat, governor.Limits{Workers: 1, MaxRows: 500 + 4500}) {
+	for i, err := range smRunErr(t, cat, governor.Limits{MaxRows: 500 + 4500}) {
 		if !errors.Is(err, governor.ErrBudgetExceeded) {
 			t.Fatalf("engine %d: err = %v, want ErrBudgetExceeded", i, err)
 		}
 	}
-	for i, err := range smRunErr(t, cat, governor.Limits{Workers: 1, MaxTuples: 500 + 4500}) {
+	for i, err := range smRunErr(t, cat, governor.Limits{MaxTuples: 500 + 4500}) {
 		if !errors.Is(err, governor.ErrBudgetExceeded) {
 			t.Fatalf("engine %d: err = %v, want ErrBudgetExceeded", i, err)
 		}
@@ -250,13 +250,13 @@ func TestSortMergeRowBudgetMidMerge(t *testing.T) {
 // one just above the inputs plus the scratch admits it in both.
 func TestSortMergeScratchOverBudget(t *testing.T) {
 	cat := buildCatalog(t, chainSpecs(300, 200)...)
-	for i, err := range smRunErr(t, cat, governor.Limits{Workers: 1, MaxMemory: sortScratchPerRow*500 - 1}) {
+	for i, err := range smRunErr(t, cat, governor.Limits{MaxMemory: sortScratchPerRow*500 - 1}) {
 		var merr *governor.MemoryError
 		if !errors.Is(err, governor.ErrMemory) || !errors.As(err, &merr) || merr.Operator != "sort-merge scratch" {
 			t.Fatalf("engine %d: err = %v, want ErrMemory from the sort-merge scratch", i, err)
 		}
 	}
-	for i, err := range smRunErr(t, cat, governor.Limits{Workers: 1, MaxMemory: 1 << 20}) {
+	for i, err := range smRunErr(t, cat, governor.Limits{MaxMemory: 1 << 20}) {
 		if err != nil {
 			t.Fatalf("engine %d under a roomy budget: %v", i, err)
 		}
@@ -273,7 +273,7 @@ func TestScanArenaChargeIgnoresRecycledCapacity(t *testing.T) {
 	plan := planQuery(t, cat, []cardest.TableRef{{Table: "S"}},
 		[]expr.Predicate{expr.NewConst(ref("S", "v"), expr.OpLT, storage.Int64(1))}, nil, sortMergeOnly)
 	selArena.Put(make([]int, 0, colBatch)) // what a pair sink releases
-	gov := governor.New(context.Background(), governor.Limits{Workers: 1})
+	gov := governor.New(context.Background(), governor.Limits{})
 	if _, err := NewGoverned(cat, gov).Execute(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func BenchmarkSortMerge(b *testing.B) {
 		plan := planQuery(b, cat, []cardest.TableRef{{Table: "L"}, {Table: "R"}},
 			[]expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))}, nil, sortMergeOnly)
 		for _, engine := range []string{"row", "columnar"} {
-			limits := governor.Limits{Workers: 1, DisableColumnar: engine == "row"}
+			limits := governor.Limits{DisableColumnar: engine == "row"}
 			b.Run(fmt.Sprintf("%s/%s", typ, engine), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

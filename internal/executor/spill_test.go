@@ -48,14 +48,14 @@ func hashPlan(t *testing.T, cat *catalog.Catalog, l, r string) optimizer.Plan {
 // execSpill runs the plan under the given byte budget (0 = unbudgeted)
 // and returns the result, the governor's tuple/row charges, and the
 // governor for spill/memory introspection.
-func execSpill(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, workers int, budget int64, dir string) (*Result, [2]int64, *governor.Governor) {
+func execSpill(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, budget int64, dir string) (*Result, [2]int64, *governor.Governor) {
 	t.Helper()
-	gov := governor.New(context.Background(), governor.Limits{Workers: workers, MaxMemory: budget})
+	gov := governor.New(context.Background(), governor.Limits{MaxMemory: budget})
 	exec := NewGoverned(cat, gov)
 	exec.SetSpillDir(dir)
 	res, err := exec.Execute(plan)
 	if err != nil {
-		t.Fatalf("workers=%d budget=%d: %v", workers, budget, err)
+		t.Fatalf("budget=%d: %v", budget, err)
 	}
 	tuples, rows, _ := gov.Usage()
 	return res, [2]int64{tuples, rows}, gov
@@ -78,10 +78,10 @@ func dirEntries(t *testing.T, dir string) []string {
 
 // The spilled join must be bit-identical to the unbudgeted in-memory
 // join — same rows in the same order, same TuplesScanned and Comparisons,
-// same governor tuple/row charges — at every worker count and for every
-// key representation of the kernel (native int64, Value.Key() strings for
-// bool and for int64-vs-float64 keys), and it must leave nothing in the
-// directory it was pointed at.
+// same governor tuple/row charges — for every key representation of the
+// kernel (native int64, Value.Key() strings for bool and for
+// int64-vs-float64 keys), and it must leave nothing in the directory it was
+// pointed at.
 func TestSpillHashJoinBitIdentical(t *testing.T) {
 	intCat, intPlan := spillPlan(t)
 	keyCat := catalog.New()
@@ -97,28 +97,26 @@ func TestSpillHashJoinBitIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			oracle, oracleUsage, _ := execSpill(t, tc.cat, tc.plan, 1, 0, dir)
-			for _, workers := range []int{1, 4, 8} {
-				res, usage, gov := execSpill(t, tc.cat, tc.plan, workers, 2048, dir)
-				if count, _ := gov.SpillStats(); count == 0 {
-					t.Fatalf("workers=%d: the 2 KiB budget did not force a spill", workers)
-				}
-				if res.Stats.RowsProduced != oracle.Stats.RowsProduced ||
-					res.Stats.TuplesScanned != oracle.Stats.TuplesScanned ||
-					res.Stats.Comparisons != oracle.Stats.Comparisons {
-					t.Fatalf("workers=%d: spilled stats (%d rows, %d tuples, %d cmp) vs in-memory (%d, %d, %d)",
-						workers, res.Stats.RowsProduced, res.Stats.TuplesScanned, res.Stats.Comparisons,
-						oracle.Stats.RowsProduced, oracle.Stats.TuplesScanned, oracle.Stats.Comparisons)
-				}
-				if usage != oracleUsage {
-					t.Fatalf("workers=%d: governor charges %v (spilled) vs %v (in-memory)", workers, usage, oracleUsage)
-				}
-				for r := 0; r < oracle.Table.NumRows(); r++ {
-					for c := 0; c < oracle.Table.Schema().NumColumns(); c++ {
-						if storage.Compare(oracle.Table.Value(r, c), res.Table.Value(r, c)) != 0 {
-							t.Fatalf("workers=%d: row %d col %d differs: %s vs %s",
-								workers, r, c, res.Table.Value(r, c), oracle.Table.Value(r, c))
-						}
+			oracle, oracleUsage, _ := execSpill(t, tc.cat, tc.plan, 0, dir)
+			res, usage, gov := execSpill(t, tc.cat, tc.plan, 2048, dir)
+			if count, _ := gov.SpillStats(); count == 0 {
+				t.Fatal("the 2 KiB budget did not force a spill")
+			}
+			if res.Stats.RowsProduced != oracle.Stats.RowsProduced ||
+				res.Stats.TuplesScanned != oracle.Stats.TuplesScanned ||
+				res.Stats.Comparisons != oracle.Stats.Comparisons {
+				t.Fatalf("spilled stats (%d rows, %d tuples, %d cmp) vs in-memory (%d, %d, %d)",
+					res.Stats.RowsProduced, res.Stats.TuplesScanned, res.Stats.Comparisons,
+					oracle.Stats.RowsProduced, oracle.Stats.TuplesScanned, oracle.Stats.Comparisons)
+			}
+			if usage != oracleUsage {
+				t.Fatalf("governor charges %v (spilled) vs %v (in-memory)", usage, oracleUsage)
+			}
+			for r := 0; r < oracle.Table.NumRows(); r++ {
+				for c := 0; c < oracle.Table.Schema().NumColumns(); c++ {
+					if storage.Compare(oracle.Table.Value(r, c), res.Table.Value(r, c)) != 0 {
+						t.Fatalf("row %d col %d differs: %s vs %s",
+							r, c, res.Table.Value(r, c), oracle.Table.Value(r, c))
 					}
 				}
 			}
@@ -129,16 +127,15 @@ func TestSpillHashJoinBitIdentical(t *testing.T) {
 	}
 }
 
-// A budgeted join touches no disk, completed or torn down by a panic in a
-// probe worker: neither the directory handed to SetSpillDir nor the
-// process's temp directory gains an entry.
+// A budgeted join touches no disk, completed or torn down by a panic:
+// neither the directory handed to SetSpillDir nor the process's temp
+// directory gains an entry.
 func TestBudgetedJoinTouchesNoDisk(t *testing.T) {
 	cat, plan := spillPlan(t)
 	dir, tmp := t.TempDir(), t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	run := func(budget, reserve int64) (spills int64) {
-		gov := governor.New(context.Background(), governor.Limits{Workers: 4, MaxMemory: budget})
-		gov.ReserveBytes(reserve)
+	run := func() (spills int64) {
+		gov := governor.New(context.Background(), governor.Limits{MaxMemory: 2048})
 		exec := NewGoverned(cat, gov)
 		exec.SetSpillDir(dir)
 		defer func() {
@@ -156,28 +153,25 @@ func TestBudgetedJoinTouchesNoDisk(t *testing.T) {
 			}
 		}
 	}
-	if run(2048, 0) == 0 {
+	if run() == 0 {
 		t.Fatal("the 2 KiB budget did not engage the partition policy")
 	}
 	check("after a budgeted join")
 
-	// A roomy budget whose one-byte reservation the build side overruns
-	// partitions two ways, ~100 probe rows each: enough for the worker policy
-	// to chunk the probe, so the chunk fault point is live.
-	faultinject.Enable(PointJoinChunk, faultinject.Fault{PanicValue: "boom"})
+	faultinject.Enable(PointJoin, faultinject.Fault{PanicValue: "boom"})
 	defer faultinject.Reset()
-	run(1<<20, 1)
-	if faultinject.Hits(PointJoinChunk) == 0 {
-		t.Fatal("the panic was never injected: no partition probe was chunked")
+	run()
+	if faultinject.Hits(PointJoin) == 0 {
+		t.Fatal("the panic was never injected")
 	}
-	check("after a panic mid-partition")
+	check("after a panic in the join")
 }
 
 // The ledger is exact under the partition policy: everything the policy
 // holds (routing ids, row lists, per-partition hash tables, key scratch) is
 // charged and released, so a finished query's ledger holds its output and
 // nothing else, and the peak is no higher than the spill-to-disk join's
-// was at the parent commit (measured there, Workers: 1).
+// was when the partitions were files (measured there).
 func TestPartitionLedger(t *testing.T) {
 	sparse := chainSpecs(2000, 3000)
 	for i := range sparse {
@@ -200,7 +194,7 @@ func TestPartitionLedger(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, columnar := range []bool{true, false} {
 				gov := governor.New(context.Background(), governor.Limits{
-					Workers: 1, MaxMemory: tc.budget, DisableColumnar: !columnar})
+					MaxMemory: tc.budget, DisableColumnar: !columnar})
 				res, err := NewGoverned(tc.cat, gov).Execute(tc.plan)
 				if err != nil {
 					t.Fatal(err)
@@ -273,7 +267,7 @@ func TestMergeByOrigin(t *testing.T) {
 func TestNoSpillWithoutBudget(t *testing.T) {
 	cat, plan := spillPlan(t)
 	dir := t.TempDir()
-	_, _, gov := execSpill(t, cat, plan, 1, 0, dir)
+	_, _, gov := execSpill(t, cat, plan, 0, dir)
 	if count, bytes := gov.SpillStats(); count != 0 || bytes != 0 {
 		t.Fatalf("unbudgeted query spilled: %d spills, %d bytes", count, bytes)
 	}

@@ -13,9 +13,6 @@ import (
 type BenchResult struct {
 	// Experiment is the -experiment selector name ("section8", "zipf", ...).
 	Experiment string `json:"experiment"`
-	// Workers is the resolved intra-query worker count the run used. The
-	// estimator-only sweeps are serial by construction and report 1.
-	Workers int `json:"workers"`
 	// WallMillis is the experiment's wall-clock time in milliseconds.
 	WallMillis float64 `json:"wall_ms"`
 	// TuplesScanned sums the executor work counters across the experiment's
@@ -28,9 +25,8 @@ type BenchReport struct {
 	// Scale and Seed echo the flags so a result file is self-describing.
 	Scale int   `json:"scale"`
 	Seed  int64 `json:"seed"`
-	// GoMaxProcs records the machine parallelism available to the run —
-	// needed to interpret Workers > GoMaxProcs results (no real speedup
-	// possible).
+	// GoMaxProcs records the machine parallelism available to the run: the
+	// replication measurement's followers read concurrently.
 	GoMaxProcs int           `json:"gomaxprocs"`
 	Results    []BenchResult `json:"results"`
 	// RecoveryMillis is the wall-clock time of the durable crash-recovery
@@ -55,14 +51,6 @@ type BenchReport struct {
 	// workload (the "repeated" experiment): hits / (hits + misses) over a
 	// Zipf-skewed re-issue schedule. 0 when the run did not include it.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// ServerP99Millis is the client-observed p99 round-trip latency of
-	// the wire-server swarm benchmark (-server). 0 when the run did not
-	// include it.
-	ServerP99Millis float64 `json:"server_p99_ms"`
-	// ShedRate is the fraction of the -server swarm's requests shed with
-	// the typed overload error — the admission bulkhead engaging under
-	// the benchmark's deliberate oversubscription. 0 when absent.
-	ShedRate float64 `json:"shed_rate"`
 }
 
 // SumTuplesScanned totals the executor work across a Section 8 table's rows.

@@ -41,10 +41,6 @@ type Section8Options struct {
 	// estimates because even a misplaced table access is an index probe,
 	// not a rescan.
 	WithIndexes bool
-	// Workers sets the intra-query parallelism of planning and execution
-	// (0 = GOMAXPROCS, 1 = serial). The counts and tuple counters are
-	// worker-invariant; only wall-clock changes.
-	Workers int
 }
 
 // Section8Row is one line of the reproduced table.
@@ -141,7 +137,6 @@ func RunSection8(opts Section8Options) (*Section8Result, error) {
 		return nil, err
 	}
 	optOptions := optimizer.PaperOptions()
-	optOptions.Workers = opts.Workers
 	if opts.WithIndexes {
 		if opts.SkipExecution {
 			return nil, fmt.Errorf("experiment: WithIndexes requires execution (data to index)")
@@ -168,7 +163,6 @@ func RunSection8(opts Section8Options) (*Section8Result, error) {
 		Scale:       opts.Scale,
 	}
 	exec := executor.New(cat)
-	exec.SetWorkers(opts.Workers)
 	for _, run := range runs {
 		est, err := cardest.New(cat, section8Tables(), preds, run.cfg)
 		if err != nil {

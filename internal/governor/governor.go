@@ -9,11 +9,10 @@
 // polled only every checkInterval ticks so that governance stays off the
 // critical path of tight scan loops.
 //
-// Counters are atomic, so the worker goroutines of a parallel scan or join
-// may tick one shared Governor concurrently: accounting stays exact (every
-// visited tuple is charged exactly once) and a budget overrun is detected
-// by whichever worker crosses the limit. The stop decision is made once,
-// by the pool draining the workers — see internal/workpool.
+// Counters are atomic, so goroutines may tick one shared Governor
+// concurrently: accounting stays exact (every visited tuple is charged
+// exactly once) and a budget overrun is detected by whichever caller crosses
+// the limit. The pipeline itself ticks from the query's one goroutine.
 //
 // A nil *Governor is valid and enforces nothing, so deep pipeline code can
 // thread a governor unconditionally without nil checks at every site.
@@ -271,8 +270,8 @@ func (e *MemoryPressureError) Error() string {
 // Unwrap makes errors.Is(err, ErrOverloaded) hold.
 func (e *MemoryPressureError) Unwrap() error { return ErrOverloaded }
 
-// Limits configures per-query resource budgets and parallelism. The zero
-// value enforces nothing and uses the default worker count.
+// Limits configures per-query resource budgets. The zero value enforces
+// nothing.
 type Limits struct {
 	// Timeout is the wall-clock budget for one call; 0 disables. The
 	// deadline starts when the Governor is created and is enforced even if
@@ -286,10 +285,10 @@ type Limits struct {
 	// MaxPlans bounds join-candidate sets enumerated during planning; 0
 	// disables.
 	MaxPlans int64
-	// Workers caps the intra-query parallelism of scans, joins, and plan
-	// enumeration. 0 selects runtime.GOMAXPROCS(0); 1 forces the serial
-	// code paths. Workers is a degree, not a budget: it does not make
-	// Enforced report true.
+	// Workers is accepted and ignored: a query runs on the goroutine that
+	// issued it.
+	//
+	// Deprecated: kept only because the frozen bench/ sets it.
 	Workers int
 	// MaxConcurrent caps how many queries the system serves at once
 	// (admission control); 0 disables. Queries beyond the cap wait in the
@@ -344,9 +343,8 @@ type Limits struct {
 	MaxMemory int64
 }
 
-// Enforced reports whether any budget limit is set (Workers is a
-// parallelism degree, and the admission fields govern the system rather
-// than a single query's budget; none of them count).
+// Enforced reports whether any budget limit is set (the admission fields
+// govern the system rather than a single query's budget and do not count).
 func (l Limits) Enforced() bool {
 	return l.Timeout > 0 || l.MaxTuples > 0 || l.MaxRows > 0 || l.MaxPlans > 0 || l.MaxMemory > 0
 }
@@ -361,12 +359,13 @@ func (g *Governor) ColumnarDisabled() bool {
 	return g != nil && g.limits.DisableColumnar
 }
 
-// checkInterval is how many ticks pass between context/deadline polls.
+// checkInterval is how many charged units pass between context/deadline
+// polls.
 const checkInterval = 1024
 
 // Governor tracks one query's resource consumption against its limits.
-// All methods are safe for concurrent use: parallel operator workers share
-// one Governor per query, and concurrent queries each get their own.
+// All methods are safe for concurrent use; concurrent queries each get
+// their own.
 type Governor struct {
 	ctx        context.Context
 	limits     Limits
@@ -384,8 +383,7 @@ type Governor struct {
 	// partitioning passes and the build bytes they routed. Charges at
 	// operator boundaries are deterministic
 	// for a given plan, which is what keeps the spill decision — and
-	// therefore the result bytes — identical across worker counts and
-	// engines.
+	// therefore the result bytes — identical across engines.
 	memBytes     atomic.Int64
 	memPeak      atomic.Int64
 	memReserved  atomic.Int64
@@ -413,15 +411,6 @@ func (g *Governor) Context() context.Context {
 		return context.Background() //ctxflow:allow nil governor has no context to return
 	}
 	return g.ctx
-}
-
-// Workers returns the configured parallelism degree (0 for a nil governor
-// or an unset limit, meaning "use the default").
-func (g *Governor) Workers() int {
-	if g == nil {
-		return 0
-	}
-	return g.limits.Workers
 }
 
 // Err polls cancellation and the wall-clock budget immediately, mapping
@@ -453,12 +442,14 @@ func (g *Governor) wallClockError() error {
 	return &BudgetError{Resource: "wall-clock", Limit: limit, Used: int64(time.Since(g.start))}
 }
 
-// poll amortizes Err over checkInterval ticks. The since-last-check
-// counter is shared across goroutines; the exact poll cadence under
-// concurrency is approximate, which is fine — polling exists only to bound
-// cancellation latency, not for accounting.
-func (g *Governor) poll() error {
-	if g.sinceCheck.Add(1) < checkInterval {
+// poll amortizes Err over checkInterval charged units, so a batch kernel
+// that ticks thousands of rows in one call polls as often per row as a loop
+// that ticks them one by one. The since-last-check counter is shared across
+// goroutines; the exact poll cadence under concurrency is approximate, which
+// is fine — polling exists only to bound cancellation latency, not for
+// accounting.
+func (g *Governor) poll(n int64) error {
+	if g.sinceCheck.Add(n) < checkInterval {
 		return nil
 	}
 	g.sinceCheck.Store(0)
@@ -474,7 +465,7 @@ func (g *Governor) TickTuples(n int64) error {
 	if g.limits.MaxTuples > 0 && used > g.limits.MaxTuples {
 		return &BudgetError{Resource: "tuples", Limit: g.limits.MaxTuples, Used: used}
 	}
-	return g.poll()
+	return g.poll(n)
 }
 
 // TickRows charges n materialized output rows against the row budget.
@@ -486,7 +477,7 @@ func (g *Governor) TickRows(n int64) error {
 	if g.limits.MaxRows > 0 && used > g.limits.MaxRows {
 		return &BudgetError{Resource: "rows", Limit: g.limits.MaxRows, Used: used}
 	}
-	return g.poll()
+	return g.poll(n)
 }
 
 // TickPlans charges n enumerated plan candidates against the plan budget.
@@ -498,7 +489,7 @@ func (g *Governor) TickPlans(n int64) error {
 	if g.limits.MaxPlans > 0 && used > g.limits.MaxPlans {
 		return &BudgetError{Resource: "plans", Limit: g.limits.MaxPlans, Used: used}
 	}
-	return g.poll()
+	return g.poll(n)
 }
 
 // Headroom clamps n, a number of rows an operator is about to visit and
@@ -630,8 +621,8 @@ func (g *Governor) GrabBytes(n int64, operator string) error {
 // the build on top of the current working set, or when the build exceeds
 // the planner's pre-reservation — the estimate-informed early trip. The
 // inputs (ledger at an operator boundary, deterministic build size,
-// per-query reservation) are identical across worker counts and engines,
-// so both sides of the differential harness make the same call.
+// per-query reservation) are identical across engines, so both sides of the
+// differential harness make the same call.
 func (g *Governor) ShouldSpill(need int64) bool {
 	if !g.MemoryEnforced() {
 		return false

@@ -154,22 +154,12 @@ func TestEnforced(t *testing.T) {
 		t.Fatal("MaxTuples must count as enforced")
 	}
 	if (Limits{Workers: 8}).Enforced() {
-		t.Fatal("Workers is a parallelism degree, not a budget")
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	var nilGov *Governor
-	if nilGov.Workers() != 0 {
-		t.Fatal("nil governor must report 0 (default) workers")
-	}
-	if got := New(context.Background(), Limits{Workers: 3}).Workers(); got != 3 {
-		t.Fatalf("Workers() = %d, want 3", got)
+		t.Fatal("the inert Workers field is not a budget")
 	}
 }
 
 // Concurrent ticking from many goroutines must account every tuple exactly
-// once: parallel operator workers share one governor per query.
+// once.
 func TestConcurrentTickAccountingExact(t *testing.T) {
 	const goroutines, ticks = 8, 5000
 	g := New(context.Background(), Limits{})
@@ -192,9 +182,8 @@ func TestConcurrentTickAccountingExact(t *testing.T) {
 	}
 }
 
-// When concurrent workers overrun a budget, at least one of them must see
-// the typed budget error — the single stop decision is then made by the
-// pool that drains them.
+// When concurrent tickers overrun a budget, at least one of them must see
+// the typed budget error.
 func TestConcurrentBudgetTripsOnce(t *testing.T) {
 	const goroutines = 8
 	g := New(context.Background(), Limits{MaxTuples: 1000})

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/expr"
 	"repro/internal/governor"
-	"repro/internal/workpool"
 )
 
 // Options configures the optimizer.
@@ -27,12 +25,10 @@ type Options struct {
 	// Governor, when non-nil, bounds plan enumeration: every candidate set
 	// built charges the plan budget, and search loops poll cancellation.
 	Governor *governor.Governor
-	// Workers caps the parallelism of the dynamic-programming search
-	// (BestPlan): the subsets of each popcount level extend concurrently
-	// on a bounded worker pool. 0 defers to the governor's Limits.Workers,
-	// else GOMAXPROCS; 1 forces the serial search. The parallel search
-	// returns exactly the serial search's plan (proposals merge in subset
-	// order with the serial tie-breaking).
+	// Workers is accepted and ignored: the search runs on the calling
+	// goroutine.
+	//
+	// Deprecated: kept only because the frozen bench/ sets it.
 	Workers int
 }
 
@@ -219,35 +215,13 @@ func (o *Optimizer) expectedMatches(next *Scan, column string) float64 {
 	return base.Card / cs.Distinct
 }
 
-// resolveWorkers returns the DP parallelism degree: Options.Workers wins,
-// then the governor's Limits.Workers, then GOMAXPROCS.
-func (o *Optimizer) resolveWorkers() int {
-	if o.opts.Workers > 0 {
-		return o.opts.Workers
-	}
-	if w := o.gov.Workers(); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// proposal is one DP extension candidate: the cheapest join that grows
-// some current-level subset into newMask.
-type proposal struct {
-	newMask uint32
-	cand    *Join
-}
-
 // BestPlan runs left-deep dynamic programming over connected subsets and
 // returns the cheapest complete plan.
 //
-// Subsets of the same popcount level are independent — each reads only
-// plans of its own level and proposes plans for the next — so the level's
-// subsets run concurrently on the worker pool. Writes are deferred:
-// workers emit proposals, which merge into the DP table serially in
-// subset order with the same strict cost comparison the serial loop uses,
-// so the chosen plan is identical at every worker count (ties keep the
-// earlier subset's plan either way).
+// Subsets are visited in increasing popcount, and in mask order within a
+// popcount; each extends into the next level under a strict cost
+// comparison, so of two equally cheap plans for a subset the one reached
+// from the earlier mask wins.
 func (o *Optimizer) BestPlan() (Plan, error) {
 	n := len(o.aliases)
 	if n == 0 {
@@ -274,18 +248,14 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 	for mask := uint32(1); mask < 1<<n; mask++ {
 		byCount[popcount(mask)] = append(byCount[popcount(mask)], mask)
 	}
-	workers := o.resolveWorkers()
 	for size := 1; size < n; size++ {
-		masks := byCount[size]
-		props := make([][]proposal, len(masks))
-		err := workpool.Run(workers, len(masks), func(i int) error {
+		for _, mask := range byCount[size] {
 			if err := o.gov.Err(); err != nil {
-				return err
+				return nil, err
 			}
-			mask := masks[i]
-			left, ok := best[mask] // best is read-only while the level runs
+			left, ok := best[mask]
 			if !ok {
-				return nil
+				continue
 			}
 			// Prefer connected extensions; fall back to cartesian products
 			// only if no table connects to this subset.
@@ -304,26 +274,18 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 			ext := connected
 			if len(ext) == 0 {
 				if o.opts.DisableCartesian {
-					return nil
+					continue
 				}
 				ext = disconnected
 			}
 			for _, t := range ext {
 				cands, err := o.joinCandidates(left, scans[t])
 				if err != nil {
-					return err
+					return nil, err
 				}
-				props[i] = append(props[i], proposal{newMask: mask | 1<<t, cand: cands[0]})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, ps := range props {
-			for _, p := range ps {
-				if cur, ok := best[p.newMask]; !ok || p.cand.PlanCost < cur.Cost() {
-					best[p.newMask] = p.cand
+				newMask := mask | 1<<t
+				if cur, ok := best[newMask]; !ok || cands[0].PlanCost < cur.Cost() {
+					best[newMask] = cands[0]
 				}
 			}
 		}

@@ -122,14 +122,14 @@ func (p *Processor) help() error {
   stats <name>                              show a table's statistics
   algo <name>                               set the estimation algorithm
   algos                                     list algorithms
-  limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N] [workers=N]
+  limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N]
          [max-concurrent=N] [max-queue=N] [queue-timeout=D]
          [max-replica-lag=N] [columnar=on|off] [cache=on|off]
          [plan-cache-size=N]
                                             set per-query budgets (memory=N is
                                             the byte budget; over it, hash joins
-                                            partition in memory), parallelism,
-                                            admission control, replica staleness,
+                                            partition in memory), admission
+                                            control, replica staleness,
                                             and the columnar/plan-cache engine
                                             switches ("limits off" clears)
   serving                                   show serving-layer counters
@@ -172,13 +172,13 @@ func (p *Processor) setAlgo(args []string) error {
 	return nil
 }
 
-const limitsUsage = "usage: limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N] [workers=N] [max-concurrent=N] [max-queue=N] [queue-timeout=D] [max-replica-lag=N] [columnar=on|off] [cache=on|off] [plan-cache-size=N] | limits off"
+const limitsUsage = "usage: limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N] [max-concurrent=N] [max-queue=N] [queue-timeout=D] [max-replica-lag=N] [columnar=on|off] [cache=on|off] [plan-cache-size=N] | limits off"
 
 // formatLimits renders one line of the full limit set, budgets and
 // admission control alike.
 func formatLimits(l els.Limits) string {
-	return fmt.Sprintf("timeout=%s tuples=%d rows=%d plans=%d memory=%d workers=%d max-concurrent=%d max-queue=%d queue-timeout=%s max-replica-lag=%d columnar=%s cache=%s plan-cache-size=%d",
-		l.Timeout, l.MaxTuples, l.MaxRows, l.MaxPlans, l.MaxMemory, l.Workers,
+	return fmt.Sprintf("timeout=%s tuples=%d rows=%d plans=%d memory=%d max-concurrent=%d max-queue=%d queue-timeout=%s max-replica-lag=%d columnar=%s cache=%s plan-cache-size=%d",
+		l.Timeout, l.MaxTuples, l.MaxRows, l.MaxPlans, l.MaxMemory,
 		l.MaxConcurrent, l.MaxQueue, l.QueueTimeout, l.MaxReplicaLag,
 		onOff(!l.DisableColumnar), onOff(!l.DisableCache), l.PlanCacheSize)
 }
@@ -196,7 +196,7 @@ func onOff(on bool) string {
 func (p *Processor) limits(args []string) error {
 	if len(args) == 0 {
 		l := p.sys.Limits()
-		if !l.Enforced() && !l.Admission() && l.Workers == 0 && l.MaxQueue == 0 && l.QueueTimeout == 0 && l.MaxReplicaLag == 0 &&
+		if !l.Enforced() && !l.Admission() && l.MaxQueue == 0 && l.QueueTimeout == 0 && l.MaxReplicaLag == 0 &&
 			!l.DisableColumnar && !l.DisableCache && l.PlanCacheSize == 0 {
 			p.printf("no limits\n")
 			return nil
@@ -249,7 +249,7 @@ func (p *Processor) limits(args []string) error {
 			} else {
 				l.DisableCache = !on
 			}
-		case "tuples", "rows", "plans", "memory", "workers", "max-concurrent", "max-queue", "max-replica-lag", "plan-cache-size":
+		case "tuples", "rows", "plans", "memory", "max-concurrent", "max-queue", "max-replica-lag", "plan-cache-size":
 			n, err := strconv.ParseInt(parts[1], 10, 64)
 			if err != nil {
 				p.printf("bad %s limit %q\n%s\n", key, parts[1], limitsUsage)
@@ -268,8 +268,6 @@ func (p *Processor) limits(args []string) error {
 				l.MaxPlans = n
 			case "memory":
 				l.MaxMemory = n
-			case "workers":
-				l.Workers = int(n)
 			case "max-concurrent":
 				l.MaxConcurrent = int(n)
 			case "max-queue":
@@ -280,7 +278,7 @@ func (p *Processor) limits(args []string) error {
 				l.PlanCacheSize = int(n)
 			}
 		default:
-			p.printf("unknown limit %q (want timeout, tuples, rows, plans, memory, workers, max-concurrent, max-queue, queue-timeout, max-replica-lag, columnar, cache, plan-cache-size)\n", parts[0])
+			p.printf("unknown limit %q (want timeout, tuples, rows, plans, memory, max-concurrent, max-queue, queue-timeout, max-replica-lag, columnar, cache, plan-cache-size)\n", parts[0])
 			return nil
 		}
 	}

@@ -244,15 +244,6 @@ func (t *Table) SortedIndices(col int) []int {
 	return idx
 }
 
-// AppendTable appends every row of src to t by concatenating the column
-// storage directly, without boxing values row by row. The schemas must
-// have the same column count and types (names may differ). Parallel
-// operators use it to stitch per-chunk outputs back into one table in
-// chunk order.
-func (t *Table) AppendTable(src *Table) error {
-	return t.AppendRange(src, 0, src.rows)
-}
-
 // AppendRange appends rows [start, end) of src to t by copying slices of
 // the column storage. The schemas must have the same column count and
 // types (names may differ). It is how an unfiltered scan batch reaches its

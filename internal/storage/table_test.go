@@ -293,7 +293,7 @@ func TestAppendTable(t *testing.T) {
 	a.MustAppendRow(Int64(2), Null(TypeString))
 	b := NewTable("b", schema)
 	b.MustAppendRow(Int64(3), String64("y"))
-	if err := a.AppendTable(b); err != nil {
+	if err := a.AppendRange(b, 0, b.NumRows()); err != nil {
 		t.Fatal(err)
 	}
 	if a.NumRows() != 3 {
@@ -315,7 +315,7 @@ func TestAppendTableNullsFromSource(t *testing.T) {
 	b := NewTable("b", schema)
 	b.MustAppendRow(Null(TypeInt64))
 	b.MustAppendRow(Int64(5))
-	if err := a.AppendTable(b); err != nil {
+	if err := a.AppendRange(b, 0, b.NumRows()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Value(0, 0).IsNull() {
@@ -332,12 +332,12 @@ func TestAppendTableNullsFromSource(t *testing.T) {
 func TestAppendTableTypeMismatch(t *testing.T) {
 	a := NewTable("a", MustSchema(ColumnDef{Name: "v", Type: TypeInt64}))
 	b := NewTable("b", MustSchema(ColumnDef{Name: "v", Type: TypeString}))
-	if err := a.AppendTable(b); err == nil {
+	if err := a.AppendRange(b, 0, b.NumRows()); err == nil {
 		t.Fatal("type mismatch must be rejected")
 	}
 	c := NewTable("c", MustSchema(
 		ColumnDef{Name: "v", Type: TypeInt64}, ColumnDef{Name: "w", Type: TypeInt64}))
-	if err := a.AppendTable(c); err == nil {
+	if err := a.AppendRange(c, 0, c.NumRows()); err == nil {
 		t.Fatal("column-count mismatch must be rejected")
 	}
 }

@@ -1,16 +1,15 @@
-// Arena pooling for the vectorized executor's chunk-local scratch buffers.
+// Arena pooling for the vectorized executor's batch-local scratch buffers.
 //
-// The columnar scan and hash-join kernels need short-lived slices — selection
-// vectors, pair-index buffers, normalized key arrays — once per chunk, on
-// whatever worker goroutine the pool dispatched the chunk to. Allocating them
-// fresh per chunk would make the batch engine allocation-bound at exactly the
-// worker counts it exists to serve, so they are recycled here, next to the
-// pool that creates the parallelism.
+// The columnar scan and join kernels need short-lived slices — selection
+// vectors, pair-index buffers — once per batch, on the goroutine of whichever
+// query is running. Allocating them fresh per batch would make the batch
+// engine allocation-bound, so they are recycled here, shared by every query
+// in the process.
 package workpool
 
 import "sync"
 
-// Arena recycles []T scratch buffers across chunks and worker goroutines.
+// Arena recycles []T scratch buffers across batches and goroutines.
 // Get returns a zero-length slice with at least the requested capacity; Put
 // recycles it. An Arena is safe for concurrent use; construct with NewArena.
 type Arena[T any] struct {

@@ -1,135 +1,45 @@
-// Package workpool provides the bounded worker pool that drives the
-// parallel operators of the query pipeline: chunked scans, partitioned
-// hash joins, and level-parallel dynamic-programming enumeration.
+// Package workpool holds what concurrent queries share: the sanctioned
+// goroutine spawners and the scratch-buffer arena.
 //
-// The pool runs a fixed set of indexed tasks on at most `workers`
-// goroutines. It makes a single stop decision: the first task failure (in
-// task-index order, which makes the reported error deterministic even
-// though detection order is not) stops the dispatch of further tasks, and
-// Run returns only after every started worker has exited — callers never
-// leak goroutines, and per-task outputs indexed by task number are safe to
-// read after Run returns.
+// A query runs on the goroutine that issued it; nothing in the planning or
+// execution path starts another. The goroutines the system does start —
+// background mutators, fault schedulers, soak and chaos clients, the
+// call-with-timeout helpers of the CLIs — go through Go or Async, which
+// contain a panic as a *governor.InternalError instead of crashing the
+// process; the nakedgoroutine analyzer rejects a raw go statement anywhere
+// else.
 package workpool
 
 import (
-	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/governor"
 )
 
-// DefaultWorkers resolves a requested worker count: values ≤ 0 select
-// runtime.GOMAXPROCS(0).
-func DefaultWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run executes task(0..n-1) on at most workers goroutines and returns the
-// error of the lowest-indexed failed task, or nil if all tasks succeeded.
-//
-// Dispatch stops after the first observed failure: tasks not yet claimed
-// are never started. Tasks already running are not interrupted (tasks that
-// need prompt interruption should poll their own cancellation source, e.g.
-// a governor). With workers ≤ 1 or n ≤ 1 the tasks run inline on the
-// calling goroutine, which is the serial execution path — parallel
-// operators are written once and degrade to serial by worker count.
-//
-// A task that panics counts as a failure: the panic is captured in its
-// worker, dispatch stops, and Run re-panics with the original value on the
-// calling goroutine once all workers have exited — so callers' recover
-// logic (e.g. the public API's panic-to-error conversion) sees the same
-// panic whether tasks run inline or on workers.
-func Run(workers, n int, task func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = DefaultWorkers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := task(i); err != nil {
-				return err
-			}
+// contain runs f, turning a panic into a *governor.InternalError.
+func contain(f func() error) (err error) {
+	defer func() {
+		if pval := recover(); pval != nil {
+			err = governor.NewInternal(pval, debug.Stack())
 		}
-		return nil
-	}
-
-	var (
-		next    atomic.Int64 // next unclaimed task index
-		stopped atomic.Bool  // set on first failure; halts dispatch
-		wg      sync.WaitGroup
-	)
-	errs := make([]error, n)
-	panics := make([]any, n)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stopped.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				err, pval := runTask(task, i)
-				if pval != nil {
-					panics[i] = pval
-					stopped.Store(true)
-					return
-				}
-				if err != nil {
-					errs[i] = err
-					stopped.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if panics[i] != nil {
-			panic(panics[i])
-		}
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	return nil
-}
-
-// runTask invokes one task, converting a panic into a captured value.
-// recover never returns nil for a real panic (panic(nil) is wrapped by the
-// runtime), so pval != nil means "task panicked".
-func runTask(task func(i int) error, i int) (err error, pval any) {
-	defer func() { pval = recover() }()
-	return task(i), nil
+	}()
+	return f()
 }
 
 // Go spawns f on a new goroutine registered with wg. A panic in f is
 // recovered into a *governor.InternalError and delivered to onErr, as is
 // any error f returns; onErr may be nil when the caller only needs the
 // panic containment. Go is the sanctioned primitive for long-lived
-// background goroutines (mutators, fault schedulers, soak workers) that
-// do not fit Run's fixed task-set shape — spawning them raw would bypass
-// the panic→ErrInternal mapping the serving layer's taxonomy promises.
+// background goroutines (mutators, fault schedulers, soak workers) —
+// spawning them raw would bypass the panic→ErrInternal mapping the serving
+// layer's taxonomy promises.
 func Go(wg *sync.WaitGroup, onErr func(error), f func() error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		err, pval := runTask(func(int) error { return f() }, 0)
-		if pval != nil {
-			err = governor.NewInternal(pval, debug.Stack())
-		}
-		if err != nil && onErr != nil {
+		if err := contain(f); err != nil && onErr != nil {
 			onErr(err)
 		}
 	}()
@@ -150,11 +60,26 @@ func Go(wg *sync.WaitGroup, onErr func(error), f func() error) {
 func Async(f func() error) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		err, pval := runTask(func(int) error { return f() }, 0)
-		if pval != nil {
-			err = governor.NewInternal(pval, debug.Stack())
-		}
-		done <- err
+		done <- contain(f)
 	}()
 	return done
+}
+
+// WithTimeout runs f under a wall-clock bound, reporting an overrun as the
+// typed budget error the governor produces; d ≤ 0 runs f unbounded on the
+// calling goroutine. On timeout f's goroutine is abandoned, so this is for
+// a main that exits right afterwards.
+func WithTimeout(d time.Duration, f func() error) error {
+	if d <= 0 {
+		return f()
+	}
+	start := time.Now()
+	select {
+	case err := <-Async(f):
+		return err
+	case <-time.After(d):
+		return &governor.BudgetError{
+			Resource: "wall-clock", Limit: int64(d), Used: int64(time.Since(start)),
+		}
+	}
 }

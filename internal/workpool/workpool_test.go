@@ -2,125 +2,60 @@ package workpool
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/governor"
 )
 
-func TestRunAllTasks(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8, 100} {
-		var done atomic.Int64
-		if err := Run(workers, 37, func(i int) error {
-			done.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if done.Load() != 37 {
-			t.Fatalf("workers=%d: ran %d tasks, want 37", workers, done.Load())
-		}
-	}
-}
-
-func TestRunZeroTasks(t *testing.T) {
-	if err := Run(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The reported error must be the lowest-indexed failure, regardless of the
-// order in which workers detect failures.
-func TestDeterministicErrorSelection(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		err := Run(4, 16, func(i int) error {
-			if i%3 == 2 { // tasks 2, 5, 8, ... fail
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "task 2 failed" {
-			t.Fatalf("trial %d: got %v, want the lowest-indexed failure (task 2)", trial, err)
-		}
-	}
-}
-
-// After a failure, unclaimed tasks must never start.
-func TestStopsDispatchAfterFailure(t *testing.T) {
-	var started atomic.Int64
+// Go delivers f's error, and a panic in f as an internal error, to onErr.
+func TestGoContainsPanic(t *testing.T) {
 	boom := errors.New("boom")
-	err := Run(2, 1000, func(i int) error {
-		started.Add(1)
-		if i == 0 {
-			return boom
-		}
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var got []error
+	onErr := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, err)
 	}
-	if n := started.Load(); n >= 1000 {
-		t.Fatalf("all %d tasks started despite an early failure", n)
+	Go(&wg, onErr, func() error { return boom })
+	Go(&wg, onErr, func() error { panic("blew up") })
+	Go(&wg, onErr, func() error { return nil })
+	Go(&wg, nil, func() error { panic("nobody listening") })
+	wg.Wait()
+	if len(got) != 2 {
+		t.Fatalf("onErr saw %v, want the error and the panic", got)
+	}
+	for _, err := range got {
+		if !errors.Is(err, boom) && !errors.Is(err, governor.ErrInternal) {
+			t.Errorf("onErr saw %v, want boom or ErrInternal", err)
+		}
 	}
 }
 
-// Run must return only after every started goroutine has exited.
-func TestNoLeakedGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for trial := 0; trial < 10; trial++ {
-		Run(8, 64, func(i int) error {
-			if i == 7 {
-				return errors.New("fail")
-			}
-			return nil
-		})
+func TestAsyncContainsPanic(t *testing.T) {
+	if err := <-Async(func() error { return nil }); err != nil {
+		t.Fatalf("got %v, want nil", err)
 	}
-	// Allow the runtime a moment to reap exited goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := <-Async(func() error { panic("blew up") }); !errors.Is(err, governor.ErrInternal) {
+		t.Fatalf("got %v, want ErrInternal", err)
 	}
-	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-// A panicking task must re-panic on the calling goroutine with the
-// original value, after all workers have exited.
-func TestPanicPropagatesToCaller(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p != "task 5 panicked" {
-			t.Fatalf("recovered %v, want the task's panic value", p)
+func TestWithTimeout(t *testing.T) {
+	boom := errors.New("boom")
+	for _, d := range []time.Duration{0, time.Minute} {
+		if err := WithTimeout(d, func() error { return boom }); !errors.Is(err, boom) {
+			t.Errorf("d=%v: got %v, want f's error", d, err)
 		}
-	}()
-	Run(4, 32, func(i int) error {
-		if i == 5 {
-			panic("task 5 panicked")
-		}
-		return nil
-	})
-	t.Fatal("Run returned instead of panicking")
-}
-
-// Inline (serial) mode must stop at the first error exactly like the
-// parallel mode's deterministic selection.
-func TestSerialModeStopsAtFirstError(t *testing.T) {
-	var ran []int
-	err := Run(1, 10, func(i int) error {
-		ran = append(ran, i)
-		if i == 3 {
-			return fmt.Errorf("task %d failed", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task 3 failed" {
-		t.Fatalf("got %v", err)
 	}
-	if len(ran) != 4 {
-		t.Fatalf("serial mode ran %v, want tasks 0..3 only", ran)
+	release := make(chan struct{})
+	defer close(release)
+	err := WithTimeout(time.Millisecond, func() error { <-release; return nil })
+	var be *governor.BudgetError
+	if !errors.As(err, &be) || be.Resource != "wall-clock" || !errors.Is(err, governor.ErrBudgetExceeded) {
+		t.Fatalf("got %v, want the wall-clock budget error", err)
 	}
 }

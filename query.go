@@ -145,7 +145,7 @@ const MaxRows = 1000
 // Under a byte budget (Limits.MaxMemory) sort-merge is swapped for the
 // hash join: sort-merge's sort scratch must fit in memory outright (its
 // GrabBytes fails the query when it cannot), while the hash join's build
-// side degrades to the Grace spill path and completes under any budget.
+// side degrades to in-memory partitioning and completes under any budget.
 // An unbudgeted system keeps the paper repertoire exactly, so existing
 // plans, counters, and explain output are untouched.
 func optimizerOptions(cat *catalog.Catalog, gov *governor.Governor) optimizer.Options {
@@ -335,8 +335,8 @@ func buildEstimate(algo Algorithm, plan optimizer.Plan, opt *optimizer.Optimizer
 // each actual build size against this figure (Governor.ShouldSpill), so a
 // join whose true input dwarfs its estimate spills at build time instead
 // of discovering the budget cliff mid-probe. The figure is a pure function
-// of the plan — identical across engines and worker counts — which keeps
-// spill decisions deterministic.
+// of the plan — identical across engines — which keeps spill decisions
+// deterministic.
 func estimateWorkingBytes(plan optimizer.Plan) int64 {
 	var worst float64
 	var walk func(optimizer.Plan)

@@ -81,11 +81,9 @@ func Retryable(err error) bool {
 		errors.Is(err, ErrStaleReplica)
 }
 
-// Limits configures per-query resource budgets, the intra-query
-// parallelism degree (Limits.Workers; 0 = GOMAXPROCS, 1 = serial — results
-// are identical at any setting), and system-wide admission control
-// (MaxConcurrent, MaxQueue, QueueTimeout); see SetLimits. The zero value
-// enforces nothing.
+// Limits configures per-query resource budgets and system-wide admission
+// control (MaxConcurrent, MaxQueue, QueueTimeout); see SetLimits. The zero
+// value enforces nothing.
 type Limits = governor.Limits
 
 // BudgetError details which resource budget a query exhausted.
