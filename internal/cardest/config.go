@@ -101,11 +101,6 @@ type Config struct {
 	Sel selest.Options
 	// Rep selects the representative selectivity for RuleRepresentative.
 	Rep RepChoice
-	// DisableMemo turns off the per-query memoization of JoinStep's
-	// selectivity computation. The memo is semantically invisible — cached
-	// and uncached estimates are bit-identical — so this exists for the
-	// property test that proves it, and for measuring the memo's effect.
-	DisableMemo bool
 }
 
 // Validate reports configuration errors.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/closure"
@@ -40,7 +39,9 @@ func (t TableRef) Name() string {
 // Estimator performs incremental join result size estimation for one query
 // under one Config. Construction runs the preliminary phase of Algorithm
 // ELS (steps 1–5): duplicate elimination, transitive closure, equivalence
-// classes, local selectivities, effective statistics.
+// classes, local selectivities, effective statistics, and the Equation 2
+// selectivity of every join predicate. Nothing is written after
+// construction, so an Estimator may be shared by concurrent readers.
 type Estimator struct {
 	cfg      Config
 	cat      *catalog.Catalog
@@ -51,37 +52,20 @@ type Estimator struct {
 	classes  *eqclass.Classes
 	eff      map[string]*selest.EffectiveStats // keyed by lower-cased alias
 	base     map[string]*catalog.TableStats    // alias -> stats (renamed clone)
+	joins    []joinPred                        // step 5, in predicate-set order
 	repSel   map[string]float64                // class id -> representative selectivity
 	warnings []string                          // statistics repairs applied during construction
-
-	// memo caches JoinStep's selectivity computation per (joined set,
-	// next) pair; everything it stores depends only on that pair, because
-	// the predicate set, equivalence classes, and effective statistics are
-	// fixed at construction. Guarded by memoMu: the optimizer's parallel
-	// DP search calls JoinStep from many goroutines.
-	//lockorder:level 52
-	memoMu sync.Mutex
-	memo   map[string]memoEntry
 }
 
-// memoEntry is the currentSize-independent part of one JoinStep result.
-type memoEntry struct {
-	tableCard   float64
-	selectivity float64
-	cartesian   bool
-	groups      []GroupChoice
-}
-
-// memoKey canonicalizes a (joined set, next) pair: the joined aliases are
-// order-insensitive in JoinStep (eligibility depends on set membership
-// only), so the key sorts them.
-func memoKey(joined []string, next string) string {
-	names := make([]string, len(joined))
-	for i, j := range joined {
-		names[i] = strings.ToLower(j)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ",") + "|" + strings.ToLower(next)
+// joinPred is ELS step 5 for one join predicate of the predicate set.
+type joinPred struct {
+	pred expr.Predicate
+	// sel is JoinSelectivity(pred).
+	sel float64
+	// group is the equivalence class id of an equality predicate; a
+	// non-equality predicate forms its own group under its canonical key
+	// (independence assumption).
+	group string
 }
 
 // New builds an estimator for a query over the given tables and predicate
@@ -96,6 +80,10 @@ func New(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, cfg Co
 // table's effective cardinality; disjunctions never merge equivalence
 // classes and are excluded from transitive closure, which keeps the
 // paper's machinery sound.
+//
+// All per-predicate work happens here: a join predicate whose selectivity
+// cannot be computed fails construction, not the first JoinStep that finds
+// it eligible.
 func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, disjs []expr.Disjunction, cfg Config) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -112,7 +100,6 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 		eff:    make(map[string]*selest.EffectiveStats),
 		base:   make(map[string]*catalog.TableStats),
 		repSel: make(map[string]float64),
-		memo:   make(map[string]memoEntry),
 	}
 
 	// The construction probe can fail the estimator outright or hand back
@@ -198,7 +185,7 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 		}
 	}
 
-	// Steps 3–5: local selectivities and effective statistics per table.
+	// Steps 3–4: local selectivities and effective statistics per table.
 	for _, tr := range e.refs {
 		alias := tr.Name()
 		k := strings.ToLower(alias)
@@ -216,12 +203,35 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 		}
 		e.eff[k] = eff
 	}
+	if err := e.computeJoinSelectivities(); err != nil {
+		return nil, err
+	}
 
 	// Representative selectivities per class (only needed for RuleRepresentative).
 	if cfg.Rule == RuleRepresentative {
 		e.computeRepresentatives()
 	}
 	return e, nil
+}
+
+// computeJoinSelectivities is step 5: Equation 2 for every join predicate,
+// from the effective column cardinalities.
+func (e *Estimator) computeJoinSelectivities() error {
+	for _, p := range e.preds {
+		if p.Kind() != expr.KindJoin {
+			continue
+		}
+		sel, err := e.JoinSelectivity(p)
+		if err != nil {
+			return err
+		}
+		group := p.CanonicalKey()
+		if p.Op == expr.OpEQ {
+			group = e.classes.ClassID(p.Left)
+		}
+		e.joins = append(e.joins, joinPred{pred: p, sel: sel, group: group})
+	}
+	return nil
 }
 
 func (e *Estimator) checkRef(ref expr.ColumnRef) error {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/closure"
 	"repro/internal/expr"
 )
 
@@ -33,7 +32,10 @@ type StepResult struct {
 	Table string
 	// TableCard is the effective cardinality the table contributed.
 	TableCard float64
-	// Groups are the per-class selectivity choices.
+	// Eligible are the join predicates linking the table to the joined set
+	// (Section 2), in predicate-set order; empty for a cartesian step.
+	Eligible []expr.Predicate
+	// Groups are the per-class selectivity choices, ordered by ClassID.
 	Groups []GroupChoice
 	// Selectivity is the product of the group selectivities.
 	Selectivity float64
@@ -49,112 +51,62 @@ type StepResult struct {
 // aliases. This is ELS step 6 (or the corresponding step of the baseline
 // algorithms): find the eligible join predicates, group them by
 // equivalence class, choose one selectivity per group by the configured
-// rule, and multiply.
+// rule, and multiply. The order of joined does not matter, and the returned
+// slices are the caller's.
 func (e *Estimator) JoinStep(currentSize float64, joined []string, next string) (StepResult, error) {
 	for _, j := range joined {
 		if strings.EqualFold(j, next) {
 			return StepResult{}, fmt.Errorf("cardest: table %q already joined", next)
 		}
 	}
-	// The selectivity, groups, and cartesian flag depend only on the
-	// (joined set, next) pair — currentSize enters only the final product —
-	// so the dynamic-programming search, which revisits the same pair from
-	// many subsets, hits the memo instead of regrouping predicates.
-	var key string
-	if !e.cfg.DisableMemo {
-		key = memoKey(joined, next)
-		e.memoMu.Lock()
-		ent, ok := e.memo[key]
-		e.memoMu.Unlock()
-		if ok {
-			return ent.result(currentSize, next), nil
-		}
-	}
-
 	eff, err := e.Effective(next)
 	if err != nil {
 		return StepResult{}, err
 	}
-	eligible := closure.EligibleJoinPredicates(e.preds, next, joined)
-	ent := memoEntry{tableCard: eff.Card, selectivity: 1}
-
-	if len(eligible) == 0 {
-		ent.cartesian = true
-	} else {
-		groups, err := e.groupEligible(eligible)
+	res := StepResult{Table: next, TableCard: eff.Card, Selectivity: 1}
+	for i := range e.joins {
+		jp := &e.joins[i]
+		if !jp.pred.References(next) || !referencesAny(jp.pred, joined) {
+			continue
+		}
+		res.Eligible = append(res.Eligible, jp.pred)
+		g := groupByID(&res.Groups, jp.group)
+		g.Predicates = append(g.Predicates, jp.pred)
+		g.Selectivities = append(g.Selectivities, jp.sel)
+	}
+	res.Cartesian = len(res.Eligible) == 0
+	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].ClassID < res.Groups[j].ClassID })
+	for i := range res.Groups {
+		chosen, err := e.chooseSelectivity(&res.Groups[i])
 		if err != nil {
 			return StepResult{}, err
 		}
-		sel := 1.0
-		for i := range groups {
-			chosen, err := e.chooseSelectivity(&groups[i])
-			if err != nil {
-				return StepResult{}, err
-			}
-			groups[i].Chosen = chosen
-			sel *= chosen
-		}
-		ent.groups = groups
-		ent.selectivity = sel
+		res.Groups[i].Chosen = chosen
+		res.Selectivity *= chosen
 	}
-	if !e.cfg.DisableMemo {
-		e.memoMu.Lock()
-		e.memo[key] = ent
-		e.memoMu.Unlock()
-	}
-	return ent.result(currentSize, next), nil
+	res.Size = currentSize * res.TableCard * res.Selectivity
+	return res, nil
 }
 
-// result materializes a StepResult for one currentSize from the memoized
-// size-independent parts. The groups slice is copied so callers can never
-// mutate the cached entry through a returned result.
-func (ent memoEntry) result(currentSize float64, next string) StepResult {
-	res := StepResult{
-		Table:       next,
-		TableCard:   ent.tableCard,
-		Selectivity: ent.selectivity,
-		Cartesian:   ent.cartesian,
-		Size:        currentSize * ent.tableCard * ent.selectivity,
+func referencesAny(p expr.Predicate, tables []string) bool {
+	for _, t := range tables {
+		if p.References(t) {
+			return true
+		}
 	}
-	if ent.groups != nil {
-		res.Groups = make([]GroupChoice, len(ent.groups))
-		copy(res.Groups, ent.groups)
-	}
-	return res
+	return false
 }
 
-// groupEligible buckets eligible join predicates by equivalence class.
-// Only equality predicates participate in classes; non-equality join
-// predicates each form their own group (independence assumption).
-func (e *Estimator) groupEligible(eligible []expr.Predicate) ([]GroupChoice, error) {
-	byClass := make(map[string]*GroupChoice)
-	var order []string
-	for _, p := range eligible {
-		var id string
-		if p.Op == expr.OpEQ {
-			id = e.classes.ClassID(p.Left)
-		} else {
-			id = p.CanonicalKey()
+// groupByID returns the group with the given id, appending an empty one if
+// there is none yet. A step has a handful of groups, so a scan beats a map.
+func groupByID(groups *[]GroupChoice, id string) *GroupChoice {
+	for i := range *groups {
+		if (*groups)[i].ClassID == id {
+			return &(*groups)[i]
 		}
-		g, ok := byClass[id]
-		if !ok {
-			g = &GroupChoice{ClassID: id}
-			byClass[id] = g
-			order = append(order, id)
-		}
-		s, err := e.JoinSelectivity(p)
-		if err != nil {
-			return nil, err
-		}
-		g.Predicates = append(g.Predicates, p)
-		g.Selectivities = append(g.Selectivities, s)
 	}
-	sort.Strings(order)
-	out := make([]GroupChoice, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byClass[id])
-	}
-	return out, nil
+	*groups = append(*groups, GroupChoice{ClassID: id})
+	return &(*groups)[len(*groups)-1]
 }
 
 // chooseSelectivity applies the configured rule to one group.

@@ -88,27 +88,6 @@ func Compute(preds []expr.Predicate) Result {
 	return Result{Predicates: out, Implied: implied, Classes: classes}
 }
 
-// EligibleJoinPredicates returns the join predicates from preds that link a
-// column of table next with a column of any table in joined (the
-// "eligible" predicates of Section 2 considered when next is joined to an
-// intermediate result covering the joined set). Table name matching is
-// case-insensitive via expr.Predicate.References.
-func EligibleJoinPredicates(preds []expr.Predicate, next string, joined []string) []expr.Predicate {
-	var out []expr.Predicate
-	for _, p := range preds {
-		if p.Kind() != expr.KindJoin || !p.References(next) {
-			continue
-		}
-		for _, t := range joined {
-			if p.References(t) {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // LocalPredicatesOf returns the local predicates (constant and same-table
 // column comparisons) on the named table.
 func LocalPredicatesOf(preds []expr.Predicate, table string) []expr.Predicate {

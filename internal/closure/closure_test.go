@@ -178,27 +178,6 @@ func TestIdempotence(t *testing.T) {
 	}
 }
 
-func TestEligibleJoinPredicates(t *testing.T) {
-	preds := Compute([]expr.Predicate{
-		expr.NewJoin(ref("R1", "x"), expr.OpEQ, ref("R2", "y")),
-		expr.NewJoin(ref("R2", "y"), expr.OpEQ, ref("R3", "z")),
-	}).Predicates
-	// Joining R1 into {R2, R3}: eligible are x=y and x=z.
-	el := EligibleJoinPredicates(preds, "R1", []string{"R2", "R3"})
-	if len(el) != 2 {
-		t.Fatalf("eligible = %v, want 2", el)
-	}
-	// Joining R1 into {R3} only: just x=z.
-	el = EligibleJoinPredicates(preds, "r1", []string{"r3"})
-	if len(el) != 1 || !el[0].References("R3") {
-		t.Fatalf("eligible = %v", el)
-	}
-	// No eligible predicates → cartesian.
-	if got := EligibleJoinPredicates(preds, "R1", []string{"Q"}); len(got) != 0 {
-		t.Errorf("eligible vs unrelated table = %v", got)
-	}
-}
-
 func TestLocalPredicatesOf(t *testing.T) {
 	preds := []expr.Predicate{
 		expr.NewConst(ref("R1", "x"), expr.OpLT, storage.Int64(5)),

@@ -2,10 +2,9 @@
 // ("j-equivalence" in the paper). Initially each column is a class by
 // itself; every equality predicate seen merges the classes of its two
 // columns (Section 2). The structure is a union-find with union by size and
-// no path compression: every query method only reads, so once construction
-// (Add, Union) is done the classes may be shared by concurrent readers —
-// the optimizer's parallel plan search asks for ClassIDs from several
-// goroutines. Union by size alone keeps every path logarithmic.
+// no path compression: every query method only reads, so the classes are
+// read-only after construction (Add, Union) and may be shared by concurrent
+// readers. Union by size alone keeps every path logarithmic.
 package eqclass
 
 import (

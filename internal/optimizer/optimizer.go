@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -110,17 +111,14 @@ func baseTableName(est *cardest.Estimator, alias string) string {
 }
 
 // joinCandidates builds one Join node per applicable method for extending
-// plan left with table next, and returns them (cheapest first). Each call
-// charges one unit of the plan-enumeration budget.
-func (o *Optimizer) joinCandidates(left Plan, next *Scan) ([]*Join, error) {
+// plan left with table next, whose estimated step is step, and returns them
+// (cheapest first). Each call charges one unit of the plan-enumeration
+// budget.
+func (o *Optimizer) joinCandidates(left Plan, next *Scan, step cardest.StepResult) ([]*Join, error) {
 	if err := o.gov.TickPlans(1); err != nil {
 		return nil, err
 	}
-	step, err := o.est.JoinStep(left.EstRows(), left.Tables(), next.Alias)
-	if err != nil {
-		return nil, err
-	}
-	eligible := closure.EligibleJoinPredicates(o.est.Predicates(), next.Alias, left.Tables())
+	eligible := step.Eligible
 	hasEquality := false
 	for _, p := range eligible {
 		if p.Op == expr.OpEQ {
@@ -218,8 +216,8 @@ func (o *Optimizer) expectedMatches(next *Scan, column string) float64 {
 // BestPlan runs left-deep dynamic programming over connected subsets and
 // returns the cheapest complete plan.
 //
-// Subsets are visited in increasing popcount, and in mask order within a
-// popcount; each extends into the next level under a strict cost
+// Reached subsets are visited in increasing popcount, and in mask order
+// within a popcount; each extends into the next level under a strict cost
 // comparison, so of two equally cheap plans for a subset the one reached
 // from the earlier mask wins.
 func (o *Optimizer) BestPlan() (Plan, error) {
@@ -239,24 +237,23 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 		return scans[0], nil
 	}
 
-	best := make(map[uint32]Plan, 1<<n)
+	// Only subsets some plan has reached are visited, so the search does
+	// work in proportion to the plans it builds, not to 2ⁿ.
+	best := make(map[uint32]Plan, n)
+	level := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		best[1<<i] = scans[i]
+		level[i] = 1 << i
 	}
-	// Enumerate subsets in increasing popcount order.
-	byCount := make([][]uint32, n+1)
-	for mask := uint32(1); mask < 1<<n; mask++ {
-		byCount[popcount(mask)] = append(byCount[popcount(mask)], mask)
-	}
+	steps := make([]cardest.StepResult, n)
 	for size := 1; size < n; size++ {
-		for _, mask := range byCount[size] {
+		slices.Sort(level)
+		var reached []uint32
+		for _, mask := range level {
 			if err := o.gov.Err(); err != nil {
 				return nil, err
 			}
-			left, ok := best[mask]
-			if !ok {
-				continue
-			}
+			left := best[mask]
 			// Prefer connected extensions; fall back to cartesian products
 			// only if no table connects to this subset.
 			connected := make([]int, 0, n)
@@ -265,10 +262,15 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 				if mask&(1<<t) != 0 {
 					continue
 				}
-				if len(closure.EligibleJoinPredicates(o.est.Predicates(), o.aliases[t], left.Tables())) > 0 {
-					connected = append(connected, t)
-				} else {
+				step, err := o.est.JoinStep(left.EstRows(), left.Tables(), o.aliases[t])
+				if err != nil {
+					return nil, err
+				}
+				steps[t] = step
+				if step.Cartesian {
 					disconnected = append(disconnected, t)
+				} else {
+					connected = append(connected, t)
 				}
 			}
 			ext := connected
@@ -279,16 +281,21 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 				ext = disconnected
 			}
 			for _, t := range ext {
-				cands, err := o.joinCandidates(left, scans[t])
+				cands, err := o.joinCandidates(left, scans[t], steps[t])
 				if err != nil {
 					return nil, err
 				}
 				newMask := mask | 1<<t
-				if cur, ok := best[newMask]; !ok || cands[0].PlanCost < cur.Cost() {
+				cur, ok := best[newMask]
+				if !ok {
+					reached = append(reached, newMask)
+				}
+				if !ok || cands[0].PlanCost < cur.Cost() {
 					best[newMask] = cands[0]
 				}
 			}
 		}
+		level = reached
 	}
 	full := uint32(1<<n) - 1
 	plan, ok := best[full]
@@ -316,20 +323,15 @@ func (o *Optimizer) PlanForOrder(order []string) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		cands, err := o.joinCandidates(cur, s)
+		step, err := o.est.JoinStep(cur.EstRows(), cur.Tables(), s.Alias)
+		if err != nil {
+			return nil, err
+		}
+		cands, err := o.joinCandidates(cur, s, step)
 		if err != nil {
 			return nil, err
 		}
 		cur = cands[0]
 	}
 	return cur, nil
-}
-
-func popcount(x uint32) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }
