@@ -1,8 +1,14 @@
 package els
 
 import (
+	"context"
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/governor"
+	"repro/internal/optimizer"
+	"repro/internal/snapshot"
 )
 
 func cacheTestSystem(t *testing.T) *System {
@@ -54,6 +60,50 @@ func TestCacheHitServesIdenticalEstimate(t *testing.T) {
 	if again.ReplicaLag != 0 {
 		t.Fatal("mutating a served estimate leaked into the cache")
 	}
+}
+
+// The cache hands one plan tree to every query that hits it, so a finished
+// plan is never written: reading it from several goroutines at once is
+// race-free (the race detector is the assertion).
+func TestCachedPlanSharedByConcurrentReaders(t *testing.T) {
+	sys := paperSystem(t)
+	cachedPlan := func() (plan optimizer.Plan) {
+		err := sys.serve(context.Background(), func(gov *governor.Governor, snap *snapshot.Snapshot) (err error) {
+			_, plan, _, err = sys.planFor(gov, snap, example1bSQL, AlgorithmELS, nil)
+			return err
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return plan
+	}
+	cold := cachedPlan()
+	if t.Failed() {
+		t.FailNow()
+	}
+	want := optimizer.Format(cold)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan := cachedPlan()
+			if plan != cold {
+				t.Error("cache hit returned another plan tree")
+				return
+			}
+			if got := plan.Tables(); !reflect.DeepEqual(got, []string{"R1", "R2", "R3"}) {
+				t.Errorf("Tables() = %v", got)
+			}
+			if got := plan.String() + "\n"; got != want[:len(got)] {
+				t.Errorf("String() = %q, Format starts %q", got, want[:len(got)])
+			}
+			if got := optimizer.Format(plan); got != want {
+				t.Errorf("Format differs under concurrency:\n%s\nwant\n%s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Formatting-only variants of one statement share a cache entry;

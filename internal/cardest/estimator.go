@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,12 +37,18 @@ func (t TableRef) Name() string {
 	return t.Table
 }
 
+// maxTables is the most tables one query may name: a joined set is a
+// 64-bit mask.
+const maxTables = 64
+
 // Estimator performs incremental join result size estimation for one query
 // under one Config. Construction runs the preliminary phase of Algorithm
 // ELS (steps 1–5): duplicate elimination, transitive closure, equivalence
 // classes, local selectivities, effective statistics, and the Equation 2
 // selectivity of every join predicate. Nothing is written after
 // construction, so an Estimator may be shared by concurrent readers.
+//
+// Table i of Tables() is table number i, and bit i of a joined-set mask.
 type Estimator struct {
 	cfg      Config
 	cat      *catalog.Catalog
@@ -50,22 +57,42 @@ type Estimator struct {
 	disjs    []expr.Disjunction
 	implied  []expr.Predicate
 	classes  *eqclass.Classes
+	number   map[string]int                    // lower-cased alias -> table number
 	eff      map[string]*selest.EffectiveStats // keyed by lower-cased alias
 	base     map[string]*catalog.TableStats    // alias -> stats (renamed clone)
+	cards    []float64                         // effective cardinality by table number
 	joins    []joinPred                        // step 5, in predicate-set order
-	repSel   map[string]float64                // class id -> representative selectivity
+	byGroup  []int32                           // positions in joins, stably sorted by group
+	groups   []joinGroup                       // by group rank
 	warnings []string                          // statistics repairs applied during construction
 }
 
-// joinPred is ELS step 5 for one join predicate of the predicate set.
+// joinPred is ELS step 5 for one join predicate, reduced to what an
+// incremental step reads.
 type joinPred struct {
-	pred expr.Predicate
-	// sel is JoinSelectivity(pred).
+	// pred is the predicate's position in the predicate set.
+	pred int32
+	// tables holds the bits of the two tables the predicate links.
+	tables uint64
+	// sel is JoinSelectivity of the predicate.
 	sel float64
-	// group is the equivalence class id of an equality predicate; a
+	// group is the rank of the predicate's group in joinGroup.id order.
+	group int32
+	// eq reports an equality predicate.
+	eq bool
+}
+
+// joinGroup is one unit of the selectivity rule: the join predicates of one
+// equivalence class.
+type joinGroup struct {
+	// id is the equivalence class id of the group's equality predicates; a
 	// non-equality predicate forms its own group under its canonical key
 	// (independence assumption).
-	group string
+	id string
+	// rep is the class's fixed selectivity under RuleRepresentative, where
+	// hasRep says the class has one.
+	rep    float64
+	hasRep bool
 }
 
 // New builds an estimator for a query over the given tables and predicate
@@ -94,12 +121,15 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("cardest: no tables")
 	}
+	if len(tables) > maxTables {
+		return nil, fmt.Errorf("cardest: %d tables exceed the limit of %d", len(tables), maxTables)
+	}
 	e := &Estimator{
 		cfg:    cfg,
 		cat:    cat,
-		eff:    make(map[string]*selest.EffectiveStats),
-		base:   make(map[string]*catalog.TableStats),
-		repSel: make(map[string]float64),
+		number: make(map[string]int, len(tables)),
+		eff:    make(map[string]*selest.EffectiveStats, len(tables)),
+		base:   make(map[string]*catalog.TableStats, len(tables)),
 	}
 
 	// The construction probe can fail the estimator outright or hand back
@@ -119,14 +149,13 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 	// References checks work against aliases. The clones are sanitized so
 	// that corrupt catalog statistics (NaN, negative, zero column
 	// cardinalities) degrade to paper defaults instead of propagating.
-	seen := make(map[string]bool, len(tables))
-	for _, tr := range tables {
+	for i, tr := range tables {
 		alias := tr.Name()
 		k := strings.ToLower(alias)
-		if seen[k] {
+		if _, dup := e.number[k]; dup {
 			return nil, fmt.Errorf("cardest: duplicate table alias %q", alias)
 		}
-		seen[k] = true
+		e.number[k] = i
 		ts := cat.Table(tr.Table)
 		if ts == nil {
 			return nil, fmt.Errorf("cardest: unknown table %q", tr.Table)
@@ -202,6 +231,7 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 			return nil, err
 		}
 		e.eff[k] = eff
+		e.cards = append(e.cards, eff.Card)
 	}
 	if err := e.computeJoinSelectivities(); err != nil {
 		return nil, err
@@ -215,9 +245,14 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 }
 
 // computeJoinSelectivities is step 5: Equation 2 for every join predicate,
-// from the effective column cardinalities.
+// from the effective column cardinalities, with the predicate's two table
+// bits and its group. Groups are ranked in id order, and byGroup lists the
+// predicates group by group, so a step that walks byGroup multiplies groups
+// in id order and predicates in predicate-set order.
 func (e *Estimator) computeJoinSelectivities() error {
-	for _, p := range e.preds {
+	var joins []joinPred
+	var ids []string
+	for i, p := range e.preds {
 		if p.Kind() != expr.KindJoin {
 			continue
 		}
@@ -225,12 +260,32 @@ func (e *Estimator) computeJoinSelectivities() error {
 		if err != nil {
 			return err
 		}
-		group := p.CanonicalKey()
+		var id string
 		if p.Op == expr.OpEQ {
-			group = e.classes.ClassID(p.Left)
+			id = e.classes.ClassID(p.Left)
+		} else {
+			id = p.CanonicalKey()
 		}
-		e.joins = append(e.joins, joinPred{pred: p, sel: sel, group: group})
+		l, _ := e.TableNumber(p.Left.Table)
+		r, _ := e.TableNumber(p.Right.Table)
+		joins = append(joins, joinPred{pred: int32(i), tables: 1<<l | 1<<r, sel: sel, eq: p.Op == expr.OpEQ})
+		ids = append(ids, id)
 	}
+	ranked := slices.Clone(ids)
+	slices.Sort(ranked)
+	ranked = slices.Compact(ranked)
+	groups := make([]joinGroup, len(ranked))
+	for i, id := range ranked {
+		groups[i].id = id
+	}
+	byGroup := make([]int32, len(joins))
+	for i := range joins {
+		rank, _ := slices.BinarySearch(ranked, ids[i])
+		joins[i].group = int32(rank)
+		byGroup[i] = int32(i)
+	}
+	slices.SortStableFunc(byGroup, func(a, b int32) int { return int(joins[a].group - joins[b].group) })
+	e.joins, e.byGroup, e.groups = joins, byGroup, groups
 	return nil
 }
 
@@ -342,11 +397,17 @@ func (e *Estimator) Config() Config { return e.cfg }
 // consults it for physical properties such as indexes).
 func (e *Estimator) Catalog() *catalog.Catalog { return e.cat }
 
-// Tables returns the query's table references.
+// Tables returns the query's table references, in table-number order.
 func (e *Estimator) Tables() []TableRef {
 	out := make([]TableRef, len(e.refs))
 	copy(out, e.refs)
 	return out
+}
+
+// TableNumber resolves an alias (case-insensitively) to its table number.
+func (e *Estimator) TableNumber(alias string) (int, bool) {
+	t, ok := e.number[strings.ToLower(alias)]
+	return t, ok
 }
 
 // Effective returns the effective statistics of the aliased table.
@@ -455,17 +516,18 @@ func (e *Estimator) computeRepresentatives() {
 		}
 		sort.Float64s(ds)
 		id := e.classes.ClassID(class[0])
-		switch e.cfg.Rep {
-		case RepLargest:
-			// Largest pairwise selectivity: 1/max(two smallest d).
-			if ds[1] > 0 {
-				e.repSel[id] = 1 / ds[1]
-			}
-		default:
-			// Smallest pairwise selectivity: 1/(largest d).
-			if ds[len(ds)-1] > 0 {
-				e.repSel[id] = 1 / ds[len(ds)-1]
-			}
+		rank, ok := slices.BinarySearchFunc(e.groups, id, func(g joinGroup, id string) int { return strings.Compare(g.id, id) })
+		if !ok {
+			continue // no join predicate of the class is in the set
+		}
+		// RepLargest is the largest pairwise selectivity, 1/max(two
+		// smallest d); RepSmallest the smallest, 1/(largest d).
+		d := ds[len(ds)-1]
+		if e.cfg.Rep == RepLargest {
+			d = ds[1]
+		}
+		if d > 0 {
+			e.groups[rank].rep, e.groups[rank].hasRep = 1/d, true
 		}
 	}
 }

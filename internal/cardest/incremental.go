@@ -3,8 +3,6 @@ package cardest
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/expr"
 )
@@ -53,105 +51,126 @@ type StepResult struct {
 // equivalence class, choose one selectivity per group by the configured
 // rule, and multiply. The order of joined does not matter, and the returned
 // slices are the caller's.
+//
+// JoinStep explains a step; a search that only compares sizes calls
+// StepSize, which computes the same Size without building the explanation.
 func (e *Estimator) JoinStep(currentSize float64, joined []string, next string) (StepResult, error) {
+	t, ok := e.TableNumber(next)
+	if !ok {
+		return StepResult{}, fmt.Errorf("cardest: unknown table alias %q", next)
+	}
+	var mask uint64
 	for _, j := range joined {
-		if strings.EqualFold(j, next) {
-			return StepResult{}, fmt.Errorf("cardest: table %q already joined", next)
+		if i, ok := e.TableNumber(j); ok {
+			mask |= 1 << i
 		}
 	}
-	eff, err := e.Effective(next)
-	if err != nil {
-		return StepResult{}, err
+	if mask&(1<<t) != 0 {
+		return StepResult{}, fmt.Errorf("cardest: table %q already joined", next)
 	}
-	res := StepResult{Table: next, TableCard: eff.Card, Selectivity: 1}
+	res := StepResult{Table: next, TableCard: e.cards[t]}
 	for i := range e.joins {
-		jp := &e.joins[i]
-		if !jp.pred.References(next) || !referencesAny(jp.pred, joined) {
-			continue
+		if jp := &e.joins[i]; jp.links(mask, t) {
+			res.Eligible = append(res.Eligible, e.preds[jp.pred])
 		}
-		res.Eligible = append(res.Eligible, jp.pred)
-		g := groupByID(&res.Groups, jp.group)
-		g.Predicates = append(g.Predicates, jp.pred)
-		g.Selectivities = append(g.Selectivities, jp.sel)
 	}
-	res.Cartesian = len(res.Eligible) == 0
-	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].ClassID < res.Groups[j].ClassID })
-	for i := range res.Groups {
-		chosen, err := e.chooseSelectivity(&res.Groups[i])
-		if err != nil {
-			return StepResult{}, err
-		}
-		res.Groups[i].Chosen = chosen
-		res.Selectivity *= chosen
-	}
-	res.Size = currentSize * res.TableCard * res.Selectivity
+	size, linked, _ := e.step(currentSize, mask, t, &res)
+	res.Size, res.Cartesian = size, !linked
 	return res, nil
 }
 
-func referencesAny(p expr.Predicate, tables []string) bool {
-	for _, t := range tables {
-		if p.References(t) {
-			return true
-		}
-	}
-	return false
+// StepSize is JoinStep on numbers, for join-order searches: the estimated
+// size of joining table number next into an intermediate result of size
+// currentSize over the tables of the joined mask, whether any join
+// predicate links the table to them (the step is not a cartesian product),
+// and whether an equality predicate does. The size is bit-identical to
+// JoinStep's, and nothing is allocated.
+func (e *Estimator) StepSize(currentSize float64, joined uint64, next int) (size float64, linked, equality bool) {
+	return e.step(currentSize, joined, next, nil)
 }
 
-// groupByID returns the group with the given id, appending an empty one if
-// there is none yet. A step has a handful of groups, so a scan beats a map.
-func groupByID(groups *[]GroupChoice, id string) *GroupChoice {
-	for i := range *groups {
-		if (*groups)[i].ClassID == id {
-			return &(*groups)[i]
-		}
-	}
-	*groups = append(*groups, GroupChoice{ClassID: id})
-	return &(*groups)[len(*groups)-1]
+// links reports whether the predicate is eligible (Section 2) when table
+// number next joins the tables of the joined mask: it mentions next and a
+// joined table.
+func (jp *joinPred) links(joined uint64, next int) bool {
+	return jp.tables&(1<<next) != 0 && jp.tables&joined != 0
 }
 
-// chooseSelectivity applies the configured rule to one group.
-func (e *Estimator) chooseSelectivity(g *GroupChoice) (float64, error) {
-	if len(g.Selectivities) == 0 {
-		return 1, nil
+// step is ELS step 6: one selectivity per group of eligible predicates by
+// the configured rule, groups multiplied in id order and a group's
+// predicates combined in predicate-set order. With explain non-nil it also
+// records each group's predicates, selectivities and choice, and the
+// product, there.
+func (e *Estimator) step(currentSize float64, joined uint64, next int, explain *StepResult) (size float64, linked, equality bool) {
+	selectivity := 1.0
+	group, chosen := int32(-1), 0.0
+	for _, i := range e.byGroup {
+		jp := &e.joins[i]
+		if !jp.links(joined, next) {
+			continue
+		}
+		if jp.group != group {
+			if group >= 0 {
+				selectivity *= chosen
+			}
+			group, chosen = jp.group, e.ruleIdentity()
+			if explain != nil {
+				explain.Groups = append(explain.Groups, GroupChoice{ClassID: e.groups[group].id})
+			}
+		}
+		equality = equality || jp.eq
+		chosen = e.combine(group, chosen, jp.sel)
+		if explain != nil {
+			g := &explain.Groups[len(explain.Groups)-1]
+			g.Predicates = append(g.Predicates, e.preds[jp.pred])
+			g.Selectivities = append(g.Selectivities, jp.sel)
+			g.Chosen = chosen
+		}
 	}
+	if group >= 0 {
+		selectivity *= chosen
+	}
+	if explain != nil {
+		explain.Selectivity = selectivity
+	}
+	return currentSize * e.cards[next] * selectivity, group >= 0, equality
+}
+
+// ruleIdentity is the value a group's selectivity starts from under the
+// configured rule, before any predicate is combined into it.
+func (e *Estimator) ruleIdentity() float64 {
 	switch e.cfg.Rule {
 	case RuleM:
-		prod := 1.0
-		for _, s := range g.Selectivities {
-			prod *= s
-		}
-		return prod, nil
+		return 1
 	case RuleSS:
-		min := math.Inf(1)
-		for _, s := range g.Selectivities {
-			if s < min {
-				min = s
-			}
-		}
-		return min, nil
-	case RuleLS:
-		max := math.Inf(-1)
-		for _, s := range g.Selectivities {
-			if s > max {
-				max = s
-			}
-		}
-		return max, nil
-	case RuleRepresentative:
-		if rep, ok := e.repSel[g.ClassID]; ok {
-			return rep, nil
-		}
-		// Classes without a representative (e.g. non-equality groups) fall
-		// back to the largest selectivity.
-		max := math.Inf(-1)
-		for _, s := range g.Selectivities {
-			if s > max {
-				max = s
-			}
-		}
-		return max, nil
+		return math.Inf(1)
 	default:
-		return 0, fmt.Errorf("cardest: invalid rule %d", int(e.cfg.Rule))
+		return math.Inf(-1)
+	}
+}
+
+// combine folds one more eligible selectivity s into a group's choice so
+// far: the product under Rule M, the smallest under Rule SS, the largest
+// under Rule LS, and the class's fixed selectivity under
+// RuleRepresentative (the largest for a group without one, e.g. a
+// non-equality predicate).
+func (e *Estimator) combine(group int32, chosen, s float64) float64 {
+	switch e.cfg.Rule {
+	case RuleM:
+		return chosen * s
+	case RuleSS:
+		if s < chosen {
+			return s
+		}
+		return chosen
+	default:
+		if g := &e.groups[group]; g.hasRep {
+			return g.rep
+		}
+		if s > chosen {
+			return s
+		}
+		return chosen
 	}
 }
 

@@ -1,8 +1,10 @@
 package cardest
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,9 +102,7 @@ func referenceStep(e *Estimator, currentSize float64, joined []string, next stri
 	sort.Strings(ids)
 	for _, id := range ids {
 		g := *byClass[id]
-		if g.Chosen, err = e.chooseSelectivity(&g); err != nil {
-			return StepResult{}, err
-		}
+		g.Chosen = referenceChoose(e, g)
 		res.Groups = append(res.Groups, g)
 		res.Selectivity *= g.Chosen
 	}
@@ -110,10 +110,46 @@ func referenceStep(e *Estimator, currentSize float64, joined []string, next stri
 	return res, nil
 }
 
+// referenceChoose applies the configured rule to one group's selectivities,
+// deriving a class's representative selectivity on the spot from its
+// members' effective column cardinalities.
+func referenceChoose(e *Estimator, g GroupChoice) float64 {
+	smallest, largest, product := math.Inf(1), math.Inf(-1), 1.0
+	for _, s := range g.Selectivities {
+		smallest, largest, product = math.Min(smallest, s), math.Max(largest, s), product*s
+	}
+	switch e.cfg.Rule {
+	case RuleM:
+		return product
+	case RuleSS:
+		return smallest
+	case RuleRepresentative:
+		if p := g.Predicates[0]; p.Op == expr.OpEQ {
+			var ds []float64
+			for _, ref := range e.Classes().Members(p.Left) {
+				if d, err := e.effColCard(ref); err == nil {
+					ds = append(ds, d)
+				}
+			}
+			sort.Float64s(ds)
+			d := ds[len(ds)-1]
+			if e.cfg.Rep == RepLargest {
+				d = ds[1]
+			}
+			if d > 0 {
+				return 1 / d
+			}
+		}
+	}
+	return largest
+}
+
 // JoinStep over the precomputed step-5 slice must return bit-identical
 // StepResults — sizes, selectivities, groups, Eligible, Cartesian — to the
 // lazy reference, for seeded random join orders and prefixes under every
-// rule.
+// rule, and StepSize must give the same Size bit for bit, report the step
+// linked exactly when it is not cartesian, and report an equality exactly
+// when an eligible predicate is one.
 func TestJoinStepMatchesReference(t *testing.T) {
 	cat, tabs, preds := stepTestQuery()
 	for name, cfg := range stepConfigs() {
@@ -129,8 +165,10 @@ func TestJoinStepMatchesReference(t *testing.T) {
 				perm := rng.Perm(len(aliases))
 				k := 1 + rng.Intn(len(aliases)-1) // prefix length 1..n-1
 				joined := make([]string, k)
+				var mask uint64
 				for i := 0; i < k; i++ {
 					joined[i] = aliases[perm[i]]
+					mask |= 1 << perm[i]
 				}
 				next := aliases[perm[k]]
 				size := float64(1 + rng.Intn(1_000_000))
@@ -143,6 +181,12 @@ func TestJoinStepMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameStep(t, name, got, want)
+				equality := slices.ContainsFunc(got.Eligible, expr.Predicate.IsEquality)
+				kSize, kLinked, kEquality := est.StepSize(size, mask, perm[k])
+				if math.Float64bits(kSize) != math.Float64bits(got.Size) || kLinked == got.Cartesian || kEquality != equality {
+					t.Fatalf("%s: StepSize(%v, %b, %d) = %v, %v, %v; JoinStep says size %v, cartesian %v, equality %v",
+						name, size, mask, perm[k], kSize, kLinked, kEquality, got.Size, got.Cartesian, equality)
+				}
 				if got.Cartesian {
 					cartesian++
 				} else {

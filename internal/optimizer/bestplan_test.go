@@ -2,15 +2,210 @@ package optimizer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cardest"
 	"repro/internal/catalog"
+	"repro/internal/closure"
 	"repro/internal/expr"
 	"repro/internal/governor"
 )
+
+// ReferenceBestPlan exposes referenceBestPlan to the external differential
+// test, which imports packages that import this one.
+var ReferenceBestPlan = (*Optimizer).referenceBestPlan
+
+// referenceBestPlan is the DP search as it ran before it searched on
+// numbers: one JoinStep explanation per (reached subset, candidate table),
+// one Join node per applicable method, the cheapest kept by a stable sort.
+// It resolves aliases, indexes and statistics through the estimator on the
+// spot and reads none of what New precomputes.
+func (o *Optimizer) referenceBestPlan() (Plan, error) {
+	n := len(o.aliases)
+	scans := make([]*Scan, n)
+	for i, a := range o.aliases {
+		s, err := o.referenceScan(a)
+		if err != nil {
+			return nil, err
+		}
+		scans[i] = s
+	}
+	if n == 1 {
+		return scans[0], nil
+	}
+	best := make(map[uint32]Plan, n)
+	level := make([]uint32, n)
+	for i := 0; i < n; i++ {
+		best[1<<i] = scans[i]
+		level[i] = 1 << i
+	}
+	steps := make([]cardest.StepResult, n)
+	for size := 1; size < n; size++ {
+		slices.Sort(level)
+		var reached []uint32
+		for _, mask := range level {
+			if err := o.gov.Err(); err != nil {
+				return nil, err
+			}
+			left := best[mask]
+			var connected, disconnected []int
+			for t := 0; t < n; t++ {
+				if mask&(1<<t) != 0 {
+					continue
+				}
+				step, err := o.est.JoinStep(left.EstRows(), left.Tables(), o.aliases[t])
+				if err != nil {
+					return nil, err
+				}
+				steps[t] = step
+				if step.Cartesian {
+					disconnected = append(disconnected, t)
+				} else {
+					connected = append(connected, t)
+				}
+			}
+			ext := connected
+			if len(ext) == 0 {
+				if o.opts.DisableCartesian {
+					continue
+				}
+				ext = disconnected
+			}
+			for _, t := range ext {
+				cands, err := o.referenceCandidates(left, scans[t], steps[t])
+				if err != nil {
+					return nil, err
+				}
+				newMask := mask | 1<<t
+				cur, ok := best[newMask]
+				if !ok {
+					reached = append(reached, newMask)
+				}
+				if !ok || cands[0].PlanCost < cur.Cost() {
+					best[newMask] = cands[0]
+				}
+			}
+		}
+		level = reached
+	}
+	plan, ok := best[uint32(1<<n)-1]
+	if !ok {
+		return nil, fmt.Errorf("optimizer: query is disconnected and cartesian products are disabled")
+	}
+	return plan, nil
+}
+
+func (o *Optimizer) referenceScan(alias string) (*Scan, error) {
+	eff, err := o.est.Effective(alias)
+	if err != nil {
+		return nil, err
+	}
+	base, err := o.est.BaseStats(alias)
+	if err != nil {
+		return nil, err
+	}
+	s := &Scan{
+		Alias:    alias,
+		Table:    alias,
+		Filter:   closure.LocalPredicatesOf(o.est.Predicates(), alias),
+		FilterOr: expr.DisjunctionsOf(o.est.Disjunctions(), alias),
+		Rows:     eff.Card,
+		BaseRows: base.Card,
+		RowWidth: base.RowWidth,
+	}
+	for _, tr := range o.est.Tables() {
+		if strings.EqualFold(tr.Name(), alias) {
+			s.Table = tr.Table
+		}
+	}
+	s.ScanCost = o.model.ScanCost(s.BaseRows, s.RowWidth)
+	return s, nil
+}
+
+// referenceCandidates builds one Join node per applicable method for
+// extending left with next, cheapest first.
+func (o *Optimizer) referenceCandidates(left Plan, next *Scan, step cardest.StepResult) ([]*Join, error) {
+	if err := o.gov.TickPlans(1); err != nil {
+		return nil, err
+	}
+	hasEquality := slices.ContainsFunc(step.Eligible, expr.Predicate.IsEquality)
+	tables := append(append([]string{}, left.Tables()...), next.Alias)
+	sort.Strings(tables)
+	var out []*Join
+	for _, m := range o.methods {
+		var c float64
+		var indexColumn string
+		switch m {
+		case NestedLoop:
+			c = o.model.NestedLoopCost(left.Cost(), left.EstRows(), next.ScanCost)
+		case SortMerge:
+			if !hasEquality {
+				continue
+			}
+			c = o.model.SortMergeCost(left.Cost(), next.ScanCost, left.EstRows(), next.EstRows(),
+				left.Width(), next.Width())
+		case HashJoin:
+			if !hasEquality {
+				continue
+			}
+			c = o.model.HashJoinCost(left.Cost(), next.ScanCost, left.EstRows(), next.EstRows())
+		case IndexNL:
+			col, ok := o.referenceIndexColumn(next, step.Eligible)
+			if !ok {
+				continue
+			}
+			indexColumn = col
+			matches := 1.0
+			if base, err := o.est.BaseStats(next.Alias); err == nil {
+				if cs := base.Column(col); cs != nil && cs.Distinct > 0 {
+					matches = base.Card / cs.Distinct
+				}
+			}
+			c = o.model.IndexNLCost(left.Cost(), left.EstRows(), next.BaseRows, matches)
+		default:
+			continue
+		}
+		out = append(out, &Join{
+			Left: left, Right: next, Method: m,
+			Preds: step.Eligible, Rows: step.Size, PlanCost: c, Step: step,
+			IndexColumn: indexColumn, tables: tables,
+		})
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("optimizer: no applicable join method for %s", next.Alias)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].PlanCost < out[j].PlanCost })
+	return out, nil
+}
+
+// referenceIndexColumn returns the inner-side column of the first eligible
+// equality predicate for which the inner base table carries an index.
+func (o *Optimizer) referenceIndexColumn(next *Scan, eligible []expr.Predicate) (string, bool) {
+	for _, p := range eligible {
+		if p.Op != expr.OpEQ {
+			continue
+		}
+		var col string
+		switch {
+		case strings.EqualFold(p.Left.Table, next.Alias):
+			col = p.Left.Column
+		case strings.EqualFold(p.Right.Table, next.Alias):
+			col = p.Right.Column
+		default:
+			continue
+		}
+		if o.est.Catalog().HasIndex(next.Table, col) {
+			return col, true
+		}
+	}
+	return "", false
+}
 
 // shapeEstimator builds an ELS estimator (closure on) over n tables joined
 // as a chain (Tᵢ₋₁.b = Tᵢ.a) or a star (T₀.cᵢ = Tᵢ.a). Every edge has its
@@ -74,6 +269,54 @@ func TestBestPlanWorkFollowsReachedSubsets(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 		t.Errorf("BestPlan allocated %d bytes for %d connected subsets, want under 16 MiB", grew, n*(n+1)/2)
+	}
+}
+
+// The search itself allocates nothing per candidate: what is left is the DP
+// table, the per-level subset lists and the winner's n−1 nodes.
+func TestBestPlanAllocationCeiling(t *testing.T) {
+	for _, shape := range []string{"chain", "star"} {
+		o, err := New(shapeEstimator(t, shape, 8), PaperOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if benchPlan, err = o.BestPlan(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 400 {
+			t.Errorf("%s n=8: %v allocations per BestPlan, want at most 400", shape, allocs)
+		}
+	}
+}
+
+// The plan budget and cancellation are polled inside the search, not
+// around it.
+func TestBestPlanBudgetAndCancelInsideSearch(t *testing.T) {
+	est := shapeEstimator(t, "star", 8)
+	opts := PaperOptions()
+	opts.Governor = governor.New(context.Background(), governor.Limits{MaxPlans: 100})
+	o, err := New(est, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget *governor.BudgetError
+	if _, err := o.BestPlan(); !errors.Is(err, governor.ErrBudgetExceeded) || !errors.As(err, &budget) || budget.Resource != "plans" {
+		t.Errorf("MaxPlans 100: err = %v, want the plans budget error", err)
+	}
+	if _, _, plans := opts.Governor.Usage(); plans != 101 {
+		t.Errorf("charged %d plans, want 101 (the search stops at the first one over)", plans)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts.Governor = governor.New(ctx, governor.Limits{})
+	if o, err = New(est, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.BestPlan(); !errors.Is(err, governor.ErrCanceled) {
+		t.Errorf("cancelled context: err = %v, want ErrCanceled", err)
 	}
 }
 

@@ -89,22 +89,12 @@ func TestIndexNLNotOfferedWithoutIndexOrEquality(t *testing.T) {
 }
 
 func TestExpectedMatchesFallbacks(t *testing.T) {
-	cat := indexedChainCatalog(t)
-	preds := []expr.Predicate{expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k"))}
-	est, _ := cardest.New(cat, []cardest.TableRef{{Table: "A"}, {Table: "B"}}, preds, cardest.ELS())
-	o, _ := New(est, Options{Methods: []JoinMethod{IndexNL}})
-	scan, err := o.scan("B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := o.expectedMatches(scan, "k")
+	base := indexedChainCatalog(t).Table("B")
+	m := expectedMatches(base, "k")
 	if m < 1 || m > 20 {
 		t.Errorf("expected matches per probe ≈ 5000/1000 = 5, got %g", m)
 	}
-	if got := o.expectedMatches(scan, "missing"); got != 1 {
+	if got := expectedMatches(base, "missing"); got != 1 {
 		t.Errorf("missing column fallback = %g, want 1", got)
-	}
-	if got := o.expectedMatches(&Scan{Alias: "nope"}, "k"); got != 1 {
-		t.Errorf("missing alias fallback = %g, want 1", got)
 	}
 }

@@ -2,11 +2,13 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/cardest"
+	"repro/internal/catalog"
 	"repro/internal/closure"
 	"repro/internal/cost"
 	"repro/internal/expr"
@@ -39,6 +41,11 @@ func PaperOptions() Options {
 	return Options{Methods: []JoinMethod{NestedLoop, SortMerge}}
 }
 
+// maxTables bounds the DP: a subset of the query's tables is a 32-bit mask,
+// and the reachable subsets of a clique of this many tables already number
+// in the millions.
+const maxTables = 24
+
 // Optimizer plans one query using a cardinality estimator. The estimator
 // fixes both the statistics view (raw vs effective) and the selectivity
 // rule, so different estimation algorithms yield different plans.
@@ -49,6 +56,30 @@ type Optimizer struct {
 	opts    Options
 	gov     *governor.Governor
 	aliases []string
+	tables  []table // by the estimator's table number
+}
+
+// table is what planning reads of one query table, resolved once.
+type table struct {
+	// scan is the table's leaf plan; every plan gets its own copy.
+	scan Scan
+	// base holds the raw (unreduced) statistics.
+	base *catalog.TableStats
+	// probes are the ways an IndexNL join can reach the table as the inner,
+	// in predicate-set order (empty unless IndexNL is in the repertoire).
+	probes []indexProbe
+}
+
+// indexProbe is one equality join predicate whose column on this (inner)
+// table is indexed.
+type indexProbe struct {
+	// outer is the bit of the predicate's other table: the probe is
+	// eligible once that table is in the outer input.
+	outer uint32
+	// column is the indexed inner column.
+	column string
+	// matches estimates the inner rows one probe returns.
+	matches float64
 }
 
 // New creates an optimizer over the estimator's query.
@@ -65,152 +96,172 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 		model = cost.DefaultModel()
 	}
 	o := &Optimizer{est: est, model: model, methods: methods, opts: opts, gov: opts.Governor}
-	for _, tr := range est.Tables() {
-		o.aliases = append(o.aliases, tr.Name())
+	refs := est.Tables()
+	if len(refs) > maxTables {
+		return nil, fmt.Errorf("optimizer: %d tables exceed the DP limit of %d", len(refs), maxTables)
 	}
-	if len(o.aliases) > 24 {
-		return nil, fmt.Errorf("optimizer: %d tables exceed the DP limit of 24", len(o.aliases))
+	for _, tr := range refs {
+		alias := tr.Name()
+		eff, err := est.Effective(alias)
+		if err != nil {
+			return nil, err
+		}
+		base, err := est.BaseStats(alias)
+		if err != nil {
+			return nil, err
+		}
+		o.aliases = append(o.aliases, alias)
+		o.tables = append(o.tables, table{base: base, scan: Scan{
+			Alias:    alias,
+			Table:    tr.Table,
+			Filter:   closure.LocalPredicatesOf(est.Predicates(), alias),
+			FilterOr: expr.DisjunctionsOf(est.Disjunctions(), alias),
+			Rows:     eff.Card,
+			BaseRows: base.Card,
+			RowWidth: base.RowWidth,
+			ScanCost: model.ScanCost(base.Card, base.RowWidth),
+		}})
+	}
+	if slices.Contains(methods, IndexNL) {
+		for _, p := range est.Predicates() {
+			if p.Kind() != expr.KindJoin || p.Op != expr.OpEQ {
+				continue
+			}
+			l, _ := est.TableNumber(p.Left.Table)
+			r, _ := est.TableNumber(p.Right.Table)
+			o.addProbe(l, r, p.Left.Column)
+			o.addProbe(r, l, p.Right.Column)
+		}
 	}
 	return o, nil
 }
 
-// Estimator returns the estimator the optimizer plans with.
-func (o *Optimizer) Estimator() *cardest.Estimator { return o.est }
-
-// scan builds the leaf plan for one table.
-func (o *Optimizer) scan(alias string) (*Scan, error) {
-	eff, err := o.est.Effective(alias)
-	if err != nil {
-		return nil, err
+// addProbe records that an IndexNL join can probe the inner table's column
+// once the outer table is joined, if the column is indexed.
+func (o *Optimizer) addProbe(inner, outer int, column string) {
+	t := &o.tables[inner]
+	if !o.est.Catalog().HasIndex(t.scan.Table, column) {
+		return
 	}
-	base, err := o.est.BaseStats(alias)
-	if err != nil {
-		return nil, err
-	}
-	filter := closure.LocalPredicatesOf(o.est.Predicates(), alias)
-	s := &Scan{
-		Alias:    alias,
-		Table:    baseTableName(o.est, alias),
-		Filter:   filter,
-		FilterOr: expr.DisjunctionsOf(o.est.Disjunctions(), alias),
-		Rows:     eff.Card,
-		BaseRows: base.Card,
-		RowWidth: base.RowWidth,
-	}
-	s.ScanCost = o.model.ScanCost(s.BaseRows, s.RowWidth)
-	return s, nil
+	t.probes = append(t.probes, indexProbe{outer: 1 << outer, column: column, matches: expectedMatches(t.base, column)})
 }
 
-func baseTableName(est *cardest.Estimator, alias string) string {
-	for _, tr := range est.Tables() {
-		if strings.EqualFold(tr.Name(), alias) {
-			return tr.Table
+// probe returns the position of the table's first probe that is eligible
+// when the tables of mask form the outer input: the first eligible equality
+// predicate, in predicate-set order, whose inner column is indexed. It
+// returns -1 if there is none.
+func (t *table) probe(mask uint32) int {
+	for i := range t.probes {
+		if t.probes[i].outer&mask != 0 {
+			return i
 		}
 	}
-	return alias
-}
-
-// joinCandidates builds one Join node per applicable method for extending
-// plan left with table next, whose estimated step is step, and returns them
-// (cheapest first). Each call charges one unit of the plan-enumeration
-// budget.
-func (o *Optimizer) joinCandidates(left Plan, next *Scan, step cardest.StepResult) ([]*Join, error) {
-	if err := o.gov.TickPlans(1); err != nil {
-		return nil, err
-	}
-	eligible := step.Eligible
-	hasEquality := false
-	for _, p := range eligible {
-		if p.Op == expr.OpEQ {
-			hasEquality = true
-			break
-		}
-	}
-	var out []*Join
-	for _, m := range o.methods {
-		var c float64
-		var indexColumn string
-		switch m {
-		case NestedLoop:
-			// The inner base scan is re-executed per outer row (Starburst
-			// pipelined semantics; this is what makes underestimated outers
-			// catastrophic).
-			c = o.model.NestedLoopCost(left.Cost(), left.EstRows(), next.ScanCost)
-		case SortMerge:
-			if !hasEquality {
-				continue
-			}
-			c = o.model.SortMergeCost(left.Cost(), next.ScanCost, left.EstRows(), next.EstRows(),
-				left.Width(), next.Width())
-		case HashJoin:
-			if !hasEquality {
-				continue
-			}
-			c = o.model.HashJoinCost(left.Cost(), next.ScanCost, left.EstRows(), next.EstRows())
-		case IndexNL:
-			col, ok := o.indexableColumn(next, eligible)
-			if !ok {
-				continue
-			}
-			indexColumn = col
-			matches := o.expectedMatches(next, col)
-			c = o.model.IndexNLCost(left.Cost(), left.EstRows(), next.BaseRows, matches)
-		default:
-			continue
-		}
-		out = append(out, &Join{
-			Left: left, Right: next, Method: m,
-			Preds: eligible, Rows: step.Size, PlanCost: c, Step: step,
-			IndexColumn: indexColumn,
-		})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("optimizer: no applicable join method for %s", next.Alias)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PlanCost < out[j].PlanCost })
-	return out, nil
-}
-
-// indexableColumn returns the inner-side column of an eligible equality
-// predicate for which the inner base table carries an index, if any.
-func (o *Optimizer) indexableColumn(next *Scan, eligible []expr.Predicate) (string, bool) {
-	cat := o.est.Catalog()
-	if cat == nil {
-		return "", false
-	}
-	for _, p := range eligible {
-		if p.Op != expr.OpEQ {
-			continue
-		}
-		var col string
-		switch {
-		case strings.EqualFold(p.Left.Table, next.Alias):
-			col = p.Left.Column
-		case strings.EqualFold(p.Right.Table, next.Alias):
-			col = p.Right.Column
-		default:
-			continue
-		}
-		if cat.HasIndex(next.Table, col) {
-			return col, true
-		}
-	}
-	return "", false
+	return -1
 }
 
 // expectedMatches estimates how many inner rows one index probe returns:
 // ‖inner‖ / d(column), using the raw statistics (the index covers the
 // unfiltered base table).
-func (o *Optimizer) expectedMatches(next *Scan, column string) float64 {
-	base, err := o.est.BaseStats(next.Alias)
-	if err != nil {
-		return 1
-	}
+func expectedMatches(base *catalog.TableStats, column string) float64 {
 	cs := base.Column(column)
 	if cs == nil || cs.Distinct <= 0 {
 		return 1
 	}
 	return base.Card / cs.Distinct
+}
+
+// Estimator returns the estimator the optimizer plans with.
+func (o *Optimizer) Estimator() *cardest.Estimator { return o.est }
+
+// scan builds the leaf plan for table number t.
+func (o *Optimizer) scan(t int) *Scan {
+	s := o.tables[t].scan
+	return &s
+}
+
+// joinChoice is how one table joins an outer input: by which method, at
+// what cumulative cost, and for IndexNL through which of the table's probes.
+type joinChoice struct {
+	method JoinMethod
+	cost   float64
+	// probe is a position in the inner table's probes; -1 unless IndexNL.
+	probe int
+}
+
+// cheapestMethod costs every applicable method for joining table number t,
+// as the inner, to an outer input of the given cost, estimated rows and row
+// width over the tables of mask; equality says an equality predicate links
+// the two. Among equally cheap methods the first in repertoire order wins.
+// Each call charges one unit of the plan-enumeration budget.
+func (o *Optimizer) cheapestMethod(outerCost, outerRows float64, outerWidth int, mask uint32, t int, equality bool) (joinChoice, error) {
+	if err := o.gov.TickPlans(1); err != nil {
+		return joinChoice{}, err
+	}
+	inner := &o.tables[t]
+	found := false
+	var best joinChoice
+	for _, m := range o.methods {
+		c := joinChoice{method: m, probe: -1}
+		switch m {
+		case NestedLoop:
+			// The inner base scan is re-executed per outer row (Starburst
+			// pipelined semantics; this is what makes underestimated outers
+			// catastrophic).
+			c.cost = o.model.NestedLoopCost(outerCost, outerRows, inner.scan.ScanCost)
+		case SortMerge:
+			if !equality {
+				continue
+			}
+			c.cost = o.model.SortMergeCost(outerCost, inner.scan.ScanCost, outerRows, inner.scan.Rows,
+				outerWidth, inner.scan.RowWidth)
+		case HashJoin:
+			if !equality {
+				continue
+			}
+			c.cost = o.model.HashJoinCost(outerCost, inner.scan.ScanCost, outerRows, inner.scan.Rows)
+		case IndexNL:
+			if c.probe = inner.probe(mask); c.probe < 0 {
+				continue
+			}
+			c.cost = o.model.IndexNLCost(outerCost, outerRows, inner.scan.BaseRows, inner.probes[c.probe].matches)
+		default:
+			continue
+		}
+		if !found || c.cost < best.cost {
+			found, best = true, c
+		}
+	}
+	if !found {
+		return joinChoice{}, fmt.Errorf("optimizer: no applicable join method for %s", inner.scan.Alias)
+	}
+	return best, nil
+}
+
+// join builds the plan node that joins table number t to left as chosen,
+// explained by step.
+func (o *Optimizer) join(left Plan, t int, step cardest.StepResult, c joinChoice) *Join {
+	j := &Join{
+		Left: left, Right: o.scan(t), Method: c.method,
+		Preds: step.Eligible, Rows: step.Size, PlanCost: c.cost, Step: step,
+	}
+	if c.probe >= 0 {
+		j.IndexColumn = o.tables[t].probes[c.probe].column
+	}
+	j.tables = append(append(make([]string, 0, len(left.Tables())+1), left.Tables()...), o.aliases[t])
+	sort.Strings(j.tables)
+	return j
+}
+
+// subplan is the DP table's entry for one subset of the tables: the
+// cheapest left-deep plan found for it, as numbers.
+type subplan struct {
+	// joinChoice is how table joined the plan of prev; a single table's
+	// entry has only its scan cost there, and prev 0.
+	joinChoice
+	prev  uint32
+	table int
+	rows  float64
+	width int
 }
 
 // BestPlan runs left-deep dynamic programming over connected subsets and
@@ -220,32 +271,26 @@ func (o *Optimizer) expectedMatches(next *Scan, column string) float64 {
 // within a popcount; each extends into the next level under a strict cost
 // comparison, so of two equally cheap plans for a subset the one reached
 // from the earlier mask wins.
+//
+// The search compares numbers only (cardest.StepSize, cheapestMethod); the
+// plan nodes and their step explanations are built afterwards, for the
+// winner alone.
 func (o *Optimizer) BestPlan() (Plan, error) {
-	n := len(o.aliases)
+	n := len(o.tables)
 	if n == 0 {
 		return nil, fmt.Errorf("optimizer: no tables")
-	}
-	scans := make([]*Scan, n)
-	for i, a := range o.aliases {
-		s, err := o.scan(a)
-		if err != nil {
-			return nil, err
-		}
-		scans[i] = s
-	}
-	if n == 1 {
-		return scans[0], nil
 	}
 
 	// Only subsets some plan has reached are visited, so the search does
 	// work in proportion to the plans it builds, not to 2ⁿ.
-	best := make(map[uint32]Plan, n)
+	best := make(map[uint32]subplan, n)
 	level := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		best[1<<i] = scans[i]
-		level[i] = 1 << i
+	for t := range o.tables {
+		s := &o.tables[t].scan
+		best[1<<t] = subplan{joinChoice: joinChoice{cost: s.ScanCost}, table: t, rows: s.Rows, width: s.RowWidth}
+		level[t] = 1 << t
 	}
-	steps := make([]cardest.StepResult, n)
+	var sizes [maxTables]float64
 	for size := 1; size < n; size++ {
 		slices.Sort(level)
 		var reached []uint32
@@ -256,32 +301,32 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 			left := best[mask]
 			// Prefer connected extensions; fall back to cartesian products
 			// only if no table connects to this subset.
-			connected := make([]int, 0, n)
-			disconnected := make([]int, 0, n)
+			var connected, disconnected, equality uint32
 			for t := 0; t < n; t++ {
 				if mask&(1<<t) != 0 {
 					continue
 				}
-				step, err := o.est.JoinStep(left.EstRows(), left.Tables(), o.aliases[t])
-				if err != nil {
-					return nil, err
-				}
-				steps[t] = step
-				if step.Cartesian {
-					disconnected = append(disconnected, t)
+				var linked, eq bool
+				sizes[t], linked, eq = o.est.StepSize(left.rows, uint64(mask), t)
+				if linked {
+					connected |= 1 << t
 				} else {
-					connected = append(connected, t)
+					disconnected |= 1 << t
+				}
+				if eq {
+					equality |= 1 << t
 				}
 			}
 			ext := connected
-			if len(ext) == 0 {
+			if ext == 0 {
 				if o.opts.DisableCartesian {
 					continue
 				}
 				ext = disconnected
 			}
-			for _, t := range ext {
-				cands, err := o.joinCandidates(left, scans[t], steps[t])
+			for ; ext != 0; ext &= ext - 1 {
+				t := bits.TrailingZeros32(ext)
+				c, err := o.cheapestMethod(left.cost, left.rows, left.width, mask, t, equality&(1<<t) != 0)
 				if err != nil {
 					return nil, err
 				}
@@ -290,17 +335,38 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 				if !ok {
 					reached = append(reached, newMask)
 				}
-				if !ok || cands[0].PlanCost < cur.Cost() {
-					best[newMask] = cands[0]
+				if !ok || c.cost < cur.cost {
+					best[newMask] = subplan{
+						joinChoice: c, prev: mask, table: t,
+						rows: sizes[t], width: left.width + o.tables[t].scan.RowWidth,
+					}
 				}
 			}
 		}
 		level = reached
 	}
 	full := uint32(1<<n) - 1
-	plan, ok := best[full]
-	if !ok {
+	if _, ok := best[full]; !ok {
 		return nil, fmt.Errorf("optimizer: query is disconnected and cartesian products are disabled")
+	}
+
+	// Build the winner's nodes, outermost table first.
+	path := make([]subplan, 0, n)
+	for mask := full; mask != 0; mask = best[mask].prev {
+		path = append(path, best[mask])
+	}
+	slices.Reverse(path)
+	var plan Plan = o.scan(path[0].table)
+	for _, sub := range path[1:] {
+		step, err := o.est.JoinStep(plan.EstRows(), plan.Tables(), o.aliases[sub.table])
+		if err != nil {
+			return nil, err
+		}
+		if math.Float64bits(step.Size) != math.Float64bits(sub.rows) {
+			return nil, fmt.Errorf("%w: optimizer: joining %s, JoinStep estimates %v rows where the search used %v",
+				governor.ErrInternal, o.aliases[sub.table], step.Size, sub.rows)
+		}
+		plan = o.join(plan, sub.table, step, sub.joinChoice)
 	}
 	return plan, nil
 }
@@ -313,25 +379,27 @@ func (o *Optimizer) PlanForOrder(order []string) (Plan, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("optimizer: empty order")
 	}
-	plan, err := o.scan(order[0])
-	if err != nil {
-		return nil, err
+	var plan Plan
+	var mask uint32
+	for _, alias := range order {
+		t, ok := o.est.TableNumber(alias)
+		if !ok {
+			return nil, fmt.Errorf("optimizer: unknown table alias %q", alias)
+		}
+		if plan == nil {
+			plan, mask = o.scan(t), 1<<t
+			continue
+		}
+		step, err := o.est.JoinStep(plan.EstRows(), plan.Tables(), o.aliases[t])
+		if err != nil {
+			return nil, err
+		}
+		equality := slices.ContainsFunc(step.Eligible, expr.Predicate.IsEquality)
+		c, err := o.cheapestMethod(plan.Cost(), plan.EstRows(), plan.Width(), mask, t, equality)
+		if err != nil {
+			return nil, err
+		}
+		plan, mask = o.join(plan, t, step, c), mask|1<<t
 	}
-	var cur Plan = plan
-	for _, alias := range order[1:] {
-		s, err := o.scan(alias)
-		if err != nil {
-			return nil, err
-		}
-		step, err := o.est.JoinStep(cur.EstRows(), cur.Tables(), s.Alias)
-		if err != nil {
-			return nil, err
-		}
-		cands, err := o.joinCandidates(cur, s, step)
-		if err != nil {
-			return nil, err
-		}
-		cur = cands[0]
-	}
-	return cur, nil
+	return plan, nil
 }

@@ -9,7 +9,6 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cardest"
@@ -139,20 +138,14 @@ type Join struct {
 	// IndexColumn is the inner base-table column whose index an IndexNL
 	// join probes (empty for other methods).
 	IndexColumn string
-	// tables caches the sorted alias set.
+	// tables is the sorted alias set, filled when the optimizer builds the
+	// node: a finished plan is shared by concurrent readers (the plan cache
+	// hands one tree to every query that hits it) and is never written.
 	tables []string
 }
 
 // Tables implements Plan.
-func (j *Join) Tables() []string {
-	if j.tables == nil {
-		set := append([]string{}, j.Left.Tables()...)
-		set = append(set, j.Right.Tables()...)
-		sort.Strings(set)
-		j.tables = set
-	}
-	return j.tables
-}
+func (j *Join) Tables() []string { return j.tables }
 
 // EstRows implements Plan.
 func (j *Join) EstRows() float64 { return j.Rows }
