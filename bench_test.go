@@ -356,3 +356,21 @@ func BenchmarkEstimatorThroughput(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEstimateHot is one System.Estimate of a statement whose plan is
+// cached and whose text has been seen: admission, a governor, the text
+// lookup and a copy of the cached estimate — no lexing, parsing, binding
+// or canonicalising.
+func BenchmarkEstimateHot(b *testing.B) {
+	sys := hotEstimateSystem()
+	if _, err := sys.Estimate(hotEstimateSQL, AlgorithmELS); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Estimate(hotEstimateSQL, AlgorithmELS); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

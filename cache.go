@@ -3,7 +3,9 @@ package els
 import "repro/internal/plancache"
 
 // CacheStats is a point-in-time snapshot of the plan/estimate cache:
-// hit/miss/eviction/invalidation counters and current occupancy. The
+// hit/miss/eviction/invalidation counters and current occupancy, plus
+// TextHits — the hits found by the statement's text alone, which skipped
+// lexing, parsing, binding and canonicalising. The
 // cache is keyed by (canonical normalized query, algorithm, catalog
 // version) — see the "Columnar execution & plan cache" section of the
 // README — so semantically identical query texts (whitespace, predicate

@@ -435,20 +435,6 @@ func (s *System) ImportStats(r io.Reader) error {
 // Tables returns the registered table names in registration order.
 func (s *System) Tables() []string { return s.catalogNow().TableNames() }
 
-// hasAnyIndex reports whether any index has been built in cat, which
-// switches the optimizer repertoire to include IndexNL.
-func hasAnyIndex(cat *catalog.Catalog) bool {
-	for _, name := range cat.TableNames() {
-		ts := cat.Table(name)
-		for _, cs := range ts.Columns {
-			if cat.HasIndex(name, cs.Name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TableCard returns the cardinality statistic of a table.
 func (s *System) TableCard(name string) (float64, error) {
 	ts := s.catalogNow().Table(name)

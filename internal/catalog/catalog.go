@@ -181,6 +181,11 @@ func (c *Catalog) HasIndex(table, column string) bool {
 	return c.Index(table, column) != nil
 }
 
+// HasAnyIndex reports whether any index has been built in the catalog. An
+// index registered for a column its table no longer has still counts; it
+// can match no join column, so the only cost is that the optimizer looks.
+func (c *Catalog) HasAnyIndex() bool { return len(c.indexes) > 0 }
+
 // TableNames returns the registered table names in registration order.
 func (c *Catalog) TableNames() []string {
 	out := make([]string, 0, len(c.order))

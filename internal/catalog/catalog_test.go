@@ -124,6 +124,25 @@ func buildDataTable(t *testing.T) *storage.Table {
 	return tbl
 }
 
+// HasAnyIndex is the optimizer's "is IndexNL worth offering" switch: false
+// until the first BuildIndex, and carried by Clone (every mutation publishes
+// a clone).
+func TestHasAnyIndex(t *testing.T) {
+	c := New()
+	if _, err := c.Analyze(buildDataTable(t), AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if c.HasAnyIndex() || c.Clone().HasAnyIndex() {
+		t.Fatal("a catalog without indexes reports one")
+	}
+	if err := c.BuildIndex("emp", "dept"); err != nil {
+		t.Fatal(err)
+	}
+	if !c.HasAnyIndex() || !c.Clone().HasAnyIndex() {
+		t.Fatal("BuildIndex did not show in HasAnyIndex, or Clone lost it")
+	}
+}
+
 func TestAnalyzeBasicStats(t *testing.T) {
 	c := New()
 	ts, err := c.Analyze(buildDataTable(t), AnalyzeOptions{})

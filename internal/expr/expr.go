@@ -207,11 +207,16 @@ func (p Predicate) Normalize() Predicate {
 // CanonicalKey returns a string equal for exactly the predicates that are
 // syntactically identical up to operand order and case.
 func (p Predicate) CanonicalKey() string {
-	n := p.Normalize()
-	if n.RightIsColumn {
-		return n.Left.Key() + " " + n.Op.String() + " " + n.Right.Key()
+	l := p.Left.Key()
+	if !p.RightIsColumn {
+		return l + " " + p.Op.String() + " " + p.Const.Key()
 	}
-	return n.Left.Key() + " " + n.Op.String() + " " + n.Const.Key()
+	// Normalize's orientation, with each operand's key rendered once.
+	r, op := p.Right.Key(), p.Op
+	if r < l {
+		l, r, op = r, l, op.Flip()
+	}
+	return l + " " + op.String() + " " + r
 }
 
 // String renders the predicate as SQL.

@@ -1,10 +1,11 @@
 package plancache
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/expr"
 	"repro/internal/sqlparse"
 )
 
@@ -31,7 +32,9 @@ import (
 // two catalogs simply occupies two cache slots.
 func Canonical(q *sqlparse.Query) string {
 	var b strings.Builder
-	var sel []string
+	b.Grow(64 + 32*(len(q.Tables)+len(q.Where)))
+
+	b.WriteString("s:")
 	switch {
 	case len(q.Select) > 0:
 		for _, it := range q.Select {
@@ -39,63 +42,75 @@ func Canonical(q *sqlparse.Query) string {
 			if !it.Star {
 				target = it.Col.Key()
 			}
-			sel = append(sel, fmt.Sprintf("a%d(%s)", it.Agg, target))
+			item(&b, "a", strconv.Itoa(int(it.Agg)), "(", target, ")")
 		}
 	case q.CountStar:
-		sel = []string{"count(*)"}
+		item(&b, "count(*)")
 	case q.Star:
-		sel = []string{"*"}
+		item(&b, "*")
 	default:
 		for _, c := range q.Projection {
-			sel = append(sel, c.Key())
+			item(&b, c.Key())
 		}
 	}
-	section(&b, "s", sel)
 
-	group := make([]string, 0, len(q.GroupBy))
+	b.WriteString("\ng:")
 	for _, c := range q.GroupBy {
-		group = append(group, c.Key())
+		item(&b, c.Key())
 	}
-	section(&b, "g", group)
 
-	from := make([]string, 0, len(q.Tables))
+	b.WriteString("\nf:")
 	for _, t := range q.Tables {
-		name := strings.ToLower(t.Name())
-		from = append(from, fmt.Sprintf("%d:%s=%s", len(name), name, strings.ToLower(t.Table)))
+		table := strings.ToLower(t.Table)
+		name := table
+		if t.Alias != "" {
+			name = strings.ToLower(t.Alias)
+		}
+		item(&b, strconv.Itoa(len(name)), ":", name, "=", table)
 	}
-	section(&b, "f", from)
 
-	where := make([]string, 0, len(q.Where))
-	for _, p := range q.Where {
-		where = append(where, p.CanonicalKey())
+	b.WriteString("\nw:")
+	for _, k := range sortedKeys(q.Where) {
+		item(&b, k)
 	}
-	sort.Strings(where)
-	section(&b, "w", where)
 
+	b.WriteString("\no:")
 	ors := make([]string, 0, len(q.Disjunctions))
 	for _, d := range q.Disjunctions {
-		ks := make([]string, 0, len(d.Preds))
-		for _, p := range d.Preds {
-			ks = append(ks, p.CanonicalKey())
-		}
-		sort.Strings(ks)
 		var g strings.Builder
-		for _, k := range ks {
-			fmt.Fprintf(&g, "%d:%s", len(k), k)
+		for _, k := range sortedKeys(d.Preds) {
+			item(&g, k)
 		}
 		ors = append(ors, g.String())
 	}
 	sort.Strings(ors)
-	section(&b, "o", ors)
+	for _, g := range ors {
+		item(&b, g)
+	}
+	b.WriteByte('\n')
 	return b.String()
 }
 
-// section appends one named, length-prefixed component list.
-func section(b *strings.Builder, name string, items []string) {
-	b.WriteString(name)
-	b.WriteByte(':')
-	for _, it := range items {
-		fmt.Fprintf(b, "%d:%s", len(it), it)
+// sortedKeys returns the predicates' canonical keys in sorted order.
+func sortedKeys(preds []expr.Predicate) []string {
+	keys := make([]string, len(preds))
+	for i, p := range preds {
+		keys[i] = p.CanonicalKey()
 	}
-	b.WriteByte('\n')
+	sort.Strings(keys)
+	return keys
+}
+
+// item appends one length-prefixed component, the concatenation of parts,
+// as "<len>:<parts>".
+func item(b *strings.Builder, parts ...string) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	b.WriteString(strconv.Itoa(n))
+	b.WriteByte(':')
+	for _, p := range parts {
+		b.WriteString(p)
+	}
 }

@@ -241,3 +241,56 @@ func FuzzNormalizer(f *testing.F) {
 		}
 	})
 }
+
+// frontEndSQL is a 5-table statement of the shape bench/'s planning
+// workloads issue: a join chain, a local predicate and an OR-group.
+const frontEndSQL = "SELECT COUNT(*) FROM orders o, lineitem l, customer c, nation n, region r " +
+	"WHERE o.okey = l.okey AND o.ckey = c.ckey AND c.nkey = n.nkey AND n.rkey = r.rkey " +
+	"AND l.qty < 25 AND (r.name = 'ASIA' OR r.name = 'EUROPE')"
+
+func frontEndCatalog(t testing.TB) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	for name, cols := range map[string]map[string]float64{
+		"orders":   {"okey": 1e5, "ckey": 1e4},
+		"lineitem": {"okey": 1e5, "qty": 50},
+		"customer": {"ckey": 1e4, "nkey": 25},
+		"nation":   {"nkey": 25, "rkey": 5},
+		"region":   {"rkey": 5, "name": 5},
+	} {
+		if err := cat.AddTable(catalog.SimpleTable(name, 1e5, cols)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+var frontEndSink string
+
+// BenchmarkFrontEnd is what a statement pays before the plan cache can be
+// asked by canonical key: lex + parse + bind + Canonical. A text hit skips
+// all of it; every first sight and every re-formatted variant still pays it.
+func BenchmarkFrontEnd(b *testing.B) {
+	cat := frontEndCatalog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := sqlparse.ParseAndBind(frontEndSQL, cat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frontEndSink = Canonical(q)
+	}
+}
+
+// The rendering itself, byte for byte, with every section populated: the
+// key's writer may change, the key may not.
+func TestCanonicalRenderingPinned(t *testing.T) {
+	got := canon(t, bindCat(t), "SELECT R.a, COUNT(*), SUM(y.c), max(b) FROM R, S AS y "+
+		"WHERE y.A = R.a AND b < 5 AND (c = 1 OR c = 'x') AND (R.b >= 2.5 OR R.b = 7) GROUP BY R.a")
+	const want = "s:7:a0(r.a)5:a1(*)7:a2(y.c)7:a4(r.b)\ng:3:r.a\nf:5:1:r=r5:1:y=s\nw:9:r.a = y.a8:r.b < \x015\n" +
+		"o:33:8:r.b = \x01720:r.b >= \x02z1nlcsthuvi820:8:y.c = \x0118:y.c = \x03x\n"
+	if got != want {
+		t.Fatalf("canonical key\n%q\nwant\n%q", got, want)
+	}
+}

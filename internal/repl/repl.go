@@ -306,8 +306,8 @@ func (p *Processor) serving() error {
 	p.printf("memory: spilled-queries=%d spilled-bytes=%d peak-query-bytes=%d\n",
 		st.SpilledQueries, st.SpilledBytes, st.PeakQueryBytes)
 	c := p.sys.CacheStats()
-	p.printf("plan-cache: hits=%d misses=%d hit-rate=%.3f entries=%d/%d evictions=%d invalidations=%d\n",
-		c.Hits, c.Misses, c.HitRate(), c.Entries, c.Capacity, c.Evictions, c.Invalidations)
+	p.printf("plan-cache: hits=%d misses=%d hit-rate=%.3f text-hits=%d entries=%d/%d evictions=%d invalidations=%d\n",
+		c.Hits, c.Misses, c.HitRate(), c.TextHits, c.Entries, c.Capacity, c.Evictions, c.Invalidations)
 	if p.sys.Durable() {
 		d := p.sys.DurabilityStats()
 		frozen := ""

@@ -332,7 +332,8 @@ func TestServingPlanCacheAndLimitsVerbs(t *testing.T) {
 		"estimate SELECT COUNT(*) FROM R",
 		"serving",
 	)
-	if !strings.Contains(out, "plan-cache: hits=1 misses=1") {
+	// The repeat was the same text, so its hit skipped the front end.
+	if !strings.Contains(out, "plan-cache: hits=1 misses=1 hit-rate=0.500 text-hits=1") {
 		t.Errorf("serving output misses plan-cache counters:\n%s", out)
 	}
 

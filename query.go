@@ -153,7 +153,7 @@ func optimizerOptions(cat *catalog.Catalog, gov *governor.Governor) optimizer.Op
 	if gov.MemoryEnforced() {
 		opts.Methods = []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.HashJoin}
 	}
-	if hasAnyIndex(cat) {
+	if cat.HasAnyIndex() {
 		opts.Methods = append(opts.Methods, optimizer.IndexNL)
 	}
 	opts.Governor = gov
@@ -169,6 +169,12 @@ type cachedPlan struct {
 	est  Estimate
 }
 
+// estimate returns the hit's own copy of the template.
+func (cp *cachedPlan) estimate() *Estimate {
+	est := cp.est
+	return &est
+}
+
 // planFor parses, binds, plans, and estimates sql under algo against the
 // pinned snapshot, consulting the system's plan cache first. A non-empty
 // order forces the join order (EstimateOrder) and is folded into the cache
@@ -178,32 +184,52 @@ type cachedPlan struct {
 // algorithm, pinned catalog version): semantically identical query texts
 // planned from the same join repertoire share an entry, and an
 // entry can only ever be served against the exact catalog version it was
-// planned on. On a hit, parse and bind still run (the caller needs the
-// bound query, and binding is what canonicalization is defined over) but
-// estimation and plan enumeration are skipped entirely — no plans are
-// charged against Limits.MaxPlans. Failed preparations are never cached.
-// Limits.DisableCache bypasses the cache wholesale.
+// planned on. A hit skips estimation and plan enumeration entirely — no
+// plans are charged against Limits.MaxPlans.
+//
+// The same entries are also found by the statement's text (plancache.TextKey:
+// raw text, algorithm, pinned version, byte-budget marker), and that lookup
+// comes first: a text seen before at this version returns its bound query
+// and its entry without lexing, parsing, binding or canonicalising. This is
+// exact, not heuristic — parsing is a function of the text and binding of
+// the text and the pinned catalog, so the stored bound query is the one
+// ParseAndBind would build again. Any other text takes the canonical route
+// and is then registered as an alias of the entry it hit or put. Forced
+// orders bypass the text lookup (the order is not part of the text).
+// Failed preparations are never cached. Limits.DisableCache bypasses the
+// cache wholesale.
 func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql string, algo Algorithm, order []string) (*sqlparse.Query, optimizer.Plan, *Estimate, error) {
 	cfg, err := algo.config()
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	cache := s.cache
+	if cache == nil || s.Limits().DisableCache {
+		cache = nil
+	}
+	budgeted := gov.MemoryEnforced()
+	byText := cache != nil && len(order) == 0
+	tk := plancache.TextKey{Text: sql, Algo: int(algo), Version: snap.Version(), Budgeted: budgeted}
+	if byText {
+		if v, bound, ok := cache.GetText(tk); ok {
+			cp := v.(*cachedPlan)
+			return bound.(*sqlparse.Query), cp.plan, cp.estimate(), nil
+		}
 	}
 	cat := snap.Catalog()
 	q, err := sqlparse.ParseAndBind(sql, cat)
 	if err != nil {
 		return nil, nil, nil, wrapParse(err)
 	}
-	cache := s.cache
-	if cache == nil || s.Limits().DisableCache {
-		cache = nil
-	}
 	var key plancache.Key
 	if cache != nil {
-		key = plancache.Key{Query: cacheQueryText(q, order, gov.MemoryEnforced()), Algo: int(algo), Version: snap.Version()}
+		key = plancache.Key{Query: cacheQueryText(q, order, budgeted), Algo: tk.Algo, Version: tk.Version}
 		if v, ok := cache.Get(key); ok {
+			if byText {
+				cache.Alias(tk, key, q)
+			}
 			cp := v.(*cachedPlan)
-			est := cp.est // copy the template; callers may stamp their copy
-			return q, cp.plan, &est, nil
+			return q, cp.plan, cp.estimate(), nil
 		}
 	}
 	tabs := make([]cardest.TableRef, len(q.Tables))
@@ -233,6 +259,9 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	if cache != nil {
 		cp := &cachedPlan{plan: plan, est: *est}
 		cache.Put(key, cp)
+		if byText {
+			cache.Alias(tk, key, q)
+		}
 		// Record the new cache entry against this query's byte ledger so
 		// plan-cache pressure is visible in PeakMemoryBytes, then release
 		// immediately: the entry's ownership transfers to the cache (whose
