@@ -28,6 +28,7 @@ import (
 	"time"
 
 	els "repro"
+	"repro/internal/governor"
 )
 
 type tableFlags []string
@@ -43,15 +44,12 @@ func main() {
 	flag.Var(&tables, "table", "table spec name:card:col=distinct[,col=distinct...] (repeatable)")
 	sql := flag.String("sql", "", "query to explain (required)")
 	algo := flag.String("algo", "", "single algorithm to show (default: all)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget per explain (0 = none)")
-	maxPlans := flag.Int64("max-plans", 0, "enumerated-plan budget per explain (0 = none)")
-	maxMemory := flag.Int64("max-memory", 0, "working-memory byte budget per query (0 = none); hash joins over it partition in memory")
+	var limits els.Limits
+	governor.BindFlags(flag.CommandLine, &limits, "timeout", "plans", "memory")
 	dataDir := flag.String("data-dir", "", "durable catalog directory: recover statistics from it, persist -table declarations, checkpoint on exit")
 	flag.Parse()
 
-	if err := run(tables, *sql, *algo, *dataDir, els.Limits{
-		Timeout: *timeout, MaxPlans: *maxPlans, MaxMemory: *maxMemory,
-	}); err != nil {
+	if err := run(tables, *sql, *algo, *dataDir, limits); err != nil {
 		fmt.Fprintln(os.Stderr, "elsexplain:", err)
 		os.Exit(1)
 	}
@@ -98,17 +96,11 @@ func run(tables []string, sql, algoName, dataDir string, limits els.Limits) erro
 	}
 	algos := els.Algorithms()
 	if algoName != "" {
-		var found bool
-		for _, a := range algos {
-			if strings.EqualFold(a.String(), algoName) {
-				algos = []els.Algorithm{a}
-				found = true
-				break
-			}
-		}
-		if !found {
+		a, err := els.ParseAlgorithm(algoName)
+		if err != nil {
 			return fmt.Errorf("unknown algorithm %q (use one of %v)", algoName, els.Algorithms())
 		}
+		algos = []els.Algorithm{a}
 	}
 	for _, a := range algos {
 		out, err := sys.Explain(sql, a)

@@ -1,8 +1,8 @@
 // Command elslint runs the repro invariant-checker suite
 // (internal/analyzers) over the module with the facts-capable driver:
 // packages are type-checked once, analyzed in dependency order, and the
-// facts each analyzer exports (lock-acquisition summaries, sentinel sets,
-// retry classifications) flow to its dependents. It has two modes:
+// facts each analyzer exports (lock-acquisition summaries) flow to its
+// dependents. It has two modes:
 //
 // Standalone — load, type-check, and analyze packages directly:
 //

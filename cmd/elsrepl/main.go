@@ -41,28 +41,16 @@ import (
 	"time"
 
 	els "repro"
+	"repro/internal/governor"
 	"repro/internal/repl"
 )
 
 func main() {
-	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
-	maxTuples := flag.Int64("max-tuples", 0, "per-query scanned-tuple budget (0 = none)")
-	maxRows := flag.Int64("max-rows", 0, "per-query materialized-row budget (0 = none)")
-	maxPlans := flag.Int64("max-plans", 0, "per-query enumerated-plan budget (0 = none)")
-	maxMemory := flag.Int64("max-memory", 0, "per-query working-memory byte budget (0 = none); hash joins over it partition in memory")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrently executing queries (0 = unlimited)")
-	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time a query waits for a slot (0 = forever)")
+	var limits els.Limits
+	governor.BindFlags(flag.CommandLine, &limits,
+		"timeout", "tuples", "rows", "plans", "memory", "max-concurrent", "queue-timeout")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (WAL + checkpoints); recovered on start, checkpointed on exit")
 	flag.Parse()
-	limits := els.Limits{
-		Timeout:       *timeout,
-		MaxTuples:     *maxTuples,
-		MaxRows:       *maxRows,
-		MaxPlans:      *maxPlans,
-		MaxMemory:     *maxMemory,
-		MaxConcurrent: *maxConcurrent,
-		QueueTimeout:  *queueTimeout,
-	}
 	if err := run(os.Stdin, os.Stdout, limits, *dataDir, isTerminal()); err != nil {
 		fmt.Fprintln(os.Stderr, "elsrepl:", err)
 		os.Exit(1)

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	els "repro"
+	"repro/internal/governor"
 	"repro/internal/server"
 	"repro/internal/workpool"
 )
@@ -44,11 +45,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7447", "TCP listen address")
 		tenants   = flag.String("tenants", "default", "comma-separated tenant names to host")
 		dataDir   = flag.String("data-dir", "", "durable data root (tenant X lives in DIR/X); empty = in-memory")
-		maxConc   = flag.Int("max-concurrent", 8, "per-tenant concurrent query slots")
-		queueLen  = flag.Int("queue-depth", 64, "per-tenant admission queue depth")
-		queueTO   = flag.Duration("queue-timeout", 2*time.Second, "per-tenant admission queue timeout")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-query wall-clock budget")
-		maxMemory = flag.Int64("max-memory", 0, "per-query working-memory byte budget (0 = none); hash joins over it partition in memory")
 		memPool   = flag.Int64("memory-pool", 0, "process-wide working-memory pool in bytes, split into equal per-tenant shares; reservations over a share shed with a retryable pressure error (0 = off)")
 		retries   = flag.Int("retries", 0, "per-tenant retry attempts for transient failures (0 = off)")
 		brkThresh = flag.Int("breaker-threshold", 0, "per-tenant circuit-breaker trip threshold (0 = off)")
@@ -59,16 +55,18 @@ func main() {
 		faultOps  = flag.Bool("enable-fault-ops", false, "honor wire fault-injection ops (tests/chaos only)")
 		poison    = flag.Int("poison-threshold", 0, "consecutive panics before a tenant is quarantined (0 = server default)")
 	)
+	// Every tenant gets the same limits; the flags override these defaults.
+	limits := els.Limits{Timeout: 30 * time.Second, MaxConcurrent: 8, MaxQueue: 64, QueueTimeout: 2 * time.Second}
+	governor.BindFlags(flag.CommandLine, &limits, "timeout", "memory", "max-concurrent", "queue-timeout")
+	flag.IntVar(&limits.MaxQueue, "queue-depth", limits.MaxQueue, "per-tenant admission queue depth")
 	flag.Parse()
-	if err := run(*addr, *tenants, *dataDir, *maxConc, *queueLen, *queueTO, *timeout,
-		*maxMemory, *memPool, *retries, *brkThresh, *idleTO, *drainTO, *demo, *logPath, *faultOps, *poison); err != nil {
+	if err := run(*addr, *tenants, *dataDir, limits, *memPool, *retries, *brkThresh, *idleTO, *drainTO, *demo, *logPath, *faultOps, *poison); err != nil {
 		fmt.Fprintln(os.Stderr, "elsserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, tenantList, dataDir string, maxConc, queueLen int, queueTO, timeout time.Duration,
-	maxMemory, memPool int64, retries, brkThresh int, idleTO, drainTO time.Duration, demo bool, logPath string, faultOps bool, poison int) error {
+func run(addr, tenantList, dataDir string, limits els.Limits, memPool int64, retries, brkThresh int, idleTO, drainTO time.Duration, demo bool, logPath string, faultOps bool, poison int) error {
 	var logW io.Writer
 	switch logPath {
 	case "":
@@ -83,13 +81,6 @@ func run(addr, tenantList, dataDir string, maxConc, queueLen int, queueTO, timeo
 		logW = f
 	}
 
-	limits := els.Limits{
-		Timeout:       timeout,
-		MaxConcurrent: maxConc,
-		MaxQueue:      queueLen,
-		QueueTimeout:  queueTO,
-		MaxMemory:     maxMemory,
-	}
 	cfg := server.Config{
 		Addr:            addr,
 		DataRoot:        dataDir,

@@ -307,7 +307,6 @@ func (c *conn) do(ctx context.Context, req *wire.Request, idempotent bool) (*wir
 			return nil, driver.ErrBadConn
 		}
 		var remote *wire.RemoteError
-		//wirecover:retryvia
 		if attempt >= retries || !errors.As(err, &remote) || !els.Retryable(err) {
 			return nil, err
 		}

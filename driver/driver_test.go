@@ -5,11 +5,15 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	els "repro"
+	"repro/internal/governor"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // startServer brings up a single-tenant in-memory server with demo data
@@ -214,6 +218,66 @@ func TestDriverRetriesOverload(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		if err := <-errCh; err != nil {
 			t.Errorf("burst query %d failed despite retries: %v", i, err)
+		}
+	}
+}
+
+// scriptedServer answers a connection's first request with fail and every
+// later one with success, counting the requests it saw.
+func scriptedServer(t *testing.T, fail *wire.Error) (addr string, requests *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	requests = new(atomic.Int32)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			payload, err := wire.ReadFrame(conn, 0)
+			if err != nil {
+				return
+			}
+			req, err := wire.DecodeRequest(payload)
+			if err != nil {
+				return
+			}
+			resp := &wire.Response{ID: req.ID, OK: true}
+			if requests.Add(1) == 1 {
+				resp.OK, resp.Err = false, fail
+			}
+			out, err := wire.EncodeResponse(resp)
+			if err != nil || wire.WriteFrame(conn, out) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String(), requests
+}
+
+// The driver's retry loop resubmits exactly the rows the taxonomy table
+// marks retryable: one row's failure followed by success costs two requests
+// when the row is retryable and one (the failure, returned) when it is not.
+func TestDriverResubmitsExactlyTheRetryableRows(t *testing.T) {
+	for _, row := range governor.Taxonomy() {
+		addr, requests := scriptedServer(t, wire.FromError(row.Err, 0))
+		cl, err := wire.Dial(context.Background(), addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &conn{cfg: config{tenant: "acme", retries: 3}, cl: cl}
+		err = c.Ping(context.Background())
+		cl.Close()
+		if resubmitted := requests.Load() == 2; resubmitted != row.Retryable {
+			t.Errorf("%s: %d requests, retryable = %v", row.Code, requests.Load(), row.Retryable)
+		}
+		if row.Retryable != (err == nil) {
+			t.Errorf("%s: ping returned %v", row.Code, err)
 		}
 	}
 }

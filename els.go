@@ -80,58 +80,68 @@ const (
 	AlgorithmELSHist
 )
 
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmELS:
-		return "ELS"
-	case AlgorithmSM:
-		return "SM"
-	case AlgorithmSMPTC:
-		return "SM+PTC"
-	case AlgorithmSSS:
-		return "SSS+PTC"
-	case AlgorithmRepSmallest:
-		return "REP(smallest)"
-	case AlgorithmRepLargest:
-		return "REP(largest)"
-	case AlgorithmELSHist:
-		return "ELS+hist"
-	default:
-		return "unknown"
-	}
-}
-
-// Config returns the internal estimator configuration for the algorithm.
-func (a Algorithm) config() (cardest.Config, error) {
-	switch a {
-	case AlgorithmELS:
-		return cardest.ELS(), nil
-	case AlgorithmSM:
-		return cardest.SM(), nil
-	case AlgorithmSMPTC:
-		return cardest.SM().WithClosure(), nil
-	case AlgorithmSSS:
-		return cardest.SSS().WithClosure(), nil
-	case AlgorithmRepSmallest:
-		return cardest.Config{Rule: cardest.RuleRepresentative, ApplyClosure: true,
-			Rep: cardest.RepSmallest, Sel: selest.DefaultOptions()}, nil
-	case AlgorithmRepLargest:
-		return cardest.Config{Rule: cardest.RuleRepresentative, ApplyClosure: true,
-			Rep: cardest.RepLargest, Sel: selest.DefaultOptions()}, nil
-	case AlgorithmELSHist:
+// algorithms is the one table of supported algorithms, indexed by
+// Algorithm: the name String prints and ParseAlgorithm accepts, and the
+// estimator configuration the name stands for.
+var algorithms = [...]struct {
+	name string
+	cfg  cardest.Config
+}{
+	AlgorithmELS:   {"ELS", cardest.ELS()},
+	AlgorithmSM:    {"SM", cardest.SM()},
+	AlgorithmSMPTC: {"SM+PTC", cardest.SM().WithClosure()},
+	AlgorithmSSS:   {"SSS+PTC", cardest.SSS().WithClosure()},
+	AlgorithmRepSmallest: {"REP(smallest)", cardest.Config{Rule: cardest.RuleRepresentative, ApplyClosure: true,
+		Rep: cardest.RepSmallest, Sel: selest.DefaultOptions()}},
+	AlgorithmRepLargest: {"REP(largest)", cardest.Config{Rule: cardest.RuleRepresentative, ApplyClosure: true,
+		Rep: cardest.RepLargest, Sel: selest.DefaultOptions()}},
+	AlgorithmELSHist: {"ELS+hist", func() cardest.Config {
 		cfg := cardest.ELS()
 		cfg.Sel.HistogramJoins = true
-		return cfg, nil
-	default:
+		return cfg
+	}()},
+}
+
+func (a Algorithm) valid() bool { return a >= 0 && int(a) < len(algorithms) }
+
+// String names the algorithm.
+func (a Algorithm) String() string {
+	if !a.valid() {
+		return "unknown"
+	}
+	return algorithms[a].name
+}
+
+// config returns the internal estimator configuration for the algorithm.
+func (a Algorithm) config() (cardest.Config, error) {
+	if !a.valid() {
 		return cardest.Config{}, fmt.Errorf("%w: unknown algorithm %d", ErrParse, int(a))
 	}
+	return algorithms[a].cfg, nil
 }
 
 // Algorithms lists every supported algorithm in a stable order.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgorithmELS, AlgorithmSM, AlgorithmSMPTC, AlgorithmSSS,
-		AlgorithmRepSmallest, AlgorithmRepLargest, AlgorithmELSHist}
+	all := make([]Algorithm, len(algorithms))
+	for i := range all {
+		all[i] = Algorithm(i)
+	}
+	return all
+}
+
+// ParseAlgorithm resolves an algorithm by its String name,
+// case-insensitively; the empty name selects AlgorithmELS. An unknown name
+// is an ErrParse.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	if name == "" {
+		return AlgorithmELS, nil
+	}
+	for a := range algorithms {
+		if strings.EqualFold(algorithms[a].name, name) {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: unknown algorithm %q", ErrParse, name)
 }
 
 // System is a self-contained instance: catalog, optional data tables, and

@@ -1,6 +1,7 @@
 package els
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -36,6 +37,32 @@ func TestAlgorithmStrings(t *testing.T) {
 	}
 	if len(Algorithms()) != 7 {
 		t.Errorf("Algorithms() = %v", Algorithms())
+	}
+}
+
+// ParseAlgorithm inverts String on every algorithm, in any case; no name is
+// ELS; an unknown name (including String's own "unknown") is a parse error.
+func TestParseAlgorithmInvertsString(t *testing.T) {
+	for _, a := range Algorithms() {
+		for _, name := range []string{a.String(), strings.ToLower(a.String()), strings.ToUpper(a.String())} {
+			if got, err := ParseAlgorithm(name); err != nil || got != a {
+				t.Errorf("ParseAlgorithm(%q) = %v, %v, want %v", name, got, err, a)
+			}
+		}
+		if _, err := a.config(); err != nil {
+			t.Errorf("%v has no estimator configuration: %v", a, err)
+		}
+	}
+	if got, err := ParseAlgorithm(""); err != nil || got != AlgorithmELS {
+		t.Errorf("ParseAlgorithm(\"\") = %v, %v, want ELS", got, err)
+	}
+	for _, name := range []string{"unknown", "EL", "ELS "} {
+		if _, err := ParseAlgorithm(name); !errors.Is(err, ErrParse) {
+			t.Errorf("ParseAlgorithm(%q) = %v, want ErrParse", name, err)
+		}
+	}
+	if _, err := Algorithm(99).config(); !errors.Is(err, ErrParse) {
+		t.Errorf("Algorithm(99).config() = %v, want ErrParse", err)
 	}
 }
 

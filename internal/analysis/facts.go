@@ -16,8 +16,7 @@ import (
 // Mirroring x/tools, fact types are pointers to structs and carry the
 // AFact marker method; unlike x/tools, facts are namespaced by their Go
 // type alone rather than by (analyzer, type), so an analyzer listed in
-// another's Requires may import the facts its prerequisite exported (the
-// wirecover analyzer reads errtaxonomy's sentinel-set fact this way).
+// another's Requires may import the facts its prerequisite exported.
 type Fact interface {
 	AFact()
 }

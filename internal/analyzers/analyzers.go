@@ -15,12 +15,11 @@ import (
 	"repro/internal/analyzers/locksafe"
 	"repro/internal/analyzers/nakedgoroutine"
 	"repro/internal/analyzers/snapshotmut"
-	"repro/internal/analyzers/wirecover"
 )
 
 // All returns the elslint analyzers in reporting order. The list is the
-// root set handed to analysis.Schedule — prerequisites (wirecover
-// requires errtaxonomy) are deduplicated and ordered by the driver.
+// root set handed to analysis.Schedule, which deduplicates and orders any
+// prerequisites.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		errtaxonomy.Analyzer,
@@ -31,6 +30,5 @@ func All() []*analysis.Analyzer {
 		atomicwrite.Analyzer,
 		lockorder.Analyzer,
 		locksafe.Analyzer,
-		wirecover.Analyzer,
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // TestRegistry pins the driver-facing sanity properties of the shipped
-// suite: nine analyzers, unique non-empty names, non-empty docs, and a
+// suite: eight analyzers, unique non-empty names, non-empty docs, and a
 // schedulable (acyclic, nil-free) Requires graph.
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 9 {
-		t.Fatalf("registry has %d analyzers, want 9", len(all))
+	if len(all) != 8 {
+		t.Fatalf("registry has %d analyzers, want 8", len(all))
 	}
 	names := make(map[string]bool)
 	for _, a := range all {

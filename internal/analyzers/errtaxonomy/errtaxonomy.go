@@ -1,67 +1,30 @@
 // Package errtaxonomy enforces the public error taxonomy of the root els
 // package: every error constructed inside an els function must wrap one of
-// the taxonomy sentinels (ErrParse, ErrBadStats, ErrCanceled,
-// ErrBudgetExceeded, ErrOverloaded, ErrDurability, ErrStaleReplica,
-// ErrDiverged, ErrBadWire, ErrTenant, ErrInternal) so callers can always
-// classify failures with errors.Is. Concretely it flags errors.New calls
-// and fmt.Errorf calls whose format string has no %w verb; package-level
-// var declarations are exempt (that is where sentinels themselves are
-// born), as are _test.go files.
-//
-// Beyond the diagnostic, errtaxonomy is the source of truth for what the
-// taxonomy IS: every package declaring sentinels (`var ErrX =
-// errors.New(...)`) or re-exporting them (`var ErrX = pkg.ErrY`) exports
-// a SentinelSetFact, each sentinel resolved to its canonical identity
-// (the declaring package's, through any chain of aliases — the root els
-// package re-exports internal/governor's sentinels, and both spellings
-// must mean the same node). The wirecover analyzer consumes these facts
-// to prove the wire code table and the retryable classifications stay
-// complete and consistent.
+// the taxonomy sentinels (the rows of internal/governor's taxonomy table,
+// re-exported by package els) so callers can always classify failures
+// with errors.Is. Concretely it flags errors.New calls and fmt.Errorf
+// calls whose format string has no %w verb; package-level var declarations
+// are exempt (that is where sentinels themselves are born), as are
+// _test.go files.
 package errtaxonomy
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
 )
 
-// Analyzer flags taxonomy-free error construction in package els and
-// exports each package's sentinel set as a fact.
+// Analyzer flags taxonomy-free error construction in package els.
 var Analyzer = &analysis.Analyzer{
-	Name:      "errtaxonomy",
-	Doc:       "errors escaping the els API must wrap a taxonomy sentinel (use fmt.Errorf with %w); sentinel declarations are exported as facts",
-	FactTypes: []analysis.Fact{new(SentinelSetFact)},
-	Run:       run,
-}
-
-// SentinelSetFact lists the taxonomy sentinels a package declares or
-// re-exports.
-type SentinelSetFact struct {
-	// Sentinels is sorted by Name.
-	Sentinels []Sentinel
-}
-
-// AFact marks SentinelSetFact as a fact type.
-func (*SentinelSetFact) AFact() {}
-
-// Sentinel is one taxonomy sentinel visible in a package.
-type Sentinel struct {
-	// Name is the sentinel's name in this package (ErrOverloaded).
-	Name string
-	// Canon is the canonical identity, pkgpath.Name of the original
-	// errors.New declaration — identical for an alias and its origin.
-	Canon string
+	Name: "errtaxonomy",
+	Doc:  "errors escaping the els API must wrap a taxonomy sentinel (use fmt.Errorf with %w)",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if sents := collectSentinels(pass); len(sents) > 0 {
-		pass.ExportPackageFact(&SentinelSetFact{Sentinels: sents})
-	}
 	// The taxonomy is a contract of the public els package only; internal
 	// packages define the sentinels and may construct plain errors that the
 	// boundary re-wraps.
@@ -82,76 +45,6 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// collectSentinels finds every package-level `var ErrX = errors.New(...)`
-// (a new canonical sentinel) and `var ErrX = pkg.ErrY` where pkg.ErrY is a
-// sentinel by pkg's own SentinelSetFact (an alias inheriting the canonical
-// identity).
-func collectSentinels(pass *analysis.Pass) []Sentinel {
-	var out []Sentinel
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != len(vs.Values) {
-					continue
-				}
-				for i, name := range vs.Names {
-					if !strings.HasPrefix(name.Name, "Err") {
-						continue
-					}
-					if obj := pass.TypesInfo.Defs[name]; obj == nil || obj.Parent() != pass.Pkg.Scope() {
-						continue
-					}
-					if canon, ok := sentinelValue(pass, vs.Values[i]); ok {
-						if canon == "" {
-							canon = pass.Pkg.Path() + "." + name.Name
-						}
-						out = append(out, Sentinel{Name: name.Name, Canon: canon})
-					}
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// sentinelValue classifies a sentinel initializer. It returns ok for
-// errors.New calls (canon "" — the declaration is the canonical identity)
-// and for references to another package's exported sentinel (canon set to
-// that sentinel's canonical identity).
-func sentinelValue(pass *analysis.Pass, v ast.Expr) (canon string, ok bool) {
-	switch e := v.(type) {
-	case *ast.CallExpr:
-		if sel, ok := e.Fun.(*ast.SelectorExpr); ok &&
-			importedPkg(pass, sel.X) == "errors" && sel.Sel.Name == "New" {
-			return "", true
-		}
-	case *ast.SelectorExpr:
-		obj, ok := pass.TypesInfo.Uses[e.Sel].(*types.Var)
-		if !ok || obj.Pkg() == nil || obj.Pkg() == pass.Pkg {
-			return "", false
-		}
-		var fact SentinelSetFact
-		if !pass.ImportPackageFact(obj.Pkg(), &fact) {
-			return "", false
-		}
-		for _, s := range fact.Sentinels {
-			if s.Name == obj.Name() {
-				return s.Canon, true
-			}
-		}
-	}
-	return "", false
-}
-
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -165,10 +58,10 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		pkg := importedPkg(pass, sel.X)
 		switch {
 		case pkg == "errors" && sel.Sel.Name == "New":
-			pass.Reportf(call.Pos(), "errors.New in package els wraps no taxonomy sentinel; use fmt.Errorf(\"...: %%w\", ErrParse/ErrBadStats/ErrCanceled/ErrBudgetExceeded/ErrOverloaded/ErrDurability/ErrStaleReplica/ErrDiverged/ErrBadWire/ErrTenant/ErrMemory/ErrInternal)")
+			pass.Reportf(call.Pos(), "errors.New in package els wraps no taxonomy sentinel; use fmt.Errorf(\"...: %%w\", <one of the els.Err* sentinels>)")
 		case pkg == "fmt" && sel.Sel.Name == "Errorf":
 			if lit := formatLiteral(call); lit != "" && !strings.Contains(lit, "%w") {
-				pass.Reportf(call.Pos(), "fmt.Errorf in package els wraps no taxonomy sentinel; chain one with %%w (ErrParse/ErrBadStats/ErrCanceled/ErrBudgetExceeded/ErrOverloaded/ErrDurability/ErrStaleReplica/ErrDiverged/ErrBadWire/ErrTenant/ErrMemory/ErrInternal)")
+				pass.Reportf(call.Pos(), "fmt.Errorf in package els wraps no taxonomy sentinel; chain one of the els.Err* sentinels with %%w")
 			}
 		}
 		return true

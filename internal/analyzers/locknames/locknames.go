@@ -49,10 +49,7 @@ func (op Op) Release() bool { return op == OpUnlock || op == OpRUnlock }
 // isSyncLockType reports whether t (after pointer stripping) is
 // sync.Mutex or sync.RWMutex.
 func isSyncLockType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+	named, ok := deref(t).(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
@@ -109,9 +106,16 @@ func Name(info *types.Info, expr ast.Expr, enclosing string) (name string, ok bo
 		}
 		owner := ""
 		if s := info.Selections[e]; s != nil {
-			t := s.Recv()
-			if p, isPtr := t.(*types.Pointer); isPtr {
-				t = p.Elem()
+			// A promoted field belongs to the embedded struct that declares
+			// it, so the lock has one name however it is reached.
+			t := deref(s.Recv())
+			path := s.Index()
+			for _, i := range path[:len(path)-1] {
+				st, isStruct := t.Underlying().(*types.Struct)
+				if !isStruct {
+					return "", false
+				}
+				t = deref(st.Field(i).Type())
 			}
 			if named, isNamed := t.(*types.Named); isNamed {
 				owner = named.Obj().Name() + "."
@@ -145,6 +149,13 @@ func Name(info *types.Info, expr ast.Expr, enclosing string) (name string, ok bo
 	return "", false
 }
 
+func deref(t types.Type) types.Type {
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		return p.Elem()
+	}
+	return t
+}
+
 // IsWaitGroupWait reports whether call is (*sync.WaitGroup).Wait.
 func IsWaitGroupWait(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -163,11 +174,7 @@ func IsWaitGroupWait(info *types.Info, call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	t := sig.Recv().Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+	named, ok := deref(sig.Recv().Type()).(*types.Named)
 	return ok && named.Obj().Pkg() != nil &&
 		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
 }
@@ -198,8 +205,7 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "lockorder:") && !strings.HasPrefix(text, "locksafe:") &&
-					!strings.HasPrefix(text, "wirecover:") {
+				if !strings.HasPrefix(text, "lockorder:") && !strings.HasPrefix(text, "locksafe:") {
 					continue
 				}
 				pos := fset.Position(c.Pos())
@@ -263,18 +269,6 @@ func (d *Directives) Level(pos token.Pos) (int, bool) {
 // one edge to the global graph with its comment position as witness.
 func (d *Directives) Edges() []EdgeDecl {
 	return d.edges
-}
-
-// Find returns the first directive named name ("wirecover:table",
-// "lockorder:allow", ...) covering pos, with the remainder of its text
-// (trimmed) as the argument.
-func (d *Directives) Find(pos token.Pos, name string) (rest string, ok bool) {
-	for _, t := range d.at(pos) {
-		if r, found := strings.CutPrefix(t, name); found {
-			return strings.TrimSpace(r), true
-		}
-	}
-	return "", false
 }
 
 // IsLockType reports whether t (after pointer stripping) is sync.Mutex or

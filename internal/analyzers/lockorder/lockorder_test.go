@@ -19,3 +19,9 @@ func TestCloseRace(t *testing.T) {
 func TestCrossPackage(t *testing.T) {
 	analysistest.Run(t, Analyzer, "lockorder/b")
 }
+
+// TestPromotedField pins that a lock reached through an embedded struct is
+// named, and levelled, by the struct that declares it.
+func TestPromotedField(t *testing.T) {
+	analysistest.Run(t, Analyzer, "promoted")
+}

@@ -46,12 +46,7 @@ func RunCacheSoak(cfg Config) (*Report, error) {
 		cfg.QueueTimeout = 200 * time.Millisecond
 	}
 
-	h := &harness{
-		cfg:         cfg,
-		sys:         els.New(),
-		versionCard: make(map[uint64]float64),
-		errsByClass: make(map[string]int),
-	}
+	h := newHarness(cfg)
 	if err := h.seed(); err != nil {
 		return nil, err
 	}
@@ -101,7 +96,7 @@ func (h *harness) cacheWorker(id int) {
 			h.observations = append(h.observations, observation{est.CatalogVersion, est.FinalSize})
 			h.mu.Unlock()
 		}
-		h.record(id, "estimate-cached", err)
+		h.record(fmt.Sprintf("worker %d", id), "estimate-cached", err)
 	}
 }
 

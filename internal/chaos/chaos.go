@@ -17,8 +17,6 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -104,20 +102,13 @@ type observation struct {
 
 // harness carries the storm's shared state.
 type harness struct {
+	ledger
 	cfg Config
 	sys *els.System
 
-	//lockorder:level 5
-	mu           sync.Mutex
+	// Guarded by ledger.mu.
 	versionCard  map[uint64]float64 // version -> published card of V
 	observations []observation
-	errsByClass  map[string]int
-	violations   []string
-	ops          int
-	succeeded    int
-
-	//lockorder:level 70
-	logMu sync.Mutex
 }
 
 // Run executes one storm and audits it. The returned error reports a
@@ -140,12 +131,7 @@ func Run(cfg Config) (*Report, error) {
 		cfg.QueueTimeout = 50 * time.Millisecond
 	}
 
-	h := &harness{
-		cfg:         cfg,
-		sys:         els.New(),
-		versionCard: make(map[uint64]float64),
-		errsByClass: make(map[string]int),
-	}
+	h := newHarness(cfg)
 	if err := h.seed(); err != nil {
 		return nil, err
 	}
@@ -185,6 +171,15 @@ func Run(cfg Config) (*Report, error) {
 
 	h.audit()
 	return h.report(), nil
+}
+
+func newHarness(cfg Config) *harness {
+	return &harness{
+		ledger:      ledger{logW: cfg.LogW},
+		cfg:         cfg,
+		sys:         els.New(),
+		versionCard: make(map[uint64]float64),
+	}
 }
 
 // seed loads the static tables the storm queries and publishes the first
@@ -232,7 +227,7 @@ func (h *harness) mutator(stop <-chan struct{}) {
 		h.versionCard[v] = card
 		h.mu.Unlock()
 		h.logEvent(map[string]any{"event": "publish", "version": v, "card": card})
-		sleep(stop, time.Duration(rng.Intn(3)+1)*time.Millisecond)
+		pause(stop, time.Duration(rng.Intn(3)+1)*time.Millisecond)
 	}
 }
 
@@ -268,7 +263,7 @@ func (h *harness) faulter(stop <-chan struct{}) {
 		}
 		faultinject.Enable(point, f)
 		h.logEvent(map[string]any{"event": "fault", "point": point, "kind": kind, "times": f.Times})
-		sleep(stop, time.Duration(rng.Intn(4)+1)*time.Millisecond)
+		pause(stop, time.Duration(rng.Intn(4)+1)*time.Millisecond)
 	}
 }
 
@@ -307,55 +302,8 @@ func (h *harness) worker(id int) {
 			_, err = h.sys.QueryContext(ctx, stormSQL[rng.Intn(len(stormSQL))], els.AlgorithmELS)
 			cancel()
 		}
-		h.record(id, opName, err)
+		h.record(fmt.Sprintf("worker %d", id), opName, err)
 	}
-}
-
-// taxonomy maps every public sentinel to its name for classification.
-var taxonomy = []struct {
-	name string
-	err  error
-}{
-	{"canceled", els.ErrCanceled},
-	{"budget", els.ErrBudgetExceeded},
-	{"bad-stats", els.ErrBadStats},
-	{"parse", els.ErrParse},
-	{"overloaded", els.ErrOverloaded},
-	{"closed", els.ErrClosed},
-	{"internal", els.ErrInternal},
-}
-
-// record classifies one operation outcome; an error outside the taxonomy
-// is a contract violation.
-func (h *harness) record(worker int, op string, err error) {
-	h.mu.Lock()
-	h.ops++
-	class := "ok"
-	if err == nil {
-		h.succeeded++
-	} else {
-		class = ""
-		for _, t := range taxonomy {
-			if errors.Is(err, t.err) {
-				class = t.name
-				break
-			}
-		}
-		if class == "" {
-			class = "UNCLASSIFIED"
-			h.violations = append(h.violations,
-				fmt.Sprintf("worker %d %s: error outside the taxonomy: %v", worker, op, err))
-		}
-		h.errsByClass[class]++
-	}
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "op", "worker": worker, "op": op, "class": class})
-}
-
-func (h *harness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
 }
 
 // audit drains the system and checks the end-of-storm contracts.
@@ -371,19 +319,16 @@ func (h *harness) audit() {
 		h.violation(fmt.Sprintf("slot accounting drift after drain: in-flight %d, waiting %d",
 			st.InFlight, st.Waiting))
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	// Every storm goroutine has exited, so the observations are settled.
 	for _, obs := range h.observations {
 		card, ok := h.versionCard[obs.version]
 		if !ok {
-			h.violations = append(h.violations,
-				fmt.Sprintf("estimate pinned catalog version %d, which was never published", obs.version))
+			h.violation(fmt.Sprintf("estimate pinned catalog version %d, which was never published", obs.version))
 			continue
 		}
 		if obs.size != card {
-			h.violations = append(h.violations,
-				fmt.Sprintf("torn read: estimate %g under catalog version %d, which published card %g",
-					obs.size, obs.version, card))
+			h.violation(fmt.Sprintf("torn read: estimate %g under catalog version %d, which published card %g",
+				obs.size, obs.version, card))
 		}
 	}
 }
@@ -400,29 +345,5 @@ func (h *harness) report() *Report {
 		Violations:        h.violations,
 		Stats:             h.sys.RobustnessStats(),
 		Cache:             h.sys.CacheStats(),
-	}
-}
-
-// logEvent writes one JSONL record to the configured event log.
-func (h *harness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
-}
-
-// sleep waits d or until stop closes, whichever comes first.
-func sleep(stop <-chan struct{}, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-stop:
 	}
 }

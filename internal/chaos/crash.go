@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -112,16 +111,12 @@ type crashState struct {
 
 // crashHarness carries one soak's state across rounds.
 type crashHarness struct {
+	ledger
 	cfg CrashConfig
 
-	//lockorder:level 5
-	mu         sync.Mutex
-	maxTried   map[string]float64 // persists across rounds
-	violations []string
-	report     CrashReport
-
-	//lockorder:level 70
-	logMu sync.Mutex
+	// Guarded by ledger.mu.
+	maxTried map[string]float64 // persists across rounds
+	report   CrashReport
 }
 
 // RunCrash executes one crash-recovery soak. The returned error reports a
@@ -142,7 +137,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	if cfg.Deterministic {
 		cfg.Mutators = 1
 	}
-	h := &crashHarness{cfg: cfg, maxTried: make(map[string]float64)}
+	h := &crashHarness{ledger: ledger{logW: cfg.LogW}, cfg: cfg, maxTried: make(map[string]float64)}
 
 	var prev *crashState
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -249,7 +244,7 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 	var readers sync.WaitGroup
 	if !h.cfg.Deterministic {
 		workpool.Go(&background, onPanic, func() error {
-			sleep(crashed, delay)
+			pause(crashed, delay)
 			select {
 			case <-crashed:
 				return nil
@@ -264,7 +259,7 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 		workpool.Go(&background, onPanic, func() error {
 			r := rand.New(rand.NewSource(seed + 1))
 			for {
-				sleep(crashed, time.Duration(r.Intn(6)+2)*time.Millisecond)
+				pause(crashed, time.Duration(r.Intn(6)+2)*time.Millisecond)
 				select {
 				case <-crashed:
 					return nil
@@ -340,7 +335,7 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 					return nil
 				}
 				if !h.cfg.Deterministic && r.Intn(4) == 0 {
-					sleep(crashed, time.Millisecond)
+					pause(crashed, time.Millisecond)
 				}
 			}
 			return nil
@@ -504,27 +499,6 @@ func (h *crashHarness) auditRecovery(round int, sys *els.System, prev *crashStat
 			}
 		}
 	}
-}
-
-func (h *crashHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "violation", "msg": msg})
-}
-
-// logEvent writes one JSONL record to the configured event log.
-func (h *crashHarness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
 }
 
 // closeQuietly drains a system with a bounded deadline, ignoring the

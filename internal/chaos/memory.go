@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -66,18 +65,14 @@ func (r *MemoryReport) Failed() bool { return len(r.Violations) > 0 }
 
 // memHarness carries the storm's shared state.
 type memHarness struct {
+	ledger
 	cfg MemoryConfig
 
-	//lockorder:level 5
-	mu           sync.Mutex
+	// Guarded by ledger.mu.
 	hogOps       int
 	hogSucceeded int
 	neighborOps  int
 	neighborLat  []time.Duration
-	violations   []string
-
-	//lockorder:level 70
-	logMu sync.Mutex
 }
 
 // Hog-tenant sizing: the per-query byte budget is far below the join's
@@ -118,7 +113,7 @@ func RunMemoryPressure(ctx context.Context, cfg MemoryConfig) (*MemoryReport, er
 	if cfg.DataRoot == "" {
 		return nil, fmt.Errorf("chaos: RunMemoryPressure needs a DataRoot")
 	}
-	h := &memHarness{cfg: cfg}
+	h := &memHarness{ledger: ledger{logW: cfg.LogW, opTimeout: 15 * time.Second}, cfg: cfg}
 	report := &MemoryReport{}
 
 	srv, err := server.Start(ctx, h.memServerConfig())
@@ -293,7 +288,7 @@ func (h *memHarness) hogClient(ctx context.Context, addr string, w int) {
 				}
 			}
 		}
-		chaosPause(ctx, time.Duration(rng.Intn(2))*time.Millisecond)
+		pause(ctx.Done(), time.Duration(rng.Intn(2))*time.Millisecond)
 	}
 }
 
@@ -324,7 +319,7 @@ func (h *memHarness) neighborClient(ctx context.Context, addr string, ti, w int)
 				}
 			}
 		}
-		chaosPause(ctx, time.Duration(rng.Intn(3)+1)*time.Millisecond)
+		pause(ctx.Done(), time.Duration(rng.Intn(3)+1)*time.Millisecond)
 	}
 }
 
@@ -338,41 +333,4 @@ func latQuantile(lats []time.Duration, q float64) float64 {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	idx := int(float64(len(s)-1) * q)
 	return float64(s[idx].Microseconds()) / 1000
-}
-
-func (h *memHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-}
-
-// dial opens a wire client, recording a violation on failure.
-func (h *memHarness) dial(ctx context.Context, addr string) *wire.Client {
-	cl, err := wire.Dial(ctx, addr)
-	if err != nil {
-		h.violation(fmt.Sprintf("chaos: dial %s failed: %v", addr, err))
-		return nil
-	}
-	cl.OpTimeout = 15 * time.Second
-	return cl
-}
-
-// redial replaces a broken client.
-func (h *memHarness) redial(ctx context.Context, addr string, old *wire.Client) *wire.Client {
-	old.Close()
-	return h.dial(ctx, addr)
-}
-
-// logEvent writes one JSONL record to the configured event log.
-func (h *memHarness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
 }

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -115,19 +114,15 @@ var faultNames = [faultKinds]string{
 
 // replHarness carries one soak's state across rounds.
 type replHarness struct {
+	ledger
 	cfg     ReplicationConfig
 	primary *els.System
 	reps    []*els.Replica
 	ids     []string
 
-	//lockorder:level 5
-	mu         sync.Mutex
-	maxTried   float64 // highest card ever attempted for table m0
-	violations []string
-	report     ReplicationReport
-
-	//lockorder:level 70
-	logMu sync.Mutex
+	// Guarded by ledger.mu.
+	maxTried float64 // highest card ever attempted for table m0
+	report   ReplicationReport
 }
 
 const replProbe = "SELECT COUNT(*) FROM m0 WHERE x < 5"
@@ -151,7 +146,7 @@ func RunReplication(cfg ReplicationConfig) (*ReplicationReport, error) {
 	if cfg.MaxReplicaLag <= 0 {
 		cfg.MaxReplicaLag = 3
 	}
-	h := &replHarness{cfg: cfg, reps: make([]*els.Replica, len(cfg.ReplicaDirs))}
+	h := &replHarness{ledger: ledger{logW: cfg.LogW}, cfg: cfg, reps: make([]*els.Replica, len(cfg.ReplicaDirs))}
 	for _, dir := range cfg.ReplicaDirs {
 		h.ids = append(h.ids, filepath.Base(filepath.Clean(dir)))
 	}
@@ -697,25 +692,4 @@ func (h *replHarness) shutdown() {
 		cancel()
 	}
 	closeQuietly(h.primary)
-}
-
-// violation and logEvent reuse the crash harness's conventions.
-func (h *replHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "violation", "msg": msg})
-}
-
-func (h *replHarness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
 }

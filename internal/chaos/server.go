@@ -3,7 +3,6 @@ package chaos
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,8 @@ import (
 	"time"
 
 	els "repro"
+	"repro/internal/executor"
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/internal/workpool"
@@ -65,26 +66,6 @@ type ServerReport struct {
 // Failed reports whether the storm breached any contract.
 func (r *ServerReport) Failed() bool { return len(r.Violations) > 0 }
 
-// wireTaxonomy extends the in-process taxonomy with the wire-layer and
-// tenant-routing sentinels: every error a client observes must match one.
-var wireTaxonomy = []struct {
-	name string
-	err  error
-}{
-	{"tenant", els.ErrTenant},
-	{"bad-wire", els.ErrBadWire},
-	{"stale-replica", els.ErrStaleReplica},
-	{"diverged", els.ErrDiverged},
-	{"durability", els.ErrDurability},
-	{"canceled", els.ErrCanceled},
-	{"budget", els.ErrBudgetExceeded},
-	{"bad-stats", els.ErrBadStats},
-	{"parse", els.ErrParse},
-	{"overloaded", els.ErrOverloaded},
-	{"closed", els.ErrClosed},
-	{"internal", els.ErrInternal},
-}
-
 // tenantCardBase spaces each tenant's published cardinalities a million
 // apart, so an estimate served from the wrong tenant's catalog lands in
 // an unmistakably foreign band — the cross-tenant interference detector.
@@ -94,19 +75,12 @@ func tenantName(i int) string { return fmt.Sprintf("tenant%d", i) }
 
 // serverHarness carries the storm's shared state.
 type serverHarness struct {
+	ledger
 	cfg ServerConfig
 
-	//lockorder:level 5
-	mu          sync.Mutex
+	// Guarded by ledger.mu.
 	versionCard map[string]map[uint64]float64 // tenant -> acked version -> card
 	obs         map[string][]observation      // tenant -> estimate probes
-	errsByClass map[string]int
-	violations  []string
-	ops         int
-	succeeded   int
-
-	//lockorder:level 70
-	logMu sync.Mutex
 }
 
 // RunServer drives the network chaos fleet end to end: N durable tenants
@@ -143,10 +117,10 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 		return nil, fmt.Errorf("chaos: RunServer needs a DataRoot")
 	}
 	h := &serverHarness{
+		ledger:      ledger{logW: cfg.LogW, opTimeout: 5 * time.Second},
 		cfg:         cfg,
 		versionCard: make(map[string]map[uint64]float64),
 		obs:         make(map[string][]observation),
-		errsByClass: make(map[string]int),
 	}
 	report := &ServerReport{Digests: make(map[string]string)}
 
@@ -335,7 +309,7 @@ func (h *serverHarness) mutatorClient(ctx context.Context, addr string, ti int) 
 		h.versionCard[name][resp.Version] = card
 		h.mu.Unlock()
 		h.logEvent(map[string]any{"event": "publish", "tenant": name, "version": resp.Version, "card": card})
-		chaosPause(ctx, time.Duration(rng.Intn(2)+1)*time.Millisecond)
+		pause(ctx.Done(), time.Duration(rng.Intn(2)+1)*time.Millisecond)
 	}
 }
 
@@ -464,6 +438,11 @@ func (h *serverHarness) saboteur(ctx context.Context, addr string) {
 func (h *serverHarness) flood(ctx context.Context, addr string) {
 	name := tenantName(0)
 	const clients, opsEach = 12, 15
+	// Every admitted query stalls at its scans, so the two slots and the
+	// two queue places stay taken while the other clients arrive: the shed
+	// does not depend on how fast a cached query runs.
+	faultinject.Enable(executor.PointScan, faultinject.Fault{Delay: 10 * time.Millisecond})
+	defer faultinject.Disable(executor.PointScan)
 	var burst sync.WaitGroup
 	onPanic := func(err error) { h.violation(fmt.Sprintf("chaos: flood goroutine failed: %v", err)) }
 	var mu sync.Mutex
@@ -654,8 +633,7 @@ func (h *serverHarness) wireDigest(ctx context.Context, addr, name string) (stri
 // auditVersions checks every estimate probe against the band and the
 // exact cardinality its tenant published for the pinned version.
 func (h *serverHarness) auditVersions() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	// Every fleet goroutine has exited, so the probes are settled.
 	for tenant, probes := range h.obs {
 		published := h.versionCard[tenant]
 		for _, o := range probes {
@@ -664,11 +642,10 @@ func (h *serverHarness) auditVersions() {
 				// The mutator's ack for this version may have been lost to
 				// a torn transport while the server still published it; the
 				// band check below still polices tenancy.
-				h.logEventLocked(map[string]any{"event": "unmatched_version", "tenant": tenant, "version": o.version})
+				h.logEvent(map[string]any{"event": "unmatched_version", "tenant": tenant, "version": o.version})
 			} else if o.size != card {
-				h.violations = append(h.violations,
-					fmt.Sprintf("torn read in %s: estimate %g at version %d, which published %g",
-						tenant, o.size, o.version, card))
+				h.violation(fmt.Sprintf("torn read in %s: estimate %g at version %d, which published %g",
+					tenant, o.size, o.version, card))
 			}
 			base := 0.0
 			for i := 0; i < h.cfg.Tenants; i++ {
@@ -677,62 +654,11 @@ func (h *serverHarness) auditVersions() {
 				}
 			}
 			if o.size < base || o.size >= base+1_000_000 {
-				h.violations = append(h.violations,
-					fmt.Sprintf("cross-tenant read: %s estimate %g is outside its band [%g, %g)",
-						tenant, o.size, base, base+1_000_000))
+				h.violation(fmt.Sprintf("cross-tenant read: %s estimate %g is outside its band [%g, %g)",
+					tenant, o.size, base, base+1_000_000))
 			}
 		}
 	}
-}
-
-// dial opens a wire client, recording a violation on failure.
-func (h *serverHarness) dial(ctx context.Context, addr string) *wire.Client {
-	cl, err := wire.Dial(ctx, addr)
-	if err != nil {
-		h.violation(fmt.Sprintf("chaos: dial %s failed: %v", addr, err))
-		return nil
-	}
-	cl.OpTimeout = 5 * time.Second
-	return cl
-}
-
-// redial replaces a broken client.
-func (h *serverHarness) redial(ctx context.Context, addr string, old *wire.Client) *wire.Client {
-	old.Close()
-	return h.dial(ctx, addr)
-}
-
-// record classifies one client-observed outcome; an error outside the
-// extended taxonomy is a contract violation.
-func (h *serverHarness) record(tenant, op string, err error) {
-	h.mu.Lock()
-	h.ops++
-	class := "ok"
-	if err == nil {
-		h.succeeded++
-	} else {
-		class = ""
-		for _, t := range wireTaxonomy {
-			if errors.Is(err, t.err) {
-				class = t.name
-				break
-			}
-		}
-		if class == "" {
-			class = "UNCLASSIFIED"
-			h.violations = append(h.violations,
-				fmt.Sprintf("%s %s: error outside the taxonomy: %v", tenant, op, err))
-		}
-		h.errsByClass[class]++
-	}
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "op", "tenant": tenant, "op": op, "class": class})
-}
-
-func (h *serverHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
 }
 
 func (h *serverHarness) finish(report *ServerReport) {
@@ -745,34 +671,4 @@ func (h *serverHarness) finish(report *ServerReport) {
 		report.Observations += len(probes)
 	}
 	report.Violations = h.violations
-}
-
-// logEvent / logEventLocked write one JSONL record to the event log (the
-// locked variant is for callers already holding h.mu).
-func (h *serverHarness) logEvent(fields map[string]any) { h.writeLog(fields) }
-func (h *serverHarness) logEventLocked(fields map[string]any) {
-	h.writeLog(fields)
-}
-
-func (h *serverHarness) writeLog(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
-}
-
-// chaosPause sleeps d or until ctx dies.
-func chaosPause(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }

@@ -26,69 +26,133 @@ import (
 	"time"
 )
 
+// Class is one row of the failure taxonomy: a sentinel, its stable wire
+// code (also the class name the chaos reports histogram failures by), and
+// whether resubmitting the same request can succeed.
+type Class struct {
+	Err       error
+	Code      string
+	Retryable bool
+}
+
+// taxonomy holds one row per sentinel, in declaration order. sentinel is
+// the only constructor of taxonomy errors, so a sentinel cannot exist
+// without its row.
+var taxonomy []Class
+
+func sentinel(code, text string, retryable bool) error {
+	err := errors.New(text)
+	taxonomy = append(taxonomy, Class{Err: err, Code: code, Retryable: retryable})
+	return err
+}
+
 // Sentinel errors of the pipeline's failure taxonomy. All errors returned
 // by the governed pipeline match exactly one of these under errors.Is.
+// Declaration order is classification priority (see Classify): structured
+// wrappers first (tenant, overload), so an error chaining several
+// sentinels gets the most specific class. The codes are wire protocol:
+// renaming one breaks every deployed client.
 var (
-	// ErrCanceled reports that the query's context was canceled.
-	ErrCanceled = errors.New("els: query canceled")
-	// ErrBudgetExceeded reports that a resource limit (wall-clock, tuples
-	// scanned, rows materialized, plans enumerated) was exhausted.
-	ErrBudgetExceeded = errors.New("els: resource budget exceeded")
-	// ErrBadStats reports catalog statistics too broken to estimate from
-	// (the estimator degrades to defaults where it can; this error is for
-	// inputs rejected outright, e.g. a negative declared cardinality).
-	ErrBadStats = errors.New("els: invalid catalog statistics")
-	// ErrParse reports a malformed query or unresolvable reference.
-	ErrParse = errors.New("els: parse error")
-	// ErrInternal reports a panic recovered at the public API boundary.
-	ErrInternal = errors.New("els: internal error")
-	// ErrOverloaded reports that admission control shed the query: the
-	// concurrency limit was reached and the query could not be queued (queue
-	// full) or waited past its queue deadline, or the circuit breaker is
-	// open. Overload is a property of the system's load, not of the query —
-	// the same query may succeed when resubmitted later.
-	ErrOverloaded = errors.New("els: overloaded")
-	// ErrClosed reports that the system is draining or closed
-	// (System.Close); new queries fail fast with this error.
-	ErrClosed = errors.New("els: system closed")
-	// ErrDurability reports that the durable catalog store (write-ahead
-	// log or checkpoint; see els.Open) failed to make a mutation durable.
-	// The mutation was not acknowledged and no new catalog version was
-	// published; the durable store refuses further mutations until the
-	// system is reopened, because the on-disk suffix state is unknown.
-	// Queries keep serving from the last published in-memory version.
-	ErrDurability = errors.New("els: durability failure")
-	// ErrStaleReplica reports that a read replica is further behind the
-	// primary than Limits.MaxReplicaLag allows. The read was rejected
-	// before estimation started; the caller can retry (replicas catch up)
-	// or fail over to the primary, which is never stale.
-	ErrStaleReplica = errors.New("els: stale replica")
-	// ErrDiverged reports that a read replica's catalog failed the
-	// version-digest audit: after replaying a shipped frame for version V
-	// its catalog was not byte-identical to the primary's catalog at V.
-	// The replica is quarantined — every subsequent read fails with this
-	// error — until it is re-attached and resynchronized from a full
-	// catalog frame.
-	ErrDiverged = errors.New("els: replica diverged")
+	// ErrTenant reports that a multi-tenant server could not route the
+	// request to a healthy tenant: the tenant is unknown, or its bulkhead
+	// quarantined it as degraded (repeated internal errors or a frozen
+	// durable store). Other tenants on the same server are unaffected.
+	ErrTenant = sentinel("tenant", "els: tenant unavailable", false)
 	// ErrBadWire reports a wire-protocol failure between a client and a
 	// serving process (cmd/elsserve): a frame that failed length or
 	// checksum verification, a malformed or oversized request, an unknown
 	// operation, or a connection that died mid-frame. The request it
 	// covered may or may not have executed; idempotent reads are safe to
 	// resubmit on a fresh connection.
-	ErrBadWire = errors.New("els: wire protocol failure")
-	// ErrTenant reports that a multi-tenant server could not route the
-	// request to a healthy tenant: the tenant is unknown, or its bulkhead
-	// quarantined it as degraded (repeated internal errors or a frozen
-	// durable store). Other tenants on the same server are unaffected.
-	ErrTenant = errors.New("els: tenant unavailable")
+	ErrBadWire = sentinel("bad_wire", "els: wire protocol failure", false)
+	// ErrOverloaded reports that admission control shed the query: the
+	// concurrency limit was reached and the query could not be queued (queue
+	// full) or waited past its queue deadline, or the circuit breaker is
+	// open. Overload is a property of the system's load, not of the query —
+	// the same query may succeed when resubmitted later.
+	ErrOverloaded = sentinel("overloaded", "els: overloaded", true)
+	// ErrClosed reports that the system is draining or closed
+	// (System.Close); new queries fail fast with this error.
+	ErrClosed = sentinel("closed", "els: system closed", false)
+	// ErrStaleReplica reports that a read replica is further behind the
+	// primary than Limits.MaxReplicaLag allows. The read was rejected
+	// before estimation started; the caller can retry (replicas catch up)
+	// or fail over to the primary, which is never stale.
+	ErrStaleReplica = sentinel("stale_replica", "els: stale replica", true)
+	// ErrDiverged reports that a read replica's catalog failed the
+	// version-digest audit: after replaying a shipped frame for version V
+	// its catalog was not byte-identical to the primary's catalog at V.
+	// The replica is quarantined — every subsequent read fails with this
+	// error — until it is re-attached and resynchronized from a full
+	// catalog frame.
+	ErrDiverged = sentinel("diverged", "els: replica diverged", false)
+	// ErrDurability reports that the durable catalog store (write-ahead
+	// log or checkpoint; see els.Open) failed to make a mutation durable.
+	// The mutation was not acknowledged and no new catalog version was
+	// published; the durable store refuses further mutations until the
+	// system is reopened, because the on-disk suffix state is unknown.
+	// Queries keep serving from the last published in-memory version.
+	ErrDurability = sentinel("durability", "els: durability failure", false)
 	// ErrMemory reports that a query's byte budget (Limits.MaxMemory) was
 	// exhausted by working memory that cannot be partitioned down to fit
 	// (sort scratch). Unlike ErrOverloaded it is a property of the query
 	// against its budget, not of system load: resubmitting the same query
 	// under the same budget fails the same way, so it is not retryable.
-	ErrMemory = errors.New("els: memory budget exceeded")
+	// It sits above the generic budget class: if a failure ever chains
+	// both, the byte-budget code is the more actionable one.
+	ErrMemory = sentinel("memory", "els: memory budget exceeded", false)
+	// ErrBudgetExceeded reports that a resource limit (wall-clock, tuples
+	// scanned, rows materialized, plans enumerated) was exhausted.
+	ErrBudgetExceeded = sentinel("budget_exceeded", "els: resource budget exceeded", false)
+	// ErrCanceled reports that the query's context was canceled.
+	ErrCanceled = sentinel("canceled", "els: query canceled", false)
+	// ErrParse reports a malformed query or unresolvable reference.
+	ErrParse = sentinel("parse", "els: parse error", false)
+	// ErrBadStats reports catalog statistics too broken to estimate from
+	// (the estimator degrades to defaults where it can; this error is for
+	// inputs rejected outright, e.g. a negative declared cardinality).
+	ErrBadStats = sentinel("bad_stats", "els: invalid catalog statistics", false)
+	// ErrInternal reports a panic recovered at the public API boundary:
+	// this attempt hit a bug or an injected fault, the next may not.
+	ErrInternal = sentinel("internal", "els: internal error", true)
 )
+
+// Taxonomy returns every row in classification-priority order. The slice
+// is shared; callers must not modify it.
+func Taxonomy() []Class { return taxonomy }
+
+// Classify returns the first row, in priority order, whose sentinel err
+// matches under errors.Is; ok is false for an error outside the taxonomy.
+func Classify(err error) (c Class, ok bool) {
+	for _, c := range taxonomy {
+		if errors.Is(err, c.Err) {
+			return c, true
+		}
+	}
+	return Class{}, false
+}
+
+// ClassByCode returns the row a wire code names.
+func ClassByCode(code string) (c Class, ok bool) {
+	for _, c := range taxonomy {
+		if c.Code == code {
+			return c, true
+		}
+	}
+	return Class{}, false
+}
+
+// Retryable reports whether err matches any retryable sentinel: internal
+// errors, overload sheds, and stale-replica rejections. Every other class
+// is deterministic for the same submission.
+func Retryable(err error) bool {
+	for _, c := range taxonomy {
+		if c.Retryable && errors.Is(err, c.Err) {
+			return true
+		}
+	}
+	return false
+}
 
 // BudgetError is the concrete error for an exhausted budget. It matches
 // ErrBudgetExceeded under errors.Is and names the resource that ran out.

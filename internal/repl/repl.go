@@ -15,6 +15,7 @@ import (
 	"time"
 
 	els "repro"
+	"repro/internal/governor"
 )
 
 // Processor holds the session state of one REPL.
@@ -122,11 +123,7 @@ func (p *Processor) help() error {
   stats <name>                              show a table's statistics
   algo <name>                               set the estimation algorithm
   algos                                     list algorithms
-  limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N]
-         [max-concurrent=N] [max-queue=N] [queue-timeout=D]
-         [max-replica-lag=N] [columnar=on|off] [cache=on|off]
-         [plan-cache-size=N]
-                                            set per-query budgets (memory=N is
+%s                                            set per-query budgets (memory=N is
                                             the byte budget; over it, hash joins
                                             partition in memory), admission
                                             control, replica staleness,
@@ -152,7 +149,7 @@ func (p *Processor) help() error {
   SELECT ...                                plan and execute the query
   compare <sql>                             run under ELS/SM/SM+PTC/SSS
   quit
-`)
+`, limitsSynopsis())
 	return nil
 }
 
@@ -161,33 +158,54 @@ func (p *Processor) setAlgo(args []string) error {
 		p.printf("usage: algo <name>; current: %s\n", p.algo)
 		return nil
 	}
-	for _, a := range els.Algorithms() {
-		if strings.EqualFold(a.String(), args[0]) {
-			p.algo = a
-			p.printf("algorithm: %s\n", a)
-			return nil
-		}
+	a, err := els.ParseAlgorithm(args[0])
+	if err != nil {
+		p.printf("unknown algorithm %q; use one of %v\n", args[0], els.Algorithms())
+		return nil
 	}
-	p.printf("unknown algorithm %q; use one of %v\n", args[0], els.Algorithms())
+	p.algo = a
+	p.printf("algorithm: %s\n", a)
 	return nil
 }
 
-const limitsUsage = "usage: limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N] [max-concurrent=N] [max-queue=N] [queue-timeout=D] [max-replica-lag=N] [columnar=on|off] [cache=on|off] [plan-cache-size=N] | limits off"
+// limitArgs renders every knob of the limits table as "[key=ARG]".
+func limitArgs() []string {
+	args := make([]string, len(governor.Knobs))
+	for i, k := range governor.Knobs {
+		args[i] = "[" + k.Key + "=" + k.Arg + "]"
+	}
+	return args
+}
+
+func limitsUsage() string {
+	return "usage: limits " + strings.Join(limitArgs(), " ") + " | limits off"
+}
+
+// limitsSynopsis is the help text's limits entry: the knobs wrapped to the
+// help's width under the verb.
+func limitsSynopsis() string {
+	const width = 72
+	var b strings.Builder
+	line := "  limits"
+	for _, arg := range limitArgs() {
+		if len(line)+1+len(arg) > width {
+			b.WriteString(line + "\n")
+			line = "        "
+		}
+		line += " " + arg
+	}
+	b.WriteString(line + "\n")
+	return b.String()
+}
 
 // formatLimits renders one line of the full limit set, budgets and
 // admission control alike.
 func formatLimits(l els.Limits) string {
-	return fmt.Sprintf("timeout=%s tuples=%d rows=%d plans=%d memory=%d max-concurrent=%d max-queue=%d queue-timeout=%s max-replica-lag=%d columnar=%s cache=%s plan-cache-size=%d",
-		l.Timeout, l.MaxTuples, l.MaxRows, l.MaxPlans, l.MaxMemory,
-		l.MaxConcurrent, l.MaxQueue, l.QueueTimeout, l.MaxReplicaLag,
-		onOff(!l.DisableColumnar), onOff(!l.DisableCache), l.PlanCacheSize)
-}
-
-func onOff(on bool) string {
-	if on {
-		return "on"
+	fields := make([]string, len(governor.Knobs))
+	for i, k := range governor.Knobs {
+		fields[i] = k.Key + "=" + k.Format(l)
 	}
-	return "off"
+	return strings.Join(fields, " ")
 }
 
 // limits shows or updates the system's per-query resource budgets and
@@ -196,8 +214,7 @@ func onOff(on bool) string {
 func (p *Processor) limits(args []string) error {
 	if len(args) == 0 {
 		l := p.sys.Limits()
-		if !l.Enforced() && !l.Admission() && l.MaxQueue == 0 && l.QueueTimeout == 0 && l.MaxReplicaLag == 0 &&
-			!l.DisableColumnar && !l.DisableCache && l.PlanCacheSize == 0 {
+		if formatLimits(l) == formatLimits(els.Limits{}) {
 			p.printf("no limits\n")
 			return nil
 		}
@@ -213,72 +230,20 @@ func (p *Processor) limits(args []string) error {
 	for _, kv := range args {
 		parts := strings.SplitN(kv, "=", 2)
 		if len(parts) != 2 || parts[1] == "" {
-			p.printf("malformed limit %q (want key=value)\n%s\n", kv, limitsUsage)
+			p.printf("malformed limit %q (want key=value)\n%s\n", kv, limitsUsage())
 			return nil
 		}
-		key := strings.ToLower(parts[0])
-		switch key {
-		case "timeout", "queue-timeout":
-			d, err := time.ParseDuration(parts[1])
-			if err != nil {
-				p.printf("bad %s %q: %v\n%s\n", key, parts[1], err, limitsUsage)
-				return nil
+		knob, ok := governor.FindKnob(strings.ToLower(parts[0]))
+		if !ok {
+			keys := make([]string, len(governor.Knobs))
+			for i, k := range governor.Knobs {
+				keys[i] = k.Key
 			}
-			if d < 0 {
-				p.printf("%s must not be negative (got %s)\n%s\n", key, d, limitsUsage)
-				return nil
-			}
-			if key == "timeout" {
-				l.Timeout = d
-			} else {
-				l.QueueTimeout = d
-			}
-		case "columnar", "cache":
-			var on bool
-			switch strings.ToLower(parts[1]) {
-			case "on":
-				on = true
-			case "off":
-				on = false
-			default:
-				p.printf("bad %s %q (want on or off)\n%s\n", key, parts[1], limitsUsage)
-				return nil
-			}
-			if key == "columnar" {
-				l.DisableColumnar = !on
-			} else {
-				l.DisableCache = !on
-			}
-		case "tuples", "rows", "plans", "memory", "max-concurrent", "max-queue", "max-replica-lag", "plan-cache-size":
-			n, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				p.printf("bad %s limit %q\n%s\n", key, parts[1], limitsUsage)
-				return nil
-			}
-			if n < 0 {
-				p.printf("%s must not be negative (got %d); use \"limits off\" to clear\n%s\n", key, n, limitsUsage)
-				return nil
-			}
-			switch key {
-			case "tuples":
-				l.MaxTuples = n
-			case "rows":
-				l.MaxRows = n
-			case "plans":
-				l.MaxPlans = n
-			case "memory":
-				l.MaxMemory = n
-			case "max-concurrent":
-				l.MaxConcurrent = int(n)
-			case "max-queue":
-				l.MaxQueue = int(n)
-			case "max-replica-lag":
-				l.MaxReplicaLag = int(n)
-			case "plan-cache-size":
-				l.PlanCacheSize = int(n)
-			}
-		default:
-			p.printf("unknown limit %q (want timeout, tuples, rows, plans, memory, max-concurrent, max-queue, queue-timeout, max-replica-lag, columnar, cache, plan-cache-size)\n", parts[0])
+			p.printf("unknown limit %q (want %s)\n", parts[0], strings.Join(keys, ", "))
+			return nil
+		}
+		if err := knob.Parse(&l, parts[1]); err != nil {
+			p.printf("%v\n%s\n", err, limitsUsage())
 			return nil
 		}
 	}

@@ -308,8 +308,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			}
 			continue
 		}
-		resp := s.serveReq(ctx, req)
-		if !s.writeResp(conn, resp) {
+		if !s.serveReq(ctx, conn, req) {
 			return
 		}
 	}
@@ -339,34 +338,37 @@ func (s *Server) writeResp(conn net.Conn, resp *wire.Response) bool {
 	return wire.WriteFrame(conn, payload) == nil
 }
 
-// serveReq dispatches one request: drain gate, tenant routing, deadline
-// propagation, and the typed-error mapping onto the wire.
-func (s *Server) serveReq(ctx context.Context, req *wire.Request) *wire.Response {
+// serveReq dispatches one request — drain gate, tenant routing, deadline
+// propagation, the typed-error mapping onto the wire — and writes its
+// response, reporting whether the connection is still usable. An admitted
+// request stays registered until its response frame is written (or the
+// write fails): the drain closes connections only after the last
+// registered request is gone, so a response the drain waited for is never
+// torn by it.
+func (s *Server) serveReq(ctx context.Context, conn net.Conn, req *wire.Request) bool {
 	s.requests.add(1)
 	resp := &wire.Response{ID: req.ID}
-	if !s.beginReq() {
+	if s.beginReq() {
+		defer s.reqWG.Done()
+		if req.DeadlineMillis > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
+			defer cancel()
+		}
+		if err := s.dispatch(ctx, req, resp); err != nil {
+			resp.Err = s.wireErr(req, err)
+		} else {
+			resp.OK = true
+		}
+	} else if req.Op == wire.OpStats {
 		// Draining. Observability still answers; everything else is shed
 		// typed with the drain's Retry-After hint.
-		if req.Op == wire.OpStats {
-			resp.Stats = s.statsDoc()
-			resp.OK = true
-			return resp
-		}
+		resp.Stats = s.statsDoc()
+		resp.OK = true
+	} else {
 		resp.Err = s.wireErr(req, fmt.Errorf("%w: server draining, resubmit elsewhere or after Retry-After", els.ErrClosed))
-		return resp
 	}
-	defer s.reqWG.Done()
-	if req.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
-		defer cancel()
-	}
-	if err := s.dispatch(ctx, req, resp); err != nil {
-		resp.Err = s.wireErr(req, err)
-		return resp
-	}
-	resp.OK = true
-	return resp
+	return s.writeResp(conn, resp)
 }
 
 // beginReq registers one in-flight request, or reports that the server is

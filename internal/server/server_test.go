@@ -283,15 +283,25 @@ func statsFor(t *testing.T, cl *wire.Client, tenant string) wire.TenantStats {
 	return wire.TenantStats{}
 }
 
-// parseAlgo accepts every published algorithm name case-insensitively.
+// A request names its algorithm by any published name, case-insensitively,
+// and no name selects ELS.
 func TestParseAlgoNames(t *testing.T) {
+	_, cl := startTestServer(t, nil)
+	estimate := func(algo string) string {
+		t.Helper()
+		resp, err := cl.Do(context.Background(), &wire.Request{
+			Op: wire.OpEstimate, Tenant: "a", SQL: "SELECT COUNT(*) FROM T", Algo: algo})
+		if err != nil {
+			t.Fatalf("algo %q: %v", algo, err)
+		}
+		return resp.Estimate.Algorithm
+	}
 	for _, a := range els.Algorithms() {
-		got, err := parseAlgo(strings.ToLower(a.String()))
-		if err != nil || got != a {
-			t.Errorf("parseAlgo(%q) = %v, %v", a.String(), got, err)
+		if got := estimate(strings.ToLower(a.String())); got != a.String() {
+			t.Errorf("algo %q served as %q", strings.ToLower(a.String()), got)
 		}
 	}
-	if got, err := parseAlgo(""); err != nil || got != els.AlgorithmELS {
-		t.Errorf("empty algo = %v, %v, want the ELS default", got, err)
+	if got := estimate(""); got != els.AlgorithmELS.String() {
+		t.Errorf("empty algo served as %q, want the ELS default", got)
 	}
 }

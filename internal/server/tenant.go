@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -146,7 +145,7 @@ func (t *tenant) run(ctx context.Context, s *Server, req *wire.Request, resp *wi
 		resp.Version = t.sys.CatalogVersion()
 		return nil
 	case wire.OpEstimate:
-		algo, err := parseAlgo(req.Algo)
+		algo, err := els.ParseAlgorithm(req.Algo)
 		if err != nil {
 			return err
 		}
@@ -163,7 +162,7 @@ func (t *tenant) run(ctx context.Context, s *Server, req *wire.Request, resp *wi
 		}
 		return nil
 	case wire.OpQuery:
-		algo, err := parseAlgo(req.Algo)
+		algo, err := els.ParseAlgorithm(req.Algo)
 		if err != nil {
 			return err
 		}
@@ -189,7 +188,7 @@ func (t *tenant) run(ctx context.Context, s *Server, req *wire.Request, resp *wi
 		}
 		return nil
 	case wire.OpExplain:
-		algo, err := parseAlgo(req.Algo)
+		algo, err := els.ParseAlgorithm(req.Algo)
 		if err != nil {
 			return err
 		}
@@ -280,18 +279,4 @@ func (t *tenant) stats() wire.TenantStats {
 		ts.DegradedReason = degraded.Error()
 	}
 	return ts
-}
-
-// parseAlgo resolves a request's algorithm name (by the Algorithm.String
-// spelling, case-insensitively); empty selects ELS.
-func parseAlgo(name string) (els.Algorithm, error) {
-	if name == "" {
-		return els.AlgorithmELS, nil
-	}
-	for _, a := range els.Algorithms() {
-		if strings.EqualFold(a.String(), name) {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: unknown algorithm %q", els.ErrParse, name)
 }

@@ -186,26 +186,10 @@ type Response struct {
 	Stats *ServerStats `json:"stats,omitempty"`
 }
 
-// Error codes: the stable wire names of the public taxonomy sentinels.
-const (
-	CodeCanceled     = "canceled"
-	CodeMemory       = "memory"
-	CodeBudget       = "budget_exceeded"
-	CodeBadStats     = "bad_stats"
-	CodeParse        = "parse"
-	CodeInternal     = "internal"
-	CodeOverloaded   = "overloaded"
-	CodeClosed       = "closed"
-	CodeDurability   = "durability"
-	CodeStaleReplica = "stale_replica"
-	CodeDiverged     = "diverged"
-	CodeBadWire      = "bad_wire"
-	CodeTenant       = "tenant"
-)
-
 // Error is the wire form of a typed failure.
 type Error struct {
-	// Code is one of the Code* constants.
+	// Code is the failure class's stable wire name: the Code column of
+	// the taxonomy table in internal/governor.
 	Code string `json:"code"`
 	// Message is the server-side error text.
 	Message string `json:"message"`
@@ -221,86 +205,43 @@ type Error struct {
 	Quarantined bool   `json:"quarantined,omitempty"`
 }
 
-// sentinels maps wire codes to taxonomy sentinels and back. Order is the
-// classification priority for CodeOf: structured wrappers first (tenant,
-// overload) so an error chaining several sentinels gets the most specific
-// code. The wirecover analyzer proves the table total: every taxonomy
-// sentinel exactly once, every code distinct — deleting a row no longer
-// waits for a cross-version client to notice.
-//
-//wirecover:table
-var sentinels = []struct {
-	code string
-	err  error
-}{
-	{CodeTenant, governor.ErrTenant},
-	{CodeBadWire, governor.ErrBadWire},
-	{CodeOverloaded, governor.ErrOverloaded},
-	{CodeClosed, governor.ErrClosed},
-	{CodeStaleReplica, governor.ErrStaleReplica},
-	{CodeDiverged, governor.ErrDiverged},
-	{CodeDurability, governor.ErrDurability},
-	// Memory sits above the generic budget class: if a failure ever chains
-	// both, the byte-budget code is the more actionable one.
-	{CodeMemory, governor.ErrMemory},
-	{CodeBudget, governor.ErrBudgetExceeded},
-	{CodeCanceled, governor.ErrCanceled},
-	{CodeParse, governor.ErrParse},
-	{CodeBadStats, governor.ErrBadStats},
-	{CodeInternal, governor.ErrInternal},
-}
-
-// CodeOf classifies err into its wire code. Errors outside the taxonomy
-// (which the serving layer's recovery should have made impossible) are
-// reported as internal, never dropped.
+// CodeOf classifies err into its wire code, by the taxonomy table's
+// priority order. Errors outside the taxonomy (which the serving layer's
+// recovery should have made impossible) are reported as internal, never
+// dropped.
 func CodeOf(err error) string {
-	for _, s := range sentinels {
-		if errors.Is(err, s.err) {
-			return s.code
-		}
+	c, ok := governor.Classify(err)
+	if !ok {
+		return CodeOf(governor.ErrInternal)
 	}
-	return CodeInternal
+	return c.Code
 }
 
-// Sentinel returns the taxonomy sentinel a wire code names (CodeInternal
+// Sentinel returns the taxonomy sentinel a wire code names (ErrInternal
 // for unknown codes, mirroring CodeOf's fallback).
 func Sentinel(code string) error {
-	for _, s := range sentinels {
-		if s.code == code {
-			return s.err
-		}
+	if c, ok := governor.ClassByCode(code); ok {
+		return c.Err
 	}
 	return governor.ErrInternal
 }
 
-// retryableErr mirrors els.Retryable without importing the root package
-// (the root package is above wire in the dependency order): internal,
-// overloaded, and stale-replica failures are worth retrying. The mirror
-// cannot drift: wirecover compares every declared retry set canonically
-// and goes red on the first disagreement.
-//
-//wirecover:retryset
-func retryableErr(err error) bool {
-	return errors.Is(err, governor.ErrInternal) || errors.Is(err, governor.ErrOverloaded) ||
-		errors.Is(err, governor.ErrStaleReplica)
-}
-
 // FromError converts a typed serving failure into its wire form.
-// retryAfter is the hint attached to load-dependent codes (overloaded,
+// retryAfter is the hint attached to load-dependent classes (overloaded,
 // closed, stale replica); pass 0 for no hint.
 func FromError(err error, retryAfter time.Duration) *Error {
 	e := &Error{
 		Code:      CodeOf(err),
 		Message:   err.Error(),
-		Retryable: retryableErr(err),
+		Retryable: governor.Retryable(err),
 	}
 	var terr *governor.TenantError
 	if errors.As(err, &terr) {
 		e.Tenant = terr.Tenant
 		e.Quarantined = terr.Quarantined
 	}
-	switch e.Code {
-	case CodeOverloaded, CodeClosed, CodeStaleReplica:
+	switch Sentinel(e.Code) {
+	case governor.ErrOverloaded, governor.ErrClosed, governor.ErrStaleReplica:
 		e.RetryAfterMillis = retryAfter.Milliseconds()
 	}
 	return e

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -149,5 +150,26 @@ func TestRequestResponseJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeResponse([]byte("{")); !errors.Is(err, governor.ErrBadWire) {
 		t.Fatalf("garbage response decode = %v, want ErrBadWire", err)
+	}
+}
+
+// Every row of the taxonomy table crosses the wire intact: FromError
+// encodes the row's code and retryable flag, and the RemoteError rebuilt
+// from them classifies back to the same row.
+func TestTaxonomyRowsCrossTheWire(t *testing.T) {
+	for _, row := range governor.Taxonomy() {
+		we := FromError(fmt.Errorf("serving: %w", row.Err), 0)
+		if we.Code != row.Code || we.Retryable != row.Retryable {
+			t.Errorf("%s: encoded as code %q retryable %v, want %q %v",
+				row.Code, we.Code, we.Retryable, row.Code, row.Retryable)
+		}
+		remote := error(&RemoteError{Wire: *we})
+		back, ok := governor.Classify(remote)
+		if !ok || back != row {
+			t.Errorf("%s: remote error classifies as %+v (in taxonomy: %v)", row.Code, back, ok)
+		}
+		if governor.Retryable(remote) != row.Retryable {
+			t.Errorf("%s: remote error retryable = %v", row.Code, !row.Retryable)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package els
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 
@@ -71,15 +70,9 @@ var (
 // Retryable is the single classification shared by the in-process retry
 // loop (SetRetryPolicy), the database/sql driver's resubmission policy,
 // and wire responses' retryable flag, so every layer agrees on what "try
-// again" means. The wirecover analyzer holds it to that: the declared
-// retry set below must match every other //wirecover:retryset in the
-// dependency graph.
-//
-//wirecover:retryset
-func Retryable(err error) bool {
-	return errors.Is(err, ErrInternal) || errors.Is(err, ErrOverloaded) ||
-		errors.Is(err, ErrStaleReplica)
-}
+// again" means: all of them read the retryable column of the taxonomy
+// table in internal/governor.
+func Retryable(err error) bool { return governor.Retryable(err) }
 
 // Limits configures per-query resource budgets and system-wide admission
 // control (MaxConcurrent, MaxQueue, QueueTimeout); see SetLimits. The zero
