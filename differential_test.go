@@ -3,19 +3,24 @@ package els
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/bruteforce"
 	"repro/internal/cardest"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/executor"
+	"repro/internal/experiment"
 	"repro/internal/governor"
 	"repro/internal/optimizer"
 	"repro/internal/querygen"
@@ -68,8 +73,8 @@ func planMethods(t *testing.T, cat *catalog.Catalog, q querygen.Query, methods [
 	return plan
 }
 
-// noHashMethods is the repertoire the columnar differential plans a second
-// time for a seed that offers sort-merge — the same methods minus the hash
+// noHashMethods is the repertoire the differentials plan a second time for
+// a seed that offers sort-merge — the same methods minus the hash
 // join, which the optimizer otherwise always prefers — and false for a seed
 // that does not offer it.
 func noHashMethods(q querygen.Query) ([]optimizer.JoinMethod, bool) {
@@ -103,6 +108,73 @@ func TestBestPlanDigestPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != bestPlanDigest {
 		t.Fatalf("plan digest %s, want %s", got, bestPlanDigest)
+	}
+}
+
+// executionDigest is the SHA-256 TestExecutionDigestPinned computes, taken
+// where a row-at-a-time engine still refereed the columnar one and nested
+// loops and index nested-loops evaluated boxed rows.
+const executionDigest = "a2dd957678933a953488d22f4bf480e8745d301d3a2e00c5f2013d2441505b02"
+
+// TestExecutionDigestPinned holds execution to the rows, row order, work
+// counters and governor tuple/row charges it produced before every operator
+// moved onto the pair sink: every plan of the brute-force differential for
+// seeds 0–499, unbudgeted and under its byte budget, and the Section 8
+// experiment at scale 10 with and without indexes. The brute-force
+// differential checks the row multisets; this checks everything else.
+func TestExecutionDigestPinned(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(0); seed < 500; seed++ {
+		q := querygen.Generate(seed)
+		cat, plans := differentialPlans(t, q)
+		for i, plan := range plans {
+			for _, budget := range []int64{0, diffBudget(plan)} {
+				res, usage, _ := execGoverned(t, cat, plan, budget)
+				fmt.Fprintf(h, "%d %d %d: %d %d %d %v\n", seed, i, budget,
+					res.Stats.TuplesScanned, res.Stats.Comparisons, res.Stats.RowsProduced, usage)
+				hashRows(h, res.Table)
+			}
+		}
+	}
+	for _, withIndexes := range []bool{false, true} {
+		res, err := experiment.RunSection8(experiment.Section8Options{Scale: 10, Seed: 42, WithIndexes: withIndexes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Rows {
+			fmt.Fprintf(h, "%s %s\n%s%d %d %d %d\n", r.Query, r.Algorithm, r.Plan,
+				r.TrueCount, r.Stats.TuplesScanned, r.Stats.Comparisons, r.Stats.RowsProduced)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != executionDigest {
+		t.Fatalf("execution digest %s, want %s", got, executionDigest)
+	}
+}
+
+// hashRows writes the table's values to h column by column, each column in
+// row order, which fixes the order of the rows as well as their values.
+func hashRows(h io.Writer, tbl *storage.Table) {
+	var buf []byte
+	for c := 0; c < tbl.Schema().NumColumns(); c++ {
+		d := tbl.ColumnData(c)
+		buf = append(buf[:0], byte(d.Type))
+		for r := 0; r < tbl.NumRows(); r++ {
+			switch {
+			case d.Null(r):
+				buf = append(buf, 'N')
+			case d.Type == storage.TypeInt64:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Ints[r]))
+			case d.Type == storage.TypeFloat64:
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.Floats[r]))
+			case d.Type == storage.TypeString:
+				buf = append(append(buf, d.Strs[r]...), 0)
+			case d.Bools[r]:
+				buf = append(buf, 1)
+			default:
+				buf = append(buf, 0)
+			}
+		}
+		h.Write(buf)
 	}
 }
 
@@ -144,81 +216,127 @@ func diffReport(t *testing.T, fields map[string]any) {
 	f.Write(append(b, '\n'))
 }
 
-// execEngine runs the plan with the given engine (columnar or
-// row-at-a-time) on a fresh governor, returning the result plus the
-// governor's tuple/row charge counters.
-func execEngine(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, columnar bool) (*executor.Result, [2]int64) {
+// differentialPlans plans one generated query every way the differentials
+// execute it: over its own repertoire; for a seed that offers sort-merge,
+// once more without the hash join, which the optimizer otherwise always
+// prefers, so the typed sort-merge kernel is exercised; and for a two-table
+// seed, twice more — over nested loops alone, which the optimizer seldom
+// picks otherwise, and over nested loops and index nested-loops with an
+// index on each k — so the re-scanned inner and the index probe are too.
+func differentialPlans(t *testing.T, q querygen.Query) (*catalog.Catalog, []optimizer.Plan) {
 	t.Helper()
-	gov := governor.New(context.Background(), governor.Limits{DisableColumnar: !columnar})
-	res, err := executor.NewGoverned(cat, gov).Execute(plan)
-	if err != nil {
-		t.Fatalf("columnar=%v: %v", columnar, err)
+	cat, plan := planGenerated(t, q)
+	plans := []optimizer.Plan{plan}
+	if noHash, ok := noHashMethods(q); ok {
+		plans = append(plans, planMethods(t, cat, q, noHash))
 	}
-	tuples, rows, _ := gov.Usage()
-	return res, [2]int64{tuples, rows}
+	if len(q.Tables) == 2 {
+		for _, ref := range q.Tables {
+			if err := cat.BuildIndex(ref.Table, "k"); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		plans = append(plans,
+			planMethods(t, cat, q, []optimizer.JoinMethod{optimizer.NestedLoop}),
+			planMethods(t, cat, q, []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.IndexNL}))
+	}
+	return cat, plans
 }
 
-// TestDifferentialColumnarVsRow is the referee the columnar tentpole is
-// locked down by: for every seeded random query, the row-at-a-time result
-// is the oracle, and the columnar engine must reproduce it bit-identically
-// — same rows in the same order, same TuplesScanned and Comparisons, and
-// the same governor tuple/row charges. Any divergence is appended to the
-// ELS_DIFF_REPORT artifact before the test fails, and so is the number of
-// seeds that ran a sort-merge join, which has a floor.
-func TestDifferentialColumnarVsRow(t *testing.T) {
+// diffBudget is the byte budget of a plan's budgeted run: 4 KiB, so hash-join
+// build sides that overflow it take the partition policy, or 1 MiB for a plan
+// with a sort-merge join, whose sort scratch cannot be partitioned.
+func diffBudget(plan optimizer.Plan) int64 {
+	if hasJoinMethod(plan, optimizer.SortMerge) {
+		return 1 << 20
+	}
+	return 4096
+}
+
+// execGoverned runs the plan on a fresh governor under the given byte budget
+// (0: none), returning the result, the governor's tuple/row charges and the
+// governor.
+func execGoverned(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, budget int64) (*executor.Result, [2]int64, *governor.Governor) {
+	t.Helper()
+	gov := governor.New(context.Background(), governor.Limits{MaxMemory: budget})
+	res, err := executor.NewGoverned(cat, gov).Execute(plan)
+	if err != nil {
+		t.Fatalf("plan %s, budget %d: %v", plan, budget, err)
+	}
+	tuples, rows, _ := gov.Usage()
+	return res, [2]int64{tuples, rows}, gov
+}
+
+// TestDifferentialBruteForce holds every plan of every seeded random query
+// to the brute-force evaluator, which shares no code with the executor: the
+// result must be the evaluator's row multiset, unbudgeted and under the
+// plan's byte budget, and the budgeted run's work counters and governor
+// tuple/row charges must equal the unbudgeted run's (TestExecutionDigestPinned
+// holds both to the row order and counters they had when a row-at-a-time
+// engine refereed them). Any divergence is appended to the ELS_DIFF_REPORT
+// artifact before the test fails, and so is what the seeds covered: how many
+// ran nested loops, a sort-merge join, an index nested-loops join and a hash
+// join that partitioned under the budget. Each count has a floor.
+func TestDifferentialBruteForce(t *testing.T) {
 	queries := differentialQueries(t)
-	sortMerged := int64(0)
+	seeds := map[string]int64{} // per operator, the seeds that ran it
 	for seed := int64(0); seed < queries; seed++ {
 		q := querygen.Generate(seed)
-		cat, plan := planGenerated(t, q)
-		plans := []optimizer.Plan{plan}
-		// The optimizer never prefers sort-merge while the hash join is on
-		// offer, so a seed whose repertoire has sort-merge is also planned
-		// without the hash join: that plan is what referees the typed
-		// sort-merge kernel.
-		if noHash, ok := noHashMethods(q); ok {
-			plans = append(plans, planMethods(t, cat, q, noHash))
-			if hasJoinMethod(plans[1], optimizer.SortMerge) {
-				sortMerged++
-			}
+		cat, plans := differentialPlans(t, q)
+		want, names, err := bruteforce.Of(cat, q.Tables, q.Preds, nil)
+		if err != nil {
+			t.Fatalf("seed %d (%s): %v", seed, q, err)
 		}
+		covered := map[string]bool{}
 		for _, plan := range plans {
-			row, rowUsage := execEngine(t, cat, plan, false)
-			col, colUsage := execEngine(t, cat, plan, true)
 			fail := func(field string, got, want any) {
 				diffReport(t, map[string]any{
-					"harness": "columnar-vs-row", "seed": seed, "plan": plan.String(),
-					"query": q.String(), "field": field, "columnar": got, "row": want,
+					"harness": "brute-force", "seed": seed, "plan": plan.String(),
+					"query": q.String(), "field": field, "got": got, "want": want,
 				})
-				t.Fatalf("seed %d (%s, plan %s): %s %v (columnar) vs %v (row)",
-					seed, q, plan, field, got, want)
+				t.Fatalf("seed %d (%s, plan %s): %s %v, want %v", seed, q, plan, field, got, want)
 			}
-			if col.Stats.RowsProduced != row.Stats.RowsProduced {
-				fail("rows_produced", col.Stats.RowsProduced, row.Stats.RowsProduced)
+			base, baseUsage, _ := execGoverned(t, cat, plan, 0)
+			budgeted, usage, gov := execGoverned(t, cat, plan, diffBudget(plan))
+			for _, res := range []*executor.Result{base, budgeted} {
+				var got bruteforce.Multiset
+				if err := got.AddTable(res.Table, names); err != nil {
+					t.Fatalf("seed %d (%s, plan %s): %v", seed, q, plan, err)
+				}
+				if got != want {
+					fail("rows", got, want)
+				}
 			}
-			if col.Stats.TuplesScanned != row.Stats.TuplesScanned {
-				fail("tuples_scanned", col.Stats.TuplesScanned, row.Stats.TuplesScanned)
+			if s, b := budgeted.Stats, base.Stats; s.TuplesScanned != b.TuplesScanned || s.Comparisons != b.Comparisons {
+				fail("budgeted tuples, comparisons", [2]int64{s.TuplesScanned, s.Comparisons}, [2]int64{b.TuplesScanned, b.Comparisons})
 			}
-			if col.Stats.Comparisons != row.Stats.Comparisons {
-				fail("comparisons", col.Stats.Comparisons, row.Stats.Comparisons)
+			if usage != baseUsage {
+				fail("budgeted governor_usage", usage, baseUsage)
 			}
-			if colUsage != rowUsage {
-				fail("governor_usage", colUsage, rowUsage)
+			if spills, _ := gov.SpillStats(); spills > 0 {
+				covered["partitioned"] = true
 			}
-			assertSameRows(t, seed, q, row.Table, col.Table)
+			for _, m := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge, optimizer.IndexNL} {
+				if hasJoinMethod(plan, m) {
+					covered[m.String()] = true
+				}
+			}
+		}
+		for what := range covered {
+			seeds[what]++
 		}
 	}
-	// querygen offers sort-merge on about half the seeds, and where nested
-	// loops are on offer too they sometimes win (177 of 500 seeds ran a
-	// sort-merge join when this was written, 15 of the 60 of -short). Below a
-	// fifth the differential has stopped covering the typed kernel.
-	diffReport(t, map[string]any{
-		"harness": "columnar-vs-row", "queries": queries, "sort_merge_plans": sortMerged,
-	})
-	if sortMerged*5 < queries {
-		t.Errorf("only %d of %d seeds ran a sort-merge join; the floor is a fifth", sortMerged, queries)
+	diffReport(t, map[string]any{"harness": "brute-force", "queries": queries, "seeds": seeds})
+	t.Logf("brute-force differential: of %d seeds, %v", queries, seeds)
+	// Each floor is a share of the seeds, below what they covered when it was
+	// set: NL 164, SM 177, IDXNL 159 and partitioned 278 of 500, and 11, 15,
+	// 10 and 31 of the 60 of -short. Below it the differential has stopped
+	// exercising that operator.
+	for what, share := range map[string]int64{"NL": 8, "SM": 5, "IDXNL": 8, "partitioned": 3} {
+		if seeds[what]*share < queries {
+			t.Errorf("only %d of %d seeds ran %s; the floor is 1/%d of them", seeds[what], queries, what, share)
+		}
 	}
-	t.Logf("columnar differential: %d/%d seeds ran a sort-merge join", sortMerged, queries)
 }
 
 // hasJoinMethod reports whether any join of the plan uses method m.

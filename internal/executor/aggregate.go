@@ -86,24 +86,19 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 		outCols = append(outCols, inSchema.Column(c))
 	}
 	for _, a := range aggs {
+		if a.Op != AggCountStar && (a.Col < 0 || a.Col >= inSchema.NumColumns()) {
+			return nil, fmt.Errorf("executor: aggregate column ordinal %d out of range", a.Col)
+		}
 		var typ storage.Type
 		switch a.Op {
-		case AggCountStar:
-			typ = storage.TypeInt64
-		case AggCount:
+		case AggCountStar, AggCount:
 			typ = storage.TypeInt64
 		case AggSum, AggAvg:
 			typ = storage.TypeFloat64
 		case AggMin, AggMax:
-			if a.Col < 0 || a.Col >= inSchema.NumColumns() {
-				return nil, fmt.Errorf("executor: aggregate column ordinal %d out of range", a.Col)
-			}
 			typ = inSchema.Column(a.Col).Type
 		default:
 			return nil, fmt.Errorf("executor: unknown aggregate op %d", int(a.Op))
-		}
-		if a.Op != AggCountStar && (a.Col < 0 || a.Col >= inSchema.NumColumns()) {
-			return nil, fmt.Errorf("executor: aggregate column ordinal %d out of range", a.Col)
 		}
 		name := a.Name
 		if name == "" {
@@ -213,7 +208,10 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 				}
 			}
 		}
-		if err := e.emit(out, row); err != nil {
+		if err := e.gov.TickRows(1); err != nil {
+			return nil, err
+		}
+		if err := out.AppendRow(row...); err != nil {
 			return nil, err
 		}
 	}

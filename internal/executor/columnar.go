@@ -1,20 +1,16 @@
-// Vectorized execution. The batch engine runs scans, hash joins and
-// sort-merge joins over column chunks: predicates evaluate type-specialized
-// kernels over flat column slices, qualifying rows live in selection vectors
-// (no row is materialized until the final gather), and both joins hand their
+// The typed kernels every operator evaluates predicates with. Predicates
+// run over flat column slices, qualifying rows live in selection vectors (no
+// row is materialized until the final gather), and every join hands its
 // candidate (left row, right row) pairs to one pair sink that filters them
 // through the residual kernels and gathers survivors column-wise. Selection
 // vectors are recycled through an internal/workpool arena shared by every
 // query in the process, so execution stays allocation-flat.
 //
-// The engine is bit-identical to the row-at-a-time oracle: same output
-// rows in the same order, same TuplesScanned/Comparisons totals, same
-// governor tuple/row charges. That parity is load-bearing — the differential
-// harness referees the two engines against each other — so the kernels
-// replicate the oracle's short-circuit counting exactly: a conjunction
-// evaluates each predicate only over the survivors of the previous one, a
-// NULL operand is counted as a comparison and then dropped, and OR-groups
-// stop counting a row at its first true disjunct.
+// The counters are part of the paper's reproduction (Section 8 is measured
+// in executed tuples), so the kernels count exactly: a conjunction evaluates
+// each predicate only over the survivors of the previous one, a NULL operand
+// is counted as a comparison and then dropped, and OR-groups stop counting a
+// row at its first true disjunct.
 package executor
 
 import (
@@ -26,82 +22,15 @@ import (
 	"repro/internal/workpool"
 )
 
-// colBatch is the columnar scan batch size: base-table rows are visited,
-// filtered, and gathered in runs of this many, bounding selection-vector
-// memory while keeping per-batch bookkeeping negligible. The hash join
-// flushes matched pairs at the same granularity.
+// colBatch is the batch size: scanned and re-scanned base-table rows are
+// visited, filtered, and gathered in runs of this many, bounding
+// selection-vector memory while keeping per-batch bookkeeping negligible.
+// The pair sink flushes candidate pairs at the same granularity.
 const colBatch = 4096
 
-// selArena recycles the batch engine's selection vectors across executors
-// and the goroutines of concurrent queries.
+// selArena recycles the kernels' selection vectors across executors and
+// the goroutines of concurrent queries.
 var selArena = workpool.NewArena[int]()
-
-// useColumnar resolves the engine choice for this execution: the
-// vectorized kernels unless Limits.DisableColumnar asks for the row oracle.
-func (e *Executor) useColumnar() bool {
-	return !e.gov.ColumnarDisabled()
-}
-
-// scanRangeColumnar is the vectorized scanRange body: rows [start, end) are
-// visited in batches, filtered through selection vectors, and gathered
-// column-wise into out. A scan without predicates has nothing to select:
-// each batch is charged the same and copied as a row range.
-func (e *Executor) scanRangeColumnar(base *storage.Table, start, end int, filter compiled,
-	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
-	ncols := base.Schema().NumColumns()
-	unfiltered := len(filter.preds) == 0 && len(orFilter) == 0
-	if unfiltered {
-		// One allocation for the whole range, but never for more rows than
-		// the budgets will let the batches below emit.
-		out.Reserve(int(e.gov.Headroom(int64(end - start))))
-	}
-	for b := start; b < end; b += colBatch {
-		bEnd := min(b+colBatch, end)
-		n := bEnd - b
-		stats.TuplesScanned += int64(n)
-		if err := e.gov.TickTuples(int64(n)); err != nil {
-			return err
-		}
-		if unfiltered {
-			if err := e.gov.TickRows(int64(n)); err != nil {
-				return err
-			}
-			if err := out.AppendRange(base, b, bEnd); err != nil {
-				return err
-			}
-			continue
-		}
-		sel := selArena.Get(n)
-		// Charge what the batch asked for, not what the arena happened to
-		// hand back: the ledger must not depend on which buffers earlier
-		// queries recycled.
-		arena := int64(8 * n)
-		e.gov.ChargeBytes(arena) // batch-arena scratch, released with the batch
-		put := func() {
-			e.gov.ReleaseBytes(arena)
-			selArena.Put(sel)
-		}
-		for r := b; r < bEnd; r++ {
-			sel = append(sel, r)
-		}
-		// A single-table filter is the pair filter with both sides the
-		// same table and the same selection vector.
-		sel, _ = filterPairs(base, base, ncols, filter, sel, sel, stats)
-		sel = disjSel(base, orFilter, sel, stats)
-		if len(sel) > 0 {
-			if err := e.gov.TickRows(int64(len(sel))); err != nil {
-				put()
-				return err
-			}
-			if err := out.AppendGather(base, sel); err != nil {
-				put()
-				return err
-			}
-		}
-		put()
-	}
-	return nil
-}
 
 // cmpOrd is the shared ordering kernel. For float64 it matches
 // storage.Compare's compareFloat exactly (NaN compares "equal" to
@@ -119,9 +48,8 @@ func cmpOrd[T int64 | float64 | string](a, b T) int {
 
 // filterPairs applies a conjunction to candidate (left row, right row)
 // pairs, compacting lsel/rsel in place. Column ordinals below lcols address
-// left through lsel, the rest address right through rsel. Counting matches
-// compiled.eval per pair: each predicate evaluates only over the pairs that
-// survived the previous one.
+// left through lsel, the rest address right through rsel. Each predicate
+// evaluates only over the pairs that survived the previous one.
 func filterPairs(left, right *storage.Table, lcols int, conj compiled, lsel, rsel []int, stats *Stats) ([]int, []int) {
 	for _, p := range conj.preds {
 		if len(lsel) == 0 {
@@ -144,8 +72,8 @@ func pairSide(left, right *storage.Table, lcols, idx int, lsel, rsel []int) (sto
 
 // predSel is the one predicate kernel: it filters pairs by p, compacting
 // both selection vectors in place (they may be the same slice), and
-// returns how many pairs survive. Every pair counts one comparison (NULL
-// operands included), matching compiledPred.evalOne.
+// returns how many pairs survive. Every pair counts one comparison, NULL
+// operands included.
 func predSel(left, right *storage.Table, lcols int, p compiledPred, lsel, rsel []int, stats *Stats) int {
 	stats.Comparisons += int64(len(lsel))
 	ld, lrows := pairSide(left, right, lcols, p.leftIdx, lsel, rsel)
@@ -167,8 +95,7 @@ func predSel(left, right *storage.Table, lcols int, p compiledPred, lsel, rsel [
 				return !ld.Null(r) && p.op.Holds(cmpOrd(numericAt(ld, r), cf))
 			})
 		}
-		// Boxed fallback with exactly the row oracle's semantics,
-		// including its panic on non-comparable type pairs.
+		// Boxed fallback: bool columns, and type pairs the binder rejects.
 		return selKeep(lsel, rsel, func(i int) bool {
 			lv := ld.Value(lrows[i])
 			return !lv.IsNull() && p.op.Holds(storage.Compare(lv, c))
@@ -255,9 +182,8 @@ func selKeep(lsel, rsel []int, keep func(i int) bool) int {
 }
 
 // disjSel applies the OR-groups in order, each over the survivors of the
-// previous. Within a group a row stops counting at its first true disjunct,
-// exactly like evalDisjunctions.
-func disjSel(tbl *storage.Table, ds []compiledDisj, sel []int, stats *Stats) []int {
+// previous. Within a group a row stops counting at its first true disjunct.
+func disjSel(tbl *storage.Table, ds []compiled, sel []int, stats *Stats) []int {
 	for _, d := range ds {
 		if len(sel) == 0 {
 			return sel
@@ -274,9 +200,9 @@ func disjSel(tbl *storage.Table, ds []compiledDisj, sel []int, stats *Stats) []i
 }
 
 // disjRow evaluates one OR-group for one row, boxed. Disjunctions are rare
-// enough that the batch engine keeps them scalar; the counting matches
-// evalOne per disjunct evaluated.
-func disjRow(tbl *storage.Table, d compiledDisj, r int, stats *Stats) bool {
+// enough that the kernels keep them scalar; each disjunct evaluated counts
+// one comparison.
+func disjRow(tbl *storage.Table, d compiled, r int, stats *Stats) bool {
 	for _, p := range d.preds {
 		stats.Comparisons++
 		lv := tbl.ColumnData(p.leftIdx).Value(r)
@@ -294,14 +220,18 @@ func disjRow(tbl *storage.Table, d compiledDisj, r int, stats *Stats) bool {
 	return false
 }
 
-// bindColumnar picks the key representation for one hash join and binds
+// bindHashKeys picks the key representation for one hash join and binds
 // spec.join to the typed kernel. Keys of one specializable type hash
-// natively; bool and mixed-type keys hash their Value.Key() strings, which
-// group exactly the values the row oracle groups (an int64 never equals a
-// float64 there).
-func (e *Executor) bindColumnar(spec *hashSpec) {
+// natively, and an int64 key meets a float64 one as float64 bits, as
+// storage.Compare meets them; bool keys hash their Value.Key() strings,
+// which group exactly the values Compare calls equal.
+func (e *Executor) bindHashKeys(spec *hashSpec) {
+	ltype := spec.left.Schema().Column(spec.lKey).Type
 	rtype := spec.right.Schema().Column(spec.rKey).Type
-	switch ltype := spec.left.Schema().Column(spec.lKey).Type; {
+	switch {
+	case ltype != rtype && numericType(ltype) && numericType(rtype):
+		spec.numeric = true
+		bindKeys(e, spec, floatKeys)
 	case ltype != rtype || ltype == storage.TypeBool:
 		bindKeys(e, spec, boxedKeys)
 	case ltype == storage.TypeInt64:
@@ -320,24 +250,29 @@ func bindKeys[K comparable](e *Executor, spec *hashSpec, keysOf func(t *storage.
 	lk, lscratch := keysOf(spec.left, spec.lKey)
 	rk, rscratch := keysOf(spec.right, spec.rKey)
 	spec.scratch = lscratch + rscratch
-	spec.join = func(rrows, lrows []int, stats *Stats) (*chunkSink, error) {
+	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
 		return colJoin(e, spec.joinSpec, lk, rk, rrows, lrows, stats)
 	}
 }
 
-// floatKeys normalizes a float64 column to hashable bit patterns. -0.0 maps
-// to 0.0, matching Value.Key()'s float encoding, so the typed map groups
-// exactly the values the row oracle's string keys group.
+// floatKeys renders a numeric column as hashable float64 bit patterns
+// (floatBits).
 func floatKeys(t *storage.Table, col int) ([]uint64, int64) {
-	vals := t.ColumnData(col).Floats
-	out := make([]uint64, len(vals))
-	for i, f := range vals {
-		if f == 0 {
-			f = 0
-		}
-		out[i] = math.Float64bits(f)
+	d := t.ColumnData(col)
+	out := make([]uint64, t.NumRows())
+	for i := range out {
+		out[i] = floatBits(numericAt(d, i))
 	}
 	return out, int64(8 * len(out))
+}
+
+// floatBits is the hash key of a float64: -0.0 maps to 0.0, the two values
+// Compare calls equal.
+func floatBits(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
+	return math.Float64bits(f)
 }
 
 // boxedKeys renders any column as Value.Key() strings. NULL rows keep the
@@ -357,10 +292,10 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 // colJoin is the typed build → probe → pair-gather kernel for one
 // partition: build a map over the keys of the right rows named by rrows
 // (nil: every right row), probe it with the left rows named by lrows (nil:
-// every left row) in order, batch matched pairs, filter them through the
-// residual kernels, and gather survivors column-wise. With a probe-row list
-// the sink also reports the left row behind each output row.
-func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows []int, stats *Stats) (*chunkSink, error) {
+// every left row) in order, and hand the matched pairs to the pair sink.
+// With a probe-row list the sink also reports the left row behind each
+// output row.
+func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
 	rn := spec.right.ColumnData(spec.rKey).Nulls
 	builds := rowCount(rrows, len(rk))
 	m := make(map[K][]int, builds)
@@ -370,50 +305,47 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows
 		}
 	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
-	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
-	pairs := e.newPairSink(spec, sink, lrows != nil)
+	pairs := e.newPairSink(spec, stats, lrows != nil)
 	defer pairs.release()
 	for i, n := 0, rowCount(lrows, len(lk)); i < n; i++ {
 		l := rowAt(lrows, i)
 		if ln != nil && ln[l] {
 			continue
 		}
-		for _, r := range m[lk[l]] {
-			pairs.lsel = append(pairs.lsel, l)
-			pairs.rsel = append(pairs.rsel, r)
-		}
-		if len(pairs.lsel) >= colBatch {
-			if err := pairs.flush(); err != nil {
-				return nil, err
-			}
+		if err := pairs.add(l, m[lk[l]]); err != nil {
+			return nil, err
 		}
 	}
 	if err := pairs.flush(); err != nil {
 		return nil, err
 	}
-	stats.Add(sink.stats)
-	return sink, nil
+	return pairs, nil
 }
 
-// pairSink is where the candidate pairs of either join become output rows.
-// The hash-join probe and the sort-merge merge append (left row, right row)
-// indices to lsel/rsel and flush about every colBatch pairs: the residual
-// kernels compact the batch, the survivors are charged to the row budget
-// and gathered column-wise into out.
+// pairSink is where the candidate pairs of every join become output rows.
+// A join adds (left row, right rows) and the sink flushes every colBatch
+// pairs: the residual kernels compact the batch, the survivors are charged
+// to the row budget and gathered column-wise into out.
 type pairSink struct {
-	e          *Executor
-	spec       *joinSpec
-	out        *chunkSink
-	origin     bool // also report the left row behind each output row
-	lsel, rsel []int
+	e     *Executor
+	spec  *joinSpec
+	stats *Stats
+	out   *storage.Table
+	// origin, kept only when asked for, is the left row behind each row of
+	// out, which the partition policy merges partition outputs back by.
+	origin      []int
+	keepOrigin  bool
+	visitsPairs bool // each pair counts one visited tuple (sort-merge)
+	lsel, rsel  []int
 }
 
 // pairArenaBytes is the ledger charge for one sink's two pair batches: the
 // capacity it asks the arena for, whatever capacity the arena hands back.
 const pairArenaBytes = 8 * 2 * colBatch
 
-func (e *Executor) newPairSink(spec *joinSpec, out *chunkSink, origin bool) *pairSink {
-	p := &pairSink{e: e, spec: spec, out: out, origin: origin,
+func (e *Executor) newPairSink(spec *joinSpec, stats *Stats, keepOrigin bool) *pairSink {
+	p := &pairSink{e: e, spec: spec, stats: stats, keepOrigin: keepOrigin,
+		out:  storage.NewTable("join", spec.outSchema),
 		lsel: selArena.Get(colBatch), rsel: selArena.Get(colBatch)}
 	e.gov.ChargeBytes(pairArenaBytes) // pair-batch arena scratch, released with the sink
 	return p
@@ -425,19 +357,43 @@ func (p *pairSink) release() {
 	p.e.gov.ReleaseBytes(pairArenaBytes)
 }
 
+// add queues the pairs of left row l with each of the right rows rs, in
+// order, flushing whenever the batch fills.
+func (p *pairSink) add(l int, rs []int) error {
+	for len(rs) > 0 {
+		n := min(len(rs), colBatch-len(p.lsel))
+		for _, r := range rs[:n] {
+			p.lsel = append(p.lsel, l)
+			p.rsel = append(p.rsel, r)
+		}
+		rs = rs[n:]
+		if len(p.lsel) == colBatch {
+			if err := p.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // flush turns the batched pairs into output rows and empties the batch.
 func (p *pairSink) flush() error {
+	if p.visitsPairs {
+		if err := p.e.visit(p.stats, len(p.lsel)); err != nil {
+			return err
+		}
+	}
 	left, right := p.spec.left, p.spec.right
-	fl, fr := filterPairs(left, right, left.Schema().NumColumns(), p.spec.residual, p.lsel, p.rsel, &p.out.stats)
+	fl, fr := filterPairs(left, right, left.Schema().NumColumns(), p.spec.residual, p.lsel, p.rsel, p.stats)
 	if len(fl) > 0 {
 		if err := p.e.gov.TickRows(int64(len(fl))); err != nil {
 			return err
 		}
-		if err := p.out.out.AppendPairGather(left, right, fl, fr); err != nil {
+		if err := p.out.AppendPairGather(left, right, fl, fr); err != nil {
 			return err
 		}
-		if p.origin {
-			p.out.origin = append(p.out.origin, fl...)
+		if p.keepOrigin {
+			p.origin = append(p.origin, fl...)
 		}
 	}
 	p.lsel, p.rsel = p.lsel[:0], p.rsel[:0]
@@ -445,45 +401,39 @@ func (p *pairSink) flush() error {
 }
 
 // mergeJoin is the typed sort-merge kernel: it sorts both inputs' keys with
-// storage's typed permutation kernel and merges them with the comparator
-// storage.Compare would pick for the key types. Bool keys merge as 0/1
-// integers; an int64 key meets a float64 key as float64, while runs of
-// equal keys within one input compare in that input's own type, exactly as
-// the oracle's Equal does.
+// storage's typed permutation kernel and merges them in the type
+// storage.Compare compares them in. Bool keys merge as 0/1 integers, and an
+// int64 key met by a float64 one merges as float64 on both sides, runs of
+// equal keys within one input included.
 func (e *Executor) mergeJoin(spec *joinSpec, stats *Stats) (*storage.Table, error) {
-	right := spec.right
-	ld, rd := spec.left.ColumnData(spec.lKey), right.ColumnData(spec.rKey)
-	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
-	pairs := e.newPairSink(spec, sink, false)
+	ld, rd := spec.left.ColumnData(spec.lKey), spec.right.ColumnData(spec.rKey)
+	pairs := e.newPairSink(spec, stats, false)
+	pairs.visitsPairs = true
 	defer pairs.release()
 	l := mergeSide{spec.left.SortPermutation(spec.lKey), ld.Nulls}
-	r := mergeSide{right.SortPermutation(spec.rKey), rd.Nulls}
+	r := mergeSide{spec.right.SortPermutation(spec.rKey), rd.Nulls}
+	// Keys derived below are derived only now, with both sorts' scratch
+	// dead, so the join never holds more than sortScratchPerRow per input
+	// row.
 	var err error
 	switch {
 	case ld.Type == storage.TypeInt64 && rd.Type == storage.TypeInt64:
-		err = mergeRuns(pairs, l, r, ld.Ints, rd.Ints, cmpOrd[int64])
+		err = mergeRuns(pairs, l, r, ld.Ints, rd.Ints)
 	case ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeFloat64:
-		err = mergeRuns(pairs, l, r, ld.Floats, rd.Floats, cmpOrd[float64])
+		err = mergeRuns(pairs, l, r, ld.Floats, rd.Floats)
 	case ld.Type == storage.TypeString && rd.Type == storage.TypeString:
-		err = mergeRuns(pairs, l, r, ld.Strs, rd.Strs, cmpOrd[string])
+		err = mergeRuns(pairs, l, r, ld.Strs, rd.Strs)
 	case ld.Type == storage.TypeBool && rd.Type == storage.TypeBool:
-		// Derived only now, with both sorts' scratch dead, so the join never
-		// holds more than sortScratchPerRow per input row.
-		err = mergeRuns(pairs, l, r, boolInts(ld.Bools), boolInts(rd.Bools), cmpOrd[int64])
-	case ld.Type == storage.TypeInt64 && rd.Type == storage.TypeFloat64:
-		err = mergeRuns(pairs, l, r, ld.Ints, rd.Floats,
-			func(l int64, r float64) int { return cmpOrd(float64(l), r) })
-	case ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeInt64:
-		err = mergeRuns(pairs, l, r, ld.Floats, rd.Ints,
-			func(l float64, r int64) int { return cmpOrd(l, float64(r)) })
+		err = mergeRuns(pairs, l, r, boolInts(ld.Bools), boolInts(rd.Bools))
+	case numericType(ld.Type) && numericType(rd.Type):
+		err = mergeRuns(pairs, l, r, asFloats(ld), asFloats(rd))
 	default:
 		err = fmt.Errorf("executor: sort-merge keys of types %s and %s do not compare", ld.Type, rd.Type)
 	}
 	if err != nil {
 		return nil, err
 	}
-	stats.Add(sink.stats)
-	return sink.out, nil
+	return pairs.out, nil
 }
 
 // mergeSide is one sorted input of the merge: its rows in key order and the
@@ -507,21 +457,26 @@ func boolInts(bools []bool) []int64 {
 	return out
 }
 
+// asFloats reads a numeric column as float64. An int64 column sorted as
+// integers stays sorted as float64, since the conversion never reverses two
+// integers' order.
+func asFloats(d storage.ColumnData) []float64 {
+	if d.Type == storage.TypeFloat64 {
+		return d.Floats
+	}
+	out := make([]float64, len(d.Ints))
+	for i, v := range d.Ints {
+		out[i] = float64(v)
+	}
+	return out
+}
+
 // mergeRuns merges the two sorted key sequences. Every loop iteration
 // counts one comparison, the steps over leading NULL keys included; each
-// pair of an equal-key run product, left-major, counts one visited tuple
-// and goes to the pair sink, which applies the residual.
-func mergeRuns[L, R int64 | float64 | string](pairs *pairSink, left, right mergeSide,
-	lk []L, rk []R, cross func(L, R) int) error {
-	stats, lperm, rperm := &pairs.out.stats, left.perm, right.perm
-	flush := func() error {
-		n := int64(len(pairs.lsel))
-		stats.TuplesScanned += n
-		if err := pairs.e.gov.TickTuples(n); err != nil {
-			return err
-		}
-		return pairs.flush()
-	}
+// pair of an equal-key run product, left-major, goes to the pair sink,
+// which counts it a visited tuple and applies the residual.
+func mergeRuns[K int64 | float64 | string](pairs *pairSink, left, right mergeSide, lk, rk []K) error {
+	stats, lperm, rperm := pairs.stats, left.perm, right.perm
 	li, ri := 0, 0
 	for li < len(lperm) && ri < len(rperm) {
 		stats.Comparisons++
@@ -535,14 +490,14 @@ func mergeRuns[L, R int64 | float64 | string](pairs *pairSink, left, right merge
 			continue
 		}
 		lv, rv := lk[l], rk[r]
-		switch c := cross(lv, rv); {
+		switch c := cmpOrd(lv, rv); {
 		case c < 0:
 			li++
 		case c > 0:
 			ri++
 		default:
-			// A run ends at a NULL as it does for the oracle's Equal: only a
-			// column NaN keys left unordered has one past the front.
+			// A run ends at a NULL: only a column NaN keys left unordered has
+			// one past the front.
 			lEnd, rEnd := li+1, ri+1
 			for lEnd < len(lperm) && !left.null(lperm[lEnd]) && cmpOrd(lk[lperm[lEnd]], lv) == 0 {
 				lEnd++
@@ -551,22 +506,12 @@ func mergeRuns[L, R int64 | float64 | string](pairs *pairSink, left, right merge
 				rEnd++
 			}
 			for _, l := range lperm[li:lEnd] {
-				for run := rperm[ri:rEnd]; len(run) > 0; {
-					n := min(len(run), colBatch-len(pairs.lsel))
-					for _, r := range run[:n] {
-						pairs.lsel = append(pairs.lsel, l)
-						pairs.rsel = append(pairs.rsel, r)
-					}
-					run = run[n:]
-					if len(pairs.lsel) == colBatch {
-						if err := flush(); err != nil {
-							return err
-						}
-					}
+				if err := pairs.add(l, rperm[ri:rEnd]); err != nil {
+					return err
 				}
 			}
 			li, ri = lEnd, rEnd
 		}
 	}
-	return flush()
+	return pairs.flush()
 }

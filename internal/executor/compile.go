@@ -14,7 +14,6 @@ type compiledPred struct {
 	op       expr.CompareOp
 	rightIdx int // -1 when the right side is a constant
 	constant storage.Value
-	src      expr.Predicate
 }
 
 // compiled is a conjunction of resolved predicates.
@@ -27,7 +26,7 @@ type compiled struct {
 func compileAll(preds []expr.Predicate, schema *storage.Schema) (compiled, error) {
 	out := compiled{preds: make([]compiledPred, 0, len(preds))}
 	for _, p := range preds {
-		cp := compiledPred{op: p.Op, rightIdx: -1, constant: p.Const, src: p}
+		cp := compiledPred{op: p.Op, rightIdx: -1, constant: p.Const}
 		li := schema.ColumnIndex(p.Left.Table + "." + p.Left.Column)
 		if li < 0 {
 			return compiled{}, fmt.Errorf("executor: cannot resolve %s in schema %s", p.Left, schema)
@@ -45,63 +44,16 @@ func compileAll(preds []expr.Predicate, schema *storage.Schema) (compiled, error
 	return out, nil
 }
 
-// eval applies the conjunction to one row, counting comparisons. NULL
-// operands make a comparison false, per SQL semantics.
-func (c compiled) eval(row []storage.Value, stats *Stats) (bool, error) {
-	for _, p := range c.preds {
-		if !p.evalOne(row, stats) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// evalOne applies a single resolved predicate to one row.
-func (p compiledPred) evalOne(row []storage.Value, stats *Stats) bool {
-	stats.Comparisons++
-	l := row[p.leftIdx]
-	r := p.constant
-	if p.rightIdx >= 0 {
-		r = row[p.rightIdx]
-	}
-	if l.IsNull() || r.IsNull() {
-		return false
-	}
-	return p.op.Holds(storage.Compare(l, r))
-}
-
-// compiledDisj is a resolved OR-group.
-type compiledDisj struct {
-	preds []compiledPred
-}
-
-// compileDisjunctions resolves each OR-group against the schema.
-func compileDisjunctions(disjs []expr.Disjunction, schema *storage.Schema) ([]compiledDisj, error) {
-	out := make([]compiledDisj, 0, len(disjs))
+// compileDisjunctions resolves each OR-group against the schema; an
+// OR-group's disjuncts compile like a conjunction's conjuncts.
+func compileDisjunctions(disjs []expr.Disjunction, schema *storage.Schema) ([]compiled, error) {
+	out := make([]compiled, 0, len(disjs))
 	for _, d := range disjs {
 		c, err := compileAll(d.Preds, schema)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, compiledDisj{preds: c.preds})
+		out = append(out, c)
 	}
 	return out, nil
-}
-
-// evalDisjunctions applies every OR-group: each group must have at least
-// one true disjunct.
-func evalDisjunctions(ds []compiledDisj, row []storage.Value, stats *Stats) bool {
-	for _, d := range ds {
-		any := false
-		for _, p := range d.preds {
-			if p.evalOne(row, stats) {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return false
-		}
-	}
-	return true
 }

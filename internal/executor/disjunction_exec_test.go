@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cardest"
@@ -121,14 +122,13 @@ func TestCompileDisjunctionUnknownColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := storage.NewTable("t", schema)
+	tbl.MustAppendRow(storage.Int64(1))
+	tbl.MustAppendRow(storage.Int64(2))
+	tbl.MustAppendRow(storage.Null(storage.TypeInt64))
 	var stats Stats
-	if !evalDisjunctions(cds, []storage.Value{storage.Int64(1)}, &stats) {
-		t.Error("matching row should pass")
-	}
-	if evalDisjunctions(cds, []storage.Value{storage.Int64(2)}, &stats) {
-		t.Error("non-matching row should fail")
-	}
-	if evalDisjunctions(cds, []storage.Value{storage.Null(storage.TypeInt64)}, &stats) {
-		t.Error("NULL should fail the disjunction")
+	// The matching row passes; the non-matching one and NULL fail.
+	if got := disjSel(tbl, cds, []int{0, 1, 2}, &stats); !slices.Equal(got, []int{0}) {
+		t.Errorf("rows passing the disjunction: %v, want [0]", got)
 	}
 }

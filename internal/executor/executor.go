@@ -7,29 +7,17 @@
 // chosen under a drastic underestimate pays the re-scans its optimizer
 // believed were free.
 //
-// The hash join is one pipeline, partition → build → probe → pair-gather,
-// and two independent policies pick its shape (DESIGN §13 draws it). The
-// partition policy (Limits.MaxMemory) keeps the whole join as one partition
-// or, when the build side's hash table does not fit, routes build and probe
-// rows to row lists per partition, Grace style but in memory, and merges
-// partition outputs back by origin. The engine (Limits.DisableColumnar) is
-// colJoin — typed map, selection-vector residuals, column gather — or
-// rowJoin, the boxed oracle the tests compare against. Every combination
-// yields the same rows in the same order with the same work counters and
-// governor tuple/row charges; the differential tests hold each policy
-// against its degenerate case.
-//
-// The sort-merge join is key sort → merge → pair-gather and meets the hash
-// join at the pair sink: the typed kernel (mergeJoin) sorts each input with
-// storage's typed permutation kernel, merges with typed compares, and hands
-// every equal-key run product to the pairSink the hash-join probe feeds —
-// residual selection vectors, row-budget charge, column gather. Its oracle
-// behind Limits.DisableColumnar is rowMerge.
-//
-// Scans share the engine choice; nested loops and index-nested-loops
-// evaluate boxed rows in both engines. A plan runs on the goroutine that
-// calls Execute and starts no other: cores are filled by concurrent queries,
-// each with its own Executor.
+// Every operator evaluates predicates one way, with the typed kernels of
+// columnar.go, and every join turns its candidate (left row, right row)
+// pairs into output rows at one pair sink. The joins differ only in how
+// they find the pairs: the hash join probes a typed map, under a partition
+// policy (Limits.MaxMemory, spill.go) that splits a build side too big for
+// the budget into Grace partitions of row lists; sort-merge pairs equal-key
+// runs; nested loops pair each outer row with the inner's rows that pass
+// its scan filters, re-filtered every time; index nested-loops with the
+// rows an index lookup returns. DESIGN §13 draws it. A plan runs on the
+// goroutine that calls Execute and starts no other: cores are filled by
+// concurrent queries, each with its own Executor.
 //
 // The executor counts the base-table tuples it visits and the predicate
 // evaluations it performs, so experiments can report deterministic work
@@ -122,11 +110,11 @@ func NewGoverned(cat *catalog.Catalog, gov *governor.Governor) *Executor {
 	return &Executor{cat: cat, gov: gov}
 }
 
-// visit charges one visited tuple to both the work counters and the
+// visit charges n visited tuples to both the work counters and the
 // governor's tuple budget.
-func (e *Executor) visit(stats *Stats) error {
-	stats.TuplesScanned++
-	return e.gov.TickTuples(1)
+func (e *Executor) visit(stats *Stats, n int) error {
+	stats.TuplesScanned += int64(n)
+	return e.gov.TickTuples(int64(n))
 }
 
 // probe consults a fault-injection point with the governor's context so
@@ -141,15 +129,6 @@ func (e *Executor) probe(point string) error {
 		return err
 	}
 	return nil
-}
-
-// emit appends a row to an operator output, charging the materialized-row
-// budget.
-func (e *Executor) emit(out *storage.Table, row []storage.Value) error {
-	if err := e.gov.TickRows(1); err != nil {
-		return err
-	}
-	return out.AppendRow(row...)
 }
 
 // Execute runs the plan and returns the materialized result, including
@@ -213,10 +192,10 @@ func (e *Executor) run(plan optimizer.Plan, stats *Stats, rec *recorder, depth i
 		return nil, err
 	}
 	// Charge the materialized operator output to the bytes ledger. The
-	// charge happens once per node at its boundary — identical totals
-	// whichever engine produced the rows — which is what keeps downstream
-	// spill decisions deterministic. Inputs consumed by a join are released
-	// in runJoin; output size itself is bounded by MaxRows, not MaxMemory.
+	// charge happens once per node at its boundary, which is what keeps
+	// downstream spill decisions deterministic. Inputs consumed by a join
+	// are released in runJoin; output size itself is bounded by MaxRows, not
+	// MaxMemory.
 	if e.gov != nil {
 		e.gov.ChargeBytes(tbl.ApproxBytes())
 	}
@@ -249,60 +228,113 @@ func qualifiedSchema(alias string, in *storage.Schema) (*storage.Schema, error) 
 	return storage.NewSchema(cols...)
 }
 
+// baseScan is a base table with a scan's filters resolved against it: what
+// a scan reads, and what a nested-loops or index-nested-loops join re-reads
+// for every outer row.
+type baseScan struct {
+	base     *storage.Table
+	schema   *storage.Schema // the scan's output schema, "alias.column"
+	filter   compiled
+	orFilter []compiled
+}
+
+// openScan resolves the scan's filters against base, the scanned table's
+// data.
+func openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, error) {
+	if base == nil {
+		return nil, fmt.Errorf("executor: no data registered for table %q", s.Table)
+	}
+	sc := &baseScan{base: base}
+	var err error
+	if sc.schema, err = qualifiedSchema(s.Alias, base.Schema()); err != nil {
+		return nil, err
+	}
+	if sc.filter, err = compileAll(s.Filter, sc.schema); err != nil {
+		return nil, err
+	}
+	if sc.orFilter, err = compileDisjunctions(s.FilterOr, sc.schema); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// filtered reports whether the scan has any predicate to apply.
+func (sc *baseScan) filtered() bool { return len(sc.filter.preds) > 0 || len(sc.orFilter) > 0 }
+
+// keep compacts sel, rows of the base table, to those passing the scan's
+// filters. A single-table filter is the pair filter with both sides the same
+// table and the same selection vector.
+func (sc *baseScan) keep(sel []int, stats *Stats) []int {
+	sel, _ = filterPairs(sc.base, sc.base, sc.base.Schema().NumColumns(), sc.filter, sel, sel, stats)
+	return disjSel(sc.base, sc.orFilter, sel, stats)
+}
+
+// takeSel takes a selection vector of capacity n from the arena, charging
+// the ledger for the capacity asked for, not what the arena happened to hand
+// back: the ledger must not depend on which buffers earlier queries
+// recycled. put returns it.
+func (e *Executor) takeSel(n int) (sel []int, put func()) {
+	sel = selArena.Get(n)
+	e.gov.ChargeBytes(int64(8 * n))
+	return sel, func() {
+		e.gov.ReleaseBytes(int64(8 * n))
+		selArena.Put(sel)
+	}
+}
+
+// appendRange appends the row indices [start, end) to sel.
+func appendRange(sel []int, start, end int) []int {
+	for r := start; r < end; r++ {
+		sel = append(sel, r)
+	}
+	return sel
+}
+
+// runScan visits the base table in batches of colBatch rows, filters each
+// through a selection vector and gathers the survivors column-wise. A scan
+// without predicates has nothing to select: each batch is charged the same
+// and copied as a row range.
 func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, error) {
 	if err := e.probe(PointScan); err != nil {
 		return nil, err
 	}
-	base := e.cat.Data(s.Table)
-	if base == nil {
-		return nil, fmt.Errorf("executor: no data registered for table %q", s.Table)
-	}
-	schema, err := qualifiedSchema(s.Alias, base.Schema())
+	sc, err := openScan(s, e.cat.Data(s.Table))
 	if err != nil {
 		return nil, err
 	}
-	filter, err := compileAll(s.Filter, schema)
-	if err != nil {
-		return nil, err
+	base, n := sc.base, sc.base.NumRows()
+	out := storage.NewTable(s.Alias, sc.schema)
+	if !sc.filtered() {
+		// One allocation for the whole table, but never for more rows than
+		// the budgets will let the batches below emit.
+		out.Reserve(int(e.gov.Headroom(int64(n))))
 	}
-	orFilter, err := compileDisjunctions(s.FilterOr, schema)
-	if err != nil {
-		return nil, err
-	}
-	scanRange := e.scanRangeRows
-	if e.useColumnar() {
-		scanRange = e.scanRangeColumnar
-	}
-	out := storage.NewTable(s.Alias, schema)
-	if err := scanRange(base, 0, base.NumRows(), filter, orFilter, out, stats); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scanRangeRows is the row oracle's scan body: it filters base rows
-// [start, end) into out one boxed row at a time. scanRangeColumnar produces
-// identical rows, counters, and governor charges.
-func (e *Executor) scanRangeRows(base *storage.Table, start, end int, filter compiled,
-	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
-	buf := make([]storage.Value, 0, out.Schema().NumColumns())
-	for r := start; r < end; r++ {
-		if err := e.visit(stats); err != nil {
-			return err
+	for b := 0; b < n; b += colBatch {
+		bEnd := min(b+colBatch, n)
+		if err := e.visit(stats, bEnd-b); err != nil {
+			return nil, err
 		}
-		buf = base.AppendRowTo(buf[:0], r)
-		ok, err := filter.eval(buf, stats)
-		if err != nil {
-			return err
-		}
-		if !ok || !evalDisjunctions(orFilter, buf, stats) {
+		if !sc.filtered() {
+			if err := e.gov.TickRows(int64(bEnd - b)); err != nil {
+				return nil, err
+			}
+			if err := out.AppendRange(base, b, bEnd); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		if err := e.emit(out, buf); err != nil {
-			return err
+		sel, put := e.takeSel(bEnd - b)
+		sel = sc.keep(appendRange(sel, b, bEnd), stats)
+		err := e.gov.TickRows(int64(len(sel)))
+		if err == nil {
+			err = out.AppendGather(base, sel)
+		}
+		put()
+		if err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
 func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
@@ -342,8 +374,9 @@ func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth
 }
 
 // indexNL probes an ordered index on the inner base table's join column
-// once per outer row. The inner is never materialized; the scan filter and
-// residual join predicates qualify each fetched row.
+// once per outer row and hands the pair sink the outer row paired with every
+// fetched row that passes the inner's scan filters; the sink applies the
+// remaining join predicates. The inner is never materialized.
 func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
 	scan, ok := j.Right.(*optimizer.Scan)
 	if !ok {
@@ -356,24 +389,11 @@ func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, stats *Stats,
 	if ix == nil {
 		return nil, fmt.Errorf("executor: no index on %s.%s", scan.Table, j.IndexColumn)
 	}
-	base := ix.Table()
-	innerSchema, err := qualifiedSchema(scan.Alias, base.Schema())
+	inner, err := openScan(scan, ix.Table())
 	if err != nil {
 		return nil, err
 	}
 	rec.reserve(scan, depth+1) // never materialized
-	innerFilter, err := compileAll(scan.Filter, innerSchema)
-	if err != nil {
-		return nil, err
-	}
-	innerOrFilter, err := compileDisjunctions(scan.FilterOr, innerSchema)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := joinSchema(left.Schema(), innerSchema)
-	if err != nil {
-		return nil, err
-	}
 	// The probe key: the predicate over IndexColumn; the rest are residual.
 	var keyPred *expr.Predicate
 	var residuals []expr.Predicate
@@ -389,52 +409,30 @@ func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, stats *Stats,
 	if keyPred == nil {
 		return nil, fmt.Errorf("executor: no equality predicate over index column %s.%s", scan.Alias, j.IndexColumn)
 	}
-	// Outer side of the key predicate.
-	outerRef := keyPred.Left
-	if columnMatches(keyPred.Left, scan.Alias, j.IndexColumn) {
-		outerRef = keyPred.Right
-	}
-	outerKey := left.Schema().ColumnIndex(outerRef.Table + "." + outerRef.Column)
-	if outerKey < 0 {
-		return nil, fmt.Errorf("executor: probe column %s missing from outer input", outerRef)
-	}
-	residual, err := compileAll(residuals, outSchema)
+	outerKey, _, err := keyColumns(*keyPred, left.Schema(), inner.schema)
 	if err != nil {
 		return nil, err
 	}
-
-	out := storage.NewTable("join", outSchema)
-	row := make([]storage.Value, 0, outSchema.NumColumns())
-	inner := make([]storage.Value, 0, innerSchema.NumColumns())
-	for lr := 0; lr < left.NumRows(); lr++ {
-		probe := left.Value(lr, outerKey)
-		stats.Comparisons++ // the index search
-		for _, rr := range ix.Lookup(probe) {
-			if err := e.visit(stats); err != nil {
-				return nil, err
-			}
-			inner = base.AppendRowTo(inner[:0], rr)
-			ok, err := innerFilter.eval(inner, stats)
-			if err != nil {
-				return nil, err
-			}
-			if !ok || !evalDisjunctions(innerOrFilter, inner, stats) {
-				continue
-			}
-			row = left.AppendRowTo(row[:0], lr)
-			row = append(row, inner...)
-			ok, err = residual.eval(row, stats)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				if err := e.emit(out, row); err != nil {
-					return nil, err
-				}
-			}
+	spec, err := newJoinSpec(left, inner.base, inner.schema, residuals)
+	if err != nil {
+		return nil, err
+	}
+	pairs := e.newPairSink(spec, stats, false)
+	defer pairs.release()
+	for l := 0; l < left.NumRows(); l++ {
+		stats.Comparisons++                        // the index search
+		rows := ix.Lookup(left.Value(l, outerKey)) // a fresh slice: ours to compact
+		if err := e.visit(stats, len(rows)); err != nil {
+			return nil, err
+		}
+		if err := pairs.add(l, inner.keep(rows, stats)); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	if err := pairs.flush(); err != nil {
+		return nil, err
+	}
+	return pairs.out, nil
 }
 
 // columnMatches reports whether ref names alias.column (case-insensitive).
@@ -450,42 +448,22 @@ func joinSchema(l, r *storage.Schema) (*storage.Schema, error) {
 	return storage.NewSchema(cols...)
 }
 
-// nlInner describes the inner input of a nested-loops join: either a base
-// table re-scanned (with its filters re-applied) per outer row, or a
-// materialized intermediate re-read per outer row.
-type nlInner struct {
-	base       *storage.Table
-	schema     *storage.Schema
-	rescan     bool
-	filter     compiled
-	orFilter   []compiledDisj
-	joinFilter compiled
-}
-
-// nestedLoop joins left with the (re-scanned) inner input. When the inner
-// is a base scan, the base table is re-read for each outer row, applying
-// the scan filter each time — the honest cost the optimizer's
+// nestedLoop pairs every outer row with the inner input, visited in full
+// for each outer row, and lets the pair sink apply the join predicates.
+// When the inner is a base scan, its rows are re-filtered by the scan's
+// kernels for each outer row — the honest cost the optimizer's
 // NestedLoopCost models. When the inner is itself a join (bushy plans), it
 // is materialized once and the materialization is re-read per outer row.
 func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
-	var in nlInner
-
+	var inner *baseScan // the re-scanned base inner; nil for a materialized one
+	var right *storage.Table
+	var rightSchema *storage.Schema
 	if scan, ok := j.Right.(*optimizer.Scan); ok {
-		base := e.cat.Data(scan.Table)
-		if base == nil {
-			return nil, fmt.Errorf("executor: no data registered for table %q", scan.Table)
-		}
-		schema, err := qualifiedSchema(scan.Alias, base.Schema())
-		if err != nil {
+		var err error
+		if inner, err = openScan(scan, e.cat.Data(scan.Table)); err != nil {
 			return nil, err
 		}
-		in.base, in.schema, in.rescan = base, schema, true
-		if in.filter, err = compileAll(scan.Filter, schema); err != nil {
-			return nil, err
-		}
-		if in.orFilter, err = compileDisjunctions(scan.FilterOr, schema); err != nil {
-			return nil, err
-		}
+		right, rightSchema = inner.base, inner.schema
 		// The re-scanned inner is never materialized: record it with an
 		// unknown actual cardinality.
 		rec.reserve(scan, depth+1)
@@ -494,67 +472,45 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 		if err != nil {
 			return nil, err
 		}
-		in.base, in.schema = mat, mat.Schema()
+		// A materialized (bushy) inner was charged by its own run; it dies
+		// with this join.
+		defer e.releaseTables(mat)
+		right, rightSchema = mat, mat.Schema()
 	}
-
-	outSchema, err := joinSchema(left.Schema(), in.schema)
+	spec, err := newJoinSpec(left, right, rightSchema, j.Preds)
 	if err != nil {
 		return nil, err
 	}
-	if in.joinFilter, err = compileAll(j.Preds, outSchema); err != nil {
-		return nil, err
-	}
-	out := storage.NewTable("join", outSchema)
-	if err := e.nlRange(left, in, out, 0, left.NumRows(), stats); err != nil {
-		return nil, err
-	}
-	if !in.rescan {
-		// A materialized (bushy) inner was charged by its own run; it dies
-		// with this join.
-		e.releaseTables(in.base)
-	}
-	return out, nil
-}
-
-// nlRange runs the nested-loops join for outer rows [start, end),
-// re-reading the inner input per outer row.
-func (e *Executor) nlRange(left *storage.Table, in nlInner, out *storage.Table, start, end int, stats *Stats) error {
-	row := make([]storage.Value, 0, out.Schema().NumColumns())
-	inner := make([]storage.Value, 0, in.schema.NumColumns())
-	for lr := start; lr < end; lr++ {
-		for rr := 0; rr < in.base.NumRows(); rr++ {
-			if err := e.visit(stats); err != nil {
-				return err
+	pairs := e.newPairSink(spec, stats, false)
+	defer pairs.release()
+	n := right.NumRows()
+	sel, put := e.takeSel(min(n, colBatch))
+	defer put()
+	for l := 0; l < left.NumRows(); l++ {
+		for b := 0; b < n; b += colBatch {
+			bEnd := min(b+colBatch, n)
+			if err := e.visit(stats, bEnd-b); err != nil {
+				return nil, err
 			}
-			inner = in.base.AppendRowTo(inner[:0], rr)
-			if in.rescan {
-				ok, err := in.filter.eval(inner, stats)
-				if err != nil {
-					return err
-				}
-				if !ok || !evalDisjunctions(in.orFilter, inner, stats) {
-					continue
-				}
+			sel = appendRange(sel[:0], b, bEnd)
+			if inner != nil {
+				sel = inner.keep(sel, stats)
 			}
-			row = left.AppendRowTo(row[:0], lr)
-			row = append(row, inner...)
-			ok, err := in.joinFilter.eval(row, stats)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := e.emit(out, row); err != nil {
-					return err
-				}
+			if err := pairs.add(l, sel); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return nil
+	if err := pairs.flush(); err != nil {
+		return nil, err
+	}
+	return pairs.out, nil
 }
 
-// joinSpec is what every step of one equi-join shares — every partition of
-// a hash join, the sort and the merge of a sort-merge join: the two inputs,
-// the key ordinals and the residual conjunction.
+// joinSpec is what every step of one join shares — every partition of a
+// hash join, the sort and the merge of a sort-merge join, every outer row of
+// a nested-loops join: the two inputs, the key ordinals of an equi-join and
+// the residual conjunction the pair sink applies.
 type joinSpec struct {
 	left, right *storage.Table
 	lKey, rKey  int
@@ -562,14 +518,36 @@ type joinSpec struct {
 	outSchema   *storage.Schema
 }
 
-// chunkSink is what a join kernel hands back: the output rows, the work
-// counters the kernel accumulated, and — only for a hash-join probe over a
-// probe-row list — the probe row behind each row of out, which the partition
-// policy needs to merge partition outputs back into probe order.
-type chunkSink struct {
-	out    *storage.Table
-	stats  Stats
-	origin []int
+// newJoinSpec pairs left with right, whose columns rightSchema names (a base
+// table's are qualified by the scan's alias), and compiles the residual
+// predicates over the joined schema.
+func newJoinSpec(left, right *storage.Table, rightSchema *storage.Schema, residuals []expr.Predicate) (*joinSpec, error) {
+	spec := &joinSpec{left: left, right: right}
+	var err error
+	if spec.outSchema, err = joinSchema(left.Schema(), rightSchema); err != nil {
+		return nil, err
+	}
+	if spec.residual, err = compileAll(residuals, spec.outSchema); err != nil {
+		return nil, err
+	}
+	return spec, nil
+}
+
+// newEquiJoinSpec resolves the first equality predicate of an equi-join as
+// its physical key and compiles the remaining predicates as the residual.
+func newEquiJoinSpec(j *optimizer.Join, left, right *storage.Table) (*joinSpec, error) {
+	keyPred, residuals := splitKey(j.Preds)
+	if keyPred == nil {
+		return nil, fmt.Errorf("executor: %v join requires an equality predicate", j.Method)
+	}
+	spec, err := newJoinSpec(left, right, right.Schema(), residuals)
+	if err != nil {
+		return nil, err
+	}
+	if spec.lKey, spec.rKey, err = keyColumns(*keyPred, left.Schema(), right.Schema()); err != nil {
+		return nil, err
+	}
+	return spec, nil
 }
 
 // hashSpec is a hash join's spec plus the kernel its partition policy calls.
@@ -580,10 +558,13 @@ type hashSpec struct {
 	// nil list means every row of that input; with a probe-row list, the
 	// sink's origin reports the left row behind each output row. The caller
 	// has already visited the rows.
-	join func(rrows, lrows []int, stats *Stats) (*chunkSink, error)
+	join func(rrows, lrows []int, stats *Stats) (*pairSink, error)
 	// scratch is the bytes of key arrays join derived from the inputs; they
 	// live as long as the join does.
 	scratch int64
+	// numeric marks an int64 key joined to a float64 one: both sides hash as
+	// float64, the type storage.Compare meets them in.
+	numeric bool
 }
 
 // rowAt resolves position i of a row list; a nil list names every row.
@@ -602,132 +583,39 @@ func rowCount(rows []int, n int) int {
 	return len(rows)
 }
 
-// newJoinSpec resolves the first equality predicate of an equi-join as its
-// physical key and compiles the remaining predicates as the residual.
-func newJoinSpec(j *optimizer.Join, left, right *storage.Table) (*joinSpec, error) {
-	keyPred, residuals := splitKey(j.Preds)
-	if keyPred == nil {
-		return nil, fmt.Errorf("executor: %v join requires an equality predicate", j.Method)
-	}
-	spec := &joinSpec{left: left, right: right}
-	var err error
-	if spec.outSchema, err = joinSchema(left.Schema(), right.Schema()); err != nil {
-		return nil, err
-	}
-	if spec.lKey, spec.rKey, err = keyColumns(*keyPred, left.Schema(), right.Schema()); err != nil {
-		return nil, err
-	}
-	if spec.residual, err = compileAll(residuals, spec.outSchema); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
 // sortScratchPerRow is what a sort-merge join is charged per input row for
 // the life of the join: the typed sort kernel's peak (the permutation, its
 // radix double, the derived keys — storage.Table.SortPermutation). Nothing
 // mergeJoin holds exceeds it: while one input sorts the other holds at most
 // its permutation, and the merge holds the two permutations plus, for bool
-// keys only, an 8-byte key per row. The row oracle is charged the same, so a
-// byte budget admits or refuses a sort-merge join whichever engine runs it.
+// keys and an int64 key met by a float64 one only, an 8-byte key per row.
 const sortScratchPerRow = 24
 
 // sortMerge joins two materialized inputs on the first equality predicate
-// as key sort → merge → pair-gather, applying the remaining predicates as
-// residual filters. The engine picks the kernel: mergeJoin sorts and merges
-// typed keys and emits through the hash join's pair sink; rowMerge is the
-// boxed oracle it is held bit-identical to.
+// as key sort → merge → pair-gather (mergeJoin), applying the remaining
+// predicates as residual filters at the pair sink.
 func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	spec, err := newJoinSpec(j, left, right)
+	spec, err := newEquiJoinSpec(j, left, right)
 	if err != nil {
 		return nil, err
 	}
 	// The sort scratch cannot be partitioned the way a hash build can, so a
 	// budget that cannot cover it fails the query with a typed ErrMemory
 	// rather than overrunning.
-	n := int64(left.NumRows()) + int64(right.NumRows())
-	scratch := sortScratchPerRow * n
+	n := left.NumRows() + right.NumRows()
+	scratch := sortScratchPerRow * int64(n)
 	if err := e.gov.GrabBytes(scratch, "sort-merge scratch"); err != nil {
 		return nil, err
 	}
 	defer e.gov.ReleaseBytes(scratch)
 	stats.Comparisons += sortComparisons(left.NumRows()) + sortComparisons(right.NumRows())
-
-	merge := e.rowMerge
-	if e.useColumnar() {
-		merge = e.mergeJoin
-	}
-	out, err := merge(spec, stats)
+	out, err := e.mergeJoin(spec, stats)
 	if err != nil {
 		return nil, err
 	}
 	// Scanning both inputs counts as work even where keys never matched.
-	stats.TuplesScanned += n
-	if err := e.gov.TickTuples(n); err != nil {
+	if err := e.visit(stats, n); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// rowMerge is the row oracle's sort-merge kernel: a boxed stable sort of
-// each input and a merge that compares, filters and emits one []Value row
-// at a time.
-func (e *Executor) rowMerge(spec *joinSpec, stats *Stats) (*storage.Table, error) {
-	left, right, lKey, rKey := spec.left, spec.right, spec.lKey, spec.rKey
-	lIdx := left.SortedIndices(lKey)
-	rIdx := right.SortedIndices(rKey)
-
-	out := storage.NewTable("join", spec.outSchema)
-	row := make([]storage.Value, 0, spec.outSchema.NumColumns())
-	li, ri := 0, 0
-	for li < len(lIdx) && ri < len(rIdx) {
-		lv := left.Value(lIdx[li], lKey)
-		rv := right.Value(rIdx[ri], rKey)
-		stats.Comparisons++
-		if lv.IsNull() {
-			li++
-			continue
-		}
-		if rv.IsNull() {
-			ri++
-			continue
-		}
-		cmp := storage.Compare(lv, rv)
-		switch {
-		case cmp < 0:
-			li++
-		case cmp > 0:
-			ri++
-		default:
-			// Find the extent of the equal-key runs and emit their product.
-			lEnd := li
-			for lEnd < len(lIdx) && storage.Equal(left.Value(lIdx[lEnd], lKey), lv) {
-				lEnd++
-			}
-			rEnd := ri
-			for rEnd < len(rIdx) && storage.Equal(right.Value(rIdx[rEnd], rKey), rv) {
-				rEnd++
-			}
-			for a := li; a < lEnd; a++ {
-				for b := ri; b < rEnd; b++ {
-					if err := e.visit(stats); err != nil {
-						return nil, err
-					}
-					row = left.AppendRowTo(row[:0], lIdx[a])
-					row = right.AppendRowTo(row, rIdx[b])
-					ok, err := spec.residual.eval(row, stats)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						if err := e.emit(out, row); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-			li, ri = lEnd, rEnd
-		}
 	}
 	return out, nil
 }
@@ -736,35 +624,25 @@ func (e *Executor) rowMerge(spec *joinSpec, stats *Stats) (*storage.Table, error
 // partition → build → probe → pair-gather. The partition policy decides
 // which build rows and which probe rows meet — everything at once, or
 // Grace partitions of row lists under a byte budget (partitionJoin); the
-// kernel behind spec.join — colJoin, or rowJoin for the row oracle — joins
-// one partition.
+// typed kernel behind spec.join (colJoin) joins one partition.
 func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	shared, err := newJoinSpec(j, left, right)
+	shared, err := newEquiJoinSpec(j, left, right)
 	if err != nil {
 		return nil, err
 	}
 	spec := &hashSpec{joinSpec: shared}
 	// The hash table pins about as much again as the right input for the
-	// duration of the join. That deterministic footprint (the input bytes,
-	// identical across engines) both feeds the partition decision — taken
-	// here, at the operator boundary, before any engine's scratch is on the
-	// ledger — and, when the join runs as one partition, is charged as
-	// working memory.
+	// duration of the join. That deterministic footprint (the input bytes)
+	// both feeds the partition decision — taken here, at the operator
+	// boundary, before any key scratch is on the ledger — and, when the join
+	// runs as one partition, is charged as working memory.
 	need := right.ApproxBytes()
 	partition := e.gov.ShouldSpill(need)
-	if e.useColumnar() {
-		e.bindColumnar(spec)
-	} else {
-		spec.join = func(rrows, lrows []int, stats *Stats) (*chunkSink, error) {
-			return e.rowJoin(shared, rrows, lrows, stats)
-		}
-	}
+	e.bindHashKeys(spec)
 	e.gov.ChargeBytes(spec.scratch)
 	defer e.gov.ReleaseBytes(spec.scratch)
 	// Whatever the partition policy, both inputs are visited once.
-	n := int64(right.NumRows()) + int64(left.NumRows())
-	stats.TuplesScanned += n
-	if err := e.gov.TickTuples(n); err != nil {
+	if err := e.visit(stats, right.NumRows()+left.NumRows()); err != nil {
 		return nil, err
 	}
 	if partition {
@@ -777,49 +655,6 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats
 		return nil, err
 	}
 	return sink.out, nil
-}
-
-// rowJoin is the row oracle's kernel for one partition: a boxed,
-// Value.Key()-keyed build and probe that the columnar kernel is held
-// bit-identical to.
-func (e *Executor) rowJoin(spec *joinSpec, rrows, lrows []int, stats *Stats) (*chunkSink, error) {
-	left, right := spec.left, spec.right
-	builds := rowCount(rrows, right.NumRows())
-	m := make(map[string][]int, builds)
-	for i := 0; i < builds; i++ {
-		r := rowAt(rrows, i)
-		if v := right.Value(r, spec.rKey); !v.IsNull() {
-			k := v.Key()
-			m[k] = append(m[k], r)
-		}
-	}
-	sink := &chunkSink{out: storage.NewTable("join", spec.outSchema)}
-	row := make([]storage.Value, 0, spec.outSchema.NumColumns())
-	for i, n := 0, rowCount(lrows, left.NumRows()); i < n; i++ {
-		l := rowAt(lrows, i)
-		v := left.Value(l, spec.lKey)
-		if v.IsNull() {
-			continue
-		}
-		for _, r := range m[v.Key()] {
-			row = left.AppendRowTo(row[:0], l)
-			row = right.AppendRowTo(row, r)
-			ok, err := spec.residual.eval(row, stats)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if err := e.emit(sink.out, row); err != nil {
-				return nil, err
-			}
-			if lrows != nil {
-				sink.origin = append(sink.origin, l)
-			}
-		}
-	}
-	return sink, nil
 }
 
 // splitKey picks the first equality join predicate as the physical key and

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bruteforce"
 	"repro/internal/cardest"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
@@ -32,48 +33,19 @@ func buildCatalog(t *testing.T, specs ...datagen.TableSpec) *catalog.Catalog {
 	return cat
 }
 
-// bruteForceJoinCount computes the true result count of a conjunctive
-// query by cartesian enumeration (test oracle; only for tiny inputs).
+// bruteForceJoinCount is the brute-force evaluator's result size for the
+// conjunctive query over the given FROM items.
 func bruteForceJoinCount(t *testing.T, cat *catalog.Catalog, aliases []string, tables []string, preds []expr.Predicate) int {
 	t.Helper()
-	data := make([]*storage.Table, len(tables))
-	for i, name := range tables {
-		data[i] = cat.Data(name)
-		if data[i] == nil {
-			t.Fatalf("no data for %s", name)
-		}
+	tabs := make([]cardest.TableRef, len(tables))
+	for i := range tables {
+		tabs[i] = cardest.TableRef{Alias: aliases[i], Table: tables[i]}
 	}
-	count := 0
-	idx := make([]int, len(tables))
-	var recurse func(depth int)
-	recurse = func(depth int) {
-		if depth == len(tables) {
-			binding := expr.MapBinding{}
-			for i, tbl := range data {
-				for c := 0; c < tbl.Schema().NumColumns(); c++ {
-					key := expr.ColumnRef{Table: aliases[i], Column: tbl.Schema().Column(c).Name}.Key()
-					binding[key] = tbl.Value(idx[i], c)
-				}
-			}
-			for _, p := range preds {
-				ok, err := p.Eval(binding)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					return
-				}
-			}
-			count++
-			return
-		}
-		for r := 0; r < data[depth].NumRows(); r++ {
-			idx[depth] = r
-			recurse(depth + 1)
-		}
+	m, _, err := bruteforce.Of(cat, tabs, preds, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	recurse(0)
-	return count
+	return int(m.Rows)
 }
 
 func chainSpecs(rows ...int) []datagen.TableSpec {

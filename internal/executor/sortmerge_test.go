@@ -43,11 +43,11 @@ func ints(ks ...int64) []storage.Value {
 }
 
 // smDiff runs L ⋈ R on k under a sort-merge-only repertoire through
-// columnarDiff, with optional extra predicates.
+// bruteDiff, with optional extra predicates.
 func smDiff(t *testing.T, cat *catalog.Catalog, l, r string, extra ...expr.Predicate) *Result {
 	t.Helper()
 	preds := append([]expr.Predicate{expr.NewJoin(ref(l, "k"), expr.OpEQ, ref(r, "k"))}, extra...)
-	return columnarDiff(t, cat, []cardest.TableRef{{Table: l}, {Table: r}}, preds, nil, sortMergeOnly)
+	return bruteDiff(t, cat, []cardest.TableRef{{Table: l}, {Table: r}}, preds, nil, sortMergeOnly)
 }
 
 // Duplicate keys on both sides: every equal-key run emits its full product,
@@ -120,10 +120,10 @@ func TestSortMergeStringKeys(t *testing.T) {
 	}
 }
 
-// Bool keys merge as 0/1; an int64 key meets a float64 key as float64, so —
-// unlike the hash join, whose typed keys never cross-match — 1 joins 1.0. A
-// residual over v rides along; hundreds of rows make the run products span
-// several pair batches.
+// Bool keys merge as 0/1, and an int64 key meets a float64 key as float64,
+// so 1 joins 1.0 as it does in every other join method. A residual over v
+// rides along; hundreds of rows make the run products span several pair
+// batches.
 func TestSortMergeBoolAndMixedKeys(t *testing.T) {
 	cat := catalog.New()
 	loadKeyTypeTables(t, cat)
@@ -131,31 +131,24 @@ func TestSortMergeBoolAndMixedKeys(t *testing.T) {
 	if res.Stats.RowsProduced == 0 {
 		t.Fatal("bool-key join produced no rows; the case has no teeth")
 	}
-	res = smDiff(t, cat, "MI", "MF")
 	// MI cycles 1,2,3 and MF cycles 1,2,2.5, NULL where i%7 == 3: the keys
 	// 1 and 2 match across the types.
-	want := int64(0)
-	mi, mf := cat.Data("MI"), cat.Data("MF")
-	for l := 0; l < mi.NumRows(); l++ {
-		for r := 0; r < mf.NumRows(); r++ {
-			if storage.Equal(mi.Value(l, 0), mf.Value(r, 0)) {
-				want++
-			}
-		}
-	}
-	if res.Stats.RowsProduced != want || want == 0 {
-		t.Fatalf("rows = %d, want %d (> 0)", res.Stats.RowsProduced, want)
+	if res := smDiff(t, cat, "MI", "MF"); res.Stats.RowsProduced == 0 {
+		t.Fatal("int64 keys matched no float64 key; the case has no teeth")
 	}
 }
 
-// Beyond 2^53 an int64 run stays a run of equal integers even where the
-// float64 on the other side cannot tell the keys apart.
+// Beyond 2^53 distinct int64 keys round to one float64. Both inputs merge
+// as float64, as storage.Compare compares them, so every integer joins the
+// float it rounds to: 2^53 and 2^53+1 (twice) each join 2^53, and 7 joins 7.
 func TestSortMergeMixedKeysBeyondFloatPrecision(t *testing.T) {
 	cat := catalog.New()
 	big := int64(1) << 53
 	loadKeys(t, cat, "L", storage.TypeInt64, ints(big+1, big, 7, big+1)...)
 	loadKeys(t, cat, "R", storage.TypeFloat64, storage.Float64(float64(big)), storage.Float64(7))
-	smDiff(t, cat, "L", "R")
+	if res := smDiff(t, cat, "L", "R"); res.Stats.RowsProduced != 4 {
+		t.Fatalf("rows = %d, want 4", res.Stats.RowsProduced)
+	}
 }
 
 // A residual predicate filters each candidate pair after it is counted as
@@ -189,8 +182,9 @@ func TestSortMergeEmptyInputs(t *testing.T) {
 }
 
 // A NaN key has no place in an order (storage.Table.SortPermutation says
-// what the kernel does then); whatever the oracle makes of such a column,
-// the typed kernel makes the same.
+// what the kernel does then), so a merge over such a column means nothing
+// and no oracle can say what it should return. What still holds: the merge
+// completes, and repeats itself exactly under a byte budget.
 func TestSortMergeNaNKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	keys := func(n int) []storage.Value {
@@ -211,55 +205,45 @@ func TestSortMergeNaNKeys(t *testing.T) {
 		cat := catalog.New()
 		loadKeys(t, cat, "L", storage.TypeFloat64, keys(60)...)
 		loadKeys(t, cat, "R", storage.TypeFloat64, keys(45)...)
-		smDiff(t, cat, "L", "R")
+		plan := planQuery(t, cat, []cardest.TableRef{{Table: "L"}, {Table: "R"}},
+			[]expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))}, nil, sortMergeOnly)
+		runBoth(t, cat, plan, sortMergeOnly)
 	}
 }
 
-// smRunErr executes the sort-merge plan of T0 ⋈ T1 under limits with both
-// engines and returns their errors.
-func smRunErr(t *testing.T, cat *catalog.Catalog, limits governor.Limits) [2]error {
+// smRunErr executes the sort-merge plan of T0 ⋈ T1 under limits and
+// returns its error.
+func smRunErr(t *testing.T, cat *catalog.Catalog, limits governor.Limits) error {
 	t.Helper()
 	plan := planQuery(t, cat, []cardest.TableRef{{Table: "T0"}, {Table: "T1"}},
 		[]expr.Predicate{expr.NewJoin(ref("T0", "k"), expr.OpEQ, ref("T1", "k"))}, nil, sortMergeOnly)
-	var errs [2]error
-	for i, columnar := range []bool{true, false} {
-		limits.DisableColumnar = !columnar
-		_, errs[i] = NewGoverned(cat, governor.New(context.Background(), limits)).Execute(plan)
-	}
-	return errs
+	_, err := NewGoverned(cat, governor.New(context.Background(), limits)).Execute(plan)
+	return err
 }
 
 // A row budget that covers the scans but not the join trips in the middle
-// of the merge, typed, in both engines.
+// of the merge, typed, and so does a tuple budget.
 func TestSortMergeRowBudgetMidMerge(t *testing.T) {
 	cat := buildCatalog(t, chainSpecs(300, 200)...) // 10 keys: about 6000 output rows
-	for i, err := range smRunErr(t, cat, governor.Limits{MaxRows: 500 + 4500}) {
-		if !errors.Is(err, governor.ErrBudgetExceeded) {
-			t.Fatalf("engine %d: err = %v, want ErrBudgetExceeded", i, err)
-		}
-	}
-	for i, err := range smRunErr(t, cat, governor.Limits{MaxTuples: 500 + 4500}) {
-		if !errors.Is(err, governor.ErrBudgetExceeded) {
-			t.Fatalf("engine %d: err = %v, want ErrBudgetExceeded", i, err)
+	for _, limits := range []governor.Limits{{MaxRows: 500 + 4500}, {MaxTuples: 500 + 4500}} {
+		if err := smRunErr(t, cat, limits); !errors.Is(err, governor.ErrBudgetExceeded) {
+			t.Fatalf("%+v: err = %v, want ErrBudgetExceeded", limits, err)
 		}
 	}
 }
 
-// The sort scratch cannot be partitioned: a byte budget below it refuses the join
-// with a typed ErrMemory naming the operator, the same in both engines, and
-// one just above the inputs plus the scratch admits it in both.
+// The sort scratch cannot be partitioned: a byte budget below it refuses the
+// join with a typed ErrMemory naming the operator, and one just above the
+// inputs plus the scratch admits it.
 func TestSortMergeScratchOverBudget(t *testing.T) {
 	cat := buildCatalog(t, chainSpecs(300, 200)...)
-	for i, err := range smRunErr(t, cat, governor.Limits{MaxMemory: sortScratchPerRow*500 - 1}) {
-		var merr *governor.MemoryError
-		if !errors.Is(err, governor.ErrMemory) || !errors.As(err, &merr) || merr.Operator != "sort-merge scratch" {
-			t.Fatalf("engine %d: err = %v, want ErrMemory from the sort-merge scratch", i, err)
-		}
+	var merr *governor.MemoryError
+	err := smRunErr(t, cat, governor.Limits{MaxMemory: sortScratchPerRow*500 - 1})
+	if !errors.Is(err, governor.ErrMemory) || !errors.As(err, &merr) || merr.Operator != "sort-merge scratch" {
+		t.Fatalf("err = %v, want ErrMemory from the sort-merge scratch", err)
 	}
-	for i, err := range smRunErr(t, cat, governor.Limits{MaxMemory: 1 << 20}) {
-		if err != nil {
-			t.Fatalf("engine %d under a roomy budget: %v", i, err)
-		}
+	if err := smRunErr(t, cat, governor.Limits{MaxMemory: 1 << 20}); err != nil {
+		t.Fatalf("under a roomy budget: %v", err)
 	}
 }
 
@@ -285,7 +269,7 @@ func TestScanArenaChargeIgnoresRecycledCapacity(t *testing.T) {
 var benchSink *Result
 
 // BenchmarkSortMerge times one 25 k ⋈ 5 k sort-merge join (scans included)
-// per key type and engine.
+// per key type.
 func BenchmarkSortMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, typ := range []storage.Type{storage.TypeInt64, storage.TypeString} {
@@ -308,18 +292,15 @@ func BenchmarkSortMerge(b *testing.B) {
 		}
 		plan := planQuery(b, cat, []cardest.TableRef{{Table: "L"}, {Table: "R"}},
 			[]expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))}, nil, sortMergeOnly)
-		for _, engine := range []string{"row", "columnar"} {
-			limits := governor.Limits{DisableColumnar: engine == "row"}
-			b.Run(fmt.Sprintf("%s/%s", typ, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := NewGoverned(cat, governor.New(context.Background(), limits)).Execute(plan)
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchSink = res
+		b.Run(typ.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := NewGoverned(cat, governor.New(context.Background(), governor.Limits{})).Execute(plan)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				benchSink = res
+			}
+		})
 	}
 }

@@ -81,15 +81,19 @@ func spillPartitions(need, budget int64) int {
 }
 
 // route assigns the rows of t named by rows (nil: every row) a partition id
-// each by their join key. Keys the hash join would match (equal Value.Key())
-// hash alike, so rows that could join always share a partition.
-func route(t *storage.Table, col int, rows []int, parts, salt int) []uint8 {
+// each by their join key. Keys the hash join would match hash alike, so rows
+// that could join always share a partition: with numeric set (an int64 key
+// joined to a float64 one) every key hashes as the float64 it is matched as.
+func route(t *storage.Table, col int, rows []int, parts, salt int, numeric bool) []uint8 {
 	d := t.ColumnData(col)
 	ids := make([]uint8, rowCount(rows, t.NumRows()))
 	for i := range ids {
-		if r := rowAt(rows, i); d.Null(r) {
+		switch r := rowAt(rows, i); {
+		case d.Null(r):
 			ids[i] = noPart
-		} else {
+		case numeric:
+			ids[i] = spillPart(floatBits(numericAt(d, r)), parts, salt)
+		default:
 			ids[i] = spillPart(d.KeyHash(r), parts, salt)
 		}
 	}
@@ -142,8 +146,8 @@ func (e *Executor) partitionJoin(spec *hashSpec, need int64, stats *Stats) (*sto
 // row and only the running partition's row lists, all on the ledger.
 func (pj *partitioner) split(lrows, rrows []int, parts, depth int) error {
 	gov, spec := pj.e.gov, pj.spec
-	lids := route(spec.left, spec.lKey, lrows, parts, depth)
-	rids := route(spec.right, spec.rKey, rrows, parts, depth)
+	lids := route(spec.left, spec.lKey, lrows, parts, depth, spec.numeric)
+	rids := route(spec.right, spec.rKey, rrows, parts, depth, spec.numeric)
 	routing := int64(len(lids) + len(rids))
 	gov.ChargeBytes(routing)
 	defer gov.ReleaseBytes(routing)

@@ -79,7 +79,7 @@ func dirEntries(t *testing.T, dir string) []string {
 // The spilled join must be bit-identical to the unbudgeted in-memory
 // join — same rows in the same order, same TuplesScanned and Comparisons,
 // same governor tuple/row charges — for every key representation of the
-// kernel (native int64, Value.Key() strings for bool and for
+// kernel (native int64, Value.Key() strings for bool keys, float64 bits for
 // int64-vs-float64 keys), and it must leave nothing in the directory it was
 // pointed at.
 func TestSpillHashJoinBitIdentical(t *testing.T) {
@@ -192,23 +192,20 @@ func TestPartitionLedger(t *testing.T) {
 		{"sparse/64KiB", sparseCat, hashPlan(t, sparseCat, "T0", "T1"), 64 << 10, 166656},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, columnar := range []bool{true, false} {
-				gov := governor.New(context.Background(), governor.Limits{
-					MaxMemory: tc.budget, DisableColumnar: !columnar})
-				res, err := NewGoverned(tc.cat, gov).Execute(tc.plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if spills, _ := gov.SpillStats(); spills == 0 {
-					t.Fatalf("columnar=%v: the budget did not engage the partition policy", columnar)
-				}
-				used, peak, _ := gov.MemoryUsage()
-				if out := res.Table.ApproxBytes(); used != out {
-					t.Errorf("columnar=%v: ledger holds %d bytes after the query, its output is %d", columnar, used, out)
-				}
-				if peak > tc.parentPeak {
-					t.Errorf("columnar=%v: peak %d bytes, the parent commit's was %d", columnar, peak, tc.parentPeak)
-				}
+			gov := governor.New(context.Background(), governor.Limits{MaxMemory: tc.budget})
+			res, err := NewGoverned(tc.cat, gov).Execute(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spills, _ := gov.SpillStats(); spills == 0 {
+				t.Fatal("the budget did not engage the partition policy")
+			}
+			used, peak, _ := gov.MemoryUsage()
+			if out := res.Table.ApproxBytes(); used != out {
+				t.Errorf("ledger holds %d bytes after the query, its output is %d", used, out)
+			}
+			if peak > tc.parentPeak {
+				t.Errorf("peak %d bytes, the parent commit's was %d", peak, tc.parentPeak)
 			}
 		})
 	}
@@ -295,7 +292,7 @@ func TestRouteResplitsUnderNewSalt(t *testing.T) {
 	for k := int64(0); k < 8000; k++ {
 		tbl.MustAppendRow(storage.Int64(k))
 	}
-	ids := route(tbl, 0, nil, 2, 0)
+	ids := route(tbl, 0, nil, 2, 0, false)
 	if ids[0] != noPart {
 		t.Fatalf("NULL key routed to partition %d", ids[0])
 	}
@@ -303,7 +300,7 @@ func TestRouteResplitsUnderNewSalt(t *testing.T) {
 	if len(rows) < 3000 || len(rows) > 5000 {
 		t.Fatalf("two-way split put %d of 8000 keys in partition 0", len(rows))
 	}
-	sub := route(tbl, 0, rows, 4, 1)
+	sub := route(tbl, 0, rows, 4, 1, false)
 	for p := uint8(0); p < 4; p++ {
 		if n := len(pick(sub, rows, p)); n < len(rows)/8 || n > len(rows)/2 {
 			t.Errorf("re-split sub-partition %d holds %d of %d rows", p, n, len(rows))

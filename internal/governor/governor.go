@@ -383,15 +383,14 @@ type Limits struct {
 	// starts. 0 means unbounded — every read serves, however stale. It
 	// has no effect on a primary, which is never stale.
 	MaxReplicaLag int
-	// DisableColumnar forces the executor's row-at-a-time engine instead of
-	// the vectorized batch kernels. The engines are bit-identical in
-	// results and work counters — this is the escape hatch that keeps them
-	// comparable in-tree (differential tests, bisection, perf baselines).
+	// DisableColumnar is accepted and ignored: the executor has one engine.
+	//
+	// Deprecated: kept only because the frozen bench/ sets it.
 	DisableColumnar bool
 	// DisableCache bypasses the plan/estimate cache for this system's
-	// serve calls: every query is parsed, planned, and estimated cold.
-	// Like DisableColumnar it exists so the cached and cold paths can be
-	// compared against each other at any time.
+	// serve calls: every query is parsed, planned, and estimated cold. It
+	// exists so the cached and cold paths can be compared against each other
+	// at any time.
 	DisableCache bool
 	// PlanCacheSize overrides the plan cache's entry capacity; 0 keeps the
 	// default. Like the admission fields it governs the system, not a
@@ -416,13 +415,6 @@ func (l Limits) Enforced() bool {
 // Admission reports whether admission control is configured.
 func (l Limits) Admission() bool { return l.MaxConcurrent > 0 }
 
-// ColumnarDisabled reports whether the governed call must use the
-// row-at-a-time engine. A nil governor (ungoverned executor) defaults to
-// the vectorized engine.
-func (g *Governor) ColumnarDisabled() bool {
-	return g != nil && g.limits.DisableColumnar
-}
-
 // checkInterval is how many charged units pass between context/deadline
 // polls.
 const checkInterval = 1024
@@ -445,9 +437,9 @@ type Governor struct {
 	// high-water mark; memReserved the planner's estimate-informed
 	// pre-reservation; spills/spilledBytes count the hash joins'
 	// partitioning passes and the build bytes they routed. Charges at
-	// operator boundaries are deterministic
-	// for a given plan, which is what keeps the spill decision — and
-	// therefore the result bytes — identical across engines.
+	// operator boundaries are deterministic for a given plan, which is what
+	// keeps the spill decision — and therefore the result bytes — the same
+	// run after run.
 	memBytes     atomic.Int64
 	memPeak      atomic.Int64
 	memReserved  atomic.Int64
@@ -685,8 +677,8 @@ func (g *Governor) GrabBytes(n int64, operator string) error {
 // the build on top of the current working set, or when the build exceeds
 // the planner's pre-reservation — the estimate-informed early trip. The
 // inputs (ledger at an operator boundary, deterministic build size,
-// per-query reservation) are identical across engines, so both sides of the
-// differential harness make the same call.
+// per-query reservation) are the same on every run of a plan, and so is the
+// call.
 func (g *Governor) ShouldSpill(need int64) bool {
 	if !g.MemoryEnforced() {
 		return false

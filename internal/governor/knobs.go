@@ -43,7 +43,6 @@ var Knobs = []Knob{
 	durationKnob("queue-timeout", func(l *Limits) *time.Duration { return &l.QueueTimeout }).
 		flag("queue-timeout", "admission control: max time a query waits for a slot (0 = forever)"),
 	countKnob("max-replica-lag", func(l *Limits) *int { return &l.MaxReplicaLag }),
-	switchKnob("columnar", func(l *Limits) *bool { return &l.DisableColumnar }),
 	switchKnob("cache", func(l *Limits) *bool { return &l.DisableCache }),
 	countKnob("plan-cache-size", func(l *Limits) *int { return &l.PlanCacheSize }),
 }
@@ -98,8 +97,8 @@ func countKnob[T int | int64](key string, field func(*Limits) *T) Knob {
 	}
 }
 
-// switchKnob is an engine toggle: the key reads on/off, the field stores
-// the opposite (the zero Limits leaves every engine on).
+// switchKnob is an on/off toggle: the key reads on/off, the field stores
+// the opposite (the zero Limits leaves everything on).
 func switchKnob(key string, disabled func(*Limits) *bool) Knob {
 	return Knob{Key: key, Arg: "on|off",
 		Parse: func(l *Limits, text string) error {

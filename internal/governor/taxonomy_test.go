@@ -82,7 +82,7 @@ func TestKnobsRoundTrip(t *testing.T) {
 	set := Limits{
 		Timeout: 1500 * time.Millisecond, MaxTuples: 11, MaxRows: 12, MaxPlans: 13, MaxMemory: 1 << 40,
 		MaxConcurrent: 3, MaxQueue: 4, QueueTimeout: time.Minute, MaxReplicaLag: 5,
-		DisableColumnar: true, DisableCache: true, PlanCacheSize: 6,
+		DisableCache: true, PlanCacheSize: 6,
 	}
 	seen := make(map[string]bool)
 	var back Limits

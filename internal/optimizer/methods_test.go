@@ -83,26 +83,12 @@ func TestJoinWidthAndTablesCache(t *testing.T) {
 	}
 }
 
-func TestGreedySingleTable(t *testing.T) {
+func TestExhaustiveSingleTable(t *testing.T) {
 	cat := catalog.New()
 	cat.MustAddTable(catalog.SimpleTable("A", 10, map[string]float64{"k": 10}))
 	est, _ := cardest.New(cat, []cardest.TableRef{{Table: "A"}}, nil, cardest.ELS())
 	o, _ := New(est, PaperOptions())
-	plan, err := o.GreedyPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plan.(*Scan); !ok {
-		t.Errorf("greedy single table should be a scan: %v", plan)
-	}
-	ii, err := o.IterativeImprovementPlan(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ii.(*Scan); !ok {
-		t.Errorf("II single table should be a scan: %v", ii)
-	}
-	ex, err := o.ExhaustivePlan()
+	ex, err := o.exhaustivePlan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,22 +107,7 @@ func TestExhaustiveLimits(t *testing.T) {
 	}
 	est, _ := cardest.New(cat, tabs, nil, cardest.ELS())
 	o, _ := New(est, PaperOptions())
-	if _, err := o.ExhaustivePlan(); err == nil {
+	if _, err := o.exhaustivePlan(); err == nil {
 		t.Error("9 tables should exceed the exhaustive limit")
-	}
-}
-
-func TestGreedyDisconnectedFallsBackToCartesian(t *testing.T) {
-	cat := catalog.New()
-	cat.MustAddTable(catalog.SimpleTable("A", 5, map[string]float64{"k": 5}))
-	cat.MustAddTable(catalog.SimpleTable("B", 7, map[string]float64{"k": 7}))
-	est, _ := cardest.New(cat, []cardest.TableRef{{Table: "A"}, {Table: "B"}}, nil, cardest.ELS())
-	o, _ := New(est, PaperOptions())
-	plan, err := o.GreedyPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.EstRows() != 35 {
-		t.Errorf("greedy cartesian rows = %g, want 35", plan.EstRows())
 	}
 }

@@ -177,42 +177,13 @@ func TestDPMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := o.ExhaustivePlan()
+		ex, err := o.exhaustivePlan()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if dp.Cost() > ex.Cost()*(1+1e-9) {
 			t.Errorf("%s: DP cost %g exceeds exhaustive %g", cfg.Name(), dp.Cost(), ex.Cost())
 		}
-	}
-}
-
-func TestGreedyAndIterativeImprovement(t *testing.T) {
-	o := newOptimizer(t, cardest.ELS())
-	g, err := o.GreedyPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Tables()) != 4 {
-		t.Errorf("greedy tables = %v", g.Tables())
-	}
-	ii, err := o.IterativeImprovementPlan(42, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ii.Tables()) != 4 {
-		t.Errorf("II tables = %v", ii.Tables())
-	}
-	// II with enough restarts should match the exhaustive optimum on this
-	// tiny query.
-	ex, _ := o.ExhaustivePlan()
-	if ii.Cost() > ex.Cost()*1.5 {
-		t.Errorf("II cost %g far above optimum %g", ii.Cost(), ex.Cost())
-	}
-	// Determinism.
-	ii2, _ := o.IterativeImprovementPlan(42, 3)
-	if ii.Cost() != ii2.Cost() {
-		t.Error("II should be deterministic for a fixed seed")
 	}
 }
 
@@ -315,10 +286,9 @@ func TestTooManyTables(t *testing.T) {
 	}
 }
 
-// Property: over random chain queries, the DP plan never costs more than
-// greedy or iterative improvement (it searches a superset of left-deep
-// orders).
-func TestDPDominatesHeuristicsProperty(t *testing.T) {
+// Property: over random chain queries, the DP plan costs no more than the
+// cheapest left-deep order exhaustive search finds.
+func TestDPMatchesExhaustiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(4)
@@ -347,19 +317,12 @@ func TestDPDominatesHeuristicsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedy, err := o.GreedyPlan()
+		ex, err := o.exhaustivePlan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ii, err := o.IterativeImprovementPlan(int64(trial), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dp.Cost() > greedy.Cost()*(1+1e-9) {
-			t.Errorf("trial %d: DP (%g) worse than greedy (%g)", trial, dp.Cost(), greedy.Cost())
-		}
-		if dp.Cost() > ii.Cost()*(1+1e-9) {
-			t.Errorf("trial %d: DP (%g) worse than II (%g)", trial, dp.Cost(), ii.Cost())
+		if dp.Cost() > ex.Cost()*(1+1e-9) {
+			t.Errorf("trial %d: DP (%g) worse than exhaustive (%g)", trial, dp.Cost(), ex.Cost())
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package querygen generates seeded random conjunctive join queries with
 // matching data specifications, for differential testing of the execution
-// pipeline: the same generated query is run through the serial and the
-// parallel executor and the results must be identical.
+// pipeline: every plan of a generated query, under every policy, must return
+// what internal/bruteforce evaluates it to.
 //
 // Everything is deterministic in the seed: the table specs (datagen is
 // itself seeded), the predicates, and the join-method repertoire. A failing
@@ -72,9 +72,9 @@ func (q Query) String() string {
 }
 
 // Generate builds the query for one seed. Table sizes land in 64..320
-// rows, straddling the executor's parallel-chunk threshold so both the
-// serial and the chunked code paths are exercised across seeds; join
-// columns get small domains so joins actually match rows.
+// rows, so hash-join build sides straddle the differentials' 4 KiB byte
+// budget and about half the seeds take the partition policy; join columns
+// get small domains so joins actually match rows.
 func Generate(seed int64) Query { return GenerateNamed(seed, "Q") }
 
 // GenerateNamed is Generate with a caller-chosen table-name prefix, so
@@ -115,11 +115,9 @@ func GenerateNamed(seed int64, prefix string) Query {
 			storage.Int64(int64(rng.Intn(100)))))
 	}
 
-	// Join-method repertoire: hash always (the tentpole's parallel
-	// operator); nested loops only for ≤ 2 tables (its re-scanned inner is
-	// quadratic, and a 3-way NL join over ~300-row tables dominates the
-	// harness's runtime); sort-merge sometimes (its serial path must agree
-	// with everything else).
+	// Join-method repertoire: hash always; nested loops only for ≤ 2 tables
+	// (its re-scanned inner is quadratic, and a 3-way NL join over ~300-row
+	// tables dominates the harness's runtime); sort-merge sometimes.
 	q.Methods = []optimizer.JoinMethod{optimizer.HashJoin}
 	if n <= 2 && rng.Intn(2) == 0 {
 		q.Methods = append(q.Methods, optimizer.NestedLoop)

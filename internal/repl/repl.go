@@ -126,9 +126,9 @@ func (p *Processor) help() error {
 %s                                            set per-query budgets (memory=N is
                                             the byte budget; over it, hash joins
                                             partition in memory), admission
-                                            control, replica staleness,
-                                            and the columnar/plan-cache engine
-                                            switches ("limits off" clears)
+                                            control, replica staleness and
+                                            the plan cache ("limits off"
+                                            clears)
   serving                                   show serving-layer counters
                                             (catalog version, admission, retries,
                                             circuit breaker, plan cache,

@@ -191,6 +191,33 @@ func TestServerQuarantineIsolatesTenant(t *testing.T) {
 	}
 }
 
+// A comparison of types storage.Compare cannot compare is the client's
+// mistake: a non-retryable ErrParse that counts nothing toward the poison
+// threshold, so threshold+1 of them in a row leave the tenant serving.
+func TestServerTypeMismatchDoesNotQuarantine(t *testing.T) {
+	_, cl := startTestServer(t, func(c *Config) {
+		c.PoisonThreshold = 2
+		c.Tenants[0].Bootstrap = func(sys *els.System) error {
+			return sys.LoadCSVReader("P", strings.NewReader("id,name\n1,alice\n2,bob\n"), true, 0)
+		}
+	})
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: "a", SQL: "SELECT COUNT(*) FROM P WHERE P.name < 5"})
+		var remote *wire.RemoteError
+		if !errors.As(err, &remote) || !errors.Is(err, els.ErrParse) || remote.Wire.Retryable {
+			t.Fatalf("statement %d: err = %v, want a non-retryable ErrParse", i, err)
+		}
+	}
+	resp, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: "a", SQL: "SELECT COUNT(*) FROM P WHERE P.id < 2"})
+	if err != nil || resp.Result == nil || resp.Result.Count != 1 {
+		t.Fatalf("after three rejected statements: resp %+v, err %v", resp, err)
+	}
+	if st := statsFor(t, cl, "a"); st.Degraded {
+		t.Errorf("tenant degraded by parse errors: %+v", st)
+	}
+}
+
 // Shutdown drains: in-flight work finishes, late arrivals shed typed with
 // a Retry-After hint, and stats report the drain.
 func TestServerShutdownDrains(t *testing.T) {

@@ -6,13 +6,16 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/storage"
 )
 
 // Bind resolves the query's column references against the catalog:
 // unqualified columns (the paper writes "s = m AND s < 100") are bound to
 // the unique FROM-clause table exposing that column; qualified references
 // are validated. Bind mutates the query in place and returns an error on
-// unknown tables, unknown or ambiguous columns, and duplicate aliases.
+// unknown tables, unknown or ambiguous columns, and duplicate aliases — and,
+// where the tables have data whose column types are known, on comparisons
+// storage.Compare cannot make and on SUM or AVG of a non-numeric column.
 func Bind(q *Query, cat *catalog.Catalog) error {
 	if q == nil || cat == nil {
 		return fmt.Errorf("sqlparse: Bind requires a query and a catalog")
@@ -127,6 +130,57 @@ func Bind(q *Query, cat *catalog.Catalog) error {
 			return fmt.Errorf("sqlparse: %w", err)
 		}
 		q.Disjunctions[i] = d
+	}
+	return checkTypes(q, cat)
+}
+
+// checkTypes rejects what would otherwise fail only in execution: a
+// comparison of types storage.Compare refuses, and SUM or AVG of a
+// non-numeric column. A column of a table without data (declared
+// statistics) has no known type and passes.
+func checkTypes(q *Query, cat *catalog.Catalog) error {
+	data := make([]*storage.Table, len(q.Tables))
+	for i, item := range q.Tables {
+		data[i] = cat.Data(item.Table)
+	}
+	typeOf := func(ref expr.ColumnRef) (storage.Type, bool) {
+		for i, item := range q.Tables {
+			if data[i] != nil && strings.EqualFold(item.Name(), ref.Table) {
+				if c := data[i].Schema().ColumnIndex(ref.Column); c >= 0 {
+					return data[i].Schema().Column(c).Type, true
+				}
+			}
+		}
+		return 0, false
+	}
+	check := func(p expr.Predicate) error {
+		lt, lok := typeOf(p.Left)
+		rt, rok := p.Const.Type(), !p.Const.IsNull() // NULL compares with nothing, whatever its type
+		if p.RightIsColumn {
+			rt, rok = typeOf(p.Right)
+		}
+		if lok && rok && !storage.Comparable(lt, rt) {
+			return fmt.Errorf("sqlparse: %s compares %s with %s", p, lt, rt)
+		}
+		return nil
+	}
+	for _, p := range q.Where {
+		if err := check(p); err != nil {
+			return err
+		}
+	}
+	for _, d := range q.Disjunctions {
+		for _, p := range d.Preds {
+			if err := check(p); err != nil {
+				return err
+			}
+		}
+	}
+	for _, it := range q.Select {
+		t, ok := typeOf(it.Col)
+		if ok && (it.Agg == AggSum || it.Agg == AggAvg) && t != storage.TypeInt64 && t != storage.TypeFloat64 {
+			return fmt.Errorf("sqlparse: %s of %s column %s", it.Agg, t, it.Col)
+		}
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func TestAppendGather(t *testing.T) {
 	for out, in := range sel {
 		for c := 0; c < 4; c++ {
 			got, want := dst.Value(out, c), src.Value(in, c)
-			if got.IsNull() != want.IsNull() || (!got.IsNull() && !Equal(got, want)) {
+			if got.IsNull() != want.IsNull() || (!got.IsNull() && Compare(got, want) != 0) {
 				t.Errorf("row %d col %d: got %s, want %s", out, c, got, want)
 			}
 		}
@@ -111,7 +111,7 @@ func TestAppendPairGather(t *testing.T) {
 	if !dst.Value(0, 4).IsNull() {
 		t.Errorf("expected NULL right key in first joined row")
 	}
-	if got := dst.Value(1, 5); !Equal(got, String64("x")) {
+	if got := dst.Value(1, 5); got.Str() != "x" {
 		t.Errorf("joined (1, v) = %s, want x", got)
 	}
 	if err := dst.AppendPairGather(left, right, []int{0}, []int{0, 1}); err == nil {

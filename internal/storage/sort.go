@@ -27,8 +27,7 @@ import (
 // happens to make. A float64 column holding a NaN therefore skips the radix
 // pass and returns SortedIndices' permutation itself, so the two agree even
 // there (TestSortPermutationNaN). A sort-merge join over such a column pairs
-// a NaN with whatever run the merge meets; both engines do the same, and
-// neither result means anything.
+// a NaN with whatever run the merge meets, and the result means nothing.
 func (t *Table) SortPermutation(col int) []int {
 	c := t.cols[col]
 	perm := make([]int, 0, t.rows)

@@ -230,8 +230,8 @@ func (t *Table) ColumnValues(name string) ([]Value, error) {
 
 // SortedIndices returns row indices of the table ordered by the given
 // column (NULLs first). The table itself is not modified. It is the boxed
-// reference: the row oracle's sort-merge join streams rows through it, and
-// SortPermutation, the typed kernel, is tested against it.
+// reference SortPermutation, the typed kernel, is tested against, and the
+// order it falls back to for a float64 column holding a NaN.
 func (t *Table) SortedIndices(col int) []int {
 	idx := make([]int, t.rows)
 	for i := range idx {

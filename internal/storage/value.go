@@ -205,19 +205,26 @@ func (v Value) Key() string {
 	}
 }
 
-// Compare orders two values of the same type. NULL sorts before all
+// Comparable reports whether Compare orders values of types a and b: two of
+// the same type, or an int64 and a float64, which compare as float64.
+func Comparable(a, b Type) bool {
+	numeric := func(t Type) bool { return t == TypeInt64 || t == TypeFloat64 }
+	return a == b || numeric(a) && numeric(b)
+}
+
+// Compare orders two values of comparable types. NULL sorts before all
 // non-null values, matching the sort order used by the sort-merge join.
-// It panics if the types differ (the planner guarantees comparable types).
+// It panics if the types are not Comparable (the binder rejects queries
+// that would compare them).
 func Compare(a, b Value) int {
 	if a.typ != b.typ {
-		// Allow numeric cross-type comparison; everything else is a planner bug.
-		if (a.typ == TypeInt64 || a.typ == TypeFloat64) && (b.typ == TypeInt64 || b.typ == TypeFloat64) {
-			if a.null || b.null {
-				return compareNulls(a.null, b.null)
-			}
-			return compareFloat(a.AsFloat(), b.AsFloat())
+		if !Comparable(a.typ, b.typ) {
+			panic(fmt.Sprintf("storage: Compare(%s, %s): mismatched types", a.typ, b.typ))
 		}
-		panic(fmt.Sprintf("storage: Compare(%s, %s): mismatched types", a.typ, b.typ))
+		if a.null || b.null {
+			return compareNulls(a.null, b.null)
+		}
+		return compareFloat(a.AsFloat(), b.AsFloat())
 	}
 	if a.null || b.null {
 		return compareNulls(a.null, b.null)
@@ -274,14 +281,4 @@ func compareFloat(a, b float64) int {
 	default:
 		return 0
 	}
-}
-
-// Equal reports whether two values compare equal. NULL is not equal to
-// anything, including NULL, mirroring SQL three-valued logic for equality
-// predicates.
-func Equal(a, b Value) bool {
-	if a.null || b.null {
-		return false
-	}
-	return Compare(a, b) == 0
 }

@@ -191,18 +191,6 @@ func TestCompareMismatchedTypesPanics(t *testing.T) {
 	Compare(String64("a"), Int64(1))
 }
 
-func TestEqualNullSemantics(t *testing.T) {
-	if Equal(Null(TypeInt64), Null(TypeInt64)) {
-		t.Error("NULL = NULL must be false (SQL semantics)")
-	}
-	if Equal(Null(TypeInt64), Int64(1)) || Equal(Int64(1), Null(TypeInt64)) {
-		t.Error("NULL = x must be false")
-	}
-	if !Equal(Int64(4), Int64(4)) {
-		t.Error("4 = 4 must be true")
-	}
-}
-
 func TestKeyDistinguishesTypesAndValues(t *testing.T) {
 	vals := []Value{
 		Int64(1), Int64(2), Float64(1), String64("1"), Bool(true), Bool(false),

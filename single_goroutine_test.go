@@ -114,10 +114,11 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	t.Fatalf("goroutine leak: %d before, %d after storm", before, runtime.NumGoroutine())
 }
 
-// The two Workers fields the frozen bench/ still sets must change nothing:
-// whatever their value, a query yields the same rows, counters, byte-ledger
-// peak and Explain text through the public API, the same plan and governor
-// charges underneath, and runs on the calling goroutine alone.
+// The two Workers fields and Limits.DisableColumnar, which the frozen bench/
+// still sets, must change nothing: whatever their value, a query yields the
+// same rows, counters, byte-ledger peak and Explain text through the public
+// API, the same plan and governor charges underneath, and runs on the
+// calling goroutine alone.
 func TestWorkersFieldIsInert(t *testing.T) {
 	type outcome struct {
 		rows                       [][]string
@@ -126,9 +127,9 @@ func TestWorkersFieldIsInert(t *testing.T) {
 		analyze, explain           string
 	}
 	var want *outcome
-	for _, n := range []int{0, 1, 8} {
+	for _, limits := range []Limits{{Workers: 0}, {Workers: 1}, {Workers: 8}, {DisableColumnar: true}} {
 		sys := chainSystem(t)
-		sys.SetLimits(Limits{Workers: n})
+		sys.SetLimits(limits)
 		var got outcome
 		for _, sql := range []string{chainSQL, crossSQL, "SELECT * FROM A, B WHERE A.k = B.k AND A.k < 3"} {
 			// Sample the goroutine count from one extra goroutine while the
@@ -152,14 +153,14 @@ func TestWorkersFieldIsInert(t *testing.T) {
 			close(stop)
 			<-sampled
 			if err != nil {
-				t.Fatalf("workers=%d %q: %v", n, sql, err)
+				t.Fatalf("%+v %q: %v", limits, sql, err)
 			}
 			if most.Load() > int64(base) {
-				t.Errorf("workers=%d %q: %d goroutines during Query, %d before it", n, sql, most.Load()-1, base-1)
+				t.Errorf("%+v %q: %d goroutines during Query, %d before it", limits, sql, most.Load()-1, base-1)
 			}
 			explain, err := sys.Explain(sql, AlgorithmELS)
 			if err != nil {
-				t.Fatalf("workers=%d explain %q: %v", n, sql, err)
+				t.Fatalf("%+v explain %q: %v", limits, sql, err)
 			}
 			got.rows = append(got.rows, res.Rows...)
 			got.count += res.Count
@@ -172,7 +173,7 @@ func TestWorkersFieldIsInert(t *testing.T) {
 		if want == nil {
 			want = &got
 		} else if !reflect.DeepEqual(got, *want) {
-			t.Errorf("Limits.Workers=%d changed the outcome:\n got  %+v\n want %+v", n, got, *want)
+			t.Errorf("Limits %+v changed the outcome:\n got  %+v\n want %+v", limits, got, *want)
 		}
 	}
 

@@ -192,3 +192,63 @@ func TestRetryNeverFiresOnDeterministicFailures(t *testing.T) {
 		})
 	}
 }
+
+// typeMismatchSQL are statements whose comparisons storage.Compare cannot
+// make, or that sum or average a string, over typeMismatchSystem's tables.
+var typeMismatchSQL = []string{
+	"SELECT COUNT(*) FROM P WHERE P.name < 5",
+	"SELECT COUNT(*) FROM P WHERE P.id < 'a'",
+	"SELECT COUNT(*) FROM P WHERE P.name = P.id",
+	"SELECT COUNT(*) FROM P WHERE P.name < 5 OR P.id = 1",
+	"SELECT COUNT(*) FROM P, Q WHERE P.id = Q.id AND P.name < Q.n",
+	"SELECT COUNT(*) FROM P, Q WHERE P.name = Q.n",
+	"SELECT SUM(P.name) FROM P",
+	"SELECT AVG(P.name) FROM P",
+}
+
+// typeMismatchSystem loads P(id BIGINT, name VARCHAR, x DOUBLE) and
+// Q(id BIGINT, n BIGINT) from CSV.
+func typeMismatchSystem(t *testing.T) *System {
+	t.Helper()
+	sys := New()
+	if err := sys.LoadCSVReader("P", strings.NewReader("id,name,x\n1,alice,0.5\n2,bob,1.5\n3,carol,2.5\n"), true, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadCSVReader("Q", strings.NewReader("id,n\n1,10\n2,20\n"), true, 0); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// A comparison storage.Compare cannot make, or SUM / AVG of a string
+// column, is a parse error raised at bind — by Estimate as well as Query,
+// never retryable — not a panic the executor recovers as a retryable
+// ErrInternal. Comparable types still mix (an int64 column meets a float64
+// constant), and a table with declared statistics has no column types, so
+// the same text estimates there.
+func TestTypeMismatchIsAParseError(t *testing.T) {
+	sys := typeMismatchSystem(t)
+	for _, sql := range typeMismatchSQL {
+		_, qerr := sys.Query(sql, AlgorithmELS)
+		_, eerr := sys.Estimate(sql, AlgorithmELS)
+		for _, err := range []error{qerr, eerr} {
+			if !errors.Is(err, ErrParse) || errors.Is(err, ErrInternal) || Retryable(err) {
+				t.Errorf("%q: err = %v, want a non-retryable ErrParse", sql, err)
+			}
+		}
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM P WHERE P.id < 2.5 AND P.name = 'bob'",
+		"SELECT COUNT(*) FROM P, Q WHERE P.id = Q.id AND P.x < Q.n",
+		"SELECT SUM(P.x), AVG(P.id), MIN(P.name) FROM P",
+	} {
+		if _, err := sys.Query(sql, AlgorithmELS); err != nil {
+			t.Errorf("%q: %v", sql, err)
+		}
+	}
+	declared := New()
+	declared.MustDeclareStats("P", 100, map[string]float64{"id": 100, "name": 50})
+	if _, err := declared.Estimate("SELECT COUNT(*) FROM P WHERE P.name < 5", AlgorithmELS); err != nil {
+		t.Errorf("declared statistics: %v", err)
+	}
+}
