@@ -116,25 +116,39 @@ func TestBestPlanDigestPinned(t *testing.T) {
 // loops and index nested-loops evaluated boxed rows.
 const executionDigest = "a2dd957678933a953488d22f4bf480e8745d301d3a2e00c5f2013d2441505b02"
 
+// ledgerDigest is the SHA-256 over the byte ledger of the same governed runs
+// — peak bytes, partitioning passes and build bytes routed — taken where
+// scans without predicates still copied their base table and the hash join
+// built a map per partition.
+const ledgerDigest = "cc909880a30716f4cc6cca9e0cb4be0d86444b22c9bb5523f4a1eb82e01eb540"
+
 // TestExecutionDigestPinned holds execution to the rows, row order, work
 // counters and governor tuple/row charges it produced before every operator
 // moved onto the pair sink: every plan of the brute-force differential for
 // seeds 0–499, unbudgeted and under its byte budget, and the Section 8
 // experiment at scale 10 with and without indexes. The brute-force
-// differential checks the row multisets; this checks everything else.
+// differential checks the row multisets; this checks everything else. A
+// second digest holds the governed runs' byte ledgers, on which every
+// partition decision rests.
 func TestExecutionDigestPinned(t *testing.T) {
-	h := sha256.New()
+	h, ledger := sha256.New(), sha256.New()
 	for seed := int64(0); seed < 500; seed++ {
 		q := querygen.Generate(seed)
 		cat, plans := differentialPlans(t, q)
 		for i, plan := range plans {
 			for _, budget := range []int64{0, diffBudget(plan)} {
-				res, usage, _ := execGoverned(t, cat, plan, budget)
+				res, usage, gov := execGoverned(t, cat, plan, budget)
 				fmt.Fprintf(h, "%d %d %d: %d %d %d %v\n", seed, i, budget,
 					res.Stats.TuplesScanned, res.Stats.Comparisons, res.Stats.RowsProduced, usage)
 				hashRows(h, res.Table)
+				_, peak, _ := gov.MemoryUsage()
+				spills, spilled := gov.SpillStats()
+				fmt.Fprintf(ledger, "%d %d %d: %d %d %d\n", seed, i, budget, peak, spills, spilled)
 			}
 		}
+	}
+	if got := hex.EncodeToString(ledger.Sum(nil)); got != ledgerDigest {
+		t.Errorf("ledger digest %s, want %s", got, ledgerDigest)
 	}
 	for _, withIndexes := range []bool{false, true} {
 		res, err := experiment.RunSection8(experiment.Section8Options{Scale: 10, Seed: 42, WithIndexes: withIndexes})

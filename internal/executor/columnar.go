@@ -220,38 +220,40 @@ func disjRow(tbl *storage.Table, d compiled, r int, stats *Stats) bool {
 	return false
 }
 
-// bindHashKeys picks the key representation for one hash join and binds
-// spec.join to the typed kernel. Keys of one specializable type hash
-// natively, and an int64 key meets a float64 one as float64 bits, as
-// storage.Compare meets them; bool keys hash their Value.Key() strings,
-// which group exactly the values Compare calls equal.
+// bindHashKeys picks the key representation for one hash join, and the
+// seeded hash its tables use, and binds spec.join to the typed kernel. Keys
+// of one specializable type hash natively, and an int64 key meets a float64
+// one as float64 bits, as storage.Compare meets them; bool keys hash their
+// Value.Key() strings, which group exactly the values Compare calls equal.
 func (e *Executor) bindHashKeys(spec *hashSpec) {
 	ltype := spec.left.Schema().Column(spec.lKey).Type
 	rtype := spec.right.Schema().Column(spec.rKey).Type
 	switch {
 	case ltype != rtype && numericType(ltype) && numericType(rtype):
 		spec.numeric = true
-		bindKeys(e, spec, floatKeys)
+		bindKeys(e, spec, floatKeys, wordHash[uint64](hashSeed))
 	case ltype != rtype || ltype == storage.TypeBool:
-		bindKeys(e, spec, boxedKeys)
+		bindKeys(e, spec, boxedKeys, strHash(hashSeed))
 	case ltype == storage.TypeInt64:
-		bindKeys(e, spec, func(t *storage.Table, col int) ([]int64, int64) { return t.ColumnData(col).Ints, 0 })
+		bindKeys(e, spec, func(t *storage.Table, col int) ([]int64, int64) { return t.ColumnData(col).Ints, 0 },
+			wordHash[int64](hashSeed))
 	case ltype == storage.TypeFloat64:
-		bindKeys(e, spec, floatKeys)
+		bindKeys(e, spec, floatKeys, wordHash[uint64](hashSeed))
 	default:
-		bindKeys(e, spec, func(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 })
+		bindKeys(e, spec, func(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 },
+			strHash(hashSeed))
 	}
 }
 
 // bindKeys derives both inputs' keys once per join, whatever the partition
 // policy does with them. keysOf reports the bytes of any array it had to
 // derive; the join holds them as scratch until it returns.
-func bindKeys[K comparable](e *Executor, spec *hashSpec, keysOf func(t *storage.Table, col int) ([]K, int64)) {
+func bindKeys[K comparable](e *Executor, spec *hashSpec, keysOf func(t *storage.Table, col int) ([]K, int64), hash func(K) uint64) {
 	lk, lscratch := keysOf(spec.left, spec.lKey)
 	rk, rscratch := keysOf(spec.right, spec.rKey)
 	spec.scratch = lscratch + rscratch
 	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
-		return colJoin(e, spec.joinSpec, lk, rk, rrows, lrows, stats)
+		return colJoin(e, spec.joinSpec, lk, rk, hash, rrows, lrows, stats)
 	}
 }
 
@@ -290,20 +292,16 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 }
 
 // colJoin is the typed build → probe → pair-gather kernel for one
-// partition: build a map over the keys of the right rows named by rrows
-// (nil: every right row), probe it with the left rows named by lrows (nil:
-// every left row) in order, and hand the matched pairs to the pair sink.
-// With a probe-row list the sink also reports the left row behind each
-// output row.
-func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
-	rn := spec.right.ColumnData(spec.rKey).Nulls
-	builds := rowCount(rrows, len(rk))
-	m := make(map[K][]int, builds)
-	for i := 0; i < builds; i++ {
-		if r := rowAt(rrows, i); rn == nil || !rn[r] {
-			m[rk[r]] = append(m[rk[r]], r)
-		}
+// partition: build a flat hash table (hashTable) over the keys of the right
+// rows named by rrows (nil: every right row), probe it with the left rows
+// named by lrows (nil: every left row) in order, and hand each probe row's
+// matching build rows, ascending, to the pair sink. With a probe-row list
+// the sink also reports the left row behind each output row.
+func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, hash func(K) uint64, rrows, lrows []int, stats *Stats) (*pairSink, error) {
+	if builds := rowCount(rrows, len(rk)); builds > math.MaxInt32 {
+		return nil, fmt.Errorf("executor: a hash-join build of %d rows exceeds the table's 2^31-row limit", builds)
 	}
+	table := newHashTable(rk, spec.right.ColumnData(spec.rKey).Nulls, rrows, hash)
 	ln := spec.left.ColumnData(spec.lKey).Nulls
 	pairs := e.newPairSink(spec, stats, lrows != nil)
 	defer pairs.release()
@@ -312,7 +310,7 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, rrows, lrows
 		if ln != nil && ln[l] {
 			continue
 		}
-		if err := pairs.add(l, m[lk[l]]); err != nil {
+		if err := pairs.add(l, table.lookup(lk[l])); err != nil {
 			return nil, err
 		}
 	}

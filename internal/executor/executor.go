@@ -5,17 +5,20 @@
 // assumes — is re-scanned from its base table for every outer row. That
 // faithfulness is what lets the Section 8 experiment reproduce: a plan
 // chosen under a drastic underestimate pays the re-scans its optimizer
-// believed were free.
+// believed were free. A scan without predicates copies nothing: it hands
+// its parent a read-only view of the base columns, charged to the byte
+// ledger exactly as the copy it replaces would be.
 //
 // Every operator evaluates predicates one way, with the typed kernels of
 // columnar.go, and every join turns its candidate (left row, right row)
 // pairs into output rows at one pair sink. The joins differ only in how
-// they find the pairs: the hash join probes a typed map, under a partition
-// policy (Limits.MaxMemory, spill.go) that splits a build side too big for
-// the budget into Grace partitions of row lists; sort-merge pairs equal-key
-// runs; nested loops pair each outer row with the inner's rows that pass
-// its scan filters, re-filtered every time; index nested-loops with the
-// rows an index lookup returns. DESIGN §13 draws it. A plan runs on the
+// they find the pairs: the hash join probes a flat open-addressing table
+// (hashtable.go), under a partition policy (Limits.MaxMemory, spill.go)
+// that splits a build side too big for the budget into Grace partitions of
+// row lists, one table each; sort-merge pairs equal-key runs; nested loops
+// pair each outer row with the inner's rows that pass its scan filters,
+// re-filtered every time; index nested-loops with the rows an index lookup
+// returns. DESIGN §13 draws it. A plan runs on the
 // goroutine that calls Execute and starts no other: cores are filled by
 // concurrent queries, each with its own Executor.
 //
@@ -56,14 +59,6 @@ type Stats struct {
 	RowsProduced int64
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
-}
-
-// Add merges other into s.
-func (s *Stats) Add(other Stats) {
-	s.TuplesScanned += other.TuplesScanned
-	s.Comparisons += other.Comparisons
-	s.RowsProduced += other.RowsProduced
-	s.Elapsed += other.Elapsed
 }
 
 // NodeActual compares one plan node's estimated output cardinality with
@@ -292,8 +287,9 @@ func appendRange(sel []int, start, end int) []int {
 
 // runScan visits the base table in batches of colBatch rows, filters each
 // through a selection vector and gathers the survivors column-wise. A scan
-// without predicates has nothing to select: each batch is charged the same
-// and copied as a row range.
+// without predicates has nothing to select: each batch is charged the same,
+// and the scan returns a read-only view of the base columns under its
+// qualified schema instead of a copy.
 func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, error) {
 	if err := e.probe(PointScan); err != nil {
 		return nil, err
@@ -304,11 +300,6 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 	}
 	base, n := sc.base, sc.base.NumRows()
 	out := storage.NewTable(s.Alias, sc.schema)
-	if !sc.filtered() {
-		// One allocation for the whole table, but never for more rows than
-		// the budgets will let the batches below emit.
-		out.Reserve(int(e.gov.Headroom(int64(n))))
-	}
 	for b := 0; b < n; b += colBatch {
 		bEnd := min(b+colBatch, n)
 		if err := e.visit(stats, bEnd-b); err != nil {
@@ -316,9 +307,6 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 		}
 		if !sc.filtered() {
 			if err := e.gov.TickRows(int64(bEnd - b)); err != nil {
-				return nil, err
-			}
-			if err := out.AppendRange(base, b, bEnd); err != nil {
 				return nil, err
 			}
 			continue
@@ -333,6 +321,9 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 		if err != nil {
 			return nil, err
 		}
+	}
+	if !sc.filtered() {
+		return base.View(s.Alias, sc.schema)
 	}
 	return out, nil
 }

@@ -250,14 +250,6 @@ func TestExecuteErrors(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{TuplesScanned: 1, Comparisons: 2, RowsProduced: 3}
-	a.Add(Stats{TuplesScanned: 10, Comparisons: 20, RowsProduced: 30})
-	if a.TuplesScanned != 11 || a.Comparisons != 22 || a.RowsProduced != 33 {
-		t.Errorf("Stats.Add wrong: %+v", a)
-	}
-}
-
 // Property: for random chain queries and random method mixes, every plan
 // the optimizer produces executes to the brute-force count.
 func TestExecutionMatchesBruteForceProperty(t *testing.T) {

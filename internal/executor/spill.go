@@ -56,13 +56,7 @@ func (e *Executor) SetSpillDir(dir string) {}
 // itself, and finished with splitmix64's mixer so every bit of key and salt
 // reaches the low bits the modulo keeps.
 func spillPart(h uint64, p, salt int) uint8 {
-	h += uint64(salt+1) * 0x9E3779B97F4A7C15
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return uint8(h % uint64(p))
+	return uint8(mix64(h+uint64(salt+1)*0x9E3779B97F4A7C15) % uint64(p))
 }
 
 // spillQuantum is the hash-table size partitions are cut to: a sixteenth of

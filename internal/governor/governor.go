@@ -548,23 +548,6 @@ func (g *Governor) TickPlans(n int64) error {
 	return g.poll(n)
 }
 
-// Headroom clamps n, a number of rows an operator is about to visit and
-// emit, to what the tuple and row budgets still allow. It sizes output
-// reservations so that a query about to trip its budget does not first
-// allocate for rows it will never produce; it charges nothing.
-func (g *Governor) Headroom(n int64) int64 {
-	if g == nil {
-		return n
-	}
-	if limit := g.limits.MaxTuples; limit > 0 {
-		n = min(n, limit-g.tuples.Load())
-	}
-	if limit := g.limits.MaxRows; limit > 0 {
-		n = min(n, limit-g.rows.Load())
-	}
-	return max(n, 0)
-}
-
 // Usage reports the resources consumed so far.
 func (g *Governor) Usage() (tuples, rows, plans int64) {
 	if g == nil {

@@ -119,33 +119,6 @@ func TestUsage(t *testing.T) {
 	}
 }
 
-// Headroom clamps a reservation hint to what the tuple and row budgets
-// still allow, never below zero, and charges nothing.
-func TestHeadroom(t *testing.T) {
-	var none *Governor
-	if got := none.Headroom(100); got != 100 {
-		t.Fatalf("nil governor headroom = %d, want 100", got)
-	}
-	if got := New(context.Background(), Limits{}).Headroom(100); got != 100 {
-		t.Fatalf("unbudgeted headroom = %d, want 100", got)
-	}
-	g := New(context.Background(), Limits{MaxTuples: 50, MaxRows: 30})
-	if got := g.Headroom(100); got != 30 {
-		t.Fatalf("headroom = %d, want the row budget's 30", got)
-	}
-	g.TickTuples(45)
-	if got := g.Headroom(100); got != 5 {
-		t.Fatalf("headroom = %d, want the 5 tuples left", got)
-	}
-	g.TickTuples(10) // over budget
-	if got := g.Headroom(100); got != 0 {
-		t.Fatalf("headroom past the budget = %d, want 0", got)
-	}
-	if tu, ro, _ := g.Usage(); tu != 55 || ro != 0 {
-		t.Fatalf("Headroom charged the budgets: usage = %d tuples, %d rows", tu, ro)
-	}
-}
-
 func TestEnforced(t *testing.T) {
 	if (Limits{}).Enforced() {
 		t.Fatal("zero limits must not be enforced")

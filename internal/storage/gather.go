@@ -127,15 +127,11 @@ func (c *column) appendGather(src *column, sel []int) {
 // sink of the vectorized scan: a selection vector over a base chunk turns
 // into output rows only here.
 func (t *Table) AppendGather(src *Table, sel []int) error {
-	if src.schema.NumColumns() != t.schema.NumColumns() {
-		return fmt.Errorf("storage: gather %d-column table into %d-column table",
-			src.schema.NumColumns(), t.schema.NumColumns())
+	if t.view {
+		return t.errView()
 	}
-	for i, c := range t.cols {
-		if src.cols[i].typ != c.typ {
-			return fmt.Errorf("storage: column %d type mismatch: %s vs %s",
-				i, src.cols[i].typ, c.typ)
-		}
+	if err := src.sameTypes(t.schema, "gather"); err != nil {
+		return err
 	}
 	for i, c := range t.cols {
 		c.appendGather(src.cols[i], sel)
@@ -150,6 +146,9 @@ func (t *Table) AppendGather(src *Table, sel []int) error {
 // length. It is the sink of the vectorized hash join: matched (left, right)
 // index pairs turn into output rows column by column.
 func (t *Table) AppendPairGather(left, right *Table, lsel, rsel []int) error {
+	if t.view {
+		return t.errView()
+	}
 	if len(lsel) != len(rsel) {
 		return fmt.Errorf("storage: pair gather with %d left and %d right indices", len(lsel), len(rsel))
 	}

@@ -111,6 +111,12 @@ type Table struct {
 	schema *Schema
 	cols   []*column
 	rows   int
+	view   bool // shares another table's columns; every append fails
+}
+
+// errView is what every append to a read-only view returns.
+func (t *Table) errView() error {
+	return fmt.Errorf("storage: table %s is a read-only view", t.name)
 }
 
 // NewTable creates an empty table with the given name and schema.
@@ -134,6 +140,9 @@ func (t *Table) NumRows() int { return t.rows }
 // AppendRow appends one row. The number and types of values must match the
 // schema.
 func (t *Table) AppendRow(vals ...Value) error {
+	if t.view {
+		return t.errView()
+	}
 	if len(vals) != len(t.cols) {
 		return fmt.Errorf("storage: table %s: row has %d values, schema has %d columns",
 			t.name, len(vals), len(t.cols))
@@ -205,15 +214,6 @@ func (t *Table) Row(i int) []Value {
 	return out
 }
 
-// AppendRowTo appends row i's values to dst and returns the extended slice,
-// letting callers reuse buffers across rows.
-func (t *Table) AppendRowTo(dst []Value, i int) []Value {
-	for c := range t.cols {
-		dst = append(dst, t.cols[c].value(i))
-	}
-	return dst
-}
-
 // ColumnValues returns all values of the named column in row order. It
 // returns an error if the column does not exist.
 func (t *Table) ColumnValues(name string) ([]Value, error) {
@@ -244,20 +244,60 @@ func (t *Table) SortedIndices(col int) []int {
 	return idx
 }
 
-// AppendRange appends rows [start, end) of src to t by copying slices of
-// the column storage. The schemas must have the same column count and
-// types (names may differ). It is how an unfiltered scan batch reaches its
-// output: no selection vector, no gather.
-func (t *Table) AppendRange(src *Table, start, end int) error {
-	if src.schema.NumColumns() != t.schema.NumColumns() {
-		return fmt.Errorf("storage: append %d-column table to %d-column table",
-			src.schema.NumColumns(), t.schema.NumColumns())
+// sameTypes checks that schema s has exactly t's column types, in order;
+// names may differ. op names what needs them to match.
+func (t *Table) sameTypes(s *Schema, op string) error {
+	if s.NumColumns() != len(t.cols) {
+		return fmt.Errorf("storage: %s of a %d-column table as %d columns", op, len(t.cols), s.NumColumns())
 	}
 	for i, c := range t.cols {
-		if src.cols[i].typ != c.typ {
-			return fmt.Errorf("storage: column %d type mismatch: %s vs %s",
-				i, src.cols[i].typ, c.typ)
+		if st := s.Column(i).Type; st != c.typ {
+			return fmt.Errorf("storage: %s: column %d type mismatch: %s vs %s", op, i, c.typ, st)
 		}
+	}
+	return nil
+}
+
+// View returns t's rows as a read-only table under another name and a
+// schema of the same column types. The view shares t's column storage —
+// nothing is copied — and every append to it returns an error, so it can
+// never write through to t. Rows appended to t afterwards are not in it.
+func (t *Table) View(name string, schema *Schema) (*Table, error) {
+	if err := t.sameTypes(schema, "view"); err != nil {
+		return nil, err
+	}
+	cols := make([]*column, len(t.cols))
+	for i, c := range t.cols {
+		n := t.rows
+		v := &column{typ: c.typ}
+		switch c.typ {
+		case TypeInt64:
+			v.ints = c.ints[:n:n]
+		case TypeFloat64:
+			v.floats = c.floats[:n:n]
+		case TypeString:
+			v.strs = c.strs[:n:n]
+		case TypeBool:
+			v.bools = c.bools[:n:n]
+		}
+		if c.nulls != nil {
+			v.nulls = c.nulls[:n:n]
+		}
+		cols[i] = v
+	}
+	return &Table{name: name, schema: schema, cols: cols, rows: t.rows, view: true}, nil
+}
+
+// AppendRange appends rows [start, end) of src to t by copying slices of
+// the column storage. The schemas must have the same column count and
+// types (names may differ). It is how partition outputs merge back into
+// one table.
+func (t *Table) AppendRange(src *Table, start, end int) error {
+	if t.view {
+		return t.errView()
+	}
+	if err := src.sameTypes(t.schema, "append"); err != nil {
+		return err
 	}
 	n := end - start
 	for i, c := range t.cols {
@@ -311,7 +351,7 @@ func (t *Table) Reserve(n int) {
 // Rename returns a shallow copy of the table under a new name; the column
 // data is shared. Useful for self-joins and aliases.
 func (t *Table) Rename(name string) *Table {
-	return &Table{name: name, schema: t.schema, cols: t.cols, rows: t.rows}
+	return &Table{name: name, schema: t.schema, cols: t.cols, rows: t.rows, view: t.view}
 }
 
 // String renders a small human-readable summary (name, schema, row count).

@@ -226,13 +226,59 @@ func TestRename(t *testing.T) {
 	}
 }
 
-func TestAppendRowTo(t *testing.T) {
-	tbl := NewTable("t", testSchema(t))
-	tbl.MustAppendRow(Int64(1), String64("a"), Float64(2))
-	buf := make([]Value, 0, 8)
-	buf = tbl.AppendRowTo(buf, 0)
-	if len(buf) != 3 || buf[0].Int() != 1 {
-		t.Errorf("AppendRowTo = %v", buf)
+// A view is its base table's rows under another schema: nothing copied,
+// charged what a copy would be, every append refused with the base left as
+// it was, and blind to rows the base gains later.
+func TestViewIsReadOnly(t *testing.T) {
+	base := NewTable("base", testSchema(t))
+	base.MustAppendRow(Int64(1), String64("a"), Float64(2))
+	base.MustAppendRow(Null(TypeInt64), String64("bc"), Float64(3))
+	qualified := MustSchema(ColumnDef{Name: "b.id", Type: TypeInt64},
+		ColumnDef{Name: "b.name", Type: TypeString}, ColumnDef{Name: "b.score", Type: TypeFloat64})
+	view, err := base.View("b", qualified)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Name() != "b" || view.Schema() != qualified || view.NumRows() != 2 || !view.Value(1, 0).IsNull() {
+		t.Fatalf("view %s does not show the base's rows", view)
+	}
+	if &view.ColumnData(1).Strs[0] != &base.ColumnData(1).Strs[0] {
+		t.Fatal("the view copied the base's column storage")
+	}
+	copied := NewTable("b", qualified)
+	if err := copied.AppendRange(base, 0, base.NumRows()); err != nil {
+		t.Fatal(err)
+	}
+	if view.ApproxBytes() != copied.ApproxBytes() {
+		t.Fatalf("view charged %d bytes, a copy %d", view.ApproxBytes(), copied.ApproxBytes())
+	}
+	pair := MustSchema(append(qualified.Columns(), ColumnDef{Name: "x", Type: TypeInt64})...)
+	pairView, err := NewTable("p", pair).View("pv", pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := NewTable("one", MustSchema(ColumnDef{Name: "x", Type: TypeInt64}))
+	one.MustAppendRow(Int64(7))
+	before := base.Format(0)
+	for name, appendTo := range map[string]func() error{
+		"AppendRow":        func() error { return view.AppendRow(Int64(9), String64("z"), Float64(9)) },
+		"AppendRange":      func() error { return view.AppendRange(base, 0, 2) },
+		"AppendGather":     func() error { return view.AppendGather(base, []int{1, 0}) },
+		"AppendPairGather": func() error { return pairView.AppendPairGather(base, one, []int{0}, []int{0}) },
+	} {
+		if err := appendTo(); err == nil || !strings.Contains(err.Error(), "read-only view") {
+			t.Errorf("%s on a view: err = %v, want the read-only error", name, err)
+		}
+	}
+	if view.NumRows() != 2 || pairView.NumRows() != 0 || base.NumRows() != 2 || base.Format(0) != before {
+		t.Fatalf("a refused append changed a table: view %d rows, base\n%s", view.NumRows(), base.Format(0))
+	}
+	base.MustAppendRow(Int64(3), String64("d"), Float64(4))
+	if view.NumRows() != 2 || len(view.ColumnData(0).Ints) != 2 {
+		t.Fatal("the view saw a row appended to the base after it was taken")
+	}
+	if _, err := base.View("bad", MustSchema(ColumnDef{Name: "id", Type: TypeString})); err == nil {
+		t.Fatal("a view under a schema of other column types must be refused")
 	}
 }
 
