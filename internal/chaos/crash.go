@@ -2,90 +2,69 @@ package chaos
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
 	els "repro"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
-	"repro/internal/workpool"
 )
 
-// CrashConfig shapes one crash-recovery soak: a mutator fleet hammers a
-// durable system while a faulter arms simulated process kills at the
-// durable layer's probe points; every "crash" is followed by a recovery
-// (els.Open on the same directory) whose result is audited against the
-// acknowledge contract. The zero value (plus a Dir) is usable.
-type CrashConfig struct {
-	// Seed drives every random decision.
-	Seed int64
-	// Dir is the durable catalog directory the soak crashes and recovers.
-	// Required.
-	Dir string
-	// Rounds is the number of crash/recover (or clean-shutdown/recover)
-	// cycles (default 15).
-	Rounds int
-	// MutationsPerMutator bounds each mutator's work per round (default 25);
-	// a round that exhausts its mutations without hitting an injected crash
-	// shuts down cleanly, which soaks the clean-recovery path too.
-	MutationsPerMutator int
-	// Mutators is the size of the mutator fleet; each owns one table
-	// (default 3).
-	Mutators int
-	// Deterministic trades concurrency for exact replayability: a single
-	// mutator arms each round's crash itself before a seed-chosen mutation
-	// (instead of a timer racing a fleet), no concurrent readers or
-	// checkpointer run, and two soaks from the same seed therefore recover
-	// byte-identical catalogs — the property the CI digest artifact pins.
-	// The default (false) is the concurrent storm, deterministic only
-	// modulo goroutine scheduling.
-	Deterministic bool
-	// LogW, if non-nil, receives one JSON line per event — the artifact a
-	// CI crash-smoke run uploads for post-mortem debugging.
-	LogW io.Writer
+// soak is what the two durable soaks share: the ledger, the config, and
+// the strictly increasing card sequence every mutated table follows.
+type soak struct {
+	ledger
+	cfg Config
+
+	// Guarded by ledger.mu.
+	maxTried map[string]float64 // highest card ever attempted per table
 }
 
-// CrashReport is the audited outcome of a crash soak.
-type CrashReport struct {
-	// Rounds is the number of open→storm→shutdown cycles completed.
-	Rounds int
-	// Crashes counts rounds that ended in an injected durability crash;
-	// CleanShutdowns counts the rest.
-	Crashes, CleanShutdowns int
-	// TornTails counts recoveries that truncated a torn trailing WAL record.
-	TornTails int
-	// MutationsAcked is the total number of acknowledged catalog mutations
-	// across all rounds. Acknowledged mutations never vanish; the audit
-	// fails the soak if one does.
-	MutationsAcked int
-	// RecoveredAhead counts recoveries that landed one version ahead of the
-	// last acknowledgement: the killed mutation's record reached the disk
-	// intact, so recovery kept it even though no caller was ever told it
-	// succeeded. That is the one divergence the contract allows.
-	RecoveredAhead int
-	// BitIdenticalChecks counts recovered estimates compared bit-for-bit
-	// against their pre-crash values at the same catalog version.
-	BitIdenticalChecks int
-	// FinalVersion is the catalog version after the last recovery, and
-	// Digest is the SHA-256 of the recovered catalog's canonical stats
-	// export — the artifact CI archives to prove two runs of the same seed
-	// recovered identical catalogs.
-	FinalVersion uint64
-	Digest       string
-	// Violations lists every contract breach. A clean soak has none.
-	Violations []string
+func newSoak(cfg Config) soak {
+	return soak{ledger: ledger{logW: cfg.LogW}, cfg: cfg, maxTried: make(map[string]float64)}
 }
 
-// Failed reports whether the soak breached any contract.
-func (r *CrashReport) Failed() bool { return len(r.Violations) > 0 }
+// declareNext republishes table with a card one past the highest ever
+// attempted, counting the acknowledgement. The monotonic sequence is what
+// the recovery audits lean on, and what makes a deterministic soak's final
+// digest a function of its seed.
+func (s *soak) declareNext(sys *els.System, table string) error {
+	s.mu.Lock()
+	card := s.maxTried[table] + 1
+	s.maxTried[table] = card
+	s.mu.Unlock()
+	err := sys.DeclareStats(table, card, map[string]float64{"x": 10})
+	if err == nil {
+		s.count("acked", 1)
+	}
+	return err
+}
+
+// kill is one simulated process kill at a durable probe point: the
+// faulted write lands ShortWrite bytes (-1: all of it) and the process
+// dies.
+func kill(rng *rand.Rand) faultinject.Fault {
+	return faultinject.Fault{Times: 1, Payload: faultinject.DiskFault{ShortWrite: rng.Intn(60) - 10}}
+}
+
+// recoveredIn checks a recovered catalog version against the acknowledge
+// contract: the last acknowledged version lo, or at most hi when the
+// killed mutation's record reached the disk intact.
+func (s *soak) recoveredIn(round int, who string, rv, lo, hi uint64) bool {
+	if rv < lo || rv > hi {
+		s.violationf("round %d: %s recovered version %d outside [%d, %d]", round, who, rv, lo, hi)
+		return false
+	}
+	return true
+}
+
+// mutatorTables are the crash soak's mutator fleet: each mutator owns one
+// table. A Deterministic soak runs the first alone.
+var mutatorTables = []string{"m0", "m1", "m2"}
 
 // crashPoints are the durable layer's probe points, each one instant a
 // real process can die at: mid-WAL-record, pre-fsync, mid-checkpoint-write,
@@ -104,109 +83,85 @@ var crashPoints = []string{
 type crashState struct {
 	version  uint64             // last published (acknowledged) version
 	cards    map[string]float64 // acknowledged card per mutator table
-	maxTried map[string]float64 // highest card ever attempted per table
 	probes   map[string]uint64  // probe SQL -> Float64bits of the estimate at version
 	poisoned bool               // whether an injected crash landed
 }
 
-// crashHarness carries one soak's state across rounds.
-type crashHarness struct {
-	ledger
-	cfg CrashConfig
-
-	// Guarded by ledger.mu.
-	maxTried map[string]float64 // persists across rounds
-	report   CrashReport
+// crashSoak carries one crash soak's state across rounds.
+type crashSoak struct {
+	soak
+	tables []string // m0, m1, …: one per mutator
 }
 
-// RunCrash executes one crash-recovery soak. The returned error reports a
-// harness malfunction; contract breaches land in CrashReport.Violations.
-func RunCrash(cfg CrashConfig) (*CrashReport, error) {
+// RunCrash executes one crash-recovery soak in cfg.Dir: a mutator fleet
+// hammers a durable system while a faulter arms simulated process kills
+// at the durable layer's probe points; every kill is followed by a
+// recovery (els.Open on the same directory) audited against the
+// acknowledge contract. A round whose mutations (Ops per mutator) run out
+// before a kill lands shuts down cleanly, which soaks the clean-recovery
+// path too.
+func RunCrash(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Dir == "" {
-		return nil, errors.New("chaos: CrashConfig.Dir is required")
+		return nil, errors.New("chaos: RunCrash needs a Dir")
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 15
-	}
-	if cfg.MutationsPerMutator <= 0 {
-		cfg.MutationsPerMutator = 25
-	}
-	if cfg.Mutators <= 0 {
-		cfg.Mutators = 3
-	}
+	cfg.Rounds = or(cfg.Rounds, 15)
+	cfg.Ops = or(cfg.Ops, 25)
+	h := &crashSoak{soak: newSoak(cfg), tables: mutatorTables}
 	if cfg.Deterministic {
-		cfg.Mutators = 1
+		h.tables = mutatorTables[:1]
 	}
-	h := &crashHarness{ledger: ledger{logW: cfg.LogW}, cfg: cfg, maxTried: make(map[string]float64)}
 
 	var prev *crashState
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for round := 0; round < cfg.Rounds; round++ {
-		state, err := h.round(round, rng.Int63(), prev)
-		if err != nil {
-			return nil, err
+		if prev = h.round(ctx, round, rng.Int63(), prev); prev == nil {
+			break // recovery violation already recorded; cannot continue
 		}
-		if state == nil { // recovery violation already recorded; cannot continue
-			break
-		}
-		prev = state
-		h.report.Rounds++
+		h.count("rounds", 1)
 	}
 	faultinject.Reset()
 
 	// Final audit: one last recovery of the directory, digested.
+	var version uint64
+	var digest string
 	sys, err := els.Open(cfg.Dir)
 	if err != nil {
-		h.violation(fmt.Sprintf("final recovery failed: %v", err))
+		h.violationf("final recovery failed: %v", err)
 	} else {
-		h.report.FinalVersion = sys.CatalogVersion()
-		var buf strings.Builder
-		if err := sys.ExportStats(&buf); err != nil {
-			h.violation(fmt.Sprintf("final export failed: %v", err))
-		} else {
-			sum := sha256.Sum256([]byte(buf.String()))
-			h.report.Digest = hex.EncodeToString(sum[:])
+		if version, digest, err = sys.CatalogDigest(); err != nil {
+			h.violationf("final digest failed: %v", err)
 		}
-		closeQuietly(sys)
+		within(ctx, sys.Close)
 	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.report.Violations = h.violations
-	out := h.report
-	return &out, nil
+	rep := h.report()
+	rep.FinalVersion, rep.Digests = version, map[string]string{"primary": digest}
+	return rep, nil
 }
 
 // round opens the directory (auditing recovery against prev), runs one
 // mutator storm until an injected crash lands or the mutation budget runs
-// out, captures the pre-shutdown state, and closes.
-func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashState, error) {
+// out, captures the pre-shutdown state, and closes. It returns nil when
+// the directory cannot be recovered or seeded.
+func (h *crashSoak) round(ctx context.Context, round int, seed int64, prev *crashState) *crashState {
 	sys, err := els.Open(h.cfg.Dir)
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: recovery failed: %v", round, err))
-		return nil, nil
+		h.violationf("round %d: recovery failed: %v", round, err)
+		return nil
 	}
-	defer closeQuietly(sys)
+	// Crash rounds close poisoned systems, where a Close error is expected.
+	defer within(ctx, sys.Close)
 	h.auditRecovery(round, sys, prev)
 
 	// Seed any mutator table recovery did not bring back (only the first
 	// round on a fresh directory), so the readers' probes always bind.
-	for m := 0; m < h.cfg.Mutators; m++ {
-		table := fmt.Sprintf("m%d", m)
+	for _, table := range h.tables {
 		if _, err := sys.TableCard(table); err == nil {
 			continue
 		}
-		h.mu.Lock()
-		card := h.maxTried[table] + 1
-		h.maxTried[table] = card
-		h.mu.Unlock()
-		if err := sys.DeclareStats(table, card, map[string]float64{"x": 10}); err != nil {
-			h.violation(fmt.Sprintf("round %d: seeding %s failed: %v", round, table, err))
-			return nil, nil
+		if err := h.declareNext(sys, table); err != nil {
+			h.violationf("round %d: seeding %s failed: %v", round, table, err)
+			return nil
 		}
-		h.mu.Lock()
-		h.report.MutationsAcked++
-		h.mu.Unlock()
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -214,161 +169,110 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 	// some never, so crashes land on long and short WAL suffixes alike.
 	sys.SetLimits(els.Limits{CheckpointEvery: []int{0, 2, 5}[rng.Intn(3)]})
 
+	// Each round injects at most one simulated kill, at a random durable
+	// probe point. In the concurrent storm a timer arms it after a random
+	// delay; in deterministic mode the single mutator arms it itself right
+	// before a seed-chosen mutation.
+	point := crashPoints[rng.Intn(len(crashPoints))]
+	fault := kill(rng)
+	delay := time.Duration(rng.Intn(8)) * time.Millisecond
+	detCrashAt := rng.Intn(h.cfg.Ops)
+	arm := func() {
+		faultinject.Enable(point, fault)
+		h.logEvent(map[string]any{"event": "arm", "round": round, "point": point, "fault": fault.Payload})
+	}
+
 	crashed := make(chan struct{})
 	var crashOnce sync.Once
 	noteCrash := func() { crashOnce.Do(func() { close(crashed) }) }
-	onPanic := func(err error) {
-		h.violation(fmt.Sprintf("round %d: background goroutine failed: %v", round, err))
-		noteCrash()
-	}
+	// over reports whether the round has ended: a crash landed, or every
+	// mutator ran out of mutations and the fleet closed stop.
+	over := func(stop <-chan struct{}) bool { return isClosed(crashed) || isClosed(stop) }
 
-	// Each round injects at most one simulated kill, at a random durable
-	// probe point. ShortWrite -1 means the faulted write completes before
-	// the kill. In the concurrent storm a faulter goroutine arms it after a
-	// random delay; in deterministic mode the single mutator arms it itself
-	// right before a seed-chosen mutation.
-	point := crashPoints[rng.Intn(len(crashPoints))]
-	short := rng.Intn(60) - 10
-	delay := time.Duration(rng.Intn(8)) * time.Millisecond
-	detCrashAt := rng.Intn(h.cfg.MutationsPerMutator)
-	arm := func() {
-		faultinject.Enable(point, faultinject.Fault{
-			Times:   1,
-			Payload: faultinject.DiskFault{ShortWrite: short},
-		})
-		h.logEvent(map[string]any{"event": "arm", "round": round, "point": point, "short": short})
-	}
-
-	var background sync.WaitGroup
-	readerStop := make(chan struct{})
-	var readers sync.WaitGroup
-	if !h.cfg.Deterministic {
-		workpool.Go(&background, onPanic, func() error {
-			pause(crashed, delay)
-			select {
-			case <-crashed:
-				return nil
-			default:
+	// The mutator fleet: each mutator owns one table and republishes it
+	// with a strictly increasing cardinality — the monotonic sequence the
+	// recovery audit leans on.
+	mutator := func(m int) {
+		r := rand.New(rand.NewSource(seed + 200 + int64(m)))
+		for i := 0; i < h.cfg.Ops && !isClosed(crashed); i++ {
+			if h.cfg.Deterministic && i == detCrashAt {
+				arm()
 			}
-			arm()
-			return nil
-		})
+			if err := h.declareNext(sys, h.tables[m]); err != nil {
+				if errors.Is(err, els.ErrDurability) {
+					h.logEvent(map[string]any{"event": "crash", "round": round, "table": h.tables[m]})
+				} else {
+					h.violationf("round %d: mutation error outside taxonomy: %v", round, err)
+				}
+				noteCrash()
+				return
+			}
+			if !h.cfg.Deterministic && r.Intn(4) == 0 {
+				pause(crashed, time.Millisecond)
+			}
+		}
+	}
 
-		// A checkpointer exercises explicit compaction so the checkpoint
-		// crash points are reachable even in CheckpointEvery=0 rounds.
-		workpool.Go(&background, onPanic, func() error {
+	var background []func(stop <-chan struct{})
+	if !h.cfg.Deterministic {
+		background = append(background, func(stop <-chan struct{}) {
+			pause(stop, delay)
+			if !over(stop) {
+				arm()
+			}
+		}, func(stop <-chan struct{}) {
+			// A checkpointer exercises explicit compaction so the checkpoint
+			// crash points are reachable even in CheckpointEvery=0 rounds.
 			r := rand.New(rand.NewSource(seed + 1))
 			for {
-				pause(crashed, time.Duration(r.Intn(6)+2)*time.Millisecond)
-				select {
-				case <-crashed:
-					return nil
-				default:
+				pause(stop, time.Duration(r.Intn(6)+2)*time.Millisecond)
+				if over(stop) {
+					return
 				}
 				if err := sys.Checkpoint(); err != nil {
 					if !errors.Is(err, els.ErrDurability) {
-						h.violation(fmt.Sprintf("round %d: checkpoint error outside taxonomy: %v", round, err))
+						h.violationf("round %d: checkpoint error outside taxonomy: %v", round, err)
 					}
 					noteCrash()
-					return nil
+					return
 				}
 			}
 		})
-
 		// Readers estimate continuously; reads must keep working through
 		// mutation traffic and even on a frozen (post-crash) catalog.
+		probes := h.probeSQL()
 		for r := 0; r < 2; r++ {
-			r := r
-			workpool.Go(&readers, onPanic, func() error {
+			background = append(background, func(stop <-chan struct{}) {
 				rg := rand.New(rand.NewSource(seed + 100 + int64(r)))
-				for {
-					select {
-					case <-readerStop:
-						return nil
-					default:
-					}
-					sql := h.probeSQL()[rg.Intn(len(h.probeSQL()))]
-					if _, err := sys.Estimate(sql, els.AlgorithmELS); err != nil {
-						h.violation(fmt.Sprintf("round %d: read failed mid-storm: %v", round, err))
-						return nil
+				for !isClosed(stop) {
+					if _, err := sys.Estimate(probes[rg.Intn(len(probes))], els.AlgorithmELS); err != nil {
+						h.violationf("round %d: read failed mid-storm: %v", round, err)
+						return
 					}
 				}
 			})
 		}
 	}
-
-	// The mutator fleet: each mutator owns one table and republishes it
-	// with a strictly increasing cardinality — the monotonic sequence the
-	// recovery audit leans on.
-	var fleet sync.WaitGroup
-	for m := 0; m < h.cfg.Mutators; m++ {
-		m := m
-		workpool.Go(&fleet, onPanic, func() error {
-			table := fmt.Sprintf("m%d", m)
-			r := rand.New(rand.NewSource(seed + 200 + int64(m)))
-			for i := 0; i < h.cfg.MutationsPerMutator; i++ {
-				select {
-				case <-crashed:
-					return nil
-				default:
-				}
-				if h.cfg.Deterministic && i == detCrashAt {
-					arm()
-				}
-				h.mu.Lock()
-				card := h.maxTried[table] + 1
-				h.maxTried[table] = card
-				h.mu.Unlock()
-				err := sys.DeclareStats(table, card, map[string]float64{"x": 10})
-				switch {
-				case err == nil:
-					h.mu.Lock()
-					h.report.MutationsAcked++
-					h.mu.Unlock()
-				case errors.Is(err, els.ErrDurability):
-					h.logEvent(map[string]any{"event": "crash", "round": round, "table": table, "card": card})
-					noteCrash()
-					return nil
-				default:
-					h.violation(fmt.Sprintf("round %d: mutation error outside taxonomy: %v", round, err))
-					noteCrash()
-					return nil
-				}
-				if !h.cfg.Deterministic && r.Intn(4) == 0 {
-					pause(crashed, time.Millisecond)
-				}
-			}
-			return nil
-		})
-	}
-	fleet.Wait()
-	noteCrash() // budget exhausted counts as the end of the round
-	background.Wait()
-	close(readerStop)
-	readers.Wait()
+	h.fleet(len(h.tables), mutator, background...)
 	faultinject.Reset() // disarm a fault that never fired
 
 	state := h.capture(round, sys)
 	if state.poisoned {
-		h.mu.Lock()
-		h.report.Crashes++
-		h.mu.Unlock()
+		h.count("crashes", 1)
 	} else {
-		h.mu.Lock()
-		h.report.CleanShutdowns++
-		h.mu.Unlock()
+		h.count("clean_shutdowns", 1)
 	}
-	return state, nil
+	return state
 }
 
 // probeSQL returns the estimate probes replayed after recovery for the
 // bit-identity audit. They depend on every mutator table's statistics.
-func (h *crashHarness) probeSQL() []string {
-	probes := make([]string, 0, h.cfg.Mutators+1)
-	for m := 0; m < h.cfg.Mutators; m++ {
-		probes = append(probes, fmt.Sprintf("SELECT COUNT(*) FROM m%d WHERE x < 5", m))
+func (h *crashSoak) probeSQL() []string {
+	var probes []string
+	for _, table := range h.tables {
+		probes = append(probes, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE x < 5", table))
 	}
-	if h.cfg.Mutators >= 2 {
+	if len(h.tables) >= 2 {
 		probes = append(probes, "SELECT COUNT(*) FROM m0, m1 WHERE m0.x = m1.x")
 	}
 	return probes
@@ -378,34 +282,27 @@ func (h *crashHarness) probeSQL() []string {
 // version, every table's acknowledged card, and the probe estimates that
 // recovery must reproduce bit-for-bit at the same version. Reads keep
 // working after a durability freeze, which is itself part of the contract.
-func (h *crashHarness) capture(round int, sys *els.System) *crashState {
+func (h *crashSoak) capture(round int, sys *els.System) *crashState {
 	st := &crashState{
 		version:  sys.CatalogVersion(),
 		cards:    make(map[string]float64),
-		maxTried: make(map[string]float64),
 		probes:   make(map[string]uint64),
 		poisoned: sys.DurabilityStats().Poisoned != nil,
 	}
-	for m := 0; m < h.cfg.Mutators; m++ {
-		table := fmt.Sprintf("m%d", m)
+	for _, table := range h.tables {
 		if card, err := sys.TableCard(table); err == nil {
 			st.cards[table] = card
 		}
 	}
-	h.mu.Lock()
-	for t, v := range h.maxTried {
-		st.maxTried[t] = v
-	}
-	h.mu.Unlock()
 	for _, sql := range h.probeSQL() {
 		est, err := sys.Estimate(sql, els.AlgorithmELS)
 		if err != nil {
-			h.violation(fmt.Sprintf("round %d: pre-shutdown probe failed: %v", round, err))
+			h.violationf("round %d: pre-shutdown probe failed: %v", round, err)
 			continue
 		}
 		if est.CatalogVersion != st.version {
-			h.violation(fmt.Sprintf("round %d: pre-shutdown probe pinned version %d, catalog is at %d",
-				round, est.CatalogVersion, st.version))
+			h.violationf("round %d: pre-shutdown probe pinned version %d, catalog is at %d",
+				round, est.CatalogVersion, st.version)
 			continue
 		}
 		st.probes[sql] = math.Float64bits(est.FinalSize)
@@ -427,11 +324,12 @@ func (h *crashHarness) capture(round int, sys *els.System) *crashState {
 //     attempted mutation;
 //   - at R == V, every probe estimate is bit-identical to its pre-crash
 //     value.
-func (h *crashHarness) auditRecovery(round int, sys *els.System, prev *crashState) {
+//
+// No mutation has run since prev was captured, so maxTried still holds
+// each table's highest attempted card.
+func (h *crashSoak) auditRecovery(round int, sys *els.System, prev *crashState) {
 	if sys.DurabilityStats().TornTailRecovered {
-		h.mu.Lock()
-		h.report.TornTails++
-		h.mu.Unlock()
+		h.count("torn_tails", 1)
 	}
 	if prev == nil {
 		return
@@ -441,9 +339,7 @@ func (h *crashHarness) auditRecovery(round int, sys *els.System, prev *crashStat
 	if prev.poisoned {
 		maxV++ // the in-flight record may have survived
 	}
-	if rv < prev.version || rv > maxV {
-		h.violation(fmt.Sprintf("round %d: recovered version %d outside [%d, %d]",
-			round, rv, prev.version, maxV))
+	if !h.recoveredIn(round, "catalog", rv, prev.version, maxV) {
 		return
 	}
 	h.logEvent(map[string]any{"event": "recovered", "round": round,
@@ -453,8 +349,7 @@ func (h *crashHarness) auditRecovery(round int, sys *els.System, prev *crashStat
 	for table, acked := range prev.cards {
 		got, err := sys.TableCard(table)
 		if err != nil {
-			h.violation(fmt.Sprintf("round %d: acknowledged table %s vanished in recovery: %v",
-				round, table, err))
+			h.violationf("round %d: acknowledged table %s vanished in recovery: %v", round, table, err)
 			continue
 		}
 		if got == acked {
@@ -462,50 +357,34 @@ func (h *crashHarness) auditRecovery(round int, sys *els.System, prev *crashStat
 		}
 		diffs++
 		if got < acked {
-			h.violation(fmt.Sprintf("round %d: table %s regressed below its acknowledged card: %g < %g",
-				round, table, got, acked))
-		} else if got > prev.maxTried[table] {
-			h.violation(fmt.Sprintf("round %d: table %s recovered card %g was never even attempted (max tried %g)",
-				round, table, got, prev.maxTried[table]))
+			h.violationf("round %d: table %s regressed below its acknowledged card: %g < %g",
+				round, table, got, acked)
+		} else if got > h.maxTried[table] {
+			h.violationf("round %d: table %s recovered card %g was never even attempted (max tried %g)",
+				round, table, got, h.maxTried[table])
 		}
 	}
 	if diffs > 1 {
-		h.violation(fmt.Sprintf("round %d: %d tables diverged from their acknowledged stats; at most one mutation can be in flight",
-			round, diffs))
-	}
-	if rv == prev.version && diffs > 0 {
-		h.violation(fmt.Sprintf("round %d: recovered the acknowledged version %d but %d tables differ",
-			round, rv, diffs))
+		h.violationf("round %d: %d tables diverged from their acknowledged stats; at most one mutation can be in flight",
+			round, diffs)
 	}
 	if rv > prev.version {
-		h.mu.Lock()
-		h.report.RecoveredAhead++
-		h.mu.Unlock()
+		h.count("recovered_ahead", 1)
+		return
 	}
-
-	if rv == prev.version {
-		for sql, wantBits := range prev.probes {
-			est, err := sys.Estimate(sql, els.AlgorithmELS)
-			if err != nil {
-				h.violation(fmt.Sprintf("round %d: post-recovery probe failed: %v", round, err))
-				continue
-			}
-			h.mu.Lock()
-			h.report.BitIdenticalChecks++
-			h.mu.Unlock()
-			if got := math.Float64bits(est.FinalSize); got != wantBits {
-				h.violation(fmt.Sprintf("round %d: estimate %q not bit-identical after recovery: %x != %x (version %d)",
-					round, sql, got, wantBits, rv))
-			}
+	if diffs > 0 {
+		h.violationf("round %d: recovered the acknowledged version %d but %d tables differ", round, rv, diffs)
+	}
+	for sql, wantBits := range prev.probes {
+		est, err := sys.Estimate(sql, els.AlgorithmELS)
+		if err != nil {
+			h.violationf("round %d: post-recovery probe failed: %v", round, err)
+			continue
+		}
+		h.count("bit_identical_checks", 1)
+		if got := math.Float64bits(est.FinalSize); got != wantBits {
+			h.violationf("round %d: estimate %q not bit-identical after recovery: %x != %x (version %d)",
+				round, sql, got, wantBits, rv)
 		}
 	}
-}
-
-// closeQuietly drains a system with a bounded deadline, ignoring the
-// result (crash rounds close poisoned systems, where errors are expected).
-func closeQuietly(sys *els.System) {
-	//ctxflow:allow end-of-round drain runs after every caller context is gone
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	sys.Close(ctx)
 }

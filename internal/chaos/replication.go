@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
-	"sync"
+	"slices"
 	"time"
 
 	els "repro"
@@ -16,80 +15,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/replica"
-	"repro/internal/workpool"
 )
-
-// ReplicationConfig shapes one replication soak: a primary ships WAL
-// frames to a fleet of read replicas while injected faults drop, delay,
-// corrupt, and truncate frames on the wire, crash the primary and the
-// followers' disks mid-ship, and silently corrupt a follower's replayed
-// catalog. Every round settles and audits the replication contract: the
-// digest audit catches every injected divergence, acknowledged mutations
-// reach every live follower, and reads past Limits.MaxReplicaLag are
-// rejected with ErrStaleReplica. The zero value (plus directories) is
-// usable.
-type ReplicationConfig struct {
-	// Seed drives every random decision.
-	Seed int64
-	// PrimaryDir is the primary's durable catalog directory. Required.
-	PrimaryDir string
-	// ReplicaDirs are the follower directories (their base names become
-	// the replica IDs). At least one is required.
-	ReplicaDirs []string
-	// Rounds is the number of fault/settle/audit cycles (default 10).
-	// Fault kinds rotate deterministically, so Rounds >= 9 exercises every
-	// kind at least once.
-	Rounds int
-	// MutationsPerRound bounds the primary's storm per round (default 20).
-	MutationsPerRound int
-	// MaxReplicaLag is the staleness bound installed on every replica
-	// (default 3). The per-round staleness audit wedges a link until a
-	// replica trails past it and demands an ErrStaleReplica rejection.
-	MaxReplicaLag int
-	// LogW, if non-nil, receives one JSON line per event — the artifact a
-	// CI replication-smoke run uploads for post-mortem debugging.
-	LogW io.Writer
-}
-
-// ReplicationReport is the audited outcome of a replication soak.
-type ReplicationReport struct {
-	// Rounds is the number of completed fault/settle/audit cycles.
-	Rounds int
-	// MutationsAcked counts mutations the primary acknowledged; the audit
-	// fails the soak if a settled live follower is missing any of them.
-	MutationsAcked int
-	// FramesShipped, Resyncs, QueueDrops, and LinkDrops accumulate the
-	// shipping layer's counters across every primary incarnation.
-	FramesShipped, Resyncs, QueueDrops, LinkDrops uint64
-	// ServedReads and StaleReads count replica reads that succeeded and
-	// reads rejected for staleness or quarantine during the storms.
-	ServedReads, StaleReads uint64
-	// DivergencesInjected counts rounds whose corruptor actually fired;
-	// DivergencesDetected counts quarantines raised by the digest audit.
-	// The soak fails unless they match — an injected divergence that goes
-	// undetected is the one unforgivable outcome.
-	DivergencesInjected, DivergencesDetected int
-	// PrimaryCrashes and FollowerCrashes count injected durability kills.
-	PrimaryCrashes, FollowerCrashes int
-	// StaleAudits counts quiesced staleness probes (each demands an
-	// ErrStaleReplica rejection at lag > MaxReplicaLag, then a successful
-	// bit-identical read after catch-up); CatchUps counts healed replicas
-	// (reopened after a crash or re-attached after quarantine) that caught
-	// back up to the primary.
-	StaleAudits, CatchUps int
-	// FinalVersion and Digest identify the primary's final catalog;
-	// FollowerDigests maps every replica ID to its settled digest. Two
-	// soaks from the same seed end at identical digests, and every
-	// follower digest equals the primary's — the artifact CI archives.
-	FinalVersion    uint64
-	Digest          string
-	FollowerDigests map[string]string
-	// Violations lists every contract breach. A clean soak has none.
-	Violations []string
-}
-
-// Failed reports whether the soak breached any contract.
-func (r *ReplicationReport) Failed() bool { return len(r.Violations) > 0 }
 
 // The per-round fault rotation. Rotating (rather than sampling) guarantees
 // coverage of every kind in one CI run; the seed still picks victims,
@@ -112,257 +38,217 @@ var faultNames = [faultKinds]string{
 	"link-err", "follower-crash", "primary-crash", "diverge",
 }
 
-// replHarness carries one soak's state across rounds.
-type replHarness struct {
-	ledger
-	cfg     ReplicationConfig
+// maxReplicaLag is the staleness bound installed on every replica. The
+// per-round staleness audit wedges a link until a replica trails past it
+// and demands an ErrStaleReplica rejection.
+const maxReplicaLag = 3
+
+// replSoak carries one replication soak's state across rounds.
+type replSoak struct {
+	soak
 	primary *els.System
 	reps    []*els.Replica
 	ids     []string
-
-	// Guarded by ledger.mu.
-	maxTried float64 // highest card ever attempted for table m0
-	report   ReplicationReport
 }
 
 const replProbe = "SELECT COUNT(*) FROM m0 WHERE x < 5"
 
-// RunReplication executes one replication soak. The returned error
-// reports a harness malfunction; contract breaches land in
-// ReplicationReport.Violations.
-func RunReplication(cfg ReplicationConfig) (*ReplicationReport, error) {
-	if cfg.PrimaryDir == "" {
-		return nil, errors.New("chaos: ReplicationConfig.PrimaryDir is required")
+// dir is the durable directory of the primary ("primary") or of replica id.
+func (h *replSoak) dir(id string) string { return filepath.Join(h.cfg.Dir, id) }
+
+// RunReplication executes one replication soak under cfg.Dir: a primary
+// ships WAL frames to a fleet of read replicas while injected faults drop,
+// delay, corrupt, and truncate frames on the wire, crash the primary and
+// the followers' disks mid-ship, and silently corrupt a follower's
+// replayed catalog. Every round settles and audits the replication
+// contract: the digest audit catches every injected divergence,
+// acknowledged mutations reach every live follower, and reads past the
+// lag bound are rejected with ErrStaleReplica.
+func RunReplication(ctx context.Context, cfg Config) (*Report, error) {
+	if cfg.Dir == "" {
+		return nil, errors.New("chaos: RunReplication needs a Dir")
 	}
-	if len(cfg.ReplicaDirs) == 0 {
-		return nil, errors.New("chaos: ReplicationConfig.ReplicaDirs is required")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 10
-	}
-	if cfg.MutationsPerRound <= 0 {
-		cfg.MutationsPerRound = 20
-	}
-	if cfg.MaxReplicaLag <= 0 {
-		cfg.MaxReplicaLag = 3
-	}
-	h := &replHarness{ledger: ledger{logW: cfg.LogW}, cfg: cfg, reps: make([]*els.Replica, len(cfg.ReplicaDirs))}
-	for _, dir := range cfg.ReplicaDirs {
-		h.ids = append(h.ids, filepath.Base(filepath.Clean(dir)))
+	cfg.Rounds = or(cfg.Rounds, 10)
+	cfg.Ops = or(cfg.Ops, 20)
+	cfg.Replicas = or(cfg.Replicas, 2)
+	h := &replSoak{soak: newSoak(cfg), reps: make([]*els.Replica, cfg.Replicas)}
+	for i := range h.reps {
+		h.ids = append(h.ids, fmt.Sprintf("r%d", i))
 	}
 	faultinject.Reset()
+	defer h.shutdown(ctx)
 
-	if err := h.boot(); err != nil {
+	if err := h.boot(ctx); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for round := 0; round < cfg.Rounds; round++ {
-		if err := h.round(round, rng.Int63()); err != nil {
-			h.shutdown()
+		if err := h.round(ctx, round, rng.Int63()); err != nil {
 			return nil, err
 		}
-		h.report.Rounds++
+		h.count("rounds", 1)
 	}
 	faultinject.Reset()
-	h.finalAudit()
-	h.shutdown()
 
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.report.Violations = h.violations
-	out := h.report
-	return &out, nil
+	// The soak's settled identity: the primary's version and digest plus
+	// every follower's digest (all must agree).
+	var version uint64
+	digests := make(map[string]string)
+	if pver, pdig, err := h.primary.CatalogDigest(); err != nil {
+		h.violationf("final: primary digest failed: %v", err)
+	} else {
+		version, digests["primary"] = pver, pdig
+		for i := range h.reps {
+			h.auditDigest(cfg.Rounds, i)
+			if _, fdig, err := h.reps[i].CatalogDigest(); err == nil {
+				digests[h.ids[i]] = fdig
+			}
+		}
+	}
+	h.absorbShipping()
+	rep := h.report()
+	rep.FinalVersion, rep.Digests = version, digests
+	return rep, nil
 }
 
 // boot opens the primary and the whole replica fleet, attaches everyone,
-// seeds the probe table, and waits for the fleet to certify it.
-func (h *replHarness) boot() error {
-	sys, err := els.Open(h.cfg.PrimaryDir)
+// seeds the probe table, and waits for the fleet to certify it. Whatever it
+// opened before a failure stays in h for shutdown to close.
+func (h *replSoak) boot(ctx context.Context) error {
+	sys, err := els.Open(h.dir("primary"))
 	if err != nil {
 		return fmt.Errorf("chaos: opening primary: %w", err)
 	}
 	h.primary = sys
-	for i, dir := range h.cfg.ReplicaDirs {
-		rep, err := els.OpenReplica(dir)
+	for i := range h.reps {
+		rep, err := els.OpenReplica(h.dir(h.ids[i]))
 		if err != nil {
 			return fmt.Errorf("chaos: opening replica %s: %w", h.ids[i], err)
 		}
-		rep.SetLimits(els.Limits{MaxReplicaLag: h.cfg.MaxReplicaLag})
+		h.reps[i] = rep
+		rep.SetLimits(els.Limits{MaxReplicaLag: maxReplicaLag})
 		if err := sys.AttachReplica(rep); err != nil {
 			return fmt.Errorf("chaos: attaching replica %s: %w", h.ids[i], err)
 		}
-		h.reps[i] = rep
 	}
 	if card, err := sys.TableCard("m0"); err == nil {
 		// Reused directory: resume the monotonic card sequence where the
 		// recovered catalog left off.
-		h.maxTried = card
-	} else if err := h.mutate(); err != nil {
+		h.maxTried["m0"] = card
+	} else if err := h.declareNext(sys, "m0"); err != nil {
 		return fmt.Errorf("chaos: seeding probe table: %w", err)
 	}
-	return h.settle("boot")
-}
-
-// mutate republishes table m0 with a strictly increasing cardinality and
-// counts the acknowledgement. The monotonic sequence is what makes the
-// soak's final digest a pure function of the seed.
-func (h *replHarness) mutate() error {
-	h.mu.Lock()
-	card := h.maxTried + 1
-	h.maxTried = card
-	h.mu.Unlock()
-	err := h.primary.DeclareStats("m0", card, map[string]float64{"x": 10})
-	if err == nil {
-		h.mu.Lock()
-		h.report.MutationsAcked++
-		h.mu.Unlock()
-	}
-	return err
+	return h.settle(ctx, "boot")
 }
 
 // round arms one injected fault, runs a mutation storm with concurrent
 // replica readers, settles the fleet, audits digests and acknowledged
 // mutations, heals whatever the fault broke, and finishes with a quiesced
 // staleness audit.
-func (h *replHarness) round(round int, seed int64) error {
+func (h *replSoak) round(ctx context.Context, round int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	kind := round % faultKinds
 	victim := rng.Intn(len(h.reps))
 	h.logEvent(map[string]any{"event": "round", "round": round,
 		"fault": faultNames[kind], "victim": h.ids[victim]})
 
-	crashAt := rng.Intn(h.cfg.MutationsPerRound)
+	crashAt := rng.Intn(h.cfg.Ops)
 	crashPoint := []string{durable.PointWALAppend, durable.PointWALSync}[rng.Intn(2)]
-	h.mu.Lock()
-	injectedBefore := h.report.DivergencesInjected
-	h.mu.Unlock()
+	injectedBefore := h.counted("divergences_injected")
 	h.arm(kind, victim, rng)
 
-	// Readers hammer every replica through the storm. Allowed outcomes:
-	// success (stamped as a replica read), ErrStaleReplica (lag bound), and
-	// ErrDiverged (quarantine). Anything else is a breach.
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	onPanic := func(err error) {
-		h.violation(fmt.Sprintf("round %d: background goroutine failed: %v", round, err))
+	// Readers hammer every replica through the storm, while a single
+	// deterministic mutator runs it, so the acknowledged sequence (and
+	// therefore the final digest) is a function of the seed.
+	readers := make([]func(stop <-chan struct{}), len(h.reps))
+	for i := range readers {
+		readers[i] = func(stop <-chan struct{}) { h.read(round, i, stop) }
 	}
-	for i := range h.reps {
-		i := i
-		workpool.Go(&readers, onPanic, func() error {
-			var served, stale uint64
-			for {
-				select {
-				case <-stop:
-					h.mu.Lock()
-					h.report.ServedReads += served
-					h.report.StaleReads += stale
-					h.mu.Unlock()
-					return nil
-				default:
-				}
-				est, err := h.reps[i].Estimate(replProbe, els.AlgorithmELS)
-				switch {
-				case err == nil:
-					served++
-					if !est.Replica {
-						h.violation(fmt.Sprintf("round %d: replica %s read not stamped as a replica read",
-							round, h.ids[i]))
-						return nil
-					}
-				case errors.Is(err, els.ErrStaleReplica):
-					stale++
-				case errors.Is(err, els.ErrDiverged):
-					stale++
-				default:
-					h.violation(fmt.Sprintf("round %d: replica %s read failed outside taxonomy: %v",
-						round, h.ids[i], err))
-					return nil
-				}
-			}
-		})
-	}
-
-	// The storm: a single deterministic mutator, so the acknowledged
-	// sequence (and therefore the final digest) is a function of the seed.
 	primaryCrashed := false
-	for i := 0; i < h.cfg.MutationsPerRound; i++ {
-		if kind == faultPrimaryCrash && i == crashAt {
-			faultinject.Enable(crashPoint, faultinject.Fault{
-				Times:   1,
-				Payload: faultinject.DiskFault{ShortWrite: rng.Intn(60) - 10},
-			})
-			h.logEvent(map[string]any{"event": "arm-crash", "round": round, "point": crashPoint})
+	h.fleet(1, func(int) {
+		for i := 0; i < h.cfg.Ops; i++ {
+			if kind == faultPrimaryCrash && i == crashAt {
+				faultinject.Enable(crashPoint, kill(rng))
+				h.logEvent(map[string]any{"event": "arm-crash", "round": round, "point": crashPoint})
+			}
+			err := h.declareNext(h.primary, "m0")
+			if errors.Is(err, els.ErrDurability) {
+				h.logEvent(map[string]any{"event": "primary-crash", "round": round, "mutation": i})
+				primaryCrashed = true
+				return
+			}
+			if err != nil {
+				h.violationf("round %d: mutation error outside taxonomy: %v", round, err)
+			}
+			if rng.Intn(4) == 0 {
+				time.Sleep(time.Millisecond)
+			}
 		}
-		err := h.mutate()
-		switch {
-		case err == nil:
-		case errors.Is(err, els.ErrDurability):
-			h.logEvent(map[string]any{"event": "primary-crash", "round": round, "mutation": i})
-			primaryCrashed = true
-		default:
-			h.violation(fmt.Sprintf("round %d: mutation error outside taxonomy: %v", round, err))
-		}
-		if primaryCrashed {
-			break
-		}
-		if rng.Intn(4) == 0 {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	close(stop)
-	readers.Wait()
-
-	h.mu.Lock()
-	divergeFired := h.report.DivergencesInjected > injectedBefore
-	h.mu.Unlock()
+	}, readers...)
+	divergeFired := h.counted("divergences_injected") > injectedBefore
 	faultinject.Reset() // disarm whatever never fired
 
 	if primaryCrashed {
-		if err := h.reopenPrimary(round); err != nil {
+		if err := h.reopenPrimary(ctx, round); err != nil {
 			return err
 		}
 	}
-	if err := h.settleAndAudit(round, divergeFired, victim); err != nil {
+	if err := h.settleAndAudit(ctx, round, divergeFired, victim); err != nil {
 		return err
 	}
-	return h.staleAudit(round, rng.Intn(len(h.reps)))
+	return h.staleAudit(ctx, round, rng.Intn(len(h.reps)))
+}
+
+// read hammers replica i until stop closes. Allowed outcomes: success
+// (stamped as a replica read), ErrStaleReplica (lag bound), and ErrDiverged
+// (quarantine). Anything else is a breach.
+func (h *replSoak) read(round, i int, stop <-chan struct{}) {
+	var served, stale int
+	defer func() {
+		h.count("served_reads", served)
+		h.count("stale_reads", stale)
+	}()
+	for !isClosed(stop) {
+		est, err := h.reps[i].Estimate(replProbe, els.AlgorithmELS)
+		switch {
+		case err == nil:
+			served++
+			if !est.Replica {
+				h.violationf("round %d: replica %s read not stamped as a replica read", round, h.ids[i])
+				return
+			}
+		case errors.Is(err, els.ErrStaleReplica), errors.Is(err, els.ErrDiverged):
+			stale++
+		default:
+			h.violationf("round %d: replica %s read failed outside taxonomy: %v", round, h.ids[i], err)
+			return
+		}
+	}
 }
 
 // arm installs the round's injected fault. Inactive LinkFault fields must
 // be -1: zero means "corrupt bit 0" / "truncate to 0 bytes".
-func (h *replHarness) arm(kind, victim int, rng *rand.Rand) {
-	link := replica.PointShip + ":" + h.ids[victim]
+func (h *replSoak) arm(kind, victim int, rng *rand.Rand) {
+	if kind >= faultLinkDrop && kind <= faultLinkErr {
+		// A link fault hits the next one to three frames shipped to victim.
+		f := faultinject.Fault{Times: 1 + rng.Intn(3)}
+		switch kind {
+		case faultLinkDrop:
+			f.Payload = faultinject.LinkFault{Drop: true, CorruptBit: -1, Truncate: -1}
+		case faultLinkDelay:
+			f.Delay = time.Duration(1+rng.Intn(3)) * time.Millisecond
+		case faultLinkCorrupt:
+			f.Payload = faultinject.LinkFault{CorruptBit: rng.Intn(4096), Truncate: -1}
+		case faultLinkTruncate:
+			f.Payload = faultinject.LinkFault{CorruptBit: -1, Truncate: rng.Intn(64)}
+		case faultLinkErr:
+			f.Err = errors.New("chaos: link reset")
+		}
+		faultinject.Enable(replica.PointShip+":"+h.ids[victim], f)
+	}
 	switch kind {
-	case faultLinkDrop:
-		faultinject.Enable(link, faultinject.Fault{
-			Times:   1 + rng.Intn(3),
-			Payload: faultinject.LinkFault{Drop: true, CorruptBit: -1, Truncate: -1},
-		})
-	case faultLinkDelay:
-		faultinject.Enable(link, faultinject.Fault{
-			Times: 1 + rng.Intn(3),
-			Delay: time.Duration(1+rng.Intn(3)) * time.Millisecond,
-		})
-	case faultLinkCorrupt:
-		faultinject.Enable(link, faultinject.Fault{
-			Times:   1 + rng.Intn(3),
-			Payload: faultinject.LinkFault{CorruptBit: rng.Intn(4096), Truncate: -1},
-		})
-	case faultLinkTruncate:
-		faultinject.Enable(link, faultinject.Fault{
-			Times:   1 + rng.Intn(3),
-			Payload: faultinject.LinkFault{CorruptBit: -1, Truncate: rng.Intn(64)},
-		})
-	case faultLinkErr:
-		faultinject.Enable(link, faultinject.Fault{
-			Times: 1 + rng.Intn(3),
-			Err:   errors.New("chaos: link reset"),
-		})
 	case faultFollowerCrash:
-		faultinject.Enable("replica:"+h.ids[victim]+":"+durable.PointWALAppend, faultinject.Fault{
-			Times:   1,
-			Payload: faultinject.DiskFault{ShortWrite: rng.Intn(60) - 10},
-		})
+		faultinject.Enable("replica:"+h.ids[victim]+":"+durable.PointWALAppend, kill(rng))
 	case faultDiverge:
 		// Silently corrupt the follower's replayed catalog clone: the shipped
 		// digest no longer matches, and only the audit stands between this
@@ -372,9 +258,7 @@ func (h *replHarness) arm(kind, victim int, rng *rand.Rand) {
 		faultinject.Enable(replica.PointApply+":"+h.ids[victim], faultinject.Fault{
 			Times: 1,
 			Payload: func(cat *catalog.Catalog) {
-				h.mu.Lock()
-				h.report.DivergencesInjected++
-				h.mu.Unlock()
+				h.count("divergences_injected", 1)
 				if ts := cat.Table("m0"); ts != nil {
 					ts.Card++
 				}
@@ -385,35 +269,29 @@ func (h *replHarness) arm(kind, victim int, rng *rand.Rand) {
 
 // reopenPrimary recovers a crashed primary and re-attaches the whole
 // fleet, auditing the recovery against the acknowledge contract.
-func (h *replHarness) reopenPrimary(round int) error {
-	h.mu.Lock()
-	h.report.PrimaryCrashes++
-	h.mu.Unlock()
+func (h *replSoak) reopenPrimary(ctx context.Context, round int) error {
+	h.count("primary_crashes", 1)
 	acked := h.primary.CatalogVersion()
 	ackedCard, cardErr := h.primary.TableCard("m0")
 	h.absorbShipping()
-	closeQuietly(h.primary)
+	within(ctx, h.primary.Close)
 
-	sys, err := els.Open(h.cfg.PrimaryDir)
+	sys, err := els.Open(h.dir("primary"))
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: primary recovery failed: %v", round, err))
+		h.violationf("round %d: primary recovery failed: %v", round, err)
 		return fmt.Errorf("chaos: primary recovery: %w", err)
 	}
 	h.primary = sys
 	rv := sys.CatalogVersion()
-	if rv < acked || rv > acked+1 {
-		h.violation(fmt.Sprintf("round %d: primary recovered version %d outside [%d, %d]",
-			round, rv, acked, acked+1))
-	}
+	h.recoveredIn(round, "primary", rv, acked, acked+1)
 	if got, err := sys.TableCard("m0"); cardErr == nil && (err != nil || got < ackedCard) {
-		h.violation(fmt.Sprintf("round %d: primary recovery regressed m0 below its acknowledged card", round))
+		h.violationf("round %d: primary recovery regressed m0 below its acknowledged card", round)
 	}
 	h.logEvent(map[string]any{"event": "primary-recovered", "round": round,
 		"version": rv, "ahead": rv - acked})
 	for i, rep := range h.reps {
 		if err := sys.AttachReplica(rep); err != nil {
-			h.violation(fmt.Sprintf("round %d: re-attaching replica %s after primary crash: %v",
-				round, h.ids[i], err))
+			h.violationf("round %d: re-attaching replica %s after primary crash: %v", round, h.ids[i], err)
 		}
 	}
 	return nil
@@ -426,12 +304,12 @@ func (h *replHarness) reopenPrimary(round int) error {
 // missing an acknowledged mutation. Followers the fault took down or
 // quarantined are healed — reopened from their own directory or
 // re-attached through a certifying full resync — and must catch up.
-func (h *replHarness) settleAndAudit(round int, divergeFired bool, victim int) error {
-	if err := h.settle(fmt.Sprintf("round %d", round)); err != nil {
+func (h *replSoak) settleAndAudit(ctx context.Context, round int, divergeFired bool, victim int) error {
+	if err := h.settle(ctx, fmt.Sprintf("round %d", round)); err != nil {
 		return err
 	}
-	detected := 0
-	healed := false
+	// Every heal is a catch-up; every quarantine a detection.
+	catchUps, detected := h.counted("catch_ups"), h.counted("divergences_detected")
 	down := make(map[string]bool)
 	for _, f := range h.primary.ReplicationStats().Followers {
 		if f.Down {
@@ -439,53 +317,40 @@ func (h *replHarness) settleAndAudit(round int, divergeFired bool, victim int) e
 		}
 	}
 	for i, rep := range h.reps {
-		switch {
+		switch q := rep.Quarantined(); {
 		case down[h.ids[i]]:
-			h.mu.Lock()
-			h.report.FollowerCrashes++
-			h.mu.Unlock()
-			if err := h.reopenFollower(round, i); err != nil {
+			h.count("follower_crashes", 1)
+			if err := h.reopenFollower(ctx, round, i); err != nil {
 				return err
 			}
-			healed = true
-		case rep.Quarantined() != nil:
-			q := rep.Quarantined()
+		case q != nil:
 			if !errors.Is(q, els.ErrDiverged) {
-				h.violation(fmt.Sprintf("round %d: replica %s quarantine outside taxonomy: %v",
-					round, h.ids[i], q))
+				h.violationf("round %d: replica %s quarantine outside taxonomy: %v", round, h.ids[i], q)
 			}
 			var dv *els.DivergenceError
 			if !errors.As(q, &dv) {
-				h.violation(fmt.Sprintf("round %d: replica %s quarantine carries no DivergenceError: %v",
-					round, h.ids[i], q))
+				h.violationf("round %d: replica %s quarantine carries no DivergenceError: %v", round, h.ids[i], q)
 			}
-			detected++
-			h.mu.Lock()
-			h.report.DivergencesDetected++
-			h.mu.Unlock()
+			h.count("divergences_detected", 1)
 			h.logEvent(map[string]any{"event": "quarantine", "round": round, "replica": h.ids[i]})
 			// The heal path: re-attaching is the operator acknowledging the
 			// divergence; it re-certifies the replica from a full frame.
 			if err := h.primary.AttachReplica(rep); err != nil {
-				h.violation(fmt.Sprintf("round %d: healing replica %s: %v", round, h.ids[i], err))
+				h.violationf("round %d: healing replica %s: %v", round, h.ids[i], err)
 			}
-			h.mu.Lock()
-			h.report.CatchUps++
-			h.mu.Unlock()
-			healed = true
+			h.count("catch_ups", 1)
 		default:
 			h.auditDigest(round, i)
 		}
 	}
-	if divergeFired && detected == 0 {
-		h.violation(fmt.Sprintf("round %d: injected divergence on %s went undetected",
-			round, h.ids[victim]))
+	if divergeFired && h.counted("divergences_detected") == detected {
+		h.violationf("round %d: injected divergence on %s went undetected", round, h.ids[victim])
 	}
-	if !healed {
+	if h.counted("catch_ups") == catchUps {
 		return nil
 	}
 	// Healed replicas must catch back up and then pass the same audit.
-	if err := h.awaitHeal(fmt.Sprintf("round %d heal", round)); err != nil {
+	if err := h.awaitHeal(ctx, fmt.Sprintf("round %d heal", round)); err != nil {
 		return err
 	}
 	for i := range h.reps {
@@ -498,25 +363,20 @@ func (h *replHarness) settleAndAudit(round int, divergeFired bool, victim int) e
 // the primary — the barrier after a heal, which WaitForReplicas alone
 // cannot provide: it deliberately skips quarantined followers, and the
 // certifying full resync that lifts a quarantine is asynchronous.
-func (h *replHarness) awaitHeal(phase string) error {
-	if err := h.settle(phase); err != nil {
+func (h *replSoak) awaitHeal(ctx context.Context, phase string) error {
+	if err := h.settle(ctx, phase); err != nil {
 		return err
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		target := h.primary.CatalogVersion()
-		ok := true
-		for _, rep := range h.reps {
-			if rep.Quarantined() != nil || rep.CatalogVersion() < target {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if !slices.ContainsFunc(h.reps, func(rep *els.Replica) bool {
+			return rep.Quarantined() != nil || rep.CatalogVersion() < target
+		}) {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			h.violation(fmt.Sprintf("%s: healed fleet failed to catch up", phase))
+			h.violationf("%s: healed fleet failed to catch up", phase)
 			return fmt.Errorf("chaos: %s: healed fleet failed to catch up", phase)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -527,51 +387,45 @@ func (h *replHarness) awaitHeal(phase string) error {
 // the primary's. The fleet is quiesced, so any mismatch is a breach: a
 // version short of the primary's lost an acknowledged mutation, and a
 // differing digest at the same version is a divergence the audit missed.
-func (h *replHarness) auditDigest(round, i int) {
+func (h *replSoak) auditDigest(round, i int) {
 	pver, pdig, err := h.primary.CatalogDigest()
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: primary digest failed: %v", round, err))
+		h.violationf("round %d: primary digest failed: %v", round, err)
 		return
 	}
 	fver, fdig, err := h.reps[i].CatalogDigest()
 	switch {
 	case err != nil:
-		h.violation(fmt.Sprintf("round %d: replica %s digest failed: %v", round, h.ids[i], err))
+		h.violationf("round %d: replica %s digest failed: %v", round, h.ids[i], err)
 	case fver != pver:
-		h.violation(fmt.Sprintf("round %d: replica %s settled at version %d, primary at %d: acknowledged mutations missing",
-			round, h.ids[i], fver, pver))
+		h.violationf("round %d: replica %s settled at version %d, primary at %d: acknowledged mutations missing",
+			round, h.ids[i], fver, pver)
 	case fdig != pdig:
-		h.violation(fmt.Sprintf("round %d: undetected divergence: replica %s digest %s != primary %s at version %d",
-			round, h.ids[i], fdig, pdig, pver))
+		h.violationf("round %d: undetected divergence: replica %s digest %s != primary %s at version %d",
+			round, h.ids[i], fdig, pdig, pver)
 	}
 }
 
 // reopenFollower recovers a follower whose own disk was killed: close it,
 // reopen its directory (the follower recovers from its own WAL and
 // checkpoints exactly like a primary), and re-attach.
-func (h *replHarness) reopenFollower(round, i int) error {
+func (h *replSoak) reopenFollower(ctx context.Context, round, i int) error {
 	prev := h.reps[i].CatalogVersion()
-	//ctxflow:allow end-of-round reopen runs after every caller context is gone
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	h.reps[i].Close(ctx)
-	cancel()
-	rep, err := els.OpenReplica(h.cfg.ReplicaDirs[i])
+	within(ctx, h.reps[i].Close)
+	rep, err := els.OpenReplica(h.dir(h.ids[i]))
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: replica %s recovery failed: %v", round, h.ids[i], err))
+		h.violationf("round %d: replica %s recovery failed: %v", round, h.ids[i], err)
 		return fmt.Errorf("chaos: replica recovery: %w", err)
 	}
-	if rv := rep.CatalogVersion(); rv > prev+1 {
-		h.violation(fmt.Sprintf("round %d: replica %s recovered version %d beyond anything it applied (%d)",
-			round, h.ids[i], rv, prev))
-	}
-	rep.SetLimits(els.Limits{MaxReplicaLag: h.cfg.MaxReplicaLag})
-	if err := h.primary.AttachReplica(rep); err != nil {
-		h.violation(fmt.Sprintf("round %d: re-attaching recovered replica %s: %v", round, h.ids[i], err))
-	}
 	h.reps[i] = rep
-	h.mu.Lock()
-	h.report.CatchUps++
-	h.mu.Unlock()
+	// A follower recovers at most the one record it was applying when
+	// killed, beyond anything it applied.
+	h.recoveredIn(round, "replica "+h.ids[i], rep.CatalogVersion(), 0, prev+1)
+	rep.SetLimits(els.Limits{MaxReplicaLag: maxReplicaLag})
+	if err := h.primary.AttachReplica(rep); err != nil {
+		h.violationf("round %d: re-attaching recovered replica %s: %v", round, h.ids[i], err)
+	}
+	h.count("catch_ups", 1)
 	h.logEvent(map[string]any{"event": "follower-recovered", "round": round,
 		"replica": h.ids[i], "version": rep.CatalogVersion()})
 	return nil
@@ -579,117 +433,88 @@ func (h *replHarness) reopenFollower(round, i int) error {
 
 // staleAudit is the quiesced staleness probe: wedge one replica's link
 // (frames drop, announcements still flow — lag stays honest), push the
-// primary past MaxReplicaLag, and demand the rejection the contract
+// primary past maxReplicaLag, and demand the rejection the contract
 // promises. Then release the link, wait for catch-up, and demand a
 // successful read bit-identical to the primary's at the same version.
-func (h *replHarness) staleAudit(round, victim int) error {
+func (h *replSoak) staleAudit(ctx context.Context, round, victim int) error {
 	rep, id := h.reps[victim], h.ids[victim]
 	link := replica.PointShip + ":" + id
 	faultinject.Enable(link, faultinject.Fault{
 		Payload: faultinject.LinkFault{Drop: true, CorruptBit: -1, Truncate: -1},
 	})
-	for i := 0; i < h.cfg.MaxReplicaLag+2; i++ {
-		if err := h.mutate(); err != nil {
-			h.violation(fmt.Sprintf("round %d: stale-audit mutation failed: %v", round, err))
+	for i := 0; i < maxReplicaLag+2; i++ {
+		if err := h.declareNext(h.primary, "m0"); err != nil {
+			h.violationf("round %d: stale-audit mutation failed: %v", round, err)
 			faultinject.Disable(link)
 			return nil
 		}
 	}
 	lag := rep.Lag()
 	_, err := rep.Estimate(replProbe, els.AlgorithmELS)
-	if !errors.Is(err, els.ErrStaleReplica) {
-		h.violation(fmt.Sprintf("round %d: read on %s at lag %d (bound %d) not rejected with ErrStaleReplica: %v",
-			round, id, lag, h.cfg.MaxReplicaLag, err))
-	} else {
-		var sre *els.StaleReplicaError
-		if !errors.As(err, &sre) {
-			h.violation(fmt.Sprintf("round %d: stale rejection carries no StaleReplicaError: %v", round, err))
-		} else if sre.Lag <= uint64(h.cfg.MaxReplicaLag) {
-			h.violation(fmt.Sprintf("round %d: stale rejection reports lag %d within the bound %d",
-				round, sre.Lag, sre.MaxLag))
-		}
+	var sre *els.StaleReplicaError
+	switch {
+	case !errors.Is(err, els.ErrStaleReplica):
+		h.violationf("round %d: read on %s at lag %d (bound %d) not rejected with ErrStaleReplica: %v",
+			round, id, lag, maxReplicaLag, err)
+	case !errors.As(err, &sre):
+		h.violationf("round %d: stale rejection carries no StaleReplicaError: %v", round, err)
+	case sre.Lag <= maxReplicaLag:
+		h.violationf("round %d: stale rejection reports lag %d within the bound %d", round, sre.Lag, sre.MaxLag)
 	}
 	faultinject.Disable(link)
-	if err := h.settle(fmt.Sprintf("round %d stale-audit", round)); err != nil {
+	if err := h.settle(ctx, fmt.Sprintf("round %d stale-audit", round)); err != nil {
 		return err
 	}
 	want, err := h.primary.Estimate(replProbe, els.AlgorithmELS)
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: primary probe failed: %v", round, err))
+		h.violationf("round %d: primary probe failed: %v", round, err)
 		return nil
 	}
 	got, err := rep.Estimate(replProbe, els.AlgorithmELS)
 	switch {
 	case err != nil:
-		h.violation(fmt.Sprintf("round %d: caught-up replica %s still rejects reads: %v", round, id, err))
+		h.violationf("round %d: caught-up replica %s still rejects reads: %v", round, id, err)
 	case got.CatalogVersion != want.CatalogVersion:
-		h.violation(fmt.Sprintf("round %d: caught-up replica %s pinned version %d, primary %d",
-			round, id, got.CatalogVersion, want.CatalogVersion))
+		h.violationf("round %d: caught-up replica %s pinned version %d, primary %d",
+			round, id, got.CatalogVersion, want.CatalogVersion)
 	case math.Float64bits(got.FinalSize) != math.Float64bits(want.FinalSize):
-		h.violation(fmt.Sprintf("round %d: replica %s estimate not bit-identical to primary at version %d: %x != %x",
-			round, id, want.CatalogVersion, math.Float64bits(got.FinalSize), math.Float64bits(want.FinalSize)))
+		h.violationf("round %d: replica %s estimate not bit-identical to primary at version %d: %x != %x",
+			round, id, want.CatalogVersion, math.Float64bits(got.FinalSize), math.Float64bits(want.FinalSize))
 	}
-	h.mu.Lock()
-	h.report.StaleAudits++
-	h.mu.Unlock()
+	h.count("stale_audits", 1)
 	return nil
 }
 
 // settle drives every live follower to the primary's current version.
-func (h *replHarness) settle(phase string) error {
-	//ctxflow:allow harness barrier; no caller context exists
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := h.primary.WaitForReplicas(ctx); err != nil {
-		h.violation(fmt.Sprintf("%s: fleet failed to catch up: %v", phase, err))
+func (h *replSoak) settle(ctx context.Context, phase string) error {
+	if err := within(ctx, h.primary.WaitForReplicas); err != nil {
+		h.violationf("%s: fleet failed to catch up: %v", phase, err)
 		return fmt.Errorf("chaos: %s: fleet failed to catch up: %w", phase, err)
 	}
 	return nil
 }
 
-// finalAudit records the soak's settled identity: the primary's version
-// and digest plus every follower's digest (all must agree).
-func (h *replHarness) finalAudit() {
-	pver, pdig, err := h.primary.CatalogDigest()
-	if err != nil {
-		h.violation(fmt.Sprintf("final: primary digest failed: %v", err))
-		return
-	}
-	h.report.FinalVersion = pver
-	h.report.Digest = pdig
-	h.report.FollowerDigests = make(map[string]string, len(h.reps))
-	for i := range h.reps {
-		h.auditDigest(h.cfg.Rounds, i)
-		if _, fdig, err := h.reps[i].CatalogDigest(); err == nil {
-			h.report.FollowerDigests[h.ids[i]] = fdig
-		}
-	}
-	h.absorbShipping()
-}
-
 // absorbShipping folds the current primary's shipping counters into the
 // report; a primary crash resets the live counters, so they are absorbed
 // before every reopen and once at the end.
-func (h *replHarness) absorbShipping() {
+func (h *replSoak) absorbShipping() {
 	st := h.primary.ReplicationStats()
-	h.mu.Lock()
-	h.report.FramesShipped += st.FramesShipped
-	h.report.Resyncs += st.Resyncs
-	h.report.QueueDrops += st.QueueDrops
-	h.report.LinkDrops += st.LinkDrops
-	h.mu.Unlock()
+	h.count("frames_shipped", int(st.FramesShipped))
+	h.count("resyncs", int(st.Resyncs))
+	h.count("queue_drops", int(st.QueueDrops))
+	h.count("link_drops", int(st.LinkDrops))
 }
 
-// shutdown closes the fleet and the primary.
-func (h *replHarness) shutdown() {
+// shutdown closes the fleet and the primary. Close is idempotent, so a
+// replica or primary closed for a reopen that then failed closes again
+// harmlessly; a failed boot leaves the ones it never opened nil.
+func (h *replSoak) shutdown(ctx context.Context) {
 	for _, rep := range h.reps {
-		if rep == nil {
-			continue
+		if rep != nil {
+			within(ctx, rep.Close)
 		}
-		//ctxflow:allow end-of-soak drain runs after every caller context is gone
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		rep.Close(ctx)
-		cancel()
 	}
-	closeQuietly(h.primary)
+	if h.primary != nil {
+		within(ctx, h.primary.Close)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	els "repro"
@@ -19,52 +18,9 @@ import (
 	"repro/internal/workpool"
 )
 
-// ServerConfig shapes one network chaos storm against a live multi-tenant
-// wire server. The zero value (plus a DataRoot) is a CI-sized run.
-type ServerConfig struct {
-	// Seed drives every random decision in the fleet.
-	Seed int64
-	// DataRoot is the durable tenant root (a test temp dir); every tenant
-	// recovered from it after the mid-storm restart must digest-match its
-	// pre-drain identity.
-	DataRoot string
-	// Tenants is the number of hosted tenants (default 3; minimum 2, so
-	// the isolation audits have a neighbor to check).
-	Tenants int
-	// WorkersPerTenant is the per-tenant client swarm size (default 4).
-	WorkersPerTenant int
-	// OpsPerWorker is how many operations each swarm client issues
-	// (default 30).
-	OpsPerWorker int
-	// LogW, if non-nil, receives one JSON line per event — the artifact CI
-	// attaches to a server-smoke run.
-	LogW io.Writer
-}
-
-// ServerReport is the audited outcome of a server storm.
-type ServerReport struct {
-	// Ops counts client operations issued; Succeeded the ones that
-	// returned no error.
-	Ops, Succeeded int
-	// ErrorsByClass histograms client-observed failures by taxonomy
-	// sentinel name.
-	ErrorsByClass map[string]int
-	// Observations counts version-consistency data points audited.
-	Observations int
-	// PoisonedTenant is the tenant the storm quarantined by injected
-	// panics.
-	PoisonedTenant string
-	// DrainMillis is the graceful drain's duration.
-	DrainMillis float64
-	// Digests maps tenant -> "version:digest" identity recovered after
-	// the restart (audited equal to the pre-drain identity).
-	Digests map[string]string
-	// Violations lists every contract breach. A clean storm has none.
-	Violations []string
-}
-
-// Failed reports whether the storm breached any contract.
-func (r *ServerReport) Failed() bool { return len(r.Violations) > 0 }
+// tenants is how many tenants the wire storms host: one to poison or to
+// hog memory, and two neighbours for the isolation audits to check.
+const tenants = 3
 
 // tenantCardBase spaces each tenant's published cardinalities a million
 // apart, so an estimate served from the wrong tenant's catalog lands in
@@ -73,17 +29,47 @@ func tenantCardBase(i int) float64 { return float64(i+1) * 1_000_000 }
 
 func tenantName(i int) string { return fmt.Sprintf("tenant%d", i) }
 
-// serverHarness carries the storm's shared state.
-type serverHarness struct {
-	ledger
-	cfg ServerConfig
-
-	// Guarded by ledger.mu.
-	versionCard map[string]map[uint64]float64 // tenant -> acked version -> card
-	obs         map[string][]observation      // tenant -> estimate probes
+// wireConfig is the wire storms' server: the durable tenants over cfg.Dir,
+// each admitted under lim and bootstrapped by boot.
+func wireConfig(cfg Config, lim els.Limits, boot func(i int, sys *els.System) error) server.Config {
+	sc := server.Config{Addr: "127.0.0.1:0", DataRoot: cfg.Dir, LogW: cfg.LogW}
+	for i := 0; i < tenants; i++ {
+		sc.Tenants = append(sc.Tenants, server.TenantConfig{
+			Name:      tenantName(i),
+			Limits:    lim,
+			Bootstrap: func(sys *els.System) error { return boot(i, sys) },
+		})
+	}
+	return sc
 }
 
-// RunServer drives the network chaos fleet end to end: N durable tenants
+// shed reports whether err is a typed overload shed, recording a violation
+// unless the shed is flagged retryable and carries a Retry-After hint.
+func (l *ledger) shed(who string, err error) bool {
+	var remote *wire.RemoteError
+	if !errors.As(err, &remote) || !errors.Is(err, els.ErrOverloaded) {
+		return false
+	}
+	if !remote.Wire.Retryable {
+		l.violationf("%s shed not flagged retryable", who)
+	}
+	if remote.RetryAfter() <= 0 {
+		l.violationf("%s shed carries no Retry-After hint", who)
+	}
+	return true
+}
+
+// wireStorm carries a wire storm's shared state.
+type wireStorm struct {
+	ledger
+	cfg Config
+
+	// Guarded by ledger.mu; RunServer's isolation and torn-read evidence.
+	versionCard [tenants]map[uint64]float64 // acked version -> card, per tenant
+	obs         [tenants][]observation      // estimate probes, per tenant
+}
+
+// RunServer drives the network chaos fleet end to end: durable tenants
 // behind one wire server, per-tenant client swarms issuing estimates,
 // executed queries, mutations, deadline-bounded calls, and overload
 // floods while saboteur clients tear frames, send garbage, stall, and
@@ -100,51 +86,38 @@ type serverHarness struct {
 //   - durability: every tenant's recovered catalog identity
 //     (version:digest) equals its pre-drain identity — no acknowledged
 //     mutation was lost.
-//
-// The returned error reports a harness malfunction; contract breaches
-// land in ServerReport.Violations.
-func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
-	if cfg.Tenants < 2 {
-		cfg.Tenants = 3
+func RunServer(ctx context.Context, cfg Config) (*Report, error) {
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("chaos: RunServer needs a Dir")
 	}
-	if cfg.WorkersPerTenant <= 0 {
-		cfg.WorkersPerTenant = 4
-	}
-	if cfg.OpsPerWorker <= 0 {
-		cfg.OpsPerWorker = 30
-	}
-	if cfg.DataRoot == "" {
-		return nil, fmt.Errorf("chaos: RunServer needs a DataRoot")
-	}
-	h := &serverHarness{
-		ledger:      ledger{logW: cfg.LogW, opTimeout: 5 * time.Second},
-		cfg:         cfg,
-		versionCard: make(map[string]map[uint64]float64),
-		obs:         make(map[string][]observation),
-	}
-	report := &ServerReport{Digests: make(map[string]string)}
+	cfg.Workers = or(cfg.Workers, 4)
+	cfg.Ops = or(cfg.Ops, 30)
+	h := &wireStorm{ledger: ledger{logW: cfg.LogW, opTimeout: 5 * time.Second}, cfg: cfg}
 
 	srv, err := server.Start(ctx, h.serverConfig())
 	if err != nil {
 		return nil, fmt.Errorf("chaos: starting server: %w", err)
 	}
 	addr := srv.Addr()
-	h.seedVersions(srv)
-
-	// Phase 1: the storm — swarms, saboteurs, overload.
-	h.logEvent(map[string]any{"event": "storm_start", "addr": addr, "tenants": cfg.Tenants})
-	onPanic := func(err error) { h.violation(fmt.Sprintf("chaos: fleet goroutine failed: %v", err)) }
-	var fleet sync.WaitGroup
-	for ti := 0; ti < cfg.Tenants; ti++ {
-		ti := ti
-		workpool.Go(&fleet, onPanic, func() error { h.mutatorClient(ctx, addr, ti); return nil })
-		for w := 1; w < cfg.WorkersPerTenant; w++ {
-			w := w
-			workpool.Go(&fleet, onPanic, func() error { h.readerClient(ctx, addr, ti, w); return nil })
-		}
+	for i := range h.versionCard {
+		// The bootstrap-published identity gives the first probes a version.
+		h.versionCard[i] = map[uint64]float64{srv.System(tenantName(i)).CatalogVersion(): tenantCardBase(i)}
 	}
-	workpool.Go(&fleet, onPanic, func() error { h.saboteur(ctx, addr); return nil })
-	fleet.Wait()
+
+	// Phase 1: the storm — per tenant one mutator and Workers-1 readers,
+	// plus one saboteur.
+	h.logEvent(map[string]any{"event": "storm_start", "addr": addr, "tenants": tenants})
+	w := cfg.Workers
+	h.fleet(tenants*w+1, func(i int) {
+		switch ti := i / w; {
+		case ti == tenants:
+			h.saboteur(ctx, addr)
+		case i%w == 0:
+			h.mutatorClient(ctx, addr, ti)
+		default:
+			h.readerClient(ctx, addr, ti, i%w)
+		}
+	})
 
 	// Phase 1b: overload flood — a one-shot client burst far past the
 	// 2-slot, 2-deep admission budget; the sheds must be typed, marked
@@ -153,20 +126,19 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 
 	// Phase 2: poison the last tenant into quarantine; its neighbors must
 	// not notice.
-	poisoned := tenantName(cfg.Tenants - 1)
-	report.PoisonedTenant = poisoned
-	h.poison(ctx, addr, poisoned)
+	poisoned := tenants - 1
+	h.poison(ctx, addr, tenantName(poisoned))
 	h.auditIsolation(ctx, addr, poisoned)
 
 	// Phase 3: pre-drain identity. The quarantined tenant's wire path
 	// fails fast by design, so its digest is read in-process — quarantine
 	// is server-level health state, the System under it is intact.
 	preDigests := make(map[string]string)
-	for i := 0; i < cfg.Tenants; i++ {
+	for i := 0; i < tenants; i++ {
 		name := tenantName(i)
 		v, d, derr := srv.System(name).CatalogDigest()
 		if derr != nil {
-			h.violation(fmt.Sprintf("pre-drain digest of %s failed: %v", name, derr))
+			h.violationf("pre-drain digest of %s failed: %v", name, derr)
 			continue
 		}
 		preDigests[name] = fmt.Sprintf("%d:%s", v, d)
@@ -176,16 +148,14 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 	// started before the drain must finish; a request landing mid-drain
 	// must be refused with a typed draining error carrying a Retry-After
 	// hint.
-	h.auditDrain(ctx, addr, srv, report)
-
+	h.auditDrain(ctx, addr, srv)
 	st := srv.Stats()
 	if st.ActiveConns != 0 {
-		h.violation(fmt.Sprintf("connection leak: %d conns survive the drain", st.ActiveConns))
+		h.violationf("connection leak: %d conns survive the drain", st.ActiveConns)
 	}
 	for _, ts := range st.Tenants {
 		if ts.InFlight != 0 || ts.Waiting != 0 {
-			h.violation(fmt.Sprintf("slot leak in %s after drain: in-flight %d, waiting %d",
-				ts.Tenant, ts.InFlight, ts.Waiting))
+			h.violationf("slot leak in %s after drain: in-flight %d, waiting %d", ts.Tenant, ts.InFlight, ts.Waiting)
 		}
 	}
 
@@ -196,91 +166,70 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: restarting server: %w", err)
 	}
-	for i := 0; i < cfg.Tenants; i++ {
-		name := tenantName(i)
-		id, derr := h.wireDigest(ctx, srv2.Addr(), name)
-		if derr != nil {
-			h.violation(fmt.Sprintf("post-restart digest of %s failed: %v", name, derr))
-			continue
+	digests := make(map[string]string)
+	if cl := h.dial(ctx, srv2.Addr()); cl != nil {
+		for i := 0; i < tenants; i++ {
+			name := tenantName(i)
+			resp, derr := cl.Do(ctx, &wire.Request{Op: wire.OpDigest, Tenant: name})
+			if derr != nil {
+				h.violationf("post-restart digest of %s failed: %v", name, derr)
+				continue
+			}
+			digests[name] = fmt.Sprintf("%d:%s", resp.Version, resp.Digest)
+			if pre, ok := preDigests[name]; ok && pre != digests[name] {
+				h.violationf("tenant %s lost acknowledged state across restart: pre-drain %s, recovered %s",
+					name, pre, digests[name])
+			}
 		}
-		report.Digests[name] = id
-		if pre, ok := preDigests[name]; ok && pre != id {
-			h.violation(fmt.Sprintf("tenant %s lost acknowledged state across restart: pre-drain %s, recovered %s",
-				name, pre, id))
-		}
+		cl.Close()
 	}
-	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := srv2.Shutdown(drainCtx); err != nil {
-		h.violation(fmt.Sprintf("restarted server did not drain cleanly: %v", err))
+	if err := within(ctx, srv2.Shutdown); err != nil {
+		h.violationf("restarted server did not drain cleanly: %v", err)
 	}
 
 	h.auditVersions()
-	h.finish(report)
-	return report, nil
+	rep := h.report()
+	rep.Digests = digests
+	return rep, nil
 }
 
 // serverConfig builds the (restart-stable) server configuration: small
 // admission budgets keep the queues contended, a low poison threshold
 // keeps the quarantine reachable, and fault ops are enabled for the
 // tenant-targeted injections.
-func (h *serverHarness) serverConfig() server.Config {
-	cfg := server.Config{
-		Addr:            "127.0.0.1:0",
-		DataRoot:        h.cfg.DataRoot,
-		IdleTimeout:     5 * time.Second,
-		WriteTimeout:    2 * time.Second,
-		PoisonThreshold: 3,
-		EnableFaultOps:  true,
-		LogW:            h.cfg.LogW,
+func (h *wireStorm) serverConfig() server.Config {
+	lim := els.Limits{
+		Timeout:       2 * time.Second,
+		MaxConcurrent: 2,
+		MaxQueue:      2,
+		QueueTimeout:  30 * time.Millisecond,
 	}
-	for i := 0; i < h.cfg.Tenants; i++ {
-		i := i
-		cfg.Tenants = append(cfg.Tenants, server.TenantConfig{
-			Name: tenantName(i),
-			Limits: els.Limits{
-				Timeout:       2 * time.Second,
-				MaxConcurrent: 2,
-				MaxQueue:      2,
-				QueueTimeout:  30 * time.Millisecond,
-			},
-			Bootstrap: func(sys *els.System) error {
-				mkRows := func(n, dom int) [][]int64 {
-					rows := make([][]int64, n)
-					for r := range rows {
-						rows[r] = []int64{int64(r % dom), int64(r % 7)}
-					}
-					return rows
-				}
-				if err := sys.LoadTable("R", []string{"a", "b"}, mkRows(100, 10)); err != nil {
-					return err
-				}
-				if err := sys.LoadTable("S", []string{"a", "c"}, mkRows(150, 10)); err != nil {
-					return err
-				}
-				return sys.DeclareStats("V", tenantCardBase(i), map[string]float64{"x": 10})
-			},
-		})
-	}
+	cfg := wireConfig(h.cfg, lim, func(i int, sys *els.System) error {
+		if err := seedRS(sys, 100, 150); err != nil {
+			return err
+		}
+		return sys.DeclareStats("V", tenantCardBase(i), map[string]float64{"x": 10})
+	})
+	cfg.IdleTimeout = 5 * time.Second
+	cfg.WriteTimeout = 2 * time.Second
+	cfg.PoisonThreshold = 3
+	cfg.EnableFaultOps = true
 	return cfg
 }
 
-// seedVersions records each tenant's bootstrap-published identity so the
-// very first estimate probes have a version to audit against.
-func (h *serverHarness) seedVersions(srv *server.Server) {
+// observe records tenant ti's estimate of the version probe for the
+// isolation and torn-read audits.
+func (h *wireStorm) observe(ti int, est *wire.Estimate) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := 0; i < h.cfg.Tenants; i++ {
-		name := tenantName(i)
-		h.versionCard[name] = map[uint64]float64{srv.System(name).CatalogVersion(): tenantCardBase(i)}
-	}
+	h.obs[ti] = append(h.obs[ti], observation{est.CatalogVersion, est.FinalSize})
+	h.mu.Unlock()
 }
 
 // mutatorClient is tenant ti's single mutating client: it republishes V's
 // statistics with a version-correlated, tenant-banded cardinality. One
 // mutator per tenant means the version a declare acknowledgement reports
 // is exactly the version that declare published.
-func (h *serverHarness) mutatorClient(ctx context.Context, addr string, ti int) {
+func (h *wireStorm) mutatorClient(ctx context.Context, addr string, ti int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed + 1000 + int64(ti)))
 	name := tenantName(ti)
 	cl := h.dial(ctx, addr)
@@ -288,25 +237,23 @@ func (h *serverHarness) mutatorClient(ctx context.Context, addr string, ti int) 
 		return
 	}
 	defer cl.Close()
-	for i := 1; i <= h.cfg.OpsPerWorker; i++ {
+	for i := 1; i <= h.cfg.Ops; i++ {
 		card := tenantCardBase(ti) + float64(i)
 		resp, err := cl.Do(ctx, &wire.Request{
 			Op: wire.OpDeclare, Tenant: name, Table: "V", Rows: card,
 			Distinct: map[string]float64{"x": 10},
 		})
+		h.record(name, "declare", err)
 		if err != nil {
 			// A shed or torn declare is unacknowledged: nothing to record,
 			// and the durability audit must not expect it.
-			h.record(name, "declare", err)
-			cl = h.redial(ctx, addr, cl)
-			if cl == nil {
+			if cl = h.redial(ctx, addr, cl); cl == nil {
 				return
 			}
 			continue
 		}
-		h.record(name, "declare", nil)
 		h.mu.Lock()
-		h.versionCard[name][resp.Version] = card
+		h.versionCard[ti][resp.Version] = card
 		h.mu.Unlock()
 		h.logEvent(map[string]any{"event": "publish", "tenant": name, "version": resp.Version, "card": card})
 		pause(ctx.Done(), time.Duration(rng.Intn(2)+1)*time.Millisecond)
@@ -317,7 +264,7 @@ func (h *serverHarness) mutatorClient(ctx context.Context, addr string, ti int) 
 // executed queries, explains, deadline-bounded calls, and stall faults,
 // with no pacing — the swarm outnumbers the 2-slot admission budget, so
 // overload sheds are part of the storm's diet.
-func (h *serverHarness) readerClient(ctx context.Context, addr string, ti, w int) {
+func (h *wireStorm) readerClient(ctx context.Context, addr string, ti, w int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed + int64(ti)*100 + int64(w)))
 	name := tenantName(ti)
 	cl := h.dial(ctx, addr)
@@ -325,18 +272,15 @@ func (h *serverHarness) readerClient(ctx context.Context, addr string, ti, w int
 		return
 	}
 	defer func() { cl.Close() }()
-	for i := 0; i < h.cfg.OpsPerWorker; i++ {
+	for i := 0; i < h.cfg.Ops; i++ {
 		var err error
 		var op string
 		switch rng.Intn(6) {
 		case 0:
 			op = "estimate-v"
 			var resp *wire.Response
-			resp, err = cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: name, SQL: versionProbeSQL})
-			if err == nil {
-				h.mu.Lock()
-				h.obs[name] = append(h.obs[name], observation{resp.Estimate.CatalogVersion, resp.Estimate.FinalSize})
-				h.mu.Unlock()
+			if resp, err = cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: name, SQL: versionProbeSQL}); err == nil {
+				h.observe(ti, resp.Estimate)
 			}
 		case 1:
 			op = "query"
@@ -365,8 +309,7 @@ func (h *serverHarness) readerClient(ctx context.Context, addr string, ti, w int
 		}
 		h.record(name, op, err)
 		if cl.Broken() {
-			cl = h.redial(ctx, addr, cl)
-			if cl == nil {
+			if cl = h.redial(ctx, addr, cl); cl == nil {
 				return
 			}
 		}
@@ -377,13 +320,13 @@ func (h *serverHarness) readerClient(ctx context.Context, addr string, ti, w int
 // truncated headers, and mid-request hangups. None of it may wedge the
 // server or leak a connection; well-framed garbage must come back as a
 // typed bad-wire error.
-func (h *serverHarness) saboteur(ctx context.Context, addr string) {
+func (h *wireStorm) saboteur(ctx context.Context, addr string) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed + 7))
 	var d net.Dialer
-	for i := 0; i < 4*h.cfg.Tenants; i++ {
+	for i := 0; i < 4*tenants; i++ {
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
-			h.violation(fmt.Sprintf("saboteur dial failed: %v", err))
+			h.violationf("saboteur dial failed: %v", err)
 			return
 		}
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
@@ -398,10 +341,10 @@ func (h *serverHarness) saboteur(ctx context.Context, addr string) {
 				if raw, rerr := wire.ReadFrame(conn, 0); rerr == nil {
 					if resp, derr := wire.DecodeResponse(raw); derr != nil || resp.Err == nil ||
 						wire.Sentinel(resp.Err.Code) == nil {
-						h.violation("garbage payload did not yield a typed wire error")
+						h.violationf("garbage payload did not yield a typed wire error")
 					}
 				} else {
-					h.violation(fmt.Sprintf("garbage payload: no typed reply: %v", rerr))
+					h.violationf("garbage payload: no typed reply: %v", rerr)
 				}
 			}
 		case 1:
@@ -435,7 +378,7 @@ func (h *serverHarness) saboteur(ctx context.Context, addr string) {
 // admission budget. Sheds are the expected diet; each must be typed
 // overloaded, flagged retryable, and carry the queue-timeout-derived
 // Retry-After hint.
-func (h *serverHarness) flood(ctx context.Context, addr string) {
+func (h *wireStorm) flood(ctx context.Context, addr string) {
 	name := tenantName(0)
 	const clients, opsEach = 12, 15
 	// Every admitted query stalls at its scans, so the two slots and the
@@ -443,52 +386,29 @@ func (h *serverHarness) flood(ctx context.Context, addr string) {
 	// does not depend on how fast a cached query runs.
 	faultinject.Enable(executor.PointScan, faultinject.Fault{Delay: 10 * time.Millisecond})
 	defer faultinject.Disable(executor.PointScan)
-	var burst sync.WaitGroup
-	onPanic := func(err error) { h.violation(fmt.Sprintf("chaos: flood goroutine failed: %v", err)) }
-	var mu sync.Mutex
-	sheds := 0
-	for c := 0; c < clients; c++ {
-		workpool.Go(&burst, onPanic, func() error {
-			cl := h.dial(ctx, addr)
-			if cl == nil {
-				return nil
+	h.fleet(clients, func(int) {
+		cl := h.dial(ctx, addr)
+		if cl == nil {
+			return
+		}
+		defer cl.Close()
+		for i := 0; i < opsEach && !cl.Broken(); i++ {
+			_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: name, SQL: stormSQL[0]})
+			h.record(name, "flood", err)
+			if err != nil && h.shed("overload", err) {
+				h.count("sheds", 1)
 			}
-			defer cl.Close()
-			for i := 0; i < opsEach; i++ {
-				_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: name, SQL: stormSQL[0]})
-				h.record(name, "flood", err)
-				if err == nil {
-					continue
-				}
-				var remote *wire.RemoteError
-				if errors.As(err, &remote) && errors.Is(err, els.ErrOverloaded) {
-					mu.Lock()
-					sheds++
-					mu.Unlock()
-					if !remote.Wire.Retryable {
-						h.violation("overload shed not flagged retryable")
-					}
-					if remote.RetryAfter() <= 0 {
-						h.violation("overload shed carries no Retry-After hint")
-					}
-				}
-				if cl.Broken() {
-					return nil
-				}
-			}
-			return nil
-		})
+		}
+	})
+	if h.counted("sheds") == 0 {
+		h.violationf("overload flood produced no shed — the admission bulkhead never engaged")
 	}
-	burst.Wait()
-	if sheds == 0 {
-		h.violation("overload flood produced no shed — the admission bulkhead never engaged")
-	}
-	h.logEvent(map[string]any{"event": "flood_done", "sheds": sheds})
+	h.logEvent(map[string]any{"event": "flood_done", "sheds": h.counted("sheds")})
 }
 
 // poison floods one tenant with injected panics until its bulkhead trips,
 // then verifies the trip is sticky and typed.
-func (h *serverHarness) poison(ctx context.Context, addr, name string) {
+func (h *wireStorm) poison(ctx context.Context, addr, name string) {
 	cl := h.dial(ctx, addr)
 	if cl == nil {
 		return
@@ -498,7 +418,7 @@ func (h *serverHarness) poison(ctx context.Context, addr, name string) {
 	for i := 0; i < 10; i++ {
 		_, err := cl.Do(ctx, &wire.Request{Op: wire.OpFault, Tenant: name, Fault: "panic"})
 		if err == nil {
-			h.violation("injected panic reported success")
+			h.violationf("injected panic reported success")
 			return
 		}
 		var remote *wire.RemoteError
@@ -507,57 +427,54 @@ func (h *serverHarness) poison(ctx context.Context, addr, name string) {
 			break
 		}
 		if !errors.Is(err, els.ErrInternal) {
-			h.violation(fmt.Sprintf("injected panic surfaced as %v, want an internal error until the trip", err))
+			h.violationf("injected panic surfaced as %v, want an internal error until the trip", err)
 		}
 		if cl.Broken() {
-			cl = h.redial(ctx, addr, cl)
-			if cl == nil {
+			if cl = h.redial(ctx, addr, cl); cl == nil {
 				return
 			}
 		}
 	}
 	if !quarantined {
-		h.violation("tenant did not quarantine after repeated injected panics")
+		h.violationf("tenant did not quarantine after repeated injected panics")
 		return
 	}
+	h.count("quarantined", 1)
 	h.logEvent(map[string]any{"event": "poisoned", "tenant": name})
 	// The quarantine must be sticky and typed: a healthy request now
 	// fails fast with the tenant sentinel, marked not retryable.
 	_, err := cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: name, SQL: versionProbeSQL})
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) || !errors.Is(err, els.ErrTenant) || !remote.Wire.Quarantined {
-		h.violation(fmt.Sprintf("quarantined tenant answered %v, want a typed quarantine error", err))
+		h.violationf("quarantined tenant answered %v, want a typed quarantine error", err)
 	} else if remote.Wire.Retryable {
-		h.violation("quarantine error claims to be retryable; the trip is sticky until restart")
+		h.violationf("quarantine error claims to be retryable; the trip is sticky until restart")
 	}
 }
 
 // auditIsolation verifies the poisoned tenant's neighbors still serve.
-func (h *serverHarness) auditIsolation(ctx context.Context, addr, poisoned string) {
+func (h *wireStorm) auditIsolation(ctx context.Context, addr string, poisoned int) {
 	cl := h.dial(ctx, addr)
 	if cl == nil {
 		return
 	}
 	defer cl.Close()
-	for i := 0; i < h.cfg.Tenants; i++ {
-		name := tenantName(i)
-		if name == poisoned {
+	for i := 0; i < tenants; i++ {
+		if i == poisoned {
 			continue
 		}
-		resp, err := cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: name, SQL: versionProbeSQL})
+		resp, err := cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: tenantName(i), SQL: versionProbeSQL})
 		if err != nil {
-			h.violation(fmt.Sprintf("tenant %s failed (%v) while %s is quarantined: bulkhead breach",
-				name, err, poisoned))
+			h.violationf("tenant %s failed (%v) while %s is quarantined: bulkhead breach",
+				tenantName(i), err, tenantName(poisoned))
 			continue
 		}
-		h.mu.Lock()
-		h.obs[name] = append(h.obs[name], observation{resp.Estimate.CatalogVersion, resp.Estimate.FinalSize})
-		h.mu.Unlock()
+		h.observe(i, resp.Estimate)
 	}
 }
 
 // auditDrain exercises the graceful drain under live traffic.
-func (h *serverHarness) auditDrain(ctx context.Context, addr string, srv *server.Server, report *ServerReport) {
+func (h *wireStorm) auditDrain(ctx context.Context, addr string, srv *server.Server) {
 	// A request stalled inside a healthy tenant when the drain starts: it
 	// must complete (the drain waits for in-flight work).
 	inflight := workpool.Async(func() error {
@@ -571,10 +488,7 @@ func (h *serverHarness) auditDrain(ctx context.Context, addr string, srv *server
 		return err
 	})
 	time.Sleep(50 * time.Millisecond) // let the stall reach the tenant
-
-	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	done := workpool.Async(func() error { return srv.Shutdown(drainCtx) })
+	done := workpool.Async(func() error { return within(ctx, srv.Shutdown) })
 
 	// A request landing mid-drain: typed draining error, Retry-After set.
 	// The listener may already be down, in which case the refusal happens
@@ -588,87 +502,55 @@ func (h *serverHarness) auditDrain(ctx context.Context, addr string, srv *server
 		var remote *wire.RemoteError
 		switch {
 		case err == nil:
-			h.violation("request admitted mid-drain")
+			h.violationf("request admitted mid-drain")
 		case errors.As(err, &remote):
 			if !errors.Is(err, els.ErrClosed) {
-				h.violation(fmt.Sprintf("mid-drain request got %v, want the closed sentinel", err))
+				h.violationf("mid-drain request got %v, want the closed sentinel", err)
 			}
 			if remote.RetryAfter() <= 0 {
-				h.violation("mid-drain shed carries no Retry-After hint")
+				h.violationf("mid-drain shed carries no Retry-After hint")
 			}
 		default:
 			// The accept gate may already be down; a connection-level
 			// refusal (bad-wire locally) is an acceptable shape too.
 			if !errors.Is(err, els.ErrBadWire) {
-				h.violation(fmt.Sprintf("mid-drain request got %v, want a typed shed", err))
+				h.violationf("mid-drain request got %v, want a typed shed", err)
 			}
 		}
 		cl.Close()
 	}
 
 	if err := <-inflight; err != nil {
-		h.violation(fmt.Sprintf("in-flight request did not survive the drain: %v", err))
+		h.violationf("in-flight request did not survive the drain: %v", err)
 	}
 	if err := <-done; err != nil {
-		h.violation(fmt.Sprintf("drain failed: %v", err))
+		h.violationf("drain failed: %v", err)
 	}
-	report.DrainMillis = srv.Stats().DrainMillis
-	h.logEvent(map[string]any{"event": "drained", "drain_ms": report.DrainMillis})
-}
-
-// wireDigest fetches one tenant's identity over the wire.
-func (h *serverHarness) wireDigest(ctx context.Context, addr, name string) (string, error) {
-	cl := h.dial(ctx, addr)
-	if cl == nil {
-		return "", fmt.Errorf("chaos: dial failed")
-	}
-	defer cl.Close()
-	resp, err := cl.Do(ctx, &wire.Request{Op: wire.OpDigest, Tenant: name})
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%d:%s", resp.Version, resp.Digest), nil
+	h.logEvent(map[string]any{"event": "drained", "drain_ms": srv.Stats().DrainMillis})
 }
 
 // auditVersions checks every estimate probe against the band and the
 // exact cardinality its tenant published for the pinned version.
-func (h *serverHarness) auditVersions() {
+func (h *wireStorm) auditVersions() {
 	// Every fleet goroutine has exited, so the probes are settled.
-	for tenant, probes := range h.obs {
-		published := h.versionCard[tenant]
+	for ti, probes := range h.obs {
+		tenant, base := tenantName(ti), tenantCardBase(ti)
 		for _, o := range probes {
-			card, ok := published[o.version]
+			card, ok := h.versionCard[ti][o.version]
 			if !ok {
 				// The mutator's ack for this version may have been lost to
 				// a torn transport while the server still published it; the
 				// band check below still polices tenancy.
 				h.logEvent(map[string]any{"event": "unmatched_version", "tenant": tenant, "version": o.version})
 			} else if o.size != card {
-				h.violation(fmt.Sprintf("torn read in %s: estimate %g at version %d, which published %g",
-					tenant, o.size, o.version, card))
-			}
-			base := 0.0
-			for i := 0; i < h.cfg.Tenants; i++ {
-				if tenantName(i) == tenant {
-					base = tenantCardBase(i)
-				}
+				h.violationf("torn read in %s: estimate %g at version %d, which published %g",
+					tenant, o.size, o.version, card)
 			}
 			if o.size < base || o.size >= base+1_000_000 {
-				h.violation(fmt.Sprintf("cross-tenant read: %s estimate %g is outside its band [%g, %g)",
-					tenant, o.size, base, base+1_000_000))
+				h.violationf("cross-tenant read: %s estimate %g is outside its band [%g, %g)",
+					tenant, o.size, base, base+1_000_000)
 			}
 		}
+		h.count("observations", len(probes))
 	}
-}
-
-func (h *serverHarness) finish(report *ServerReport) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	report.Ops = h.ops
-	report.Succeeded = h.succeeded
-	report.ErrorsByClass = h.errsByClass
-	for _, probes := range h.obs {
-		report.Observations += len(probes)
-	}
-	report.Violations = h.violations
 }

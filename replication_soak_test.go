@@ -1,29 +1,14 @@
 package els_test
 
 import (
-	"fmt"
+	"context"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
 	"testing"
 
+	els "repro"
 	"repro/internal/chaos"
 )
-
-// replicationDirs lays out one primary directory and n replica
-// directories with stable base names (the base name becomes the replica
-// ID, and the soak's determinism audit depends on it).
-func replicationDirs(t *testing.T, n int) (string, []string) {
-	t.Helper()
-	root := t.TempDir()
-	primary := filepath.Join(root, "primary")
-	var reps []string
-	for i := 0; i < n; i++ {
-		reps = append(reps, filepath.Join(root, fmt.Sprintf("r%d", i)))
-	}
-	return primary, reps
-}
 
 // TestReplicationChaos is the replication soak: a primary ships WAL frames
 // to a replica fleet while injected faults drop, delay, corrupt, and
@@ -34,127 +19,103 @@ func replicationDirs(t *testing.T, n int) (string, []string) {
 // ErrDiverged), acknowledged mutations reach every settled live follower,
 // and quiesced reads past Limits.MaxReplicaLag are rejected with
 // ErrStaleReplica. Run with -race in CI; CHAOS_LOG captures the event log
-// and REPL_DIGEST the per-follower digest artifact.
+// and CHAOS_DIGEST the per-follower digests.
 func TestReplicationChaos(t *testing.T) {
-	primary, reps := replicationDirs(t, 3)
-	cfg := chaos.ReplicationConfig{
-		Seed:              42,
-		PrimaryDir:        primary,
-		ReplicaDirs:       reps,
-		Rounds:            18, // two full passes over the 9-kind fault rotation
-		MutationsPerRound: 20,
-		MaxReplicaLag:     3,
+	cfg := chaos.Config{
+		Seed:     42,
+		Dir:      t.TempDir(),
+		Replicas: 3,
+		Rounds:   18, // two full passes over the 9-kind fault rotation
+		Ops:      20,
 	}
 	if testing.Short() {
 		cfg.Rounds = 9 // one full pass
-		cfg.MutationsPerRound = 10
+		cfg.Ops = 10
 	}
-	if logF := chaosLog(t); logF != nil {
-		cfg.LogW = logF
+	rep := runStorm(t, chaos.RunReplication, cfg)
+	c := rep.Counts
+	if c["rounds"] != cfg.Rounds {
+		t.Errorf("completed %d rounds, want %d", c["rounds"], cfg.Rounds)
 	}
-
-	before := goroutineCount()
-	rep, err := chaos.RunReplication(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if rep.Rounds != cfg.Rounds {
-		t.Errorf("completed %d rounds, want %d", rep.Rounds, cfg.Rounds)
-	}
-	if rep.MutationsAcked == 0 {
+	if c["acked"] == 0 {
 		t.Error("no mutation was acknowledged")
 	}
-	if rep.FramesShipped == 0 {
+	if c["frames_shipped"] == 0 {
 		t.Error("no frame was shipped")
 	}
-	if rep.DivergencesInjected == 0 {
+	if c["divergences_injected"] == 0 {
 		t.Error("no divergence was injected — the soak never exercised the digest audit under fire")
 	}
-	if rep.DivergencesDetected < rep.DivergencesInjected {
-		t.Errorf("only %d of %d injected divergences were detected",
-			rep.DivergencesDetected, rep.DivergencesInjected)
+	if c["divergences_detected"] < c["divergences_injected"] {
+		t.Errorf("only %d of %d injected divergences were detected", c["divergences_detected"], c["divergences_injected"])
 	}
-	if rep.PrimaryCrashes == 0 {
+	if c["primary_crashes"] == 0 {
 		t.Error("no primary crash landed")
 	}
-	if rep.FollowerCrashes == 0 {
+	if c["follower_crashes"] == 0 {
 		t.Error("no follower crash landed")
 	}
-	if rep.StaleAudits != cfg.Rounds {
-		t.Errorf("%d staleness audits ran, want one per round (%d)", rep.StaleAudits, cfg.Rounds)
+	if c["stale_audits"] != cfg.Rounds {
+		t.Errorf("%d staleness audits ran, want one per round (%d)", c["stale_audits"], cfg.Rounds)
 	}
-	if rep.ServedReads == 0 {
+	if c["served_reads"] == 0 {
 		t.Error("no replica read succeeded during the storms")
 	}
-	if rep.Digest == "" {
+	primary := rep.Digests["primary"]
+	if primary == "" {
 		t.Error("no settled-catalog digest produced")
 	}
-	for id, d := range rep.FollowerDigests {
-		if d != rep.Digest {
-			t.Errorf("follower %s settled at digest %.12s, primary %.12s", id, d, rep.Digest)
+	if len(rep.Digests) != cfg.Replicas+1 {
+		t.Errorf("%d digests, want the primary's and %d followers'", len(rep.Digests), cfg.Replicas)
+	}
+	for id, d := range rep.Digests {
+		if d != primary {
+			t.Errorf("follower %s settled at digest %.12s, primary %.12s", id, d, primary)
 		}
 	}
-	t.Logf("replication soak: %d rounds, %d acked, %d frames shipped, %d resyncs, %d link drops, "+
-		"%d served / %d stale reads, %d/%d divergences detected, %d primary + %d follower crashes, "+
-		"%d catch-ups, final v%d digest %.12s",
-		rep.Rounds, rep.MutationsAcked, rep.FramesShipped, rep.Resyncs, rep.LinkDrops,
-		rep.ServedReads, rep.StaleReads, rep.DivergencesDetected, rep.DivergencesInjected,
-		rep.PrimaryCrashes, rep.FollowerCrashes, rep.CatchUps, rep.FinalVersion, rep.Digest)
-
-	// CI archives the settled digests so a replication regression is
-	// diffable across runs (REPL_DIGEST names the artifact file).
-	if path := os.Getenv("REPL_DIGEST"); path != "" {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "seed=%d rounds=%d final_version=%d primary=%s\n",
-			cfg.Seed, rep.Rounds, rep.FinalVersion, rep.Digest)
-		for id, d := range rep.FollowerDigests {
-			fmt.Fprintf(&sb, "replica=%s sha256=%s\n", id, d)
-		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-			t.Errorf("writing REPL_DIGEST: %v", err)
-		}
-	}
-
-	if after := goroutineCount(); after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutine leak: %d before soak, %d after\n%s",
-			before, after, buf[:runtime.Stack(buf, true)])
-	}
+	t.Logf("replication soak: final v%d digest %.12s, counts %v", rep.FinalVersion, primary, c)
 }
 
 // TestReplicationDeterministic pins that the soak is replayable: two runs
 // from the same seed settle the primary and every follower at identical
-// catalog digests and versions — the property the CI replication-smoke
-// job archives.
+// catalog digests and versions — the property the CI chaos-smoke job
+// archives.
 func TestReplicationDeterministic(t *testing.T) {
-	run := func() *chaos.ReplicationReport {
-		primary, reps := replicationDirs(t, 2)
-		rep, err := chaos.RunReplication(chaos.ReplicationConfig{
-			Seed:              7,
-			PrimaryDir:        primary,
-			ReplicaDirs:       reps,
-			Rounds:            9,
-			MutationsPerRound: 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range rep.Violations {
-			t.Errorf("violation: %s", v)
-		}
-		return rep
+	run := func() *chaos.Report {
+		return runStorm(t, chaos.RunReplication, chaos.Config{Seed: 7, Dir: t.TempDir(), Replicas: 2, Rounds: 9, Ops: 10})
 	}
 	a, b := run(), run()
-	if a.Digest == "" || a.Digest != b.Digest {
-		t.Errorf("same-seed digests differ: %s vs %s", a.Digest, b.Digest)
+	if a.Digests["primary"] == "" || a.Digests["primary"] != b.Digests["primary"] {
+		t.Errorf("same-seed digests differ: %s vs %s", a.Digests["primary"], b.Digests["primary"])
 	}
 	if a.FinalVersion != b.FinalVersion {
 		t.Errorf("same-seed final versions differ: %d vs %d", a.FinalVersion, b.FinalVersion)
 	}
-	if a.MutationsAcked != b.MutationsAcked {
-		t.Errorf("same-seed acked counts differ: %d vs %d", a.MutationsAcked, b.MutationsAcked)
+	if a.Counts["acked"] != b.Counts["acked"] {
+		t.Errorf("same-seed acked counts differ: %d vs %d", a.Counts["acked"], b.Counts["acked"])
+	}
+}
+
+// A soak whose boot fails part-way closes everything it opened: the
+// primary, and the replica already attached with its shipping link. The
+// second replica's directory is a regular file, so opening it fails after
+// the first is attached.
+func TestReplicationBootFailureReleasesEverything(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "r1"), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := goroutineCount()
+	ctx := context.Background()
+	if _, err := chaos.RunReplication(ctx, chaos.Config{Seed: 1, Dir: dir, Replicas: 2, Rounds: 1}); err == nil {
+		t.Fatal("soak booted with a replica directory that is a regular file")
+	}
+	checkNoLeak(t, before, 0)
+	sys, err := els.Open(filepath.Join(dir, "primary"))
+	if err != nil {
+		t.Fatalf("reopening the primary after the failed boot: %v", err)
+	}
+	if err := sys.Close(ctx); err != nil {
+		t.Errorf("closing the reopened primary: %v", err)
 	}
 }

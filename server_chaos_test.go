@@ -1,10 +1,7 @@
 package els_test
 
 import (
-	"context"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 )
@@ -23,60 +20,29 @@ import (
 // recovers its exact pre-drain catalog identity (version:digest). Run
 // with -race in CI; CHAOS_LOG captures the JSONL event log artifact.
 func TestServerChaos(t *testing.T) {
-	cfg := chaos.ServerConfig{
-		Seed:             42,
-		DataRoot:         t.TempDir(),
-		Tenants:          3,
-		WorkersPerTenant: 4,
-		OpsPerWorker:     30,
-	}
+	cfg := chaos.Config{Seed: 42, Dir: t.TempDir(), Workers: 4, Ops: 30}
 	if testing.Short() {
-		cfg.WorkersPerTenant = 3
-		cfg.OpsPerWorker = 12
+		cfg.Workers = 3
+		cfg.Ops = 12
 	}
-	if logF := chaosLog(t); logF != nil {
-		cfg.LogW = logF
-	}
-
-	before := goroutineCount()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	rep, err := chaos.RunServer(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("violation: %s", v)
-	}
+	rep := runWireStorm(t, chaos.RunServer, cfg)
 	if rep.Ops == 0 {
 		t.Fatal("the fleet issued no operations")
 	}
 	if rep.Succeeded == 0 {
 		t.Error("no operation succeeded — the storm drowned the server entirely")
 	}
-	if rep.Observations == 0 {
+	if rep.Counts["observations"] == 0 {
 		t.Error("no isolation observation collected — the cross-tenant audit never ran")
 	}
-	if rep.PoisonedTenant == "" {
+	if rep.Counts["quarantined"] != 1 {
 		t.Error("no tenant was poisoned")
 	}
-	if len(rep.Digests) != cfg.Tenants {
-		t.Errorf("recovered %d tenant digests, want %d", len(rep.Digests), cfg.Tenants)
+	if len(rep.Digests) != 3 {
+		t.Errorf("recovered %d tenant digests, want 3", len(rep.Digests))
 	}
 	if rep.ErrorsByClass["overloaded"] == 0 {
 		t.Error("no overload shed observed — the swarm never contended the admission queue")
 	}
-	t.Logf("server chaos: %d ops (%d ok), %d observations, drain %.1fms, poisoned %s, errors %v",
-		rep.Ops, rep.Succeeded, rep.Observations, rep.DrainMillis, rep.PoisonedTenant, rep.ErrorsByClass)
-
-	// Let the OS reap closed-connection goroutines before the leak check.
-	deadline := time.Now().Add(5 * time.Second)
-	for goroutineCount() > before && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if after := goroutineCount(); after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutine leak: %d before storm, %d after\n%s",
-			before, after, buf[:runtime.Stack(buf, true)])
-	}
+	t.Logf("server chaos: %d ops (%d ok), errors %v, counts %v", rep.Ops, rep.Succeeded, rep.ErrorsByClass, rep.Counts)
 }
