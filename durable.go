@@ -27,7 +27,8 @@ import (
 // A durability failure (failed append, fsync, or checkpoint) rejects the
 // mutation with ErrDurability, publishes nothing, and freezes the catalog
 // against further writes — reads continue, and recovery is another Open.
-// Tune the WAL with Limits.CheckpointEvery and Limits.NoFsync.
+// Every WAL record is fsynced before the mutation returns; tune how often
+// the WAL is compacted with Limits.CheckpointEvery.
 func Open(dir string) (*System, error) {
 	d, err := durable.Open(dir)
 	if err != nil {

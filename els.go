@@ -43,7 +43,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/plancache"
 	"repro/internal/replica"
-	"repro/internal/selest"
 	"repro/internal/snapshot"
 	"repro/internal/storage"
 )
@@ -92,9 +91,9 @@ var algorithms = [...]struct {
 	AlgorithmSMPTC: {"SM+PTC", cardest.SM().WithClosure()},
 	AlgorithmSSS:   {"SSS+PTC", cardest.SSS().WithClosure()},
 	AlgorithmRepSmallest: {"REP(smallest)", cardest.Config{Rule: cardest.RuleRepresentative, ApplyClosure: true,
-		Rep: cardest.RepSmallest, Sel: selest.DefaultOptions()}},
+		Rep: cardest.RepSmallest}},
 	AlgorithmRepLargest: {"REP(largest)", cardest.Config{Rule: cardest.RuleRepresentative, ApplyClosure: true,
-		Rep: cardest.RepLargest, Sel: selest.DefaultOptions()}},
+		Rep: cardest.RepLargest}},
 	AlgorithmELSHist: {"ELS+hist", func() cardest.Config {
 		cfg := cardest.ELS()
 		cfg.Sel.HistogramJoins = true
@@ -306,9 +305,7 @@ func (s *System) LoadTable(name string, columns []string, rows [][]int64) error 
 // budget collected per column, enabling distribution statistics for local
 // predicate selectivities (Section 5).
 func (s *System) LoadTableHist(name string, columns []string, rows [][]int64, buckets int) error {
-	return s.loadTable(name, columns, rows, catalog.AnalyzeOptions{
-		HistogramBuckets: buckets, HistogramKind: catalog.EquiDepth,
-	})
+	return s.loadTable(name, columns, rows, catalog.AnalyzeOptions{HistogramBuckets: buckets})
 }
 
 func (s *System) loadTable(name string, columns []string, rows [][]int64, opts catalog.AnalyzeOptions) error {
@@ -324,7 +321,7 @@ func (s *System) loadTable(name string, columns []string, rows [][]int64, opts c
 	}
 	schema, err := storage.NewSchema(defs...)
 	if err != nil {
-		return fmt.Errorf("els: %w", err)
+		return fmt.Errorf("%w: table %s: %w", ErrBadStats, name, err)
 	}
 	tbl := storage.NewTable(name, schema)
 	vals := make([]storage.Value, len(columns))
@@ -352,7 +349,7 @@ func (s *System) loadTable(name string, columns []string, rows [][]int64, opts c
 func (s *System) LoadCSV(name, path string, header bool, histBuckets int) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("els: %w", err)
+		return fmt.Errorf("%w: opening data file: %w", ErrBadStats, err)
 	}
 	defer f.Close()
 	return s.loadCSVReader(name, f, header, histBuckets, path)
@@ -364,16 +361,12 @@ func (s *System) LoadCSVReader(name string, r io.Reader, header bool, histBucket
 }
 
 func (s *System) loadCSVReader(name string, r io.Reader, header bool, histBuckets int, filename string) error {
-	tbl, err := csvload.Load(name, r, csvload.Options{Header: header, NullToken: "NULL", Filename: filename})
+	tbl, err := csvload.Load(name, r, csvload.Options{Header: header, Filename: filename})
 	if err != nil {
-		return err
-	}
-	opts := catalog.AnalyzeOptions{}
-	if histBuckets > 0 {
-		opts = catalog.AnalyzeOptions{HistogramBuckets: histBuckets, HistogramKind: catalog.EquiDepth}
+		return fmt.Errorf("%w: %w", ErrBadStats, err)
 	}
 	return s.mutate(func(cat *catalog.Catalog) error {
-		_, err := cat.Analyze(tbl, opts)
+		_, err := cat.Analyze(tbl, catalog.AnalyzeOptions{HistogramBuckets: histBuckets})
 		return err
 	})
 }
@@ -406,7 +399,7 @@ func (s *System) GenerateTable(name, column, dist string, rows, domain int, thet
 		},
 	}, seed)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadStats, err)
 	}
 	return s.mutate(func(cat *catalog.Catalog) error {
 		_, err := cat.Analyze(tbl, catalog.AnalyzeOptions{})
@@ -420,7 +413,10 @@ func (s *System) GenerateTable(name, column, dist string, rows, domain int, thet
 // row instead of rescanning the inner table.
 func (s *System) BuildIndex(table, column string) error {
 	return s.mutate(func(cat *catalog.Catalog) error {
-		return cat.BuildIndex(table, column)
+		if err := cat.BuildIndex(table, column); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadStats, err)
+		}
+		return nil
 	})
 }
 

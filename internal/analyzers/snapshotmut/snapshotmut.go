@@ -11,7 +11,7 @@
 //
 //   - field/element writes rooted at such a value (cat.Table("r").Card = 9),
 //   - calls to catalog mutator methods on such a value (AddTable, SetData,
-//     BuildIndex, Analyze, AnalyzeSample, ImportJSON, MustAddTable),
+//     BuildIndex, Analyze, ImportJSON, MustAddTable),
 //   - delete() on a map reachable from such a value.
 //
 // Clone() detaches: writes behind a Clone() call are the sanctioned
@@ -38,13 +38,12 @@ var Analyzer = &analysis.Analyzer{
 // mutators are the catalog methods that write; calling one on a published
 // catalog defeats copy-on-write.
 var mutators = map[string]bool{
-	"AddTable":      true,
-	"MustAddTable":  true,
-	"SetData":       true,
-	"BuildIndex":    true,
-	"Analyze":       true,
-	"AnalyzeSample": true,
-	"ImportJSON":    true,
+	"AddTable":     true,
+	"MustAddTable": true,
+	"SetData":      true,
+	"BuildIndex":   true,
+	"Analyze":      true,
+	"ImportJSON":   true,
 }
 
 // accessors traverse without detaching: their result is still reachable

@@ -13,11 +13,7 @@
 // Algorithm SSS is {Rule SS, standard statistics}, as in Section 8.
 package cardest
 
-import (
-	"fmt"
-
-	"repro/internal/selest"
-)
+import "fmt"
 
 // Rule selects how the selectivities of the eligible join predicates
 // belonging to one equivalence class are combined at each incremental step.
@@ -97,10 +93,21 @@ type Config struct {
 	// query's predicates before estimation. When false the estimator sees
 	// exactly the predicates it was given.
 	ApplyClosure bool
-	// Sel configures local-predicate selectivity estimation.
-	Sel selest.Options
+	// Sel configures join selectivity estimation.
+	Sel SelOptions
 	// Rep selects the representative selectivity for RuleRepresentative.
 	Rep RepChoice
+}
+
+// SelOptions configures join selectivity estimation.
+type SelOptions struct {
+	// HistogramJoins enables histogram-based join selectivities
+	// (selest.HistogramJoinSelectivity), relaxing the uniformity assumption
+	// for join columns — the paper's Section 9 future-work extension. Join
+	// predicates whose columns both carry histograms use them; others fall
+	// back to Equation 2. The histograms used are the raw (pre-local-
+	// predicate) ones.
+	HistogramJoins bool
 }
 
 // Validate reports configuration errors.
@@ -118,19 +125,18 @@ func ELS() Config {
 		Rule:              RuleLS,
 		UseEffectiveStats: true,
 		ApplyClosure:      true,
-		Sel:               selest.DefaultOptions(),
 	}
 }
 
 // SM returns Algorithm SM: Rule M over the standard (unreduced) statistics.
 // Closure is off; enable it to model running SM on a PTC-rewritten query.
 func SM() Config {
-	return Config{Rule: RuleM, Sel: selest.DefaultOptions()}
+	return Config{Rule: RuleM}
 }
 
 // SSS returns Algorithm SSS: Rule SS over the standard statistics.
 func SSS() Config {
-	return Config{Rule: RuleSS, Sel: selest.DefaultOptions()}
+	return Config{Rule: RuleSS}
 }
 
 // WithClosure returns a copy of the config with transitive closure enabled,

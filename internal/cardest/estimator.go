@@ -223,9 +223,9 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 		var err error
 		tableDisjs := expr.DisjunctionsOf(e.disjs, alias)
 		if cfg.UseEffectiveStats {
-			eff, err = selest.EffectiveTable(e.base[k], locals, tableDisjs, cfg.Sel)
+			eff, err = selest.EffectiveTable(e.base[k], locals, tableDisjs)
 		} else {
-			eff, err = standardEffective(e.base[k], locals, tableDisjs, cfg.Sel)
+			eff, err = standardEffective(e.base[k], locals, tableDisjs)
 		}
 		if err != nil {
 			return nil, err
@@ -305,7 +305,7 @@ func (e *Estimator) checkRef(ref expr.ColumnRef) error {
 // current relational systems" (Section 8): local predicates reduce the
 // table cardinality, but join selectivities are computed independent of
 // their effect — column cardinalities stay raw.
-func standardEffective(ts *catalog.TableStats, locals []expr.Predicate, disjs []expr.Disjunction, opts selest.Options) (*selest.EffectiveStats, error) {
+func standardEffective(ts *catalog.TableStats, locals []expr.Predicate, disjs []expr.Disjunction) (*selest.EffectiveStats, error) {
 	eff := &selest.EffectiveStats{
 		Table:            ts.Name,
 		OrigCard:         ts.Card,
@@ -350,7 +350,7 @@ func standardEffective(ts *catalog.TableStats, locals []expr.Predicate, disjs []
 		if cs == nil {
 			return nil, fmt.Errorf("cardest: table %s has no column %q", ts.Name, set.Column.Column)
 		}
-		sel, err := set.Resolve(cs, opts)
+		sel, err := set.Resolve(cs)
 		if err != nil {
 			return nil, err
 		}
@@ -358,7 +358,7 @@ func standardEffective(ts *catalog.TableStats, locals []expr.Predicate, disjs []
 		eff.Card *= sel
 	}
 	for _, d := range disjs {
-		sel, err := selest.DisjunctionSelectivity(ts, d, opts)
+		sel, err := selest.DisjunctionSelectivity(ts, d)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/expr"
-	"repro/internal/selest"
 	"repro/internal/storage"
 )
 
@@ -135,7 +134,7 @@ func TestHistogramJoinSelectivityPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{HistogramBuckets: 32, HistogramKind: catalog.EquiDepth}); err != nil {
+		if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{HistogramBuckets: 32}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +176,7 @@ func TestZeroDistinctJoinSelectivity(t *testing.T) {
 	cat.MustAddTable(catalog.SimpleTable("B", 10, map[string]float64{"k": 5}))
 	e, err := New(cat, []TableRef{{Table: "A"}, {Table: "B"}},
 		[]expr.Predicate{expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k"))},
-		Config{Rule: RuleLS, Sel: selest.DefaultOptions()})
+		Config{Rule: RuleLS})
 	if err != nil {
 		t.Fatal(err)
 	}

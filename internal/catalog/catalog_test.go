@@ -178,7 +178,7 @@ func TestAnalyzeNil(t *testing.T) {
 
 func TestAnalyzeWithHistogram(t *testing.T) {
 	c := New()
-	ts, err := c.Analyze(buildDataTable(t), AnalyzeOptions{HistogramBuckets: 4, HistogramKind: EquiDepth})
+	ts, err := c.Analyze(buildDataTable(t), AnalyzeOptions{HistogramBuckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

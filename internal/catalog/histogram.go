@@ -7,11 +7,14 @@ import (
 	"strings"
 )
 
-// HistogramKind distinguishes the two histogram constructions supported.
+// HistogramKind records how a histogram's buckets were constructed.
+// ANALYZE builds equi-depth histograms; the stats codec carries either
+// kind, and the selectivity methods read both the same way.
 type HistogramKind int
 
 const (
 	// EquiWidth buckets split the value range into equal-width intervals.
+	// Nothing in this module builds them; a stats file may carry them.
 	EquiWidth HistogramKind = iota
 	// EquiDepth buckets each hold (approximately) the same number of rows;
 	// the construction of Piatetsky-Shapiro & Connell / Muralikrishna &
@@ -60,59 +63,6 @@ func (h *Histogram) Clone() *Histogram {
 	out := &Histogram{Kind: h.Kind, Total: h.Total, Buckets: make([]Bucket, len(h.Buckets))}
 	copy(out.Buckets, h.Buckets)
 	return out
-}
-
-// NewEquiWidthHistogram builds an equi-width histogram with at most buckets
-// buckets from the given (unsorted) values. NaNs are rejected.
-func NewEquiWidthHistogram(values []float64, buckets int) (*Histogram, error) {
-	if buckets <= 0 {
-		return nil, fmt.Errorf("catalog: histogram needs at least 1 bucket, got %d", buckets)
-	}
-	if len(values) == 0 {
-		return &Histogram{Kind: EquiWidth}, nil
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("catalog: NaN value in histogram input")
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo == hi {
-		return &Histogram{
-			Kind:    EquiWidth,
-			Total:   float64(len(values)),
-			Buckets: []Bucket{{Lo: lo, Hi: hi, Count: float64(len(values)), Distinct: 1}},
-		}, nil
-	}
-	width := (hi - lo) / float64(buckets)
-	bs := make([]Bucket, buckets)
-	distinct := make([]map[float64]struct{}, buckets)
-	for i := range bs {
-		bs[i] = Bucket{Lo: lo + float64(i)*width, Hi: lo + float64(i+1)*width}
-		distinct[i] = make(map[float64]struct{})
-	}
-	bs[buckets-1].Hi = hi // avoid FP drift on the top edge
-	for _, v := range values {
-		i := int((v - lo) / width)
-		if i >= buckets {
-			i = buckets - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		bs[i].Count++
-		distinct[i][v] = struct{}{}
-	}
-	for i := range bs {
-		bs[i].Distinct = float64(len(distinct[i]))
-	}
-	return &Histogram{Kind: EquiWidth, Buckets: bs, Total: float64(len(values))}, nil
 }
 
 // NewEquiDepthHistogram builds an equi-depth histogram with at most buckets
@@ -224,15 +174,6 @@ func (h *Histogram) SelectivityEQ(c float64) float64 {
 		return clamp01(b.Count / b.Distinct / h.Total)
 	}
 	return 0
-}
-
-// SelectivityRange estimates the fraction of rows in [lo, hi], inclusive on
-// both ends.
-func (h *Histogram) SelectivityRange(lo, hi float64) float64 {
-	if hi < lo {
-		return 0
-	}
-	return clamp01(h.SelectivityLE(hi) - h.SelectivityLT(lo))
 }
 
 // String renders the histogram compactly for EXPLAIN output.

@@ -25,58 +25,6 @@ func TestHistogramKindString(t *testing.T) {
 	}
 }
 
-func TestEquiWidthConstruction(t *testing.T) {
-	h, err := NewEquiWidthHistogram(uniformValues(100), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Buckets) != 10 || h.Total != 100 {
-		t.Fatalf("buckets=%d total=%g", len(h.Buckets), h.Total)
-	}
-	var count float64
-	for _, b := range h.Buckets {
-		count += b.Count
-	}
-	if count != 100 {
-		t.Errorf("bucket counts sum to %g", count)
-	}
-	if h.Buckets[0].Lo != 0 || h.Buckets[9].Hi != 99 {
-		t.Errorf("range [%g, %g]", h.Buckets[0].Lo, h.Buckets[9].Hi)
-	}
-}
-
-func TestEquiWidthErrors(t *testing.T) {
-	if _, err := NewEquiWidthHistogram(uniformValues(5), 0); err == nil {
-		t.Error("0 buckets should error")
-	}
-	if _, err := NewEquiWidthHistogram([]float64{1, math.NaN()}, 2); err == nil {
-		t.Error("NaN should error")
-	}
-}
-
-func TestEquiWidthEmptyAndConstant(t *testing.T) {
-	h, err := NewEquiWidthHistogram(nil, 4)
-	if err != nil || h.Total != 0 {
-		t.Fatalf("empty: %v %+v", err, h)
-	}
-	if h.SelectivityLT(5) != 0 {
-		t.Error("empty histogram selectivity should be 0")
-	}
-	h, err = NewEquiWidthHistogram([]float64{7, 7, 7}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Buckets) != 1 || h.Buckets[0].Distinct != 1 || h.Buckets[0].Count != 3 {
-		t.Errorf("constant column histogram wrong: %+v", h)
-	}
-	if got := h.SelectivityEQ(7); got != 1 {
-		t.Errorf("SelectivityEQ(7) = %g, want 1", got)
-	}
-	if got := h.SelectivityEQ(8); got != 0 {
-		t.Errorf("SelectivityEQ(8) = %g, want 0", got)
-	}
-}
-
 func TestEquiDepthConstruction(t *testing.T) {
 	h, err := NewEquiDepthHistogram(uniformValues(100), 5)
 	if err != nil {
@@ -89,6 +37,25 @@ func TestEquiDepthConstruction(t *testing.T) {
 		if b.Count != 20 {
 			t.Errorf("equi-depth bucket count = %g, want 20", b.Count)
 		}
+	}
+}
+
+// Equi-width histograms arrive only through the stats codec; an empty one
+// and a one-value one estimate like their equi-depth counterparts.
+func TestEquiWidthEmptyAndConstant(t *testing.T) {
+	h := &Histogram{Kind: EquiWidth}
+	if h.SelectivityLT(5) != 0 || h.SelectivityEQ(5) != 0 {
+		t.Error("empty histogram selectivity should be 0")
+	}
+	h = &Histogram{Kind: EquiWidth, Total: 3, Buckets: []Bucket{{Lo: 7, Hi: 7, Count: 3, Distinct: 1}}}
+	if got := h.SelectivityEQ(7); got != 1 {
+		t.Errorf("SelectivityEQ(7) = %g, want 1", got)
+	}
+	if got := h.SelectivityEQ(8); got != 0 {
+		t.Errorf("SelectivityEQ(8) = %g, want 0", got)
+	}
+	if got := h.SelectivityLE(7); got != 1 {
+		t.Errorf("SelectivityLE(7) = %g, want 1", got)
 	}
 }
 
@@ -130,7 +97,7 @@ func TestEquiDepthErrors(t *testing.T) {
 }
 
 func TestSelectivityLTUniform(t *testing.T) {
-	h, _ := NewEquiWidthHistogram(uniformValues(1000), 10)
+	h, _ := NewEquiDepthHistogram(uniformValues(1000), 10)
 	cases := []struct {
 		c    float64
 		want float64
@@ -150,13 +117,7 @@ func TestSelectivityLTUniform(t *testing.T) {
 }
 
 func TestSelectivityRangeAndComparisons(t *testing.T) {
-	h, _ := NewEquiWidthHistogram(uniformValues(1000), 20)
-	if got := h.SelectivityRange(250, 749); math.Abs(got-0.5) > 0.02 {
-		t.Errorf("range [250,749] = %g, want ~0.5", got)
-	}
-	if h.SelectivityRange(10, 5) != 0 {
-		t.Error("inverted range should be 0")
-	}
+	h, _ := NewEquiDepthHistogram(uniformValues(1000), 20)
 	if got := h.SelectivityGT(899.5); math.Abs(got-0.1) > 0.02 {
 		t.Errorf("GT(899.5) = %g, want ~0.1", got)
 	}
@@ -169,7 +130,7 @@ func TestSelectivityRangeAndComparisons(t *testing.T) {
 }
 
 func TestSelectivityEQUniform(t *testing.T) {
-	h, _ := NewEquiWidthHistogram(uniformValues(1000), 10)
+	h, _ := NewEquiDepthHistogram(uniformValues(1000), 10)
 	if got := h.SelectivityEQ(500); math.Abs(got-0.001) > 0.0005 {
 		t.Errorf("EQ(500) = %g, want ~0.001", got)
 	}
@@ -183,7 +144,7 @@ func TestSelectivityEQUniform(t *testing.T) {
 }
 
 func TestHistogramClone(t *testing.T) {
-	h, _ := NewEquiWidthHistogram(uniformValues(10), 2)
+	h, _ := NewEquiDepthHistogram(uniformValues(10), 2)
 	cl := h.Clone()
 	cl.Buckets[0].Count = 999
 	if h.Buckets[0].Count == 999 {
@@ -192,15 +153,15 @@ func TestHistogramClone(t *testing.T) {
 }
 
 func TestHistogramString(t *testing.T) {
-	h, _ := NewEquiWidthHistogram(uniformValues(10), 2)
+	h, _ := NewEquiDepthHistogram(uniformValues(10), 2)
 	s := h.String()
-	if !strings.Contains(s, "equi-width") || !strings.Contains(s, "2 buckets") {
+	if !strings.Contains(s, "equi-depth") || !strings.Contains(s, "2 buckets") {
 		t.Errorf("String() = %q", s)
 	}
 }
 
 // Property: selectivities are always within [0,1] and LT is monotone
-// non-decreasing in c, for both histogram kinds over random data.
+// non-decreasing in c over random data.
 func TestSelectivityMonotoneProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -209,24 +170,20 @@ func TestSelectivityMonotoneProperty(t *testing.T) {
 		for i := range vals {
 			vals[i] = math.Floor(rng.Float64() * 100)
 		}
-		for _, build := range []func([]float64, int) (*Histogram, error){
-			NewEquiWidthHistogram, NewEquiDepthHistogram,
-		} {
-			h, err := build(vals, 1+rng.Intn(16))
-			if err != nil {
-				t.Fatal(err)
+		h, err := NewEquiDepthHistogram(vals, 1+rng.Intn(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := -1.0
+		for c := -10.0; c <= 110; c += 5 {
+			s := h.SelectivityLT(c)
+			if s < 0 || s > 1 {
+				t.Fatalf("selectivity out of range: %g", s)
 			}
-			prev := -1.0
-			for c := -10.0; c <= 110; c += 5 {
-				s := h.SelectivityLT(c)
-				if s < 0 || s > 1 {
-					t.Fatalf("selectivity out of range: %g", s)
-				}
-				if s < prev-1e-9 {
-					t.Fatalf("SelectivityLT not monotone at %g: %g < %g", c, s, prev)
-				}
-				prev = s
+			if s < prev-1e-9 {
+				t.Fatalf("SelectivityLT not monotone at %g: %g < %g", c, s, prev)
 			}
+			prev = s
 		}
 	}
 }

@@ -159,17 +159,6 @@ func (c *Catalog) ExportVersionedJSON(w io.Writer, version uint64) error {
 	return c.exportJSON(w, nil, version)
 }
 
-// SectionChecksum returns the canonical per-section checksum of the named
-// table's statistics, or "" when the table is unknown. Two tables with
-// equal checksums carry identical optimizer-visible statistics.
-func (c *Catalog) SectionChecksum(name string) string {
-	ts := c.Table(name)
-	if ts == nil {
-		return ""
-	}
-	return encodeTable(ts).Checksum
-}
-
 // sectionBytes is the canonical compact encoding of a table's section,
 // the byte string DiffTables compares (checksums alone would make a CRC
 // collision silently drop a changed table from the WAL delta).

@@ -64,6 +64,53 @@ func TestExportImportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// ANALYZE builds only equi-depth histograms, but a stats file may carry an
+// equi-width one: it imports with its kind, re-exports byte for byte, and
+// estimates what it estimated before the trip.
+func TestEquiWidthHistogramRoundTrip(t *testing.T) {
+	c := New()
+	ts := SimpleTable("R", 1000, map[string]float64{"x": 100})
+	ts.Columns["x"].Hist = &Histogram{Kind: EquiWidth, Total: 1000, Buckets: []Bucket{
+		{Lo: 0, Hi: 25, Count: 600, Distinct: 25},
+		{Lo: 25, Hi: 50, Count: 300, Distinct: 25},
+		{Lo: 50, Hi: 75, Count: 0, Distinct: 0},
+		{Lo: 75, Hi: 99, Count: 100, Distinct: 25},
+	}}
+	c.MustAddTable(ts)
+	var first bytes.Buffer
+	if err := c.ExportJSON(&first); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.String(), `"equi-width"`) {
+		t.Fatalf("export does not name the kind:\n%s", first.String())
+	}
+	c2 := New()
+	if err := c2.ImportJSON(bytes.NewReader(first.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := c2.ExportJSON(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("re-export differs:\n%s\nwant\n%s", second.String(), first.String())
+	}
+	before, after := ts.Columns["x"].Hist, c2.Table("R").Column("x").Hist
+	if after.Kind != EquiWidth {
+		t.Fatalf("imported kind = %s", after.Kind)
+	}
+	for c := -5.0; c <= 105; c += 2.5 {
+		for _, sel := range []func(*Histogram, float64) float64{
+			(*Histogram).SelectivityLT, (*Histogram).SelectivityLE,
+			(*Histogram).SelectivityGT, (*Histogram).SelectivityGE, (*Histogram).SelectivityEQ,
+		} {
+			if got, want := sel(after, c), sel(before, c); got != want {
+				t.Fatalf("selectivity at %g: %g after the round trip, %g before", c, got, want)
+			}
+		}
+	}
+}
+
 // The exported file carries the format-version header and per-table
 // checksums; flipping any byte inside a table section fails the import
 // with ErrBadStats naming the table, and truncating the file fails with a

@@ -1,110 +1,10 @@
 package catalog
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-
-	"repro/internal/storage"
 )
-
-// SampleOptions configures sampling-based statistics collection.
-type SampleOptions struct {
-	// Rows is the sample size (reservoir sampling without replacement).
-	// Values >= the table size degrade to a full scan.
-	Rows int
-	// Seed drives the reservoir sampler.
-	Seed int64
-	// HistogramBuckets, if positive, builds equi-depth histograms from the
-	// sample (scaled up to the full table's row count).
-	HistogramBuckets int
-}
-
-// AnalyzeSample derives statistics from a uniform random sample of the
-// table rather than a full scan — what production systems do on large
-// tables. The table cardinality is exact (known from the storage layer);
-// per-column distinct counts are estimated from the sample with the Chao
-// estimator d̂ = d_sample + f₁²/(2·f₂), where f₁ and f₂ are the counts of
-// sample values seen exactly once and twice. Min/max come from the sample
-// and may clip the true range; this is the price of sampling and exactly
-// the kind of statistics error whose effect on join estimates the
-// SampledStats ablation measures.
-func (c *Catalog) AnalyzeSample(tbl *storage.Table, opts SampleOptions) (*TableStats, error) {
-	if tbl == nil {
-		return nil, fmt.Errorf("catalog: AnalyzeSample(nil)")
-	}
-	if opts.Rows <= 0 {
-		return nil, fmt.Errorf("catalog: sample size must be positive, got %d", opts.Rows)
-	}
-	n := tbl.NumRows()
-	sampleIdx := reservoir(n, opts.Rows, opts.Seed)
-
-	schema := tbl.Schema()
-	ts := &TableStats{
-		Name:     tbl.Name(),
-		Card:     float64(n),
-		RowWidth: schema.RowWidth(),
-		Columns:  make(map[string]*ColumnStats, schema.NumColumns()),
-	}
-	for ci := 0; ci < schema.NumColumns(); ci++ {
-		def := schema.Column(ci)
-		cs := &ColumnStats{Name: def.Name, Type: def.Type}
-		freq := make(map[string]int)
-		var numeric []float64
-		isNumeric := def.Type == storage.TypeInt64 || def.Type == storage.TypeFloat64
-		var nullsInSample float64
-		for _, r := range sampleIdx {
-			v := tbl.Value(r, ci)
-			if v.IsNull() {
-				nullsInSample++
-				continue
-			}
-			freq[v.Key()]++
-			if isNumeric {
-				f := v.AsFloat()
-				if !cs.HasRange {
-					cs.HasRange = true
-					cs.Min, cs.Max = f, f
-				} else {
-					if f < cs.Min {
-						cs.Min = f
-					}
-					if f > cs.Max {
-						cs.Max = f
-					}
-				}
-				if opts.HistogramBuckets > 0 {
-					numeric = append(numeric, f)
-				}
-			}
-		}
-		scale := float64(n) / float64(len(sampleIdx))
-		cs.NullCount = math.Round(nullsInSample * scale)
-		cs.Distinct = chaoEstimate(freq, len(sampleIdx), n)
-		if cs.Distinct > float64(n) {
-			cs.Distinct = float64(n)
-		}
-		if opts.HistogramBuckets > 0 && len(numeric) > 0 {
-			h, err := NewEquiDepthHistogram(numeric, opts.HistogramBuckets)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: sample analyze %s.%s: %w", tbl.Name(), def.Name, err)
-			}
-			// Scale the sampled counts up to the full table.
-			for i := range h.Buckets {
-				h.Buckets[i].Count *= scale
-			}
-			h.Total *= scale
-			cs.Hist = h
-		}
-		ts.Columns[key(def.Name)] = cs
-	}
-	if err := c.AddTable(ts); err != nil {
-		return nil, err
-	}
-	c.SetData(tbl.Name(), tbl)
-	return ts, nil
-}
 
 // chaoEstimate extrapolates the number of distinct values in the full
 // population from sample value frequencies. When the sample covers the

@@ -19,7 +19,7 @@ func intTable(t *testing.T, name string, vals []int64) *storage.Table {
 func TestAnalyzeSampleFullCoverageIsExact(t *testing.T) {
 	c := New()
 	tbl := intTable(t, "t", []int64{1, 2, 3, 3, 3, 4})
-	ts, err := c.AnalyzeSample(tbl, SampleOptions{Rows: 100, Seed: 1})
+	ts, err := c.Analyze(tbl, AnalyzeOptions{SampleRows: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestAnalyzeSampleFullCoverageIsExact(t *testing.T) {
 
 func TestAnalyzeSampleValidation(t *testing.T) {
 	c := New()
-	if _, err := c.AnalyzeSample(nil, SampleOptions{Rows: 10}); err == nil {
+	if _, err := c.Analyze(nil, AnalyzeOptions{SampleRows: 10}); err == nil {
 		t.Error("nil table should error")
 	}
-	if _, err := c.AnalyzeSample(intTable(t, "t", []int64{1}), SampleOptions{Rows: 0}); err == nil {
-		t.Error("zero sample should error")
+	if _, err := c.Analyze(intTable(t, "t", []int64{1}), AnalyzeOptions{SampleRows: -1}); err == nil {
+		t.Error("negative sample should error")
 	}
 }
 
@@ -58,7 +58,7 @@ func TestAnalyzeSampleChaoEstimate(t *testing.T) {
 		vals[i] = int64((i * 7919) % 10000) // deterministic spread over 10000 values
 	}
 	tbl := intTable(t, "big", vals)
-	ts, err := c.AnalyzeSample(tbl, SampleOptions{Rows: 5000, Seed: 3})
+	ts, err := c.Analyze(tbl, AnalyzeOptions{SampleRows: 5000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAnalyzeSampleWithHistogram(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i % 100)
 	}
-	ts, err := c.AnalyzeSample(intTable(t, "h", vals), SampleOptions{Rows: 1000, Seed: 7, HistogramBuckets: 8})
+	ts, err := c.Analyze(intTable(t, "h", vals), AnalyzeOptions{SampleRows: 1000, Seed: 7, HistogramBuckets: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAnalyzeSampleNullScaling(t *testing.T) {
 			tbl.MustAppendRow(storage.Int64(int64(i)))
 		}
 	}
-	ts, err := c.AnalyzeSample(tbl, SampleOptions{Rows: 200, Seed: 5})
+	ts, err := c.Analyze(tbl, AnalyzeOptions{SampleRows: 200, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,9 +106,3 @@ func (m *Model) IndexNLCost(outerCost, outerRows, innerRows, matchesPerProbe flo
 	probe := m.SeqPageCost + logN*m.CPUCompareCost + math.Max(0, matchesPerProbe)*m.CPUTupleCost
 	return outerCost + outerRows*probe
 }
-
-// MaterializedScanCost is the cost of re-reading an already materialized
-// intermediate result (pages only, no qualification CPU).
-func (m *Model) MaterializedScanCost(rows float64, width int) float64 {
-	return m.Pages(rows, width) * m.SeqPageCost
-}

@@ -106,13 +106,6 @@ func TestMisestimationFlipsPlanChoice(t *testing.T) {
 	}
 }
 
-func TestMaterializedScanCost(t *testing.T) {
-	m := DefaultModel()
-	if m.MaterializedScanCost(1000, 8) >= m.ScanCost(1000, 8) {
-		t.Error("re-reading materialized data should be cheaper than a qualifying scan")
-	}
-}
-
 // Property: all costs are non-negative and finite for sane inputs.
 func TestCostsNonNegativeProperty(t *testing.T) {
 	m := DefaultModel()

@@ -3,9 +3,11 @@
 // the bridge between externally generated datasets (including cmd/elsgen
 // output) and the catalog's ANALYZE path.
 //
-// Malformed input — ragged records, truncated quotes, unparsable fields —
-// is reported with the source file name (when Options.Filename is set) and
-// the 1-based input line, so a bad row in a large dataset is findable.
+// A field reading NULL (in any case) is a NULL value, as is an empty
+// numeric field. Malformed input — ragged records, truncated quotes,
+// unparsable fields, NaN — is reported with the source file name (when
+// Options.Filename is set) and the 1-based input line, so a bad row in a
+// large dataset is findable.
 package csvload
 
 import (
@@ -13,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -29,10 +32,6 @@ type Options struct {
 	// Header consumes the first record as column names. Without it columns
 	// are named c0, c1, ....
 	Header bool
-	// Comma is the field separator; 0 means ','.
-	Comma rune
-	// NullToken, when non-empty, marks NULL values (case-insensitive).
-	NullToken string
 	// Filename, when non-empty, names the input source in error messages
 	// ("data.csv:5: ..."). Purely diagnostic; the data still comes from the
 	// reader passed to Load.
@@ -62,9 +61,6 @@ func Load(name string, r io.Reader, opts Options) (*storage.Table, error) {
 		return nil, fmt.Errorf("csvload: %s: %w", orInput(opts.Filename), err)
 	}
 	cr := csv.NewReader(r)
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
-	}
 	cr.TrimLeadingSpace = true
 	// Arity is checked below with our own positioned error, not the csv
 	// package's.
@@ -113,14 +109,10 @@ func Load(name string, r io.Reader, opts Options) (*storage.Table, error) {
 		}
 	}
 
-	isNull := func(s string) bool {
-		return opts.NullToken != "" && strings.EqualFold(strings.TrimSpace(s), opts.NullToken)
-	}
-
 	// Infer types per column.
 	types := make([]storage.Type, width)
 	for c := 0; c < width; c++ {
-		types[c] = inferColumnType(records, c, isNull)
+		types[c] = inferColumnType(records, c)
 	}
 	defs := make([]storage.ColumnDef, width)
 	for i := range defs {
@@ -134,7 +126,7 @@ func Load(name string, r io.Reader, opts Options) (*storage.Table, error) {
 	row := make([]storage.Value, width)
 	for _, rec := range records {
 		for c, field := range rec.fields {
-			v, err := parseValue(field, types[c], isNull)
+			v, err := parseValue(field, types[c])
 			if err != nil {
 				return nil, fmt.Errorf("csvload: %s: column %s: %w",
 					opts.where(rec.line), names[c], err)
@@ -156,7 +148,10 @@ func orInput(filename string) string {
 	return filename
 }
 
-func inferColumnType(records []record, col int, isNull func(string) bool) storage.Type {
+// isNull reports whether a trimmed field is the NULL token.
+func isNull(s string) bool { return strings.EqualFold(s, "NULL") }
+
+func inferColumnType(records []record, col int) storage.Type {
 	sawValue := false
 	allInt, allFloat := true, true
 	for _, rec := range records {
@@ -192,7 +187,7 @@ func inferColumnType(records []record, col int, isNull func(string) bool) storag
 	}
 }
 
-func parseValue(field string, t storage.Type, isNull func(string) bool) (storage.Value, error) {
+func parseValue(field string, t storage.Type) (storage.Value, error) {
 	s := strings.TrimSpace(field)
 	if isNull(s) || (s == "" && t != storage.TypeString) {
 		return storage.Null(t), nil
@@ -208,6 +203,10 @@ func parseValue(field string, t storage.Type, isNull func(string) bool) (storage
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return storage.Value{}, fmt.Errorf("cannot parse %q as float", s)
+		}
+		if math.IsNaN(f) {
+			// NaN orders against nothing, so no statistic can summarize it.
+			return storage.Value{}, fmt.Errorf("%q is not a number", s)
 		}
 		return storage.Float64(f), nil
 	default:

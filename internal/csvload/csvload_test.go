@@ -44,13 +44,13 @@ func TestLoadWithoutHeader(t *testing.T) {
 }
 
 func TestLoadNullToken(t *testing.T) {
-	in := "k,v\n1,10\n2,NULL\n3,30\n"
-	tbl, err := Load("t", strings.NewReader(in), Options{Header: true, NullToken: "null"})
+	in := "k,v\n1,10\n2,NULL\n3, null\n4,30\n"
+	tbl, err := Load("t", strings.NewReader(in), Options{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.Value(1, 1).IsNull() {
-		t.Error("NULL token not honored")
+	if !tbl.Value(1, 1).IsNull() || !tbl.Value(2, 1).IsNull() {
+		t.Error("NULL token not honored in every case")
 	}
 	if tbl.Schema().Column(1).Type != storage.TypeInt64 {
 		t.Errorf("type inference should skip nulls: %s", tbl.Schema().Column(1).Type)
@@ -65,16 +65,6 @@ func TestLoadEmptyFieldsAreNullForNumeric(t *testing.T) {
 	}
 	if !tbl.Value(0, 1).IsNull() {
 		t.Error("empty numeric field should load as NULL")
-	}
-}
-
-func TestLoadCustomComma(t *testing.T) {
-	tbl, err := Load("t", strings.NewReader("1;2\n3;4\n"), Options{Comma: ';'})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 2 || tbl.Value(1, 1).Int() != 4 {
-		t.Error("semicolon CSV wrong")
 	}
 }
 
@@ -109,6 +99,10 @@ func TestLoadErrors(t *testing.T) {
 	// Duplicate header names break schema construction.
 	if _, err := Load("t", strings.NewReader("a,a\n1,2\n"), Options{Header: true}); err == nil {
 		t.Error("duplicate column names should error")
+	}
+	// NaN is not a value any statistic can summarize.
+	if _, err := Load("t", strings.NewReader("a\n1.5\nNaN\n"), Options{Header: true}); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("NaN should error at line 3, got %v", err)
 	}
 }
 

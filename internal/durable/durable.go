@@ -86,13 +86,11 @@ const (
 	checkpointName = "checkpoint.json"
 )
 
-// Options tune the durability/throughput trade-off; see governor.Limits.
+// Options tune WAL compaction; see governor.Limits.
 type Options struct {
 	// CheckpointEvery compacts the WAL after this many records; 0 leaves
 	// compaction to explicit Checkpoint calls.
 	CheckpointEvery int
-	// NoFsync skips the per-record WAL fsync (checkpoints still sync).
-	NoFsync bool
 }
 
 // FrameSink receives every WAL record the moment it has been made durable
@@ -272,9 +270,6 @@ func (s *Store) Catalog() *catalog.Catalog { return s.recovered.cat }
 // Version returns the recovered catalog version.
 func (s *Store) Version() uint64 { return s.recovered.version }
 
-// TornTail reports whether recovery truncated a torn trailing record.
-func (s *Store) TornTail() bool { return s.recovered.tornTail }
-
 // SetOptions installs the durability knobs (see governor.Limits).
 func (s *Store) SetOptions(o Options) {
 	s.mu.Lock()
@@ -404,10 +399,8 @@ func (s *Store) LogMutation(version uint64, prev, next *catalog.Catalog) error {
 		}
 		return s.poison(fmt.Errorf("%w: wal sync for version %d: %w", governor.ErrDurability, version, err))
 	}
-	if !s.opts.NoFsync {
-		if err := s.wal.Sync(); err != nil {
-			return s.poison(fmt.Errorf("%w: wal sync for version %d: %w", governor.ErrDurability, version, err))
-		}
+	if err := s.wal.Sync(); err != nil {
+		return s.poison(fmt.Errorf("%w: wal sync for version %d: %w", governor.ErrDurability, version, err))
 	}
 	s.lastVer = version
 	s.records++
@@ -570,10 +563,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	var firstErr error
-	if !s.opts.NoFsync {
-		if err := s.wal.Sync(); err != nil {
-			firstErr = fmt.Errorf("%w: syncing wal at close: %w", governor.ErrDurability, err)
-		}
+	if err := s.wal.Sync(); err != nil {
+		firstErr = fmt.Errorf("%w: syncing wal at close: %w", governor.ErrDurability, err)
 	}
 	if err := s.wal.Close(); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("%w: closing wal: %w", governor.ErrDurability, err)

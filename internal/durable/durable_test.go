@@ -65,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 	if s2.Version() != 4 {
 		t.Fatalf("recovered version %d, want 4", s2.Version())
 	}
-	if s2.TornTail() {
+	if s2.Stats().TornTailRecovered {
 		t.Fatal("clean shutdown reported a torn tail")
 	}
 	sameStats(t, cat, s2.Catalog())
@@ -188,7 +188,7 @@ func TestTornTailTruncated(t *testing.T) {
 			if s2.Version() != 2 {
 				t.Fatalf("recovered version %d, want last acknowledged 2", s2.Version())
 			}
-			if short > 0 && !s2.TornTail() {
+			if short > 0 && !s2.Stats().TornTailRecovered {
 				t.Fatal("recovery did not report the torn tail")
 			}
 			sameStats(t, cat, s2.Catalog())
@@ -200,7 +200,7 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s3.Close()
-			if s3.TornTail() {
+			if s3.Stats().TornTailRecovered {
 				t.Fatal("torn tail reported again after truncating recovery")
 			}
 			if s3.Version() != 2 {

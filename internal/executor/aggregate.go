@@ -217,9 +217,3 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 	}
 	return out, nil
 }
-
-// Aggregate is the ungoverned compatibility form: grouping with no budget
-// attached (a nil governor never trips).
-func Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec) (*storage.Table, error) {
-	return (&Executor{}).Aggregate(tbl, groupCols, aggs)
-}

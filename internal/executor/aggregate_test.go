@@ -22,7 +22,7 @@ func aggTable(t *testing.T) *storage.Table {
 
 func TestAggregateGrouped(t *testing.T) {
 	tbl := aggTable(t)
-	out, err := Aggregate(tbl, []int{0}, []AggSpec{
+	out, err := (&Executor{}).Aggregate(tbl, []int{0}, []AggSpec{
 		{Op: AggCountStar, Name: "n"},
 		{Op: AggCount, Col: 1, Name: "nv"},
 		{Op: AggSum, Col: 1, Name: "s"},
@@ -65,7 +65,7 @@ func TestAggregateGrouped(t *testing.T) {
 
 func TestAggregateGlobal(t *testing.T) {
 	tbl := aggTable(t)
-	out, err := Aggregate(tbl, nil, []AggSpec{
+	out, err := (&Executor{}).Aggregate(tbl, nil, []AggSpec{
 		{Op: AggCountStar, Name: "n"},
 		{Op: AggSum, Col: 1, Name: "s"},
 	})
@@ -83,7 +83,7 @@ func TestAggregateGlobal(t *testing.T) {
 func TestAggregateEmptyInput(t *testing.T) {
 	empty := storage.NewTable("e", storage.MustSchema(storage.ColumnDef{Name: "v", Type: storage.TypeInt64}))
 	// Global aggregates over empty input: one row, COUNT 0, SUM NULL.
-	out, err := Aggregate(empty, nil, []AggSpec{
+	out, err := (&Executor{}).Aggregate(empty, nil, []AggSpec{
 		{Op: AggCountStar, Name: "n"},
 		{Op: AggSum, Col: 0, Name: "s"},
 		{Op: AggMin, Col: 0, Name: "lo"},
@@ -99,7 +99,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 		t.Error("SUM/MIN/AVG over empty input should be NULL")
 	}
 	// Grouped aggregate over empty input: zero rows.
-	out, err = Aggregate(empty, []int{0}, []AggSpec{{Op: AggCountStar, Name: "n"}})
+	out, err = (&Executor{}).Aggregate(empty, []int{0}, []AggSpec{{Op: AggCountStar, Name: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAggregateNullGroupKeys(t *testing.T) {
 	tbl.MustAppendRow(storage.Null(storage.TypeInt64))
 	tbl.MustAppendRow(storage.Null(storage.TypeInt64))
 	tbl.MustAppendRow(storage.Int64(1))
-	out, err := Aggregate(tbl, []int{0}, []AggSpec{{Op: AggCountStar, Name: "n"}})
+	out, err := (&Executor{}).Aggregate(tbl, []int{0}, []AggSpec{{Op: AggCountStar, Name: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,19 +126,19 @@ func TestAggregateNullGroupKeys(t *testing.T) {
 
 func TestAggregateValidation(t *testing.T) {
 	tbl := aggTable(t)
-	if _, err := Aggregate(nil, nil, nil); err == nil {
+	if _, err := (&Executor{}).Aggregate(nil, nil, nil); err == nil {
 		t.Error("nil table should error")
 	}
-	if _, err := Aggregate(tbl, []int{99}, nil); err == nil {
+	if _, err := (&Executor{}).Aggregate(tbl, []int{99}, nil); err == nil {
 		t.Error("bad group ordinal should error")
 	}
-	if _, err := Aggregate(tbl, nil, []AggSpec{{Op: AggSum, Col: 99}}); err == nil {
+	if _, err := (&Executor{}).Aggregate(tbl, nil, []AggSpec{{Op: AggSum, Col: 99}}); err == nil {
 		t.Error("bad aggregate ordinal should error")
 	}
-	if _, err := Aggregate(tbl, nil, []AggSpec{{Op: AggOp(42), Col: 0}}); err == nil {
+	if _, err := (&Executor{}).Aggregate(tbl, nil, []AggSpec{{Op: AggOp(42), Col: 0}}); err == nil {
 		t.Error("unknown op should error")
 	}
-	if _, err := Aggregate(tbl, nil, []AggSpec{{Op: AggMin, Col: -1}}); err == nil {
+	if _, err := (&Executor{}).Aggregate(tbl, nil, []AggSpec{{Op: AggMin, Col: -1}}); err == nil {
 		t.Error("negative min ordinal should error")
 	}
 }

@@ -65,8 +65,8 @@ func TestSortMergeDuplicateRuns(t *testing.T) {
 	out := res.Table
 	lv, rv := 1, 3 // the v columns of the left and the right input
 	for r := 1; r < out.NumRows(); r++ {
-		prev := [3]int64{out.IntAt(r-1, 0), out.IntAt(r-1, lv), out.IntAt(r-1, rv)}
-		cur := [3]int64{out.IntAt(r, 0), out.IntAt(r, lv), out.IntAt(r, rv)}
+		prev := [3]int64{out.Value(r-1, 0).Int(), out.Value(r-1, lv).Int(), out.Value(r-1, rv).Int()}
+		cur := [3]int64{out.Value(r, 0).Int(), out.Value(r, lv).Int(), out.Value(r, rv).Int()}
 		if slices.Compare(prev[:], cur[:]) >= 0 {
 			t.Fatalf("row %d %v does not follow row %d %v in (key, left row, right row) order", r, cur, r-1, prev)
 		}

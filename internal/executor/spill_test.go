@@ -248,10 +248,10 @@ func TestMergeByOrigin(t *testing.T) {
 				t.Fatalf("%d merged rows, want %d", merged.NumRows(), len(want))
 			}
 			for r, origin := range want {
-				if got := merged.IntAt(r, 0); got != int64(origin) {
+				if got := merged.Value(r, 0).Int(); got != int64(origin) {
 					t.Fatalf("row %d has origin %d, want %d", r, got, origin)
 				}
-				if r > 0 && merged.IntAt(r-1, 0) == int64(origin) && merged.IntAt(r, 1) != merged.IntAt(r-1, 1)+1 {
+				if r > 0 && merged.Value(r-1, 0).Int() == int64(origin) && merged.Value(r, 1).Int() != merged.Value(r-1, 1).Int()+1 {
 					t.Fatalf("row %d: rows of origin %d left their partition's order", r, origin)
 				}
 			}

@@ -162,9 +162,7 @@ func RunZipfSweep(rows1, rows2, domain int, thetas []float64, seed int64) ([]Zip
 			if err != nil {
 				return nil, err
 			}
-			if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{
-				HistogramBuckets: 48, HistogramKind: catalog.EquiDepth,
-			}); err != nil {
+			if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{HistogramBuckets: 48}); err != nil {
 				return nil, err
 			}
 		}
@@ -270,8 +268,8 @@ func RunUrnVsLinear(rows, distinct int, fractions []float64, seed int64) ([]UrnR
 			}
 		}
 		truth := float64(len(seen))
-		urn := selest.ReduceDistinct(selest.ReductionUrn, float64(distinct), float64(rows), float64(kept))
-		lin := selest.ReduceDistinct(selest.ReductionLinear, float64(distinct), float64(rows), float64(kept))
+		urn := selest.ReduceDistinct(float64(distinct), float64(rows), float64(kept))
+		lin := math.Ceil(selest.LinearDistinct(float64(distinct), float64(rows), float64(kept)))
 		out = append(out, UrnRow{
 			KeepFraction: frac, TrueDistinct: truth,
 			UrnEstimate: urn, LinearEstimate: lin,

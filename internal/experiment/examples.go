@@ -107,7 +107,6 @@ func RunWorkedExamples() ([]WorkedExample, error) {
 	// --- Section 3.3: no representative selectivity can be right.
 	repHi, err := example1bEstimator(cardest.Config{
 		Rule: cardest.RuleRepresentative, ApplyClosure: true, Rep: cardest.RepLargest,
-		Sel: selest.DefaultOptions(),
 	})
 	if err != nil {
 		return nil, err
@@ -119,7 +118,6 @@ func RunWorkedExamples() ([]WorkedExample, error) {
 	add("Section 3.3", "representative selectivity 0.01 (too high)", hi, 10000)
 	repLo, err := example1bEstimator(cardest.Config{
 		Rule: cardest.RuleRepresentative, ApplyClosure: true, Rep: cardest.RepSmallest,
-		Sel: selest.DefaultOptions(),
 	})
 	if err != nil {
 		return nil, err
@@ -139,7 +137,7 @@ func RunWorkedExamples() ([]WorkedExample, error) {
 	ts := catalog.SimpleTable("R2", 1000, map[string]float64{"y": 10, "w": 50})
 	eff, err := selest.EffectiveTable(ts, []expr.Predicate{
 		expr.NewJoin(expr.ColumnRef{Table: "R2", Column: "y"}, expr.OpEQ, expr.ColumnRef{Table: "R2", Column: "w"}),
-	}, nil, selest.DefaultOptions())
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func RunSampledStats(tableRows int, sampleSizes []int, seed int64) ([]SampledSta
 		var distErr float64
 		for i, spec := range specs {
 			tbl := data.Data(spec.Name)
-			ts, err := sampled.AnalyzeSample(tbl, catalog.SampleOptions{Rows: n, Seed: seed + int64(100+i)})
+			ts, err := sampled.Analyze(tbl, catalog.AnalyzeOptions{SampleRows: n, Seed: seed + int64(100+i)})
 			if err != nil {
 				return nil, err
 			}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/optimizer"
-	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
 
@@ -229,11 +228,4 @@ func FormatSection8(res *Section8Result) string {
 			r.TrueCount, r.Stats.TuplesScanned, r.Stats.Elapsed.Round(100_000).String())
 	}
 	return b.String()
-}
-
-// ParseSection8Query parses and binds the experiment's SQL text against a
-// Section 8 catalog; provided so examples can show the SQL front end
-// producing the same predicate set the harness uses.
-func ParseSection8Query(cat *catalog.Catalog) (*sqlparse.Query, error) {
-	return sqlparse.ParseAndBind(Section8Query, cat)
 }

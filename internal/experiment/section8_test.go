@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sqlparse"
 )
 
 // The scale-10 Section 8 run is the workhorse test: fast, deterministic,
@@ -157,7 +159,7 @@ func TestSection8CatalogSynthetic(t *testing.T) {
 	if cat.Data("G") != nil {
 		t.Error("synthetic catalog should have no data")
 	}
-	q, err := ParseSection8Query(cat)
+	q, err := sqlparse.ParseAndBind(Section8Query, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,22 +52,6 @@ func (d Disjunction) References(table string) bool {
 	return strings.EqualFold(d.Table(), table)
 }
 
-// Eval evaluates the disjunction under a binding: true if any disjunct
-// holds (SQL three-valued logic collapses unknown to false per disjunct,
-// which is conservative for filters).
-func (d Disjunction) Eval(b Binding) (bool, error) {
-	for _, p := range d.Preds {
-		ok, err := p.Eval(b)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // CanonicalKey returns a key equal for disjunctions with the same disjunct
 // set (order-insensitive).
 func (d Disjunction) CanonicalKey() string {

@@ -234,46 +234,6 @@ func constString(v storage.Value) string {
 	return v.String()
 }
 
-// Binding resolves column references to values during evaluation.
-type Binding interface {
-	// ColumnValue returns the current value of the referenced column, or an
-	// error if the reference cannot be resolved.
-	ColumnValue(ref ColumnRef) (storage.Value, error)
-}
-
-// Eval evaluates the predicate under the binding. SQL semantics: any NULL
-// operand makes the comparison false (unknown).
-func (p Predicate) Eval(b Binding) (bool, error) {
-	l, err := b.ColumnValue(p.Left)
-	if err != nil {
-		return false, err
-	}
-	var r storage.Value
-	if p.RightIsColumn {
-		if r, err = b.ColumnValue(p.Right); err != nil {
-			return false, err
-		}
-	} else {
-		r = p.Const
-	}
-	if l.IsNull() || r.IsNull() {
-		return false, nil
-	}
-	return p.Op.Holds(storage.Compare(l, r)), nil
-}
-
-// MapBinding is a Binding backed by a map from ColumnRef.Key() to value;
-// convenient in tests and simple interpreters.
-type MapBinding map[string]storage.Value
-
-// ColumnValue implements Binding.
-func (m MapBinding) ColumnValue(ref ColumnRef) (storage.Value, error) {
-	if v, ok := m[ref.Key()]; ok {
-		return v, nil
-	}
-	return storage.Value{}, fmt.Errorf("expr: unresolved column %s", ref)
-}
-
 // Dedup returns the predicates with duplicates (by CanonicalKey) removed,
 // preserving first-occurrence order. This is step 1 of Algorithm ELS:
 // "(R1.x > 500) AND (R1.x > 500)" collapses to a single predicate.
@@ -289,20 +249,6 @@ func Dedup(preds []Predicate) []Predicate {
 		out = append(out, p)
 	}
 	return out
-}
-
-// Partition splits predicates into join predicates and local predicates
-// (both const and same-table column comparisons count as local, as in the
-// paper).
-func Partition(preds []Predicate) (joins, locals []Predicate) {
-	for _, p := range preds {
-		if p.Kind() == KindJoin {
-			joins = append(joins, p)
-		} else {
-			locals = append(locals, p)
-		}
-	}
-	return joins, locals
 }
 
 // FormatConjunction renders predicates joined by AND, as in a WHERE clause.

@@ -372,11 +372,6 @@ type Limits struct {
 	// to explicit Checkpoint calls). Like the admission fields it governs
 	// the system, not a single query's budget.
 	CheckpointEvery int
-	// NoFsync skips the per-record fsync on the durable store's
-	// write-ahead log (systems opened with els.Open only), trading crash
-	// durability of the latest acknowledged mutations for bulk-load
-	// throughput. Checkpoints still fsync before publishing.
-	NoFsync bool
 	// MaxReplicaLag bounds how many catalog versions behind the primary a
 	// read replica (els.OpenReplica) may serve from: a read on a replica
 	// lagging further is rejected with ErrStaleReplica before estimation

@@ -1,6 +1,6 @@
 // Package index provides an ordered secondary index over one column of a
-// storage table: a sorted (key, row) array answering equality and range
-// lookups in O(log n). It backs the optional index-nested-loops join
+// storage table: a sorted (key, row) array answering equality lookups in
+// O(log n). It backs the optional index-nested-loops join
 // method — the access-path dimension of the classic System R design space
 // that the paper's experiment deliberately held fixed ("the access methods
 // and join methods did not differ between the QEPs"); the reproduction
@@ -78,39 +78,3 @@ func (ix *Index) Lookup(v storage.Value) []int {
 	copy(out, ix.order[lo:hi])
 	return out
 }
-
-// LookupRange returns the row indices whose key k satisfies lo ≤ k ≤ hi
-// (either bound may be the zero Value to mean unbounded on that side — use
-// Unbounded). NULL keys never match.
-func (ix *Index) LookupRange(lo, hi storage.Value, loInclusive, hiInclusive bool) []int {
-	n := len(ix.order)
-	start := 0
-	if lo.Type().Valid() && !lo.IsNull() {
-		start = sort.Search(n, func(i int) bool {
-			c := storage.Compare(ix.key(i), lo)
-			if loInclusive {
-				return c >= 0
-			}
-			return c > 0
-		})
-	}
-	end := n
-	if hi.Type().Valid() && !hi.IsNull() {
-		end = sort.Search(n, func(i int) bool {
-			c := storage.Compare(ix.key(i), hi)
-			if hiInclusive {
-				return c > 0
-			}
-			return c >= 0
-		})
-	}
-	if start >= end {
-		return nil
-	}
-	out := make([]int, end-start)
-	copy(out, ix.order[start:end])
-	return out
-}
-
-// Unbounded is the zero Value, usable as an open bound for LookupRange.
-var Unbounded storage.Value

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/storage"
@@ -59,38 +58,6 @@ func TestLookupEquality(t *testing.T) {
 	}
 	if ix.Table() != tbl || ix.Column() != 0 {
 		t.Error("accessors wrong")
-	}
-}
-
-func TestLookupRange(t *testing.T) {
-	tbl := buildTable(t, []int64{10, 20, 30, 40, 50}, false)
-	ix, _ := Build(tbl, "k")
-	keysOf := func(rows []int) []int64 {
-		out := make([]int64, len(rows))
-		for i, r := range rows {
-			out[i] = tbl.Value(r, 0).Int()
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-		return out
-	}
-	got := keysOf(ix.LookupRange(storage.Int64(20), storage.Int64(40), true, true))
-	if len(got) != 3 || got[0] != 20 || got[2] != 40 {
-		t.Errorf("[20,40] = %v", got)
-	}
-	got = keysOf(ix.LookupRange(storage.Int64(20), storage.Int64(40), false, false))
-	if len(got) != 1 || got[0] != 30 {
-		t.Errorf("(20,40) = %v", got)
-	}
-	got = keysOf(ix.LookupRange(Unbounded, storage.Int64(25), true, true))
-	if len(got) != 2 {
-		t.Errorf("(-inf,25] = %v", got)
-	}
-	got = keysOf(ix.LookupRange(storage.Int64(45), Unbounded, true, true))
-	if len(got) != 1 || got[0] != 50 {
-		t.Errorf("[45,inf) = %v", got)
-	}
-	if ix.LookupRange(storage.Int64(41), storage.Int64(49), true, true) != nil {
-		t.Error("empty range should be nil")
 	}
 }
 

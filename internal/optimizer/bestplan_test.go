@@ -72,9 +72,6 @@ func (o *Optimizer) referenceBestPlan() (Plan, error) {
 			}
 			ext := connected
 			if len(ext) == 0 {
-				if o.opts.DisableCartesian {
-					continue
-				}
 				ext = disconnected
 			}
 			for _, t := range ext {
@@ -94,11 +91,7 @@ func (o *Optimizer) referenceBestPlan() (Plan, error) {
 		}
 		level = reached
 	}
-	plan, ok := best[uint32(1<<n)-1]
-	if !ok {
-		return nil, fmt.Errorf("optimizer: query is disconnected and cartesian products are disabled")
-	}
-	return plan, nil
+	return best[uint32(1<<n)-1], nil
 }
 
 func (o *Optimizer) referenceScan(alias string) (*Scan, error) {

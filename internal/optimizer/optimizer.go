@@ -20,11 +20,6 @@ type Options struct {
 	// Methods lists the join methods the optimizer may choose. Empty means
 	// the paper's repertoire: nested loops and sort-merge.
 	Methods []JoinMethod
-	// Model is the cost model; nil selects cost.DefaultModel.
-	Model *cost.Model
-	// DisableCartesian forbids cartesian products even when no connected
-	// extension exists (the query would then fail to plan).
-	DisableCartesian bool
 	// Governor, when non-nil, bounds plan enumeration: every candidate set
 	// built charges the plan budget, and search loops poll cancellation.
 	Governor *governor.Governor
@@ -53,7 +48,6 @@ type Optimizer struct {
 	est     *cardest.Estimator
 	model   *cost.Model
 	methods []JoinMethod
-	opts    Options
 	gov     *governor.Governor
 	aliases []string
 	tables  []table // by the estimator's table number
@@ -91,11 +85,8 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 	if len(methods) == 0 {
 		methods = []JoinMethod{NestedLoop, SortMerge}
 	}
-	model := opts.Model
-	if model == nil {
-		model = cost.DefaultModel()
-	}
-	o := &Optimizer{est: est, model: model, methods: methods, opts: opts, gov: opts.Governor}
+	model := cost.DefaultModel()
+	o := &Optimizer{est: est, model: model, methods: methods, gov: opts.Governor}
 	refs := est.Tables()
 	if len(refs) > maxTables {
 		return nil, fmt.Errorf("optimizer: %d tables exceed the DP limit of %d", len(refs), maxTables)
@@ -300,7 +291,8 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 			}
 			left := best[mask]
 			// Prefer connected extensions; fall back to cartesian products
-			// only if no table connects to this subset.
+			// only if no table connects to this subset. Every subset below the
+			// full one therefore extends, and the full set is always reached.
 			var connected, disconnected, equality uint32
 			for t := 0; t < n; t++ {
 				if mask&(1<<t) != 0 {
@@ -319,9 +311,6 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 			}
 			ext := connected
 			if ext == 0 {
-				if o.opts.DisableCartesian {
-					continue
-				}
 				ext = disconnected
 			}
 			for ; ext != 0; ext &= ext - 1 {
@@ -345,14 +334,9 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 		}
 		level = reached
 	}
-	full := uint32(1<<n) - 1
-	if _, ok := best[full]; !ok {
-		return nil, fmt.Errorf("optimizer: query is disconnected and cartesian products are disabled")
-	}
-
 	// Build the winner's nodes, outermost table first.
 	path := make([]subplan, 0, n)
-	for mask := full; mask != 0; mask = best[mask].prev {
+	for mask := uint32(1<<n) - 1; mask != 0; mask = best[mask].prev {
 		path = append(path, best[mask])
 	}
 	slices.Reverse(path)

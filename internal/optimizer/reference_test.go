@@ -12,7 +12,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/querygen"
-	"repro/internal/selest"
 	"repro/internal/storage"
 )
 
@@ -27,8 +26,8 @@ func sevenAlgorithms() map[string]cardest.Config {
 		"SM":      cardest.SM(),
 		"SM+PTC":  cardest.SM().WithClosure(),
 		"SSS+PTC": cardest.SSS().WithClosure(),
-		"REP-S":   {Rule: cardest.RuleRepresentative, ApplyClosure: true, Rep: cardest.RepSmallest, Sel: selest.DefaultOptions()},
-		"REP-L":   {Rule: cardest.RuleRepresentative, ApplyClosure: true, Rep: cardest.RepLargest, Sel: selest.DefaultOptions()},
+		"REP-S":   {Rule: cardest.RuleRepresentative, ApplyClosure: true, Rep: cardest.RepSmallest},
+		"REP-L":   {Rule: cardest.RuleRepresentative, ApplyClosure: true, Rep: cardest.RepLargest},
 		"ELS-H":   hist,
 	}
 }
@@ -103,7 +102,7 @@ func samePlan(t *testing.T, label string, got, want optimizer.Plan) {
 // under every algorithm and the given repertoires, and requires the same
 // plan or the same error. It returns how many plans used IndexNL.
 func diffBestPlan(t *testing.T, label string, cat *catalog.Catalog, tabs []cardest.TableRef, preds []expr.Predicate,
-	methods map[string][]optimizer.JoinMethod, disableCartesian bool) (indexNL int) {
+	methods map[string][]optimizer.JoinMethod) (indexNL int) {
 	t.Helper()
 	for algo, cfg := range sevenAlgorithms() {
 		est, err := cardest.New(cat, tabs, preds, cfg)
@@ -112,7 +111,7 @@ func diffBestPlan(t *testing.T, label string, cat *catalog.Catalog, tabs []carde
 		}
 		for name, ms := range methods {
 			label := fmt.Sprintf("%s %s %s", label, algo, name)
-			o, err := optimizer.New(est, optimizer.Options{Methods: ms, DisableCartesian: disableCartesian})
+			o, err := optimizer.New(est, optimizer.Options{Methods: ms})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -159,7 +158,7 @@ func TestBestPlanMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		indexNL += diffBestPlan(t, fmt.Sprintf("seed %d", seed), cat, q.Tables, q.Preds, repertoires(), false)
+		indexNL += diffBestPlan(t, fmt.Sprintf("seed %d", seed), cat, q.Tables, q.Preds, repertoires())
 	}
 	if indexNL == 0 {
 		t.Error("no generated query planned an IndexNL join")
@@ -211,17 +210,13 @@ func TestBestPlanMatchesReference(t *testing.T) {
 		expr.NewJoin(ref("a3", "c4"), expr.OpLT, ref("a4", "c4")),
 	}
 	for name, preds := range map[string][]expr.Predicate{"chain": chain, "star": star, "class": class, "islands": islands} {
-		indexNL := diffBestPlan(t, name, cat, tabs, preds, repertoires(), false)
+		indexNL := diffBestPlan(t, name, cat, tabs, preds, repertoires())
 		if name != "islands" && indexNL == 0 {
 			t.Errorf("%s: no plan used an IndexNL join", name)
 		}
 	}
 
-	// Cartesian products disabled: the disconnected query fails to plan the
-	// same way on both sides, and a connected one plans the same.
-	diffBestPlan(t, "islands, no cartesian", cat, tabs, islands, repertoires(), true)
-	diffBestPlan(t, "chain, no cartesian", cat, tabs, chain, repertoires(), true)
 	// A repertoire with no method for a cartesian step.
 	diffBestPlan(t, "islands, hash only", cat, tabs, islands,
-		map[string][]optimizer.JoinMethod{"hash": {optimizer.HashJoin}}, false)
+		map[string][]optimizer.JoinMethod{"hash": {optimizer.HashJoin}})
 }

@@ -13,7 +13,7 @@ import (
 // column with overlapping ranges this overestimates slightly (it
 // double-counts the overlap), which is the standard tradeoff the paper's
 // future-work discussion leaves open.
-func DisjunctionSelectivity(ts *catalog.TableStats, d expr.Disjunction, opts Options) (float64, error) {
+func DisjunctionSelectivity(ts *catalog.TableStats, d expr.Disjunction) (float64, error) {
 	if ts == nil {
 		return 0, fmt.Errorf("selest: nil table stats")
 	}
@@ -30,7 +30,7 @@ func DisjunctionSelectivity(ts *catalog.TableStats, d expr.Disjunction, opts Opt
 				return 0, fmt.Errorf("selest: table %s has no column %q", ts.Name, p.Left.Column)
 			}
 			var err error
-			s, err = ConstSelectivity(cs, p.Op, p.Const, opts)
+			s, err = ConstSelectivity(cs, p.Op, p.Const)
 			if err != nil {
 				return 0, err
 			}

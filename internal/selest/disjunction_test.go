@@ -24,7 +24,7 @@ func TestDisjunctionSelectivityTwoEqualities(t *testing.T) {
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(1)),
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(2)),
 	)
-	sel, err := DisjunctionSelectivity(ts, d, DefaultOptions())
+	sel, err := DisjunctionSelectivity(ts, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDisjunctionSelectivityMixed(t *testing.T) {
 		expr.NewConst(ref("R", "y"), expr.OpLT, storage.Int64(50)), // 0.5
 		expr.NewJoin(ref("R", "x"), expr.OpEQ, ref("R", "y")),      // 1/100
 	)
-	sel, err := DisjunctionSelectivity(ts, d, DefaultOptions())
+	sel, err := DisjunctionSelectivity(ts, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestDisjunctionSelectivityMixed(t *testing.T) {
 func TestDisjunctionSelectivityColColNonEq(t *testing.T) {
 	ts := catalog.SimpleTable("R", 100, map[string]float64{"a": 10, "b": 10})
 	d := mustDisj(t, expr.NewJoin(ref("R", "a"), expr.OpLT, ref("R", "b")))
-	sel, err := DisjunctionSelectivity(ts, d, DefaultOptions())
+	sel, err := DisjunctionSelectivity(ts, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,28 +65,28 @@ func TestDisjunctionSelectivityColColNonEq(t *testing.T) {
 
 func TestDisjunctionSelectivityErrors(t *testing.T) {
 	ts := catalog.SimpleTable("R", 100, map[string]float64{"x": 10})
-	if _, err := DisjunctionSelectivity(nil, expr.Disjunction{}, DefaultOptions()); err == nil {
+	if _, err := DisjunctionSelectivity(nil, expr.Disjunction{}); err == nil {
 		t.Error("nil stats should error")
 	}
-	if _, err := DisjunctionSelectivity(ts, expr.Disjunction{}, DefaultOptions()); err == nil {
+	if _, err := DisjunctionSelectivity(ts, expr.Disjunction{}); err == nil {
 		t.Error("empty disjunction should error")
 	}
 	bad := expr.Disjunction{Preds: []expr.Predicate{
 		expr.NewConst(ref("R", "zz"), expr.OpEQ, storage.Int64(1)),
 	}}
-	if _, err := DisjunctionSelectivity(ts, bad, DefaultOptions()); err == nil {
+	if _, err := DisjunctionSelectivity(ts, bad); err == nil {
 		t.Error("unknown column should error")
 	}
 	join := expr.Disjunction{Preds: []expr.Predicate{
 		expr.NewJoin(ref("R", "x"), expr.OpEQ, ref("Q", "y")),
 	}}
-	if _, err := DisjunctionSelectivity(ts, join, DefaultOptions()); err == nil {
+	if _, err := DisjunctionSelectivity(ts, join); err == nil {
 		t.Error("join disjunct should error")
 	}
 	badCol := expr.Disjunction{Preds: []expr.Predicate{
 		expr.NewJoin(ref("R", "x"), expr.OpEQ, ref("R", "zz")),
 	}}
-	if _, err := DisjunctionSelectivity(ts, badCol, DefaultOptions()); err == nil {
+	if _, err := DisjunctionSelectivity(ts, badCol); err == nil {
 		t.Error("unknown colcol column should error")
 	}
 }
@@ -97,7 +97,7 @@ func TestEffectiveTableWithDisjunction(t *testing.T) {
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(1)),
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(2)),
 	)
-	eff, err := EffectiveTable(ts, nil, []expr.Disjunction{d}, DefaultOptions())
+	eff, err := EffectiveTable(ts, nil, []expr.Disjunction{d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEffectiveTableWithDisjunction(t *testing.T) {
 	}
 	// Disjunction on a foreign table errors.
 	foreign := mustDisj(t, expr.NewConst(ref("Q", "x"), expr.OpEQ, storage.Int64(1)))
-	if _, err := EffectiveTable(ts, nil, []expr.Disjunction{foreign}, DefaultOptions()); err == nil {
+	if _, err := EffectiveTable(ts, nil, []expr.Disjunction{foreign}); err == nil {
 		t.Error("foreign disjunction should error")
 	}
 }

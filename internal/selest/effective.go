@@ -59,7 +59,7 @@ const defaultColColSelectivity = 1.0 / 3.0
 // disjs are OR-groups over this table (a beyond-paper extension); each
 // reduces the cardinality by its DisjunctionSelectivity and urn-reduces
 // every column, pinning none.
-func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []expr.Disjunction, opts Options) (*EffectiveStats, error) {
+func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []expr.Disjunction) (*EffectiveStats, error) {
 	if ts == nil {
 		return nil, fmt.Errorf("selest: nil table stats")
 	}
@@ -101,7 +101,7 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 		if cs == nil {
 			return nil, fmt.Errorf("selest: table %s has no column %q", ts.Name, set.Column.Column)
 		}
-		sel, err := set.Resolve(cs, opts)
+		sel, err := set.Resolve(cs)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 		if !d.References(ts.Name) {
 			return nil, fmt.Errorf("selest: disjunction %s does not reference table %s", d, ts.Name)
 		}
-		sel, err := DisjunctionSelectivity(ts, d, opts)
+		sel, err := DisjunctionSelectivity(ts, d)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 			if _, predicated := eff.ColSel[key]; predicated {
 				continue
 			}
-			eff.ColCard[key] = ReduceDistinct(opts.Reduction, cs.Distinct, cardBefore, eff.Card)
+			eff.ColCard[key] = ReduceDistinct(cs.Distinct, cardBefore, eff.Card)
 		}
 	}
 
@@ -191,7 +191,7 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 				if inGroup[k] {
 					continue
 				}
-				eff.ColCard[k] = ReduceDistinct(opts.Reduction, eff.ColCard[k], before, eff.Card)
+				eff.ColCard[k] = ReduceDistinct(eff.ColCard[k], before, eff.Card)
 			}
 		}
 		eff.JEquivGroups = append(eff.JEquivGroups, group)

@@ -12,7 +12,7 @@ import (
 
 func TestEffectiveTableNoLocals(t *testing.T) {
 	ts := catalog.SimpleTable("R", 1000, map[string]float64{"x": 100, "y": 50})
-	eff, err := EffectiveTable(ts, nil, nil, DefaultOptions())
+	eff, err := EffectiveTable(ts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestEffectiveTableRangeOnJoinColumn(t *testing.T) {
 	ts := catalog.SimpleTable("S", 1000, map[string]float64{"s": 1000})
 	eff, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewConst(ref("S", "s"), expr.OpLT, storage.Int64(100)),
-	}, nil, DefaultOptions())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestEffectiveTableEqualityPinsDistinct(t *testing.T) {
 	ts := catalog.SimpleTable("R", 1000, map[string]float64{"y": 100, "x": 500})
 	eff, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewConst(ref("R", "y"), expr.OpEQ, storage.Int64(7)),
-	}, nil, DefaultOptions())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,22 +82,18 @@ func TestEffectiveTableUrnVsLinearOnOtherColumn(t *testing.T) {
 	ts.Columns["y"].Max = 99999
 	locals := []expr.Predicate{expr.NewConst(ref("R", "y"), expr.OpLT, storage.Int64(50000))}
 
-	effUrn, err := EffectiveTable(ts, locals, nil, Options{Reduction: ReductionUrn})
+	eff, err := EffectiveTable(ts, locals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if effUrn.Card != 50000 {
-		t.Fatalf("‖R‖′ = %g, want 50000", effUrn.Card)
+	if eff.Card != 50000 {
+		t.Fatalf("‖R‖′ = %g, want 50000", eff.Card)
 	}
-	if d, _ := effUrn.ColumnCard("x"); d != 9933 {
+	if d, _ := eff.ColumnCard("x"); d != 9933 {
 		t.Errorf("urn d′_x = %g, want 9933 (paper Section 5)", d)
 	}
-	effLin, err := EffectiveTable(ts, locals, nil, Options{Reduction: ReductionLinear})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := effLin.ColumnCard("x"); d != 5000 {
-		t.Errorf("linear d′_x = %g, want 5000", d)
+	if lin := LinearDistinct(10000, ts.Card, eff.Card); lin != 5000 {
+		t.Errorf("linear d′_x = %g, want 5000", lin)
 	}
 }
 
@@ -107,7 +103,7 @@ func TestEffectiveTableSection6Example(t *testing.T) {
 	ts := catalog.SimpleTable("R2", 1000, map[string]float64{"y": 10, "w": 50})
 	eff, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewJoin(ref("R2", "y"), expr.OpEQ, ref("R2", "w")),
-	}, nil, DefaultOptions())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +127,7 @@ func TestEffectiveTableThreeWayJEquiv(t *testing.T) {
 	eff, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewJoin(ref("R", "a"), expr.OpEQ, ref("R", "b")),
 		expr.NewJoin(ref("R", "b"), expr.OpEQ, ref("R", "c")),
-	}, nil, DefaultOptions())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +149,7 @@ func TestEffectiveTableConstThenJEquiv(t *testing.T) {
 	eff, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewConst(ref("R", "z"), expr.OpLT, storage.Int64(500)),
 		expr.NewJoin(ref("R", "y"), expr.OpEQ, ref("R", "w")),
-	}, nil, DefaultOptions())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +169,7 @@ func TestEffectiveTableColColNonEquality(t *testing.T) {
 	ts := catalog.SimpleTable("R", 900, map[string]float64{"a": 30, "b": 30})
 	eff, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewJoin(ref("R", "a"), expr.OpLT, ref("R", "b")),
-	}, nil, DefaultOptions())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,31 +180,31 @@ func TestEffectiveTableColColNonEquality(t *testing.T) {
 
 func TestEffectiveTableErrors(t *testing.T) {
 	ts := catalog.SimpleTable("R", 100, map[string]float64{"x": 10})
-	if _, err := EffectiveTable(nil, nil, nil, DefaultOptions()); err == nil {
+	if _, err := EffectiveTable(nil, nil, nil); err == nil {
 		t.Error("nil stats should error")
 	}
 	// Predicate on a different table.
 	if _, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewConst(ref("Q", "x"), expr.OpEQ, storage.Int64(1)),
-	}, nil, DefaultOptions()); err == nil {
+	}, nil); err == nil {
 		t.Error("foreign predicate should error")
 	}
 	// Join predicate passed as local.
 	if _, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewJoin(ref("R", "x"), expr.OpEQ, ref("Q", "y")),
-	}, nil, DefaultOptions()); err == nil {
+	}, nil); err == nil {
 		t.Error("join predicate should error")
 	}
 	// Unknown column.
 	if _, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewConst(ref("R", "zz"), expr.OpEQ, storage.Int64(1)),
-	}, nil, DefaultOptions()); err == nil {
+	}, nil); err == nil {
 		t.Error("unknown column should error")
 	}
 	// Unknown column in j-equiv group.
 	if _, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewJoin(ref("R", "x"), expr.OpEQ, ref("R", "nope")),
-	}, nil, DefaultOptions()); err == nil {
+	}, nil); err == nil {
 		t.Error("unknown j-equiv column should error")
 	}
 }
@@ -218,7 +214,7 @@ func TestEffectiveTableZeroSelectivity(t *testing.T) {
 	eff, err := EffectiveTable(ts, []expr.Predicate{
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(1)),
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(2)),
-	}, nil, DefaultOptions())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +239,7 @@ func TestEffectiveInvariantsProperty(t *testing.T) {
 		cut := int64(rng.Intn(int(dy) + 1))
 		eff, err := EffectiveTable(ts, []expr.Predicate{
 			expr.NewConst(ref("R", "y"), expr.OpLT, storage.Int64(cut)),
-		}, nil, DefaultOptions())
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

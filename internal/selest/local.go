@@ -10,35 +10,13 @@ import (
 	"repro/internal/storage"
 )
 
-// Options configures selectivity estimation.
-type Options struct {
-	// Reduction selects urn-model or linear distinct-value reduction.
-	Reduction DistinctReduction
-	// UseHistograms enables distribution statistics for local predicates
-	// when the catalog has them (Section 5: "If we have distribution
-	// statistics on y, they can be used to accurately estimate ‖R‖′").
-	UseHistograms bool
-	// HistogramJoins enables histogram-based join selectivities
-	// (HistogramJoinSelectivity), relaxing the uniformity assumption for
-	// join columns — the paper's Section 9 future-work extension. Join
-	// predicates whose columns both carry histograms use them; others fall
-	// back to Equation 2. The histograms used are the raw (pre-local-
-	// predicate) ones.
-	HistogramJoins bool
-}
-
-// DefaultOptions returns the paper's configuration: urn model, histograms
-// used when available.
-func DefaultOptions() Options {
-	return Options{Reduction: ReductionUrn, UseHistograms: true}
-}
-
 // ConstSelectivity estimates the fraction of rows of a column satisfying
-// "col op const". With a histogram (and opts.UseHistograms) the histogram
-// drives the estimate; otherwise the uniformity assumption over the
+// "col op const". With a histogram the histogram drives the estimate
+// (Section 5: "If we have distribution statistics on y, they can be used to
+// accurately estimate ‖R‖′"); otherwise the uniformity assumption over the
 // column's [min, max] range (integer-aware) applies, with System-R style
 // fallbacks when no range is known.
-func ConstSelectivity(cs *catalog.ColumnStats, op expr.CompareOp, c storage.Value, opts Options) (float64, error) {
+func ConstSelectivity(cs *catalog.ColumnStats, op expr.CompareOp, c storage.Value) (float64, error) {
 	if cs == nil {
 		return 0, fmt.Errorf("selest: no statistics for column")
 	}
@@ -49,7 +27,7 @@ func ConstSelectivity(cs *catalog.ColumnStats, op expr.CompareOp, c storage.Valu
 	d := cs.Distinct
 	switch op {
 	case expr.OpEQ:
-		if opts.UseHistograms && cs.Hist != nil && numeric(c) {
+		if cs.Hist != nil && numeric(c) {
 			return cs.Hist.SelectivityEQ(c.AsFloat()), nil
 		}
 		if d <= 0 {
@@ -57,7 +35,7 @@ func ConstSelectivity(cs *catalog.ColumnStats, op expr.CompareOp, c storage.Valu
 		}
 		return clamp01(1 / d), nil
 	case expr.OpNE:
-		if opts.UseHistograms && cs.Hist != nil && numeric(c) {
+		if cs.Hist != nil && numeric(c) {
 			return clamp01(1 - cs.Hist.SelectivityEQ(c.AsFloat())), nil
 		}
 		if d <= 0 {
@@ -71,7 +49,7 @@ func ConstSelectivity(cs *catalog.ColumnStats, op expr.CompareOp, c storage.Valu
 		return 1.0 / 3.0, nil
 	}
 	cf := c.AsFloat()
-	if opts.UseHistograms && cs.Hist != nil {
+	if cs.Hist != nil {
 		switch op {
 		case expr.OpLT:
 			return cs.Hist.SelectivityLT(cf), nil
@@ -115,10 +93,7 @@ func uniformRangeSelectivity(cs *catalog.ColumnStats, op expr.CompareOp, c float
 		case expr.OpLE:
 			count = cc - cs.Min + 1
 		case expr.OpGT:
-			count = cs.Max - cc
-			if c > cc {
-				count-- // x > 100.5 excludes 100... and floor handled the rest
-			}
+			count = cs.Max - cc // values in [floor(c)+1, max], for integral and fractional c
 		case expr.OpGE:
 			count = cs.Max - math.Ceil(c) + 1
 		}
@@ -168,7 +143,7 @@ type ColumnPredicateSet struct {
 
 // Resolve computes the combined selectivity of the predicate set against
 // the column's statistics.
-func (s ColumnPredicateSet) Resolve(cs *catalog.ColumnStats, opts Options) (float64, error) {
+func (s ColumnPredicateSet) Resolve(cs *catalog.ColumnStats) (float64, error) {
 	var eqs, ranges, nes []expr.Predicate
 	for _, p := range s.Preds {
 		if p.Kind() != expr.KindLocalConst {
@@ -190,7 +165,7 @@ func (s ColumnPredicateSet) Resolve(cs *catalog.ColumnStats, opts Options) (floa
 	if len(eqs) > 0 {
 		best := math.Inf(1)
 		for _, p := range eqs {
-			sel, err := ConstSelectivity(cs, expr.OpEQ, p.Const, opts)
+			sel, err := ConstSelectivity(cs, expr.OpEQ, p.Const)
 			if err != nil {
 				return 0, err
 			}
@@ -239,14 +214,14 @@ func (s ColumnPredicateSet) Resolve(cs *catalog.ColumnStats, opts Options) (floa
 		if lo > hi || (lo == hi && (loStrict || hiStrict)) {
 			return 0, nil // contradictory bounds
 		}
-		s, err := boundedRangeSelectivity(cs, lo, loStrict, hi, hiStrict, opts)
+		s, err := boundedRangeSelectivity(cs, lo, loStrict, hi, hiStrict)
 		if err != nil {
 			return 0, err
 		}
 		sel *= s
 		// Non-numeric range predicates multiply independently (rough model).
 		for _, p := range nonNumeric {
-			s, err := ConstSelectivity(cs, p.Op, p.Const, opts)
+			s, err := ConstSelectivity(cs, p.Op, p.Const)
 			if err != nil {
 				return 0, err
 			}
@@ -254,7 +229,7 @@ func (s ColumnPredicateSet) Resolve(cs *catalog.ColumnStats, opts Options) (floa
 		}
 	}
 	for _, p := range nes {
-		s, err := ConstSelectivity(cs, expr.OpNE, p.Const, opts)
+		s, err := ConstSelectivity(cs, expr.OpNE, p.Const)
 		if err != nil {
 			return 0, err
 		}
@@ -273,7 +248,7 @@ func distinctConstants(eqs []expr.Predicate) int {
 
 // boundedRangeSelectivity estimates the selectivity of lo (<|<=) x (<|<=) hi,
 // where either bound may be infinite.
-func boundedRangeSelectivity(cs *catalog.ColumnStats, lo float64, loStrict bool, hi float64, hiStrict bool, opts Options) (float64, error) {
+func boundedRangeSelectivity(cs *catalog.ColumnStats, lo float64, loStrict bool, hi float64, hiStrict bool) (float64, error) {
 	loOp := expr.OpGE
 	if loStrict {
 		loOp = expr.OpGT
@@ -286,15 +261,15 @@ func boundedRangeSelectivity(cs *catalog.ColumnStats, lo float64, loStrict bool,
 	case math.IsInf(lo, -1) && math.IsInf(hi, 1):
 		return 1, nil
 	case math.IsInf(lo, -1):
-		return ConstSelectivity(cs, hiOp, storage.Float64(hi), opts)
+		return ConstSelectivity(cs, hiOp, storage.Float64(hi))
 	case math.IsInf(hi, 1):
-		return ConstSelectivity(cs, loOp, storage.Float64(lo), opts)
+		return ConstSelectivity(cs, loOp, storage.Float64(lo))
 	default:
-		sLo, err := ConstSelectivity(cs, loOp, storage.Float64(lo), opts)
+		sLo, err := ConstSelectivity(cs, loOp, storage.Float64(lo))
 		if err != nil {
 			return 0, err
 		}
-		sHi, err := ConstSelectivity(cs, hiOp, storage.Float64(hi), opts)
+		sHi, err := ConstSelectivity(cs, hiOp, storage.Float64(hi))
 		if err != nil {
 			return 0, err
 		}

@@ -50,8 +50,8 @@ func UrnDistinctCeil(d, k float64) float64 {
 
 // LinearDistinct is the "other common estimate" the paper contrasts the urn
 // model with: d′ = d·(k/n), the distinct count scaled by the fraction of
-// rows kept. It is provided for the urn-vs-linear ablation. n is the
-// original row count and k the surviving row count.
+// rows kept. The estimator never uses it; the urn-vs-linear ablation (A3)
+// does. n is the original row count and k the surviving row count.
 func LinearDistinct(d, n, k float64) float64 {
 	if n <= 0 || d <= 0 || k <= 0 {
 		return 0
@@ -66,49 +66,18 @@ func LinearDistinct(d, n, k float64) float64 {
 	return out
 }
 
-// DistinctReduction selects how the estimator shrinks column cardinalities
-// when rows are removed by predicates on other columns.
-type DistinctReduction int
-
-const (
-	// ReductionUrn uses the paper's urn model (the ELS choice).
-	ReductionUrn DistinctReduction = iota
-	// ReductionLinear uses the proportional rule d·(k/n) (the baseline the
-	// paper argues against; kept for ablation).
-	ReductionLinear
-)
-
-// String names the reduction rule.
-func (r DistinctReduction) String() string {
-	switch r {
-	case ReductionUrn:
-		return "urn"
-	case ReductionLinear:
-		return "linear"
-	default:
-		return "unknown"
-	}
-}
-
-// ReduceDistinct applies the selected reduction: given a column with d
-// distinct values in a table of n rows, of which k survive selection, it
-// returns the estimated surviving distinct count (ceiling applied, capped
-// at both d and k, floor of 0).
-func ReduceDistinct(rule DistinctReduction, d, n, k float64) float64 {
+// ReduceDistinct applies the urn model to a column shrunk by predicates on
+// other columns: given a column with d distinct values in a table of n
+// rows, of which k survive selection, it returns the estimated surviving
+// distinct count (ceiling applied, capped at both d and k, floor of 0).
+func ReduceDistinct(d, n, k float64) float64 {
 	if k <= 0 || d <= 0 {
 		return 0
 	}
 	if k >= n {
 		return d
 	}
-	var v float64
-	switch rule {
-	case ReductionLinear:
-		v = LinearDistinct(d, n, k)
-	default:
-		v = UrnDistinct(d, k)
-	}
-	v = math.Ceil(v)
+	v := math.Ceil(UrnDistinct(d, k))
 	if v > d {
 		v = d
 	}

@@ -69,34 +69,22 @@ func TestLinearDistinctEdges(t *testing.T) {
 	}
 }
 
-func TestDistinctReductionString(t *testing.T) {
-	if ReductionUrn.String() != "urn" || ReductionLinear.String() != "linear" {
-		t.Error("reduction names wrong")
-	}
-	if DistinctReduction(9).String() != "unknown" {
-		t.Error("unknown reduction name wrong")
-	}
-}
-
 func TestReduceDistinct(t *testing.T) {
 	// Keeping all rows keeps all distinct values.
-	if got := ReduceDistinct(ReductionUrn, 50, 100, 100); got != 50 {
+	if got := ReduceDistinct(50, 100, 100); got != 50 {
 		t.Errorf("full retention: %g", got)
 	}
-	if got := ReduceDistinct(ReductionUrn, 50, 100, 150); got != 50 {
+	if got := ReduceDistinct(50, 100, 150); got != 50 {
 		t.Errorf("k > n clamps: %g", got)
 	}
-	if got := ReduceDistinct(ReductionUrn, 50, 100, 0); got != 0 {
+	if got := ReduceDistinct(50, 100, 0); got != 0 {
 		t.Errorf("no rows, no values: %g", got)
 	}
-	if got := ReduceDistinct(ReductionLinear, 10000, 100000, 50000); got != 5000 {
-		t.Errorf("linear rule: %g", got)
-	}
-	if got := ReduceDistinct(ReductionUrn, 10000, 100000, 50000); got != 9933 {
+	if got := ReduceDistinct(10000, 100000, 50000); got != 9933 {
 		t.Errorf("urn rule: %g", got)
 	}
 	// Floors at 1 when any row remains.
-	if got := ReduceDistinct(ReductionUrn, 10, 1000, 0.5); got != 1 {
+	if got := ReduceDistinct(10, 1000, 0.5); got != 1 {
 		t.Errorf("tiny k floors at 1: %g", got)
 	}
 }

@@ -75,9 +75,6 @@ func (s *Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// HasColumn reports whether the schema contains the named column.
-func (s *Schema) HasColumn(name string) bool { return s.ColumnIndex(name) >= 0 }
-
 // RowWidth returns the estimated width of one row in bytes, used by the
 // cost model to convert cardinalities into page counts.
 func (s *Schema) RowWidth() int {
@@ -89,33 +86,6 @@ func (s *Schema) RowWidth() int {
 		w = 1
 	}
 	return w
-}
-
-// Concat returns a new schema that is the concatenation of s and other,
-// prefixing duplicated names to keep them unique. Join operators use it to
-// build the schema of a join result; prefixes are the given qualifiers.
-func (s *Schema) Concat(other *Schema, leftQual, rightQual string) (*Schema, error) {
-	cols := make([]ColumnDef, 0, len(s.cols)+len(other.cols))
-	seen := make(map[string]bool, len(s.cols)+len(other.cols))
-	add := func(c ColumnDef, qual string) {
-		name := c.Name
-		if seen[strings.ToLower(name)] && qual != "" {
-			name = qual + "." + name
-		}
-		// If still colliding, keep appending the qualifier; pathological but safe.
-		for seen[strings.ToLower(name)] {
-			name = qual + "." + name
-		}
-		seen[strings.ToLower(name)] = true
-		cols = append(cols, ColumnDef{Name: name, Type: c.Type})
-	}
-	for _, c := range s.cols {
-		add(c, leftQual)
-	}
-	for _, c := range other.cols {
-		add(c, rightQual)
-	}
-	return NewSchema(cols...)
 }
 
 // String renders the schema as "(name TYPE, ...)".

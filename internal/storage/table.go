@@ -190,20 +190,6 @@ func (t *Table) Value(row, col int) Value {
 	return t.cols[col].value(row)
 }
 
-// IntAt returns the int64 at (row, col) without boxing. It panics if the
-// column is not TypeInt64 or the value is NULL. Hot loops in the executor
-// use it to avoid allocation.
-func (t *Table) IntAt(row, col int) int64 {
-	c := t.cols[col]
-	if c.typ != TypeInt64 {
-		panic(fmt.Sprintf("storage: IntAt on %s column", c.typ))
-	}
-	if c.nulls != nil && c.nulls[row] {
-		panic("storage: IntAt on NULL")
-	}
-	return c.ints[row]
-}
-
 // Row materializes row i as a slice of values. The slice is freshly
 // allocated on each call.
 func (t *Table) Row(i int) []Value {
@@ -212,20 +198,6 @@ func (t *Table) Row(i int) []Value {
 		out[c] = t.cols[c].value(i)
 	}
 	return out
-}
-
-// ColumnValues returns all values of the named column in row order. It
-// returns an error if the column does not exist.
-func (t *Table) ColumnValues(name string) ([]Value, error) {
-	idx := t.schema.ColumnIndex(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("storage: table %s has no column %q", t.name, name)
-	}
-	out := make([]Value, t.rows)
-	for i := 0; i < t.rows; i++ {
-		out[i] = t.cols[idx].value(i)
-	}
-	return out, nil
 }
 
 // SortedIndices returns row indices of the table ordered by the given
@@ -346,12 +318,6 @@ func (t *Table) Reserve(n int) {
 			c.nulls = slices.Grow(c.nulls, n)
 		}
 	}
-}
-
-// Rename returns a shallow copy of the table under a new name; the column
-// data is shared. Useful for self-joins and aliases.
-func (t *Table) Rename(name string) *Table {
-	return &Table{name: name, schema: t.schema, cols: t.cols, rows: t.rows, view: t.view}
 }
 
 // String renders a small human-readable summary (name, schema, row count).

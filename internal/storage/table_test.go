@@ -49,9 +49,6 @@ func TestSchemaLookup(t *testing.T) {
 	if s.ColumnIndex("missing") != -1 {
 		t.Error("missing column should give -1")
 	}
-	if !s.HasColumn("id") || s.HasColumn("nope") {
-		t.Error("HasColumn wrong")
-	}
 	if s.Column(1).Name != "name" {
 		t.Error("Column(1) wrong")
 	}
@@ -71,24 +68,6 @@ func TestSchemaRowWidth(t *testing.T) {
 	empty := MustSchema()
 	if empty.RowWidth() <= 0 {
 		t.Error("empty schema RowWidth must be positive")
-	}
-}
-
-func TestSchemaConcat(t *testing.T) {
-	a := MustSchema(ColumnDef{Name: "x", Type: TypeInt64}, ColumnDef{Name: "y", Type: TypeInt64})
-	b := MustSchema(ColumnDef{Name: "x", Type: TypeInt64}, ColumnDef{Name: "z", Type: TypeInt64})
-	j, err := a.Concat(b, "l", "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumColumns() != 4 {
-		t.Fatalf("concat columns = %d, want 4", j.NumColumns())
-	}
-	if j.ColumnIndex("x") != 0 {
-		t.Error("left x should keep plain name")
-	}
-	if j.ColumnIndex("r.x") != 2 {
-		t.Errorf("right x should be qualified, got schema %s", j)
 	}
 }
 
@@ -156,41 +135,6 @@ func TestMustAppendRowPanics(t *testing.T) {
 	tbl.MustAppendRow(Int64(1))
 }
 
-func TestTableIntAt(t *testing.T) {
-	tbl := NewTable("t", MustSchema(ColumnDef{Name: "v", Type: TypeInt64}))
-	tbl.MustAppendRow(Int64(17))
-	if tbl.IntAt(0, 0) != 17 {
-		t.Error("IntAt wrong")
-	}
-}
-
-func TestTableIntAtPanics(t *testing.T) {
-	tbl := NewTable("t", MustSchema(ColumnDef{Name: "v", Type: TypeInt64}))
-	tbl.MustAppendRow(Null(TypeInt64))
-	defer func() {
-		if recover() == nil {
-			t.Error("IntAt on NULL should panic")
-		}
-	}()
-	tbl.IntAt(0, 0)
-}
-
-func TestColumnValues(t *testing.T) {
-	tbl := NewTable("t", testSchema(t))
-	tbl.MustAppendRow(Int64(3), String64("a"), Float64(0))
-	tbl.MustAppendRow(Int64(1), String64("b"), Float64(0))
-	vals, err := tbl.ColumnValues("id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0].Int() != 3 || vals[1].Int() != 1 {
-		t.Errorf("ColumnValues = %v", vals)
-	}
-	if _, err := tbl.ColumnValues("nope"); err == nil {
-		t.Error("missing column should error")
-	}
-}
-
 func TestSortedIndices(t *testing.T) {
 	tbl := NewTable("t", MustSchema(ColumnDef{Name: "v", Type: TypeInt64}))
 	for _, v := range []int64{5, 1, 4, 1, 3} {
@@ -211,18 +155,6 @@ func TestSortedIndices(t *testing.T) {
 			t.Errorf("not sorted: %v > %v", prev, cur)
 		}
 		prev = cur
-	}
-}
-
-func TestRename(t *testing.T) {
-	tbl := NewTable("orig", MustSchema(ColumnDef{Name: "v", Type: TypeInt64}))
-	tbl.MustAppendRow(Int64(1))
-	alias := tbl.Rename("alias")
-	if alias.Name() != "alias" || alias.NumRows() != 1 || alias.Value(0, 0).Int() != 1 {
-		t.Error("Rename should share data under a new name")
-	}
-	if tbl.Name() != "orig" {
-		t.Error("Rename must not modify the original")
 	}
 }
 

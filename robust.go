@@ -131,10 +131,7 @@ func (s *System) SetLimits(l Limits) {
 		QueueTimeout:  l.QueueTimeout,
 	})
 	if s.dur != nil {
-		s.dur.SetOptions(durable.Options{
-			CheckpointEvery: l.CheckpointEvery,
-			NoFsync:         l.NoFsync,
-		})
+		s.dur.SetOptions(durable.Options{CheckpointEvery: l.CheckpointEvery})
 	}
 	if s.cache != nil {
 		s.cache.SetCapacity(l.PlanCacheSize)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cardest"
 	"repro/internal/executor"
 	"repro/internal/faultinject"
+	"repro/internal/governor"
 )
 
 // The three structured error types are reachable through errors.As from
@@ -251,4 +252,108 @@ func TestTypeMismatchIsAParseError(t *testing.T) {
 	if _, err := declared.Estimate("SELECT COUNT(*) FROM P WHERE P.name < 5", AlgorithmELS); err != nil {
 		t.Errorf("declared statistics: %v", err)
 	}
+}
+
+// sentinelsMatched counts the taxonomy sentinels err matches.
+func sentinelsMatched(err error) int {
+	n := 0
+	for _, row := range governor.Taxonomy() {
+		if errors.Is(err, row.Err) {
+			n++
+		}
+	}
+	return n
+}
+
+// loadFailures are load calls that must fail with ErrBadStats and a message
+// naming what was wrong. A CSV is rejected whether or not histograms are
+// requested.
+var loadFailures = []struct {
+	name string
+	load func(sys *System) error
+	want string
+}{
+	{"LoadCSV missing file", func(sys *System) error {
+		return sys.LoadCSV("T", "no-such-dir/missing.csv", true, 0)
+	}, "missing.csv"},
+	{"LoadCSVReader wrong arity", func(sys *System) error {
+		return sys.LoadCSVReader("T", strings.NewReader("a,b\n1,2\n3\n"), true, 0)
+	}, "line 3"},
+	{"LoadCSVReader bad quote", func(sys *System) error {
+		return sys.LoadCSVReader("T", strings.NewReader("a,b\n1,x\"y\n"), true, 0)
+	}, "line 2"},
+	{"LoadCSVReader empty input", func(sys *System) error {
+		return sys.LoadCSVReader("T", strings.NewReader(""), true, 0)
+	}, "empty input"},
+	{"LoadCSVReader NaN with histograms", func(sys *System) error {
+		return sys.LoadCSVReader("T", strings.NewReader("a\n1.5\nNaN\n"), true, 4)
+	}, "line 3"},
+	{"LoadCSVReader NaN without histograms", func(sys *System) error {
+		return sys.LoadCSVReader("T", strings.NewReader("a\n1.5\nNaN\n"), true, 0)
+	}, "line 3"},
+	{"LoadTable duplicate column", func(sys *System) error {
+		return sys.LoadTable("T", []string{"x", "X"}, [][]int64{{1, 2}})
+	}, "duplicate column"},
+	{"LoadTable empty column name", func(sys *System) error {
+		return sys.LoadTable("T", []string{"x", ""}, [][]int64{{1, 2}})
+	}, "empty name"},
+	{"LoadTableHist duplicate column", func(sys *System) error {
+		return sys.LoadTableHist("T", []string{"x", "x"}, [][]int64{{1, 2}}, 4)
+	}, "duplicate column"},
+	{"GenerateTable negative rows", func(sys *System) error {
+		return sys.GenerateTable("T", "k", "uniform", -1, 10, 0, 1)
+	}, "negative row count"},
+	{"BuildIndex unknown table", func(sys *System) error {
+		return sys.BuildIndex("Nope", "x")
+	}, "Nope"},
+	{"BuildIndex unknown column", func(sys *System) error {
+		if err := sys.LoadTable("T", []string{"x"}, [][]int64{{1}}); err != nil {
+			return err
+		}
+		return sys.BuildIndex("T", "nope")
+	}, "nope"},
+}
+
+// Every load path reports bad input as ErrBadStats and nothing else,
+// keeping the positioned message.
+func TestLoadErrorsAreBadStats(t *testing.T) {
+	for _, tc := range loadFailures {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := New()
+			err := tc.load(sys)
+			if !errors.Is(err, ErrBadStats) || sentinelsMatched(err) != 1 {
+				t.Fatalf("err = %v, want only ErrBadStats", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("message %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzLoadCSV holds System.LoadCSVReader to the typed-error contract on any
+// input: it succeeds, or fails with exactly one taxonomy sentinel other
+// than ErrInternal, and never panics. Whether it fails does not depend on
+// whether histograms are requested.
+func FuzzLoadCSV(f *testing.F) {
+	for _, seed := range []string{
+		"a,b\n1,2\n3,4\n", "a,b\n1,2\n3\n", "a,b\n1,x\"y\n", "", "a\n1.5\nNaN\n",
+		"a,a\n1,2\n", "a,\n1,2\n", "k,v\n1,NULL\n2,\n3,null\n", "x\n-0\n0\n1e308\n-Inf\n",
+		"s,n\n\"quoted, comma\",7\nplain,8\n", "a,b\n1,\"two\nlines\"\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		var errs [2]error
+		for i, buckets := range []int{0, 4} {
+			err := New().LoadCSVReader("T", strings.NewReader(data), true, buckets)
+			if err != nil && (sentinelsMatched(err) != 1 || errors.Is(err, ErrInternal)) {
+				t.Fatalf("histogram buckets %d: err = %v, want one sentinel other than ErrInternal", buckets, err)
+			}
+			errs[i] = err
+		}
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("without histograms err = %v, with histograms err = %v", errs[0], errs[1])
+		}
+	})
 }
