@@ -68,7 +68,7 @@ func (e *Estimator) JoinStep(currentSize float64, joined []string, next string) 
 	if mask&(1<<t) != 0 {
 		return StepResult{}, fmt.Errorf("cardest: table %q already joined", next)
 	}
-	res := StepResult{Table: next, TableCard: e.cards[t]}
+	res := StepResult{Table: next, TableCard: e.eff[t].Card}
 	for i := range e.joins {
 		if jp := &e.joins[i]; jp.links(mask, t) {
 			res.Eligible = append(res.Eligible, e.preds[jp.pred])
@@ -96,15 +96,15 @@ func (jp *joinPred) links(joined uint64, next int) bool {
 	return jp.tables&(1<<next) != 0 && jp.tables&joined != 0
 }
 
-// step is ELS step 6: one selectivity per group of eligible predicates by
-// the configured rule, groups multiplied in id order and a group's
-// predicates combined in predicate-set order. With explain non-nil it also
-// records each group's predicates, selectivities and choice, and the
-// product, there.
+// step is ELS step 6 over the predicates touching next: one selectivity
+// per group of eligible predicates by the configured rule, groups
+// multiplied in id order and a group's predicates combined in predicate-set
+// order. With explain non-nil it also records each group's predicates,
+// selectivities and choice, and the product, there.
 func (e *Estimator) step(currentSize float64, joined uint64, next int, explain *StepResult) (size float64, linked, equality bool) {
 	selectivity := 1.0
 	group, chosen := int32(-1), 0.0
-	for _, i := range e.byGroup {
+	for _, i := range e.touching[next] {
 		jp := &e.joins[i]
 		if !jp.links(joined, next) {
 			continue
@@ -133,7 +133,7 @@ func (e *Estimator) step(currentSize float64, joined uint64, next int, explain *
 	if explain != nil {
 		explain.Selectivity = selectivity
 	}
-	return currentSize * e.cards[next] * selectivity, group >= 0, equality
+	return currentSize * e.eff[next].Card * selectivity, group >= 0, equality
 }
 
 // ruleIdentity is the value a group's selectivity starts from under the

@@ -127,8 +127,8 @@ func referenceChoose(e *Estimator, g GroupChoice) float64 {
 		if p := g.Predicates[0]; p.Op == expr.OpEQ {
 			var ds []float64
 			for _, ref := range e.Classes().Members(p.Left) {
-				if d, err := e.effColCard(ref); err == nil {
-					ds = append(ds, d)
+				if c, err := e.columnOf(ref); err == nil {
+					ds = append(ds, c.card)
 				}
 			}
 			sort.Float64s(ds)
@@ -352,7 +352,7 @@ func TestStepFiveFailureIsAConstructionError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delete(est.eff["c"].ColCard, "x")
+	delete(est.eff[2].ColCard, "x") // table C
 	err = est.computeJoinSelectivities()
 	if err == nil || !strings.Contains(err.Error(), `has no column "x"`) {
 		t.Fatalf("err = %v, want the missing column named", err)

@@ -3,9 +3,6 @@ package cardest
 import (
 	"fmt"
 	"sort"
-	"strings"
-
-	"repro/internal/expr"
 )
 
 // OracleSize computes the join result size for a set of tables directly
@@ -25,25 +22,23 @@ func (e *Estimator) OracleSize(aliases []string) (float64, error) {
 	if len(aliases) == 0 {
 		return 0, fmt.Errorf("cardest: empty table set")
 	}
-	inSet := make(map[string]bool, len(aliases))
+	var inSet uint64
 	size := 1.0
 	for _, a := range aliases {
-		eff, err := e.Effective(a)
-		if err != nil {
-			return 0, err
+		t, ok := e.TableNumber(a)
+		if !ok {
+			return 0, fmt.Errorf("cardest: unknown table alias %q", a)
 		}
-		k := strings.ToLower(a)
-		if inSet[k] {
+		if inSet&(1<<t) != 0 {
 			return 0, fmt.Errorf("cardest: duplicate alias %q", a)
 		}
-		inSet[k] = true
-		size *= eff.Card
+		inSet |= 1 << t
+		size *= e.eff[t].Card
 	}
 	// Reject non-equality join predicates within the set.
-	for _, p := range e.preds {
-		if p.Kind() == expr.KindJoin && p.Op != expr.OpEQ &&
-			inSet[strings.ToLower(p.Left.Table)] && inSet[strings.ToLower(p.Right.Table)] {
-			return 0, fmt.Errorf("cardest: oracle does not cover non-equality join predicate %s", p)
+	for _, jp := range e.joins {
+		if !jp.eq && jp.tables&inSet == jp.tables {
+			return 0, fmt.Errorf("cardest: oracle does not cover non-equality join predicate %s", e.preds[jp.pred])
 		}
 	}
 
@@ -51,19 +46,14 @@ func (e *Estimator) OracleSize(aliases []string) (float64, error) {
 	// per participating table in the set. Multiple same-table members share
 	// their (Section 6 folded) effective cardinality, so taking the minimum
 	// per table is exact.
-	for _, class := range e.classes.All() {
-		perTable := make(map[string]float64)
-		for _, ref := range class {
-			k := strings.ToLower(ref.Table)
-			if !inSet[k] {
-				continue
-			}
-			d, err := e.effColCard(ref)
-			if err != nil {
-				return 0, err
-			}
-			if cur, ok := perTable[k]; !ok || d < cur {
-				perTable[k] = d
+	groups, _ := e.classes.Groups()
+	for _, class := range groups {
+		perTable := make(map[int]float64)
+		for _, id := range class {
+			if c := e.cols[id]; inSet&(1<<c.table) != 0 {
+				if cur, ok := perTable[c.table]; !ok || c.card < cur {
+					perTable[c.table] = c.card
+				}
 			}
 		}
 		if len(perTable) < 2 {

@@ -12,7 +12,7 @@ import (
 // rot: a botched ANALYZE, a corrupted stats import, or a fault-injected
 // failure can leave NaN, negative, or zero statistics behind. Rather than
 // propagate garbage into every downstream estimate (NaN selectivities
-// poison whole plans), the estimator repairs its per-query clone of the
+// poison whole plans), the estimator repairs a per-query copy of the
 // statistics to the paper's own defaults before the preliminary phase runs.
 // The repair is per-query and never mutates the shared catalog.
 const (
@@ -47,51 +47,60 @@ func invalid(v float64) bool {
 	return math.IsNaN(v) || math.IsInf(v, 0) || v < 0
 }
 
-// sanitizeStats repairs one table's cloned statistics in place and returns
-// a human-readable warning per repair. A zero table cardinality is legal
-// (an empty table estimates to zero everywhere); a zero column cardinality
-// on a non-empty table is not (it would zero or explode selectivities) and
-// falls back to the urn default.
-func sanitizeStats(ts *catalog.TableStats) []string {
-	var warns []string
+// sanitizeStats returns the statistics of the table the query calls name,
+// repaired, and appends a human-readable warning per repair to warns.
+// Healthy statistics are returned as they are; the first repair copies
+// them, so the shared catalog is never written. A zero table cardinality is
+// legal (an empty table estimates to zero everywhere); a zero column
+// cardinality on a non-empty table is not (it would zero or explode
+// selectivities) and falls back to the urn default.
+func sanitizeStats(ts *catalog.TableStats, name string, warns *[]string) *catalog.TableStats {
+	out := ts
+	repair := func() *catalog.TableStats {
+		if out == ts {
+			out = ts.Clone()
+		}
+		return out
+	}
 	if invalid(ts.Card) {
-		warns = append(warns, fmt.Sprintf(
-			"table %s: cardinality %g is invalid; using default %d", ts.Name, ts.Card, DefaultTableCard))
-		ts.Card = DefaultTableCard
+		*warns = append(*warns, fmt.Sprintf(
+			"table %s: cardinality %g is invalid; using default %d", name, ts.Card, DefaultTableCard))
+		repair().Card = DefaultTableCard
 	}
 	if ts.RowWidth <= 0 {
-		ts.RowWidth = defaultRowWidth
+		repair().RowWidth = defaultRowWidth
 	}
-	for _, cs := range ts.Columns {
+	card := out.Card
+	for k, cs := range ts.Columns {
 		d := cs.Distinct
 		switch {
-		case invalid(d) || (d == 0 && ts.Card > 0):
-			fallback := defaultDistinct(ts.Card)
-			warns = append(warns, fmt.Sprintf(
+		case invalid(d) || (d == 0 && card > 0):
+			fallback := defaultDistinct(card)
+			*warns = append(*warns, fmt.Sprintf(
 				"table %s column %s: column cardinality %g is invalid; using urn default %g (Selinger 1/%g equality selectivity)",
-				ts.Name, cs.Name, d, fallback, 1/DefaultEqSelectivity))
-			cs.Distinct = fallback
-		case d > ts.Card && ts.Card > 0:
-			warns = append(warns, fmt.Sprintf(
+				name, cs.Name, d, fallback, 1/DefaultEqSelectivity))
+			repair().Columns[k].Distinct = fallback
+		case d > card && card > 0:
+			*warns = append(*warns, fmt.Sprintf(
 				"table %s column %s: column cardinality %g exceeds table cardinality %g; clamping",
-				ts.Name, cs.Name, d, ts.Card))
-			cs.Distinct = ts.Card
+				name, cs.Name, d, card))
+			repair().Columns[k].Distinct = card
 		}
 		if invalid(cs.NullCount) {
-			cs.NullCount = 0
+			repair().Columns[k].NullCount = 0
 		}
 		if cs.HasRange && (math.IsNaN(cs.Min) || math.IsNaN(cs.Max) || cs.Min > cs.Max) {
 			// An unusable range disables range statistics rather than feeding
 			// NaN interpolation into local-predicate selectivities. Empty
 			// tables degrade silently: their [0, −1] range is a benign
 			// artifact of declaring zero distinct values.
-			if ts.Card > 0 {
-				warns = append(warns, fmt.Sprintf(
+			if card > 0 {
+				*warns = append(*warns, fmt.Sprintf(
 					"table %s column %s: min/max range [%g, %g] is invalid; dropping range statistics",
-					ts.Name, cs.Name, cs.Min, cs.Max))
+					name, cs.Name, cs.Min, cs.Max))
 			}
-			cs.HasRange = false
+			repair().Columns[k].HasRange = false
 		}
 	}
-	return warns
+	return out
 }

@@ -14,7 +14,8 @@
 // equality predicates and then (i) emitting the equality between every
 // pair of j-equivalent columns and (ii) replicating every column-constant
 // comparison onto every column j-equivalent to its subject. Computing the
-// closure this way reaches the fixpoint in one pass.
+// closure this way reaches the fixpoint in one pass. Both steps work on the
+// classes' column ids, never on rendered strings.
 package closure
 
 import (
@@ -28,6 +29,8 @@ type Result struct {
 	// predicates (deduplicated, in first-occurrence order) followed by the
 	// implied ones.
 	Predicates []expr.Predicate
+	// Operands are each predicate's column ids, aligned with Predicates.
+	Operands []eqclass.Operands
 	// Implied holds only the newly derived predicates, in deterministic
 	// order.
 	Implied []expr.Predicate
@@ -35,34 +38,62 @@ type Result struct {
 	Classes *eqclass.Classes
 }
 
+// predKey identifies a predicate up to operand order and case: (column,
+// op, column) oriented by column key, or (column, op, constant key).
+type predKey struct {
+	left, right int32
+	op          expr.CompareOp
+	value       string
+}
+
 // Compute performs duplicate elimination (ELS step 1) and transitive
 // closure (ELS step 2) over the given conjunction.
-func Compute(preds []expr.Predicate) Result {
-	orig := expr.Dedup(preds)
-	classes := eqclass.FromPredicates(orig)
+func Compute(preds []expr.Predicate) Result { return run(preds, true) }
 
-	seen := make(map[string]struct{}, len(orig)*2)
-	for _, p := range orig {
-		seen[p.CanonicalKey()] = struct{}{}
+// Dedup performs duplicate elimination (ELS step 1) alone.
+func Dedup(preds []expr.Predicate) Result { return run(preds, false) }
+
+func run(preds []expr.Predicate, close bool) Result {
+	// A duplicate names the columns of an earlier predicate, so numbering
+	// every predicate's columns numbers the survivors' the same way.
+	classes, operands := eqclass.Build(preds)
+	res := Result{
+		Predicates: make([]expr.Predicate, 0, len(preds)),
+		Operands:   make([]eqclass.Operands, 0, len(preds)),
+		Classes:    classes,
 	}
-
-	var implied []expr.Predicate
-	emit := func(p expr.Predicate) {
-		k := p.CanonicalKey()
-		if _, dup := seen[k]; dup {
-			return
+	seen := make(map[predKey]struct{}, len(preds))
+	emit := func(p expr.Predicate, ops eqclass.Operands, k predKey) {
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
+			res.Predicates = append(res.Predicates, p)
+			res.Operands = append(res.Operands, ops)
 		}
-		seen[k] = struct{}{}
-		implied = append(implied, p)
 	}
+	for i, p := range preds {
+		ops := operands[i]
+		k := predKey{ops.Left, ops.Right, p.Op, ""}
+		if !p.RightIsColumn {
+			k.value = p.Const.Key()
+		} else if classes.Key(ops.Right) < classes.Key(ops.Left) {
+			k = predKey{ops.Right, ops.Left, p.Op.Flip(), ""}
+		}
+		emit(p, ops, k)
+	}
+	n := len(res.Predicates)
+	if !close {
+		return res
+	}
+	groups, of := classes.Groups()
 
-	// (i) Equalities between every pair of j-equivalent columns.
-	// Covers rules a, b, c and d: whatever mix of join and local equalities
-	// connected two columns, the pairwise equality is implied.
-	for _, class := range classes.All() {
-		for i := 0; i < len(class); i++ {
-			for j := i + 1; j < len(class); j++ {
-				emit(expr.NewJoin(class[i], expr.OpEQ, class[j]).Normalize())
+	// (i) Equalities between every pair of j-equivalent columns, oriented
+	// already: members are sorted by key. Covers rules a, b, c and d:
+	// whatever mix of join and local equalities connected two columns, the
+	// pairwise equality is implied.
+	for _, g := range groups {
+		for i, a := range g {
+			for _, b := range g[i+1:] {
+				emit(expr.NewJoin(classes.Ref(a), expr.OpEQ, classes.Ref(b)), eqclass.Operands{Left: a, Right: b}, predKey{a, b, expr.OpEQ, ""})
 			}
 		}
 	}
@@ -70,32 +101,19 @@ func Compute(preds []expr.Predicate) Result {
 	// (ii) Rule e: propagate each column-constant comparison to every
 	// j-equivalent column. Applies to any comparison operator as long as
 	// the columns are linked by equality.
-	for _, p := range orig {
-		if p.Kind() != expr.KindLocalConst {
-			continue
-		}
-		for _, m := range classes.Members(p.Left) {
-			if m.SameAs(p.Left) {
-				continue
+	for i, p := range res.Predicates[:n] {
+		l := res.Operands[i].Left
+		if g := groups[of[l]]; !p.RightIsColumn && len(g) > 1 {
+			value := p.Const.Key()
+			for _, m := range g {
+				if m != l {
+					emit(expr.NewConst(classes.Ref(m), p.Op, p.Const), eqclass.Operands{Left: m, Right: -1}, predKey{m, -1, p.Op, value})
+				}
 			}
-			emit(expr.NewConst(m, p.Op, p.Const))
 		}
 	}
-
-	out := make([]expr.Predicate, 0, len(orig)+len(implied))
-	out = append(out, orig...)
-	out = append(out, implied...)
-	return Result{Predicates: out, Implied: implied, Classes: classes}
-}
-
-// LocalPredicatesOf returns the local predicates (constant and same-table
-// column comparisons) on the named table.
-func LocalPredicatesOf(preds []expr.Predicate, table string) []expr.Predicate {
-	var out []expr.Predicate
-	for _, p := range preds {
-		if p.Kind() != expr.KindJoin && p.References(table) {
-			out = append(out, p)
-		}
+	if m := len(res.Predicates); m > n {
+		res.Implied = res.Predicates[n:m:m]
 	}
-	return out
+	return res
 }

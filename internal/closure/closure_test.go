@@ -185,20 +185,6 @@ func TestIdempotence(t *testing.T) {
 	}
 }
 
-func TestLocalPredicatesOf(t *testing.T) {
-	preds := []expr.Predicate{
-		expr.NewConst(ref("R1", "x"), expr.OpLT, storage.Int64(5)),
-		expr.NewJoin(ref("R1", "x"), expr.OpEQ, ref("R2", "y")),
-		expr.NewJoin(ref("R2", "y"), expr.OpEQ, ref("R2", "w")),
-	}
-	if got := LocalPredicatesOf(preds, "R1"); len(got) != 1 || got[0].Kind() != expr.KindLocalConst {
-		t.Errorf("R1 locals = %v", got)
-	}
-	if got := LocalPredicatesOf(preds, "R2"); len(got) != 1 || got[0].Kind() != expr.KindLocalColCol {
-		t.Errorf("R2 locals = %v", got)
-	}
-}
-
 // Property: the closed set is sound — every implied equality's endpoints
 // were already connected by a path of input equalities (checked via a
 // reference BFS), and closure of the closure adds nothing.

@@ -75,12 +75,17 @@ func (m *Model) NestedLoopCost(outerCost, outerRows, innerRescan float64) float6
 }
 
 // SortMergeCost is the cost of sorting both inputs and merging them:
-// cost(outer) + cost(inner) + sort costs + merge CPU over both inputs.
-func (m *Model) SortMergeCost(outerCost, innerCost, outerRows, innerRows float64, outerWidth, innerWidth int) float64 {
-	sortO := m.SortCost(outerRows, outerWidth) - m.ScanCost(outerRows, outerWidth)
-	sortI := m.SortCost(innerRows, innerWidth) - m.ScanCost(innerRows, innerWidth)
+// cost(outer) + cost(inner) + sort costs + merge CPU over both inputs. The
+// sort costs are the inputs' SortTerms, which a search computes once per
+// input rather than once per pair.
+func (m *Model) SortMergeCost(outerCost, innerCost, outerRows, innerRows, outerSort, innerSort float64) float64 {
 	merge := (math.Max(0, outerRows) + math.Max(0, innerRows)) * m.CPUCompareCost
-	return outerCost + innerCost + math.Max(0, sortO) + math.Max(0, sortI) + merge
+	return outerCost + innerCost + outerSort + innerSort + merge
+}
+
+// SortTerm is what sorting an input of the given size adds to SortMergeCost.
+func (m *Model) SortTerm(rows float64, width int) float64 {
+	return math.Max(0, m.SortCost(rows, width)-m.ScanCost(rows, width))
 }
 
 // HashJoinCost is the cost of building a hash table on the inner input and

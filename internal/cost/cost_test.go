@@ -64,14 +64,19 @@ func TestNestedLoopCost(t *testing.T) {
 	}
 }
 
+// sortMerge is SortMergeCost of inputs with the given rows and widths.
+func sortMerge(m *Model, outerCost, innerCost, outerRows, innerRows float64, outerWidth, innerWidth int) float64 {
+	return m.SortMergeCost(outerCost, innerCost, outerRows, innerRows, m.SortTerm(outerRows, outerWidth), m.SortTerm(innerRows, innerWidth))
+}
+
 func TestSortMergeCost(t *testing.T) {
 	m := DefaultModel()
-	c := m.SortMergeCost(100, 200, 1000, 2000, 8, 8)
+	c := sortMerge(m, 100, 200, 1000, 2000, 8, 8)
 	if c <= 300 {
 		t.Error("sort-merge must add sort and merge cost on top of inputs")
 	}
 	// Tiny inputs: no negative sort terms.
-	if m.SortMergeCost(1, 1, 0, 0, 8, 8) < 2 {
+	if sortMerge(m, 1, 1, 0, 0, 8, 8) < 2 {
 		t.Error("degenerate sort-merge cost wrong")
 	}
 }
@@ -95,12 +100,12 @@ func TestMisestimationFlipsPlanChoice(t *testing.T) {
 	innerCost := innerRescan
 
 	nlBelieved := m.NestedLoopCost(outerCost, 4e-8, innerRescan)
-	smBelieved := m.SortMergeCost(outerCost, innerCost, 4e-8, 100000, 16, 16)
+	smBelieved := sortMerge(m, outerCost, innerCost, 4e-8, 100000, 16, 16)
 	if nlBelieved >= smBelieved {
 		t.Errorf("with a tiny estimate NL (%g) should beat SM (%g)", nlBelieved, smBelieved)
 	}
 	nlTrue := m.NestedLoopCost(outerCost, 100, innerRescan)
-	smTrue := m.SortMergeCost(outerCost, innerCost, 100, 100000, 16, 16)
+	smTrue := sortMerge(m, outerCost, innerCost, 100, 100000, 16, 16)
 	if nlTrue <= smTrue {
 		t.Errorf("with the true estimate SM (%g) should beat NL (%g)", smTrue, nlTrue)
 	}
@@ -116,7 +121,7 @@ func TestCostsNonNegativeProperty(t *testing.T) {
 			m.SortCost(rows, width) >= 0 &&
 			m.Pages(rows, width) >= 0 &&
 			m.NestedLoopCost(1, rows, 10) >= 0 &&
-			m.SortMergeCost(1, 1, rows, rows, width, width) >= 0 &&
+			sortMerge(m, 1, 1, rows, rows, width, width) >= 0 &&
 			m.HashJoinCost(1, 1, rows, rows) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

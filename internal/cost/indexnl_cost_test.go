@@ -31,7 +31,7 @@ func TestIndexProbeBeatsRescanForSelectiveJoins(t *testing.T) {
 	innerScan := m.ScanCost(1_000_000, 16)
 	idx := m.IndexNLCost(outerCost, 100, 1_000_000, 3)
 	nl := m.NestedLoopCost(outerCost, 100, innerScan)
-	sm := m.SortMergeCost(outerCost, innerScan, 100, 1_000_000, 16, 16)
+	sm := sortMerge(m, outerCost, innerScan, 100, 1_000_000, 16, 16)
 	if idx >= nl {
 		t.Errorf("index (%g) should beat rescan NL (%g)", idx, nl)
 	}
@@ -41,7 +41,7 @@ func TestIndexProbeBeatsRescanForSelectiveJoins(t *testing.T) {
 	// But for an unselective join producing huge outputs over a small
 	// inner, sort-merge wins.
 	idx2 := m.IndexNLCost(outerCost, 100000, 500, 50)
-	sm2 := m.SortMergeCost(m.ScanCost(100000, 16), m.ScanCost(500, 16), 100000, 500, 16, 16)
+	sm2 := sortMerge(m, m.ScanCost(100000, 16), m.ScanCost(500, 16), 100000, 500, 16, 16)
 	if sm2 >= idx2 {
 		t.Errorf("sort-merge (%g) should beat index probing (%g) when probes dominate", sm2, idx2)
 	}

@@ -135,7 +135,7 @@ func RunWorkedExamples() ([]WorkedExample, error) {
 
 	// --- Section 6: single-table j-equivalent columns.
 	ts := catalog.SimpleTable("R2", 1000, map[string]float64{"y": 10, "w": 50})
-	eff, err := selest.EffectiveTable(ts, []expr.Predicate{
+	eff, err := selest.EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewJoin(expr.ColumnRef{Table: "R2", Column: "y"}, expr.OpEQ, expr.ColumnRef{Table: "R2", Column: "w"}),
 	}, nil)
 	if err != nil {

@@ -7,7 +7,6 @@
 package expr
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/storage"
@@ -222,9 +221,9 @@ func (p Predicate) CanonicalKey() string {
 // String renders the predicate as SQL.
 func (p Predicate) String() string {
 	if p.RightIsColumn {
-		return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Right)
+		return p.Left.Table + "." + p.Left.Column + " " + p.Op.String() + " " + p.Right.Table + "." + p.Right.Column
 	}
-	return fmt.Sprintf("%s %s %s", p.Left, p.Op, constString(p.Const))
+	return p.Left.Table + "." + p.Left.Column + " " + p.Op.String() + " " + constString(p.Const)
 }
 
 func constString(v storage.Value) string {

@@ -12,9 +12,9 @@ import (
 
 	"repro/internal/cardest"
 	"repro/internal/catalog"
-	"repro/internal/closure"
 	"repro/internal/expr"
 	"repro/internal/governor"
+	"repro/internal/storage"
 )
 
 // ReferenceBestPlan exposes referenceBestPlan to the external differential
@@ -106,7 +106,6 @@ func (o *Optimizer) referenceScan(alias string) (*Scan, error) {
 	s := &Scan{
 		Alias:    alias,
 		Table:    alias,
-		Filter:   closure.LocalPredicatesOf(o.est.Predicates(), alias),
 		FilterOr: expr.DisjunctionsOf(o.est.Disjunctions(), alias),
 		Rows:     eff.Card,
 		BaseRows: base.Card,
@@ -115,6 +114,11 @@ func (o *Optimizer) referenceScan(alias string) (*Scan, error) {
 	for _, tr := range o.est.Tables() {
 		if strings.EqualFold(tr.Name(), alias) {
 			s.Table = tr.Table
+		}
+	}
+	for _, p := range o.est.Predicates() {
+		if p.Kind() != expr.KindJoin && p.References(alias) {
+			s.Filter = append(s.Filter, p)
 		}
 	}
 	s.ScanCost = o.model.ScanCost(s.BaseRows, s.RowWidth)
@@ -142,7 +146,7 @@ func (o *Optimizer) referenceCandidates(left Plan, next *Scan, step cardest.Step
 				continue
 			}
 			c = o.model.SortMergeCost(left.Cost(), next.ScanCost, left.EstRows(), next.EstRows(),
-				left.Width(), next.Width())
+				o.model.SortTerm(left.EstRows(), left.Width()), o.model.SortTerm(next.EstRows(), next.Width()))
 		case HashJoin:
 			if !hasEquality {
 				continue
@@ -200,12 +204,12 @@ func (o *Optimizer) referenceIndexColumn(next *Scan, eligible []expr.Predicate) 
 	return "", false
 }
 
-// shapeEstimator builds an ELS estimator (closure on) over n tables joined
-// as a chain (Tᵢ₋₁.b = Tᵢ.a) or a star (T₀.cᵢ = Tᵢ.a). Every edge has its
-// own columns, so closure implies nothing and the join graph keeps its
-// shape: a chain of n tables has n(n+1)/2 connected subsets.
-func shapeEstimator(tb testing.TB, shape string, n int) *cardest.Estimator {
-	tb.Helper()
+// shapeQuery builds a query over n tables joined as a chain (Tᵢ₋₁.b =
+// Tᵢ.a), a star (T₀.cᵢ = Tᵢ.a) or one class (Tᵢ₋₁.a = Tᵢ.a, with T₀.a < 50).
+// In a chain or a star every edge has its own columns, so closure implies
+// nothing and the join graph keeps its shape: a chain of n tables has
+// n(n+1)/2 connected subsets.
+func shapeQuery(shape string, n int) (*catalog.Catalog, []cardest.TableRef, []expr.Predicate) {
 	cat := catalog.New()
 	var tabs []cardest.TableRef
 	var preds []expr.Predicate
@@ -222,13 +226,24 @@ func shapeEstimator(tb testing.TB, shape string, n int) *cardest.Estimator {
 		cat.MustAddTable(catalog.SimpleTable(name, float64(1000*(i+1)), cols))
 		tabs = append(tabs, cardest.TableRef{Table: name})
 		switch {
+		case i == 0 && shape == "class":
+			preds = append(preds, expr.NewConst(ref("T0", "a"), expr.OpLT, storage.Int64(50)))
 		case i == 0:
 		case shape == "star":
 			preds = append(preds, expr.NewJoin(ref("T0", fmt.Sprintf("c%d", i)), expr.OpEQ, ref(name, "a")))
+		case shape == "class":
+			preds = append(preds, expr.NewJoin(ref(fmt.Sprintf("T%d", i-1), "a"), expr.OpEQ, ref(name, "a")))
 		default:
 			preds = append(preds, expr.NewJoin(ref(fmt.Sprintf("T%d", i-1), "b"), expr.OpEQ, ref(name, "a")))
 		}
 	}
+	return cat, tabs, preds
+}
+
+// shapeEstimator builds an ELS estimator (closure on) over shapeQuery.
+func shapeEstimator(tb testing.TB, shape string, n int) *cardest.Estimator {
+	tb.Helper()
+	cat, tabs, preds := shapeQuery(shape, n)
 	est, err := cardest.New(cat, tabs, preds, cardest.ELS())
 	if err != nil {
 		tb.Fatal(err)
@@ -280,6 +295,34 @@ func TestBestPlanAllocationCeiling(t *testing.T) {
 		})
 		if allocs > 400 {
 			t.Errorf("%s n=8: %v allocations per BestPlan, want at most 400", shape, allocs)
+		}
+	}
+}
+
+// ELS steps 1–5 run on column numbers: each column's key is built once,
+// and closure, the classes and step 5 index columns by id, so construction
+// allocates per table and per predicate, not per comparison of two keys.
+func TestNewQueryAllocationCeiling(t *testing.T) {
+	for _, c := range []struct {
+		shape          string
+		preds, ceiling int
+	}{
+		{"chain", 7, 225},
+		{"class", 36, 440},
+	} {
+		cat, tabs, preds := shapeQuery(c.shape, 8)
+		var est *cardest.Estimator
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if est, err = cardest.NewQuery(cat, tabs, preds, nil, cardest.ELS()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := len(est.Predicates()); got != c.preds {
+			t.Errorf("%s n=8: %d predicates after closure, want %d", c.shape, got, c.preds)
+		}
+		if allocs > float64(c.ceiling) {
+			t.Errorf("%s n=8: %v allocations per NewQuery, want at most %d", c.shape, allocs, c.ceiling)
 		}
 	}
 }

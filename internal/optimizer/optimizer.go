@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cardest"
 	"repro/internal/catalog"
-	"repro/internal/closure"
 	"repro/internal/cost"
 	"repro/internal/expr"
 	"repro/internal/governor"
@@ -57,6 +56,8 @@ type Optimizer struct {
 type table struct {
 	// scan is the table's leaf plan; every plan gets its own copy.
 	scan Scan
+	// sort is the scan's cost.SortTerm, for sort-merge as the inner.
+	sort float64
 	// base holds the raw (unreduced) statistics.
 	base *catalog.TableStats
 	// probes are the ways an IndexNL join can reach the table as the inner,
@@ -91,21 +92,14 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 	if len(refs) > maxTables {
 		return nil, fmt.Errorf("optimizer: %d tables exceed the DP limit of %d", len(refs), maxTables)
 	}
-	for _, tr := range refs {
+	for t, tr := range refs {
 		alias := tr.Name()
-		eff, err := est.Effective(alias)
-		if err != nil {
-			return nil, err
-		}
-		base, err := est.BaseStats(alias)
-		if err != nil {
-			return nil, err
-		}
+		eff, base, locals := est.Table(t)
 		o.aliases = append(o.aliases, alias)
-		o.tables = append(o.tables, table{base: base, scan: Scan{
+		o.tables = append(o.tables, table{base: base, sort: model.SortTerm(eff.Card, base.RowWidth), scan: Scan{
 			Alias:    alias,
 			Table:    tr.Table,
-			Filter:   closure.LocalPredicatesOf(est.Predicates(), alias),
+			Filter:   locals,
 			FilterOr: expr.DisjunctionsOf(est.Disjunctions(), alias),
 			Rows:     eff.Card,
 			BaseRows: base.Card,
@@ -180,11 +174,12 @@ type joinChoice struct {
 }
 
 // cheapestMethod costs every applicable method for joining table number t,
-// as the inner, to an outer input of the given cost, estimated rows and row
-// width over the tables of mask; equality says an equality predicate links
-// the two. Among equally cheap methods the first in repertoire order wins.
-// Each call charges one unit of the plan-enumeration budget.
-func (o *Optimizer) cheapestMethod(outerCost, outerRows float64, outerWidth int, mask uint32, t int, equality bool) (joinChoice, error) {
+// as the inner, to an outer input of the given cost, estimated rows and
+// cost.SortTerm over the tables of mask; equality says an equality
+// predicate links the two. Among equally cheap methods the first in
+// repertoire order wins. Each call charges one unit of the plan-enumeration
+// budget.
+func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, mask uint32, t int, equality bool) (joinChoice, error) {
 	if err := o.gov.TickPlans(1); err != nil {
 		return joinChoice{}, err
 	}
@@ -203,8 +198,7 @@ func (o *Optimizer) cheapestMethod(outerCost, outerRows float64, outerWidth int,
 			if !equality {
 				continue
 			}
-			c.cost = o.model.SortMergeCost(outerCost, inner.scan.ScanCost, outerRows, inner.scan.Rows,
-				outerWidth, inner.scan.RowWidth)
+			c.cost = o.model.SortMergeCost(outerCost, inner.scan.ScanCost, outerRows, inner.scan.Rows, outerSort, inner.sort)
 		case HashJoin:
 			if !equality {
 				continue
@@ -274,7 +268,9 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 
 	// Only subsets some plan has reached are visited, so the search does
 	// work in proportion to the plans it builds, not to 2ⁿ.
-	best := make(map[uint32]subplan, n)
+	// The table is sized once for every subset of up to ten tables; larger
+	// queries reach far fewer than 2ⁿ (a chain reaches n(n+1)/2).
+	best := make(map[uint32]subplan, 1<<min(n, 10))
 	level := make([]uint32, n)
 	for t := range o.tables {
 		s := &o.tables[t].scan
@@ -290,6 +286,7 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 				return nil, err
 			}
 			left := best[mask]
+			outerSort := o.model.SortTerm(left.rows, left.width)
 			// Prefer connected extensions; fall back to cartesian products
 			// only if no table connects to this subset. Every subset below the
 			// full one therefore extends, and the full set is always reached.
@@ -315,7 +312,7 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 			}
 			for ; ext != 0; ext &= ext - 1 {
 				t := bits.TrailingZeros32(ext)
-				c, err := o.cheapestMethod(left.cost, left.rows, left.width, mask, t, equality&(1<<t) != 0)
+				c, err := o.cheapestMethod(left.cost, left.rows, outerSort, mask, t, equality&(1<<t) != 0)
 				if err != nil {
 					return nil, err
 				}
@@ -379,7 +376,7 @@ func (o *Optimizer) PlanForOrder(order []string) (Plan, error) {
 			return nil, err
 		}
 		equality := slices.ContainsFunc(step.Eligible, expr.Predicate.IsEquality)
-		c, err := o.cheapestMethod(plan.Cost(), plan.EstRows(), plan.Width(), mask, t, equality)
+		c, err := o.cheapestMethod(plan.Cost(), plan.EstRows(), o.model.SortTerm(plan.EstRows(), plan.Width()), mask, t, equality)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,7 @@
 package optimizer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cardest"
@@ -99,22 +99,21 @@ func (s *Scan) Cost() float64 { return s.ScanCost }
 func (s *Scan) Width() int { return s.RowWidth }
 
 // String implements Plan.
-func (s *Scan) String() string {
-	name := s.Alias
+func (s *Scan) String() string { return string(s.appendTo(nil)) }
+
+func (s *Scan) appendTo(b []byte) []byte {
+	b = append(b, "Scan("...)
 	if !strings.EqualFold(s.Alias, s.Table) {
-		name = s.Table + " AS " + s.Alias
+		b = append(append(b, s.Table...), " AS "...)
 	}
-	var filters []string
-	if c := expr.FormatConjunction(s.Filter); c != "" {
-		filters = append(filters, c)
+	b, sep := append(b, s.Alias...), " | "
+	for _, p := range s.Filter {
+		b, sep = append(append(b, sep...), p.String()...), " AND "
 	}
 	for _, d := range s.FilterOr {
-		filters = append(filters, d.String())
+		b, sep = append(append(b, sep...), d.String()...), " AND "
 	}
-	if len(filters) > 0 {
-		return fmt.Sprintf("Scan(%s | %s) rows=%s cost=%.1f", name, strings.Join(filters, " AND "), fmtRows(s.Rows), s.ScanCost)
-	}
-	return fmt.Sprintf("Scan(%s) rows=%s cost=%.1f", name, fmtRows(s.Rows), s.ScanCost)
+	return appendCosts(append(b, ')'), s.Rows, s.ScanCost)
 }
 
 // Join is an inner plan node joining Left (outer) with Right (inner).
@@ -157,33 +156,46 @@ func (j *Join) Cost() float64 { return j.PlanCost }
 func (j *Join) Width() int { return j.Left.Width() + j.Right.Width() }
 
 // String implements Plan.
-func (j *Join) String() string {
-	return fmt.Sprintf("%s(%s ⋈ %s) rows=%s cost=%.1f",
-		j.Method, strings.Join(j.Left.Tables(), ","), strings.Join(j.Right.Tables(), ","),
-		fmtRows(j.Rows), j.PlanCost)
+func (j *Join) String() string { return string(j.appendTo(nil)) }
+
+func (j *Join) appendTo(b []byte) []byte {
+	b = append(append(append(b, j.Method.String()...), '('), strings.Join(j.Left.Tables(), ",")...)
+	b = append(append(b, " ⋈ "...), strings.Join(j.Right.Tables(), ",")...)
+	return appendCosts(append(b, ')'), j.Rows, j.PlanCost)
 }
 
-func fmtRows(r float64) string {
+// appendCosts appends a node's " rows=… cost=…" suffix.
+func appendCosts(b []byte, rows, cost float64) []byte {
+	b = appendRows(append(b, " rows="...), rows)
+	return strconv.AppendFloat(append(b, " cost="...), cost, 'f', 1, 64)
+}
+
+func fmtRows(r float64) string { return string(appendRows(nil, r)) }
+
+// appendRows renders a row count: an integer exactly, anything else to
+// three significant digits.
+func appendRows(b []byte, r float64) []byte {
 	if r == float64(int64(r)) && r < 1e15 && r >= 0 {
-		return fmt.Sprintf("%d", int64(r))
+		return strconv.AppendInt(b, int64(r), 10)
 	}
-	return fmt.Sprintf("%.3g", r)
+	return strconv.AppendFloat(b, r, 'g', 3, 64)
 }
 
 // Format renders the plan tree with indentation, for EXPLAIN output.
-func Format(p Plan) string {
-	var b strings.Builder
-	formatInto(&b, p, 0)
-	return b.String()
-}
+func Format(p Plan) string { return string(appendPlan(make([]byte, 0, 1024), p, 0)) }
 
-func formatInto(b *strings.Builder, p Plan, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(p.String())
-	b.WriteByte('\n')
-	if j, ok := p.(*Join); ok {
-		formatInto(b, j.Left, depth+1)
-		formatInto(b, j.Right, depth+1)
+func appendPlan(b []byte, p Plan, depth int) []byte {
+	for range depth {
+		b = append(b, "  "...)
+	}
+	switch n := p.(type) {
+	case *Scan:
+		return append(n.appendTo(b), '\n')
+	case *Join:
+		b = append(n.appendTo(b), '\n')
+		return appendPlan(appendPlan(b, n.Left, depth+1), n.Right, depth+1)
+	default:
+		return append(append(b, p.String()...), '\n')
 	}
 }
 

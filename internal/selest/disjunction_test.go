@@ -97,7 +97,7 @@ func TestEffectiveTableWithDisjunction(t *testing.T) {
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(1)),
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(2)),
 	)
-	eff, err := EffectiveTable(ts, nil, []expr.Disjunction{d})
+	eff, err := EffectiveTable(ts, ts.Name, nil, []expr.Disjunction{d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEffectiveTableWithDisjunction(t *testing.T) {
 	}
 	// Disjunction on a foreign table errors.
 	foreign := mustDisj(t, expr.NewConst(ref("Q", "x"), expr.OpEQ, storage.Int64(1)))
-	if _, err := EffectiveTable(ts, nil, []expr.Disjunction{foreign}); err == nil {
+	if _, err := EffectiveTable(ts, ts.Name, nil, []expr.Disjunction{foreign}); err == nil {
 		t.Error("foreign disjunction should error")
 	}
 }

@@ -3,10 +3,12 @@ package selest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/eqclass"
 	"repro/internal/expr"
 )
 
@@ -28,10 +30,6 @@ type EffectiveStats struct {
 	// ColCard maps lower-cased column names to effective column
 	// cardinalities d′.
 	ColCard map[string]float64
-	// ColSel maps lower-cased column names to the combined selectivity of
-	// the constant predicates on that column (only predicated columns
-	// appear).
-	ColSel map[string]float64
 	// JEquivGroups lists the same-table j-equivalent join column groups
 	// that were folded via the Section 6 formulas (each sorted, lower-cased).
 	JEquivGroups [][]string
@@ -51,25 +49,40 @@ func (e *EffectiveStats) ColumnCard(name string) (float64, error) {
 // the paper does not model.
 const defaultColColSelectivity = 1.0 / 3.0
 
-// EffectiveTable folds the table's local predicates into its statistics.
-// locals must all reference the table named by ts.Name: constant predicates
-// (handled per Section 5 with the [16] multi-predicate resolution),
-// same-table column equality predicates (handled per Section 6), and
-// same-table non-equality column comparisons (classic 1/3 heuristic).
+// EffectiveTable folds the local predicates of the table the query calls
+// name into its statistics ts. locals must all reference that name:
+// constant predicates (handled per Section 5 with the [16] multi-predicate
+// resolution), same-table column equality predicates (handled per Section
+// 6), and same-table non-equality column comparisons (classic 1/3
+// heuristic).
 // disjs are OR-groups over this table (a beyond-paper extension); each
 // reduces the cardinality by its DisjunctionSelectivity and urn-reduces
 // every column, pinning none.
-func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []expr.Disjunction) (*EffectiveStats, error) {
+func EffectiveTable(ts *catalog.TableStats, name string, locals []expr.Predicate, disjs []expr.Disjunction) (*EffectiveStats, error) {
+	return fold(ts, name, locals, disjs, true)
+}
+
+// StandardTable models "the standard algorithm most commonly in use in
+// current relational systems" (Section 8): local predicates reduce the
+// table cardinality, but join selectivities are computed independent of
+// their effect, so column cardinalities stay raw. A same-table column
+// comparison is no special case (Section 3.2: "current query optimizers do
+// not treat this as a special case"): it divides the cardinality by the
+// larger column cardinality, or by 3.
+func StandardTable(ts *catalog.TableStats, name string, locals []expr.Predicate, disjs []expr.Disjunction) (*EffectiveStats, error) {
+	return fold(ts, name, locals, disjs, false)
+}
+
+func fold(ts *catalog.TableStats, name string, locals []expr.Predicate, disjs []expr.Disjunction, effective bool) (*EffectiveStats, error) {
 	if ts == nil {
 		return nil, fmt.Errorf("selest: nil table stats")
 	}
 	eff := &EffectiveStats{
-		Table:            ts.Name,
+		Table:            name,
 		OrigCard:         ts.Card,
 		Card:             ts.Card,
 		LocalSelectivity: 1,
 		ColCard:          make(map[string]float64, len(ts.Columns)),
-		ColSel:           make(map[string]float64),
 	}
 	for k, cs := range ts.Columns {
 		eff.ColCard[k] = cs.Distinct
@@ -77,40 +90,56 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 
 	var consts, colEq, colOther []expr.Predicate
 	for _, p := range locals {
-		if !p.References(ts.Name) {
-			return nil, fmt.Errorf("selest: predicate %s does not reference table %s", p, ts.Name)
+		if !p.References(name) {
+			return nil, fmt.Errorf("selest: predicate %s does not reference table %s", p, name)
 		}
-		switch p.Kind() {
-		case expr.KindLocalConst:
+		switch kind := p.Kind(); {
+		case kind == expr.KindLocalConst:
 			consts = append(consts, p)
-		case expr.KindLocalColCol:
-			if p.Op == expr.OpEQ {
-				colEq = append(colEq, p)
-			} else {
-				colOther = append(colOther, p)
+		case kind != expr.KindLocalColCol:
+			return nil, fmt.Errorf("selest: %s is a join predicate, not a local predicate of %s", p, name)
+		case !effective:
+			l, r := ts.Column(p.Left.Column), ts.Column(p.Right.Column)
+			if l == nil || r == nil {
+				return nil, fmt.Errorf("selest: table %s missing column in %s", name, p)
 			}
+			d := l.Distinct
+			if r.Distinct > d {
+				d = r.Distinct
+			}
+			if p.Op != expr.OpEQ {
+				eff.Card /= 3
+			} else if d > 0 {
+				eff.Card /= d
+			}
+		case p.Op == expr.OpEQ:
+			colEq = append(colEq, p)
 		default:
-			return nil, fmt.Errorf("selest: %s is a join predicate, not a local predicate of %s", p, ts.Name)
+			colOther = append(colOther, p)
 		}
 	}
 
 	// --- Constant predicates (Section 5, with [16] resolution per column).
 	cardBefore := eff.Card
+	var predicated []string // columns with constant predicates
 	for _, set := range GroupConstPredicates(consts) {
 		cs := ts.Column(set.Column.Column)
 		if cs == nil {
-			return nil, fmt.Errorf("selest: table %s has no column %q", ts.Name, set.Column.Column)
+			return nil, fmt.Errorf("selest: table %s has no column %q", name, set.Column.Column)
 		}
 		sel, err := set.Resolve(cs)
 		if err != nil {
 			return nil, err
 		}
-		key := strings.ToLower(set.Column.Column)
-		eff.ColSel[key] = sel
 		eff.Card *= sel
+		if !effective {
+			continue
+		}
 		// The predicate's own column: equality pins d′ to the number of
 		// matching constants (1, or 0 on contradiction); ranges scale d by
 		// the predicate selectivity, d′_y = d_y × S_L (Section 5).
+		key := strings.ToLower(set.Column.Column)
+		predicated = append(predicated, key)
 		if hasEquality(set.Preds) {
 			if sel > 0 {
 				eff.ColCard[key] = 1
@@ -131,8 +160,8 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 	}
 	// OR-groups: pure row reduction, no column pinning.
 	for _, d := range disjs {
-		if !d.References(ts.Name) {
-			return nil, fmt.Errorf("selest: disjunction %s does not reference table %s", d, ts.Name)
+		if !d.References(name) {
+			return nil, fmt.Errorf("selest: disjunction %s does not reference table %s", d, name)
 		}
 		sel, err := DisjunctionSelectivity(ts, d)
 		if err != nil {
@@ -141,26 +170,31 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 		eff.Card *= sel
 	}
 	// Other columns shrink via the urn model now that rows were removed.
-	if eff.Card < cardBefore {
+	if effective && eff.Card < cardBefore {
 		for k, cs := range ts.Columns {
 			key := strings.ToLower(k)
-			if _, predicated := eff.ColSel[key]; predicated {
+			if slices.Contains(predicated, key) {
 				continue
 			}
 			eff.ColCard[key] = ReduceDistinct(cs.Distinct, cardBefore, eff.Card)
 		}
 	}
 
-	// --- Same-table j-equivalent join columns (Section 6).
-	groups := sameTableGroups(colEq)
-	for _, group := range groups {
-		ds := make([]float64, 0, len(group))
-		for _, col := range group {
-			d, ok := eff.ColCard[col]
+	// --- Same-table j-equivalent join columns (Section 6), by column name.
+	sameTable := eqclass.New()
+	for _, p := range colEq {
+		sameTable.Union(expr.ColumnRef{Column: p.Left.Column}, expr.ColumnRef{Column: p.Right.Column})
+	}
+	for _, class := range sameTable.All() {
+		group := make([]string, len(class))
+		ds := make([]float64, len(class))
+		for i, ref := range class {
+			group[i] = strings.ToLower(ref.Column)
+			d, ok := eff.ColCard[group[i]]
 			if !ok {
-				return nil, fmt.Errorf("selest: table %s has no column %q", ts.Name, col)
+				return nil, fmt.Errorf("selest: table %s has no column %q", name, group[i])
 			}
-			ds = append(ds, d)
+			ds[i] = d
 		}
 		sort.Float64s(ds)
 		// ‖R‖′ = ⌈‖R‖ / (d_(2) · d_(3) ⋯ d_(n))⌉
@@ -183,15 +217,10 @@ func EffectiveTable(ts *catalog.TableStats, locals []expr.Predicate, disjs []exp
 		}
 		// Remaining columns shrink again for the extra row reduction.
 		if eff.Card < before {
-			inGroup := make(map[string]bool, len(group))
-			for _, col := range group {
-				inGroup[col] = true
-			}
 			for k := range eff.ColCard {
-				if inGroup[k] {
-					continue
+				if !slices.Contains(group, k) {
+					eff.ColCard[k] = ReduceDistinct(eff.ColCard[k], before, eff.Card)
 				}
-				eff.ColCard[k] = ReduceDistinct(eff.ColCard[k], before, eff.Card)
 			}
 		}
 		eff.JEquivGroups = append(eff.JEquivGroups, group)
@@ -210,52 +239,4 @@ func hasEquality(preds []expr.Predicate) bool {
 		}
 	}
 	return false
-}
-
-// sameTableGroups unions the columns linked by same-table equality
-// predicates and returns the groups of size >= 2 (sorted members, groups
-// ordered by first member).
-func sameTableGroups(colEq []expr.Predicate) [][]string {
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	add := func(x string) {
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
-		}
-	}
-	var order []string
-	for _, p := range colEq {
-		l := strings.ToLower(p.Left.Column)
-		r := strings.ToLower(p.Right.Column)
-		for _, c := range []string{l, r} {
-			if _, ok := parent[c]; !ok {
-				add(c)
-				order = append(order, c)
-			}
-		}
-		if find(l) != find(r) {
-			parent[find(l)] = find(r)
-		}
-	}
-	byRoot := make(map[string][]string)
-	for _, c := range order {
-		r := find(c)
-		byRoot[r] = append(byRoot[r], c)
-	}
-	var out [][]string
-	for _, g := range byRoot {
-		if len(g) < 2 {
-			continue
-		}
-		sort.Strings(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

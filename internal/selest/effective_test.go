@@ -12,7 +12,7 @@ import (
 
 func TestEffectiveTableNoLocals(t *testing.T) {
 	ts := catalog.SimpleTable("R", 1000, map[string]float64{"x": 100, "y": 50})
-	eff, err := EffectiveTable(ts, nil, nil)
+	eff, err := EffectiveTable(ts, ts.Name, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestEffectiveTableNoLocals(t *testing.T) {
 func TestEffectiveTableRangeOnJoinColumn(t *testing.T) {
 	// Section 8's table S: ‖S‖=1000, d_s=1000, s<100 ⇒ ‖S‖′=100, d′_s=100.
 	ts := catalog.SimpleTable("S", 1000, map[string]float64{"s": 1000})
-	eff, err := EffectiveTable(ts, []expr.Predicate{
+	eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewConst(ref("S", "s"), expr.OpLT, storage.Int64(100)),
 	}, nil)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestEffectiveTableRangeOnJoinColumn(t *testing.T) {
 func TestEffectiveTableEqualityPinsDistinct(t *testing.T) {
 	// Section 5: local predicate y=a gives d′_y = 1.
 	ts := catalog.SimpleTable("R", 1000, map[string]float64{"y": 100, "x": 500})
-	eff, err := EffectiveTable(ts, []expr.Predicate{
+	eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewConst(ref("R", "y"), expr.OpEQ, storage.Int64(7)),
 	}, nil)
 	if err != nil {
@@ -82,7 +82,7 @@ func TestEffectiveTableUrnVsLinearOnOtherColumn(t *testing.T) {
 	ts.Columns["y"].Max = 99999
 	locals := []expr.Predicate{expr.NewConst(ref("R", "y"), expr.OpLT, storage.Int64(50000))}
 
-	eff, err := EffectiveTable(ts, locals, nil)
+	eff, err := EffectiveTable(ts, ts.Name, locals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEffectiveTableSection6Example(t *testing.T) {
 	// Section 6: ‖R2‖=1000, d_y=10, d_w=50, predicate (R2.y = R2.w).
 	// ‖R2‖′ = ⌈1000/50⌉ = 20, effective join cardinality ⌈10(1−0.9^20)⌉ = 9.
 	ts := catalog.SimpleTable("R2", 1000, map[string]float64{"y": 10, "w": 50})
-	eff, err := EffectiveTable(ts, []expr.Predicate{
+	eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewJoin(ref("R2", "y"), expr.OpEQ, ref("R2", "w")),
 	}, nil)
 	if err != nil {
@@ -124,7 +124,7 @@ func TestEffectiveTableThreeWayJEquiv(t *testing.T) {
 	// Generalization: three j-equivalent columns d = (4, 10, 20) in a table
 	// of 10000 rows. ‖R‖′ = ⌈10000/(10·20)⌉ = 50; d_eff = ⌈4(1−0.75^50)⌉ = 4.
 	ts := catalog.SimpleTable("R", 10000, map[string]float64{"a": 4, "b": 10, "c": 20})
-	eff, err := EffectiveTable(ts, []expr.Predicate{
+	eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewJoin(ref("R", "a"), expr.OpEQ, ref("R", "b")),
 		expr.NewJoin(ref("R", "b"), expr.OpEQ, ref("R", "c")),
 	}, nil)
@@ -146,7 +146,7 @@ func TestEffectiveTableConstThenJEquiv(t *testing.T) {
 	// halves the table, then the j-equivalence reduction divides by the
 	// (urn-reduced) larger column cardinality.
 	ts := catalog.SimpleTable("R", 1000, map[string]float64{"y": 10, "w": 50, "z": 1000})
-	eff, err := EffectiveTable(ts, []expr.Predicate{
+	eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewConst(ref("R", "z"), expr.OpLT, storage.Int64(500)),
 		expr.NewJoin(ref("R", "y"), expr.OpEQ, ref("R", "w")),
 	}, nil)
@@ -167,7 +167,7 @@ func TestEffectiveTableConstThenJEquiv(t *testing.T) {
 
 func TestEffectiveTableColColNonEquality(t *testing.T) {
 	ts := catalog.SimpleTable("R", 900, map[string]float64{"a": 30, "b": 30})
-	eff, err := EffectiveTable(ts, []expr.Predicate{
+	eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewJoin(ref("R", "a"), expr.OpLT, ref("R", "b")),
 	}, nil)
 	if err != nil {
@@ -180,29 +180,29 @@ func TestEffectiveTableColColNonEquality(t *testing.T) {
 
 func TestEffectiveTableErrors(t *testing.T) {
 	ts := catalog.SimpleTable("R", 100, map[string]float64{"x": 10})
-	if _, err := EffectiveTable(nil, nil, nil); err == nil {
+	if _, err := EffectiveTable(nil, "", nil, nil); err == nil {
 		t.Error("nil stats should error")
 	}
 	// Predicate on a different table.
-	if _, err := EffectiveTable(ts, []expr.Predicate{
+	if _, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewConst(ref("Q", "x"), expr.OpEQ, storage.Int64(1)),
 	}, nil); err == nil {
 		t.Error("foreign predicate should error")
 	}
 	// Join predicate passed as local.
-	if _, err := EffectiveTable(ts, []expr.Predicate{
+	if _, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewJoin(ref("R", "x"), expr.OpEQ, ref("Q", "y")),
 	}, nil); err == nil {
 		t.Error("join predicate should error")
 	}
 	// Unknown column.
-	if _, err := EffectiveTable(ts, []expr.Predicate{
+	if _, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewConst(ref("R", "zz"), expr.OpEQ, storage.Int64(1)),
 	}, nil); err == nil {
 		t.Error("unknown column should error")
 	}
 	// Unknown column in j-equiv group.
-	if _, err := EffectiveTable(ts, []expr.Predicate{
+	if _, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewJoin(ref("R", "x"), expr.OpEQ, ref("R", "nope")),
 	}, nil); err == nil {
 		t.Error("unknown j-equiv column should error")
@@ -211,7 +211,7 @@ func TestEffectiveTableErrors(t *testing.T) {
 
 func TestEffectiveTableZeroSelectivity(t *testing.T) {
 	ts := catalog.SimpleTable("R", 100, map[string]float64{"x": 10, "y": 5})
-	eff, err := EffectiveTable(ts, []expr.Predicate{
+	eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(1)),
 		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(2)),
 	}, nil)
@@ -237,7 +237,7 @@ func TestEffectiveInvariantsProperty(t *testing.T) {
 		dy := float64(1 + rng.Intn(int(card)))
 		ts := catalog.SimpleTable("R", card, map[string]float64{"x": dx, "y": dy})
 		cut := int64(rng.Intn(int(dy) + 1))
-		eff, err := EffectiveTable(ts, []expr.Predicate{
+		eff, err := EffectiveTable(ts, ts.Name, []expr.Predicate{
 			expr.NewConst(ref("R", "y"), expr.OpLT, storage.Int64(cut)),
 		}, nil)
 		if err != nil {
