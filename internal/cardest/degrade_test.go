@@ -109,12 +109,52 @@ func TestEmptyTableIsNotRepaired(t *testing.T) {
 	}
 }
 
-// The shared catalog must never be mutated by per-query repair.
+// The shared catalog must never be mutated by per-query repair: every
+// repair sanitizeStats makes lands on a copy, and the catalog keeps the
+// corrupt value.
 func TestSanitizeDoesNotMutateCatalog(t *testing.T) {
-	cat := corruptCatalog(t, func(ts *catalog.TableStats) { ts.Card = math.NaN() })
-	estimateJoin(t, cat)
-	if !math.IsNaN(cat.Table("R1").Card) {
-		t.Fatal("sanitization leaked into the shared catalog")
+	cases := []struct {
+		name   string
+		mutate func(ts *catalog.TableStats)
+		kept   func(ts *catalog.TableStats) bool
+	}{
+		{"nan card",
+			func(ts *catalog.TableStats) { ts.Card = math.NaN() },
+			func(ts *catalog.TableStats) bool { return math.IsNaN(ts.Card) }},
+		{"zero row width",
+			func(ts *catalog.TableStats) { ts.RowWidth = 0 },
+			func(ts *catalog.TableStats) bool { return ts.RowWidth == 0 }},
+		{"nan distinct",
+			func(ts *catalog.TableStats) { ts.Column("x").Distinct = math.NaN() },
+			func(ts *catalog.TableStats) bool { return math.IsNaN(ts.Column("x").Distinct) }},
+		{"distinct above card",
+			func(ts *catalog.TableStats) { ts.Column("x").Distinct = 1e9 },
+			func(ts *catalog.TableStats) bool { return ts.Column("x").Distinct == 1e9 }},
+		{"nan null count",
+			func(ts *catalog.TableStats) { ts.Column("x").NullCount = math.NaN() },
+			func(ts *catalog.TableStats) bool { return math.IsNaN(ts.Column("x").NullCount) }},
+		{"min above max",
+			func(ts *catalog.TableStats) { ts.Column("x").Min, ts.Column("x").Max = 50, 5 },
+			func(ts *catalog.TableStats) bool {
+				cs := ts.Column("x")
+				return cs.HasRange && cs.Min == 50 && cs.Max == 5
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cat := corruptCatalog(t, tc.mutate)
+			est, _ := estimateJoin(t, cat)
+			if !tc.kept(cat.Table("R1")) {
+				t.Fatal("sanitization leaked into the shared catalog")
+			}
+			base, err := est.BaseStats("R1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base == cat.Table("R1") || tc.kept(base) {
+				t.Fatal("the estimator's statistics were not repaired on a copy")
+			}
+		})
 	}
 }
 

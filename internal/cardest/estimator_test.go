@@ -76,6 +76,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cat, []TableRef{{Table: "R1"}, {Table: "R1"}}, nil, ELS()); err == nil {
 		t.Error("duplicate alias should error")
 	}
+	if _, err := New(cat, []TableRef{{Table: "R1", Alias: "a"}, {Table: "R2", Alias: "A"}}, nil, ELS()); err == nil {
+		t.Error("aliases differing only in case should error as duplicates")
+	}
 	if _, err := New(cat, []TableRef{{Table: "nope"}}, nil, ELS()); err == nil {
 		t.Error("unknown table should error")
 	}
