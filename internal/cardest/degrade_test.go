@@ -82,7 +82,7 @@ func TestDegradedDefaults(t *testing.T) {
 		ts.Column("x").Distinct = math.NaN()
 	})
 	est, _ := estimateJoin(t, cat)
-	base, err := est.BaseStats("R1")
+	base, err := est.baseStats("R1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSanitizeDoesNotMutateCatalog(t *testing.T) {
 			if !tc.kept(cat.Table("R1")) {
 				t.Fatal("sanitization leaked into the shared catalog")
 			}
-			base, err := est.BaseStats("R1")
+			base, err := est.baseStats("R1")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -85,7 +85,8 @@ type joinPred struct {
 	pred int32
 	// tables holds the bits of the two tables the predicate links.
 	tables uint64
-	// sel is JoinSelectivity of the predicate.
+	// sel is the predicate's join selectivity: equation2 for an equality,
+	// the classic 1/3 otherwise (the paper restricts itself to equalities).
 	sel float64
 	// group is the rank of the predicate's group in joinGroup.id order.
 	group int32
@@ -326,6 +327,14 @@ func (e *Estimator) resolve(ref expr.ColumnRef) (column, error) {
 // selection, mirroring the paper's experiment.
 func (e *Estimator) Predicates() []expr.Predicate { return e.preds }
 
+// Operands returns the column ids of each predicate's operands, aligned with
+// Predicates(); Classes().Ref(id) spells column id. Shared: callers must not
+// modify it.
+func (e *Estimator) Operands() []eqclass.Operands { return e.operands }
+
+// TableOf returns the table number of column id.
+func (e *Estimator) TableOf(id int32) int { return e.cols[id].table }
+
 // Implied returns only the predicates added by transitive closure.
 func (e *Estimator) Implied() []expr.Predicate { return e.implied }
 
@@ -375,19 +384,6 @@ func (e *Estimator) Effective(alias string) (*selest.EffectiveStats, error) {
 	return nil, fmt.Errorf("cardest: unknown table alias %q", alias)
 }
 
-// BaseStats returns the raw (unreduced) statistics of the aliased table,
-// for access-cost calculations (Section 5: "the original, unreduced table
-// and column cardinalities are retained for use in cost calculations").
-// They are the catalog's own unless construction repaired them, so callers
-// must not modify them. Their Name is the catalog table name; the alias is
-// Tables()[t].Name().
-func (e *Estimator) BaseStats(alias string) (*catalog.TableStats, error) {
-	if t, ok := e.TableNumber(alias); ok {
-		return e.base[t], nil
-	}
-	return nil, fmt.Errorf("cardest: unknown table alias %q", alias)
-}
-
 // BaseSize returns the effective cardinality ‖R‖′ of one table: the
 // starting size of an incremental estimation.
 func (e *Estimator) BaseSize(alias string) (float64, error) {
@@ -398,33 +394,11 @@ func (e *Estimator) BaseSize(alias string) (float64, error) {
 	return eff.Card, nil
 }
 
-// JoinSelectivity computes Equation 2's S_J = 1/max(d₁′, d₂′) for an
-// equality join predicate, using the effective column cardinalities.
-// Non-equality join predicates get the classic 1/3 heuristic (the paper
-// restricts itself to equality joins). With Sel.HistogramJoins enabled and
-// histograms present on both columns, the histogram-based estimate is used
-// instead (beyond-paper extension for skewed data).
-func (e *Estimator) JoinSelectivity(p expr.Predicate) (float64, error) {
-	if p.Kind() != expr.KindJoin {
-		return 0, fmt.Errorf("cardest: %s is not a join predicate", p)
-	}
-	if p.Op != expr.OpEQ {
-		return 1.0 / 3.0, nil
-	}
-	l, err := e.columnOf(p.Left)
-	if err != nil {
-		return 0, err
-	}
-	r, err := e.columnOf(p.Right)
-	if err != nil {
-		return 0, err
-	}
-	return e.equation2(&l, &r), nil
-}
-
-// equation2 is JoinSelectivity of an equality between two columns, with
-// the histogram-based estimate when configured and both columns carry
-// histograms.
+// equation2 is Equation 2's join selectivity S_J = 1/max(d₁′, d₂′) of an
+// equality between two columns, from their effective column cardinalities.
+// With Sel.HistogramJoins enabled and histograms on both columns, the
+// histogram-based estimate is used instead (beyond-paper extension for
+// skewed data).
 func (e *Estimator) equation2(l, r *column) float64 {
 	if e.cfg.Sel.HistogramJoins {
 		if s, ok := selest.HistogramJoinSelectivity(l.stats.Hist, r.stats.Hist); ok {
@@ -439,16 +413,6 @@ func (e *Estimator) equation2(l, r *column) float64 {
 		return 0
 	}
 	return 1 / d
-}
-
-// columnOf resolves a column of the query by name, effective column
-// cardinality included.
-func (e *Estimator) columnOf(ref expr.ColumnRef) (column, error) {
-	c, err := e.resolve(ref)
-	if err == nil {
-		c.card, err = e.eff[c.table].ColumnCard(ref.Column)
-	}
-	return c, err
 }
 
 // computeRepresentatives assigns each multi-member class its fixed

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestJoinSelectivitiesExample1b(t *testing.T) {
 		{expr.NewJoin(ref("R1", "x"), expr.OpEQ, ref("R3", "z")), 0.001},
 	}
 	for _, c := range cases {
-		got, err := e.JoinSelectivity(c.p)
+		got, err := e.joinSelectivity(c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,12 +135,12 @@ func TestJoinSelectivitiesExample1b(t *testing.T) {
 		}
 	}
 	// Non-equality join predicate: 1/3 heuristic.
-	s, err := e.JoinSelectivity(expr.NewJoin(ref("R1", "x"), expr.OpLT, ref("R2", "y")))
+	s, err := e.joinSelectivity(expr.NewJoin(ref("R1", "x"), expr.OpLT, ref("R2", "y")))
 	if err != nil || s != 1.0/3.0 {
 		t.Errorf("non-eq join selectivity = %g, err %v", s, err)
 	}
 	// Local predicate rejected.
-	if _, err := e.JoinSelectivity(expr.NewConst(ref("R1", "x"), expr.OpEQ, storage.Int64(1))); err == nil {
+	if _, err := e.joinSelectivity(expr.NewConst(ref("R1", "x"), expr.OpEQ, storage.Int64(1))); err == nil {
 		t.Error("const predicate should be rejected")
 	}
 }
@@ -248,10 +249,7 @@ func TestCartesianStep(t *testing.T) {
 	cat := example1bCatalog()
 	// No predicates at all: joining is a cartesian product.
 	e := mustNew(t, cat, example1bTables(), nil, ELS())
-	step, err := e.JoinStep(100, []string{"R1"}, "R2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	step := joinStep(t, e, 100, []string{"R1"}, "R2")
 	if !step.Cartesian || step.Size != 100*1000 {
 		t.Errorf("cartesian step = %+v", step)
 	}
@@ -259,11 +257,11 @@ func TestCartesianStep(t *testing.T) {
 
 func TestJoinStepErrors(t *testing.T) {
 	e := mustNew(t, example1bCatalog(), example1bTables(), example1bPreds(), ELS())
-	if _, err := e.JoinStep(1, []string{"R1"}, "R1"); err == nil {
+	if _, err := e.JoinStep(1, 1<<0, 0); err == nil {
 		t.Error("rejoining a table should error")
 	}
-	if _, err := e.JoinStep(1, []string{"R1"}, "nope"); err == nil {
-		t.Error("unknown table should error")
+	if _, err := e.EstimateOrder([]string{"R1", "nope"}); err == nil {
+		t.Error("unknown table in an order should error")
 	}
 	if _, err := e.EstimateOrder(nil); err == nil {
 		t.Error("empty order should error")
@@ -306,11 +304,11 @@ func TestAccessors(t *testing.T) {
 	if _, err := e.Effective("zz"); err == nil {
 		t.Error("unknown alias should error")
 	}
-	base, err := e.BaseStats("r2")
+	base, err := e.baseStats("r2")
 	if err != nil || base.Card != 1000 {
 		t.Errorf("BaseStats = %+v, err %v", base, err)
 	}
-	if _, err := e.BaseStats("zz"); err == nil {
+	if _, err := e.baseStats("zz"); err == nil {
 		t.Error("unknown alias should error")
 	}
 	if sz, _ := e.BaseSize("R3"); sz != 1000 {
@@ -338,4 +336,42 @@ func TestOracleErrors(t *testing.T) {
 	if _, err := e2.OracleSize([]string{"R1", "R2"}); err == nil {
 		t.Error("non-equality join should make the oracle error")
 	}
+}
+
+// joinSelectivity is a join predicate's selectivity, its columns resolved
+// by name: Equation 2 for an equality, 1/3 for any other comparison.
+func (e *Estimator) joinSelectivity(p expr.Predicate) (float64, error) {
+	if p.Kind() != expr.KindJoin {
+		return 0, fmt.Errorf("cardest: %s is not a join predicate", p)
+	}
+	if p.Op != expr.OpEQ {
+		return 1.0 / 3.0, nil
+	}
+	l, err := e.columnOf(p.Left)
+	if err != nil {
+		return 0, err
+	}
+	r, err := e.columnOf(p.Right)
+	if err != nil {
+		return 0, err
+	}
+	return e.equation2(&l, &r), nil
+}
+
+// columnOf resolves a column of the query by name, effective column
+// cardinality included.
+func (e *Estimator) columnOf(ref expr.ColumnRef) (column, error) {
+	c, err := e.resolve(ref)
+	if err == nil {
+		c.card, err = e.eff[c.table].ColumnCard(ref.Column)
+	}
+	return c, err
+}
+
+// baseStats is the raw statistics of the aliased table.
+func (e *Estimator) baseStats(alias string) (*catalog.TableStats, error) {
+	if t, ok := e.TableNumber(alias); ok {
+		return e.base[t], nil
+	}
+	return nil, fmt.Errorf("cardest: unknown table alias %q", alias)
 }

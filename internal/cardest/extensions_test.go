@@ -151,8 +151,8 @@ func TestHistogramJoinSelectivityPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sPlain, _ := plain.JoinSelectivity(pred)
-	sHist, _ := hist.JoinSelectivity(pred)
+	sPlain, _ := plain.joinSelectivity(pred)
+	sHist, _ := hist.joinSelectivity(pred)
 	if sHist <= sPlain {
 		t.Errorf("skewed hist selectivity %g should exceed uniform %g", sHist, sPlain)
 	}
@@ -164,7 +164,7 @@ func TestHistogramJoinSelectivityPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, _ := e3.JoinSelectivity(pred)
+	s3, _ := e3.joinSelectivity(pred)
 	if s3 != 0.05 {
 		t.Errorf("fallback selectivity = %g, want 1/20", s3)
 	}
@@ -181,7 +181,7 @@ func TestZeroDistinctJoinSelectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// d(A.k)=0 but d(B.k)=5 → 1/5; both zero → 0.
-	s, err := e.JoinSelectivity(expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k")))
+	s, err := e.joinSelectivity(expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k")))
 	if err != nil || s != 0.2 {
 		t.Errorf("sel = %g, err %v", s, err)
 	}
@@ -190,7 +190,7 @@ func TestZeroDistinctJoinSelectivity(t *testing.T) {
 	cat2.MustAddTable(catalog.SimpleTable("B", 0, map[string]float64{"k": 0}))
 	e2, _ := New(cat2, []TableRef{{Table: "A"}, {Table: "B"}},
 		[]expr.Predicate{expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k"))}, ELS())
-	s2, err := e2.JoinSelectivity(expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k")))
+	s2, err := e2.joinSelectivity(expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k")))
 	if err != nil || s2 != 0 {
 		t.Errorf("zero-d sel = %g, err %v", s2, err)
 	}

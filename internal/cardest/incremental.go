@@ -33,6 +33,9 @@ type StepResult struct {
 	// Eligible are the join predicates linking the table to the joined set
 	// (Section 2), in predicate-set order; empty for a cartesian step.
 	Eligible []expr.Predicate
+	// Positions are the Eligible predicates' positions in Predicates(),
+	// where Operands() holds their column ids.
+	Positions []int
 	// Groups are the per-class selectivity choices, ordered by ClassID.
 	Groups []GroupChoice
 	// Selectivity is the product of the group selectivities.
@@ -44,37 +47,27 @@ type StepResult struct {
 	Size float64
 }
 
-// JoinStep estimates the result size of joining table next into an
-// intermediate result of estimated size currentSize covering the joined
-// aliases. This is ELS step 6 (or the corresponding step of the baseline
-// algorithms): find the eligible join predicates, group them by
+// JoinStep estimates the result size of joining table number next into an
+// intermediate result of estimated size currentSize over the tables of the
+// joined mask. This is ELS step 6 (or the corresponding step of the
+// baseline algorithms): find the eligible join predicates, group them by
 // equivalence class, choose one selectivity per group by the configured
-// rule, and multiply. The order of joined does not matter, and the returned
-// slices are the caller's.
+// rule, and multiply. The returned slices are the caller's.
 //
 // JoinStep explains a step; a search that only compares sizes calls
 // StepSize, which computes the same Size without building the explanation.
-func (e *Estimator) JoinStep(currentSize float64, joined []string, next string) (StepResult, error) {
-	t, ok := e.TableNumber(next)
-	if !ok {
-		return StepResult{}, fmt.Errorf("cardest: unknown table alias %q", next)
+func (e *Estimator) JoinStep(currentSize float64, joined uint64, next int) (StepResult, error) {
+	if joined&(1<<next) != 0 {
+		return StepResult{}, fmt.Errorf("cardest: table %q already joined", e.refs[next].Name())
 	}
-	var mask uint64
-	for _, j := range joined {
-		if i, ok := e.TableNumber(j); ok {
-			mask |= 1 << i
-		}
-	}
-	if mask&(1<<t) != 0 {
-		return StepResult{}, fmt.Errorf("cardest: table %q already joined", next)
-	}
-	res := StepResult{Table: next, TableCard: e.eff[t].Card}
+	res := StepResult{Table: e.refs[next].Name(), TableCard: e.eff[next].Card}
 	for i := range e.joins {
-		if jp := &e.joins[i]; jp.links(mask, t) {
+		if jp := &e.joins[i]; jp.links(joined, next) {
 			res.Eligible = append(res.Eligible, e.preds[jp.pred])
+			res.Positions = append(res.Positions, int(jp.pred))
 		}
 	}
-	size, linked, _ := e.step(currentSize, mask, t, &res)
+	size, linked, _ := e.step(currentSize, joined, next, &res)
 	res.Size, res.Cartesian = size, !linked
 	return res, nil
 }
@@ -181,20 +174,24 @@ func (e *Estimator) EstimateOrder(order []string) ([]StepResult, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("cardest: empty join order")
 	}
-	size, err := e.BaseSize(order[0])
-	if err != nil {
-		return nil, err
-	}
 	steps := make([]StepResult, 0, len(order)-1)
-	joined := []string{order[0]}
-	for _, next := range order[1:] {
-		step, err := e.JoinStep(size, joined, next)
-		if err != nil {
-			return nil, err
+	var joined uint64
+	var size float64
+	for _, alias := range order {
+		t, ok := e.TableNumber(alias)
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("cardest: unknown table alias %q", alias)
+		case joined == 0:
+			size = e.eff[t].Card
+		default:
+			step, err := e.JoinStep(size, joined, t)
+			if err != nil {
+				return nil, err
+			}
+			steps, size = append(steps, step), step.Size
 		}
-		steps = append(steps, step)
-		size = step.Size
-		joined = append(joined, next)
+		joined |= 1 << t
 	}
 	return steps, nil
 }

@@ -56,6 +56,28 @@ func sameStep(t *testing.T, label string, got, want StepResult) {
 	}
 }
 
+// joinStep is JoinStep with the joined set and the next table named by alias.
+func joinStep(t *testing.T, e *Estimator, currentSize float64, joined []string, next string) StepResult {
+	t.Helper()
+	var mask uint64
+	for _, alias := range joined {
+		i, ok := e.TableNumber(alias)
+		if !ok {
+			t.Fatalf("unknown alias %q", alias)
+		}
+		mask |= 1 << i
+	}
+	n, ok := e.TableNumber(next)
+	if !ok {
+		t.Fatalf("unknown alias %q", next)
+	}
+	res, err := e.JoinStep(currentSize, mask, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // referenceStep computes one incremental step lazily, as an independent
 // reference for JoinStep: scan the predicate set for eligible predicates,
 // compute each one's selectivity and class id on the spot, group, sort,
@@ -69,7 +91,7 @@ func referenceStep(e *Estimator, currentSize float64, joined []string, next stri
 	res := StepResult{Table: next, TableCard: eff.Card, Selectivity: 1}
 	byClass := make(map[string]*GroupChoice)
 	var ids []string
-	for _, p := range e.Predicates() {
+	for i, p := range e.Predicates() {
 		if p.Kind() != expr.KindJoin || !p.References(next) {
 			continue
 		}
@@ -81,6 +103,7 @@ func referenceStep(e *Estimator, currentSize float64, joined []string, next stri
 			continue
 		}
 		res.Eligible = append(res.Eligible, p)
+		res.Positions = append(res.Positions, i)
 		id := p.CanonicalKey()
 		if p.Op == expr.OpEQ {
 			id = e.Classes().ClassID(p.Left)
@@ -91,7 +114,7 @@ func referenceStep(e *Estimator, currentSize float64, joined []string, next stri
 			byClass[id] = g
 			ids = append(ids, id)
 		}
-		s, err := e.JoinSelectivity(p)
+		s, err := e.joinSelectivity(p)
 		if err != nil {
 			return StepResult{}, err
 		}
@@ -176,10 +199,7 @@ func TestJoinStepMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := est.JoinStep(size, joined, next)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := joinStep(t, est, size, joined, next)
 				sameStep(t, name, got, want)
 				equality := slices.ContainsFunc(got.Eligible, expr.Predicate.IsEquality)
 				kSize, kLinked, kEquality := est.StepSize(size, mask, perm[k])
@@ -226,14 +246,8 @@ func TestJoinStepJoinedOrderInsensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := est.JoinStep(5000, []string{"A", "B", "D"}, "C")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := est.JoinStep(5000, []string{"D", "B", "A"}, "C")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := joinStep(t, est, 5000, []string{"A", "B", "D"}, "C")
+	b := joinStep(t, est, 5000, []string{"D", "B", "A"}, "C")
 	sameStep(t, "order", b, a)
 }
 
@@ -249,10 +263,7 @@ func TestJoinStepResultIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := est.JoinStep(1000, []string{"A"}, "B")
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := joinStep(t, est, 1000, []string{"A"}, "B")
 	if len(first.Groups) == 0 || len(first.Eligible) == 0 {
 		t.Fatal("expected grouped predicates for A⋈B")
 	}
@@ -260,10 +271,8 @@ func TestJoinStepResultIsolated(t *testing.T) {
 	first.Groups[0].Selectivities[0] = -1
 	first.Groups[0].Predicates[0] = expr.Predicate{}
 	first.Eligible[0] = expr.Predicate{}
-	second, err := est.JoinStep(1000, []string{"A"}, "B")
-	if err != nil {
-		t.Fatal(err)
-	}
+	first.Positions[0] = -1
+	second := joinStep(t, est, 1000, []string{"A"}, "B")
 	sameStep(t, "after mutation", second, want)
 }
 
@@ -275,17 +284,14 @@ func TestJoinStepConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := est.JoinStep(777, []string{"A", "C"}, "B")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := joinStep(t, est, 777, []string{"A", "C"}, "B")
 	var wg sync.WaitGroup
 	results := make([]StepResult, 32)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := est.JoinStep(777, []string{"A", "C"}, "B")
+			res, err := est.JoinStep(777, 1<<0|1<<2, 1) // {A, C} ⋈ B
 			if err != nil {
 				t.Error(err)
 				return
@@ -317,26 +323,17 @@ func TestJoinStepEligibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Joining R1 into {R2, R3}: eligible are x=y and the implied x=z.
-	step, err := est.JoinStep(1000, []string{"R2", "R3"}, "R1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	step := joinStep(t, est, 1000, []string{"R2", "R3"}, "R1")
 	if len(step.Eligible) != 2 || step.Cartesian {
 		t.Fatalf("eligible = %v, want 2", step.Eligible)
 	}
 	// Joining R1 into {R3} only: just x=z, whatever the spelling.
-	step, err = est.JoinStep(1000, []string{"r3"}, "r1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	step = joinStep(t, est, 1000, []string{"r3"}, "r1")
 	if len(step.Eligible) != 1 || !step.Eligible[0].References("R3") || step.Cartesian {
 		t.Fatalf("eligible = %v", step.Eligible)
 	}
 	// No eligible predicates → cartesian.
-	step, err = est.JoinStep(1000, []string{"Q"}, "R1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	step = joinStep(t, est, 1000, []string{"Q"}, "R1")
 	if len(step.Eligible) != 0 || !step.Cartesian || step.Selectivity != 1 {
 		t.Errorf("step vs unrelated table = %+v", step)
 	}

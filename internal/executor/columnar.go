@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/expr"
+	"repro/internal/optimizer"
 	"repro/internal/storage"
 	"repro/internal/workpool"
 )
@@ -50,8 +51,8 @@ func cmpOrd[T int64 | float64 | string](a, b T) int {
 // pairs, compacting lsel/rsel in place. Column ordinals below lcols address
 // left through lsel, the rest address right through rsel. Each predicate
 // evaluates only over the pairs that survived the previous one.
-func filterPairs(left, right *storage.Table, lcols int, conj compiled, lsel, rsel []int, stats *Stats) ([]int, []int) {
-	for _, p := range conj.preds {
+func filterPairs(left, right *storage.Table, lcols int, conj []optimizer.Cond, lsel, rsel []int, stats *Stats) ([]int, []int) {
+	for _, p := range conj {
 		if len(lsel) == 0 {
 			break
 		}
@@ -74,50 +75,50 @@ func pairSide(left, right *storage.Table, lcols, idx int, lsel, rsel []int) (sto
 // both selection vectors in place (they may be the same slice), and
 // returns how many pairs survive. Every pair counts one comparison, NULL
 // operands included.
-func predSel(left, right *storage.Table, lcols int, p compiledPred, lsel, rsel []int, stats *Stats) int {
+func predSel(left, right *storage.Table, lcols int, p optimizer.Cond, lsel, rsel []int, stats *Stats) int {
 	stats.Comparisons += int64(len(lsel))
-	ld, lrows := pairSide(left, right, lcols, p.leftIdx, lsel, rsel)
-	if p.rightIdx < 0 {
-		c := p.constant
+	ld, lrows := pairSide(left, right, lcols, p.Left, lsel, rsel)
+	if p.Right < 0 {
+		c := p.Const
 		switch {
 		case c.IsNull():
 			return 0 // counted, never true
 		case ld.Type == storage.TypeInt64 && c.Type() == storage.TypeInt64:
-			return selCmpConst(ld.Ints, ld.Nulls, lrows, c.Int(), p.op, lsel, rsel)
+			return selCmpConst(ld.Ints, ld.Nulls, lrows, c.Int(), p.Op, lsel, rsel)
 		case ld.Type == storage.TypeFloat64 && c.Type() == storage.TypeFloat64:
-			return selCmpConst(ld.Floats, ld.Nulls, lrows, c.Float(), p.op, lsel, rsel)
+			return selCmpConst(ld.Floats, ld.Nulls, lrows, c.Float(), p.Op, lsel, rsel)
 		case ld.Type == storage.TypeString && c.Type() == storage.TypeString:
-			return selCmpConst(ld.Strs, ld.Nulls, lrows, c.Str(), p.op, lsel, rsel)
+			return selCmpConst(ld.Strs, ld.Nulls, lrows, c.Str(), p.Op, lsel, rsel)
 		case numericType(ld.Type) && numericType(c.Type()):
 			cf := c.AsFloat()
 			return selKeep(lsel, rsel, func(i int) bool {
 				r := lrows[i]
-				return !ld.Null(r) && p.op.Holds(cmpOrd(numericAt(ld, r), cf))
+				return !ld.Null(r) && p.Op.Holds(cmpOrd(numericAt(ld, r), cf))
 			})
 		}
 		// Boxed fallback: bool columns, and type pairs the binder rejects.
 		return selKeep(lsel, rsel, func(i int) bool {
 			lv := ld.Value(lrows[i])
-			return !lv.IsNull() && p.op.Holds(storage.Compare(lv, c))
+			return !lv.IsNull() && p.Op.Holds(storage.Compare(lv, c))
 		})
 	}
-	rd, rrows := pairSide(left, right, lcols, p.rightIdx, lsel, rsel)
+	rd, rrows := pairSide(left, right, lcols, p.Right, lsel, rsel)
 	switch {
 	case ld.Type == storage.TypeInt64 && rd.Type == storage.TypeInt64:
-		return selCmpCols(ld.Ints, ld.Nulls, lrows, rd.Ints, rd.Nulls, rrows, p.op, lsel, rsel)
+		return selCmpCols(ld.Ints, ld.Nulls, lrows, rd.Ints, rd.Nulls, rrows, p.Op, lsel, rsel)
 	case ld.Type == storage.TypeFloat64 && rd.Type == storage.TypeFloat64:
-		return selCmpCols(ld.Floats, ld.Nulls, lrows, rd.Floats, rd.Nulls, rrows, p.op, lsel, rsel)
+		return selCmpCols(ld.Floats, ld.Nulls, lrows, rd.Floats, rd.Nulls, rrows, p.Op, lsel, rsel)
 	case ld.Type == storage.TypeString && rd.Type == storage.TypeString:
-		return selCmpCols(ld.Strs, ld.Nulls, lrows, rd.Strs, rd.Nulls, rrows, p.op, lsel, rsel)
+		return selCmpCols(ld.Strs, ld.Nulls, lrows, rd.Strs, rd.Nulls, rrows, p.Op, lsel, rsel)
 	case numericType(ld.Type) && numericType(rd.Type):
 		return selKeep(lsel, rsel, func(i int) bool {
 			lr, rr := lrows[i], rrows[i]
-			return !ld.Null(lr) && !rd.Null(rr) && p.op.Holds(cmpOrd(numericAt(ld, lr), numericAt(rd, rr)))
+			return !ld.Null(lr) && !rd.Null(rr) && p.Op.Holds(cmpOrd(numericAt(ld, lr), numericAt(rd, rr)))
 		})
 	}
 	return selKeep(lsel, rsel, func(i int) bool {
 		lv, rv := ld.Value(lrows[i]), rd.Value(rrows[i])
-		return !lv.IsNull() && !rv.IsNull() && p.op.Holds(storage.Compare(lv, rv))
+		return !lv.IsNull() && !rv.IsNull() && p.Op.Holds(storage.Compare(lv, rv))
 	})
 }
 
@@ -183,7 +184,7 @@ func selKeep(lsel, rsel []int, keep func(i int) bool) int {
 
 // disjSel applies the OR-groups in order, each over the survivors of the
 // previous. Within a group a row stops counting at its first true disjunct.
-func disjSel(tbl *storage.Table, ds []compiled, sel []int, stats *Stats) []int {
+func disjSel(tbl *storage.Table, ds [][]optimizer.Cond, sel []int, stats *Stats) []int {
 	for _, d := range ds {
 		if len(sel) == 0 {
 			return sel
@@ -202,18 +203,18 @@ func disjSel(tbl *storage.Table, ds []compiled, sel []int, stats *Stats) []int {
 // disjRow evaluates one OR-group for one row, boxed. Disjunctions are rare
 // enough that the kernels keep them scalar; each disjunct evaluated counts
 // one comparison.
-func disjRow(tbl *storage.Table, d compiled, r int, stats *Stats) bool {
-	for _, p := range d.preds {
+func disjRow(tbl *storage.Table, d []optimizer.Cond, r int, stats *Stats) bool {
+	for _, p := range d {
 		stats.Comparisons++
-		lv := tbl.ColumnData(p.leftIdx).Value(r)
-		rv := p.constant
-		if p.rightIdx >= 0 {
-			rv = tbl.ColumnData(p.rightIdx).Value(r)
+		lv := tbl.ColumnData(p.Left).Value(r)
+		rv := p.Const
+		if p.Right >= 0 {
+			rv = tbl.ColumnData(p.Right).Value(r)
 		}
 		if lv.IsNull() || rv.IsNull() {
 			continue
 		}
-		if p.op.Holds(storage.Compare(lv, rv)) {
+		if p.Op.Holds(storage.Compare(lv, rv)) {
 			return true
 		}
 	}

@@ -1,11 +1,14 @@
 package executor
 
 import (
-	"slices"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cardest"
+	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/governor"
 	"repro/internal/optimizer"
 	"repro/internal/storage"
 )
@@ -107,28 +110,27 @@ func TestNLInnerRescanAppliesDisjunction(t *testing.T) {
 	}
 }
 
+// An OR-group's columns are resolved when the query is planned: one over a
+// column the table's data lacks still estimates, but its plan is refused as
+// a parse error naming the column; one over a column the data has passes
+// only the matching row, and NULL fails it.
 func TestCompileDisjunctionUnknownColumn(t *testing.T) {
-	schema := storage.MustSchema(storage.ColumnDef{Name: "t.k", Type: storage.TypeInt64})
-	bad := expr.Disjunction{Preds: []expr.Predicate{
-		expr.NewConst(ref("t", "zz"), expr.OpEQ, storage.Int64(1)),
-	}}
-	if _, err := compileDisjunctions([]expr.Disjunction{bad}, schema); err == nil {
-		t.Error("unknown column should fail to compile")
+	schema := storage.MustSchema(storage.ColumnDef{Name: "k", Type: storage.TypeInt64})
+	cat := catalog.New()
+	loadTable(t, cat, "t", schema, [][]storage.Value{{storage.Int64(1)}, {storage.Int64(2)}, {storage.Null(storage.TypeInt64)}})
+	cat.MustAddTable(catalog.SimpleTable("t", 3, map[string]float64{"k": 2, "zz": 2}))
+	plan := func(c string) optimizer.Plan {
+		d := mustDisj(t, expr.NewConst(ref("t", c), expr.OpEQ, storage.Int64(1)))
+		return planQuery(t, cat, []cardest.TableRef{{Table: "t"}}, nil, []expr.Disjunction{d}, nil)
 	}
-	ok := expr.Disjunction{Preds: []expr.Predicate{
-		expr.NewConst(ref("t", "k"), expr.OpEQ, storage.Int64(1)),
-	}}
-	cds, err := compileDisjunctions([]expr.Disjunction{ok}, schema)
+	if _, err := New(cat).Execute(plan("zz")); !errors.Is(err, governor.ErrParse) || !strings.Contains(err.Error(), "t.zz") {
+		t.Errorf("OR-group over a column without data: err = %v, want an ErrParse naming t.zz", err)
+	}
+	res, err := New(cat).Execute(plan("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := storage.NewTable("t", schema)
-	tbl.MustAppendRow(storage.Int64(1))
-	tbl.MustAppendRow(storage.Int64(2))
-	tbl.MustAppendRow(storage.Null(storage.TypeInt64))
-	var stats Stats
-	// The matching row passes; the non-matching one and NULL fail.
-	if got := disjSel(tbl, cds, []int{0, 1, 2}, &stats); !slices.Equal(got, []int{0}) {
-		t.Errorf("rows passing the disjunction: %v, want [0]", got)
+	if got := res.Table.NumRows(); got != 1 || res.Table.Value(0, 0).Int() != 1 {
+		t.Errorf("rows passing the disjunction: %d, want the one with k = 1", got)
 	}
 }

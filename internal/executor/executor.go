@@ -22,6 +22,15 @@
 // goroutine that calls Execute and starts no other: cores are filled by
 // concurrent queries, each with its own Executor.
 //
+// A plan arrives with every column it reads resolved: each scan's filters
+// as ordinals of its base table, each join's key as an ordinal of either
+// input and its residual as ordinals of the joined row — left input first,
+// then the inner table (optimizer.Cond). The executor resolves no names. It
+// still labels output columns "alias.column", for callers that read results
+// by name. A plan runs only against the catalog snapshot it was planned on,
+// whose data its ordinals index; a plan reading data that snapshot lacked
+// is refused before any operator runs (optimizer.Runnable).
+//
 // The executor counts the base-table tuples it visits and the predicate
 // evaluations it performs, so experiments can report deterministic work
 // measures alongside wall-clock times.
@@ -29,11 +38,9 @@ package executor
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/expr"
 	"repro/internal/faultinject"
 	"repro/internal/governor"
 	"repro/internal/optimizer"
@@ -132,6 +139,9 @@ func (e *Executor) Execute(plan optimizer.Plan) (*Result, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("executor: nil plan")
 	}
+	if err := optimizer.Runnable(plan); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	var stats Stats
 	rec := &recorder{}
@@ -211,9 +221,8 @@ func (e *Executor) releaseTables(tbls ...*storage.Table) {
 	}
 }
 
-// qualifiedSchema builds the output schema of a scan: every column renamed
-// to "alias.column" so join results never collide and predicates resolve by
-// their qualified names.
+// qualifiedSchema builds the output schema of a scan: every column labelled
+// "alias.column", so the columns of a join result keep distinct names.
 func qualifiedSchema(alias string, in *storage.Schema) (*storage.Schema, error) {
 	cols := make([]storage.ColumnDef, in.NumColumns())
 	for i := 0; i < in.NumColumns(); i++ {
@@ -223,45 +232,36 @@ func qualifiedSchema(alias string, in *storage.Schema) (*storage.Schema, error) 
 	return storage.NewSchema(cols...)
 }
 
-// baseScan is a base table with a scan's filters resolved against it: what
-// a scan reads, and what a nested-loops or index-nested-loops join re-reads
-// for every outer row.
+// baseScan is a scan over its base table's data: what a scan reads, and
+// what a nested-loops or index-nested-loops join re-reads for every outer
+// row.
 type baseScan struct {
-	base     *storage.Table
-	schema   *storage.Schema // the scan's output schema, "alias.column"
-	filter   compiled
-	orFilter []compiled
+	*optimizer.Scan
+	base   *storage.Table
+	schema *storage.Schema // the scan's output schema, "alias.column"
 }
 
-// openScan resolves the scan's filters against base, the scanned table's
-// data.
+// openScan opens the scan over base, the scanned table's data.
 func openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, error) {
 	if base == nil {
 		return nil, fmt.Errorf("executor: no data registered for table %q", s.Table)
 	}
-	sc := &baseScan{base: base}
-	var err error
-	if sc.schema, err = qualifiedSchema(s.Alias, base.Schema()); err != nil {
+	schema, err := qualifiedSchema(s.Alias, base.Schema())
+	if err != nil {
 		return nil, err
 	}
-	if sc.filter, err = compileAll(s.Filter, sc.schema); err != nil {
-		return nil, err
-	}
-	if sc.orFilter, err = compileDisjunctions(s.FilterOr, sc.schema); err != nil {
-		return nil, err
-	}
-	return sc, nil
+	return &baseScan{Scan: s, base: base, schema: schema}, nil
 }
 
 // filtered reports whether the scan has any predicate to apply.
-func (sc *baseScan) filtered() bool { return len(sc.filter.preds) > 0 || len(sc.orFilter) > 0 }
+func (sc *baseScan) filtered() bool { return len(sc.Conds) > 0 || len(sc.OrConds) > 0 }
 
 // keep compacts sel, rows of the base table, to those passing the scan's
 // filters. A single-table filter is the pair filter with both sides the same
 // table and the same selection vector.
 func (sc *baseScan) keep(sel []int, stats *Stats) []int {
-	sel, _ = filterPairs(sc.base, sc.base, sc.base.Schema().NumColumns(), sc.filter, sel, sel, stats)
-	return disjSel(sc.base, sc.orFilter, sel, stats)
+	sel, _ = filterPairs(sc.base, sc.base, sc.base.Schema().NumColumns(), sc.Conds, sel, sel, stats)
+	return disjSel(sc.base, sc.OrConds, sel, stats)
 }
 
 // takeSel takes a selection vector of capacity n from the arena, charging
@@ -369,50 +369,27 @@ func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth
 // fetched row that passes the inner's scan filters; the sink applies the
 // remaining join predicates. The inner is never materialized.
 func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
-	scan, ok := j.Right.(*optimizer.Scan)
-	if !ok {
-		return nil, fmt.Errorf("executor: index nested-loops requires a base-table inner")
+	if j.IndexColumn == "" || j.LeftKey < 0 {
+		return nil, fmt.Errorf("executor: index nested-loops plan lacks an index column and key")
 	}
-	if j.IndexColumn == "" {
-		return nil, fmt.Errorf("executor: index nested-loops plan lacks an index column")
-	}
-	ix := e.cat.Index(scan.Table, j.IndexColumn)
+	ix := e.cat.Index(j.Right.Table, j.IndexColumn)
 	if ix == nil {
-		return nil, fmt.Errorf("executor: no index on %s.%s", scan.Table, j.IndexColumn)
+		return nil, fmt.Errorf("executor: no index on %s.%s", j.Right.Table, j.IndexColumn)
 	}
-	inner, err := openScan(scan, ix.Table())
+	inner, err := openScan(j.Right, ix.Table())
 	if err != nil {
 		return nil, err
 	}
-	rec.reserve(scan, depth+1) // never materialized
-	// The probe key: the predicate over IndexColumn; the rest are residual.
-	var keyPred *expr.Predicate
-	var residuals []expr.Predicate
-	for i, p := range j.Preds {
-		if keyPred == nil && p.Op == expr.OpEQ && p.RightIsColumn &&
-			((columnMatches(p.Left, scan.Alias, j.IndexColumn)) ||
-				(columnMatches(p.Right, scan.Alias, j.IndexColumn))) {
-			keyPred = &j.Preds[i]
-			continue
-		}
-		residuals = append(residuals, p)
-	}
-	if keyPred == nil {
-		return nil, fmt.Errorf("executor: no equality predicate over index column %s.%s", scan.Alias, j.IndexColumn)
-	}
-	outerKey, _, err := keyColumns(*keyPred, left.Schema(), inner.schema)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := newJoinSpec(left, inner.base, inner.schema, residuals)
+	rec.reserve(j.Right, depth+1) // never materialized
+	spec, err := newJoinSpec(j, left, inner.base, inner.schema)
 	if err != nil {
 		return nil, err
 	}
 	pairs := e.newPairSink(spec, stats, false)
 	defer pairs.release()
 	for l := 0; l < left.NumRows(); l++ {
-		stats.Comparisons++                        // the index search
-		rows := ix.Lookup(left.Value(l, outerKey)) // a fresh slice: ours to compact
+		stats.Comparisons++                         // the index search
+		rows := ix.Lookup(left.Value(l, spec.lKey)) // a fresh slice: ours to compact
 		if err := e.visit(stats, len(rows)); err != nil {
 			return nil, err
 		}
@@ -426,11 +403,6 @@ func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, stats *Stats,
 	return pairs.out, nil
 }
 
-// columnMatches reports whether ref names alias.column (case-insensitive).
-func columnMatches(ref expr.ColumnRef, alias, column string) bool {
-	return strings.EqualFold(ref.Table, alias) && strings.EqualFold(ref.Column, column)
-}
-
 // joinSchema concatenates the two input schemas.
 func joinSchema(l, r *storage.Schema) (*storage.Schema, error) {
 	cols := make([]storage.ColumnDef, 0, l.NumColumns()+r.NumColumns())
@@ -439,42 +411,25 @@ func joinSchema(l, r *storage.Schema) (*storage.Schema, error) {
 	return storage.NewSchema(cols...)
 }
 
-// nestedLoop pairs every outer row with the inner input, visited in full
-// for each outer row, and lets the pair sink apply the join predicates.
-// When the inner is a base scan, its rows are re-filtered by the scan's
-// kernels for each outer row — the honest cost the optimizer's
-// NestedLoopCost models. When the inner is itself a join (bushy plans), it
-// is materialized once and the materialization is re-read per outer row.
+// nestedLoop pairs every outer row with the inner base table, visited in
+// full and re-filtered by the scan's kernels for each outer row — the
+// honest cost the optimizer's NestedLoopCost models — and lets the pair
+// sink apply the join predicates.
 func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
-	var inner *baseScan // the re-scanned base inner; nil for a materialized one
-	var right *storage.Table
-	var rightSchema *storage.Schema
-	if scan, ok := j.Right.(*optimizer.Scan); ok {
-		var err error
-		if inner, err = openScan(scan, e.cat.Data(scan.Table)); err != nil {
-			return nil, err
-		}
-		right, rightSchema = inner.base, inner.schema
-		// The re-scanned inner is never materialized: record it with an
-		// unknown actual cardinality.
-		rec.reserve(scan, depth+1)
-	} else {
-		mat, err := e.run(j.Right, stats, rec, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		// A materialized (bushy) inner was charged by its own run; it dies
-		// with this join.
-		defer e.releaseTables(mat)
-		right, rightSchema = mat, mat.Schema()
+	inner, err := openScan(j.Right, e.cat.Data(j.Right.Table))
+	if err != nil {
+		return nil, err
 	}
-	spec, err := newJoinSpec(left, right, rightSchema, j.Preds)
+	// The re-scanned inner is never materialized: record it with an unknown
+	// actual cardinality.
+	rec.reserve(j.Right, depth+1)
+	spec, err := newJoinSpec(j, left, inner.base, inner.schema)
 	if err != nil {
 		return nil, err
 	}
 	pairs := e.newPairSink(spec, stats, false)
 	defer pairs.release()
-	n := right.NumRows()
+	n := inner.base.NumRows()
 	sel, put := e.takeSel(min(n, colBatch))
 	defer put()
 	for l := 0; l < left.NumRows(); l++ {
@@ -483,10 +438,7 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 			if err := e.visit(stats, bEnd-b); err != nil {
 				return nil, err
 			}
-			sel = appendRange(sel[:0], b, bEnd)
-			if inner != nil {
-				sel = inner.keep(sel, stats)
-			}
+			sel = inner.keep(appendRange(sel[:0], b, bEnd), stats)
 			if err := pairs.add(l, sel); err != nil {
 				return nil, err
 			}
@@ -505,40 +457,18 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 type joinSpec struct {
 	left, right *storage.Table
 	lKey, rKey  int
-	residual    compiled
+	residual    []optimizer.Cond
 	outSchema   *storage.Schema
 }
 
-// newJoinSpec pairs left with right, whose columns rightSchema names (a base
-// table's are qualified by the scan's alias), and compiles the residual
-// predicates over the joined schema.
-func newJoinSpec(left, right *storage.Table, rightSchema *storage.Schema, residuals []expr.Predicate) (*joinSpec, error) {
-	spec := &joinSpec{left: left, right: right}
-	var err error
-	if spec.outSchema, err = joinSchema(left.Schema(), rightSchema); err != nil {
-		return nil, err
-	}
-	if spec.residual, err = compileAll(residuals, spec.outSchema); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-// newEquiJoinSpec resolves the first equality predicate of an equi-join as
-// its physical key and compiles the remaining predicates as the residual.
-func newEquiJoinSpec(j *optimizer.Join, left, right *storage.Table) (*joinSpec, error) {
-	keyPred, residuals := splitKey(j.Preds)
-	if keyPred == nil {
-		return nil, fmt.Errorf("executor: %v join requires an equality predicate", j.Method)
-	}
-	spec, err := newJoinSpec(left, right, right.Schema(), residuals)
+// newJoinSpec pairs left with right, whose columns rightSchema labels (a
+// base table's by the scan's alias), under the join's key and residual.
+func newJoinSpec(j *optimizer.Join, left, right *storage.Table, rightSchema *storage.Schema) (*joinSpec, error) {
+	out, err := joinSchema(left.Schema(), rightSchema)
 	if err != nil {
 		return nil, err
 	}
-	if spec.lKey, spec.rKey, err = keyColumns(*keyPred, left.Schema(), right.Schema()); err != nil {
-		return nil, err
-	}
-	return spec, nil
+	return &joinSpec{left: left, right: right, lKey: j.LeftKey, rKey: j.RightKey, residual: j.Residual, outSchema: out}, nil
 }
 
 // hashSpec is a hash join's spec plus the kernel its partition policy calls.
@@ -586,7 +516,7 @@ const sortScratchPerRow = 24
 // as key sort → merge → pair-gather (mergeJoin), applying the remaining
 // predicates as residual filters at the pair sink.
 func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	spec, err := newEquiJoinSpec(j, left, right)
+	spec, err := newJoinSpec(j, left, right, right.Schema())
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +547,7 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 // Grace partitions of row lists under a byte budget (partitionJoin); the
 // typed kernel behind spec.join (colJoin) joins one partition.
 func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	shared, err := newEquiJoinSpec(j, left, right)
+	shared, err := newJoinSpec(j, left, right, right.Schema())
 	if err != nil {
 		return nil, err
 	}
@@ -646,38 +576,6 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats
 		return nil, err
 	}
 	return sink.out, nil
-}
-
-// splitKey picks the first equality join predicate as the physical key and
-// returns the rest as residuals.
-func splitKey(preds []expr.Predicate) (*expr.Predicate, []expr.Predicate) {
-	for i, p := range preds {
-		if p.Op == expr.OpEQ && p.RightIsColumn {
-			residuals := make([]expr.Predicate, 0, len(preds)-1)
-			residuals = append(residuals, preds[:i]...)
-			residuals = append(residuals, preds[i+1:]...)
-			return &preds[i], residuals
-		}
-	}
-	return nil, preds
-}
-
-// keyColumns resolves the key predicate's two sides to column ordinals in
-// the left and right schemas (in either order).
-func keyColumns(p expr.Predicate, l, r *storage.Schema) (int, int, error) {
-	lName := p.Left.Table + "." + p.Left.Column
-	rName := p.Right.Table + "." + p.Right.Column
-	if li := l.ColumnIndex(lName); li >= 0 {
-		if ri := r.ColumnIndex(rName); ri >= 0 {
-			return li, ri, nil
-		}
-	}
-	if li := l.ColumnIndex(rName); li >= 0 {
-		if ri := r.ColumnIndex(lName); ri >= 0 {
-			return li, ri, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("executor: key predicate %s does not span the join inputs", p)
 }
 
 // sortComparisons approximates n·log₂(n) for the comparison counter.

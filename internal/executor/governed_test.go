@@ -130,3 +130,70 @@ func TestCancelMidJoin(t *testing.T) {
 		t.Fatalf("got %v, want ErrCanceled or success", err)
 	}
 }
+
+// allocPlans plans, once each, a four-table hash-join chain with a scan
+// filter and a residual, and an index nested-loops join.
+func allocPlans(t *testing.T) (*catalog.Catalog, map[string]optimizer.Plan) {
+	cat := buildCatalog(t, chainSpec2("A", 40), chainSpec2("B", 40), chainSpec2("C", 40), chainSpec2("D", 40))
+	if err := cat.BuildIndex("B", "k"); err != nil {
+		t.Fatal(err)
+	}
+	tabs := []cardest.TableRef{{Table: "A"}, {Table: "B"}, {Table: "C"}, {Table: "D"}}
+	chain := []expr.Predicate{
+		expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k")),
+		expr.NewJoin(ref("A", "u"), expr.OpLT, ref("B", "u")),
+		expr.NewJoin(ref("B", "u"), expr.OpEQ, ref("C", "u")),
+		expr.NewJoin(ref("C", "k"), expr.OpEQ, ref("D", "k")),
+		expr.NewConst(ref("D", "u"), expr.OpLT, storage.Int64(3)),
+	}
+	plans := map[string]optimizer.Plan{}
+	for name, c := range map[string]struct {
+		tabs    []cardest.TableRef
+		preds   []expr.Predicate
+		methods []optimizer.JoinMethod
+	}{
+		"hash chain": {tabs, chain, hashOnly},
+		"index NL":   {tabs[:2], chain[:2], []optimizer.JoinMethod{optimizer.IndexNL}},
+	} {
+		est, err := cardest.New(cat, c.tabs, c.preds, cardest.ELS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := optimizer.New(est, optimizer.Options{Methods: c.methods})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := []string{"A", "B", "C", "D"}[:len(c.tabs)]
+		if plans[name], err = opt.PlanForOrder(order); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat, plans
+}
+
+// raceBuild reports a build with the race detector (race_test.go).
+var raceBuild bool
+
+// Executing a planned query resolves no names: the plan carries its
+// ordinals, so a run allocates its operators' outputs and scratch, not a
+// compiled copy of every predicate, key lookups or residual lists. Before
+// plans carried ordinals the two runs took 246 and 123 allocations (269
+// and 128 under the race detector).
+func TestExecuteAllocationCeiling(t *testing.T) {
+	cat, plans := allocPlans(t)
+	ceilings := map[string]float64{"hash chain": 234, "index NL": 118}
+	if raceBuild {
+		ceilings = map[string]float64{"hash chain": 259, "index NL": 124}
+	}
+	for name, ceiling := range ceilings {
+		plan := plans[name]
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := NewGoverned(cat, governor.New(context.Background(), governor.Limits{})).Execute(plan); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("%s: %v allocations per Execute, want at most %v", name, allocs, ceiling)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cardest"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/expr"
@@ -292,12 +293,20 @@ func hashJoinFixture(t testing.TB, distinct int) (*catalog.Catalog, optimizer.Pl
 			t.Fatal(err)
 		}
 	}
-	return cat, &optimizer.Join{
-		Left:   &optimizer.Scan{Alias: "L", Table: "L"},
-		Right:  &optimizer.Scan{Alias: "R", Table: "R"},
-		Method: optimizer.HashJoin,
-		Preds:  []expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))},
+	est, err := cardest.New(cat, []cardest.TableRef{{Table: "L"}, {Table: "R"}},
+		[]expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))}, cardest.ELS())
+	if err != nil {
+		t.Fatal(err)
 	}
+	opt, err := optimizer.New(est, optimizer.Options{Methods: hashOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := opt.PlanForOrder([]string{"L", "R"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat, plan
 }
 
 // execHashJoin runs the fixture's join under the byte budget (0: none) and

@@ -25,11 +25,15 @@ var ReferenceBestPlan = (*Optimizer).referenceBestPlan
 // numbers: one JoinStep explanation per (reached subset, candidate table),
 // one Join node per applicable method, the cheapest kept by a stable sort.
 // It resolves aliases, indexes and statistics through the estimator on the
-// spot and reads none of what New precomputes.
+// spot and reads none of what New precomputes. Over data-backed tables it
+// resolves every column a node reads by its "alias.column" name in the
+// node's input rows, as the executor did before plans carried ordinals.
 func (o *Optimizer) referenceBestPlan() (Plan, error) {
-	n := len(o.aliases)
+	refs := o.est.Tables()
+	n := len(refs)
 	scans := make([]*Scan, n)
-	for i, a := range o.aliases {
+	for i, tr := range refs {
+		a := tr.Name()
 		s, err := o.referenceScan(a)
 		if err != nil {
 			return nil, err
@@ -59,7 +63,7 @@ func (o *Optimizer) referenceBestPlan() (Plan, error) {
 				if mask&(1<<t) != 0 {
 					continue
 				}
-				step, err := o.est.JoinStep(left.EstRows(), left.Tables(), o.aliases[t])
+				step, err := o.est.JoinStep(left.EstRows(), uint64(mask), t)
 				if err != nil {
 					return nil, err
 				}
@@ -95,14 +99,11 @@ func (o *Optimizer) referenceBestPlan() (Plan, error) {
 }
 
 func (o *Optimizer) referenceScan(alias string) (*Scan, error) {
-	eff, err := o.est.Effective(alias)
-	if err != nil {
-		return nil, err
+	t, ok := o.est.TableNumber(alias)
+	if !ok {
+		return nil, fmt.Errorf("optimizer: unknown table alias %q", alias)
 	}
-	base, err := o.est.BaseStats(alias)
-	if err != nil {
-		return nil, err
-	}
+	eff, base, _ := o.est.Table(t)
 	s := &Scan{
 		Alias:    alias,
 		Table:    alias,
@@ -122,7 +123,79 @@ func (o *Optimizer) referenceScan(alias string) (*Scan, error) {
 		}
 	}
 	s.ScanCost = o.model.ScanCost(s.BaseRows, s.RowWidth)
+	if labels := o.referenceLabels(alias); labels != nil {
+		s.loaded = true
+		s.Conds = referenceConds(s.Filter, labels)
+		for _, d := range s.FilterOr {
+			s.OrConds = append(s.OrConds, referenceConds(d.Preds, labels))
+		}
+	}
 	return s, nil
+}
+
+// referenceLabels lists the "alias.column" labels of the rows a left-deep
+// plan over the aliased tables produces, nil if a table has no data.
+func (o *Optimizer) referenceLabels(aliases ...string) []string {
+	var labels []string
+	for _, alias := range aliases {
+		var data *storage.Table
+		for _, tr := range o.est.Tables() {
+			if strings.EqualFold(tr.Name(), alias) {
+				data = o.est.Catalog().Data(tr.Table)
+			}
+		}
+		if data == nil {
+			return nil
+		}
+		for _, c := range data.Schema().Columns() {
+			labels = append(labels, alias+"."+c.Name)
+		}
+	}
+	return labels
+}
+
+// referenceColumn finds a column by name among labels.
+func referenceColumn(labels []string, ref expr.ColumnRef) int {
+	return slices.IndexFunc(labels, func(l string) bool { return strings.EqualFold(l, ref.Table+"."+ref.Column) })
+}
+
+// referenceConds resolves each predicate's columns by name among labels.
+func referenceConds(preds []expr.Predicate, labels []string) []Cond {
+	var out []Cond
+	for _, p := range preds {
+		c := Cond{Left: referenceColumn(labels, p.Left), Op: p.Op, Right: -1, Const: p.Const}
+		if p.RightIsColumn {
+			c.Right = referenceColumn(labels, p.Right)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// referenceKey resolves a join's key and residual by name: the key is the
+// first equality predicate — for IndexNL the first over the inner's index
+// column — with its sides found in either order.
+func (o *Optimizer) referenceKey(j *Join) {
+	j.LeftKey, j.RightKey = -1, -1
+	left, right := o.referenceLabels(JoinOrder(j.Left)...), o.referenceLabels(j.Right.Alias)
+	if left == nil || right == nil {
+		return
+	}
+	key := -1
+	for i, p := range j.Preds {
+		onIndex := strings.EqualFold(p.Left.Table+"."+p.Left.Column, j.Right.Alias+"."+j.IndexColumn) ||
+			strings.EqualFold(p.Right.Table+"."+p.Right.Column, j.Right.Alias+"."+j.IndexColumn)
+		if key < 0 && p.Op == expr.OpEQ && (j.Method == SortMerge || j.Method == HashJoin || j.Method == IndexNL && onIndex) {
+			key = i
+			if j.LeftKey = referenceColumn(left, p.Left); j.LeftKey >= 0 {
+				j.RightKey = referenceColumn(right, p.Right)
+			} else {
+				j.LeftKey, j.RightKey = referenceColumn(left, p.Right), referenceColumn(right, p.Left)
+			}
+			continue
+		}
+		j.Residual = append(j.Residual, referenceConds([]expr.Predicate{p}, append(slices.Clip(left), right...))...)
+	}
 }
 
 // referenceCandidates builds one Join node per applicable method for
@@ -159,20 +232,22 @@ func (o *Optimizer) referenceCandidates(left Plan, next *Scan, step cardest.Step
 			}
 			indexColumn = col
 			matches := 1.0
-			if base, err := o.est.BaseStats(next.Alias); err == nil {
-				if cs := base.Column(col); cs != nil && cs.Distinct > 0 {
-					matches = base.Card / cs.Distinct
-				}
+			t, _ := o.est.TableNumber(next.Alias)
+			_, base, _ := o.est.Table(t)
+			if cs := base.Column(col); cs != nil && cs.Distinct > 0 {
+				matches = base.Card / cs.Distinct
 			}
 			c = o.model.IndexNLCost(left.Cost(), left.EstRows(), next.BaseRows, matches)
 		default:
 			continue
 		}
-		out = append(out, &Join{
+		j := &Join{
 			Left: left, Right: next, Method: m,
 			Preds: step.Eligible, Rows: step.Size, PlanCost: c, Step: step,
 			IndexColumn: indexColumn, tables: tables,
-		})
+		}
+		o.referenceKey(j)
+		out = append(out, j)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("optimizer: no applicable join method for %s", next.Alias)

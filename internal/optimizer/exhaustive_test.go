@@ -6,7 +6,11 @@ import "fmt"
 // be small) and returns the cheapest plan: the oracle the dynamic
 // programming search is held to.
 func (o *Optimizer) exhaustivePlan() (Plan, error) {
-	n := len(o.aliases)
+	var aliases []string
+	for _, tr := range o.est.Tables() {
+		aliases = append(aliases, tr.Name())
+	}
+	n := len(aliases)
 	if n == 0 {
 		return nil, fmt.Errorf("optimizer: no tables")
 	}
@@ -30,7 +34,7 @@ func (o *Optimizer) exhaustivePlan() (Plan, error) {
 			order = order[:len(order)-1]
 		}
 	}
-	permute(o.aliases)
+	permute(aliases)
 	if best == nil {
 		return nil, fmt.Errorf("optimizer: no plan found")
 	}

@@ -10,8 +10,10 @@ import (
 	"repro/internal/cardest"
 	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/eqclass"
 	"repro/internal/expr"
 	"repro/internal/governor"
+	"repro/internal/storage"
 )
 
 // Options configures the optimizer.
@@ -48,8 +50,10 @@ type Optimizer struct {
 	model   *cost.Model
 	methods []JoinMethod
 	gov     *governor.Governor
-	aliases []string
 	tables  []table // by the estimator's table number
+	// ords holds each column id's ordinal in its table's data schema (-1 if
+	// the data lacks it); nil when a table has no data.
+	ords []int
 }
 
 // table is what planning reads of one query table, resolved once.
@@ -60,6 +64,10 @@ type table struct {
 	sort float64
 	// base holds the raw (unreduced) statistics.
 	base *catalog.TableStats
+	// data is the table's loaded data, nil if it has none, and width its
+	// number of columns, which resolve sets when every table has data.
+	data  *storage.Table
+	width int
 	// probes are the ways an IndexNL join can reach the table as the inner,
 	// in predicate-set order (empty unless IndexNL is in the repertoire).
 	probes []indexProbe
@@ -71,6 +79,8 @@ type indexProbe struct {
 	// outer is the bit of the predicate's other table: the probe is
 	// eligible once that table is in the outer input.
 	outer uint32
+	// pred is the predicate's position in the estimator's Predicates().
+	pred int
 	// column is the indexed inner column.
 	column string
 	// matches estimates the inner rows one probe returns.
@@ -95,8 +105,8 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 	for t, tr := range refs {
 		alias := tr.Name()
 		eff, base, locals := est.Table(t)
-		o.aliases = append(o.aliases, alias)
-		o.tables = append(o.tables, table{base: base, sort: model.SortTerm(eff.Card, base.RowWidth), scan: Scan{
+		data := est.Catalog().Data(tr.Table)
+		o.tables = append(o.tables, table{base: base, data: data, sort: model.SortTerm(eff.Card, base.RowWidth), scan: Scan{
 			Alias:    alias,
 			Table:    tr.Table,
 			Filter:   locals,
@@ -105,30 +115,95 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 			BaseRows: base.Card,
 			RowWidth: base.RowWidth,
 			ScanCost: model.ScanCost(base.Card, base.RowWidth),
+			loaded:   data != nil,
 		}})
 	}
+	o.resolve()
 	if slices.Contains(methods, IndexNL) {
-		for _, p := range est.Predicates() {
-			if p.Kind() != expr.KindJoin || p.Op != expr.OpEQ {
+		ops := est.Operands()
+		for i, p := range est.Predicates() {
+			if ops[i].Right < 0 || p.Op != expr.OpEQ {
 				continue
 			}
-			l, _ := est.TableNumber(p.Left.Table)
-			r, _ := est.TableNumber(p.Right.Table)
-			o.addProbe(l, r, p.Left.Column)
-			o.addProbe(r, l, p.Right.Column)
+			l, r := est.TableOf(ops[i].Left), est.TableOf(ops[i].Right)
+			if l != r {
+				o.addProbe(l, r, i, p.Left.Column)
+				o.addProbe(r, l, i, p.Right.Column)
+			}
 		}
 	}
 	return o, nil
 }
 
+// resolve gives every column the query reads its ordinal in its table's
+// data schema, once: each column id's in ords, and each scan's filters and
+// OR-groups as conditions. A table without data leaves ords nil and no
+// conditions; a column its table's data lacks is recorded on the scan, and
+// Runnable refuses the plans that read it.
+func (o *Optimizer) resolve() {
+	for t := range o.tables {
+		if o.tables[t].data == nil {
+			return
+		}
+	}
+	ids, ops := o.est.Classes(), o.est.Operands()
+	o.ords = make([]int, ids.Len())
+	for id := range o.ords {
+		o.ords[id] = o.ordinal(o.est.TableOf(int32(id)), ids.Ref(int32(id)))
+	}
+	own := make([]int, len(o.tables)) // every table's row starts at 0
+	for i, p := range o.est.Predicates() {
+		if t := o.est.TableOf(ops[i].Left); ops[i].Right < 0 || o.est.TableOf(ops[i].Right) == t {
+			s := &o.tables[t].scan
+			s.Conds = append(s.Conds, o.cond(p, ops[i], own))
+		}
+	}
+	for t := range o.tables {
+		o.tables[t].width = o.tables[t].data.Schema().NumColumns()
+		s := &o.tables[t].scan
+		for _, d := range s.FilterOr {
+			group := make([]Cond, len(d.Preds))
+			for i, p := range d.Preds {
+				group[i] = Cond{Left: o.ordinal(t, p.Left), Op: p.Op, Right: -1, Const: p.Const}
+				if p.RightIsColumn {
+					group[i].Right = o.ordinal(t, p.Right)
+				}
+			}
+			s.OrConds = append(s.OrConds, group)
+		}
+	}
+}
+
+// ordinal resolves a column of table number t in the table's data schema,
+// recording it on the table's scan if the data lacks it.
+func (o *Optimizer) ordinal(t int, ref expr.ColumnRef) int {
+	tb := &o.tables[t]
+	i := tb.data.Schema().ColumnIndex(ref.Column)
+	if i < 0 && tb.scan.missing == (expr.ColumnRef{}) {
+		tb.scan.missing = ref
+	}
+	return i
+}
+
+// cond is predicate p, whose column ids are ops, over a row in which table
+// number t's columns start at at[t].
+func (o *Optimizer) cond(p expr.Predicate, ops eqclass.Operands, at []int) Cond {
+	c := Cond{Left: at[o.est.TableOf(ops.Left)] + o.ords[ops.Left], Op: p.Op, Right: -1, Const: p.Const}
+	if ops.Right >= 0 {
+		c.Right = at[o.est.TableOf(ops.Right)] + o.ords[ops.Right]
+	}
+	return c
+}
+
 // addProbe records that an IndexNL join can probe the inner table's column
-// once the outer table is joined, if the column is indexed.
-func (o *Optimizer) addProbe(inner, outer int, column string) {
+// through predicate number pred once the outer table is joined, if the
+// column is indexed.
+func (o *Optimizer) addProbe(inner, outer, pred int, column string) {
 	t := &o.tables[inner]
 	if !o.est.Catalog().HasIndex(t.scan.Table, column) {
 		return
 	}
-	t.probes = append(t.probes, indexProbe{outer: 1 << outer, column: column, matches: expectedMatches(t.base, column)})
+	t.probes = append(t.probes, indexProbe{outer: 1 << outer, pred: pred, column: column, matches: expectedMatches(t.base, column)})
 }
 
 // probe returns the position of the table's first probe that is eligible
@@ -222,19 +297,53 @@ func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, mask
 	return best, nil
 }
 
-// join builds the plan node that joins table number t to left as chosen,
-// explained by step.
-func (o *Optimizer) join(left Plan, t int, step cardest.StepResult, c joinChoice) *Join {
+// chain is a left-deep plan being built: the tables it covers, its row
+// width in data columns, and where each table's columns start in its rows.
+type chain struct {
+	plan  Plan
+	mask  uint32
+	width int
+	at    []int // by table number
+}
+
+// begin starts a left-deep plan at table number t.
+func (o *Optimizer) begin(t int) *chain {
+	return &chain{plan: o.scan(t), mask: 1 << t, width: o.tables[t].width, at: make([]int, len(o.tables))}
+}
+
+// join extends the chain by the node that joins table number t to it as
+// chosen, explained by step, with its key and residual as ordinals.
+func (o *Optimizer) join(ch *chain, t int, step cardest.StepResult, c joinChoice) {
+	left := ch.plan
 	j := &Join{
 		Left: left, Right: o.scan(t), Method: c.method,
 		Preds: step.Eligible, Rows: step.Size, PlanCost: c.cost, Step: step,
+		LeftKey: -1, RightKey: -1,
 	}
-	if c.probe >= 0 {
-		j.IndexColumn = o.tables[t].probes[c.probe].column
+	key := -1 // the key's position in Preds
+	switch c.method {
+	case SortMerge, HashJoin:
+		key = slices.IndexFunc(step.Eligible, expr.Predicate.IsEquality)
+	case IndexNL:
+		probe := &o.tables[t].probes[c.probe]
+		j.IndexColumn = probe.column
+		key = slices.Index(step.Positions, probe.pred)
 	}
-	j.tables = append(append(make([]string, 0, len(left.Tables())+1), left.Tables()...), o.aliases[t])
+	ch.at[t] = ch.width
+	if o.ords != nil {
+		ops := o.est.Operands()
+		for i, pos := range step.Positions {
+			cond := o.cond(step.Eligible[i], ops[pos], ch.at)
+			if i == key {
+				j.LeftKey, j.RightKey = min(cond.Left, cond.Right), max(cond.Left, cond.Right)-ch.width
+				continue
+			}
+			j.Residual = append(j.Residual, cond)
+		}
+	}
+	j.tables = append(append(make([]string, 0, len(left.Tables())+1), left.Tables()...), j.Right.Alias)
 	sort.Strings(j.tables)
-	return j
+	ch.plan, ch.mask, ch.width = j, ch.mask|1<<t, ch.width+o.tables[t].width
 }
 
 // subplan is the DP table's entry for one subset of the tables: the
@@ -337,19 +446,19 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 		path = append(path, best[mask])
 	}
 	slices.Reverse(path)
-	var plan Plan = o.scan(path[0].table)
+	ch := o.begin(path[0].table)
 	for _, sub := range path[1:] {
-		step, err := o.est.JoinStep(plan.EstRows(), plan.Tables(), o.aliases[sub.table])
+		step, err := o.est.JoinStep(ch.plan.EstRows(), uint64(ch.mask), sub.table)
 		if err != nil {
 			return nil, err
 		}
 		if math.Float64bits(step.Size) != math.Float64bits(sub.rows) {
 			return nil, fmt.Errorf("%w: optimizer: joining %s, JoinStep estimates %v rows where the search used %v",
-				governor.ErrInternal, o.aliases[sub.table], step.Size, sub.rows)
+				governor.ErrInternal, o.tables[sub.table].scan.Alias, step.Size, sub.rows)
 		}
-		plan = o.join(plan, sub.table, step, sub.joinChoice)
+		o.join(ch, sub.table, step, sub.joinChoice)
 	}
-	return plan, nil
+	return ch.plan, nil
 }
 
 // PlanForOrder builds the cheapest left-deep plan that follows the given
@@ -360,27 +469,27 @@ func (o *Optimizer) PlanForOrder(order []string) (Plan, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("optimizer: empty order")
 	}
-	var plan Plan
-	var mask uint32
+	var ch *chain
 	for _, alias := range order {
 		t, ok := o.est.TableNumber(alias)
 		if !ok {
 			return nil, fmt.Errorf("optimizer: unknown table alias %q", alias)
 		}
-		if plan == nil {
-			plan, mask = o.scan(t), 1<<t
+		if ch == nil {
+			ch = o.begin(t)
 			continue
 		}
-		step, err := o.est.JoinStep(plan.EstRows(), plan.Tables(), o.aliases[t])
+		step, err := o.est.JoinStep(ch.plan.EstRows(), uint64(ch.mask), t)
 		if err != nil {
 			return nil, err
 		}
 		equality := slices.ContainsFunc(step.Eligible, expr.Predicate.IsEquality)
-		c, err := o.cheapestMethod(plan.Cost(), plan.EstRows(), o.model.SortTerm(plan.EstRows(), plan.Width()), mask, t, equality)
+		plan := ch.plan
+		c, err := o.cheapestMethod(plan.Cost(), plan.EstRows(), o.model.SortTerm(plan.EstRows(), plan.Width()), ch.mask, t, equality)
 		if err != nil {
 			return nil, err
 		}
-		plan, mask = o.join(plan, t, step, c), mask|1<<t
+		o.join(ch, t, step, c)
 	}
-	return plan, nil
+	return ch.plan, nil
 }

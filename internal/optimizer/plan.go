@@ -8,11 +8,14 @@
 package optimizer
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/cardest"
 	"repro/internal/expr"
+	"repro/internal/governor"
+	"repro/internal/storage"
 )
 
 // JoinMethod identifies a physical join algorithm.
@@ -64,6 +67,16 @@ type Plan interface {
 	String() string
 }
 
+// Cond is one predicate of a plan node with its columns resolved, when the
+// plan is built, to ordinals of the rows the node reads: a scan's base-table
+// row, or a join's left input row followed by its inner table's row.
+type Cond struct {
+	Left  int
+	Op    expr.CompareOp
+	Right int // -1 when the right side is a constant
+	Const storage.Value
+}
+
 // Scan is a leaf plan: a full scan of a base table with the table's local
 // predicates applied on the fly.
 type Scan struct {
@@ -84,6 +97,14 @@ type Scan struct {
 	RowWidth int
 	// ScanCost is the cost of one execution of the scan.
 	ScanCost float64
+	// Conds are Filter, and OrConds the OR-groups of FilterOr, over the base
+	// table's ordinals.
+	Conds   []Cond
+	OrConds [][]Cond
+	// loaded says the table had data when the plan was built, and missing
+	// names a column the plan reads that the data lacks (zero if none).
+	loaded  bool
+	missing expr.ColumnRef
 }
 
 // Tables implements Plan.
@@ -116,12 +137,13 @@ func (s *Scan) appendTo(b []byte) []byte {
 	return appendCosts(append(b, ')'), s.Rows, s.ScanCost)
 }
 
-// Join is an inner plan node joining Left (outer) with Right (inner).
+// Join is an inner plan node joining Left (outer) with Right (inner). Plans
+// are left-deep: the inner is always a base-table scan.
 type Join struct {
 	// Left is the outer input.
 	Left Plan
 	// Right is the inner input.
-	Right Plan
+	Right *Scan
 	// Method is the physical join algorithm.
 	Method JoinMethod
 	// Preds are the join predicates applied at this node (all eligible
@@ -137,6 +159,13 @@ type Join struct {
 	// IndexColumn is the inner base-table column whose index an IndexNL
 	// join probes (empty for other methods).
 	IndexColumn string
+	// LeftKey and RightKey are the join key's ordinals in the left input and
+	// in the inner table: the first equality predicate for sort-merge and
+	// hash joins, the probed one for IndexNL; -1 for nested loops.
+	LeftKey, RightKey int
+	// Residual are the other predicates of Preds, in order, over the left
+	// input's columns followed by the inner table's.
+	Residual []Cond
 	// tables is the sorted alias set, filled when the optimizer builds the
 	// node: a finished plan is shared by concurrent readers (the plan cache
 	// hands one tree to every query that hits it) and is never written.
@@ -160,7 +189,7 @@ func (j *Join) String() string { return string(j.appendTo(nil)) }
 
 func (j *Join) appendTo(b []byte) []byte {
 	b = append(append(append(b, j.Method.String()...), '('), strings.Join(j.Left.Tables(), ",")...)
-	b = append(append(b, " ⋈ "...), strings.Join(j.Right.Tables(), ",")...)
+	b = append(append(b, " ⋈ "...), j.Right.Alias...)
 	return appendCosts(append(b, ')'), j.Rows, j.PlanCost)
 }
 
@@ -199,17 +228,42 @@ func appendPlan(b []byte, p Plan, depth int) []byte {
 	}
 }
 
-// JoinOrder returns the base-table order of a left-deep plan (outermost
-// first). For bushy plans it returns a depth-first linearization.
+// JoinOrder returns the base-table order of a plan (outermost first).
 func JoinOrder(p Plan) []string {
 	switch n := p.(type) {
 	case *Scan:
 		return []string{n.Alias}
 	case *Join:
-		return append(JoinOrder(n.Left), JoinOrder(n.Right)...)
+		return append(JoinOrder(n.Left), n.Right.Alias)
 	default:
 		return nil
 	}
+}
+
+// Runnable reports whether the plan can run. A plan reading a table or a
+// column that had no loaded data when it was planned explains and estimates
+// but cannot run: Runnable names what is missing, as ErrParse. A plan runs
+// only against the catalog snapshot it was planned on, whose data its
+// ordinals index.
+func Runnable(p Plan) error {
+	for p != nil {
+		var s *Scan
+		switch n := p.(type) {
+		case *Scan:
+			s, p = n, nil
+		case *Join:
+			s, p = n.Right, n.Left
+		default:
+			return fmt.Errorf("optimizer: unknown plan node %T", p)
+		}
+		switch {
+		case !s.loaded:
+			return fmt.Errorf("%w: table %q has no loaded data", governor.ErrParse, s.Table)
+		case s.missing != (expr.ColumnRef{}):
+			return fmt.Errorf("%w: %s: table %q has no loaded column %q", governor.ErrParse, s.missing, s.Table, s.missing.Column)
+		}
+	}
+	return nil
 }
 
 // StepSizes returns the estimated sizes after each join of a left-deep

@@ -87,9 +87,11 @@ func samePlan(t *testing.T, label string, got, want optimizer.Plan) {
 			t.Fatalf("%s: joining %s: step\n got  %+v\n want %+v", label, w.Step.Table, g.Step, w.Step)
 		}
 		if !reflect.DeepEqual(g.Preds, w.Preds) || g.Method != w.Method || g.IndexColumn != w.IndexColumn ||
+			g.LeftKey != w.LeftKey || g.RightKey != w.RightKey || !reflect.DeepEqual(g.Residual, w.Residual) ||
 			math.Float64bits(g.Rows) != math.Float64bits(w.Rows) || math.Float64bits(g.PlanCost) != math.Float64bits(w.PlanCost) {
-			t.Fatalf("%s: joining %s: got %s on %q preds %v, want %s on %q preds %v",
-				label, w.Step.Table, g, g.IndexColumn, g.Preds, w, w.IndexColumn, w.Preds)
+			t.Fatalf("%s: joining %s: got %s on %q preds %v key %d,%d residual %v, want %s on %q preds %v key %d,%d residual %v",
+				label, w.Step.Table, g, g.IndexColumn, g.Preds, g.LeftKey, g.RightKey, g.Residual,
+				w, w.IndexColumn, w.Preds, w.LeftKey, w.RightKey, w.Residual)
 		}
 		if !reflect.DeepEqual(g.Right, w.Right) {
 			t.Fatalf("%s: inner scan %+v, want %+v", label, g.Right, w.Right)

@@ -368,21 +368,11 @@ func buildEstimate(algo Algorithm, plan optimizer.Plan, opt *optimizer.Optimizer
 // deterministic.
 func estimateWorkingBytes(plan optimizer.Plan) int64 {
 	var worst float64
-	var walk func(optimizer.Plan)
-	walk = func(n optimizer.Plan) {
-		j, ok := n.(*optimizer.Join)
-		if !ok {
-			return
-		}
-		walk(j.Left)
-		walk(j.Right)
-		if j.Method == optimizer.HashJoin {
-			if b := j.Right.EstRows() * float64(16*j.Right.Width()); b > worst {
-				worst = b
-			}
+	for j, ok := plan.(*optimizer.Join); ok; j, ok = j.Left.(*optimizer.Join) {
+		if b := j.Right.Rows * float64(16*j.Right.RowWidth); j.Method == optimizer.HashJoin && b > worst {
+			worst = b
 		}
 	}
-	walk(plan)
 	worst *= 2 // safety factor against modest underestimates
 	if worst > float64(1<<55) {
 		worst = float64(1 << 55)
@@ -540,7 +530,9 @@ func (s *System) ExplainDotContext(ctx context.Context, sql string, algo Algorit
 }
 
 // Query plans and executes the SQL under the selected algorithm. Every
-// table referenced must have loaded data (LoadTable/GenerateTable).
+// table and column referenced must have loaded data (LoadTable,
+// GenerateTable); one without fails with ErrParse naming it, while Estimate
+// still answers from the statistics.
 func (s *System) Query(sql string, algo Algorithm) (*Result, error) {
 	return s.QueryContext(context.Background(), sql, algo) //ctxflow:allow context-less compatibility wrapper
 }
@@ -618,7 +610,7 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 			for _, ref := range q.Projection {
 				idx := schema.ColumnIndex(ref.Table + "." + ref.Column)
 				if idx < 0 {
-					return nil, fmt.Errorf("%w: projection column %s missing from result", ErrInternal, ref)
+					return nil, fmt.Errorf("%w: column %s has no loaded data", ErrParse, ref)
 				}
 				cols = append(cols, idx)
 				out.Columns = append(out.Columns, ref.String())
@@ -675,7 +667,7 @@ func (s *System) aggregateResult(q *sqlparse.Query, exec *executor.Executor, res
 	colIdx := func(ref string) (int, error) {
 		idx := schema.ColumnIndex(ref)
 		if idx < 0 {
-			return 0, fmt.Errorf("%w: column %s missing from result", ErrInternal, ref)
+			return 0, fmt.Errorf("%w: column %s has no loaded data", ErrParse, ref)
 		}
 		return idx, nil
 	}

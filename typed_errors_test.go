@@ -13,6 +13,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/faultinject"
 	"repro/internal/governor"
+	"repro/internal/wire"
 )
 
 // The three structured error types are reachable through errors.As from
@@ -354,6 +355,106 @@ func FuzzLoadCSV(f *testing.F) {
 		}
 		if (errs[0] == nil) != (errs[1] == nil) {
 			t.Fatalf("without histograms err = %v, with histograms err = %v", errs[0], errs[1])
+		}
+	})
+}
+
+// unloadedSystem holds two loaded tables R(a, b) and S(a, b), a table P
+// with declared statistics only, and a table D loaded as (a, b) whose
+// statistics were then redeclared as (a, c), so D.c has statistics but no
+// data.
+func unloadedSystem(t testing.TB) *System {
+	t.Helper()
+	sys := New()
+	for name, rows := range map[string][][]int64{
+		"R": {{1, 10}, {2, 20}, {3, 30}},
+		"S": {{1, 5}, {2, 25}, {2, 35}},
+		"D": {{1, 7}, {3, 9}},
+	} {
+		if err := sys.LoadTable(name, []string{"a", "b"}, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.MustDeclareStats("P", 100, map[string]float64{"id": 100, "name": 50})
+	sys.MustDeclareStats("D", 2, map[string]float64{"a": 2, "c": 2})
+	return sys
+}
+
+// A statement reading a table or a column the catalog has statistics for
+// but no data is a parse error naming it — never retryable, in process or
+// over the wire — and the same statement still estimates.
+func TestUnloadedDataIsAParseError(t *testing.T) {
+	sys := unloadedSystem(t)
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT COUNT(*) FROM P", `table "P" has no loaded data`},
+		{"SELECT COUNT(*) FROM D WHERE D.c = 1", "D.c"},
+		{"SELECT COUNT(*) FROM D, S WHERE D.c = S.a", "D.c"},
+		{"SELECT D.c FROM D", "D.c"},
+		{"SELECT D.c, COUNT(*) FROM D GROUP BY D.c", "D.c"},
+	} {
+		_, err := sys.Query(c.sql, AlgorithmELS)
+		if !errors.Is(err, ErrParse) || sentinelsMatched(err) != 1 || Retryable(err) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want only a non-retryable ErrParse naming %s", c.sql, err, c.want)
+			continue
+		}
+		we := wire.FromError(err, 0)
+		remote := &wire.RemoteError{Wire: *we}
+		if we.Code != "parse" || we.Retryable || !errors.Is(remote, ErrParse) || Retryable(remote) {
+			t.Errorf("%q over the wire: code %q, retryable %v", c.sql, we.Code, we.Retryable)
+		}
+		if _, err := sys.Estimate(c.sql, AlgorithmELS); err != nil {
+			t.Errorf("%q: Estimate: %v", c.sql, err)
+		}
+	}
+	if _, err := sys.Query("SELECT D.a FROM D, S WHERE D.a = S.a", AlgorithmELS); err != nil {
+		t.Errorf("a loaded column of D: %v", err)
+	}
+}
+
+// unsupportedShapes are statement shapes of other SQL engines' grammars
+// (DDL, DML, JOIN … ON, HAVING, ORDER BY, LIMIT) outside the conjunctive
+// subset this one parses: each is a parse error, never a misparse.
+var unsupportedShapes = []string{
+	"CREATE TABLE T (a BIGINT, b VARCHAR(10))",
+	"INSERT INTO R (a, b) VALUES (1, 2)",
+	"SELECT COUNT(*) FROM R JOIN S ON R.a = S.a",
+	"SELECT R.a, COUNT(*) FROM R GROUP BY R.a HAVING COUNT(*) > 1",
+	"SELECT R.a FROM R ORDER BY R.a DESC",
+	"SELECT R.a FROM R LIMIT 5",
+}
+
+// FuzzQuerySQL holds SQL text, through the whole pipeline, to the
+// typed-error contract: System.Query and System.Estimate each succeed or
+// fail with exactly one taxonomy sentinel other than ErrInternal, over two
+// loaded tables, one with declared statistics only, and one whose
+// statistics and data disagree.
+func FuzzQuerySQL(f *testing.F) {
+	sys := unloadedSystem(f)
+	sys.SetLimits(Limits{MaxTuples: 1 << 20, MaxRows: 1 << 16, MaxPlans: 1 << 12})
+	for _, sql := range unsupportedShapes {
+		if _, err := sys.Query(sql, AlgorithmELS); !errors.Is(err, ErrParse) {
+			f.Errorf("%q: err = %v, want ErrParse", sql, err)
+		}
+		f.Add(sql)
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM R x, R Y WHERE x.a = Y.a AND X.b < y.B",
+		"SELECT * FROM r, s WHERE R.A = s.a",
+		"SELECT COUNT(*) FROM R, S WHERE (R.b = 10 OR R.b = 30) AND R.a = S.a",
+		"SELECT R.a, COUNT(*), SUM(R.b) FROM R, S WHERE R.a = S.a GROUP BY R.a",
+		"SELECT COUNT(*) FROM R, S, P WHERE R.a = S.a AND S.a = P.id",
+		"SELECT COUNT(*) FROM D, R WHERE D.c = R.b AND D.a < 3",
+		"SELECT R.b FROM R WHERE R.a < 2.5",
+	} {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		_, qerr := sys.Query(sql, AlgorithmELS)
+		_, eerr := sys.Estimate(sql, AlgorithmELS)
+		for _, err := range []error{qerr, eerr} {
+			if err != nil && (sentinelsMatched(err) != 1 || errors.Is(err, ErrInternal)) {
+				t.Fatalf("%q: err = %v, want one sentinel other than ErrInternal", sql, err)
+			}
 		}
 	})
 }
