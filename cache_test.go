@@ -370,6 +370,41 @@ func foldPlanCase(res *Result) {
 	}
 }
 
+// A dashboard-shaped workload — a fixed pool of generated statements
+// re-issued on a Zipf-skewed schedule through parse, bind, plan cache and
+// estimate — is served at least 90% from the plan cache.
+func TestRepeatedWorkloadHitsThePlanCache(t *testing.T) {
+	const (
+		seed     = 42
+		poolSize = 25
+		issues   = 500
+		skew     = 1.5
+	)
+	sys := New()
+	pool := make([]string, poolSize)
+	for i := range pool {
+		q := querygen.GenerateNamed(seed+int64(i), fmt.Sprintf("W%dT", i))
+		for _, spec := range q.Specs {
+			distinct := make(map[string]float64, len(spec.Columns))
+			for _, col := range spec.Columns {
+				distinct[col.Name] = float64(min(col.Domain, spec.Rows))
+			}
+			if err := sys.DeclareStats(spec.Name, float64(spec.Rows), distinct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool[i] = q.SQL()
+	}
+	for _, idx := range querygen.RepeatSchedule(seed, poolSize, issues, skew) {
+		if _, err := sys.Estimate(pool[idx], AlgorithmELS); err != nil {
+			t.Fatalf("%q: %v", pool[idx], err)
+		}
+	}
+	if st := sys.CacheStats(); st.HitRate() < 0.9 {
+		t.Errorf("hit rate %.3f (%d hits, %d misses), want >= 0.9", st.HitRate(), st.Hits, st.Misses)
+	}
+}
+
 // The cache must be invisible to results. Every generated statement is
 // issued three times on a caching System — first sight (a miss), the
 // identical text (a text hit: no lex, parse, bind or Canonical), and a

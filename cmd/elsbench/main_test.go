@@ -2,25 +2,61 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	els "repro"
-	"repro/internal/experiment"
 )
 
-// runFor is the test entry point: run with a throwaway report.
-func runFor(w *bytes.Buffer, which string, scale int, seed int64, estimatesOnly bool) error {
-	return run(w, which, scale, seed, estimatesOnly, &experiment.BenchReport{})
+// EXPERIMENTS.md is the output of `elsbench` with its default flags. Every
+// ```text block of the document, in order, is one blank-line-separated
+// chunk of what run prints, byte for byte, and together the blocks are the
+// whole output. Any change that moves a printed number turns this red until
+// the document is regenerated and its prose re-read.
+func TestExperimentsDocumentMatchesOutput(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []string
+	var lines []string
+	open := false
+	for _, line := range strings.Split(string(doc), "\n") {
+		switch {
+		case !open && line == "```text":
+			open, lines = true, nil
+		case open && line == "```":
+			open = false
+			blocks = append(blocks, strings.Join(lines, "\n"))
+		case open:
+			lines = append(lines, line)
+		}
+	}
+	if open {
+		t.Fatal("EXPERIMENTS.md: unterminated ```text block")
+	}
+	var out bytes.Buffer
+	if err := run(&out, "all", 1, 42, false); err != nil {
+		t.Fatal(err)
+	}
+	chunks := strings.Split(strings.TrimSuffix(out.String(), "\n\n"), "\n\n")
+	for i := 0; i < len(chunks) || i < len(blocks); i++ {
+		var got, want string
+		if i < len(chunks) {
+			got = chunks[i]
+		}
+		if i < len(blocks) {
+			want = blocks[i]
+		}
+		if got != want {
+			t.Fatalf("EXPERIMENTS.md text block %d differs from `go run ./cmd/elsbench` (%d blocks, %d output chunks)\n--- output:\n%s\n--- document:\n%s",
+				i+1, len(blocks), len(chunks), got, want)
+		}
+	}
 }
 
 func TestRunSection8Experiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFor(&buf, "section8", 100, 42, false); err != nil {
+	if err := run(&buf, "section8", 100, 42, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -33,26 +69,17 @@ func TestRunSection8Experiment(t *testing.T) {
 
 func TestRunEstimatesOnly(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFor(&buf, "section8", 1, 42, true); err != nil {
+	if err := run(&buf, "section8", 1, 42, true); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "4e-21") {
+	if out := buf.String(); !strings.Contains(out, "4e-21") {
 		t.Errorf("estimates-only output missing the paper value 4e-21:\n%s", out)
-	}
-	// Indexed experiment is skipped without execution.
-	buf.Reset()
-	if err := runFor(&buf, "indexed", 1, 42, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "skipped") {
-		t.Errorf("indexed + estimates-only should announce the skip:\n%s", buf.String())
 	}
 }
 
 func TestRunExamples(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFor(&buf, "examples", 1, 1, false); err != nil {
+	if err := run(&buf, "examples", 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "MISMATCH") {
@@ -61,14 +88,12 @@ func TestRunExamples(t *testing.T) {
 }
 
 func TestRunSmallAblations(t *testing.T) {
-	for _, which := range []string{"urn", "independence", "sampled"} {
-		var buf bytes.Buffer
-		if err := runFor(&buf, which, 1, 3, false); err != nil {
-			t.Fatalf("%s: %v", which, err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", which)
-		}
+	var buf bytes.Buffer
+	if err := run(&buf, "urn", 1, 3, false); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
+		t.Error("urn produced no output")
 	}
 }
 
@@ -76,9 +101,9 @@ func TestRunLargeAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-second ablations in -short mode")
 	}
-	for _, which := range []string{"chain", "zipf", "random", "indexed"} {
+	for _, which := range []string{"chain", "zipf", "random"} {
 		var buf bytes.Buffer
-		if err := runFor(&buf, which, 10, 3, false); err != nil {
+		if err := run(&buf, which, 10, 3, false); err != nil {
 			t.Fatalf("%s: %v", which, err)
 		}
 		if buf.Len() == 0 {
@@ -87,121 +112,29 @@ func TestRunLargeAblations(t *testing.T) {
 	}
 }
 
-// The repeated-query workload must clear the acceptance bar: a Zipf-skewed
-// re-issue schedule over a small statement pool is served ≥ 90% from the
-// plan cache, and the rate lands in the bench report as cache_hit_rate.
-func TestRunRepeatedWorkload(t *testing.T) {
-	var buf bytes.Buffer
-	report := &experiment.BenchReport{}
-	if err := run(&buf, "repeated", 1, 42, false, report); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "hit rate") {
-		t.Errorf("repeated output missing the hit rate line:\n%s", buf.String())
-	}
-	if report.CacheHitRate < 0.9 {
-		t.Errorf("cache_hit_rate = %.3f, want >= 0.9:\n%s", report.CacheHitRate, buf.String())
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFor(&buf, "nope", 1, 1, false); err == nil {
-		t.Error("unknown experiment should error")
-	}
-	if err := runFor(&buf, "", 1, 1, false); err == nil {
-		t.Error("empty experiment list should error")
-	}
-	if err := runFor(&buf, "examples,nope", 1, 1, false); err == nil {
-		t.Error("unknown name in a comma-separated list should error")
-	}
-}
-
-// A comma-separated -experiment list runs each named step once and records
-// one bench result per step.
-func TestRunExperimentList(t *testing.T) {
-	var buf bytes.Buffer
-	report := &experiment.BenchReport{}
-	if err := run(&buf, "examples,repeated", 1, 42, false, report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Results) != 2 {
-		t.Fatalf("results = %d, want 2: %+v", len(report.Results), report.Results)
-	}
-	if report.Results[0].Experiment != "examples" || report.Results[1].Experiment != "repeated" {
-		t.Errorf("steps ran as %+v, want examples then repeated", report.Results)
-	}
-}
-
-// The bench report must record one result per executed experiment, with the
-// Section 8 work counters totalled, and the JSON writer must round-trip it
-// to disk.
-func TestRunBenchReport(t *testing.T) {
-	var buf bytes.Buffer
-	report := &experiment.BenchReport{Scale: 100, Seed: 42, GoMaxProcs: 1}
-	if err := run(&buf, "section8", 100, 42, false, report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Results) != 1 {
-		t.Fatalf("results = %d, want 1", len(report.Results))
-	}
-	res := report.Results[0]
-	if res.Experiment != "section8" {
-		t.Errorf("result = %+v, want section8", res)
-	}
-	if res.TuplesScanned <= 0 {
-		t.Errorf("tuples scanned = %d, want > 0", res.TuplesScanned)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_results.json")
-	if err := experiment.WriteBenchJSON(path, report); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"experiment": "section8"`, `"tuples_scanned"`, `"gomaxprocs": 1`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("bench JSON missing %s:\n%s", want, data)
+	for _, which := range []string{"nope", "", "examples,nope", "repeated"} {
+		buf.Reset()
+		if err := run(&buf, which, 1, 1, false); err == nil {
+			t.Errorf("-experiment %q should error", which)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-experiment %q printed before failing:\n%s", which, buf.String())
 		}
 	}
 }
 
-// measureRecovery must leave a recoverable catalog behind and record a
-// positive recovery_ms in both the report and the emitted JSON.
-func TestMeasureRecovery(t *testing.T) {
-	dir := t.TempDir()
-	report := &experiment.BenchReport{Scale: 10, Seed: 42}
-	if err := measureRecovery(dir, 10, report); err != nil {
+// A comma-separated -experiment list runs each named step once, in the
+// order of the full run.
+func TestRunExperimentList(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "urn,examples", 1, 42, false); err != nil {
 		t.Fatal(err)
 	}
-	if report.RecoveryMillis <= 0 {
-		t.Errorf("recovery_ms = %g, want > 0", report.RecoveryMillis)
-	}
-	// The catalog it measured is a real durable directory: reopen it and
-	// check the scaled Section 8 tables are present.
-	sys, err := els.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		sys.Close(ctx)
-	}()
-	card, err := sys.TableCard("G")
-	if err != nil || card != 10000 {
-		t.Errorf("G card = %g, %v; want 100000/10", card, err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_results.json")
-	if err := experiment.WriteBenchJSON(path, report); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"recovery_ms"`) {
-		t.Errorf("bench JSON missing recovery_ms:\n%s", data)
+	out := buf.String()
+	ex, urn := strings.Index(out, "Worked examples"), strings.Index(out, "A3:")
+	if ex < 0 || urn < ex || strings.Count(out, "A3:") != 1 {
+		t.Errorf("want the examples then A3, once each:\n%s", out)
 	}
 }

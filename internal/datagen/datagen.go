@@ -65,13 +65,6 @@ type ColumnSpec struct {
 	// Theta is the Zipf skew parameter (DistZipf only). Typical values are
 	// 0 (uniform) through ~1 (heavily skewed).
 	Theta float64
-	// CorrelatedWith, if non-empty, makes this column a deterministic
-	// function (identity plus CorrelationLag) of the named earlier column
-	// instead of an independent draw — used to violate the independence
-	// assumption in ablations.
-	CorrelatedWith string
-	// CorrelationLag is added (mod Domain) to the source column's value.
-	CorrelationLag int
 }
 
 // TableSpec describes one generated table.
@@ -106,10 +99,8 @@ func Generate(spec TableSpec, seed int64) (*storage.Table, error) {
 
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([][]int64, len(spec.Columns))
-	byName := make(map[string]int, len(spec.Columns))
 	for i, cs := range spec.Columns {
-		byName[cs.Name] = i
-		vals, err := generateColumn(spec, cs, cols, byName, rng)
+		vals, err := generateColumn(spec, cs, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -129,25 +120,7 @@ func Generate(spec TableSpec, seed int64) (*storage.Table, error) {
 	return tbl, nil
 }
 
-func generateColumn(spec TableSpec, cs ColumnSpec, cols [][]int64, byName map[string]int, rng *rand.Rand) ([]int64, error) {
-	if cs.CorrelatedWith != "" {
-		src, ok := byName[cs.CorrelatedWith]
-		if !ok || cols[src] == nil {
-			return nil, fmt.Errorf("datagen: table %s: column %s correlated with unknown or later column %q",
-				spec.Name, cs.Name, cs.CorrelatedWith)
-		}
-		if cs.Domain <= 0 {
-			return nil, fmt.Errorf("datagen: table %s: column %s: non-positive domain", spec.Name, cs.Name)
-		}
-		out := make([]int64, spec.Rows)
-		for i, v := range cols[src] {
-			out[i] = (v + int64(cs.CorrelationLag)) % int64(cs.Domain)
-			if out[i] < 0 {
-				out[i] += int64(cs.Domain)
-			}
-		}
-		return out, nil
-	}
+func generateColumn(spec TableSpec, cs ColumnSpec, rng *rand.Rand) ([]int64, error) {
 	switch cs.Dist {
 	case DistUniform:
 		if cs.Domain <= 0 {

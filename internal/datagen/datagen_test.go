@@ -42,9 +42,6 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(TableSpec{Name: "t", Rows: 1, Columns: []ColumnSpec{{Name: "x", Dist: Distribution(42), Domain: 3}}}, 1); err == nil {
 		t.Error("unknown distribution should error")
 	}
-	if _, err := Generate(TableSpec{Name: "t", Rows: 1, Columns: []ColumnSpec{{Name: "x", CorrelatedWith: "nope", Domain: 3}}}, 1); err == nil {
-		t.Error("unknown correlation source should error")
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -121,22 +118,6 @@ func TestUniformColumnBounds(t *testing.T) {
 	for v, n := range counts {
 		if n < 50 || n > 200 {
 			t.Errorf("value %d count %d far from uniform expectation 100", v, n)
-		}
-	}
-}
-
-func TestCorrelatedColumn(t *testing.T) {
-	tbl, err := Generate(TableSpec{Name: "t", Rows: 30, Columns: []ColumnSpec{
-		{Name: "x", Dist: DistUniform, Domain: 10},
-		{Name: "y", CorrelatedWith: "x", CorrelationLag: 3, Domain: 10},
-	}}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		x, y := tbl.Value(i, 0).Int(), tbl.Value(i, 1).Int()
-		if y != (x+3)%10 {
-			t.Fatalf("row %d: y=%d, want (x+3)%%10=%d", i, y, (x+3)%10)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -364,6 +366,46 @@ func TestWALFrameRoundTrip(t *testing.T) {
 	bad[len(bad)-1] ^= 0x01
 	if _, _, err := readRecord(bytes.NewReader(bad)); !errors.Is(err, errTorn) {
 		t.Fatalf("flipped byte: %v, want errTorn", err)
+	}
+}
+
+// A torn tail that is a header announcing the largest record plus a few
+// bytes costs what arrived, not what the header claims, and is still torn.
+// A record up to 64 KiB reads with as many allocations as a tiny one.
+func TestReadRecordAllocatesAsBytesArrive(t *testing.T) {
+	tail := make([]byte, frameHeaderSize+4)
+	binary.BigEndian.PutUint32(tail, maxRecordSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readRecord(bytes.NewReader(tail))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errTorn) {
+		t.Fatalf("header-only tail: %v, want errTorn", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("header-only tail allocated %d bytes, want < 1 MiB", got)
+	}
+	allocs := func(delta []byte) float64 {
+		frame := encodeRecord(1, delta)
+		r := bytes.NewReader(frame)
+		return testing.AllocsPerRun(20, func() {
+			r.Reset(frame)
+			if _, _, err := readRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs([]byte("{}")), allocs(make([]byte, 64<<10-versionSize)); large != small {
+		t.Errorf("a 64 KiB record takes %g allocations, a tiny one %g", large, small)
+	}
+	// Past 64 KiB a record still reads whole, and one byte short is torn.
+	big := bytes.Repeat([]byte("x"), 300<<10)
+	frame := encodeRecord(9, big)
+	if v, d, err := readRecord(bytes.NewReader(frame)); err != nil || v != 9 || !bytes.Equal(d, big) {
+		t.Errorf("300 KiB record: version %d, %d bytes, %v", v, len(d), err)
+	}
+	if _, _, err := readRecord(bytes.NewReader(frame[:len(frame)-1])); !errors.Is(err, errTorn) {
+		t.Errorf("300 KiB record one byte short: %v, want errTorn", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // WAL record framing. Each record is
@@ -64,12 +65,34 @@ func readRecord(r io.Reader) (version uint64, delta []byte, err error) {
 	if length < versionSize || length > maxRecordSize {
 		return 0, nil, fmt.Errorf("%w: implausible payload length %d", errTorn, length)
 	}
-	payload := make([]byte, length)
-	if n, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: short payload (%d of %d bytes)", errTorn, n, length)
+	payload, err := readPayload(r, length)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: short payload (%d of %d bytes)", errTorn, len(payload), length)
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(header[4:]); got != want {
 		return 0, nil, fmt.Errorf("%w: payload checksum mismatch (frame says %08x, content hashes to %08x)", errTorn, want, got)
 	}
 	return binary.BigEndian.Uint64(payload), payload[versionSize:], nil
+}
+
+// readPayload reads exactly n bytes from r. Up to 64 KiB it allocates the
+// payload once; beyond that the buffer doubles as bytes arrive, so a header
+// announcing more than the stream holds costs about what the stream
+// delivered, not what the header claimed.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
+	payload := make([]byte, 0, min(n, 64<<10))
+	for len(payload) < int(n) {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(int(n)-len(payload), len(payload)))
+		}
+		got, err := io.ReadFull(r, payload[len(payload):min(cap(payload), int(n))])
+		payload = payload[:len(payload)+got]
+		if err == io.EOF && len(payload) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return payload, err
+		}
+	}
+	return payload, nil
 }

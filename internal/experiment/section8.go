@@ -1,8 +1,7 @@
 // Package experiment contains the reproduction harnesses: the Section 8
-// end-to-end experiment (the paper's only results table) and the ablation
-// sweeps motivated by the paper's analysis and future-work discussion.
-// Every table and worked example in the paper maps to a runner here; the
-// root bench_test.go and cmd/elsbench expose them.
+// end-to-end experiment (the paper's only results table), the worked
+// examples, and the sweeps that put numbers on the paper's claims (A1–A5).
+// cmd/elsbench prints them all, and EXPERIMENTS.md is that output.
 package experiment
 
 import (
@@ -35,10 +34,8 @@ type Section8Options struct {
 	// or execution); timings are zero.
 	SkipExecution bool
 	// WithIndexes builds an ordered index on every join column and adds the
-	// index-nested-loops method to the optimizer repertoire — the A6
-	// ablation: a forgiving physical design shrinks the penalty of bad
-	// estimates because even a misplaced table access is an index probe,
-	// not a rescan.
+	// index-nested-loops method to the optimizer repertoire, so the
+	// executor's index path runs on the experiment's plans.
 	WithIndexes bool
 }
 
@@ -60,7 +57,8 @@ type Section8Row struct {
 	EstimatedCost float64
 	// TrueCount is the executed COUNT(*) (identical across rows).
 	TrueCount int64
-	// Stats are the execution work counters and wall time.
+	// Stats are the execution work counters and wall time (FormatSection8
+	// prints the counters only).
 	Stats executor.Stats
 	// Plan is the formatted plan tree.
 	Plan string
@@ -210,22 +208,24 @@ func planMethods(p optimizer.Plan) []string {
 	return out
 }
 
-// FormatSection8 renders the result like the paper's table.
+// FormatSection8 renders the result like the paper's table. Tuples scanned
+// stand in for the paper's elapsed seconds: they depend on the plan alone,
+// not on the machine, so the rendering is the same on every run.
 func FormatSection8(res *Section8Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Section 8 experiment (scale 1/%d, correct size %.0f)\n", res.Scale, res.CorrectSize)
-	fmt.Fprintf(&b, "%-12s %-5s %-22s %-34s %12s %14s %10s\n",
-		"Query", "Algo", "Join Order", "Estimated Result Sizes", "TrueCount", "TuplesScanned", "Elapsed")
+	fmt.Fprintf(&b, "%-12s %-5s %-22s %-34s %12s %14s\n",
+		"Query", "Algo", "Join Order", "Estimated Result Sizes", "TrueCount", "TuplesScanned")
 	for _, r := range res.Rows {
 		sizes := make([]string, len(r.EstimatedSizes))
 		for i, s := range r.EstimatedSizes {
 			sizes[i] = fmt.Sprintf("%.3g", s)
 		}
-		fmt.Fprintf(&b, "%-12s %-5s %-22s %-34s %12d %14d %10s\n",
+		fmt.Fprintf(&b, "%-12s %-5s %-22s %-34s %12d %14d\n",
 			r.Query, r.Algorithm,
 			strings.Join(r.JoinOrder, "⋈"),
 			"("+strings.Join(sizes, ", ")+")",
-			r.TrueCount, r.Stats.TuplesScanned, r.Stats.Elapsed.Round(100_000).String())
+			r.TrueCount, r.Stats.TuplesScanned)
 	}
 	return b.String()
 }

@@ -98,8 +98,8 @@ func TestRunSection8EstimatesOnlyPaperNumbers(t *testing.T) {
 	}
 }
 
-// A6: with indexes on every join column and index-nested-loops enabled,
-// the work gap between algorithms collapses — misestimation is forgiven by
+// With indexes on every join column and index-nested-loops enabled, the
+// work gap between algorithms collapses — misestimation is forgiven by
 // a forgiving access-path design. (The estimates themselves stay wrong.)
 func TestSection8WithIndexes(t *testing.T) {
 	plain, err := RunSection8(Section8Options{Scale: 10, Seed: 42})

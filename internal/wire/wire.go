@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/governor"
@@ -81,13 +82,35 @@ func ReadFrame(r io.Reader, max uint32) ([]byte, error) {
 	if n > max {
 		return nil, fmt.Errorf("%w: frame payload %d bytes exceeds limit %d", governor.ErrBadWire, n, max)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, n)
+	if err != nil {
 		return nil, fmt.Errorf("%w: reading %d-byte frame payload: %w", governor.ErrBadWire, n, err)
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
 		return nil, fmt.Errorf("%w: frame checksum mismatch (computed %08x, framed %08x)",
 			governor.ErrBadWire, got, want)
+	}
+	return payload, nil
+}
+
+// readPayload reads exactly n bytes from r. Up to 64 KiB it allocates the
+// payload once; beyond that the buffer doubles as bytes arrive, so a header
+// announcing more than the stream holds costs about what the stream
+// delivered, not what the header claimed.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
+	payload := make([]byte, 0, min(n, 64<<10))
+	for len(payload) < int(n) {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(int(n)-len(payload), len(payload)))
+		}
+		got, err := io.ReadFull(r, payload[len(payload):min(cap(payload), int(n))])
+		payload = payload[:len(payload)+got]
+		if err == io.EOF && len(payload) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return payload, err
+		}
 	}
 	return payload, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -63,6 +64,53 @@ func TestFrameTorture(t *testing.T) {
 		if _, err := ReadFrame(bytes.NewReader(raw), 0); !errors.Is(err, governor.ErrBadWire) {
 			t.Errorf("%s: err = %v, want ErrBadWire", name, err)
 		}
+	}
+}
+
+// A connection that sends only a header announcing the largest frame
+// costs what arrived, not what the header claims, and is a typed wire
+// error. A payload up to 64 KiB reads with as many allocations as a tiny one.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], DefaultMaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]), 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, governor.ErrBadWire) {
+		t.Fatalf("header-only frame: %v, want ErrBadWire", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("header-only frame allocated %d bytes, want < 1 MiB", got)
+	}
+	allocs := func(payload []byte) float64 {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		r := bytes.NewReader(frame)
+		return testing.AllocsPerRun(20, func() {
+			r.Reset(frame)
+			if _, err := ReadFrame(r, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs([]byte("{}")), allocs(make([]byte, 64<<10)); large != small {
+		t.Errorf("a 64 KiB frame takes %g allocations, a tiny one %g", large, small)
+	}
+	// Past 64 KiB a payload still reads whole, and one byte short is torn.
+	big := bytes.Repeat([]byte("x"), 300<<10)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadFrame(bytes.NewReader(buf.Bytes()), 0); err != nil || !bytes.Equal(got, big) {
+		t.Errorf("300 KiB frame: %d bytes, %v", len(got), err)
+	}
+	if _, err := ReadFrame(bytes.NewReader(buf.Bytes()[:buf.Len()-1]), 0); !errors.Is(err, governor.ErrBadWire) {
+		t.Errorf("300 KiB frame one byte short: %v, want ErrBadWire", err)
 	}
 }
 
