@@ -9,8 +9,8 @@
 // ImportPackageFact} — so every analyzer written against this package
 // ports to the real go/analysis API near-verbatim if the dependency is
 // ever vendored. The driver (RunPackages) applies a Requires-ordered
-// analyzer schedule to packages in `go list` dependency order, with
-// gob-serialized facts flowing from each package to its dependents; see
+// analyzer schedule to packages in `go list` dependency order, in one
+// process, with facts flowing from each package to its dependents; see
 // facts.go for the one deliberate deviation from x/tools (facts are
 // namespaced by type, not by analyzer, so a dependent analyzer can read
 // its prerequisite's facts).
@@ -36,8 +36,8 @@ type Analyzer struct {
 	// driver schedules the transitive closure and rejects cycles.
 	Requires []*Analyzer
 	// FactTypes declares the fact types this analyzer exports, each a
-	// pointer to a gob-serializable struct. An analyzer with no declared
-	// fact types may still import facts declared by its Requires.
+	// pointer to a struct. An analyzer with no declared fact types may
+	// still import facts declared by its Requires.
 	FactTypes []Fact
 	// Run applies the analyzer to one package. It reports findings through
 	// Pass.Report/Reportf and returns an error only for analyzer
@@ -72,9 +72,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ExportObjectFact attaches fact to obj, which must belong to the package
-// being analyzed. The fact is gob-encoded immediately; a non-serializable
-// fact panics here (the driver converts the panic into an analyzer
-// malfunction) rather than corrupting a vetx file later.
+// being analyzed. A fact of an undeclared type panics here (the driver
+// converts the panic into an analyzer malfunction).
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.facts == nil {
 		panic(fmt.Sprintf("%s: ExportObjectFact outside a facts-capable driver run", p.Analyzer.Name))
@@ -87,18 +86,14 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	}
 }
 
-// ImportObjectFact decodes the fact of fact's type attached to obj (by
+// ImportObjectFact copies the fact of fact's type attached to obj (by
 // this package's run or by any dependency's) into fact, reporting whether
 // one was found.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	if p.facts == nil || obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	ok, err := p.facts.importInto(obj.Pkg().Path(), ObjectKey(obj), fact)
-	if err != nil {
-		panic(fmt.Sprintf("%s: %v", p.Analyzer.Name, err))
-	}
-	return ok
+	return p.facts.importInto(obj.Pkg().Path(), ObjectKey(obj), fact)
 }
 
 // ExportPackageFact attaches fact to the package being analyzed.
@@ -111,17 +106,13 @@ func (p *Pass) ExportPackageFact(fact Fact) {
 	}
 }
 
-// ImportPackageFact decodes the package-level fact of fact's type
+// ImportPackageFact copies the package-level fact of fact's type
 // exported by pkg into fact, reporting whether one was found.
 func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 	if p.facts == nil || pkg == nil {
 		return false
 	}
-	ok, err := p.facts.importInto(pkg.Path(), "", fact)
-	if err != nil {
-		panic(fmt.Sprintf("%s: %v", p.Analyzer.Name, err))
-	}
-	return ok
+	return p.facts.importInto(pkg.Path(), "", fact)
 }
 
 // AllPackageFacts returns every package-level fact currently in the fact

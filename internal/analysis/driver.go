@@ -83,7 +83,7 @@ type Malfunction struct {
 
 // runProtected applies one analyzer to one pass, converting panics into
 // malfunction errors so a crashing checker cannot take down the whole
-// run (the other eight analyzers' verdicts still count).
+// run (the other analyzers' verdicts still count).
 func runProtected(a *Analyzer, pass *Pass) (result any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -157,9 +157,8 @@ func SortPackages(pkgs []*Package) []*Package {
 }
 
 // RunPackages applies the analyzer schedule derived from roots to every
-// package, dependency-first, threading facts through facts (pass a fresh
-// NewFactSet(schedule), or one pre-seeded from dependency vetx files in
-// the vettool protocol). Packages are type-checked once, before this call
+// package, dependency-first, threading facts through facts (a fresh
+// NewFactSet(schedule)). Packages are type-checked once, before this call
 // — the schedule shares each Package across all analyzers. It returns
 // every finding and every malfunction; the error covers driver-level
 // problems (schedule cycles) only.

@@ -25,8 +25,8 @@ type Package struct {
 	Dir string
 	// Fset maps positions for Files.
 	Fset *token.FileSet
-	// Files are the parsed non-test Go files (test files are not part of
-	// the package proper; the vettool path analyzes them separately).
+	// Files are the parsed non-test Go files; every analyzer exempts
+	// tests, so test files are never loaded.
 	Files []*ast.File
 	// Types is the type-checked package.
 	Types *types.Package
@@ -52,12 +52,6 @@ type listedPackage struct {
 // build cache as needed, with no network access).
 type ExportIndex struct {
 	exports map[string]string
-}
-
-// NewExportIndex builds an index from an explicit path→file map (the
-// vettool protocol hands one over in vet.cfg).
-func NewExportIndex(exports map[string]string) *ExportIndex {
-	return &ExportIndex{exports: exports}
 }
 
 // Lookup returns a reader of the export data for path.
@@ -104,6 +98,17 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
+// exportIndex indexes the export data of listed packages by import path.
+func exportIndex(pkgs []listedPackage) *ExportIndex {
+	ix := &ExportIndex{exports: make(map[string]string, len(pkgs))}
+	for _, p := range pkgs {
+		if p.Export != "" {
+			ix.exports[p.ImportPath] = p.Export
+		}
+	}
+	return ix
+}
+
 // ResolveExports builds an ExportIndex covering the given import-path
 // patterns and their transitive dependencies.
 func ResolveExports(dir string, patterns ...string) (*ExportIndex, error) {
@@ -111,13 +116,7 @@ func ResolveExports(dir string, patterns ...string) (*ExportIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &ExportIndex{exports: make(map[string]string, len(pkgs))}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			ix.exports[p.ImportPath] = p.Export
-		}
-	}
-	return ix, nil
+	return exportIndex(pkgs), nil
 }
 
 // newInfo allocates a fully populated types.Info.
@@ -133,8 +132,8 @@ func newInfo() *types.Info {
 }
 
 // CheckFiles parses and type-checks one package from explicit file paths,
-// resolving imports through imp. Used by the standalone loader, the
-// analysistest harness, and the vettool protocol alike.
+// resolving imports through imp. Used by Load and by the analysistest
+// harness.
 func CheckFiles(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
@@ -159,21 +158,15 @@ func CheckFiles(fset *token.FileSet, path string, filenames []string, imp types.
 
 // Load lists, parses, and type-checks the packages matching patterns
 // (relative to dir, e.g. "./..."), skipping packages that were pulled in
-// only as dependencies. It is the standalone elslint loader: everything
-// resolves through the local toolchain and build cache, offline.
+// only as dependencies. It is elslint's loader: everything resolves
+// through the local toolchain and build cache, offline.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	pkgs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	ix := &ExportIndex{exports: make(map[string]string, len(pkgs))}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			ix.exports[p.ImportPath] = p.Export
-		}
-	}
 	fset := token.NewFileSet()
-	imp := ix.Importer(fset)
+	imp := exportIndex(pkgs).Importer(fset)
 	var out []*Package
 	for _, p := range pkgs {
 		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
@@ -190,40 +183,4 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-// Run applies one analyzer to one package in isolation — no Requires, no
-// facts — and returns its diagnostics. The facts-capable entry point is
-// RunPackages; this survives for one-off programmatic use of a
-// self-contained checker.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	if len(a.Requires) > 0 {
-		return nil, fmt.Errorf("%s requires other analyzers; use RunPackages", a.Name)
-	}
-	findings, mals, err := RunPackages([]*Package{pkg}, []*Analyzer{a}, NewFactSet([]*Analyzer{a}))
-	if err != nil {
-		return nil, err
-	}
-	if len(mals) > 0 {
-		return nil, fmt.Errorf("%s: %s: %s", mals[0].Analyzer, mals[0].Package, mals[0].Err)
-	}
-	var diags []Diagnostic
-	for _, f := range findings {
-		diags = append(diags, Diagnostic{Pos: posOf(pkg.Fset, f.Pos), Message: f.Message})
-	}
-	return diags, nil
-}
-
-// posOf maps a resolved position back to a token.Pos in fset (best
-// effort; diagnostics keep their resolved file:line either way).
-func posOf(fset *token.FileSet, pos token.Position) token.Pos {
-	var found token.Pos
-	fset.Iterate(func(f *token.File) bool {
-		if f.Name() == pos.Filename && pos.Offset < f.Size() {
-			found = f.Pos(pos.Offset)
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/analyzers/atomicwrite"
 	"repro/internal/analyzers/ctxflow"
 	"repro/internal/analyzers/errtaxonomy"
-	"repro/internal/analyzers/governorcharge"
 	"repro/internal/analyzers/lockorder"
 	"repro/internal/analyzers/locksafe"
 	"repro/internal/analyzers/nakedgoroutine"
@@ -26,7 +25,6 @@ func All() []*analysis.Analyzer {
 		nakedgoroutine.Analyzer,
 		ctxflow.Analyzer,
 		snapshotmut.Analyzer,
-		governorcharge.Analyzer,
 		atomicwrite.Analyzer,
 		lockorder.Analyzer,
 		locksafe.Analyzer,

@@ -1,8 +1,6 @@
 package analyzers
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -10,12 +8,12 @@ import (
 )
 
 // TestRegistry pins the driver-facing sanity properties of the shipped
-// suite: eight analyzers, unique non-empty names, non-empty docs, and a
+// suite: seven analyzers, unique non-empty names, non-empty docs, and a
 // schedulable (acyclic, nil-free) Requires graph.
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 8 {
-		t.Fatalf("registry has %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("registry has %d analyzers, want 7", len(all))
 	}
 	names := make(map[string]bool)
 	for _, a := range all {
@@ -64,15 +62,30 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestFactTypesRoundTrip checks every declared fact type survives the gob
-// wire format the vettool protocol ships facts in.
-func TestFactTypesRoundTrip(t *testing.T) {
-	for _, a := range All() {
-		for _, f := range a.FactTypes {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-				t.Errorf("%s: fact %T does not gob-encode: %v", a.Name, f, err)
-			}
-		}
+// TestModuleIsLintClean runs the whole suite over the module, as
+// `go run ./cmd/elslint ./...` does, so `go test ./...` fails on any
+// finding or analyzer malfunction in library code.
+func TestModuleIsLintClean(t *testing.T) {
+	pkgs, err := analysis.Load(".", "repro/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 30 {
+		t.Fatalf("loaded %d packages of the module, want at least 30", len(pkgs))
+	}
+	roots := All()
+	schedule, err := analysis.Schedule(roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, mals, err := analysis.RunPackages(pkgs, roots, analysis.NewFactSet(schedule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
+	}
+	for _, m := range mals {
+		t.Errorf("analyzer %s malfunctioned on %s: %s", m.Analyzer, m.Package, m.Err)
 	}
 }

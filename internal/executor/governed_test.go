@@ -74,27 +74,65 @@ func TestScanMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// The governor's accounting must be exact: it is charged every tuple the
-// work counters report and every row an operator materialized, no more.
+// The governor's accounting must be exact for every join method and for
+// Aggregate over each join's output: it is charged every tuple the work
+// counters report and every row an operator materialized, no more.
+// Aggregate charges one tuple per input row and one row per group, so a
+// row budget one short of the group count trips it.
 func TestGovernorAccountingExact(t *testing.T) {
 	cat := buildCatalog(t, chainSpecs(300, 400)...)
-	plan := planChain(t, cat, 2, []optimizer.JoinMethod{optimizer.HashJoin})
-	gov := governor.New(context.Background(), governor.Limits{MaxTuples: 1 << 30, MaxRows: 1 << 30})
-	res, err := NewGoverned(cat, gov).Execute(plan)
-	if err != nil {
+	if err := cat.BuildIndex("T1", "k"); err != nil {
 		t.Fatal(err)
 	}
-	var materialized int64
-	for _, n := range res.Nodes {
-		materialized += n.ActualRows
-	}
-	tuples, rows, _ := gov.Usage()
-	if tuples != res.Stats.TuplesScanned || rows != materialized {
-		t.Errorf("governor charged %d tuples, %d rows; executed %d tuples, %d rows",
-			tuples, rows, res.Stats.TuplesScanned, materialized)
-	}
-	if tuples == 0 || rows == 0 {
-		t.Fatalf("governor saw no work: %d tuples, %d rows", tuples, rows)
+	unlimited := governor.Limits{MaxTuples: 1 << 30, MaxRows: 1 << 30}
+	for _, method := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge, optimizer.HashJoin, optimizer.IndexNL} {
+		t.Run(method.String(), func(t *testing.T) {
+			plan := planChain(t, cat, 2, []optimizer.JoinMethod{method})
+			if j, ok := plan.(*optimizer.Join); !ok || j.Method != method {
+				t.Fatalf("plan is not a %v join: %v", method, plan)
+			}
+			gov := governor.New(context.Background(), unlimited)
+			res, err := NewGoverned(cat, gov).Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var materialized int64
+			for _, n := range res.Nodes {
+				// -1 marks the inner of a nested-loops join, which is
+				// rescanned and never materialized.
+				if n.ActualRows >= 0 {
+					materialized += n.ActualRows
+				}
+			}
+			tuples, rows, _ := gov.Usage()
+			if tuples != res.Stats.TuplesScanned || rows != materialized {
+				t.Errorf("governor charged %d tuples, %d rows; executed %d tuples, %d rows",
+					tuples, rows, res.Stats.TuplesScanned, materialized)
+			}
+			if tuples == 0 || rows == 0 {
+				t.Fatalf("governor saw no work: %d tuples, %d rows", tuples, rows)
+			}
+
+			aggs := []AggSpec{{Op: AggCountStar, Name: "n"}}
+			gov = governor.New(context.Background(), unlimited)
+			out, err := NewGoverned(cat, gov).Aggregate(res.Table, []int{0}, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups := int64(out.NumRows())
+			if groups < 2 {
+				t.Fatalf("aggregate produced %d groups, want at least 2", groups)
+			}
+			tuples, rows, _ = gov.Usage()
+			if tuples != int64(res.Table.NumRows()) || rows != groups {
+				t.Errorf("aggregate charged %d tuples, %d rows; read %d rows, produced %d groups",
+					tuples, rows, res.Table.NumRows(), groups)
+			}
+			gov = governor.New(context.Background(), governor.Limits{MaxRows: groups - 1})
+			if _, err := NewGoverned(cat, gov).Aggregate(res.Table, []int{0}, aggs); !errors.Is(err, governor.ErrBudgetExceeded) {
+				t.Errorf("aggregate under MaxRows %d: got %v, want ErrBudgetExceeded", groups-1, err)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/datagen"
 )
 
 // Section 5's worked numbers: d_x = 10000, ‖R‖ = 100000, ‖R‖′ = 50000 give
@@ -128,6 +130,39 @@ func TestUrnMatchesSimulationProperty(t *testing.T) {
 		est := UrnDistinct(float64(tc.d), float64(tc.k))
 		if math.Abs(sim-est)/est > 0.05 {
 			t.Errorf("d=%d k=%d: urn estimate %g vs simulated %g", tc.d, tc.k, est, sim)
+		}
+	}
+}
+
+// The urn model against rows: over 200 seeded uniform columns of k rows
+// drawn from a domain of d values, the mean number of distinct values is
+// within 2% of UrnDistinct(d, k). The count comes from datagen's rows, not
+// from any selest formula.
+func TestUrnModelMatchesUniformColumns(t *testing.T) {
+	const columns = 200
+	for _, d := range []int{10, 100, 1000, 5000} {
+		for _, k := range []int{1, 5, 50, 500, 5000} {
+			spec := datagen.TableSpec{Name: "u", Rows: k, Columns: []datagen.ColumnSpec{
+				{Name: "x", Dist: datagen.DistUniform, Domain: d},
+			}}
+			total := 0
+			for seed := int64(0); seed < columns; seed++ {
+				tbl, err := datagen.Generate(spec, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := make(map[float64]bool, k)
+				for r := 0; r < tbl.NumRows(); r++ {
+					seen[tbl.Value(r, 0).AsFloat()] = true
+				}
+				total += len(seen)
+			}
+			mean := float64(total) / columns
+			urn := UrnDistinct(float64(d), float64(k))
+			if rel := math.Abs(mean-urn) / urn; rel > 0.02 {
+				t.Errorf("d=%d k=%d: mean distinct %.2f over %d columns, urn model %.2f (off by %.2f%%)",
+					d, k, mean, columns, urn, 100*rel)
+			}
 		}
 	}
 }
