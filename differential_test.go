@@ -41,6 +41,14 @@ func differentialQueries(t *testing.T) int64 {
 // and plans it.
 func planGenerated(t *testing.T, q querygen.Query) (*catalog.Catalog, optimizer.Plan) {
 	t.Helper()
+	cat := loadGenerated(t, q)
+	return cat, planMethods(t, cat, q, q.Methods)
+}
+
+// loadGenerated materializes one generated query's tables into a new
+// catalog.
+func loadGenerated(t *testing.T, q querygen.Query) *catalog.Catalog {
+	t.Helper()
 	cat := catalog.New()
 	for _, spec := range q.Specs {
 		tbl, err := datagen.Generate(spec, q.DataSeed+int64(len(spec.Name)))
@@ -51,7 +59,21 @@ func planGenerated(t *testing.T, q querygen.Query) (*catalog.Catalog, optimizer.
 			t.Fatalf("%s: analyze: %v", q, err)
 		}
 	}
-	return cat, planMethods(t, cat, q, q.Methods)
+	return cat
+}
+
+// indexKeys builds an index on each k of a two-table query, for the plans
+// that probe one (differentialPlans).
+func indexKeys(t *testing.T, cat *catalog.Catalog, q querygen.Query) {
+	t.Helper()
+	if len(q.Tables) != 2 {
+		return
+	}
+	for _, ref := range q.Tables {
+		if err := cat.BuildIndex(ref.Table, "k"); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
 }
 
 // planMethods plans the generated query over its catalog with the given
@@ -245,11 +267,7 @@ func differentialPlans(t *testing.T, q querygen.Query) (*catalog.Catalog, []opti
 		plans = append(plans, planMethods(t, cat, q, noHash))
 	}
 	if len(q.Tables) == 2 {
-		for _, ref := range q.Tables {
-			if err := cat.BuildIndex(ref.Table, "k"); err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-		}
+		indexKeys(t, cat, q)
 		plans = append(plans,
 			planMethods(t, cat, q, []optimizer.JoinMethod{optimizer.NestedLoop}),
 			planMethods(t, cat, q, []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.IndexNL}))

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	els "repro"
+	"repro/internal/executor"
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -23,6 +25,10 @@ const (
 	// inside both the pool share and the admission budget: a neighbor
 	// request has no excuse to fail.
 	neighborWorkers = 2
+	// memJoinStall is how long every join of the storm stalls before it
+	// runs, so each admitted hog query holds its pool reservation that long
+	// whatever the executor's speed.
+	memJoinStall = 20 * time.Millisecond
 )
 
 // RunMemoryPressure drives the memory-governance storm end to end: three
@@ -57,6 +63,9 @@ func RunMemoryPressure(ctx context.Context, cfg Config) (*Report, error) {
 
 	// The storm: the hog swarm and both neighbor swarms run concurrently,
 	// so the neighbors' latencies are measured under live hog pressure.
+	// Every join stalls first, so the hog's reservations overlap: sheds do
+	// not depend on how long an oversized join happens to take.
+	faultinject.Enable(executor.PointJoin, faultinject.Fault{Delay: memJoinStall})
 	h.fleet(cfg.Workers+2*neighborWorkers, func(i int) {
 		if i < cfg.Workers {
 			h.hogClient(ctx, addr, i)
@@ -65,6 +74,7 @@ func RunMemoryPressure(ctx context.Context, cfg Config) (*Report, error) {
 		i -= cfg.Workers
 		h.neighborClient(ctx, addr, 1+i/neighborWorkers, i%neighborWorkers)
 	})
+	faultinject.Disable(executor.PointJoin)
 
 	// Server-side audit: the hog must have been shed by the pool AND have
 	// spilled completed queries; the neighbors must show neither.
@@ -106,9 +116,10 @@ func RunMemoryPressure(ctx context.Context, cfg Config) (*Report, error) {
 // memServerConfig builds the storm's server: tenant0 is the hog (a tiny
 // per-query byte budget and big join tables), tenant1 and tenant2 are
 // neighbors with no byte budget and small tables. The pool's per-tenant
-// share (pool / 3) admits four hog reservations; the hog swarm is larger,
-// so pool sheds are guaranteed, while a neighbor's default reservation
-// (share / 4) times its small swarm always fits.
+// share (pool / 3) admits four hog reservations; the hog swarm is larger
+// and every join stalls memJoinStall, so pool sheds are guaranteed, while a
+// neighbor's default reservation (share / 4) times its small swarm always
+// fits.
 func memServerConfig(cfg Config) server.Config {
 	lim := els.Limits{
 		Timeout:       10 * time.Second,

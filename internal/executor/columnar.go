@@ -232,29 +232,42 @@ func (e *Executor) bindHashKeys(spec *hashSpec) {
 	switch {
 	case ltype != rtype && numericType(ltype) && numericType(rtype):
 		spec.numeric = true
-		bindKeys(e, spec, floatKeys, wordHash[uint64](hashSeed))
+		bindKeys(e, spec, repFloat, floatKeys, wordHash[uint64](hashSeed))
 	case ltype != rtype || ltype == storage.TypeBool:
-		bindKeys(e, spec, boxedKeys, strHash(hashSeed))
+		bindKeys(e, spec, repBoxed, boxedKeys, strHash(hashSeed))
 	case ltype == storage.TypeInt64:
-		bindKeys(e, spec, func(t *storage.Table, col int) ([]int64, int64) { return t.ColumnData(col).Ints, 0 },
+		bindKeys(e, spec, repNative, func(t *storage.Table, col int) ([]int64, int64) { return t.ColumnData(col).Ints, 0 },
 			wordHash[int64](hashSeed))
 	case ltype == storage.TypeFloat64:
-		bindKeys(e, spec, floatKeys, wordHash[uint64](hashSeed))
+		bindKeys(e, spec, repFloat, floatKeys, wordHash[uint64](hashSeed))
 	default:
-		bindKeys(e, spec, func(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 },
+		bindKeys(e, spec, repNative, func(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 },
 			strHash(hashSeed))
 	}
 }
 
+// keyRep names how a hash join renders one column's keys. It keys the
+// memoized build table of an unfiltered base column (storage.Table.Memo),
+// since one int64 column hashes natively against int64 and as float64 bits
+// against float64. With hashSeed fixed per process, a column and its
+// representation fix the table.
+type keyRep uint8
+
+const (
+	repNative keyRep = iota // int64 or string keys as stored
+	repFloat                // float64 bits (floatKeys)
+	repBoxed                // Value.Key() strings (boxedKeys)
+)
+
 // bindKeys derives both inputs' keys once per join, whatever the partition
 // policy does with them. keysOf reports the bytes of any array it had to
 // derive; the join holds them as scratch until it returns.
-func bindKeys[K comparable](e *Executor, spec *hashSpec, keysOf func(t *storage.Table, col int) ([]K, int64), hash func(K) uint64) {
+func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(t *storage.Table, col int) ([]K, int64), hash func(K) uint64) {
 	lk, lscratch := keysOf(spec.left, spec.lKey)
 	rk, rscratch := keysOf(spec.right, spec.rKey)
 	spec.scratch = lscratch + rscratch
 	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
-		return colJoin(e, spec.joinSpec, lk, rk, hash, rrows, lrows, stats)
+		return colJoin(e, spec.joinSpec, rep, lk, rk, hash, rrows, lrows, stats)
 	}
 }
 
@@ -298,11 +311,22 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 // named by lrows (nil: every left row) in order, and hand each probe row's
 // matching build rows, ascending, to the pair sink. With a probe-row list
 // the sink also reports the left row behind each output row.
-func colJoin[K comparable](e *Executor, spec *joinSpec, lk, rk []K, hash func(K) uint64, rrows, lrows []int, stats *Stats) (*pairSink, error) {
+//
+// A build over every row of an unfiltered base-table scan (a view) is built
+// once per base column and key representation and shared with every later
+// join of that column (storage.Table.Memo); any other build — a filtered
+// scan, an operator's output, a Grace partition — is the join's own.
+func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, hash func(K) uint64, rrows, lrows []int, stats *Stats) (*pairSink, error) {
 	if builds := rowCount(rrows, len(rk)); builds > math.MaxInt32 {
 		return nil, fmt.Errorf("executor: a hash-join build of %d rows exceeds the table's 2^31-row limit", builds)
 	}
-	table := newHashTable(rk, spec.right.ColumnData(spec.rKey).Nulls, rrows, hash)
+	rn := spec.right.ColumnData(spec.rKey).Nulls
+	var table hashTable[K]
+	if rrows == nil {
+		table = spec.right.Memo(spec.rKey, rep, func() any { return newHashTable(rk, rn, nil, hash) }).(hashTable[K])
+	} else {
+		table = newHashTable(rk, rn, rrows, hash)
+	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
 	pairs := e.newPairSink(spec, stats, lrows != nil)
 	defer pairs.release()
@@ -357,7 +381,8 @@ func (p *pairSink) release() {
 }
 
 // add queues the pairs of left row l with each of the right rows rs, in
-// order, flushing whenever the batch fills.
+// order, flushing whenever the batch fills. rs is only read: it may be a
+// run of a memoized hash build or sort permutation other queries share.
 func (p *pairSink) add(l int, rs []int) error {
 	for len(rs) > 0 {
 		n := min(len(rs), colBatch-len(p.lsel))
@@ -436,7 +461,8 @@ func (e *Executor) mergeJoin(spec *joinSpec, stats *Stats) (*storage.Table, erro
 }
 
 // mergeSide is one sorted input of the merge: its rows in key order and the
-// key column's NULL flags (nil when it has none).
+// key column's NULL flags (nil when it has none). perm may be a base
+// column's memoized permutation, shared with other queries: it is only read.
 type mergeSide struct {
 	perm  []int
 	nulls []bool

@@ -22,6 +22,17 @@
 // goroutine that calls Execute and starts no other: cores are filled by
 // concurrent queries, each with its own Executor.
 //
+// What a join derives from every row of an unfiltered base-table input is
+// built once per base column and shared: the sort permutation a sort-merge
+// join reads (storage.Table.SortPermutation) and the hash table a hash join
+// run as one partition builds over its right input, one per key
+// representation (storage.Table.Memo). Every query, snapshot and goroutine
+// reading the table reuses them, read-only; filtered scans, operator
+// outputs and Grace partitions build their own, as before. The ledger is
+// charged as if each structure were built — the sort scratch, the hash
+// build and the key scratch alike — so a warm run's partition decisions,
+// ErrMemory outcomes and peak are the cold run's.
+//
 // A plan arrives with every column it reads resolved: each scan's filters
 // as ordinals of its base table, each join's key as an ordinal of either
 // input and its residual as ordinals of the joined row — left input first,

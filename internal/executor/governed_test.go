@@ -216,12 +216,14 @@ var raceBuild bool
 // ordinals, so a run allocates its operators' outputs and scratch, not a
 // compiled copy of every predicate, key lookups or residual lists. Before
 // plans carried ordinals the two runs took 246 and 123 allocations (269
-// and 128 under the race detector).
+// and 128 under the race detector). The chain's two unfiltered build sides
+// take their hash tables from the base columns' memo after the first run:
+// 231 allocations became 226 (255 became 249–251 under the race detector).
 func TestExecuteAllocationCeiling(t *testing.T) {
 	cat, plans := allocPlans(t)
-	ceilings := map[string]float64{"hash chain": 234, "index NL": 118}
+	ceilings := map[string]float64{"hash chain": 229, "index NL": 118}
 	if raceBuild {
-		ceilings = map[string]float64{"hash chain": 259, "index NL": 124}
+		ceilings = map[string]float64{"hash chain": 255, "index NL": 124}
 	}
 	for name, ceiling := range ceilings {
 		plan := plans[name]

@@ -114,7 +114,8 @@ func (t *hashTable[K]) find(k K) uint64 {
 }
 
 // lookup returns the build rows whose key is k, in ascending row order; none
-// if no build row has it.
+// if no build row has it. The rows may be shared with other joins (a
+// memoized build): callers only read them.
 func (t *hashTable[K]) lookup(k K) []int {
 	s := &t.slots[t.find(k)]
 	return t.rows[s.lo:s.hi]

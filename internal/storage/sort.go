@@ -28,7 +28,18 @@ import (
 // pass and returns SortedIndices' permutation itself, so the two agree even
 // there (TestSortPermutationNaN). A sort-merge join over such a column pairs
 // a NaN with whatever run the merge meets, and the result means nothing.
+//
+// On a view the permutation is built once per base column and row count
+// and shared by every later call (Memo). The returned slice may be shared:
+// it must not be modified.
 func (t *Table) SortPermutation(col int) []int {
+	return t.Memo(col, permKey{}, func() any { return t.sortPermutation(col) }).([]int)
+}
+
+// permKey is the memo key of a column's sort permutation.
+type permKey struct{}
+
+func (t *Table) sortPermutation(col int) []int {
 	c := t.cols[col]
 	perm := make([]int, 0, t.rows)
 	if c.nulls != nil {

@@ -5,11 +5,13 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // column is the typed column-major storage for one column. Exactly one of
 // the payload slices is used, selected by typ. nulls is nil until the first
-// NULL is appended.
+// NULL is appended. memo is nil until the column is first viewed; a view
+// column holds its base column's.
 type column struct {
 	typ    Type
 	ints   []int64
@@ -17,6 +19,7 @@ type column struct {
 	strs   []string
 	bools  []bool
 	nulls  []bool
+	memo   atomic.Pointer[memo]
 }
 
 func newColumn(t Type) *column { return &column{typ: t} }
@@ -105,7 +108,9 @@ func (c *column) value(i int) Value {
 // Table is an append-only, column-major in-memory table.
 //
 // Tables are not safe for concurrent mutation; concurrent reads are safe
-// once loading is complete.
+// once loading is complete. The one field written after loading is each
+// column's memo of derived join structures (Memo), built lazily and
+// published atomically, so concurrent reads stay safe.
 type Table struct {
 	name   string
 	schema *Schema
@@ -234,6 +239,7 @@ func (t *Table) sameTypes(s *Schema, op string) error {
 // schema of the same column types. The view shares t's column storage —
 // nothing is copied — and every append to it returns an error, so it can
 // never write through to t. Rows appended to t afterwards are not in it.
+// Every view of t shares t's memo of derived join structures (Memo).
 func (t *Table) View(name string, schema *Schema) (*Table, error) {
 	if err := t.sameTypes(schema, "view"); err != nil {
 		return nil, err
@@ -255,6 +261,7 @@ func (t *Table) View(name string, schema *Schema) (*Table, error) {
 		if c.nulls != nil {
 			v.nulls = c.nulls[:n:n]
 		}
+		v.memo.Store(c.sharedMemo())
 		cols[i] = v
 	}
 	return &Table{name: name, schema: schema, cols: cols, rows: t.rows, view: true}, nil
