@@ -25,7 +25,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analyzers"
-	"repro/internal/analyzers/lockorder"
+	"repro/internal/analyzers/locks"
 )
 
 func main() {
@@ -58,8 +58,8 @@ type reportJSON struct {
 }
 
 // standalone loads the named packages (default ./...), type-checks each
-// exactly once, and runs the full analyzer schedule over all of them in
-// dependency order with a shared fact database.
+// exactly once, and runs every analyzer over all of them in dependency
+// order with a shared fact database.
 func standalone(args []string) int {
 	fs := flag.NewFlagSet("elslint", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit a JSON object with findings and malfunctions arrays")
@@ -85,18 +85,7 @@ func standalone(args []string) int {
 		fmt.Fprintln(os.Stderr, "elslint:", err)
 		return 2
 	}
-	roots := analyzers.All()
-	schedule, err := analysis.Schedule(roots)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "elslint:", err)
-		return 2
-	}
-	facts := analysis.NewFactSet(schedule)
-	findings, mals, err := analysis.RunPackages(pkgs, roots, facts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "elslint:", err)
-		return 2
-	}
+	findings, mals, facts := analysis.RunPackages(pkgs, analyzers.All())
 
 	if *lockdot != "" {
 		//atomicwrite:allow CI artifact regenerated every run; a torn file just re-runs the job
@@ -105,7 +94,7 @@ func standalone(args []string) int {
 			fmt.Fprintln(os.Stderr, "elslint:", err)
 			return 2
 		}
-		werr := lockorder.WriteDOT(f, facts.AllPackageFacts())
+		werr := locks.WriteDOT(f, facts.AllPackageFacts())
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

@@ -3,17 +3,14 @@
 // elslint invariant checkers (internal/analyzers) and their analysistest
 // suites without adding a module dependency.
 //
-// The shapes mirror x/tools deliberately — Analyzer{Name, Doc, Requires,
-// FactTypes, Run}, Pass{Fset, Files, Pkg, TypesInfo, ResultOf, Report,
-// ExportObjectFact, ImportObjectFact, ExportPackageFact,
-// ImportPackageFact} — so every analyzer written against this package
-// ports to the real go/analysis API near-verbatim if the dependency is
-// ever vendored. The driver (RunPackages) applies a Requires-ordered
-// analyzer schedule to packages in `go list` dependency order, in one
-// process, with facts flowing from each package to its dependents; see
-// facts.go for the one deliberate deviation from x/tools (facts are
-// namespaced by type, not by analyzer, so a dependent analyzer can read
-// its prerequisite's facts).
+// The shapes follow x/tools — Analyzer{Name, Doc, FactTypes, Run},
+// Pass{Fset, Files, Pkg, TypesInfo, Report, ExportObjectFact,
+// ImportObjectFact, ExportPackageFact} — with only what the elslint
+// analyzers use: no analyzer runs before another or reads its result, so
+// Run returns an error alone. The driver (RunPackages) applies every
+// analyzer to packages in `go list` dependency order, in one process, with
+// facts flowing from each package to its dependents. Directives indexes
+// the //tool:verb comment escapes the analyzers share.
 package analysis
 
 import (
@@ -30,19 +27,13 @@ type Analyzer struct {
 	Name string
 	// Doc states the enforced invariant, first line first.
 	Doc string
-	// Requires lists analyzers that must run on each package before this
-	// one; their results for the same package arrive via Pass.ResultOf and
-	// their facts (for this package's dependencies) are importable. The
-	// driver schedules the transitive closure and rejects cycles.
-	Requires []*Analyzer
 	// FactTypes declares the fact types this analyzer exports, each a
-	// pointer to a struct. An analyzer with no declared fact types may
-	// still import facts declared by its Requires.
+	// pointer to a struct.
 	FactTypes []Fact
 	// Run applies the analyzer to one package. It reports findings through
 	// Pass.Report/Reportf and returns an error only for analyzer
 	// malfunctions, never for findings.
-	Run func(*Pass) (any, error)
+	Run func(*Pass) error
 }
 
 // Pass carries one package's syntax and type information to an analyzer.
@@ -57,9 +48,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds the type-checking results for Files.
 	TypesInfo *types.Info
-	// ResultOf holds the results the Analyzer.Requires analyzers returned
-	// for this same package.
-	ResultOf map[*Analyzer]any
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
 
@@ -106,15 +94,6 @@ func (p *Pass) ExportPackageFact(fact Fact) {
 	}
 }
 
-// ImportPackageFact copies the package-level fact of fact's type
-// exported by pkg into fact, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.facts == nil || pkg == nil {
-		return false
-	}
-	return p.facts.importInto(pkg.Path(), "", fact)
-}
-
 // AllPackageFacts returns every package-level fact currently in the fact
 // database (this package's and all previously analyzed packages'), in
 // deterministic order. The lockorder analyzer assembles the global
@@ -148,4 +127,54 @@ func IsTestFile(fset *token.FileSet, file *ast.File) bool {
 // real module packages ("repro/internal/workpool").
 func PathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+}
+
+// Directives indexes a package's directive comments — line comments of the
+// form //tool:verb args, with no space after the slashes — by file and
+// line. A directive covers its own line (a trailing comment) and the line
+// below it (a comment above the statement or declaration).
+type Directives struct {
+	fset   *token.FileSet
+	byLine map[string]map[int][]string // filename -> line -> texts without the //
+}
+
+// NewDirectives indexes the directive comments of files.
+func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
+	d := &Directives{fset: fset, byLine: make(map[string]map[int][]string)}
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text, ok := strings.CutPrefix(c.Text, "//")
+				if !ok || !strings.Contains(text, ":") || strings.HasPrefix(text, " ") {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				if d.byLine[pos.Filename] == nil {
+					d.byLine[pos.Filename] = make(map[int][]string)
+				}
+				d.byLine[pos.Filename][pos.Line] = append(d.byLine[pos.Filename][pos.Line], text)
+			}
+		}
+	}
+	return d
+}
+
+// Lookup returns the rest of the first directive covering pos that starts
+// with prefix (such as "lockorder:level"), the line above first.
+func (d *Directives) Lookup(pos token.Pos, prefix string) (string, bool) {
+	p := d.fset.Position(pos)
+	for _, line := range [2]int{p.Line - 1, p.Line} {
+		for _, text := range d.byLine[p.Filename][line] {
+			if rest, ok := strings.CutPrefix(text, prefix); ok {
+				return rest, true
+			}
+		}
+	}
+	return "", false
+}
+
+// Allowed reports whether pos carries the escape //<tool>:allow <reason>.
+func (d *Directives) Allowed(pos token.Pos, tool string) bool {
+	_, ok := d.Lookup(pos, tool+":allow")
+	return ok
 }

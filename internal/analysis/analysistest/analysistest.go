@@ -22,10 +22,10 @@
 // memoized process-wide, so a test file with many Run calls pays for one
 // `go list` only).
 //
-// Run drives the facts-capable driver: the analyzer's Requires closure is
-// scheduled over every loaded testdata package in dependency order with a
-// shared fact database, then the named analyzer's diagnostics — from all
-// loaded packages — are matched against the want expectations.
+// Run drives the facts-capable driver: the analyzer runs over every loaded
+// testdata package in dependency order with a shared fact database, then
+// its diagnostics — from all loaded packages — are matched against the
+// want expectations.
 package analysistest
 
 import (
@@ -45,10 +45,9 @@ import (
 	"repro/internal/analysis"
 )
 
-// Run applies a (preceded by its Requires closure, sharing facts) to each
-// testdata package named by patterns plus their testdata imports, and
-// reports mismatches between a's diagnostics and // want expectations
-// through t.
+// Run applies a to each testdata package named by patterns plus their
+// testdata imports, and reports mismatches between a's diagnostics and
+// // want expectations through t.
 func Run(t *testing.T, a *analysis.Analyzer, patterns ...string) {
 	t.Helper()
 	ld := &loader{
@@ -67,24 +66,13 @@ func Run(t *testing.T, a *analysis.Analyzer, patterns ...string) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 
-	roots := []*analysis.Analyzer{a}
-	schedule, err := analysis.Schedule(roots)
-	if err != nil {
-		t.Fatalf("scheduling %s: %v", a.Name, err)
-	}
-	findings, mals, err := analysis.RunPackages(pkgs, roots, analysis.NewFactSet(schedule))
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
+	findings, mals, _ := analysis.RunPackages(pkgs, []*analysis.Analyzer{a})
 	for _, m := range mals {
-		t.Fatalf("%s: analyzer %s malfunctioned on %s: %s", a.Name, m.Analyzer, m.Package, m.Err)
+		t.Fatalf("%s malfunctioned on %s: %s", m.Analyzer, m.Package, m.Err)
 	}
 
 	expects := collectExpectations(t, ld.fset, pkgs)
 	for _, f := range findings {
-		if f.Analyzer != a.Name {
-			continue // a prerequisite's diagnostics are not under test
-		}
 		key := posKey{filepath.Base(f.Pos.Filename), f.Pos.Line}
 		matched := false
 		for _, e := range expects[key] {

@@ -10,11 +10,9 @@ import (
 
 // A Fact is a message an analyzer attaches to a package or to one of its
 // objects while analyzing it, for later consumption when a downstream
-// package (or a downstream analyzer, via Requires) is analyzed.
-// Mirroring x/tools, fact types are pointers to structs and carry the
-// AFact marker method; unlike x/tools, facts are namespaced by their Go
-// type alone rather than by (analyzer, type), so an analyzer listed in
-// another's Requires may import the facts its prerequisite exported.
+// package is analyzed. Mirroring x/tools, fact types are pointers to
+// structs and carry the AFact marker method. Facts are addressed by their
+// Go type, which names the declaring analyzer package.
 type Fact interface {
 	AFact()
 }
@@ -47,14 +45,14 @@ type FactSet struct {
 	facts map[factKey]Fact
 }
 
-// NewFactSet returns an empty fact database with the fact types of every
-// analyzer in schedule registered.
-func NewFactSet(schedule []*Analyzer) *FactSet {
+// newFactSet returns an empty fact database with the fact types of every
+// analyzer registered.
+func newFactSet(analyzers []*Analyzer) *FactSet {
 	fs := &FactSet{
 		types: make(map[string]reflect.Type),
 		facts: make(map[factKey]Fact),
 	}
-	for _, a := range schedule {
+	for _, a := range analyzers {
 		for _, f := range a.FactTypes {
 			fs.register(f)
 		}
@@ -87,7 +85,7 @@ func (fs *FactSet) export(pkg, obj string, f Fact) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if t, ok := fs.types[name]; !ok || t != reflect.TypeOf(f) {
-		return fmt.Errorf("fact type %T is not declared in any scheduled analyzer's FactTypes", f)
+		return fmt.Errorf("fact type %T is not declared in any analyzer's FactTypes", f)
 	}
 	fs.facts[factKey{pkg, obj, name}] = f
 	return nil

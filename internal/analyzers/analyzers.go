@@ -10,15 +10,12 @@ import (
 	"repro/internal/analyzers/atomicwrite"
 	"repro/internal/analyzers/ctxflow"
 	"repro/internal/analyzers/errtaxonomy"
-	"repro/internal/analyzers/lockorder"
-	"repro/internal/analyzers/locksafe"
+	"repro/internal/analyzers/locks"
 	"repro/internal/analyzers/nakedgoroutine"
 	"repro/internal/analyzers/snapshotmut"
 )
 
-// All returns the elslint analyzers in reporting order. The list is the
-// root set handed to analysis.Schedule, which deduplicates and orders any
-// prerequisites.
+// All returns the elslint analyzers in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		errtaxonomy.Analyzer,
@@ -26,7 +23,7 @@ func All() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		snapshotmut.Analyzer,
 		atomicwrite.Analyzer,
-		lockorder.Analyzer,
-		locksafe.Analyzer,
+		locks.Order,
+		locks.Safe,
 	}
 }

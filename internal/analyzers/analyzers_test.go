@@ -1,15 +1,18 @@
 package analyzers
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/analyzers/locks"
 )
 
 // TestRegistry pins the driver-facing sanity properties of the shipped
-// suite: seven analyzers, unique non-empty names, non-empty docs, and a
-// schedulable (acyclic, nil-free) Requires graph.
+// suite: seven analyzers, unique non-empty names, non-empty docs.
 func TestRegistry(t *testing.T) {
 	all := All()
 	if len(all) != 7 {
@@ -34,37 +37,55 @@ func TestRegistry(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
+}
 
-	schedule, err := analysis.Schedule(all)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	// The schedule is the Requires closure: at least the registry itself,
-	// with every analyzer after its prerequisites.
-	if len(schedule) < len(all) {
-		t.Fatalf("schedule has %d analyzers, want >= %d", len(schedule), len(all))
-	}
-	index := make(map[*analysis.Analyzer]int, len(schedule))
-	for i, a := range schedule {
-		index[a] = i
-	}
-	for _, a := range schedule {
-		for _, req := range a.Requires {
-			ri, ok := index[req]
-			if !ok {
-				t.Errorf("%s requires %s, which is not in the schedule", a.Name, req.Name)
-				continue
-			}
-			if ri >= index[a] {
-				t.Errorf("%s scheduled before its requirement %s", a.Name, req.Name)
-			}
-		}
-	}
+// moduleLockLevels is every mutex declared in the module's non-test code,
+// with its //lockorder:level (DESIGN.md §12).
+var moduleLockLevels = []string{
+	"repro.Replica.mu 26",
+	"repro.System.mu 20",
+	"repro.System.retryMu 22",
+	"repro.System.shipMu 24",
+	"repro/bench.failLog.mu 70",
+	"repro/internal/admission.Breaker.mu 34",
+	"repro/internal/admission.Controller.mu 30",
+	"repro/internal/admission.Slot.mu 32",
+	"repro/internal/analysis.FactSet.mu 90",
+	"repro/internal/chaos.ledger.logMu 70",
+	"repro/internal/chaos.ledger.mu 5",
+	"repro/internal/durable.Store.mu 40",
+	"repro/internal/faultinject.mu 80",
+	"repro/internal/plancache.Cache.mu 50",
+	"repro/internal/replica.Follower.mu 36",
+	"repro/internal/replica.Shipper.mu 44",
+	"repro/internal/server.Server.logMu 70",
+	"repro/internal/server.Server.mu 10",
+	"repro/internal/server.Server.reqMu 12",
+	"repro/internal/server.hist.mu 16",
+	"repro/internal/server.memPool.mu 16",
+	"repro/internal/server.tenant.mu 14",
+	"repro/internal/snapshot.Store.mu 42",
+}
+
+// moduleLockEdges is the module's lock-acquisition graph, as "from -> to"
+// with " (allowed)" appended to an edge every witness of which carries
+// //lockorder:allow.
+var moduleLockEdges = []string{
+	"repro.Replica.mu -> repro/internal/replica.Follower.mu",
+	"repro.System.mu -> repro.System.retryMu",
+	"repro.System.shipMu -> repro/internal/durable.Store.mu",
+	"repro/internal/durable.Store.mu -> repro/internal/faultinject.mu",
+	"repro/internal/replica.Follower.mu -> repro/internal/durable.Store.mu",
+	"repro/internal/replica.Follower.mu -> repro/internal/faultinject.mu",
+	"repro/internal/replica.Follower.mu -> repro/internal/snapshot.Store.mu",
+	"repro/internal/snapshot.Store.mu -> repro/internal/plancache.Cache.mu",
 }
 
 // TestModuleIsLintClean runs the whole suite over the module, as
 // `go run ./cmd/elslint ./...` does, so `go test ./...` fails on any
-// finding or analyzer malfunction in library code.
+// finding or analyzer malfunction in library code. It also pins the lock
+// graph elslint -lockdot draws, without witnesses, so a new ordering or a
+// changed level shows up in review.
 func TestModuleIsLintClean(t *testing.T) {
 	pkgs, err := analysis.Load(".", "repro/...")
 	if err != nil {
@@ -73,19 +94,31 @@ func TestModuleIsLintClean(t *testing.T) {
 	if len(pkgs) < 30 {
 		t.Fatalf("loaded %d packages of the module, want at least 30", len(pkgs))
 	}
-	roots := All()
-	schedule, err := analysis.Schedule(roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, mals, err := analysis.RunPackages(pkgs, roots, analysis.NewFactSet(schedule))
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings, mals, facts := analysis.RunPackages(pkgs, All())
 	for _, f := range findings {
 		t.Errorf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 	}
 	for _, m := range mals {
 		t.Errorf("analyzer %s malfunctioned on %s: %s", m.Analyzer, m.Package, m.Err)
+	}
+
+	levelOf, edges := locks.Graph(facts.AllPackageFacts())
+	var levels, got []string
+	for name, level := range levelOf {
+		levels = append(levels, fmt.Sprintf("%s %d", name, level))
+	}
+	for _, e := range edges {
+		s := e.From + " -> " + e.To
+		if e.Allowed {
+			s += " (allowed)"
+		}
+		got = append(got, s)
+	}
+	sort.Strings(levels)
+	if !reflect.DeepEqual(levels, moduleLockLevels) {
+		t.Errorf("declared lock levels:\n%s\nwant:\n%s", strings.Join(levels, "\n"), strings.Join(moduleLockLevels, "\n"))
+	}
+	if !reflect.DeepEqual(got, moduleLockEdges) {
+		t.Errorf("lock-acquisition edges:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(moduleLockEdges, "\n"))
 	}
 }

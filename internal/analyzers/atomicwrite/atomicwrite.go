@@ -25,7 +25,6 @@ import (
 	"go/constant"
 	"go/types"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -37,15 +36,16 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	if analysis.PathHasSuffix(pass.Pkg.Path(), "internal/durable") {
-		return nil, nil // the atomic-write protocol itself
+		return nil // the atomic-write protocol itself
 	}
+	dirs := analysis.NewDirectives(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
 			continue
 		}
-		fc := &fileCheck{pass: pass, allowed: allowLines(pass, f)}
+		fc := &fileCheck{pass: pass, dirs: dirs}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				fc.checkCall(call)
@@ -53,19 +53,18 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 type fileCheck struct {
-	pass    *analysis.Pass
-	allowed map[int]bool
+	pass *analysis.Pass
+	dirs *analysis.Directives
 }
 
 // annotated reports whether n carries an //atomicwrite:allow annotation on
 // its line or the line above.
 func (fc *fileCheck) annotated(n ast.Node) bool {
-	line := fc.pass.Fset.Position(n.Pos()).Line
-	return fc.allowed[line] || fc.allowed[line-1]
+	return fc.dirs.Allowed(n.Pos(), "atomicwrite")
 }
 
 // checkCall flags a non-atomic file-creating call from package os.
@@ -110,17 +109,4 @@ func (fc *fileCheck) hasCreateFlag(flag ast.Expr) bool {
 	}
 	v, ok := constant.Int64Val(constant.ToInt(tv.Value))
 	return ok && v&int64(os.O_CREATE) != 0
-}
-
-// allowLines indexes the lines carrying an //atomicwrite:allow annotation.
-func allowLines(pass *analysis.Pass, f *ast.File) map[int]bool {
-	out := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, "atomicwrite:allow") {
-				out[pass.Fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return out
 }

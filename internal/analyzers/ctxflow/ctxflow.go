@@ -30,14 +30,15 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	path := pass.Pkg.Path()
 	exemptPkg := strings.HasPrefix(path, "cmd/") || strings.Contains(path, "/cmd/")
+	dirs := analysis.NewDirectives(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
 			continue
 		}
-		fc := &fileCheck{pass: pass, allowed: allowLines(pass, f), exemptPkg: exemptPkg}
+		fc := &fileCheck{pass: pass, dirs: dirs, exemptPkg: exemptPkg}
 		if !exemptPkg {
 			fc.checkRootContexts(f)
 		}
@@ -47,20 +48,19 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 type fileCheck struct {
 	pass      *analysis.Pass
-	allowed   map[int]bool
+	dirs      *analysis.Directives
 	exemptPkg bool
 }
 
-// annotated reports whether pos carries a //ctxflow:allow annotation on
-// its line or the line above.
-func (fc *fileCheck) annotated(pos ast.Node) bool {
-	line := fc.pass.Fset.Position(pos.Pos()).Line
-	return fc.allowed[line] || fc.allowed[line-1]
+// annotated reports whether n carries a //ctxflow:allow annotation on its
+// line or the line above.
+func (fc *fileCheck) annotated(n ast.Node) bool {
+	return fc.dirs.Allowed(n.Pos(), "ctxflow")
 }
 
 // checkRootContexts flags unannotated context.Background/TODO calls.
@@ -258,17 +258,4 @@ func isContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// allowLines indexes the lines carrying a //ctxflow:allow annotation.
-func allowLines(pass *analysis.Pass, f *ast.File) map[int]bool {
-	out := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, "ctxflow:allow") {
-				out[pass.Fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return out
 }

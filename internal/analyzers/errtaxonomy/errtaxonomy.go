@@ -24,12 +24,12 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	// The taxonomy is a contract of the public els package only; internal
 	// packages define the sentinels and may construct plain errors that the
 	// boundary re-wraps.
 	if pass.Pkg.Name() != "els" {
-		return nil, nil
+		return nil
 	}
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
@@ -42,7 +42,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {

@@ -26,10 +26,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	for _, allowed := range allowedPkgs {
 		if analysis.PathHasSuffix(pass.Pkg.Path(), allowed) {
-			return nil, nil
+			return nil
 		}
 	}
 	for _, f := range pass.Files {
@@ -43,5 +43,5 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }

@@ -57,9 +57,9 @@ var accessors = map[string]bool{
 	"Index":   true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	if analysis.PathHasSuffix(pass.Pkg.Path(), "internal/snapshot") {
-		return nil, nil // the builder itself
+		return nil // the builder itself
 	}
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
@@ -71,7 +71,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
