@@ -157,15 +157,25 @@ func TestExample1bTwoWayJoin(t *testing.T) {
 	}
 }
 
+// Rule LS along every order of Example 1b's chain gives Equation 3's
+// 100×1000×1000/(100×1000) = 1000.
 func TestExample1bEquation3(t *testing.T) {
 	e := mustNew(t, example1bCatalog(), example1bTables(), example1bPreds(), ELS())
-	// Equation 3: 100×1000×1000/(100×1000) = 1000.
-	sz, err := e.OracleSize([]string{"R1", "R2", "R3"})
-	if err != nil {
-		t.Fatal(err)
+	want := equation3([]float64{100, 1000, 1000}, []float64{10, 100, 1000})
+	if want != 1000 {
+		t.Fatalf("Equation 3 = %g, want 1000", want)
 	}
-	if sz != 1000 {
-		t.Errorf("Equation 3 oracle = %g, want 1000", sz)
+	for _, order := range [][]string{
+		{"R1", "R2", "R3"}, {"R1", "R3", "R2"}, {"R2", "R1", "R3"},
+		{"R2", "R3", "R1"}, {"R3", "R1", "R2"}, {"R3", "R2", "R1"},
+	} {
+		sz, err := e.FinalSize(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !approxEq(sz, want) {
+			t.Errorf("LS along %v = %g, want Equation 3's %g", order, sz, want)
+		}
 	}
 }
 
@@ -316,25 +326,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if _, err := e.BaseSize("zz"); err == nil {
 		t.Error("unknown alias should error")
-	}
-}
-
-func TestOracleErrors(t *testing.T) {
-	e := mustNew(t, example1bCatalog(), example1bTables(), example1bPreds(), ELS())
-	if _, err := e.OracleSize(nil); err == nil {
-		t.Error("empty set should error")
-	}
-	if _, err := e.OracleSize([]string{"R1", "r1"}); err == nil {
-		t.Error("duplicate alias should error")
-	}
-	if _, err := e.OracleSize([]string{"R1", "zz"}); err == nil {
-		t.Error("unknown alias should error")
-	}
-	e2 := mustNew(t, example1bCatalog(), example1bTables(), []expr.Predicate{
-		expr.NewJoin(ref("R1", "x"), expr.OpLT, ref("R2", "y")),
-	}, ELS())
-	if _, err := e2.OracleSize([]string{"R1", "R2"}); err == nil {
-		t.Error("non-equality join should make the oracle error")
 	}
 }
 

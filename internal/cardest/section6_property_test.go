@@ -7,12 +7,15 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/selest"
 )
 
 // Sections 6 and 7 composed: chains where some tables contribute TWO join
 // columns to the equivalence class (triggering the single-table
 // j-equivalence fold) must still estimate order-independently under Rule
-// LS and agree with the Equation 3 oracle over the folded statistics.
+// LS and agree with Equation 3 over the folded statistics. The test folds
+// each such table itself, through selest, and computes Equation 3 from the
+// folded ‖R‖′ and d′.
 func TestLSWithSection6FoldsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for trial := 0; trial < 80; trial++ {
@@ -21,6 +24,7 @@ func TestLSWithSection6FoldsProperty(t *testing.T) {
 		tabs := make([]TableRef, n)
 		var preds []expr.Predicate
 		aliases := make([]string, n)
+		cards, ds := make([]float64, n), make([]float64, n)
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("T%d", i)
 			aliases[i] = name
@@ -30,8 +34,10 @@ func TestLSWithSection6FoldsProperty(t *testing.T) {
 			if twoCols {
 				cols["b"] = float64(1 + rng.Intn(int(card)))
 			}
-			cat.MustAddTable(catalog.SimpleTable(name, card, cols))
+			ts := catalog.SimpleTable(name, card, cols)
+			cat.MustAddTable(ts)
 			tabs[i] = TableRef{Table: name}
+			cards[i], ds[i] = card, cols["a"]
 			if i > 0 {
 				prev := fmt.Sprintf("T%d", rng.Intn(i))
 				preds = append(preds, expr.NewJoin(
@@ -45,16 +51,21 @@ func TestLSWithSection6FoldsProperty(t *testing.T) {
 				preds = append(preds, expr.NewJoin(
 					expr.ColumnRef{Table: name, Column: "b"}, expr.OpEQ,
 					expr.ColumnRef{Table: other, Column: "a"}))
+				// Closure implies a = b within the table: Section 6's fold.
+				eff, err := selest.EffectiveTable(ts, name, []expr.Predicate{expr.NewJoin(
+					expr.ColumnRef{Table: name, Column: "a"}, expr.OpEQ,
+					expr.ColumnRef{Table: name, Column: "b"})}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cards[i], ds[i] = eff.Card, eff.ColCard["a"]
 			}
 		}
 		e, err := New(cat, tabs, preds, ELS())
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := e.OracleSize(aliases)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := equation3(cards, ds)
 		for rep := 0; rep < 3; rep++ {
 			order := make([]string, n)
 			for i, p := range rng.Perm(n) {
@@ -64,9 +75,9 @@ func TestLSWithSection6FoldsProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !approxEq(got, oracle) {
-				t.Fatalf("trial %d: LS along %v = %g, oracle = %g (preds %v)",
-					trial, order, got, oracle, preds)
+			if !approxEq(got, want) {
+				t.Fatalf("trial %d: LS along %v = %g, Equation 3 = %g (preds %v)",
+					trial, order, got, want, preds)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -137,24 +138,36 @@ func TestSection8_SMWithoutPTC(t *testing.T) {
 	}
 }
 
-// ELS's estimates agree with the Equation 3 oracle, and the oracle says
-// every prefix of every order over the four filtered tables has size 100.
+// The paper's Section 8: with the implied local predicates applied, every
+// table holds 100 rows with 100 distinct join values, so Equation 3 gives
+// 100 for every subset of the four tables. ELS estimates exactly that along
+// every order of every subset.
 func TestSection8_OracleIs100Everywhere(t *testing.T) {
 	e := mustNew(t, section8Catalog(), section8Tables(), section8Preds(), ELS())
-	sets := [][]string{
-		{"S", "M"}, {"S", "B"}, {"S", "G"}, {"M", "B"}, {"M", "G"}, {"B", "G"},
-		{"S", "M", "B"}, {"S", "M", "G"}, {"S", "B", "G"}, {"M", "B", "G"},
-		{"S", "M", "B", "G"},
-	}
-	for _, set := range sets {
-		sz, err := e.OracleSize(set)
-		if err != nil {
-			t.Fatal(err)
+	var permute func(done, rest []string)
+	permute = func(done, rest []string) {
+		if n := len(done); n >= 2 {
+			hundreds := make([]float64, n)
+			for i := range hundreds {
+				hundreds[i] = 100
+			}
+			want := equation3(hundreds, hundreds)
+			if !approxEq(want, 100) {
+				t.Fatalf("Equation 3 over %v = %g, want 100", done, want)
+			}
+			sz, err := e.FinalSize(done)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !approxEq(sz, want) {
+				t.Errorf("ELS along %v = %g, want Equation 3's %g", done, sz, want)
+			}
 		}
-		if !approxEq(sz, 100) {
-			t.Errorf("oracle(%v) = %g, want 100", set, sz)
+		for i, next := range rest {
+			permute(append(slices.Clip(done), next), append(slices.Clip(rest[:i]), rest[i+1:]...))
 		}
 	}
+	permute(nil, []string{"S", "M", "B", "G"})
 }
 
 // The estimated result sizes of Section 8's rows depend on the join order

@@ -2,8 +2,10 @@ package closure_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -156,9 +158,28 @@ func refCompute(preds []expr.Predicate, close bool) (closed, implied []expr.Pred
 // matchReference holds Compute (and Dedup) to the string-keyed reference:
 // the same predicates in the same order and spelling, the same implied
 // ones, the same classes, members and class ids for every column, and
-// operand ids that name each predicate's columns.
+// operand ids that name each predicate's columns. PTC must not depend on
+// the order its input comes in: a permutation of preds, seeded by the
+// label, closes to the same predicates, implied predicates and classes,
+// compared as sets.
 func matchReference(t *testing.T, label string, preds []expr.Predicate) {
 	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	shuffled := slices.Clone(preds)
+	rand.New(rand.NewSource(int64(h.Sum64()))).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	a, b := closure.Compute(preds), closure.Compute(shuffled)
+	if x, y := predicateKeys(a.Predicates), predicateKeys(b.Predicates); !reflect.DeepEqual(x, y) {
+		t.Fatalf("%s: closes to %v, permuted to %v", label, x, y)
+	}
+	if x, y := predicateKeys(a.Implied), predicateKeys(b.Implied); !reflect.DeepEqual(x, y) {
+		t.Fatalf("%s: implies %v, permuted %v", label, x, y)
+	}
+	if x, y := classKeys(a.Classes.All()), classKeys(b.Classes.All()); !reflect.DeepEqual(x, y) {
+		t.Fatalf("%s: classes %v, permuted %v", label, x, y)
+	}
 	for _, close := range []bool{true, false} {
 		got := closure.Dedup(preds)
 		if close {
@@ -194,6 +215,27 @@ func matchReference(t *testing.T, label string, preds []expr.Predicate) {
 			}
 		}
 	}
+}
+
+// predicateKeys is the sorted set of the predicates' canonical keys.
+func predicateKeys(preds []expr.Predicate) []string {
+	keys := make([]string, len(preds))
+	for i, p := range preds {
+		keys[i] = p.CanonicalKey()
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// classKeys renders classes, each sorted by key, by their members' keys.
+func classKeys(classes [][]expr.ColumnRef) [][]string {
+	out := make([][]string, len(classes))
+	for i, class := range classes {
+		for _, ref := range class {
+			out[i] = append(out[i], ref.Key())
+		}
+	}
+	return out
 }
 
 func TestClosureMatchesStringReference(t *testing.T) {

@@ -71,11 +71,8 @@ func RunWorkedExamples() ([]WorkedExample, error) {
 		return nil, err
 	}
 	add("Example 1b", "‖R2⋈R3‖ via Equation 2", twoWay, 1000)
-	threeWay, err := els.OracleSize([]string{"R1", "R2", "R3"})
-	if err != nil {
-		return nil, err
-	}
-	add("Example 1b", "‖R1⋈R2⋈R3‖ via Equation 3", threeWay, 1000)
+	add("Example 1b", "‖R1⋈R2⋈R3‖ via Equation 3",
+		equation3([]float64{100, 1000, 1000}, [][]float64{{10, 100, 1000}}), 1000)
 
 	// --- Example 2: Rule M underestimates.
 	sm, err := example1bEstimator(cardest.SM().WithClosure())

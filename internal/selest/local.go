@@ -130,10 +130,11 @@ func uniformRangeSelectivity(cs *catalog.ColumnStats, op expr.CompareOp, c float
 }
 
 // ColumnPredicateSet groups the constant predicates applied to one column
-// and resolves them to a single selectivity following [16]: the most
-// restrictive equality wins if any equality exists; otherwise the tightest
-// lower and upper range bounds form a combined range; <> predicates
-// contribute multiplicatively on top.
+// and resolves them to a single selectivity following [16]: the tightest
+// lower and upper range bounds form a combined range, and <> predicates
+// contribute multiplicatively on top. An equality admits one value, so it
+// caps that selectivity at its own; it admits none when a second equality
+// names another constant or its constant fails a range or <> predicate.
 type ColumnPredicateSet struct {
 	// Column is the subject column.
 	Column expr.ColumnRef
@@ -144,96 +145,86 @@ type ColumnPredicateSet struct {
 // Resolve computes the combined selectivity of the predicate set against
 // the column's statistics.
 func (s ColumnPredicateSet) Resolve(cs *catalog.ColumnStats) (float64, error) {
-	var eqs, ranges, nes []expr.Predicate
+	var eqs, others []expr.Predicate
 	for _, p := range s.Preds {
 		if p.Kind() != expr.KindLocalConst {
 			return 0, fmt.Errorf("selest: %s is not a constant predicate", p)
 		}
-		switch p.Op {
-		case expr.OpEQ:
+		if p.Op == expr.OpEQ {
 			eqs = append(eqs, p)
-		case expr.OpNE:
-			nes = append(nes, p)
-		default:
-			ranges = append(ranges, p)
+		} else {
+			others = append(others, p)
 		}
 	}
-	// Most restrictive equality, if any equality exists. Any conflicting
-	// range/inequality predicates are subsumed (a contradiction would yield
-	// zero rows; the estimator keeps the optimistic equality estimate, as a
-	// real optimizer does absent constraint solving).
-	if len(eqs) > 0 {
-		best := math.Inf(1)
-		for _, p := range eqs {
-			sel, err := ConstSelectivity(cs, expr.OpEQ, p.Const)
-			if err != nil {
-				return 0, err
-			}
-			if sel < best {
-				best = sel
-			}
-		}
-		// Two different equality constants contradict: selectivity 0.
-		if distinctConstants(eqs) > 1 {
+	sel, err := resolveRanges(cs, others)
+	if err != nil || len(eqs) == 0 {
+		return sel, err
+	}
+	if distinctConstants(eqs) > 1 {
+		return 0, nil
+	}
+	c := eqs[0].Const
+	for _, p := range others {
+		if !c.IsNull() && !p.Const.IsNull() && storage.Comparable(c.Type(), p.Const.Type()) &&
+			!p.Op.Holds(storage.Compare(c, p.Const)) {
 			return 0, nil
 		}
-		return clamp01(best), nil
 	}
-	sel := 1.0
-	if len(ranges) > 0 {
-		lo := math.Inf(-1)
-		loStrict := false
-		hi := math.Inf(1)
-		hiStrict := false
-		var nonNumeric []expr.Predicate
-		for _, p := range ranges {
-			if !numeric(p.Const) {
-				nonNumeric = append(nonNumeric, p)
-				continue
-			}
-			c := p.Const.AsFloat()
-			switch p.Op {
-			case expr.OpGT:
-				if c > lo || (c == lo && !loStrict) {
-					lo, loStrict = c, true
-				}
-			case expr.OpGE:
-				if c > lo {
-					lo, loStrict = c, false
-				}
-			case expr.OpLT:
-				if c < hi || (c == hi && !hiStrict) {
-					hi, hiStrict = c, true
-				}
-			case expr.OpLE:
-				if c < hi {
-					hi, hiStrict = c, false
-				}
-			}
+	eq, err := ConstSelectivity(cs, expr.OpEQ, c)
+	if err != nil {
+		return 0, err
+	}
+	return clamp01(min(eq, sel)), nil
+}
+
+// resolveRanges is the selectivity of a column's range and <> predicates.
+// Every bound holds wherever all of them do, so the ranges admit at most
+// the smallest estimate of any lower bound, of any upper bound, and of the
+// two together, P(lo) + P(hi) − 1; under estimates that grow with the bound
+// those are the tightest bounds ([16]). Bounds that contradict each other
+// admit nothing. <> and non-numeric range predicates multiply on top.
+func resolveRanges(cs *catalog.ColumnStats, preds []expr.Predicate) (float64, error) {
+	lo, loStrict, loSel, los := math.Inf(-1), false, 1.0, 0
+	hi, hiStrict, hiSel, his := math.Inf(1), false, 1.0, 0
+	for _, p := range preds {
+		if p.Op == expr.OpNE || !numeric(p.Const) {
+			continue
 		}
-		if lo > hi || (lo == hi && (loStrict || hiStrict)) {
-			return 0, nil // contradictory bounds
-		}
-		s, err := boundedRangeSelectivity(cs, lo, loStrict, hi, hiStrict)
+		s, err := ConstSelectivity(cs, p.Op, p.Const)
 		if err != nil {
 			return 0, err
 		}
-		sel *= s
-		// Non-numeric range predicates multiply independently (rough model).
-		for _, p := range nonNumeric {
+		c := p.Const.AsFloat()
+		if p.Op == expr.OpGT || p.Op == expr.OpGE {
+			los, loSel = los+1, min(loSel, s)
+			if c > lo || c == lo && p.Op == expr.OpGT {
+				lo, loStrict = c, p.Op == expr.OpGT
+			}
+		} else {
+			his, hiSel = his+1, min(hiSel, s)
+			if c < hi || c == hi && p.Op == expr.OpLT {
+				hi, hiStrict = c, p.Op == expr.OpLT
+			}
+		}
+	}
+	if lo > hi || lo == hi && (loStrict || hiStrict) {
+		return 0, nil
+	}
+	sel := min(loSel, hiSel)
+	if los > 0 && his > 0 {
+		// The sum is exact for complementary one-sided ranges, but rounding
+		// can lift it an ulp above either side.
+		sel = min(sel, loSel+hiSel-1)
+	}
+	sel = clamp01(sel)
+	for _, p := range preds {
+		if p.Op == expr.OpNE || !numeric(p.Const) {
 			s, err := ConstSelectivity(cs, p.Op, p.Const)
 			if err != nil {
 				return 0, err
 			}
 			sel *= s
 		}
-	}
-	for _, p := range nes {
-		s, err := ConstSelectivity(cs, expr.OpNE, p.Const)
-		if err != nil {
-			return 0, err
-		}
-		sel *= s
 	}
 	return clamp01(sel), nil
 }
@@ -244,39 +235,6 @@ func distinctConstants(eqs []expr.Predicate) int {
 		seen[p.Const.Key()] = struct{}{}
 	}
 	return len(seen)
-}
-
-// boundedRangeSelectivity estimates the selectivity of lo (<|<=) x (<|<=) hi,
-// where either bound may be infinite.
-func boundedRangeSelectivity(cs *catalog.ColumnStats, lo float64, loStrict bool, hi float64, hiStrict bool) (float64, error) {
-	loOp := expr.OpGE
-	if loStrict {
-		loOp = expr.OpGT
-	}
-	hiOp := expr.OpLE
-	if hiStrict {
-		hiOp = expr.OpLT
-	}
-	switch {
-	case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-		return 1, nil
-	case math.IsInf(lo, -1):
-		return ConstSelectivity(cs, hiOp, storage.Float64(hi))
-	case math.IsInf(hi, 1):
-		return ConstSelectivity(cs, loOp, storage.Float64(lo))
-	default:
-		sLo, err := ConstSelectivity(cs, loOp, storage.Float64(lo))
-		if err != nil {
-			return 0, err
-		}
-		sHi, err := ConstSelectivity(cs, hiOp, storage.Float64(hi))
-		if err != nil {
-			return 0, err
-		}
-		// P(lo-side) + P(hi-side) − 1 is the exact intersection for
-		// complementary one-sided ranges; clamp at 0.
-		return clamp01(sLo + sHi - 1), nil
-	}
 }
 
 // GroupConstPredicates buckets constant predicates by subject column, in

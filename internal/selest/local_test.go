@@ -244,6 +244,60 @@ func TestResolveContradictoryEqualities(t *testing.T) {
 	}
 }
 
+// An equality does not override the column's other predicates: a constant
+// that fails one of them, or ranges that contradict each other, leave no
+// row, and otherwise the equality caps what the ranges admit.
+func TestResolveEqualityKeepsContradictions(t *testing.T) {
+	cs := intCol("v", 100, 0, 99)
+	for _, c := range []struct {
+		preds []expr.Predicate
+		want  float64
+	}{
+		{[]expr.Predicate{constPred("v", expr.OpLT, 11), constPred("v", expr.OpGT, 59), constPred("v", expr.OpEQ, 0)}, 0},
+		{[]expr.Predicate{constPred("v", expr.OpEQ, 5), constPred("v", expr.OpGT, 5)}, 0},
+		{[]expr.Predicate{constPred("v", expr.OpEQ, 5), constPred("v", expr.OpGE, 6)}, 0},
+		{[]expr.Predicate{constPred("v", expr.OpLE, 4), constPred("v", expr.OpEQ, 5)}, 0},
+		{[]expr.Predicate{constPred("v", expr.OpEQ, 5), constPred("v", expr.OpNE, 5)}, 0},
+		{[]expr.Predicate{constPred("v", expr.OpEQ, 5), constPred("v", expr.OpGE, 5), constPred("v", expr.OpNE, 6)}, 0.01},
+		{[]expr.Predicate{constPred("v", expr.OpEQ, 0), constPred("v", expr.OpLT, 11)}, 0.01},
+	} {
+		set := ColumnPredicateSet{Column: ref("R", "v"), Preds: c.preds}
+		sel, err := set.Resolve(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(sel-c.want) > 1e-12 {
+			t.Errorf("%s = %g, want %g", expr.FormatConjunction(c.preds), sel, c.want)
+		}
+	}
+}
+
+// On an integer column v > 4 and v >= 5 are one bound, but a histogram
+// prices them apart: 0.4 and 0.5 over 0..9 in the buckets [0,4] and [5,9].
+// Adding the second to the first must not raise the estimate to 0.5.
+func TestResolveKeepsTheSmallerOfEquivalentBounds(t *testing.T) {
+	h, err := catalog.NewEquiDepthHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := intCol("v", 10, 0, 9)
+	cs.Hist = h
+	for _, preds := range [][]expr.Predicate{
+		{constPred("v", expr.OpGT, 4)},
+		{constPred("v", expr.OpGT, 4), constPred("v", expr.OpGE, 5)},
+		{constPred("v", expr.OpGE, 5), constPred("v", expr.OpGT, 4)},
+	} {
+		set := ColumnPredicateSet{Column: ref("R", "v"), Preds: preds}
+		sel, err := set.Resolve(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(sel-0.4) > 1e-12 {
+			t.Errorf("%s = %g, want 0.4", expr.FormatConjunction(preds), sel)
+		}
+	}
+}
+
 func TestResolveTightestRangePair(t *testing.T) {
 	// [16]: "a pair of range predicates which form the tightest bound".
 	cs := intCol("x", 1000, 0, 999)

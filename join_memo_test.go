@@ -55,7 +55,7 @@ func TestJoinMemoColdWarmBitIdentical(t *testing.T) {
 		_, plans := differentialPlans(t, q)
 		for i, plan := range plans {
 			for _, budget := range []int64{0, diffBudget(plan)} {
-				cat := loadGenerated(t, q)
+				cat := loadGenerated(t, q, 0)
 				indexKeys(t, cat, q)
 				cold := printRun(t, cat, plan, budget)
 				for run := 2; run <= 3; run++ {
