@@ -7,6 +7,12 @@
 //	echo 'declare R 1000 x=100
 //	      estimate SELECT COUNT(*) FROM R WHERE x < 10' | elsrepl
 //
+// A piped script runs every line; a failed command (an "error:", usage or
+// bad-argument report) does not stop it, but the session then exits with
+// status 1. README's Section 8 script declares the paper's four tables and
+// explains the experiment query under each algorithm ("algo X" then
+// "explain ...").
+//
 // Resource budgets applied to every query can be set up front with
 // -timeout, -max-tuples, -max-rows, and -max-plans, or at runtime with the
 // "limits" command inside the shell. -max-concurrent and -queue-timeout
@@ -14,11 +20,12 @@
 // work.
 //
 // -data-dir backs the session with a durable catalog directory: statistics
-// declared in the shell are written ahead to a checksummed WAL and fsynced
-// before being acknowledged, a previous session's catalog is recovered on
-// startup, and the WAL is compacted into an atomic checkpoint on clean
-// exit. Inside the shell, "checkpoint" compacts eagerly and "recover"
-// replays the directory as a post-crash restart would.
+// declared in the shell, and those "gen" and "load" compute from their
+// data, are written ahead to a checksummed WAL and fsynced before being
+// acknowledged, a previous session's catalog is recovered on startup, and
+// the WAL is compacted into an atomic checkpoint on clean exit. Inside the
+// shell, "checkpoint" compacts eagerly and "recover" replays the directory
+// as a post-crash restart would.
 //
 // A durable session can also ship its WAL to read replicas: "replica
 // attach <dir>" opens a follower catalog that tails every acknowledged
@@ -58,11 +65,12 @@ func main() {
 }
 
 // run drives one REPL session reading commands from in and writing results
-// to out. It returns only on input exhaustion, a "quit" command, or an I/O
+// to out. It returns on input exhaustion, a "quit" command, or an I/O
 // error; per-command failures are reported to out and the session
-// continues. A final line not terminated by a newline (mid-line EOF — a
+// continues, and a non-interactive session that had any returns an error
+// counting them. A final line not terminated by a newline (mid-line EOF — a
 // script missing its trailing newline, or ^D typed after a command) is
-// executed before the session ends cleanly. A durable session (dataDir
+// executed before the session ends. A durable session (dataDir
 // non-empty) checkpoints the WAL and closes the store on the way out.
 func run(in io.Reader, out io.Writer, limits els.Limits, dataDir string, interactive bool) error {
 	p := repl.New(out)
@@ -84,27 +92,32 @@ func run(in io.Reader, out io.Writer, limits els.Limits, dataDir string, interac
 	if interactive {
 		fmt.Fprintln(out, "els repl — type 'help' for commands")
 	}
+	failed := 0
 	for {
 		if interactive {
 			fmt.Fprint(out, "els> ")
 		}
 		line, err := r.ReadString('\n')
 		if line != "" {
-			quit, eerr := p.Execute(strings.TrimRight(line, "\r\n"))
-			if eerr != nil {
-				return eerr
+			quit, cerr := p.Execute(strings.TrimRight(line, "\r\n"))
+			if cerr != nil {
+				failed++
 			}
 			if quit {
-				return nil
+				break
 			}
 		}
+		if errors.Is(err, io.EOF) {
+			break
+		}
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
 			return err
 		}
 	}
+	if failed > 0 && !interactive {
+		return fmt.Errorf("%d command(s) failed", failed)
+	}
+	return nil
 }
 
 // closeDurable checkpoints and closes the session's durable store on exit,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -37,7 +39,8 @@ func TestScriptedRoundTrip(t *testing.T) {
 }
 
 // Bad input is reported on the session's output and must not abort the
-// session: commands after the failure still run.
+// session: commands after the failure still run, and a piped session then
+// reports that commands failed. An interactive session reports nothing.
 func TestErrorsDoNotAbortSession(t *testing.T) {
 	script := strings.Join([]string{
 		"frobnicate",                           // unknown command
@@ -46,8 +49,13 @@ func TestErrorsDoNotAbortSession(t *testing.T) {
 		"tables",
 	}, "\n")
 	var out strings.Builder
-	if err := run(strings.NewReader(script), &out, els.Limits{}, "", false); err != nil {
-		t.Fatal(err)
+	err := run(strings.NewReader(script), &out, els.Limits{}, "", false)
+	if err == nil || err.Error() != "2 command(s) failed" {
+		t.Errorf("piped session with two failed commands: err = %v", err)
+	}
+	var tty strings.Builder
+	if err := run(strings.NewReader(script), &tty, els.Limits{}, "", true); err != nil {
+		t.Errorf("interactive session: err = %v, want nil", err)
 	}
 	got := out.String()
 	if !strings.Contains(got, `unknown command "frobnicate"`) {
@@ -89,8 +97,8 @@ func TestMalformedLimitsArgs(t *testing.T) {
 		"limits",                  // prior setting must survive the noise
 	}, "\n")
 	var out strings.Builder
-	if err := run(strings.NewReader(script), &out, els.Limits{}, "", false); err != nil {
-		t.Fatal(err)
+	if err := run(strings.NewReader(script), &out, els.Limits{}, "", false); err == nil || err.Error() != "5 command(s) failed" {
+		t.Errorf("err = %v, want the five malformed lines counted", err)
 	}
 	got := out.String()
 	for _, want := range []string{
@@ -150,8 +158,8 @@ func TestLimitsGovernSession(t *testing.T) {
 		"SELECT COUNT(*) FROM R, S WHERE R.x = S.x", // now succeeds
 	}, "\n")
 	var out strings.Builder
-	if err := run(strings.NewReader(script), &out, els.Limits{MaxTuples: 1}, "", false); err != nil {
-		t.Fatal(err)
+	if err := run(strings.NewReader(script), &out, els.Limits{MaxTuples: 1}, "", false); err == nil || err.Error() != "1 command(s) failed" {
+		t.Errorf("err = %v, want the budgeted query counted as failed", err)
 	}
 	got := out.String()
 	if !strings.Contains(got, "tuples=1") {
@@ -186,5 +194,79 @@ func TestDurableSessionPersists(t *testing.T) {
 	// Exit checkpointed: the recovered WAL holds no un-compacted records.
 	if !strings.Contains(got, "records-since-checkpoint=0") {
 		t.Errorf("exit checkpoint missing (WAL not compacted):\n%s", got)
+	}
+}
+
+// README's Section 8 script declares the paper's four tables and explains
+// the experiment query under every algorithm. Piped into a session it
+// succeeds, and its output is pinned in testdata/section8.out, which CI
+// also diffs the built binary's output against.
+func TestReadmeScript(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("(?s)elsrepl <<'EOF'\n(.*?)\nEOF\n").FindStringSubmatch(string(raw))
+	if m == nil {
+		t.Fatal("README has no elsrepl <<'EOF' script")
+	}
+	script := m[1]
+	for _, a := range els.Algorithms() {
+		if !strings.Contains(script, "\nalgo "+a.String()+"\nexplain ") {
+			t.Errorf("README script does not explain under %s", a)
+		}
+	}
+	want, err := os.ReadFile("testdata/section8.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(strings.NewReader(script), &out, els.Limits{}, "", false); err != nil {
+		t.Fatalf("README script: %v\n%s", err, out.String())
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("README script output differs from testdata/section8.out; regenerate with\n"+
+			"  awk '/elsrepl <<.EOF./{on=1;next} /^EOF$/{on=0} on' README.md | go run ./cmd/elsrepl > cmd/elsrepl/testdata/section8.out\n"+
+			"got:\n%s", got)
+	}
+}
+
+// "limits plans=N" budgets plan enumeration: a four-table explain over a
+// one-plan budget fails with the typed budget error and fails the script.
+func TestPlanBudgetFailsTheScript(t *testing.T) {
+	script := strings.Join([]string{
+		"declare S 1000 s=1000",
+		"declare M 10000 m=10000",
+		"declare B 50000 b=50000",
+		"declare G 100000 g=100000",
+		"limits plans=1",
+		"explain SELECT COUNT(*) FROM S, M, B, G WHERE s = m AND m = b AND b = g",
+	}, "\n")
+	var out strings.Builder
+	if err := run(strings.NewReader(script), &out, els.Limits{}, "", false); err == nil {
+		t.Error("a script whose explain exceeds the plans budget must fail")
+	}
+	if !strings.Contains(out.String(), "error: "+els.ErrBudgetExceeded.Error()) {
+		t.Errorf("explain under plans=1 did not report the budget error:\n%s", out.String())
+	}
+}
+
+// "gen" in a -data-dir session records the generated table's statistics,
+// computed from its rows, through the WAL: a later session recovers the
+// exact row count and distinct count without the data.
+func TestGenRecordsExactStatsInDataDir(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := run(strings.NewReader("gen mytab s sequential 50 50\n"), &out, els.Limits{}, dir, false); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	out.Reset()
+	if err := run(strings.NewReader("stats mytab\n"), &out, els.Limits{}, dir, false); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	for _, want := range []string{"mytab: card=50\n", "  s: distinct=50\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("recovered stats miss %q:\n%s", want, out.String())
+		}
 	}
 }

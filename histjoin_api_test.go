@@ -67,3 +67,28 @@ func TestAlgorithmELSHist(t *testing.T) {
 		t.Errorf("without histograms, ELS+hist (%g) must equal ELS (%g)", h2.FinalSize, p2.FinalSize)
 	}
 }
+
+// A histogram prices a range predicate on a column of consecutive integers
+// exactly, at a bucket's bounds too: over v = 0..999 in 10 buckets the
+// estimates are the true row counts.
+func TestHistogramRangeEstimatesOnDenseIntegers(t *testing.T) {
+	sys := New()
+	rows := make([][]int64, 1000)
+	for i := range rows {
+		rows[i] = []int64{int64(i)}
+	}
+	if err := sys.LoadTableHist("T", []string{"v"}, rows, 10); err != nil {
+		t.Fatal(err)
+	}
+	for where, want := range map[string]float64{
+		"v >= 999": 1, "v > 998": 1, "v <= 99": 100, "v > 99": 900, "v < 100": 100, "v >= 100": 900,
+	} {
+		est, err := sys.Estimate("SELECT COUNT(*) FROM T WHERE "+where, AlgorithmELS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.FinalSize != want {
+			t.Errorf("%s: estimate %g, want %g", where, est.FinalSize, want)
+		}
+	}
+}

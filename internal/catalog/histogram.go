@@ -117,12 +117,45 @@ func NewEquiDepthHistogram(values []float64, buckets int) (*Histogram, error) {
 	return &Histogram{Kind: EquiDepth, Buckets: bs, Total: float64(n)}, nil
 }
 
-// SelectivityLT estimates the fraction of rows with value < c, assuming
-// uniform spread within each bucket.
-func (h *Histogram) SelectivityLT(c float64) float64 {
-	if h.Total == 0 || len(h.Buckets) == 0 {
+// SelectivityLT estimates the fraction of rows with value < c. Each
+// bucket's Distinct values are taken as evenly spaced points from Lo to
+// Hi, each holding Count/Distinct rows, so a bucket of consecutive
+// integers is estimated exactly and the value at Hi is not counted below
+// Hi.
+func (h *Histogram) SelectivityLT(c float64) float64 { return h.fraction(h.rowsBelow(c)) }
+
+// SelectivityLE estimates the fraction of rows with value <= c: those
+// below c plus the point mass SelectivityEQ puts at c.
+func (h *Histogram) SelectivityLE(c float64) float64 {
+	return h.fraction(h.rowsBelow(c) + h.rowsAt(c))
+}
+
+// SelectivityGT estimates the fraction of rows with value > c: the rest
+// of SelectivityLE's.
+func (h *Histogram) SelectivityGT(c float64) float64 {
+	return h.fraction(h.Total - h.rowsBelow(c) - h.rowsAt(c))
+}
+
+// SelectivityGE estimates the fraction of rows with value >= c: the rest
+// of SelectivityLT's.
+func (h *Histogram) SelectivityGE(c float64) float64 {
+	return h.fraction(h.Total - h.rowsBelow(c))
+}
+
+// SelectivityEQ estimates the fraction of rows with value = c, using the
+// containing bucket's count/distinct ratio (uniform-within-bucket).
+func (h *Histogram) SelectivityEQ(c float64) float64 { return h.fraction(h.rowsAt(c)) }
+
+// fraction turns a row count into a share of the summarized rows.
+func (h *Histogram) fraction(rows float64) float64 {
+	if h.Total == 0 {
 		return 0
 	}
+	return clamp01(rows / h.Total)
+}
+
+// rowsBelow estimates the rows with value < c (see SelectivityLT).
+func (h *Histogram) rowsBelow(c float64) float64 {
 	var rows float64
 	for _, b := range h.Buckets {
 		switch {
@@ -131,47 +164,29 @@ func (h *Histogram) SelectivityLT(c float64) float64 {
 		case c > b.Hi:
 			rows += b.Count
 		default:
-			frac := 0.0
-			if b.Hi > b.Lo {
-				frac = (c - b.Lo) / (b.Hi - b.Lo)
-			}
-			rows += b.Count * frac
+			// Lo < c <= Hi, so Hi > Lo. Point i sits at
+			// Lo + i·(Hi−Lo)/(d−1); the ones below c are i < k.
+			d := math.Max(b.Distinct, 1)
+			k := math.Max(1, math.Ceil((c-b.Lo)*(d-1)/(b.Hi-b.Lo)))
+			rows += b.Count * math.Min(k, d) / d
 		}
 	}
-	return clamp01(rows / h.Total)
+	return rows
 }
 
-// SelectivityLE estimates the fraction of rows with value <= c.
-func (h *Histogram) SelectivityLE(c float64) float64 {
-	// <= c is < c plus the mass exactly at c; approximate the point mass by
-	// one "distinct share" of the bucket containing c.
-	return clamp01(h.SelectivityLT(c) + h.SelectivityEQ(c))
-}
-
-// SelectivityGT estimates the fraction of rows with value > c.
-func (h *Histogram) SelectivityGT(c float64) float64 { return clamp01(1 - h.SelectivityLE(c)) }
-
-// SelectivityGE estimates the fraction of rows with value >= c.
-func (h *Histogram) SelectivityGE(c float64) float64 { return clamp01(1 - h.SelectivityLT(c)) }
-
-// SelectivityEQ estimates the fraction of rows with value = c, using the
-// containing bucket's count/distinct ratio (uniform-within-bucket).
-func (h *Histogram) SelectivityEQ(c float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
+// rowsAt estimates the rows with value = c: one distinct value's share of
+// the first bucket whose closed range [Lo, Hi] holds c. Equi-depth buckets
+// are disjoint; for equi-width the shared boundary lands in the lower
+// bucket, an acceptable estimator approximation.
+func (h *Histogram) rowsAt(c float64) float64 {
 	for _, b := range h.Buckets {
-		// Buckets are treated as closed [Lo, Hi] for point lookups; the first
-		// containing bucket wins. Equi-depth buckets are genuinely closed and
-		// disjoint; for equi-width the shared boundary lands in the lower
-		// bucket, an acceptable estimator approximation.
 		if c < b.Lo || c > b.Hi {
 			continue
 		}
 		if b.Distinct <= 0 {
 			return 0
 		}
-		return clamp01(b.Count / b.Distinct / h.Total)
+		return b.Count / b.Distinct
 	}
 	return 0
 }

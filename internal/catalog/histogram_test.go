@@ -217,3 +217,51 @@ func TestSelectivityComplementProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// On a dense integer column (every value of lo..hi, each reps times) the
+// four range selectivities are exact at every integer c, so equivalent
+// integer bounds agree: v > c is v >= c+1, and v < c is v <= c-1.
+func TestRangeSelectivityExactOnDenseIntegers(t *testing.T) {
+	for _, tc := range []struct{ lo, hi, reps, buckets int }{
+		{0, 9, 1, 2}, {0, 999, 1, 10}, {-50, 49, 3, 7}, {1, 64, 2, 5},
+	} {
+		var vals []float64
+		for v := tc.lo; v <= tc.hi; v++ {
+			for i := 0; i < tc.reps; i++ {
+				vals = append(vals, float64(v))
+			}
+		}
+		h, err := NewEquiDepthHistogram(vals, tc.buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := func(keep func(v float64) bool) float64 {
+			n := 0
+			for _, v := range vals {
+				if keep(v) {
+					n++
+				}
+			}
+			return float64(n) / float64(len(vals))
+		}
+		for c := float64(tc.lo - 2); c <= float64(tc.hi+2); c++ {
+			lt, le, gt, ge := h.SelectivityLT(c), h.SelectivityLE(c), h.SelectivityGT(c), h.SelectivityGE(c)
+			if want := share(func(v float64) bool { return v < c }); lt != want {
+				t.Errorf("%+v: LT(%g) = %g, want %g", tc, c, lt, want)
+			}
+			if want := share(func(v float64) bool { return v <= c }); le != want {
+				t.Errorf("%+v: LE(%g) = %g, want %g", tc, c, le, want)
+			}
+			if want := share(func(v float64) bool { return v > c }); gt != want {
+				t.Errorf("%+v: GT(%g) = %g, want %g", tc, c, gt, want)
+			}
+			if want := share(func(v float64) bool { return v >= c }); ge != want {
+				t.Errorf("%+v: GE(%g) = %g, want %g", tc, c, ge, want)
+			}
+			if gt != h.SelectivityGE(c+1) || lt != h.SelectivityLE(c-1) {
+				t.Errorf("%+v: GT(%g) = %g, GE(%g) = %g; LT(%g) = %g, LE(%g) = %g",
+					tc, c, gt, c+1, h.SelectivityGE(c+1), c, lt, c-1, h.SelectivityLE(c-1))
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package csvload imports CSV data into storage tables, with header
 // handling and per-column type inference (int64 → float64 → string). It is
-// the bridge between externally generated datasets (including cmd/elsgen
-// output) and the catalog's ANALYZE path.
+// the bridge between externally generated datasets and the catalog's
+// ANALYZE path.
 //
 // A field reading NULL (in any case) is a NULL value, as is an empty
 // numeric field. Malformed input — ragged records, truncated quotes,

@@ -6,6 +6,7 @@ package repl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -51,9 +52,9 @@ func NewAt(out io.Writer, dataDir string) (*Processor, error) {
 func (p *Processor) System() *els.System { return p.sys }
 
 // Execute runs one input line. It returns true when the session should
-// end. Errors are printed to the output writer, not returned, so a REPL
-// session survives bad input; the error return is reserved for I/O
-// failures on the writer.
+// end. A command that fails is reported on the output writer and returned
+// as an error; the processor stays usable, so a session survives bad
+// input and the caller decides what a failure means.
 func (p *Processor) Execute(line string) (quit bool, err error) {
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "--") || strings.HasPrefix(line, "#") {
@@ -104,13 +105,22 @@ func (p *Processor) Execute(line string) (quit bool, err error) {
 	case "select":
 		return false, p.run(line)
 	default:
-		p.printf("unknown command %q (try: help)\n", fields[0])
-		return false, nil
+		return false, p.fail("unknown command %q (try: help)", fields[0])
 	}
 }
 
 func (p *Processor) printf(format string, args ...any) {
 	fmt.Fprintf(p.out, format, args...)
+}
+
+// fail reports a failed command on the session's output and returns the
+// report as an error. Every error, usage and bad-argument message goes
+// through it, so a scripted caller can tell a clean run from one where a
+// command failed.
+func (p *Processor) fail(format string, args ...any) error {
+	msg := fmt.Sprintf(format, args...)
+	p.printf("%s\n", msg)
+	return errors.New(msg)
 }
 
 func (p *Processor) help() error {
@@ -155,13 +165,11 @@ func (p *Processor) help() error {
 
 func (p *Processor) setAlgo(args []string) error {
 	if len(args) != 1 {
-		p.printf("usage: algo <name>; current: %s\n", p.algo)
-		return nil
+		return p.fail("usage: algo <name>; current: %s", p.algo)
 	}
 	a, err := els.ParseAlgorithm(args[0])
 	if err != nil {
-		p.printf("unknown algorithm %q; use one of %v\n", args[0], els.Algorithms())
-		return nil
+		return p.fail("unknown algorithm %q; use one of %v", args[0], els.Algorithms())
 	}
 	p.algo = a
 	p.printf("algorithm: %s\n", a)
@@ -230,8 +238,7 @@ func (p *Processor) limits(args []string) error {
 	for _, kv := range args {
 		parts := strings.SplitN(kv, "=", 2)
 		if len(parts) != 2 || parts[1] == "" {
-			p.printf("malformed limit %q (want key=value)\n%s\n", kv, limitsUsage())
-			return nil
+			return p.fail("malformed limit %q (want key=value)\n%s", kv, limitsUsage())
 		}
 		knob, ok := governor.FindKnob(strings.ToLower(parts[0]))
 		if !ok {
@@ -239,12 +246,10 @@ func (p *Processor) limits(args []string) error {
 			for i, k := range governor.Knobs {
 				keys[i] = k.Key
 			}
-			p.printf("unknown limit %q (want %s)\n", parts[0], strings.Join(keys, ", "))
-			return nil
+			return p.fail("unknown limit %q (want %s)", parts[0], strings.Join(keys, ", "))
 		}
 		if err := knob.Parse(&l, parts[1]); err != nil {
-			p.printf("%v\n%s\n", err, limitsUsage())
-			return nil
+			return p.fail("%v\n%s", err, limitsUsage())
 		}
 	}
 	p.sys.SetLimits(l)
@@ -290,8 +295,7 @@ func (p *Processor) serving() error {
 // the current catalog version.
 func (p *Processor) checkpoint() error {
 	if err := p.sys.Checkpoint(); err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	d := p.sys.DurabilityStats()
 	p.printf("checkpoint written: version %d (wal %dB)\n", d.CheckpointVersion, d.WALSizeBytes)
@@ -308,17 +312,14 @@ func (p *Processor) recoverCatalog(args []string) error {
 	if len(args) == 1 {
 		dir = args[0]
 	} else if len(args) > 1 {
-		p.printf("usage: recover [dir]\n")
-		return nil
+		return p.fail("usage: recover [dir]")
 	}
 	if dir == "" {
-		p.printf("no data directory: start with -data-dir or use \"recover <dir>\"\n")
-		return nil
+		return p.fail("no data directory: start with -data-dir or use \"recover <dir>\"")
 	}
 	sys, err := els.Open(dir)
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	//ctxflow:allow repl session owns both systems end-to-end; bounded drain of the one being replaced
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -345,8 +346,7 @@ const replicaUsage = "usage: replica attach <dir> | replica status | replica pro
 // replica.
 func (p *Processor) replica(args []string) error {
 	if len(args) == 0 {
-		p.printf("%s\n", replicaUsage)
-		return nil
+		return p.fail("%s", replicaUsage)
 	}
 	switch strings.ToLower(args[0]) {
 	case "attach":
@@ -356,8 +356,7 @@ func (p *Processor) replica(args []string) error {
 	case "promote":
 		return p.replicaPromote(args[1:])
 	default:
-		p.printf("unknown replica subcommand %q\n%s\n", args[0], replicaUsage)
-		return nil
+		return p.fail("unknown replica subcommand %q\n%s", args[0], replicaUsage)
 	}
 }
 
@@ -367,31 +366,27 @@ func (p *Processor) replica(args []string) error {
 // still holds.
 func (p *Processor) replicaAttach(args []string) error {
 	if len(args) != 1 {
-		p.printf("%s\n", replicaUsage)
-		return nil
+		return p.fail("%s", replicaUsage)
 	}
 	dir := args[0]
 	id := filepath.Base(filepath.Clean(dir))
 	if old, ok := p.replicas[id]; ok {
 		if err := p.sys.AttachReplica(old); err != nil {
-			p.printf("error: %v\n", err)
-			return nil
+			return p.fail("error: %v", err)
 		}
 		p.printf("replica %s re-attached (resync requested)\n", id)
 		return nil
 	}
 	rep, err := els.OpenReplica(dir)
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	if err := p.sys.AttachReplica(rep); err != nil {
 		//ctxflow:allow repl session owns the replica end-to-end; bounded drain of a failed attach
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		rep.Close(ctx)
 		cancel()
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	rep.SetLimits(p.sys.Limits())
 	if p.replicas == nil {
@@ -414,8 +409,7 @@ func (p *Processor) replicaStatus() error {
 	}
 	ver, dig, err := p.sys.CatalogDigest()
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("primary: version=%d digest=%.12s\n", ver, dig)
 	st := p.sys.ReplicationStats()
@@ -441,19 +435,16 @@ func (p *Processor) replicaStatus() error {
 // closed, and every surviving replica is re-pointed at the new primary.
 func (p *Processor) replicaPromote(args []string) error {
 	if len(args) != 1 {
-		p.printf("%s\n", replicaUsage)
-		return nil
+		return p.fail("%s", replicaUsage)
 	}
 	id := args[0]
 	rep, ok := p.replicas[id]
 	if !ok {
-		p.printf("no attached replica %q (try: replica status)\n", id)
-		return nil
+		return p.fail("no attached replica %q (try: replica status)", id)
 	}
 	sys, err := rep.Promote()
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	delete(p.replicas, id)
 	dir := p.replicaDirs[id]
@@ -477,31 +468,26 @@ func (p *Processor) replicaPromote(args []string) error {
 
 func (p *Processor) declare(args []string) error {
 	if len(args) < 2 {
-		p.printf("usage: declare <name> <card> col=d [col=d ...]\n")
-		return nil
+		return p.fail("usage: declare <name> <card> col=d [col=d ...]")
 	}
 	card, err := strconv.ParseFloat(args[1], 64)
 	if err != nil {
-		p.printf("bad cardinality %q\n", args[1])
-		return nil
+		return p.fail("bad cardinality %q", args[1])
 	}
 	cols := map[string]float64{}
 	for _, kv := range args[2:] {
 		parts := strings.SplitN(kv, "=", 2)
 		if len(parts) != 2 {
-			p.printf("bad column spec %q (want col=distinct)\n", kv)
-			return nil
+			return p.fail("bad column spec %q (want col=distinct)", kv)
 		}
 		d, err := strconv.ParseFloat(parts[1], 64)
 		if err != nil {
-			p.printf("bad distinct count %q\n", parts[1])
-			return nil
+			return p.fail("bad distinct count %q", parts[1])
 		}
 		cols[parts[0]] = d
 	}
 	if err := p.sys.DeclareStats(args[0], card, cols); err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("declared %s (card %g, %d columns)\n", args[0], card, len(cols))
 	return nil
@@ -509,8 +495,7 @@ func (p *Processor) declare(args []string) error {
 
 func (p *Processor) load(args []string) error {
 	if len(args) < 2 {
-		p.printf("usage: load <name> <file.csv> [header] [hist=N]\n")
-		return nil
+		return p.fail("usage: load <name> <file.csv> [header] [hist=N]")
 	}
 	header := false
 	hist := 0
@@ -521,18 +506,15 @@ func (p *Processor) load(args []string) error {
 		case strings.HasPrefix(strings.ToLower(opt), "hist="):
 			n, err := strconv.Atoi(opt[5:])
 			if err != nil {
-				p.printf("bad hist option %q\n", opt)
-				return nil
+				return p.fail("bad hist option %q", opt)
 			}
 			hist = n
 		default:
-			p.printf("unknown option %q\n", opt)
-			return nil
+			return p.fail("unknown option %q", opt)
 		}
 	}
 	if err := p.sys.LoadCSV(args[0], args[1], header, hist); err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	card, _ := p.sys.TableCard(args[0])
 	p.printf("loaded %s (%g rows)\n", args[0], card)
@@ -541,14 +523,12 @@ func (p *Processor) load(args []string) error {
 
 func (p *Processor) gen(args []string) error {
 	if len(args) < 5 {
-		p.printf("usage: gen <name> <col> <dist> <rows> <domain> [theta=T] [seed=S]\n")
-		return nil
+		return p.fail("usage: gen <name> <col> <dist> <rows> <domain> [theta=T] [seed=S]")
 	}
 	rows, err1 := strconv.Atoi(args[3])
 	domain, err2 := strconv.Atoi(args[4])
 	if err1 != nil || err2 != nil {
-		p.printf("bad rows/domain\n")
-		return nil
+		return p.fail("bad rows/domain")
 	}
 	theta := 0.0
 	seed := int64(1)
@@ -556,24 +536,20 @@ func (p *Processor) gen(args []string) error {
 		switch {
 		case strings.HasPrefix(strings.ToLower(opt), "theta="):
 			if theta, err1 = strconv.ParseFloat(opt[6:], 64); err1 != nil {
-				p.printf("bad theta %q\n", opt)
-				return nil
+				return p.fail("bad theta %q", opt)
 			}
 		case strings.HasPrefix(strings.ToLower(opt), "seed="):
 			n, err := strconv.ParseInt(opt[5:], 10, 64)
 			if err != nil {
-				p.printf("bad seed %q\n", opt)
-				return nil
+				return p.fail("bad seed %q", opt)
 			}
 			seed = n
 		default:
-			p.printf("unknown option %q\n", opt)
-			return nil
+			return p.fail("unknown option %q", opt)
 		}
 	}
 	if err := p.sys.GenerateTable(args[0], args[1], args[2], rows, domain, theta, seed); err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("generated %s (%d rows, %s)\n", args[0], rows, args[2])
 	return nil
@@ -594,19 +570,16 @@ func (p *Processor) tables() error {
 
 func (p *Processor) stats(args []string) error {
 	if len(args) != 1 {
-		p.printf("usage: stats <table>\n")
-		return nil
+		return p.fail("usage: stats <table>")
 	}
 	card, err := p.sys.TableCard(args[0])
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("%s: card=%g\n", args[0], card)
 	cols, err := p.sys.TableColumns(args[0])
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	sort.Strings(cols)
 	for _, c := range cols {
@@ -618,13 +591,11 @@ func (p *Processor) stats(args []string) error {
 
 func (p *Processor) explain(sql string) error {
 	if sql == "" {
-		p.printf("usage: explain <sql>\n")
-		return nil
+		return p.fail("usage: explain <sql>")
 	}
 	out, err := p.sys.Explain(sql, p.algo)
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("%s", out)
 	return nil
@@ -632,13 +603,11 @@ func (p *Processor) explain(sql string) error {
 
 func (p *Processor) estimate(sql string) error {
 	if sql == "" {
-		p.printf("usage: estimate <sql>\n")
-		return nil
+		return p.fail("usage: estimate <sql>")
 	}
 	est, err := p.sys.Estimate(sql, p.algo)
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("[%s] estimated size: %g (order %s)\n",
 		est.Algorithm, est.FinalSize, strings.Join(est.JoinOrder, "⋈"))
@@ -647,13 +616,11 @@ func (p *Processor) estimate(sql string) error {
 
 func (p *Processor) analyze(sql string) error {
 	if sql == "" {
-		p.printf("usage: analyze <sql>\n")
-		return nil
+		return p.fail("usage: analyze <sql>")
 	}
 	res, err := p.sys.Query(sql, p.algo)
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("%s", res.FormatAnalyze())
 	p.printf("[%s] %d row(s) in %s\n", res.Estimate.Algorithm, res.Count, res.Elapsed.Round(1000))
@@ -663,8 +630,7 @@ func (p *Processor) analyze(sql string) error {
 func (p *Processor) run(sql string) error {
 	res, err := p.sys.Query(sql, p.algo)
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	if len(res.Columns) > 0 {
 		p.printf("%s\n", strings.Join(res.Columns, "\t"))
@@ -680,13 +646,11 @@ func (p *Processor) run(sql string) error {
 
 func (p *Processor) compare(sql string) error {
 	if sql == "" {
-		p.printf("usage: compare <sql>\n")
-		return nil
+		return p.fail("usage: compare <sql>")
 	}
 	results, err := p.sys.CompareAlgorithms(sql)
 	if err != nil {
-		p.printf("error: %v\n", err)
-		return nil
+		return p.fail("error: %v", err)
 	}
 	p.printf("%-10s %-14s %14s %12s %12s\n", "algo", "order", "estimate", "tuples", "elapsed")
 	for _, r := range results {

@@ -2,8 +2,10 @@ package repl
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -15,15 +17,30 @@ func runLines(t *testing.T, lines ...string) string {
 	var out strings.Builder
 	p := New(&out)
 	for _, l := range lines {
-		quit, err := p.Execute(l)
-		if err != nil {
-			t.Fatalf("line %q: %v", l, err)
-		}
-		if quit {
+		if execute(t, p, &out, l) {
 			break
 		}
 	}
 	return out.String()
+}
+
+var errorReport = regexp.MustCompile(`(?m)^error:`)
+
+// execute runs one line and holds Execute to its contract: a failed
+// command returns the report it printed last, and a line that prints an
+// "error:" report has failed.
+func execute(t *testing.T, p *Processor, out *strings.Builder, line string) (quit bool) {
+	t.Helper()
+	before := out.Len()
+	quit, err := p.Execute(line)
+	printed := out.String()[before:]
+	if err != nil && !strings.HasSuffix(printed, err.Error()+"\n") {
+		t.Fatalf("line %q failed with %q but printed %q", line, err, printed)
+	}
+	if err == nil && errorReport.MatchString(printed) {
+		t.Fatalf("line %q printed %q but did not fail", line, printed)
+	}
+	return quit
 }
 
 func TestQuitAndComments(t *testing.T) {
@@ -159,7 +176,7 @@ func TestLoadCSV(t *testing.T) {
 }
 
 func TestBadInputsDoNotCrash(t *testing.T) {
-	out := runLines(t,
+	lines := []string{
 		"frobnicate",
 		"declare",
 		"declare T abc",
@@ -175,6 +192,9 @@ func TestBadInputsDoNotCrash(t *testing.T) {
 		"gen T k uniform 10 5 seed=x",
 		"gen T k uniform 10 5 what=1",
 		"gen T k bogus 10 5",
+		"gen T k uniform -1 5",
+		"algo",
+		"algo nope",
 		"estimate",
 		"explain",
 		"compare",
@@ -182,7 +202,15 @@ func TestBadInputsDoNotCrash(t *testing.T) {
 		"explain SELECT garbage(",
 		"SELECT COUNT(*) FROM missing",
 		"compare SELECT nope",
-	)
+	}
+	out := runLines(t, lines...)
+	// Every one of them fails the command, so a piped script exits 1.
+	p := New(io.Discard)
+	for _, l := range lines {
+		if _, err := p.Execute(l); err == nil {
+			t.Errorf("%q did not fail", l)
+		}
+	}
 	if !strings.Contains(out, "unknown command") {
 		t.Errorf("unknown command not reported:\n%s", out)
 	}
@@ -252,11 +280,7 @@ func runDurable(t *testing.T, dataDir string, lines ...string) string {
 		t.Fatalf("NewAt(%s): %v", dataDir, err)
 	}
 	for _, l := range lines {
-		quit, err := p.Execute(l)
-		if err != nil {
-			t.Fatalf("line %q: %v", l, err)
-		}
-		if quit {
+		if execute(t, p, &out, l) {
 			break
 		}
 	}
@@ -420,8 +444,11 @@ func TestReplicaCommands(t *testing.T) {
 		t.Errorf("promoted session catalog wrong:\n%s", got)
 	}
 
-	run("replica")
-	run("replica promote nope")
+	for _, line := range []string{"replica", "replica promote nope"} {
+		if _, err := p.Execute(line); err == nil {
+			t.Errorf("line %q did not fail", line)
+		}
+	}
 	got = out.String()
 	if !strings.Contains(got, "usage: replica attach") || !strings.Contains(got, `no attached replica "nope"`) {
 		t.Errorf("replica usage/error output wrong:\n%s", got)

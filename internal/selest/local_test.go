@@ -272,9 +272,9 @@ func TestResolveEqualityKeepsContradictions(t *testing.T) {
 	}
 }
 
-// On an integer column v > 4 and v >= 5 are one bound, but a histogram
-// prices them apart: 0.4 and 0.5 over 0..9 in the buckets [0,4] and [5,9].
-// Adding the second to the first must not raise the estimate to 0.5.
+// On an integer column v > 4 and v >= 5 are one bound. Over 0..9 in the
+// buckets [0,4] and [5,9] the histogram prices each at the exact 0.5, and
+// adding the second to the first leaves it there.
 func TestResolveKeepsTheSmallerOfEquivalentBounds(t *testing.T) {
 	h, err := catalog.NewEquiDepthHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 2)
 	if err != nil {
@@ -292,8 +292,8 @@ func TestResolveKeepsTheSmallerOfEquivalentBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(sel-0.4) > 1e-12 {
-			t.Errorf("%s = %g, want 0.4", expr.FormatConjunction(preds), sel)
+		if math.Abs(sel-0.5) > 1e-12 {
+			t.Errorf("%s = %g, want 0.5", expr.FormatConjunction(preds), sel)
 		}
 	}
 }
