@@ -1,8 +1,20 @@
+// GROUP BY through the hash join's flat table (hashTable). Each group
+// column's rows are grouped by the key rendering the hash join binds —
+// int64 and string values as stored, float64 bits (floatKeys), bool
+// Value.Key() strings (boxedKeys) — with the NULL rows as one more group.
+// Several columns combine group by group: each row's pair of group ordinals
+// packs into a uint64 key grouped through the same table. A table's runs are
+// its groups, each group's rows ascending, so typed accumulators fold every
+// group in row order and SUM and AVG come out bit for bit as a row-at-a-time
+// fold would give them. No row is boxed: a Value is built only per group,
+// for its key columns and its aggregates.
 package executor
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/storage"
 )
@@ -54,15 +66,6 @@ type AggSpec struct {
 	Name string
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count int64
-	sum   float64
-	min   storage.Value
-	max   storage.Value
-	seen  bool
-}
-
 // Aggregate hash-groups the input by the groupCols ordinals and computes
 // the aggregates per group under the executor's governor — ungoverned
 // grouping was the one row-producing path that escaped budget accounting.
@@ -70,7 +73,8 @@ type aggState struct {
 // aggregates, NULL group keys form their own group, and with no grouping
 // columns a single group is produced even over empty input. Output columns
 // are the group columns (in order) followed by the aggregates. Groups are
-// emitted in a deterministic (key-sorted) order.
+// emitted in a deterministic order: by their key columns' Value.Key()
+// strings, each followed by a zero byte.
 func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec) (*storage.Table, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("executor: Aggregate(nil)")
@@ -94,6 +98,9 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 		case AggCountStar, AggCount:
 			typ = storage.TypeInt64
 		case AggSum, AggAvg:
+			if t := inSchema.Column(a.Col).Type; !numericType(t) {
+				return nil, fmt.Errorf("executor: %s of a %s column", a.Op, t)
+			}
 			typ = storage.TypeFloat64
 		case AggMin, AggMax:
 			typ = inSchema.Column(a.Col).Type
@@ -111,102 +118,25 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 		return nil, err
 	}
 
-	type group struct {
-		keyVals []storage.Value
-		states  []aggState
+	n := tbl.NumRows()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("executor: grouping %d rows exceeds the hash table's 2^31-row limit", n)
 	}
-	groups := make(map[string]*group)
-	var keys []string
-	keyOf := func(row int) string {
-		k := ""
-		for _, c := range groupCols {
-			k += tbl.Value(row, c).Key() + "\x00"
-		}
-		return k
-	}
-	for r := 0; r < tbl.NumRows(); r++ {
-		if err := e.gov.TickTuples(1); err != nil {
+	for done := 0; done < n; done += colBatch {
+		if err := e.gov.TickTuples(int64(min(colBatch, n-done))); err != nil {
 			return nil, err
 		}
-		k := keyOf(r)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{states: make([]aggState, len(aggs))}
-			for _, c := range groupCols {
-				g.keyVals = append(g.keyVals, tbl.Value(r, c))
-			}
-			groups[k] = g
-			keys = append(keys, k)
-		}
-		for i, a := range aggs {
-			st := &g.states[i]
-			if a.Op == AggCountStar {
-				st.count++
-				continue
-			}
-			v := tbl.Value(r, a.Col)
-			if v.IsNull() {
-				continue
-			}
-			st.count++
-			switch a.Op {
-			case AggSum, AggAvg:
-				st.sum += v.AsFloat()
-			case AggMin:
-				if !st.seen || storage.Compare(v, st.min) < 0 {
-					st.min = v
-				}
-			case AggMax:
-				if !st.seen || storage.Compare(v, st.max) > 0 {
-					st.max = v
-				}
-			}
-			st.seen = true
-		}
 	}
-	// A global aggregate over empty input still yields one row.
-	if len(groupCols) == 0 && len(groups) == 0 {
-		groups[""] = &group{states: make([]aggState, len(aggs))}
-		keys = append(keys, "")
-	}
-	sort.Strings(keys)
-
+	g := groupRows(tbl, groupCols)
 	out := storage.NewTable("aggregate", outSchema)
-	row := make([]storage.Value, 0, len(outCols))
-	for _, k := range keys {
-		g := groups[k]
-		row = row[:0]
-		row = append(row, g.keyVals...)
-		for i, a := range aggs {
-			st := g.states[i]
-			switch a.Op {
-			case AggCountStar, AggCount:
-				row = append(row, storage.Int64(st.count))
-			case AggSum:
-				if st.count == 0 {
-					row = append(row, storage.Null(storage.TypeFloat64))
-				} else {
-					row = append(row, storage.Float64(st.sum))
-				}
-			case AggAvg:
-				if st.count == 0 {
-					row = append(row, storage.Null(storage.TypeFloat64))
-				} else {
-					row = append(row, storage.Float64(st.sum/float64(st.count)))
-				}
-			case AggMin:
-				if !st.seen {
-					row = append(row, storage.Null(outSchema.Column(len(g.keyVals)+i).Type))
-				} else {
-					row = append(row, st.min)
-				}
-			case AggMax:
-				if !st.seen {
-					row = append(row, storage.Null(outSchema.Column(len(g.keyVals)+i).Type))
-				} else {
-					row = append(row, st.max)
-				}
-			}
+	row := make([]storage.Value, len(outCols))
+	for _, i := range g.sorted(tbl, groupCols) {
+		run := g.run(i)
+		for j, c := range groupCols {
+			row[j] = tbl.Value(run[0], c)
+		}
+		for j, a := range aggs {
+			row[len(groupCols)+j] = aggValue(tbl, a, run)
 		}
 		if err := e.gov.TickRows(1); err != nil {
 			return nil, err
@@ -216,4 +146,208 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 		}
 	}
 	return out, nil
+}
+
+// groups partitions a table's rows: group i is rows[ends[i-1]:ends[i]]
+// (from 0 for i = 0), in ascending row order.
+type groups struct {
+	rows []int
+	ends []int
+}
+
+func (g groups) run(i int) []int {
+	start := 0
+	if i > 0 {
+		start = g.ends[i-1]
+	}
+	return g.rows[start:g.ends[i]]
+}
+
+// groupRows groups the rows of tbl by the cols ordinals. With no columns
+// every row, none included, is one group.
+func groupRows(tbl *storage.Table, cols []int) groups {
+	n := tbl.NumRows()
+	if len(cols) == 0 {
+		all := make([]int, n)
+		for r := range all {
+			all[r] = r
+		}
+		return groups{rows: all, ends: []int{n}}
+	}
+	g := groupColumn(tbl, cols[0])
+	for _, c := range cols[1:] {
+		// A row's key is its ordinal in g times the column's group count
+		// plus its ordinal in the column: under n² < 2^62 for n < 2^31.
+		next := groupColumn(tbl, c)
+		keys := make([]uint64, n)
+		for i := range g.ends {
+			for _, r := range g.run(i) {
+				keys[r] = uint64(i) * uint64(len(next.ends))
+			}
+		}
+		for i := range next.ends {
+			for _, r := range next.run(i) {
+				keys[r] += uint64(i)
+			}
+		}
+		g = groupBy(keys, nil)
+	}
+	return g
+}
+
+// groupColumn groups the rows of tbl by column col, rendered the way the
+// hash join renders its keys.
+func groupColumn(tbl *storage.Table, col int) groups {
+	nulls := tbl.ColumnData(col).Nulls
+	switch tbl.Schema().Column(col).Type {
+	case storage.TypeInt64:
+		keys, _ := intKeys(tbl, col)
+		return groupBy(keys, nulls)
+	case storage.TypeFloat64:
+		keys, _ := floatKeys(tbl, col)
+		return groupBy(keys, nulls)
+	case storage.TypeString:
+		keys, _ := strKeys(tbl, col)
+		return groupBy(keys, nulls)
+	default:
+		keys, _ := boxedKeys(tbl, col)
+		return groupBy(keys, nulls)
+	}
+}
+
+// groupBy groups rows by key: a flat table's runs in slot order, then the
+// rows nulls flags, if any, as one more group.
+func groupBy[K comparable](keys []K, nulls []bool) groups {
+	t := newHashTable(keys, nulls, nil, hashSeed)
+	g := groups{rows: t.rows}
+	for _, s := range t.slots {
+		if s.hi != 0 {
+			g.ends = append(g.ends, int(s.hi))
+		}
+	}
+	if len(g.rows) < len(keys) {
+		for r, null := range nulls[:len(keys)] {
+			if null {
+				g.rows = append(g.rows, r)
+			}
+		}
+		g.ends = append(g.ends, len(g.rows))
+	}
+	return g
+}
+
+// sorted lists the groups in output order: by the Value.Key() strings of
+// their key columns, each followed by a zero byte, and on a tie (strings
+// holding zero bytes can render two groups alike) by first row.
+func (g groups) sorted(tbl *storage.Table, cols []int) []int {
+	keys := make([]string, len(g.ends))
+	var buf []byte
+	for i := range keys {
+		buf = buf[:0]
+		for _, c := range cols {
+			buf = append(append(buf, tbl.Value(g.run(i)[0], c).Key()...), 0)
+		}
+		keys[i] = string(buf)
+	}
+	order := make([]int, len(g.ends))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := strings.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return g.run(a)[0] - g.run(b)[0]
+	})
+	return order
+}
+
+// aggValue computes aggregate a over one group's rows, ascending.
+func aggValue(tbl *storage.Table, a AggSpec, run []int) storage.Value {
+	if a.Op == AggCountStar {
+		return storage.Int64(int64(len(run)))
+	}
+	d := tbl.ColumnData(a.Col)
+	switch a.Op {
+	case AggCount:
+		return storage.Int64(int64(len(run) - nullsIn(d.Nulls, run)))
+	case AggSum, AggAvg:
+		var sum float64
+		if d.Type == storage.TypeInt64 {
+			sum = sumRun(d.Ints, d.Nulls, run)
+		} else {
+			sum = sumRun(d.Floats, d.Nulls, run)
+		}
+		count := len(run) - nullsIn(d.Nulls, run)
+		switch {
+		case count == 0:
+			return storage.Null(storage.TypeFloat64)
+		case a.Op == AggAvg:
+			return storage.Float64(sum / float64(count))
+		}
+		return storage.Float64(sum)
+	}
+	want := -1 // AggMin
+	if a.Op == AggMax {
+		want = 1
+	}
+	best := -1
+	switch d.Type {
+	case storage.TypeInt64:
+		best = extremeRow(d.Ints, d.Nulls, run, want)
+	case storage.TypeFloat64:
+		best = extremeRow(d.Floats, d.Nulls, run, want)
+	case storage.TypeString:
+		best = extremeRow(d.Strs, d.Nulls, run, want)
+	default:
+		// Bool: false before true, as storage.Compare orders them.
+		for _, r := range run {
+			if !d.Null(r) && (best < 0 || d.Bools[r] != d.Bools[best] && d.Bools[r] == (want > 0)) {
+				best = r
+			}
+		}
+	}
+	if best < 0 {
+		return storage.Null(d.Type)
+	}
+	return d.Value(best)
+}
+
+// nullsIn counts the rows of run that nulls flags.
+func nullsIn(nulls []bool, run []int) int {
+	if nulls == nil {
+		return 0
+	}
+	n := 0
+	for _, r := range run {
+		if nulls[r] {
+			n++
+		}
+	}
+	return n
+}
+
+// sumRun adds up the non-NULL values of run as float64, in row order.
+func sumRun[T int64 | float64](vals []T, nulls []bool, run []int) float64 {
+	sum := 0.0
+	for _, r := range run {
+		if nulls == nil || !nulls[r] {
+			sum += float64(vals[r])
+		}
+	}
+	return sum
+}
+
+// extremeRow is the row a fold over run keeps: the first non-NULL row,
+// replaced by each later one that compares want (-1: below, 1: above)
+// against it by cmpOrd — storage.Compare's order, under which a NaN is
+// neither below nor above anything. -1 if every row is NULL.
+func extremeRow[T int64 | float64 | string](vals []T, nulls []bool, run []int, want int) int {
+	best := -1
+	for _, r := range run {
+		if (nulls == nil || !nulls[r]) && (best < 0 || cmpOrd(vals[r], vals[best]) == want) {
+			best = r
+		}
+	}
+	return best
 }

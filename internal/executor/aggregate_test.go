@@ -1,6 +1,10 @@
 package executor
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/storage"
@@ -146,5 +150,260 @@ func TestAggregateValidation(t *testing.T) {
 func TestAggOpString(t *testing.T) {
 	if AggSum.String() != "SUM" || AggCountStar.String() != "COUNT" || AggOp(9).String() != "?" {
 		t.Error("op names wrong")
+	}
+}
+
+// aggState accumulates one aggregate for one group of mapAggregate.
+type aggState struct {
+	count int64
+	sum   float64
+	min   storage.Value
+	max   storage.Value
+	seen  bool
+}
+
+// mapAggregate is Aggregate's former body, kept as the model the typed
+// kernel is held to: every row boxed, grouped in a Go map by the
+// concatenation of its key columns' Value.Key() strings, and folded into its
+// group in row order. outSchema is Aggregate's output schema; the model
+// charges no governor.
+func mapAggregate(tbl *storage.Table, outSchema *storage.Schema, groupCols []int, aggs []AggSpec) *storage.Table {
+	type group struct {
+		keyVals []storage.Value
+		states  []aggState
+	}
+	groups := make(map[string]*group)
+	var keys []string
+	keyOf := func(row int) string {
+		k := ""
+		for _, c := range groupCols {
+			k += tbl.Value(row, c).Key() + "\x00"
+		}
+		return k
+	}
+	for r := 0; r < tbl.NumRows(); r++ {
+		k := keyOf(r)
+		g, ok := groups[k]
+		if !ok {
+			g = &group{states: make([]aggState, len(aggs))}
+			for _, c := range groupCols {
+				g.keyVals = append(g.keyVals, tbl.Value(r, c))
+			}
+			groups[k] = g
+			keys = append(keys, k)
+		}
+		for i, a := range aggs {
+			st := &g.states[i]
+			if a.Op == AggCountStar {
+				st.count++
+				continue
+			}
+			v := tbl.Value(r, a.Col)
+			if v.IsNull() {
+				continue
+			}
+			st.count++
+			switch a.Op {
+			case AggSum, AggAvg:
+				st.sum += v.AsFloat()
+			case AggMin:
+				if !st.seen || storage.Compare(v, st.min) < 0 {
+					st.min = v
+				}
+			case AggMax:
+				if !st.seen || storage.Compare(v, st.max) > 0 {
+					st.max = v
+				}
+			}
+			st.seen = true
+		}
+	}
+	// A global aggregate over empty input still yields one row.
+	if len(groupCols) == 0 && len(groups) == 0 {
+		groups[""] = &group{states: make([]aggState, len(aggs))}
+		keys = append(keys, "")
+	}
+	sort.Strings(keys)
+
+	out := storage.NewTable("aggregate", outSchema)
+	row := make([]storage.Value, 0, outSchema.NumColumns())
+	for _, k := range keys {
+		g := groups[k]
+		row = row[:0]
+		row = append(row, g.keyVals...)
+		for i, a := range aggs {
+			st := g.states[i]
+			switch a.Op {
+			case AggCountStar, AggCount:
+				row = append(row, storage.Int64(st.count))
+			case AggSum:
+				if st.count == 0 {
+					row = append(row, storage.Null(storage.TypeFloat64))
+				} else {
+					row = append(row, storage.Float64(st.sum))
+				}
+			case AggAvg:
+				if st.count == 0 {
+					row = append(row, storage.Null(storage.TypeFloat64))
+				} else {
+					row = append(row, storage.Float64(st.sum/float64(st.count)))
+				}
+			case AggMin:
+				if !st.seen {
+					row = append(row, storage.Null(outSchema.Column(len(g.keyVals)+i).Type))
+				} else {
+					row = append(row, st.min)
+				}
+			case AggMax:
+				if !st.seen {
+					row = append(row, storage.Null(outSchema.Column(len(g.keyVals)+i).Type))
+				} else {
+					row = append(row, st.max)
+				}
+			}
+		}
+		out.MustAppendRow(row...)
+	}
+	return out
+}
+
+// sameValue reports whether two values are the same bit for bit: type,
+// NULL-ness and payload, a float64's sign of zero and NaN pattern included.
+func sameValue(a, b storage.Value) bool {
+	if a.Type() != b.Type() || a.IsNull() != b.IsNull() {
+		return false
+	}
+	if a.IsNull() {
+		return true
+	}
+	switch a.Type() {
+	case storage.TypeInt64:
+		return a.Int() == b.Int()
+	case storage.TypeFloat64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case storage.TypeString:
+		return a.Str() == b.Str()
+	default:
+		return a.BoolVal() == b.BoolVal()
+	}
+}
+
+// aggModelTable is a random table of n rows with a key column and a value
+// column of each type — g/v int64, float64, string, bool, in that order —
+// over small domains, so groups repeat, about one value in six NULL. The
+// float64 domains hold -0.0 and +0.0 and two NaN payloads.
+func aggModelTable(rng *rand.Rand, n int) *storage.Table {
+	types := []storage.Type{storage.TypeInt64, storage.TypeFloat64, storage.TypeString, storage.TypeBool}
+	var defs []storage.ColumnDef
+	for _, prefix := range []string{"g", "v"} {
+		for _, typ := range types {
+			defs = append(defs, storage.ColumnDef{Name: fmt.Sprintf("%s%s", prefix, typ), Type: typ})
+		}
+	}
+	floats := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Float64frombits(0x7FF8000000000001),
+		1.5, -2.25, 1e300, 0.1, -7}
+	strs := []string{"", "a", "b", "ab", "abcdefgh", "abcdefghi"}
+	tbl := storage.NewTable("m", storage.MustSchema(defs...))
+	row := make([]storage.Value, len(defs))
+	for r := 0; r < n; r++ {
+		for c, d := range defs {
+			domain := 4 // key columns
+			if c >= len(types) {
+				domain = 1000
+			}
+			switch {
+			case rng.IntN(6) == 0:
+				row[c] = storage.Null(d.Type)
+			case d.Type == storage.TypeInt64:
+				row[c] = storage.Int64(int64(rng.IntN(domain)) - 2)
+			case d.Type == storage.TypeFloat64:
+				row[c] = storage.Float64(floats[rng.IntN(min(domain, len(floats)))])
+			case d.Type == storage.TypeString:
+				row[c] = storage.String64(strs[rng.IntN(min(domain, len(strs)))])
+			default:
+				row[c] = storage.Bool(rng.IntN(2) == 0)
+			}
+		}
+		tbl.MustAppendRow(row...)
+	}
+	return tbl
+}
+
+// The typed grouping kernel returns the map model's rows, in the model's
+// order, bit for bit — SUM and AVG folded in the same row order, MIN and MAX
+// keeping the same row's value through -0.0/+0.0 ties and NaNs — over random
+// tables grouped by 0–3 columns of every key type, NULLs, all six aggregate
+// operators, and empty input.
+func TestAggregateMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 1))
+	ops := []AggOp{AggCountStar, AggCount, AggSum, AggMin, AggMax, AggAvg}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.IntN(400)
+		if trial%10 == 0 {
+			n = 0
+		}
+		tbl := aggModelTable(rng, n)
+		groupCols := rng.Perm(4)[:rng.IntN(4)] // key columns, in any order
+		var aggs []AggSpec
+		for i, op := range ops {
+			col := 4 + rng.IntN(4) // any value column
+			if op == AggSum || op == AggAvg {
+				col = 4 + rng.IntN(2) // int64 or float64
+			}
+			aggs = append(aggs, AggSpec{Op: op, Col: col, Name: fmt.Sprintf("a%d", i)})
+		}
+		got, err := (&Executor{}).Aggregate(tbl, groupCols, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mapAggregate(tbl, got.Schema(), groupCols, aggs)
+		if got.NumRows() != want.NumRows() {
+			t.Fatalf("trial %d (%d rows, group by %v): %d groups, the model has %d", trial, n, groupCols, got.NumRows(), want.NumRows())
+		}
+		for r := 0; r < got.NumRows(); r++ {
+			for c := 0; c < got.Schema().NumColumns(); c++ {
+				if g, w := got.Value(r, c), want.Value(r, c); !sameValue(g, w) {
+					t.Fatalf("trial %d (%d rows, group by %v): row %d column %s = %v, the model has %v",
+						trial, n, groupCols, r, got.Schema().Column(c).Name, g, w)
+				}
+			}
+		}
+	}
+}
+
+// groupFixture is a table of n rows over `groups` int64 keys, each row with
+// an int64 and a float64 value, and the aggregates a GROUP BY of it asks for.
+func groupFixture(n, groups int) (*storage.Table, []AggSpec) {
+	tbl := storage.NewTable("g", storage.MustSchema(
+		storage.ColumnDef{Name: "g", Type: storage.TypeInt64},
+		storage.ColumnDef{Name: "v", Type: storage.TypeInt64},
+		storage.ColumnDef{Name: "f", Type: storage.TypeFloat64},
+	))
+	for r := 0; r < n; r++ {
+		tbl.MustAppendRow(storage.Int64(int64(r*7919%groups)), storage.Int64(int64(r)), storage.Float64(float64(r)/3))
+	}
+	return tbl, []AggSpec{{Op: AggCountStar, Name: "n"}, {Op: AggSum, Col: 1, Name: "s"},
+		{Op: AggMin, Col: 2, Name: "lo"}, {Op: AggAvg, Col: 2, Name: "a"}}
+}
+
+// Grouping allocates per group, not per row: 20,000 rows over 500 groups
+// cost what 10,000 do, and at most 8 allocations a group. The boxed map
+// grouping it replaced allocated about three times per row.
+func TestAggregateAllocationCeiling(t *testing.T) {
+	const groups = 500
+	var allocs [2]float64
+	for i, n := range []int{10000, 20000} {
+		tbl, aggs := groupFixture(n, groups)
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			out, err := (&Executor{}).Aggregate(tbl, []int{0}, aggs)
+			if err != nil || out.NumRows() != groups {
+				t.Fatalf("%v groups, err %v", out.NumRows(), err)
+			}
+		})
+	}
+	t.Logf("%v allocations at 10,000 rows, %v at 20,000", allocs[0], allocs[1])
+	if few, many := allocs[0], allocs[1]; many > few+8 || many > 8*groups {
+		t.Errorf("%v allocations at 20,000 rows, %v at 10,000 over %d groups; want no growth and at most %d",
+			many, few, groups, 8*groups)
 	}
 }

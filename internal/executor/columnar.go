@@ -221,30 +221,32 @@ func disjRow(tbl *storage.Table, d []optimizer.Cond, r int, stats *Stats) bool {
 	return false
 }
 
-// bindHashKeys picks the key representation for one hash join, and the
-// seeded hash its tables use, and binds spec.join to the typed kernel. Keys
-// of one specializable type hash natively, and an int64 key meets a float64
-// one as float64 bits, as storage.Compare meets them; bool keys hash their
-// Value.Key() strings, which group exactly the values Compare calls equal.
+// bindHashKeys picks the key representation for one hash join and binds
+// spec.join to the typed kernel. Keys of one specializable type hash
+// natively, and an int64 key meets a float64 one as float64 bits, as
+// storage.Compare meets them; bool keys hash their Value.Key() strings,
+// which group exactly the values Compare calls equal.
 func (e *Executor) bindHashKeys(spec *hashSpec) {
 	ltype := spec.left.Schema().Column(spec.lKey).Type
 	rtype := spec.right.Schema().Column(spec.rKey).Type
 	switch {
 	case ltype != rtype && numericType(ltype) && numericType(rtype):
 		spec.numeric = true
-		bindKeys(e, spec, repFloat, floatKeys, wordHash[uint64](hashSeed))
+		bindKeys(e, spec, repFloat, floatKeys)
 	case ltype != rtype || ltype == storage.TypeBool:
-		bindKeys(e, spec, repBoxed, boxedKeys, strHash(hashSeed))
+		bindKeys(e, spec, repBoxed, boxedKeys)
 	case ltype == storage.TypeInt64:
-		bindKeys(e, spec, repNative, func(t *storage.Table, col int) ([]int64, int64) { return t.ColumnData(col).Ints, 0 },
-			wordHash[int64](hashSeed))
+		bindKeys(e, spec, repNative, intKeys)
 	case ltype == storage.TypeFloat64:
-		bindKeys(e, spec, repFloat, floatKeys, wordHash[uint64](hashSeed))
+		bindKeys(e, spec, repFloat, floatKeys)
 	default:
-		bindKeys(e, spec, repNative, func(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 },
-			strHash(hashSeed))
+		bindKeys(e, spec, repNative, strKeys)
 	}
 }
+
+// intKeys and strKeys are an int64 or a string column's own values.
+func intKeys(t *storage.Table, col int) ([]int64, int64)  { return t.ColumnData(col).Ints, 0 }
+func strKeys(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 }
 
 // keyRep names how a hash join renders one column's keys. It keys the
 // memoized build table of an unfiltered base column (storage.Table.Memo),
@@ -262,12 +264,12 @@ const (
 // bindKeys derives both inputs' keys once per join, whatever the partition
 // policy does with them. keysOf reports the bytes of any array it had to
 // derive; the join holds them as scratch until it returns.
-func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(t *storage.Table, col int) ([]K, int64), hash func(K) uint64) {
+func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(t *storage.Table, col int) ([]K, int64)) {
 	lk, lscratch := keysOf(spec.left, spec.lKey)
 	rk, rscratch := keysOf(spec.right, spec.rKey)
 	spec.scratch = lscratch + rscratch
 	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
-		return colJoin(e, spec.joinSpec, rep, lk, rk, hash, rrows, lrows, stats)
+		return colJoin(e, spec.joinSpec, rep, lk, rk, rrows, lrows, stats)
 	}
 }
 
@@ -308,35 +310,45 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 // colJoin is the typed build → probe → pair-gather kernel for one
 // partition: build a flat hash table (hashTable) over the keys of the right
 // rows named by rrows (nil: every right row), probe it with the left rows
-// named by lrows (nil: every left row) in order, and hand each probe row's
-// matching build rows, ascending, to the pair sink. With a probe-row list
-// the sink also reports the left row behind each output row.
+// named by lrows (nil: every left row) in order, a block of hashes at a
+// time, and hand each probe row's matching build rows, ascending, to the
+// pair sink. With a probe-row list the sink also reports the left row behind
+// each output row.
 //
 // A build over every row of an unfiltered base-table scan (a view) is built
 // once per base column and key representation and shared with every later
 // join of that column (storage.Table.Memo); any other build — a filtered
 // scan, an operator's output, a Grace partition — is the join's own.
-func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, hash func(K) uint64, rrows, lrows []int, stats *Stats) (*pairSink, error) {
+func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
 	if builds := rowCount(rrows, len(rk)); builds > math.MaxInt32 {
 		return nil, fmt.Errorf("executor: a hash-join build of %d rows exceeds the table's 2^31-row limit", builds)
 	}
 	rn := spec.right.ColumnData(spec.rKey).Nulls
 	var table hashTable[K]
 	if rrows == nil {
-		table = spec.right.Memo(spec.rKey, rep, func() any { return newHashTable(rk, rn, nil, hash) }).(hashTable[K])
+		table = spec.right.Memo(spec.rKey, rep, func() any { return newHashTable(rk, rn, nil, hashSeed) }).(hashTable[K])
 	} else {
-		table = newHashTable(rk, rn, rrows, hash)
+		table = newHashTable(rk, rn, rrows, hashSeed)
 	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
 	pairs := e.newPairSink(spec, stats, lrows != nil)
 	defer pairs.release()
-	for i, n := 0, rowCount(lrows, len(lk)); i < n; i++ {
-		l := rowAt(lrows, i)
-		if ln != nil && ln[l] {
-			continue
-		}
-		if err := pairs.add(l, table.lookup(lk[l])); err != nil {
-			return nil, err
+	var hs [hashBlock]uint64
+	for b, n := 0, rowCount(lrows, len(lk)); b < n; b += hashBlock {
+		block := hs[:min(hashBlock, n-b)]
+		hashKeys(table.seed, lk, lrows, b, block)
+		for j, h := range block {
+			l := rowAt(lrows, b+j)
+			if ln != nil && ln[l] {
+				continue
+			}
+			s := &table.slots[table.find(lk[l], h)]
+			if s.hi == 0 {
+				continue // no build row has the key
+			}
+			if err := pairs.add(l, table.rows[s.lo:s.hi]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := pairs.flush(); err != nil {

@@ -1,8 +1,14 @@
-// The hash join's build side: one flat table per partition, two arrays and
-// no per-key allocation. An open-addressing slot array holds each distinct
-// key once with the bounds of its rows, and one CSR (compressed row list)
-// array holds the build rows grouped by key, ascending within each key — the
-// row lists a map from key to appended rows would hold, in the same order.
+// The one typed hash kernel, shared by the hash join and GROUP BY: a flat
+// table per build, two arrays and no per-key allocation. An open-addressing
+// slot array holds each distinct key once with the bounds of its rows, and
+// one CSR (compressed row list) array holds the build rows grouped by key,
+// ascending within each key — the row lists a map from key to appended rows
+// would hold, in the same order. A join probes the table; Aggregate reads
+// its runs as groups.
+//
+// Keys are hashed a block at a time (hashKeys): one type switch per block,
+// then a tight loop with the mixer inlined writes the block's hashes to a
+// stack array, and the slot lookups run over the finished block.
 package executor
 
 import (
@@ -12,8 +18,13 @@ import (
 
 // hashSeed salts every hash table's hash. It is drawn once per process, so
 // no key set fixed in advance collides the same way in every run; what a
-// join returns never depends on it.
+// join or a grouping returns never depends on it.
 var hashSeed = rand.Uint64()
+
+// hashBlock is how many keys hashKeys hashes per call: small enough that the
+// block's hashes live in a stack array, large enough that the type switch
+// and the call are paid once per block instead of once per key.
+const hashBlock = 256
 
 // mix64 is splitmix64's finaliser: a bijection on 64 bits under which every
 // input bit reaches every output bit, so structured keys (sequential,
@@ -27,33 +38,53 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// wordHash hashes a fixed-width key: an int64, or a float64's bits.
-func wordHash[K int64 | uint64](seed uint64) func(K) uint64 {
-	return func(k K) uint64 { return mix64(uint64(k) ^ seed) }
-}
-
-// strHash hashes a string eight bytes at a time through the mixer. Strings
-// of one length never collide: each step is a bijection of the state.
-func strHash(seed uint64) func(string) uint64 {
-	return func(s string) uint64 {
-		h := seed ^ uint64(len(s))
-		for ; len(s) >= 8; s = s[8:] {
-			h = mix64(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-				uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
+// hashKeys writes to out[i] the seeded hash of the key at position from+i
+// of a row list over keys (nil: every row), for each i < len(out). A
+// fixed-width key (an int64, or a float64's bits) hashes as one mixed word;
+// a string hashes eight bytes at a time through the mixer, so strings of one
+// length never collide: each step is a bijection of the state.
+func hashKeys[K comparable](seed uint64, keys []K, rows []int, from int, out []uint64) {
+	if rows != nil {
+		rows = rows[from : from+len(out)]
+	} else {
+		keys = keys[from : from+len(out)]
+	}
+	switch ks := any(keys).(type) {
+	case []int64:
+		for i := range out {
+			out[i] = mix64(uint64(ks[rowAt(rows, i)]) ^ seed)
 		}
-		var tail uint64
-		for i := 0; i < len(s); i++ {
-			tail |= uint64(s[i]) << (8 * i)
+	case []uint64:
+		for i := range out {
+			out[i] = mix64(ks[rowAt(rows, i)] ^ seed)
 		}
-		return mix64(h ^ tail)
+	case []string:
+		for i := range out {
+			out[i] = hashString(seed, ks[rowAt(rows, i)])
+		}
+	default:
+		panic("executor: no hash for this key type")
 	}
 }
 
-// hashTable is the build side of one hash-join partition.
+func hashString(seed uint64, s string) uint64 {
+	h := seed ^ uint64(len(s))
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix64(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
+	}
+	var tail uint64
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	return mix64(h ^ tail)
+}
+
+// hashTable is the build side of one hash-join partition, or one grouping.
 type hashTable[K comparable] struct {
 	slots []hashSlot[K] // a power of two long and at most half full
 	rows  []int         // build rows, grouped by key, ascending within a key
-	hash  func(K) uint64
+	seed  uint64
 }
 
 // hashSlot is one distinct key and its build rows, rows[lo:hi]. Every
@@ -64,25 +95,31 @@ type hashSlot[K comparable] struct {
 }
 
 // newHashTable builds the table over the keys of the rows named by rows
-// (nil: every row of keys), skipping the rows nulls flags. The caller keeps
-// the build under 2^31 rows.
-func newHashTable[K comparable](keys []K, nulls []bool, rows []int, hash func(K) uint64) hashTable[K] {
+// (nil: every row of keys), skipping the rows nulls flags. The runs are laid
+// out in slot order. The caller keeps the build under 2^31 rows.
+func newHashTable[K comparable](keys []K, nulls []bool, rows []int, seed uint64) hashTable[K] {
 	n := rowCount(rows, len(keys))
-	t := hashTable[K]{slots: make([]hashSlot[K], 1<<bits.Len(uint(max(2*n-1, 0)))), hash: hash}
+	t := hashTable[K]{slots: make([]hashSlot[K], 1<<bits.Len(uint(max(2*n-1, 0)))), seed: seed}
 	// Pass 1: find every row's slot and count each key's rows in hi.
 	at := make([]int32, n)
 	live := int32(0)
-	for i := range at {
-		r := rowAt(rows, i)
-		if nulls != nil && nulls[r] {
-			at[i] = -1
-			continue
+	var hs [hashBlock]uint64
+	for b := 0; b < n; b += hashBlock {
+		block := hs[:min(hashBlock, n-b)]
+		hashKeys(seed, keys, rows, b, block)
+		for j, h := range block {
+			i := b + j
+			r := rowAt(rows, i)
+			if nulls != nil && nulls[r] {
+				at[i] = -1
+				continue
+			}
+			s := t.find(keys[r], h)
+			t.slots[s].key = keys[r]
+			t.slots[s].hi++
+			at[i] = int32(s)
+			live++
 		}
-		s := t.find(keys[r])
-		t.slots[s].key = keys[r]
-		t.slots[s].hi++
-		at[i] = int32(s)
-		live++
 	}
 	// Lay each key's run out in slot order; lo and hi both start at the run.
 	next := int32(0)
@@ -103,20 +140,13 @@ func newHashTable[K comparable](keys []K, nulls []bool, rows []int, hash func(K)
 	return t
 }
 
-// find returns the slot holding k, or the empty slot where k belongs.
-func (t *hashTable[K]) find(k K) uint64 {
+// find returns the slot holding k, whose hash is h, or the empty slot where
+// k belongs.
+func (t *hashTable[K]) find(k K, h uint64) uint64 {
 	mask := uint64(len(t.slots) - 1)
-	i := t.hash(k) & mask
+	i := h & mask
 	for t.slots[i].hi != 0 && t.slots[i].key != k {
 		i = (i + 1) & mask
 	}
 	return i
-}
-
-// lookup returns the build rows whose key is k, in ascending row order; none
-// if no build row has it. The rows may be shared with other joins (a
-// memoized build): callers only read them.
-func (t *hashTable[K]) lookup(k K) []int {
-	s := &t.slots[t.find(k)]
-	return t.rows[s.lo:s.hi]
 }

@@ -44,7 +44,7 @@ const maxAvgProbe = 2.0
 // key, and each distinct build key — to return the model's row list, in
 // order, and the same list under either seed. It returns the larger of the
 // two seeds' average probe lengths.
-func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int, probe []K, pnulls []bool, hashOf func(uint64) func(K) uint64) float64 {
+func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int, probe []K, pnulls []bool) float64 {
 	t.Helper()
 	want := mapBuild(build, bnulls, rows)
 	var keys []K
@@ -63,7 +63,7 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 	var outputs [2][]int
 	worst := 0.0
 	for s, seed := range modelSeeds {
-		table := newHashTable(build, bnulls, rows, hashOf(seed))
+		table := newHashTable(build, bnulls, rows, seed)
 		for _, k := range keys {
 			got := table.lookup(k)
 			if !slices.Equal(got, want[k]) {
@@ -79,14 +79,26 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 	return worst
 }
 
+// lookup returns the build rows whose key is k, in ascending row order; none
+// if no build row has it. It is one probe of the join kernel, hashed alone.
+func (t *hashTable[K]) lookup(k K) []int {
+	var h [1]uint64
+	hashKeys(t.seed, []K{k}, nil, 0, h[:])
+	s := &t.slots[t.find(k, h[0])]
+	return t.rows[s.lo:s.hi]
+}
+
 // avgProbe is the mean number of slots a lookup of a present key inspects:
-// one more than the key's distance from its home slot.
+// one more than the key's distance from its home slot under the table's
+// seed.
 func avgProbe[K comparable](table hashTable[K]) float64 {
 	mask := uint64(len(table.slots) - 1)
 	total, keys := 0, 0
+	var h [1]uint64
 	for i, s := range table.slots {
 		if s.hi != 0 {
-			total += int((uint64(i)-table.hash(s.key))&mask) + 1
+			hashKeys(table.seed, []K{s.key}, nil, 0, h[:])
+			total += int((uint64(i)-h[0])&mask) + 1
 			keys++
 		}
 	}
@@ -108,25 +120,10 @@ func column1(t *testing.T, typ storage.Type, vals ...storage.Value) *storage.Tab
 	return tbl
 }
 
-// intKeys and the rest derive a one-column table's keys and NULL flags the
-// way bindHashKeys does for each key kind.
-func intKeys(tbl *storage.Table) ([]int64, []bool) {
-	d := tbl.ColumnData(0)
-	return d.Ints, d.Nulls
-}
-
-func bitKeys(tbl *storage.Table) ([]uint64, []bool) {
-	k, _ := floatKeys(tbl, 0)
-	return k, tbl.ColumnData(0).Nulls
-}
-
-func strKeys(tbl *storage.Table) ([]string, []bool) {
-	d := tbl.ColumnData(0)
-	return d.Strs, d.Nulls
-}
-
-func boolKeys(tbl *storage.Table) ([]string, []bool) {
-	k, _ := boxedKeys(tbl, 0)
+// keysAndNulls derives a one-column table's keys the way bindHashKeys does
+// for one key kind (keysOf), with the column's NULL flags.
+func keysAndNulls[K comparable](tbl *storage.Table, keysOf func(*storage.Table, int) ([]K, int64)) ([]K, []bool) {
+	k, _ := keysOf(tbl, 0)
 	return k, tbl.ColumnData(0).Nulls
 }
 
@@ -143,9 +140,9 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		build := column1(t, storage.TypeInt64, i64(5), null(storage.TypeInt64), i64(0), i64(5), i64(-3),
 			null(storage.TypeInt64), i64(math.MinInt64), i64(math.MaxInt64), i64(5), i64(0))
 		probe := column1(t, storage.TypeInt64, i64(0), null(storage.TypeInt64), i64(5), i64(7), i64(math.MinInt64))
-		bk, bn := intKeys(build)
-		pk, pn := intKeys(probe)
-		checkTable(t, bk, bn, nil, pk, pn, wordHash[int64])
+		bk, bn := keysAndNulls(build, intKeys)
+		pk, pn := keysAndNulls(probe, intKeys)
+		checkTable(t, bk, bn, nil, pk, pn)
 	})
 	t.Run("float bits", func(t *testing.T) {
 		negZero := math.Copysign(0, -1)
@@ -153,10 +150,10 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 			null(storage.TypeFloat64), f64(1.5), f64(math.NaN()), f64(math.Inf(-1)), f64(negZero))
 		probe := column1(t, storage.TypeFloat64, f64(0), f64(negZero), f64(math.NaN()), f64(nan2), f64(negNaN),
 			null(storage.TypeFloat64), f64(1.5), f64(2.5))
-		bk, bn := bitKeys(build)
-		pk, pn := bitKeys(probe)
-		checkTable(t, bk, bn, nil, pk, pn, wordHash[uint64])
-		table := newHashTable(bk, bn, nil, wordHash[uint64](0))
+		bk, bn := keysAndNulls(build, floatKeys)
+		pk, pn := keysAndNulls(probe, floatKeys)
+		checkTable(t, bk, bn, nil, pk, pn)
+		table := newHashTable(bk, bn, nil, 0)
 		if got := table.lookup(bk[1]); len(got) != 3 {
 			t.Fatalf("0.0 found rows %v, want 3: -0.0 and 0.0 are one key", got)
 		}
@@ -165,9 +162,9 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		// An int64 column met by a float64 one: both sides as float64 bits.
 		build := column1(t, storage.TypeInt64, i64(2), i64(0), null(storage.TypeInt64), i64(2), i64(-7))
 		probe := column1(t, storage.TypeFloat64, f64(2), f64(math.Copysign(0, -1)), f64(2.5), f64(-7))
-		bk, bn := bitKeys(build)
-		pk, pn := bitKeys(probe)
-		checkTable(t, bk, bn, nil, pk, pn, wordHash[uint64])
+		bk, bn := keysAndNulls(build, floatKeys)
+		pk, pn := keysAndNulls(probe, floatKeys)
+		checkTable(t, bk, bn, nil, pk, pn)
 	})
 	t.Run("string", func(t *testing.T) {
 		// Lengths either side of the hash's eight-byte step.
@@ -181,22 +178,22 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 			pv = append(pv, str(s), str(s+"!"))
 		}
 		pv = append(pv, null(storage.TypeString))
-		bk, bn := strKeys(column1(t, storage.TypeString, bv...))
-		pk, pn := strKeys(column1(t, storage.TypeString, pv...))
-		checkTable(t, bk, bn, nil, pk, pn, strHash)
+		bk, bn := keysAndNulls(column1(t, storage.TypeString, bv...), strKeys)
+		pk, pn := keysAndNulls(column1(t, storage.TypeString, pv...), strKeys)
+		checkTable(t, bk, bn, nil, pk, pn)
 	})
 	t.Run("bool", func(t *testing.T) {
 		b := storage.Bool
-		bk, bn := boolKeys(column1(t, storage.TypeBool, b(true), b(false), null(storage.TypeBool), b(true)))
-		pk, pn := boolKeys(column1(t, storage.TypeBool, b(false), null(storage.TypeBool), b(true)))
-		checkTable(t, bk, bn, nil, pk, pn, strHash)
+		bk, bn := keysAndNulls(column1(t, storage.TypeBool, b(true), b(false), null(storage.TypeBool), b(true)), boxedKeys)
+		pk, pn := keysAndNulls(column1(t, storage.TypeBool, b(false), null(storage.TypeBool), b(true)), boxedKeys)
+		checkTable(t, bk, bn, nil, pk, pn)
 	})
 	t.Run("empty build", func(t *testing.T) {
-		pk, pn := intKeys(column1(t, storage.TypeInt64, ints(0, 1, 2)...))
-		checkTable(t, nil, nil, nil, pk, pn, wordHash[int64])
+		pk, pn := keysAndNulls(column1(t, storage.TypeInt64, ints(0, 1, 2)...), intKeys)
+		checkTable(t, nil, nil, nil, pk, pn)
 		allNull := column1(t, storage.TypeInt64, null(storage.TypeInt64), null(storage.TypeInt64))
-		bk, bn := intKeys(allNull)
-		checkTable(t, bk, bn, nil, pk, pn, wordHash[int64])
+		bk, bn := keysAndNulls(allNull, intKeys)
+		checkTable(t, bk, bn, nil, pk, pn)
 	})
 	t.Run("one key", func(t *testing.T) {
 		// Every build row on one key, the Zipf head of a skewed table.
@@ -204,7 +201,7 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		for i := range bk {
 			bk[i] = 42
 		}
-		checkTable(t, bk, nil, nil, []int64{42, 41, 0}, nil, wordHash[int64])
+		checkTable(t, bk, nil, nil, []int64{42, 41, 0}, nil)
 	})
 	t.Run("zipf", func(t *testing.T) {
 		tbl, err := datagen.Generate(datagen.TableSpec{Name: "Z", Rows: 20000, Columns: []datagen.ColumnSpec{
@@ -212,8 +209,8 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bk, bn := intKeys(tbl)
-		checkTable(t, bk, bn, nil, []int64{0, 1, 1999, 2000}, nil, wordHash[int64])
+		bk, bn := keysAndNulls(tbl, intKeys)
+		checkTable(t, bk, bn, nil, []int64{0, 1, 1999, 2000}, nil)
 	})
 	t.Run("partition row lists", func(t *testing.T) {
 		// The row lists partitionJoin hands the kernel: one partition of a
@@ -227,14 +224,14 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 			}
 		}
 		tbl := column1(t, storage.TypeInt64, vals...)
-		bk, bn := intKeys(tbl)
+		bk, bn := keysAndNulls(tbl, intKeys)
 		rows := pick(route(tbl, 0, nil, 4, 0, false), nil, 2)
 		sub := pick(route(tbl, 0, rows, 3, 1, false), rows, 1)
 		for _, rows := range [][]int{rows, sub} {
 			if len(rows) == 0 {
 				t.Fatal("an empty partition tests nothing")
 			}
-			checkTable(t, bk, bn, rows, bk, bn, wordHash[int64])
+			checkTable(t, bk, bn, rows, bk, bn)
 		}
 	})
 }
@@ -258,17 +255,152 @@ func TestHashTableStructuredKeysSpread(t *testing.T) {
 			for i := range keys {
 				keys[i] = set.key(int64(i))
 			}
-			if avg := checkTable(t, keys, nil, nil, []int64{set.key(n)}, nil, wordHash[int64]); avg > maxAvgProbe {
+			if avg := checkTable(t, keys, nil, nil, []int64{set.key(n)}, nil); avg > maxAvgProbe {
 				t.Fatalf("average probe length %.3f, want at most %.1f", avg, maxAvgProbe)
 			}
 			bits := make([]uint64, n)
 			for i, k := range keys {
 				bits[i] = floatBits(float64(k))
 			}
-			if avg := checkTable(t, bits, nil, nil, nil, nil, wordHash[uint64]); avg > maxAvgProbe {
+			if avg := checkTable(t, bits, nil, nil, nil, nil); avg > maxAvgProbe {
 				t.Fatalf("as float64 bits: average probe length %.3f, want at most %.1f", avg, maxAvgProbe)
 			}
 		})
+	}
+}
+
+// probeKind is one key kind the hash join binds: the column type both
+// inputs share, the key at position i of either input, and the pairs one
+// lookup per probe row finds, under the kind's key rendering.
+type probeKind struct {
+	name  string
+	typ   storage.Type
+	key   func(i int) storage.Value
+	model func(left, right *storage.Table, lrows, rrows []int) [][2]int
+}
+
+// lookupPairs is the model of one partition's probe: for each non-NULL probe
+// row named by lrows (nil: every left row), in order, one lookup of its key
+// in a table built over the right rows named by rrows.
+func lookupPairs[K comparable](keysOf func(*storage.Table, int) ([]K, int64)) func(left, right *storage.Table, lrows, rrows []int) [][2]int {
+	return func(left, right *storage.Table, lrows, rrows []int) [][2]int {
+		lk, ln := keysAndNulls(left, keysOf)
+		rk, rn := keysAndNulls(right, keysOf)
+		table := newHashTable(rk, rn, rrows, hashSeed)
+		var pairs [][2]int
+		for i := 0; i < rowCount(lrows, len(lk)); i++ {
+			if l := rowAt(lrows, i); ln == nil || !ln[l] {
+				for _, r := range table.lookup(lk[l]) {
+					pairs = append(pairs, [2]int{l, r})
+				}
+			}
+		}
+		return pairs
+	}
+}
+
+// keyColumns is a two-column table of n rows: a key column of kind's keys,
+// NULL where null says, and each row's own index.
+func keyColumns(t *testing.T, kind probeKind, prefix string, n int, key func(i int) int, null func(i int) bool) *storage.Table {
+	t.Helper()
+	tbl := storage.NewTable(prefix, storage.MustSchema(storage.ColumnDef{Name: prefix + "k", Type: kind.typ},
+		storage.ColumnDef{Name: prefix + "id", Type: storage.TypeInt64}))
+	for i := 0; i < n; i++ {
+		k := kind.key(key(i))
+		if null(i) {
+			k = storage.Null(kind.typ)
+		}
+		tbl.MustAppendRow(k, storage.Int64(int64(i)))
+	}
+	return tbl
+}
+
+// The probe hashes a block of keys at a time. Whatever the probe length
+// against the block (0, 1, 255, 256, 257) and the pair sink's batch
+// (colBatch+1), with NULL probe keys on the block edges or off them, the
+// hash join's pairs — and, given probe-row lists as the partition policy
+// passes them, the origin of each — are one lookup per probe row, for every
+// key kind.
+func TestHashJoinProbeBlockBoundaries(t *testing.T) {
+	kinds := []probeKind{
+		{"int64", storage.TypeInt64, func(i int) storage.Value { return storage.Int64(int64(i%37) - 3) }, lookupPairs(intKeys)},
+		{"float bits", storage.TypeFloat64, func(i int) storage.Value {
+			switch f := float64(i%37) / 4; {
+			case f == 0 && i%2 == 1:
+				return storage.Float64(math.Copysign(0, -1))
+			case i%37 == 36:
+				return storage.Float64(math.NaN())
+			default:
+				return storage.Float64(f)
+			}
+		}, lookupPairs(floatKeys)},
+		{"string", storage.TypeString, func(i int) storage.Value { return storage.String64(fmt.Sprint("key-", i%37)) }, lookupPairs(strKeys)},
+		{"boxed bool", storage.TypeBool, func(i int) storage.Value { return storage.Bool(i%37%3 == 0) }, lookupPairs(boxedKeys)},
+	}
+	for _, kind := range kinds {
+		for _, n := range []int{0, 1, hashBlock - 1, hashBlock, hashBlock + 1, colBatch + 1} {
+			for _, shape := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+				lists, edges := shape[0], shape[1]
+				t.Run(fmt.Sprintf("%s/%d/lists=%v/null-edges=%v", kind.name, n, lists, edges), func(t *testing.T) {
+					// The build holds half the probe domain, a row in seven NULL.
+					right := keyColumns(t, kind, "r", 300, func(j int) int { return 2 * (j % 19) },
+						func(j int) bool { return j%7 == 3 })
+					// Probe position p is left row p, or row 2p+1 behind a list.
+					// Its key is NULL on either edge of a block and at the end,
+					// or else at every fifth position off the edges.
+					null := func(p int) bool {
+						onEdge := p%hashBlock == 0 || p%hashBlock == hashBlock-1 || p == n-1
+						if edges {
+							return onEdge
+						}
+						return !onEdge && p%5 == 2
+					}
+					var left *storage.Table
+					var lrows, rrows []int
+					if lists {
+						left = keyColumns(t, kind, "l", 2*n, func(i int) int { return i / 2 },
+							func(i int) bool { return i%2 == 1 && null(i/2) })
+						lrows = make([]int, n)
+						for p := range lrows {
+							lrows[p] = 2*p + 1
+						}
+						for j := 0; j < right.NumRows(); j++ {
+							if j%3 != 0 {
+								rrows = append(rrows, j)
+							}
+						}
+					} else {
+						left = keyColumns(t, kind, "l", n, func(i int) int { return i }, null)
+					}
+					schema, err := joinSchema(left.Schema(), right.Schema())
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec := &hashSpec{joinSpec: &joinSpec{left: left, right: right, outSchema: schema}}
+					(&Executor{}).bindHashKeys(spec)
+					sink, err := spec.join(rrows, lrows, &Stats{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := kind.model(left, right, lrows, rrows)
+					if sink.out.NumRows() != len(want) {
+						t.Fatalf("%d pairs, one lookup per probe row finds %d", sink.out.NumRows(), len(want))
+					}
+					for i, w := range want {
+						l, r := int(sink.out.Value(i, 1).Int()), int(sink.out.Value(i, 3).Int())
+						if l != w[0] || r != w[1] {
+							t.Fatalf("pair %d is (%d, %d), the lookups give (%d, %d)", i, l, r, w[0], w[1])
+						}
+						if lists && sink.origin[i] != l {
+							t.Fatalf("pair %d comes from left row %d, its origin says %d", i, l, sink.origin[i])
+						}
+					}
+					if n > 2 && len(want) == 0 {
+						t.Fatal("no probe row matched: the check tests nothing")
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -359,5 +491,19 @@ func BenchmarkHashJoin(b *testing.B) {
 				execHashJoin(b, cat, plan, budget)
 			}
 		})
+	}
+}
+
+// BenchmarkAggregate times a GROUP BY of 10,000 rows into 500 groups with
+// COUNT(*), SUM, MIN and AVG (TestAggregateAllocationCeiling's input): the
+// grouping half of the flat table's work, as BenchmarkHashJoin is the join
+// half.
+func BenchmarkAggregate(b *testing.B) {
+	tbl, aggs := groupFixture(10000, 500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := (&Executor{}).Aggregate(tbl, []int{0}, aggs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
