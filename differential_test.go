@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"os"
 	"reflect"
 	"slices"
@@ -188,6 +189,69 @@ func TestExecutionDigestPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != executionDigest {
 		t.Fatalf("execution digest %s, want %s", got, executionDigest)
+	}
+}
+
+// TestLiveColumnsMatchFullExecution holds execution that carries only some
+// output columns to the full run. Every plan of the differentials for the
+// seeds, unbudgeted and under its byte budget, runs with every output column,
+// with none (a COUNT(*) root) and with a seed-chosen subset. Rows produced,
+// work counters and the governor's tuple/row charges must be the full run's;
+// exactly the columns asked for are live, each equal to the full run's row
+// for row; and unbudgeted, carrying less never raises the ledger peak.
+func TestLiveColumnsMatchFullExecution(t *testing.T) {
+	for seed := int64(0); seed < differentialQueries(t); seed++ {
+		q := querygen.Generate(seed)
+		cat, plans := differentialPlans(t, q)
+		rng := rand.New(rand.NewPCG(uint64(seed), 0))
+		for _, plan := range plans {
+			for _, budget := range []int64{0, diffBudget(plan)} {
+				full, fullUsage, fullGov := execGoverned(t, cat, plan, budget)
+				_, fullPeak, _ := fullGov.MemoryUsage()
+				width := full.Table.Schema().NumColumns()
+				subset := []int{}
+				for c := 0; c < width; c++ {
+					if rng.IntN(2) == 0 {
+						subset = append(subset, c)
+					}
+				}
+				for _, cols := range [][]int{{}, subset} {
+					fail := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("seed %d (%s), plan %s, budget %d, columns %v: %s", seed, q, plan, budget, cols, fmt.Sprintf(format, args...))
+					}
+					gov := governor.New(context.Background(), governor.Limits{MaxMemory: budget})
+					res, err := executor.NewGoverned(cat, gov).ExecuteColumns(plan, cols)
+					if err != nil {
+						fail("%v", err)
+					}
+					got, want := res.Stats, full.Stats
+					if got.RowsProduced != want.RowsProduced || got.TuplesScanned != want.TuplesScanned || got.Comparisons != want.Comparisons {
+						fail("rows, tuples, comparisons %d %d %d, full run %d %d %d", got.RowsProduced, got.TuplesScanned,
+							got.Comparisons, want.RowsProduced, want.TuplesScanned, want.Comparisons)
+					}
+					if tuples, rows, _ := gov.Usage(); [2]int64{tuples, rows} != fullUsage {
+						fail("governor charged %d tuples, %d rows; full run %v", tuples, rows, fullUsage)
+					}
+					for c := 0; c < width; c++ {
+						if live := res.Table.Live(c); live != slices.Contains(cols, c) {
+							fail("column %d live %v", c, live)
+						} else if !live {
+							continue
+						}
+						for r := 0; r < res.Table.NumRows(); r++ {
+							a, b := res.Table.Value(r, c), full.Table.Value(r, c)
+							if a.IsNull() != b.IsNull() || a.Key() != b.Key() {
+								fail("row %d column %d is %s, full run %s", r, c, a, b)
+							}
+						}
+					}
+					if _, peak, _ := gov.MemoryUsage(); budget == 0 && peak > fullPeak {
+						fail("ledger peak %d, full run %d", peak, fullPeak)
+					}
+				}
+			}
+		}
 	}
 }
 

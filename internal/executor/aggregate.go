@@ -196,37 +196,53 @@ func groupRows(tbl *storage.Table, cols []int) groups {
 }
 
 // groupColumn groups the rows of tbl by column col, rendered the way the
-// hash join renders its keys.
+// hash join renders its keys. Over a view the table is the one the hash
+// join builds over every row of the column, built once per base column and
+// key representation and shared with every later join and grouping of it
+// (storage.Table.Memo).
 func groupColumn(tbl *storage.Table, col int) groups {
-	nulls := tbl.ColumnData(col).Nulls
 	switch tbl.Schema().Column(col).Type {
 	case storage.TypeInt64:
-		keys, _ := intKeys(tbl, col)
-		return groupBy(keys, nulls)
+		return groupMemo(tbl, col, repNative, intKeys)
 	case storage.TypeFloat64:
-		keys, _ := floatKeys(tbl, col)
-		return groupBy(keys, nulls)
+		return groupMemo(tbl, col, repFloat, floatKeys)
 	case storage.TypeString:
-		keys, _ := strKeys(tbl, col)
-		return groupBy(keys, nulls)
+		return groupMemo(tbl, col, repNative, strKeys)
 	default:
-		keys, _ := boxedKeys(tbl, col)
-		return groupBy(keys, nulls)
+		return groupMemo(tbl, col, repBoxed, boxedKeys)
 	}
+}
+
+// groupMemo groups the rows of tbl by column col, whose keys keysOf renders
+// under rep, through the column's memoized build table on a view.
+func groupMemo[K comparable](tbl *storage.Table, col int, rep keyRep, keysOf func(*storage.Table, int) ([]K, int64)) groups {
+	nulls := tbl.ColumnData(col).Nulls
+	t := tbl.Memo(col, rep, func() any {
+		keys, _ := keysOf(tbl, col)
+		return newHashTable(keys, nulls, nil, hashSeed)
+	}).(hashTable[K])
+	return tableGroups(t, nulls, tbl.NumRows())
 }
 
 // groupBy groups rows by key: a flat table's runs in slot order, then the
 // rows nulls flags, if any, as one more group.
 func groupBy[K comparable](keys []K, nulls []bool) groups {
-	t := newHashTable(keys, nulls, nil, hashSeed)
+	return tableGroups(newHashTable(keys, nulls, nil, hashSeed), nulls, len(keys))
+}
+
+// tableGroups reads the groups of n rows off a table built over them: its
+// runs in slot order, then the rows nulls flags, if any, as one more group.
+// The table may be shared, so the NULL group goes to a copy of its rows.
+func tableGroups[K comparable](t hashTable[K], nulls []bool, n int) groups {
 	g := groups{rows: t.rows}
 	for _, s := range t.slots {
 		if s.hi != 0 {
 			g.ends = append(g.ends, int(s.hi))
 		}
 	}
-	if len(g.rows) < len(keys) {
-		for r, null := range nulls[:len(keys)] {
+	if len(g.rows) < n {
+		g.rows = slices.Clip(g.rows)
+		for r, null := range nulls[:n] {
 			if null {
 				g.rows = append(g.rows, r)
 			}

@@ -3,7 +3,9 @@ package executor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -405,5 +407,100 @@ func TestAggregateAllocationCeiling(t *testing.T) {
 	if few, many := allocs[0], allocs[1]; many > few+8 || many > 8*groups {
 		t.Errorf("%v allocations at 20,000 rows, %v at 10,000 over %d groups; want no growth and at most %d",
 			many, few, groups, 8*groups)
+	}
+}
+
+// A GROUP BY over a view of a base column groups through the build table
+// the hash join memoizes for the column (storage.Table.Memo). For each key
+// representation, over a column with NULLs: two Aggregates return identical
+// tables, the second allocates less than one slot array (it builds none),
+// and a hash join on the column afterwards, reading the same memo, pairs
+// exactly the rows a join over an unshared copy of the column pairs.
+func TestAggregateReusesBaseColumnBuild(t *testing.T) {
+	const n, groups = 10000, 500
+	kinds := []struct {
+		name string
+		typ  storage.Type
+		key  func(i int) storage.Value
+	}{
+		{"int64", storage.TypeInt64, func(i int) storage.Value { return storage.Int64(int64(i * 7919 % groups)) }},
+		{"float bits", storage.TypeFloat64, func(i int) storage.Value { return storage.Float64(float64(i*7919%groups) / 4) }},
+		{"string", storage.TypeString, func(i int) storage.Value { return storage.String64(fmt.Sprint("g", i*7919%groups)) }},
+		{"boxed bool", storage.TypeBool, func(i int) storage.Value { return storage.Bool(i%3 == 0) }},
+	}
+	aggs := []AggSpec{{Op: AggCountStar, Name: "n"}, {Op: AggSum, Col: 1, Name: "s"}}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			base := keyColumns(t, probeKind{typ: kind.typ, key: kind.key}, "b", n, func(i int) int { return i },
+				func(i int) bool { return i%10 == 4 })
+			view := func() *storage.Table {
+				v, err := base.View("v", base.Schema(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+			group := func() (*storage.Table, uint64) {
+				in := view()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				out, err := (&Executor{}).Aggregate(in, []int{0}, aggs)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, after.TotalAlloc - before.TotalAlloc
+			}
+			first, cold := group()
+			second, warm := group()
+			if first.NumRows() != second.NumRows() || first.NumRows() < 2 {
+				t.Fatalf("%d groups, then %d", first.NumRows(), second.NumRows())
+			}
+			for r := 0; r < first.NumRows(); r++ {
+				for c := 0; c < first.Schema().NumColumns(); c++ {
+					if a, b := first.Value(r, c), second.Value(r, c); !sameValue(a, b) {
+						t.Fatalf("row %d col %d: %s, then %s", r, c, a, b)
+					}
+				}
+			}
+			if !first.Value(0, 0).IsNull() {
+				t.Fatalf("first group is %s, want the NULL group", first.Value(0, 0))
+			}
+			slotArray := uint64(16 << bits.Len(uint(2*n-1))) // a slot holds at least a key word and two int32s
+			t.Logf("cold %d bytes, warm %d bytes, a slot array %d", cold, warm, slotArray)
+			if warm >= slotArray || cold < slotArray {
+				t.Errorf("cold run allocated %d bytes, warm %d; want a slot array (%d) on the cold run only", cold, warm, slotArray)
+			}
+
+			probe := keyColumns(t, probeKind{typ: kind.typ, key: kind.key}, "p", 60, func(i int) int { return i },
+				func(i int) bool { return i%11 == 5 })
+			copied := storage.NewTable("c", base.Schema())
+			if err := copied.AppendRange(base, 0, base.NumRows()); err != nil {
+				t.Fatal(err)
+			}
+			var pairs [2]*storage.Table
+			for i, right := range []*storage.Table{view(), copied} {
+				schema, err := joinSchema(probe.Schema(), right.Schema())
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := &hashSpec{joinSpec: &joinSpec{left: probe, right: right, outSchema: schema}}
+				(&Executor{}).bindHashKeys(spec)
+				sink, err := spec.join(nil, nil, &Stats{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs[i] = sink.out
+			}
+			if pairs[0].NumRows() != pairs[1].NumRows() || pairs[0].NumRows() == 0 {
+				t.Fatalf("%d pairs through the shared build, %d through a fresh one", pairs[0].NumRows(), pairs[1].NumRows())
+			}
+			for r := 0; r < pairs[0].NumRows(); r++ {
+				if l, r2 := pairs[0].Value(r, 1).Int(), pairs[0].Value(r, 3).Int(); l != pairs[1].Value(r, 1).Int() || r2 != pairs[1].Value(r, 3).Int() {
+					t.Fatalf("pair %d is (%d, %d) through the shared build, (%d, %d) through a fresh one",
+						r, l, r2, pairs[1].Value(r, 1).Int(), pairs[1].Value(r, 3).Int())
+				}
+			}
+		})
 	}
 }

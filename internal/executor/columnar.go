@@ -360,7 +360,8 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, 
 // pairSink is where the candidate pairs of every join become output rows.
 // A join adds (left row, right rows) and the sink flushes every colBatch
 // pairs: the residual kernels compact the batch, the survivors are charged
-// to the row budget and gathered column-wise into out.
+// to the row budget and their live columns gathered into out. With none
+// live, as at a COUNT(*) root, the survivors are only counted.
 type pairSink struct {
 	e     *Executor
 	spec  *joinSpec
@@ -380,7 +381,7 @@ const pairArenaBytes = 8 * 2 * colBatch
 
 func (e *Executor) newPairSink(spec *joinSpec, stats *Stats, keepOrigin bool) *pairSink {
 	p := &pairSink{e: e, spec: spec, stats: stats, keepOrigin: keepOrigin,
-		out:  storage.NewTable("join", spec.outSchema),
+		out:  storage.NewLiveTable("join", spec.outSchema, spec.live),
 		lsel: selArena.Get(colBatch), rsel: selArena.Get(colBatch)}
 	e.gov.ChargeBytes(pairArenaBytes) // pair-batch arena scratch, released with the sink
 	return p

@@ -7,7 +7,7 @@
 // chosen under a drastic underestimate pays the re-scans its optimizer
 // believed were free. A scan without predicates copies nothing: it hands
 // its parent a read-only view of the base columns, charged to the byte
-// ledger exactly as the copy it replaces would be.
+// ledger exactly as the copy of its live columns would be.
 //
 // Every operator evaluates predicates one way, with the typed kernels of
 // columnar.go, and every join turns its candidate (left row, right row)
@@ -42,6 +42,19 @@
 // whose data its ordinals index; a plan reading data that snapshot lacked
 // is refused before any operator runs (optimizer.Runnable).
 //
+// A node carries only the output columns something above it reads: its
+// live columns. ExecuteColumns takes the output ordinals its caller reads
+// and works the live columns out top-down: a join's inputs keep what its
+// output keeps, plus its key on each side and its residual's columns. Every
+// node's output keeps its full-width schema, so every ordinal in the plan
+// stays valid; a dead column is empty, costs nothing on the byte ledger,
+// and reading one panics (storage.NewLiveTable). Scans and the pair sink
+// gather only live columns, an unfiltered scan's view exposes only its
+// live base columns, and a COUNT(*) root (Count) carries none: its pair
+// sink only counts the pairs that survive. Execute is the all-live case.
+// What is carried changes no row, order, work counter or tuple/row charge,
+// only the byte ledger.
+//
 // The executor counts the base-table tuples it visits and the predicate
 // evaluations it performs, so experiments can report deterministic work
 // measures alongside wall-clock times.
@@ -49,6 +62,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -144,25 +158,74 @@ func (e *Executor) probe(point string) error {
 	return nil
 }
 
-// Execute runs the plan and returns the materialized result, including
-// per-node estimated-vs-actual cardinalities.
+// Execute runs the plan and returns the materialized result with every
+// column live, including per-node estimated-vs-actual cardinalities. It is
+// ExecuteColumns with nil: the all-live case.
 func (e *Executor) Execute(plan optimizer.Plan) (*Result, error) {
+	return e.ExecuteColumns(plan, nil)
+}
+
+// ExecuteColumns is Execute for a caller that reads only the output columns
+// whose ordinals cols lists (nil: every column): each node carries only
+// what producing those takes. The result keeps the plan's full-width
+// schema; the columns cols does not list are dead, empty, and reading one
+// panics. Rows, row order, the work counters and the governor's tuple and
+// row charges do not depend on cols; the byte ledger charges only what is
+// carried.
+func (e *Executor) ExecuteColumns(plan optimizer.Plan, cols []int) (*Result, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("executor: nil plan")
 	}
 	if err := optimizer.Runnable(plan); err != nil {
 		return nil, err
 	}
+	var live []bool
+	if cols != nil {
+		n, err := e.width(plan)
+		if err != nil {
+			return nil, err
+		}
+		live = make([]bool, n)
+		for _, c := range cols {
+			if c < 0 || c >= n {
+				return nil, fmt.Errorf("executor: output column %d of a %d-column plan", c, n)
+			}
+			live[c] = true
+		}
+	}
 	start := time.Now()
 	var stats Stats
 	rec := &recorder{}
-	tbl, err := e.run(plan, &stats, rec, 0)
+	tbl, err := e.run(plan, live, &stats, rec, 0)
 	if err != nil {
 		return nil, err
 	}
 	stats.RowsProduced = int64(tbl.NumRows())
 	stats.Elapsed = time.Since(start)
 	return &Result{Table: tbl, Stats: stats, Nodes: rec.nodes}, nil
+}
+
+// width is the number of columns of the plan's output row: every column of
+// each table it scans.
+func (e *Executor) width(p optimizer.Plan) (int, error) {
+	n := 0
+	for p != nil {
+		var s *optimizer.Scan
+		switch x := p.(type) {
+		case *optimizer.Scan:
+			s, p = x, nil
+		case *optimizer.Join:
+			s, p = x.Right, x.Left
+		default:
+			return 0, fmt.Errorf("executor: unknown plan node %T", p)
+		}
+		data := e.cat.Data(s.Table)
+		if data == nil {
+			return 0, fmt.Errorf("executor: no data registered for table %q", s.Table)
+		}
+		n += data.Schema().NumColumns()
+	}
+	return n, nil
 }
 
 // recorder accumulates NodeActual entries in pre-order.
@@ -183,24 +246,27 @@ func (r *recorder) fill(idx int, actual int64) {
 	r.nodes[idx].ActualRows = actual
 }
 
-// Count runs the plan and returns only the output row count (COUNT(*)).
+// Count runs the plan and returns only the output row count (COUNT(*)). It
+// carries no output column: the root only counts its rows.
 func (e *Executor) Count(plan optimizer.Plan) (int64, Stats, error) {
-	res, err := e.Execute(plan)
+	res, err := e.ExecuteColumns(plan, []int{})
 	if err != nil {
 		return 0, Stats{}, err
 	}
 	return res.Stats.RowsProduced, res.Stats, nil
 }
 
-func (e *Executor) run(plan optimizer.Plan, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
+// run executes one plan node, carrying the output columns live flags (nil:
+// every column).
+func (e *Executor) run(plan optimizer.Plan, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
 	idx := rec.reserve(plan, depth)
 	var tbl *storage.Table
 	var err error
 	switch n := plan.(type) {
 	case *optimizer.Scan:
-		tbl, err = e.runScan(n, stats)
+		tbl, err = e.runScan(n, live, stats)
 	case *optimizer.Join:
-		tbl, err = e.runJoin(n, stats, rec, depth)
+		tbl, err = e.runJoin(n, live, stats, rec, depth)
 	default:
 		return nil, fmt.Errorf("executor: unknown plan node %T", plan)
 	}
@@ -297,11 +363,11 @@ func appendRange(sel []int, start, end int) []int {
 }
 
 // runScan visits the base table in batches of colBatch rows, filters each
-// through a selection vector and gathers the survivors column-wise. A scan
+// through a selection vector and gathers the survivors' live columns. A scan
 // without predicates has nothing to select: each batch is charged the same,
-// and the scan returns a read-only view of the base columns under its
+// and the scan returns a read-only view of the live base columns under its
 // qualified schema instead of a copy.
-func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, error) {
+func (e *Executor) runScan(s *optimizer.Scan, live []bool, stats *Stats) (*storage.Table, error) {
 	if err := e.probe(PointScan); err != nil {
 		return nil, err
 	}
@@ -310,7 +376,7 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 		return nil, err
 	}
 	base, n := sc.base, sc.base.NumRows()
-	out := storage.NewTable(s.Alias, sc.schema)
+	out := storage.NewLiveTable(s.Alias, sc.schema, live)
 	for b := 0; b < n; b += colBatch {
 		bEnd := min(b+colBatch, n)
 		if err := e.visit(stats, bEnd-b); err != nil {
@@ -334,16 +400,23 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 		}
 	}
 	if !sc.filtered() {
-		return base.View(s.Alias, sc.schema)
+		return base.View(s.Alias, sc.schema, live)
 	}
 	return out, nil
 }
 
-func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
+// runJoin runs a join whose output carries the columns live flags (nil:
+// every column).
+func (e *Executor) runJoin(j *optimizer.Join, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
 	if err := e.probe(PointJoin); err != nil {
 		return nil, err
 	}
-	left, err := e.run(j.Left, stats, rec, depth+1)
+	var leftLive, rightLive []bool // every column, as live is
+	if live != nil {
+		// ExecuteColumns has checked that every table scanned has data.
+		leftLive, rightLive = inputsLive(j, live, e.cat.Data(j.Right.Table).Schema().NumColumns())
+	}
+	left, err := e.run(j.Left, leftLive, stats, rec, depth+1)
 	if err != nil {
 		return nil, err
 	}
@@ -353,17 +426,17 @@ func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth
 	var out, right *storage.Table
 	switch j.Method {
 	case optimizer.NestedLoop:
-		out, err = e.nestedLoop(j, left, stats, rec, depth)
+		out, err = e.nestedLoop(j, left, live, stats, rec, depth)
 	case optimizer.IndexNL:
-		out, err = e.indexNL(j, left, stats, rec, depth)
+		out, err = e.indexNL(j, left, live, stats, rec, depth)
 	case optimizer.SortMerge, optimizer.HashJoin:
-		if right, err = e.run(j.Right, stats, rec, depth+1); err != nil {
+		if right, err = e.run(j.Right, rightLive, stats, rec, depth+1); err != nil {
 			return nil, err
 		}
 		if j.Method == optimizer.SortMerge {
-			out, err = e.sortMerge(j, left, right, stats)
+			out, err = e.sortMerge(j, left, right, live, stats)
 		} else {
-			out, err = e.hashJoin(j, left, right, stats)
+			out, err = e.hashJoin(j, left, right, live, stats)
 		}
 	default:
 		return nil, fmt.Errorf("executor: unknown join method %v", j.Method)
@@ -375,11 +448,33 @@ func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth
 	return out, nil
 }
 
+// inputsLive splits the live flags of a join's output row between its left
+// input and its inner table, rw columns wide, and adds what the join itself
+// reads: the key on each side and the residual's columns.
+func inputsLive(j *optimizer.Join, live []bool, rw int) (left, right []bool) {
+	both := slices.Clone(live)
+	lw := len(both) - rw
+	mark := func(c int) {
+		if c >= 0 {
+			both[c] = true
+		}
+	}
+	mark(j.LeftKey)
+	if j.RightKey >= 0 {
+		mark(lw + j.RightKey)
+	}
+	for _, c := range j.Residual {
+		mark(c.Left)
+		mark(c.Right)
+	}
+	return both[:lw:lw], both[lw:]
+}
+
 // indexNL probes an ordered index on the inner base table's join column
 // once per outer row and hands the pair sink the outer row paired with every
 // fetched row that passes the inner's scan filters; the sink applies the
 // remaining join predicates. The inner is never materialized.
-func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
+func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
 	if j.IndexColumn == "" || j.LeftKey < 0 {
 		return nil, fmt.Errorf("executor: index nested-loops plan lacks an index column and key")
 	}
@@ -392,7 +487,7 @@ func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, stats *Stats,
 		return nil, err
 	}
 	rec.reserve(j.Right, depth+1) // never materialized
-	spec, err := newJoinSpec(j, left, inner.base, inner.schema)
+	spec, err := newJoinSpec(j, left, inner.base, inner.schema, live)
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +521,7 @@ func joinSchema(l, r *storage.Schema) (*storage.Schema, error) {
 // full and re-filtered by the scan's kernels for each outer row — the
 // honest cost the optimizer's NestedLoopCost models — and lets the pair
 // sink apply the join predicates.
-func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
+func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
 	inner, err := openScan(j.Right, e.cat.Data(j.Right.Table))
 	if err != nil {
 		return nil, err
@@ -434,7 +529,7 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 	// The re-scanned inner is never materialized: record it with an unknown
 	// actual cardinality.
 	rec.reserve(j.Right, depth+1)
-	spec, err := newJoinSpec(j, left, inner.base, inner.schema)
+	spec, err := newJoinSpec(j, left, inner.base, inner.schema, live)
 	if err != nil {
 		return nil, err
 	}
@@ -463,23 +558,26 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 
 // joinSpec is what every step of one join shares — every partition of a
 // hash join, the sort and the merge of a sort-merge join, every outer row of
-// a nested-loops join: the two inputs, the key ordinals of an equi-join and
-// the residual conjunction the pair sink applies.
+// a nested-loops join: the two inputs, the key ordinals of an equi-join, the
+// residual conjunction the pair sink applies, and the output's schema and
+// live columns (nil: every column).
 type joinSpec struct {
 	left, right *storage.Table
 	lKey, rKey  int
 	residual    []optimizer.Cond
 	outSchema   *storage.Schema
+	live        []bool
 }
 
 // newJoinSpec pairs left with right, whose columns rightSchema labels (a
-// base table's by the scan's alias), under the join's key and residual.
-func newJoinSpec(j *optimizer.Join, left, right *storage.Table, rightSchema *storage.Schema) (*joinSpec, error) {
+// base table's by the scan's alias), under the join's key and residual,
+// into an output carrying the columns live flags.
+func newJoinSpec(j *optimizer.Join, left, right *storage.Table, rightSchema *storage.Schema, live []bool) (*joinSpec, error) {
 	out, err := joinSchema(left.Schema(), rightSchema)
 	if err != nil {
 		return nil, err
 	}
-	return &joinSpec{left: left, right: right, lKey: j.LeftKey, rKey: j.RightKey, residual: j.Residual, outSchema: out}, nil
+	return &joinSpec{left: left, right: right, lKey: j.LeftKey, rKey: j.RightKey, residual: j.Residual, outSchema: out, live: live}, nil
 }
 
 // hashSpec is a hash join's spec plus the kernel its partition policy calls.
@@ -526,8 +624,8 @@ const sortScratchPerRow = 24
 // sortMerge joins two materialized inputs on the first equality predicate
 // as key sort → merge → pair-gather (mergeJoin), applying the remaining
 // predicates as residual filters at the pair sink.
-func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	spec, err := newJoinSpec(j, left, right, right.Schema())
+func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, live []bool, stats *Stats) (*storage.Table, error) {
+	spec, err := newJoinSpec(j, left, right, right.Schema(), live)
 	if err != nil {
 		return nil, err
 	}
@@ -557,8 +655,8 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 // which build rows and which probe rows meet — everything at once, or
 // Grace partitions of row lists under a byte budget (partitionJoin); the
 // typed kernel behind spec.join (colJoin) joins one partition.
-func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
-	shared, err := newJoinSpec(j, left, right, right.Schema())
+func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, live []bool, stats *Stats) (*storage.Table, error) {
+	shared, err := newJoinSpec(j, left, right, right.Schema(), live)
 	if err != nil {
 		return nil, err
 	}

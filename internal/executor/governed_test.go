@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/cardest"
@@ -112,6 +113,21 @@ func TestGovernorAccountingExact(t *testing.T) {
 			if tuples == 0 || rows == 0 {
 				t.Fatalf("governor saw no work: %d tuples, %d rows", tuples, rows)
 			}
+			// With no output column the charges are the same, and every byte
+			// charged is released once the root's output is.
+			none := governor.New(context.Background(), unlimited)
+			counted, err := NewGoverned(cat, none).ExecuteColumns(plan, []int{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nt, nr, _ := none.Usage(); nt != tuples || nr != rows || counted.Stats.RowsProduced != res.Stats.RowsProduced {
+				t.Errorf("with no output column: charged %d tuples, %d rows for %d output rows; with every column %d, %d for %d",
+					nt, nr, counted.Stats.RowsProduced, tuples, rows, res.Stats.RowsProduced)
+			}
+			none.ReleaseBytes(counted.Table.ApproxBytes())
+			if used, _, _ := none.MemoryUsage(); used != 0 {
+				t.Errorf("with no output column the ledger holds %d bytes after the output is released, want 0", used)
+			}
 
 			aggs := []AggSpec{{Op: AggCountStar, Name: "n"}}
 			gov = governor.New(context.Background(), unlimited)
@@ -219,6 +235,12 @@ var raceBuild bool
 // and 128 under the race detector). The chain's two unfiltered build sides
 // take their hash tables from the base columns' memo after the first run:
 // 231 allocations became 226 (255 became 249–251 under the race detector).
+//
+// A COUNT(*) of the chain carries no output column, only the keys and the
+// residual's columns below the root: it stays under the chain's ceiling,
+// its ledger peaks at 72,240 bytes against the full run's 162,240, and it
+// allocates at most a fifth of the full run's bytes (about 19 KB against
+// 221 KB).
 func TestExecuteAllocationCeiling(t *testing.T) {
 	cat, plans := allocPlans(t)
 	ceilings := map[string]float64{"hash chain": 229, "index NL": 118}
@@ -235,5 +257,37 @@ func TestExecuteAllocationCeiling(t *testing.T) {
 		if allocs > ceiling {
 			t.Errorf("%s: %v allocations per Execute, want at most %v", name, allocs, ceiling)
 		}
+	}
+
+	chain := plans["hash chain"]
+	run := func(cols []int) *governor.Governor {
+		gov := governor.New(context.Background(), governor.Limits{})
+		if _, err := NewGoverned(cat, gov).ExecuteColumns(chain, cols); err != nil {
+			t.Fatal(err)
+		}
+		return gov
+	}
+	if allocs := testing.AllocsPerRun(20, func() { run([]int{}) }); allocs > ceilings["hash chain"] {
+		t.Errorf("hash chain COUNT(*): %v allocations per run, want at most %v", allocs, ceilings["hash chain"])
+	}
+	const runs = 10
+	var peaks [2]int64
+	var bytes [2]uint64
+	for i, cols := range [][]int{nil, {}} {
+		_, peaks[i], _ = run(cols).MemoryUsage()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run(cols)
+		}
+		runtime.ReadMemStats(&after)
+		bytes[i] = (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	t.Logf("hash chain: every column %d bytes per run, COUNT(*) %d", bytes[0], bytes[1])
+	if peaks != [2]int64{162240, 72240} {
+		t.Errorf("ledger peaks %d with every column, %d with none; want 162240 and 72240", peaks[0], peaks[1])
+	}
+	if bytes[1] > bytes[0]/5 {
+		t.Errorf("COUNT(*) allocated %d bytes per run, every column %d: want at most a fifth", bytes[1], bytes[0])
 	}
 }

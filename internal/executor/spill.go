@@ -132,7 +132,7 @@ func (e *Executor) partitionJoin(spec *hashSpec, need int64, stats *Stats) (*sto
 	if err := pj.split(nil, nil, spillPartitions(need, e.gov.MaxMemory()), 0); err != nil {
 		return nil, err
 	}
-	return mergeByOrigin(spec.outSchema, pj.outs, pj.origins)
+	return mergeByOrigin(spec.outSchema, spec.live, pj.outs, pj.origins)
 }
 
 // split runs one partitioning pass over the given probe and build rows and
@@ -197,8 +197,8 @@ func (pj *partitioner) join(lrows, rrows []int, depth int) error {
 // within a partition origins ascend, so cutting every output into its runs
 // of one origin and ordering the runs by origin reconstructs the serial
 // probe order exactly. The rows were charged when the kernel emitted them;
-// the merge charges nothing.
-func mergeByOrigin(schema *storage.Schema, outs []*storage.Table, origins [][]int) (*storage.Table, error) {
+// the merge charges nothing, and copies only the live columns.
+func mergeByOrigin(schema *storage.Schema, live []bool, outs []*storage.Table, origins [][]int) (*storage.Table, error) {
 	if len(outs) == 1 {
 		return outs[0], nil
 	}
@@ -214,7 +214,7 @@ func mergeByOrigin(schema *storage.Schema, outs []*storage.Table, origins [][]in
 		}
 	}
 	slices.SortFunc(runs, func(a, b run) int { return a.origin - b.origin })
-	merged := storage.NewTable("join", schema)
+	merged := storage.NewLiveTable("join", schema, live)
 	merged.Reserve(total)
 	for _, r := range runs {
 		if err := merged.AppendRange(outs[r.part], r.start, r.end); err != nil {

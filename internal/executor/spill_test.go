@@ -240,7 +240,7 @@ func TestMergeByOrigin(t *testing.T) {
 				want = append(want, o...)
 			}
 			slices.Sort(want)
-			merged, err := mergeByOrigin(schema, outs, tc.origins)
+			merged, err := mergeByOrigin(schema, nil, outs, tc.origins)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,10 +9,12 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/cardest"
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/governor"
 	"repro/internal/storage"
@@ -238,6 +240,40 @@ func JoinOrder(p Plan) []string {
 	default:
 		return nil
 	}
+}
+
+// OutputStarts returns where each table's columns start in the plan's output
+// row, by table number: aliases[t] names table number t. A left-deep plan's
+// output row is its tables' data columns in join order, so column c of
+// table t's data is output ordinal starts[t] + c. It walks the plan's join
+// order and reads no estimate. A table the plan does not scan gets -1.
+func OutputStarts(p Plan, cat *catalog.Catalog, aliases []string) []int {
+	var scans []*Scan // innermost last
+	for p != nil {
+		switch n := p.(type) {
+		case *Join:
+			scans, p = append(scans, n.Right), n.Left
+		case *Scan:
+			scans, p = append(scans, n), nil
+		default:
+			p = nil
+		}
+	}
+	starts := make([]int, len(aliases))
+	for t := range starts {
+		starts[t] = -1
+	}
+	at := 0
+	for i := len(scans) - 1; i >= 0; i-- {
+		s := scans[i]
+		if t := slices.IndexFunc(aliases, func(a string) bool { return strings.EqualFold(a, s.Alias) }); t >= 0 {
+			starts[t] = at
+		}
+		if data := cat.Data(s.Table); data != nil {
+			at += data.Schema().NumColumns()
+		}
+	}
+	return starts
 }
 
 // Runnable reports whether the plan can run. A plan reading a table or a

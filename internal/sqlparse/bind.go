@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -23,56 +24,75 @@ func Bind(q *Query, cat *catalog.Catalog) error {
 	if len(q.Tables) == 0 {
 		return fmt.Errorf("sqlparse: query has no tables")
 	}
-	scope := make(map[string]*catalog.TableStats, len(q.Tables))
-	var names []string
-	for _, item := range q.Tables {
-		ts := cat.Table(item.Table)
-		if ts == nil {
+	stats := make([]*catalog.TableStats, len(q.Tables))
+	names := make([]string, len(q.Tables))
+	for t, item := range q.Tables {
+		if stats[t] = cat.Table(item.Table); stats[t] == nil {
 			return fmt.Errorf("sqlparse: unknown table %q", item.Table)
 		}
-		name := strings.ToLower(item.Name())
-		if _, dup := scope[name]; dup {
-			return fmt.Errorf("sqlparse: duplicate table name or alias %q", item.Name())
+		names[t] = item.Name()
+		for _, prev := range names[:t] {
+			if strings.EqualFold(prev, names[t]) {
+				return fmt.Errorf("sqlparse: duplicate table name or alias %q", item.Name())
+			}
 		}
-		scope[name] = ts
-		names = append(names, item.Name())
 	}
 
-	resolve := func(ref *expr.ColumnRef) error {
+	// resolve qualifies ref and returns its table's position in the FROM
+	// list.
+	resolve := func(ref *expr.ColumnRef) (int, error) {
 		if ref.Table != "" {
-			ts, ok := scope[strings.ToLower(ref.Table)]
-			if !ok {
-				return fmt.Errorf("sqlparse: column %s references table %q not in FROM clause", ref, ref.Table)
+			t := slices.IndexFunc(names, func(name string) bool { return strings.EqualFold(name, ref.Table) })
+			switch {
+			case t < 0:
+				return 0, fmt.Errorf("sqlparse: column %s references table %q not in FROM clause", ref, ref.Table)
+			case stats[t].Column(ref.Column) == nil:
+				return 0, fmt.Errorf("sqlparse: table %q has no column %q", ref.Table, ref.Column)
 			}
-			if ts.Column(ref.Column) == nil {
-				return fmt.Errorf("sqlparse: table %q has no column %q", ref.Table, ref.Column)
-			}
-			return nil
+			return t, nil
 		}
 		var found []string
-		for _, name := range names {
-			if scope[strings.ToLower(name)].Column(ref.Column) != nil {
-				found = append(found, name)
+		at := -1
+		for t, name := range names {
+			if stats[t].Column(ref.Column) != nil {
+				found, at = append(found, name), t
 			}
 		}
 		switch len(found) {
 		case 0:
-			return fmt.Errorf("sqlparse: column %q not found in any FROM table", ref.Column)
+			return 0, fmt.Errorf("sqlparse: column %q not found in any FROM table", ref.Column)
 		case 1:
 			ref.Table = found[0]
-			return nil
+			return at, nil
 		default:
-			return fmt.Errorf("sqlparse: column %q is ambiguous (tables %s)", ref.Column, strings.Join(found, ", "))
+			return 0, fmt.Errorf("sqlparse: column %q is ambiguous (tables %s)", ref.Column, strings.Join(found, ", "))
 		}
 	}
+	// bind is resolve for a column the query's result reads: it also finds
+	// the column's ordinal in its table's data.
+	bind := func(ref *expr.ColumnRef) (ColumnID, error) {
+		t, err := resolve(ref)
+		if err != nil {
+			return ColumnID{}, err
+		}
+		id := ColumnID{Table: t, Ord: -1}
+		if data := cat.Data(q.Tables[t].Table); data != nil {
+			id.Ord = data.Schema().ColumnIndex(ref.Column)
+		}
+		return id, nil
+	}
 
+	q.ProjectionIDs = make([]ColumnID, len(q.Projection))
 	for i := range q.Projection {
-		if err := resolve(&q.Projection[i]); err != nil {
+		var err error
+		if q.ProjectionIDs[i], err = bind(&q.Projection[i]); err != nil {
 			return err
 		}
 	}
+	q.GroupByIDs = make([]ColumnID, len(q.GroupBy))
 	for i := range q.GroupBy {
-		if err := resolve(&q.GroupBy[i]); err != nil {
+		var err error
+		if q.GroupByIDs[i], err = bind(&q.GroupBy[i]); err != nil {
 			return err
 		}
 	}
@@ -80,7 +100,8 @@ func Bind(q *Query, cat *catalog.Catalog) error {
 		if q.Select[i].Star {
 			continue
 		}
-		if err := resolve(&q.Select[i].Col); err != nil {
+		var err error
+		if q.Select[i].ID, err = bind(&q.Select[i].Col); err != nil {
 			return err
 		}
 	}
@@ -102,11 +123,11 @@ func Bind(q *Query, cat *catalog.Catalog) error {
 		}
 	}
 	for i := range q.Where {
-		if err := resolve(&q.Where[i].Left); err != nil {
+		if _, err := resolve(&q.Where[i].Left); err != nil {
 			return err
 		}
 		if q.Where[i].RightIsColumn {
-			if err := resolve(&q.Where[i].Right); err != nil {
+			if _, err := resolve(&q.Where[i].Right); err != nil {
 				return err
 			}
 		}
@@ -114,11 +135,11 @@ func Bind(q *Query, cat *catalog.Catalog) error {
 	for i := range q.Disjunctions {
 		for j := range q.Disjunctions[i].Preds {
 			p := &q.Disjunctions[i].Preds[j]
-			if err := resolve(&p.Left); err != nil {
+			if _, err := resolve(&p.Left); err != nil {
 				return err
 			}
 			if p.RightIsColumn {
-				if err := resolve(&p.Right); err != nil {
+				if _, err := resolve(&p.Right); err != nil {
 					return err
 				}
 			}

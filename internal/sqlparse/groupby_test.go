@@ -1,10 +1,12 @@
 package sqlparse
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/storage"
 )
 
 func groupByCatalog() *catalog.Catalog {
@@ -138,5 +140,39 @@ func TestAggFuncString(t *testing.T) {
 	item := SelectItem{Agg: AggCount, Star: true}
 	if item.String() != "COUNT(*)" {
 		t.Errorf("item = %q", item.String())
+	}
+}
+
+// Bind resolves every column the result reads — projection, GROUP BY keys
+// and aggregate arguments — to its table's FROM position and its ordinal in
+// that table's data schema, or -1 for a table with declared statistics only.
+func TestBindResolvesResultColumnIDs(t *testing.T) {
+	c := groupByCatalog()
+	data := storage.NewTable("D", storage.MustSchema(storage.ColumnDef{Name: "x", Type: storage.TypeInt64},
+		storage.ColumnDef{Name: "k", Type: storage.TypeInt64}, storage.ColumnDef{Name: "v", Type: storage.TypeInt64}))
+	data.MustAppendRow(storage.Int64(1), storage.Int64(2), storage.Int64(3))
+	if _, err := c.Analyze(data, catalog.AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sql                    string
+		projection, group, sel []ColumnID
+	}{
+		{"SELECT v, U.w FROM D, U", []ColumnID{{0, 2}, {1, -1}}, nil, nil},
+		{"SELECT d.x FROM U, D AS d WHERE d.k = U.k", []ColumnID{{1, 0}}, nil, nil},
+		{"SELECT k, SUM(v), COUNT(*) FROM D GROUP BY k", nil, []ColumnID{{0, 1}}, []ColumnID{{0, 1}, {0, 2}, {}}},
+	} {
+		q, err := ParseAndBind(tc.sql, c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		var sel []ColumnID
+		for _, it := range q.Select {
+			sel = append(sel, it.ID)
+		}
+		if !slices.Equal(q.ProjectionIDs, tc.projection) || !slices.Equal(q.GroupByIDs, tc.group) || !slices.Equal(sel, tc.sel) {
+			t.Errorf("%s: projection %v, group by %v, select %v; want %v, %v, %v",
+				tc.sql, q.ProjectionIDs, q.GroupByIDs, sel, tc.projection, tc.group, tc.sel)
+		}
 	}
 }

@@ -71,7 +71,15 @@ type SelectItem struct {
 	Star bool
 	// Col is the subject column (unused when Star).
 	Col expr.ColumnRef
+	// ID is Col bound (Bind); zero when Star.
+	ID ColumnID
 }
+
+// ColumnID is a column bound to its place in the query's data: Table is its
+// table's position in the FROM list, which is the estimator's table number,
+// and Ord its ordinal in that table's data schema, -1 when the table has no
+// loaded data or the data lacks the column.
+type ColumnID struct{ Table, Ord int }
 
 // String renders the item as SQL.
 func (s SelectItem) String() string {
@@ -101,13 +109,17 @@ type Query struct {
 	// Star is true for SELECT *.
 	Star bool
 	// Projection lists the selected columns when neither CountStar nor
-	// Star and no aggregates are present.
-	Projection []expr.ColumnRef
+	// Star and no aggregates are present, and ProjectionIDs each one bound
+	// (Bind).
+	Projection    []expr.ColumnRef
+	ProjectionIDs []ColumnID
 	// Select is the full select list when the query uses aggregates or
 	// GROUP BY (empty otherwise; the legacy fields above cover those).
 	Select []SelectItem
-	// GroupBy lists the grouping columns (empty for ungrouped queries).
-	GroupBy []expr.ColumnRef
+	// GroupBy lists the grouping columns (empty for ungrouped queries), and
+	// GroupByIDs each one bound (Bind).
+	GroupBy    []expr.ColumnRef
+	GroupByIDs []ColumnID
 	// Tables is the FROM list.
 	Tables []TableItem
 	// Where is the conjunction of predicates (empty if no WHERE clause).

@@ -6,11 +6,15 @@ package storage
 // footprint (the column slot is allocated either way); the lazily-built
 // null bitmap is deliberately excluded.
 
-// ApproxBytes returns the accounted footprint of the whole table under
-// that model, computed column-wise without boxing.
+// ApproxBytes returns the accounted footprint of the table's live columns
+// under that model, computed column-wise without boxing. A dead column
+// holds nothing and costs nothing.
 func (t *Table) ApproxBytes() int64 {
 	var n int64
 	for _, c := range t.cols {
+		if c == nil {
+			continue
+		}
 		switch c.typ {
 		case TypeInt64:
 			n += 8 * int64(len(c.ints))

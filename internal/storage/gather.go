@@ -20,9 +20,9 @@ type ColumnData struct {
 	Nulls  []bool
 }
 
-// ColumnData returns the typed view of column col.
+// ColumnData returns the typed view of column col, which must be live.
 func (t *Table) ColumnData(col int) ColumnData {
-	c := t.cols[col]
+	c := t.col(col)
 	return ColumnData{
 		Type:   c.typ,
 		Ints:   c.ints,
@@ -125,7 +125,8 @@ func (c *column) appendGather(src *column, sel []int) {
 // by gathering column storage directly, without boxing values. The schemas
 // must have the same column count and types (names may differ). It is the
 // sink of the vectorized scan: a selection vector over a base chunk turns
-// into output rows only here.
+// into output rows only here. Only t's live columns are gathered, and src
+// must carry each of them.
 func (t *Table) AppendGather(src *Table, sel []int) error {
 	if t.view {
 		return t.errView()
@@ -134,7 +135,9 @@ func (t *Table) AppendGather(src *Table, sel []int) error {
 		return err
 	}
 	for i, c := range t.cols {
-		c.appendGather(src.cols[i], sel)
+		if c != nil {
+			c.appendGather(src.col(i), sel)
+		}
 	}
 	t.rows += len(sel)
 	return nil
@@ -144,7 +147,8 @@ func (t *Table) AppendGather(src *Table, sel []int) error {
 // right[rsel[i]]. The receiver's schema must be the concatenation of left's
 // and right's column types (names may differ). lsel and rsel must have equal
 // length. It is the sink of the vectorized hash join: matched (left, right)
-// index pairs turn into output rows column by column.
+// index pairs turn into output rows column by column. Only t's live columns
+// are gathered; with none, the pairs only count as rows.
 func (t *Table) AppendPairGather(left, right *Table, lsel, rsel []int) error {
 	if t.view {
 		return t.errView()
@@ -157,22 +161,24 @@ func (t *Table) AppendPairGather(left, right *Table, lsel, rsel []int) error {
 		return fmt.Errorf("storage: pair gather %d+%d columns into %d-column table",
 			lcols, right.schema.NumColumns(), t.schema.NumColumns())
 	}
-	for i, c := range t.cols {
+	for i := range t.cols {
 		var st Type
 		if i < lcols {
-			st = left.cols[i].typ
+			st = left.schema.Column(i).Type
 		} else {
-			st = right.cols[i-lcols].typ
+			st = right.schema.Column(i - lcols).Type
 		}
-		if st != c.typ {
-			return fmt.Errorf("storage: column %d type mismatch: %s vs %s", i, st, c.typ)
+		if tt := t.schema.Column(i).Type; st != tt {
+			return fmt.Errorf("storage: column %d type mismatch: %s vs %s", i, st, tt)
 		}
 	}
 	for i, c := range t.cols {
-		if i < lcols {
-			c.appendGather(left.cols[i], lsel)
-		} else {
-			c.appendGather(right.cols[i-lcols], rsel)
+		switch {
+		case c == nil:
+		case i < lcols:
+			c.appendGather(left.col(i), lsel)
+		default:
+			c.appendGather(right.col(i-lcols), rsel)
 		}
 	}
 	t.rows += len(lsel)

@@ -87,5 +87,5 @@ func (t *Table) Memo(col int, key any, build func() any) any {
 	if !t.view {
 		return build()
 	}
-	return t.cols[col].memo.Load().get(t.rows, key, build)
+	return t.col(col).memo.Load().get(t.rows, key, build)
 }

@@ -12,7 +12,7 @@ import (
 func TestMemoSharedByViewsOfOneLength(t *testing.T) {
 	base := sortColumn(TypeInt64, 300, true, func(i int) Value { return Int64(int64((i * 37) % 101)) })
 	view := func() *Table {
-		v, err := base.View("v", base.Schema())
+		v, err := base.View("v", base.Schema(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestMemoConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := base.View("v", base.Schema())
+			v, err := base.View("v", base.Schema(), nil)
 			if err == nil {
 				perms[g] = v.SortPermutation(0)
 			}
@@ -75,7 +75,7 @@ func TestMemoConcurrentFirstUse(t *testing.T) {
 			t.Fatalf("goroutine %d got a wrong permutation", g)
 		}
 	}
-	v, err := base.View("v", base.Schema())
+	v, err := base.View("v", base.Schema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (t *Table) SortPermutation(col int) []int {
 type permKey struct{}
 
 func (t *Table) sortPermutation(col int) []int {
-	c := t.cols[col]
+	c := t.col(col)
 	perm := make([]int, 0, t.rows)
 	if c.nulls != nil {
 		for r, null := range c.nulls {

@@ -107,6 +107,13 @@ func (c *column) value(i int) Value {
 
 // Table is an append-only, column-major in-memory table.
 //
+// A table may carry only some of its schema's columns: the live ones
+// (NewLiveTable). A dead column keeps its place in the schema, so every
+// ordinal stays valid, but holds nothing: gathers, range appends and
+// Reserve skip it, it costs nothing on the byte ledger (ApproxBytes), and
+// reading it panics with a message naming it. AppendRow needs every column
+// live.
+//
 // Tables are not safe for concurrent mutation; concurrent reads are safe
 // once loading is complete. The one field written after loading is each
 // column's memo of derived join structures (Memo), built lazily and
@@ -114,7 +121,7 @@ func (c *column) value(i int) Value {
 type Table struct {
 	name   string
 	schema *Schema
-	cols   []*column
+	cols   []*column // nil for a dead column
 	rows   int
 	view   bool // shares another table's columns; every append fails
 }
@@ -126,11 +133,30 @@ func (t *Table) errView() error {
 
 // NewTable creates an empty table with the given name and schema.
 func NewTable(name string, schema *Schema) *Table {
+	return NewLiveTable(name, schema, nil)
+}
+
+// NewLiveTable creates an empty table with the given name and schema whose
+// live columns are those live flags; nil means every column.
+func NewLiveTable(name string, schema *Schema, live []bool) *Table {
 	cols := make([]*column, schema.NumColumns())
 	for i := range cols {
-		cols[i] = newColumn(schema.Column(i).Type)
+		if live == nil || live[i] {
+			cols[i] = newColumn(schema.Column(i).Type)
+		}
 	}
 	return &Table{name: name, schema: schema, cols: cols}
+}
+
+// Live reports whether column col is carried (NewLiveTable).
+func (t *Table) Live(col int) bool { return t.cols[col] != nil }
+
+// col returns column i, which must be live.
+func (t *Table) col(i int) *column {
+	if c := t.cols[i]; c != nil {
+		return c
+	}
+	panic(fmt.Sprintf("storage: column %s of table %s is not live", t.schema.Column(i).Name, t.name))
 }
 
 // Name returns the table name.
@@ -192,7 +218,7 @@ func (t *Table) MustAppendRow(vals ...Value) {
 
 // Value returns the value at the given row and column ordinals.
 func (t *Table) Value(row, col int) Value {
-	return t.cols[col].value(row)
+	return t.col(col).value(row)
 }
 
 // Row materializes row i as a slice of values. The slice is freshly
@@ -200,7 +226,7 @@ func (t *Table) Value(row, col int) Value {
 func (t *Table) Row(i int) []Value {
 	out := make([]Value, len(t.cols))
 	for c := range t.cols {
-		out[c] = t.cols[c].value(i)
+		out[c] = t.col(c).value(i)
 	}
 	return out
 }
@@ -214,7 +240,7 @@ func (t *Table) SortedIndices(col int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	c := t.cols[col]
+	c := t.col(col)
 	sort.SliceStable(idx, func(a, b int) bool {
 		return Compare(c.value(idx[a]), c.value(idx[b])) < 0
 	})
@@ -227,26 +253,30 @@ func (t *Table) sameTypes(s *Schema, op string) error {
 	if s.NumColumns() != len(t.cols) {
 		return fmt.Errorf("storage: %s of a %d-column table as %d columns", op, len(t.cols), s.NumColumns())
 	}
-	for i, c := range t.cols {
-		if st := s.Column(i).Type; st != c.typ {
-			return fmt.Errorf("storage: %s: column %d type mismatch: %s vs %s", op, i, c.typ, st)
+	for i := range t.cols {
+		if tt, st := t.schema.Column(i).Type, s.Column(i).Type; st != tt {
+			return fmt.Errorf("storage: %s: column %d type mismatch: %s vs %s", op, i, tt, st)
 		}
 	}
 	return nil
 }
 
 // View returns t's rows as a read-only table under another name and a
-// schema of the same column types. The view shares t's column storage —
-// nothing is copied — and every append to it returns an error, so it can
-// never write through to t. Rows appended to t afterwards are not in it.
-// Every view of t shares t's memo of derived join structures (Memo).
-func (t *Table) View(name string, schema *Schema) (*Table, error) {
+// schema of the same column types, exposing only the columns live flags
+// (nil: every column). The view shares t's column storage — nothing is
+// copied — and every append to it returns an error, so it can never write
+// through to t. Rows appended to t afterwards are not in it. Every view of
+// t shares t's memo of derived join structures (Memo).
+func (t *Table) View(name string, schema *Schema, live []bool) (*Table, error) {
 	if err := t.sameTypes(schema, "view"); err != nil {
 		return nil, err
 	}
 	cols := make([]*column, len(t.cols))
-	for i, c := range t.cols {
-		n := t.rows
+	for i := range t.cols {
+		if live != nil && !live[i] {
+			continue
+		}
+		c, n := t.col(i), t.rows
 		v := &column{typ: c.typ}
 		switch c.typ {
 		case TypeInt64:
@@ -269,8 +299,9 @@ func (t *Table) View(name string, schema *Schema) (*Table, error) {
 
 // AppendRange appends rows [start, end) of src to t by copying slices of
 // the column storage. The schemas must have the same column count and
-// types (names may differ). It is how partition outputs merge back into
-// one table.
+// types (names may differ). Only t's live columns are copied, and src must
+// carry each of them. It is how partition outputs merge back into one
+// table.
 func (t *Table) AppendRange(src *Table, start, end int) error {
 	if t.view {
 		return t.errView()
@@ -280,7 +311,10 @@ func (t *Table) AppendRange(src *Table, start, end int) error {
 	}
 	n := end - start
 	for i, c := range t.cols {
-		sc := src.cols[i]
+		if c == nil {
+			continue
+		}
+		sc := src.col(i)
 		if c.nulls == nil && sc.nulls != nil {
 			c.nulls = make([]bool, c.length(), c.length()+n)
 		}
@@ -306,11 +340,14 @@ func (t *Table) AppendRange(src *Table, start, end int) error {
 	return nil
 }
 
-// Reserve makes room for n more rows, so that appends up to that many do
-// not regrow the column storage. Operators call it where they know their
-// output size before they produce it.
+// Reserve makes room for n more rows in every live column, so that appends
+// up to that many do not regrow the column storage. Operators call it where
+// they know their output size before they produce it.
 func (t *Table) Reserve(n int) {
 	for _, c := range t.cols {
+		if c == nil {
+			continue
+		}
 		switch c.typ {
 		case TypeInt64:
 			c.ints = slices.Grow(c.ints, n)
@@ -351,7 +388,7 @@ func (t *Table) Format(max int) string {
 			if c > 0 {
 				b.WriteByte('\t')
 			}
-			b.WriteString(t.cols[c].value(r).String())
+			b.WriteString(t.col(c).value(r).String())
 		}
 		b.WriteByte('\n')
 	}

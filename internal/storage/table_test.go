@@ -167,7 +167,7 @@ func TestViewIsReadOnly(t *testing.T) {
 	base.MustAppendRow(Null(TypeInt64), String64("bc"), Float64(3))
 	qualified := MustSchema(ColumnDef{Name: "b.id", Type: TypeInt64},
 		ColumnDef{Name: "b.name", Type: TypeString}, ColumnDef{Name: "b.score", Type: TypeFloat64})
-	view, err := base.View("b", qualified)
+	view, err := base.View("b", qualified, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestViewIsReadOnly(t *testing.T) {
 		t.Fatalf("view charged %d bytes, a copy %d", view.ApproxBytes(), copied.ApproxBytes())
 	}
 	pair := MustSchema(append(qualified.Columns(), ColumnDef{Name: "x", Type: TypeInt64})...)
-	pairView, err := NewTable("p", pair).View("pv", pair)
+	pairView, err := NewTable("p", pair).View("pv", pair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestViewIsReadOnly(t *testing.T) {
 	if view.NumRows() != 2 || len(view.ColumnData(0).Ints) != 2 {
 		t.Fatal("the view saw a row appended to the base after it was taken")
 	}
-	if _, err := base.View("bad", MustSchema(ColumnDef{Name: "id", Type: TypeString})); err == nil {
+	if _, err := base.View("bad", MustSchema(ColumnDef{Name: "id", Type: TypeString}), nil); err == nil {
 		t.Fatal("a view under a schema of other column types must be refused")
 	}
 }
@@ -364,4 +364,75 @@ func TestAppendRangeAndReserve(t *testing.T) {
 			t.Fatal("NULL bitmap misplaced by the range append")
 		}
 	}
+}
+
+// A table carries only its live columns. Every way rows arrive — a gather,
+// a pair gather, a range append and a view — fills the live ones from the
+// source and leaves the dead ones empty and off the byte ledger, with the
+// schema and the row count whole; reading a dead column panics naming it.
+func TestDeadColumnsStayEmpty(t *testing.T) {
+	src := NewTable("src", testSchema(t))
+	for i := 0; i < 6; i++ {
+		src.MustAppendRow(Int64(int64(i)), String64(strings.Repeat("x", i)), Float64(float64(i)/2))
+	}
+	live := []bool{true, false, true}
+	inner := MustSchema(ColumnDef{Name: "rid", Type: TypeInt64}, ColumnDef{Name: "rname", Type: TypeString},
+		ColumnDef{Name: "rscore", Type: TypeFloat64})
+	pair := MustSchema(append(src.Schema().Columns(), inner.Columns()...)...)
+	gathered := NewLiveTable("g", src.Schema(), live)
+	if err := gathered.AppendGather(src, []int{5, 1, 3}); err != nil {
+		t.Fatal(err)
+	}
+	paired := NewLiveTable("p", pair, []bool{true, false, true, false, true, false})
+	paired.Reserve(4)
+	if err := paired.AppendPairGather(src, src, []int{0, 2}, []int{4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	ranged := NewLiveTable("r", src.Schema(), live)
+	if err := ranged.AppendRange(gathered, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	view, err := src.View("v", src.Schema(), live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tbl         *Table
+		left, right []int // the source rows behind each row's first three columns and its last three
+		bytes       int64
+	}{
+		{gathered, []int{5, 1, 3}, nil, 3 * 16},
+		{paired, []int{0, 2}, []int{4, 5}, 2*16 + 16 + 4 + 16 + 5},
+		{ranged, []int{1, 3}, nil, 2 * 16},
+		{view, []int{0, 1, 2, 3, 4, 5}, nil, 6 * 16},
+	} {
+		if c.tbl.NumRows() != len(c.left) {
+			t.Fatalf("%s: %d rows, want %d", c.tbl.Name(), c.tbl.NumRows(), len(c.left))
+		}
+		for col := 0; col < c.tbl.Schema().NumColumns(); col++ {
+			rows := c.left
+			if col >= 3 {
+				rows = c.right
+			}
+			if want := col != 1 && col != 3 && col != 5; c.tbl.Live(col) != want {
+				t.Fatalf("%s: column %d live %v, want %v", c.tbl.Name(), col, !want, want)
+			} else if !want {
+				continue
+			}
+			for r, sr := range rows {
+				if got, want := c.tbl.Value(r, col), src.Value(sr, col%3); got.Key() != want.Key() {
+					t.Fatalf("%s: row %d column %d is %s, want %s", c.tbl.Name(), r, col, got, want)
+				}
+			}
+		}
+		if got := c.tbl.ApproxBytes(); got != c.bytes {
+			t.Errorf("%s: %d ledger bytes, want %d for the live columns", c.tbl.Name(), got, c.bytes)
+		}
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "column name of table g is not live") {
+			t.Fatalf("reading a dead column: %q, want a panic naming it", msg)
+		}
+	}()
+	gathered.ColumnData(1)
 }

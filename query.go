@@ -3,6 +3,7 @@ package els
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -391,12 +392,9 @@ func estimateGroups(q *sqlparse.Query, plan optimizer.Plan, opt *optimizer.Optim
 		return 0
 	}
 	groupSpace := 1.0
-	for _, ref := range q.GroupBy {
-		eff, err := opt.Estimator().Effective(ref.Table)
-		if err != nil {
-			continue
-		}
-		if d, err := eff.ColumnCard(ref.Column); err == nil && d > 0 {
+	for i, id := range q.GroupByIDs {
+		eff, _, _ := opt.Estimator().Table(id.Table)
+		if d, err := eff.ColumnCard(q.GroupBy[i].Column); err == nil && d > 0 {
 			groupSpace *= d
 		}
 	}
@@ -567,6 +565,13 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 	if err != nil {
 		return nil, err
 	}
+	if err := optimizer.Runnable(plan); err != nil {
+		return nil, err
+	}
+	read, g, err := resultColumns(q, plan, snap.Catalog())
+	if err != nil {
+		return nil, err
+	}
 	exec := executor.NewGoverned(snap.Catalog(), gov)
 	if gov.MemoryEnforced() {
 		// Estimate-informed pre-reservation: size the working-memory
@@ -575,7 +580,7 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 		// before the build is resident — rather than at the budget cliff.
 		gov.ReserveBytes(estimateWorkingBytes(plan))
 	}
-	res, err := exec.Execute(plan)
+	res, err := exec.ExecuteColumns(plan, read)
 	if err != nil {
 		return nil, err
 	}
@@ -594,39 +599,31 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 			Node: n.Node, Depth: n.Depth, EstimatedRows: n.EstRows, ActualRows: n.ActualRows,
 		})
 	}
-	if len(q.Select) > 0 {
-		return s.aggregateResult(q, exec, res, out)
+	if g != nil {
+		return aggregateResult(q, g, exec, res, out)
 	}
-	if !q.CountStar {
-		// Materialize (a cap of) the projected rows.
+	if q.CountStar {
+		return out, nil
+	}
+	// Materialize (a cap of) the projected rows.
+	if q.Star {
 		schema := res.Table.Schema()
-		cols := make([]int, 0, schema.NumColumns())
-		if q.Star {
-			for i := 0; i < schema.NumColumns(); i++ {
-				cols = append(cols, i)
-				out.Columns = append(out.Columns, schema.Column(i).Name)
-			}
-		} else {
-			for _, ref := range q.Projection {
-				idx := schema.ColumnIndex(ref.Table + "." + ref.Column)
-				if idx < 0 {
-					return nil, fmt.Errorf("%w: column %s has no loaded data", ErrParse, ref)
-				}
-				cols = append(cols, idx)
-				out.Columns = append(out.Columns, ref.String())
-			}
+		read = make([]int, schema.NumColumns())
+		for i := range read {
+			read[i] = i
+			out.Columns = append(out.Columns, schema.Column(i).Name)
 		}
-		n := res.Table.NumRows()
-		if n > MaxRows {
-			n = MaxRows
+	} else {
+		for _, ref := range q.Projection {
+			out.Columns = append(out.Columns, ref.String())
 		}
-		for r := 0; r < n; r++ {
-			row := make([]string, len(cols))
-			for i, c := range cols {
-				row[i] = res.Table.Value(r, c).String()
-			}
-			out.Rows = append(out.Rows, row)
+	}
+	for r := 0; r < min(res.Table.NumRows(), MaxRows); r++ {
+		row := make([]string, len(read))
+		for i, c := range read {
+			row[i] = res.Table.Value(r, c).String()
 		}
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
@@ -660,43 +657,62 @@ func (s *System) CompareAlgorithmsContext(ctx context.Context, sql string, algos
 	return out, nil
 }
 
-// aggregateResult applies the query's GROUP BY and aggregate select list
-// to the executed join result and renders the grouped rows.
-func (s *System) aggregateResult(q *sqlparse.Query, exec *executor.Executor, res *executor.Result, out *Result) (*Result, error) {
-	schema := res.Table.Schema()
-	colIdx := func(ref string) (int, error) {
-		idx := schema.ColumnIndex(ref)
-		if idx < 0 {
+// grouping is an aggregate query's GROUP BY and select list over the
+// executed join's output ordinals.
+type grouping struct {
+	cols []int
+	aggs []executor.AggSpec
+	// layout is each select item's ordinal in the Aggregate output: a
+	// plain item reads its group column, an aggregate item its aggregate.
+	layout []int
+}
+
+// resultColumns resolves what the query's result reads to the plan's output
+// ordinals (optimizer.OutputStarts), and so which columns the execution
+// must carry: the projection, or for an aggregate query the GROUP BY keys
+// and the aggregates' columns, which g then reads. COUNT(*) reads none;
+// SELECT * reads every column, which is read nil.
+func resultColumns(q *sqlparse.Query, plan optimizer.Plan, cat *catalog.Catalog) (read []int, g *grouping, err error) {
+	if q.CountStar {
+		return []int{}, nil, nil
+	}
+	if q.Star && len(q.Select) == 0 {
+		return nil, nil, nil
+	}
+	aliases := make([]string, len(q.Tables))
+	for t, item := range q.Tables {
+		aliases[t] = item.Name()
+	}
+	starts := optimizer.OutputStarts(plan, cat, aliases)
+	ordinal := func(id sqlparse.ColumnID, ref fmt.Stringer) (int, error) {
+		if id.Ord < 0 {
 			return 0, fmt.Errorf("%w: column %s has no loaded data", ErrParse, ref)
 		}
-		return idx, nil
+		read = append(read, starts[id.Table]+id.Ord)
+		return read[len(read)-1], nil
 	}
-	groupCols := make([]int, len(q.GroupBy))
-	for i, ref := range q.GroupBy {
-		idx, err := colIdx(ref.Table + "." + ref.Column)
-		if err != nil {
-			return nil, err
+	read = []int{}
+	if len(q.Select) == 0 {
+		for i, ref := range q.Projection {
+			if _, err := ordinal(q.ProjectionIDs[i], ref); err != nil {
+				return nil, nil, err
+			}
 		}
-		groupCols[i] = idx
+		return read, nil, nil
 	}
-	// Build the aggregate specs and remember how to lay out the output in
-	// select-list order: plain items read group columns, aggregate items
-	// read the aggregate outputs.
-	var aggs []executor.AggSpec
-	layout := make([]int, len(q.Select)) // output ordinal in the Aggregate() table
+	g = &grouping{cols: make([]int, len(q.GroupBy)), layout: make([]int, len(q.Select))}
+	for i, ref := range q.GroupBy {
+		if g.cols[i], err = ordinal(q.GroupByIDs[i], ref); err != nil {
+			return nil, nil, err
+		}
+	}
 	for i, item := range q.Select {
 		if item.Agg == sqlparse.AggNone {
-			pos := -1
-			for gi, g := range q.GroupBy {
-				if g.SameAs(item.Col) {
-					pos = gi
-					break
-				}
-			}
+			pos := slices.Index(q.GroupByIDs, item.ID)
 			if pos < 0 {
-				return nil, fmt.Errorf("%w: column %s must appear in GROUP BY", ErrParse, item.Col)
+				return nil, nil, fmt.Errorf("%w: column %s must appear in GROUP BY", ErrParse, item.Col)
 			}
-			layout[i] = pos
+			g.layout[i] = pos
 			continue
 		}
 		spec := executor.AggSpec{Name: fmt.Sprintf("a%d", i)}
@@ -716,19 +732,23 @@ func (s *System) aggregateResult(q *sqlparse.Query, exec *executor.Executor, res
 		case sqlparse.AggAvg:
 			spec.Op = executor.AggAvg
 		default:
-			return nil, fmt.Errorf("%w: unsupported aggregate %v", ErrParse, item.Agg)
+			return nil, nil, fmt.Errorf("%w: unsupported aggregate %v", ErrParse, item.Agg)
 		}
 		if !item.Star {
-			idx, err := colIdx(item.Col.Table + "." + item.Col.Column)
-			if err != nil {
-				return nil, err
+			if spec.Col, err = ordinal(item.ID, item.Col); err != nil {
+				return nil, nil, err
 			}
-			spec.Col = idx
 		}
-		layout[i] = len(q.GroupBy) + len(aggs)
-		aggs = append(aggs, spec)
+		g.layout[i] = len(q.GroupBy) + len(g.aggs)
+		g.aggs = append(g.aggs, spec)
 	}
-	grouped, err := exec.Aggregate(res.Table, groupCols, aggs)
+	return read, g, nil
+}
+
+// aggregateResult applies the query's GROUP BY and aggregate select list,
+// resolved to g, to the executed join result and renders the grouped rows.
+func aggregateResult(q *sqlparse.Query, g *grouping, exec *executor.Executor, res *executor.Result, out *Result) (*Result, error) {
+	grouped, err := exec.Aggregate(res.Table, g.cols, g.aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -737,13 +757,9 @@ func (s *System) aggregateResult(q *sqlparse.Query, exec *executor.Executor, res
 	for i, item := range q.Select {
 		out.Columns[i] = item.String()
 	}
-	n := grouped.NumRows()
-	if n > MaxRows {
-		n = MaxRows
-	}
-	for r := 0; r < n; r++ {
+	for r := 0; r < min(grouped.NumRows(), MaxRows); r++ {
 		row := make([]string, len(q.Select))
-		for i, src := range layout {
+		for i, src := range g.layout {
 			row[i] = grouped.Value(r, src).String()
 		}
 		out.Rows = append(out.Rows, row)
