@@ -60,14 +60,15 @@ type Estimator struct {
 	disjs    []expr.Disjunction
 	implied  []expr.Predicate
 	classes  *eqclass.Classes
-	base     []*catalog.TableStats    // by table number: the catalog's statistics, or a repaired clone
-	eff      []*selest.EffectiveStats // by table number
-	locals   [][]expr.Predicate       // by table number: local predicates, in predicate-set order
-	cols     []column                 // by column id
-	joins    []joinPred               // step 5, in predicate-set order
-	touching [][]int32                // by table number: positions in joins of the predicates touching it, group by group
-	groups   []joinGroup              // by group rank
-	warnings []string                 // statistics repairs applied during construction
+	base     []*catalog.TableStats // by table number: the catalog's statistics, or a repaired clone
+	card     []float64             // by table number: the effective cardinality ‖R‖′ (ELS step 4)
+	shrinks  []shrink              // every urn reduction of a table's rows, in folding order
+	locals   [][]expr.Predicate    // by table number: local predicates, in predicate-set order
+	cols     []column              // by column id
+	joins    []joinPred            // step 5, in predicate-set order
+	touching [][]int32             // by table number: positions in joins of the predicates touching it, group by group
+	groups   []joinGroup           // by group rank
+	warnings []string              // statistics repairs applied during construction
 }
 
 // column is one predicate column, resolved once: its table number, raw
@@ -76,6 +77,14 @@ type column struct {
 	table int
 	stats *catalog.ColumnStats
 	card  float64
+}
+
+// shrink records that table's ‖R‖′ fell from from to to. By the urn model
+// the fall reduces the d′ of every column of the table that the predicates
+// behind it do not set themselves.
+type shrink struct {
+	table    int
+	from, to float64
 }
 
 // joinPred is ELS step 5 for one join predicate, reduced to what an
@@ -142,7 +151,6 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 		cat:    cat,
 		refs:   slices.Clone(tables),
 		base:   make([]*catalog.TableStats, n),
-		eff:    make([]*selest.EffectiveStats, n),
 		locals: make([][]expr.Predicate, n),
 	}
 
@@ -219,29 +227,11 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 		}
 	}
 
-	// Steps 3–4: local selectivities and effective statistics per table.
-	for i, p := range e.preds {
-		ops := e.operands[i]
-		if t := e.cols[ops.Left].table; ops.Right < 0 || e.cols[ops.Right].table == t {
-			e.locals[t] = append(e.locals[t], p)
-		}
-	}
-	for t, tr := range e.refs {
-		alias := tr.Name()
-		tableDisjs := expr.DisjunctionsOf(e.disjs, alias)
-		var err error
-		if cfg.UseEffectiveStats {
-			e.eff[t], err = selest.EffectiveTable(e.base[t], alias, e.locals[t], tableDisjs)
-		} else {
-			e.eff[t], err = selest.StandardTable(e.base[t], alias, e.locals[t], tableDisjs)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := e.computeJoinSelectivities(); err != nil {
+	// Steps 3–4: local selectivities and effective statistics.
+	if err := e.fold(); err != nil {
 		return nil, err
 	}
+	e.computeJoinSelectivities()
 
 	// Representative selectivities per class (only needed for RuleRepresentative).
 	if cfg.Rule == RuleRepresentative {
@@ -255,15 +245,7 @@ func NewQuery(cat *catalog.Catalog, tables []TableRef, preds []expr.Predicate, d
 // bits and its group. Groups are ranked in id order, and touching lists
 // each table's predicates group by group, so a step that walks it
 // multiplies groups in id order and predicates in predicate-set order.
-func (e *Estimator) computeJoinSelectivities() error {
-	for id := range e.cols {
-		c := &e.cols[id]
-		d, err := e.eff[c.table].ColumnCard(e.classes.Ref(int32(id)).Column)
-		if err != nil {
-			return err
-		}
-		c.card = d
-	}
+func (e *Estimator) computeJoinSelectivities() {
 	var joins []joinPred
 	var ids []string
 	for i, p := range e.preds {
@@ -305,7 +287,6 @@ func (e *Estimator) computeJoinSelectivities() error {
 		}
 	}
 	e.joins, e.groups = joins, groups
-	return nil
 }
 
 // resolve finds a predicate column's table number and raw statistics.
@@ -369,29 +350,12 @@ func (e *Estimator) TableNumber(alias string) (int, bool) {
 	return 0, false
 }
 
-// Table returns table number t's effective and raw statistics and its local
-// predicates (constant and same-table column comparisons) in predicate-set
-// order, nil if none. All are shared: callers must not modify them.
-func (e *Estimator) Table(t int) (*selest.EffectiveStats, *catalog.TableStats, []expr.Predicate) {
-	return e.eff[t], e.base[t], e.locals[t]
-}
-
-// Effective returns the effective statistics of the aliased table.
-func (e *Estimator) Effective(alias string) (*selest.EffectiveStats, error) {
-	if t, ok := e.TableNumber(alias); ok {
-		return e.eff[t], nil
-	}
-	return nil, fmt.Errorf("cardest: unknown table alias %q", alias)
-}
-
-// BaseSize returns the effective cardinality ‖R‖′ of one table: the
-// starting size of an incremental estimation.
-func (e *Estimator) BaseSize(alias string) (float64, error) {
-	eff, err := e.Effective(alias)
-	if err != nil {
-		return 0, err
-	}
-	return eff.Card, nil
+// Table returns table number t's effective cardinality ‖R‖′, its raw
+// statistics and its local predicates (constant and same-table column
+// comparisons) in predicate-set order, nil if none. The statistics and
+// predicates are shared: callers must not modify them.
+func (e *Estimator) Table(t int) (float64, *catalog.TableStats, []expr.Predicate) {
+	return e.card[t], e.base[t], e.locals[t]
 }
 
 // equation2 is Equation 2's join selectivity S_J = 1/max(d₁′, d₂′) of an

@@ -42,6 +42,17 @@ func mustNew(t *testing.T, cat *catalog.Catalog, tabs []TableRef, preds []expr.P
 	return e
 }
 
+// rows is the effective cardinality ‖R‖′ of the aliased table.
+func rows(t *testing.T, e *Estimator, alias string) float64 {
+	t.Helper()
+	n, ok := e.TableNumber(alias)
+	if !ok {
+		t.Fatalf("unknown alias %q", alias)
+	}
+	card, _, _ := e.Table(n)
+	return card
+}
+
 func TestRuleAndConfigNames(t *testing.T) {
 	if RuleM.String() != "M" || RuleSS.String() != "SS" || RuleLS.String() != "LS" || RuleRepresentative.String() != "REP" {
 		t.Error("rule names wrong")
@@ -307,12 +318,14 @@ func TestImpliedAndClasses(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	e := mustNew(t, example1bCatalog(), example1bTables(), example1bPreds(), ELS())
-	eff, err := e.Effective("R1")
-	if err != nil || eff.Card != 100 {
-		t.Errorf("Effective(R1) = %+v, err %v", eff, err)
+	if card, _, _ := e.Table(0); card != 100 {
+		t.Errorf("‖R1‖′ = %g, want 100", card)
 	}
-	if _, err := e.Effective("zz"); err == nil {
-		t.Error("unknown alias should error")
+	if d, err := e.ColumnCard(0, "X"); err != nil || d != 10 {
+		t.Errorf("d′(R1.X) = %g, err %v", d, err)
+	}
+	if _, err := e.ColumnCard(0, "zz"); err == nil {
+		t.Error("unknown column should error")
 	}
 	base, err := e.baseStats("r2")
 	if err != nil || base.Card != 1000 {
@@ -321,10 +334,10 @@ func TestAccessors(t *testing.T) {
 	if _, err := e.baseStats("zz"); err == nil {
 		t.Error("unknown alias should error")
 	}
-	if sz, _ := e.BaseSize("R3"); sz != 1000 {
-		t.Errorf("BaseSize(R3) = %g", sz)
+	if sz, _ := e.FinalSize([]string{"R3"}); sz != 1000 {
+		t.Errorf("FinalSize(R3) = %g", sz)
 	}
-	if _, err := e.BaseSize("zz"); err == nil {
+	if _, err := e.FinalSize([]string{"zz"}); err == nil {
 		t.Error("unknown alias should error")
 	}
 }
@@ -354,7 +367,7 @@ func (e *Estimator) joinSelectivity(p expr.Predicate) (float64, error) {
 func (e *Estimator) columnOf(ref expr.ColumnRef) (column, error) {
 	c, err := e.resolve(ref)
 	if err == nil {
-		c.card, err = e.eff[c.table].ColumnCard(ref.Column)
+		c.card, err = e.ColumnCard(c.table, ref.Column)
 	}
 	return c, err
 }

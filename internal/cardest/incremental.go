@@ -60,7 +60,7 @@ func (e *Estimator) JoinStep(currentSize float64, joined uint64, next int) (Step
 	if joined&(1<<next) != 0 {
 		return StepResult{}, fmt.Errorf("cardest: table %q already joined", e.refs[next].Name())
 	}
-	res := StepResult{Table: e.refs[next].Name(), TableCard: e.eff[next].Card}
+	res := StepResult{Table: e.refs[next].Name(), TableCard: e.card[next]}
 	for i := range e.joins {
 		if jp := &e.joins[i]; jp.links(joined, next) {
 			res.Eligible = append(res.Eligible, e.preds[jp.pred])
@@ -126,7 +126,7 @@ func (e *Estimator) step(currentSize float64, joined uint64, next int, explain *
 	if explain != nil {
 		explain.Selectivity = selectivity
 	}
-	return currentSize * e.eff[next].Card * selectivity, group >= 0, equality
+	return currentSize * e.card[next] * selectivity, group >= 0, equality
 }
 
 // ruleIdentity is the value a group's selectivity starts from under the
@@ -183,7 +183,7 @@ func (e *Estimator) EstimateOrder(order []string) ([]StepResult, error) {
 		case !ok:
 			return nil, fmt.Errorf("cardest: unknown table alias %q", alias)
 		case joined == 0:
-			size = e.eff[t].Card
+			size = e.card[t]
 		default:
 			step, err := e.JoinStep(size, joined, t)
 			if err != nil {
@@ -199,12 +199,13 @@ func (e *Estimator) EstimateOrder(order []string) ([]StepResult, error) {
 // FinalSize is a convenience wrapper returning just the final estimate of
 // EstimateOrder (the effective cardinality itself for a single table).
 func (e *Estimator) FinalSize(order []string) (float64, error) {
-	if len(order) == 1 {
-		return e.BaseSize(order[0])
-	}
 	steps, err := e.EstimateOrder(order)
-	if err != nil {
+	switch {
+	case err != nil:
 		return 0, err
+	case len(steps) == 0:
+		t, _ := e.TableNumber(order[0])
+		return e.card[t], nil
 	}
 	return steps[len(steps)-1].Size, nil
 }

@@ -3,6 +3,8 @@ package cardest
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/selest"
@@ -71,17 +73,22 @@ func sanitizeStats(ts *catalog.TableStats, name string, warns *[]string) *catalo
 		repair().RowWidth = defaultRowWidth
 	}
 	card := out.Card
+	// Column warnings are reported in column-key order, whatever order the
+	// map is walked in.
+	type columnWarning struct{ key, text string }
+	var colWarns []columnWarning
+	warn := func(k, text string) { colWarns = append(colWarns, columnWarning{k, text}) }
 	for k, cs := range ts.Columns {
 		d := cs.Distinct
 		switch {
 		case invalid(d) || (d == 0 && card > 0):
 			fallback := defaultDistinct(card)
-			*warns = append(*warns, fmt.Sprintf(
+			warn(k, fmt.Sprintf(
 				"table %s column %s: column cardinality %g is invalid; using urn default %g (Selinger 1/%g equality selectivity)",
 				name, cs.Name, d, fallback, 1/DefaultEqSelectivity))
 			repair().Columns[k].Distinct = fallback
 		case d > card && card > 0:
-			*warns = append(*warns, fmt.Sprintf(
+			warn(k, fmt.Sprintf(
 				"table %s column %s: column cardinality %g exceeds table cardinality %g; clamping",
 				name, cs.Name, d, card))
 			repair().Columns[k].Distinct = card
@@ -95,12 +102,16 @@ func sanitizeStats(ts *catalog.TableStats, name string, warns *[]string) *catalo
 			// tables degrade silently: their [0, −1] range is a benign
 			// artifact of declaring zero distinct values.
 			if card > 0 {
-				*warns = append(*warns, fmt.Sprintf(
+				warn(k, fmt.Sprintf(
 					"table %s column %s: min/max range [%g, %g] is invalid; dropping range statistics",
 					name, cs.Name, cs.Min, cs.Max))
 			}
 			repair().Columns[k].HasRange = false
 		}
+	}
+	slices.SortStableFunc(colWarns, func(a, b columnWarning) int { return strings.Compare(a.key, b.key) })
+	for _, w := range colWarns {
+		*warns = append(*warns, w.text)
 	}
 	return out
 }

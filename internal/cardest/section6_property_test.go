@@ -7,15 +7,14 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
-	"repro/internal/selest"
 )
 
 // Sections 6 and 7 composed: chains where some tables contribute TWO join
 // columns to the equivalence class (triggering the single-table
 // j-equivalence fold) must still estimate order-independently under Rule
 // LS and agree with Equation 3 over the folded statistics. The test folds
-// each such table itself, through selest, and computes Equation 3 from the
-// folded ‖R‖′ and d′.
+// each such table alone, in an estimator of its own, and computes Equation
+// 3 from the folded ‖R‖′ and d′.
 func TestLSWithSection6FoldsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for trial := 0; trial < 80; trial++ {
@@ -52,13 +51,14 @@ func TestLSWithSection6FoldsProperty(t *testing.T) {
 					expr.ColumnRef{Table: name, Column: "b"}, expr.OpEQ,
 					expr.ColumnRef{Table: other, Column: "a"}))
 				// Closure implies a = b within the table: Section 6's fold.
-				eff, err := selest.EffectiveTable(ts, name, []expr.Predicate{expr.NewJoin(
+				single := mustNew(t, cat, tabs[i:i+1], []expr.Predicate{expr.NewJoin(
 					expr.ColumnRef{Table: name, Column: "a"}, expr.OpEQ,
-					expr.ColumnRef{Table: name, Column: "b"})}, nil)
-				if err != nil {
+					expr.ColumnRef{Table: name, Column: "b"})}, ELS())
+				cards[i], _, _ = single.Table(0)
+				var err error
+				if ds[i], err = single.ColumnCard(0, "a"); err != nil {
 					t.Fatal(err)
 				}
-				cards[i], ds[i] = eff.Card, eff.ColCard["a"]
 			}
 		}
 		e, err := New(cat, tabs, preds, ELS())

@@ -97,15 +97,12 @@ func TestSection8_ELS(t *testing.T) {
 	// Effective stats behind the estimates: every table reduced to 100 rows
 	// and 100 distinct values.
 	for _, tab := range []string{"S", "M", "B", "G"} {
-		eff, err := e.Effective(tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eff.Card != 100 {
-			t.Errorf("‖%s‖′ = %g, want 100", tab, eff.Card)
+		if card := rows(t, e, tab); card != 100 {
+			t.Errorf("‖%s‖′ = %g, want 100", tab, card)
 		}
 		col := map[string]string{"S": "s", "M": "m", "B": "b", "G": "g"}[tab]
-		if d, _ := eff.ColumnCard(col); d != 100 {
+		n, _ := e.TableNumber(tab)
+		if d, _ := e.ColumnCard(n, col); d != 100 {
 			t.Errorf("d′_%s = %g, want 100", col, d)
 		}
 	}
@@ -131,9 +128,8 @@ func TestSection8_SMWithoutPTC(t *testing.T) {
 	}
 	// M, B and G keep their full cardinalities (no implied local predicates).
 	for tab, want := range map[string]float64{"M": 10000, "B": 50000, "G": 100000} {
-		eff, _ := e.Effective(tab)
-		if eff.Card != want {
-			t.Errorf("‖%s‖′ = %g, want %g (no early selection)", tab, eff.Card, want)
+		if card := rows(t, e, tab); card != want {
+			t.Errorf("‖%s‖′ = %g, want %g (no early selection)", tab, card, want)
 		}
 	}
 }

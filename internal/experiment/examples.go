@@ -131,15 +131,17 @@ func RunWorkedExamples() ([]WorkedExample, error) {
 	add("Section 5", "urn d′ at full retention ‖R‖′=‖R‖", selest.UrnDistinctCeil(10000, 100000), 10000)
 
 	// --- Section 6: single-table j-equivalent columns.
-	ts := catalog.SimpleTable("R2", 1000, map[string]float64{"y": 10, "w": 50})
-	eff, err := selest.EffectiveTable(ts, ts.Name, []expr.Predicate{
+	cat := catalog.New()
+	cat.MustAddTable(catalog.SimpleTable("R2", 1000, map[string]float64{"y": 10, "w": 50}))
+	r2, err := cardest.New(cat, []cardest.TableRef{{Table: "R2"}}, []expr.Predicate{
 		expr.NewJoin(expr.ColumnRef{Table: "R2", Column: "y"}, expr.OpEQ, expr.ColumnRef{Table: "R2", Column: "w"}),
-	}, nil)
+	}, cardest.ELS())
 	if err != nil {
 		return nil, err
 	}
-	add("Section 6", "‖R2‖′ = ⌈1000/50⌉ with (R2.y = R2.w)", eff.Card, 20)
-	dEff, err := eff.ColumnCard("y")
+	card, _, _ := r2.Table(0)
+	add("Section 6", "‖R2‖′ = ⌈1000/50⌉ with (R2.y = R2.w)", card, 20)
+	dEff, err := r2.ColumnCard(0, "y")
 	if err != nil {
 		return nil, err
 	}

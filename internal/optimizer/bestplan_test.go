@@ -103,12 +103,12 @@ func (o *Optimizer) referenceScan(alias string) (*Scan, error) {
 	if !ok {
 		return nil, fmt.Errorf("optimizer: unknown table alias %q", alias)
 	}
-	eff, base, _ := o.est.Table(t)
+	rows, base, _ := o.est.Table(t)
 	s := &Scan{
 		Alias:    alias,
 		Table:    alias,
 		FilterOr: expr.DisjunctionsOf(o.est.Disjunctions(), alias),
-		Rows:     eff.Card,
+		Rows:     rows,
 		BaseRows: base.Card,
 		RowWidth: base.RowWidth,
 	}
@@ -375,15 +375,16 @@ func TestBestPlanAllocationCeiling(t *testing.T) {
 }
 
 // ELS steps 1–5 run on column numbers: each column's key is built once,
-// and closure, the classes and step 5 index columns by id, so construction
-// allocates per table and per predicate, not per comparison of two keys.
+// and closure, the classes, the fold of local predicates and step 5 index
+// columns by id, so construction allocates per table and per predicate, not
+// per comparison of two keys or per column of a table.
 func TestNewQueryAllocationCeiling(t *testing.T) {
 	for _, c := range []struct {
 		shape          string
 		preds, ceiling int
 	}{
-		{"chain", 7, 225},
-		{"class", 36, 440},
+		{"chain", 7, 84},
+		{"class", 36, 150},
 	} {
 		cat, tabs, preds := shapeQuery(c.shape, 8)
 		var est *cardest.Estimator

@@ -104,14 +104,14 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 	}
 	for t, tr := range refs {
 		alias := tr.Name()
-		eff, base, locals := est.Table(t)
+		rows, base, locals := est.Table(t)
 		data := est.Catalog().Data(tr.Table)
-		o.tables = append(o.tables, table{base: base, data: data, sort: model.SortTerm(eff.Card, base.RowWidth), scan: Scan{
+		o.tables = append(o.tables, table{base: base, data: data, sort: model.SortTerm(rows, base.RowWidth), scan: Scan{
 			Alias:    alias,
 			Table:    tr.Table,
 			Filter:   locals,
 			FilterOr: expr.DisjunctionsOf(est.Disjunctions(), alias),
-			Rows:     eff.Card,
+			Rows:     rows,
 			BaseRows: base.Card,
 			RowWidth: base.RowWidth,
 			ScanCost: model.ScanCost(base.Card, base.RowWidth),

@@ -7,6 +7,10 @@ import (
 	"repro/internal/expr"
 )
 
+// DefaultColColSelectivity is the classic System-R guess for a non-equality
+// comparison between two columns, which the paper does not model.
+const DefaultColColSelectivity = 1.0 / 3.0
+
 // DisjunctionSelectivity estimates the fraction of a table's rows
 // satisfying (p1 OR ... OR pn) as 1 − ∏(1 − sᵢ) under the independence
 // assumption — the classic System-R treatment. For disjuncts over one
@@ -49,7 +53,7 @@ func DisjunctionSelectivity(ts *catalog.TableStats, d expr.Disjunction) (float64
 					s = 1 / dmax
 				}
 			} else {
-				s = defaultColColSelectivity
+				s = DefaultColColSelectivity
 			}
 		default:
 			return 0, fmt.Errorf("selest: join predicate %s not allowed in a disjunction", p)

@@ -90,23 +90,3 @@ func TestDisjunctionSelectivityErrors(t *testing.T) {
 		t.Error("unknown colcol column should error")
 	}
 }
-
-func TestEffectiveTableWithDisjunction(t *testing.T) {
-	ts := catalog.SimpleTable("R", 1000, map[string]float64{"x": 10, "y": 100})
-	d := mustDisj(t,
-		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(1)),
-		expr.NewConst(ref("R", "x"), expr.OpEQ, storage.Int64(2)),
-	)
-	eff, err := EffectiveTable(ts, ts.Name, nil, []expr.Disjunction{d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(eff.Card-190) > 1e-9 {
-		t.Errorf("‖R‖′ = %g, want 190", eff.Card)
-	}
-	// Disjunction on a foreign table errors.
-	foreign := mustDisj(t, expr.NewConst(ref("Q", "x"), expr.OpEQ, storage.Int64(1)))
-	if _, err := EffectiveTable(ts, ts.Name, nil, []expr.Disjunction{foreign}); err == nil {
-		t.Error("foreign disjunction should error")
-	}
-}

@@ -3,7 +3,6 @@ package selest
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -235,32 +234,6 @@ func distinctConstants(eqs []expr.Predicate) int {
 		seen[p.Const.Key()] = struct{}{}
 	}
 	return len(seen)
-}
-
-// GroupConstPredicates buckets constant predicates by subject column, in
-// deterministic column-key order.
-func GroupConstPredicates(preds []expr.Predicate) []ColumnPredicateSet {
-	byCol := make(map[string]*ColumnPredicateSet)
-	var order []string
-	for _, p := range preds {
-		if p.Kind() != expr.KindLocalConst {
-			continue
-		}
-		k := p.Left.Key()
-		set, ok := byCol[k]
-		if !ok {
-			set = &ColumnPredicateSet{Column: p.Left}
-			byCol[k] = set
-			order = append(order, k)
-		}
-		set.Preds = append(set.Preds, p)
-	}
-	sort.Strings(order)
-	out := make([]ColumnPredicateSet, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byCol[k])
-	}
-	return out
 }
 
 func clamp01(x float64) float64 {

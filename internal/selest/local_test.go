@@ -373,22 +373,3 @@ func TestResolveRejectsNonConst(t *testing.T) {
 		t.Error("join predicate in const set should error")
 	}
 }
-
-func TestGroupConstPredicates(t *testing.T) {
-	preds := []expr.Predicate{
-		constPred("b", expr.OpLT, 5),
-		constPred("a", expr.OpGT, 1),
-		constPred("b", expr.OpGT, 2),
-		expr.NewJoin(ref("R", "a"), expr.OpEQ, ref("Q", "z")), // ignored
-	}
-	groups := GroupConstPredicates(preds)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
-	}
-	if groups[0].Column.Column != "a" || len(groups[0].Preds) != 1 {
-		t.Errorf("group 0 = %+v", groups[0])
-	}
-	if groups[1].Column.Column != "b" || len(groups[1].Preds) != 2 {
-		t.Errorf("group 1 = %+v", groups[1])
-	}
-}

@@ -1,9 +1,10 @@
 // Package selest implements the selectivity machinery of Algorithm ELS:
 // local-predicate selectivities (with or without distribution statistics),
 // the resolution of multiple local predicates on one column (per the
-// companion report RJ 9569 cited as [16]), the urn-model estimate of
-// distinct values surviving a selection (Section 5), and the single-table
-// j-equivalent column reduction (Section 6).
+// companion report RJ 9569 cited as [16]), and the urn-model estimate of
+// distinct values surviving a selection (Sections 5 and 6). It holds no
+// per-query statistics: cardest folds a query's local predicates onto its
+// own column ids with these formulas.
 package selest
 
 import "math"

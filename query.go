@@ -393,8 +393,7 @@ func estimateGroups(q *sqlparse.Query, plan optimizer.Plan, opt *optimizer.Optim
 	}
 	groupSpace := 1.0
 	for i, id := range q.GroupByIDs {
-		eff, _, _ := opt.Estimator().Table(id.Table)
-		if d, err := eff.ColumnCard(q.GroupBy[i].Column); err == nil && d > 0 {
+		if d, err := opt.Estimator().ColumnCard(id.Table, q.GroupBy[i].Column); err == nil && d > 0 {
 			groupSpace *= d
 		}
 	}

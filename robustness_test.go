@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,43 @@ func TestExplainShowsWarnings(t *testing.T) {
 	}
 	if !strings.Contains(out, "warning:") {
 		t.Fatalf("explain output lacks warnings:\n%s", out)
+	}
+}
+
+// A table with several repaired columns warns about them in column order,
+// so one query explains to one text however often it is planned.
+func TestRepairWarningsInColumnOrder(t *testing.T) {
+	sys := New()
+	sys.SetLimits(Limits{DisableCache: true}) // plan every Explain afresh
+	if err := sys.DeclareStats("R", 1000, map[string]float64{"a": 0, "b": 0, "c": 0, "x": 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.DeclareStats("S", 1000, map[string]float64{"y": 10}); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT COUNT(*) FROM R, S WHERE R.x = S.y"
+	first, err := sys.Explain(sql, AlgorithmELS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each column warns of its cardinality, then of its range.
+	var columns []string
+	for _, line := range strings.Split(first, "\n") {
+		if _, rest, ok := strings.Cut(line, "warning: table R column "); ok {
+			columns = append(columns, rest[:1])
+		}
+	}
+	if want := []string{"a", "a", "b", "b", "c", "c"}; !slices.Equal(columns, want) {
+		t.Fatalf("warnings name columns %v, want %v:\n%s", columns, want, first)
+	}
+	for i := 0; i < 50; i++ {
+		out, err := sys.Explain(sql, AlgorithmELS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != first {
+			t.Fatalf("explain %d differs:\n%s\nfirst:\n%s", i, out, first)
+		}
 	}
 }
 
