@@ -368,3 +368,32 @@ func TestPublicAPISection8Estimates(t *testing.T) {
 		}
 	}
 }
+
+// A query's MaxQError is the largest q-error over its materialized nodes:
+// on a join of two Zipf-skewed columns, whose uniformity assumption ELS
+// gets wrong, it is above 1 and equals the worst node's.
+func TestMaxQErrorIsTheWorstNode(t *testing.T) {
+	sys := New()
+	for i, name := range []string{"A", "B"} {
+		if err := sys.GenerateTable(name, "k", "zipf", 2000, 100, 1.0, int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sys.Query("SELECT COUNT(*) FROM A, B WHERE A.k = B.k AND A.payload >= 0", AlgorithmELS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst, measured := 0.0, 0
+	for _, n := range res.Nodes {
+		if n.ActualRows < 0 {
+			continue
+		}
+		measured++
+		est, actual := max(n.EstimatedRows, 1), max(float64(n.ActualRows), 1)
+		worst = max(worst, est/actual, actual/est)
+	}
+	if measured < 2 || res.MaxQError != worst || worst <= 1 {
+		t.Fatalf("MaxQError %v, the worst of %d measured nodes %v, want equal and above 1\n%s",
+			res.MaxQError, measured, worst, res.FormatAnalyze())
+	}
+}

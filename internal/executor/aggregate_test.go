@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"sort"
@@ -413,7 +412,8 @@ func TestAggregateAllocationCeiling(t *testing.T) {
 // A GROUP BY over a view of a base column groups through the build table
 // the hash join memoizes for the column (storage.Table.Memo). For each key
 // representation, over a column with NULLs: two Aggregates return identical
-// tables, the second allocates less than one slot array (it builds none),
+// tables, the first allocates at least the build's slot and row arrays more
+// than the second (which builds none),
 // and a hash join on the column afterwards, reading the same memo, pairs
 // exactly the rows a join over an unshared copy of the column pairs.
 func TestAggregateReusesBaseColumnBuild(t *testing.T) {
@@ -421,12 +421,13 @@ func TestAggregateReusesBaseColumnBuild(t *testing.T) {
 	kinds := []struct {
 		name string
 		typ  storage.Type
+		rep  keyRep
 		key  func(i int) storage.Value
 	}{
-		{"int64", storage.TypeInt64, func(i int) storage.Value { return storage.Int64(int64(i * 7919 % groups)) }},
-		{"float bits", storage.TypeFloat64, func(i int) storage.Value { return storage.Float64(float64(i*7919%groups) / 4) }},
-		{"string", storage.TypeString, func(i int) storage.Value { return storage.String64(fmt.Sprint("g", i*7919%groups)) }},
-		{"boxed bool", storage.TypeBool, func(i int) storage.Value { return storage.Bool(i%3 == 0) }},
+		{"int64", storage.TypeInt64, repNative, func(i int) storage.Value { return storage.Int64(int64(i * 7919 % groups)) }},
+		{"float bits", storage.TypeFloat64, repFloat, func(i int) storage.Value { return storage.Float64(float64(i*7919%groups) / 4) }},
+		{"string", storage.TypeString, repNative, func(i int) storage.Value { return storage.String64(fmt.Sprint("g", i*7919%groups)) }},
+		{"boxed bool", storage.TypeBool, repBoxed, func(i int) storage.Value { return storage.Bool(i%3 == 0) }},
 	}
 	aggs := []AggSpec{{Op: AggCountStar, Name: "n"}, {Op: AggSum, Col: 1, Name: "s"}}
 	for _, kind := range kinds {
@@ -466,10 +467,14 @@ func TestAggregateReusesBaseColumnBuild(t *testing.T) {
 			if !first.Value(0, 0).IsNull() {
 				t.Fatalf("first group is %s, want the NULL group", first.Value(0, 0))
 			}
-			slotArray := uint64(16 << bits.Len(uint(2*n-1))) // a slot holds at least a key word and two int32s
-			t.Logf("cold %d bytes, warm %d bytes, a slot array %d", cold, warm, slotArray)
-			if warm >= slotArray || cold < slotArray {
-				t.Errorf("cold run allocated %d bytes, warm %d; want a slot array (%d) on the cold run only", cold, warm, slotArray)
+			// The build's slot and row arrays, whatever its addressing.
+			built := view().Memo(0, kind.rep, func() any {
+				t.Fatal("the grouping memoized no build")
+				return nil
+			}).(interface{ arrayBytes() int64 }).arrayBytes()
+			t.Logf("cold %d bytes, warm %d bytes, the build's arrays %d", cold, warm, built)
+			if int64(cold)-int64(warm) < built {
+				t.Errorf("cold run allocated %d bytes, warm %d; want the build's arrays (%d) on the cold run only", cold, warm, built)
 			}
 
 			probe := keyColumns(t, probeKind{typ: kind.typ, key: kind.key}, "p", 60, func(i int) int { return i },

@@ -2,9 +2,12 @@
 // run over flat column slices, qualifying rows live in selection vectors (no
 // row is materialized until the final gather), and every join hands its
 // candidate (left row, right row) pairs to one pair sink that filters them
-// through the residual kernels and gathers survivors column-wise. Selection
-// vectors are recycled through an internal/workpool arena shared by every
-// query in the process, so execution stays allocation-flat.
+// through the residual kernels and gathers survivors column-wise. A typed
+// comparison kernel switches on its operator once per call and compacts
+// with no branch on the data, so a filter costs the same whatever its
+// selectivity. Selection vectors are recycled through an internal/workpool
+// arena shared by every query in the process, so execution stays
+// allocation-flat.
 //
 // The counters are part of the paper's reproduction (Section 8 is measured
 // in executed tuples), so the kernels count exactly: a conjunction evaluates
@@ -136,37 +139,82 @@ func numericAt(d storage.ColumnData, r int) float64 {
 }
 
 // selCmpConst is the column-vs-constant kernel for one ordered type: rows
-// addresses vals for each pair.
+// addresses vals for each pair. Each case of its one switch on op writes
+// every pair to the next free position and advances past it by 1 if the row
+// is not NULL and the comparison holds, by 0 if not. A case serves an
+// operator and its negation (neg): = and ≠, < and ≥, ≤ and >, in cmpOrd's
+// terms, under which a float NaN is neither below nor above anything.
 func selCmpConst[T int64 | float64 | string](vals []T, nulls []bool, rows []int, c T,
 	op expr.CompareOp, lsel, rsel []int) int {
-	out := 0
-	for i, r := range rows {
-		if nulls != nil && nulls[r] {
-			continue
-		}
-		if op.Holds(cmpOrd(vals[r], c)) {
+	out, neg := 0, negated(op)
+	switch op {
+	case expr.OpEQ, expr.OpNE:
+		for i, r := range rows {
 			lsel[out], rsel[out] = lsel[i], rsel[i]
-			out++
+			out += (b2i(!(vals[r] < c))&b2i(!(vals[r] > c)) ^ neg) & notNull(nulls, r)
+		}
+	case expr.OpLT, expr.OpGE:
+		for i, r := range rows {
+			lsel[out], rsel[out] = lsel[i], rsel[i]
+			out += (b2i(vals[r] < c) ^ neg) & notNull(nulls, r)
+		}
+	case expr.OpLE, expr.OpGT:
+		for i, r := range rows {
+			lsel[out], rsel[out] = lsel[i], rsel[i]
+			out += (b2i(!(vals[r] > c)) ^ neg) & notNull(nulls, r)
 		}
 	}
 	return out
 }
 
-// selCmpCols is the column-vs-column kernel for one ordered type.
+// selCmpCols is the column-vs-column kernel for one ordered type, in
+// selCmpConst's form.
 func selCmpCols[T int64 | float64 | string](l []T, ln []bool, lrows []int, r []T, rn []bool, rrows []int,
 	op expr.CompareOp, lsel, rsel []int) int {
-	out := 0
-	for i, lr := range lrows {
-		rr := rrows[i]
-		if (ln != nil && ln[lr]) || (rn != nil && rn[rr]) {
-			continue
-		}
-		if op.Holds(cmpOrd(l[lr], r[rr])) {
+	out, neg := 0, negated(op)
+	switch op {
+	case expr.OpEQ, expr.OpNE:
+		for i, lr := range lrows {
+			rr := rrows[i]
 			lsel[out], rsel[out] = lsel[i], rsel[i]
-			out++
+			out += (b2i(!(l[lr] < r[rr]))&b2i(!(l[lr] > r[rr])) ^ neg) & notNull(ln, lr) & notNull(rn, rr)
+		}
+	case expr.OpLT, expr.OpGE:
+		for i, lr := range lrows {
+			rr := rrows[i]
+			lsel[out], rsel[out] = lsel[i], rsel[i]
+			out += (b2i(l[lr] < r[rr]) ^ neg) & notNull(ln, lr) & notNull(rn, rr)
+		}
+	case expr.OpLE, expr.OpGT:
+		for i, lr := range lrows {
+			rr := rrows[i]
+			lsel[out], rsel[out] = lsel[i], rsel[i]
+			out += (b2i(!(l[lr] > r[rr])) ^ neg) & notNull(ln, lr) & notNull(rn, rr)
 		}
 	}
 	return out
+}
+
+// negated is 1 for ≠, ≥ and >, the negations of =, < and ≤, else 0.
+func negated(op expr.CompareOp) int {
+	return b2i(op == expr.OpNE || op == expr.OpGE || op == expr.OpGT)
+}
+
+// b2i is 1 for true and 0 for false, set without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// notNull is 1 unless nulls flags row r. Whether nulls is nil is the same
+// for every row, so that test never mispredicts.
+func notNull(nulls []bool, r int) int {
+	if nulls == nil {
+		return 1
+	}
+	return b2i(!nulls[r])
 }
 
 // selKeep compacts the pairs for which keep holds. It serves the shapes
@@ -308,11 +356,11 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 }
 
 // colJoin is the typed build → probe → pair-gather kernel for one
-// partition: build a flat hash table (hashTable) over the keys of the right
-// rows named by rrows (nil: every right row), probe it with the left rows
-// named by lrows (nil: every left row) in order, a block of hashes at a
-// time, and hand each probe row's matching build rows, ascending, to the
-// pair sink. With a probe-row list the sink also reports the left row behind
+// partition: build a flat hash table (hashTable, dense or hashed) over the
+// keys of the right rows named by rrows (nil: every right row), probe it
+// with the left rows named by lrows (nil: every left row) in order, a block
+// of hashes (or dense offsets) at a time, and hand each probe row's
+// matching build rows, ascending, to the pair sink. With a probe-row list the sink also reports the left row behind
 // each output row.
 //
 // A build over every row of an unfiltered base-table scan (a view) is built
@@ -336,17 +384,17 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, 
 	var hs [hashBlock]uint64
 	for b, n := 0, rowCount(lrows, len(lk)); b < n; b += hashBlock {
 		block := hs[:min(hashBlock, n-b)]
-		hashKeys(table.seed, lk, lrows, b, block)
+		table.hashKeys(lk, lrows, b, block)
 		for j, h := range block {
 			l := rowAt(lrows, b+j)
 			if ln != nil && ln[l] {
 				continue
 			}
-			s := &table.slots[table.find(lk[l], h)]
-			if s.hi == 0 {
+			i := table.find(lk[l], h)
+			if i >= uint64(len(table.slots)) || table.slots[i].hi == 0 {
 				continue // no build row has the key
 			}
-			if err := pairs.add(l, table.rows[s.lo:s.hi]); err != nil {
+			if err := pairs.add(l, table.rows[table.slots[i].lo:table.slots[i].hi]); err != nil {
 				return nil, err
 			}
 		}

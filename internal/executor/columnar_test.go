@@ -285,3 +285,112 @@ func TestColumnarDisjunctions(t *testing.T) {
 		[]expr.Predicate{expr.NewJoin(ref("T0", "k"), expr.OpEQ, ref("T1", "k"))},
 		[]expr.Disjunction{d}, hashOnly)
 }
+
+// The typed comparison kernels keep exactly the pairs for which
+// op.Holds(storage.Compare(l, r)) holds with neither operand NULL, in
+// order, and count one comparison per pair: for int64, float64 (both NaN
+// payloads, ±0.0, ±Inf) and string columns, each operator, against a
+// constant and against a column, with and without NULLs, over one selection
+// vector (a scan) and two (a join's pairs).
+func TestFilterKernelsMatchCompare(t *testing.T) {
+	nan2 := math.Float64frombits(0x7FF8000000000001)
+	domains := map[storage.Type][]storage.Value{
+		storage.TypeInt64: {storage.Int64(math.MinInt64), storage.Int64(-1), storage.Int64(0), storage.Int64(1),
+			storage.Int64(1<<53 + 1), storage.Int64(1 << 53), storage.Int64(math.MaxInt64)},
+		storage.TypeFloat64: {storage.Float64(math.NaN()), storage.Float64(nan2), storage.Float64(math.Copysign(0, -1)),
+			storage.Float64(0), storage.Float64(math.Inf(-1)), storage.Float64(math.Inf(1)), storage.Float64(-2.5),
+			storage.Float64(1.5)},
+		storage.TypeString: {storage.String64(""), storage.String64("a"), storage.String64("ab"),
+			storage.String64("abcdefgh\x00"), storage.String64("b")},
+	}
+	ops := []expr.CompareOp{expr.OpEQ, expr.OpNE, expr.OpLT, expr.OpLE, expr.OpGT, expr.OpGE}
+	for typ, vals := range domains {
+		for _, withNulls := range []bool{false, true} {
+			// Columns a and b hold every pair of values, and with NULLs
+			// every value against NULL both ways, and NULL against NULL.
+			tbl := storage.NewTable("t", storage.MustSchema(storage.ColumnDef{Name: "a", Type: typ},
+				storage.ColumnDef{Name: "b", Type: typ}))
+			operands := vals
+			if withNulls {
+				operands = append(slices.Clip(vals), storage.Null(typ))
+			}
+			for _, a := range operands {
+				for _, b := range operands {
+					tbl.MustAppendRow(a, b)
+				}
+			}
+			if (tbl.ColumnData(0).Nulls != nil) != withNulls {
+				t.Fatalf("%s: NULL flags present %v, want %v", typ, tbl.ColumnData(0).Nulls != nil, withNulls)
+			}
+			n := tbl.NumRows()
+			// One vector: every row but each third, backwards. Two: each row
+			// paired with a row further on, so a and b meet across rows.
+			var scan, lpairs, rpairs []int
+			for r := n - 1; r >= 0; r-- {
+				if r%3 != 1 {
+					scan = append(scan, r)
+				}
+				lpairs, rpairs = append(lpairs, r), append(rpairs, (r*7+3)%n)
+			}
+			for _, op := range ops {
+				var conds []optimizer.Cond
+				for _, c := range operands {
+					// A constant against a left column, and against a right one.
+					conds = append(conds, optimizer.Cond{Left: 0, Op: op, Right: -1, Const: c},
+						optimizer.Cond{Left: 3, Op: op, Right: -1, Const: c})
+				}
+				conds = append(conds, optimizer.Cond{Left: 0, Op: op, Right: 1}, optimizer.Cond{Left: 1, Op: op, Right: 0},
+					optimizer.Cond{Left: 0, Op: op, Right: 3}, optimizer.Cond{Left: 2, Op: op, Right: 1})
+				for _, p := range conds {
+					for _, vectors := range [][2][]int{{scan, nil}, {lpairs, rpairs}} {
+						checkKernel(t, tbl, p, vectors[0], vectors[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkKernel runs predSel for p over the pairs (lsel[i], rsel[i]) of two
+// inputs that are both tbl — or over the one vector lsel, as a scan does,
+// if rsel is nil — against the boxed model.
+func checkKernel(t *testing.T, tbl *storage.Table, p optimizer.Cond, lsel, rsel []int) {
+	t.Helper()
+	one := rsel == nil
+	if one && (p.Left > 1 || p.Right > 1) {
+		return // a scan has one input
+	}
+	l := slices.Clone(lsel)
+	r := l
+	if !one {
+		r = slices.Clone(rsel)
+	}
+	operand := func(col, i int) storage.Value {
+		if col < 2 {
+			return tbl.Value(lsel[i], col)
+		}
+		if one {
+			return tbl.Value(lsel[i], col-2)
+		}
+		return tbl.Value(rsel[i], col-2)
+	}
+	var wantL, wantR []int
+	for i := range lsel {
+		lv, rv := operand(p.Left, i), p.Const
+		if p.Right >= 0 {
+			rv = operand(p.Right, i)
+		}
+		if !lv.IsNull() && !rv.IsNull() && p.Op.Holds(storage.Compare(lv, rv)) {
+			wantL, wantR = append(wantL, l[i]), append(wantR, r[i])
+		}
+	}
+	stats := &Stats{}
+	got := predSel(tbl, tbl, 2, p, l, r, stats)
+	if got != len(wantL) || !slices.Equal(l[:got], wantL) || !slices.Equal(r[:got], wantR) {
+		t.Fatalf("%v %s (col %d, const %v), one vector %v: kept %v / %v, the model keeps %v / %v",
+			tbl.Schema().Column(0).Type, p.Op, p.Right, p.Const, one, l[:got], r[:got], wantL, wantR)
+	}
+	if stats.Comparisons != int64(len(lsel)) {
+		t.Fatalf("%d comparisons over %d pairs", stats.Comparisons, len(lsel))
+	}
+}

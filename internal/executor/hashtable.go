@@ -1,14 +1,22 @@
 // The one typed hash kernel, shared by the hash join and GROUP BY: a flat
-// table per build, two arrays and no per-key allocation. An open-addressing
-// slot array holds each distinct key once with the bounds of its rows, and
-// one CSR (compressed row list) array holds the build rows grouped by key,
-// ascending within each key — the row lists a map from key to appended rows
-// would hold, in the same order. A join probes the table; Aggregate reads
-// its runs as groups.
+// table per build, two arrays and no per-key allocation. A slot array holds
+// each distinct key once with the bounds of its rows, and one CSR
+// (compressed row list) array holds the build rows grouped by key, ascending
+// within each key — the row lists a map from key to appended rows would
+// hold, in the same order. A join probes the table; Aggregate reads its runs
+// as groups.
 //
-// Keys are hashed a block at a time (hashKeys): one type switch per block,
-// then a tight loop with the mixer inlined writes the block's hashes to a
-// stack array, and the slot lookups run over the finished block.
+// The slot array is dense or hashed, fixed per build by its rows' own
+// non-NULL keys, never by statistics that may be wrong. An int64 or uint64
+// build whose keys span (hi−lo+1) no more values than a hashed table would
+// have slots gets one slot per value, slot = key − lo: a probe is one range
+// check and one load, with no hash and no probe chain. Any other build
+// hashes into an open-addressing array at most half full. No knob picks
+// between them: the dense table is never the larger.
+//
+// Keys are hashed (or offset) a block at a time (hashKeys): one type switch
+// per block, then a tight loop with the mixer inlined writes the block's
+// hashes to a stack array, and the slot lookups run over the finished block.
 package executor
 
 import (
@@ -38,12 +46,13 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// hashKeys writes to out[i] the seeded hash of the key at position from+i
-// of a row list over keys (nil: every row), for each i < len(out). A
-// fixed-width key (an int64, or a float64's bits) hashes as one mixed word;
-// a string hashes eight bytes at a time through the mixer, so strings of one
-// length never collide: each step is a bijection of the state.
-func hashKeys[K comparable](seed uint64, keys []K, rows []int, from int, out []uint64) {
+// hashKeys writes to out[i] the hash of the key at position from+i of a row
+// list over keys (nil: every row), for each i < len(out): on a dense table
+// the key's offset from lo, its slot. Otherwise a fixed-width key (an int64,
+// or a float64's bits) hashes as one mixed word under the seed, and a
+// string eight bytes at a time through the mixer, so strings of one length
+// never collide: each step is a bijection of the state.
+func (t *hashTable[K]) hashKeys(keys []K, rows []int, from int, out []uint64) {
 	if rows != nil {
 		rows = rows[from : from+len(out)]
 	} else {
@@ -51,19 +60,28 @@ func hashKeys[K comparable](seed uint64, keys []K, rows []int, from int, out []u
 	}
 	switch ks := any(keys).(type) {
 	case []int64:
-		for i := range out {
-			out[i] = mix64(uint64(ks[rowAt(rows, i)]) ^ seed)
-		}
+		hashWords(ks, rows, t.dense, t.lo, t.seed, out)
 	case []uint64:
-		for i := range out {
-			out[i] = mix64(ks[rowAt(rows, i)] ^ seed)
-		}
+		hashWords(ks, rows, t.dense, t.lo, t.seed, out)
 	case []string:
 		for i := range out {
-			out[i] = hashString(seed, ks[rowAt(rows, i)])
+			out[i] = hashString(t.seed, ks[rowAt(rows, i)])
 		}
 	default:
 		panic("executor: no hash for this key type")
+	}
+}
+
+// hashWords is hashKeys for int64 and uint64 keys.
+func hashWords[W int64 | uint64](ks []W, rows []int, dense bool, lo, seed uint64, out []uint64) {
+	if dense {
+		for i := range out {
+			out[i] = uint64(ks[rowAt(rows, i)]) - lo
+		}
+		return
+	}
+	for i := range out {
+		out[i] = mix64(uint64(ks[rowAt(rows, i)]) ^ seed)
 	}
 }
 
@@ -82,9 +100,11 @@ func hashString(seed uint64, s string) uint64 {
 
 // hashTable is the build side of one hash-join partition, or one grouping.
 type hashTable[K comparable] struct {
-	slots []hashSlot[K] // a power of two long and at most half full
+	slots []hashSlot[K] // dense: one per key in lo..hi; hashed: a power of two, at most half full
 	rows  []int         // build rows, grouped by key, ascending within a key
 	seed  uint64
+	dense bool
+	lo    uint64 // a dense table's least key, as a word
 }
 
 // hashSlot is one distinct key and its build rows, rows[lo:hi]. Every
@@ -94,19 +114,62 @@ type hashSlot[K comparable] struct {
 	lo, hi int32
 }
 
+// hashedSlots is the slot count of a hashed table over n build rows: the
+// power of two above 2n−1, so the table is at most half full.
+func hashedSlots(n int) int { return 1 << bits.Len(uint(max(2*n-1, 0))) }
+
 // newHashTable builds the table over the keys of the rows named by rows
-// (nil: every row of keys), skipping the rows nulls flags. The runs are laid
-// out in slot order. The caller keeps the build under 2^31 rows.
+// (nil: every row of keys), skipping the rows nulls flags: dense if the
+// keys are int64 or uint64 and their span fits in the hashed table's slot
+// count, hashed otherwise. The caller keeps the build under 2^31 rows.
 func newHashTable[K comparable](keys []K, nulls []bool, rows []int, seed uint64) hashTable[K] {
+	t := hashTable[K]{seed: seed}
+	slots := hashedSlots(rowCount(rows, len(keys)))
+	var lo, hi uint64
+	var ok bool
+	switch ks := any(keys).(type) {
+	case []int64:
+		lo, hi, ok = keyRange(ks, nulls, rows)
+	case []uint64:
+		lo, hi, ok = keyRange(ks, nulls, rows)
+	}
+	// hi−lo wraps to the true distance, so a span of 2^64 cannot overflow.
+	if ok && hi-lo < uint64(slots) {
+		t.dense, t.lo, slots = true, lo, int(hi-lo)+1
+	}
+	t.build(keys, nulls, rows, slots)
+	return t
+}
+
+// keyRange returns the least and greatest non-NULL key of the rows, as
+// words; ok is false if every row is NULL.
+func keyRange[W int64 | uint64](ks []W, nulls []bool, rows []int) (lo, hi uint64, ok bool) {
+	var l, h W
+	for i := range rowCount(rows, len(ks)) {
+		r := rowAt(rows, i)
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		if !ok {
+			l, h, ok = ks[r], ks[r], true
+		}
+		l, h = min(l, ks[r]), max(h, ks[r])
+	}
+	return uint64(l), uint64(h), ok
+}
+
+// build lays the rows out in a slot array of the given length, in slot
+// order; t's addressing is already set.
+func (t *hashTable[K]) build(keys []K, nulls []bool, rows []int, slots int) {
 	n := rowCount(rows, len(keys))
-	t := hashTable[K]{slots: make([]hashSlot[K], 1<<bits.Len(uint(max(2*n-1, 0)))), seed: seed}
+	t.slots = make([]hashSlot[K], slots)
 	// Pass 1: find every row's slot and count each key's rows in hi.
 	at := make([]int32, n)
 	live := int32(0)
 	var hs [hashBlock]uint64
 	for b := 0; b < n; b += hashBlock {
 		block := hs[:min(hashBlock, n-b)]
-		hashKeys(seed, keys, rows, b, block)
+		t.hashKeys(keys, rows, b, block)
 		for j, h := range block {
 			i := b + j
 			r := rowAt(rows, i)
@@ -137,12 +200,15 @@ func newHashTable[K comparable](keys []K, nulls []bool, rows []int, seed uint64)
 			t.slots[s].hi++
 		}
 	}
-	return t
 }
 
 // find returns the slot holding k, whose hash is h, or the empty slot where
-// k belongs.
+// k belongs. On a dense table h is the slot, past the end for a key outside
+// lo..hi; the build never finds one there, and a probe checks.
 func (t *hashTable[K]) find(k K, h uint64) uint64 {
+	if t.dense {
+		return h
+	}
 	mask := uint64(len(t.slots) - 1)
 	i := h & mask
 	for t.slots[i].hi != 0 && t.slots[i].key != k {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cardest"
 	"repro/internal/catalog"
@@ -39,12 +40,14 @@ var modelSeeds = [2]uint64{0, 0x2545F4914F6CDD1D}
 // hash that left structured keys clustered would run far above it.
 const maxAvgProbe = 2.0
 
-// checkTable builds the flat table over the build keys under both seeds and
-// requires every lookup the join kernel would make — each non-NULL probe
-// key, and each distinct build key — to return the model's row list, in
-// order, and the same list under either seed. It returns the larger of the
-// two seeds' average probe lengths.
-func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int, probe []K, pnulls []bool) float64 {
+// checkTable builds the flat table over the build keys under both seeds,
+// as newHashTable builds it and forced hashed, and requires every lookup the
+// join kernel would make — each non-NULL probe key, and each distinct build
+// key — to return the model's row list, in order, and the same list from
+// every table. It reports whether newHashTable built a dense table, which
+// must then be exactly as long as the keys' span and no longer than the
+// hashed one, and the larger of the two seeds' hashed average probe lengths.
+func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int, probe []K, pnulls []bool) (dense bool, worst float64) {
 	t.Helper()
 	want := mapBuild(build, bnulls, rows)
 	var keys []K
@@ -60,44 +63,65 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 			keys = append(keys, k)
 		}
 	}
-	var outputs [2][]int
-	worst := 0.0
-	for s, seed := range modelSeeds {
+	var outputs [][]int
+	for _, seed := range modelSeeds {
+		hashed := hashTable[K]{seed: seed}
+		hashed.build(build, bnulls, rows, hashedSlots(rowCount(rows, len(build))))
 		table := newHashTable(build, bnulls, rows, seed)
-		for _, k := range keys {
-			got := table.lookup(k)
-			if !slices.Equal(got, want[k]) {
-				t.Fatalf("seed %#x: key %v → rows %v, the map gives %v", seed, k, got, want[k])
-			}
-			outputs[s] = append(append(outputs[s], got...), -1)
+		// Exactly span-sized: the least key has the first slot and the
+		// greatest the last.
+		if dense = table.dense; dense && (len(table.slots) > len(hashed.slots) ||
+			table.slots[0].hi == 0 || table.slots[len(table.slots)-1].hi == 0) {
+			t.Fatalf("dense table of %d slots, first and last empty: %v, %v; the hashed one has %d", len(table.slots),
+				table.slots[0].hi == 0, table.slots[len(table.slots)-1].hi == 0, len(hashed.slots))
 		}
-		worst = max(worst, avgProbe(table))
+		for _, tbl := range []hashTable[K]{table, hashed} {
+			var out []int
+			for _, k := range keys {
+				got := tbl.lookup(k)
+				if !slices.Equal(got, want[k]) {
+					t.Fatalf("seed %#x, dense %v: key %v → rows %v, the map gives %v", seed, tbl.dense, k, got, want[k])
+				}
+				out = append(append(out, got...), -1)
+			}
+			outputs = append(outputs, out)
+		}
+		worst = max(worst, avgProbe(hashed))
 	}
-	if !slices.Equal(outputs[0], outputs[1]) {
-		t.Fatal("the two seeds' tables returned different row lists")
+	for _, out := range outputs[1:] {
+		if !slices.Equal(out, outputs[0]) {
+			t.Fatal("the tables returned different row lists")
+		}
 	}
-	return worst
+	return dense, worst
 }
 
 // lookup returns the build rows whose key is k, in ascending row order; none
 // if no build row has it. It is one probe of the join kernel, hashed alone.
 func (t *hashTable[K]) lookup(k K) []int {
 	var h [1]uint64
-	hashKeys(t.seed, []K{k}, nil, 0, h[:])
-	s := &t.slots[t.find(k, h[0])]
-	return t.rows[s.lo:s.hi]
+	t.hashKeys([]K{k}, nil, 0, h[:])
+	if i := t.find(k, h[0]); i < uint64(len(t.slots)) {
+		return t.rows[t.slots[i].lo:t.slots[i].hi]
+	}
+	return nil
 }
 
-// avgProbe is the mean number of slots a lookup of a present key inspects:
-// one more than the key's distance from its home slot under the table's
-// seed.
+// arrayBytes is the size of the table's slot and row arrays.
+func (t hashTable[K]) arrayBytes() int64 {
+	return int64(len(t.slots))*int64(unsafe.Sizeof(t.slots[0])) + 8*int64(len(t.rows))
+}
+
+// avgProbe is the mean number of slots a lookup of a present key inspects
+// in a hashed table: one more than the key's distance from its home slot
+// under the table's seed.
 func avgProbe[K comparable](table hashTable[K]) float64 {
 	mask := uint64(len(table.slots) - 1)
 	total, keys := 0, 0
 	var h [1]uint64
 	for i, s := range table.slots {
 		if s.hi != 0 {
-			hashKeys(table.seed, []K{s.key}, nil, 0, h[:])
+			table.hashKeys([]K{s.key}, nil, 0, h[:])
 			total += int((uint64(i)-h[0])&mask) + 1
 			keys++
 		}
@@ -212,6 +236,66 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		bk, bn := keysAndNulls(tbl, intKeys)
 		checkTable(t, bk, bn, nil, []int64{0, 1, 1999, 2000}, nil)
 	})
+	t.Run("dense addressing", func(t *testing.T) {
+		// 100 build rows over 60 keys, the least lo and the greatest
+		// lo+span−1: a hashed table would have 256 slots, so a span of 256
+		// is dense and one of 257 is not, wherever it lies.
+		for _, c := range []struct {
+			name      string
+			lo, span  int64
+			wantDense bool
+		}{
+			{"span 256", 0, 256, true},
+			{"span 257", 0, 257, false},
+			{"negative span 256", -1000, 256, true},
+			{"negative span 257", -1000, 257, false},
+			{"at MinInt64", math.MinInt64, 256, true},
+			{"at MaxInt64", math.MaxInt64 - 255, 256, true},
+			{"at MaxInt64, span 257", math.MaxInt64 - 256, 257, false},
+		} {
+			build := make([]int64, 100)
+			for i := range build {
+				build[i] = c.lo + int64(i%60)*(c.span-1)/59
+			}
+			hi := c.lo + c.span - 1
+			// Probes below lo and above hi, wrapping at the int64 ends, and
+			// gaps inside the span.
+			probe := []int64{c.lo - 1, c.lo - 1000, hi + 1, hi + 1000, c.lo + 1, hi - 1, 0, -1,
+				math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+			if dense, _ := checkTable(t, build, nil, nil, probe, nil); dense != c.wantDense {
+				t.Errorf("%s: dense %v, want %v", c.name, dense, c.wantDense)
+			}
+		}
+		// Both ends of int64 span 2^64 values: hashed, and no overflow.
+		ends := []int64{math.MinInt64, math.MaxInt64, 0, math.MinInt64}
+		if dense, _ := checkTable(t, ends, nil, nil, []int64{-1, 1, math.MaxInt64 - 1}, nil); dense {
+			t.Error("MinInt64..MaxInt64 built dense")
+		}
+		// uint64 keys (float bits, packed group ordinals) at the top of
+		// their range.
+		top := []uint64{math.MaxUint64 - 2, math.MaxUint64, math.MaxUint64, math.MaxUint64 - 2}
+		if dense, _ := checkTable(t, top, nil, nil, []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64 - 3}, nil); !dense {
+			t.Error("uint64 keys at MaxUint64 built hashed")
+		}
+		// NULLs store 0, outside the non-NULL keys 1000..1099: the span is
+		// the non-NULL keys', and a probe of 0 finds nothing, over every row
+		// and over a row list.
+		var vals []storage.Value
+		for i := 0; i < 300; i++ {
+			if i%3 == 1 {
+				vals = append(vals, null(storage.TypeInt64))
+			} else {
+				vals = append(vals, i64(int64(1000+i%100)))
+			}
+		}
+		bk, bn := keysAndNulls(column1(t, storage.TypeInt64, vals...), intKeys)
+		probe := []int64{0, 999, 1000, 1001, 1004, 1010, 1050, 1099, 1100}
+		for _, rows := range [][]int{nil, {1, 2, 3, 5, 6, 8, 9, 10}} {
+			if dense, _ := checkTable(t, bk, bn, rows, probe, nil); !dense {
+				t.Errorf("rows %v: NULL-bearing build over dense keys built hashed", rows)
+			}
+		}
+	})
 	t.Run("partition row lists", func(t *testing.T) {
 		// The row lists partitionJoin hands the kernel: one partition of a
 		// routing, and one sub-partition of its re-split.
@@ -237,35 +321,91 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 }
 
 // Structured key sets — sequential, negative, multiples of 2^16 and of
-// 2^32 — fill the table to its highest load, one half, without clustering:
-// every lookup is still the map's, and the average probe stays short.
+// 2^32 — fill a hashed table to its highest load, one half, without
+// clustering: every lookup is still the map's, and the average probe stays
+// short. Sequential and negative keys build dense; the check still runs
+// the mixer over them through a table forced hashed.
 func TestHashTableStructuredKeysSpread(t *testing.T) {
 	const n = 1 << 15
 	for _, set := range []struct {
-		name string
-		key  func(i int64) int64
+		name  string
+		key   func(i int64) int64
+		dense bool
 	}{
-		{"sequential", func(i int64) int64 { return i }},
-		{"negative", func(i int64) int64 { return -1 - i }},
-		{"multiples of 2^16", func(i int64) int64 { return i << 16 }},
-		{"multiples of 2^32", func(i int64) int64 { return i << 32 }},
+		{"sequential", func(i int64) int64 { return i }, true},
+		{"negative", func(i int64) int64 { return -1 - i }, true},
+		{"multiples of 2^16", func(i int64) int64 { return i << 16 }, false},
+		{"multiples of 2^32", func(i int64) int64 { return i << 32 }, false},
 	} {
 		t.Run(set.name, func(t *testing.T) {
 			keys := make([]int64, n)
 			for i := range keys {
 				keys[i] = set.key(int64(i))
 			}
-			if avg := checkTable(t, keys, nil, nil, []int64{set.key(n)}, nil); avg > maxAvgProbe {
+			dense, avg := checkTable(t, keys, nil, nil, []int64{set.key(n)}, nil)
+			if dense != set.dense {
+				t.Errorf("dense %v, want %v", dense, set.dense)
+			}
+			if avg > maxAvgProbe {
 				t.Fatalf("average probe length %.3f, want at most %.1f", avg, maxAvgProbe)
 			}
 			bits := make([]uint64, n)
 			for i, k := range keys {
 				bits[i] = floatBits(float64(k))
 			}
-			if avg := checkTable(t, bits, nil, nil, nil, nil); avg > maxAvgProbe {
+			dense, avg = checkTable(t, bits, nil, nil, nil, nil)
+			if dense {
+				t.Error("as float64 bits: built dense")
+			}
+			if avg > maxAvgProbe {
 				t.Fatalf("as float64 bits: average probe length %.3f, want at most %.1f", avg, maxAvgProbe)
 			}
 		})
+	}
+}
+
+// The dense rule is decided by the build's own keys, the same way every
+// time. Section 8's join columns (permutations of 0..n−1) and a 500-key
+// Zipf column build dense, one slot per value from the least key to the
+// greatest; keys 2^16 apart, strings and floats hash.
+func TestHashTableDenseRule(t *testing.T) {
+	const n = 20000
+	column := func(dist datagen.Distribution, domain int) []int64 {
+		tbl, err := datagen.Generate(datagen.TableSpec{Name: "T", Rows: n, Columns: []datagen.ColumnSpec{
+			{Name: "k", Dist: dist, Domain: domain, Theta: 1}}}, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl.ColumnData(0).Ints
+	}
+	for _, c := range []struct {
+		name   string
+		keys   []int64
+		domain int
+	}{
+		{"permutation", column(datagen.DistPermutation, n), n},
+		{"zipf over 500", column(datagen.DistZipf, 500), 500},
+	} {
+		table := newHashTable(c.keys, nil, nil, hashSeed)
+		span := slices.Max(c.keys) - slices.Min(c.keys) + 1
+		if !table.dense || int64(len(table.slots)) != span || span > int64(c.domain) {
+			t.Errorf("%s: dense %v, %d slots over a span of %d keys", c.name, table.dense, len(table.slots), span)
+		}
+	}
+	sparse := make([]int64, n)
+	strs := make([]string, n)
+	floats := make([]uint64, n)
+	for i := range sparse {
+		sparse[i], strs[i], floats[i] = int64(i)<<16, fmt.Sprint(i), floatBits(float64(i))
+	}
+	if newHashTable(sparse, nil, nil, hashSeed).dense {
+		t.Error("keys 2^16 apart built dense")
+	}
+	if newHashTable(strs, nil, nil, hashSeed).dense {
+		t.Error("string keys built dense")
+	}
+	if newHashTable(floats, nil, nil, hashSeed).dense {
+		t.Error("float keys built dense")
 	}
 }
 
@@ -407,15 +547,17 @@ func TestHashJoinProbeBlockBoundaries(t *testing.T) {
 // hashJoinFixture registers L ⋈ R on k with R the build side: R holds
 // buildRows rows over `distinct` keys, and L holds the keys 0..999, each of
 // which matches exactly one build row whatever distinct is — so the output
-// is the same 1,000 rows and only the build's distinct keys vary.
-func hashJoinFixture(t testing.TB, distinct int) (*catalog.Catalog, optimizer.Plan) {
+// is the same 1,000 rows and only the build's distinct keys vary. Every key
+// but R's hot key −1 is multiplied by stride: 1 builds a dense table, 2^16
+// a hashed one.
+func hashJoinFixture(t testing.TB, distinct int, stride int64) (*catalog.Catalog, optimizer.Plan) {
 	const buildRows, probeRows = 50000, 1000
 	schema := storage.MustSchema(storage.ColumnDef{Name: "k", Type: storage.TypeInt64}, storage.ColumnDef{Name: "v", Type: storage.TypeInt64})
 	cat := catalog.New()
 	for name, n := range map[string]int{"L": probeRows, "R": buildRows} {
 		tbl := storage.NewTable(name, schema)
 		for i := 0; i < n; i++ {
-			k := int64(i)
+			k := int64(i) * stride
 			if name == "R" && i >= distinct-1 && i >= probeRows {
 				k = -1 // the hot key no probe row has
 			}
@@ -459,38 +601,47 @@ func execHashJoin(t testing.TB, cat *catalog.Catalog, plan optimizer.Plan, budge
 }
 
 // A hash join's allocations do not grow with its build side's distinct
-// keys: 50,000 distinct keys cost what 1,001 do, one partition or many. The
-// map it replaced allocated at least one row list per key.
+// keys: 50,000 distinct keys cost what 1,001 do, one partition or many,
+// dense or hashed. The map it replaced allocated at least one row list per
+// key.
 func TestHashJoinAllocationCeiling(t *testing.T) {
-	for _, budget := range []int64{0, 1 << 20} {
-		var allocs [2]float64
-		for i, distinct := range []int{1001, 50000} {
-			cat, plan := hashJoinFixture(t, distinct)
-			allocs[i] = testing.AllocsPerRun(5, func() { execHashJoin(t, cat, plan, budget) })
-		}
-		if few, many := allocs[0], allocs[1]; many > few+8 || many > 1000 {
-			t.Errorf("budget %d: %v allocations with 50,000 distinct build keys, %v with 1,001; want no growth",
-				budget, many, few)
+	for _, stride := range []int64{1, 1 << 16} {
+		for _, budget := range []int64{0, 1 << 20} {
+			var allocs [2]float64
+			for i, distinct := range []int{1001, 50000} {
+				cat, plan := hashJoinFixture(t, distinct, stride)
+				allocs[i] = testing.AllocsPerRun(5, func() { execHashJoin(t, cat, plan, budget) })
+			}
+			if few, many := allocs[0], allocs[1]; many > few+8 || many > 1000 {
+				t.Errorf("stride %d, budget %d: %v allocations with 50,000 distinct build keys, %v with 1,001; want no growth",
+					stride, budget, many, few)
+			}
 		}
 	}
 }
 
 // BenchmarkHashJoin times the 50,000-row build, 1,000-row probe join of
 // TestHashJoinAllocationCeiling (scans included) as one partition and
-// partitioned under a 1 MiB byte budget.
+// partitioned under a 1 MiB byte budget, over dense keys and over sparse
+// ones 2^16 apart, which hash.
 func BenchmarkHashJoin(b *testing.B) {
-	cat, plan := hashJoinFixture(b, 50000)
-	for _, budget := range []int64{0, 1 << 20} {
-		name := "one-partition"
-		if budget > 0 {
-			name = fmt.Sprintf("partitioned-%dKiB", budget>>10)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				execHashJoin(b, cat, plan, budget)
+	for _, keys := range []struct {
+		name   string
+		stride int64
+	}{{"dense", 1}, {"sparse", 1 << 16}} {
+		cat, plan := hashJoinFixture(b, 50000, keys.stride)
+		for _, budget := range []int64{0, 1 << 20} {
+			name := keys.name + "/one-partition"
+			if budget > 0 {
+				name = fmt.Sprintf("%s/partitioned-%dKiB", keys.name, budget>>10)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					execHashJoin(b, cat, plan, budget)
+				}
+			})
+		}
 	}
 }
 

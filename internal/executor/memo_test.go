@@ -65,7 +65,7 @@ func allocatedBytes(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan) (ui
 func TestWarmJoinReusesBaseStructures(t *testing.T) {
 	for name, fixture := range map[string]func(*testing.T) (*catalog.Catalog, optimizer.Plan){
 		"sort-merge": sortMergeFixture,
-		"hash":       func(t *testing.T) (*catalog.Catalog, optimizer.Plan) { return hashJoinFixture(t, 50000) },
+		"hash":       func(t *testing.T) (*catalog.Catalog, optimizer.Plan) { return hashJoinFixture(t, 50000, 1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cat, plan := fixture(t)

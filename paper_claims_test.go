@@ -194,6 +194,9 @@ func TestEquation3AgainstRows(t *testing.T) {
 		if res.Count != want {
 			t.Errorf("%s: COUNT(*) = %d, Equation 3 = %d (%s)", shape.name, res.Count, want, sql)
 		}
+		if res.MaxQError != 1 {
+			t.Errorf("%s: max q-error %v, want 1: every node's estimate is exact here\n%s", shape.name, res.MaxQError, res.FormatAnalyze())
+		}
 		var names []string
 		for _, tbl := range shape.tables {
 			names = append(names, tbl.name)

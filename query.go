@@ -3,6 +3,7 @@ package els
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -108,6 +109,10 @@ type Result struct {
 	// Nodes holds per-node estimated-vs-actual cardinalities (EXPLAIN
 	// ANALYZE), root-first.
 	Nodes []NodeStat
+	// MaxQError is the worst estimate in Nodes: the largest q-error,
+	// max(est/actual, actual/est) with both floored at one row, over the
+	// nodes that were materialized. 1 means every estimate was exact.
+	MaxQError float64
 	// PeakMemoryBytes is the high-water mark of the query's byte ledger:
 	// the most working memory (operator outputs, hash-table build sides,
 	// columnar arenas, partition routing state) the query had charged at any
@@ -120,6 +125,14 @@ type Result struct {
 	// partitions. Partitioning is in memory; both are 0 for queries whose
 	// joins each ran as one partition.
 	SpillCount, SpilledBytes int64
+}
+
+// qError is the q-error of one estimate, as the benchmark (bench/) scores
+// it: max(est/actual, actual/est), both floored at one row so an exact zero
+// on either side stays finite.
+func qError(est, actual float64) float64 {
+	est, actual = math.Max(est, 1), math.Max(actual, 1)
+	return math.Max(est/actual, actual/est)
 }
 
 // FormatAnalyze renders the per-node estimate-vs-actual report.
@@ -597,6 +610,9 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 		out.Nodes = append(out.Nodes, NodeStat{
 			Node: n.Node, Depth: n.Depth, EstimatedRows: n.EstRows, ActualRows: n.ActualRows,
 		})
+		if n.ActualRows >= 0 {
+			out.MaxQError = max(out.MaxQError, qError(n.EstRows, float64(n.ActualRows)))
+		}
 	}
 	if g != nil {
 		return aggregateResult(q, g, exec, res, out)
