@@ -55,7 +55,7 @@ func TestCacheHitServesIdenticalEstimate(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("cached estimate differs:\ncold %+v\nwarm %+v", cold, warm)
 	}
-	st := sys.CacheStats()
+	st := sys.Stats().Cache
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
 	}
@@ -147,7 +147,7 @@ func TestCachedPlanSharedByConcurrentReaders(t *testing.T) {
 		close(stop)
 		<-published
 	}
-	if st := sys.CacheStats(); st.TextHits < 8*20 {
+	if st := sys.Stats().Cache; st.TextHits < 8*20 {
 		t.Fatalf("the readers were to share one text's alias; text hits = %d of %d hits", st.TextHits, st.Hits)
 	}
 }
@@ -167,7 +167,7 @@ func TestCacheKeyNormalizationAndDiscrimination(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := sys.CacheStats(); st.Hits != 2 || st.Misses != 1 {
+	if st := sys.Stats().Cache; st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("normalized variants: hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
 	}
 	// A different algorithm and a different constant are different keys.
@@ -177,7 +177,7 @@ func TestCacheKeyNormalizationAndDiscrimination(t *testing.T) {
 	if _, err := sys.Estimate("SELECT COUNT(*) FROM R, S WHERE R.a = S.a AND R.b < 6", AlgorithmELS); err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.CacheStats(); st.Misses != 3 {
+	if st := sys.Stats().Cache; st.Misses != 3 {
 		t.Fatalf("distinct algo/constant: misses = %d, want 3", st.Misses)
 	}
 }
@@ -210,7 +210,7 @@ func TestCacheInvalidationOnPublish(t *testing.T) {
 	if est2.CatalogVersion != v1+1 {
 		t.Fatalf("estimate pinned version %d, want %d", est2.CatalogVersion, v1+1)
 	}
-	if st := sys.CacheStats(); st.Invalidations == 0 {
+	if st := sys.Stats().Cache; st.Invalidations == 0 {
 		t.Fatalf("publish retired no entries: %+v", st)
 	}
 }
@@ -232,7 +232,7 @@ func TestCacheDisable(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("estimates differ with the cache disabled")
 	}
-	if st := sys.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+	if st := sys.Stats().Cache; st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("disabled cache was touched: %+v", st)
 	}
 }
@@ -253,14 +253,14 @@ func TestCacheOrderSuffix(t *testing.T) {
 	if _, err := sys.Estimate(sql, AlgorithmELS); err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.CacheStats(); st.Misses != 3 || st.Hits != 0 {
+	if st := sys.Stats().Cache; st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("three distinct keys expected: %+v", st)
 	}
 	warm, err := sys.EstimateOrder(sql, AlgorithmELS, []string{"R", "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.CacheStats(); st.Hits != 1 {
+	if st := sys.Stats().Cache; st.Hits != 1 {
 		t.Fatalf("repeated order was not a hit: %+v", st)
 	}
 	if !reflect.DeepEqual(ordRS, warm) {
@@ -281,7 +281,7 @@ func TestCachePlanCacheSizeLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := sys.CacheStats()
+	st := sys.Stats().Cache
 	if st.Capacity != 2 || st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("bounded cache stats = %+v", st)
 	}
@@ -400,7 +400,7 @@ func TestRepeatedWorkloadHitsThePlanCache(t *testing.T) {
 			t.Fatalf("%q: %v", pool[idx], err)
 		}
 	}
-	if st := sys.CacheStats(); st.HitRate() < 0.9 {
+	if st := sys.Stats().Cache; st.HitRate() < 0.9 {
 		t.Errorf("hit rate %.3f (%d hits, %d misses), want >= 0.9", st.HitRate(), st.Hits, st.Misses)
 	}
 }
@@ -489,7 +489,7 @@ func TestDifferentialCacheOnOff(t *testing.T) {
 		foldPlanCase(wantVariant)
 		same("canonical hit", s.variant, variant, wantVariant)
 	}
-	if st := off.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+	if st := off.Stats().Cache; st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("the cache-off System touched its cache: %+v", st)
 	}
 }
@@ -522,11 +522,11 @@ func TestCacheKeySeparatesByteBudget(t *testing.T) {
 	}
 	// Dropping the budget finds the sort-merge entry still cached.
 	sys.SetLimits(Limits{})
-	hits := sys.CacheStats().Hits
+	hits := sys.Stats().Cache.Hits
 	if _, err := sys.Query(sql, AlgorithmELS); err != nil {
 		t.Fatal(err)
 	}
-	if sys.CacheStats().Hits != hits+1 {
+	if sys.Stats().Cache.Hits != hits+1 {
 		t.Fatal("the unbudgeted entry was not reused after the budget was lifted")
 	}
 }
@@ -564,7 +564,7 @@ func TestHotEstimateAllocationCeiling(t *testing.T) {
 	if allocs > 8 {
 		t.Fatalf("an identical-text hit allocates %.0f objects, ceiling 8", allocs)
 	}
-	if st := sys.CacheStats(); st.TextHits != st.Hits || st.Misses != 1 {
+	if st := sys.Stats().Cache; st.TextHits != st.Hits || st.Misses != 1 {
 		t.Fatalf("the repeats were not all text hits: %+v", st)
 	}
 }
@@ -579,7 +579,7 @@ type textRoute struct {
 
 func (r *textRoute) expect(what string, hits, textHits, misses uint64) {
 	r.t.Helper()
-	st := r.sys.CacheStats()
+	st := r.sys.Stats().Cache
 	if st.Hits-r.last.Hits != hits || st.TextHits-r.last.TextHits != textHits || st.Misses-r.last.Misses != misses {
 		r.t.Fatalf("%s: hits/text-hits/misses moved by %d/%d/%d, want %d/%d/%d", what,
 			st.Hits-r.last.Hits, st.TextHits-r.last.TextHits, st.Misses-r.last.Misses, hits, textHits, misses)
@@ -680,7 +680,7 @@ func TestTextHitNeverCrossesAVersion(t *testing.T) {
 	route.expect("same text after the publish", 0, 0, 1)
 	size(2000)
 	route.expect("repeat at the new version", 1, 1, 0)
-	if st := sys.CacheStats(); st.Entries != 1 || st.Invalidations != 1 {
+	if st := sys.Stats().Cache; st.Entries != 1 || st.Invalidations != 1 {
 		t.Fatalf("the superseded entry should be gone, alias and all: %+v", st)
 	}
 }

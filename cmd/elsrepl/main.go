@@ -83,7 +83,7 @@ func run(in io.Reader, out io.Writer, limits els.Limits, dataDir string, interac
 		// fresh one and closes the old one itself.
 		defer func() { closeDurable(p.System()) }()
 		if interactive {
-			d := p.System().DurabilityStats()
+			d := p.System().Stats().Durability
 			fmt.Fprintf(out, "recovered %s at catalog version %d\n", dataDir, d.LastVersion)
 		}
 	}

@@ -73,20 +73,6 @@ func (s *System) Checkpoint() error {
 	})
 }
 
-// DurabilityStats is a point-in-time snapshot of the durable store's
-// state: WAL size, checkpoint version, records since the last checkpoint,
-// and whether a durability failure has frozen the catalog.
-type DurabilityStats = durable.Stats
-
-// DurabilityStats snapshots the durable store's counters. The zero Stats
-// (empty Dir) is returned for a system without a durable store.
-func (s *System) DurabilityStats() DurabilityStats {
-	if s.dur == nil {
-		return DurabilityStats{}
-	}
-	return s.dur.Stats()
-}
-
 // ExportStatsFile writes the catalog's statistics to path crash-atomically
 // (temp file + fsync + rename): a reader — or a crash mid-export — sees
 // either the previous file or the complete new one, never a torn prefix,

@@ -84,7 +84,7 @@ func TestOpenCrashMidMutation(t *testing.T) {
 	if err := sys.DeclareStats("T", 5, map[string]float64{"t": 5}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("frozen catalog accepted a mutation: %v", err)
 	}
-	if st := sys.DurabilityStats(); st.Poisoned == nil {
+	if st := sys.Stats().Durability; st.Poisoned == nil {
 		t.Fatal("DurabilityStats does not report the freeze")
 	}
 	if _, err := sys.Estimate("SELECT COUNT(*) FROM S WHERE s < 10", AlgorithmELS); err != nil {
@@ -122,7 +122,7 @@ func TestCheckpointAndAutoCheckpoint(t *testing.T) {
 	if err := sys.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st := sys.DurabilityStats()
+	st := sys.Stats().Durability
 	if st.CheckpointVersion != sys.CatalogVersion() || st.WALSizeBytes != 0 {
 		t.Fatalf("post-checkpoint stats %+v at version %d", st, sys.CatalogVersion())
 	}
@@ -130,7 +130,7 @@ func TestCheckpointAndAutoCheckpoint(t *testing.T) {
 	sys.SetLimits(Limits{CheckpointEvery: 2})
 	sys.MustDeclareStats("B", 10, map[string]float64{"b": 2})
 	sys.MustDeclareStats("C", 10, map[string]float64{"c": 2})
-	st = sys.DurabilityStats()
+	st = sys.Stats().Durability
 	if st.CheckpointVersion != sys.CatalogVersion() || st.RecordsSinceCheckpoint != 0 {
 		t.Fatalf("auto-checkpoint did not fire: %+v at version %d", st, sys.CatalogVersion())
 	}
@@ -157,7 +157,7 @@ func TestCheckpointWithoutDurableStore(t *testing.T) {
 	if err := sys.Checkpoint(); !errors.Is(err, ErrDurability) {
 		t.Fatalf("Checkpoint on in-memory system: %v, want ErrDurability", err)
 	}
-	if st := sys.DurabilityStats(); st.Dir != "" {
+	if st := sys.Stats().Durability; st.Dir != "" {
 		t.Fatalf("in-memory DurabilityStats %+v, want zero", st)
 	}
 }

@@ -154,7 +154,7 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // admission fields of Limits (MaxConcurrent, MaxQueue, QueueTimeout)
 // bound concurrency and shed load with ErrOverloaded; SetRetryPolicy and
 // SetBreaker add opt-in retry and circuit-breaking; Close drains the
-// system. RobustnessStats observes all of it.
+// system. Stats observes all of it.
 type System struct {
 	store   *snapshot.Store       // versioned COW catalog
 	adm     *admission.Controller // concurrency gate + drain
@@ -194,31 +194,17 @@ type System struct {
 	retries        atomic.Uint64 // retry attempts performed
 	retrySuccesses atomic.Uint64 // queries that succeeded after ≥1 retry
 
-	// Memory-governance counters, cumulative since New/Open.
+	// Executed-query counters, cumulative since New/Open (see noteQuery).
 	spilledQueries atomic.Uint64 // queries that partitioned ≥1 hash-join build
 	spilledBytes   atomic.Int64  // build bytes those partitioning passes routed
-	peakQueryBytes atomic.Int64  // largest single-query PeakMemoryBytes
+	peakQueryBytes atomic.Uint64 // largest single-query PeakMemoryBytes
+	maxQError      atomic.Uint64 // float64 bits of the largest Result.MaxQError
 }
 
 // SetSpillDir does nothing and is kept for callers written against the
 // spill-to-disk hash join: the byte-budgeted join (Limits.MaxMemory) now
 // partitions in memory and never touches the file system.
 func (s *System) SetSpillDir(dir string) {}
-
-// noteMemory rolls one finished query's memory outcome into the system's
-// cumulative counters (RobustnessStats).
-func (s *System) noteMemory(peak, spills, spilled int64) {
-	if spills > 0 {
-		s.spilledQueries.Add(1)
-		s.spilledBytes.Add(spilled)
-	}
-	for {
-		cur := s.peakQueryBytes.Load()
-		if peak <= cur || s.peakQueryBytes.CompareAndSwap(cur, peak) {
-			return
-		}
-	}
-}
 
 // New creates an empty system.
 func New() *System {

@@ -51,12 +51,12 @@ func TestGoldenEstimatesServedFromCache(t *testing.T) {
 	}
 
 	check("cold")
-	afterCold := sys.CacheStats()
+	afterCold := sys.Stats().Cache
 	if afterCold.Misses != uint64(len(pins)) || afterCold.Hits != 0 {
 		t.Fatalf("cold pass: stats %+v, want %d misses and 0 hits", afterCold, len(pins))
 	}
 	check("cached")
-	afterWarm := sys.CacheStats()
+	afterWarm := sys.Stats().Cache
 	if afterWarm.Misses != afterCold.Misses {
 		t.Fatalf("second pass missed the cache: %+v", afterWarm)
 	}

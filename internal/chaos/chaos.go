@@ -113,12 +113,11 @@ type Report struct {
 	// recovered identical catalogs.
 	Digests      map[string]string
 	FinalVersion uint64
-	// Stats and Cache are the in-process system's serving-layer and
-	// plan-cache counters after Close. The torn-read audit doubles as the
-	// cache's version-pinning contract: a hit served from any version other
-	// than the estimate's pinned CatalogVersion surfaces as a torn read.
-	Stats els.RobustnessStats
-	Cache els.CacheStats
+	// Stats is the in-process system's counters after Close. The torn-read
+	// audit doubles as the cache's version-pinning contract: a hit served
+	// from any version other than the estimate's pinned CatalogVersion
+	// surfaces as a torn read.
+	Stats els.Stats
 }
 
 // versionProbeSQL estimates the mutating table with no predicates, so the
@@ -358,7 +357,7 @@ func (h *storm) cacheWorker(id int) {
 // same statement estimated twice must produce a cache hit and an
 // estimate identical to the first, field for field.
 func (h *storm) warmAudit() {
-	before := h.sys.CacheStats()
+	before := h.sys.Stats().Cache
 	first, err := h.sys.Estimate(versionProbeSQL, els.AlgorithmELS)
 	if err != nil {
 		h.violationf("warm audit: cold estimate failed: %v", err)
@@ -369,7 +368,7 @@ func (h *storm) warmAudit() {
 		h.violationf("warm audit: warm estimate failed: %v", err)
 		return
 	}
-	if h.sys.CacheStats().Hits == before.Hits {
+	if h.sys.Stats().Cache.Hits == before.Hits {
 		h.violationf("warm audit: repeating a statement at a quiesced version produced no cache hit")
 	}
 	if !reflect.DeepEqual(first, second) {
@@ -383,9 +382,9 @@ func (h *storm) finish(ctx context.Context) *Report {
 	if err := within(ctx, h.sys.Close); err != nil {
 		h.violationf("Close did not drain cleanly: %v", err)
 	}
-	st := h.sys.RobustnessStats()
-	if st.InFlight != 0 || st.Waiting != 0 {
-		h.violationf("slot accounting drift after drain: in-flight %d, waiting %d", st.InFlight, st.Waiting)
+	st := h.sys.Stats()
+	if rs := st.Robustness; rs.InFlight != 0 || rs.Waiting != 0 {
+		h.violationf("slot accounting drift after drain: in-flight %d, waiting %d", rs.InFlight, rs.Waiting)
 	}
 	// Every storm goroutine has exited, so the observations are settled.
 	for _, obs := range h.observations {
@@ -401,6 +400,5 @@ func (h *storm) finish(ctx context.Context) *Report {
 	h.count("observations", len(h.observations))
 	rep := h.report()
 	rep.Stats = st
-	rep.Cache = h.sys.CacheStats()
 	return rep
 }

@@ -287,7 +287,7 @@ func (h *crashSoak) capture(round int, sys *els.System) *crashState {
 		version:  sys.CatalogVersion(),
 		cards:    make(map[string]float64),
 		probes:   make(map[string]uint64),
-		poisoned: sys.DurabilityStats().Poisoned != nil,
+		poisoned: sys.Stats().Durability.Poisoned != nil,
 	}
 	for _, table := range h.tables {
 		if card, err := sys.TableCard(table); err == nil {
@@ -328,7 +328,7 @@ func (h *crashSoak) capture(round int, sys *els.System) *crashState {
 // No mutation has run since prev was captured, so maxTried still holds
 // each table's highest attempted card.
 func (h *crashSoak) auditRecovery(round int, sys *els.System, prev *crashState) {
-	if sys.DurabilityStats().TornTailRecovered {
+	if sys.Stats().Durability.TornTailRecovered {
 		h.count("torn_tails", 1)
 	}
 	if prev == nil {

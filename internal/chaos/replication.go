@@ -311,7 +311,7 @@ func (h *replSoak) settleAndAudit(ctx context.Context, round int, divergeFired b
 	// Every heal is a catch-up; every quarantine a detection.
 	catchUps, detected := h.counted("catch_ups"), h.counted("divergences_detected")
 	down := make(map[string]bool)
-	for _, f := range h.primary.ReplicationStats().Followers {
+	for _, f := range h.primary.Stats().Replication.Followers {
 		if f.Down {
 			down[f.ID] = true
 		}
@@ -498,7 +498,7 @@ func (h *replSoak) settle(ctx context.Context, phase string) error {
 // report; a primary crash resets the live counters, so they are absorbed
 // before every reopen and once at the end.
 func (h *replSoak) absorbShipping() {
-	st := h.primary.ReplicationStats()
+	st := h.primary.Stats().Replication
 	h.count("frames_shipped", int(st.FramesShipped))
 	h.count("resyncs", int(st.Resyncs))
 	h.count("queue_drops", int(st.QueueDrops))

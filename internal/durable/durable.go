@@ -314,8 +314,12 @@ type Stats struct {
 	Poisoned error
 }
 
-// Stats returns the store's current durability counters.
+// Stats returns the store's current durability counters; the zero Stats
+// (empty Dir) for a nil store.
 func (s *Store) Stats() Stats {
+	if s == nil {
+		return Stats{}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{

@@ -29,6 +29,8 @@ package plancache
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/counters"
 )
 
 // DefaultCapacity bounds the cache when the caller does not configure one
@@ -71,32 +73,9 @@ type TextKey struct {
 // oldest; a dropped text still reaches the entry through its canonical Key.
 const MaxAliases = 4
 
-// Stats is a point-in-time snapshot of the cache counters.
-type Stats struct {
-	// Hits and Misses count lookups: a GetText hit or a Get hit is one hit,
-	// a Get miss is one miss, a GetText miss is neither (the Get that
-	// follows it decides).
-	Hits, Misses uint64
-	// TextHits counts the Hits that GetText served — the lookups that never
-	// reached the parser.
-	TextHits uint64
-	// Evictions counts entries dropped by the LRU capacity bound.
-	Evictions uint64
-	// Invalidations counts entries retired because a newer catalog version
-	// was published.
-	Invalidations uint64
-	// Entries and Capacity describe current occupancy.
-	Entries, Capacity int
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
+// Stats is a point-in-time snapshot of the cache counters. The section
+// is defined in internal/counters, where its JSON keys serve the wire.
+type Stats = counters.PlanCache
 
 type entry struct {
 	key Key

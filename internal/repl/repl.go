@@ -265,7 +265,8 @@ func (p *Processor) limits(args []string) error {
 // serving prints the serving-layer counters: catalog version, admission,
 // queueing, retries, and the circuit breaker.
 func (p *Processor) serving() error {
-	st := p.sys.RobustnessStats()
+	all := p.sys.Stats()
+	st, c := all.Robustness, all.Cache
 	p.printf("catalog version: %d\n", st.CatalogVersion)
 	p.printf("admitted=%d shed-queue-full=%d shed-queue-timeout=%d rejected-closed=%d\n",
 		st.Admitted, st.ShedQueueFull, st.ShedQueueTimeout, st.RejectedClosed)
@@ -275,11 +276,10 @@ func (p *Processor) serving() error {
 		st.BreakerState, st.BreakerOpens, st.BreakerRejections, st.BreakerProbes)
 	p.printf("memory: spilled-queries=%d spilled-bytes=%d peak-query-bytes=%d\n",
 		st.SpilledQueries, st.SpilledBytes, st.PeakQueryBytes)
-	c := p.sys.CacheStats()
 	p.printf("plan-cache: hits=%d misses=%d hit-rate=%.3f text-hits=%d entries=%d/%d evictions=%d invalidations=%d\n",
 		c.Hits, c.Misses, c.HitRate(), c.TextHits, c.Entries, c.Capacity, c.Evictions, c.Invalidations)
 	if p.sys.Durable() {
-		d := p.sys.DurabilityStats()
+		d := all.Durability
 		frozen := ""
 		if d.Poisoned != nil {
 			frozen = " FROZEN (reopen to recover)"
@@ -297,7 +297,7 @@ func (p *Processor) checkpoint() error {
 	if err := p.sys.Checkpoint(); err != nil {
 		return p.fail("error: %v", err)
 	}
-	d := p.sys.DurabilityStats()
+	d := p.sys.Stats().Durability
 	p.printf("checkpoint written: version %d (wal %dB)\n", d.CheckpointVersion, d.WALSizeBytes)
 	return nil
 }
@@ -328,7 +328,7 @@ func (p *Processor) recoverCatalog(args []string) error {
 		p.printf("note: closing previous system: %v\n", cerr)
 	}
 	p.sys, p.dataDir = sys, dir
-	d := sys.DurabilityStats()
+	d := sys.Stats().Durability
 	torn := ""
 	if d.TornTailRecovered {
 		torn = ", torn wal tail truncated"
@@ -412,7 +412,7 @@ func (p *Processor) replicaStatus() error {
 		return p.fail("error: %v", err)
 	}
 	p.printf("primary: version=%d digest=%.12s\n", ver, dig)
-	st := p.sys.ReplicationStats()
+	st := p.sys.Stats().Replication
 	p.printf("shipper: shipped=%d resyncs=%d queue-drops=%d link-drops=%d\n",
 		st.FramesShipped, st.Resyncs, st.QueueDrops, st.LinkDrops)
 	for _, f := range st.Followers {

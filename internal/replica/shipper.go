@@ -380,8 +380,11 @@ type Stats struct {
 	QueueDrops, LinkDrops uint64
 }
 
-// Stats snapshots the shipper.
+// Stats snapshots the shipper; the zero Stats for a nil shipper.
 func (s *Shipper) Stats() Stats {
+	if s == nil {
+		return Stats{}
+	}
 	s.mu.Lock()
 	links := make([]*link, 0, len(s.links))
 	for _, l := range s.links {

@@ -250,30 +250,21 @@ func (t *tenant) fault(ctx context.Context, s *Server, req *wire.Request) error 
 
 // stats snapshots the tenant's slice of the observability document.
 func (t *tenant) stats() wire.TenantStats {
-	rs := t.sys.RobustnessStats()
+	st := t.sys.Stats()
 	t.mu.Lock()
 	degraded := t.degraded
 	t.mu.Unlock()
 	ts := wire.TenantStats{
-		Tenant:           t.name,
-		CatalogVersion:   rs.CatalogVersion,
-		Durable:          t.durable,
-		Degraded:         degraded != nil,
-		Requests:         t.requests.load(),
-		Failures:         t.failures.load(),
-		Admitted:         rs.Admitted,
-		ShedQueueFull:    rs.ShedQueueFull,
-		ShedQueueTimeout: rs.ShedQueueTimeout,
-		RejectedClosed:   rs.RejectedClosed,
-		InFlight:         rs.InFlight,
-		Waiting:          rs.Waiting,
-		BreakerState:     rs.BreakerState,
-		P50Millis:        t.lat.quantile(0.50).Seconds() * 1000,
-		P99Millis:        t.lat.quantile(0.99).Seconds() * 1000,
-		P99WaitMillis:    t.wait.quantile(0.99).Seconds() * 1000,
-		SpilledQueries:   rs.SpilledQueries,
-		SpilledBytes:     rs.SpilledBytes,
-		PeakQueryBytes:   rs.PeakQueryBytes,
+		Tenant:        t.name,
+		Durable:       t.durable,
+		Degraded:      degraded != nil,
+		Requests:      t.requests.load(),
+		Failures:      t.failures.load(),
+		Robustness:    st.Robustness,
+		PlanCache:     st.Cache,
+		P50Millis:     t.lat.quantile(0.50).Seconds() * 1000,
+		P99Millis:     t.lat.quantile(0.99).Seconds() * 1000,
+		P99WaitMillis: t.wait.quantile(0.99).Seconds() * 1000,
 	}
 	if degraded != nil {
 		ts.DegradedReason = degraded.Error()

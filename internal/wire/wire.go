@@ -38,6 +38,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/governor"
 )
 
@@ -290,11 +291,10 @@ func (e *RemoteError) RetryAfter() time.Duration {
 
 // TenantStats is one tenant's slice of the server observability document:
 // the SLO inputs deploy/OBSERVABILITY.md defines are all sourced from
-// these counters.
+// these counters. The tenant System's serving-layer section is embedded,
+// so its keys (catalog_version, admitted, ...) sit at the top level.
 type TenantStats struct {
 	Tenant string `json:"tenant"`
-	// CatalogVersion is the tenant's current published version.
-	CatalogVersion uint64 `json:"catalog_version"`
 	// Durable reports whether the tenant has a durable directory.
 	Durable bool `json:"durable"`
 	// Degraded and DegradedReason report a tripped bulkhead quarantine.
@@ -304,32 +304,15 @@ type TenantStats struct {
 	// the ones that returned a wire error.
 	Requests uint64 `json:"requests"`
 	Failures uint64 `json:"failures"`
-	// Admitted, ShedQueueFull, ShedQueueTimeout, and RejectedClosed are
-	// the tenant's admission counters (els.RobustnessStats).
-	Admitted         uint64 `json:"admitted"`
-	ShedQueueFull    uint64 `json:"shed_queue_full"`
-	ShedQueueTimeout uint64 `json:"shed_queue_timeout"`
-	RejectedClosed   uint64 `json:"rejected_closed"`
-	// InFlight and Waiting are current gauges; both must be zero after a
-	// drain (the slot-leak audit).
-	InFlight int `json:"in_flight"`
-	Waiting  int `json:"waiting"`
-	// BreakerState is the tenant's circuit-breaker state.
-	BreakerState string `json:"breaker_state"`
+	counters.Robustness
+	// PlanCache is the tenant System's plan-cache section.
+	PlanCache counters.PlanCache `json:"plan_cache"`
 	// P50/P99 are latency quantiles in milliseconds over this tenant's
 	// served requests, and the admission-wait quantiles over its admitted
 	// queries.
 	P50Millis     float64 `json:"p50_ms"`
 	P99Millis     float64 `json:"p99_ms"`
 	P99WaitMillis float64 `json:"p99_admission_wait_ms"`
-	// SpilledQueries and SpilledBytes mirror the tenant system's memory
-	// governance counters: queries that partitioned a hash-join build to
-	// fit their byte budget and the build bytes those passes routed (no
-	// disk is involved). PeakQueryBytes is the largest
-	// single-query working-memory high-water mark.
-	SpilledQueries uint64 `json:"spilled_queries,omitempty"`
-	SpilledBytes   int64  `json:"spilled_bytes,omitempty"`
-	PeakQueryBytes int64  `json:"peak_query_bytes,omitempty"`
 	// MemSheds counts requests the server's memory pool refused for this
 	// tenant (typed retryable pressure errors) before they reached
 	// admission.

@@ -197,6 +197,9 @@ func TestEquation3AgainstRows(t *testing.T) {
 		if res.MaxQError != 1 {
 			t.Errorf("%s: max q-error %v, want 1: every node's estimate is exact here\n%s", shape.name, res.MaxQError, res.FormatAnalyze())
 		}
+		if got := sys.Stats().Robustness.MaxQError; got != 1 {
+			t.Errorf("%s: Stats().Robustness.MaxQError = %v, want the query's 1", shape.name, got)
+		}
 		var names []string
 		for _, tbl := range shape.tables {
 			names = append(names, tbl.name)

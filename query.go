@@ -605,7 +605,6 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 	}
 	_, out.PeakMemoryBytes, _ = gov.MemoryUsage()
 	out.SpillCount, out.SpilledBytes = gov.SpillStats()
-	s.noteMemory(out.PeakMemoryBytes, out.SpillCount, out.SpilledBytes)
 	for _, n := range res.Nodes {
 		out.Nodes = append(out.Nodes, NodeStat{
 			Node: n.Node, Depth: n.Depth, EstimatedRows: n.EstRows, ActualRows: n.ActualRows,
@@ -614,6 +613,7 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 			out.MaxQError = max(out.MaxQError, qError(n.EstRows, float64(n.ActualRows)))
 		}
 	}
+	s.noteQuery(out)
 	if g != nil {
 		return aggregateResult(q, g, exec, res, out)
 	}

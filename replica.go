@@ -160,16 +160,6 @@ func (r *Replica) Lag() uint64 { return r.fol.Lag() }
 // ErrDiverged), or nil while it is a certified copy of the primary.
 func (r *Replica) Quarantined() error { return r.fol.Quarantined() }
 
-// Status snapshots the replica's replication counters.
-func (r *Replica) Status() ReplicaStats { return r.fol.Stats() }
-
-// DurabilityStats snapshots the replica's own durable store (it has a
-// WAL and checkpoints exactly like a primary).
-func (r *Replica) DurabilityStats() DurabilityStats { return r.sys.DurabilityStats() }
-
-// RobustnessStats snapshots the replica's serving-layer counters.
-func (r *Replica) RobustnessStats() RobustnessStats { return r.sys.RobustnessStats() }
-
 // Close detaches the replica from its primary (if attached) and drains
 // its serving layer; the replica's durable state remains on disk for a
 // later OpenReplica.
@@ -216,27 +206,6 @@ func (r *Replica) Promote() (*System, error) {
 	}
 	r.sys.promoted.Store(true) // lifts the per-read replica gate
 	return r.sys, nil
-}
-
-// ReplicaStats is a point-in-time snapshot of one follower's replication
-// state: applied/known versions, lag, frame and read counters, and the
-// quarantine/down flags.
-type ReplicaStats = replica.FollowerStats
-
-// ReplicationStats is a point-in-time snapshot of a primary's shipping
-// layer: per-follower state plus the shipper's frame, resync, and drop
-// counters. The zero value is returned by a system with no replicas
-// attached.
-type ReplicationStats struct {
-	// Followers lists every attached follower in sorted-id order.
-	Followers []ReplicaStats
-	// FramesShipped counts delta frames delivered to and applied by
-	// followers; Resyncs counts full-catalog resynchronizations.
-	FramesShipped, Resyncs uint64
-	// QueueDrops counts frames dropped on a follower's full queue;
-	// LinkDrops counts frames lost to injected link faults. Both are
-	// self-healing (gap detection triggers a resync).
-	QueueDrops, LinkDrops uint64
 }
 
 // CatalogDigest returns the version and hex SHA-256 digest of the
@@ -308,10 +277,7 @@ func (s *System) AttachReplica(r *Replica) error {
 // version it reached, growing ever more stale (its lag keeps counting
 // against the last announced primary version).
 func (s *System) DetachReplica(r *Replica) {
-	s.shipMu.Lock()
-	sh := s.shipper
-	s.shipMu.Unlock()
-	if sh != nil {
+	if sh := s.currentShipper(); sh != nil {
 		sh.Detach(r.id)
 	}
 	r.mu.Lock()
@@ -321,22 +287,12 @@ func (s *System) DetachReplica(r *Replica) {
 	r.mu.Unlock()
 }
 
-// ReplicationStats snapshots the primary's shipping layer.
-func (s *System) ReplicationStats() ReplicationStats {
+// currentShipper returns the primary's shipper, or nil before the first
+// AttachReplica and after Close.
+func (s *System) currentShipper() *replica.Shipper {
 	s.shipMu.Lock()
-	sh := s.shipper
-	s.shipMu.Unlock()
-	if sh == nil {
-		return ReplicationStats{}
-	}
-	st := sh.Stats()
-	return ReplicationStats{
-		Followers:     st.Followers,
-		FramesShipped: st.FramesShipped,
-		Resyncs:       st.Resyncs,
-		QueueDrops:    st.QueueDrops,
-		LinkDrops:     st.LinkDrops,
-	}
+	defer s.shipMu.Unlock()
+	return s.shipper
 }
 
 // WaitForReplicas blocks until every live attached follower (not
@@ -345,9 +301,7 @@ func (s *System) ReplicationStats() ReplicationStats {
 // It is the catch-up barrier benchmarks and tests use; steady-state
 // replication does not need it.
 func (s *System) WaitForReplicas(ctx context.Context) error {
-	s.shipMu.Lock()
-	sh := s.shipper
-	s.shipMu.Unlock()
+	sh := s.currentShipper()
 	if sh == nil {
 		return nil
 	}

@@ -148,10 +148,10 @@ func TestReplicaStaleRejection(t *testing.T) {
 	if est.CatalogVersion != sys.CatalogVersion() {
 		t.Errorf("retried read pinned version %d, primary at %d", est.CatalogVersion, sys.CatalogVersion())
 	}
-	if rep.RobustnessStats().Retries == 0 {
+	if rep.Stats().Robustness.Retries == 0 {
 		t.Error("the stale read succeeded without retrying — the fault never bit")
 	}
-	if st := rep.Status(); st.StaleReads == 0 {
+	if st := rep.Stats().Replica; st.StaleReads == 0 {
 		t.Error("no stale rejection was counted")
 	}
 }
@@ -195,7 +195,7 @@ func TestReplicaQuarantineAndHeal(t *testing.T) {
 		t.Errorf("promoting a quarantined replica: got %v, want a refusal wrapping ErrDiverged", err)
 	}
 	quarantined := false
-	for _, f := range sys.ReplicationStats().Followers {
+	for _, f := range sys.Stats().Replication.Followers {
 		if f.ID == rep.ID() && f.Quarantined {
 			quarantined = true
 		}
@@ -327,7 +327,7 @@ func TestReplicaRecovery(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	wantVer := rep2.CatalogVersion()
-	if stats := rep2.DurabilityStats(); stats.WALBytes == 0 {
+	if stats := rep2.Stats().Durability; stats.WALBytes == 0 {
 		t.Error("follower replay wrote nothing to its own WAL")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -341,7 +341,7 @@ func TestReplicaRecovery(t *testing.T) {
 	if got := reopened.CatalogVersion(); got != wantVer {
 		t.Errorf("reopened follower at version %d, had persisted %d", got, wantVer)
 	}
-	if stats := reopened.DurabilityStats(); stats.ReplayedRecords == 0 {
+	if stats := reopened.Stats().Durability; stats.ReplayedRecords == 0 {
 		t.Error("reopening replayed no WAL records — the follower's own durability is not being exercised")
 	}
 	if err := sys.AttachReplica(reopened); err != nil {

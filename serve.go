@@ -84,68 +84,6 @@ func (s *System) admissionObserver() func(time.Duration) {
 	return s.admObs
 }
 
-// RobustnessStats is a point-in-time snapshot of the serving layer's
-// counters: admission, shedding, queueing, retries, and the circuit
-// breaker. Counters are cumulative since New.
-type RobustnessStats struct {
-	// CatalogVersion is the currently published catalog version.
-	CatalogVersion uint64
-	// Admitted counts queries that got an execution slot.
-	Admitted uint64
-	// ShedQueueFull and ShedQueueTimeout count queries shed with
-	// ErrOverloaded because the admission queue was full or the queue
-	// deadline elapsed.
-	ShedQueueFull, ShedQueueTimeout uint64
-	// RejectedClosed counts queries refused with ErrClosed after Close.
-	RejectedClosed uint64
-	// QueueWait is the cumulative time admitted queries waited for a slot.
-	QueueWait time.Duration
-	// InFlight and Waiting are current gauges.
-	InFlight, Waiting int
-	// Retries counts retry attempts; RetrySuccesses counts queries that
-	// succeeded after at least one retry.
-	Retries, RetrySuccesses uint64
-	// BreakerState is "closed", "open", or "half-open".
-	BreakerState string
-	// BreakerOpens, BreakerRejections, and BreakerProbes count breaker
-	// transitions to open, queries failed fast while open, and half-open
-	// probe queries admitted.
-	BreakerOpens, BreakerRejections, BreakerProbes uint64
-	// SpilledQueries counts queries that partitioned at least one hash-join
-	// build side to stay under Limits.MaxMemory; SpilledBytes is the
-	// cumulative build-side bytes their partitioning passes routed.
-	SpilledQueries uint64
-	SpilledBytes   int64
-	// PeakQueryBytes is the largest single-query working-memory high-water
-	// mark observed since the system started (see Result.PeakMemoryBytes).
-	PeakQueryBytes int64
-}
-
-// RobustnessStats snapshots the serving layer's counters.
-func (s *System) RobustnessStats() RobustnessStats {
-	adm := s.adm.Snapshot()
-	brk := s.breaker.Snapshot()
-	return RobustnessStats{
-		CatalogVersion:    s.store.Version(),
-		Admitted:          adm.Admitted,
-		ShedQueueFull:     adm.ShedQueueFull,
-		ShedQueueTimeout:  adm.ShedQueueTimeout,
-		RejectedClosed:    adm.RejectedClosed,
-		QueueWait:         adm.QueueWait,
-		InFlight:          adm.InFlight,
-		Waiting:           adm.Waiting,
-		Retries:           s.retries.Load(),
-		RetrySuccesses:    s.retrySuccesses.Load(),
-		BreakerState:      brk.State.String(),
-		BreakerOpens:      brk.Opens,
-		BreakerRejections: brk.Rejections,
-		BreakerProbes:     brk.Probes,
-		SpilledQueries:    s.spilledQueries.Load(),
-		SpilledBytes:      s.spilledBytes.Load(),
-		PeakQueryBytes:    s.peakQueryBytes.Load(),
-	}
-}
-
 // Close drains the system: it stops admitting (new queries fail fast with
 // ErrClosed and the catalog becomes read-only), waits for in-flight
 // queries to finish, and if ctx expires first cancels the stragglers'

@@ -112,7 +112,7 @@ func TestAdmissionShedsUnderLoad(t *testing.T) {
 	}()
 	<-started
 	// Wait for the slot to be taken.
-	for sys.RobustnessStats().InFlight == 0 {
+	for sys.Stats().Robustness.InFlight == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	_, err := sys.QueryContext(context.Background(), serveJoinSQL, AlgorithmELS)
@@ -125,7 +125,7 @@ func TestAdmissionShedsUnderLoad(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
-	st := sys.RobustnessStats()
+	st := sys.Stats().Robustness
 	if st.ShedQueueTimeout != 1 || st.InFlight != 0 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -156,7 +156,7 @@ func TestCloseDrainsSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	st := sys.RobustnessStats()
+	st := sys.Stats().Robustness
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight after Close: %+v", st)
 	}
@@ -184,7 +184,7 @@ func TestCloseCancelsStragglerMidDrain(t *testing.T) {
 		_, err := sys.QueryContext(context.Background(), serveJoinSQL, AlgorithmELS)
 		errCh <- err
 	}()
-	for sys.RobustnessStats().InFlight == 0 {
+	for sys.Stats().Robustness.InFlight == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -197,7 +197,7 @@ func TestCloseCancelsStragglerMidDrain(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("Close took %v; straggler was not canceled", elapsed)
 	}
-	if st := sys.RobustnessStats(); st.InFlight != 0 {
+	if st := sys.Stats().Robustness; st.InFlight != 0 {
 		t.Fatalf("in-flight after forced drain: %+v", st)
 	}
 	qerr := <-errCh
@@ -223,7 +223,7 @@ func TestRetryRecoversFromTransientFaults(t *testing.T) {
 	if res.Count == 0 {
 		t.Fatal("retried query returned no rows")
 	}
-	st := sys.RobustnessStats()
+	st := sys.Stats().Robustness
 	if st.Retries != 2 || st.RetrySuccesses != 1 {
 		t.Fatalf("stats %+v, want 2 retries, 1 retry success", st)
 	}
@@ -282,7 +282,7 @@ func TestBreakerProbeSurvivesAdmissionShed(t *testing.T) {
 			_, _ = sys.QueryContext(ctx, serveJoinSQL, AlgorithmELS)
 		}()
 	}
-	for sys.RobustnessStats().InFlight != 2 {
+	for sys.Stats().Robustness.InFlight != 2 {
 		time.Sleep(time.Millisecond)
 	}
 	// Trip the breaker with an injected internal error on a third slot.
@@ -296,7 +296,7 @@ func TestBreakerProbeSurvivesAdmissionShed(t *testing.T) {
 	if _, err := sys.Query(trippingSQL, AlgorithmELS); !errors.Is(err, ErrInternal) {
 		t.Fatalf("tripping query err = %v, want ErrInternal", err)
 	}
-	if st := sys.RobustnessStats(); st.BreakerState != "open" {
+	if st := sys.Stats().Robustness; st.BreakerState != "open" {
 		t.Fatalf("breaker not open: %+v", st)
 	}
 	time.Sleep(5 * time.Millisecond) // cooldown over: next query is the probe candidate
@@ -316,7 +316,7 @@ func TestBreakerProbeSurvivesAdmissionShed(t *testing.T) {
 	if _, err := sys.Query(serveJoinSQL, AlgorithmELS); err != nil {
 		t.Fatalf("post-shed probe failed: %v", err)
 	}
-	if st := sys.RobustnessStats(); st.BreakerState != "closed" {
+	if st := sys.Stats().Robustness; st.BreakerState != "closed" {
 		t.Fatalf("breaker did not recover after a shed probe candidate: %+v", st)
 	}
 }
@@ -335,13 +335,13 @@ func TestBreakerCountsQueriesNotAttempts(t *testing.T) {
 	if _, err := sys.Query(serveJoinSQL, AlgorithmELS); !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
-	if st := sys.RobustnessStats(); st.BreakerState != "closed" {
+	if st := sys.Stats().Robustness; st.BreakerState != "closed" {
 		t.Fatalf("one query's 3 failed attempts tripped Threshold=2: %+v", st)
 	}
 	if _, err := sys.Query(serveJoinSQL, AlgorithmELS); !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
-	if st := sys.RobustnessStats(); st.BreakerState != "open" || st.BreakerOpens != 1 {
+	if st := sys.Stats().Robustness; st.BreakerState != "open" || st.BreakerOpens != 1 {
 		t.Fatalf("second failed query must open the breaker: %+v", st)
 	}
 }
@@ -368,7 +368,7 @@ func TestBreakerProbeClosesAfterRetrySuccess(t *testing.T) {
 	if _, err := sys.Query(serveJoinSQL, AlgorithmELS); err != nil {
 		t.Fatalf("probe with successful retry failed: %v", err)
 	}
-	if st := sys.RobustnessStats(); st.BreakerState != "closed" {
+	if st := sys.Stats().Robustness; st.BreakerState != "closed" {
 		t.Fatalf("successful probe retry did not close the breaker: %+v", st)
 	}
 }
@@ -402,7 +402,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 			t.Fatalf("query %d err = %v, want ErrInternal", i, err)
 		}
 	}
-	st := sys.RobustnessStats()
+	st := sys.Stats().Robustness
 	if st.BreakerState != "open" || st.BreakerOpens != 1 {
 		t.Fatalf("stats %+v, want open breaker", st)
 	}
@@ -415,7 +415,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if _, err := sys.Query(serveJoinSQL, AlgorithmELS); err != nil {
 		t.Fatalf("probe failed: %v", err)
 	}
-	st = sys.RobustnessStats()
+	st = sys.Stats().Robustness
 	if st.BreakerState != "closed" || st.BreakerProbes != 1 || st.BreakerRejections != 1 {
 		t.Fatalf("stats after probe %+v", st)
 	}

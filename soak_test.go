@@ -167,13 +167,13 @@ func TestChaosCacheSoak(t *testing.T) {
 	if rep.Counts["versions"] < 2 {
 		t.Errorf("mutator published only %d versions", rep.Counts["versions"])
 	}
-	if rep.Cache.Hits == 0 {
+	if rep.Stats.Cache.Hits == 0 {
 		t.Error("storm produced no cache hits despite a repeated workload")
 	}
-	if rep.Cache.Invalidations == 0 {
+	if rep.Stats.Cache.Invalidations == 0 {
 		t.Error("version bumps retired no cache entries")
 	}
-	t.Logf("cache storm: %d ops, %d ok, counts %v, cache %+v", rep.Ops, rep.Succeeded, rep.Counts, rep.Cache)
+	t.Logf("cache storm: %d ops, %d ok, counts %v, cache %+v", rep.Ops, rep.Succeeded, rep.Counts, rep.Stats.Cache)
 }
 
 // TestChaosSoakWithBreaker repeats the storm with the circuit breaker
@@ -195,5 +195,5 @@ func TestChaosSoakWithBreaker(t *testing.T) {
 		t.Error("no operation succeeded")
 	}
 	t.Logf("storm: %d ops, %d ok, errors %v, breaker opens %d",
-		rep.Ops, rep.Succeeded, rep.ErrorsByClass, rep.Stats.BreakerOpens)
+		rep.Ops, rep.Succeeded, rep.ErrorsByClass, rep.Stats.Robustness.BreakerOpens)
 }

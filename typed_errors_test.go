@@ -76,7 +76,7 @@ func TestStructuredErrorSurface(t *testing.T) {
 			defer wg.Done()
 			_, _ = sys.QueryContext(ctx, serveJoinSQL, AlgorithmELS)
 		}()
-		for sys.RobustnessStats().InFlight == 0 {
+		for sys.Stats().Robustness.InFlight == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		wg.Add(1)
@@ -84,7 +84,7 @@ func TestStructuredErrorSurface(t *testing.T) {
 			defer wg.Done()
 			_, _ = sys.QueryContext(ctx, serveJoinSQL, AlgorithmELS)
 		}()
-		for sys.RobustnessStats().Waiting == 0 {
+		for sys.Stats().Robustness.Waiting == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		_, err := sys.Query(serveJoinSQL, AlgorithmELS)
