@@ -5,6 +5,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/executor"
+	"repro/internal/faultinject"
 )
 
 // A System is safe for concurrent read-only use once loading is complete:
@@ -58,18 +62,21 @@ func TestConcurrentQueries(t *testing.T) {
 // Cancelling a context from another goroutine while the executor is mid-join
 // must terminate the query promptly with a clean ErrCanceled — no panic, no
 // partial-result success — and must not disturb concurrent uncancelled
-// queries (verified under -race).
+// queries (verified under -race). Every join start stalls 50 ms on an
+// injected delay, which the executor sleeps out on the query's context, so
+// the cancel lands while the query runs however fast its joins are.
 func TestCancelMidExecution(t *testing.T) {
+	defer faultinject.Reset()
 	sys := New()
 	// Single-value columns so every join degenerates to a full cross
-	// product: 80^3 candidate tuples give cancellation plenty of runway
-	// while staying cheap enough for the uncancelled bystander below.
+	// product: 80^3 pairs, cheap enough for the uncancelled bystander below.
 	for _, name := range []string{"X", "Y", "Z"} {
 		if err := sys.GenerateTable(name, "k", "uniform", 80, 1, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sql := "SELECT COUNT(*) FROM X, Y, Z WHERE X.k = Y.k AND Y.k = Z.k"
+	faultinject.Enable(executor.PointJoin, faultinject.Fault{Delay: 50 * time.Millisecond})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -80,12 +87,13 @@ func TestCancelMidExecution(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
+	var bystander *Result
 	var bystanderErr error
 	go func() {
 		defer wg.Done()
 		// An ungoverned query on the same system keeps running to completion
 		// while its sibling is cancelled.
-		_, bystanderErr = sys.Query(sql, AlgorithmELS)
+		bystander, bystanderErr = sys.Query(sql, AlgorithmELS)
 	}()
 
 	close(started)
@@ -97,8 +105,12 @@ func TestCancelMidExecution(t *testing.T) {
 	if bystanderErr != nil {
 		t.Fatalf("uncancelled sibling query failed: %v", bystanderErr)
 	}
+	if bystander.Count != 80*80*80 {
+		t.Fatalf("uncancelled sibling counted %d rows, want %d", bystander.Count, 80*80*80)
+	}
 
 	// The system remains fully usable after the cancellation.
+	faultinject.Disable(executor.PointJoin)
 	if _, err := sys.Query(sql, AlgorithmELS); err != nil {
 		t.Fatalf("query after cancel: %v", err)
 	}

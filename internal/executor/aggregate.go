@@ -224,17 +224,23 @@ func groupMemo[K comparable](tbl *storage.Table, col int, rep keyRep, keysOf fun
 	return tableGroups(t, nulls, tbl.NumRows())
 }
 
-// groupBy groups rows by key: a flat table's runs in slot order, then the
-// rows nulls flags, if any, as one more group.
+// groupBy groups rows by key: a flat table's runs, then the rows nulls
+// flags, if any, as one more group.
 func groupBy[K comparable](keys []K, nulls []bool) groups {
 	return tableGroups(newHashTable(keys, nulls, nil, hashSeed), nulls, len(keys))
 }
 
 // tableGroups reads the groups of n rows off a table built over them: its
-// runs in slot order, then the rows nulls flags, if any, as one more group.
-// The table may be shared, so the NULL group goes to a copy of its rows.
+// runs in key order (dense) or slot order (hashed), then the rows nulls
+// flags, if any, as one more group. The table may be shared, so the NULL
+// group goes to a copy of its rows.
 func tableGroups[K comparable](t hashTable[K], nulls []bool, n int) groups {
 	g := groups{rows: t.rows}
+	for i := 0; i+1 < len(t.starts); i++ {
+		if t.starts[i+1] > t.starts[i] {
+			g.ends = append(g.ends, int(t.starts[i+1]))
+		}
+	}
 	for _, s := range t.slots {
 		if s.hi != 0 {
 			g.ends = append(g.ends, int(s.hi))

@@ -360,8 +360,10 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 // keys of the right rows named by rrows (nil: every right row), probe it
 // with the left rows named by lrows (nil: every left row) in order, a block
 // of hashes (or dense offsets) at a time, and hand each probe row's
-// matching build rows, ascending, to the pair sink. With a probe-row list the sink also reports the left row behind
-// each output row.
+// matching build rows, ascending, to the pair sink. With a probe-row list
+// the sink also reports the left row behind each output row. A counting
+// sink on a dense table gets only each block's sum of run lengths, added up
+// with no branch; on a hashed one add counts each run's length.
 //
 // A build over every row of an unfiltered base-table scan (a view) is built
 // once per base column and key representation and shared with every later
@@ -385,17 +387,21 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, 
 	for b, n := 0, rowCount(lrows, len(lk)); b < n; b += hashBlock {
 		block := hs[:min(hashBlock, n-b)]
 		table.hashKeys(lk, lrows, b, block)
+		if pairs.counting && table.starts != nil {
+			if err := pairs.count(table.matches(ln, lrows, b, block)); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		for j, h := range block {
 			l := rowAt(lrows, b+j)
 			if ln != nil && ln[l] {
 				continue
 			}
-			i := table.find(lk[l], h)
-			if i >= uint64(len(table.slots)) || table.slots[i].hi == 0 {
-				continue // no build row has the key
-			}
-			if err := pairs.add(l, table.rows[table.slots[i].lo:table.slots[i].hi]); err != nil {
-				return nil, err
+			if lo, hi := table.run(lk[l], h); lo < hi {
+				if err := pairs.add(l, table.rows[lo:hi]); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -408,18 +414,26 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, 
 // pairSink is where the candidate pairs of every join become output rows.
 // A join adds (left row, right rows) and the sink flushes every colBatch
 // pairs: the residual kernels compact the batch, the survivors are charged
-// to the row budget and their live columns gathered into out. With none
-// live, as at a COUNT(*) root, the survivors are only counted.
+// to the row budget and their live columns gathered into out.
+//
+// A join whose output carries no column and has no residual, as at a
+// COUNT(*) root (joinSpec.counts), gets a counting sink: it forms no pair
+// and takes no pair arena. The join hands it numbers of pairs (count), and
+// it flushes where the pairs' batches would have flushed, so its row and
+// tuple charges come in the same chunks.
 type pairSink struct {
 	e     *Executor
 	spec  *joinSpec
 	stats *Stats
 	out   *storage.Table
 	// origin, kept only when asked for, is the left row behind each row of
-	// out, which the partition policy merges partition outputs back by.
+	// out, which the partition policy merges partition outputs back by. A
+	// counting sink keeps none.
 	origin      []int
 	keepOrigin  bool
 	visitsPairs bool // each pair counts one visited tuple (sort-merge)
+	counting    bool
+	pending     int // a counting sink's batch
 	lsel, rsel  []int
 }
 
@@ -428,23 +442,30 @@ type pairSink struct {
 const pairArenaBytes = 8 * 2 * colBatch
 
 func (e *Executor) newPairSink(spec *joinSpec, stats *Stats, keepOrigin bool) *pairSink {
-	p := &pairSink{e: e, spec: spec, stats: stats, keepOrigin: keepOrigin,
-		out:  storage.NewLiveTable("join", spec.outSchema, spec.live),
-		lsel: selArena.Get(colBatch), rsel: selArena.Get(colBatch)}
-	e.gov.ChargeBytes(pairArenaBytes) // pair-batch arena scratch, released with the sink
+	p := &pairSink{e: e, spec: spec, stats: stats, counting: spec.counts(),
+		out: storage.NewLiveTable("join", spec.outSchema, spec.live)}
+	if !p.counting {
+		p.keepOrigin, p.lsel, p.rsel = keepOrigin, selArena.Get(colBatch), selArena.Get(colBatch)
+		e.gov.ChargeBytes(pairArenaBytes) // pair-batch arena scratch, released with the sink
+	}
 	return p
 }
 
 func (p *pairSink) release() {
-	selArena.Put(p.lsel)
-	selArena.Put(p.rsel)
-	p.e.gov.ReleaseBytes(pairArenaBytes)
+	if !p.counting {
+		selArena.Put(p.lsel)
+		selArena.Put(p.rsel)
+		p.e.gov.ReleaseBytes(pairArenaBytes)
+	}
 }
 
 // add queues the pairs of left row l with each of the right rows rs, in
 // order, flushing whenever the batch fills. rs is only read: it may be a
 // run of a memoized hash build or sort permutation other queries share.
 func (p *pairSink) add(l int, rs []int) error {
+	if p.counting {
+		return p.count(len(rs))
+	}
 	for len(rs) > 0 {
 		n := min(len(rs), colBatch-len(p.lsel))
 		for _, r := range rs[:n] {
@@ -461,12 +482,36 @@ func (p *pairSink) add(l int, rs []int) error {
 	return nil
 }
 
-// flush turns the batched pairs into output rows and empties the batch.
-func (p *pairSink) flush() error {
-	if p.visitsPairs {
-		if err := p.e.visit(p.stats, len(p.lsel)); err != nil {
+// count queues n pairs on a counting sink, flushing whenever the batch
+// fills, as add would.
+func (p *pairSink) count(n int) error {
+	for p.pending+n >= colBatch {
+		n -= colBatch - p.pending
+		p.pending = colBatch
+		if err := p.flush(); err != nil {
 			return err
 		}
+	}
+	p.pending += n
+	return nil
+}
+
+// flush turns the batched pairs into output rows and empties the batch.
+func (p *pairSink) flush() error {
+	n := len(p.lsel)
+	if p.counting {
+		n, p.pending = p.pending, 0
+	}
+	if p.visitsPairs {
+		if err := p.e.visit(p.stats, n); err != nil {
+			return err
+		}
+	}
+	if p.counting {
+		if err := p.e.gov.TickRows(int64(n)); err != nil {
+			return err
+		}
+		return p.out.AppendCount(n)
 	}
 	left, right := p.spec.left, p.spec.right
 	fl, fr := filterPairs(left, right, left.Schema().NumColumns(), p.spec.residual, p.lsel, p.rsel, p.stats)
@@ -560,7 +605,8 @@ func asFloats(d storage.ColumnData) []float64 {
 // mergeRuns merges the two sorted key sequences. Every loop iteration
 // counts one comparison, the steps over leading NULL keys included; each
 // pair of an equal-key run product, left-major, goes to the pair sink,
-// which counts it a visited tuple and applies the residual.
+// which counts it a visited tuple and applies the residual. A counting sink
+// gets each run product's size once.
 func mergeRuns[K int64 | float64 | string](pairs *pairSink, left, right mergeSide, lk, rk []K) error {
 	stats, lperm, rperm := pairs.stats, left.perm, right.perm
 	li, ri := 0, 0
@@ -590,6 +636,13 @@ func mergeRuns[K int64 | float64 | string](pairs *pairSink, left, right mergeSid
 			}
 			for rEnd < len(rperm) && !right.null(rperm[rEnd]) && cmpOrd(rk[rperm[rEnd]], rv) == 0 {
 				rEnd++
+			}
+			if pairs.counting {
+				if err := pairs.count((lEnd - li) * (rEnd - ri)); err != nil {
+					return err
+				}
+				li, ri = lEnd, rEnd
+				continue
 			}
 			for _, l := range lperm[li:lEnd] {
 				if err := pairs.add(l, rperm[ri:rEnd]); err != nil {

@@ -12,15 +12,15 @@
 // Every operator evaluates predicates one way, with the typed kernels of
 // columnar.go, and every join turns its candidate (left row, right row)
 // pairs into output rows at one pair sink. The joins differ only in how
-// they find the pairs: the hash join probes a flat open-addressing table
-// (hashtable.go), under a partition policy (Limits.MaxMemory, spill.go)
-// that splits a build side too big for the budget into Grace partitions of
-// row lists, one table each; sort-merge pairs equal-key runs; nested loops
-// pair each outer row with the inner's rows that pass its scan filters,
-// re-filtered every time; index nested-loops with the rows an index lookup
-// returns. DESIGN §13 draws it. A plan runs on the
-// goroutine that calls Execute and starts no other: cores are filled by
-// concurrent queries, each with its own Executor.
+// they find the pairs: the hash join probes a flat table, an offset array
+// or open addressing (hashtable.go), under a partition policy
+// (Limits.MaxMemory, spill.go) that splits a build side too big for the
+// budget into Grace partitions of row lists, one table each; sort-merge
+// pairs equal-key runs; nested loops pair each outer row with the inner's
+// rows that pass its scan filters, re-filtered every time; index
+// nested-loops with the rows an index lookup returns. DESIGN §13 draws it.
+// A plan runs on the goroutine that calls Execute and starts no other:
+// cores are filled by concurrent queries, each with its own Executor.
 //
 // What a join derives from every row of an unfiltered base-table input is
 // built once per base column and shared: the sort permutation a sort-merge
@@ -51,7 +51,8 @@
 // and reading one panics (storage.NewLiveTable). Scans and the pair sink
 // gather only live columns, an unfiltered scan's view exposes only its
 // live base columns, and a COUNT(*) root (Count) carries none: its pair
-// sink only counts the pairs that survive. Execute is the all-live case.
+// sink only counts the pairs that survive, and with no residual to apply
+// forms none. Execute is the all-live case.
 // What is carried changes no row, order, work counter or tuple/row charge,
 // only the byte ledger.
 //
@@ -567,6 +568,12 @@ type joinSpec struct {
 	residual    []optimizer.Cond
 	outSchema   *storage.Schema
 	live        []bool
+}
+
+// counts reports whether the join's output carries no column and has no
+// residual to apply: its pair sink then only counts pairs.
+func (s *joinSpec) counts() bool {
+	return s.live != nil && !slices.Contains(s.live, true) && len(s.residual) == 0
 }
 
 // newJoinSpec pairs left with right, whose columns rightSchema labels (a

@@ -1,22 +1,24 @@
 // The one typed hash kernel, shared by the hash join and GROUP BY: a flat
-// table per build, two arrays and no per-key allocation. A slot array holds
-// each distinct key once with the bounds of its rows, and one CSR
-// (compressed row list) array holds the build rows grouped by key, ascending
-// within each key — the row lists a map from key to appended rows would
-// hold, in the same order. A join probes the table; Aggregate reads its runs
-// as groups.
+// table per build and no per-key allocation. One CSR (compressed row list)
+// array holds the build rows grouped by key, ascending within each key — the
+// row lists a map from key to appended rows would hold, in the same order —
+// and a second array finds each key's run in it. A join probes the table;
+// Aggregate reads its runs as groups.
 //
-// The slot array is dense or hashed, fixed per build by its rows' own
+// The second array is dense or hashed, fixed per build by its rows' own
 // non-NULL keys, never by statistics that may be wrong. An int64 or uint64
 // build whose keys span (hi−lo+1) no more values than a hashed table would
-// have slots gets one slot per value, slot = key − lo: a probe is one range
-// check and one load, with no hash and no probe chain. Any other build
-// hashes into an open-addressing array at most half full. No knob picks
-// between them: the dense table is never the larger.
+// have slots is an offset array, a counting sort over the span: key lo+i
+// owns rows[starts[i]:starts[i+1]], no key is stored, and a probe outside
+// lo..hi clamps to an empty run past the end, so a probe is one subtraction,
+// one min and two loads, with no hash, no probe chain and no branch on the
+// data. Any other build hashes into an open-addressing array of slots, each
+// holding its key and run, at most half full. No knob picks between them:
+// the dense array is never the larger.
 //
 // Keys are hashed (or offset) a block at a time (hashKeys): one type switch
 // per block, then a tight loop with the mixer inlined writes the block's
-// hashes to a stack array, and the slot lookups run over the finished block.
+// hashes to a stack array, and the lookups run over the finished block.
 package executor
 
 import (
@@ -48,10 +50,11 @@ func mix64(h uint64) uint64 {
 
 // hashKeys writes to out[i] the hash of the key at position from+i of a row
 // list over keys (nil: every row), for each i < len(out): on a dense table
-// the key's offset from lo, its slot. Otherwise a fixed-width key (an int64,
-// or a float64's bits) hashes as one mixed word under the seed, and a
-// string eight bytes at a time through the mixer, so strings of one length
-// never collide: each step is a bijection of the state.
+// the key's offset from lo, clamped to the span, its run. Otherwise a
+// fixed-width key (an int64, or a float64's bits) hashes as one mixed word
+// under the seed, and a string eight bytes at a time through the mixer, so
+// strings of one length never collide: each step is a bijection of the
+// state.
 func (t *hashTable[K]) hashKeys(keys []K, rows []int, from int, out []uint64) {
 	if rows != nil {
 		rows = rows[from : from+len(out)]
@@ -60,9 +63,9 @@ func (t *hashTable[K]) hashKeys(keys []K, rows []int, from int, out []uint64) {
 	}
 	switch ks := any(keys).(type) {
 	case []int64:
-		hashWords(ks, rows, t.dense, t.lo, t.seed, out)
+		hashWords(ks, rows, t.starts != nil, t.lo, t.span(), t.seed, out)
 	case []uint64:
-		hashWords(ks, rows, t.dense, t.lo, t.seed, out)
+		hashWords(ks, rows, t.starts != nil, t.lo, t.span(), t.seed, out)
 	case []string:
 		for i := range out {
 			out[i] = hashString(t.seed, ks[rowAt(rows, i)])
@@ -72,11 +75,12 @@ func (t *hashTable[K]) hashKeys(keys []K, rows []int, from int, out []uint64) {
 	}
 }
 
-// hashWords is hashKeys for int64 and uint64 keys.
-func hashWords[W int64 | uint64](ks []W, rows []int, dense bool, lo, seed uint64, out []uint64) {
+// hashWords is hashKeys for int64 and uint64 keys. A dense offset below lo
+// wraps above the span, so one min clamps keys on either side.
+func hashWords[W int64 | uint64](ks []W, rows []int, dense bool, lo, span, seed uint64, out []uint64) {
 	if dense {
 		for i := range out {
-			out[i] = uint64(ks[rowAt(rows, i)]) - lo
+			out[i] = min(uint64(ks[rowAt(rows, i)])-lo, span)
 		}
 		return
 	}
@@ -98,17 +102,23 @@ func hashString(seed uint64, s string) uint64 {
 	return mix64(h ^ tail)
 }
 
-// hashTable is the build side of one hash-join partition, or one grouping.
+// hashTable is the build side of one hash-join partition, or one grouping:
+// dense (starts) or hashed (slots), never both.
 type hashTable[K comparable] struct {
-	slots []hashSlot[K] // dense: one per key in lo..hi; hashed: a power of two, at most half full
-	rows  []int         // build rows, grouped by key, ascending within a key
-	seed  uint64
-	dense bool
-	lo    uint64 // a dense table's least key, as a word
+	starts []int32       // dense: key lo+i owns rows[starts[i]:starts[i+1]]; span+2 long
+	slots  []hashSlot[K] // hashed: a power of two, at most half full
+	rows   []int         // build rows, grouped by key, ascending within a key
+	seed   uint64
+	lo     uint64 // a dense table's least key, as a word
 }
 
+// span is the number of keys lo..hi of a dense table: the offset every key
+// outside them clamps to, whose run is empty.
+func (t *hashTable[K]) span() uint64 { return uint64(max(len(t.starts)-2, 0)) }
+
 // hashSlot is one distinct key and its build rows, rows[lo:hi]. Every
-// occupied slot has hi ≥ 1, so hi == 0 marks an empty one.
+// occupied slot has hi ≥ 1, so hi == 0 marks an empty one, whose run
+// rows[0:0] is empty.
 type hashSlot[K comparable] struct {
 	key    K
 	lo, hi int32
@@ -135,9 +145,11 @@ func newHashTable[K comparable](keys []K, nulls []bool, rows []int, seed uint64)
 	}
 	// hi−lo wraps to the true distance, so a span of 2^64 cannot overflow.
 	if ok && hi-lo < uint64(slots) {
-		t.dense, t.lo, slots = true, lo, int(hi-lo)+1
+		t.lo = lo
+		t.buildDense(keys, nulls, rows, int(hi-lo)+1)
+	} else {
+		t.build(keys, nulls, rows, slots)
 	}
-	t.build(keys, nulls, rows, slots)
 	return t
 }
 
@@ -158,8 +170,41 @@ func keyRange[W int64 | uint64](ks []W, nulls []bool, rows []int) (lo, hi uint64
 	return uint64(l), uint64(h), ok
 }
 
-// build lays the rows out in a slot array of the given length, in slot
-// order; t's addressing is already set.
+// buildDense lays the rows out by a counting sort over the span keys from
+// lo: count each key's rows two places up, prefix-sum, which leaves key i's
+// run start in starts[i+1], then place the rows in row order with
+// starts[i+1] as key i's cursor, which leaves it at the run's end.
+func (t *hashTable[K]) buildDense(keys []K, nulls []bool, rows []int, span int) {
+	n := rowCount(rows, len(keys))
+	t.starts = make([]int32, span+2)
+	var hs [hashBlock]uint64
+	for b := 0; b < n; b += hashBlock {
+		block := hs[:min(hashBlock, n-b)]
+		t.hashKeys(keys, rows, b, block)
+		for j, h := range block {
+			if r := rowAt(rows, b+j); nulls == nil || !nulls[r] {
+				t.starts[h+2]++
+			}
+		}
+	}
+	for i := 1; i < len(t.starts); i++ {
+		t.starts[i] += t.starts[i-1]
+	}
+	t.rows = make([]int, t.starts[span+1])
+	for b := 0; b < n; b += hashBlock {
+		block := hs[:min(hashBlock, n-b)]
+		t.hashKeys(keys, rows, b, block)
+		for j, h := range block {
+			if r := rowAt(rows, b+j); nulls == nil || !nulls[r] {
+				t.rows[t.starts[h+1]] = r
+				t.starts[h+1]++
+			}
+		}
+	}
+}
+
+// build lays the rows out in a hashed slot array of the given length, in
+// slot order.
 func (t *hashTable[K]) build(keys []K, nulls []bool, rows []int, slots int) {
 	n := rowCount(rows, len(keys))
 	t.slots = make([]hashSlot[K], slots)
@@ -202,17 +247,35 @@ func (t *hashTable[K]) build(keys []K, nulls []bool, rows []int, slots int) {
 	}
 }
 
-// find returns the slot holding k, whose hash is h, or the empty slot where
-// k belongs. On a dense table h is the slot, past the end for a key outside
-// lo..hi; the build never finds one there, and a probe checks.
+// find returns the slot of a hashed table holding k, whose hash is h, or
+// the empty slot where k belongs.
 func (t *hashTable[K]) find(k K, h uint64) uint64 {
-	if t.dense {
-		return h
-	}
 	mask := uint64(len(t.slots) - 1)
 	i := h & mask
 	for t.slots[i].hi != 0 && t.slots[i].key != k {
 		i = (i + 1) & mask
 	}
 	return i
+}
+
+// run returns the bounds in rows of the build rows whose key is k, with
+// hash (or dense offset) h: an empty run if no build row has it.
+func (t *hashTable[K]) run(k K, h uint64) (lo, hi int32) {
+	if t.starts != nil {
+		return t.starts[h], t.starts[h+1]
+	}
+	s := &t.slots[t.find(k, h)]
+	return s.lo, s.hi
+}
+
+// matches counts the build rows of a dense table matching the probe rows at
+// positions from.. of a row list over keys (nil: every row), whose offsets
+// are hashes; a NULL row (nulls) matches none. It is one subtraction per
+// row with no branch.
+func (t *hashTable[K]) matches(nulls []bool, rows []int, from int, hashes []uint64) int {
+	n, starts := 0, t.starts
+	for j, h := range hashes {
+		n += int(starts[h+1]-starts[h]) * notNull(nulls, rowAt(rows, from+j))
+	}
+	return n
 }

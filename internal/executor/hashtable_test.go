@@ -44,9 +44,11 @@ const maxAvgProbe = 2.0
 // as newHashTable builds it and forced hashed, and requires every lookup the
 // join kernel would make — each non-NULL probe key, and each distinct build
 // key — to return the model's row list, in order, and the same list from
-// every table. It reports whether newHashTable built a dense table, which
-// must then be exactly as long as the keys' span and no longer than the
-// hashed one, and the larger of the two seeds' hashed average probe lengths.
+// every table. It reports whether newHashTable built a dense table, whose
+// offset array must then be exactly span-sized — the least key's run and
+// the greatest's non-empty, the clamp run past them empty — and no more
+// bytes than the hashed one, and the larger of the two seeds' hashed
+// average probe lengths.
 func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int, probe []K, pnulls []bool) (dense bool, worst float64) {
 	t.Helper()
 	want := mapBuild(build, bnulls, rows)
@@ -68,19 +70,20 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 		hashed := hashTable[K]{seed: seed}
 		hashed.build(build, bnulls, rows, hashedSlots(rowCount(rows, len(build))))
 		table := newHashTable(build, bnulls, rows, seed)
-		// Exactly span-sized: the least key has the first slot and the
-		// greatest the last.
-		if dense = table.dense; dense && (len(table.slots) > len(hashed.slots) ||
-			table.slots[0].hi == 0 || table.slots[len(table.slots)-1].hi == 0) {
-			t.Fatalf("dense table of %d slots, first and last empty: %v, %v; the hashed one has %d", len(table.slots),
-				table.slots[0].hi == 0, table.slots[len(table.slots)-1].hi == 0, len(hashed.slots))
+		if dense = table.starts != nil; dense {
+			span := int(table.span())
+			first, last := table.starts[1]-table.starts[0], table.starts[span]-table.starts[span-1]
+			if first == 0 || last == 0 || table.starts[span] != table.starts[span+1] || table.arrayBytes() > hashed.arrayBytes() {
+				t.Fatalf("dense table over %d keys: first and last runs %d and %d rows, %d bytes; the hashed one has %d",
+					span, first, last, table.arrayBytes(), hashed.arrayBytes())
+			}
 		}
 		for _, tbl := range []hashTable[K]{table, hashed} {
 			var out []int
 			for _, k := range keys {
 				got := tbl.lookup(k)
 				if !slices.Equal(got, want[k]) {
-					t.Fatalf("seed %#x, dense %v: key %v → rows %v, the map gives %v", seed, tbl.dense, k, got, want[k])
+					t.Fatalf("seed %#x, dense %v: key %v → rows %v, the map gives %v", seed, tbl.starts != nil, k, got, want[k])
 				}
 				out = append(append(out, got...), -1)
 			}
@@ -101,15 +104,14 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 func (t *hashTable[K]) lookup(k K) []int {
 	var h [1]uint64
 	t.hashKeys([]K{k}, nil, 0, h[:])
-	if i := t.find(k, h[0]); i < uint64(len(t.slots)) {
-		return t.rows[t.slots[i].lo:t.slots[i].hi]
-	}
-	return nil
+	lo, hi := t.run(k, h[0])
+	return t.rows[lo:hi]
 }
 
-// arrayBytes is the size of the table's slot and row arrays.
+// arrayBytes is the size of the table's offset or slot array and its row
+// array.
 func (t hashTable[K]) arrayBytes() int64 {
-	return int64(len(t.slots))*int64(unsafe.Sizeof(t.slots[0])) + 8*int64(len(t.rows))
+	return int64(len(t.slots))*int64(unsafe.Sizeof(hashSlot[K]{})) + 4*int64(len(t.starts)) + 8*int64(len(t.rows))
 }
 
 // avgProbe is the mean number of slots a lookup of a present key inspects
@@ -366,8 +368,9 @@ func TestHashTableStructuredKeysSpread(t *testing.T) {
 
 // The dense rule is decided by the build's own keys, the same way every
 // time. Section 8's join columns (permutations of 0..n−1) and a 500-key
-// Zipf column build dense, one slot per value from the least key to the
-// greatest; keys 2^16 apart, strings and floats hash.
+// Zipf column build dense, an offset array from the least key to the
+// greatest whose first and last runs hold rows and whose bytes never
+// exceed the hashed table's; keys 2^16 apart, strings and floats hash.
 func TestHashTableDenseRule(t *testing.T) {
 	const n = 20000
 	column := func(dist datagen.Distribution, domain int) []int64 {
@@ -386,10 +389,11 @@ func TestHashTableDenseRule(t *testing.T) {
 		{"permutation", column(datagen.DistPermutation, n), n},
 		{"zipf over 500", column(datagen.DistZipf, 500), 500},
 	} {
+		dense, _ := checkTable(t, c.keys, nil, nil, nil, nil)
 		table := newHashTable(c.keys, nil, nil, hashSeed)
 		span := slices.Max(c.keys) - slices.Min(c.keys) + 1
-		if !table.dense || int64(len(table.slots)) != span || span > int64(c.domain) {
-			t.Errorf("%s: dense %v, %d slots over a span of %d keys", c.name, table.dense, len(table.slots), span)
+		if !dense || int64(table.span()) != span || span > int64(c.domain) {
+			t.Errorf("%s: dense %v, %d offsets over a span of %d keys", c.name, dense, len(table.starts), span)
 		}
 	}
 	sparse := make([]int64, n)
@@ -398,13 +402,13 @@ func TestHashTableDenseRule(t *testing.T) {
 	for i := range sparse {
 		sparse[i], strs[i], floats[i] = int64(i)<<16, fmt.Sprint(i), floatBits(float64(i))
 	}
-	if newHashTable(sparse, nil, nil, hashSeed).dense {
+	if newHashTable(sparse, nil, nil, hashSeed).starts != nil {
 		t.Error("keys 2^16 apart built dense")
 	}
-	if newHashTable(strs, nil, nil, hashSeed).dense {
+	if newHashTable(strs, nil, nil, hashSeed).starts != nil {
 		t.Error("string keys built dense")
 	}
-	if newHashTable(floats, nil, nil, hashSeed).dense {
+	if newHashTable(floats, nil, nil, hashSeed).starts != nil {
 		t.Error("float keys built dense")
 	}
 }
@@ -583,12 +587,13 @@ func hashJoinFixture(t testing.TB, distinct int, stride int64) (*catalog.Catalog
 	return cat, plan
 }
 
-// execHashJoin runs the fixture's join under the byte budget (0: none) and
-// fails unless it returned the fixture's 1,000 rows and partitioned exactly
-// when budgeted.
-func execHashJoin(t testing.TB, cat *catalog.Catalog, plan optimizer.Plan, budget int64) {
+// execHashJoin runs the fixture's join under the byte budget (0: none),
+// carrying the output columns cols (nil: every column; none: a COUNT(*)),
+// and fails unless it returned the fixture's 1,000 rows and partitioned
+// exactly when budgeted.
+func execHashJoin(t testing.TB, cat *catalog.Catalog, plan optimizer.Plan, budget int64, cols []int) {
 	gov := governor.New(context.Background(), governor.Limits{MaxMemory: budget})
-	res, err := NewGoverned(cat, gov).Execute(plan)
+	res, err := NewGoverned(cat, gov).ExecuteColumns(plan, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +615,7 @@ func TestHashJoinAllocationCeiling(t *testing.T) {
 			var allocs [2]float64
 			for i, distinct := range []int{1001, 50000} {
 				cat, plan := hashJoinFixture(t, distinct, stride)
-				allocs[i] = testing.AllocsPerRun(5, func() { execHashJoin(t, cat, plan, budget) })
+				allocs[i] = testing.AllocsPerRun(5, func() { execHashJoin(t, cat, plan, budget, nil) })
 			}
 			if few, many := allocs[0], allocs[1]; many > few+8 || many > 1000 {
 				t.Errorf("stride %d, budget %d: %v allocations with 50,000 distinct build keys, %v with 1,001; want no growth",
@@ -623,24 +628,36 @@ func TestHashJoinAllocationCeiling(t *testing.T) {
 // BenchmarkHashJoin times the 50,000-row build, 1,000-row probe join of
 // TestHashJoinAllocationCeiling (scans included) as one partition and
 // partitioned under a 1 MiB byte budget, over dense keys and over sparse
-// ones 2^16 apart, which hash.
+// ones 2^16 apart, which hash; with every output column, and under count/
+// as a COUNT(*), which counts its matches without pairing them. A COUNT(*)
+// build carries only its key, half the bytes, so it partitions under half
+// the budget.
 func BenchmarkHashJoin(b *testing.B) {
 	for _, keys := range []struct {
 		name   string
 		stride int64
 	}{{"dense", 1}, {"sparse", 1 << 16}} {
 		cat, plan := hashJoinFixture(b, 50000, keys.stride)
-		for _, budget := range []int64{0, 1 << 20} {
-			name := keys.name + "/one-partition"
-			if budget > 0 {
-				name = fmt.Sprintf("%s/partitioned-%dKiB", keys.name, budget>>10)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					execHashJoin(b, cat, plan, budget)
+		for _, count := range []bool{false, true} {
+			for _, budget := range []int64{0, 1 << 20} {
+				var cols []int
+				if count {
+					budget, cols = budget/2, []int{}
 				}
-			})
+				name := keys.name + "/one-partition"
+				if budget > 0 {
+					name = fmt.Sprintf("%s/partitioned-%dKiB", keys.name, budget>>10)
+				}
+				if count {
+					name = "count/" + name
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						execHashJoin(b, cat, plan, budget, cols)
+					}
+				})
+			}
 		}
 	}
 }

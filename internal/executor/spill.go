@@ -115,6 +115,7 @@ type partitioner struct {
 	need    int64 // the build side's deterministic footprint, as hashJoin sized it
 	outs    []*storage.Table
 	origins [][]int
+	counted int // the rows of every partition, all a counting join keeps
 }
 
 // buildBytes apportions the build side's footprint to n of its rows.
@@ -126,11 +127,16 @@ func (pj *partitioner) buildBytes(n int) int64 {
 // both inputs are routed to partitions, each partition is joined within
 // budget by the same kernel the one-partition join uses (re-partitioning
 // recursively while over), and partition outputs merge back into exact
-// probe-row order. hashJoin has already visited both inputs.
+// probe-row order; a counting join only adds up their rows. hashJoin has
+// already visited both inputs.
 func (e *Executor) partitionJoin(spec *hashSpec, need int64, stats *Stats) (*storage.Table, error) {
 	pj := &partitioner{e: e, spec: spec, stats: stats, need: need}
 	if err := pj.split(nil, nil, spillPartitions(need, e.gov.MaxMemory()), 0); err != nil {
 		return nil, err
+	}
+	if spec.counts() {
+		out := storage.NewLiveTable("join", spec.outSchema, spec.live)
+		return out, out.AppendCount(pj.counted)
 	}
 	return mergeByOrigin(spec.outSchema, spec.live, pj.outs, pj.origins)
 }
@@ -185,6 +191,7 @@ func (pj *partitioner) join(lrows, rrows []int, depth int) error {
 	if err != nil {
 		return err
 	}
+	pj.counted += sink.out.NumRows()
 	if len(sink.origin) > 0 {
 		pj.outs = append(pj.outs, sink.out)
 		pj.origins = append(pj.origins, sink.origin)

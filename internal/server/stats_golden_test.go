@@ -17,7 +17,10 @@ import (
 // opStatsGolden is the OpStats document the fixed sequence in
 // opStatsDocument produced before the statistics sections were shared
 // between els and wire. It is never regenerated: the document may gain
-// keys, but every key in this file keeps its value.
+// keys, but every key in this file keeps its value, unless the work a
+// value measures changes. peak_query_bytes is the executed COUNT(*)'s
+// ledger peak: 75,136 while its root formed pairs in a 65,536-byte pair
+// arena, 9,600 since it only counts them.
 const opStatsGolden = "testdata/opstats.golden.json"
 
 // timingKeys vary from run to run; the golden holds them to presence only.

@@ -340,6 +340,19 @@ func (t *Table) AppendRange(src *Table, start, end int) error {
 	return nil
 }
 
+// AppendCount appends n rows to a table that carries no column: rows that
+// are counted, never gathered, as at a COUNT(*) join root.
+func (t *Table) AppendCount(n int) error {
+	if t.view {
+		return t.errView()
+	}
+	if slices.ContainsFunc(t.cols, func(c *column) bool { return c != nil }) {
+		return fmt.Errorf("storage: table %s: counted rows need every column dead", t.name)
+	}
+	t.rows += n
+	return nil
+}
+
 // Reserve makes room for n more rows in every live column, so that appends
 // up to that many do not regrow the column storage. Operators call it where
 // they know their output size before they produce it.

@@ -436,3 +436,29 @@ func TestDeadColumnsStayEmpty(t *testing.T) {
 	}()
 	gathered.ColumnData(1)
 }
+
+// AppendCount adds rows to a table that carries no column, as a COUNT(*)
+// root counts its rows; a table carrying any column, or a view, refuses it.
+func TestAppendCount(t *testing.T) {
+	none := []bool{false, false, false}
+	counted := NewLiveTable("c", testSchema(t), none)
+	for _, n := range []int{3, 0, 4096} {
+		if err := counted.AppendCount(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if counted.NumRows() != 4099 || counted.ApproxBytes() != 0 {
+		t.Fatalf("%d rows, %d ledger bytes; want 4099 and 0", counted.NumRows(), counted.ApproxBytes())
+	}
+	partly := NewLiveTable("p", testSchema(t), []bool{false, true, false})
+	if err := partly.AppendCount(1); err == nil || partly.NumRows() != 0 {
+		t.Fatalf("a table with a live column took counted rows: err %v, %d rows", err, partly.NumRows())
+	}
+	view, err := counted.View("v", testSchema(t), none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := view.AppendCount(1); err == nil || !strings.Contains(err.Error(), "read-only view") || view.NumRows() != 4099 {
+		t.Fatalf("a view took counted rows: err %v, %d rows", err, view.NumRows())
+	}
+}
