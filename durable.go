@@ -20,7 +20,7 @@ import (
 //
 // Durability covers statistics, the input to estimation: recovered
 // estimates are bit-identical to pre-crash estimates at the same catalog
-// version. Data tables and indexes are in-memory artifacts and must be
+// version. Data tables and index declarations are in-memory and must be
 // reloaded (LoadCSV, BuildIndex) before the recovered system can execute
 // queries; Estimate and Explain work immediately.
 //

@@ -393,10 +393,12 @@ func (s *System) GenerateTable(name, column, dist string, rows, domain int, thet
 	})
 }
 
-// BuildIndex constructs an ordered index over a loaded table's column.
-// Once any index exists, the optimizer's repertoire grows to include the
-// index-nested-loops join method, which probes the index once per outer
-// row instead of rescanning the inner table.
+// BuildIndex declares an index on a loaded table's column. Once any index
+// is declared, the optimizer's repertoire grows to include the
+// index-nested-loops join method, which probes the column's shared hash
+// build (the one a hash join over the whole table builds) once per outer
+// row instead of rescanning the inner table. The declaration survives a
+// reload of the table, and the join always reads the current data.
 func (s *System) BuildIndex(table, column string) error {
 	return s.mutate(func(cat *catalog.Catalog) error {
 		if err := cat.BuildIndex(table, column); err != nil {

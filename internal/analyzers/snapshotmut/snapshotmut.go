@@ -7,7 +7,7 @@
 //
 // The analyzer is intra-procedural: it tracks values chaining from
 // Current()/Catalog() calls — through accessor methods (Table, Column,
-// Data, Index) and local variable assignments — and flags
+// Data) and local variable assignments — and flags
 //
 //   - field/element writes rooted at such a value (cat.Table("r").Card = 9),
 //   - calls to catalog mutator methods on such a value (AddTable, SetData,
@@ -54,7 +54,6 @@ var accessors = map[string]bool{
 	"Table":   true,
 	"Column":  true,
 	"Data":    true,
-	"Index":   true,
 }
 
 func run(pass *analysis.Pass) error {

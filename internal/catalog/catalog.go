@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/governor"
-	"repro/internal/index"
 	"repro/internal/storage"
 )
 
@@ -91,8 +90,8 @@ func (t *TableStats) Column(name string) *ColumnStats {
 type Catalog struct {
 	tables  map[string]*TableStats
 	data    map[string]*storage.Table
-	indexes map[string]*index.Index // "table.column", lower-cased
-	order   []string                // registration order, for deterministic iteration
+	indexes map[string]bool // declared indexes, "table.column", lower-cased
+	order   []string        // registration order, for deterministic iteration
 }
 
 // New returns an empty catalog.
@@ -100,7 +99,7 @@ func New() *Catalog {
 	return &Catalog{
 		tables:  make(map[string]*TableStats),
 		data:    make(map[string]*storage.Table),
-		indexes: make(map[string]*index.Index),
+		indexes: make(map[string]bool),
 	}
 }
 
@@ -156,34 +155,31 @@ func (c *Catalog) SetData(name string, tbl *storage.Table) {
 	c.data[key(name)] = tbl
 }
 
-// BuildIndex constructs an ordered index over the named data column and
-// registers it. The table must have backing data (Analyze/SetData first).
+// BuildIndex declares an index on the named data column. The table must
+// have backing data (Analyze/SetData first) with that column. A declaration
+// holds no structure: an index nested-loops join probes the hash build the
+// executor shares for every base column (storage.Table.Memo), built over
+// whatever data the table holds when the join runs.
 func (c *Catalog) BuildIndex(table, column string) error {
 	tbl := c.Data(table)
 	if tbl == nil {
 		return fmt.Errorf("catalog: no data registered for table %q", table)
 	}
-	ix, err := index.Build(tbl, column)
-	if err != nil {
-		return err
+	if tbl.Schema().ColumnIndex(column) < 0 {
+		return fmt.Errorf("catalog: table %s has no column %q", tbl.Name(), column)
 	}
-	c.indexes[key(table)+"."+strings.ToLower(column)] = ix
+	c.indexes[key(table)+"."+strings.ToLower(column)] = true
 	return nil
-}
-
-// Index returns the index over table.column, or nil if none exists.
-func (c *Catalog) Index(table, column string) *index.Index {
-	return c.indexes[key(table)+"."+strings.ToLower(column)]
 }
 
 // HasIndex reports whether table.column is indexed.
 func (c *Catalog) HasIndex(table, column string) bool {
-	return c.Index(table, column) != nil
+	return c.indexes[key(table)+"."+strings.ToLower(column)]
 }
 
-// HasAnyIndex reports whether any index has been built in the catalog. An
-// index registered for a column its table no longer has still counts; it
-// can match no join column, so the only cost is that the optimizer looks.
+// HasAnyIndex reports whether any index has been declared in the catalog.
+// A declaration for a column its table no longer has still counts; it can
+// match no join column, so the only cost is that the optimizer looks.
 func (c *Catalog) HasAnyIndex() bool { return len(c.indexes) > 0 }
 
 // TableNames returns the registered table names in registration order.
@@ -195,8 +191,9 @@ func (c *Catalog) TableNames() []string {
 	return out
 }
 
-// Clone returns a deep copy of the catalog's statistics. Backing data
-// tables and indexes are shared (they are immutable once loaded).
+// Clone returns a deep copy of the catalog's statistics and index
+// declarations. Backing data tables are shared (they are immutable once
+// loaded).
 func (c *Catalog) Clone() *Catalog {
 	out := New()
 	for _, k := range c.order {

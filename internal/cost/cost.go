@@ -97,9 +97,11 @@ func (m *Model) HashJoinCost(outerCost, innerCost, outerRows, innerRows float64)
 }
 
 // IndexNLCost is the cost of an index nested-loops join: the outer is
-// produced once, and each outer row probes an ordered index on the inner
-// (one page touch plus a logarithmic search) and fetches its expected
-// matches.
+// produced once, and each outer row probes an index on the inner (one page
+// touch plus a logarithmic search) and fetches its expected matches. The
+// log term models a B-tree search the executor no longer does (it probes
+// the column's shared hash build); it stays until the cost model is
+// refitted to the executor's counted work.
 func (m *Model) IndexNLCost(outerCost, outerRows, innerRows, matchesPerProbe float64) float64 {
 	if outerRows < 0 {
 		outerRows = 0

@@ -317,6 +317,9 @@ func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func
 	rk, rscratch := keysOf(spec.right, spec.rKey)
 	spec.scratch = lscratch + rscratch
 	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
+		if spec.inner != nil {
+			return indexRuns(e, spec, rep, lk, rk, stats)
+		}
 		return colJoin(e, spec.joinSpec, rep, lk, rk, rrows, lrows, stats)
 	}
 }
@@ -355,30 +358,36 @@ func boxedKeys(t *storage.Table, col int) ([]string, int64) {
 	return out, size
 }
 
-// colJoin is the typed build → probe → pair-gather kernel for one
-// partition: build a flat hash table (hashTable, dense or hashed) over the
-// keys of the right rows named by rrows (nil: every right row), probe it
-// with the left rows named by lrows (nil: every left row) in order, a block
-// of hashes (or dense offsets) at a time, and hand each probe row's
-// matching build rows, ascending, to the pair sink. With a probe-row list
-// the sink also reports the left row behind each output row. A counting
-// sink on a dense table gets only each block's sum of run lengths, added up
-// with no branch; on a hashed one add counts each run's length.
-//
-// A build over every row of an unfiltered base-table scan (a view) is built
+// buildTable returns the flat hash table (hashTable, dense or hashed) over
+// the keys rk of the right rows named by rrows (nil: every right row). A
+// build over every row of an unfiltered base-table scan (a view) is built
 // once per base column and key representation and shared with every later
 // join of that column (storage.Table.Memo); any other build — a filtered
 // scan, an operator's output, a Grace partition — is the join's own.
-func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
+func buildTable[K comparable](spec *joinSpec, rep keyRep, rk []K, rrows []int) (hashTable[K], error) {
 	if builds := rowCount(rrows, len(rk)); builds > math.MaxInt32 {
-		return nil, fmt.Errorf("executor: a hash-join build of %d rows exceeds the table's 2^31-row limit", builds)
+		return hashTable[K]{}, fmt.Errorf("executor: a hash-join build of %d rows exceeds the table's 2^31-row limit", builds)
 	}
 	rn := spec.right.ColumnData(spec.rKey).Nulls
-	var table hashTable[K]
 	if rrows == nil {
-		table = spec.right.Memo(spec.rKey, rep, func() any { return newHashTable(rk, rn, nil, hashSeed) }).(hashTable[K])
-	} else {
-		table = newHashTable(rk, rn, rrows, hashSeed)
+		return spec.right.Memo(spec.rKey, rep, func() any { return newHashTable(rk, rn, nil, hashSeed) }).(hashTable[K]), nil
+	}
+	return newHashTable(rk, rn, rrows, hashSeed), nil
+}
+
+// colJoin is the typed build → probe → pair-gather kernel for one
+// partition: build the table over the right rows named by rrows
+// (buildTable), probe it with the left rows named by lrows (nil: every left
+// row) in order, a block of hashes (or dense offsets) at a time, and hand
+// each probe row's matching build rows, ascending, to the pair sink. With a
+// probe-row list the sink also reports the left row behind each output row.
+// A counting sink on a dense table gets only each block's sum of run
+// lengths, added up with no branch; on a hashed one add counts each run's
+// length.
+func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
+	table, err := buildTable(spec, rep, rk, rrows)
+	if err != nil {
+		return nil, err
 	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
 	pairs := e.newPairSink(spec, stats, lrows != nil)
@@ -402,6 +411,47 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, 
 				if err := pairs.add(l, table.rows[lo:hi]); err != nil {
 					return nil, err
 				}
+			}
+		}
+	}
+	if err := pairs.flush(); err != nil {
+		return nil, err
+	}
+	return pairs, nil
+}
+
+// indexRuns is the index nested-loops kernel: it probes the shared build
+// over every inner row once per left row, in order. Each probe counts one
+// comparison (the index search) and visits its run of matching inner rows.
+// The run is copied into one buffer reused for the whole join, since a
+// shared run is read-only; the inner scan's filters compact the copy, and
+// the pair sink gets what survives.
+func indexRuns[K comparable](e *Executor, spec *hashSpec, rep keyRep, lk, rk []K, stats *Stats) (*pairSink, error) {
+	table, err := buildTable(spec.joinSpec, rep, rk, nil)
+	if err != nil {
+		return nil, err
+	}
+	ln := spec.left.ColumnData(spec.lKey).Nulls
+	pairs := e.newPairSink(spec.joinSpec, stats, false)
+	defer pairs.release()
+	var run []int
+	var hs [hashBlock]uint64
+	for b := 0; b < len(lk); b += hashBlock {
+		block := hs[:min(hashBlock, len(lk)-b)]
+		table.hashKeys(lk, nil, b, block)
+		for j, h := range block {
+			l := b + j
+			stats.Comparisons++ // the index search
+			run = run[:0]
+			if ln == nil || !ln[l] {
+				lo, hi := table.run(lk[l], h)
+				run = append(run, table.rows[lo:hi]...)
+			}
+			if err := e.visit(stats, len(run)); err != nil {
+				return nil, err
+			}
+			if err := pairs.add(l, spec.inner.keep(run, stats)); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -18,7 +18,8 @@
 // budget into Grace partitions of row lists, one table each; sort-merge
 // pairs equal-key runs; nested loops pair each outer row with the inner's
 // rows that pass its scan filters, re-filtered every time; index
-// nested-loops with the rows an index lookup returns. DESIGN §13 draws it.
+// nested-loops with the run a declared index's probe returns, which is the
+// inner column's shared hash build. DESIGN §13 draws it.
 // A plan runs on the goroutine that calls Execute and starts no other:
 // cores are filled by concurrent queries, each with its own Executor.
 //
@@ -26,12 +27,13 @@
 // built once per base column and shared: the sort permutation a sort-merge
 // join reads (storage.Table.SortPermutation) and the hash table a hash join
 // run as one partition builds over its right input, one per key
-// representation (storage.Table.Memo). Every query, snapshot and goroutine
-// reading the table reuses them, read-only; filtered scans, operator
-// outputs and Grace partitions build their own, as before. The ledger is
-// charged as if each structure were built — the sort scratch, the hash
-// build and the key scratch alike — so a warm run's partition decisions,
-// ErrMemory outcomes and peak are the cold run's.
+// representation (storage.Table.Memo), which index nested-loops probes.
+// Every query, snapshot and goroutine reading the table reuses them,
+// read-only; filtered scans, operator outputs and Grace partitions build
+// their own, as before. The ledger is charged as if each structure were
+// built — the sort scratch, the hash build and the key scratch alike — so a
+// warm run's partition decisions, ErrMemory outcomes and peak are the cold
+// run's.
 //
 // A plan arrives with every column it reads resolved: each scan's filters
 // as ordinals of its base table, each join's key as an ordinal of either
@@ -471,43 +473,43 @@ func inputsLive(j *optimizer.Join, live []bool, rw int) (left, right []bool) {
 	return both[:lw:lw], both[lw:]
 }
 
-// indexNL probes an ordered index on the inner base table's join column
-// once per outer row and hands the pair sink the outer row paired with every
-// fetched row that passes the inner's scan filters; the sink applies the
-// remaining join predicates. The inner is never materialized.
+// indexNL probes the declared index on the inner base table's join column
+// once per outer row (indexRuns). The index is the hash build a hash join
+// over every row of that column builds, which the base column shares
+// (storage.Table.Memo), so it always covers the data the catalog holds now.
+// Like the index it stands for, the build is a persistent access path: the
+// join charges the byte ledger nothing for it. The pair sink gets the outer
+// row paired with every matching inner row that passes the inner's scan
+// filters and applies the remaining join predicates. The inner is never
+// materialized.
 func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
-	if j.IndexColumn == "" || j.LeftKey < 0 {
+	if j.IndexColumn == "" || j.LeftKey < 0 || j.RightKey < 0 {
 		return nil, fmt.Errorf("executor: index nested-loops plan lacks an index column and key")
 	}
-	ix := e.cat.Index(j.Right.Table, j.IndexColumn)
-	if ix == nil {
+	if !e.cat.HasIndex(j.Right.Table, j.IndexColumn) {
 		return nil, fmt.Errorf("executor: no index on %s.%s", j.Right.Table, j.IndexColumn)
 	}
-	inner, err := openScan(j.Right, ix.Table())
+	inner, err := openScan(j.Right, e.cat.Data(j.Right.Table))
 	if err != nil {
 		return nil, err
 	}
 	rec.reserve(j.Right, depth+1) // never materialized
-	spec, err := newJoinSpec(j, left, inner.base, inner.schema, live)
+	// A view of every inner row, whose key column's build is the shared one.
+	all, err := inner.base.View(j.Right.Alias, inner.schema, nil)
 	if err != nil {
 		return nil, err
 	}
-	pairs := e.newPairSink(spec, stats, false)
-	defer pairs.release()
-	for l := 0; l < left.NumRows(); l++ {
-		stats.Comparisons++                         // the index search
-		rows := ix.Lookup(left.Value(l, spec.lKey)) // a fresh slice: ours to compact
-		if err := e.visit(stats, len(rows)); err != nil {
-			return nil, err
-		}
-		if err := pairs.add(l, inner.keep(rows, stats)); err != nil {
-			return nil, err
-		}
-	}
-	if err := pairs.flush(); err != nil {
+	shared, err := newJoinSpec(j, left, all, inner.schema, live)
+	if err != nil {
 		return nil, err
 	}
-	return pairs.out, nil
+	spec := &hashSpec{joinSpec: shared, inner: inner}
+	e.bindHashKeys(spec)
+	sink, err := spec.join(nil, nil, stats)
+	if err != nil {
+		return nil, err
+	}
+	return sink.out, nil
 }
 
 // joinSchema concatenates the two input schemas.
@@ -602,6 +604,10 @@ type hashSpec struct {
 	// numeric marks an int64 key joined to a float64 one: both sides hash as
 	// float64, the type storage.Compare meets them in.
 	numeric bool
+	// inner is set for index nested-loops: the inner scan whose filters
+	// each probe's run passes, and join then probes once per left row
+	// (indexRuns) instead of joining a partition.
+	inner *baseScan
 }
 
 // rowAt resolves position i of a row list; a nil list names every row.

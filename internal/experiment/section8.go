@@ -33,9 +33,10 @@ type Section8Options struct {
 	// SkipExecution computes plans and estimates only (no data generation
 	// or execution); timings are zero.
 	SkipExecution bool
-	// WithIndexes builds an ordered index on every join column and adds the
+	// WithIndexes declares an index on every join column and adds the
 	// index-nested-loops method to the optimizer repertoire, so the
-	// executor's index path runs on the experiment's plans.
+	// executor's index path (a probe of the column's shared hash build)
+	// runs on the experiment's plans.
 	WithIndexes bool
 }
 

@@ -401,15 +401,6 @@ type Limits struct {
 	MaxMemory int64
 }
 
-// Enforced reports whether any budget limit is set (the admission fields
-// govern the system rather than a single query's budget and do not count).
-func (l Limits) Enforced() bool {
-	return l.Timeout > 0 || l.MaxTuples > 0 || l.MaxRows > 0 || l.MaxPlans > 0 || l.MaxMemory > 0
-}
-
-// Admission reports whether admission control is configured.
-func (l Limits) Admission() bool { return l.MaxConcurrent > 0 }
-
 // checkInterval is how many charged units pass between context/deadline
 // polls.
 const checkInterval = 1024
@@ -596,14 +587,6 @@ func (g *Governor) ReserveBytes(n int64) {
 		return
 	}
 	g.memReserved.Store(n)
-}
-
-// ReservedBytes reports the pre-reservation (0 when none was made).
-func (g *Governor) ReservedBytes() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.memReserved.Load()
 }
 
 // ChargeBytes adds n bytes to the working-set ledger. It is accounting,

@@ -119,18 +119,6 @@ func TestUsage(t *testing.T) {
 	}
 }
 
-func TestEnforced(t *testing.T) {
-	if (Limits{}).Enforced() {
-		t.Fatal("zero limits must not be enforced")
-	}
-	if !(Limits{MaxTuples: 1}).Enforced() {
-		t.Fatal("MaxTuples must count as enforced")
-	}
-	if (Limits{Workers: 8}).Enforced() {
-		t.Fatal("the inert Workers field is not a budget")
-	}
-}
-
 // Concurrent ticking from many goroutines must account every tuple exactly
 // once.
 func TestConcurrentTickAccountingExact(t *testing.T) {

@@ -83,8 +83,8 @@ func TestShouldSpillTriggers(t *testing.T) {
 	if !g.ShouldSpill(500) {
 		t.Fatal("a build over the 300-byte pre-reservation must trip early")
 	}
-	if g.ReservedBytes() != 300 {
-		t.Fatalf("ReservedBytes=%d, want 300", g.ReservedBytes())
+	if _, _, reserved := g.MemoryUsage(); reserved != 300 {
+		t.Fatalf("reserved=%d, want 300", reserved)
 	}
 }
 

@@ -32,10 +32,10 @@ const (
 	// paper's experiment used only nested loops and sort-merge; hash join is
 	// provided for completeness and disabled in paper mode.
 	HashJoin
-	// IndexNL probes an ordered index on the inner base table's join column
-	// for each outer row. Only available when such an index exists (see
-	// catalog.BuildIndex); disabled in paper mode, where the access methods
-	// are deliberately held fixed.
+	// IndexNL probes a declared index on the inner base table's join column
+	// (the column's shared hash build) for each outer row. Only available
+	// when such an index is declared (see catalog.BuildIndex); disabled in
+	// paper mode, where the access methods are deliberately held fixed.
 	IndexNL
 )
 

@@ -7,9 +7,9 @@
 // read the query performs therefore sees exactly one published catalog
 // version, no matter how many writers publish while it runs. Writers are
 // serialized: each mutation deep-clones the current catalog's statistics
-// (backing data tables and indexes are immutable and shared), applies the
-// mutation to the clone, and publishes the clone atomically under the next
-// version number. A mutation that fails publishes nothing, which makes
+// and index declarations (backing data tables are immutable and shared),
+// applies the mutation to the clone, and publishes the clone atomically
+// under the next version number. A mutation that fails publishes nothing, which makes
 // every catalog mutation all-or-nothing — a half-imported stats file can
 // never become visible.
 //

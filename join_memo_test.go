@@ -155,8 +155,9 @@ func TestJoinMemoConcurrentFirstUse(t *testing.T) {
 }
 
 // Reloading a table under the same name and row count replaces it: the
-// join that follows counts the new rows, under sort-merge and hash join
-// alike, not the structures memoized over the old ones.
+// join that follows counts the new rows, under sort-merge, hash join and
+// index nested-loops alike, not the structures memoized over the old ones.
+// The indexes are declared once, before either table is reloaded.
 func TestJoinMemoReplacedTable(t *testing.T) {
 	// keys has n rows whose k runs from off through off+mod-1, cyclically.
 	keys := func(n, mod, off int) [][]int64 {
@@ -167,24 +168,41 @@ func TestJoinMemoReplacedTable(t *testing.T) {
 		return rows
 	}
 	const sql = "SELECT COUNT(*) FROM R, S WHERE R.k = S.k"
-	// Default limits plan a sort-merge join; any byte budget a hash join.
-	for method, lim := range map[string]Limits{"SM": {}, "HASH": {MaxMemory: 1 << 40}} {
+	// Default limits plan a sort-merge join; any byte budget a hash join;
+	// an index on k and an outer R of n = 100 rows, index nested-loops.
+	for _, c := range []struct {
+		method string
+		lim    Limits
+		index  bool
+		n      int      // R's rows
+		want   [3]int64 // the count after each load of R and S
+	}{
+		{"SM", Limits{}, false, 2000, [3]int64{4000, 2000, 1000}},
+		{"HASH", Limits{MaxMemory: 1 << 40}, false, 2000, [3]int64{4000, 2000, 1000}},
+		{"IDXNL", Limits{}, true, 100, [3]int64{200, 200, 50}},
+	} {
 		sys := New()
-		sys.SetLimits(lim)
-		for _, load := range []struct {
+		sys.SetLimits(c.lim)
+		indexed := map[string]bool{}
+		for i, load := range []struct {
 			table string
 			rows  [][]int64
-			want  int64
 		}{
-			{"S", keys(2000, 1000, 0), 0},    // R not loaded yet
-			{"R", keys(2000, 1000, 0), 4000}, // 1,000 keys, twice on each side
-			{"R", keys(2000, 2000, 0), 2000}, // R's keys once each; S's 1,000 twice
-			{"S", keys(2000, 2000, 1000), 1000},
+			{"S", keys(2000, 1000, 0)},     // R not loaded yet
+			{"R", keys(c.n, c.n/2, 0)},     // R's keys twice each, S's 0..999 twice
+			{"R", keys(c.n, c.n, 0)},       // R's keys once each
+			{"S", keys(2000, 2000, c.n/2)}, // S's keys once each, from n/2 on
 		} {
 			if err := sys.LoadTable(load.table, []string{"k", "v"}, load.rows); err != nil {
 				t.Fatal(err)
 			}
-			if load.want == 0 {
+			if c.index && !indexed[load.table] {
+				if err := sys.BuildIndex(load.table, "k"); err != nil {
+					t.Fatal(err)
+				}
+				indexed[load.table] = true
+			}
+			if i == 0 {
 				continue
 			}
 			for run := 0; run < 2; run++ {
@@ -192,11 +210,11 @@ func TestJoinMemoReplacedTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(res.Estimate.JoinMethods, []string{method}) {
-					t.Fatalf("limits %+v planned %v, want %s", lim, res.Estimate.JoinMethods, method)
+				if !slices.Equal(res.Estimate.JoinMethods, []string{c.method}) {
+					t.Fatalf("limits %+v, index %v: planned %v, want %s", c.lim, c.index, res.Estimate.JoinMethods, c.method)
 				}
-				if res.Count != load.want {
-					t.Fatalf("%s after reloading %s, run %d: count %d, want %d", method, load.table, run, res.Count, load.want)
+				if want := c.want[i-1]; res.Count != want {
+					t.Fatalf("%s after reloading %s, run %d: count %d, want %d", c.method, load.table, run, res.Count, want)
 				}
 			}
 		}

@@ -427,19 +427,26 @@ func (s *System) Estimate(sql string, algo Algorithm) (*Estimate, error) {
 // call is admission-controlled (ErrOverloaded when shed, ErrClosed after
 // Close) and estimates against the catalog snapshot pinned at admission.
 func (s *System) EstimateContext(ctx context.Context, sql string, algo Algorithm) (*Estimate, error) {
+	_, est, err := s.planOnly(ctx, sql, algo, nil)
+	return est, err
+}
+
+// planOnly is the serve path of every call that plans and executes
+// nothing: it plans the query, along order if one is given, under
+// governance and admission control against the snapshot pinned at
+// admission, and returns the plan and its estimate (both nil on error).
+func (s *System) planOnly(ctx context.Context, sql string, algo Algorithm, order []string) (optimizer.Plan, *Estimate, error) {
+	var plan optimizer.Plan
 	var est *Estimate
 	err := s.serve(ctx, func(gov *governor.Governor, snap *snapshot.Snapshot) error {
-		_, _, got, err := s.planFor(gov, snap, sql, algo, nil)
-		if err != nil {
-			return err
-		}
-		est = got
-		return nil
+		var err error
+		_, plan, est, err = s.planFor(gov, snap, sql, algo, order)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return est, nil
+	return plan, est, nil
 }
 
 // EstimateOrder estimates the query along a fixed join order (the aliases
@@ -452,19 +459,8 @@ func (s *System) EstimateOrder(sql string, algo Algorithm, order []string) (*Est
 // EstimateOrderContext is EstimateOrder with governance and admission
 // control (see EstimateContext).
 func (s *System) EstimateOrderContext(ctx context.Context, sql string, algo Algorithm, order []string) (*Estimate, error) {
-	var est *Estimate
-	err := s.serve(ctx, func(gov *governor.Governor, snap *snapshot.Snapshot) error {
-		_, _, got, err := s.planFor(gov, snap, sql, algo, order)
-		if err != nil {
-			return err
-		}
-		est = got
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return est, nil
+	_, est, err := s.planOnly(ctx, sql, algo, order)
+	return est, err
 }
 
 // Explain returns a human-readable report: implied predicates, the chosen
@@ -477,19 +473,11 @@ func (s *System) Explain(sql string, algo Algorithm) (string, error) {
 // EstimateContext). The report names the catalog snapshot version the
 // estimates were computed against.
 func (s *System) ExplainContext(ctx context.Context, sql string, algo Algorithm) (string, error) {
-	var out string
-	err := s.serve(ctx, func(gov *governor.Governor, snap *snapshot.Snapshot) error {
-		_, _, est, err := s.planFor(gov, snap, sql, algo, nil)
-		if err != nil {
-			return err
-		}
-		out = formatExplain(est)
-		return nil
-	})
+	_, est, err := s.planOnly(ctx, sql, algo, nil)
 	if err != nil {
 		return "", err
 	}
-	return out, nil
+	return formatExplain(est), nil
 }
 
 // formatExplain renders the human-readable Explain report for an estimate.
@@ -524,19 +512,11 @@ func (s *System) ExplainDot(sql string, algo Algorithm) (string, error) {
 // Limits and aborts with a typed error on cancellation or an exhausted
 // budget, like every other serve path.
 func (s *System) ExplainDotContext(ctx context.Context, sql string, algo Algorithm) (string, error) {
-	var out string
-	err := s.serve(ctx, func(gov *governor.Governor, snap *snapshot.Snapshot) error {
-		_, plan, _, err := s.planFor(gov, snap, sql, algo, nil)
-		if err != nil {
-			return err
-		}
-		out = optimizer.FormatDot(plan)
-		return nil
-	})
+	plan, _, err := s.planOnly(ctx, sql, algo, nil)
 	if err != nil {
 		return "", err
 	}
-	return out, nil
+	return optimizer.FormatDot(plan), nil
 }
 
 // Query plans and executes the SQL under the selected algorithm. Every
