@@ -215,11 +215,10 @@ func groupColumn(tbl *storage.Table, col int) groups {
 
 // groupMemo groups the rows of tbl by column col, whose keys keysOf renders
 // under rep, through the column's memoized build table on a view.
-func groupMemo[K comparable](tbl *storage.Table, col int, rep keyRep, keysOf func(*storage.Table, int) ([]K, int64)) groups {
+func groupMemo[K comparable](tbl *storage.Table, col int, rep keyRep, keysOf func(*storage.Table, int) []K) groups {
 	nulls := tbl.ColumnData(col).Nulls
 	t := tbl.Memo(col, rep, func() any {
-		keys, _ := keysOf(tbl, col)
-		return newHashTable(keys, nulls, nil, hashSeed)
+		return newHashTable(keysOf(tbl, col), nulls, nil, hashSeed)
 	}).(hashTable[K])
 	return tableGroups(t, nulls, tbl.NumRows())
 }

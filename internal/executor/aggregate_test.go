@@ -490,7 +490,7 @@ func TestAggregateReusesBaseColumnBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec := &hashSpec{joinSpec: &joinSpec{left: probe, right: right, outSchema: schema}}
-				(&Executor{}).bindHashKeys(spec)
+				(&Executor{}).bindHashKeys(spec, false)
 				sink, err := spec.join(nil, nil, &Stats{})
 				if err != nil {
 					t.Fatal(err)

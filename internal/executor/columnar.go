@@ -5,9 +5,13 @@
 // through the residual kernels and gathers survivors column-wise. A typed
 // comparison kernel switches on its operator once per call and compacts
 // with no branch on the data, so a filter costs the same whatever its
-// selectivity. Selection vectors are recycled through an internal/workpool
-// arena shared by every query in the process, so execution stays
-// allocation-flat.
+// selectivity. A scan's first conjunct comparing a column with a constant
+// reads the batch's column range itself (rangeSel) and writes the first
+// selection vector as it filters. Selection vectors are recycled through an
+// internal/workpool arena shared by every query in the process, so
+// execution stays allocation-flat. A hash join derives an input's key array
+// (float64 bits, Value.Key() strings) only if it reads it: a build the
+// base column's memo serves derives none.
 //
 // The counters are part of the paper's reproduction (Section 8 is measured
 // in executed tuples), so the kernels count exactly: a conjunction evaluates
@@ -167,6 +171,56 @@ func selCmpConst[T int64 | float64 | string](vals []T, nulls []bool, rows []int,
 	return out
 }
 
+// selRangeConst is selCmpConst over a batch of consecutive rows, as a scan
+// reads them: vals holds rows b.. of the column, and each row's index goes
+// to sel as it is filtered, so no selection vector is read. Its cases are
+// selCmpConst's, expression for expression.
+func selRangeConst[T int64 | float64 | string](vals []T, nulls []bool, b int, c T, op expr.CompareOp, sel []int) int {
+	out, neg := 0, negated(op)
+	switch op {
+	case expr.OpEQ, expr.OpNE:
+		for i, v := range vals {
+			sel[out] = b + i
+			out += (b2i(!(v < c))&b2i(!(v > c)) ^ neg) & notNull(nulls, b+i)
+		}
+	case expr.OpLT, expr.OpGE:
+		for i, v := range vals {
+			sel[out] = b + i
+			out += (b2i(v < c) ^ neg) & notNull(nulls, b+i)
+		}
+	case expr.OpLE, expr.OpGT:
+		for i, v := range vals {
+			sel[out] = b + i
+			out += (b2i(!(v > c)) ^ neg) & notNull(nulls, b+i)
+		}
+	}
+	return out
+}
+
+// rangeSel filters the rows b..e of t by p with the range kernel
+// (selRangeConst), writing the rows kept to sel, and counts a comparison
+// per row, as predSel over those rows would. ok is false, and nothing is
+// written or counted, unless p compares an int64, float64 or string column
+// with a non-NULL constant of its type.
+func rangeSel(t *storage.Table, p optimizer.Cond, b, e int, sel []int, stats *Stats) (n int, ok bool) {
+	c := p.Const
+	if p.Right >= 0 || c.IsNull() {
+		return 0, false
+	}
+	switch d := t.ColumnData(p.Left); {
+	case d.Type == storage.TypeInt64 && c.Type() == storage.TypeInt64:
+		n = selRangeConst(d.Ints[b:e], d.Nulls, b, c.Int(), p.Op, sel)
+	case d.Type == storage.TypeFloat64 && c.Type() == storage.TypeFloat64:
+		n = selRangeConst(d.Floats[b:e], d.Nulls, b, c.Float(), p.Op, sel)
+	case d.Type == storage.TypeString && c.Type() == storage.TypeString:
+		n = selRangeConst(d.Strs[b:e], d.Nulls, b, c.Str(), p.Op, sel)
+	default:
+		return 0, false
+	}
+	stats.Comparisons += int64(e - b)
+	return n, true
+}
+
 // selCmpCols is the column-vs-column kernel for one ordered type, in
 // selCmpConst's form.
 func selCmpCols[T int64 | float64 | string](l []T, ln []bool, lrows []int, r []T, rn []bool, rrows []int,
@@ -269,32 +323,33 @@ func disjRow(tbl *storage.Table, d []optimizer.Cond, r int, stats *Stats) bool {
 	return false
 }
 
-// bindHashKeys picks the key representation for one hash join and binds
-// spec.join to the typed kernel. Keys of one specializable type hash
-// natively, and an int64 key meets a float64 one as float64 bits, as
-// storage.Compare meets them; bool keys hash their Value.Key() strings,
-// which group exactly the values Compare calls equal.
-func (e *Executor) bindHashKeys(spec *hashSpec) {
+// bindHashKeys picks the key representation for one hash join (spec.rep)
+// and binds spec.join to the typed kernel, for a partitioned join or not.
+// Keys of one specializable type hash natively, and an int64 key meets a
+// float64 one as float64 bits, as storage.Compare meets them; bool keys
+// hash their Value.Key() strings, which group exactly the values Compare
+// calls equal.
+func (e *Executor) bindHashKeys(spec *hashSpec, partition bool) {
 	ltype := spec.left.Schema().Column(spec.lKey).Type
 	rtype := spec.right.Schema().Column(spec.rKey).Type
 	switch {
 	case ltype != rtype && numericType(ltype) && numericType(rtype):
 		spec.numeric = true
-		bindKeys(e, spec, repFloat, floatKeys)
+		bindKeys(e, spec, repFloat, floatKeys, partition)
 	case ltype != rtype || ltype == storage.TypeBool:
-		bindKeys(e, spec, repBoxed, boxedKeys)
+		bindKeys(e, spec, repBoxed, boxedKeys, partition)
 	case ltype == storage.TypeInt64:
-		bindKeys(e, spec, repNative, intKeys)
+		bindKeys(e, spec, repNative, intKeys, partition)
 	case ltype == storage.TypeFloat64:
-		bindKeys(e, spec, repFloat, floatKeys)
+		bindKeys(e, spec, repFloat, floatKeys, partition)
 	default:
-		bindKeys(e, spec, repNative, strKeys)
+		bindKeys(e, spec, repNative, strKeys, partition)
 	}
 }
 
 // intKeys and strKeys are an int64 or a string column's own values.
-func intKeys(t *storage.Table, col int) ([]int64, int64)  { return t.ColumnData(col).Ints, 0 }
-func strKeys(t *storage.Table, col int) ([]string, int64) { return t.ColumnData(col).Strs, 0 }
+func intKeys(t *storage.Table, col int) []int64  { return t.ColumnData(col).Ints }
+func strKeys(t *storage.Table, col int) []string { return t.ColumnData(col).Strs }
 
 // keyRep names how a hash join renders one column's keys. It keys the
 // memoized build table of an unfiltered base column (storage.Table.Memo),
@@ -309,30 +364,57 @@ const (
 	repBoxed                // Value.Key() strings (boxedKeys)
 )
 
-// bindKeys derives both inputs' keys once per join, whatever the partition
-// policy does with them. keysOf reports the bytes of any array it had to
-// derive; the join holds them as scratch until it returns.
-func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(t *storage.Table, col int) ([]K, int64)) {
-	lk, lscratch := keysOf(spec.left, spec.lKey)
-	rk, rscratch := keysOf(spec.right, spec.rKey)
-	spec.scratch = lscratch + rscratch
-	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
-		if spec.inner != nil {
-			return indexRuns(e, spec, rep, lk, rk, stats)
-		}
-		return colJoin(e, spec.joinSpec, rep, lk, rk, rrows, lrows, stats)
+// bindKeys binds spec.join to the typed kernel over the keys keysOf renders
+// under rep. A partitioned join reads both inputs' keys in every partition,
+// so it derives them once, here. A one-partition join derives its probe
+// side's as it probes and its build side's only if it builds, so a build
+// the memo serves derives none; on spec.buildLeft it runs with its inputs'
+// roles exchanged (joinSpec.swapped).
+func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(t *storage.Table, col int) []K, partition bool) {
+	spec.rep = rep
+	var lk, rk []K
+	if partition {
+		lk, rk = keysOf(spec.left, spec.lKey), keysOf(spec.right, spec.rKey)
 	}
+	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
+		switch {
+		case spec.inner != nil:
+			return indexRuns(e, spec, keysOf, stats)
+		case spec.buildLeft:
+			return colJoin(e, spec.swapped(), rep, keysOf, nil, nil, nil, nil, stats)
+		}
+		return colJoin(e, spec.joinSpec, rep, keysOf, lk, rk, rrows, lrows, stats)
+	}
+}
+
+// keyBytes is the scratch rendering column col of t under rep derives: a
+// float64 bit pattern per row, or a Value.Key() string per row, its header
+// and its bytes; keys read as stored derive nothing.
+func keyBytes(rep keyRep, t *storage.Table, col int) int64 {
+	switch rep {
+	case repFloat:
+		return int64(8 * t.NumRows())
+	case repBoxed:
+		size := int64(16 * t.NumRows())
+		for r := range t.NumRows() {
+			if v := t.Value(r, col); !v.IsNull() {
+				size += int64(len(v.Key()))
+			}
+		}
+		return size
+	}
+	return 0
 }
 
 // floatKeys renders a numeric column as hashable float64 bit patterns
 // (floatBits).
-func floatKeys(t *storage.Table, col int) ([]uint64, int64) {
+func floatKeys(t *storage.Table, col int) []uint64 {
 	d := t.ColumnData(col)
 	out := make([]uint64, t.NumRows())
 	for i := range out {
 		out[i] = floatBits(numericAt(d, i))
 	}
-	return out, int64(8 * len(out))
+	return out
 }
 
 // floatBits is the hash key of a float64: -0.0 maps to 0.0, the two values
@@ -346,33 +428,35 @@ func floatBits(f float64) uint64 {
 
 // boxedKeys renders any column as Value.Key() strings. NULL rows keep the
 // empty string; the kernel never looks at them.
-func boxedKeys(t *storage.Table, col int) ([]string, int64) {
+func boxedKeys(t *storage.Table, col int) []string {
 	out := make([]string, t.NumRows())
-	size := int64(16 * len(out))
 	for r := range out {
 		if v := t.Value(r, col); !v.IsNull() {
 			out[r] = v.Key()
-			size += int64(len(out[r]))
 		}
 	}
-	return out, size
+	return out
 }
 
 // buildTable returns the flat hash table (hashTable, dense or hashed) over
-// the keys rk of the right rows named by rrows (nil: every right row). A
+// the right rows named by rrows (nil: every right row): over the keys rk a
+// partitioned join derived, or over every row's keys keysOf derives. A
 // build over every row of an unfiltered base-table scan (a view) is built
 // once per base column and key representation and shared with every later
-// join of that column (storage.Table.Memo); any other build — a filtered
-// scan, an operator's output, a Grace partition — is the join's own.
-func buildTable[K comparable](spec *joinSpec, rep keyRep, rk []K, rrows []int) (hashTable[K], error) {
-	if builds := rowCount(rrows, len(rk)); builds > math.MaxInt32 {
+// join of that column (storage.Table.Memo), and only that first build
+// derives keys; any other build — a filtered scan, an operator's output, a
+// Grace partition — is the join's own.
+func buildTable[K comparable](spec *joinSpec, rep keyRep, keysOf func(*storage.Table, int) []K, rk []K, rrows []int) (hashTable[K], error) {
+	if builds := rowCount(rrows, spec.right.NumRows()); builds > math.MaxInt32 {
 		return hashTable[K]{}, fmt.Errorf("executor: a hash-join build of %d rows exceeds the table's 2^31-row limit", builds)
 	}
 	rn := spec.right.ColumnData(spec.rKey).Nulls
-	if rrows == nil {
-		return spec.right.Memo(spec.rKey, rep, func() any { return newHashTable(rk, rn, nil, hashSeed) }).(hashTable[K]), nil
+	if rrows != nil {
+		return newHashTable(rk, rn, rrows, hashSeed), nil
 	}
-	return newHashTable(rk, rn, rrows, hashSeed), nil
+	return spec.right.Memo(spec.rKey, rep, func() any {
+		return newHashTable(keysOf(spec.right, spec.rKey), rn, nil, hashSeed)
+	}).(hashTable[K]), nil
 }
 
 // colJoin is the typed build → probe → pair-gather kernel for one
@@ -384,10 +468,14 @@ func buildTable[K comparable](spec *joinSpec, rep keyRep, rk []K, rrows []int) (
 // A counting sink on a dense table gets only each block's sum of run
 // lengths, added up with no branch; on a hashed one add counts each run's
 // length.
-func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
-	table, err := buildTable(spec, rep, rk, rrows)
+func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, keysOf func(*storage.Table, int) []K,
+	lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
+	table, err := buildTable(spec, rep, keysOf, rk, rrows)
 	if err != nil {
 		return nil, err
+	}
+	if lk == nil {
+		lk = keysOf(spec.left, spec.lKey)
 	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
 	pairs := e.newPairSink(spec, stats, lrows != nil)
@@ -426,12 +514,12 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, lk, rk []K, 
 // The run is copied into one buffer reused for the whole join, since a
 // shared run is read-only; the inner scan's filters compact the copy, and
 // the pair sink gets what survives.
-func indexRuns[K comparable](e *Executor, spec *hashSpec, rep keyRep, lk, rk []K, stats *Stats) (*pairSink, error) {
-	table, err := buildTable(spec.joinSpec, rep, rk, nil)
+func indexRuns[K comparable](e *Executor, spec *hashSpec, keysOf func(*storage.Table, int) []K, stats *Stats) (*pairSink, error) {
+	table, err := buildTable(spec.joinSpec, spec.rep, keysOf, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	ln := spec.left.ColumnData(spec.lKey).Nulls
+	lk, ln := keysOf(spec.left, spec.lKey), spec.left.ColumnData(spec.lKey).Nulls
 	pairs := e.newPairSink(spec.joinSpec, stats, false)
 	defer pairs.release()
 	var run []int
@@ -450,7 +538,7 @@ func indexRuns[K comparable](e *Executor, spec *hashSpec, rep keyRep, lk, rk []K
 			if err := e.visit(stats, len(run)); err != nil {
 				return nil, err
 			}
-			if err := pairs.add(l, spec.inner.keep(run, stats)); err != nil {
+			if err := pairs.add(l, spec.inner.filter(spec.inner.Conds, run, stats)); err != nil {
 				return nil, err
 			}
 		}
@@ -468,9 +556,10 @@ func indexRuns[K comparable](e *Executor, spec *hashSpec, rep keyRep, lk, rk []K
 //
 // A join whose output carries no column and has no residual, as at a
 // COUNT(*) root (joinSpec.counts), gets a counting sink: it forms no pair
-// and takes no pair arena. The join hands it numbers of pairs (count), and
-// it flushes where the pairs' batches would have flushed, so its row and
-// tuple charges come in the same chunks.
+// and takes no pair arena. The join hands it numbers of pairs (count), or
+// a nested-loops join its candidates and how many of them its bound
+// residual kept (countWhere), and it flushes where the pairs' batches would
+// have flushed, so its row and tuple charges come in the same chunks.
 type pairSink struct {
 	e     *Executor
 	spec  *joinSpec
@@ -483,7 +572,8 @@ type pairSink struct {
 	keepOrigin  bool
 	visitsPairs bool // each pair counts one visited tuple (sort-merge)
 	counting    bool
-	pending     int // a counting sink's batch
+	pending     int // a counting sink's batch of candidate pairs
+	kept        int // the pairs of the batch that survive
 	lsel, rsel  []int
 }
 
@@ -535,14 +625,41 @@ func (p *pairSink) add(l int, rs []int) error {
 // count queues n pairs on a counting sink, flushing whenever the batch
 // fills, as add would.
 func (p *pairSink) count(n int) error {
-	for p.pending+n >= colBatch {
-		n -= colBatch - p.pending
-		p.pending = colBatch
-		if err := p.flush(); err != nil {
+	for n > 0 {
+		k := min(n, colBatch-p.pending)
+		if err := p.tally(k, k); err != nil {
 			return err
 		}
+		n -= k
 	}
+	return nil
+}
+
+// countWhere queues on a counting sink the pairs of one outer row with the
+// inner rows rs of t, of which it keeps those conj — the residual bound to
+// the outer row (bindOuter) — holds for, compacting rs. It cuts rs where
+// the pair batches end, so each batch's survivors are charged where a
+// paired sink would charge them, after the same comparisons.
+func (p *pairSink) countWhere(t *storage.Table, conj []optimizer.Cond, rs []int) error {
+	for len(rs) > 0 {
+		n := min(len(rs), colBatch-p.pending)
+		kept, _ := filterPairs(t, t, t.Schema().NumColumns(), conj, rs[:n], rs[:n], p.stats)
+		if err := p.tally(n, len(kept)); err != nil {
+			return err
+		}
+		rs = rs[n:]
+	}
+	return nil
+}
+
+// tally queues n candidate pairs, no more than fill the batch, of which
+// kept survive, flushing if the batch is full.
+func (p *pairSink) tally(n, kept int) error {
 	p.pending += n
+	p.kept += kept
+	if p.pending == colBatch {
+		return p.flush()
+	}
 	return nil
 }
 
@@ -550,7 +667,7 @@ func (p *pairSink) count(n int) error {
 func (p *pairSink) flush() error {
 	n := len(p.lsel)
 	if p.counting {
-		n, p.pending = p.pending, 0
+		n = p.pending
 	}
 	if p.visitsPairs {
 		if err := p.e.visit(p.stats, n); err != nil {
@@ -558,10 +675,12 @@ func (p *pairSink) flush() error {
 		}
 	}
 	if p.counting {
-		if err := p.e.gov.TickRows(int64(n)); err != nil {
+		kept := p.kept
+		p.pending, p.kept = 0, 0
+		if err := p.e.gov.TickRows(int64(kept)); err != nil {
 			return err
 		}
-		return p.out.AppendCount(n)
+		return p.out.AppendCount(kept)
 	}
 	left, right := p.spec.left, p.spec.right
 	fl, fr := filterPairs(left, right, left.Schema().NumColumns(), p.spec.residual, p.lsel, p.rsel, p.stats)

@@ -120,10 +120,15 @@ type countRun struct {
 	peak, spills              int64
 }
 
-func runCounted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, cols []int, limits governor.Limits) countRun {
+// runCounted executes plan carrying the columns cols under limits; swap,
+// if set, overrides which input every counting one-partition hash join
+// builds on (Executor.swapBuild).
+func runCounted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, cols []int, limits governor.Limits, swap *bool) countRun {
 	t.Helper()
 	gov := governor.New(context.Background(), limits)
-	res, err := NewGoverned(cat, gov).ExecuteColumns(plan, cols)
+	ex := NewGoverned(cat, gov)
+	ex.swapBuild = swap
+	res, err := ex.ExecuteColumns(plan, cols)
 	var run countRun
 	if err != nil {
 		run.err = err
@@ -145,28 +150,32 @@ func runCounted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, cols []
 // must be equal, and under a row or tuple budget both must stop at the
 // same charge, so the charges come in the same chunks. A counting root
 // takes no pair arena, so its ledger peaks at least that much lower. A
-// nested-loops equi-join applies its key as a residual, so it filters pairs
-// and never counts; its cross product counts.
+// nested-loops equi-join applies its key as a residual: counting, it binds
+// each outer row's key into the residual, filters the inner's batch with
+// it and counts what passes, cut where the pair batches end.
 func TestCountModeMatchesPairs(t *testing.T) {
 	methods := []optimizer.JoinMethod{optimizer.HashJoin, optimizer.SortMerge, optimizer.NestedLoop, optimizer.IndexNL}
-	for i, c := range countCases() {
+	for _, c := range countCases() {
 		cat := c.load(t)
 		for _, method := range methods {
-			// Only nested loops run a cross product; an equi-join under them
-			// never counts and pays a comparison per pair, so one kind does.
+			// Only nested loops run a cross product. They neither hash nor
+			// partition, so int64 keys once and no other budget cover them.
 			nl := method == optimizer.NestedLoop
-			if c.cross && !nl || nl && !c.cross && i > 0 || method == optimizer.IndexNL && c.typ == storage.TypeBool {
+			if c.cross && !nl || nl && c.name == "int64 hashed" || method == optimizer.IndexNL && c.typ == storage.TypeBool {
 				continue
 			}
 			plan := c.plan(t, cat, method)
 			for _, budget := range []int64{0, 512} {
+				if nl && budget > 0 && c.name != "int64 dense" && !c.cross {
+					continue
+				}
 				if method == optimizer.SortMerge && budget > 0 {
 					budget = 1 << 20 // the sort scratch cannot be partitioned
 				}
 				t.Run(fmt.Sprintf("%s/%v/budget=%d", c.name, method, budget), func(t *testing.T) {
 					limits := governor.Limits{MaxMemory: budget}
-					counted := runCounted(t, cat, plan, []int{}, limits)
-					paired := runCounted(t, cat, plan, []int{1}, limits)
+					counted := runCounted(t, cat, plan, []int{}, limits, nil)
+					paired := runCounted(t, cat, plan, []int{1}, limits, nil)
 					if counted.err != nil || paired.err != nil {
 						t.Fatalf("errors %v, %v", counted.err, paired.err)
 					}
@@ -182,7 +191,7 @@ func TestCountModeMatchesPairs(t *testing.T) {
 							counted.rows, counted.tuples, counted.comparisons, counted.charged,
 							paired.rows, paired.tuples, paired.comparisons, paired.charged)
 					}
-					if counts := len(plan.(*optimizer.Join).Residual) == 0; counts && paired.peak-counted.peak < pairArenaBytes {
+					if paired.peak-counted.peak < pairArenaBytes {
 						t.Errorf("ledger peaks %d counted, %d paired: the root took a pair arena", counted.peak, paired.peak)
 					}
 					rows, tuples := counted.charged[1], counted.charged[0]
@@ -194,7 +203,7 @@ func TestCountModeMatchesPairs(t *testing.T) {
 						stops = append(stops, governor.Limits{MaxMemory: budget, MaxTuples: n})
 					}
 					for _, stop := range stops {
-						counted, paired := runCounted(t, cat, plan, []int{}, stop), runCounted(t, cat, plan, []int{1}, stop)
+						counted, paired := runCounted(t, cat, plan, []int{}, stop, nil), runCounted(t, cat, plan, []int{1}, stop, nil)
 						if !errors.Is(counted.err, governor.ErrBudgetExceeded) || !errors.Is(paired.err, governor.ErrBudgetExceeded) {
 							t.Fatalf("rows %d, tuples %d: errors %v and %v, want both over budget",
 								stop.MaxRows, stop.MaxTuples, counted.err, paired.err)
@@ -207,5 +216,65 @@ func TestCountModeMatchesPairs(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// A counting nested-loops join binds each outer row's values into its whole
+// residual (bindOuter): an outer operand on either side of a comparison
+// that does not commute, and keys of every kind, int64 against float64
+// both ways round included. Counted against the same plan with one live
+// column, it gives the same rows, TuplesScanned, Comparisons and charges,
+// stops at the same charges under row and tuple budgets, and takes no pair
+// arena.
+func TestNestedLoopCountBindsResidual(t *testing.T) {
+	for _, c := range orientCases() {
+		cat := c.load(t)
+		preds := []expr.Predicate{
+			expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k")),
+			expr.NewJoin(ref("L", "v"), expr.OpLT, ref("R", "v")),
+			expr.NewConst(ref("L", "v"), expr.OpLT, storage.Int64(800)),
+		}
+		est, err := cardest.New(cat, []cardest.TableRef{{Table: "L"}, {Table: "R"}}, preds, cardest.ELS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := optimizer.New(est, optimizer.Options{Methods: []optimizer.JoinMethod{optimizer.NestedLoop}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := opt.PlanForOrder([]string{"L", "R"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// R.v ≥ L.v + 0, the inner operand on the left: the optimizer's own
+		// conjuncts put the outer one there.
+		j := plan.(*optimizer.Join)
+		j.Residual = append(j.Residual, optimizer.Cond{Left: 3, Op: expr.OpGE, Right: 1})
+		t.Run(c.name, func(t *testing.T) {
+			counted := runCounted(t, cat, plan, []int{}, governor.Limits{}, nil)
+			paired := runCounted(t, cat, plan, []int{1}, governor.Limits{}, nil)
+			if counted.err != nil || paired.err != nil {
+				t.Fatalf("errors %v, %v", counted.err, paired.err)
+			}
+			if counted.rows < colBatch {
+				t.Fatalf("%d rows: fewer than a pair batch test no row budget", counted.rows)
+			}
+			if counted.rows != paired.rows || counted.tuples != paired.tuples ||
+				counted.comparisons != paired.comparisons || counted.charged != paired.charged {
+				t.Fatalf("counted: rows %d, tuples %d, comparisons %d, charged %v; paired: %d, %d, %d, %v",
+					counted.rows, counted.tuples, counted.comparisons, counted.charged,
+					paired.rows, paired.tuples, paired.comparisons, paired.charged)
+			}
+			if paired.peak-counted.peak < pairArenaBytes {
+				t.Errorf("ledger peaks %d counted, %d paired: the root took a pair arena", counted.peak, paired.peak)
+			}
+			for _, stop := range []governor.Limits{{MaxRows: colBatch - 1}, {MaxRows: counted.rows - 1}, {MaxTuples: counted.tuples / 2}} {
+				counted, paired := runCounted(t, cat, plan, []int{}, stop, nil), runCounted(t, cat, plan, []int{1}, stop, nil)
+				if !errors.Is(counted.err, governor.ErrBudgetExceeded) || counted.charged != paired.charged {
+					t.Fatalf("rows %d, tuples %d: counted stopped at %v (%v), paired at %v (%v)",
+						stop.MaxRows, stop.MaxTuples, counted.charged, counted.err, paired.charged, paired.err)
+				}
+			}
+		})
 	}
 }

@@ -30,10 +30,12 @@
 // representation (storage.Table.Memo), which index nested-loops probes.
 // Every query, snapshot and goroutine reading the table reuses them,
 // read-only; filtered scans, operator outputs and Grace partitions build
-// their own, as before. The ledger is charged as if each structure were
-// built — the sort scratch, the hash build and the key scratch alike — so a
-// warm run's partition decisions, ErrMemory outcomes and peak are the cold
-// run's.
+// their own, as before. A counting hash join builds on whichever input
+// costs less (buildsLeft), so a shared build is probed by the smaller side.
+// The ledger is charged as if each structure were built — the sort scratch
+// and the hash build of the planned orientation alike — so a warm run's
+// partition decisions, ErrMemory outcomes and peak are the cold run's; a
+// key array the memo's build derives is table memory, as the build is.
 //
 // A plan arrives with every column it reads resolved: each scan's filters
 // as ordinals of its base table, each join's key as an ordinal of either
@@ -54,7 +56,8 @@
 // gather only live columns, an unfiltered scan's view exposes only its
 // live base columns, and a COUNT(*) root (Count) carries none: its pair
 // sink only counts the pairs that survive, and with no residual to apply
-// forms none. Execute is the all-live case.
+// forms none; nested loops bind their residual to each outer row and count
+// the inner rows that pass it. Execute is the all-live case.
 // What is carried changes no row, order, work counter or tuple/row charge,
 // only the byte ledger.
 //
@@ -126,6 +129,10 @@ type Result struct {
 type Executor struct {
 	cat *catalog.Catalog
 	gov *governor.Governor
+	// swapBuild, when set, overrides the cost rule for every counting
+	// one-partition hash join (buildsLeft), so a test can run each one both
+	// ways round.
+	swapBuild *bool
 }
 
 // New creates an executor over the catalog's registered data tables.
@@ -336,11 +343,25 @@ func openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, error) {
 // filtered reports whether the scan has any predicate to apply.
 func (sc *baseScan) filtered() bool { return len(sc.Conds) > 0 || len(sc.OrConds) > 0 }
 
-// keep compacts sel, rows of the base table, to those passing the scan's
-// filters. A single-table filter is the pair filter with both sides the same
-// table and the same selection vector.
-func (sc *baseScan) keep(sel []int, stats *Stats) []int {
-	sel, _ = filterPairs(sc.base, sc.base, sc.base.Schema().NumColumns(), sc.Conds, sel, sel, stats)
+// batch returns the rows b..e of the base table that pass the scan's
+// filters, ascending, in sel's storage, whose capacity must be at least
+// e−b. A first conjunct comparing a typed column with a constant reads the
+// column's range directly (rangeSel); any other starts from the identity
+// selection vector. The rest apply as filter applies them.
+func (sc *baseScan) batch(sel []int, b, e int, stats *Stats) []int {
+	if len(sc.Conds) > 0 {
+		if n, ok := rangeSel(sc.base, sc.Conds[0], b, e, sel[:e-b], stats); ok {
+			return sc.filter(sc.Conds[1:], sel[:n], stats)
+		}
+	}
+	return sc.filter(sc.Conds, appendRange(sel[:0], b, e), stats)
+}
+
+// filter compacts sel, rows of the base table, to those passing the
+// conjuncts conds, then the scan's OR-groups. A single-table filter is the
+// pair filter with both sides the same table and the same selection vector.
+func (sc *baseScan) filter(conds []optimizer.Cond, sel []int, stats *Stats) []int {
+	sel, _ = filterPairs(sc.base, sc.base, sc.base.Schema().NumColumns(), conds, sel, sel, stats)
 	return disjSel(sc.base, sc.OrConds, sel, stats)
 }
 
@@ -366,7 +387,7 @@ func appendRange(sel []int, start, end int) []int {
 }
 
 // runScan visits the base table in batches of colBatch rows, filters each
-// through a selection vector and gathers the survivors' live columns. A scan
+// (baseScan.batch) and gathers the survivors' live columns. A scan
 // without predicates has nothing to select: each batch is charged the same,
 // and the scan returns a read-only view of the live base columns under its
 // qualified schema instead of a copy.
@@ -392,7 +413,7 @@ func (e *Executor) runScan(s *optimizer.Scan, live []bool, stats *Stats) (*stora
 			continue
 		}
 		sel, put := e.takeSel(bEnd - b)
-		sel = sc.keep(appendRange(sel, b, bEnd), stats)
+		sel = sc.batch(sel, b, bEnd, stats)
 		err := e.gov.TickRows(int64(len(sel)))
 		if err == nil {
 			err = out.AppendGather(base, sel)
@@ -504,7 +525,7 @@ func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, live []bool, 
 		return nil, err
 	}
 	spec := &hashSpec{joinSpec: shared, inner: inner}
-	e.bindHashKeys(spec)
+	e.bindHashKeys(spec, false)
 	sink, err := spec.join(nil, nil, stats)
 	if err != nil {
 		return nil, err
@@ -523,7 +544,10 @@ func joinSchema(l, r *storage.Schema) (*storage.Schema, error) {
 // nestedLoop pairs every outer row with the inner base table, visited in
 // full and re-filtered by the scan's kernels for each outer row — the
 // honest cost the optimizer's NestedLoopCost models — and lets the pair
-// sink apply the join predicates.
+// sink apply the join predicates. A join whose output carries no column
+// forms no pairs when every residual conjunct reads the inner: bound to
+// each outer row's values (bindOuter), the residual filters the inner's
+// batch and the sink counts what passes.
 func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
 	inner, err := openScan(j.Right, e.cat.Data(j.Right.Table))
 	if err != nil {
@@ -536,19 +560,34 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, live []boo
 	if err != nil {
 		return nil, err
 	}
+	lcols, residual := left.Schema().NumColumns(), spec.residual
+	bind := len(residual) > 0 && spec.dead() && !slices.ContainsFunc(residual, func(c optimizer.Cond) bool {
+		return c.Left < lcols && c.Right < lcols
+	})
+	if bind {
+		spec.residual = nil // the sink counts what the bound residual keeps
+	}
 	pairs := e.newPairSink(spec, stats, false)
 	defer pairs.release()
 	n := inner.base.NumRows()
 	sel, put := e.takeSel(min(n, colBatch))
 	defer put()
+	var bound []optimizer.Cond
 	for l := 0; l < left.NumRows(); l++ {
+		if bind {
+			bound = bindOuter(bound[:0], residual, left, l, lcols)
+		}
 		for b := 0; b < n; b += colBatch {
 			bEnd := min(b+colBatch, n)
 			if err := e.visit(stats, bEnd-b); err != nil {
 				return nil, err
 			}
-			sel = inner.keep(appendRange(sel[:0], b, bEnd), stats)
-			if err := pairs.add(l, sel); err != nil {
+			if sel = inner.batch(sel, b, bEnd, stats); bind {
+				err = pairs.countWhere(inner.base, bound, sel)
+			} else {
+				err = pairs.add(l, sel)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -557,6 +596,29 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, live []boo
 		return nil, err
 	}
 	return pairs.out, nil
+}
+
+// bindOuter appends to dst the residual, over the joined row of lcols outer
+// columns then the inner's, rewritten as filters on the inner table alone
+// for outer row l of left: an outer operand becomes the value it holds in
+// row l, a constant, with the comparison turned round (Flip) if it was the
+// left operand. Every conjunct reads the inner.
+func bindOuter(dst, residual []optimizer.Cond, left *storage.Table, l, lcols int) []optimizer.Cond {
+	for _, c := range residual {
+		switch {
+		case c.Left < lcols:
+			c = optimizer.Cond{Left: c.Right - lcols, Op: c.Op.Flip(), Right: -1, Const: left.Value(l, c.Left)}
+		case c.Right >= 0 && c.Right < lcols:
+			c = optimizer.Cond{Left: c.Left - lcols, Op: c.Op, Right: -1, Const: left.Value(l, c.Right)}
+		default:
+			c.Left -= lcols
+			if c.Right >= 0 {
+				c.Right -= lcols
+			}
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // joinSpec is what every step of one join shares — every partition of a
@@ -572,10 +634,20 @@ type joinSpec struct {
 	live        []bool
 }
 
+// dead reports whether the join's output carries no column.
+func (s *joinSpec) dead() bool { return s.live != nil && !slices.Contains(s.live, true) }
+
 // counts reports whether the join's output carries no column and has no
 // residual to apply: its pair sink then only counts pairs.
-func (s *joinSpec) counts() bool {
-	return s.live != nil && !slices.Contains(s.live, true) && len(s.residual) == 0
+func (s *joinSpec) counts() bool { return s.dead() && len(s.residual) == 0 }
+
+// swapped is the spec with its inputs' roles exchanged and its output kept:
+// a counting join's, whose count does not depend on which input it reads
+// first.
+func (s *joinSpec) swapped() *joinSpec {
+	w := *s
+	w.left, w.right, w.lKey, w.rKey = s.right, s.left, s.rKey, s.lKey
+	return &w
 }
 
 // newJoinSpec pairs left with right, whose columns rightSchema labels (a
@@ -598,9 +670,11 @@ type hashSpec struct {
 	// sink's origin reports the left row behind each output row. The caller
 	// has already visited the rows.
 	join func(rrows, lrows []int, stats *Stats) (*pairSink, error)
-	// scratch is the bytes of key arrays join derived from the inputs; they
-	// live as long as the join does.
-	scratch int64
+	// rep is how the keys are rendered (bindHashKeys).
+	rep keyRep
+	// buildLeft makes join build on the left input and probe with the right
+	// (buildsLeft); only a one-partition counting join sets it.
+	buildLeft bool
 	// numeric marks an int64 key joined to a float64 one: both sides hash as
 	// float64, the type storage.Compare meets them in.
 	numeric bool
@@ -681,9 +755,17 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, live 
 	// runs as one partition, is charged as working memory.
 	need := right.ApproxBytes()
 	partition := e.gov.ShouldSpill(need)
-	e.bindHashKeys(spec)
-	e.gov.ChargeBytes(spec.scratch)
-	defer e.gov.ReleaseBytes(spec.scratch)
+	e.bindHashKeys(spec, partition)
+	// The key arrays the join derives live as long as it does. It is charged
+	// for those the planned orientation derives, whichever input a counting
+	// join builds on: the probe side's, and the build side's unless its build
+	// is the base column's shared one, which is table memory.
+	scratch := keyBytes(spec.rep, left, spec.lKey)
+	if partition || !right.IsView() {
+		scratch += keyBytes(spec.rep, right, spec.rKey)
+	}
+	e.gov.ChargeBytes(scratch)
+	defer e.gov.ReleaseBytes(scratch)
 	// Whatever the partition policy, both inputs are visited once.
 	if err := e.visit(stats, right.NumRows()+left.NumRows()); err != nil {
 		return nil, err
@@ -693,11 +775,38 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, live 
 	}
 	e.gov.ChargeBytes(need)
 	defer e.gov.ReleaseBytes(need)
+	spec.buildLeft = e.buildsLeft(spec)
 	sink, err := spec.join(nil, nil, stats)
 	if err != nil {
 		return nil, err
 	}
 	return sink.out, nil
+}
+
+// buildsLeft decides which input a one-partition hash join builds on. A join
+// that forms pairs builds on its right input, so its output stays in
+// left-row order. A counting join builds on whichever input costs less: a
+// probe costs its rows, and a build its rows too unless it is a view's,
+// which is the base column's shared build (storage.Table.Memo) and costs
+// nothing. A tie keeps the planned build. Either way round the join visits,
+// charges and flushes as planned.
+func (e *Executor) buildsLeft(spec *hashSpec) bool {
+	switch {
+	case !spec.counts():
+		return false
+	case e.swapBuild != nil:
+		return *e.swapBuild
+	}
+	return buildCost(spec.left, spec.right) < buildCost(spec.right, spec.left)
+}
+
+// buildCost is the rows a hash join building on build and probing with
+// probe reads.
+func buildCost(build, probe *storage.Table) int {
+	if build.IsView() {
+		return probe.NumRows()
+	}
+	return build.NumRows() + probe.NumRows()
 }
 
 // sortComparisons approximates n·log₂(n) for the comparison counter.

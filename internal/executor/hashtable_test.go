@@ -148,9 +148,8 @@ func column1(t *testing.T, typ storage.Type, vals ...storage.Value) *storage.Tab
 
 // keysAndNulls derives a one-column table's keys the way bindHashKeys does
 // for one key kind (keysOf), with the column's NULL flags.
-func keysAndNulls[K comparable](tbl *storage.Table, keysOf func(*storage.Table, int) ([]K, int64)) ([]K, []bool) {
-	k, _ := keysOf(tbl, 0)
-	return k, tbl.ColumnData(0).Nulls
+func keysAndNulls[K comparable](tbl *storage.Table, keysOf func(*storage.Table, int) []K) ([]K, []bool) {
+	return keysOf(tbl, 0), tbl.ColumnData(0).Nulls
 }
 
 // The flat table returns exactly the map's row lists, in the same order, for
@@ -426,7 +425,7 @@ type probeKind struct {
 // lookupPairs is the model of one partition's probe: for each non-NULL probe
 // row named by lrows (nil: every left row), in order, one lookup of its key
 // in a table built over the right rows named by rrows.
-func lookupPairs[K comparable](keysOf func(*storage.Table, int) ([]K, int64)) func(left, right *storage.Table, lrows, rrows []int) [][2]int {
+func lookupPairs[K comparable](keysOf func(*storage.Table, int) []K) func(left, right *storage.Table, lrows, rrows []int) [][2]int {
 	return func(left, right *storage.Table, lrows, rrows []int) [][2]int {
 		lk, ln := keysAndNulls(left, keysOf)
 		rk, rn := keysAndNulls(right, keysOf)
@@ -521,7 +520,7 @@ func TestHashJoinProbeBlockBoundaries(t *testing.T) {
 						t.Fatal(err)
 					}
 					spec := &hashSpec{joinSpec: &joinSpec{left: left, right: right, outSchema: schema}}
-					(&Executor{}).bindHashKeys(spec)
+					(&Executor{}).bindHashKeys(spec, rrows != nil)
 					sink, err := spec.join(rrows, lrows, &Stats{})
 					if err != nil {
 						t.Fatal(err)
@@ -571,6 +570,12 @@ func hashJoinFixture(t testing.TB, distinct int, stride int64) (*catalog.Catalog
 			t.Fatal(err)
 		}
 	}
+	return cat, planHashOrder(t, cat, "L", "R")
+}
+
+// planHashOrder plans the fixture's join as a hash join in the given order,
+// the first table the probe side.
+func planHashOrder(t testing.TB, cat *catalog.Catalog, order ...string) optimizer.Plan {
 	est, err := cardest.New(cat, []cardest.TableRef{{Table: "L"}, {Table: "R"}},
 		[]expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))}, cardest.ELS())
 	if err != nil {
@@ -580,11 +585,11 @@ func hashJoinFixture(t testing.TB, distinct int, stride int64) (*catalog.Catalog
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := opt.PlanForOrder([]string{"L", "R"})
+	plan, err := opt.PlanForOrder(order)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cat, plan
+	return plan
 }
 
 // execHashJoin runs the fixture's join under the byte budget (0: none),
@@ -631,7 +636,9 @@ func TestHashJoinAllocationCeiling(t *testing.T) {
 // ones 2^16 apart, which hash; with every output column, and under count/
 // as a COUNT(*), which counts its matches without pairing them. A COUNT(*)
 // build carries only its key, half the bytes, so it partitions under half
-// the budget.
+// the budget. count/swapped/ plans the join the other way round, the
+// 50,000-row table probing, which a COUNT(*) swaps: the 1,000 rows probe
+// the larger table's shared build.
 func BenchmarkHashJoin(b *testing.B) {
 	for _, keys := range []struct {
 		name   string
@@ -659,6 +666,13 @@ func BenchmarkHashJoin(b *testing.B) {
 				})
 			}
 		}
+		swapped := planHashOrder(b, cat, "R", "L")
+		b.Run("count/swapped/"+keys.name+"/one-partition", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				execHashJoin(b, cat, swapped, 0, []int{})
+			}
+		})
 	}
 }
 

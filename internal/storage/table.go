@@ -148,6 +148,10 @@ func NewLiveTable(name string, schema *Schema, live []bool) *Table {
 	return &Table{name: name, schema: schema, cols: cols}
 }
 
+// IsView reports whether t is a read-only view (View), whose builds over
+// every row of a column are shared through Memo.
+func (t *Table) IsView() bool { return t.view }
+
 // Live reports whether column col is carried (NewLiveTable).
 func (t *Table) Live(col int) bool { return t.cols[col] != nil }
 
