@@ -368,8 +368,7 @@ const (
 // under rep. A partitioned join reads both inputs' keys in every partition,
 // so it derives them once, here. A one-partition join derives its probe
 // side's as it probes and its build side's only if it builds, so a build
-// the memo serves derives none; on spec.buildLeft it runs with its inputs'
-// roles exchanged (joinSpec.swapped).
+// the memo serves derives none.
 func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(t *storage.Table, col int) []K, partition bool) {
 	spec.rep = rep
 	var lk, rk []K
@@ -377,11 +376,8 @@ func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func
 		lk, rk = keysOf(spec.left, spec.lKey), keysOf(spec.right, spec.rKey)
 	}
 	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
-		switch {
-		case spec.inner != nil:
+		if spec.inner != nil {
 			return indexRuns(e, spec, keysOf, stats)
-		case spec.buildLeft:
-			return colJoin(e, spec.swapped(), rep, keysOf, nil, nil, nil, nil, stats)
 		}
 		return colJoin(e, spec.joinSpec, rep, keysOf, lk, rk, rrows, lrows, stats)
 	}

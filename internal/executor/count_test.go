@@ -120,15 +120,11 @@ type countRun struct {
 	peak, spills              int64
 }
 
-// runCounted executes plan carrying the columns cols under limits; swap,
-// if set, overrides which input every counting one-partition hash join
-// builds on (Executor.swapBuild).
-func runCounted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, cols []int, limits governor.Limits, swap *bool) countRun {
+// runCounted executes plan carrying the columns cols under limits.
+func runCounted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, cols []int, limits governor.Limits) countRun {
 	t.Helper()
 	gov := governor.New(context.Background(), limits)
-	ex := NewGoverned(cat, gov)
-	ex.swapBuild = swap
-	res, err := ex.ExecuteColumns(plan, cols)
+	res, err := NewGoverned(cat, gov).ExecuteColumns(plan, cols)
 	var run countRun
 	if err != nil {
 		run.err = err
@@ -174,8 +170,8 @@ func TestCountModeMatchesPairs(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%v/budget=%d", c.name, method, budget), func(t *testing.T) {
 					limits := governor.Limits{MaxMemory: budget}
-					counted := runCounted(t, cat, plan, []int{}, limits, nil)
-					paired := runCounted(t, cat, plan, []int{1}, limits, nil)
+					counted := runCounted(t, cat, plan, []int{}, limits)
+					paired := runCounted(t, cat, plan, []int{1}, limits)
 					if counted.err != nil || paired.err != nil {
 						t.Fatalf("errors %v, %v", counted.err, paired.err)
 					}
@@ -203,7 +199,7 @@ func TestCountModeMatchesPairs(t *testing.T) {
 						stops = append(stops, governor.Limits{MaxMemory: budget, MaxTuples: n})
 					}
 					for _, stop := range stops {
-						counted, paired := runCounted(t, cat, plan, []int{}, stop, nil), runCounted(t, cat, plan, []int{1}, stop, nil)
+						counted, paired := runCounted(t, cat, plan, []int{}, stop), runCounted(t, cat, plan, []int{1}, stop)
 						if !errors.Is(counted.err, governor.ErrBudgetExceeded) || !errors.Is(paired.err, governor.ErrBudgetExceeded) {
 							t.Fatalf("rows %d, tuples %d: errors %v and %v, want both over budget",
 								stop.MaxRows, stop.MaxTuples, counted.err, paired.err)
@@ -251,8 +247,8 @@ func TestNestedLoopCountBindsResidual(t *testing.T) {
 		j := plan.(*optimizer.Join)
 		j.Residual = append(j.Residual, optimizer.Cond{Left: 3, Op: expr.OpGE, Right: 1})
 		t.Run(c.name, func(t *testing.T) {
-			counted := runCounted(t, cat, plan, []int{}, governor.Limits{}, nil)
-			paired := runCounted(t, cat, plan, []int{1}, governor.Limits{}, nil)
+			counted := runCounted(t, cat, plan, []int{}, governor.Limits{})
+			paired := runCounted(t, cat, plan, []int{1}, governor.Limits{})
 			if counted.err != nil || paired.err != nil {
 				t.Fatalf("errors %v, %v", counted.err, paired.err)
 			}
@@ -269,7 +265,7 @@ func TestNestedLoopCountBindsResidual(t *testing.T) {
 				t.Errorf("ledger peaks %d counted, %d paired: the root took a pair arena", counted.peak, paired.peak)
 			}
 			for _, stop := range []governor.Limits{{MaxRows: colBatch - 1}, {MaxRows: counted.rows - 1}, {MaxTuples: counted.tuples / 2}} {
-				counted, paired := runCounted(t, cat, plan, []int{}, stop, nil), runCounted(t, cat, plan, []int{1}, stop, nil)
+				counted, paired := runCounted(t, cat, plan, []int{}, stop), runCounted(t, cat, plan, []int{1}, stop)
 				if !errors.Is(counted.err, governor.ErrBudgetExceeded) || counted.charged != paired.charged {
 					t.Fatalf("rows %d, tuples %d: counted stopped at %v (%v), paired at %v (%v)",
 						stop.MaxRows, stop.MaxTuples, counted.charged, counted.err, paired.charged, paired.err)

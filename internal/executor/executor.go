@@ -30,12 +30,12 @@
 // representation (storage.Table.Memo), which index nested-loops probes.
 // Every query, snapshot and goroutine reading the table reuses them,
 // read-only; filtered scans, operator outputs and Grace partitions build
-// their own, as before. A counting hash join builds on whichever input
-// costs less (buildsLeft), so a shared build is probed by the smaller side.
-// The ledger is charged as if each structure were built — the sort scratch
-// and the hash build of the planned orientation alike — so a warm run's
-// partition decisions, ErrMemory outcomes and peak are the cold run's; a
-// key array the memo's build derives is table memory, as the build is.
+// their own, as before. The optimizer prices such a hash build at nothing
+// when the table fits the byte budget, and a hash join builds on the input
+// the plan names. The ledger is charged as if each structure were built —
+// the sort scratch and the hash build alike — so a warm run's partition
+// decisions, ErrMemory outcomes and peak are the cold run's; a key array
+// the memo's build derives is table memory, as the build is.
 //
 // A plan arrives with every column it reads resolved: each scan's filters
 // as ordinals of its base table, each join's key as an ordinal of either
@@ -129,10 +129,6 @@ type Result struct {
 type Executor struct {
 	cat *catalog.Catalog
 	gov *governor.Governor
-	// swapBuild, when set, overrides the cost rule for every counting
-	// one-partition hash join (buildsLeft), so a test can run each one both
-	// ways round.
-	swapBuild *bool
 }
 
 // New creates an executor over the catalog's registered data tables.
@@ -641,15 +637,6 @@ func (s *joinSpec) dead() bool { return s.live != nil && !slices.Contains(s.live
 // residual to apply: its pair sink then only counts pairs.
 func (s *joinSpec) counts() bool { return s.dead() && len(s.residual) == 0 }
 
-// swapped is the spec with its inputs' roles exchanged and its output kept:
-// a counting join's, whose count does not depend on which input it reads
-// first.
-func (s *joinSpec) swapped() *joinSpec {
-	w := *s
-	w.left, w.right, w.lKey, w.rKey = s.right, s.left, s.rKey, s.lKey
-	return &w
-}
-
 // newJoinSpec pairs left with right, whose columns rightSchema labels (a
 // base table's by the scan's alias), under the join's key and residual,
 // into an output carrying the columns live flags.
@@ -672,9 +659,6 @@ type hashSpec struct {
 	join func(rrows, lrows []int, stats *Stats) (*pairSink, error)
 	// rep is how the keys are rendered (bindHashKeys).
 	rep keyRep
-	// buildLeft makes join build on the left input and probe with the right
-	// (buildsLeft); only a one-partition counting join sets it.
-	buildLeft bool
 	// numeric marks an int64 key joined to a float64 one: both sides hash as
 	// float64, the type storage.Compare meets them in.
 	numeric bool
@@ -756,10 +740,9 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, live 
 	need := right.ApproxBytes()
 	partition := e.gov.ShouldSpill(need)
 	e.bindHashKeys(spec, partition)
-	// The key arrays the join derives live as long as it does. It is charged
-	// for those the planned orientation derives, whichever input a counting
-	// join builds on: the probe side's, and the build side's unless its build
-	// is the base column's shared one, which is table memory.
+	// The key arrays the join derives live as long as it does: the probe
+	// side's, and the build side's unless its build is the base column's
+	// shared one, which is table memory.
 	scratch := keyBytes(spec.rep, left, spec.lKey)
 	if partition || !right.IsView() {
 		scratch += keyBytes(spec.rep, right, spec.rKey)
@@ -775,38 +758,11 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, live 
 	}
 	e.gov.ChargeBytes(need)
 	defer e.gov.ReleaseBytes(need)
-	spec.buildLeft = e.buildsLeft(spec)
 	sink, err := spec.join(nil, nil, stats)
 	if err != nil {
 		return nil, err
 	}
 	return sink.out, nil
-}
-
-// buildsLeft decides which input a one-partition hash join builds on. A join
-// that forms pairs builds on its right input, so its output stays in
-// left-row order. A counting join builds on whichever input costs less: a
-// probe costs its rows, and a build its rows too unless it is a view's,
-// which is the base column's shared build (storage.Table.Memo) and costs
-// nothing. A tie keeps the planned build. Either way round the join visits,
-// charges and flushes as planned.
-func (e *Executor) buildsLeft(spec *hashSpec) bool {
-	switch {
-	case !spec.counts():
-		return false
-	case e.swapBuild != nil:
-		return *e.swapBuild
-	}
-	return buildCost(spec.left, spec.right) < buildCost(spec.right, spec.left)
-}
-
-// buildCost is the rows a hash join building on build and probing with
-// probe reads.
-func buildCost(build, probe *storage.Table) int {
-	if build.IsView() {
-		return probe.NumRows()
-	}
-	return build.NumRows() + probe.NumRows()
 }
 
 // sortComparisons approximates n·log₂(n) for the comparison counter.

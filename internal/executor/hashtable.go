@@ -4,9 +4,9 @@
 // row lists a map from key to appended rows would hold, in the same order —
 // and a second array finds each key's run in it. A join probes the table;
 // Aggregate reads its runs as groups. A table over every row of a base
-// column is shared (storage.Table.Memo), so a counting join, whose count
-// does not depend on which side is built, probes a shared table with its
-// other input rather than build over that input (buildsLeft).
+// column is shared (storage.Table.Memo), and the optimizer prices building
+// it at nothing, so a join probes a shared table with its other input rather
+// than build over that input.
 //
 // The second array is dense or hashed, fixed per build by its rows' own
 // non-NULL keys, never by statistics that may be wrong. An int64 or uint64

@@ -636,9 +636,8 @@ func TestHashJoinAllocationCeiling(t *testing.T) {
 // ones 2^16 apart, which hash; with every output column, and under count/
 // as a COUNT(*), which counts its matches without pairing them. A COUNT(*)
 // build carries only its key, half the bytes, so it partitions under half
-// the budget. count/swapped/ plans the join the other way round, the
-// 50,000-row table probing, which a COUNT(*) swaps: the 1,000 rows probe
-// the larger table's shared build.
+// the budget. count/swapped/ plans the join the other way round: the
+// 50,000-row table probes a build over the 1,000 rows.
 func BenchmarkHashJoin(b *testing.B) {
 	for _, keys := range []struct {
 		name   string

@@ -1,11 +1,12 @@
 package executor
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cardest"
@@ -78,9 +79,10 @@ func (c orientCase) load(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
-// orientPlan plans L ⋈ R on k as a hash join, L the probe side, with the
-// tables named in filtered scanned with v < 600.
-func orientPlan(t testing.TB, cat *catalog.Catalog, filtered ...string) optimizer.Plan {
+// orientPlan plans the hash join of two of L and R in order, the first
+// the probe side and the second the build, with the tables named in
+// filtered scanned with v < 600.
+func orientPlan(t testing.TB, cat *catalog.Catalog, order []string, filtered ...string) optimizer.Plan {
 	t.Helper()
 	preds := []expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))}
 	for _, name := range filtered {
@@ -94,7 +96,7 @@ func orientPlan(t testing.TB, cat *catalog.Catalog, filtered ...string) optimize
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := opt.PlanForOrder([]string{"L", "R"})
+	plan, err := opt.PlanForOrder(order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,122 +106,76 @@ func orientPlan(t testing.TB, cat *catalog.Catalog, filtered ...string) optimize
 	return plan
 }
 
-// A counting hash join may build on either input (buildsLeft), and which it
-// builds on shows nowhere: every counting join of a view and a filtered
-// input, and of two views, over every key kind, NULLs on both sides, run
-// built on its right input and built on its left gives the same count,
-// TuplesScanned, Comparisons, tuple and row charges and ledger peak, and
-// under row and tuple budgets stops at the same charges. A join that forms
-// pairs never swaps: forced to, it returns the same rows in the same order.
+// The hash kernel's equality does not depend on which input it builds on:
+// for every key kind, NULLs on both sides, the hash join of L and R planned
+// both ways round — a view and a filtered input, and two views — counts
+// the same rows with the same TuplesScanned, Comparisons and tuple and row
+// charges, and pairs the same (L.v, R.v) rows. Each orientation's ledger
+// peak is the same on a cold run, which builds a view's shared hash table,
+// and a warm one, which reuses it.
 func TestHashJoinOrientation(t *testing.T) {
-	planned, swapped := false, true
 	for _, c := range orientCases() {
-		cat := c.load(t)
 		for _, filtered := range [][]string{{"R"}, {"L"}, nil} {
-			plan := orientPlan(t, cat, filtered...)
 			t.Run(fmt.Sprintf("%s/filtered=%v", c.name, filtered), func(t *testing.T) {
-				limits := governor.Limits{}
-				right, left := runCounted(t, cat, plan, []int{}, limits, &planned), runCounted(t, cat, plan, []int{}, limits, &swapped)
-				if right.err != nil || left.err != nil {
-					t.Fatalf("errors %v, %v", right.err, left.err)
-				}
-				if right.rows < 3*colBatch {
-					t.Fatalf("%d rows: fewer than three pair batches test no chunking", right.rows)
-				}
-				if right != left {
-					t.Fatalf("built on the right %+v, on the left %+v", right, left)
-				}
-				if rule := runCounted(t, cat, plan, []int{}, limits, nil); rule != right {
-					t.Fatalf("the cost rule's run %+v, the planned %+v", rule, right)
-				}
-				rows, tuples := right.charged[1], right.charged[0]
-				var stops []governor.Limits
-				for _, n := range []int64{1, colBatch - 1, colBatch, colBatch + 1, 2*colBatch + 7, rows - 1} {
-					stops = append(stops, governor.Limits{MaxRows: n})
-				}
-				for _, n := range []int64{tuples / 3, tuples - 1} {
-					stops = append(stops, governor.Limits{MaxTuples: n})
-				}
-				for _, stop := range stops {
-					right, left := runCounted(t, cat, plan, []int{}, stop, &planned), runCounted(t, cat, plan, []int{}, stop, &swapped)
-					if !errors.Is(right.err, governor.ErrBudgetExceeded) || !errors.Is(left.err, governor.ErrBudgetExceeded) {
-						t.Fatalf("rows %d, tuples %d: errors %v and %v, want both over budget", stop.MaxRows, stop.MaxTuples, right.err, left.err)
+				var runs [2]countRun
+				for i, order := range [][]string{{"L", "R"}, {"R", "L"}} {
+					cat := c.load(t) // cold: no shared build yet
+					plan := orientPlan(t, cat, order, filtered...)
+					cold, warm := runCounted(t, cat, plan, []int{}, governor.Limits{}), runCounted(t, cat, plan, []int{}, governor.Limits{})
+					if cold.err != nil || warm.err != nil {
+						t.Fatalf("%v: errors %v, %v", order, cold.err, warm.err)
 					}
-					if right.charged != left.charged || right.peak != left.peak {
-						t.Fatalf("rows %d, tuples %d: built on the right stopped at %v (peak %d), on the left at %v (peak %d)",
-							stop.MaxRows, stop.MaxTuples, right.charged, right.peak, left.charged, left.peak)
+					if cold != warm {
+						t.Fatalf("%v: cold run %+v, warm run %+v", order, cold, warm)
 					}
+					runs[i] = cold
 				}
-				if right.rows > 100000 {
+				if runs[0].rows < 3*colBatch {
+					t.Fatalf("%d rows: fewer than three pair batches test no chunking", runs[0].rows)
+				}
+				runs[0].peak, runs[1].peak = 0, 0
+				if runs[0] != runs[1] {
+					t.Fatalf("built on R %+v, on L %+v", runs[0], runs[1])
+				}
+				if runs[0].rows > 100000 {
 					return // too many rows to gather twice
 				}
-				paired := func(swap *bool) string {
-					ex := NewGoverned(cat, governor.New(context.Background(), governor.Limits{}))
-					ex.swapBuild = swap
-					res, err := ex.Execute(plan)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res.Table.Format(res.Table.NumRows())
-				}
-				if paired(&planned) != paired(&swapped) {
-					t.Fatal("a join that forms pairs returned other rows or another order when told to swap")
+				cat := c.load(t)
+				lr, rl := orientedPairs(t, cat, orientPlan(t, cat, []string{"L", "R"}, filtered...), 1, 3),
+					orientedPairs(t, cat, orientPlan(t, cat, []string{"R", "L"}, filtered...), 3, 1)
+				if !slices.Equal(lr, rl) {
+					t.Fatal("the two orientations paired different rows")
 				}
 			})
 		}
 	}
 }
 
-// buildsLeft's cost rule: a build costs its rows unless it is a view's
-// shared one, a probe its rows, the cheaper orientation wins and a tie keeps
-// the planned build; a join with a live column or a residual never swaps.
-func TestBuildsLeftRule(t *testing.T) {
-	schema := kvSchema(storage.TypeInt64)
-	owned := func(n int) *storage.Table {
-		tbl := storage.NewTable("t", schema)
-		for i := range n {
-			tbl.MustAppendRow(storage.Int64(int64(i)), storage.Int64(int64(i)))
-		}
-		return tbl
+// orientedPairs executes plan and returns its output's (L.v, R.v) pairs,
+// read from output ordinals lv and rv, sorted.
+func orientedPairs(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, lv, rv int) [][2]int64 {
+	t.Helper()
+	res, err := NewGoverned(cat, governor.New(context.Background(), governor.Limits{})).Execute(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	view := func(n int) *storage.Table {
-		v, err := owned(n).View("v", schema, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+	out := res.Table
+	pairs := make([][2]int64, out.NumRows())
+	for r := range pairs {
+		pairs[r] = [2]int64{out.ColumnData(lv).Ints[r], out.ColumnData(rv).Ints[r]}
 	}
-	dead := make([]bool, 4)
-	residual := []optimizer.Cond{{Left: 1, Op: expr.OpLT, Right: 3}}
-	for _, c := range []struct {
-		name        string
-		left, right *storage.Table
-		live        []bool
-		residual    []optimizer.Cond
-		want        bool
-	}{
-		{"view probes a filtered build", view(100), owned(10), dead, nil, true},
-		{"filtered probes a view", owned(10), view(100), dead, nil, false},
-		{"large view probes a small view", view(100), view(10), dead, nil, true},
-		{"small view probes a large view", view(10), view(100), dead, nil, false},
-		{"views tie", view(50), view(50), dead, nil, false},
-		{"owned inputs always tie", owned(10), owned(100), dead, nil, false},
-		{"a live column", view(100), owned(10), []bool{false, true, false, false}, nil, false},
-		{"every column live", view(100), owned(10), nil, nil, false},
-		{"a residual", view(100), owned(10), dead, residual, false},
-	} {
-		spec := &hashSpec{joinSpec: &joinSpec{left: c.left, right: c.right, rKey: 0, residual: c.residual, live: c.live}}
-		if got := (&Executor{}).buildsLeft(spec); got != c.want {
-			t.Errorf("%s: builds left %v, want %v", c.name, got, c.want)
-		}
-	}
+	slices.SortFunc(pairs, func(a, b [2]int64) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return pairs
 }
 
 // orientFixture registers L, 50,000 rows with k = row, and R, 50,000 rows
 // with k = row mod 12,500 of which v < 12,500 keeps 12,500, and returns the
-// hash join L ⋈ R with L the planned probe side, its inputs executed and
-// its output carrying no column: a COUNT(*) of 12,500 rows.
-func orientFixture(t *testing.T) (ex *Executor, j *optimizer.Join, left, right *storage.Table, live []bool) {
+// hash join of L ⋈ R that BestPlan picks, its inputs executed and its
+// output carrying no column: a COUNT(*) of 12,500 rows. Given an order,
+// the join is planned in that order instead.
+func orientFixture(t *testing.T, order ...string) (ex *Executor, j *optimizer.Join, left, right *storage.Table, live []bool) {
 	const rows, filtered = 50000, 12500
 	cat := catalog.New()
 	for name, mod := range map[string]int{"L": rows, "R": filtered} {
@@ -241,7 +197,12 @@ func orientFixture(t *testing.T) (ex *Executor, j *optimizer.Join, left, right *
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := opt.PlanForOrder([]string{"L", "R"})
+	var plan optimizer.Plan
+	if order != nil {
+		plan, err = opt.PlanForOrder(order)
+	} else {
+		plan, err = opt.BestPlan()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,29 +217,26 @@ func orientFixture(t *testing.T) (ex *Executor, j *optimizer.Join, left, right *
 	if right, err = ex.runScan(j.Right, rightLive, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if !left.IsView() || right.IsView() || right.NumRows() != filtered {
-		t.Fatalf("inputs: view %v of %d rows, view %v of %d rows", left.IsView(), left.NumRows(), right.IsView(), right.NumRows())
-	}
 	return ex, j, left, right, live
 }
 
-// A warm counting join of a 50,000-row view against a 12,500-row filtered
-// input probes the view's shared build with the filtered rows: it
-// allocates under 64 KiB, where building on the filtered input, as planned,
-// allocates a table over its 12,500 rows.
+// BestPlan builds a counting join of a 50,000-row base table and a
+// 12,500-row filtered input on the base table, whose hash build is shared,
+// and probes it with the filtered rows: warm, the join allocates under
+// 64 KiB, where building on the filtered input allocates a table over its
+// 12,500 rows.
 func TestCountingJoinProbesSharedBuild(t *testing.T) {
-	ex, j, left, right, live := orientFixture(t)
-	join := func() {
-		out, err := ex.hashJoin(j, left, right, live, &Stats{})
-		if err != nil {
-			t.Fatal(err)
+	perJoin := func(order ...string) (j *optimizer.Join, allocs float64, bytes uint64) {
+		ex, j, left, right, live := orientFixture(t, order...)
+		join := func() {
+			out, err := ex.hashJoin(j, left, right, live, &Stats{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.NumRows() != 12500 {
+				t.Fatalf("%d rows, want 12500", out.NumRows())
+			}
 		}
-		if out.NumRows() != 12500 {
-			t.Fatalf("%d rows, want 12500", out.NumRows())
-		}
-	}
-	perJoin := func(swap *bool) (allocs float64, bytes uint64) {
-		ex.swapBuild = swap
 		allocs = testing.AllocsPerRun(10, join) // warms the memo first
 		const runs = 10
 		var before, after runtime.MemStats
@@ -287,12 +245,14 @@ func TestCountingJoinProbesSharedBuild(t *testing.T) {
 			join()
 		}
 		runtime.ReadMemStats(&after)
-		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+		return j, allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	planned := false
-	plannedAllocs, plannedBytes := perJoin(&planned)
-	allocs, bytes := perJoin(nil)
-	t.Logf("built on the view: %v allocations, %d bytes per join; on the filtered input: %v, %d", allocs, bytes, plannedAllocs, plannedBytes)
+	j, allocs, bytes := perJoin()
+	if j.Right.Table != "L" || len(j.Right.Filter) > 0 {
+		t.Fatalf("BestPlan builds on %s, want the unfiltered L:\n%s", j.Right, optimizer.Format(j))
+	}
+	_, ownAllocs, ownBytes := perJoin("L", "R")
+	t.Logf("built on the base table: %v allocations, %d bytes per join; on the filtered input: %v, %d", allocs, bytes, ownAllocs, ownBytes)
 	if bytes >= 64<<10 {
 		t.Errorf("a warm counting join allocated %d bytes, want under 64 KiB", bytes)
 	}

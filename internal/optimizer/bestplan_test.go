@@ -224,7 +224,7 @@ func (o *Optimizer) referenceCandidates(left Plan, next *Scan, step cardest.Step
 			if !hasEquality {
 				continue
 			}
-			c = o.model.HashJoinCost(left.Cost(), next.ScanCost, left.EstRows(), next.EstRows())
+			c = o.model.HashJoinCost(left.Cost(), next.ScanCost, left.EstRows(), o.referenceBuildRows(next))
 		case IndexNL:
 			col, ok := o.referenceIndexColumn(next, step.Eligible)
 			if !ok {
@@ -254,6 +254,23 @@ func (o *Optimizer) referenceCandidates(left Plan, next *Scan, step cardest.Step
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].PlanCost < out[j].PlanCost })
 	return out, nil
+}
+
+// referenceBuildRows is the rows a hash join building on next pays to
+// build. An unfiltered scan of a loaded table hands the join a view of the
+// base columns, whose hash table the executor builds once per column and
+// keeps: that build is already paid for, so it is priced at no rows. A byte
+// budget the whole table exceeds would partition the build, and a
+// partition's table is the join's own.
+func (o *Optimizer) referenceBuildRows(next *Scan) float64 {
+	data := o.est.Catalog().Data(next.Table)
+	if data == nil || len(next.Filter) > 0 || len(next.FilterOr) > 0 {
+		return next.EstRows()
+	}
+	if budget := o.gov.MaxMemory(); budget > 0 && data.ApproxBytes() > budget {
+		return next.EstRows()
+	}
+	return 0
 }
 
 // referenceIndexColumn returns the inner-side column of the first eligible

@@ -68,6 +68,12 @@ type table struct {
 	// number of columns, which resolve sets when every table has data.
 	data  *storage.Table
 	width int
+	// shared says a hash build on the table costs nothing: the table is
+	// loaded and scanned unfiltered, so the executor builds over its every
+	// row once and shares the build (storage.Table.Memo). Under a byte
+	// budget the table must fit it; a bigger input partitions and shares
+	// nothing.
+	shared bool
 	// probes are the ways an IndexNL join can reach the table as the inner,
 	// in predicate-set order (empty unless IndexNL is in the repertoire).
 	probes []indexProbe
@@ -98,7 +104,7 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 	}
 	model := cost.DefaultModel()
 	o := &Optimizer{est: est, model: model, methods: methods, gov: opts.Governor}
-	refs := est.Tables()
+	refs, hash := est.Tables(), slices.Contains(methods, HashJoin)
 	if len(refs) > maxTables {
 		return nil, fmt.Errorf("optimizer: %d tables exceed the DP limit of %d", len(refs), maxTables)
 	}
@@ -106,11 +112,14 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 		alias := tr.Name()
 		rows, base, locals := est.Table(t)
 		data := est.Catalog().Data(tr.Table)
-		o.tables = append(o.tables, table{base: base, data: data, sort: model.SortTerm(rows, base.RowWidth), scan: Scan{
+		or := expr.DisjunctionsOf(est.Disjunctions(), alias)
+		shared := hash && data != nil && len(locals) == 0 && len(or) == 0 &&
+			(!o.gov.MemoryEnforced() || data.ApproxBytes() <= o.gov.MaxMemory())
+		o.tables = append(o.tables, table{base: base, data: data, shared: shared, sort: model.SortTerm(rows, base.RowWidth), scan: Scan{
 			Alias:    alias,
 			Table:    tr.Table,
 			Filter:   locals,
-			FilterOr: expr.DisjunctionsOf(est.Disjunctions(), alias),
+			FilterOr: or,
 			Rows:     rows,
 			BaseRows: base.Card,
 			RowWidth: base.RowWidth,
@@ -278,7 +287,11 @@ func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, mask
 			if !equality {
 				continue
 			}
-			c.cost = o.model.HashJoinCost(outerCost, inner.scan.ScanCost, outerRows, inner.scan.Rows)
+			build := inner.scan.Rows
+			if inner.shared {
+				build = 0
+			}
+			c.cost = o.model.HashJoinCost(outerCost, inner.scan.ScanCost, outerRows, build)
 		case IndexNL:
 			if c.probe = inner.probe(mask); c.probe < 0 {
 				continue

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/expr"
+	"repro/internal/governor"
 	"repro/internal/optimizer"
 	"repro/internal/querygen"
 	"repro/internal/storage"
@@ -101,10 +103,11 @@ func samePlan(t *testing.T, label string, got, want optimizer.Plan) {
 }
 
 // diffBestPlan plans one query with BestPlan and with the reference search
-// under every algorithm and the given repertoires, and requires the same
-// plan or the same error. It returns how many plans used IndexNL.
+// under every algorithm and the given repertoires, and a byte budget when
+// budget is positive, and requires the same plan or the same error. It
+// returns how many plans used IndexNL.
 func diffBestPlan(t *testing.T, label string, cat *catalog.Catalog, tabs []cardest.TableRef, preds []expr.Predicate,
-	methods map[string][]optimizer.JoinMethod) (indexNL int) {
+	methods map[string][]optimizer.JoinMethod, budget int64) (indexNL int) {
 	t.Helper()
 	for algo, cfg := range sevenAlgorithms() {
 		est, err := cardest.New(cat, tabs, preds, cfg)
@@ -113,7 +116,11 @@ func diffBestPlan(t *testing.T, label string, cat *catalog.Catalog, tabs []carde
 		}
 		for name, ms := range methods {
 			label := fmt.Sprintf("%s %s %s", label, algo, name)
-			o, err := optimizer.New(est, optimizer.Options{Methods: ms})
+			opts := optimizer.Options{Methods: ms}
+			if budget > 0 {
+				opts.Governor = governor.New(context.Background(), governor.Limits{MaxMemory: budget})
+			}
+			o, err := optimizer.New(est, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -160,7 +167,7 @@ func TestBestPlanMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		indexNL += diffBestPlan(t, fmt.Sprintf("seed %d", seed), cat, q.Tables, q.Preds, repertoires())
+		indexNL += diffBestPlan(t, fmt.Sprintf("seed %d", seed), cat, q.Tables, q.Preds, repertoires(), 0)
 	}
 	if indexNL == 0 {
 		t.Error("no generated query planned an IndexNL join")
@@ -212,13 +219,16 @@ func TestBestPlanMatchesReference(t *testing.T) {
 		expr.NewJoin(ref("a3", "c4"), expr.OpLT, ref("a4", "c4")),
 	}
 	for name, preds := range map[string][]expr.Predicate{"chain": chain, "star": star, "class": class, "islands": islands} {
-		indexNL := diffBestPlan(t, name, cat, tabs, preds, repertoires())
+		indexNL := diffBestPlan(t, name, cat, tabs, preds, repertoires(), 0)
 		if name != "islands" && indexNL == 0 {
 			t.Errorf("%s: no plan used an IndexNL join", name)
 		}
+		// T0..T2 fit this byte budget and T3..T5 do not, so only the first
+		// three offer the hash join a shared build.
+		diffBestPlan(t, name+", budgeted", cat, tabs, preds, repertoires(), 200000)
 	}
 
 	// A repertoire with no method for a cartesian step.
 	diffBestPlan(t, "islands, hash only", cat, tabs, islands,
-		map[string][]optimizer.JoinMethod{"hash": {optimizer.HashJoin}})
+		map[string][]optimizer.JoinMethod{"hash": {optimizer.HashJoin}}, 0)
 }

@@ -115,7 +115,7 @@ func TestModelAliasesNeverChangeTheLRU(t *testing.T) {
 		}
 		// Six spellings a query, more than MaxAliases, so the bound engages.
 		textOf := func(k Key) TextKey {
-			return TextKey{Text: fmt.Sprint(k.Query, "/", rng.Intn(6)), Algo: k.Algo, Version: k.Version, Budgeted: rng.Intn(8) == 0}
+			return TextKey{Text: fmt.Sprint(k.Query, "/", rng.Intn(6)), Algo: k.Algo, Version: k.Version, Budget: int64(rng.Intn(8) / 7)}
 		}
 		put := func(k Key) {
 			puts++

@@ -63,9 +63,10 @@ type TextKey struct {
 	// Algo and Version are the entry's Key.Algo and Key.Version.
 	Algo    int
 	Version uint64
-	// Budgeted is the caller's byte-budget marker: one text planned with and
-	// without a budget has two canonical entries, so it needs two aliases.
-	Budgeted bool
+	// Budget is the caller's byte budget (0: none), which the plan depends
+	// on: one text planned under two budgets has two canonical entries, so
+	// it needs two aliases.
+	Budget int64
 }
 
 // MaxAliases bounds the texts remembered per entry, and so the alias index

@@ -194,7 +194,7 @@ func (cp *cachedPlan) estimate() *Estimate {
 // order forces the join order (EstimateOrder) and is folded into the cache
 // key, so forced-order estimates cache independently of best-plan ones.
 //
-// The cache key is (canonical normalized query [+ byte-budget marker],
+// The cache key is (canonical normalized query [+ byte budget],
 // algorithm, pinned catalog version): semantically identical query texts
 // planned from the same join repertoire share an entry, and an
 // entry can only ever be served against the exact catalog version it was
@@ -202,7 +202,7 @@ func (cp *cachedPlan) estimate() *Estimate {
 // plans are charged against Limits.MaxPlans.
 //
 // The same entries are also found by the statement's text (plancache.TextKey:
-// raw text, algorithm, pinned version, byte-budget marker), and that lookup
+// raw text, algorithm, pinned version, byte budget), and that lookup
 // comes first: a text seen before at this version returns its bound query
 // and its entry without lexing, parsing, binding or canonicalising. This is
 // exact, not heuristic — parsing is a function of the text and binding of
@@ -221,9 +221,9 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	if cache == nil || s.Limits().DisableCache {
 		cache = nil
 	}
-	budgeted := gov.MemoryEnforced()
+	budget := gov.MaxMemory()
 	byText := cache != nil && len(order) == 0
-	tk := plancache.TextKey{Text: sql, Algo: int(algo), Version: snap.Version(), Budgeted: budgeted}
+	tk := plancache.TextKey{Text: sql, Algo: int(algo), Version: snap.Version(), Budget: budget}
 	if byText {
 		if v, bound, ok := cache.GetText(tk); ok {
 			cp := v.(*cachedPlan)
@@ -237,7 +237,7 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	}
 	var key plancache.Key
 	if cache != nil {
-		key = plancache.Key{Query: cacheQueryText(q, order, budgeted), Algo: tk.Algo, Version: tk.Version}
+		key = plancache.Key{Query: cacheQueryText(q, order, budget), Algo: tk.Algo, Version: tk.Version}
 		if v, ok := cache.Get(key); ok {
 			if byText {
 				cache.Alias(tk, key, q)
@@ -308,19 +308,21 @@ func cachedPlanBytes(cp *cachedPlan) int64 {
 }
 
 // cacheQueryText renders the cache key's query component: the canonical
-// normalized query, plus a marker when the query runs under a byte budget
-// — optimizerOptions swaps sort-merge for the spillable hash join then, so
-// a plan chosen without a budget must not be served under one — plus a
-// length-prefixed forced-order suffix when the caller pinned a join order.
-func cacheQueryText(q *sqlparse.Query, order []string, budgeted bool) string {
+// normalized query, plus the byte budget when the query runs under one —
+// optimizerOptions swaps sort-merge for the spillable hash join then, and
+// the optimizer prices a shared hash build only over a table the budget
+// fits, so a plan chosen without a budget, or under another, must not be
+// served under this one — plus a length-prefixed forced-order suffix when
+// the caller pinned a join order.
+func cacheQueryText(q *sqlparse.Query, order []string, budget int64) string {
 	norm := plancache.Canonical(q)
-	if len(order) == 0 && !budgeted {
+	if len(order) == 0 && budget == 0 {
 		return norm
 	}
 	var b strings.Builder
 	b.WriteString(norm)
-	if budgeted {
-		b.WriteString("budgeted\n")
+	if budget > 0 {
+		fmt.Fprintf(&b, "budget:%d\n", budget)
 	}
 	if len(order) > 0 {
 		b.WriteString("order:")
@@ -371,10 +373,11 @@ func buildEstimate(algo Algorithm, plan optimizer.Plan, opt *optimizer.Optimizer
 
 // estimateWorkingBytes sizes the estimate-informed memory reservation for
 // a plan under Limits.MaxMemory. For every hash join in the plan the build
-// (right) side is materialized at roughly EstRows × Width columns × 16
-// bytes (the storage byte model's string base footprint; integers cost
-// half that, so this over- rather than under-reserves); the reservation is
-// the largest such build doubled as a safety factor. The governor compares
+// (right) side is sized at EstRows × RowWidth × 16. RowWidth is already in
+// bytes, so this is sixteen times the build's estimated bytes, not the
+// storage byte model's footprint (16 bytes per string value, 8 per
+// integer): it over- rather than under-reserves. The reservation is the
+// largest such build doubled as a safety factor. The governor compares
 // each actual build size against this figure (Governor.ShouldSpill), so a
 // join whose true input dwarfs its estimate spills at build time instead
 // of discovering the budget cliff mid-probe. The figure is a pure function

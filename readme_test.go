@@ -1,7 +1,9 @@
 package els_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
@@ -115,4 +117,86 @@ func jsonKeys(typ reflect.Type) []string {
 		}
 	}
 	return keys
+}
+
+// CI and the verify notes run tests by -run pattern, and go test passes
+// silently when an alternative of one matches no test. This holds every
+// Test… alternative of every -run pattern in .github/workflows/ci.yml and
+// .claude/skills/verify/SKILL.md, groups multiplied out, to at least one
+// test function declared in the tree.
+func TestRunPatternsNameTests(t *testing.T) {
+	var tests []string
+	decl := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			tests = append(tests, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile("-run\\s+(?:'([^']*)'|\"([^\"]*)\"|([^\\s`]+))")
+	for _, doc := range []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := 0
+		for _, m := range run.FindAllStringSubmatch(string(raw), -1) {
+			for _, alt := range runAlternatives(m[1] + m[2] + m[3]) {
+				alt, _, _ = strings.Cut(strings.TrimPrefix(alt, "^"), "/")
+				if !strings.HasPrefix(alt, "Test") {
+					continue
+				}
+				named++
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -run alternative %q: %v", doc, alt, err)
+				} else if !slices.ContainsFunc(tests, re.MatchString) {
+					t.Errorf("%s: -run alternative %q matches no test function", doc, alt)
+				}
+			}
+		}
+		if named == 0 {
+			t.Errorf("%s: no -run pattern names a test", doc)
+		}
+	}
+}
+
+// runAlternatives lists the alternatives of a -run pattern with every
+// parenthesized group multiplied out: "A(B|C)|D" is AB, D and AC.
+func runAlternatives(p string) []string {
+	open, end, depth := strings.IndexByte(p, '('), -1, 0
+	for i := max(open, 0); open >= 0 && i < len(p) && end < 0; i++ {
+		switch p[i] {
+		case '(':
+			depth++
+		case ')':
+			if depth--; depth == 0 {
+				end = i
+			}
+		}
+	}
+	if end < 0 { // no group, or an unbalanced one regexp.Compile reports
+		return strings.Split(p, "|")
+	}
+	var out []string
+	for _, inner := range runAlternatives(p[open+1 : end]) {
+		for _, alt := range runAlternatives(p[:open] + inner + p[end+1:]) {
+			if !slices.Contains(out, alt) {
+				out = append(out, alt)
+			}
+		}
+	}
+	return out
 }
