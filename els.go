@@ -310,6 +310,7 @@ func (s *System) loadTable(name string, columns []string, rows [][]int64, opts c
 		return fmt.Errorf("%w: table %s: %w", ErrBadStats, name, err)
 	}
 	tbl := storage.NewTable(name, schema)
+	tbl.Reserve(len(rows))
 	vals := make([]storage.Value, len(columns))
 	for ri, row := range rows {
 		if len(row) != len(columns) {

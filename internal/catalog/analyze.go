@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/storage"
@@ -19,10 +21,12 @@ type AnalyzeOptions struct {
 	HistogramBuckets int
 }
 
-// Analyze scans a data table, derives its statistics (and optional
-// histograms), registers them in the catalog, and remembers the backing
-// table so the executor can run plans against it. Every row is scanned, so
-// the statistics are exact.
+// Analyze derives a data table's exact statistics (and optional histograms)
+// from one walk per column over its sort permutation, registers them in the
+// catalog, and remembers the backing table so the executor can run plans
+// against it. The permutation is read through a view: it is the radix sort
+// memoized on the base column (storage.Table.SortPermutation), which the
+// first sort-merge join over the table then finds built.
 func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("catalog: Analyze(nil)")
@@ -30,52 +34,22 @@ func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats,
 	if err := faultinject.Check(PointAnalyze); err != nil {
 		return nil, fmt.Errorf("catalog: analyze %s: %w", tbl.Name(), err)
 	}
-	n := tbl.NumRows()
 	schema := tbl.Schema()
+	view, err := tbl.View(tbl.Name(), schema, nil)
+	if err != nil {
+		return nil, err
+	}
 	ts := &TableStats{
 		Name:     tbl.Name(),
-		Card:     float64(n),
+		Card:     float64(tbl.NumRows()),
 		RowWidth: schema.RowWidth(),
 		Columns:  make(map[string]*ColumnStats, schema.NumColumns()),
 	}
 	for ci := 0; ci < schema.NumColumns(); ci++ {
 		def := schema.Column(ci)
-		cs := &ColumnStats{Name: def.Name, Type: def.Type}
-		seen := make(map[string]struct{})
-		var numeric []float64
-		isNumeric := def.Type == storage.TypeInt64 || def.Type == storage.TypeFloat64
-		for r := 0; r < n; r++ {
-			v := tbl.Value(r, ci)
-			if v.IsNull() {
-				cs.NullCount++
-				continue
-			}
-			seen[v.Key()] = struct{}{}
-			if isNumeric {
-				f := v.AsFloat()
-				if !cs.HasRange {
-					cs.HasRange = true
-					cs.Min, cs.Max = f, f
-				} else {
-					if f < cs.Min {
-						cs.Min = f
-					}
-					if f > cs.Max {
-						cs.Max = f
-					}
-				}
-				if opts.HistogramBuckets > 0 {
-					numeric = append(numeric, f)
-				}
-			}
-		}
-		cs.Distinct = float64(len(seen))
-		if opts.HistogramBuckets > 0 && len(numeric) > 0 {
-			h, err := NewEquiDepthHistogram(numeric, opts.HistogramBuckets)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: analyze %s.%s: %w", tbl.Name(), def.Name, err)
-			}
-			cs.Hist = h
+		cs, err := analyzeColumn(view, ci, opts.HistogramBuckets)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: analyze %s.%s: %w", tbl.Name(), def.Name, err)
 		}
 		ts.Columns[key(def.Name)] = cs
 	}
@@ -84,4 +58,83 @@ func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats,
 	}
 	c.SetData(tbl.Name(), tbl)
 	return ts, nil
+}
+
+// analyzeColumn walks column ci's sort permutation once. The NULLs come
+// first; each run of equal values after them is one distinct value; Min and
+// Max are the first rows of the first and last runs, the values a scan in
+// row order keeps on a tie such as -0 and 0; and the histogram's buckets
+// are cut from the same order.
+func analyzeColumn(view *storage.Table, ci, buckets int) (*ColumnStats, error) {
+	def, d := view.Schema().Column(ci), view.ColumnData(ci)
+	perm, nulls := view.SortPermutation(ci), 0
+	for nulls < len(perm) && d.Null(perm[nulls]) {
+		nulls++
+	}
+	cs := &ColumnStats{Name: def.Name, Type: def.Type, NullCount: float64(nulls)}
+	rows := perm[nulls:]
+	var n, last int
+	var at func(int) float64
+	switch d.Type {
+	case storage.TypeInt64:
+		n, last = runs(d.Ints, rows)
+		at = func(i int) float64 { return float64(d.Ints[rows[i]]) }
+	case storage.TypeFloat64:
+		if slices.ContainsFunc(d.Floats, math.IsNaN) {
+			return nanColumn(cs, d, buckets)
+		}
+		n, last = runs(d.Floats, rows)
+		at = func(i int) float64 { return d.Floats[rows[i]] }
+	case storage.TypeString:
+		n, _ = runs(d.Strs, rows)
+	case storage.TypeBool:
+		n, _ = runs(d.Bools, rows)
+	}
+	cs.Distinct = float64(n)
+	if at != nil && n > 0 {
+		cs.HasRange, cs.Min, cs.Max = true, at(0), at(last)
+		if buckets > 0 {
+			cs.Hist = equiDepth(len(rows), buckets, at)
+		}
+	}
+	return cs, nil
+}
+
+// runs counts the runs of equal values in vals read in rows order, and
+// returns where the last one starts.
+func runs[T comparable](vals []T, rows []int) (n, last int) {
+	for i, r := range rows {
+		if i == 0 || vals[r] != vals[rows[i-1]] {
+			n, last = n+1, i
+		}
+	}
+	return n, last
+}
+
+// nanColumn scans a float64 column holding a NaN, whose sort permutation is
+// in no order (storage.Table.SortPermutation), in row order: Distinct counts
+// bit patterns, -0 as 0, so each NaN payload is a value; Min and Max ignore
+// NaN; and there is no histogram.
+func nanColumn(cs *ColumnStats, d storage.ColumnData, buckets int) (*ColumnStats, error) {
+	if buckets > 0 {
+		return nil, errNaN
+	}
+	seen := make(map[uint64]bool)
+	for r, f := range d.Floats {
+		if d.Null(r) {
+			continue
+		}
+		seen[math.Float64bits(f+0)] = true // -0 + 0 is 0
+		switch {
+		case f != f:
+		case !cs.HasRange:
+			cs.HasRange, cs.Min, cs.Max = true, f, f
+		case f < cs.Min:
+			cs.Min = f
+		case f > cs.Max:
+			cs.Max = f
+		}
+	}
+	cs.Distinct = float64(len(seen))
+	return cs, nil
 }

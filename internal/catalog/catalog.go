@@ -10,13 +10,14 @@
 //   - synthetically, by declaring statistics directly (the mode used to
 //     reproduce the paper's worked examples, which are stated purely in
 //     terms of statistics), or
-//   - by running Analyze over a storage.Table, which scans the data and
-//     derives exact statistics plus histograms (the mode used by the
-//     end-to-end experiment).
+//   - by running Analyze over a storage.Table, which walks each column's
+//     sort permutation and derives exact statistics plus histograms (the
+//     mode used by the end-to-end experiment).
 package catalog
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -200,12 +201,8 @@ func (c *Catalog) Clone() *Catalog {
 		out.tables[k] = c.tables[k].Clone()
 		out.order = append(out.order, k)
 	}
-	for k, v := range c.data {
-		out.data[k] = v
-	}
-	for k, v := range c.indexes {
-		out.indexes[k] = v
-	}
+	maps.Copy(out.data, c.data)
+	maps.Copy(out.indexes, c.indexes)
 	return out
 }
 
@@ -238,11 +235,4 @@ func SimpleTable(name string, card float64, cols map[string]float64) *TableStats
 		}
 	}
 	return ts
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -66,32 +68,39 @@ func (h *Histogram) Clone() *Histogram {
 }
 
 // NewEquiDepthHistogram builds an equi-depth histogram with at most buckets
-// buckets. Bucket boundaries fall on value boundaries so a value never
-// straddles two buckets.
+// buckets over values, which it sorts (equiDepth).
 func NewEquiDepthHistogram(values []float64, buckets int) (*Histogram, error) {
 	if buckets <= 0 {
 		return nil, fmt.Errorf("catalog: histogram needs at least 1 bucket, got %d", buckets)
 	}
-	if len(values) == 0 {
-		return &Histogram{Kind: EquiDepth}, nil
+	if slices.ContainsFunc(values, math.IsNaN) {
+		return nil, errNaN
 	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	for _, v := range sorted {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("catalog: NaN value in histogram input")
-		}
-	}
+	sorted := slices.Clone(values)
 	sort.Float64s(sorted)
-	n := len(sorted)
+	return equiDepth(len(sorted), buckets, func(i int) float64 { return sorted[i] }), nil
+}
+
+// errNaN rejects histogram input holding a NaN, which has no place in an
+// order.
+var errNaN = errors.New("catalog: NaN value in histogram input")
+
+// equiDepth cuts the n ascending values at(0), ..., at(n-1) into at most
+// buckets equi-depth buckets. Bucket boundaries fall on value boundaries so
+// a value never straddles two buckets.
+func equiDepth(n, buckets int, at func(int) float64) *Histogram {
+	h := &Histogram{Kind: EquiDepth, Total: float64(n)}
+	if n == 0 {
+		return h
+	}
 	depth := float64(n) / float64(buckets)
 	if depth < 1 {
 		depth = 1
 	}
-	var bs []Bucket
+	h.Buckets = make([]Bucket, 0, min(n, buckets))
 	i := 0
 	for i < n {
-		target := int(math.Round(float64(len(bs)+1) * depth))
+		target := int(math.Round(float64(len(h.Buckets)+1) * depth))
 		if target <= i {
 			target = i + 1
 		}
@@ -100,21 +109,19 @@ func NewEquiDepthHistogram(values []float64, buckets int) (*Histogram, error) {
 		}
 		// Extend to the end of the run of equal values so a value never spans
 		// buckets.
-		for target < n && sorted[target] == sorted[target-1] {
+		for target < n && at(target) == at(target-1) {
 			target++
 		}
-		b := Bucket{Lo: sorted[i], Hi: sorted[target-1], Count: float64(target - i)}
-		d := 1.0
+		b := Bucket{Lo: at(i), Hi: at(target - 1), Count: float64(target - i), Distinct: 1}
 		for j := i + 1; j < target; j++ {
-			if sorted[j] != sorted[j-1] {
-				d++
+			if at(j) != at(j-1) {
+				b.Distinct++
 			}
 		}
-		b.Distinct = d
-		bs = append(bs, b)
+		h.Buckets = append(h.Buckets, b)
 		i = target
 	}
-	return &Histogram{Kind: EquiDepth, Buckets: bs, Total: float64(n)}, nil
+	return h
 }
 
 // SelectivityLT estimates the fraction of rows with value < c. Each
@@ -151,7 +158,7 @@ func (h *Histogram) fraction(rows float64) float64 {
 	if h.Total == 0 {
 		return 0
 	}
-	return clamp01(rows / h.Total)
+	return min(max(rows/h.Total, 0), 1)
 }
 
 // rowsBelow estimates the rows with value < c (see SelectivityLT).
@@ -199,15 +206,4 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&b, " [%g,%g]#%g/%g", bk.Lo, bk.Hi, bk.Count, bk.Distinct)
 	}
 	return b.String()
-}
-
-func clamp01(x float64) float64 {
-	switch {
-	case x < 0:
-		return 0
-	case x > 1:
-		return 1
-	default:
-		return x
-	}
 }

@@ -108,6 +108,7 @@ func Generate(spec TableSpec, seed int64) (*storage.Table, error) {
 	}
 
 	tbl := storage.NewTable(spec.Name, schema)
+	tbl.Reserve(spec.Rows)
 	row := make([]storage.Value, len(cols))
 	for r := 0; r < spec.Rows; r++ {
 		for c := range cols {

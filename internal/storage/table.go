@@ -39,15 +39,8 @@ func (c *column) length() int {
 	}
 }
 
-func (c *column) append(v Value) error {
-	if v.Type() != c.typ {
-		if v.IsNull() {
-			// Permit NULLs of any declared type slot; store as this column's type.
-			v = Null(c.typ)
-		} else {
-			return fmt.Errorf("storage: cannot append %s value to %s column", v.Type(), c.typ)
-		}
-	}
+// append appends v, whose type AppendRow has checked, to c.
+func (c *column) append(v Value) {
 	if v.IsNull() {
 		if c.nulls == nil {
 			c.nulls = make([]bool, c.length())
@@ -56,35 +49,16 @@ func (c *column) append(v Value) error {
 	} else if c.nulls != nil {
 		c.nulls = append(c.nulls, false)
 	}
-	switch c.typ {
+	switch c.typ { // a NULL's payload is the zero value of every type
 	case TypeInt64:
-		if v.IsNull() {
-			c.ints = append(c.ints, 0)
-		} else {
-			c.ints = append(c.ints, v.i)
-		}
+		c.ints = append(c.ints, v.i)
 	case TypeFloat64:
-		if v.IsNull() {
-			c.floats = append(c.floats, 0)
-		} else {
-			c.floats = append(c.floats, v.f)
-		}
+		c.floats = append(c.floats, v.f)
 	case TypeString:
-		if v.IsNull() {
-			c.strs = append(c.strs, "")
-		} else {
-			c.strs = append(c.strs, v.s)
-		}
+		c.strs = append(c.strs, v.s)
 	case TypeBool:
-		if v.IsNull() {
-			c.bools = append(c.bools, false)
-		} else {
-			c.bools = append(c.bools, v.b)
-		}
-	default:
-		return fmt.Errorf("storage: append to invalid column type")
+		c.bools = append(c.bools, v.b)
 	}
-	return nil
 }
 
 func (c *column) value(i int) Value {
@@ -183,33 +157,16 @@ func (t *Table) AppendRow(vals ...Value) error {
 			t.name, len(vals), len(t.cols))
 	}
 	for i, v := range vals {
-		if err := t.cols[i].append(v); err != nil {
-			// Roll back the columns already appended for this row so the table
-			// stays rectangular.
-			for j := 0; j < i; j++ {
-				t.cols[j].truncate(t.rows)
-			}
-			return fmt.Errorf("storage: table %s column %s: %w", t.name, t.schema.Column(i).Name, err)
+		if ct := t.cols[i].typ; v.Type() != ct && !v.IsNull() { // a NULL of any type fits any slot
+			return fmt.Errorf("storage: table %s column %s: storage: cannot append %s value to %s column",
+				t.name, t.schema.Column(i).Name, v.Type(), ct)
 		}
+	}
+	for i, v := range vals {
+		t.cols[i].append(v)
 	}
 	t.rows++
 	return nil
-}
-
-func (c *column) truncate(n int) {
-	switch c.typ {
-	case TypeInt64:
-		c.ints = c.ints[:n]
-	case TypeFloat64:
-		c.floats = c.floats[:n]
-	case TypeString:
-		c.strs = c.strs[:n]
-	case TypeBool:
-		c.bools = c.bools[:n]
-	}
-	if c.nulls != nil {
-		c.nulls = c.nulls[:n]
-	}
 }
 
 // MustAppendRow appends one row and panics on error. Intended for tests and

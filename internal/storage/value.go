@@ -177,8 +177,8 @@ func (v Value) String() string {
 }
 
 // Key returns a string that is equal for exactly the values that compare
-// equal under Compare. It is used as a hash key by hash joins and by
-// distinct-value counting in ANALYZE.
+// equal under Compare. Hash joins over boxed keys, GROUP BY's output order
+// and the planner's constant predicates key on it.
 func (v Value) Key() string {
 	if v.null {
 		return "\x00N"

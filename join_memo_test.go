@@ -3,6 +3,7 @@ package els
 import (
 	"context"
 	"crypto/sha256"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -217,6 +218,39 @@ func TestJoinMemoReplacedTable(t *testing.T) {
 					t.Fatalf("%s after reloading %s, run %d: count %d, want %d", c.method, load.table, run, res.Count, want)
 				}
 			}
+		}
+	}
+}
+
+// ANALYZE reads each column's sort permutation through a view, so LoadTable
+// leaves it on the base column's memo: a fresh view of the loaded table, as
+// an unfiltered scan takes, finds it on its first call without sorting or
+// allocating. (testing.AllocsPerRun would hide a first-call build behind its
+// warm-up call.)
+func TestLoadTablePublishesSortPermutation(t *testing.T) {
+	sys := New()
+	rows := make([][]int64, 5000)
+	for i := range rows {
+		rows[i] = []int64{int64(len(rows) - i), int64(i % 7)}
+	}
+	if err := sys.LoadTable("T", []string{"k", "v"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	tbl := sys.catalogNow().Data("T")
+	view, err := tbl.View(tbl.Name(), tbl.Schema(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col := 0; col < 2; col++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		perm := view.SortPermutation(col)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("column %d: the first SortPermutation of a fresh view allocated %d times, want 0", col, n)
+		}
+		if !slices.Equal(perm, tbl.SortedIndices(col)) {
+			t.Errorf("column %d: the published permutation is not the column's order", col)
 		}
 	}
 }
