@@ -11,10 +11,10 @@
 package executor
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/storage"
 )
@@ -127,10 +127,11 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 			return nil, err
 		}
 	}
-	g := groupRows(tbl, groupCols)
+	g, order := groupRows(tbl, groupCols)
 	out := storage.NewTable("aggregate", outSchema)
+	out.Reserve(len(order))
 	row := make([]storage.Value, len(outCols))
-	for _, i := range g.sorted(tbl, groupCols) {
+	for _, i := range order {
 		run := g.run(i)
 		for j, c := range groupCols {
 			row[j] = tbl.Value(run[0], c)
@@ -163,16 +164,34 @@ func (g groups) run(i int) []int {
 	return g.rows[start:g.ends[i]]
 }
 
-// groupRows groups the rows of tbl by the cols ordinals. With no columns
-// every row, none included, is one group.
-func groupRows(tbl *storage.Table, cols []int) groups {
+// sortedGroups is a column's groups and their output order, memoized under
+// the key groupOrder{}.
+type sortedGroups struct {
+	groups
+	order []int
+}
+
+type groupOrder struct{}
+
+// groupRows groups the rows of tbl by the cols ordinals and lists the groups
+// in output order. With no columns every row, none included, is one group.
+// A single column's groups and order are built once per base column over a
+// view (storage.Table.Memo), so a warm GROUP BY of it sorts nothing.
+func groupRows(tbl *storage.Table, cols []int) (groups, []int) {
 	n := tbl.NumRows()
-	if len(cols) == 0 {
+	switch len(cols) {
+	case 0:
 		all := make([]int, n)
 		for r := range all {
 			all[r] = r
 		}
-		return groups{rows: all, ends: []int{n}}
+		return groups{rows: all, ends: []int{n}}, []int{0}
+	case 1:
+		s := tbl.Memo(cols[0], groupOrder{}, func() any {
+			g := groupColumn(tbl, cols[0])
+			return sortedGroups{g, g.sorted(tbl, cols)}
+		}).(sortedGroups)
+		return s.groups, s.order
 	}
 	g := groupColumn(tbl, cols[0])
 	for _, c := range cols[1:] {
@@ -190,9 +209,9 @@ func groupRows(tbl *storage.Table, cols []int) groups {
 				keys[r] += uint64(i)
 			}
 		}
-		g = groupBy(keys, nil)
+		g = tableGroups(newHashTable(keys, nil, nil, hashSeed), nil, n)
 	}
-	return g
+	return g, g.sorted(tbl, cols)
 }
 
 // groupColumn groups the rows of tbl by column col, rendered the way the
@@ -223,12 +242,6 @@ func groupMemo[K comparable](tbl *storage.Table, col int, rep keyRep, keysOf fun
 	return tableGroups(t, nulls, tbl.NumRows())
 }
 
-// groupBy groups rows by key: a flat table's runs, then the rows nulls
-// flags, if any, as one more group.
-func groupBy[K comparable](keys []K, nulls []bool) groups {
-	return tableGroups(newHashTable(keys, nulls, nil, hashSeed), nulls, len(keys))
-}
-
 // tableGroups reads the groups of n rows off a table built over them: its
 // runs in key order (dense) or slot order (hashed), then the rows nulls
 // flags, if any, as one more group. The table may be shared, so the NULL
@@ -257,25 +270,29 @@ func tableGroups[K comparable](t hashTable[K], nulls []bool, n int) groups {
 	return g
 }
 
-// sorted lists the groups in output order: by the Value.Key() strings of
+// sorted lists the groups in output order: by the Value.Key() bytes of
 // their key columns, each followed by a zero byte, and on a tie (strings
-// holding zero bytes can render two groups alike) by first row.
+// holding zero bytes can render two groups alike) by first row. Every
+// group's key goes into one buffer: group i's is buf[ends[i]:ends[i+1]].
 func (g groups) sorted(tbl *storage.Table, cols []int) []int {
-	keys := make([]string, len(g.ends))
-	var buf []byte
-	for i := range keys {
-		buf = buf[:0]
-		for _, c := range cols {
-			buf = append(append(buf, tbl.Value(g.run(i)[0], c).Key()...), 0)
+	data := make([]storage.ColumnData, len(cols))
+	for i, c := range cols {
+		data[i] = tbl.ColumnData(c)
+	}
+	ends := make([]int, len(g.ends)+1)
+	buf := make([]byte, 0, 4*len(cols)*len(g.ends))
+	for i := range g.ends {
+		for _, d := range data {
+			buf = append(d.Value(g.run(i)[0]).AppendKey(buf), 0)
 		}
-		keys[i] = string(buf)
+		ends[i+1] = len(buf)
 	}
 	order := make([]int, len(g.ends))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int {
-		if c := strings.Compare(keys[a], keys[b]); c != 0 {
+		if c := bytes.Compare(buf[ends[a]:ends[a+1]], buf[ends[b]:ends[b+1]]); c != 0 {
 			return c
 		}
 		return g.run(a)[0] - g.run(b)[0]

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -85,6 +87,15 @@ func TestAggregateGlobal(t *testing.T) {
 	}
 }
 
+// tableRows lists tbl's rows.
+func tableRows(tbl *storage.Table) [][]storage.Value {
+	rows := make([][]storage.Value, tbl.NumRows())
+	for r := range rows {
+		rows[r] = tbl.Row(r)
+	}
+	return rows
+}
+
 func TestAggregateEmptyInput(t *testing.T) {
 	empty := storage.NewTable("e", storage.MustSchema(storage.ColumnDef{Name: "v", Type: storage.TypeInt64}))
 	// Global aggregates over empty input: one row, COUNT 0, SUM NULL.
@@ -98,7 +109,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.NumRows() != 1 || out.Value(0, 0).Int() != 0 {
-		t.Fatalf("empty global: %v", out.Format(0))
+		t.Fatalf("empty global: %v", tableRows(out))
 	}
 	if !out.Value(0, 1).IsNull() || !out.Value(0, 2).IsNull() || !out.Value(0, 3).IsNull() {
 		t.Error("SUM/MIN/AVG over empty input should be NULL")
@@ -387,25 +398,25 @@ func groupFixture(n, groups int) (*storage.Table, []AggSpec) {
 		{Op: AggMin, Col: 2, Name: "lo"}, {Op: AggAvg, Col: 2, Name: "a"}}
 }
 
-// Grouping allocates per group, not per row: 20,000 rows over 500 groups
-// cost what 10,000 do, and at most 8 allocations a group. The boxed map
-// grouping it replaced allocated about three times per row.
+// Grouping allocates neither per row nor per group: 10,000 and 20,000 rows
+// over 50 or 500 groups cost the same few allocations, the groups' sort
+// keys one buffer. The boxed map grouping it replaced allocated about three
+// times per row, and one key string per group allocated about three times
+// per group.
 func TestAggregateAllocationCeiling(t *testing.T) {
-	const groups = 500
-	var allocs [2]float64
-	for i, n := range []int{10000, 20000} {
-		tbl, aggs := groupFixture(n, groups)
-		allocs[i] = testing.AllocsPerRun(5, func() {
+	const ceiling = 48
+	for _, size := range []struct{ n, groups int }{{10000, 500}, {20000, 500}, {20000, 50}} {
+		tbl, aggs := groupFixture(size.n, size.groups)
+		allocs := testing.AllocsPerRun(5, func() {
 			out, err := (&Executor{}).Aggregate(tbl, []int{0}, aggs)
-			if err != nil || out.NumRows() != groups {
+			if err != nil || out.NumRows() != size.groups {
 				t.Fatalf("%v groups, err %v", out.NumRows(), err)
 			}
 		})
-	}
-	t.Logf("%v allocations at 10,000 rows, %v at 20,000", allocs[0], allocs[1])
-	if few, many := allocs[0], allocs[1]; many > few+8 || many > 8*groups {
-		t.Errorf("%v allocations at 20,000 rows, %v at 10,000 over %d groups; want no growth and at most %d",
-			many, few, groups, 8*groups)
+		t.Logf("%v allocations at %d rows over %d groups", allocs, size.n, size.groups)
+		if allocs > ceiling {
+			t.Errorf("%v allocations at %d rows over %d groups, want at most %d", allocs, size.n, size.groups, ceiling)
+		}
 	}
 }
 
@@ -507,5 +518,65 @@ func TestAggregateReusesBaseColumnBuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A GROUP BY over a view of a base column publishes the column's groups in
+// output order on its memo (storage.Table.Memo), next to the build they
+// come from. A warm run reads the order it finds there and sorts nothing:
+// it allocates no more at 500 groups than at 50, and a view whose memo
+// holds another order (here the sorted one reversed) is grouped in that
+// order. Over a view or not, cold or warm, the rows are the same.
+func TestAggregateMemoizesGroupOrder(t *testing.T) {
+	const ceiling = 32
+	view := func(b *storage.Table) *storage.Table {
+		v, err := b.View("v", b.Schema(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	aggregate := func(in *storage.Table, aggs []AggSpec) [][]storage.Value {
+		out, err := (&Executor{}).Aggregate(in, []int{0}, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tableRows(out)
+	}
+	var warm [2]float64
+	for i, groups := range []int{50, 500} {
+		base, aggs := groupFixture(10000, groups)
+		want := aggregate(base, aggs)
+		for run := 0; run < 2; run++ {
+			if got := aggregate(view(base), aggs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d groups, run %d over a view: %v, want %v", groups, run, got, want)
+			}
+		}
+		memo := view(base).Memo(0, groupOrder{}, func() any {
+			t.Fatal("the grouping memoized no order")
+			return nil
+		}).(sortedGroups)
+		warm[i] = testing.AllocsPerRun(5, func() {
+			if _, err := (&Executor{}).Aggregate(view(base), []int{0}, aggs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d groups: %v allocations warm", groups, warm[i])
+		if warm[i] > ceiling {
+			t.Errorf("%d groups: %v allocations per warm Aggregate, want at most %d", groups, warm[i], ceiling)
+		}
+
+		other, _ := groupFixture(10000, groups)
+		reversed := sortedGroups{memo.groups, slices.Clone(memo.order)}
+		slices.Reverse(reversed.order)
+		view(other).Memo(0, groupOrder{}, func() any { return reversed })
+		got := aggregate(view(other), aggs)
+		slices.Reverse(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d groups: a memoized reversed order was not followed: %v, want %v reversed", groups, got, want)
+		}
+	}
+	if warm[1] > warm[0] {
+		t.Errorf("%v allocations per warm Aggregate at 500 groups, %v at 50; want no growth", warm[1], warm[0])
 	}
 }

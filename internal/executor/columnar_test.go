@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -437,34 +438,83 @@ func checkKernel(t *testing.T, tbl *storage.Table, p optimizer.Cond, lsel, rsel 
 	}
 }
 
+// scanFixture loads S(k, v), rows rows with k a permutation of 0..rows-1
+// and v the row number, analyzed; plan plans a scan of S filtered by
+// k < less.
+func scanFixture(tb testing.TB, rows int) (cat *catalog.Catalog, plan func(less int) optimizer.Plan) {
+	tbl := storage.NewTable("S", kvSchema(storage.TypeInt64))
+	for i := range rows {
+		tbl.MustAppendRow(storage.Int64(int64(i*7919%rows)), storage.Int64(int64(i)))
+	}
+	cat = catalog.New()
+	if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	return cat, func(less int) optimizer.Plan {
+		est, err := cardest.New(cat, []cardest.TableRef{{Table: "S"}},
+			[]expr.Predicate{expr.NewConst(ref("S", "k"), expr.OpLT, storage.Int64(int64(less)))}, cardest.ELS())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		opt, err := optimizer.New(est, optimizer.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plan, err := opt.BestPlan()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return plan
+	}
+}
+
+// A filtered scan gathers into room reserved for the plan's estimate, not
+// into storage regrown batch by batch: scanning 12,500 of 25,000 rows
+// allocates at most 1.25 times the two gathered int64 columns (200,000
+// bytes). Regrowth allocated about 2.2 times. Under the race detector
+// sync.Pool drops a share of the selection vectors put back, and those
+// fresh vectors outweigh the gathered columns, so the bound is checked only
+// without it.
+func TestFilteredScanReservesEstimate(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops selection vectors, which outweigh the gathered columns")
+	}
+	const rows, runs = 25000, 20
+	cat, plan := scanFixture(t, rows)
+	half := plan(rows / 2)
+	scan := func() {
+		res, err := New(cat).Execute(half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.RowsProduced != rows/2 {
+			t.Fatalf("%d rows, want %d", res.Stats.RowsProduced, rows/2)
+		}
+	}
+	scan()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perScan := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	gathered := float64(2 * 8 * rows / 2)
+	t.Logf("%.0f bytes per scan, %.0f gathered", perScan, gathered)
+	if perScan > 1.25*gathered {
+		t.Errorf("a filtered scan allocated %.0f bytes, want at most 1.25 times the %.0f gathered", perScan, gathered)
+	}
+}
+
 // BenchmarkScan times a filtered scan of 50,000 rows whose first conjunct
 // compares an int64 column, holding a permutation of 0..49,999, with a
 // constant (the range kernel, rangeSel) at selectivities 10 % and 50 %,
 // every column gathered.
 func BenchmarkScan(b *testing.B) {
 	const rows = 50000
-	tbl := storage.NewTable("S", kvSchema(storage.TypeInt64))
-	for i := range rows {
-		tbl.MustAppendRow(storage.Int64(int64(i*7919%rows)), storage.Int64(int64(i)))
-	}
-	cat := catalog.New()
-	if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{}); err != nil {
-		b.Fatal(err)
-	}
+	cat, plan := scanFixture(b, rows)
 	for _, pct := range []int{10, 50} {
-		est, err := cardest.New(cat, []cardest.TableRef{{Table: "S"}},
-			[]expr.Predicate{expr.NewConst(ref("S", "k"), expr.OpLT, storage.Int64(int64(rows*pct/100)))}, cardest.ELS())
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt, err := optimizer.New(est, optimizer.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := opt.BestPlan()
-		if err != nil {
-			b.Fatal(err)
-		}
+		plan := plan(rows * pct / 100)
 		b.Run(fmt.Sprintf("selectivity=%d%%", pct), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -68,6 +68,7 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -383,8 +384,9 @@ func appendRange(sel []int, start, end int) []int {
 }
 
 // runScan visits the base table in batches of colBatch rows, filters each
-// (baseScan.batch) and gathers the survivors' live columns. A scan
-// without predicates has nothing to select: each batch is charged the same,
+// (baseScan.batch) and gathers the survivors' live columns, into room
+// reserved for the plan's estimate of at most every row. A scan without
+// predicates has nothing to select: each batch is charged the same,
 // and the scan returns a read-only view of the live base columns under its
 // qualified schema instead of a copy.
 func (e *Executor) runScan(s *optimizer.Scan, live []bool, stats *Stats) (*storage.Table, error) {
@@ -397,6 +399,9 @@ func (e *Executor) runScan(s *optimizer.Scan, live []bool, stats *Stats) (*stora
 	}
 	base, n := sc.base, sc.base.NumRows()
 	out := storage.NewLiveTable(s.Alias, sc.schema, live)
+	if sc.filtered() && s.Rows > 0 {
+		out.Reserve(int(math.Ceil(min(s.Rows, float64(n)))))
+	}
 	for b := 0; b < n; b += colBatch {
 		bEnd := min(b+colBatch, n)
 		if err := e.visit(stats, bEnd-b); err != nil {

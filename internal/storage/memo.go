@@ -6,8 +6,9 @@ import (
 )
 
 // memo holds the read-only structures joins derive from every row of one
-// base column: its sort permutation (SortPermutation) and the executor's
-// hash-join build tables, one per key representation. The base column owns
+// base column: its sort permutation (SortPermutation), the executor's
+// hash-join build tables, one per key representation, and GROUP BY's groups
+// of the column in output order. The base column owns
 // it and every view of the column shares it (View), so every query,
 // snapshot and goroutine reading the table reuses one build.
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -58,24 +57,6 @@ func (c *column) append(v Value) {
 		c.strs = append(c.strs, v.s)
 	case TypeBool:
 		c.bools = append(c.bools, v.b)
-	}
-}
-
-func (c *column) value(i int) Value {
-	if c.nulls != nil && c.nulls[i] {
-		return Null(c.typ)
-	}
-	switch c.typ {
-	case TypeInt64:
-		return Int64(c.ints[i])
-	case TypeFloat64:
-		return Float64(c.floats[i])
-	case TypeString:
-		return String64(c.strs[i])
-	case TypeBool:
-		return Bool(c.bools[i])
-	default:
-		panic("storage: value from invalid column")
 	}
 }
 
@@ -179,7 +160,7 @@ func (t *Table) MustAppendRow(vals ...Value) {
 
 // Value returns the value at the given row and column ordinals.
 func (t *Table) Value(row, col int) Value {
-	return t.col(col).value(row)
+	return t.ColumnData(col).Value(row)
 }
 
 // Row materializes row i as a slice of values. The slice is freshly
@@ -187,7 +168,7 @@ func (t *Table) Value(row, col int) Value {
 func (t *Table) Row(i int) []Value {
 	out := make([]Value, len(t.cols))
 	for c := range t.cols {
-		out[c] = t.col(c).value(i)
+		out[c] = t.Value(i, c)
 	}
 	return out
 }
@@ -201,9 +182,9 @@ func (t *Table) SortedIndices(col int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	c := t.col(col)
+	d := t.ColumnData(col)
 	sort.SliceStable(idx, func(a, b int) bool {
-		return Compare(c.value(idx[a]), c.value(idx[b])) < 0
+		return Compare(d.Value(idx[a]), d.Value(idx[b])) < 0
 	})
 	return idx
 }
@@ -341,33 +322,4 @@ func (t *Table) Reserve(n int) {
 // String renders a small human-readable summary (name, schema, row count).
 func (t *Table) String() string {
 	return fmt.Sprintf("%s%s [%d rows]", t.name, t.schema, t.rows)
-}
-
-// Format renders up to max rows as an aligned text table for debugging and
-// example programs. If max <= 0 all rows are rendered.
-func (t *Table) Format(max int) string {
-	if max <= 0 || max > t.rows {
-		max = t.rows
-	}
-	var b strings.Builder
-	for i, c := range t.schema.Columns() {
-		if i > 0 {
-			b.WriteByte('\t')
-		}
-		b.WriteString(c.Name)
-	}
-	b.WriteByte('\n')
-	for r := 0; r < max; r++ {
-		for c := 0; c < t.schema.NumColumns(); c++ {
-			if c > 0 {
-				b.WriteByte('\t')
-			}
-			b.WriteString(t.col(c).value(r).String())
-		}
-		b.WriteByte('\n')
-	}
-	if max < t.rows {
-		fmt.Fprintf(&b, "... (%d more rows)\n", t.rows-max)
-	}
-	return b.String()
 }

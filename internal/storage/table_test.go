@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -191,7 +192,7 @@ func TestViewIsReadOnly(t *testing.T) {
 	}
 	one := NewTable("one", MustSchema(ColumnDef{Name: "x", Type: TypeInt64}))
 	one.MustAppendRow(Int64(7))
-	before := base.Format(0)
+	before := tableRows(base)
 	for name, appendTo := range map[string]func() error{
 		"AppendRow":        func() error { return view.AppendRow(Int64(9), String64("z"), Float64(9)) },
 		"AppendRange":      func() error { return view.AppendRange(base, 0, 2) },
@@ -202,8 +203,8 @@ func TestViewIsReadOnly(t *testing.T) {
 			t.Errorf("%s on a view: err = %v, want the read-only error", name, err)
 		}
 	}
-	if view.NumRows() != 2 || pairView.NumRows() != 0 || base.NumRows() != 2 || base.Format(0) != before {
-		t.Fatalf("a refused append changed a table: view %d rows, base\n%s", view.NumRows(), base.Format(0))
+	if view.NumRows() != 2 || pairView.NumRows() != 0 || base.NumRows() != 2 || !reflect.DeepEqual(tableRows(base), before) {
+		t.Fatalf("a refused append changed a table: view %d rows, base %v", view.NumRows(), tableRows(base))
 	}
 	base.MustAppendRow(Int64(3), String64("d"), Float64(4))
 	if view.NumRows() != 2 || len(view.ColumnData(0).Ints) != 2 {
@@ -214,18 +215,19 @@ func TestViewIsReadOnly(t *testing.T) {
 	}
 }
 
-func TestTableFormatAndString(t *testing.T) {
+// tableRows lists tbl's rows.
+func tableRows(tbl *Table) [][]Value {
+	rows := make([][]Value, tbl.NumRows())
+	for r := range rows {
+		rows[r] = tbl.Row(r)
+	}
+	return rows
+}
+
+func TestTableString(t *testing.T) {
 	tbl := NewTable("t", MustSchema(ColumnDef{Name: "v", Type: TypeInt64}))
 	for i := int64(0); i < 5; i++ {
 		tbl.MustAppendRow(Int64(i))
-	}
-	out := tbl.Format(2)
-	if !strings.Contains(out, "3 more rows") {
-		t.Errorf("Format(2) missing truncation note: %q", out)
-	}
-	all := tbl.Format(0)
-	if strings.Contains(all, "more rows") {
-		t.Errorf("Format(0) should include all rows: %q", all)
 	}
 	if !strings.Contains(tbl.String(), "[5 rows]") {
 		t.Errorf("String() = %q", tbl.String())

@@ -154,54 +154,60 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// String renders the value for diagnostics and EXPLAIN output.
-func (v Value) String() string {
+// String renders the value for diagnostics, EXPLAIN and results (AppendText).
+func (v Value) String() string { return string(v.AppendText(make([]byte, 0, 32))) }
+
+// AppendText appends the value's String text to b.
+func (v Value) AppendText(b []byte) []byte {
 	if v.null {
-		return "NULL"
+		return append(b, "NULL"...)
 	}
 	switch v.typ {
 	case TypeInt64:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(b, v.i, 10)
 	case TypeFloat64:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
 	case TypeString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(b, v.s)
 	case TypeBool:
 		if v.b {
-			return "TRUE"
+			return append(b, "TRUE"...)
 		}
-		return "FALSE"
+		return append(b, "FALSE"...)
 	default:
-		return "<invalid>"
+		return append(b, "<invalid>"...)
 	}
 }
 
 // Key returns a string that is equal for exactly the values that compare
-// equal under Compare. Hash joins over boxed keys, GROUP BY's output order
-// and the planner's constant predicates key on it.
-func (v Value) Key() string {
+// equal under Compare (AppendKey). Hash joins over boxed keys, GROUP BY's
+// output order and the planner's constant predicates key on it.
+func (v Value) Key() string { return string(v.AppendKey(make([]byte, 0, 32))) }
+
+// AppendKey appends the value's Key bytes to b.
+func (v Value) AppendKey(b []byte) []byte {
 	if v.null {
-		return "\x00N"
+		return append(b, "\x00N"...)
 	}
 	switch v.typ {
 	case TypeInt64:
-		return "\x01" + strconv.FormatInt(v.i, 36)
+		return strconv.AppendInt(append(b, 1), v.i, 36)
 	case TypeFloat64:
 		// Normalize -0.0 to 0.0 so they hash identically, matching Compare.
 		f := v.f
 		if f == 0 {
 			f = 0
 		}
-		return "\x02" + strconv.FormatUint(math.Float64bits(f), 36)
+		return strconv.AppendUint(append(b, 2), math.Float64bits(f), 36)
 	case TypeString:
-		return "\x03" + v.s
+		return append(append(b, 3), v.s...)
 	case TypeBool:
 		if v.b {
-			return "\x04t"
+			return append(b, "\x04t"...)
 		}
-		return "\x04f"
+		return append(b, "\x04f"...)
 	default:
-		return "\x00I"
+		return append(b, "\x00I"...)
 	}
 }
 

@@ -212,11 +212,12 @@ func TestKeyNegativeZero(t *testing.T) {
 	}
 }
 
-// Property: Key agreement matches Compare equality for int values.
+// Property: Key agreement matches Compare equality for int values, and
+// AppendKey appends exactly Key's bytes.
 func TestKeyMatchesCompareProperty(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := Int64(a), Int64(b)
-		return (va.Key() == vb.Key()) == (Compare(va, vb) == 0)
+		return (va.Key() == vb.Key()) == (Compare(va, vb) == 0) && string(va.AppendKey([]byte("p"))) == "p"+va.Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

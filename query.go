@@ -17,6 +17,7 @@ import (
 	"repro/internal/selest"
 	"repro/internal/snapshot"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 )
 
 // StepEstimate describes one incremental join step of a plan's estimate.
@@ -616,14 +617,38 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 			out.Columns = append(out.Columns, ref.String())
 		}
 	}
-	for r := 0; r < min(res.Table.NumRows(), MaxRows); r++ {
-		row := make([]string, len(read))
-		for i, c := range read {
-			row[i] = res.Table.Value(r, c).String()
-		}
-		out.Rows = append(out.Rows, row)
-	}
+	out.Rows = renderRows(res.Table, read)
 	return out, nil
+}
+
+// renderRows renders columns cols of tbl's first MaxRows rows as
+// Value.String text (nil for no rows): every cell a substring of one
+// string, every row a capacity-capped slice of one cell array.
+func renderRows(tbl *storage.Table, cols []int) [][]string {
+	n, w := min(tbl.NumRows(), MaxRows), len(cols)
+	if n == 0 {
+		return nil
+	}
+	data := make([]storage.ColumnData, w)
+	for i, c := range cols {
+		data[i] = tbl.ColumnData(c)
+	}
+	ends := make([]int, 1, n*w+1) // cell i is text[ends[i]:ends[i+1]]
+	buf := make([]byte, 0, 8*n*w)
+	for r := range n {
+		for _, d := range data {
+			buf = d.Value(r).AppendText(buf)
+			ends = append(ends, len(buf))
+		}
+	}
+	text, cells, rows := string(buf), make([]string, n*w), make([][]string, n)
+	for i := range cells {
+		cells[i] = text[ends[i]:ends[i+1]]
+	}
+	for r := range rows {
+		rows[r] = cells[r*w : (r+1)*w : (r+1)*w]
+	}
+	return rows
 }
 
 // CompareAlgorithms estimates and executes the query under every algorithm
@@ -755,12 +780,6 @@ func aggregateResult(q *sqlparse.Query, g *grouping, exec *executor.Executor, re
 	for i, item := range q.Select {
 		out.Columns[i] = item.String()
 	}
-	for r := 0; r < min(grouped.NumRows(), MaxRows); r++ {
-		row := make([]string, len(q.Select))
-		for i, src := range g.layout {
-			row[i] = grouped.Value(r, src).String()
-		}
-		out.Rows = append(out.Rows, row)
-	}
+	out.Rows = renderRows(grouped, g.layout)
 	return out, nil
 }
