@@ -63,20 +63,6 @@ func loadGenerated(t *testing.T, q querygen.Query, buckets int) *catalog.Catalog
 	return cat
 }
 
-// indexKeys builds an index on each k of a two-table query, for the plans
-// that probe one (differentialPlans).
-func indexKeys(t *testing.T, cat *catalog.Catalog, q querygen.Query) {
-	t.Helper()
-	if len(q.Tables) != 2 {
-		return
-	}
-	for _, ref := range q.Tables {
-		if err := cat.BuildIndex(ref.Table, "k"); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-	}
-}
-
 // planMethods plans the generated query over its catalog with the given
 // join-method repertoire.
 func planMethods(t *testing.T, cat *catalog.Catalog, q querygen.Query, methods []optimizer.JoinMethod) optimizer.Plan {
@@ -142,21 +128,25 @@ func TestBestPlanDigestPinned(t *testing.T) {
 
 // executionDigest is the SHA-256 TestExecutionDigestPinned computes, taken
 // where a row-at-a-time engine still refereed the columnar one and nested
-// loops and index nested-loops evaluated boxed rows, and re-pinned with
-// bestPlanDigest each time.
-const executionDigest = "0301bd4d843a3fadf627ee6c2dd17837189ddb05546a6a8de58cc66b9353edb2"
+// loops evaluated boxed rows, and re-pinned with bestPlanDigest each time.
+// Re-pinned when index nested-loops was removed: the digest then lost each
+// two-table seed's nested-loops + index nested-loops plan and the Section 8
+// run with indexes, and nothing else (the parent commit, skipping those
+// entries, computes the same value).
+const executionDigest = "f02b1d2ad5561c16cfa939be53babf3f28a51a732c26a84c82cf0cb1813ec607"
 
 // ledgerDigest is the SHA-256 over the byte ledger of the same governed runs
 // — peak bytes, partitioning passes and build bytes routed — taken where
 // scans without predicates still copied their base table and the hash join
-// built a map per partition, and re-pinned with bestPlanDigest each time.
-const ledgerDigest = "e4d523e5c750845e32d5b77ab27036a45a13b0f249bd077a6e384e43f00a7fe8"
+// built a map per partition, and re-pinned with bestPlanDigest each time,
+// and with executionDigest when index nested-loops was removed.
+const ledgerDigest = "bb31acbaa7ebaf29328e4ae419829861543c0a14d98741d399ae025d3c83a099"
 
 // TestExecutionDigestPinned holds execution to the rows, row order, work
 // counters and governor tuple/row charges it produced before every operator
 // moved onto the pair sink: every plan of the brute-force differential for
 // seeds 0–499, unbudgeted and under its byte budget, and the Section 8
-// experiment at scale 10 with and without indexes. The brute-force
+// experiment at scale 10. The brute-force
 // differential checks the row multisets; this checks everything else. A
 // second digest holds the governed runs' byte ledgers, on which every
 // partition decision rests.
@@ -180,15 +170,13 @@ func TestExecutionDigestPinned(t *testing.T) {
 	if got := hex.EncodeToString(ledger.Sum(nil)); got != ledgerDigest {
 		t.Errorf("ledger digest %s, want %s", got, ledgerDigest)
 	}
-	for _, withIndexes := range []bool{false, true} {
-		res, err := experiment.RunSection8(experiment.Section8Options{Scale: 10, Seed: 42, WithIndexes: withIndexes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res.Rows {
-			fmt.Fprintf(h, "%s %s\n%s%d %d %d %d\n", r.Query, r.Algorithm, r.Plan,
-				r.TrueCount, r.Stats.TuplesScanned, r.Stats.Comparisons, r.Stats.RowsProduced)
-		}
+	res, err := experiment.RunSection8(experiment.Section8Options{Scale: 10, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rows {
+		fmt.Fprintf(h, "%s %s\n%s%d %d %d %d\n", r.Query, r.Algorithm, r.Plan,
+			r.TrueCount, r.Stats.TuplesScanned, r.Stats.Comparisons, r.Stats.RowsProduced)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != executionDigest {
 		t.Fatalf("execution digest %s, want %s", got, executionDigest)
@@ -327,9 +315,8 @@ func diffReport(t *testing.T, fields map[string]any) {
 // execute it: over its own repertoire; for a seed that offers sort-merge,
 // once more without the hash join, which the optimizer otherwise always
 // prefers, so the typed sort-merge kernel is exercised; and for a two-table
-// seed, twice more — over nested loops alone, which the optimizer seldom
-// picks otherwise, and over nested loops and index nested-loops with an
-// index on each k — so the re-scanned inner and the index probe are too.
+// seed, once more over nested loops alone, which the optimizer seldom picks
+// otherwise, so the re-scanned inner is too.
 func differentialPlans(t *testing.T, q querygen.Query) (*catalog.Catalog, []optimizer.Plan) {
 	t.Helper()
 	cat, plan := planGenerated(t, q)
@@ -338,10 +325,7 @@ func differentialPlans(t *testing.T, q querygen.Query) (*catalog.Catalog, []opti
 		plans = append(plans, planMethods(t, cat, q, noHash))
 	}
 	if len(q.Tables) == 2 {
-		indexKeys(t, cat, q)
-		plans = append(plans,
-			planMethods(t, cat, q, []optimizer.JoinMethod{optimizer.NestedLoop}),
-			planMethods(t, cat, q, []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.IndexNL}))
+		plans = append(plans, planMethods(t, cat, q, []optimizer.JoinMethod{optimizer.NestedLoop}))
 	}
 	return cat, plans
 }
@@ -378,8 +362,8 @@ func execGoverned(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, budge
 // holds both to the row order and counters they had when a row-at-a-time
 // engine refereed them). Any divergence is appended to the ELS_DIFF_REPORT
 // artifact before the test fails, and so is what the seeds covered: how many
-// ran nested loops, a sort-merge join, an index nested-loops join and a hash
-// join that partitioned under the budget. Each count has a floor.
+// ran nested loops, a sort-merge join and a hash join that partitioned under
+// the budget. Each count has a floor.
 func TestDifferentialBruteForce(t *testing.T) {
 	queries := differentialQueries(t)
 	seeds := map[string]int64{} // per operator, the seeds that ran it
@@ -419,7 +403,7 @@ func TestDifferentialBruteForce(t *testing.T) {
 			if spills, _ := gov.SpillStats(); spills > 0 {
 				covered["partitioned"] = true
 			}
-			for _, m := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge, optimizer.IndexNL} {
+			for _, m := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge} {
 				if hasJoinMethod(plan, m) {
 					covered[m.String()] = true
 				}
@@ -432,10 +416,10 @@ func TestDifferentialBruteForce(t *testing.T) {
 	diffReport(t, map[string]any{"harness": "brute-force", "queries": queries, "seeds": seeds})
 	t.Logf("brute-force differential: of %d seeds, %v", queries, seeds)
 	// Each floor is a share of the seeds, below what they covered when it was
-	// set: NL 164, SM 177, IDXNL 159 and partitioned 278 of 500, and 11, 15,
-	// 10 and 31 of the 60 of -short. Below it the differential has stopped
-	// exercising that operator.
-	for what, share := range map[string]int64{"NL": 8, "SM": 5, "IDXNL": 8, "partitioned": 3} {
+	// set: NL 164, SM 177 and partitioned 278 of 500, and 11, 15 and 31 of
+	// the 60 of -short. Below it the differential has stopped exercising that
+	// operator.
+	for what, share := range map[string]int64{"NL": 8, "SM": 5, "partitioned": 3} {
 		if seeds[what]*share < queries {
 			t.Errorf("only %d of %d seeds ran %s; the floor is 1/%d of them", seeds[what], queries, what, share)
 		}

@@ -20,9 +20,9 @@ import (
 //
 // Durability covers statistics, the input to estimation: recovered
 // estimates are bit-identical to pre-crash estimates at the same catalog
-// version. Data tables and index declarations are in-memory and must be
-// reloaded (LoadCSV, BuildIndex) before the recovered system can execute
-// queries; Estimate and Explain work immediately.
+// version. Data tables are in-memory and must be reloaded (LoadCSV) before
+// the recovered system can execute queries; Estimate and Explain work
+// immediately.
 //
 // A durability failure (failed append, fsync, or checkpoint) rejects the
 // mutation with ErrDurability, publishes nothing, and freezes the catalog

@@ -394,23 +394,8 @@ func (s *System) GenerateTable(name, column, dist string, rows, domain int, thet
 	})
 }
 
-// BuildIndex declares an index on a loaded table's column. Once any index
-// is declared, the optimizer's repertoire grows to include the
-// index-nested-loops join method, which probes the column's shared hash
-// build (the one a hash join over the whole table builds) once per outer
-// row instead of rescanning the inner table. The declaration survives a
-// reload of the table, and the join always reads the current data.
-func (s *System) BuildIndex(table, column string) error {
-	return s.mutate(func(cat *catalog.Catalog) error {
-		if err := cat.BuildIndex(table, column); err != nil {
-			return fmt.Errorf("%w: %w", ErrBadStats, err)
-		}
-		return nil
-	})
-}
-
-// ExportStats writes the catalog's statistics as JSON (data and indexes
-// are not serialized) — a portable artifact for sharing optimizer
+// ExportStats writes the catalog's statistics as JSON (data is not
+// serialized) — a portable artifact for sharing optimizer
 // statistics between runs and tools. The format carries a version header
 // and per-table checksums so a truncated or corrupted file is rejected at
 // import time.

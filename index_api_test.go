@@ -5,61 +5,6 @@ import (
 	"testing"
 )
 
-// Building an index grows the optimizer repertoire with index
-// nested-loops, which slashes the work of join execution.
-func TestBuildIndexEnablesIndexJoin(t *testing.T) {
-	// A selective join: a small outer probing a large inner on a
-	// high-cardinality key, where per-probe index lookups beat sorting the
-	// whole inner.
-	mkSys := func() *System {
-		sys := New()
-		var a, b [][]int64
-		for i := int64(0); i < 50; i++ {
-			a = append(a, []int64{(i * 37) % 1000})
-		}
-		for i := int64(0); i < 2000; i++ {
-			b = append(b, []int64{i % 1000})
-		}
-		if err := sys.LoadTable("A", []string{"k"}, a); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.LoadTable("B", []string{"k"}, b); err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	sql := "SELECT COUNT(*) FROM A, B WHERE A.k = B.k"
-
-	plain := mkSys()
-	resPlain, err := plain.Query(sql, AlgorithmELS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed := mkSys()
-	if err := indexed.BuildIndex("B", "k"); err != nil {
-		t.Fatal(err)
-	}
-	resIdx, err := indexed.Query(sql, AlgorithmELS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resIdx.Count != resPlain.Count {
-		t.Fatalf("counts differ: %d vs %d", resIdx.Count, resPlain.Count)
-	}
-	if !strings.Contains(strings.Join(resIdx.Estimate.JoinMethods, ","), "IDXNL") {
-		t.Errorf("indexed plan should use IDXNL: %v", resIdx.Estimate.JoinMethods)
-	}
-	if resIdx.TuplesScanned >= resPlain.TuplesScanned {
-		t.Errorf("indexed work %d should be below plain %d", resIdx.TuplesScanned, resPlain.TuplesScanned)
-	}
-	// BuildIndex on a stats-only table fails.
-	statsOnly := New()
-	statsOnly.MustDeclareStats("Q", 10, map[string]float64{"x": 5})
-	if err := statsOnly.BuildIndex("Q", "x"); err == nil {
-		t.Error("indexing a table without data should error")
-	}
-}
-
 func TestLoadCSVPublicAPI(t *testing.T) {
 	sys := New()
 	csv := "k,v\n1,10\n2,20\n2,30\n"

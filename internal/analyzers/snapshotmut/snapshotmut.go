@@ -11,7 +11,7 @@
 //
 //   - field/element writes rooted at such a value (cat.Table("r").Card = 9),
 //   - calls to catalog mutator methods on such a value (AddTable, SetData,
-//     BuildIndex, Analyze, ImportJSON, MustAddTable),
+//     Analyze, ImportJSON, MustAddTable),
 //   - delete() on a map reachable from such a value.
 //
 // Clone() detaches: writes behind a Clone() call are the sanctioned
@@ -41,7 +41,6 @@ var mutators = map[string]bool{
 	"AddTable":     true,
 	"MustAddTable": true,
 	"SetData":      true,
-	"BuildIndex":   true,
 	"Analyze":      true,
 	"ImportJSON":   true,
 }

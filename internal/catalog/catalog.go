@@ -89,18 +89,16 @@ func (t *TableStats) Column(name string) *ColumnStats {
 // (case-insensitive). It may also hold the backing data tables when the
 // catalog was built by Analyze, so the executor can find them.
 type Catalog struct {
-	tables  map[string]*TableStats
-	data    map[string]*storage.Table
-	indexes map[string]bool // declared indexes, "table.column", lower-cased
-	order   []string        // registration order, for deterministic iteration
+	tables map[string]*TableStats
+	data   map[string]*storage.Table
+	order  []string // registration order, for deterministic iteration
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
 	return &Catalog{
-		tables:  make(map[string]*TableStats),
-		data:    make(map[string]*storage.Table),
-		indexes: make(map[string]bool),
+		tables: make(map[string]*TableStats),
+		data:   make(map[string]*storage.Table),
 	}
 }
 
@@ -156,33 +154,6 @@ func (c *Catalog) SetData(name string, tbl *storage.Table) {
 	c.data[key(name)] = tbl
 }
 
-// BuildIndex declares an index on the named data column. The table must
-// have backing data (Analyze/SetData first) with that column. A declaration
-// holds no structure: an index nested-loops join probes the hash build the
-// executor shares for every base column (storage.Table.Memo), built over
-// whatever data the table holds when the join runs.
-func (c *Catalog) BuildIndex(table, column string) error {
-	tbl := c.Data(table)
-	if tbl == nil {
-		return fmt.Errorf("catalog: no data registered for table %q", table)
-	}
-	if tbl.Schema().ColumnIndex(column) < 0 {
-		return fmt.Errorf("catalog: table %s has no column %q", tbl.Name(), column)
-	}
-	c.indexes[key(table)+"."+strings.ToLower(column)] = true
-	return nil
-}
-
-// HasIndex reports whether table.column is indexed.
-func (c *Catalog) HasIndex(table, column string) bool {
-	return c.indexes[key(table)+"."+strings.ToLower(column)]
-}
-
-// HasAnyIndex reports whether any index has been declared in the catalog.
-// A declaration for a column its table no longer has still counts; it can
-// match no join column, so the only cost is that the optimizer looks.
-func (c *Catalog) HasAnyIndex() bool { return len(c.indexes) > 0 }
-
 // TableNames returns the registered table names in registration order.
 func (c *Catalog) TableNames() []string {
 	out := make([]string, 0, len(c.order))
@@ -192,8 +163,7 @@ func (c *Catalog) TableNames() []string {
 	return out
 }
 
-// Clone returns a deep copy of the catalog's statistics and index
-// declarations. Backing data tables are shared (they are immutable once
+// Clone returns a deep copy of the catalog's statistics. Backing data tables are shared (they are immutable once
 // loaded).
 func (c *Catalog) Clone() *Catalog {
 	out := New()
@@ -202,7 +172,6 @@ func (c *Catalog) Clone() *Catalog {
 		out.order = append(out.order, k)
 	}
 	maps.Copy(out.data, c.data)
-	maps.Copy(out.indexes, c.indexes)
 	return out
 }
 

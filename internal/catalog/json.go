@@ -19,7 +19,7 @@ import (
 const StatsFormatVersion = 2
 
 // jsonCatalog is the serialized form of a catalog's statistics (data tables
-// and indexes are not serialized; statistics are what optimizers exchange).
+// are not serialized; statistics are what optimizers exchange).
 type jsonCatalog struct {
 	FormatVersion int `json:"format_version,omitempty"`
 	// CatalogVersion is the published snapshot version the statistics were

@@ -95,21 +95,3 @@ func (m *Model) HashJoinCost(outerCost, innerCost, outerRows, innerRows float64)
 	probe := math.Max(0, outerRows) * m.CPUTupleCost
 	return outerCost + innerCost + build + probe
 }
-
-// IndexNLCost is the cost of an index nested-loops join: the outer is
-// produced once, and each outer row probes an index on the inner (one page
-// touch plus a logarithmic search) and fetches its expected matches. The
-// log term models a B-tree search the executor no longer does (it probes
-// the column's shared hash build); it stays until the cost model is
-// refitted to the executor's counted work.
-func (m *Model) IndexNLCost(outerCost, outerRows, innerRows, matchesPerProbe float64) float64 {
-	if outerRows < 0 {
-		outerRows = 0
-	}
-	logN := 1.0
-	if innerRows > 2 {
-		logN = math.Log2(innerRows)
-	}
-	probe := m.SeqPageCost + logN*m.CPUCompareCost + math.Max(0, matchesPerProbe)*m.CPUTupleCost
-	return outerCost + outerRows*probe
-}

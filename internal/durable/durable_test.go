@@ -78,7 +78,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestEmptyDeltaAdvancesVersion(t *testing.T) {
-	// BuildIndex publishes a new version without changing any statistics;
+	// A mutation may publish a new version without changing any statistics;
 	// the WAL must still advance the version so recovery lands on it.
 	dir := t.TempDir()
 	s, err := Open(dir)

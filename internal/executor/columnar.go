@@ -376,9 +376,6 @@ func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func
 		lk, rk = keysOf(spec.left, spec.lKey), keysOf(spec.right, spec.rKey)
 	}
 	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
-		if spec.inner != nil {
-			return indexRuns(e, spec, keysOf, stats)
-		}
 		return colJoin(e, spec.joinSpec, rep, keysOf, lk, rk, rrows, lrows, stats)
 	}
 }
@@ -495,47 +492,6 @@ func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, keysOf func(
 				if err := pairs.add(l, table.rows[lo:hi]); err != nil {
 					return nil, err
 				}
-			}
-		}
-	}
-	if err := pairs.flush(); err != nil {
-		return nil, err
-	}
-	return pairs, nil
-}
-
-// indexRuns is the index nested-loops kernel: it probes the shared build
-// over every inner row once per left row, in order. Each probe counts one
-// comparison (the index search) and visits its run of matching inner rows.
-// The run is copied into one buffer reused for the whole join, since a
-// shared run is read-only; the inner scan's filters compact the copy, and
-// the pair sink gets what survives.
-func indexRuns[K comparable](e *Executor, spec *hashSpec, keysOf func(*storage.Table, int) []K, stats *Stats) (*pairSink, error) {
-	table, err := buildTable(spec.joinSpec, spec.rep, keysOf, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	lk, ln := keysOf(spec.left, spec.lKey), spec.left.ColumnData(spec.lKey).Nulls
-	pairs := e.newPairSink(spec.joinSpec, stats, false)
-	defer pairs.release()
-	var run []int
-	var hs [hashBlock]uint64
-	for b := 0; b < len(lk); b += hashBlock {
-		block := hs[:min(hashBlock, len(lk)-b)]
-		table.hashKeys(lk, nil, b, block)
-		for j, h := range block {
-			l := b + j
-			stats.Comparisons++ // the index search
-			run = run[:0]
-			if ln == nil || !ln[l] {
-				lo, hi := table.run(lk[l], h)
-				run = append(run, table.rows[lo:hi]...)
-			}
-			if err := e.visit(stats, len(run)); err != nil {
-				return nil, err
-			}
-			if err := pairs.add(l, spec.inner.filter(spec.inner.Conds, run, stats)); err != nil {
-				return nil, err
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func countCases() []countCase {
 	}
 }
 
-// load registers the case's L and R, and an index on R.k.
+// load registers the case's L and R.
 func (c countCase) load(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
@@ -77,9 +77,6 @@ func (c countCase) load(t *testing.T) *catalog.Catalog {
 			rows[i] = []storage.Value{k, storage.Int64(int64(i))}
 		}
 		loadTable(t, cat, side.name, kvSchema(c.typ), rows)
-	}
-	if err := cat.BuildIndex("R", "k"); err != nil {
-		t.Fatal(err)
 	}
 	return cat
 }
@@ -150,14 +147,14 @@ func runCounted(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, cols []
 // each outer row's key into the residual, filters the inner's batch with
 // it and counts what passes, cut where the pair batches end.
 func TestCountModeMatchesPairs(t *testing.T) {
-	methods := []optimizer.JoinMethod{optimizer.HashJoin, optimizer.SortMerge, optimizer.NestedLoop, optimizer.IndexNL}
+	methods := []optimizer.JoinMethod{optimizer.HashJoin, optimizer.SortMerge, optimizer.NestedLoop}
 	for _, c := range countCases() {
 		cat := c.load(t)
 		for _, method := range methods {
 			// Only nested loops run a cross product. They neither hash nor
 			// partition, so int64 keys once and no other budget cover them.
 			nl := method == optimizer.NestedLoop
-			if c.cross && !nl || nl && c.name == "int64 hashed" || method == optimizer.IndexNL && c.typ == storage.TypeBool {
+			if c.cross && !nl || nl && c.name == "int64 hashed" {
 				continue
 			}
 			plan := c.plan(t, cat, method)

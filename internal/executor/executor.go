@@ -17,9 +17,8 @@
 // (Limits.MaxMemory, spill.go) that splits a build side too big for the
 // budget into Grace partitions of row lists, one table each; sort-merge
 // pairs equal-key runs; nested loops pair each outer row with the inner's
-// rows that pass its scan filters, re-filtered every time; index
-// nested-loops with the run a declared index's probe returns, which is the
-// inner column's shared hash build. DESIGN §13 draws it.
+// rows that pass its scan filters, re-filtered every time. DESIGN §13
+// draws it.
 // A plan runs on the goroutine that calls Execute and starts no other:
 // cores are filled by concurrent queries, each with its own Executor.
 //
@@ -27,9 +26,8 @@
 // built once per base column and shared: the sort permutation a sort-merge
 // join reads (storage.Table.SortPermutation) and the hash table a hash join
 // run as one partition builds over its right input, one per key
-// representation (storage.Table.Memo), which index nested-loops probes.
-// Every query, snapshot and goroutine reading the table reuses them,
-// read-only; filtered scans, operator outputs and Grace partitions build
+// representation (storage.Table.Memo). Every query, snapshot and goroutine
+// reading the table reuses them, read-only; filtered scans, operator outputs and Grace partitions build
 // their own, as before. The optimizer prices such a hash build at nothing
 // when the table fits the byte budget, and a hash join builds on the input
 // the plan names. The ledger is charged as if each structure were built —
@@ -317,8 +315,7 @@ func qualifiedSchema(alias string, in *storage.Schema) (*storage.Schema, error) 
 }
 
 // baseScan is a scan over its base table's data: what a scan reads, and
-// what a nested-loops or index-nested-loops join re-reads for every outer
-// row.
+// what a nested-loops join re-reads for every outer row.
 type baseScan struct {
 	*optimizer.Scan
 	base   *storage.Table
@@ -446,14 +443,12 @@ func (e *Executor) runJoin(j *optimizer.Join, live []bool, stats *Stats, rec *re
 		return nil, err
 	}
 	// The materialized inputs die with the join: they return to the bytes
-	// ledger once it has produced its output. Nested loops and index
-	// nested-loops read their inner side in place, so right stays nil.
+	// ledger once it has produced its output. Nested loops read their inner
+	// side in place, so right stays nil.
 	var out, right *storage.Table
 	switch j.Method {
 	case optimizer.NestedLoop:
 		out, err = e.nestedLoop(j, left, live, stats, rec, depth)
-	case optimizer.IndexNL:
-		out, err = e.indexNL(j, left, live, stats, rec, depth)
 	case optimizer.SortMerge, optimizer.HashJoin:
 		if right, err = e.run(j.Right, rightLive, stats, rec, depth+1); err != nil {
 			return nil, err
@@ -493,45 +488,6 @@ func inputsLive(j *optimizer.Join, live []bool, rw int) (left, right []bool) {
 		mark(c.Right)
 	}
 	return both[:lw:lw], both[lw:]
-}
-
-// indexNL probes the declared index on the inner base table's join column
-// once per outer row (indexRuns). The index is the hash build a hash join
-// over every row of that column builds, which the base column shares
-// (storage.Table.Memo), so it always covers the data the catalog holds now.
-// Like the index it stands for, the build is a persistent access path: the
-// join charges the byte ledger nothing for it. The pair sink gets the outer
-// row paired with every matching inner row that passes the inner's scan
-// filters and applies the remaining join predicates. The inner is never
-// materialized.
-func (e *Executor) indexNL(j *optimizer.Join, left *storage.Table, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
-	if j.IndexColumn == "" || j.LeftKey < 0 || j.RightKey < 0 {
-		return nil, fmt.Errorf("executor: index nested-loops plan lacks an index column and key")
-	}
-	if !e.cat.HasIndex(j.Right.Table, j.IndexColumn) {
-		return nil, fmt.Errorf("executor: no index on %s.%s", j.Right.Table, j.IndexColumn)
-	}
-	inner, err := openScan(j.Right, e.cat.Data(j.Right.Table))
-	if err != nil {
-		return nil, err
-	}
-	rec.reserve(j.Right, depth+1) // never materialized
-	// A view of every inner row, whose key column's build is the shared one.
-	all, err := inner.base.View(j.Right.Alias, inner.schema, nil)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := newJoinSpec(j, left, all, inner.schema, live)
-	if err != nil {
-		return nil, err
-	}
-	spec := &hashSpec{joinSpec: shared, inner: inner}
-	e.bindHashKeys(spec, false)
-	sink, err := spec.join(nil, nil, stats)
-	if err != nil {
-		return nil, err
-	}
-	return sink.out, nil
 }
 
 // joinSchema concatenates the two input schemas.
@@ -667,10 +623,6 @@ type hashSpec struct {
 	// numeric marks an int64 key joined to a float64 one: both sides hash as
 	// float64, the type storage.Compare meets them in.
 	numeric bool
-	// inner is set for index nested-loops: the inner scan whose filters
-	// each probe's run passes, and join then probes once per left row
-	// (indexRuns) instead of joining a partition.
-	inner *baseScan
 }
 
 // rowAt resolves position i of a row list; a nil list names every row.

@@ -63,6 +63,14 @@ func chainSpecs(rows ...int) []datagen.TableSpec {
 	return specs
 }
 
+// chainSpec2 is a two-join-column table spec for residual-predicate tests.
+func chainSpec2(name string, rows int) datagen.TableSpec {
+	return datagen.TableSpec{Name: name, Rows: rows, Columns: []datagen.ColumnSpec{
+		{Name: "k", Dist: datagen.DistUniform, Domain: 8},
+		{Name: "u", Dist: datagen.DistUniform, Domain: 4},
+	}}
+}
+
 func planAndRun(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef, preds []expr.Predicate, methods []optimizer.JoinMethod, order []string) *Result {
 	t.Helper()
 	est, err := cardest.New(cat, tabs, preds, cardest.ELS())
@@ -144,29 +152,36 @@ func TestThreeWayJoinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// Two equality predicates between the same pair of tables: one becomes the
+// physical key, the other must be applied as a residual. B, the inner, is
+// an unfiltered base table, so the hash join applies the residual to the
+// runs of B's shared build (storage.Table.Memo).
 func TestResidualPredicatesApplied(t *testing.T) {
-	// Two equality predicates between the same pair of tables: one becomes
-	// the physical key, the other must be applied as a residual.
-	cat := buildCatalog(t,
-		datagen.TableSpec{Name: "A", Rows: 30, Columns: []datagen.ColumnSpec{
+	for _, c := range []struct {
+		a, b       datagen.TableSpec
+		key, other [2]string // A's and B's columns
+	}{
+		{datagen.TableSpec{Name: "A", Rows: 30, Columns: []datagen.ColumnSpec{
 			{Name: "x", Dist: datagen.DistUniform, Domain: 5},
 			{Name: "y", Dist: datagen.DistUniform, Domain: 5},
-		}},
-		datagen.TableSpec{Name: "B", Rows: 30, Columns: []datagen.ColumnSpec{
+		}}, datagen.TableSpec{Name: "B", Rows: 30, Columns: []datagen.ColumnSpec{
 			{Name: "p", Dist: datagen.DistUniform, Domain: 5},
 			{Name: "q", Dist: datagen.DistUniform, Domain: 5},
-		}},
-	)
-	preds := []expr.Predicate{
-		expr.NewJoin(ref("A", "x"), expr.OpEQ, ref("B", "p")),
-		expr.NewJoin(ref("A", "y"), expr.OpEQ, ref("B", "q")),
-	}
-	tabs := []cardest.TableRef{{Table: "A"}, {Table: "B"}}
-	want := bruteForceJoinCount(t, cat, []string{"A", "B"}, []string{"A", "B"}, preds)
-	for _, m := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge, optimizer.HashJoin} {
-		res := planAndRun(t, cat, tabs, preds, []optimizer.JoinMethod{m}, []string{"A", "B"})
-		if int(res.Stats.RowsProduced) != want {
-			t.Errorf("%s with residual rows = %d, want %d", m, res.Stats.RowsProduced, want)
+		}}, [2]string{"x", "p"}, [2]string{"y", "q"}},
+		{chainSpec2("A", 30), chainSpec2("B", 50), [2]string{"k", "k"}, [2]string{"u", "u"}},
+	} {
+		cat := buildCatalog(t, c.a, c.b)
+		preds := []expr.Predicate{
+			expr.NewJoin(ref("A", c.key[0]), expr.OpEQ, ref("B", c.key[1])),
+			expr.NewJoin(ref("A", c.other[0]), expr.OpEQ, ref("B", c.other[1])),
+		}
+		tabs := []cardest.TableRef{{Table: "A"}, {Table: "B"}}
+		want := bruteForceJoinCount(t, cat, []string{"A", "B"}, []string{"A", "B"}, preds)
+		for _, m := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge, optimizer.HashJoin} {
+			res := planAndRun(t, cat, tabs, preds, []optimizer.JoinMethod{m}, []string{"A", "B"})
+			if int(res.Stats.RowsProduced) != want {
+				t.Errorf("B has %d rows: %s with residual rows = %d, want %d", c.b.Rows, m, res.Stats.RowsProduced, want)
+			}
 		}
 	}
 }

@@ -82,11 +82,8 @@ func TestScanMatchesBruteForce(t *testing.T) {
 // row budget one short of the group count trips it.
 func TestGovernorAccountingExact(t *testing.T) {
 	cat := buildCatalog(t, chainSpecs(300, 400)...)
-	if err := cat.BuildIndex("T1", "k"); err != nil {
-		t.Fatal(err)
-	}
 	unlimited := governor.Limits{MaxTuples: 1 << 30, MaxRows: 1 << 30}
-	for _, method := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge, optimizer.HashJoin, optimizer.IndexNL} {
+	for _, method := range []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.SortMerge, optimizer.HashJoin} {
 		t.Run(method.String(), func(t *testing.T) {
 			plan := planChain(t, cat, 2, []optimizer.JoinMethod{method})
 			if j, ok := plan.(*optimizer.Join); !ok || j.Method != method {
@@ -211,13 +208,10 @@ func TestCancelMidJoin(t *testing.T) {
 	}
 }
 
-// allocPlans plans, once each, a four-table hash-join chain with a scan
-// filter and a residual, and an index nested-loops join.
-func allocPlans(t *testing.T) (*catalog.Catalog, map[string]optimizer.Plan) {
+// allocChain plans, once, a four-table hash-join chain with a scan filter
+// and a residual.
+func allocChain(t *testing.T) (*catalog.Catalog, optimizer.Plan) {
 	cat := buildCatalog(t, chainSpec2("A", 40), chainSpec2("B", 40), chainSpec2("C", 40), chainSpec2("D", 40))
-	if err := cat.BuildIndex("B", "k"); err != nil {
-		t.Fatal(err)
-	}
 	tabs := []cardest.TableRef{{Table: "A"}, {Table: "B"}, {Table: "C"}, {Table: "D"}}
 	chain := []expr.Predicate{
 		expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k")),
@@ -226,29 +220,19 @@ func allocPlans(t *testing.T) (*catalog.Catalog, map[string]optimizer.Plan) {
 		expr.NewJoin(ref("C", "k"), expr.OpEQ, ref("D", "k")),
 		expr.NewConst(ref("D", "u"), expr.OpLT, storage.Int64(3)),
 	}
-	plans := map[string]optimizer.Plan{}
-	for name, c := range map[string]struct {
-		tabs    []cardest.TableRef
-		preds   []expr.Predicate
-		methods []optimizer.JoinMethod
-	}{
-		"hash chain": {tabs, chain, hashOnly},
-		"index NL":   {tabs[:2], chain[:2], []optimizer.JoinMethod{optimizer.IndexNL}},
-	} {
-		est, err := cardest.New(cat, c.tabs, c.preds, cardest.ELS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := optimizer.New(est, optimizer.Options{Methods: c.methods})
-		if err != nil {
-			t.Fatal(err)
-		}
-		order := []string{"A", "B", "C", "D"}[:len(c.tabs)]
-		if plans[name], err = opt.PlanForOrder(order); err != nil {
-			t.Fatal(err)
-		}
+	est, err := cardest.New(cat, tabs, chain, cardest.ELS())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return cat, plans
+	opt, err := optimizer.New(est, optimizer.Options{Methods: hashOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := opt.PlanForOrder([]string{"A", "B", "C", "D"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat, plan
 }
 
 // raceBuild reports a build with the race detector (race_test.go).
@@ -257,10 +241,10 @@ var raceBuild bool
 // Executing a planned query resolves no names: the plan carries its
 // ordinals, so a run allocates its operators' outputs and scratch, not a
 // compiled copy of every predicate, key lookups or residual lists. Before
-// plans carried ordinals the two runs took 246 and 123 allocations (269
-// and 128 under the race detector). The chain's two unfiltered build sides
-// take their hash tables from the base columns' memo after the first run:
-// 231 allocations became 226 (255 became 249–251 under the race detector).
+// plans carried ordinals the chain took 246 allocations (269 under the
+// race detector). Its two unfiltered build sides take their hash tables
+// from the base columns' memo after the first run: 231 allocations became
+// 226 (255 became 249–251 under the race detector).
 //
 // A COUNT(*) of the chain carries no output column, only the keys and the
 // residual's columns below the root, whose pair sink only counts and takes
@@ -269,24 +253,11 @@ var raceBuild bool
 // formed its pairs) against the full run's 162,240, and it allocates at
 // most a fifth of the full run's bytes (about 18 KB against 220 KB).
 func TestExecuteAllocationCeiling(t *testing.T) {
-	cat, plans := allocPlans(t)
-	ceilings := map[string]float64{"hash chain": 229, "index NL": 118, "hash chain COUNT(*)": 199}
+	cat, chain := allocChain(t)
+	full, count := 229.0, 199.0
 	if raceBuild {
-		ceilings = map[string]float64{"hash chain": 255, "index NL": 124, "hash chain COUNT(*)": 204}
+		full, count = 255, 204
 	}
-	for name, plan := range plans {
-		ceiling := ceilings[name]
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := NewGoverned(cat, governor.New(context.Background(), governor.Limits{})).Execute(plan); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > ceiling {
-			t.Errorf("%s: %v allocations per Execute, want at most %v", name, allocs, ceiling)
-		}
-	}
-
-	chain := plans["hash chain"]
 	run := func(cols []int) *governor.Governor {
 		gov := governor.New(context.Background(), governor.Limits{})
 		if _, err := NewGoverned(cat, gov).ExecuteColumns(chain, cols); err != nil {
@@ -294,8 +265,11 @@ func TestExecuteAllocationCeiling(t *testing.T) {
 		}
 		return gov
 	}
-	if allocs := testing.AllocsPerRun(20, func() { run([]int{}) }); allocs > ceilings["hash chain COUNT(*)"] {
-		t.Errorf("hash chain COUNT(*): %v allocations per run, want at most %v", allocs, ceilings["hash chain COUNT(*)"])
+	if allocs := testing.AllocsPerRun(20, func() { run(nil) }); allocs > full {
+		t.Errorf("hash chain: %v allocations per Execute, want at most %v", allocs, full)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { run([]int{}) }); allocs > count {
+		t.Errorf("hash chain COUNT(*): %v allocations per run, want at most %v", allocs, count)
 	}
 	const runs = 10
 	var peaks [2]int64

@@ -258,47 +258,42 @@ func TestCountingJoinProbesSharedBuild(t *testing.T) {
 	}
 }
 
-// A hash join or an index nested-loops join of a 10-row outer input with a
-// 100,000-row base table derives no key of the inner once the inner's build
-// is memoized: float64 keys, which the join renders as bits, allocate
-// within twice what int64 keys, read as stored, do.
+// A hash join of a 10-row outer input with a 100,000-row base table derives
+// no key of the inner once the inner's build is memoized: float64 keys,
+// which the join renders as bits, allocate within twice what int64 keys,
+// read as stored, do.
 func TestWarmJoinDerivesOnlyProbeKeys(t *testing.T) {
-	for _, method := range []optimizer.JoinMethod{optimizer.HashJoin, optimizer.IndexNL} {
-		var bytes [2]uint64
-		for i, typ := range []storage.Type{storage.TypeInt64, storage.TypeFloat64} {
-			cat := catalog.New()
-			for name, n := range map[string]int{"L": 10, "R": 100000} {
-				tbl := storage.NewTable(name, kvSchema(typ))
-				for r := range n {
-					k := storage.Int64(int64(r))
-					if typ == storage.TypeFloat64 {
-						k = storage.Float64(float64(r))
-					}
-					tbl.MustAppendRow(k, storage.Int64(int64(r)))
+	var bytes [2]uint64
+	for i, typ := range []storage.Type{storage.TypeInt64, storage.TypeFloat64} {
+		cat := catalog.New()
+		for name, n := range map[string]int{"L": 10, "R": 100000} {
+			tbl := storage.NewTable(name, kvSchema(typ))
+			for r := range n {
+				k := storage.Int64(int64(r))
+				if typ == storage.TypeFloat64 {
+					k = storage.Float64(float64(r))
 				}
-				if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{}); err != nil {
-					t.Fatal(err)
-				}
+				tbl.MustAppendRow(k, storage.Int64(int64(r)))
 			}
-			if err := cat.BuildIndex("R", "k"); err != nil {
+			if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			plan := countCase{}.plan(t, cat, method)
-			allocatedBytes(t, cat, plan) // builds the memo
-			// The least of several runs: under the race detector the arena's
-			// sync.Pool drops buffers at random.
-			bytes[i] = math.MaxUint64
-			for range 5 {
-				b, res := allocatedBytes(t, cat, plan)
-				if res.Stats.RowsProduced != 10 {
-					t.Fatalf("%d rows, want 10", res.Stats.RowsProduced)
-				}
-				bytes[i] = min(bytes[i], b)
+		}
+		plan := countCase{}.plan(t, cat, optimizer.HashJoin)
+		allocatedBytes(t, cat, plan) // builds the memo
+		// The least of several runs: under the race detector the arena's
+		// sync.Pool drops buffers at random.
+		bytes[i] = math.MaxUint64
+		for range 5 {
+			b, res := allocatedBytes(t, cat, plan)
+			if res.Stats.RowsProduced != 10 {
+				t.Fatalf("%d rows, want 10", res.Stats.RowsProduced)
 			}
+			bytes[i] = min(bytes[i], b)
 		}
-		t.Logf("%v: int64 keys %d bytes, float64 keys %d bytes per warm join", method, bytes[0], bytes[1])
-		if bytes[1] > 2*bytes[0] {
-			t.Errorf("%v: float64 keys allocated %d bytes per warm join, int64 keys %d: want at most twice", method, bytes[1], bytes[0])
-		}
+	}
+	t.Logf("int64 keys %d bytes, float64 keys %d bytes per warm join", bytes[0], bytes[1])
+	if bytes[1] > 2*bytes[0] {
+		t.Errorf("float64 keys allocated %d bytes per warm join, int64 keys %d: want at most twice", bytes[1], bytes[0])
 	}
 }

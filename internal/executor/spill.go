@@ -1,12 +1,10 @@
 // The budget's partition policy of the hash join. When the build side's
 // hash table would not fit the query's byte budget
-// (governor.Limits.MaxMemory) — or the build exceeds the planner's
-// estimate-informed reservation, the early trip for wildly underestimated
-// joins — the join switches to Grace-style recursive partitioning: both
-// inputs are hashed on the join key into partitions, each partition is
-// joined by the kernel the one-partition join runs (hashSpec.join) with a
-// hash table over its share of the build only, and the partition outputs
-// are merged back into the exact serial row order.
+// (governor.Limits.MaxMemory), the join switches to Grace-style recursive
+// partitioning: both inputs are hashed on the join key into partitions,
+// each partition is joined by the kernel the one-partition join runs
+// (hashSpec.join) with a hash table over its share of the build only, and
+// the partition outputs are merged back into the exact serial row order.
 //
 // Partitions are row lists over the two resident inputs, never copies and
 // never files: the executor is operator-at-a-time, so both inputs are on

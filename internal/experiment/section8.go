@@ -33,11 +33,6 @@ type Section8Options struct {
 	// SkipExecution computes plans and estimates only (no data generation
 	// or execution); timings are zero.
 	SkipExecution bool
-	// WithIndexes declares an index on every join column and adds the
-	// index-nested-loops method to the optimizer repertoire, so the
-	// executor's index path (a probe of the column's shared hash build)
-	// runs on the experiment's plans.
-	WithIndexes bool
 }
 
 // Section8Row is one line of the reproduced table.
@@ -134,18 +129,6 @@ func RunSection8(opts Section8Options) (*Section8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	optOptions := optimizer.PaperOptions()
-	if opts.WithIndexes {
-		if opts.SkipExecution {
-			return nil, fmt.Errorf("experiment: WithIndexes requires execution (data to index)")
-		}
-		for table, col := range map[string]string{"S": "s", "M": "m", "B": "b", "G": "g"} {
-			if err := cat.BuildIndex(table, col); err != nil {
-				return nil, err
-			}
-		}
-		optOptions.Methods = append(optOptions.Methods, optimizer.IndexNL)
-	}
 	preds := section8Predicates(opts.Scale)
 	runs := []struct {
 		query string
@@ -166,7 +149,7 @@ func RunSection8(opts Section8Options) (*Section8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := optimizer.New(est, optOptions)
+		opt, err := optimizer.New(est, optimizer.PaperOptions())
 		if err != nil {
 			return nil, err
 		}

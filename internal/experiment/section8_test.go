@@ -98,46 +98,6 @@ func TestRunSection8EstimatesOnlyPaperNumbers(t *testing.T) {
 	}
 }
 
-// With indexes on every join column and index-nested-loops enabled, the
-// work gap between algorithms collapses — misestimation is forgiven by
-// a forgiving access-path design. (The estimates themselves stay wrong.)
-func TestSection8WithIndexes(t *testing.T) {
-	plain, err := RunSection8(Section8Options{Scale: 10, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := RunSection8(Section8Options{Scale: 10, Seed: 42, WithIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worstIdx, bestIdx int64
-	for i, row := range idx.Rows {
-		if row.TrueCount != 10 {
-			t.Errorf("row %d count = %d, want 10", i, row.TrueCount)
-		}
-		if worstIdx == 0 || row.Stats.TuplesScanned > worstIdx {
-			worstIdx = row.Stats.TuplesScanned
-		}
-		if bestIdx == 0 || row.Stats.TuplesScanned < bestIdx {
-			bestIdx = row.Stats.TuplesScanned
-		}
-		// Indexed plans must do far less work than the unindexed ones.
-		if row.Stats.TuplesScanned*10 > plain.Rows[i].Stats.TuplesScanned {
-			t.Errorf("row %d: indexed work %d not ≪ plain %d",
-				i, row.Stats.TuplesScanned, plain.Rows[i].Stats.TuplesScanned)
-		}
-	}
-	// The between-algorithm gap collapses: worst/best within 3x (plain
-	// Section 8 shows ~10x).
-	if bestIdx > 0 && float64(worstIdx)/float64(bestIdx) > 3 {
-		t.Errorf("indexed work gap %d/%d should be small", worstIdx, bestIdx)
-	}
-	// Estimates-only mode cannot index.
-	if _, err := RunSection8(Section8Options{Scale: 10, SkipExecution: true, WithIndexes: true}); err == nil {
-		t.Error("WithIndexes without execution should error")
-	}
-}
-
 func TestSection8DefaultScale(t *testing.T) {
 	res, err := RunSection8(Section8Options{SkipExecution: true, Scale: 0})
 	if err != nil {

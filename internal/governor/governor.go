@@ -420,15 +420,13 @@ type Governor struct {
 	sinceCheck atomic.Int64
 
 	// Bytes ledger. memBytes is the live working set; memPeak its
-	// high-water mark; memReserved the planner's estimate-informed
-	// pre-reservation; spills/spilledBytes count the hash joins'
+	// high-water mark; spills/spilledBytes count the hash joins'
 	// partitioning passes and the build bytes they routed. Charges at
 	// operator boundaries are deterministic for a given plan, which is what
 	// keeps the spill decision — and therefore the result bytes — the same
 	// run after run.
 	memBytes     atomic.Int64
 	memPeak      atomic.Int64
-	memReserved  atomic.Int64
 	spills       atomic.Int64
 	spilledBytes atomic.Int64
 }
@@ -576,18 +574,11 @@ func (g *Governor) MaxMemory() int64 {
 	return g.limits.MaxMemory
 }
 
-// ReserveBytes records the planner's estimate-informed pre-reservation:
-// the working memory the plan is expected to need, derived from the ELS
-// estimates before execution starts. A hash-join build side that turns
-// out larger than the reservation is partitioned at once — the estimate was
-// wrong, so the budget stops trusting it — rather than growing toward
-// the OOM cliff.
-func (g *Governor) ReserveBytes(n int64) {
-	if g == nil || n <= 0 {
-		return
-	}
-	g.memReserved.Store(n)
-}
+// ReserveBytes does nothing: a hash join partitions only when its build
+// does not fit the budget (ShouldSpill).
+//
+// Deprecated: kept only because the frozen bench/ calls it.
+func (g *Governor) ReserveBytes(int64) {}
 
 // ChargeBytes adds n bytes to the working-set ledger. It is accounting,
 // not enforcement: materialization points charge unconditionally so the
@@ -634,23 +625,12 @@ func (g *Governor) GrabBytes(n int64, operator string) error {
 }
 
 // ShouldSpill decides whether a hash join whose build side needs `need`
-// bytes runs partition by partition. It does when the budget cannot cover
-// the build on top of the current working set, or when the build exceeds
-// the planner's pre-reservation — the estimate-informed early trip. The
-// inputs (ledger at an operator boundary, deterministic build size,
-// per-query reservation) are the same on every run of a plan, and so is the
-// call.
+// bytes runs partition by partition: it does when the budget cannot cover
+// the build on top of the current working set. Both inputs (the ledger at
+// an operator boundary, the build's actual size) are the same on every run
+// of a plan, and so is the call.
 func (g *Governor) ShouldSpill(need int64) bool {
-	if !g.MemoryEnforced() {
-		return false
-	}
-	if g.memBytes.Load()+need > g.limits.MaxMemory {
-		return true
-	}
-	if r := g.memReserved.Load(); r > 0 && need > r {
-		return true
-	}
-	return false
+	return g.MemoryEnforced() && g.memBytes.Load()+need > g.limits.MaxMemory
 }
 
 // RecordSpill counts one partitioning pass that routed n build-side bytes.
@@ -662,13 +642,16 @@ func (g *Governor) RecordSpill(n int64) {
 	g.spilledBytes.Add(n)
 }
 
-// MemoryUsage reports the bytes ledger: live working set, its peak, and
-// the planner's pre-reservation.
+// MemoryUsage reports the bytes ledger: live working set and its peak.
+// The third result is always 0.
+//
+// Deprecated: the third result is kept only because the frozen bench/
+// reads it.
 func (g *Governor) MemoryUsage() (used, peak, reserved int64) {
 	if g == nil {
 		return 0, 0, 0
 	}
-	return g.memBytes.Load(), g.memPeak.Load(), g.memReserved.Load()
+	return g.memBytes.Load(), g.memPeak.Load(), 0
 }
 
 // SpillStats reports how many partitioning passes the query's hash joins

@@ -24,7 +24,7 @@ var ReferenceBestPlan = (*Optimizer).referenceBestPlan
 // referenceBestPlan is the DP search as it ran before it searched on
 // numbers: one JoinStep explanation per (reached subset, candidate table),
 // one Join node per applicable method, the cheapest kept by a stable sort.
-// It resolves aliases, indexes and statistics through the estimator on the
+// It resolves aliases and statistics through the estimator on the
 // spot and reads none of what New precomputes. Over data-backed tables it
 // resolves every column a node reads by its "alias.column" name in the
 // node's input rows, as the executor did before plans carried ordinals.
@@ -173,8 +173,7 @@ func referenceConds(preds []expr.Predicate, labels []string) []Cond {
 }
 
 // referenceKey resolves a join's key and residual by name: the key is the
-// first equality predicate — for IndexNL the first over the inner's index
-// column — with its sides found in either order.
+// first equality predicate, with its sides found in either order.
 func (o *Optimizer) referenceKey(j *Join) {
 	j.LeftKey, j.RightKey = -1, -1
 	left, right := o.referenceLabels(JoinOrder(j.Left)...), o.referenceLabels(j.Right.Alias)
@@ -183,9 +182,7 @@ func (o *Optimizer) referenceKey(j *Join) {
 	}
 	key := -1
 	for i, p := range j.Preds {
-		onIndex := strings.EqualFold(p.Left.Table+"."+p.Left.Column, j.Right.Alias+"."+j.IndexColumn) ||
-			strings.EqualFold(p.Right.Table+"."+p.Right.Column, j.Right.Alias+"."+j.IndexColumn)
-		if key < 0 && p.Op == expr.OpEQ && (j.Method == SortMerge || j.Method == HashJoin || j.Method == IndexNL && onIndex) {
+		if key < 0 && p.Op == expr.OpEQ && (j.Method == SortMerge || j.Method == HashJoin) {
 			key = i
 			if j.LeftKey = referenceColumn(left, p.Left); j.LeftKey >= 0 {
 				j.RightKey = referenceColumn(right, p.Right)
@@ -210,7 +207,6 @@ func (o *Optimizer) referenceCandidates(left Plan, next *Scan, step cardest.Step
 	var out []*Join
 	for _, m := range o.methods {
 		var c float64
-		var indexColumn string
 		switch m {
 		case NestedLoop:
 			c = o.model.NestedLoopCost(left.Cost(), left.EstRows(), next.ScanCost)
@@ -225,26 +221,13 @@ func (o *Optimizer) referenceCandidates(left Plan, next *Scan, step cardest.Step
 				continue
 			}
 			c = o.model.HashJoinCost(left.Cost(), next.ScanCost, left.EstRows(), o.referenceBuildRows(next))
-		case IndexNL:
-			col, ok := o.referenceIndexColumn(next, step.Eligible)
-			if !ok {
-				continue
-			}
-			indexColumn = col
-			matches := 1.0
-			t, _ := o.est.TableNumber(next.Alias)
-			_, base, _ := o.est.Table(t)
-			if cs := base.Column(col); cs != nil && cs.Distinct > 0 {
-				matches = base.Card / cs.Distinct
-			}
-			c = o.model.IndexNLCost(left.Cost(), left.EstRows(), next.BaseRows, matches)
 		default:
 			continue
 		}
 		j := &Join{
 			Left: left, Right: next, Method: m,
 			Preds: step.Eligible, Rows: step.Size, PlanCost: c, Step: step,
-			IndexColumn: indexColumn, tables: tables,
+			tables: tables,
 		}
 		o.referenceKey(j)
 		out = append(out, j)
@@ -271,29 +254,6 @@ func (o *Optimizer) referenceBuildRows(next *Scan) float64 {
 		return next.EstRows()
 	}
 	return 0
-}
-
-// referenceIndexColumn returns the inner-side column of the first eligible
-// equality predicate for which the inner base table carries an index.
-func (o *Optimizer) referenceIndexColumn(next *Scan, eligible []expr.Predicate) (string, bool) {
-	for _, p := range eligible {
-		if p.Op != expr.OpEQ {
-			continue
-		}
-		var col string
-		switch {
-		case strings.EqualFold(p.Left.Table, next.Alias):
-			col = p.Left.Column
-		case strings.EqualFold(p.Right.Table, next.Alias):
-			col = p.Right.Column
-		default:
-			continue
-		}
-		if o.est.Catalog().HasIndex(next.Table, col) {
-			return col, true
-		}
-	}
-	return "", false
 }
 
 // shapeQuery builds a query over n tables joined as a chain (Tᵢ₋₁.b =

@@ -28,12 +28,8 @@ func FormatDot(p Plan) string {
 			fmt.Fprintf(&b, "  %s [label=%q];\n", id,
 				fmt.Sprintf("%s\\nrows=%s cost=%.1f", label, fmtRows(node.Rows), node.ScanCost))
 		case *Join:
-			label := fmt.Sprintf("%s join", node.Method)
-			if node.IndexColumn != "" {
-				label += " on " + node.IndexColumn
-			}
 			fmt.Fprintf(&b, "  %s [label=%q];\n", id,
-				fmt.Sprintf("%s\\nrows=%s cost=%.1f", label, fmtRows(node.Rows), node.PlanCost))
+				fmt.Sprintf("%s join\\nrows=%s cost=%.1f", node.Method, fmtRows(node.Rows), node.PlanCost))
 			l := walk(node.Left)
 			r := walk(node.Right)
 			fmt.Fprintf(&b, "  %s -> %s;\n", l, id)

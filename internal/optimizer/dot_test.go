@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cardest"
-	"repro/internal/expr"
 )
 
 func TestFormatDot(t *testing.T) {
@@ -27,34 +26,11 @@ func TestFormatDot(t *testing.T) {
 	if !strings.Contains(dot, "(filtered)") {
 		t.Errorf("filtered scans should be marked:\n%s", dot)
 	}
-	// IndexNL plans surface the probe column.
-	est := twoTableEstimator(t)
-	// No index here, so just check the single-scan case renders.
-	o2, _ := New(est, PaperOptions())
+	// A single scan renders too.
+	o2, _ := New(twoTableEstimator(t), PaperOptions())
 	scanPlan, _ := o2.PlanForOrder([]string{"A"})
 	single := FormatDot(scanPlan)
 	if !strings.Contains(single, "Scan A") {
 		t.Errorf("single scan dot:\n%s", single)
-	}
-}
-
-func TestFormatDotIndexJoin(t *testing.T) {
-	cat := indexedChainCatalog(t)
-	est, err := cardest.New(cat, []cardest.TableRef{{Table: "A"}, {Table: "B"}},
-		[]expr.Predicate{expr.NewJoin(ref("A", "k"), expr.OpEQ, ref("B", "k"))}, cardest.ELS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := New(est, Options{Methods: []JoinMethod{IndexNL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := o.PlanForOrder([]string{"A", "B"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot := FormatDot(plan)
-	if !strings.Contains(dot, "IDXNL join on k") {
-		t.Errorf("index join label missing:\n%s", dot)
 	}
 }

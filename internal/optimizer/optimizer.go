@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/cardest"
-	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/eqclass"
 	"repro/internal/expr"
@@ -62,8 +61,6 @@ type table struct {
 	scan Scan
 	// sort is the scan's cost.SortTerm, for sort-merge as the inner.
 	sort float64
-	// base holds the raw (unreduced) statistics.
-	base *catalog.TableStats
 	// data is the table's loaded data, nil if it has none, and width its
 	// number of columns, which resolve sets when every table has data.
 	data  *storage.Table
@@ -74,23 +71,6 @@ type table struct {
 	// budget the table must fit it; a bigger input partitions and shares
 	// nothing.
 	shared bool
-	// probes are the ways an IndexNL join can reach the table as the inner,
-	// in predicate-set order (empty unless IndexNL is in the repertoire).
-	probes []indexProbe
-}
-
-// indexProbe is one equality join predicate whose column on this (inner)
-// table is indexed.
-type indexProbe struct {
-	// outer is the bit of the predicate's other table: the probe is
-	// eligible once that table is in the outer input.
-	outer uint32
-	// pred is the predicate's position in the estimator's Predicates().
-	pred int
-	// column is the indexed inner column.
-	column string
-	// matches estimates the inner rows one probe returns.
-	matches float64
 }
 
 // New creates an optimizer over the estimator's query.
@@ -115,7 +95,7 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 		or := expr.DisjunctionsOf(est.Disjunctions(), alias)
 		shared := hash && data != nil && len(locals) == 0 && len(or) == 0 &&
 			(!o.gov.MemoryEnforced() || data.ApproxBytes() <= o.gov.MaxMemory())
-		o.tables = append(o.tables, table{base: base, data: data, shared: shared, sort: model.SortTerm(rows, base.RowWidth), scan: Scan{
+		o.tables = append(o.tables, table{data: data, shared: shared, sort: model.SortTerm(rows, base.RowWidth), scan: Scan{
 			Alias:    alias,
 			Table:    tr.Table,
 			Filter:   locals,
@@ -128,19 +108,6 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 		}})
 	}
 	o.resolve()
-	if slices.Contains(methods, IndexNL) {
-		ops := est.Operands()
-		for i, p := range est.Predicates() {
-			if ops[i].Right < 0 || p.Op != expr.OpEQ {
-				continue
-			}
-			l, r := est.TableOf(ops[i].Left), est.TableOf(ops[i].Right)
-			if l != r {
-				o.addProbe(l, r, i, p.Left.Column)
-				o.addProbe(r, l, i, p.Right.Column)
-			}
-		}
-	}
 	return o, nil
 }
 
@@ -204,41 +171,6 @@ func (o *Optimizer) cond(p expr.Predicate, ops eqclass.Operands, at []int) Cond 
 	return c
 }
 
-// addProbe records that an IndexNL join can probe the inner table's column
-// through predicate number pred once the outer table is joined, if the
-// column is indexed.
-func (o *Optimizer) addProbe(inner, outer, pred int, column string) {
-	t := &o.tables[inner]
-	if !o.est.Catalog().HasIndex(t.scan.Table, column) {
-		return
-	}
-	t.probes = append(t.probes, indexProbe{outer: 1 << outer, pred: pred, column: column, matches: expectedMatches(t.base, column)})
-}
-
-// probe returns the position of the table's first probe that is eligible
-// when the tables of mask form the outer input: the first eligible equality
-// predicate, in predicate-set order, whose inner column is indexed. It
-// returns -1 if there is none.
-func (t *table) probe(mask uint32) int {
-	for i := range t.probes {
-		if t.probes[i].outer&mask != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// expectedMatches estimates how many inner rows one index probe returns:
-// ‖inner‖ / d(column), using the raw statistics (the index covers the
-// unfiltered base table).
-func expectedMatches(base *catalog.TableStats, column string) float64 {
-	cs := base.Column(column)
-	if cs == nil || cs.Distinct <= 0 {
-		return 1
-	}
-	return base.Card / cs.Distinct
-}
-
 // Estimator returns the estimator the optimizer plans with.
 func (o *Optimizer) Estimator() *cardest.Estimator { return o.est }
 
@@ -248,22 +180,19 @@ func (o *Optimizer) scan(t int) *Scan {
 	return &s
 }
 
-// joinChoice is how one table joins an outer input: by which method, at
-// what cumulative cost, and for IndexNL through which of the table's probes.
+// joinChoice is how one table joins an outer input: by which method and at
+// what cumulative cost.
 type joinChoice struct {
 	method JoinMethod
 	cost   float64
-	// probe is a position in the inner table's probes; -1 unless IndexNL.
-	probe int
 }
 
 // cheapestMethod costs every applicable method for joining table number t,
 // as the inner, to an outer input of the given cost, estimated rows and
-// cost.SortTerm over the tables of mask; equality says an equality
-// predicate links the two. Among equally cheap methods the first in
-// repertoire order wins. Each call charges one unit of the plan-enumeration
-// budget.
-func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, mask uint32, t int, equality bool) (joinChoice, error) {
+// cost.SortTerm; equality says an equality predicate links the two. Among
+// equally cheap methods the first in repertoire order wins. Each call
+// charges one unit of the plan-enumeration budget.
+func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, t int, equality bool) (joinChoice, error) {
 	if err := o.gov.TickPlans(1); err != nil {
 		return joinChoice{}, err
 	}
@@ -271,7 +200,7 @@ func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, mask
 	found := false
 	var best joinChoice
 	for _, m := range o.methods {
-		c := joinChoice{method: m, probe: -1}
+		c := joinChoice{method: m}
 		switch m {
 		case NestedLoop:
 			// The inner base scan is re-executed per outer row (Starburst
@@ -292,11 +221,6 @@ func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, mask
 				build = 0
 			}
 			c.cost = o.model.HashJoinCost(outerCost, inner.scan.ScanCost, outerRows, build)
-		case IndexNL:
-			if c.probe = inner.probe(mask); c.probe < 0 {
-				continue
-			}
-			c.cost = o.model.IndexNLCost(outerCost, outerRows, inner.scan.BaseRows, inner.probes[c.probe].matches)
 		default:
 			continue
 		}
@@ -334,13 +258,8 @@ func (o *Optimizer) join(ch *chain, t int, step cardest.StepResult, c joinChoice
 		LeftKey: -1, RightKey: -1,
 	}
 	key := -1 // the key's position in Preds
-	switch c.method {
-	case SortMerge, HashJoin:
+	if c.method == SortMerge || c.method == HashJoin {
 		key = slices.IndexFunc(step.Eligible, expr.Predicate.IsEquality)
-	case IndexNL:
-		probe := &o.tables[t].probes[c.probe]
-		j.IndexColumn = probe.column
-		key = slices.Index(step.Positions, probe.pred)
 	}
 	ch.at[t] = ch.width
 	if o.ords != nil {
@@ -434,7 +353,7 @@ func (o *Optimizer) BestPlan() (Plan, error) {
 			}
 			for ; ext != 0; ext &= ext - 1 {
 				t := bits.TrailingZeros32(ext)
-				c, err := o.cheapestMethod(left.cost, left.rows, outerSort, mask, t, equality&(1<<t) != 0)
+				c, err := o.cheapestMethod(left.cost, left.rows, outerSort, t, equality&(1<<t) != 0)
 				if err != nil {
 					return nil, err
 				}
@@ -498,7 +417,7 @@ func (o *Optimizer) PlanForOrder(order []string) (Plan, error) {
 		}
 		equality := slices.ContainsFunc(step.Eligible, expr.Predicate.IsEquality)
 		plan := ch.plan
-		c, err := o.cheapestMethod(plan.Cost(), plan.EstRows(), o.model.SortTerm(plan.EstRows(), plan.Width()), ch.mask, t, equality)
+		c, err := o.cheapestMethod(plan.Cost(), plan.EstRows(), o.model.SortTerm(plan.EstRows(), plan.Width()), t, equality)
 		if err != nil {
 			return nil, err
 		}

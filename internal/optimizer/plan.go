@@ -32,11 +32,6 @@ const (
 	// paper's experiment used only nested loops and sort-merge; hash join is
 	// provided for completeness and disabled in paper mode.
 	HashJoin
-	// IndexNL probes a declared index on the inner base table's join column
-	// (the column's shared hash build) for each outer row. Only available
-	// when such an index is declared (see catalog.BuildIndex); disabled in
-	// paper mode, where the access methods are deliberately held fixed.
-	IndexNL
 )
 
 // String names the method.
@@ -48,8 +43,6 @@ func (m JoinMethod) String() string {
 		return "SM"
 	case HashJoin:
 		return "HASH"
-	case IndexNL:
-		return "IDXNL"
 	default:
 		return "?"
 	}
@@ -158,12 +151,9 @@ type Join struct {
 	// Step records the estimator's per-group selectivity choices for
 	// EXPLAIN output.
 	Step cardest.StepResult
-	// IndexColumn is the inner base-table column whose index an IndexNL
-	// join probes (empty for other methods).
-	IndexColumn string
 	// LeftKey and RightKey are the join key's ordinals in the left input and
 	// in the inner table: the first equality predicate for sort-merge and
-	// hash joins, the probed one for IndexNL; -1 for nested loops.
+	// hash joins; -1 for nested loops.
 	LeftKey, RightKey int
 	// Residual are the other predicates of Preds, in order, over the left
 	// input's columns followed by the inner table's.

@@ -34,14 +34,11 @@ func sevenAlgorithms() map[string]cardest.Config {
 	}
 }
 
-// repertoires are the paper's methods and the budgeted ones, each with and
-// without IndexNL.
+// repertoires are the paper's methods and the budgeted ones.
 func repertoires() map[string][]optimizer.JoinMethod {
 	return map[string][]optimizer.JoinMethod{
-		"paper":         {optimizer.NestedLoop, optimizer.SortMerge},
-		"NL+hash":       {optimizer.NestedLoop, optimizer.HashJoin},
-		"paper+IDXNL":   {optimizer.NestedLoop, optimizer.SortMerge, optimizer.IndexNL},
-		"NL+hash+IDXNL": {optimizer.NestedLoop, optimizer.HashJoin, optimizer.IndexNL},
+		"paper":   {optimizer.NestedLoop, optimizer.SortMerge},
+		"NL+hash": {optimizer.NestedLoop, optimizer.HashJoin},
 	}
 }
 
@@ -88,12 +85,12 @@ func samePlan(t *testing.T, label string, got, want optimizer.Plan) {
 		if !reflect.DeepEqual(g.Step, w.Step) {
 			t.Fatalf("%s: joining %s: step\n got  %+v\n want %+v", label, w.Step.Table, g.Step, w.Step)
 		}
-		if !reflect.DeepEqual(g.Preds, w.Preds) || g.Method != w.Method || g.IndexColumn != w.IndexColumn ||
+		if !reflect.DeepEqual(g.Preds, w.Preds) || g.Method != w.Method ||
 			g.LeftKey != w.LeftKey || g.RightKey != w.RightKey || !reflect.DeepEqual(g.Residual, w.Residual) ||
 			math.Float64bits(g.Rows) != math.Float64bits(w.Rows) || math.Float64bits(g.PlanCost) != math.Float64bits(w.PlanCost) {
-			t.Fatalf("%s: joining %s: got %s on %q preds %v key %d,%d residual %v, want %s on %q preds %v key %d,%d residual %v",
-				label, w.Step.Table, g, g.IndexColumn, g.Preds, g.LeftKey, g.RightKey, g.Residual,
-				w, w.IndexColumn, w.Preds, w.LeftKey, w.RightKey, w.Residual)
+			t.Fatalf("%s: joining %s: got %s preds %v key %d,%d residual %v, want %s preds %v key %d,%d residual %v",
+				label, w.Step.Table, g, g.Preds, g.LeftKey, g.RightKey, g.Residual,
+				w, w.Preds, w.LeftKey, w.RightKey, w.Residual)
 		}
 		if !reflect.DeepEqual(g.Right, w.Right) {
 			t.Fatalf("%s: inner scan %+v, want %+v", label, g.Right, w.Right)
@@ -104,10 +101,9 @@ func samePlan(t *testing.T, label string, got, want optimizer.Plan) {
 
 // diffBestPlan plans one query with BestPlan and with the reference search
 // under every algorithm and the given repertoires, and a byte budget when
-// budget is positive, and requires the same plan or the same error. It
-// returns how many plans used IndexNL.
+// budget is positive, and requires the same plan or the same error.
 func diffBestPlan(t *testing.T, label string, cat *catalog.Catalog, tabs []cardest.TableRef, preds []expr.Predicate,
-	methods map[string][]optimizer.JoinMethod, budget int64) (indexNL int) {
+	methods map[string][]optimizer.JoinMethod, budget int64) {
 	t.Helper()
 	for algo, cfg := range sevenAlgorithms() {
 		est, err := cardest.New(cat, tabs, preds, cfg)
@@ -133,19 +129,8 @@ func diffBestPlan(t *testing.T, label string, cat *catalog.Catalog, tabs []carde
 				continue
 			}
 			samePlan(t, label, got, want)
-			for p := got; ; {
-				j, ok := p.(*optimizer.Join)
-				if !ok {
-					break
-				}
-				if j.Method == optimizer.IndexNL {
-					indexNL++
-				}
-				p = j.Left
-			}
 		}
 	}
-	return indexNL
 }
 
 // BestPlan, searching on numbers and building only the winner's nodes, must
@@ -156,21 +141,10 @@ func TestBestPlanMatchesReference(t *testing.T) {
 	if testing.Short() {
 		seeds = 60
 	}
-	indexNL := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		q := querygen.Generate(seed)
 		cat := dataCatalog(t, q.DataSeed, q.Specs)
-		// An index on the join column of every other table, so IndexNL is on
-		// offer for some inners and not for others.
-		for i := 0; i < len(q.Specs); i += 2 {
-			if err := cat.BuildIndex(q.Specs[i].Name, "k"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		indexNL += diffBestPlan(t, fmt.Sprintf("seed %d", seed), cat, q.Tables, q.Preds, repertoires(), 0)
-	}
-	if indexNL == 0 {
-		t.Error("no generated query planned an IndexNL join")
+		diffBestPlan(t, fmt.Sprintf("seed %d", seed), cat, q.Tables, q.Preds, repertoires(), 0)
 	}
 
 	ref := func(t, c string) expr.ColumnRef { return expr.ColumnRef{Table: t, Column: c} }
@@ -180,9 +154,9 @@ func TestBestPlanMatchesReference(t *testing.T) {
 	// whose six tables share one equivalence class (closure links every
 	// pair, so every subset is reached from several sides and a step has
 	// several eligible predicates), and a disconnected one with a
-	// non-equality edge. The tables are data-backed, so indexes can be
-	// built, and a local predicate keeps the first one's rows few, so index
-	// probes from it beat scanning the inner.
+	// non-equality edge. The tables are data-backed, and a local predicate
+	// keeps the first one's rows few and its scan filtered, so its hash
+	// build is not a shared one.
 	const n = 6
 	var specs []datagen.TableSpec
 	var tabs []cardest.TableRef
@@ -207,11 +181,6 @@ func TestBestPlanMatchesReference(t *testing.T) {
 	few := expr.NewConst(ref("a0", "c5"), expr.OpLT, storage.Int64(2))
 	chain, star, class = append(chain, few), append(star, few), append(class, few)
 	cat := dataCatalog(t, 23, specs)
-	for _, ix := range [][2]string{{"T1", "c0"}, {"T3", "c0"}, {"T0", "c2"}, {"T2", "c2"}, {"T4", "c2"}, {"T5", "c1"}} {
-		if err := cat.BuildIndex(ix[0], ix[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	class = append(class, expr.NewJoin(ref("a0", "c3"), expr.OpLT, ref("a4", "c3")))
 	islands := []expr.Predicate{
 		expr.NewJoin(ref("a0", "c2"), expr.OpEQ, ref("a1", "c2")),
@@ -219,10 +188,7 @@ func TestBestPlanMatchesReference(t *testing.T) {
 		expr.NewJoin(ref("a3", "c4"), expr.OpLT, ref("a4", "c4")),
 	}
 	for name, preds := range map[string][]expr.Predicate{"chain": chain, "star": star, "class": class, "islands": islands} {
-		indexNL := diffBestPlan(t, name, cat, tabs, preds, repertoires(), 0)
-		if name != "islands" && indexNL == 0 {
-			t.Errorf("%s: no plan used an IndexNL join", name)
-		}
+		diffBestPlan(t, name, cat, tabs, preds, repertoires(), 0)
 		// T0..T2 fit this byte budget and T3..T5 do not, so only the first
 		// three offer the hash join a shared build.
 		diffBestPlan(t, name+", budgeted", cat, tabs, preds, repertoires(), 200000)

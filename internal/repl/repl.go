@@ -305,8 +305,8 @@ func (p *Processor) checkpoint() error {
 // recoverCatalog reopens a durable catalog directory — the session's own
 // by default, or an explicit one — replaying its checkpoint and WAL suffix
 // exactly as a post-crash restart would. The previous system is drained
-// and closed; in-memory artifacts (loaded CSV data, indexes) do not
-// survive, matching what a real crash loses.
+// and closed; in-memory artifacts (loaded CSV data) do not survive,
+// matching what a real crash loses.
 func (p *Processor) recoverCatalog(args []string) error {
 	dir := p.dataDir
 	if len(args) == 1 {

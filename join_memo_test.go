@@ -57,7 +57,6 @@ func TestJoinMemoColdWarmBitIdentical(t *testing.T) {
 		for i, plan := range plans {
 			for _, budget := range []int64{0, diffBudget(plan)} {
 				cat := loadGenerated(t, q, 0)
-				indexKeys(t, cat, q)
 				cold := printRun(t, cat, plan, budget)
 				for run := 2; run <= 3; run++ {
 					if warm := printRun(t, cat, plan, budget); warm != cold {
@@ -156,9 +155,8 @@ func TestJoinMemoConcurrentFirstUse(t *testing.T) {
 }
 
 // Reloading a table under the same name and row count replaces it: the
-// join that follows counts the new rows, under sort-merge, hash join and
-// index nested-loops alike, not the structures memoized over the old ones.
-// The indexes are declared once, before either table is reloaded.
+// join that follows counts the new rows, under sort-merge and hash join
+// alike, not the structures memoized over the old ones.
 func TestJoinMemoReplacedTable(t *testing.T) {
 	// keys has n rows whose k runs from off through off+mod-1, cyclically.
 	keys := func(n, mod, off int) [][]int64 {
@@ -169,22 +167,18 @@ func TestJoinMemoReplacedTable(t *testing.T) {
 		return rows
 	}
 	const sql = "SELECT COUNT(*) FROM R, S WHERE R.k = S.k"
-	// Default limits plan a sort-merge join; any byte budget a hash join;
-	// an index on k and an outer R of n = 100 rows, index nested-loops.
+	// Default limits plan a sort-merge join; any byte budget a hash join.
 	for _, c := range []struct {
 		method string
 		lim    Limits
-		index  bool
 		n      int      // R's rows
 		want   [3]int64 // the count after each load of R and S
 	}{
-		{"SM", Limits{}, false, 2000, [3]int64{4000, 2000, 1000}},
-		{"HASH", Limits{MaxMemory: 1 << 40}, false, 2000, [3]int64{4000, 2000, 1000}},
-		{"IDXNL", Limits{}, true, 100, [3]int64{200, 200, 50}},
+		{"SM", Limits{}, 2000, [3]int64{4000, 2000, 1000}},
+		{"HASH", Limits{MaxMemory: 1 << 40}, 2000, [3]int64{4000, 2000, 1000}},
 	} {
 		sys := New()
 		sys.SetLimits(c.lim)
-		indexed := map[string]bool{}
 		for i, load := range []struct {
 			table string
 			rows  [][]int64
@@ -197,12 +191,6 @@ func TestJoinMemoReplacedTable(t *testing.T) {
 			if err := sys.LoadTable(load.table, []string{"k", "v"}, load.rows); err != nil {
 				t.Fatal(err)
 			}
-			if c.index && !indexed[load.table] {
-				if err := sys.BuildIndex(load.table, "k"); err != nil {
-					t.Fatal(err)
-				}
-				indexed[load.table] = true
-			}
 			if i == 0 {
 				continue
 			}
@@ -212,7 +200,7 @@ func TestJoinMemoReplacedTable(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !slices.Equal(res.Estimate.JoinMethods, []string{c.method}) {
-					t.Fatalf("limits %+v, index %v: planned %v, want %s", c.lim, c.index, res.Estimate.JoinMethods, c.method)
+					t.Fatalf("limits %+v: planned %v, want %s", c.lim, res.Estimate.JoinMethods, c.method)
 				}
 				if want := c.want[i-1]; res.Count != want {
 					t.Fatalf("%s after reloading %s, run %d: count %d, want %d", c.method, load.table, run, res.Count, want)

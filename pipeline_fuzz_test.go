@@ -31,11 +31,6 @@ func buildRandomWorkload(t *testing.T, rng *rand.Rand) randomWorkload {
 		if err := sys.LoadTable(names[i], []string{"k", "v"}, rows); err != nil {
 			t.Fatal(err)
 		}
-		if rng.Intn(3) == 0 {
-			if err := sys.BuildIndex(names[i], "k"); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	from := names[0]
 	where := ""

@@ -153,9 +153,7 @@ func (r *Result) FormatAnalyze() string {
 const MaxRows = 1000
 
 // optimizerOptions returns the paper repertoire (nested loops +
-// sort-merge), extended with index nested-loops when the user has built
-// any index in the pinned catalog, governed by the query's resource
-// governor.
+// sort-merge), governed by the query's resource governor.
 //
 // Under a byte budget (Limits.MaxMemory) sort-merge is swapped for the
 // hash join: sort-merge's sort scratch must fit in memory outright (its
@@ -163,13 +161,10 @@ const MaxRows = 1000
 // side degrades to in-memory partitioning and completes under any budget.
 // An unbudgeted system keeps the paper repertoire exactly, so existing
 // plans, counters, and explain output are untouched.
-func optimizerOptions(cat *catalog.Catalog, gov *governor.Governor) optimizer.Options {
+func optimizerOptions(gov *governor.Governor) optimizer.Options {
 	opts := optimizer.PaperOptions()
 	if gov.MemoryEnforced() {
 		opts.Methods = []optimizer.JoinMethod{optimizer.NestedLoop, optimizer.HashJoin}
-	}
-	if cat.HasAnyIndex() {
-		opts.Methods = append(opts.Methods, optimizer.IndexNL)
 	}
 	opts.Governor = gov
 	return opts
@@ -255,7 +250,7 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opt, err := optimizer.New(cest, optimizerOptions(cat, gov))
+	opt, err := optimizer.New(cest, optimizerOptions(gov))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -370,32 +365,6 @@ func buildEstimate(algo Algorithm, plan optimizer.Plan, opt *optimizer.Optimizer
 	}
 	e.Warnings = opt.Estimator().Warnings()
 	return e
-}
-
-// estimateWorkingBytes sizes the estimate-informed memory reservation for
-// a plan under Limits.MaxMemory. For every hash join in the plan the build
-// (right) side is sized at EstRows × RowWidth × 16. RowWidth is already in
-// bytes, so this is sixteen times the build's estimated bytes, not the
-// storage byte model's footprint (16 bytes per string value, 8 per
-// integer): it over- rather than under-reserves. The reservation is the
-// largest such build doubled as a safety factor. The governor compares
-// each actual build size against this figure (Governor.ShouldSpill), so a
-// join whose true input dwarfs its estimate spills at build time instead
-// of discovering the budget cliff mid-probe. The figure is a pure function
-// of the plan — identical across engines — which keeps spill decisions
-// deterministic.
-func estimateWorkingBytes(plan optimizer.Plan) int64 {
-	var worst float64
-	for j, ok := plan.(*optimizer.Join); ok; j, ok = j.Left.(*optimizer.Join) {
-		if b := j.Right.Rows * float64(16*j.Right.RowWidth); j.Method == optimizer.HashJoin && b > worst {
-			worst = b
-		}
-	}
-	worst *= 2 // safety factor against modest underestimates
-	if worst > float64(1<<55) {
-		worst = float64(1 << 55)
-	}
-	return int64(worst)
 }
 
 // estimateGroups computes the GROUP BY output-size estimate with the
@@ -569,13 +538,6 @@ func (s *System) queryOn(snap *snapshot.Snapshot, gov *governor.Governor, sql st
 		return nil, err
 	}
 	exec := executor.NewGoverned(snap.Catalog(), gov)
-	if gov.MemoryEnforced() {
-		// Estimate-informed pre-reservation: size the working-memory
-		// reservation from the optimizer's own cardinality estimates so a
-		// wildly underestimated join trips ShouldSpill at build time —
-		// before the build is resident — rather than at the budget cliff.
-		gov.ReserveBytes(estimateWorkingBytes(plan))
-	}
 	res, err := exec.ExecuteColumns(plan, read)
 	if err != nil {
 		return nil, err

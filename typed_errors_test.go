@@ -304,15 +304,6 @@ var loadFailures = []struct {
 	{"GenerateTable negative rows", func(sys *System) error {
 		return sys.GenerateTable("T", "k", "uniform", -1, 10, 0, 1)
 	}, "negative row count"},
-	{"BuildIndex unknown table", func(sys *System) error {
-		return sys.BuildIndex("Nope", "x")
-	}, "Nope"},
-	{"BuildIndex unknown column", func(sys *System) error {
-		if err := sys.LoadTable("T", []string{"x"}, [][]int64{{1}}); err != nil {
-			return err
-		}
-		return sys.BuildIndex("T", "nope")
-	}, "nope"},
 }
 
 // Every load path reports bad input as ErrBadStats and nothing else,
