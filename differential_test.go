@@ -139,8 +139,11 @@ const executionDigest = "f02b1d2ad5561c16cfa939be53babf3f28a51a732c26a84c82cf0cb
 // — peak bytes, partitioning passes and build bytes routed — taken where
 // scans without predicates still copied their base table and the hash join
 // built a map per partition, and re-pinned with bestPlanDigest each time,
-// and with executionDigest when index nested-loops was removed.
-const ledgerDigest = "bb31acbaa7ebaf29328e4ae419829861543c0a14d98741d399ae025d3c83a099"
+// and with executionDigest when index nested-loops was removed. Re-pinned
+// alone when a scan's first conjunct came to be answered off the column's
+// sort permutation: the scan charges its row bitmap while it holds it, and
+// without that charge the code computes the previous value.
+const ledgerDigest = "4a20c31ebb70e8430bb479d22b37575cc9bf895d3541cd6205fe56b661111784"
 
 // TestExecutionDigestPinned holds execution to the rows, row order, work
 // counters and governor tuple/row charges it produced before every operator

@@ -3,7 +3,6 @@ package catalog
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/storage"
@@ -24,9 +23,9 @@ type AnalyzeOptions struct {
 // Analyze derives a data table's exact statistics (and optional histograms)
 // from one walk per column over its sort permutation, registers them in the
 // catalog, and remembers the backing table so the executor can run plans
-// against it. The permutation is read through a view: it is the radix sort
-// memoized on the base column (storage.Table.SortPermutation), which the
-// first sort-merge join over the table then finds built.
+// against it. The permutation is the radix sort memoized on the base column
+// (storage.Table.ColumnOrder), which the first sort-merge join and the first
+// filtered scan over the table then find built.
 func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("catalog: Analyze(nil)")
@@ -35,10 +34,6 @@ func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats,
 		return nil, fmt.Errorf("catalog: analyze %s: %w", tbl.Name(), err)
 	}
 	schema := tbl.Schema()
-	view, err := tbl.View(tbl.Name(), schema, nil)
-	if err != nil {
-		return nil, err
-	}
 	ts := &TableStats{
 		Name:     tbl.Name(),
 		Card:     float64(tbl.NumRows()),
@@ -47,7 +42,7 @@ func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats,
 	}
 	for ci := 0; ci < schema.NumColumns(); ci++ {
 		def := schema.Column(ci)
-		cs, err := analyzeColumn(view, ci, opts.HistogramBuckets)
+		cs, err := analyzeColumn(tbl, ci, opts.HistogramBuckets)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: analyze %s.%s: %w", tbl.Name(), def.Name, err)
 		}
@@ -65,9 +60,10 @@ func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats,
 // Max are the first rows of the first and last runs, the values a scan in
 // row order keeps on a tie such as -0 and 0; and the histogram's buckets
 // are cut from the same order.
-func analyzeColumn(view *storage.Table, ci, buckets int) (*ColumnStats, error) {
-	def, d := view.Schema().Column(ci), view.ColumnData(ci)
-	perm, nulls := view.SortPermutation(ci), 0
+func analyzeColumn(tbl *storage.Table, ci, buckets int) (*ColumnStats, error) {
+	def, d := tbl.Schema().Column(ci), tbl.ColumnData(ci)
+	perm, ordered := tbl.ColumnOrder(ci)
+	nulls := 0
 	for nulls < len(perm) && d.Null(perm[nulls]) {
 		nulls++
 	}
@@ -80,7 +76,7 @@ func analyzeColumn(view *storage.Table, ci, buckets int) (*ColumnStats, error) {
 		n, last = runs(d.Ints, rows)
 		at = func(i int) float64 { return float64(d.Ints[rows[i]]) }
 	case storage.TypeFloat64:
-		if slices.ContainsFunc(d.Floats, math.IsNaN) {
+		if !ordered {
 			return nanColumn(cs, d, buckets)
 		}
 		n, last = runs(d.Floats, rows)

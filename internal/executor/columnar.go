@@ -5,19 +5,19 @@
 // through the residual kernels and gathers survivors column-wise. A typed
 // comparison kernel switches on its operator once per call and compacts
 // with no branch on the data, so a filter costs the same whatever its
-// selectivity. A scan's first conjunct comparing a column with a constant
-// reads the batch's column range itself (rangeSel) and writes the first
-// selection vector as it filters. Selection vectors are recycled through an
-// internal/workpool arena shared by every query in the process, so
-// execution stays allocation-flat. A hash join derives an input's key array
-// (float64 bits, Value.Key() strings) only if it reads it: a build the
-// base column's memo serves derives none.
+// selectivity (a scan's first conjunct comparing a column with a constant
+// is answered off the column's sort permutation instead: markRange).
+// Selection vectors are recycled through an internal/workpool arena shared
+// by every query in the process, so execution stays allocation-flat. A hash
+// join derives an input's key array (float64 bits, Value.Key() strings)
+// only if it reads it: a build the base column's memo serves derives none.
 //
 // The counters are part of the paper's reproduction (Section 8 is measured
-// in executed tuples), so the kernels count exactly: a conjunction evaluates
-// each predicate only over the survivors of the previous one, a NULL operand
-// is counted as a comparison and then dropped, and OR-groups stop counting a
-// row at its first true disjunct.
+// in executed tuples), so they count the logical work exactly: a
+// conjunction evaluates each predicate only over the survivors of the
+// previous one, a NULL operand is counted as a comparison and then dropped,
+// OR-groups stop counting a row at its first true disjunct, and a first
+// conjunct markRange answers counts each scanned row once, as a kernel would.
 package executor
 
 import (
@@ -169,56 +169,6 @@ func selCmpConst[T int64 | float64 | string](vals []T, nulls []bool, rows []int,
 		}
 	}
 	return out
-}
-
-// selRangeConst is selCmpConst over a batch of consecutive rows, as a scan
-// reads them: vals holds rows b.. of the column, and each row's index goes
-// to sel as it is filtered, so no selection vector is read. Its cases are
-// selCmpConst's, expression for expression.
-func selRangeConst[T int64 | float64 | string](vals []T, nulls []bool, b int, c T, op expr.CompareOp, sel []int) int {
-	out, neg := 0, negated(op)
-	switch op {
-	case expr.OpEQ, expr.OpNE:
-		for i, v := range vals {
-			sel[out] = b + i
-			out += (b2i(!(v < c))&b2i(!(v > c)) ^ neg) & notNull(nulls, b+i)
-		}
-	case expr.OpLT, expr.OpGE:
-		for i, v := range vals {
-			sel[out] = b + i
-			out += (b2i(v < c) ^ neg) & notNull(nulls, b+i)
-		}
-	case expr.OpLE, expr.OpGT:
-		for i, v := range vals {
-			sel[out] = b + i
-			out += (b2i(!(v > c)) ^ neg) & notNull(nulls, b+i)
-		}
-	}
-	return out
-}
-
-// rangeSel filters the rows b..e of t by p with the range kernel
-// (selRangeConst), writing the rows kept to sel, and counts a comparison
-// per row, as predSel over those rows would. ok is false, and nothing is
-// written or counted, unless p compares an int64, float64 or string column
-// with a non-NULL constant of its type.
-func rangeSel(t *storage.Table, p optimizer.Cond, b, e int, sel []int, stats *Stats) (n int, ok bool) {
-	c := p.Const
-	if p.Right >= 0 || c.IsNull() {
-		return 0, false
-	}
-	switch d := t.ColumnData(p.Left); {
-	case d.Type == storage.TypeInt64 && c.Type() == storage.TypeInt64:
-		n = selRangeConst(d.Ints[b:e], d.Nulls, b, c.Int(), p.Op, sel)
-	case d.Type == storage.TypeFloat64 && c.Type() == storage.TypeFloat64:
-		n = selRangeConst(d.Floats[b:e], d.Nulls, b, c.Float(), p.Op, sel)
-	case d.Type == storage.TypeString && c.Type() == storage.TypeString:
-		n = selRangeConst(d.Strs[b:e], d.Nulls, b, c.Str(), p.Op, sel)
-	default:
-		return 0, false
-	}
-	stats.Comparisons += int64(e - b)
-	return n, true
 }
 
 // selCmpCols is the column-vs-column kernel for one ordered type, in

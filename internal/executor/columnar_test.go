@@ -293,23 +293,33 @@ func TestColumnarDisjunctions(t *testing.T) {
 // order, and count one comparison per pair: for int64, float64 (both NaN
 // payloads, ±0.0, ±Inf) and string columns, each operator, against a
 // constant and against a column, with and without NULLs, over one selection
-// vector (a scan) and two (a join's pairs). The range kernel a scan's first
-// conjunct runs (rangeSel) keeps what predSel keeps over the identity
-// vector of the same rows, with the same count, for batches starting at 0,
-// 1 and 7 and ending either side of colBatch rows.
+// vector (a scan) and two (a join's pairs). A scan whose first conjunct the
+// column's sort permutation answers (openScan, then batch) keeps what
+// predSel keeps over the identity vector of the same rows, with the same
+// count, for batches starting at 0, 1 and 7 and ending either side of
+// colBatch rows; each NaN-free domain marks some bitmaps by the rows kept
+// and some by their complement, and a column holding a NaN, like a NULL
+// constant, is left to the kernels.
 func TestFilterKernelsMatchCompare(t *testing.T) {
 	nan2 := math.Float64frombits(0x7FF8000000000001)
-	domains := map[storage.Type][]storage.Value{
-		storage.TypeInt64: {storage.Int64(math.MinInt64), storage.Int64(-1), storage.Int64(0), storage.Int64(1),
-			storage.Int64(1<<53 + 1), storage.Int64(1 << 53), storage.Int64(math.MaxInt64)},
-		storage.TypeFloat64: {storage.Float64(math.NaN()), storage.Float64(nan2), storage.Float64(math.Copysign(0, -1)),
-			storage.Float64(0), storage.Float64(math.Inf(-1)), storage.Float64(math.Inf(1)), storage.Float64(-2.5),
-			storage.Float64(1.5)},
-		storage.TypeString: {storage.String64(""), storage.String64("a"), storage.String64("ab"),
-			storage.String64("abcdefgh\x00"), storage.String64("b")},
+	floats := []storage.Value{storage.Float64(math.Copysign(0, -1)), storage.Float64(0), storage.Float64(math.Inf(-1)),
+		storage.Float64(math.Inf(1)), storage.Float64(-2.5), storage.Float64(1.5)}
+	domains := []struct {
+		typ  storage.Type
+		nan  bool
+		vals []storage.Value
+	}{
+		{storage.TypeInt64, false, []storage.Value{storage.Int64(math.MinInt64), storage.Int64(-1), storage.Int64(0),
+			storage.Int64(1), storage.Int64(1<<53 + 1), storage.Int64(1 << 53), storage.Int64(math.MaxInt64)}},
+		{storage.TypeFloat64, false, floats},
+		{storage.TypeFloat64, true, append([]storage.Value{storage.Float64(math.NaN()), storage.Float64(nan2)}, floats...)},
+		{storage.TypeString, false, []storage.Value{storage.String64(""), storage.String64("a"), storage.String64("ab"),
+			storage.String64("abcdefgh\x00"), storage.String64("b")}},
 	}
 	ops := []expr.CompareOp{expr.OpEQ, expr.OpNE, expr.OpLT, expr.OpLE, expr.OpGT, expr.OpGE}
-	for typ, vals := range domains {
+	for _, dom := range domains {
+		typ, vals := dom.typ, dom.vals
+		answered := map[string]int{}
 		for _, withNulls := range []bool{false, true} {
 			// Columns a and b hold every pair of values, and with NULLs
 			// every value against NULL both ways, and NULL against NULL.
@@ -358,40 +368,60 @@ func TestFilterKernelsMatchCompare(t *testing.T) {
 			for r := range colBatch + 8 {
 				col.MustAppendRow(operands[(r*5+r/7)%len(operands)])
 			}
+			// A NaN constant, which the kernels call equal to every float,
+			// against the NaN-free float column too.
+			consts := operands
+			if typ == storage.TypeFloat64 {
+				consts = append(slices.Clip(operands), storage.Float64(math.NaN()))
+			}
 			for _, op := range ops {
-				for _, c := range operands {
+				for _, c := range consts {
 					p := optimizer.Cond{Left: 0, Op: op, Right: -1, Const: c}
 					for _, b := range []int{0, 1, 7} {
 						for _, e := range []int{colBatch - 1, colBatch, colBatch + 1} {
-							checkRangeKernel(t, col, p, b, e)
+							how := checkScanBatch(t, col, p, b, e)
+							if declined := how == "declined"; declined != (dom.nan || c.IsNull()) {
+								t.Fatalf("%v (NaN %v) %s %v: the scan's first conjunct was %s", typ, dom.nan, op, c, how)
+							}
+							answered[how]++
 						}
 					}
 				}
 			}
 		}
+		if !dom.nan && (answered["marked"] == 0 || answered["complemented"] == 0) {
+			t.Errorf("%v: first conjuncts answered %v, want both marked and complemented bitmaps", typ, answered)
+		}
 	}
 }
 
-// checkRangeKernel runs rangeSel for p over the rows b..e of tbl against
-// predSel over their identity selection vector, which a NULL constant is
-// left to.
-func checkRangeKernel(t *testing.T, tbl *storage.Table, p optimizer.Cond, b, e int) {
+// checkScanBatch opens a scan of tbl filtered by p and takes its batch of
+// the rows b..e, against predSel over their identity selection vector. It
+// reports how the scan answered p: by a bitmap marking the rows kept
+// ("marked") or the rest ("complemented"), or by the kernels ("declined").
+func checkScanBatch(t *testing.T, tbl *storage.Table, p optimizer.Cond, b, e int) string {
 	t.Helper()
 	var want, got Stats
 	wantSel := appendRange(nil, b, e)
 	wantSel = wantSel[:predSel(tbl, tbl, 1, p, wantSel, wantSel, &want)]
-	sel := make([]int, e-b)
-	n, ok := rangeSel(tbl, p, b, e, sel, &got)
-	if !ok {
-		if !p.Const.IsNull() || got.Comparisons != 0 {
-			t.Fatalf("%v %s %v: the range kernel declined after %d comparisons", tbl.Schema().Column(0).Type, p.Op, p.Const, got.Comparisons)
-		}
-		return
+	ex := New(catalog.New())
+	sc, err := ex.openScan(&optimizer.Scan{Alias: "c", Table: "c", Conds: []optimizer.Cond{p}}, tbl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !slices.Equal(sel[:n], wantSel) || got.Comparisons != want.Comparisons {
-		t.Fatalf("%v %s %v over rows %d..%d: the range kernel kept %v with %d comparisons, predSel %v with %d",
-			tbl.Schema().Column(0).Type, p.Op, p.Const, b, e, sel[:n], got.Comparisons, wantSel, want.Comparisons)
+	defer ex.closeScan(sc)
+	sel := sc.batch(make([]int, 0, e-b), b, e, &got)
+	if !slices.Equal(sel, wantSel) || got.Comparisons != want.Comparisons {
+		t.Fatalf("%v %s %v over rows %d..%d: the scan kept %v with %d comparisons, predSel %v with %d",
+			tbl.Schema().Column(0).Type, p.Op, p.Const, b, e, sel, got.Comparisons, wantSel, want.Comparisons)
 	}
+	switch {
+	case sc.rows == nil:
+		return "declined"
+	case sc.flip != 0:
+		return "complemented"
+	}
+	return "marked"
 }
 
 // checkKernel runs predSel for p over the pairs (lsel[i], rsel[i]) of two
@@ -438,19 +468,19 @@ func checkKernel(t *testing.T, tbl *storage.Table, p optimizer.Cond, lsel, rsel 
 	}
 }
 
-// scanFixture loads S(k, v), rows rows with k a permutation of 0..rows-1
-// and v the row number, analyzed; plan plans a scan of S filtered by
-// k < less.
-func scanFixture(tb testing.TB, rows int) (cat *catalog.Catalog, plan func(less int) optimizer.Plan) {
+// scanFixture loads S(k, v), rows rows with k = key(i) and v = i in row i,
+// analyzed; plan plans a scan of S filtered by k < less. permuted is the
+// key of a permutation of 0..rows-1.
+func scanFixture(tb testing.TB, rows int, key func(i int) int64) (cat *catalog.Catalog, plan func(less int) *optimizer.Scan) {
 	tbl := storage.NewTable("S", kvSchema(storage.TypeInt64))
 	for i := range rows {
-		tbl.MustAppendRow(storage.Int64(int64(i*7919%rows)), storage.Int64(int64(i)))
+		tbl.MustAppendRow(storage.Int64(key(i)), storage.Int64(int64(i)))
 	}
 	cat = catalog.New()
 	if _, err := cat.Analyze(tbl, catalog.AnalyzeOptions{}); err != nil {
 		tb.Fatal(err)
 	}
-	return cat, func(less int) optimizer.Plan {
+	return cat, func(less int) *optimizer.Scan {
 		est, err := cardest.New(cat, []cardest.TableRef{{Table: "S"}},
 			[]expr.Predicate{expr.NewConst(ref("S", "k"), expr.OpLT, storage.Int64(int64(less)))}, cardest.ELS())
 		if err != nil {
@@ -464,56 +494,83 @@ func scanFixture(tb testing.TB, rows int) (cat *catalog.Catalog, plan func(less 
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return plan
+		return plan.(*optimizer.Scan)
 	}
 }
 
-// A filtered scan gathers into room reserved for the plan's estimate, not
-// into storage regrown batch by batch: scanning 12,500 of 25,000 rows
-// allocates at most 1.25 times the two gathered int64 columns (200,000
-// bytes). Regrowth allocated about 2.2 times. Under the race detector
-// sync.Pool drops a share of the selection vectors put back, and those
-// fresh vectors outweigh the gathered columns, so the bound is checked only
-// without it.
+func permuted(rows int) func(i int) int64 {
+	return func(i int) int64 { return int64(i * 7919 % rows) }
+}
+
+// A filtered scan gathers into room reserved for the rows its first
+// conjunct keeps, counted off the column's sort permutation, not into
+// storage regrown batch by batch, nor into room for the plan's estimate:
+// scanning 12,500 of 25,000 rows allocates at most 1.25 times the two
+// gathered int64 columns (200,000 bytes), where regrowth allocated about
+// 2.2 times, and so does k < 1 where half the rows hold 0 and the rest
+// cycle through 0..64, which ELS estimates about 33 times low. Under the
+// race detector sync.Pool drops a share of the selection vectors put back,
+// and those fresh vectors outweigh the gathered columns, so the bound is
+// checked only without it.
 func TestFilteredScanReservesEstimate(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's sync.Pool drops selection vectors, which outweigh the gathered columns")
 	}
 	const rows, runs = 25000, 20
-	cat, plan := scanFixture(t, rows)
-	half := plan(rows / 2)
-	scan := func() {
-		res, err := New(cat).Execute(half)
-		if err != nil {
-			t.Fatal(err)
+	skewed := func(i int) int64 {
+		if i%2 == 0 {
+			return 0
 		}
-		if res.Stats.RowsProduced != rows/2 {
-			t.Fatalf("%d rows, want %d", res.Stats.RowsProduced, rows/2)
+		return int64(i / 2 % 65)
+	}
+	for _, c := range []struct {
+		name      string
+		key       func(i int) int64
+		less      int
+		kept      int64
+		estimated float64 // how many times the estimate falls short, about
+	}{
+		{"uniform", permuted(rows), rows / 2, rows / 2, 1},
+		{"skewed", skewed, 1, rows/2 + (rows/2+64)/65, 33},
+	} {
+		cat, plan := scanFixture(t, rows, c.key)
+		scan := plan(c.less)
+		if short := float64(c.kept) / scan.Rows; math.Abs(short-c.estimated) > 1 {
+			t.Fatalf("%s: estimate %.0f, %.1f times short of %d rows, want about %v", c.name, scan.Rows, short, c.kept, c.estimated)
 		}
-	}
-	scan()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		scan()
-	}
-	runtime.ReadMemStats(&after)
-	perScan := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	gathered := float64(2 * 8 * rows / 2)
-	t.Logf("%.0f bytes per scan, %.0f gathered", perScan, gathered)
-	if perScan > 1.25*gathered {
-		t.Errorf("a filtered scan allocated %.0f bytes, want at most 1.25 times the %.0f gathered", perScan, gathered)
+		run := func() {
+			res, err := New(cat).Execute(scan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.RowsProduced != c.kept {
+				t.Fatalf("%s: %d rows, want %d", c.name, res.Stats.RowsProduced, c.kept)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		perScan := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		gathered := float64(2 * 8 * c.kept)
+		t.Logf("%s: %.0f bytes per scan, %.0f gathered", c.name, perScan, gathered)
+		if perScan > 1.25*gathered {
+			t.Errorf("%s: a filtered scan allocated %.0f bytes, want at most 1.25 times the %.0f gathered", c.name, perScan, gathered)
+		}
 	}
 }
 
 // BenchmarkScan times a filtered scan of 50,000 rows whose first conjunct
 // compares an int64 column, holding a permutation of 0..49,999, with a
-// constant (the range kernel, rangeSel) at selectivities 10 % and 50 %,
-// every column gathered.
+// constant (answered off the column's sort permutation, markRange) at
+// selectivities 1, 10, 50 and 90 %, every column gathered.
 func BenchmarkScan(b *testing.B) {
 	const rows = 50000
-	cat, plan := scanFixture(b, rows)
-	for _, pct := range []int{10, 50} {
+	cat, plan := scanFixture(b, rows, permuted(rows))
+	for _, pct := range []int{1, 10, 50, 90} {
 		plan := plan(rows * pct / 100)
 		b.Run(fmt.Sprintf("selectivity=%d%%", pct), func(b *testing.B) {
 			b.ReportAllocs()

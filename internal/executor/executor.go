@@ -17,8 +17,8 @@
 // (Limits.MaxMemory, spill.go) that splits a build side too big for the
 // budget into Grace partitions of row lists, one table each; sort-merge
 // pairs equal-key runs; nested loops pair each outer row with the inner's
-// rows that pass its scan filters, re-filtered every time. DESIGN §13
-// draws it.
+// rows that pass its scan filters, the scan's bitmap expanded and its other
+// filters re-run every time. DESIGN §13 draws it.
 // A plan runs on the goroutine that calls Execute and starts no other:
 // cores are filled by concurrent queries, each with its own Executor.
 //
@@ -67,7 +67,10 @@ package executor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/catalog"
@@ -320,10 +323,17 @@ type baseScan struct {
 	*optimizer.Scan
 	base   *storage.Table
 	schema *storage.Schema // the scan's output schema, "alias.column"
+	rows   *[]uint64       // pooled bitmap; its bits XOR flip mark the rows markRange kept (nil: not answered)
+	flip   uint64
+	kept   int // how many rows markRange kept
 }
 
-// openScan opens the scan over base, the scanned table's data.
-func openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, error) {
+// rowPool recycles bitmaps; unlike an Arena's, its Put allocates nothing.
+var rowPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// openScan opens the scan over base, the scanned table's data. closeScan
+// returns what it took.
+func (e *Executor) openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, error) {
 	if base == nil {
 		return nil, fmt.Errorf("executor: no data registered for table %q", s.Table)
 	}
@@ -331,7 +341,54 @@ func openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &baseScan{Scan: s, base: base, schema: schema}, nil
+	sc := &baseScan{Scan: s, base: base, schema: schema}
+	if len(s.Conds) > 0 {
+		e.markRange(sc)
+	}
+	return sc, nil
+}
+
+// markRange answers the scan's first conjunct, if it compares an int64,
+// float64 or string column holding no NaN with a non-NULL constant of its
+// type, off the column's memoized sort permutation: there the NULLs and the
+// rows below, equal to and above the constant are four runs, bounded by
+// binary search. It marks the rows kept, or past half the rows the rest, in
+// a bitmap charged as a selection vector is.
+func (e *Executor) markRange(sc *baseScan) {
+	p, d := sc.Conds[0], sc.base.ColumnData(sc.Conds[0].Left)
+	if p.Right >= 0 || p.Const.IsNull() || p.Const.Type() != d.Type || d.Type == storage.TypeBool {
+		return
+	}
+	perm, ordered := sc.base.ColumnOrder(p.Left)
+	if !ordered {
+		return
+	}
+	n := len(perm)
+	nn := sort.Search(n, func(i int) bool { return !d.Null(perm[i]) })
+	lo := nn + sort.Search(n-nn, func(i int) bool { return storage.Compare(d.Value(perm[nn+i]), p.Const) >= 0 })
+	hi := lo + sort.Search(n-lo, func(i int) bool { return storage.Compare(d.Value(perm[lo+i]), p.Const) > 0 })
+	runs := [5]int{0, nn, lo, hi, n}
+	keeps := func(i int) bool { return i > 0 && p.Op.Holds(i-2) } // run i passes p
+	sc.kept = b2i(keeps(1))*(lo-nn) + b2i(keeps(2))*(hi-lo) + b2i(keeps(3))*(n-hi)
+	sc.flip = -uint64(b2i(2*sc.kept > n))
+	sc.rows = rowPool.Get().(*[]uint64)
+	*sc.rows = append((*sc.rows)[:0], make([]uint64, (n+63)/64)...)
+	e.gov.ChargeBytes(int64(8 * len(*sc.rows)))
+	for i := range 4 {
+		if keeps(i) == (sc.flip == 0) {
+			for _, r := range perm[runs[i]:runs[i+1]] {
+				(*sc.rows)[r>>6] |= 1 << (r & 63)
+			}
+		}
+	}
+}
+
+// closeScan returns the scan's bitmap, if it took one, to pool and ledger.
+func (e *Executor) closeScan(sc *baseScan) {
+	if sc.rows != nil {
+		e.gov.ReleaseBytes(int64(8 * len(*sc.rows)))
+		rowPool.Put(sc.rows)
+	}
 }
 
 // filtered reports whether the scan has any predicate to apply.
@@ -339,16 +396,22 @@ func (sc *baseScan) filtered() bool { return len(sc.Conds) > 0 || len(sc.OrConds
 
 // batch returns the rows b..e of the base table that pass the scan's
 // filters, ascending, in sel's storage, whose capacity must be at least
-// e−b. A first conjunct comparing a typed column with a constant reads the
-// column's range directly (rangeSel); any other starts from the identity
-// selection vector. The rest apply as filter applies them.
+// e−b. A first conjunct markRange answered expands the bitmap's words,
+// counting a comparison per row as a kernel would; any other starts from
+// the identity selection vector. The rest apply as filter applies them.
 func (sc *baseScan) batch(sel []int, b, e int, stats *Stats) []int {
-	if len(sc.Conds) > 0 {
-		if n, ok := rangeSel(sc.base, sc.Conds[0], b, e, sel[:e-b], stats); ok {
-			return sc.filter(sc.Conds[1:], sel[:n], stats)
+	if sc.rows == nil {
+		return sc.filter(sc.Conds, appendRange(sel[:0], b, e), stats)
+	}
+	stats.Comparisons += int64(e - b)
+	sel = sel[:0]
+	for w := b >> 6; w<<6 < e; w++ {
+		word := ((*sc.rows)[w] ^ sc.flip) & (^uint64(0) << max(b-w<<6, 0)) & (^uint64(0) >> (64 - min(e-w<<6, 64)))
+		for ; word != 0; word &= word - 1 {
+			sel = append(sel, w<<6+bits.TrailingZeros64(word))
 		}
 	}
-	return sc.filter(sc.Conds, appendRange(sel[:0], b, e), stats)
+	return sc.filter(sc.Conds[1:], sel, stats)
 }
 
 // filter compacts sel, rows of the base table, to those passing the
@@ -382,7 +445,8 @@ func appendRange(sel []int, start, end int) []int {
 
 // runScan visits the base table in batches of colBatch rows, filters each
 // (baseScan.batch) and gathers the survivors' live columns, into room
-// reserved for the plan's estimate of at most every row. A scan without
+// reserved for the rows markRange kept, else for the plan's estimate of at
+// most every row. A scan without
 // predicates has nothing to select: each batch is charged the same,
 // and the scan returns a read-only view of the live base columns under its
 // qualified schema instead of a copy.
@@ -390,13 +454,16 @@ func (e *Executor) runScan(s *optimizer.Scan, live []bool, stats *Stats) (*stora
 	if err := e.probe(PointScan); err != nil {
 		return nil, err
 	}
-	sc, err := openScan(s, e.cat.Data(s.Table))
+	sc, err := e.openScan(s, e.cat.Data(s.Table))
 	if err != nil {
 		return nil, err
 	}
+	defer e.closeScan(sc)
 	base, n := sc.base, sc.base.NumRows()
 	out := storage.NewLiveTable(s.Alias, sc.schema, live)
-	if sc.filtered() && s.Rows > 0 {
+	if sc.rows != nil {
+		out.Reserve(sc.kept)
+	} else if sc.filtered() && s.Rows > 0 {
 		out.Reserve(int(math.Ceil(min(s.Rows, float64(n)))))
 	}
 	for b := 0; b < n; b += colBatch {
@@ -499,17 +566,19 @@ func joinSchema(l, r *storage.Schema) (*storage.Schema, error) {
 }
 
 // nestedLoop pairs every outer row with the inner base table, visited in
-// full and re-filtered by the scan's kernels for each outer row — the
-// honest cost the optimizer's NestedLoopCost models — and lets the pair
+// full for each outer row — the honest cost the optimizer's NestedLoopCost
+// models — its scan's bitmap, built once, expanded and its other filters
+// re-run by the scan's kernels (baseScan.batch), and lets the pair
 // sink apply the join predicates. A join whose output carries no column
 // forms no pairs when every residual conjunct reads the inner: bound to
 // each outer row's values (bindOuter), the residual filters the inner's
 // batch and the sink counts what passes.
 func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, live []bool, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
-	inner, err := openScan(j.Right, e.cat.Data(j.Right.Table))
+	inner, err := e.openScan(j.Right, e.cat.Data(j.Right.Table))
 	if err != nil {
 		return nil, err
 	}
+	defer e.closeScan(inner)
 	// The re-scanned inner is never materialized: record it with an unknown
 	// actual cardinality.
 	rec.reserve(j.Right, depth+1)

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -265,11 +266,22 @@ func TestExecuteAllocationCeiling(t *testing.T) {
 		}
 		return gov
 	}
-	if allocs := testing.AllocsPerRun(20, func() { run(nil) }); allocs > full {
-		t.Errorf("hash chain: %v allocations per Execute, want at most %v", allocs, full)
+	// The fewest of five measurements: a sync.Pool refill, which the race
+	// detector provokes at random, costs a run allocations of its own.
+	fewest := func(f func()) float64 {
+		allocs := math.Inf(1)
+		for range 5 {
+			allocs = min(allocs, testing.AllocsPerRun(20, f))
+		}
+		return allocs
 	}
-	if allocs := testing.AllocsPerRun(20, func() { run([]int{}) }); allocs > count {
-		t.Errorf("hash chain COUNT(*): %v allocations per run, want at most %v", allocs, count)
+	fullAllocs, countAllocs := fewest(func() { run(nil) }), fewest(func() { run([]int{}) })
+	t.Logf("hash chain: %v allocations per Execute, %v per COUNT(*)", fullAllocs, countAllocs)
+	if fullAllocs > full {
+		t.Errorf("hash chain: %v allocations per Execute, want at most %v", fullAllocs, full)
+	}
+	if countAllocs > count {
+		t.Errorf("hash chain COUNT(*): %v allocations per run, want at most %v", countAllocs, count)
 	}
 	const runs = 10
 	var peaks [2]int64

@@ -247,22 +247,25 @@ func TestSortMergeScratchOverBudget(t *testing.T) {
 	}
 }
 
-// The ledger charges a batch for the selection vector it asked for, not for
-// the capacity the process-wide arena recycled: a small filtered scan reads
-// the same peak bytes whether or not an earlier join left colBatch-sized pair
-// batches behind.
+// The ledger charges a batch for the selection vector it asked for, and a
+// scan for the row bitmap it asked for, not for the capacity the
+// process-wide arenas recycled: a small filtered scan reads the same peak
+// bytes whether or not an earlier join left colBatch-sized pair batches
+// behind or an earlier scan a larger bitmap.
 func TestScanArenaChargeIgnoresRecycledCapacity(t *testing.T) {
 	cat := catalog.New()
 	loadKeys(t, cat, "S", storage.TypeInt64, ints(make([]int64, 100)...)...)
 	plan := planQuery(t, cat, []cardest.TableRef{{Table: "S"}},
 		[]expr.Predicate{expr.NewConst(ref("S", "v"), expr.OpLT, storage.Int64(1))}, nil, sortMergeOnly)
 	selArena.Put(make([]int, 0, colBatch)) // what a pair sink releases
+	big := make([]uint64, colBatch)
+	rowPool.Put(&big)
 	gov := governor.New(context.Background(), governor.Limits{})
 	if _, err := NewGoverned(cat, gov).Execute(plan); err != nil {
 		t.Fatal(err)
 	}
-	if _, peak, _ := gov.MemoryUsage(); peak != 8*100 {
-		t.Fatalf("peak bytes = %d, want the 100-row selection vector's %d", peak, 8*100)
+	if _, peak, _ := gov.MemoryUsage(); peak != 8*100+8*2 {
+		t.Fatalf("peak bytes = %d, want the 100-row selection vector's and 2-word bitmap's %d", peak, 8*100+8*2)
 	}
 }
 

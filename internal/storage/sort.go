@@ -33,13 +33,26 @@ import (
 // and shared by every later call (Memo). The returned slice may be shared:
 // it must not be modified.
 func (t *Table) SortPermutation(col int) []int {
-	return t.Memo(col, permKey{}, func() any { return t.sortPermutation(col) }).([]int)
+	return t.Memo(col, permKey{}, func() any { return t.sortPermutation(col) }).(sortedRows).perm
 }
 
-// permKey is the memo key of a column's sort permutation.
+// ColumnOrder is SortPermutation off the base column's memo, for a view or
+// for the loaded table itself, without making a view. ordered is false for
+// a float64 column holding a NaN, whose permutation orders nothing.
+func (t *Table) ColumnOrder(col int) (perm []int, ordered bool) {
+	s := t.col(col).sharedMemo().get(t.rows, permKey{}, func() any { return t.sortPermutation(col) }).(sortedRows)
+	return s.perm, s.ordered
+}
+
+// permKey is the memo key of a column's sort permutation, a sortedRows.
 type permKey struct{}
 
-func (t *Table) sortPermutation(col int) []int {
+type sortedRows struct {
+	perm    []int
+	ordered bool
+}
+
+func (t *Table) sortPermutation(col int) sortedRows {
 	c := t.col(col)
 	perm := make([]int, 0, t.rows)
 	if c.nulls != nil {
@@ -63,7 +76,7 @@ func (t *Table) sortPermutation(col int) []int {
 			}
 			return a - b
 		})
-		return perm
+		return sortedRows{perm, true}
 	}
 	keys := make([]uint64, 0, t.rows)
 	switch c.typ {
@@ -74,7 +87,7 @@ func (t *Table) sortPermutation(col int) []int {
 	case TypeFloat64:
 		for _, f := range c.floats {
 			if f != f {
-				return t.SortedIndices(col)
+				return sortedRows{t.SortedIndices(col), false}
 			}
 			keys = append(keys, floatSortKey(f))
 		}
@@ -88,7 +101,7 @@ func (t *Table) sortPermutation(col int) []int {
 		}
 	}
 	radixSortRows(rows, keys)
-	return perm
+	return sortedRows{perm, true}
 }
 
 // floatSortKey maps a non-NaN float64 to a uint64 whose unsigned order is

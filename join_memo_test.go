@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/optimizer"
 	"repro/internal/querygen"
+	"repro/internal/storage"
 )
 
 // runPrint is everything one governed run must repeat whether or not it
@@ -210,8 +212,8 @@ func TestJoinMemoReplacedTable(t *testing.T) {
 	}
 }
 
-// ANALYZE reads each column's sort permutation through a view, so LoadTable
-// leaves it on the base column's memo: a fresh view of the loaded table, as
+// ANALYZE reads each column's sort permutation off the base column's memo,
+// so LoadTable leaves it there: a fresh view of the loaded table, as
 // an unfiltered scan takes, finds it on its first call without sorting or
 // allocating. (testing.AllocsPerRun would hide a first-call build behind its
 // warm-up call.)
@@ -239,6 +241,124 @@ func TestLoadTablePublishesSortPermutation(t *testing.T) {
 		}
 		if !slices.Equal(perm, tbl.SortedIndices(col)) {
 			t.Errorf("column %d: the published permutation is not the column's order", col)
+		}
+	}
+}
+
+// Reloading a table under the same name and row count between two
+// identical filtered queries replaces it: the second query reads the new
+// rows through the new table's sort permutation, not the old one's (50 rows
+// here, not the first load's 200).
+func TestScanMemoReplacedTable(t *testing.T) {
+	const sql = "SELECT S.k, S.v FROM S WHERE S.k < 50"
+	sys := New()
+	for _, mod := range []int{250, 1000} {
+		rows := make([][]int64, 1000)
+		for i := range rows {
+			rows[i] = []int64{int64(i % mod), int64(mod + i)}
+		}
+		if err := sys.LoadTable("S", []string{"k", "v"}, rows); err != nil {
+			t.Fatal(err)
+		}
+		var want [][]string
+		for _, r := range rows {
+			if r[0] < 50 {
+				want = append(want, []string{strconv.FormatInt(r[0], 10), strconv.FormatInt(r[1], 10)})
+			}
+		}
+		for run := 0; run < 2; run++ {
+			res, err := sys.Query(sql, AlgorithmELS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(res.Rows, want, slices.Equal) {
+				t.Fatalf("k cycling mod %d, run %d: %d rows, want %d (first %v, want %v)",
+					mod, run, len(res.Rows), len(want), res.Rows[:min(3, len(res.Rows))], want[:3])
+			}
+		}
+	}
+}
+
+// Eight goroutines run a filtered scan and a nested-loops join whose inner
+// is filtered, at once, over tables that were never analyzed (their
+// statistics come from identical copies), so the first scans race to sort
+// and publish each filtered column's permutation. Every result equals a
+// serial run's on another such catalog (run with -race).
+func TestScanMemoConcurrentFirstUse(t *testing.T) {
+	unanalyzed := func() *catalog.Catalog {
+		cat := memoJoinCatalog(t)
+		for i, name := range []string{"A", "B"} {
+			tbl, err := datagen.Generate(datagen.TableSpec{Name: name, Rows: 6000, Columns: []datagen.ColumnSpec{
+				{Name: "k", Dist: datagen.DistUniform, Domain: 3000},
+				{Name: "v", Dist: datagen.DistUniform, Domain: 100},
+			}}, int64(11+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat.SetData(name, tbl)
+		}
+		return cat
+	}
+	col := func(table, column string) expr.ColumnRef { return expr.ColumnRef{Table: table, Column: column} }
+	plan := func(cat *catalog.Catalog, tabs []string, preds ...expr.Predicate) optimizer.Plan {
+		refs := make([]cardest.TableRef, len(tabs))
+		for i, name := range tabs {
+			refs[i] = cardest.TableRef{Table: name}
+		}
+		est, err := cardest.New(cat, refs, preds, cardest.ELS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := optimizer.New(est, optimizer.Options{Methods: []optimizer.JoinMethod{optimizer.NestedLoop}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := opt.PlanForOrder(tabs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	serial := unanalyzed()
+	plans := []optimizer.Plan{
+		plan(serial, []string{"A"}, expr.NewConst(col("A", "k"), expr.OpGE, storage.Int64(2900))),
+		plan(serial, []string{"A", "B"}, expr.NewConst(col("A", "v"), expr.OpEQ, storage.Int64(7)),
+			expr.NewConst(col("B", "v"), expr.OpLT, storage.Int64(60)),
+			expr.NewJoin(col("A", "k"), expr.OpEQ, col("B", "k"))),
+	}
+	var want []runPrint
+	for _, p := range plans {
+		want = append(want, printRun(t, serial, p, 0))
+	}
+	cat := unanalyzed()
+	got := make([][]runPrint, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]runPrint, len(plans))
+			for k := range plans {
+				i := (k + g) % len(plans) // half the goroutines start with each plan
+				gov := governor.New(context.Background(), governor.Limits{})
+				res, err := executor.NewGoverned(cat, gov).Execute(plans[i])
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				tuples, rows, _ := gov.Usage()
+				got[g][i] = fingerprint(res, [2]int64{tuples, rows}, gov)
+			}
+		}()
+	}
+	wg.Wait()
+	for g, prints := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !slices.Equal(prints, want) {
+			t.Fatalf("goroutine %d: %+v, serial %+v", g, prints, want)
 		}
 	}
 }
