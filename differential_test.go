@@ -132,8 +132,13 @@ func TestBestPlanDigestPinned(t *testing.T) {
 // Re-pinned when index nested-loops was removed: the digest then lost each
 // two-table seed's nested-loops + index nested-loops plan and the Section 8
 // run with indexes, and nothing else (the parent commit, skipping those
-// entries, computes the same value).
-const executionDigest = "f02b1d2ad5561c16cfa939be53babf3f28a51a732c26a84c82cf0cb1813ec607"
+// entries, computes the same value). Re-pinned when an equality its
+// join's class already implies stopped being evaluated: only Comparisons
+// moved (29,442,012 → 11,239,670 over the seeds, 518,360 → 518,270 in
+// Section 8); the same digest without Comparisons is
+// 9930ab729b0fffcd98b3ee8a62b884d219d63f75eddeffad23a70086921a0812 before
+// and after.
+const executionDigest = "14c9ed4b85a7c01768050993fd4814fd8c1022967d968434b3bf2b70fc6ef951"
 
 // ledgerDigest is the SHA-256 over the byte ledger of the same governed runs
 // — peak bytes, partitioning passes and build bytes routed — taken where

@@ -7,8 +7,8 @@
 // with no branch on the data, so a filter costs the same whatever its
 // selectivity (a scan's first conjunct comparing a column with a constant
 // is answered off the column's sort permutation instead: markRange).
-// Selection vectors are recycled through an internal/workpool arena shared
-// by every query in the process, so execution stays allocation-flat. A hash
+// Selection vectors are recycled through a pool (selPool) shared by every
+// query in the process, so execution stays allocation-flat. A hash
 // join derives an input's key array (float64 bits, Value.Key() strings)
 // only if it reads it: a build the base column's memo serves derives none.
 //
@@ -27,7 +27,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/storage"
-	"repro/internal/workpool"
 )
 
 // colBatch is the batch size: scanned and re-scanned base-table rows are
@@ -35,10 +34,6 @@ import (
 // selection-vector memory while keeping per-batch bookkeeping negligible.
 // The pair sink flushes candidate pairs at the same granularity.
 const colBatch = 4096
-
-// selArena recycles the kernels' selection vectors across executors and
-// the goroutines of concurrent queries.
-var selArena = workpool.NewArena[int]()
 
 // cmpOrd is the shared ordering kernel. For float64 it matches
 // storage.Compare's compareFloat exactly (NaN compares "equal" to
@@ -477,17 +472,19 @@ type pairSink struct {
 	pending     int // a counting sink's batch of candidate pairs
 	kept        int // the pairs of the batch that survive
 	lsel, rsel  []int
+	bufs        [2]*[]int // the pooled vectors behind lsel and rsel
 }
 
 // pairArenaBytes is the ledger charge for one sink's two pair batches: the
-// capacity it asks the arena for, whatever capacity the arena hands back.
+// capacity it asks the pool for, whatever capacity the pool hands back.
 const pairArenaBytes = 8 * 2 * colBatch
 
 func (e *Executor) newPairSink(spec *joinSpec, stats *Stats, keepOrigin bool) *pairSink {
 	p := &pairSink{e: e, spec: spec, stats: stats, counting: spec.counts(),
 		out: storage.NewLiveTable("join", spec.outSchema, spec.live)}
 	if !p.counting {
-		p.keepOrigin, p.lsel, p.rsel = keepOrigin, selArena.Get(colBatch), selArena.Get(colBatch)
+		p.keepOrigin, p.bufs = keepOrigin, [2]*[]int{getSel(colBatch), getSel(colBatch)}
+		p.lsel, p.rsel = *p.bufs[0], *p.bufs[1]
 		e.gov.ChargeBytes(pairArenaBytes) // pair-batch arena scratch, released with the sink
 	}
 	return p
@@ -495,8 +492,8 @@ func (e *Executor) newPairSink(spec *joinSpec, stats *Stats, keepOrigin bool) *p
 
 func (p *pairSink) release() {
 	if !p.counting {
-		selArena.Put(p.lsel)
-		selArena.Put(p.rsel)
+		selPool.Put(p.bufs[0])
+		selPool.Put(p.bufs[1])
 		p.e.gov.ReleaseBytes(pairArenaBytes)
 	}
 }

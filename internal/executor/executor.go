@@ -328,8 +328,23 @@ type baseScan struct {
 	kept   int // how many rows markRange kept
 }
 
-// rowPool recycles bitmaps; unlike an Arena's, its Put allocates nothing.
-var rowPool = sync.Pool{New: func() any { return new([]uint64) }}
+// rowPool and selPool recycle scan bitmaps and selection vectors (pair
+// batches too) across queries; holding slice pointers, their Put allocates
+// nothing.
+var (
+	rowPool = sync.Pool{New: func() any { return new([]uint64) }}
+	selPool = sync.Pool{New: func() any { return new([]int) }}
+)
+
+// getSel takes an empty pooled vector of capacity at least n.
+func getSel(n int) *[]int {
+	s := selPool.Get().(*[]int)
+	if cap(*s) < n {
+		*s = make([]int, 0, n)
+	}
+	*s = (*s)[:0]
+	return s
+}
 
 // openScan opens the scan over base, the scanned table's data. closeScan
 // returns what it took.
@@ -422,16 +437,16 @@ func (sc *baseScan) filter(conds []optimizer.Cond, sel []int, stats *Stats) []in
 	return disjSel(sc.base, sc.OrConds, sel, stats)
 }
 
-// takeSel takes a selection vector of capacity n from the arena, charging
-// the ledger for the capacity asked for, not what the arena happened to hand
+// takeSel takes a selection vector of capacity n from the pool, charging
+// the ledger for the capacity asked for, not what the pool happened to hand
 // back: the ledger must not depend on which buffers earlier queries
 // recycled. put returns it.
 func (e *Executor) takeSel(n int) (sel []int, put func()) {
-	sel = selArena.Get(n)
+	s := getSel(n)
 	e.gov.ChargeBytes(int64(8 * n))
-	return sel, func() {
+	return *s, func() {
 		e.gov.ReleaseBytes(int64(8 * n))
-		selArena.Put(sel)
+		selPool.Put(s)
 	}
 }
 

@@ -281,7 +281,7 @@ func TestWarmJoinDerivesOnlyProbeKeys(t *testing.T) {
 		}
 		plan := countCase{}.plan(t, cat, optimizer.HashJoin)
 		allocatedBytes(t, cat, plan) // builds the memo
-		// The least of several runs: under the race detector the arena's
+		// The least of several runs: under the race detector
 		// sync.Pool drops buffers at random.
 		bytes[i] = math.MaxUint64
 		for range 5 {

@@ -257,7 +257,8 @@ func TestScanArenaChargeIgnoresRecycledCapacity(t *testing.T) {
 	loadKeys(t, cat, "S", storage.TypeInt64, ints(make([]int64, 100)...)...)
 	plan := planQuery(t, cat, []cardest.TableRef{{Table: "S"}},
 		[]expr.Predicate{expr.NewConst(ref("S", "v"), expr.OpLT, storage.Int64(1))}, nil, sortMergeOnly)
-	selArena.Put(make([]int, 0, colBatch)) // what a pair sink releases
+	batch := make([]int, 0, colBatch) // what a pair sink releases
+	selPool.Put(&batch)
 	big := make([]uint64, colBatch)
 	rowPool.Put(&big)
 	gov := governor.New(context.Background(), governor.Limits{})

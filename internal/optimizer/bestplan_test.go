@@ -173,26 +173,78 @@ func referenceConds(preds []expr.Predicate, labels []string) []Cond {
 }
 
 // referenceKey resolves a join's key and residual by name: the key is the
-// first equality predicate, with its sides found in either order.
+// first equality predicate, with its sides found in either order, and the
+// residual every other predicate the node evaluates (referenceRun).
 func (o *Optimizer) referenceKey(j *Join) {
 	j.LeftKey, j.RightKey = -1, -1
 	left, right := o.referenceLabels(JoinOrder(j.Left)...), o.referenceLabels(j.Right.Alias)
 	if left == nil || right == nil {
 		return
 	}
-	key := -1
-	for i, p := range j.Preds {
-		if key < 0 && p.Op == expr.OpEQ && (j.Method == SortMerge || j.Method == HashJoin) {
-			key = i
-			if j.LeftKey = referenceColumn(left, p.Left); j.LeftKey >= 0 {
-				j.RightKey = referenceColumn(right, p.Right)
-			} else {
-				j.LeftKey, j.RightKey = referenceColumn(left, p.Right), referenceColumn(right, p.Left)
-			}
+	equal := map[string]string{}
+	o.referenceRan(equal, j.Left)
+	o.referenceRun(equal, j, func(p expr.Predicate, key bool) {
+		if !key {
+			j.Residual = append(j.Residual, referenceConds([]expr.Predicate{p}, append(slices.Clip(left), right...))...)
+		} else if j.LeftKey = referenceColumn(left, p.Left); j.LeftKey >= 0 {
+			j.RightKey = referenceColumn(right, p.Right)
+		} else {
+			j.LeftKey, j.RightKey = referenceColumn(left, p.Right), referenceColumn(right, p.Left)
+		}
+	})
+}
+
+// referenceRan records in equal every equality the joins of plan p run.
+func (o *Optimizer) referenceRan(equal map[string]string, p Plan) {
+	if j, ok := p.(*Join); ok {
+		o.referenceRan(equal, j.Left)
+		o.referenceRun(equal, j, func(expr.Predicate, bool) {})
+	}
+}
+
+// referenceRun calls eval, in order, for each predicate of Preds join j
+// evaluates, the key (a sort-merge or hash join's first equality) marked.
+// equal is a union-find over lower-cased "alias.column" names: an equality
+// j evaluates between two columns of one type, int64, string or bool, joins
+// their sets, and an equality between two names one set already holds is
+// implied by the equalities run before it, and is not evaluated.
+func (o *Optimizer) referenceRun(equal map[string]string, j *Join, eval func(p expr.Predicate, key bool)) {
+	root := func(ref expr.ColumnRef) string {
+		name := strings.ToLower(ref.Table + "." + ref.Column)
+		for equal[name] != "" {
+			name = equal[name]
+		}
+		return name
+	}
+	keyed := j.Method == SortMerge || j.Method == HashJoin
+	for _, p := range j.Preds {
+		eq := p.Op == expr.OpEQ && p.RightIsColumn
+		key := keyed && eq
+		if eq && !key && root(p.Left) == root(p.Right) {
 			continue
 		}
-		j.Residual = append(j.Residual, referenceConds([]expr.Predicate{p}, append(slices.Clip(left), right...))...)
+		keyed = keyed && !key
+		eval(p, key)
+		if typ := o.referenceType(p.Left); eq && typ == o.referenceType(p.Right) &&
+			(typ == storage.TypeInt64 || typ == storage.TypeString || typ == storage.TypeBool) {
+			if l, r := root(p.Left), root(p.Right); l != r {
+				equal[l] = r
+			}
+		}
 	}
+}
+
+// referenceType is the type of a column in its aliased table's data, or
+// TypeInvalid if the table has no data or the data no such column.
+func (o *Optimizer) referenceType(ref expr.ColumnRef) storage.Type {
+	for _, tr := range o.est.Tables() {
+		if data := o.est.Catalog().Data(tr.Table); data != nil && strings.EqualFold(tr.Name(), ref.Table) {
+			if i := data.Schema().ColumnIndex(ref.Column); i >= 0 {
+				return data.Schema().Column(i).Type
+			}
+		}
+	}
+	return storage.TypeInvalid
 }
 
 // referenceCandidates builds one Join node per applicable method for

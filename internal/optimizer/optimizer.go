@@ -235,21 +235,43 @@ func (o *Optimizer) cheapestMethod(outerCost, outerRows, outerSort float64, t in
 }
 
 // chain is a left-deep plan being built: the tables it covers, its row
-// width in data columns, and where each table's columns start in its rows.
+// width in data columns, where each table's columns start in its rows, and
+// a union-find over column ids (class[id] is id's parent + 1, 0 at a root)
+// whose sets the equalities its joins run have made equal on every row.
 type chain struct {
 	plan  Plan
 	mask  uint32
 	width int
 	at    []int // by table number
+	class []int32
 }
 
 // begin starts a left-deep plan at table number t.
 func (o *Optimizer) begin(t int) *chain {
-	return &chain{plan: o.scan(t), mask: 1 << t, width: o.tables[t].width, at: make([]int, len(o.tables))}
+	return &chain{plan: o.scan(t), mask: 1 << t, width: o.tables[t].width,
+		at: make([]int, len(o.tables)), class: make([]int32, len(o.ords))}
+}
+
+func (ch *chain) root(id int32) int32 {
+	for ch.class[id] != 0 {
+		id = ch.class[id] - 1
+	}
+	return id
+}
+
+// transitive reports whether equal is transitive over equality p's columns
+// ops: both have data and one type, not float64 (a NaN equals every float64,
+// and an int64 meets a float64 as float64, inexact above 2^53).
+func (o *Optimizer) transitive(p expr.Predicate, ops eqclass.Operands) bool {
+	typ := func(id int32) storage.Type { return o.tables[o.est.TableOf(id)].data.Schema().Column(o.ords[id]).Type }
+	return p.IsEquality() && ops.Right >= 0 && min(o.ords[ops.Left], o.ords[ops.Right]) >= 0 &&
+		typ(ops.Left) == typ(ops.Right) && typ(ops.Left) != storage.TypeFloat64
 }
 
 // join extends the chain by the node that joins table number t to it as
-// chosen, explained by step, with its key and residual as ordinals.
+// chosen, explained by step, with its key and residual as ordinals. An
+// equality the key and the equalities run before it already imply (Rule
+// LS's one predicate per class) stays in Preds but leaves the residual.
 func (o *Optimizer) join(ch *chain, t int, step cardest.StepResult, c joinChoice) {
 	left := ch.plan
 	j := &Join{
@@ -265,7 +287,15 @@ func (o *Optimizer) join(ch *chain, t int, step cardest.StepResult, c joinChoice
 	if o.ords != nil {
 		ops := o.est.Operands()
 		for i, pos := range step.Positions {
-			cond := o.cond(step.Eligible[i], ops[pos], ch.at)
+			p, op := step.Eligible[i], ops[pos]
+			if o.transitive(p, op) {
+				l, r := ch.root(op.Left), ch.root(op.Right)
+				if l == r {
+					continue
+				}
+				ch.class[l] = r + 1
+			}
+			cond := o.cond(p, op, ch.at)
 			if i == key {
 				j.LeftKey, j.RightKey = min(cond.Left, cond.Right), max(cond.Left, cond.Right)-ch.width
 				continue

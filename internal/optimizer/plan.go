@@ -156,7 +156,8 @@ type Join struct {
 	// hash joins; -1 for nested loops.
 	LeftKey, RightKey int
 	// Residual are the other predicates of Preds, in order, over the left
-	// input's columns followed by the inner table's.
+	// input's columns followed by the inner table's, less each equality its
+	// class implies: listed in Preds, it is not evaluated (optimizer.join).
 	Residual []Cond
 	// tables is the sorted alias set, filled when the optimizer builds the
 	// node: a finished plan is shared by concurrent readers (the plan cache

@@ -1,5 +1,4 @@
-// Package workpool holds what concurrent queries share: the sanctioned
-// goroutine spawners and the scratch-buffer arena.
+// Package workpool holds the sanctioned goroutine spawners.
 //
 // A query runs on the goroutine that issued it; nothing in the planning or
 // execution path starts another. The goroutines the system does start —
