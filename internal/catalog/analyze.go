@@ -21,10 +21,10 @@ type AnalyzeOptions struct {
 }
 
 // Analyze derives a data table's exact statistics (and optional histograms)
-// from one walk per column over its sort permutation, registers them in the
-// catalog, and remembers the backing table so the executor can run plans
-// against it. The permutation is the radix sort memoized on the base column
-// (storage.Table.ColumnOrder), which the first sort-merge join and the first
+// from each column's runs of equal keys, registers them in the catalog, and
+// remembers the backing table so the executor can run plans against it. The
+// runs are the sort permutation and its run ends memoized on the base
+// column (storage.Table.ColumnOrder), which the first join, GROUP BY and
 // filtered scan over the table then find built.
 func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats, error) {
 	if tbl == nil {
@@ -55,39 +55,29 @@ func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats,
 	return ts, nil
 }
 
-// analyzeColumn walks column ci's sort permutation once. The NULLs come
-// first; each run of equal values after them is one distinct value; Min and
-// Max are the first rows of the first and last runs, the values a scan in
-// row order keeps on a tie such as -0 and 0; and the histogram's buckets
-// are cut from the same order.
+// analyzeColumn reads column ci's runs (storage.Table.ColumnOrder): the
+// NULLs are the first run, if any; each later run is one distinct value;
+// Min and Max are the first rows of the first and last runs, the values a
+// scan in row order keeps on a tie such as -0 and 0; and the histogram's
+// buckets are cut from the same order.
 func analyzeColumn(tbl *storage.Table, ci, buckets int) (*ColumnStats, error) {
 	def, d := tbl.Schema().Column(ci), tbl.ColumnData(ci)
-	perm, ordered := tbl.ColumnOrder(ci)
-	nulls := 0
-	for nulls < len(perm) && d.Null(perm[nulls]) {
-		nulls++
+	o := tbl.ColumnOrder(ci)
+	cs := &ColumnStats{Name: def.Name, Type: def.Type, NullCount: float64(o.Nulls)}
+	if o.Ends == nil {
+		return nanColumn(cs, d, buckets)
 	}
-	cs := &ColumnStats{Name: def.Name, Type: def.Type, NullCount: float64(nulls)}
-	rows := perm[nulls:]
-	var n, last int
+	rows := o.Perm[o.Nulls:]
+	cs.Distinct = float64(len(o.Ends) - min(o.Nulls, 1))
 	var at func(int) float64
 	switch d.Type {
 	case storage.TypeInt64:
-		n, last = runs(d.Ints, rows)
 		at = func(i int) float64 { return float64(d.Ints[rows[i]]) }
 	case storage.TypeFloat64:
-		if !ordered {
-			return nanColumn(cs, d, buckets)
-		}
-		n, last = runs(d.Floats, rows)
 		at = func(i int) float64 { return d.Floats[rows[i]] }
-	case storage.TypeString:
-		n, _ = runs(d.Strs, rows)
-	case storage.TypeBool:
-		n, _ = runs(d.Bools, rows)
 	}
-	cs.Distinct = float64(n)
-	if at != nil && n > 0 {
+	if at != nil && len(rows) > 0 {
+		last := len(rows) - len(o.Run(len(o.Ends)-1))
 		cs.HasRange, cs.Min, cs.Max = true, at(0), at(last)
 		if buckets > 0 {
 			cs.Hist = equiDepth(len(rows), buckets, at)
@@ -96,19 +86,8 @@ func analyzeColumn(tbl *storage.Table, ci, buckets int) (*ColumnStats, error) {
 	return cs, nil
 }
 
-// runs counts the runs of equal values in vals read in rows order, and
-// returns where the last one starts.
-func runs[T comparable](vals []T, rows []int) (n, last int) {
-	for i, r := range rows {
-		if i == 0 || vals[r] != vals[rows[i-1]] {
-			n, last = n+1, i
-		}
-	}
-	return n, last
-}
-
 // nanColumn scans a float64 column holding a NaN, whose sort permutation is
-// in no order (storage.Table.SortPermutation), in row order: Distinct counts
+// in no order and has no runs (storage.Order), in row order: Distinct counts
 // bit patterns, -0 as 0, so each NaN payload is a value; Min and Max ignore
 // NaN; and there is no histogram.
 func nanColumn(cs *ColumnStats, d storage.ColumnData, buckets int) (*ColumnStats, error) {

@@ -1,13 +1,13 @@
-// GROUP BY through the hash join's flat table (hashTable). Each group
-// column's rows are grouped by the key rendering the hash join binds —
-// int64 and string values as stored, float64 bits (floatKeys), bool
-// Value.Key() strings (boxedKeys) — with the NULL rows as one more group.
-// Several columns combine group by group: each row's pair of group ordinals
-// packs into a uint64 key grouped through the same table. A table's runs are
-// its groups, each group's rows ascending, so typed accumulators fold every
-// group in row order and SUM and AVG come out bit for bit as a row-at-a-time
-// fold would give them. No row is boxed: a Value is built only per group,
-// for its key columns and its aggregates.
+// GROUP BY over runs of rows with equal keys, each run ascending. Over a
+// view of a base column a group column's runs are the column's own
+// (storage.Table.ColumnOrder). Otherwise a column is grouped through the
+// hash join's flat table (hashTable) under the key rendering the hash join
+// binds, the NULL rows one more group, and several columns combine group by
+// group: each row's pair of group ordinals packs into a uint64 key grouped
+// through the same table. Typed accumulators fold each group in row order,
+// so SUM and AVG come out bit for bit as a row-at-a-time fold would give
+// them. No row is boxed: a Value is built only per group, for its key
+// columns and its aggregates.
 package executor
 
 import (
@@ -132,7 +132,7 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 	out.Reserve(len(order))
 	row := make([]storage.Value, len(outCols))
 	for _, i := range order {
-		run := g.run(i)
+		run := g.Run(i)
 		for j, c := range groupCols {
 			row[j] = tbl.Value(run[0], c)
 		}
@@ -149,35 +149,15 @@ func (e *Executor) Aggregate(tbl *storage.Table, groupCols []int, aggs []AggSpec
 	return out, nil
 }
 
-// groups partitions a table's rows: group i is rows[ends[i-1]:ends[i]]
-// (from 0 for i = 0), in ascending row order.
-type groups struct {
-	rows []int
-	ends []int
-}
-
-func (g groups) run(i int) []int {
-	start := 0
-	if i > 0 {
-		start = g.ends[i-1]
-	}
-	return g.rows[start:g.ends[i]]
-}
-
-// sortedGroups is a column's groups and their output order, memoized under
-// the key groupOrder{}.
-type sortedGroups struct {
-	groups
-	order []int
-}
-
+// groupOrder is the memo key of a column's groups' output order.
 type groupOrder struct{}
 
-// groupRows groups the rows of tbl by the cols ordinals and lists the groups
-// in output order. With no columns every row, none included, is one group.
-// A single column's groups and order are built once per base column over a
-// view (storage.Table.Memo), so a warm GROUP BY of it sorts nothing.
-func groupRows(tbl *storage.Table, cols []int) (groups, []int) {
+// groupRows groups the rows of tbl by the cols ordinals, group i being
+// g.Run(i), ascending, and lists the groups in output order. With no
+// columns every row, none included, is one group. A single column's output
+// order over a view is built once per base column (storage.Table.Memo), so
+// a warm GROUP BY of it sorts nothing.
+func groupRows(tbl *storage.Table, cols []int) (g storage.Order, order []int) {
 	n := tbl.NumRows()
 	switch len(cols) {
 	case 0:
@@ -185,109 +165,104 @@ func groupRows(tbl *storage.Table, cols []int) (groups, []int) {
 		for r := range all {
 			all[r] = r
 		}
-		return groups{rows: all, ends: []int{n}}, []int{0}
+		return storage.Order{Perm: all, Ends: []int{n}}, []int{0}
 	case 1:
-		s := tbl.Memo(cols[0], groupOrder{}, func() any {
-			g := groupColumn(tbl, cols[0])
-			return sortedGroups{g, g.sorted(tbl, cols)}
-		}).(sortedGroups)
-		return s.groups, s.order
+		g = groupColumn(tbl, cols[0])
+		return g, tbl.Memo(cols[0], groupOrder{}, func() any { return sortGroups(g, tbl, cols) }).([]int)
 	}
-	g := groupColumn(tbl, cols[0])
+	g = groupColumn(tbl, cols[0])
 	for _, c := range cols[1:] {
 		// A row's key is its ordinal in g times the column's group count
 		// plus its ordinal in the column: under n² < 2^62 for n < 2^31.
 		next := groupColumn(tbl, c)
 		keys := make([]uint64, n)
-		for i := range g.ends {
-			for _, r := range g.run(i) {
-				keys[r] = uint64(i) * uint64(len(next.ends))
+		for i := range g.Ends {
+			for _, r := range g.Run(i) {
+				keys[r] = uint64(i) * uint64(len(next.Ends))
 			}
 		}
-		for i := range next.ends {
-			for _, r := range next.run(i) {
+		for i := range next.Ends {
+			for _, r := range next.Run(i) {
 				keys[r] += uint64(i)
 			}
 		}
 		g = tableGroups(newHashTable(keys, nil, nil, hashSeed), nil, n)
 	}
-	return g, g.sorted(tbl, cols)
+	return g, sortGroups(g, tbl, cols)
 }
 
-// groupColumn groups the rows of tbl by column col, rendered the way the
-// hash join renders its keys. Over a view the table is the one the hash
-// join builds over every row of the column, built once per base column and
-// key representation and shared with every later join and grouping of it
-// (storage.Table.Memo).
-func groupColumn(tbl *storage.Table, col int) groups {
+// groupColumn groups the rows of tbl by column col. Over a view the groups
+// are the column's runs (storage.Table.ColumnOrder), NULLs first; any other
+// table, and a column without runs (a NaN), groups through a hash table of
+// its own under the key rendering the hash join binds, in no order.
+func groupColumn(tbl *storage.Table, col int) storage.Order {
+	if tbl.IsView() {
+		if o := tbl.ColumnOrder(col); o.Ends != nil {
+			return o
+		}
+	}
 	switch tbl.Schema().Column(col).Type {
 	case storage.TypeInt64:
-		return groupMemo(tbl, col, repNative, intKeys)
+		return hashGroups(tbl, col, intKeys)
 	case storage.TypeFloat64:
-		return groupMemo(tbl, col, repFloat, floatKeys)
+		return hashGroups(tbl, col, floatKeys)
 	case storage.TypeString:
-		return groupMemo(tbl, col, repNative, strKeys)
+		return hashGroups(tbl, col, strKeys)
 	default:
-		return groupMemo(tbl, col, repBoxed, boxedKeys)
+		return hashGroups(tbl, col, boxedKeys)
 	}
 }
 
-// groupMemo groups the rows of tbl by column col, whose keys keysOf renders
-// under rep, through the column's memoized build table on a view.
-func groupMemo[K comparable](tbl *storage.Table, col int, rep keyRep, keysOf func(*storage.Table, int) []K) groups {
+// hashGroups groups the rows of tbl by column col's keys under keysOf.
+func hashGroups[K comparable](tbl *storage.Table, col int, keysOf func(*storage.Table, int, []int) []K) storage.Order {
 	nulls := tbl.ColumnData(col).Nulls
-	t := tbl.Memo(col, rep, func() any {
-		return newHashTable(keysOf(tbl, col), nulls, nil, hashSeed)
-	}).(hashTable[K])
-	return tableGroups(t, nulls, tbl.NumRows())
+	return tableGroups(newHashTable(keysOf(tbl, col, nil), nulls, nil, hashSeed), nulls, tbl.NumRows())
 }
 
 // tableGroups reads the groups of n rows off a table built over them: its
 // runs in key order (dense) or slot order (hashed), then the rows nulls
-// flags, if any, as one more group. The table may be shared, so the NULL
-// group goes to a copy of its rows.
-func tableGroups[K comparable](t hashTable[K], nulls []bool, n int) groups {
-	g := groups{rows: t.rows}
+// flags, if any, as one more group.
+func tableGroups[K comparable](t hashTable[K], nulls []bool, n int) storage.Order {
+	g := storage.Order{Perm: t.rows}
 	for i := 0; i+1 < len(t.starts); i++ {
 		if t.starts[i+1] > t.starts[i] {
-			g.ends = append(g.ends, int(t.starts[i+1]))
+			g.Ends = append(g.Ends, int(t.starts[i+1]))
 		}
 	}
 	for _, s := range t.slots {
 		if s.hi != 0 {
-			g.ends = append(g.ends, int(s.hi))
+			g.Ends = append(g.Ends, int(s.hi))
 		}
 	}
-	if len(g.rows) < n {
-		g.rows = slices.Clip(g.rows)
+	if len(g.Perm) < n {
 		for r, null := range nulls[:n] {
 			if null {
-				g.rows = append(g.rows, r)
+				g.Perm = append(g.Perm, r)
 			}
 		}
-		g.ends = append(g.ends, len(g.rows))
+		g.Ends = append(g.Ends, len(g.Perm))
 	}
 	return g
 }
 
-// sorted lists the groups in output order: by the Value.Key() bytes of
-// their key columns, each followed by a zero byte, and on a tie (strings
+// sortGroups lists the groups g in output order: by the Value.Key() bytes
+// of their key columns, each followed by a zero byte, and on a tie (strings
 // holding zero bytes can render two groups alike) by first row. Every
 // group's key goes into one buffer: group i's is buf[ends[i]:ends[i+1]].
-func (g groups) sorted(tbl *storage.Table, cols []int) []int {
+func sortGroups(g storage.Order, tbl *storage.Table, cols []int) []int {
 	data := make([]storage.ColumnData, len(cols))
 	for i, c := range cols {
 		data[i] = tbl.ColumnData(c)
 	}
-	ends := make([]int, len(g.ends)+1)
-	buf := make([]byte, 0, 4*len(cols)*len(g.ends))
-	for i := range g.ends {
+	ends := make([]int, len(g.Ends)+1)
+	buf := make([]byte, 0, 4*len(cols)*len(g.Ends))
+	for i := range g.Ends {
 		for _, d := range data {
-			buf = append(d.Value(g.run(i)[0]).AppendKey(buf), 0)
+			buf = append(d.Value(g.Run(i)[0]).AppendKey(buf), 0)
 		}
 		ends[i+1] = len(buf)
 	}
-	order := make([]int, len(g.ends))
+	order := make([]int, len(g.Ends))
 	for i := range order {
 		order[i] = i
 	}
@@ -295,7 +270,7 @@ func (g groups) sorted(tbl *storage.Table, cols []int) []int {
 		if c := bytes.Compare(buf[ends[a]:ends[a+1]], buf[ends[b]:ends[b+1]]); c != 0 {
 			return c
 		}
-		return g.run(a)[0] - g.run(b)[0]
+		return g.Run(a)[0] - g.Run(b)[0]
 	})
 	return order
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/storage"
 )
 
@@ -420,31 +421,33 @@ func TestAggregateAllocationCeiling(t *testing.T) {
 	}
 }
 
-// A GROUP BY over a view of a base column groups through the build table
-// the hash join memoizes for the column (storage.Table.Memo). For each key
-// representation, over a column with NULLs: two Aggregates return identical
-// tables, the first allocates at least the build's slot and row arrays more
-// than the second (which builds none),
-// and a hash join on the column afterwards, reading the same memo, pairs
-// exactly the rows a join over an unshared copy of the column pairs.
-func TestAggregateReusesBaseColumnBuild(t *testing.T) {
+// A GROUP BY over a view of an analyzed base column takes its groups from
+// the column's runs (storage.Table.ColumnOrder), which ANALYZE already
+// built, and copies no rows. For each key kind, over a column with NULLs:
+// two Aggregates return identical tables, the NULL group first; the first
+// allocates less than one row-length []int; and a hash join on the column
+// afterwards, through the shared build, pairs exactly the rows a join over
+// an unshared copy of the column pairs.
+func TestAggregateGroupsOnBaseColumnRuns(t *testing.T) {
 	const n, groups = 10000, 500
 	kinds := []struct {
 		name string
 		typ  storage.Type
-		rep  keyRep
 		key  func(i int) storage.Value
 	}{
-		{"int64", storage.TypeInt64, repNative, func(i int) storage.Value { return storage.Int64(int64(i * 7919 % groups)) }},
-		{"float bits", storage.TypeFloat64, repFloat, func(i int) storage.Value { return storage.Float64(float64(i*7919%groups) / 4) }},
-		{"string", storage.TypeString, repNative, func(i int) storage.Value { return storage.String64(fmt.Sprint("g", i*7919%groups)) }},
-		{"boxed bool", storage.TypeBool, repBoxed, func(i int) storage.Value { return storage.Bool(i%3 == 0) }},
+		{"int64", storage.TypeInt64, func(i int) storage.Value { return storage.Int64(int64(i * 7919 % groups)) }},
+		{"float bits", storage.TypeFloat64, func(i int) storage.Value { return storage.Float64(float64(i*7919%groups) / 4) }},
+		{"string", storage.TypeString, func(i int) storage.Value { return storage.String64(fmt.Sprint("g", i*7919%groups)) }},
+		{"boxed bool", storage.TypeBool, func(i int) storage.Value { return storage.Bool(i%3 == 0) }},
 	}
 	aggs := []AggSpec{{Op: AggCountStar, Name: "n"}, {Op: AggSum, Col: 1, Name: "s"}}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
 			base := keyColumns(t, probeKind{typ: kind.typ, key: kind.key}, "b", n, func(i int) int { return i },
 				func(i int) bool { return i%10 == 4 })
+			if _, err := catalog.New().Analyze(base, catalog.AnalyzeOptions{}); err != nil {
+				t.Fatal(err)
+			}
 			view := func() *storage.Table {
 				v, err := base.View("v", base.Schema(), nil)
 				if err != nil {
@@ -464,7 +467,7 @@ func TestAggregateReusesBaseColumnBuild(t *testing.T) {
 				return out, after.TotalAlloc - before.TotalAlloc
 			}
 			first, cold := group()
-			second, warm := group()
+			second, _ := group()
 			if first.NumRows() != second.NumRows() || first.NumRows() < 2 {
 				t.Fatalf("%d groups, then %d", first.NumRows(), second.NumRows())
 			}
@@ -478,14 +481,9 @@ func TestAggregateReusesBaseColumnBuild(t *testing.T) {
 			if !first.Value(0, 0).IsNull() {
 				t.Fatalf("first group is %s, want the NULL group", first.Value(0, 0))
 			}
-			// The build's slot and row arrays, whatever its addressing.
-			built := view().Memo(0, kind.rep, func() any {
-				t.Fatal("the grouping memoized no build")
-				return nil
-			}).(interface{ arrayBytes() int64 }).arrayBytes()
-			t.Logf("cold %d bytes, warm %d bytes, the build's arrays %d", cold, warm, built)
-			if int64(cold)-int64(warm) < built {
-				t.Errorf("cold run allocated %d bytes, warm %d; want the build's arrays (%d) on the cold run only", cold, warm, built)
+			t.Logf("cold GROUP BY allocated %d bytes over %d rows", cold, n)
+			if cold >= 8*n {
+				t.Errorf("cold GROUP BY allocated %d bytes, want less than one row-length []int (%d)", cold, 8*n)
 			}
 
 			probe := keyColumns(t, probeKind{typ: kind.typ, key: kind.key}, "p", 60, func(i int) int { return i },
@@ -521,9 +519,9 @@ func TestAggregateReusesBaseColumnBuild(t *testing.T) {
 	}
 }
 
-// A GROUP BY over a view of a base column publishes the column's groups in
-// output order on its memo (storage.Table.Memo), next to the build they
-// come from. A warm run reads the order it finds there and sorts nothing:
+// A GROUP BY over a view of a base column publishes its groups' output
+// order on the column's memo (storage.Table.Memo), next to the runs they
+// are. A warm run reads the order it finds there and sorts nothing:
 // it allocates no more at 500 groups than at 50, and a view whose memo
 // holds another order (here the sorted one reversed) is grouped in that
 // order. Over a view or not, cold or warm, the rows are the same.
@@ -555,7 +553,7 @@ func TestAggregateMemoizesGroupOrder(t *testing.T) {
 		memo := view(base).Memo(0, groupOrder{}, func() any {
 			t.Fatal("the grouping memoized no order")
 			return nil
-		}).(sortedGroups)
+		}).([]int)
 		warm[i] = testing.AllocsPerRun(5, func() {
 			if _, err := (&Executor{}).Aggregate(view(base), []int{0}, aggs); err != nil {
 				t.Fatal(err)
@@ -567,8 +565,8 @@ func TestAggregateMemoizesGroupOrder(t *testing.T) {
 		}
 
 		other, _ := groupFixture(10000, groups)
-		reversed := sortedGroups{memo.groups, slices.Clone(memo.order)}
-		slices.Reverse(reversed.order)
+		reversed := slices.Clone(memo)
+		slices.Reverse(reversed)
 		view(other).Memo(0, groupOrder{}, func() any { return reversed })
 		got := aggregate(view(other), aggs)
 		slices.Reverse(got)

@@ -292,9 +292,27 @@ func (e *Executor) bindHashKeys(spec *hashSpec, partition bool) {
 	}
 }
 
-// intKeys and strKeys are an int64 or a string column's own values.
-func intKeys(t *storage.Table, col int) []int64  { return t.ColumnData(col).Ints }
-func strKeys(t *storage.Table, col int) []string { return t.ColumnData(col).Strs }
+// A key rendering derives the keys of column col of t at rows, by position,
+// or of every row (rows nil). intKeys and strKeys are an int64 or a string
+// column's own values: over every row, the column itself.
+func intKeys(t *storage.Table, col int, rows []int) []int64 {
+	return valuesAt(t.ColumnData(col).Ints, rows)
+}
+func strKeys(t *storage.Table, col int, rows []int) []string {
+	return valuesAt(t.ColumnData(col).Strs, rows)
+}
+
+// valuesAt is vals at rows, or vals itself with rows nil.
+func valuesAt[T any](vals []T, rows []int) []T {
+	if rows == nil {
+		return vals
+	}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = vals[r]
+	}
+	return out
+}
 
 // keyRep names how a hash join renders one column's keys. It keys the
 // memoized build table of an unfiltered base column (storage.Table.Memo),
@@ -314,11 +332,11 @@ const (
 // so it derives them once, here. A one-partition join derives its probe
 // side's as it probes and its build side's only if it builds, so a build
 // the memo serves derives none.
-func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(t *storage.Table, col int) []K, partition bool) {
+func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func(*storage.Table, int, []int) []K, partition bool) {
 	spec.rep = rep
 	var lk, rk []K
 	if partition {
-		lk, rk = keysOf(spec.left, spec.lKey), keysOf(spec.right, spec.rKey)
+		lk, rk = keysOf(spec.left, spec.lKey, nil), keysOf(spec.right, spec.rKey, nil)
 	}
 	spec.join = func(rrows, lrows []int, stats *Stats) (*pairSink, error) {
 		return colJoin(e, spec.joinSpec, rep, keysOf, lk, rk, rrows, lrows, stats)
@@ -346,11 +364,11 @@ func keyBytes(rep keyRep, t *storage.Table, col int) int64 {
 
 // floatKeys renders a numeric column as hashable float64 bit patterns
 // (floatBits).
-func floatKeys(t *storage.Table, col int) []uint64 {
+func floatKeys(t *storage.Table, col int, rows []int) []uint64 {
 	d := t.ColumnData(col)
-	out := make([]uint64, t.NumRows())
+	out := make([]uint64, rowCount(rows, t.NumRows()))
 	for i := range out {
-		out[i] = floatBits(numericAt(d, i))
+		out[i] = floatBits(numericAt(d, rowAt(rows, i)))
 	}
 	return out
 }
@@ -366,25 +384,22 @@ func floatBits(f float64) uint64 {
 
 // boxedKeys renders any column as Value.Key() strings. NULL rows keep the
 // empty string; the kernel never looks at them.
-func boxedKeys(t *storage.Table, col int) []string {
-	out := make([]string, t.NumRows())
-	for r := range out {
-		if v := t.Value(r, col); !v.IsNull() {
-			out[r] = v.Key()
+func boxedKeys(t *storage.Table, col int, rows []int) []string {
+	out := make([]string, rowCount(rows, t.NumRows()))
+	for i := range out {
+		if v := t.Value(rowAt(rows, i), col); !v.IsNull() {
+			out[i] = v.Key()
 		}
 	}
 	return out
 }
 
-// buildTable returns the flat hash table (hashTable, dense or hashed) over
-// the right rows named by rrows (nil: every right row): over the keys rk a
-// partitioned join derived, or over every row's keys keysOf derives. A
-// build over every row of an unfiltered base-table scan (a view) is built
-// once per base column and key representation and shared with every later
-// join of that column (storage.Table.Memo), and only that first build
-// derives keys; any other build — a filtered scan, an operator's output, a
-// Grace partition — is the join's own.
-func buildTable[K comparable](spec *joinSpec, rep keyRep, keysOf func(*storage.Table, int) []K, rk []K, rrows []int) (hashTable[K], error) {
+// buildTable returns the flat hash table over the right rows named by rrows
+// (nil: every right row): over the keys rk a partitioned join derived, or
+// over every row's keys keysOf derives. Over every row of a view it is the
+// column's memoized index into its runs (runIndex), or where that declines
+// a build over every row's keys; any other build is the join's own.
+func buildTable[K comparable](spec *joinSpec, rep keyRep, keysOf func(*storage.Table, int, []int) []K, rk []K, rrows []int) (hashTable[K], error) {
 	if builds := rowCount(rrows, spec.right.NumRows()); builds > math.MaxInt32 {
 		return hashTable[K]{}, fmt.Errorf("executor: a hash-join build of %d rows exceeds the table's 2^31-row limit", builds)
 	}
@@ -393,7 +408,12 @@ func buildTable[K comparable](spec *joinSpec, rep keyRep, keysOf func(*storage.T
 		return newHashTable(rk, rn, rrows, hashSeed), nil
 	}
 	return spec.right.Memo(spec.rKey, rep, func() any {
-		return newHashTable(keysOf(spec.right, spec.rKey), rn, nil, hashSeed)
+		if spec.right.IsView() {
+			if t, ok := runIndex(spec.right, spec.rKey, keysOf, hashSeed); ok {
+				return t
+			}
+		}
+		return newHashTable(keysOf(spec.right, spec.rKey, nil), rn, nil, hashSeed)
 	}).(hashTable[K]), nil
 }
 
@@ -406,14 +426,14 @@ func buildTable[K comparable](spec *joinSpec, rep keyRep, keysOf func(*storage.T
 // A counting sink on a dense table gets only each block's sum of run
 // lengths, added up with no branch; on a hashed one add counts each run's
 // length.
-func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, keysOf func(*storage.Table, int) []K,
+func colJoin[K comparable](e *Executor, spec *joinSpec, rep keyRep, keysOf func(*storage.Table, int, []int) []K,
 	lk, rk []K, rrows, lrows []int, stats *Stats) (*pairSink, error) {
 	table, err := buildTable(spec, rep, keysOf, rk, rrows)
 	if err != nil {
 		return nil, err
 	}
 	if lk == nil {
-		lk = keysOf(spec.left, spec.lKey)
+		lk = keysOf(spec.left, spec.lKey, nil)
 	}
 	ln := spec.left.ColumnData(spec.lKey).Nulls
 	pairs := e.newPairSink(spec, stats, lrows != nil)
@@ -500,7 +520,8 @@ func (p *pairSink) release() {
 
 // add queues the pairs of left row l with each of the right rows rs, in
 // order, flushing whenever the batch fills. rs is only read: it may be a
-// run of a memoized hash build or sort permutation other queries share.
+// run of a base column's memoized sort permutation, which other queries
+// share.
 func (p *pairSink) add(l int, rs []int) error {
 	if p.counting {
 		return p.count(len(rs))

@@ -22,18 +22,16 @@
 // A plan runs on the goroutine that calls Execute and starts no other:
 // cores are filled by concurrent queries, each with its own Executor.
 //
-// What a join derives from every row of an unfiltered base-table input is
-// built once per base column and shared: the sort permutation a sort-merge
-// join reads (storage.Table.SortPermutation) and the hash table a hash join
-// run as one partition builds over its right input, one per key
-// representation (storage.Table.Memo). Every query, snapshot and goroutine
-// reading the table reuses them, read-only; filtered scans, operator outputs and Grace partitions build
-// their own, as before. The optimizer prices such a hash build at nothing
-// when the table fits the byte budget, and a hash join builds on the input
-// the plan names. The ledger is charged as if each structure were built —
-// the sort scratch and the hash build alike — so a warm run's partition
-// decisions, ErrMemory outcomes and peak are the cold run's; a key array
-// the memo's build derives is table memory, as the build is.
+// What a join or GROUP BY derives from every row of an unfiltered
+// base-table input is built once per base column and shared, read-only, by
+// every query, snapshot and goroutine (storage.Table.Memo): the column's
+// runs of equal keys (storage.Table.ColumnOrder), which sort-merge and
+// GROUP BY read, and per key representation the hash index into them.
+// Filtered scans, operator outputs and Grace partitions build their own.
+// The optimizer prices such a hash build at nothing when the table fits
+// the byte budget, and a hash join builds on the input the plan names. The
+// ledger is charged as if each structure were built, so a warm run's
+// partition decisions, ErrMemory outcomes and peak are the cold run's.
 //
 // A plan arrives with every column it reads resolved: each scan's filters
 // as ordinals of its base table, each join's key as an ordinal of either
@@ -365,21 +363,21 @@ func (e *Executor) openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, 
 
 // markRange answers the scan's first conjunct, if it compares an int64,
 // float64 or string column holding no NaN with a non-NULL constant of its
-// type, off the column's memoized sort permutation: there the NULLs and the
-// rows below, equal to and above the constant are four runs, bounded by
-// binary search. It marks the rows kept, or past half the rows the rest, in
-// a bitmap charged as a selection vector is.
+// type, off the column's memoized Order: there the NULLs and the rows
+// below, equal to and above the constant are four runs, the first its NULL
+// count long and the others bounded by binary search. It marks the rows
+// kept, or past half the rows the rest, in a bitmap charged as a selection
+// vector is.
 func (e *Executor) markRange(sc *baseScan) {
 	p, d := sc.Conds[0], sc.base.ColumnData(sc.Conds[0].Left)
 	if p.Right >= 0 || p.Const.IsNull() || p.Const.Type() != d.Type || d.Type == storage.TypeBool {
 		return
 	}
-	perm, ordered := sc.base.ColumnOrder(p.Left)
-	if !ordered {
+	o := sc.base.ColumnOrder(p.Left)
+	if o.Ends == nil {
 		return
 	}
-	n := len(perm)
-	nn := sort.Search(n, func(i int) bool { return !d.Null(perm[i]) })
+	perm, n, nn := o.Perm, len(o.Perm), o.Nulls
 	lo := nn + sort.Search(n-nn, func(i int) bool { return storage.Compare(d.Value(perm[nn+i]), p.Const) >= 0 })
 	hi := lo + sort.Search(n-lo, func(i int) bool { return storage.Compare(d.Value(perm[lo+i]), p.Const) > 0 })
 	runs := [5]int{0, nn, lo, hi, n}

@@ -3,10 +3,9 @@
 // array holds the build rows grouped by key, ascending within each key — the
 // row lists a map from key to appended rows would hold, in the same order —
 // and a second array finds each key's run in it. A join probes the table;
-// Aggregate reads its runs as groups. A table over every row of a base
-// column is shared (storage.Table.Memo), and the optimizer prices building
-// it at nothing, so a join probes a shared table with its other input rather
-// than build over that input.
+// Aggregate reads its runs as groups. Over every row of a base column the
+// CSR array is the column's shared sort permutation, whose runs of equal
+// keys are already grouped, and only the second array is built (runIndex).
 //
 // The second array is dense or hashed, fixed per build by its rows' own
 // non-NULL keys, never by statistics that may be wrong. An int64 or uint64
@@ -27,6 +26,8 @@ package executor
 import (
 	"math/bits"
 	"math/rand/v2"
+
+	"repro/internal/storage"
 )
 
 // hashSeed salts every hash table's hash. It is drawn once per process, so
@@ -110,7 +111,7 @@ func hashString(seed uint64, s string) uint64 {
 type hashTable[K comparable] struct {
 	starts []int32       // dense: key lo+i owns rows[starts[i]:starts[i+1]]; span+2 long
 	slots  []hashSlot[K] // hashed: a power of two, at most half full
-	rows   []int         // build rows, grouped by key, ascending within a key
+	rows   []int         // build rows, grouped by key, ascending within a key: shared in a runIndex
 	seed   uint64
 	lo     uint64 // a dense table's least key, as a word
 }
@@ -132,12 +133,23 @@ type hashSlot[K comparable] struct {
 func hashedSlots(n int) int { return 1 << bits.Len(uint(max(2*n-1, 0))) }
 
 // newHashTable builds the table over the keys of the rows named by rows
-// (nil: every row of keys), skipping the rows nulls flags: dense if the
-// keys are int64 or uint64 and their span fits in the hashed table's slot
-// count, hashed otherwise. The caller keeps the build under 2^31 rows.
+// (nil: every row of keys), skipping the rows nulls flags. The caller keeps
+// the build under 2^31 rows.
 func newHashTable[K comparable](keys []K, nulls []bool, rows []int, seed uint64) hashTable[K] {
 	t := hashTable[K]{seed: seed}
-	slots := hashedSlots(rowCount(rows, len(keys)))
+	if t.shape(keys, nulls, rows, rowCount(rows, len(keys))); t.starts != nil {
+		t.buildDense(keys, nulls, rows)
+	} else {
+		t.build(keys, nulls, rows)
+	}
+	return t
+}
+
+// shape sizes the table for n build rows, whose non-NULL keys are those of
+// the rows: dense if the keys are int64 or uint64 and span no more values
+// than a hashed table of n rows has slots, hashed otherwise.
+func (t *hashTable[K]) shape(keys []K, nulls []bool, rows []int, n int) {
+	slots := hashedSlots(n)
 	var lo, hi uint64
 	var ok bool
 	switch ks := any(keys).(type) {
@@ -148,12 +160,58 @@ func newHashTable[K comparable](keys []K, nulls []bool, rows []int, seed uint64)
 	}
 	// hi−lo wraps to the true distance, so a span of 2^64 cannot overflow.
 	if ok && hi-lo < uint64(slots) {
-		t.lo = lo
-		t.buildDense(keys, nulls, rows, int(hi-lo)+1)
+		t.lo, t.starts = lo, make([]int32, hi-lo+3)
 	} else {
-		t.build(keys, nulls, rows, slots)
+		t.slots = make([]hashSlot[K], slots)
 	}
-	return t
+}
+
+// runIndex is the table over every row of column col of tbl as an index
+// into the column's runs (storage.Table.ColumnOrder): its rows are the
+// shared permutation past the NULLs, and keysOf derives one key per run. It
+// is dense or hashed, over the same span or slot count, where newHashTable
+// would be. ok is false where the runs cannot index the keys: a column
+// without runs (a NaN), two runs on one key (int64 read as float64 past
+// 2^53), dense offsets that do not ascend with the runs (negative float64
+// bits).
+func runIndex[K comparable](tbl *storage.Table, col int, keysOf func(*storage.Table, int, []int) []K, seed uint64) (t hashTable[K], ok bool) {
+	o := tbl.ColumnOrder(col)
+	if o.Ends == nil {
+		return t, false
+	}
+	ends := o.Ends[min(o.Nulls, 1):]
+	heads := make([]int, len(ends))
+	for i, at := 0, o.Nulls; i < len(ends); at, i = ends[i], i+1 {
+		heads[i] = o.Perm[at]
+	}
+	keys := keysOf(tbl, col, heads)
+	t = hashTable[K]{seed: seed, rows: o.Perm[o.Nulls:]}
+	t.shape(keys, nil, nil, tbl.NumRows())
+	next, start := uint64(0), int32(0) // the least dense offset still free; the run's start
+	var hs [hashBlock]uint64
+	for b := 0; b < len(keys); b += hashBlock {
+		block := hs[:min(hashBlock, len(keys)-b)]
+		t.hashKeys(keys, nil, b, block)
+		for j, h := range block {
+			end := int32(ends[b+j] - o.Nulls)
+			if t.starts != nil {
+				if h < next {
+					return t, false
+				}
+				t.starts[h+1], next = end, h+1
+			} else if s := &t.slots[t.find(keys[b+j], h)]; s.hi == 0 {
+				*s = hashSlot[K]{keys[b+j], start, end}
+			} else {
+				return t, false
+			}
+			start = end
+		}
+	}
+	// Offset i's run starts where the last run below it ends.
+	for i := 1; i < len(t.starts); i++ {
+		t.starts[i] = max(t.starts[i], t.starts[i-1])
+	}
+	return t, true
 }
 
 // keyRange returns the least and greatest non-NULL key of the rows, as
@@ -177,9 +235,8 @@ func keyRange[W int64 | uint64](ks []W, nulls []bool, rows []int) (lo, hi uint64
 // lo: count each key's rows two places up, prefix-sum, which leaves key i's
 // run start in starts[i+1], then place the rows in row order with
 // starts[i+1] as key i's cursor, which leaves it at the run's end.
-func (t *hashTable[K]) buildDense(keys []K, nulls []bool, rows []int, span int) {
-	n := rowCount(rows, len(keys))
-	t.starts = make([]int32, span+2)
+func (t *hashTable[K]) buildDense(keys []K, nulls []bool, rows []int) {
+	n, span := rowCount(rows, len(keys)), t.span()
 	var hs [hashBlock]uint64
 	for b := 0; b < n; b += hashBlock {
 		block := hs[:min(hashBlock, n-b)]
@@ -206,11 +263,9 @@ func (t *hashTable[K]) buildDense(keys []K, nulls []bool, rows []int, span int) 
 	}
 }
 
-// build lays the rows out in a hashed slot array of the given length, in
-// slot order.
-func (t *hashTable[K]) build(keys []K, nulls []bool, rows []int, slots int) {
+// build lays the rows out in the hashed slot array, in slot order.
+func (t *hashTable[K]) build(keys []K, nulls []bool, rows []int) {
 	n := rowCount(rows, len(keys))
-	t.slots = make([]hashSlot[K], slots)
 	// Pass 1: find every row's slot and count each key's rows in hi.
 	at := make([]int32, n)
 	live := int32(0)

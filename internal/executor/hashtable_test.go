@@ -40,18 +40,22 @@ var modelSeeds = [2]uint64{0, 0x2545F4914F6CDD1D}
 // hash that left structured keys clustered would run far above it.
 const maxAvgProbe = 2.0
 
-// checkTable builds the flat table over the build keys under both seeds,
-// as newHashTable builds it and forced hashed, and requires every lookup the
+// checkTable builds the flat table over the keys keysOf derives from the
+// one-column table build under both seeds, as newHashTable builds it, forced
+// hashed, and over every row as the index into the column's runs
+// (runIndex) wherever that does not decline, and requires every lookup the
 // join kernel would make — each non-NULL probe key, and each distinct build
 // key — to return the model's row list, in order, and the same list from
-// every table. It reports whether newHashTable built a dense table, whose
-// offset array must then be exactly span-sized — the least key's run and
-// the greatest's non-empty, the clamp run past them empty — and no more
-// bytes than the hashed one, and the larger of the two seeds' hashed
-// average probe lengths.
-func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int, probe []K, pnulls []bool) (dense bool, worst float64) {
+// every table. An index must be dense exactly where newHashTable is. It
+// reports whether newHashTable built a dense table, whose offset array must
+// then be exactly span-sized — the least key's run and the greatest's
+// non-empty, the clamp run past them empty — and no more bytes than the
+// hashed one, and the larger of the two seeds' hashed average probe
+// lengths.
+func checkTable[K comparable](t *testing.T, build *storage.Table, keysOf func(*storage.Table, int, []int) []K, rows []int, probe []K, pnulls []bool) (dense bool, worst float64) {
 	t.Helper()
-	want := mapBuild(build, bnulls, rows)
+	bk, bn := keysAndNulls(build, keysOf)
+	want := mapBuild(bk, bn, rows)
 	var keys []K
 	for i, k := range probe {
 		if pnulls == nil || !pnulls[i] {
@@ -59,17 +63,17 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 		}
 	}
 	seen := map[K]bool{}
-	for i := 0; i < rowCount(rows, len(build)); i++ {
-		if k := build[rowAt(rows, i)]; !seen[k] {
+	for i := 0; i < rowCount(rows, len(bk)); i++ {
+		if k := bk[rowAt(rows, i)]; !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}
 	}
 	var outputs [][]int
 	for _, seed := range modelSeeds {
-		hashed := hashTable[K]{seed: seed}
-		hashed.build(build, bnulls, rows, hashedSlots(rowCount(rows, len(build))))
-		table := newHashTable(build, bnulls, rows, seed)
+		hashed := hashTable[K]{seed: seed, slots: make([]hashSlot[K], hashedSlots(rowCount(rows, len(bk))))}
+		hashed.build(bk, bn, rows)
+		table := newHashTable(bk, bn, rows, seed)
 		if dense = table.starts != nil; dense {
 			span := int(table.span())
 			first, last := table.starts[1]-table.starts[0], table.starts[span]-table.starts[span-1]
@@ -78,7 +82,14 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 					span, first, last, table.arrayBytes(), hashed.arrayBytes())
 			}
 		}
-		for _, tbl := range []hashTable[K]{table, hashed} {
+		tables := []hashTable[K]{table, hashed}
+		if index, ok := runIndex(build, 0, keysOf, seed); ok && rows == nil {
+			if (index.starts != nil) != dense {
+				t.Fatalf("seed %#x: the run index is dense %v, newHashTable %v", seed, index.starts != nil, dense)
+			}
+			tables = append(tables, index)
+		}
+		for _, tbl := range tables {
 			var out []int
 			for _, k := range keys {
 				got := tbl.lookup(k)
@@ -97,6 +108,16 @@ func checkTable[K comparable](t *testing.T, build []K, bnulls []bool, rows []int
 		}
 	}
 	return dense, worst
+}
+
+// int64Column is a one-column int64 table of keys.
+func int64Column(t *testing.T, keys []int64) *storage.Table {
+	t.Helper()
+	vals := make([]storage.Value, len(keys))
+	for i, k := range keys {
+		vals[i] = storage.Int64(k)
+	}
+	return column1(t, storage.TypeInt64, vals...)
 }
 
 // lookup returns the build rows whose key is k, in ascending row order; none
@@ -148,8 +169,8 @@ func column1(t *testing.T, typ storage.Type, vals ...storage.Value) *storage.Tab
 
 // keysAndNulls derives a one-column table's keys the way bindHashKeys does
 // for one key kind (keysOf), with the column's NULL flags.
-func keysAndNulls[K comparable](tbl *storage.Table, keysOf func(*storage.Table, int) []K) ([]K, []bool) {
-	return keysOf(tbl, 0), tbl.ColumnData(0).Nulls
+func keysAndNulls[K comparable](tbl *storage.Table, keysOf func(*storage.Table, int, []int) []K) ([]K, []bool) {
+	return keysOf(tbl, 0, nil), tbl.ColumnData(0).Nulls
 }
 
 // The flat table returns exactly the map's row lists, in the same order, for
@@ -165,9 +186,8 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		build := column1(t, storage.TypeInt64, i64(5), null(storage.TypeInt64), i64(0), i64(5), i64(-3),
 			null(storage.TypeInt64), i64(math.MinInt64), i64(math.MaxInt64), i64(5), i64(0))
 		probe := column1(t, storage.TypeInt64, i64(0), null(storage.TypeInt64), i64(5), i64(7), i64(math.MinInt64))
-		bk, bn := keysAndNulls(build, intKeys)
 		pk, pn := keysAndNulls(probe, intKeys)
-		checkTable(t, bk, bn, nil, pk, pn)
+		checkTable(t, build, intKeys, nil, pk, pn)
 	})
 	t.Run("float bits", func(t *testing.T) {
 		negZero := math.Copysign(0, -1)
@@ -175,21 +195,68 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 			null(storage.TypeFloat64), f64(1.5), f64(math.NaN()), f64(math.Inf(-1)), f64(negZero))
 		probe := column1(t, storage.TypeFloat64, f64(0), f64(negZero), f64(math.NaN()), f64(nan2), f64(negNaN),
 			null(storage.TypeFloat64), f64(1.5), f64(2.5))
-		bk, bn := keysAndNulls(build, floatKeys)
 		pk, pn := keysAndNulls(probe, floatKeys)
-		checkTable(t, bk, bn, nil, pk, pn)
+		checkTable(t, build, floatKeys, nil, pk, pn)
+		bk, bn := keysAndNulls(build, floatKeys)
 		table := newHashTable(bk, bn, nil, 0)
 		if got := table.lookup(bk[1]); len(got) != 3 {
 			t.Fatalf("0.0 found rows %v, want 3: -0.0 and 0.0 are one key", got)
+		}
+		// A NaN column has no runs to index.
+		if _, ok := runIndex(build, 0, floatKeys, 0); ok {
+			t.Error("a float64 column holding a NaN built a run index")
+		}
+		// Without the NaNs, -0.0 and 0.0 are one run and one key.
+		signed := column1(t, storage.TypeFloat64, f64(negZero), f64(0), null(storage.TypeFloat64), f64(1.5),
+			f64(negZero), f64(-2.5), f64(0))
+		checkTable(t, signed, floatKeys, nil, pk, pn)
+		if index, ok := runIndex(signed, 0, floatKeys, 0); !ok || len(index.lookup(0)) != 4 {
+			t.Errorf("run index over -0.0 and 0.0: built %v, want one run of 4 rows", ok)
+		}
+	})
+	t.Run("negative float bits", func(t *testing.T) {
+		// The least negative floats, whose bit patterns span a few values,
+		// so the keys build dense; their bits descend as the values ascend.
+		var vals, probes []storage.Value
+		for i := uint64(1); i <= 40; i++ {
+			vals = append(vals, f64(math.Float64frombits(1<<63|i%13+1)))
+			probes = append(probes, f64(math.Float64frombits(1<<63|i%17)))
+		}
+		build := column1(t, storage.TypeFloat64, vals...)
+		pk, pn := keysAndNulls(column1(t, storage.TypeFloat64, probes...), floatKeys)
+		if dense, _ := checkTable(t, build, floatKeys, nil, pk, pn); !dense {
+			t.Error("negative floats a few bit patterns apart built hashed")
+		}
+		if _, ok := runIndex(build, 0, floatKeys, 0); ok {
+			t.Error("dense offsets that descend with the runs built a run index")
 		}
 	})
 	t.Run("int64 vs float64", func(t *testing.T) {
 		// An int64 column met by a float64 one: both sides as float64 bits.
 		build := column1(t, storage.TypeInt64, i64(2), i64(0), null(storage.TypeInt64), i64(2), i64(-7))
 		probe := column1(t, storage.TypeFloat64, f64(2), f64(math.Copysign(0, -1)), f64(2.5), f64(-7))
-		bk, bn := keysAndNulls(build, floatKeys)
 		pk, pn := keysAndNulls(probe, floatKeys)
-		checkTable(t, bk, bn, nil, pk, pn)
+		checkTable(t, build, floatKeys, nil, pk, pn)
+		// Past 2^53 two int64 runs read as one float64 key, so the runs
+		// cannot index it: over a dense bit span and a hashed one.
+		const big = 1 << 53
+		probe = column1(t, storage.TypeFloat64, f64(big), f64(big+2), f64(1))
+		pk, pn = keysAndNulls(probe, floatKeys)
+		for _, keys := range [][]int64{{big + 1, big, big + 2, big + 1}, {big + 1, 1, big, big + 2, big}} {
+			build := int64Column(t, keys)
+			checkTable(t, build, floatKeys, nil, pk, pn)
+			if _, ok := runIndex(build, 0, floatKeys, 0); ok {
+				t.Errorf("%v read as float64: two runs on one key built a run index", keys)
+			}
+		}
+	})
+	t.Run("int64 vs string", func(t *testing.T) {
+		// Keys of two types meet as Value.Key() strings.
+		build := column1(t, storage.TypeInt64, i64(36), null(storage.TypeInt64), i64(1), i64(-1), i64(36), i64(0))
+		probe := column1(t, storage.TypeString, str("a"), str("1"), null(storage.TypeString))
+		pk, pn := keysAndNulls(probe, boxedKeys)
+		pk = append(pk, storage.Int64(36).Key(), storage.Int64(-1).Key())
+		checkTable(t, build, boxedKeys, nil, pk, append(pn, false, false))
 	})
 	t.Run("string", func(t *testing.T) {
 		// Lengths either side of the hash's eight-byte step.
@@ -203,22 +270,19 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 			pv = append(pv, str(s), str(s+"!"))
 		}
 		pv = append(pv, null(storage.TypeString))
-		bk, bn := keysAndNulls(column1(t, storage.TypeString, bv...), strKeys)
 		pk, pn := keysAndNulls(column1(t, storage.TypeString, pv...), strKeys)
-		checkTable(t, bk, bn, nil, pk, pn)
+		checkTable(t, column1(t, storage.TypeString, bv...), strKeys, nil, pk, pn)
 	})
 	t.Run("bool", func(t *testing.T) {
 		b := storage.Bool
-		bk, bn := keysAndNulls(column1(t, storage.TypeBool, b(true), b(false), null(storage.TypeBool), b(true)), boxedKeys)
 		pk, pn := keysAndNulls(column1(t, storage.TypeBool, b(false), null(storage.TypeBool), b(true)), boxedKeys)
-		checkTable(t, bk, bn, nil, pk, pn)
+		checkTable(t, column1(t, storage.TypeBool, b(true), b(false), null(storage.TypeBool), b(true)), boxedKeys, nil, pk, pn)
 	})
 	t.Run("empty build", func(t *testing.T) {
 		pk, pn := keysAndNulls(column1(t, storage.TypeInt64, ints(0, 1, 2)...), intKeys)
-		checkTable(t, nil, nil, nil, pk, pn)
+		checkTable(t, column1(t, storage.TypeInt64), intKeys, nil, pk, pn)
 		allNull := column1(t, storage.TypeInt64, null(storage.TypeInt64), null(storage.TypeInt64))
-		bk, bn := keysAndNulls(allNull, intKeys)
-		checkTable(t, bk, bn, nil, pk, pn)
+		checkTable(t, allNull, intKeys, nil, pk, pn)
 	})
 	t.Run("one key", func(t *testing.T) {
 		// Every build row on one key, the Zipf head of a skewed table.
@@ -226,7 +290,7 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		for i := range bk {
 			bk[i] = 42
 		}
-		checkTable(t, bk, nil, nil, []int64{42, 41, 0}, nil)
+		checkTable(t, int64Column(t, bk), intKeys, nil, []int64{42, 41, 0}, nil)
 	})
 	t.Run("zipf", func(t *testing.T) {
 		tbl, err := datagen.Generate(datagen.TableSpec{Name: "Z", Rows: 20000, Columns: []datagen.ColumnSpec{
@@ -234,8 +298,7 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bk, bn := keysAndNulls(tbl, intKeys)
-		checkTable(t, bk, bn, nil, []int64{0, 1, 1999, 2000}, nil)
+		checkTable(t, tbl, intKeys, nil, []int64{0, 1, 1999, 2000}, nil)
 	})
 	t.Run("dense addressing", func(t *testing.T) {
 		// 100 build rows over 60 keys, the least lo and the greatest
@@ -263,19 +326,23 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 			// gaps inside the span.
 			probe := []int64{c.lo - 1, c.lo - 1000, hi + 1, hi + 1000, c.lo + 1, hi - 1, 0, -1,
 				math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
-			if dense, _ := checkTable(t, build, nil, nil, probe, nil); dense != c.wantDense {
+			if dense, _ := checkTable(t, int64Column(t, build), intKeys, nil, probe, nil); dense != c.wantDense {
 				t.Errorf("%s: dense %v, want %v", c.name, dense, c.wantDense)
 			}
 		}
 		// Both ends of int64 span 2^64 values: hashed, and no overflow.
 		ends := []int64{math.MinInt64, math.MaxInt64, 0, math.MinInt64}
-		if dense, _ := checkTable(t, ends, nil, nil, []int64{-1, 1, math.MaxInt64 - 1}, nil); dense {
+		if dense, _ := checkTable(t, int64Column(t, ends), intKeys, nil, []int64{-1, 1, math.MaxInt64 - 1}, nil); dense {
 			t.Error("MinInt64..MaxInt64 built dense")
 		}
 		// uint64 keys (float bits, packed group ordinals) at the top of
-		// their range.
-		top := []uint64{math.MaxUint64 - 2, math.MaxUint64, math.MaxUint64, math.MaxUint64 - 2}
-		if dense, _ := checkTable(t, top, nil, nil, []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64 - 3}, nil); !dense {
+		// their range: NaN payloads, as float64 bits.
+		var top []storage.Value
+		for _, bits := range []uint64{math.MaxUint64 - 2, math.MaxUint64, math.MaxUint64, math.MaxUint64 - 2} {
+			top = append(top, f64(math.Float64frombits(bits)))
+		}
+		if dense, _ := checkTable(t, column1(t, storage.TypeFloat64, top...), floatKeys, nil,
+			[]uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64 - 3}, nil); !dense {
 			t.Error("uint64 keys at MaxUint64 built hashed")
 		}
 		// NULLs store 0, outside the non-NULL keys 1000..1099: the span is
@@ -289,10 +356,9 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 				vals = append(vals, i64(int64(1000+i%100)))
 			}
 		}
-		bk, bn := keysAndNulls(column1(t, storage.TypeInt64, vals...), intKeys)
 		probe := []int64{0, 999, 1000, 1001, 1004, 1010, 1050, 1099, 1100}
 		for _, rows := range [][]int{nil, {1, 2, 3, 5, 6, 8, 9, 10}} {
-			if dense, _ := checkTable(t, bk, bn, rows, probe, nil); !dense {
+			if dense, _ := checkTable(t, column1(t, storage.TypeInt64, vals...), intKeys, rows, probe, nil); !dense {
 				t.Errorf("rows %v: NULL-bearing build over dense keys built hashed", rows)
 			}
 		}
@@ -316,7 +382,7 @@ func TestHashTableMatchesMapModel(t *testing.T) {
 			if len(rows) == 0 {
 				t.Fatal("an empty partition tests nothing")
 			}
-			checkTable(t, bk, bn, rows, bk, bn)
+			checkTable(t, tbl, intKeys, rows, bk, bn)
 		}
 	})
 }
@@ -343,18 +409,15 @@ func TestHashTableStructuredKeysSpread(t *testing.T) {
 			for i := range keys {
 				keys[i] = set.key(int64(i))
 			}
-			dense, avg := checkTable(t, keys, nil, nil, []int64{set.key(n)}, nil)
+			column := int64Column(t, keys)
+			dense, avg := checkTable(t, column, intKeys, nil, []int64{set.key(n)}, nil)
 			if dense != set.dense {
 				t.Errorf("dense %v, want %v", dense, set.dense)
 			}
 			if avg > maxAvgProbe {
 				t.Fatalf("average probe length %.3f, want at most %.1f", avg, maxAvgProbe)
 			}
-			bits := make([]uint64, n)
-			for i, k := range keys {
-				bits[i] = floatBits(float64(k))
-			}
-			dense, avg = checkTable(t, bits, nil, nil, nil, nil)
+			dense, avg = checkTable(t, column, floatKeys, nil, nil, nil)
 			if dense {
 				t.Error("as float64 bits: built dense")
 			}
@@ -388,7 +451,7 @@ func TestHashTableDenseRule(t *testing.T) {
 		{"permutation", column(datagen.DistPermutation, n), n},
 		{"zipf over 500", column(datagen.DistZipf, 500), 500},
 	} {
-		dense, _ := checkTable(t, c.keys, nil, nil, nil, nil)
+		dense, _ := checkTable(t, int64Column(t, c.keys), intKeys, nil, nil, nil)
 		table := newHashTable(c.keys, nil, nil, hashSeed)
 		span := slices.Max(c.keys) - slices.Min(c.keys) + 1
 		if !dense || int64(table.span()) != span || span > int64(c.domain) {
@@ -425,7 +488,7 @@ type probeKind struct {
 // lookupPairs is the model of one partition's probe: for each non-NULL probe
 // row named by lrows (nil: every left row), in order, one lookup of its key
 // in a table built over the right rows named by rrows.
-func lookupPairs[K comparable](keysOf func(*storage.Table, int) []K) func(left, right *storage.Table, lrows, rrows []int) [][2]int {
+func lookupPairs[K comparable](keysOf func(*storage.Table, int, []int) []K) func(left, right *storage.Table, lrows, rrows []int) [][2]int {
 	return func(left, right *storage.Table, lrows, rrows []int) [][2]int {
 		lk, ln := keysAndNulls(left, keysOf)
 		rk, rn := keysAndNulls(right, keysOf)

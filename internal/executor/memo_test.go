@@ -93,3 +93,45 @@ func TestWarmJoinReusesBaseStructures(t *testing.T) {
 		})
 	}
 }
+
+// liveHeap is the heap still reachable after two collections, the second
+// clearing what the first left in sync.Pool victim caches.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// The first hash join over an analyzed base column and a one-column GROUP BY
+// of the same view keep on the column's memo only what points into its
+// runs: the join's offset array and the groups' output order. Their rows
+// are the sort permutation ANALYZE built, so together they stay under 1
+// byte per build row at 1,001 keys and 14 at 50,000; a build keeping rows
+// of its own adds 8 per row.
+func TestRunIndexMemoBytes(t *testing.T) {
+	for _, c := range []struct {
+		keys  int
+		bound float64
+	}{{1001, 1}, {50000, 14}} {
+		cat, plan := hashJoinFixture(t, c.keys, 1)
+		build := cat.Data("R")
+		view, err := build.View("R", build.Schema(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		allocatedBytes(t, cat, plan)
+		if _, err := (&Executor{}).Aggregate(view, []int{0}, []AggSpec{{Op: AggCountStar}}); err != nil {
+			t.Fatal(err)
+		}
+		perRow := float64(liveHeap()-before) / float64(build.NumRows())
+		runtime.KeepAlive(cat)
+		runtime.KeepAlive(view)
+		t.Logf("%d keys: the join and the GROUP BY keep %.2f B/row", c.keys, perRow)
+		if perRow > c.bound {
+			t.Errorf("%d keys: the join and the GROUP BY keep %.2f B/row, want at most %.0f", c.keys, perRow, c.bound)
+		}
+	}
+}

@@ -5,12 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// memo holds the read-only structures joins derive from every row of one
-// base column: its sort permutation (SortPermutation), the executor's
-// hash-join build tables, one per key representation, and GROUP BY's groups
-// of the column in output order. The base column owns
-// it and every view of the column shares it (View), so every query,
-// snapshot and goroutine reading the table reuses one build.
+// memo holds what is derived from every row of one base column: its Order
+// (ColumnOrder), the sort permutation grouped into runs of equal keys, and
+// what reads it in place — the executor's hash index into the runs, one
+// per key representation, and GROUP BY's runs in output order. The base
+// column owns it and every view of the column shares it (View), so every
+// query, snapshot and goroutine reading the table reuses one build.
 //
 // It is the one part of a loaded table written after loading. Entries are
 // published copy-on-write through an atomic compare-and-swap and never
@@ -81,7 +81,8 @@ func (c *column) sharedMemo() *memo {
 // of the same base column at the same length gets it, whichever query,
 // snapshot or goroutine asked first. key names the structure and must be
 // comparable; callers outside this package use a key type of their own.
-// Any other table is not memoized: build runs on every call.
+// On a table that is not a view, build runs on every call; only
+// ColumnOrder reads and fills a loaded table's memo directly.
 //
 // The value may be shared across goroutines and must not be modified.
 func (t *Table) Memo(col int, key any, build func() any) any {

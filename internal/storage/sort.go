@@ -29,30 +29,45 @@ import (
 // there (TestSortPermutationNaN). A sort-merge join over such a column pairs
 // a NaN with whatever run the merge meets, and the result means nothing.
 //
-// On a view the permutation is built once per base column and row count
-// and shared by every later call (Memo). The returned slice may be shared:
-// it must not be modified.
+// On a view the permutation is built once per base column and row count,
+// with the ends of its runs of equal keys (Order, ColumnOrder), and shared
+// by every later call (Memo). The returned slice may be shared: it must not
+// be modified.
 func (t *Table) SortPermutation(col int) []int {
-	return t.Memo(col, permKey{}, func() any { return t.sortPermutation(col) }).(sortedRows).perm
+	return t.Memo(col, permKey{}, func() any { return t.sortPermutation(col, t.view) }).(Order).Perm
 }
 
-// ColumnOrder is SortPermutation off the base column's memo, for a view or
-// for the loaded table itself, without making a view. ordered is false for
-// a float64 column holding a NaN, whose permutation orders nothing.
-func (t *Table) ColumnOrder(col int) (perm []int, ordered bool) {
-	s := t.col(col).sharedMemo().get(t.rows, permKey{}, func() any { return t.sortPermutation(col) }).(sortedRows)
-	return s.perm, s.ordered
+// Order is a column's rows grouped into runs of keys Compare calls equal.
+type Order struct {
+	Perm []int // the sort permutation (SortPermutation)
+	// Ends[i] is where run i ends in Perm. NULLs are the first run; -0 and 0
+	// share one. nil for a float64 column holding a NaN, which is unordered.
+	Ends  []int
+	Nulls int // NULL rows: Perm[:Nulls]
 }
 
-// permKey is the memo key of a column's sort permutation, a sortedRows.
+// Run returns the rows of run i, ascending.
+func (o Order) Run(i int) []int {
+	start := 0
+	if i > 0 {
+		start = o.Ends[i-1]
+	}
+	return o.Perm[start:o.Ends[i]]
+}
+
+// ColumnOrder is column col's Order off the base column's memo, for a view
+// or for the loaded table itself, built once per row count under the key
+// SortPermutation reads. It may be shared and must not be modified.
+func (t *Table) ColumnOrder(col int) Order {
+	return t.col(col).sharedMemo().get(t.rows, permKey{}, func() any { return t.sortPermutation(col, true) }).(Order)
+}
+
+// permKey is the memo key of a column's Order.
 type permKey struct{}
 
-type sortedRows struct {
-	perm    []int
-	ordered bool
-}
-
-func (t *Table) sortPermutation(col int) sortedRows {
+// sortPermutation sorts column col and, if runs is set, finds its run ends:
+// a sort nothing memoizes reads only the permutation.
+func (t *Table) sortPermutation(col int, runs bool) Order {
 	c := t.col(col)
 	perm := make([]int, 0, t.rows)
 	if c.nulls != nil {
@@ -76,7 +91,7 @@ func (t *Table) sortPermutation(col int) sortedRows {
 			}
 			return a - b
 		})
-		return sortedRows{perm, true}
+		return Order{perm, runEnds(runs, c.strs, perm, nulls, nil), nulls}
 	}
 	keys := make([]uint64, 0, t.rows)
 	switch c.typ {
@@ -87,7 +102,7 @@ func (t *Table) sortPermutation(col int) sortedRows {
 	case TypeFloat64:
 		for _, f := range c.floats {
 			if f != f {
-				return sortedRows{t.SortedIndices(col), false}
+				return Order{Perm: t.SortedIndices(col), Nulls: nulls}
 			}
 			keys = append(keys, floatSortKey(f))
 		}
@@ -100,8 +115,32 @@ func (t *Table) sortPermutation(col int) sortedRows {
 			}
 		}
 	}
-	radixSortRows(rows, keys)
-	return sortedRows{perm, true}
+	scratch := make([]int, t.rows)
+	radixSortRows(rows, keys, scratch[:len(rows)])
+	return Order{perm, runEnds(runs, keys, perm, nulls, scratch), nulls}
+}
+
+// runEnds lists where each run ends in perm, the NULLs first and the rest
+// sorted by keys, writing them to scratch (grown to len(perm)) and
+// returning a copy; nil unless runs is set.
+func runEnds[T comparable](runs bool, keys []T, perm []int, nulls int, scratch []int) []int {
+	if !runs {
+		return nil
+	}
+	ends := slices.Grow(scratch[:0], len(perm))
+	if nulls > 0 {
+		ends = append(ends, nulls)
+	}
+	rows := perm[nulls:]
+	for i := 1; i < len(rows); i++ {
+		if keys[rows[i]] != keys[rows[i-1]] {
+			ends = append(ends, nulls+i)
+		}
+	}
+	if len(rows) > 0 {
+		ends = append(ends, len(perm))
+	}
+	return append([]int{}, ends...) // not nil, even with no run
 }
 
 // floatSortKey maps a non-NaN float64 to a uint64 whose unsigned order is
@@ -120,8 +159,9 @@ func floatSortKey(f float64) uint64 {
 
 // radixSortRows stably sorts rows, indices into keys, by key: one counting
 // pass per byte position, least significant first, leaving out the
-// positions where every key holds the same byte.
-func radixSortRows(rows []int, keys []uint64) {
+// positions where every key holds the same byte. double, as long as rows,
+// is its scratch.
+func radixSortRows(rows []int, keys []uint64, double []int) {
 	if len(rows) < 2 {
 		return
 	}
@@ -132,7 +172,7 @@ func radixSortRows(rows []int, keys []uint64) {
 			counts[b][byte(k>>(8*b))]++
 		}
 	}
-	src, dst := rows, make([]int, len(rows))
+	src, dst := rows, double
 	for b := range counts {
 		count := &counts[b]
 		if count[byte(keys[src[0]]>>(8*b))] == len(rows) {

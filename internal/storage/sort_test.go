@@ -22,10 +22,47 @@ func sortColumn(typ Type, n int, withNulls bool, gen func(i int) Value) *Table {
 	return tbl
 }
 
+// refEnds cuts the boxed reference's order into runs: each ends where the
+// next row's value is one Compare does not call equal, NULLs equal to one
+// another.
+func refEnds(tbl *Table, perm []int) []int {
+	d := tbl.ColumnData(0)
+	var ends []int
+	for i := 1; i <= len(perm); i++ {
+		if i == len(perm) || Compare(d.Value(perm[i-1]), d.Value(perm[i])) != 0 {
+			ends = append(ends, i)
+		}
+	}
+	return ends
+}
+
+// checkRuns holds a column's Order to SortedIndices: the same permutation,
+// each run a maximal stretch of its order whose values Compare calls equal,
+// and the NULLs, counted, the first run.
+func checkRuns(t *testing.T, name string, tbl *Table) {
+	t.Helper()
+	want := tbl.SortedIndices(0)
+	o := tbl.ColumnOrder(0)
+	nulls := 0
+	for r := 0; r < tbl.NumRows(); r++ {
+		if tbl.ColumnData(0).Null(r) {
+			nulls++
+		}
+	}
+	if !slices.Equal(o.Perm, want) || !slices.Equal(o.Ends, refEnds(tbl, want)) || o.Ends == nil {
+		t.Fatalf("%s:\n got %v ends %v\nwant %v ends %v", name, o.Perm, o.Ends, want, refEnds(tbl, want))
+	}
+	if o.Nulls != nulls || nulls > 0 && o.Ends[0] != nulls {
+		t.Fatalf("%s: %d NULLs, the first run ends at %v; want %d NULLs as the first run", name, o.Nulls, o.Ends, nulls)
+	}
+}
+
 // The typed kernel must return exactly the permutation of the boxed
 // reference for every key type: NULLs first, duplicates in row order,
 // negative numbers, -0.0 next to 0.0, the int64 and float64 extremes, keys
-// differing only in a high byte, the empty string.
+// differing only in a high byte, the empty string. Its runs are the
+// reference's runs of Compare-equal values, the NULLs first and -0.0 with
+// 0.0.
 func TestSortPermutationMatchesSortedIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ints := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, 1 << 40, -(1 << 40), 255, 256}
@@ -55,14 +92,20 @@ func TestSortPermutationMatchesSortedIndices(t *testing.T) {
 				if got, want := tbl.SortPermutation(0), tbl.SortedIndices(0); !slices.Equal(got, want) {
 					t.Fatalf("%s n=%d nulls=%v:\n got %v\nwant %v", name, n, withNulls, got, want)
 				}
+				checkRuns(t, fmt.Sprintf("%s n=%d nulls=%v", name, n, withNulls), tbl)
 			}
 		}
+	}
+	zeros := sortColumn(TypeFloat64, 6, true, func(i int) Value { return Float64(math.Copysign(0, float64(i%2)-0.5)) })
+	checkRuns(t, "-0.0 and 0.0", zeros)
+	if o := zeros.ColumnOrder(0); len(o.Ends) != 2 {
+		t.Fatalf("-0.0 and 0.0 after a NULL: runs ending at %v, want the NULL run and one more", o.Ends)
 	}
 }
 
 // compareFloat calls NaN equal to everything, so no order exists; the
 // kernel then repeats the reference's own comparison sequence and lands on
-// the same permutation (see SortPermutation).
+// the same permutation (see SortPermutation), and the column has no runs.
 func TestSortPermutationNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{3, 25, 400} {
@@ -75,6 +118,9 @@ func TestSortPermutationNaN(t *testing.T) {
 			})
 			if got, want := tbl.SortPermutation(0), tbl.SortedIndices(0); !slices.Equal(got, want) {
 				t.Fatalf("n=%d nulls=%v:\n got %v\nwant %v", n, withNulls, got, want)
+			}
+			if o := tbl.ColumnOrder(0); o.Ends != nil {
+				t.Fatalf("n=%d nulls=%v: a NaN column has runs ending at %v", n, withNulls, o.Ends)
 			}
 		}
 	}
