@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/storage"
@@ -25,7 +26,9 @@ type AnalyzeOptions struct {
 // remembers the backing table so the executor can run plans against it. The
 // runs are the sort permutation and its run ends memoized on the base
 // column (storage.Table.ColumnOrder), which the first join, GROUP BY and
-// filtered scan over the table then find built.
+// filtered scan over the table then find built. It refuses a float64
+// column holding a NaN, which Compare calls equal to every value, before
+// registering anything (errNaN), so no loaded column holds one.
 func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("catalog: Analyze(nil)")
@@ -62,11 +65,11 @@ func (c *Catalog) Analyze(tbl *storage.Table, opts AnalyzeOptions) (*TableStats,
 // buckets are cut from the same order.
 func analyzeColumn(tbl *storage.Table, ci, buckets int) (*ColumnStats, error) {
 	def, d := tbl.Schema().Column(ci), tbl.ColumnData(ci)
+	if slices.ContainsFunc(d.Floats, math.IsNaN) { // a NULL's payload is 0
+		return nil, errNaN
+	}
 	o := tbl.ColumnOrder(ci)
 	cs := &ColumnStats{Name: def.Name, Type: def.Type, NullCount: float64(o.Nulls)}
-	if o.Ends == nil {
-		return nanColumn(cs, d, buckets)
-	}
 	rows := o.Perm[o.Nulls:]
 	cs.Distinct = float64(len(o.Ends) - min(o.Nulls, 1))
 	var at func(int) float64
@@ -83,33 +86,5 @@ func analyzeColumn(tbl *storage.Table, ci, buckets int) (*ColumnStats, error) {
 			cs.Hist = equiDepth(len(rows), buckets, at)
 		}
 	}
-	return cs, nil
-}
-
-// nanColumn scans a float64 column holding a NaN, whose sort permutation is
-// in no order and has no runs (storage.Order), in row order: Distinct counts
-// bit patterns, -0 as 0, so each NaN payload is a value; Min and Max ignore
-// NaN; and there is no histogram.
-func nanColumn(cs *ColumnStats, d storage.ColumnData, buckets int) (*ColumnStats, error) {
-	if buckets > 0 {
-		return nil, errNaN
-	}
-	seen := make(map[uint64]bool)
-	for r, f := range d.Floats {
-		if d.Null(r) {
-			continue
-		}
-		seen[math.Float64bits(f+0)] = true // -0 + 0 is 0
-		switch {
-		case f != f:
-		case !cs.HasRange:
-			cs.HasRange, cs.Min, cs.Max = true, f, f
-		case f < cs.Min:
-			cs.Min = f
-		case f > cs.Max:
-			cs.Max = f
-		}
-	}
-	cs.Distinct = float64(len(seen))
 	return cs, nil
 }

@@ -149,7 +149,9 @@ func (c *Catalog) Table(name string) *TableStats { return c.tables[key(name)] }
 // Data returns the backing data table registered under name, or nil.
 func (c *Catalog) Data(name string) *storage.Table { return c.data[key(name)] }
 
-// SetData registers backing data for a table without re-deriving statistics.
+// SetData registers backing data for a table without re-deriving
+// statistics. It is Analyze's helper and holds Analyze's precondition: no
+// float64 column of tbl holds a NaN.
 func (c *Catalog) SetData(name string, tbl *storage.Table) {
 	c.data[key(name)] = tbl
 }

@@ -81,9 +81,9 @@ func NewEquiDepthHistogram(values []float64, buckets int) (*Histogram, error) {
 	return equiDepth(len(sorted), buckets, func(i int) float64 { return sorted[i] }), nil
 }
 
-// errNaN rejects histogram input holding a NaN, which has no place in an
-// order.
-var errNaN = errors.New("catalog: NaN value in histogram input")
+// errNaN rejects a column or histogram input holding a NaN, which has no
+// place in an order.
+var errNaN = errors.New("catalog: NaN value")
 
 // equiDepth cuts the n ascending values at(0), ..., at(n-1) into at most
 // buckets equi-depth buckets. Bucket boundaries fall on value boundaries so

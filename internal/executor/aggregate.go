@@ -193,23 +193,21 @@ func groupRows(tbl *storage.Table, cols []int) (g storage.Order, order []int) {
 
 // groupColumn groups the rows of tbl by column col. Over a view the groups
 // are the column's runs (storage.Table.ColumnOrder), NULLs first; any other
-// table, and a column without runs (a NaN), groups through a hash table of
-// its own under the key rendering the hash join binds, in no order.
+// table groups through a hash table of its own under the key rendering the
+// hash join binds, in no order.
 func groupColumn(tbl *storage.Table, col int) storage.Order {
 	if tbl.IsView() {
-		if o := tbl.ColumnOrder(col); o.Ends != nil {
-			return o
-		}
+		return tbl.ColumnOrder(col)
 	}
 	switch tbl.Schema().Column(col).Type {
 	case storage.TypeInt64:
 		return hashGroups(tbl, col, intKeys)
 	case storage.TypeFloat64:
 		return hashGroups(tbl, col, floatKeys)
-	case storage.TypeString:
-		return hashGroups(tbl, col, strKeys)
+	case storage.TypeBool:
+		return hashGroups(tbl, col, boolKeys)
 	default:
-		return hashGroups(tbl, col, boxedKeys)
+		return hashGroups(tbl, col, strKeys)
 	}
 }
 
@@ -353,8 +351,7 @@ func sumRun[T int64 | float64](vals []T, nulls []bool, run []int) float64 {
 
 // extremeRow is the row a fold over run keeps: the first non-NULL row,
 // replaced by each later one that compares want (-1: below, 1: above)
-// against it by cmpOrd — storage.Compare's order, under which a NaN is
-// neither below nor above anything. -1 if every row is NULL.
+// against it by cmpOrd, storage.Compare's order. -1 if every row is NULL.
 func extremeRow[T int64 | float64 | string](vals []T, nulls []bool, run []int, want int) int {
 	best := -1
 	for _, r := range run {

@@ -9,8 +9,8 @@
 // is answered off the column's sort permutation instead: markRange).
 // Selection vectors are recycled through a pool (selPool) shared by every
 // query in the process, so execution stays allocation-flat. A hash
-// join derives an input's key array (float64 bits, Value.Key() strings)
-// only if it reads it: a build the base column's memo serves derives none.
+// join derives an input's key array (float64 bits, bools as 0/1) only if
+// it reads it: a build the base column's memo serves derives none.
 //
 // The counters are part of the paper's reproduction (Section 8 is measured
 // in executed tuples), so they count the logical work exactly: a
@@ -35,9 +35,8 @@ import (
 // The pair sink flushes candidate pairs at the same granularity.
 const colBatch = 4096
 
-// cmpOrd is the shared ordering kernel. For float64 it matches
-// storage.Compare's compareFloat exactly (NaN compares "equal" to
-// everything, as neither < nor > holds).
+// cmpOrd is the shared ordering kernel: storage.Compare's order on each
+// type, -0.0 equal to 0.0.
 func cmpOrd[T int64 | float64 | string](a, b T) int {
 	switch {
 	case a < b:
@@ -270,23 +269,22 @@ func disjRow(tbl *storage.Table, d []optimizer.Cond, r int, stats *Stats) bool {
 
 // bindHashKeys picks the key representation for one hash join (spec.rep)
 // and binds spec.join to the typed kernel, for a partitioned join or not.
-// Keys of one specializable type hash natively, and an int64 key meets a
-// float64 one as float64 bits, as storage.Compare meets them; bool keys
-// hash their Value.Key() strings, which group exactly the values Compare
-// calls equal.
+// Every key is a typed word or a string: int64 and string keys hash as
+// stored, bool keys as 0/1, float64 keys as their bits, and an int64 key
+// meets a float64 one (the one pair of types newJoinSpec lets differ) as
+// float64 bits, as storage.Compare meets them.
 func (e *Executor) bindHashKeys(spec *hashSpec, partition bool) {
 	ltype := spec.left.Schema().Column(spec.lKey).Type
-	rtype := spec.right.Schema().Column(spec.rKey).Type
 	switch {
-	case ltype != rtype && numericType(ltype) && numericType(rtype):
+	case ltype != spec.right.Schema().Column(spec.rKey).Type:
 		spec.numeric = true
 		bindKeys(e, spec, repFloat, floatKeys, partition)
-	case ltype != rtype || ltype == storage.TypeBool:
-		bindKeys(e, spec, repBoxed, boxedKeys, partition)
 	case ltype == storage.TypeInt64:
 		bindKeys(e, spec, repNative, intKeys, partition)
 	case ltype == storage.TypeFloat64:
 		bindKeys(e, spec, repFloat, floatKeys, partition)
+	case ltype == storage.TypeBool:
+		bindKeys(e, spec, repBool, boolKeys, partition)
 	default:
 		bindKeys(e, spec, repNative, strKeys, partition)
 	}
@@ -324,7 +322,7 @@ type keyRep uint8
 const (
 	repNative keyRep = iota // int64 or string keys as stored
 	repFloat                // float64 bits (floatKeys)
-	repBoxed                // Value.Key() strings (boxedKeys)
+	repBool                 // bools as 0/1 (boolKeys)
 )
 
 // bindKeys binds spec.join to the typed kernel over the keys keysOf renders
@@ -343,23 +341,14 @@ func bindKeys[K comparable](e *Executor, spec *hashSpec, rep keyRep, keysOf func
 	}
 }
 
-// keyBytes is the scratch rendering column col of t under rep derives: a
-// float64 bit pattern per row, or a Value.Key() string per row, its header
-// and its bytes; keys read as stored derive nothing.
-func keyBytes(rep keyRep, t *storage.Table, col int) int64 {
-	switch rep {
-	case repFloat:
-		return int64(8 * t.NumRows())
-	case repBoxed:
-		size := int64(16 * t.NumRows())
-		for r := range t.NumRows() {
-			if v := t.Value(r, col); !v.IsNull() {
-				size += int64(len(v.Key()))
-			}
-		}
-		return size
+// keyBytes is the scratch rendering a key column of t under rep derives: a
+// word per row, float64 bits or a bool as 0/1; keys read as stored derive
+// nothing.
+func keyBytes(rep keyRep, t *storage.Table) int64 {
+	if rep == repNative {
+		return 0
 	}
-	return 0
+	return int64(8 * t.NumRows())
 }
 
 // floatKeys renders a numeric column as hashable float64 bit patterns
@@ -382,13 +371,16 @@ func floatBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// boxedKeys renders any column as Value.Key() strings. NULL rows keep the
-// empty string; the kernel never looks at them.
-func boxedKeys(t *storage.Table, col int, rows []int) []string {
-	out := make([]string, rowCount(rows, t.NumRows()))
+// boolKeys renders a bool column as 0/1, false below true as
+// storage.Compare orders them: the keys the hash join, GROUP BY and
+// sort-merge read a bool column by. A NULL row stores false; no kernel
+// looks at its key.
+func boolKeys(t *storage.Table, col int, rows []int) []int64 {
+	bools := t.ColumnData(col).Bools
+	out := make([]int64, rowCount(rows, t.NumRows()))
 	for i := range out {
-		if v := t.Value(rowAt(rows, i), col); !v.IsNull() {
-			out[i] = v.Key()
+		if bools[rowAt(rows, i)] {
+			out[i] = 1
 		}
 	}
 	return out
@@ -621,9 +613,10 @@ func (p *pairSink) flush() error {
 
 // mergeJoin is the typed sort-merge kernel: it sorts both inputs' keys with
 // storage's typed permutation kernel and merges them in the type
-// storage.Compare compares them in. Bool keys merge as 0/1 integers, and an
-// int64 key met by a float64 one merges as float64 on both sides, runs of
-// equal keys within one input included.
+// storage.Compare compares them in. Bool keys merge as 0/1 (boolKeys), and
+// an int64 key met by a float64 one, the one pair of types newJoinSpec
+// lets differ, merges as float64 on both sides, runs of equal keys within
+// one input included.
 func (e *Executor) mergeJoin(spec *joinSpec, stats *Stats) (*storage.Table, error) {
 	ld, rd := spec.left.ColumnData(spec.lKey), spec.right.ColumnData(spec.rKey)
 	pairs := e.newPairSink(spec, stats, false)
@@ -643,11 +636,9 @@ func (e *Executor) mergeJoin(spec *joinSpec, stats *Stats) (*storage.Table, erro
 	case ld.Type == storage.TypeString && rd.Type == storage.TypeString:
 		err = mergeRuns(pairs, l, r, ld.Strs, rd.Strs)
 	case ld.Type == storage.TypeBool && rd.Type == storage.TypeBool:
-		err = mergeRuns(pairs, l, r, boolInts(ld.Bools), boolInts(rd.Bools))
-	case numericType(ld.Type) && numericType(rd.Type):
-		err = mergeRuns(pairs, l, r, asFloats(ld), asFloats(rd))
+		err = mergeRuns(pairs, l, r, boolKeys(spec.left, spec.lKey, nil), boolKeys(spec.right, spec.rKey, nil))
 	default:
-		err = fmt.Errorf("executor: sort-merge keys of types %s and %s do not compare", ld.Type, rd.Type)
+		err = mergeRuns(pairs, l, r, asFloats(ld), asFloats(rd))
 	}
 	if err != nil {
 		return nil, err
@@ -665,18 +656,6 @@ type mergeSide struct {
 
 func (s mergeSide) null(r int) bool { return s.nulls != nil && s.nulls[r] }
 
-// boolInts renders a bool column as 0/1 so it merges through the int64
-// kernel in Compare's order, false before true.
-func boolInts(bools []bool) []int64 {
-	out := make([]int64, len(bools))
-	for i, b := range bools {
-		if b {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
 // asFloats reads a numeric column as float64. An int64 column sorted as
 // integers stays sorted as float64, since the conversion never reverses two
 // integers' order.
@@ -691,11 +670,11 @@ func asFloats(d storage.ColumnData) []float64 {
 	return out
 }
 
-// mergeRuns merges the two sorted key sequences. Every loop iteration
-// counts one comparison, the steps over leading NULL keys included; each
-// pair of an equal-key run product, left-major, goes to the pair sink,
-// which counts it a visited tuple and applies the residual. A counting sink
-// gets each run product's size once.
+// mergeRuns merges the two sorted key sequences. NULL keys lead each
+// permutation, and every loop iteration counts one comparison, the steps
+// over them included; each pair of an equal-key run product, left-major,
+// goes to the pair sink, which counts it a visited tuple and applies the
+// residual. A counting sink gets each run product's size once.
 func mergeRuns[K int64 | float64 | string](pairs *pairSink, left, right mergeSide, lk, rk []K) error {
 	stats, lperm, rperm := pairs.stats, left.perm, right.perm
 	li, ri := 0, 0
@@ -717,13 +696,11 @@ func mergeRuns[K int64 | float64 | string](pairs *pairSink, left, right mergeSid
 		case c > 0:
 			ri++
 		default:
-			// A run ends at a NULL: only a column NaN keys left unordered has
-			// one past the front.
 			lEnd, rEnd := li+1, ri+1
-			for lEnd < len(lperm) && !left.null(lperm[lEnd]) && cmpOrd(lk[lperm[lEnd]], lv) == 0 {
+			for lEnd < len(lperm) && cmpOrd(lk[lperm[lEnd]], lv) == 0 {
 				lEnd++
 			}
-			for rEnd < len(rperm) && !right.null(rperm[rEnd]) && cmpOrd(rk[rperm[rEnd]], rv) == 0 {
+			for rEnd < len(rperm) && cmpOrd(rk[rperm[rEnd]], rv) == 0 {
 				rEnd++
 			}
 			if pairs.counting {

@@ -242,9 +242,8 @@ func loadKeyTypeTables(t *testing.T, cat *catalog.Catalog) {
 	loadTable(t, cat, "MF", schemaOf(storage.TypeFloat64), keyTypeRows(400, floats))
 }
 
-// Bool join keys have no native hash specialization: they run through the
-// same typed kernel keyed by Value.Key() strings, as one partition and
-// partitioned. A residual over v rides along.
+// Bool join keys run through the typed kernel as 0/1 words (boolKeys), as
+// one partition and partitioned. A residual over v rides along.
 func TestColumnarBoolKey(t *testing.T) {
 	cat := catalog.New()
 	loadKeyTypeTables(t, cat)
@@ -256,6 +255,46 @@ func TestColumnarBoolKey(t *testing.T) {
 		}, nil, hashOnly)
 	if res.Stats.RowsProduced == 0 {
 		t.Fatal("bool-key join produced no rows; the case has no teeth")
+	}
+}
+
+// A bool hash join charges each key it derives 8 bytes, as it charges
+// float64 bits: over two inputs that are not views, so both sides' keys are
+// derived, NULL rows included, the ledger peaks at the build's footprint
+// plus 8 bytes per input row. It counts what nested loops count.
+func TestBoolHashJoinChargesWordKeys(t *testing.T) {
+	c := countCases()[slices.IndexFunc(countCases(), func(c countCase) bool { return c.name == "bool" })]
+	cat := c.load(t)
+	hash := runCounted(t, cat, c.plan(t, cat, optimizer.HashJoin), []int{}, governor.Limits{})
+	nl := runCounted(t, cat, c.plan(t, cat, optimizer.NestedLoop), []int{}, governor.Limits{})
+	if hash.err != nil || nl.err != nil || hash.rows != nl.rows || hash.rows == 0 {
+		t.Fatalf("hash join counted %d rows (%v), nested loops %d (%v)", hash.rows, hash.err, nl.rows, nl.err)
+	}
+	var inputs [2]*storage.Table
+	for i, name := range []string{"L", "R"} {
+		data := cat.Data(name)
+		schema, err := qualifiedSchema(name, data.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[i] = storage.NewTable(name, schema)
+		if err := inputs[i].AppendRange(data, 0, data.NumRows()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left, right := inputs[0], inputs[1]
+	gov := governor.New(context.Background(), governor.Limits{})
+	j := &optimizer.Join{Method: optimizer.HashJoin, LeftKey: 0, RightKey: 0}
+	out, err := NewGoverned(cat, gov).hashJoin(j, left, right, make([]bool, 4), &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(out.NumRows()) != hash.rows {
+		t.Fatalf("%d rows, want %d", out.NumRows(), hash.rows)
+	}
+	_, peak, _ := gov.MemoryUsage()
+	if want := right.ApproxBytes() + 8*int64(left.NumRows()+right.NumRows()); peak != want {
+		t.Errorf("ledger peak %d bytes, want the build's %d plus 8 per input row: %d", peak, right.ApproxBytes(), want)
 	}
 }
 
@@ -290,30 +329,25 @@ func TestColumnarDisjunctions(t *testing.T) {
 
 // The typed comparison kernels keep exactly the pairs for which
 // op.Holds(storage.Compare(l, r)) holds with neither operand NULL, in
-// order, and count one comparison per pair: for int64, float64 (both NaN
-// payloads, ±0.0, ±Inf) and string columns, each operator, against a
-// constant and against a column, with and without NULLs, over one selection
-// vector (a scan) and two (a join's pairs). A scan whose first conjunct the
-// column's sort permutation answers (openScan, then batch) keeps what
-// predSel keeps over the identity vector of the same rows, with the same
-// count, for batches starting at 0, 1 and 7 and ending either side of
-// colBatch rows; each NaN-free domain marks some bitmaps by the rows kept
-// and some by their complement, and a column holding a NaN, like a NULL
-// constant, is left to the kernels.
+// order, and count one comparison per pair: for int64, float64 (±0.0,
+// ±Inf) and string columns, each operator, against a constant and against
+// a column, with and without NULLs, over one selection vector (a scan) and
+// two (a join's pairs). A scan whose first conjunct the column's sort
+// permutation answers (openScan, then batch) keeps what predSel keeps over
+// the identity vector of the same rows, with the same count, for batches
+// starting at 0, 1 and 7 and ending either side of colBatch rows; each
+// domain marks some bitmaps by the rows kept and some by their complement,
+// and a NULL constant is left to the kernels.
 func TestFilterKernelsMatchCompare(t *testing.T) {
-	nan2 := math.Float64frombits(0x7FF8000000000001)
-	floats := []storage.Value{storage.Float64(math.Copysign(0, -1)), storage.Float64(0), storage.Float64(math.Inf(-1)),
-		storage.Float64(math.Inf(1)), storage.Float64(-2.5), storage.Float64(1.5)}
 	domains := []struct {
 		typ  storage.Type
-		nan  bool
 		vals []storage.Value
 	}{
-		{storage.TypeInt64, false, []storage.Value{storage.Int64(math.MinInt64), storage.Int64(-1), storage.Int64(0),
+		{storage.TypeInt64, []storage.Value{storage.Int64(math.MinInt64), storage.Int64(-1), storage.Int64(0),
 			storage.Int64(1), storage.Int64(1<<53 + 1), storage.Int64(1 << 53), storage.Int64(math.MaxInt64)}},
-		{storage.TypeFloat64, false, floats},
-		{storage.TypeFloat64, true, append([]storage.Value{storage.Float64(math.NaN()), storage.Float64(nan2)}, floats...)},
-		{storage.TypeString, false, []storage.Value{storage.String64(""), storage.String64("a"), storage.String64("ab"),
+		{storage.TypeFloat64, []storage.Value{storage.Float64(math.Copysign(0, -1)), storage.Float64(0),
+			storage.Float64(math.Inf(-1)), storage.Float64(math.Inf(1)), storage.Float64(-2.5), storage.Float64(1.5)}},
+		{storage.TypeString, []storage.Value{storage.String64(""), storage.String64("a"), storage.String64("ab"),
 			storage.String64("abcdefgh\x00"), storage.String64("b")}},
 	}
 	ops := []expr.CompareOp{expr.OpEQ, expr.OpNE, expr.OpLT, expr.OpLE, expr.OpGT, expr.OpGE}
@@ -369,7 +403,7 @@ func TestFilterKernelsMatchCompare(t *testing.T) {
 				col.MustAppendRow(operands[(r*5+r/7)%len(operands)])
 			}
 			// A NaN constant, which the kernels call equal to every float,
-			// against the NaN-free float column too.
+			// against the float column too.
 			consts := operands
 			if typ == storage.TypeFloat64 {
 				consts = append(slices.Clip(operands), storage.Float64(math.NaN()))
@@ -380,8 +414,8 @@ func TestFilterKernelsMatchCompare(t *testing.T) {
 					for _, b := range []int{0, 1, 7} {
 						for _, e := range []int{colBatch - 1, colBatch, colBatch + 1} {
 							how := checkScanBatch(t, col, p, b, e)
-							if declined := how == "declined"; declined != (dom.nan || c.IsNull()) {
-								t.Fatalf("%v (NaN %v) %s %v: the scan's first conjunct was %s", typ, dom.nan, op, c, how)
+							if declined := how == "declined"; declined != c.IsNull() {
+								t.Fatalf("%v %s %v: the scan's first conjunct was %s", typ, op, c, how)
 							}
 							answered[how]++
 						}
@@ -389,7 +423,7 @@ func TestFilterKernelsMatchCompare(t *testing.T) {
 				}
 			}
 		}
-		if !dom.nan && (answered["marked"] == 0 || answered["complemented"] == 0) {
+		if answered["marked"] == 0 || answered["complemented"] == 0 {
 			t.Errorf("%v: first conjuncts answered %v, want both marked and complemented bitmaps", typ, answered)
 		}
 	}

@@ -47,7 +47,7 @@ func rKey(row int) int {
 
 // countCases are the key kinds of the hash join's bindings. int64 keys
 // build dense, or hashed when 2^20 apart; float64 keys join as their bits,
-// bool keys as Value.Key() strings.
+// bool keys as 0/1.
 func countCases() []countCase {
 	return []countCase{
 		{"int64 dense", storage.TypeInt64, func(d int) storage.Value { return storage.Int64(int64(d)) }, 1000, 2000, false},

@@ -362,21 +362,17 @@ func (e *Executor) openScan(s *optimizer.Scan, base *storage.Table) (*baseScan, 
 }
 
 // markRange answers the scan's first conjunct, if it compares an int64,
-// float64 or string column holding no NaN with a non-NULL constant of its
-// type, off the column's memoized Order: there the NULLs and the rows
-// below, equal to and above the constant are four runs, the first its NULL
-// count long and the others bounded by binary search. It marks the rows
-// kept, or past half the rows the rest, in a bitmap charged as a selection
-// vector is.
+// float64 or string column with a non-NULL constant of its type, off the
+// column's memoized Order: there the NULLs and the rows below, equal to and
+// above the constant are four runs, the first its NULL count long and the
+// others bounded by binary search. It marks the rows kept, or past half the
+// rows the rest, in a bitmap charged as a selection vector is.
 func (e *Executor) markRange(sc *baseScan) {
 	p, d := sc.Conds[0], sc.base.ColumnData(sc.Conds[0].Left)
 	if p.Right >= 0 || p.Const.IsNull() || p.Const.Type() != d.Type || d.Type == storage.TypeBool {
 		return
 	}
 	o := sc.base.ColumnOrder(p.Left)
-	if o.Ends == nil {
-		return
-	}
 	perm, n, nn := o.Perm, len(o.Perm), o.Nulls
 	lo := nn + sort.Search(n-nn, func(i int) bool { return storage.Compare(d.Value(perm[nn+i]), p.Const) >= 0 })
 	hi := lo + sort.Search(n-lo, func(i int) bool { return storage.Compare(d.Value(perm[lo+i]), p.Const) > 0 })
@@ -682,8 +678,15 @@ func (s *joinSpec) counts() bool { return s.dead() && len(s.residual) == 0 }
 
 // newJoinSpec pairs left with right, whose columns rightSchema labels (a
 // base table's by the scan's alias), under the join's key and residual,
-// into an output carrying the columns live flags.
+// into an output carrying the columns live flags. A key pair Compare does
+// not order (storage.Comparable) fails here, for every keyed join method.
 func newJoinSpec(j *optimizer.Join, left, right *storage.Table, rightSchema *storage.Schema, live []bool) (*joinSpec, error) {
+	if j.LeftKey >= 0 {
+		lt, rt := left.Schema().Column(j.LeftKey).Type, rightSchema.Column(j.RightKey).Type
+		if !storage.Comparable(lt, rt) {
+			return nil, fmt.Errorf("executor: join keys of types %s and %s do not compare", lt, rt)
+		}
+	}
 	out, err := joinSchema(left.Schema(), rightSchema)
 	if err != nil {
 		return nil, err
@@ -782,9 +785,9 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, live 
 	// The key arrays the join derives live as long as it does: the probe
 	// side's, and the build side's unless its build is the base column's
 	// shared one, which is table memory.
-	scratch := keyBytes(spec.rep, left, spec.lKey)
+	scratch := keyBytes(spec.rep, left)
 	if partition || !right.IsView() {
-		scratch += keyBytes(spec.rep, right, spec.rKey)
+		scratch += keyBytes(spec.rep, right)
 	}
 	e.gov.ChargeBytes(scratch)
 	defer e.gov.ReleaseBytes(scratch)

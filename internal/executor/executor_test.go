@@ -305,3 +305,41 @@ func TestExecutionMatchesBruteForceProperty(t *testing.T) {
 		}
 	}
 }
+
+// A join key pair storage.Compare does not order — int64 against string,
+// which the binder refuses in SQL but a hand-built query can ask for —
+// fails before either keyed join method reads a key, with one error for
+// both.
+func TestIncomparableJoinKeysFail(t *testing.T) {
+	cat := catalog.New()
+	loadKeys(t, cat, "I", storage.TypeInt64, storage.Int64(1), storage.Null(storage.TypeInt64), storage.Int64(36))
+	loadKeys(t, cat, "S", storage.TypeString, storage.String64("1"), storage.String64("a"))
+	tables := []cardest.TableRef{{Table: "I"}, {Table: "S"}}
+	preds := []expr.Predicate{expr.NewJoin(ref("I", "k"), expr.OpEQ, ref("S", "k"))}
+	est, err := cardest.New(cat, tables, preds, cardest.ELS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []string
+	for _, method := range []optimizer.JoinMethod{optimizer.HashJoin, optimizer.SortMerge} {
+		opt, err := optimizer.New(est, optimizer.Options{Methods: []optimizer.JoinMethod{method}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := opt.PlanForOrder([]string{"I", "S"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, ok := plan.(*optimizer.Join); !ok || j.Method != method || j.LeftKey < 0 {
+			t.Fatalf("plan is not a keyed %v join: %v", method, plan)
+		}
+		if _, err := New(cat).Execute(plan); err == nil {
+			t.Fatalf("%v: an int64 key joined a string key", method)
+		} else {
+			errs = append(errs, err.Error())
+		}
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("hash join failed with %q, sort-merge with %q", errs[0], errs[1])
+	}
+}

@@ -170,15 +170,11 @@ func (t *hashTable[K]) shape(keys []K, nulls []bool, rows []int, n int) {
 // into the column's runs (storage.Table.ColumnOrder): its rows are the
 // shared permutation past the NULLs, and keysOf derives one key per run. It
 // is dense or hashed, over the same span or slot count, where newHashTable
-// would be. ok is false where the runs cannot index the keys: a column
-// without runs (a NaN), two runs on one key (int64 read as float64 past
-// 2^53), dense offsets that do not ascend with the runs (negative float64
-// bits).
+// would be. ok is false where the runs cannot index the keys: two runs on
+// one key (int64 read as float64 past 2^53), dense offsets that do not
+// ascend with the runs (negative float64 bits).
 func runIndex[K comparable](tbl *storage.Table, col int, keysOf func(*storage.Table, int, []int) []K, seed uint64) (t hashTable[K], ok bool) {
 	o := tbl.ColumnOrder(col)
-	if o.Ends == nil {
-		return t, false
-	}
 	ends := o.Ends[min(o.Nulls, 1):]
 	heads := make([]int, len(ends))
 	for i, at := 0, o.Nulls; i < len(ends); at, i = ends[i], i+1 {

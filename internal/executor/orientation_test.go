@@ -29,8 +29,8 @@ func orientCases() []orientCase {
 	ints := func(shift int) func(storage.Type, int, int) storage.Value {
 		return func(_ storage.Type, d, _ int) storage.Value { return storage.Int64(int64(d) << shift) }
 	}
-	// Domain value 0 is −0.0 on odd rows and 1 is NaN, both ways round in the
-	// int64 vs float64 join.
+	// Domain value 0 is −0.0 on odd rows and 1 is +Inf, both ways round in
+	// the int64 vs float64 join.
 	numeric := func(typ storage.Type, d, row int) storage.Value {
 		switch {
 		case typ == storage.TypeInt64:
@@ -38,7 +38,7 @@ func orientCases() []orientCase {
 		case d == 0 && row%2 == 1:
 			return storage.Float64(math.Copysign(0, -1))
 		case d == 1:
-			return storage.Float64(math.NaN())
+			return storage.Float64(math.Inf(1))
 		}
 		return storage.Float64(float64(d))
 	}

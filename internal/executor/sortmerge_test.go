@@ -181,36 +181,6 @@ func TestSortMergeEmptyInputs(t *testing.T) {
 	}
 }
 
-// A NaN key has no place in an order (storage.Table.SortPermutation says
-// what the kernel does then), so a merge over such a column means nothing
-// and no oracle can say what it should return. What still holds: the merge
-// completes, and repeats itself exactly under a byte budget.
-func TestSortMergeNaNKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	keys := func(n int) []storage.Value {
-		out := make([]storage.Value, n)
-		for i := range out {
-			switch rng.Intn(8) {
-			case 0:
-				out[i] = storage.Float64(math.NaN())
-			case 1:
-				out[i] = storage.Null(storage.TypeFloat64)
-			default:
-				out[i] = storage.Float64(float64(rng.Intn(12)))
-			}
-		}
-		return out
-	}
-	for i := 0; i < 5; i++ {
-		cat := catalog.New()
-		loadKeys(t, cat, "L", storage.TypeFloat64, keys(60)...)
-		loadKeys(t, cat, "R", storage.TypeFloat64, keys(45)...)
-		plan := planQuery(t, cat, []cardest.TableRef{{Table: "L"}, {Table: "R"}},
-			[]expr.Predicate{expr.NewJoin(ref("L", "k"), expr.OpEQ, ref("R", "k"))}, nil, sortMergeOnly)
-		runBoth(t, cat, plan, sortMergeOnly)
-	}
-}
-
 // smRunErr executes the sort-merge plan of T0 ⋈ T1 under limits and
 // returns its error.
 func smRunErr(t *testing.T, cat *catalog.Catalog, limits governor.Limits) error {

@@ -79,7 +79,7 @@ func dirEntries(t *testing.T, dir string) []string {
 // The spilled join must be bit-identical to the unbudgeted in-memory
 // join — same rows in the same order, same TuplesScanned and Comparisons,
 // same governor tuple/row charges — for every key representation of the
-// kernel (native int64, Value.Key() strings for bool keys, float64 bits for
+// kernel (native int64, 0/1 words for bool keys, float64 bits for
 // int64-vs-float64 keys), and it must leave nothing in the directory it was
 // pointed at.
 func TestSpillHashJoinBitIdentical(t *testing.T) {

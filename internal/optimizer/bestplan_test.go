@@ -205,9 +205,9 @@ func (o *Optimizer) referenceRan(equal map[string]string, p Plan) {
 // referenceRun calls eval, in order, for each predicate of Preds join j
 // evaluates, the key (a sort-merge or hash join's first equality) marked.
 // equal is a union-find over lower-cased "alias.column" names: an equality
-// j evaluates between two columns of one type, int64, string or bool, joins
-// their sets, and an equality between two names one set already holds is
-// implied by the equalities run before it, and is not evaluated.
+// j evaluates between two columns of the same type, with data, joins their
+// sets, and an equality between two names one set already holds is implied
+// by the equalities run before it, and is not evaluated.
 func (o *Optimizer) referenceRun(equal map[string]string, j *Join, eval func(p expr.Predicate, key bool)) {
 	root := func(ref expr.ColumnRef) string {
 		name := strings.ToLower(ref.Table + "." + ref.Column)
@@ -225,8 +225,7 @@ func (o *Optimizer) referenceRun(equal map[string]string, j *Join, eval func(p e
 		}
 		keyed = keyed && !key
 		eval(p, key)
-		if typ := o.referenceType(p.Left); eq && typ == o.referenceType(p.Right) &&
-			(typ == storage.TypeInt64 || typ == storage.TypeString || typ == storage.TypeBool) {
+		if typ := o.referenceType(p.Left); eq && typ != storage.TypeInvalid && typ == o.referenceType(p.Right) {
 			if l, r := root(p.Left), root(p.Right); l != r {
 				equal[l] = r
 			}

@@ -260,12 +260,13 @@ func (ch *chain) root(id int32) int32 {
 }
 
 // transitive reports whether equal is transitive over equality p's columns
-// ops: both have data and one type, not float64 (a NaN equals every float64,
-// and an int64 meets a float64 as float64, inexact above 2^53).
+// ops: both have data and one type. No loaded column holds a NaN
+// (catalog.Analyze), so that holds of float64 too; an int64 meets a float64
+// as float64, inexact above 2^53.
 func (o *Optimizer) transitive(p expr.Predicate, ops eqclass.Operands) bool {
 	typ := func(id int32) storage.Type { return o.tables[o.est.TableOf(id)].data.Schema().Column(o.ords[id]).Type }
 	return p.IsEquality() && ops.Right >= 0 && min(o.ords[ops.Left], o.ords[ops.Right]) >= 0 &&
-		typ(ops.Left) == typ(ops.Right) && typ(ops.Left) != storage.TypeFloat64
+		typ(ops.Left) == typ(ops.Right)
 }
 
 // join extends the chain by the node that joins table number t to it as

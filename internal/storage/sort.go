@@ -22,12 +22,8 @@ import (
 // its peak the kernel holds the permutation, its radix double and the
 // derived keys: 24 bytes per row.
 //
-// A NaN key has no place in an order: compareFloat calls it equal to every
-// float, so "sorted" is whatever sequence of comparisons the algorithm
-// happens to make. A float64 column holding a NaN therefore skips the radix
-// pass and returns SortedIndices' permutation itself, so the two agree even
-// there (TestSortPermutationNaN). A sort-merge join over such a column pairs
-// a NaN with whatever run the merge meets, and the result means nothing.
+// No loaded column holds a NaN (catalog.Analyze refuses one), so every
+// float64 key has its place in Compare's order.
 //
 // On a view the permutation is built once per base column and row count,
 // with the ends of its runs of equal keys (Order, ColumnOrder), and shared
@@ -41,7 +37,7 @@ func (t *Table) SortPermutation(col int) []int {
 type Order struct {
 	Perm []int // the sort permutation (SortPermutation)
 	// Ends[i] is where run i ends in Perm. NULLs are the first run; -0 and 0
-	// share one. nil for a float64 column holding a NaN, which is unordered.
+	// share one.
 	Ends  []int
 	Nulls int // NULL rows: Perm[:Nulls]
 }
@@ -101,9 +97,6 @@ func (t *Table) sortPermutation(col int, runs bool) Order {
 		}
 	case TypeFloat64:
 		for _, f := range c.floats {
-			if f != f {
-				return Order{Perm: t.SortedIndices(col), Nulls: nulls}
-			}
 			keys = append(keys, floatSortKey(f))
 		}
 	case TypeBool:
@@ -143,7 +136,7 @@ func runEnds[T comparable](runs bool, keys []T, perm []int, nulls int, scratch [
 	return append([]int{}, ends...) // not nil, even with no run
 }
 
-// floatSortKey maps a non-NaN float64 to a uint64 whose unsigned order is
+// floatSortKey maps a float64 to a uint64 whose unsigned order is
 // compareFloat's order: negatives flip every bit, the rest set the sign
 // bit, and -0.0 takes 0.0's key because the two compare equal.
 func floatSortKey(f float64) uint64 {

@@ -103,29 +103,6 @@ func TestSortPermutationMatchesSortedIndices(t *testing.T) {
 	}
 }
 
-// compareFloat calls NaN equal to everything, so no order exists; the
-// kernel then repeats the reference's own comparison sequence and lands on
-// the same permutation (see SortPermutation), and the column has no runs.
-func TestSortPermutationNaN(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{3, 25, 400} {
-		for _, withNulls := range []bool{false, true} {
-			tbl := sortColumn(TypeFloat64, n, withNulls, func(i int) Value {
-				if rng.Intn(6) == 0 {
-					return Float64(math.NaN())
-				}
-				return Float64(float64(rng.Intn(30)))
-			})
-			if got, want := tbl.SortPermutation(0), tbl.SortedIndices(0); !slices.Equal(got, want) {
-				t.Fatalf("n=%d nulls=%v:\n got %v\nwant %v", n, withNulls, got, want)
-			}
-			if o := tbl.ColumnOrder(0); o.Ends != nil {
-				t.Fatalf("n=%d nulls=%v: a NaN column has runs ending at %v", n, withNulls, o.Ends)
-			}
-		}
-	}
-}
-
 var sortSink []int
 
 // BenchmarkSortPermutation times the typed kernel against the boxed

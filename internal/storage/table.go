@@ -175,8 +175,7 @@ func (t *Table) Row(i int) []Value {
 
 // SortedIndices returns row indices of the table ordered by the given
 // column (NULLs first). The table itself is not modified. It is the boxed
-// reference SortPermutation, the typed kernel, is tested against, and the
-// order it falls back to for a float64 column holding a NaN.
+// reference SortPermutation, the typed kernel, is tested against.
 func (t *Table) SortedIndices(col int) []int {
 	idx := make([]int, t.rows)
 	for i := range idx {
