@@ -3,6 +3,7 @@ package els
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -385,11 +386,7 @@ func TestRepeatedWorkloadHitsThePlanCache(t *testing.T) {
 	for i := range pool {
 		q := querygen.GenerateNamed(seed+int64(i), fmt.Sprintf("W%dT", i))
 		for _, spec := range q.Specs {
-			distinct := make(map[string]float64, len(spec.Columns))
-			for _, col := range spec.Columns {
-				distinct[col.Name] = float64(min(col.Domain, spec.Rows))
-			}
-			if err := sys.DeclareStats(spec.Name, float64(spec.Rows), distinct); err != nil {
+			if err := sys.DeclareStats(spec.Name, float64(spec.Rows), specDistinct(spec)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -405,29 +402,163 @@ func TestRepeatedWorkloadHitsThePlanCache(t *testing.T) {
 	}
 }
 
+// A dashboard-shaped schedule with catalog writes in it: a 64-statement
+// pool re-issued on a Zipf schedule, with 2 % of the operations
+// re-declaring a table no statement reads. Every distinct statement misses
+// exactly once and no write retires an entry (with the catalog version in
+// the key, every DECLARE retired them all). Then a DECLARE of one
+// statement's table retires exactly the entries over that table — that
+// statement's, under two algorithms — and every other statement still hits.
+func TestUnrelatedDeclaresKeepThePlanCache(t *testing.T) {
+	const (
+		seed     = 42
+		poolSize = 64
+		issues   = 2000
+		skew     = 1.5
+	)
+	sys := New()
+	sys.MustDeclareStats("U", 1000, map[string]float64{"a": 10})
+	pool := make([]string, poolSize)
+	specs := make([]datagen.TableSpec, poolSize) // one table each statement reads
+	for i := range pool {
+		q := querygen.GenerateNamed(seed+int64(i), fmt.Sprintf("W%dT", i))
+		for _, spec := range q.Specs {
+			sys.MustDeclareStats(spec.Name, float64(spec.Rows), specDistinct(spec))
+		}
+		pool[i], specs[i] = q.SQL(), q.Specs[0]
+	}
+	estimate := func(sql string, algo Algorithm) {
+		t.Helper()
+		if _, err := sys.Estimate(sql, algo); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[int]bool)
+	declares := 0
+	schedule := querygen.RepeatSchedule(seed, poolSize, issues, skew)
+	for _, idx := range schedule {
+		if rng.Intn(100) < 2 {
+			declares++
+			sys.MustDeclareStats("U", float64(1000+declares), map[string]float64{"a": 10})
+		}
+		seen[idx] = true
+		estimate(pool[idx], AlgorithmELS)
+	}
+	st := sys.Stats().Cache
+	if declares == 0 || st.Misses != uint64(len(seen)) || st.Invalidations != 0 || st.Evictions != 0 {
+		t.Fatalf("%d issues of %d distinct statements with %d unrelated DECLAREs: %+v; want one miss each and no invalidation",
+			issues, len(seen), declares, st)
+	}
+
+	j := schedule[0]
+	estimate(pool[j], AlgorithmSM)
+	before := sys.Stats().Cache
+	spec := specs[j]
+	sys.MustDeclareStats(spec.Name, float64(2*spec.Rows), specDistinct(spec))
+	for idx := range seen {
+		estimate(pool[idx], AlgorithmELS)
+	}
+	estimate(pool[j], AlgorithmSM)
+	st = sys.Stats().Cache
+	if misses, retired, hits := st.Misses-before.Misses, st.Invalidations-before.Invalidations, st.Hits-before.Hits; misses != 2 || retired != 2 || hits != uint64(len(seen)-1) {
+		t.Fatalf("after a DECLARE of %s: %d misses, %d retired, %d hits; want 2, 2 and %d", spec.Name, misses, retired, hits, len(seen)-1)
+	}
+}
+
+// Publishing compares no statistics, so a table whose statistics no catalog
+// file can hold (an infinite minimum or maximum) stops no later write to an
+// in-memory System: a DECLARE of another table, another such load, and a
+// re-declaration of the table all succeed.
+func TestWritesAfterAnInfiniteColumn(t *testing.T) {
+	sys := New()
+	for i, write := range []func() error{
+		func() error { return sys.LoadCSVReader("T", strings.NewReader("x\n-0\n0\n1e308\n-Inf\n"), true, 4) },
+		func() error { return sys.DeclareStats("U", 10, map[string]float64{"a": 3}) },
+		func() error { return sys.LoadCSVReader("V", strings.NewReader("y\n+Inf\n1\n"), true, 0) },
+		func() error { return sys.DeclareStats("T", 4, map[string]float64{"x": 4}) },
+	} {
+		if err := write(); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+}
+
+// specDistinct is a generated table's declared column cardinalities.
+func specDistinct(spec datagen.TableSpec) map[string]float64 {
+	distinct := make(map[string]float64, len(spec.Columns))
+	for _, col := range spec.Columns {
+		distinct[col.Name] = float64(min(col.Domain, spec.Rows))
+	}
+	return distinct
+}
+
+// Catalog writes TestDifferentialCacheOnOff lands between a statement's
+// first and second issues.
+const (
+	writeNone      = iota
+	writeReadStats // DeclareStats of a table the statement reads
+	writeUnread    // DeclareStats of a table no statement reads
+	writeReorder   // LoadTable of a read table, columns reversed: equal statistics, other ordinals
+	numWrites
+)
+
+// catalogWrite applies one of those writes to sys; tbl is the read table.
+func catalogWrite(sys *System, kind int, tbl *storage.Table, seed int64) error {
+	switch kind {
+	case writeReadStats:
+		return sys.DeclareStats(tbl.Name(), float64(2*tbl.NumRows()), map[string]float64{"k": 3, "v": 50})
+	case writeUnread:
+		return sys.DeclareStats("U", float64(1000+seed), map[string]float64{"a": 10})
+	case writeReorder:
+		defs := tbl.Schema().Columns()
+		cols := make([]string, len(defs))
+		for c, def := range defs {
+			cols[len(defs)-1-c] = def.Name
+		}
+		rows := make([][]int64, tbl.NumRows())
+		for r := range rows {
+			rows[r] = make([]int64, len(defs))
+			for c := range defs {
+				rows[r][len(defs)-1-c] = tbl.Value(r, c).Int()
+			}
+		}
+		return sys.LoadTable(tbl.Name(), cols, rows)
+	}
+	return nil
+}
+
 // The cache must be invisible to results. Every generated statement is
 // issued three times on a caching System — first sight (a miss), the
-// identical text (a text hit: no lex, parse, bind or Canonical), and a
-// re-cased, re-spaced variant (a hit by canonical key, not by text) — and
-// each result equals, field by field, what a System that never caches
-// returns for the same text: counts, work counters, estimates, and the
-// Columns and Rows spelled as that text wrote them.
+// identical text, and a re-cased, re-spaced variant (a hit by canonical
+// key, not by text) — and each result equals, field by field, what a
+// System that never caches returns for the same text: counts, work
+// counters, estimates, and the Columns and Rows spelled as that text wrote
+// them. Between the first and second issues a seed-chosen catalog write
+// lands on both Systems (none, or one of catalogWrite's). The identical
+// text is a text hit unless the write changed a table the statement reads;
+// then it retires the entry and misses.
 func TestDifferentialCacheOnOff(t *testing.T) {
 	n := differentialQueries(t)
-	type statement struct{ text, variant string }
+	type statement struct {
+		text, variant string
+		tables        []*storage.Table // in FROM order
+	}
 	var stmts []statement
 	var tables []*storage.Table
 	for seed := int64(0); seed < n; seed++ {
 		q := querygen.GenerateNamed(seed, fmt.Sprintf("D%dT", seed))
+		st := statement{}
 		for _, spec := range q.Specs {
 			tbl, err := datagen.Generate(spec, q.DataSeed+int64(len(spec.Name)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tables = append(tables, tbl)
+			st.tables = append(st.tables, tbl)
 		}
-		text, variant := differentialStatement(q, int(seed%3))
-		stmts = append(stmts, statement{text, variant})
+		tables = append(tables, st.tables...)
+		st.text, st.variant = differentialStatement(q, int(seed%3))
+		stmts = append(stmts, st)
 	}
 	system := func(limits Limits) *System {
 		sys := New()
@@ -438,7 +569,7 @@ func TestDifferentialCacheOnOff(t *testing.T) {
 					return err
 				}
 			}
-			return nil
+			return cat.AddTable(catalog.SimpleTable("U", 1000, map[string]float64{"a": 10}))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -463,25 +594,52 @@ func TestDifferentialCacheOnOff(t *testing.T) {
 			t.Fatalf("%q: %s differs from cache off:\non  %+v\noff %+v", sql, issue, on, off)
 		}
 	}
+	// A miss charges the entry it stores to the query's byte ledger (see
+	// planFor), so on a small query its peak is the entry, not the
+	// execution; hits charge nothing and must match exactly.
+	missPeak := func(sql string, got, want *Result) {
+		t.Helper()
+		if got.PeakMemoryBytes < want.PeakMemoryBytes {
+			t.Fatalf("%q: a miss peaked at %d bytes, below cache off's %d", sql, got.PeakMemoryBytes, want.PeakMemoryBytes)
+		}
+		got.PeakMemoryBytes = want.PeakMemoryBytes
+	}
 	on, off := system(Limits{}), system(Limits{DisableCache: true})
 	route := &textRoute{t: t, sys: on}
-	for _, s := range stmts {
-		want, wantVariant := query(off, s.text), query(off, s.variant)
+	for seed, s := range stmts {
+		want := query(off, s.text)
 		first := query(on, s.text)
 		route.expect(s.text+": first sight", 0, 0, 1)
+		missPeak(s.text, first, want)
+		same("first sight", s.text, first, want)
+
+		kind, tbl := seed%numWrites, s.tables[seed/numWrites%len(s.tables)]
+		before, retired := on.store.Current().Catalog(), on.Stats().Cache.Invalidations
+		for _, sys := range []*System{on, off} {
+			if err := catalogWrite(sys, kind, tbl, int64(seed)); err != nil {
+				t.Fatalf("%q: write %d: %v", s.text, kind, err)
+			}
+		}
+		if changed := catalog.DiffTables(before, on.store.Current().Catalog()); kind == writeReorder && len(changed) > 0 {
+			t.Fatalf("%q: reloading %s with its columns reversed changed the statistics of %v", s.text, tbl.Name(), changed)
+		}
+		want, wantVariant := query(off, s.text), query(off, s.variant)
 		again := query(on, s.text)
-		route.expect(s.text+": identical text", 1, 1, 0)
+		what := fmt.Sprintf("%s: identical text after write %d", s.text, kind)
+		wantRetired := uint64(0)
+		if kind == writeReadStats || kind == writeReorder {
+			wantRetired = 1
+			route.expect(what, 0, 0, 1)
+			missPeak(s.text, again, want)
+		} else {
+			route.expect(what, 1, 1, 0)
+		}
+		if got := on.Stats().Cache.Invalidations - retired; got != wantRetired {
+			t.Fatalf("%s retired %d entries, want %d", what, got, wantRetired)
+		}
 		variant := query(on, s.variant)
 		route.expect(s.variant+": formatting variant", 1, 0, 0)
-		// A miss charges the entry it stores to the query's byte ledger (see
-		// planFor), so on a small query its peak is the entry, not the
-		// execution; hits charge nothing and must match exactly.
-		if first.PeakMemoryBytes < want.PeakMemoryBytes {
-			t.Fatalf("%q: first sight peaked at %d bytes, below cache off's %d", s.text, first.PeakMemoryBytes, want.PeakMemoryBytes)
-		}
-		first.PeakMemoryBytes = want.PeakMemoryBytes
-		same("first sight", s.text, first, want)
-		same("text hit", s.text, again, want)
+		same("text after a write", s.text, again, want)
 		if len(want.Columns) > 0 && reflect.DeepEqual(wantVariant.Columns, want.Columns) {
 			t.Fatalf("%q: the variant spells its columns the same (%v); the test lost its point", s.variant, want.Columns)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/admission"
 	"repro/internal/durable"
 	"repro/internal/snapshot"
 )
@@ -34,15 +33,7 @@ func Open(dir string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		store:   snapshot.NewStoreAt(d.Catalog(), d.Version()),
-		adm:     admission.New(admission.Config{}),
-		breaker: admission.NewBreaker(admission.BreakerConfig{}),
-		dur:     d,
-	}
-	s.store.SetDurability(d)
-	s.initCache()
-	return s, nil
+	return newSystem(snapshot.NewStoreAt(d.Catalog(), d.Version()), d), nil
 }
 
 // Durable reports whether the system is backed by a durable catalog

@@ -160,7 +160,7 @@ type System struct {
 	adm     *admission.Controller // concurrency gate + drain
 	breaker *admission.Breaker    // consecutive-internal-error circuit breaker
 	dur     *durable.Store        // WAL + checkpoints; nil for in-memory systems (New)
-	cache   *plancache.Cache      // version-keyed plan/estimate cache
+	cache   *plancache.Cache      // plan/estimate cache, checked against table stamps
 
 	// Replication. On a primary, shipper streams acknowledged WAL records
 	// to attached replicas (created lazily by AttachReplica). On the inner
@@ -207,32 +207,20 @@ type System struct {
 func (s *System) SetSpillDir(dir string) {}
 
 // New creates an empty system.
-func New() *System {
-	s := &System{
-		store:   snapshot.NewStore(catalog.New()),
+func New() *System { return newSystem(snapshot.NewStore(catalog.New()), nil) }
+
+// newSystem assembles a System over store, durable through d unless nil.
+func newSystem(store *snapshot.Store, d *durable.Store) *System {
+	if d != nil {
+		store.SetDurability(d)
+	}
+	return &System{
+		store:   store,
 		adm:     admission.New(admission.Config{}),
 		breaker: admission.NewBreaker(admission.BreakerConfig{}),
+		dur:     d,
+		cache:   plancache.New(0),
 	}
-	s.initCache()
-	return s
-}
-
-// initCache installs the plan/estimate cache and hangs its eager
-// invalidation off every snapshot publication — local mutations, replica
-// replay, and post-recovery writes alike. Correctness does not depend on
-// this hook: the catalog version is part of every cache key, so an entry
-// can never be served against a catalog it was not planned on (see
-// internal/plancache); the hook just reclaims space for retired versions
-// immediately.
-func (s *System) initCache() {
-	s.cache = plancache.New(0)
-	// The publish hook runs while the snapshot store's writer lock is
-	// still held (see snapshot.SetOnPublish), so the invalidation's lock
-	// acquisition is ordered under it — invisibly to static call
-	// resolution, hence the declared edge.
-	//
-	//lockorder:edge repro/internal/snapshot.Store.mu repro/internal/plancache.Cache.mu
-	s.store.SetOnPublish(func(v uint64) { s.cache.Invalidate(v) })
 }
 
 // catalogNow returns the latest published catalog for metadata accessors.

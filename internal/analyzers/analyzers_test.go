@@ -78,7 +78,6 @@ var moduleLockEdges = []string{
 	"repro/internal/replica.Follower.mu -> repro/internal/durable.Store.mu",
 	"repro/internal/replica.Follower.mu -> repro/internal/faultinject.mu",
 	"repro/internal/replica.Follower.mu -> repro/internal/snapshot.Store.mu",
-	"repro/internal/snapshot.Store.mu -> repro/internal/plancache.Cache.mu",
 }
 
 // TestModuleIsLintClean runs the whole suite over the module, as

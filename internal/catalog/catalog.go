@@ -89,16 +89,18 @@ func (t *TableStats) Column(name string) *ColumnStats {
 // (case-insensitive). It may also hold the backing data tables when the
 // catalog was built by Analyze, so the executor can find them.
 type Catalog struct {
-	tables map[string]*TableStats
-	data   map[string]*storage.Table
-	order  []string // registration order, for deterministic iteration
+	tables  map[string]*TableStats
+	data    map[string]*storage.Table
+	order   []string        // registration order, for deterministic iteration
+	touched map[string]bool // tables AddTable or SetData wrote (see Touched)
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
 	return &Catalog{
-		tables: make(map[string]*TableStats),
-		data:   make(map[string]*storage.Table),
+		tables:  make(map[string]*TableStats),
+		data:    make(map[string]*storage.Table),
+		touched: make(map[string]bool),
 	}
 }
 
@@ -132,8 +134,19 @@ func (c *Catalog) AddTable(ts *TableStats) error {
 	if _, exists := c.tables[k]; !exists {
 		c.order = append(c.order, k)
 	}
-	c.tables[k] = ts
+	c.tables[k], c.touched[k] = ts, true
 	return nil
+}
+
+// Touched returns the lower-cased names of the tables AddTable or SetData
+// wrote since the catalog was made by New or Clone, equal writes included.
+// A change made to a table's statistics in place is not recorded.
+func (c *Catalog) Touched() []string {
+	out := make([]string, 0, len(c.touched))
+	for k := range c.touched {
+		out = append(out, k)
+	}
+	return out
 }
 
 // MustAddTable is AddTable but panics on error; for tests and static setups.
@@ -153,7 +166,7 @@ func (c *Catalog) Data(name string) *storage.Table { return c.data[key(name)] }
 // statistics. It is Analyze's helper and holds Analyze's precondition: no
 // float64 column of tbl holds a NaN.
 func (c *Catalog) SetData(name string, tbl *storage.Table) {
-	c.data[key(name)] = tbl
+	c.data[key(name)], c.touched[key(name)] = tbl, true
 }
 
 // TableNames returns the registered table names in registration order.
@@ -165,8 +178,8 @@ func (c *Catalog) TableNames() []string {
 	return out
 }
 
-// Clone returns a deep copy of the catalog's statistics. Backing data tables are shared (they are immutable once
-// loaded).
+// Clone returns a deep copy of the catalog's statistics, with nothing
+// Touched. Backing data tables are shared (they are immutable once loaded).
 func (c *Catalog) Clone() *Catalog {
 	out := New()
 	for _, k := range c.order {

@@ -328,8 +328,8 @@ func (h *storm) cacheWorker(id int) {
 	for i, pick := range schedule {
 		if i == len(schedule)/2 {
 			// Halfway, wait (a second at most) for the mutator to publish past
-			// the last version this worker pinned, so a version bump retires
-			// entries it cached however fast the cache serves the rest.
+			// the last version this worker pinned, so its write to V retires
+			// the V entries cached however fast the cache serves the rest.
 			for deadline := time.Now().Add(time.Second); h.sys.CatalogVersion() <= pinned && time.Now().Before(deadline); {
 				time.Sleep(100 * time.Microsecond)
 			}

@@ -58,9 +58,9 @@ type Robustness struct {
 
 // PlanCache is a point-in-time snapshot of the plan cache's counters.
 type PlanCache struct {
-	// Hits and Misses count lookups: a GetText hit or a Get hit is one hit,
-	// a Get miss is one miss, a GetText miss is neither (the Get that
-	// follows it decides).
+	// Hits and Misses count lookups: a GetText hit or a Lookup hit is one
+	// hit, a Lookup miss is one miss, a GetText miss is neither (the Lookup
+	// that follows it decides).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// TextHits counts the Hits that GetText served — the lookups that never
@@ -68,8 +68,8 @@ type PlanCache struct {
 	TextHits uint64 `json:"text_hits"`
 	// Evictions counts entries dropped by the LRU capacity bound.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries retired because a newer catalog version
-	// was published.
+	// Invalidations counts entries retired because a table they read was
+	// written since, at a lookup pinned after the write that found them.
 	Invalidations uint64 `json:"invalidations"`
 	// Entries and Capacity describe current occupancy.
 	Entries  int `json:"entries"`

@@ -431,6 +431,22 @@ func TestNewQueryAllocationCeiling(t *testing.T) {
 	}
 }
 
+// New sizes its table list once: 13 objects for an 8-table query when this
+// was written, 16 while it appended each table to a nil slice.
+func TestOptimizerNewAllocationCeiling(t *testing.T) {
+	for _, shape := range []string{"chain", "star", "class"} {
+		est := shapeEstimator(t, shape, 8)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := New(est, PaperOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 13 {
+			t.Errorf("%s n=8: %v allocations per optimizer.New, want at most 13", shape, allocs)
+		}
+	}
+}
+
 // The plan budget and cancellation are polled inside the search, not
 // around it.
 func TestBestPlanBudgetAndCancelInsideSearch(t *testing.T) {

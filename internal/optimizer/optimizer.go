@@ -88,6 +88,7 @@ func New(est *cardest.Estimator, opts Options) (*Optimizer, error) {
 	if len(refs) > maxTables {
 		return nil, fmt.Errorf("optimizer: %d tables exceed the DP limit of %d", len(refs), maxTables)
 	}
+	o.tables = make([]table, 0, len(refs))
 	for t, tr := range refs {
 		alias := tr.Name()
 		rows, base, locals := est.Table(t)

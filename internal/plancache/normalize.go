@@ -27,9 +27,9 @@ import (
 //
 // Canonical must be called on a bound query: binding qualifies every
 // column with its table, which is what makes the rendering unambiguous.
-// Binding consults the catalog, but the cache key pairs the canonical
-// text with the catalog version, so a text that binds differently under
-// two catalogs simply occupies two cache slots.
+// Binding consults the catalog's FROM tables only, and an entry is served
+// only while none of them is written, so a text that binds differently
+// after a write to one of them never finds the entry bound before it.
 func Canonical(q *sqlparse.Query) string {
 	var b strings.Builder
 	b.Grow(64 + 32*(len(q.Tables)+len(q.Where)))

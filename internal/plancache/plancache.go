@@ -1,16 +1,13 @@
 // Package plancache caches optimized plans and their estimates, keyed by
-// (canonical normalized query, algorithm, catalog version), with a second
-// way into the same entries by raw statement text (see TextKey).
+// (canonical normalized query, algorithm), with a second way into the same
+// entries by raw statement text (see TextKey).
 //
-// The key design makes invalidation exact for free: the serving layer pins
-// one immutable snapshot version per query (internal/snapshot), the version
-// is part of the cache key, and published catalogs are never mutated in
-// place — so an entry can never be served against a catalog it was not
-// computed on, no matter how writers, replication replay, or crash recovery
-// move the current version. The eviction that runs on every published bump
-// (see Invalidate) is therefore a space optimization, not a correctness
-// mechanism: entries for superseded versions can no longer be requested by
-// new queries and are dropped eagerly instead of waiting out the LRU.
+// An entry stays valid while the tables its statement reads are not
+// written, so validity is checked at use: an entry records the publication
+// and the tables it was planned on (snapshot.Reads), every lookup names the
+// caller's pinned snapshot, and an entry that does not hold there is
+// retired, aliases and all, as one invalidation (or, if planned after that
+// snapshot, just missed). Catalog writes never touch the cache.
 //
 // The canonical normalized query (see Canonical) collapses formatting-only
 // differences — whitespace, predicate order, alias and keyword case — so
@@ -21,9 +18,9 @@
 // more than the lookup it enables. So every entry also remembers up to
 // MaxAliases statement texts that led to it, and GetText finds it by text
 // before any of that work. Aliases are part of their entry: registered only
-// against a resident entry, dropped with it on eviction, invalidation and
-// SetCapacity, and counted in no statistic but TextHits — which entries
-// exist, and in what recency order, is the same with or without them.
+// against a resident entry, dropped with it on eviction, invalidation,
+// replacement and SetCapacity, and counted in no statistic but TextHits —
+// which entries exist, and in what recency order, is the same without them.
 package plancache
 
 import (
@@ -31,6 +28,7 @@ import (
 	"sync"
 
 	"repro/internal/counters"
+	"repro/internal/snapshot"
 )
 
 // DefaultCapacity bounds the cache when the caller does not configure one
@@ -38,9 +36,8 @@ import (
 // repeated workload while keeping the worst-case footprint small.
 const DefaultCapacity = 512
 
-// Key identifies one cached plan: the canonical normalized query text, the
-// estimation algorithm that planned it, and the catalog version it was
-// planned against.
+// Key identifies one cached plan: the canonical normalized query text and
+// the estimation algorithm that planned it.
 type Key struct {
 	// Query is the Canonical() rendering of the bound query, plus any
 	// caller suffix (e.g. a forced join order).
@@ -48,21 +45,19 @@ type Key struct {
 	// Algo discriminates estimation configurations: the same SQL planned
 	// under ELS and under SM yields different plans and estimates.
 	Algo int
-	// Version is the catalog snapshot version the entry was computed on.
+	// Version is a caller's own, for Invalidate; Reads need none.
 	Version uint64
 }
 
 // TextKey finds an entry by the statement text that produced it, before the
-// text has been lexed, parsed, bound or canonicalised. Parsing is a function
-// of the text and binding of the text and the catalog, so (text, version)
-// determines the bound query and with it the canonical Key: a text hit
-// returns exactly what the canonical route would have, minus the work.
+// text has been lexed, parsed, bound or canonicalised. Binding reads only the
+// tables the text names, so while the entry holds the text determines the
+// bound query and its Key: a text hit returns what the canonical route would.
 type TextKey struct {
 	// Text is the statement exactly as the caller wrote it.
 	Text string
-	// Algo and Version are the entry's Key.Algo and Key.Version.
-	Algo    int
-	Version uint64
+	// Algo is the entry's Key.Algo.
+	Algo int
 	// Budget is the caller's byte budget (0: none), which the plan depends
 	// on: one text planned under two budgets has two canonical entries, so
 	// it needs two aliases.
@@ -79,8 +74,9 @@ const MaxAliases = 4
 type Stats = counters.PlanCache
 
 type entry struct {
-	key Key
-	val any
+	key   Key
+	val   any
+	reads snapshot.Reads
 	// aliases are the entry's keys in byText, oldest first.
 	aliases []TextKey
 }
@@ -125,71 +121,88 @@ func New(capacity int) *Cache {
 }
 
 // Get returns the value cached under k, marking it most recently used.
-func (c *Cache) Get(k Key) (any, bool) {
+func (c *Cache) Get(k Key) (any, bool) { return c.Lookup(k, nil) }
+
+// Lookup is Get serving the entry only if its reads hold in snap (nil:
+// always); one that does not is retired as an invalidation, and misses.
+func (c *Cache) Lookup(k Key, snap *snapshot.Snapshot) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[k]
-	if !ok {
+	if !ok || !c.serve(el, snap) {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
 	return el.Value.(*entry).val, true
 }
 
-// Put stores v under k, evicting the least recently used entry if the
-// cache is full. Storing an existing key replaces its value.
-func (c *Cache) Put(k Key, v any) {
+// serve moves el to the front if its reads hold in snap. One that does not
+// is retired, unless it was planned on a newer snapshot than snap: readers
+// pinned there may still use it.
+func (c *Cache) serve(el *list.Element, snap *snapshot.Snapshot) bool {
+	if reads := el.Value.(*entry).reads; snap != nil && !snap.Holds(reads) {
+		if !reads.Newer(snap.Reads()) {
+			c.remove(el)
+			c.invalidations++
+		}
+		return false
+	}
+	c.lru.MoveToFront(el)
+	return true
+}
+
+// Put stores v under k, evicting the least recently used entry if the cache
+// is full. Storing an existing key replaces its value, aliases and all.
+func (c *Cache) Put(k Key, v any) { c.PutReads(k, v, snapshot.Reads{}) }
+
+// PutReads is Put of a value derived from what reads records. It keeps a
+// resident entry recorded in a newer publication instead.
+func (c *Cache) PutReads(k Key, v any, reads snapshot.Reads) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[k]; ok {
-		el.Value.(*entry).val = v
-		c.lru.MoveToFront(el)
-		return
+		if el.Value.(*entry).reads.Newer(reads) {
+			return
+		}
+		c.remove(el)
 	}
 	for c.lru.Len() >= c.cap {
 		c.remove(c.lru.Back())
 		c.evictions++
 	}
-	c.byKey[k] = c.lru.PushFront(&entry{key: k, val: v})
+	c.byKey[k] = c.lru.PushFront(&entry{key: k, val: v, reads: reads})
 }
 
-// GetText returns the value cached under the entry tk is an alias of, and
-// the bound query registered with that alias, marking the entry most
-// recently used. A miss counts nothing: the caller goes on to Get by
-// canonical key, which counts the lookup's one hit or miss.
-func (c *Cache) GetText(tk TextKey) (val, bound any, ok bool) {
+// GetText returns the value of the entry tk is an alias of, and the query
+// bound with that alias, marking the entry most recently used; snap is
+// Lookup's. A miss counts nothing but a stale entry's invalidation: the
+// caller goes on to Lookup, which counts the lookup's one hit or miss.
+func (c *Cache) GetText(tk TextKey, snap *snapshot.Snapshot) (val, bound any, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.byText[tk]
-	if !ok {
+	if !ok || !c.serve(a.el, snap) {
 		return nil, nil, false
 	}
 	c.hits++
 	c.textHits++
-	c.lru.MoveToFront(a.el)
 	return a.el.Value.(*entry).val, a.bound, true
 }
 
 // Alias registers tk, with the query bound from its text, as a way to the
-// entry under k. It does nothing when tk is already registered (a text
-// determines its entry, so there is nothing to change), when k is not
-// resident (evicted or invalidated since the caller's Get or Put), or when
-// tk names another algorithm or version than k — an alias must die with its
-// entry, and Invalidate retires entries by version. It neither counts a
-// lookup nor refreshes recency.
-func (c *Cache) Alias(tk TextKey, k Key, bound any) {
-	if tk.Algo != k.Algo || tk.Version != k.Version {
+// entry under k holding val. It does nothing when tk is already registered
+// (a text determines its entry), when k is not resident or holds another
+// value (the query was bound with val), or when tk names another algorithm
+// than k. It neither counts a lookup nor refreshes recency.
+func (c *Cache) Alias(tk TextKey, k Key, val, bound any) {
+	if tk.Algo != k.Algo {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[k]
-	if !ok {
-		return
-	}
-	if _, known := c.byText[tk]; known {
+	if _, known := c.byText[tk]; !ok || known || el.Value.(*entry).val != val {
 		return
 	}
 	en := el.Value.(*entry)
@@ -210,10 +223,7 @@ func (c *Cache) remove(el *list.Element) {
 	}
 }
 
-// Invalidate retires every entry whose version differs from current. The
-// snapshot store calls it on each publication (mutation, replication
-// replay, or recovery jump); entries at the surviving version — queries
-// already pinned there — stay servable.
+// Invalidate retires every entry whose Key.Version differs from current.
 func (c *Cache) Invalidate(current uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

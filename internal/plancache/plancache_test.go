@@ -1,6 +1,11 @@
 package plancache
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/snapshot"
+)
 
 func k(q string, v uint64) Key { return Key{Query: q, Algo: 0, Version: v} }
 
@@ -108,5 +113,90 @@ func TestHitRate(t *testing.T) {
 	}
 	if hr := (Stats{Hits: 3, Misses: 1}).HitRate(); hr != 0.75 {
 		t.Fatalf("hit rate = %g, want 0.75", hr)
+	}
+}
+
+// A lookup that finds an entry whose reads do not hold in its snapshot
+// retires it, aliases and all, as one invalidation. By text it counts
+// nothing else; by key it counts the miss.
+func TestStaleEntryRetiredAtLookup(t *testing.T) {
+	store := snapshot.NewStore(nil)
+	declare := func(card float64) {
+		if err := store.Mutate(func(cat *catalog.Catalog) error {
+			return cat.AddTable(catalog.SimpleTable("R", card, nil))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	declare(1)
+	planned := store.Current()
+	declare(2)
+	c := New(4)
+	tk := TextKey{Text: "select a"}
+	c.PutReads(k("a", 0), "A", planned.Reads("R"))
+	c.Alias(tk, k("a", 0), "A", "bound a")
+	if _, _, ok := c.GetText(tk, store.Current()); ok {
+		t.Fatal("a stale entry was served by text")
+	}
+	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 0 || st.Hits+st.Misses != 0 || len(c.byText) != 0 {
+		t.Fatalf("stale text lookup: %+v, %d aliases left", st, len(c.byText))
+	}
+	c.PutReads(k("a", 0), "A", planned.Reads("R"))
+	if _, ok := c.Lookup(k("a", 0), store.Current()); ok {
+		t.Fatal("a stale entry was served by key")
+	}
+	if st := c.Stats(); st.Invalidations != 2 || st.Entries != 0 || st.Misses != 1 {
+		t.Fatalf("stale key lookup: %+v", st)
+	}
+}
+
+// A reader pinned before a write neither retires nor replaces an entry
+// planned after it: it misses, and its own plan is not stored.
+func TestOlderPinKeepsANewerEntry(t *testing.T) {
+	store := snapshot.NewStore(nil)
+	old := store.Current()
+	if err := store.Mutate(func(cat *catalog.Catalog) error {
+		return cat.AddTable(catalog.SimpleTable("R", 1, nil))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := New(4)
+	tk := TextKey{Text: "select a"}
+	c.PutReads(k("a", 0), "new", store.Current().Reads("R"))
+	c.Alias(tk, k("a", 0), "new", "bound a")
+	if _, _, ok := c.GetText(tk, old); ok {
+		t.Fatal("an entry was served by text to a reader pinned before its table changed")
+	}
+	if _, ok := c.Lookup(k("a", 0), old); ok {
+		t.Fatal("an entry was served by key to a reader pinned before its table changed")
+	}
+	c.PutReads(k("a", 0), "old", old.Reads("R"))
+	if st := c.Stats(); st.Invalidations != 0 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("older pin: %+v", st)
+	}
+	if v, _, ok := c.GetText(tk, store.Current()); !ok || v != "new" {
+		t.Fatalf("GetText at the head = %v, %v; want the newer entry", v, ok)
+	}
+}
+
+// An alias binds a text to the value its caller looked up or put: a value
+// replaced since then takes no alias, and replacing a value drops the
+// aliases bound with the old one.
+func TestAliasFollowsTheValue(t *testing.T) {
+	c := New(4)
+	tk := TextKey{Text: "select a"}
+	c.Put(k("a", 0), "old")
+	c.Put(k("a", 0), "new")
+	c.Alias(tk, k("a", 0), "old", "bound with old")
+	if _, _, ok := c.GetText(tk, nil); ok {
+		t.Fatal("an alias registered against a replaced value")
+	}
+	c.Alias(tk, k("a", 0), "new", "bound with new")
+	if v, bound, ok := c.GetText(tk, nil); !ok || v != "new" || bound != "bound with new" {
+		t.Fatalf("GetText = %v, %v, %v", v, bound, ok)
+	}
+	c.Put(k("a", 0), "newer")
+	if _, _, ok := c.GetText(tk, nil); ok || len(c.byText) != 0 {
+		t.Fatal("an alias survived the replacement of its value")
 	}
 }

@@ -15,10 +15,12 @@
 //
 // Versions are monotonically increasing from 1 (the empty catalog a system
 // starts with) and are surfaced to users through Estimate.CatalogVersion
-// and Explain output.
+// and Explain output. Each table also carries a stamp (see Reads).
 package snapshot
 
 import (
+	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,12 +31,51 @@ import (
 // carries must not be mutated by readers; the store's Mutate is the only
 // writer and it always writes to a fresh clone.
 type Snapshot struct {
-	version uint64
-	cat     *catalog.Catalog
+	// serial numbers the store's publications 1, 2, 3, ... Unlike version
+	// it never repeats: a replica's Jump may land on a version it published.
+	version, serial uint64
+	cat             *catalog.Catalog
+	stamps          map[string]uint64 // lower-cased table name -> serial that last wrote it
 }
 
 // Version is the snapshot's monotonically increasing version number.
 func (s *Snapshot) Version() uint64 { return s.version }
+
+// Reads records what a reader derived something from: the publication it
+// was pinned at and the tables it read. It holds numbers and names, not
+// catalogs.
+type Reads struct {
+	serial uint64
+	tables []string // lower-cased
+}
+
+// Reads records the named tables as read in s.
+func (s *Snapshot) Reads(tables ...string) Reads {
+	r := Reads{serial: s.serial, tables: make([]string, len(tables))}
+	for i, t := range tables {
+		r.tables[i] = strings.ToLower(t)
+	}
+	return r
+}
+
+// Holds reports whether r, recorded in a snapshot of the same store, holds
+// in s: it was recorded in s, or in an earlier snapshot and no table it
+// names was written since (each table's stamp is the serial of the last
+// publication that wrote it). One recorded after s never holds there.
+func (s *Snapshot) Holds(r Reads) bool {
+	if r.serial >= s.serial {
+		return r.serial == s.serial
+	}
+	for _, t := range r.tables {
+		if s.stamps[t] > r.serial {
+			return false
+		}
+	}
+	return true
+}
+
+// Newer reports whether r was recorded in a later publication than than.
+func (r Reads) Newer(than Reads) bool { return r.serial > than.serial }
 
 // Catalog is the snapshot's immutable catalog.
 func (s *Snapshot) Catalog() *catalog.Catalog { return s.cat }
@@ -53,10 +94,9 @@ type Durability interface {
 // admission costs nothing even under heavy mutation traffic.
 type Store struct {
 	//lockorder:level 42
-	mu        sync.Mutex // serializes Mutate; guards dur, onPublish
-	dur       Durability
-	onPublish func(version uint64)
-	cur       atomic.Pointer[Snapshot]
+	mu  sync.Mutex // serializes Mutate; guards dur
+	dur Durability
+	cur atomic.Pointer[Snapshot]
 }
 
 // NewStore starts a store at version 1 holding cat.
@@ -75,8 +115,18 @@ func NewStoreAt(cat *catalog.Catalog, version uint64) *Store {
 		version = 1
 	}
 	st := &Store{}
-	st.cur.Store(&Snapshot{version: version, cat: cat})
+	st.cur.Store(&Snapshot{version: version, serial: 1, cat: cat, stamps: map[string]uint64{}})
 	return st
+}
+
+// publish makes cat current at version, stamping the written tables.
+func (st *Store) publish(cat *catalog.Catalog, version uint64, written []string) {
+	prev := st.cur.Load()
+	next := &Snapshot{version: version, serial: prev.serial + 1, cat: cat, stamps: maps.Clone(prev.stamps)}
+	for _, name := range written {
+		next.stamps[strings.ToLower(name)] = next.serial
+	}
+	st.cur.Store(next)
 }
 
 // SetDurability installs (or with nil removes) the durability hook.
@@ -84,19 +134,6 @@ func (st *Store) SetDurability(d Durability) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.dur = d
-}
-
-// SetOnPublish installs (or with nil removes) a callback invoked with the
-// new version number after every publication — Mutate's +1 chain and Jump's
-// replica resync alike — while the writer lock is still held, so callbacks
-// observe publications in version order. The plan cache hangs its
-// invalidation here: any published bump, from a local mutation, replication
-// replay, or a post-recovery mutation, retires every cached plan keyed to
-// an older version. The callback must not call back into the store.
-func (st *Store) SetOnPublish(fn func(version uint64)) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.onPublish = fn
 }
 
 // Current returns the latest published snapshot.
@@ -109,7 +146,8 @@ func (st *Store) Version() uint64 { return st.cur.Load().version }
 // and, if fn succeeds, publishes the clone as the next version. If fn
 // fails, nothing is published and the error is returned: readers never see
 // a partially applied mutation. Writers are serialized; readers are never
-// blocked.
+// blocked. The tables fn writes (Catalog.Touched) are stamped as written,
+// equal writes included; fn changes no statistics in place.
 //
 // With a Durability hook installed, the mutation is logged and fsynced
 // between fn succeeding and the version being published: a nil return
@@ -128,10 +166,7 @@ func (st *Store) Mutate(fn func(*catalog.Catalog) error) error {
 			return err
 		}
 	}
-	st.cur.Store(&Snapshot{version: cur.version + 1, cat: next})
-	if st.onPublish != nil {
-		st.onPublish(cur.version + 1)
-	}
+	st.publish(next, cur.version+1, next.Touched())
 	return nil
 }
 
@@ -142,14 +177,11 @@ func (st *Store) Mutate(fn func(*catalog.Catalog) error) error {
 // Durability hook is NOT consulted; the caller is responsible for having
 // persisted cat at version independently (internal/durable.ResetTo does).
 // cat must be treated as immutable from here on, like any published
-// catalog.
+// catalog. Every table of either catalog counts as written.
 func (st *Store) Jump(cat *catalog.Catalog, version uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.cur.Store(&Snapshot{version: version, cat: cat})
-	if st.onPublish != nil {
-		st.onPublish(version)
-	}
+	st.publish(cat, version, append(st.cur.Load().cat.TableNames(), cat.TableNames()...))
 }
 
 // Locked runs fn on the current snapshot while holding the writer lock, so

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/storage"
 )
 
 // Versions advance by one per successful mutation, and a pinned snapshot
@@ -90,5 +91,60 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	if v := st.Version(); v != 2+writers*25 {
 		t.Fatalf("version %d, want %d", v, 2+writers*25)
+	}
+}
+
+// What a reader derived from a table holds until a publication writes the
+// table: a write to another table leaves it holding, a re-declaration
+// retires it even with equal statistics, so does a load with equal
+// statistics, and a Jump that lands on the current version retires every
+// table. A mutation that writes no table through AddTable or SetData moves
+// no stamp, and a read recorded after a snapshot never holds in it.
+func TestReadsHoldUntilTheirTableChanges(t *testing.T) {
+	cat := catalog.New()
+	cat.MustAddTable(catalog.SimpleTable("A", 100, map[string]float64{"x": 10}))
+	cat.MustAddTable(catalog.SimpleTable("B", 100, map[string]float64{"x": 10}))
+	st := NewStoreAt(cat, 5)
+	readA, readB, readC := st.Current().Reads("A"), st.Current().Reads("b"), st.Current().Reads("C")
+	holds := func(what string, wantA, wantB bool) {
+		t.Helper()
+		snap := st.Current()
+		if a, b, c := snap.Holds(readA), snap.Holds(readB), snap.Holds(readC); a != wantA || b != wantB || !c {
+			t.Fatalf("after %s: reads of A, B and unknown C hold %v, %v, %v; want %v, %v, true", what, a, b, c, wantA, wantB)
+		}
+	}
+	mutate := func(fn func(*catalog.Catalog) error) {
+		t.Helper()
+		if err := st.Mutate(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	declareB := func(card float64) func(*catalog.Catalog) error {
+		return func(c *catalog.Catalog) error {
+			return c.AddTable(catalog.SimpleTable("B", card, map[string]float64{"x": 10}))
+		}
+	}
+	holds("nothing", true, true)
+	mutate(func(*catalog.Catalog) error { return nil })
+	holds("writing nothing", true, true)
+	mutate(declareB(100))
+	holds("re-declaring B with equal statistics", true, false)
+	readB = st.Current().Reads("B")
+	mutate(declareB(200))
+	holds("re-declaring B", true, false)
+	readB = st.Current().Reads("B")
+	mutate(func(c *catalog.Catalog) error {
+		c.SetData("A", storage.NewTable("A", storage.MustSchema(storage.ColumnDef{Name: "x", Type: storage.TypeInt64})))
+		return nil
+	})
+	holds("loading A with equal statistics", false, true)
+	readA = st.Current().Reads("A")
+	next := st.Current().Catalog().Clone()
+	next.MustAddTable(catalog.SimpleTable("B", 300, map[string]float64{"x": 10}))
+	diverged := st.Current()
+	st.Jump(next, diverged.Version())
+	holds("a Jump to the same version", false, false)
+	if diverged.Holds(st.Current().Reads("C")) {
+		t.Fatal("a read recorded after the Jump holds in the diverged snapshot of the same version, though C was never written")
 	}
 }

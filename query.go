@@ -64,7 +64,7 @@ type Estimate struct {
 	// CatalogVersion is the catalog snapshot version the query pinned at
 	// admission. All statistics the estimate read come from exactly this
 	// published version, even if the catalog was mutated while the query
-	// ran.
+	// ran (a plan-cache hit was planned earlier, on equal tables).
 	CatalogVersion uint64
 	// Replica reports that the estimate was served by a read replica
 	// (els.OpenReplica) rather than the primary.
@@ -171,17 +171,17 @@ func optimizerOptions(gov *governor.Governor) optimizer.Options {
 }
 
 // cachedPlan is one plan-cache entry: the optimized (immutable) plan tree
-// and a fully built estimate template. Hits copy the template by value, so
-// per-serve stamping (replica lag) never leaks between callers or back
-// into the cache.
+// and an estimate template, which hits copy, so per-serve stamping (pinned
+// version, replica lag) never leaks between callers or into the cache.
 type cachedPlan struct {
 	plan optimizer.Plan
 	est  Estimate
 }
 
-// estimate returns the hit's own copy of the template.
-func (cp *cachedPlan) estimate() *Estimate {
+// estimate returns the hit's own copy of the template at snap's version.
+func (cp *cachedPlan) estimate(snap *snapshot.Snapshot) *Estimate {
 	est := cp.est
+	est.CatalogVersion = snap.Version()
 	return &est
 }
 
@@ -190,40 +190,32 @@ func (cp *cachedPlan) estimate() *Estimate {
 // order forces the join order (EstimateOrder) and is folded into the cache
 // key, so forced-order estimates cache independently of best-plan ones.
 //
-// The cache key is (canonical normalized query [+ byte budget],
-// algorithm, pinned catalog version): semantically identical query texts
-// planned from the same join repertoire share an entry, and an
-// entry can only ever be served against the exact catalog version it was
-// planned on. A hit skips estimation and plan enumeration entirely — no
-// plans are charged against Limits.MaxPlans.
-//
-// The same entries are also found by the statement's text (plancache.TextKey:
-// raw text, algorithm, pinned version, byte budget), and that lookup
-// comes first: a text seen before at this version returns its bound query
-// and its entry without lexing, parsing, binding or canonicalising. This is
-// exact, not heuristic — parsing is a function of the text and binding of
-// the text and the pinned catalog, so the stored bound query is the one
-// ParseAndBind would build again. Any other text takes the canonical route
-// and is then registered as an alias of the entry it hit or put. Forced
-// orders bypass the text lookup (the order is not part of the text).
-// Failed preparations are never cached. Limits.DisableCache bypasses the
-// cache wholesale.
+// The cache key is (canonical normalized query [+ byte budget], algorithm),
+// and an entry is served only while no table its statement reads has been
+// written since it was planned (snapshot.Reads). A hit skips
+// estimation and plan enumeration (no plans charged to Limits.MaxPlans).
+// The text (plancache.TextKey) is looked up first: binding reads only the
+// tables it names, so a text seen before returns its bound query and entry
+// without lexing, parsing, binding or canonicalising; any other text takes
+// the canonical route and becomes an alias of the entry it hit or put.
+// Forced orders bypass the text lookup, failures are never cached, and
+// Limits.DisableCache bypasses the cache.
 func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql string, algo Algorithm, order []string) (*sqlparse.Query, optimizer.Plan, *Estimate, error) {
 	cfg, err := algo.config()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	cache := s.cache
-	if cache == nil || s.Limits().DisableCache {
+	if s.Limits().DisableCache {
 		cache = nil
 	}
 	budget := gov.MaxMemory()
 	byText := cache != nil && len(order) == 0
-	tk := plancache.TextKey{Text: sql, Algo: int(algo), Version: snap.Version(), Budget: budget}
+	tk := plancache.TextKey{Text: sql, Algo: int(algo), Budget: budget}
 	if byText {
-		if v, bound, ok := cache.GetText(tk); ok {
+		if v, bound, ok := cache.GetText(tk, snap); ok {
 			cp := v.(*cachedPlan)
-			return bound.(*sqlparse.Query), cp.plan, cp.estimate(), nil
+			return bound.(*sqlparse.Query), cp.plan, cp.estimate(snap), nil
 		}
 	}
 	cat := snap.Catalog()
@@ -233,18 +225,18 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	}
 	var key plancache.Key
 	if cache != nil {
-		key = plancache.Key{Query: cacheQueryText(q, order, budget), Algo: tk.Algo, Version: tk.Version}
-		if v, ok := cache.Get(key); ok {
+		key = plancache.Key{Query: cacheQueryText(q, order, budget), Algo: tk.Algo}
+		if v, ok := cache.Lookup(key, snap); ok {
 			if byText {
-				cache.Alias(tk, key, q)
+				cache.Alias(tk, key, v, q)
 			}
 			cp := v.(*cachedPlan)
-			return q, cp.plan, cp.estimate(), nil
+			return q, cp.plan, cp.estimate(snap), nil
 		}
 	}
-	tabs := make([]cardest.TableRef, len(q.Tables))
+	tabs, names := make([]cardest.TableRef, len(q.Tables)), make([]string, len(q.Tables))
 	for i, item := range q.Tables {
-		tabs[i] = cardest.TableRef{Alias: item.Alias, Table: item.Table}
+		tabs[i], names[i] = cardest.TableRef{Alias: item.Alias, Table: item.Table}, item.Table
 	}
 	cest, err := cardest.NewQuery(cat, tabs, q.Where, q.Disjunctions, cfg)
 	if err != nil {
@@ -268,9 +260,9 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	est.GroupEstimate = estimateGroups(q, plan, opt)
 	if cache != nil {
 		cp := &cachedPlan{plan: plan, est: *est}
-		cache.Put(key, cp)
+		cache.PutReads(key, cp, snap.Reads(names...))
 		if byText {
-			cache.Alias(tk, key, q)
+			cache.Alias(tk, key, cp, q)
 		}
 		// Record the new cache entry against this query's byte ledger so
 		// plan-cache pressure is visible in PeakMemoryBytes, then release

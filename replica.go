@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/catalog"
 	"repro/internal/durable"
 	"repro/internal/replica"
@@ -60,18 +59,9 @@ func OpenReplica(dir string) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := snapshot.NewStoreAt(d.Catalog(), d.Version())
-	store.SetDurability(d)
-	fol := replica.NewFollower(id, d, store)
-	sys := &System{
-		store:   store,
-		adm:     admission.New(admission.Config{}),
-		breaker: admission.NewBreaker(admission.BreakerConfig{}),
-		dur:     d,
-		fol:     fol,
-	}
-	sys.initCache()
-	return &Replica{sys: sys, fol: fol, id: id}, nil
+	sys := newSystem(snapshot.NewStoreAt(d.Catalog(), d.Version()), d)
+	sys.fol = replica.NewFollower(id, d, sys.store)
+	return &Replica{sys: sys, fol: sys.fol, id: id}, nil
 }
 
 // ID returns the replica's identifier: its data directory base name.

@@ -133,9 +133,7 @@ func (s *System) SetLimits(l Limits) {
 	if s.dur != nil {
 		s.dur.SetOptions(durable.Options{CheckpointEvery: l.CheckpointEvery})
 	}
-	if s.cache != nil {
-		s.cache.SetCapacity(l.PlanCacheSize)
-	}
+	s.cache.SetCapacity(l.PlanCacheSize)
 }
 
 // Limits returns the system's current default resource limits.

@@ -39,18 +39,25 @@ const chainSQL = "SELECT COUNT(*) FROM A, B, C WHERE A.k = B.k AND B.k = C.k"
 const crossSQL = "SELECT COUNT(*) FROM A, B"
 
 // Cancelling from another goroutine while the query is inside a join must
-// end it with a clean typed ErrCanceled.
+// end it with a clean typed ErrCanceled. The join's probe is delayed far
+// past the test's own length, and the cancel waits until the probe has
+// fired, so it lands mid-join on every run.
 func TestCancelMidJoin(t *testing.T) {
 	sys := New()
-	// Single-valued join columns: the query is a 120³ cross product, so
-	// there is ample runway for the cancel to land mid-join.
 	for _, name := range []string{"X", "Y", "Z"} {
 		if err := sys.GenerateTable(name, "k", "uniform", 120, 1, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	faultinject.Enable(executor.PointJoin, faultinject.Fault{Delay: time.Hour})
+	defer faultinject.Reset()
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	go func() {
+		for faultinject.Hits(executor.PointJoin) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
 	_, err := sys.QueryContext(ctx, "SELECT COUNT(*) FROM X, Y, Z WHERE X.k = Y.k AND Y.k = Z.k", AlgorithmELS)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
