@@ -1,7 +1,7 @@
 // Command elsserve hosts multi-tenant networked estimation: one process,
 // one TCP listener, N isolated tenants — each with its own catalog,
 // durable directory, admission budget, retry/breaker policy, and plan
-// cache. Clients speak the length-prefixed JSON frame protocol of
+// cache. Clients speak the length-prefixed binary frame protocol of
 // internal/wire; the bundled database/sql driver (module path
 // repro/driver) is the idiomatic way in.
 //

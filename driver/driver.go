@@ -194,9 +194,8 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []driver.Name
 // query routes one read statement by its driver-level prefix.
 func (c *conn) query(ctx context.Context, q string) (driver.Rows, error) {
 	trimmed := strings.TrimSpace(q)
-	upper := strings.ToUpper(trimmed)
 	switch {
-	case strings.HasPrefix(upper, "ESTIMATE"):
+	case hasPrefixFold(trimmed, "ESTIMATE"):
 		resp, err := c.do(ctx, &wire.Request{
 			Op: wire.OpEstimate, Tenant: c.cfg.tenant,
 			SQL: strings.TrimSpace(trimmed[len("ESTIMATE"):]), Algo: c.cfg.algo,
@@ -207,9 +206,9 @@ func (c *conn) query(ctx context.Context, q string) (driver.Rows, error) {
 		e := resp.Estimate
 		return &rows{
 			cols: []string{"algorithm", "final_size", "catalog_version", "join_order"},
-			data: [][]driver.Value{{e.Algorithm, e.FinalSize, int64(e.CatalogVersion), strings.Join(e.JoinOrder, ",")}},
+			vals: []driver.Value{e.Algorithm, e.FinalSize, int64(e.CatalogVersion), strings.Join(e.JoinOrder, ",")},
 		}, nil
-	case strings.HasPrefix(upper, "EXPLAIN"):
+	case hasPrefixFold(trimmed, "EXPLAIN"):
 		resp, err := c.do(ctx, &wire.Request{
 			Op: wire.OpExplain, Tenant: c.cfg.tenant,
 			SQL: strings.TrimSpace(trimmed[len("EXPLAIN"):]), Algo: c.cfg.algo,
@@ -217,7 +216,7 @@ func (c *conn) query(ctx context.Context, q string) (driver.Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &rows{cols: []string{"plan"}, data: [][]driver.Value{{resp.Explain}}}, nil
+		return &rows{cols: []string{"plan"}, vals: []driver.Value{resp.Explain}}, nil
 	default:
 		resp, err := c.do(ctx, &wire.Request{
 			Op: wire.OpQuery, Tenant: c.cfg.tenant, SQL: trimmed, Algo: c.cfg.algo,
@@ -228,18 +227,22 @@ func (c *conn) query(ctx context.Context, q string) (driver.Rows, error) {
 		res := resp.Result
 		if len(res.Columns) == 0 {
 			// A bare COUNT(*) query: surface the count as one row.
-			return &rows{cols: []string{"count"}, data: [][]driver.Value{{res.Count}}}, nil
+			return &rows{cols: []string{"count"}, vals: []driver.Value{res.Count}}, nil
 		}
-		out := &rows{cols: res.Columns}
-		for _, r := range res.Rows {
-			vals := make([]driver.Value, len(r))
-			for i, s := range r {
-				vals[i] = s
+		w := len(res.Columns)
+		out := &rows{cols: res.Columns, vals: make([]driver.Value, len(res.Rows)*w)}
+		for i, r := range res.Rows {
+			for j, s := range r[:min(len(r), w)] {
+				out.vals[i*w+j] = s
 			}
-			out.data = append(out.data, vals)
 		}
 		return out, nil
 	}
+}
+
+// hasPrefixFold reports whether s begins with prefix, ignoring case.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
 }
 
 // exec handles DECLARE STATS — the one mutating statement.
@@ -373,10 +376,11 @@ func (r declareResult) LastInsertId() (int64, error) { return r.version, nil }
 func (r declareResult) RowsAffected() (int64, error) { return 0, nil }
 
 // rows is a fully materialized driver.Rows (the server caps row payloads
-// via els.Limits.MaxRows, so materializing is bounded).
+// via els.Limits.MaxRows, so materializing is bounded): row i is
+// vals[i*len(cols) : (i+1)*len(cols)].
 type rows struct {
 	cols []string
-	data [][]driver.Value
+	vals []driver.Value
 	next int
 }
 
@@ -384,10 +388,11 @@ func (r *rows) Columns() []string { return r.cols }
 func (r *rows) Close() error      { return nil }
 
 func (r *rows) Next(dest []driver.Value) error {
-	if r.next >= len(r.data) {
+	w := len(r.cols)
+	if (r.next+1)*w > len(r.vals) {
 		return io.EOF
 	}
-	copy(dest, r.data[r.next])
+	copy(dest, r.vals[r.next*w:(r.next+1)*w])
 	r.next++
 	return nil
 }

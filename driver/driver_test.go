@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,6 +86,37 @@ func TestDriverQueryRoundTrip(t *testing.T) {
 	}
 	if plan == "" {
 		t.Error("empty plan text")
+	}
+
+	// The driver's prefixes route whatever their case.
+	var lower string
+	if err := db.QueryRow("  explain SELECT COUNT(*) FROM R").Scan(&lower); err != nil || lower != plan {
+		t.Errorf("lower-case explain = %q, %v; want the EXPLAIN plan", lower, err)
+	}
+	var mixedSize float64
+	if err := db.QueryRow("Estimate SELECT COUNT(*) FROM R").Scan(&algo, &mixedSize, &version, &joinOrder); err != nil || mixedSize != size {
+		t.Errorf("mixed-case estimate = %g, %v; want %g", mixedSize, err, size)
+	}
+
+	// A projection surfaces every row, each with its own values.
+	rs, err := db.Query("SELECT R.a, R.b FROM R WHERE R.a = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	var got []string
+	for rs.Next() {
+		var a, b string
+		if err := rs.Scan(&a, &b); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, a+","+b)
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"1,1", "1,0", "1,2", "1,1"}; !slices.Equal(got, want) {
+		t.Errorf("projected rows %v, want %v", got, want)
 	}
 }
 

@@ -2,10 +2,14 @@ package els
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,4 +239,55 @@ func dirTree(t *testing.T, dir string) []string {
 		return nil
 	})
 	return paths
+}
+
+// TestEqualRedeclarationLogsOneTable pins the WAL delta to the tables a
+// mutation wrote: in a 13-table durable catalog, re-declaring a table with
+// equal statistics appends one record that holds that table alone, and a
+// new table's record holds the new table alone.
+func TestEqualRedeclarationLogsOneTable(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close(context.Background())
+	for i := range 12 {
+		sys.MustDeclareStats(fmt.Sprintf("T%d", i), float64(100*(i+1)), map[string]float64{"a": 10, "b": 20})
+	}
+	wal := filepath.Join(dir, "wal.log")
+	lastRecord := func(write func()) []string {
+		t.Helper()
+		before, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write()
+		after, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One record: u32 length | u32 crc | u64 version | stats JSON delta.
+		rec := after[len(before):]
+		if len(rec) < 16 || int(binary.BigEndian.Uint32(rec)) != len(rec)-8 {
+			t.Fatalf("the write appended %d bytes, not one record", len(rec))
+		}
+		var delta struct {
+			Tables []struct{ Name string }
+		}
+		if err := json.Unmarshal(rec[16:], &delta); err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(delta.Tables))
+		for i, tb := range delta.Tables {
+			names[i] = tb.Name
+		}
+		return names
+	}
+	if got := lastRecord(func() { sys.MustDeclareStats("New", 50, map[string]float64{"a": 5}) }); !slices.Equal(got, []string{"New"}) {
+		t.Errorf("a new table logged %v, want [New]", got)
+	}
+	if got := lastRecord(func() { sys.MustDeclareStats("T3", 400, map[string]float64{"a": 10, "b": 20}) }); !slices.Equal(got, []string{"T3"}) {
+		t.Errorf("an equal re-declaration logged %v, want [T3]", got)
+	}
 }

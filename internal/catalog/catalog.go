@@ -138,13 +138,16 @@ func (c *Catalog) AddTable(ts *TableStats) error {
 	return nil
 }
 
-// Touched returns the lower-cased names of the tables AddTable or SetData
-// wrote since the catalog was made by New or Clone, equal writes included.
-// A change made to a table's statistics in place is not recorded.
+// Touched returns the names of the registered tables AddTable or SetData
+// wrote since the catalog was made by New or Clone, equal writes included,
+// in registration order. A change made to a table's statistics in place
+// is not recorded.
 func (c *Catalog) Touched() []string {
 	out := make([]string, 0, len(c.touched))
-	for k := range c.touched {
-		out = append(out, k)
+	for _, k := range c.order {
+		if c.touched[k] {
+			out = append(out, c.tables[k].Name)
+		}
 	}
 	return out
 }

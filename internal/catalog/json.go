@@ -1,13 +1,14 @@
 package catalog
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/governor"
 	"repro/internal/storage"
@@ -31,7 +32,7 @@ type jsonCatalog struct {
 
 type jsonTable struct {
 	Name     string       `json:"name"`
-	Card     float64      `json:"card"`
+	Card     jsonFloat    `json:"card"`
 	RowWidth int          `json:"row_width"`
 	Columns  []jsonColumn `json:"columns"`
 	// Checksum is the IEEE CRC-32 (hex) of the table's canonical compact
@@ -43,25 +44,62 @@ type jsonTable struct {
 type jsonColumn struct {
 	Name      string         `json:"name"`
 	Type      string         `json:"type"`
-	Distinct  float64        `json:"distinct"`
-	NullCount float64        `json:"null_count,omitempty"`
+	Distinct  jsonFloat      `json:"distinct"`
+	NullCount jsonFloat      `json:"null_count,omitempty"`
 	HasRange  bool           `json:"has_range,omitempty"`
-	Min       float64        `json:"min,omitempty"`
-	Max       float64        `json:"max,omitempty"`
+	Min       jsonFloat      `json:"min,omitempty"`
+	Max       jsonFloat      `json:"max,omitempty"`
 	Histogram *jsonHistogram `json:"histogram,omitempty"`
 }
 
 type jsonHistogram struct {
 	Kind    string       `json:"kind"`
-	Total   float64      `json:"total"`
+	Total   jsonFloat    `json:"total"`
 	Buckets []jsonBucket `json:"buckets"`
 }
 
 type jsonBucket struct {
-	Lo       float64 `json:"lo"`
-	Hi       float64 `json:"hi"`
-	Count    float64 `json:"count"`
-	Distinct float64 `json:"distinct"`
+	Lo       jsonFloat `json:"lo"`
+	Hi       jsonFloat `json:"hi"`
+	Count    jsonFloat `json:"count"`
+	Distinct jsonFloat `json:"distinct"`
+}
+
+// jsonFloat is a statistic as the stats file writes it: a finite value as
+// encoding/json writes a float64, and an infinite one (an Analyzed column
+// holding -Inf or +Inf has infinite bounds) as the string "-Inf" or "+Inf",
+// which JSON numbers cannot hold. A NaN fails to encode; no registered
+// statistic holds one.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	switch v := float64(f); {
+	case math.IsInf(v, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(v, -1):
+		return []byte(`"-Inf"`), nil
+	default:
+		return json.Marshal(v)
+	}
+}
+
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case "null":
+		return nil
+	case `"+Inf"`:
+		*f = jsonFloat(math.Inf(1))
+		return nil
+	case `"-Inf"`:
+		*f = jsonFloat(math.Inf(-1))
+		return nil
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("statistic %s is not a number, \"+Inf\" or \"-Inf\"", b)
+	}
+	*f = jsonFloat(v)
+	return nil
 }
 
 var typeNames = map[storage.Type]string{
@@ -81,20 +119,19 @@ var typeByName = map[string]storage.Type{
 // The encoding is canonical (fixed field order, shortest float form), so
 // the value is stable across export/import round trips and independent of
 // the file's indentation.
-func tableChecksum(jt jsonTable) string {
+func tableChecksum(jt jsonTable) (string, error) {
 	jt.Checksum = ""
 	b, err := json.Marshal(jt)
 	if err != nil {
-		// Marshaling a plain struct of floats/strings cannot fail.
-		panic(fmt.Sprintf("catalog: marshal table section: %v", err))
+		return "", fmt.Errorf("%w: table %q: %w", governor.ErrBadStats, jt.Name, err)
 	}
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(b))
+	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(b)), nil
 }
 
 // encodeTable builds the canonical jsonTable section for one table's
 // statistics, checksum filled in.
-func encodeTable(ts *TableStats) jsonTable {
-	jt := jsonTable{Name: ts.Name, Card: ts.Card, RowWidth: ts.RowWidth}
+func encodeTable(ts *TableStats) (jsonTable, error) {
+	jt := jsonTable{Name: ts.Name, Card: jsonFloat(ts.Card), RowWidth: ts.RowWidth}
 	// Deterministic column order.
 	var keys []string
 	for k := range ts.Columns {
@@ -104,35 +141,41 @@ func encodeTable(ts *TableStats) jsonTable {
 	for _, k := range keys {
 		cs := ts.Columns[k]
 		jc := jsonColumn{
-			Name: cs.Name, Type: typeNames[cs.Type], Distinct: cs.Distinct,
-			NullCount: cs.NullCount, HasRange: cs.HasRange, Min: cs.Min, Max: cs.Max,
+			Name: cs.Name, Type: typeNames[cs.Type], Distinct: jsonFloat(cs.Distinct),
+			NullCount: jsonFloat(cs.NullCount), HasRange: cs.HasRange,
+			Min: jsonFloat(cs.Min), Max: jsonFloat(cs.Max),
 		}
 		if cs.Hist != nil {
-			jh := &jsonHistogram{Kind: cs.Hist.Kind.String(), Total: cs.Hist.Total}
+			jh := &jsonHistogram{Kind: cs.Hist.Kind.String(), Total: jsonFloat(cs.Hist.Total)}
 			for _, b := range cs.Hist.Buckets {
-				jh.Buckets = append(jh.Buckets, jsonBucket(b))
+				jh.Buckets = append(jh.Buckets, jsonBucket{
+					Lo: jsonFloat(b.Lo), Hi: jsonFloat(b.Hi),
+					Count: jsonFloat(b.Count), Distinct: jsonFloat(b.Distinct),
+				})
 			}
 			jc.Histogram = jh
 		}
 		jt.Columns = append(jt.Columns, jc)
 	}
-	jt.Checksum = tableChecksum(jt)
-	return jt
+	var err error
+	jt.Checksum, err = tableChecksum(jt)
+	return jt, err
 }
 
-// exportJSON writes the v2 stats document for the named tables (all tables
-// when names is nil), stamping catalogVersion when non-zero.
+// exportJSON writes the v2 stats document for the named tables, stamping
+// catalogVersion when non-zero.
 func (c *Catalog) exportJSON(w io.Writer, names []string, catalogVersion uint64) error {
 	out := jsonCatalog{FormatVersion: StatsFormatVersion, CatalogVersion: catalogVersion}
-	if names == nil {
-		names = c.TableNames()
-	}
 	for _, name := range names {
 		ts := c.Table(name)
 		if ts == nil {
 			return fmt.Errorf("%w: exporting unknown table %q", governor.ErrBadStats, name)
 		}
-		out.Tables = append(out.Tables, encodeTable(ts))
+		jt, err := encodeTable(ts)
+		if err != nil {
+			return err
+		}
+		out.Tables = append(out.Tables, jt)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -143,11 +186,11 @@ func (c *Catalog) exportJSON(w io.Writer, names []string, catalogVersion uint64)
 // artifact for sharing optimizer statistics between runs or tools. The
 // file carries a format_version header and a per-table checksum so
 // ImportJSON can reject truncated or corrupted files.
-func (c *Catalog) ExportJSON(w io.Writer) error { return c.exportJSON(w, nil, 0) }
+func (c *Catalog) ExportJSON(w io.Writer) error { return c.exportJSON(w, c.TableNames(), 0) }
 
 // ExportSubsetJSON is ExportJSON restricted to the named tables, in the
-// given order. The durable write-ahead log uses it to record just the
-// tables a mutation changed.
+// given order (none for an empty list). The durable write-ahead log uses
+// it to record just the tables a mutation wrote.
 func (c *Catalog) ExportSubsetJSON(w io.Writer, names []string) error {
 	return c.exportJSON(w, names, 0)
 }
@@ -156,35 +199,7 @@ func (c *Catalog) ExportSubsetJSON(w io.Writer, names []string) error {
 // stamped into the header — the checkpoint form written by
 // internal/durable.
 func (c *Catalog) ExportVersionedJSON(w io.Writer, version uint64) error {
-	return c.exportJSON(w, nil, version)
-}
-
-// sectionBytes is the canonical compact encoding of a table's section,
-// the byte string DiffTables compares (checksums alone would make a CRC
-// collision silently drop a changed table from the WAL delta).
-func sectionBytes(ts *TableStats) []byte {
-	b, err := json.Marshal(encodeTable(ts))
-	if err != nil {
-		// Marshaling a plain struct of floats/strings cannot fail.
-		panic(fmt.Sprintf("catalog: marshal table section: %v", err))
-	}
-	return b
-}
-
-// DiffTables returns the names of tables (in next's registration order)
-// whose statistics differ from prev's — added tables and tables whose
-// canonical section encoding changed. The durable layer logs exactly this
-// delta per catalog mutation. Tables are never deleted, so a prev-only
-// table cannot occur.
-func DiffTables(prev, next *Catalog) []string {
-	var changed []string
-	for _, name := range next.TableNames() {
-		pts, nts := prev.Table(name), next.Table(name)
-		if pts == nil || !bytes.Equal(sectionBytes(pts), sectionBytes(nts)) {
-			changed = append(changed, name)
-		}
-	}
-	return changed
+	return c.exportJSON(w, c.TableNames(), version)
 }
 
 // decodeError maps a JSON decoding failure onto ErrBadStats with a
@@ -251,7 +266,11 @@ func (c *Catalog) ImportVersionedJSON(r io.Reader) (uint64, error) {
 				return 0, fmt.Errorf("%w: stats file: table %q (section %d): missing checksum",
 					governor.ErrBadStats, jt.Name, i)
 			}
-			if got := tableChecksum(jt); got != jt.Checksum {
+			got, err := tableChecksum(jt)
+			if err != nil {
+				return 0, err
+			}
+			if got != jt.Checksum {
 				return 0, fmt.Errorf("%w: stats file: table %q (section %d): checksum mismatch (file says %s, content hashes to %s) — the section was corrupted or edited",
 					governor.ErrBadStats, jt.Name, i, jt.Checksum, got)
 			}
@@ -259,7 +278,7 @@ func (c *Catalog) ImportVersionedJSON(r io.Reader) (uint64, error) {
 	}
 	for _, jt := range in.Tables {
 		ts := &TableStats{
-			Name: jt.Name, Card: jt.Card, RowWidth: jt.RowWidth,
+			Name: jt.Name, Card: float64(jt.Card), RowWidth: jt.RowWidth,
 			Columns: make(map[string]*ColumnStats, len(jt.Columns)),
 		}
 		for _, jc := range jt.Columns {
@@ -269,17 +288,21 @@ func (c *Catalog) ImportVersionedJSON(r io.Reader) (uint64, error) {
 					governor.ErrBadStats, jt.Name, jc.Name, jc.Type)
 			}
 			cs := &ColumnStats{
-				Name: jc.Name, Type: typ, Distinct: jc.Distinct,
-				NullCount: jc.NullCount, HasRange: jc.HasRange, Min: jc.Min, Max: jc.Max,
+				Name: jc.Name, Type: typ, Distinct: float64(jc.Distinct),
+				NullCount: float64(jc.NullCount), HasRange: jc.HasRange,
+				Min: float64(jc.Min), Max: float64(jc.Max),
 			}
 			if jc.Histogram != nil {
 				kind := EquiWidth
 				if jc.Histogram.Kind == EquiDepth.String() {
 					kind = EquiDepth
 				}
-				h := &Histogram{Kind: kind, Total: jc.Histogram.Total}
+				h := &Histogram{Kind: kind, Total: float64(jc.Histogram.Total)}
 				for _, b := range jc.Histogram.Buckets {
-					h.Buckets = append(h.Buckets, Bucket(b))
+					h.Buckets = append(h.Buckets, Bucket{
+						Lo: float64(b.Lo), Hi: float64(b.Hi),
+						Count: float64(b.Count), Distinct: float64(b.Distinct),
+					})
 				}
 				cs.Hist = h
 			}

@@ -2,11 +2,15 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/governor"
+	"repro/internal/storage"
 )
 
 // fuzzSeedExport builds a representative catalog and returns its v2 export
@@ -49,6 +53,7 @@ func FuzzImportJSON(f *testing.F) {
 	f.Add([]byte(`{"tables":[{"name":"t","card":-5}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
+	f.Add(infiniteExport(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New()
 		err := c.ImportJSON(bytes.NewReader(data))
@@ -56,6 +61,76 @@ func FuzzImportJSON(f *testing.F) {
 			t.Fatalf("import error outside ErrBadStats: %v", err)
 		}
 	})
+}
+
+// infiniteExport is the export of a float64 column Analyze bounds by -Inf
+// and +Inf.
+func infiniteExport(t testing.TB) []byte {
+	t.Helper()
+	c := New()
+	c.MustAddTable(&TableStats{Name: "t", Card: 4, Columns: map[string]*ColumnStats{"x": {
+		Name: "x", Type: storage.TypeFloat64, Distinct: 3, HasRange: true,
+		Min: math.Inf(-1), Max: math.Inf(1),
+		Hist: &Histogram{Kind: EquiDepth, Total: 4, Buckets: []Bucket{
+			{Lo: math.Inf(-1), Hi: math.Inf(-1), Count: 1, Distinct: 1},
+			{Lo: 0, Hi: math.Inf(1), Count: 3, Distinct: 2},
+		}},
+	}}})
+	var buf bytes.Buffer
+	if err := c.ExportJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// An infinite statistic travels as the string "-Inf" or "+Inf" and imports
+// back, checksum verified; a finite one keeps encoding/json's bytes, so
+// every file and checksum written before infinities were accepted stays
+// valid.
+func TestInfiniteStatisticsRoundTrip(t *testing.T) {
+	raw := infiniteExport(t)
+	if !bytes.Contains(raw, []byte(`"min": "-Inf"`)) || !bytes.Contains(raw, []byte(`"max": "+Inf"`)) {
+		t.Fatalf("export does not spell the infinite bounds as strings:\n%s", raw)
+	}
+	c := New()
+	if err := c.ImportJSON(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	cs := c.Table("t").Column("x")
+	if !math.IsInf(cs.Min, -1) || !math.IsInf(cs.Max, 1) || !math.IsInf(cs.Hist.Buckets[0].Lo, -1) || !math.IsInf(cs.Hist.Buckets[1].Hi, 1) {
+		t.Fatalf("imported bounds %g..%g, buckets %+v", cs.Min, cs.Max, cs.Hist.Buckets)
+	}
+	// Finite statistics keep encoding/json's bytes and read back bit for bit.
+	plain := struct {
+		Lo       float64 `json:"lo"`
+		Hi       float64 `json:"hi"`
+		Count    float64 `json:"count"`
+		Distinct float64 `json:"distinct"`
+	}{-1.5e-7, 2.5e21, 312.5, 3}
+	want, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(jsonBucket{jsonFloat(plain.Lo), jsonFloat(plain.Hi), jsonFloat(plain.Count), jsonFloat(plain.Distinct)})
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("bucket encodes as %s (%v), encoding/json writes %s", got, err, want)
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 0.1, 1e-7, 1e21, -3e-300, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		b, err := jsonFloat(v).MarshalJSON()
+		var back jsonFloat
+		if err == nil {
+			err = back.UnmarshalJSON(b)
+		}
+		if err != nil || math.Float64bits(float64(back)) != math.Float64bits(v) {
+			t.Errorf("%g reads back as %g (%s, %v)", v, float64(back), b, err)
+		}
+	}
+	for _, bad := range []string{`"inf"`, `"NaN"`, `true`, `1e400`, `"1"`} {
+		var back jsonFloat
+		if err := back.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Errorf("%s decoded as %g", bad, float64(back))
+		}
+	}
 }
 
 // TestImportJSONCorruptionMatrix drives the reader through one corruption
@@ -165,20 +240,22 @@ func TestImportVersionedJSONHeader(t *testing.T) {
 	}
 }
 
-// TestDiffTables pins the WAL delta computation: added and changed tables
-// are reported in registration order, unchanged ones are not.
-func TestDiffTables(t *testing.T) {
+// TestTouchedInRegistrationOrder pins the WAL delta's table list: the
+// tables a clone's writes reached, equal writes included, in registration
+// order whatever the order of the writes; a fresh clone lists none.
+func TestTouchedInRegistrationOrder(t *testing.T) {
 	prev := New()
 	prev.MustAddTable(SimpleTable("a", 10, map[string]float64{"x": 2}))
-	prev.MustAddTable(SimpleTable("b", 20, map[string]float64{"y": 4}))
+	prev.MustAddTable(SimpleTable("B", 20, map[string]float64{"y": 4}))
+	prev.MustAddTable(SimpleTable("d", 30, map[string]float64{"w": 3}))
 	next := prev.Clone()
-	if d := DiffTables(prev, next); len(d) != 0 {
-		t.Fatalf("clone diff %v, want empty", d)
+	if d := next.Touched(); len(d) != 0 {
+		t.Fatalf("clone touched %v, want none", d)
 	}
-	next.MustAddTable(SimpleTable("b", 21, map[string]float64{"y": 4})) // changed
 	next.MustAddTable(SimpleTable("c", 5, map[string]float64{"z": 5}))  // added
-	got := DiffTables(prev, next)
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Fatalf("diff %v, want [b c]", got)
+	next.MustAddTable(SimpleTable("b", 21, map[string]float64{"y": 4})) // changed
+	next.MustAddTable(SimpleTable("a", 10, map[string]float64{"x": 2})) // equal
+	if got := next.Touched(); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("touched %v, want [a b c]", got)
 	}
 }

@@ -334,9 +334,10 @@ func (h *wireStorm) saboteur(ctx context.Context, addr string) {
 		switch rng.Intn(4) {
 		case 0:
 			kind = "garbage"
-			// A syntactically valid frame holding non-JSON: the server
-			// must answer typed and keep the connection.
-			payload := []byte("this is not json")
+			// A syntactically valid frame whose payload is not a codec
+			// message: the server must answer typed and keep the
+			// connection.
+			payload := []byte("this is not a payload")
 			if werr := wire.WriteFrame(conn, payload); werr == nil {
 				if raw, rerr := wire.ReadFrame(conn, 0); rerr == nil {
 					if resp, derr := wire.DecodeResponse(raw); derr != nil || resp.Err == nil ||

@@ -356,19 +356,20 @@ func (s *Store) checkUsable() error {
 }
 
 // LogMutation makes the transition prev -> next (to be published as
-// version) durable: it appends the changed tables as one checksummed WAL
-// record and fsyncs before returning. The snapshot store publishes the
-// version only after LogMutation returns nil — publish acknowledges
-// durability. Implements snapshot.Durability.
+// version) durable: it appends the tables the mutation wrote
+// (next.Touched, in registration order; none for a mutation that wrote
+// nothing) as one checksummed WAL record and fsyncs before returning.
+// next is prev's Clone plus those writes, so prev itself is not read. The
+// snapshot store publishes the version only after LogMutation returns nil
+// — publish acknowledges durability. Implements snapshot.Durability.
 func (s *Store) LogMutation(version uint64, prev, next *catalog.Catalog) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkUsable(); err != nil {
 		return err
 	}
-	changed := catalog.DiffTables(prev, next)
 	var delta bytes.Buffer
-	if err := next.ExportSubsetJSON(&delta, changed); err != nil {
+	if err := next.ExportSubsetJSON(&delta, next.Touched()); err != nil {
 		return s.poison(fmt.Errorf("%w: encoding wal delta for version %d: %w", governor.ErrDurability, version, err))
 	}
 	frame := encodeRecord(version, delta.Bytes())

@@ -1,6 +1,6 @@
 // Package server is the multi-tenant wire server behind cmd/elsserve: a
 // stdlib-only TCP front end multiplexing per-tenant els.Systems behind
-// the length-prefixed JSON frame protocol of internal/wire.
+// the length-prefixed binary frame protocol of internal/wire.
 //
 // # Bulkheads
 //
@@ -31,6 +31,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -282,13 +283,15 @@ func (s *Server) dropConn(conn net.Conn) {
 // handleConn serves one connection's request loop. Read deadlines shed
 // stalled clients; a torn frame ends the connection (the stream is
 // desynced past it), while a well-framed but malformed request is
-// answered typed and the connection kept.
+// answered typed and the connection kept. Frames are read through one
+// buffer per connection, so a request costs one read(2), not two.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
+	br := bufio.NewReader(conn)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 			return
 		}
-		payload, err := wire.ReadFrame(conn, s.cfg.MaxFrame)
+		payload, err := wire.ReadFrame(br, s.cfg.MaxFrame)
 		if err != nil {
 			if err != io.EOF && !isConnShed(err) {
 				// Genuinely mangled bytes: answer typed (best effort),

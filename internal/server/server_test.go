@@ -283,8 +283,8 @@ func TestServerSurvivesMalformedPayload(t *testing.T) {
 	_, cl := startTestServer(t, nil)
 	ctx := context.Background()
 
-	// Reach under the client: send a framed non-JSON payload manually is
-	// covered by the chaos saboteur; here, verify an op-level failure does
+	// Reach under the client: a framed payload that is not a codec message
+	// is covered by the chaos saboteur; here, verify an op-level failure does
 	// not poison the connection for the next request.
 	if _, err := cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: "a", SQL: "SELEKT"}); !errors.Is(err, els.ErrParse) {
 		t.Fatalf("bad SQL: %v", err)

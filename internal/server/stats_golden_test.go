@@ -38,9 +38,9 @@ var addedKeys = []string{
 
 // opStatsDocument starts a two-tenant server (durable under a data root or
 // in memory), drives it through declare, estimate, one executed query and
-// one failing request, and returns OpStats' "stats" object decoded from
-// the raw response frame: exactly the keys the server sends, not the keys
-// a Go client's struct would keep.
+// one failing request, and returns OpStats' document as the keys and
+// values a client reads: the raw response frame through DecodeResponse,
+// whose stats field holds the server's encoding/json bytes.
 func opStatsDocument(t *testing.T, durable bool) map[string]any {
 	t.Helper()
 	srv, cl := startTestServer(t, func(c *Config) {
@@ -89,13 +89,20 @@ func opStatsDocument(t *testing.T, durable bool) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp map[string]any
-	if err := json.Unmarshal(payload, &resp); err != nil {
+	resp, err := wire.DecodeResponse(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	doc, ok := resp["stats"].(map[string]any)
-	if !ok {
-		t.Fatalf("OpStats response has no stats object: %s", payload)
+	if resp.Stats == nil {
+		t.Fatalf("OpStats response has no stats document: %+v", resp)
+	}
+	raw, err := json.Marshal(resp.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
 	}
 	return doc
 }

@@ -1,7 +1,7 @@
 // Package wire defines the protocol a serving process (cmd/elsserve)
 // speaks with its clients (the database/sql driver, elsbench's client
-// swarms, the chaos fleet): length-prefixed, crc32-checksummed JSON frames
-// over a byte stream, carrying one request or one response each.
+// swarms, the chaos fleet): length-prefixed, crc32-checksummed frames over
+// a byte stream, carrying one binary-encoded request or response each.
 //
 // # Frames
 //
@@ -10,12 +10,34 @@
 //
 //	u32 payload length | u32 IEEE-CRC-32 of payload | payload
 //
-// with the payload being one JSON document. Every way the bytes can be
-// wrong — truncated header, oversized length, short payload, checksum
-// mismatch — yields an error matching governor.ErrBadWire, and decode
-// never panics on adversarial input. JSON (rather than a binary layout)
-// keeps the payloads inspectable on the wire and evolvable field by
-// field; the envelope supplies the integrity check JSON lacks.
+// Every way the bytes can be wrong — truncated header, oversized length,
+// short payload, checksum mismatch — yields an error matching
+// governor.ErrBadWire, and decode never panics on adversarial input.
+//
+// # Payloads
+//
+// A payload is one version byte (codecVersion) and then a message: a
+// sequence of fields, each a uvarint tag (field number << 3 | kind) and a
+// value of that kind — a uvarint (unsigned integers, bools, zigzag-encoded
+// int64s), 8 fixed bytes (a float64's bits), or a uvarint length and that
+// many bytes (a string, a nested message). A zero-valued field is
+// omitted, and fields are written in ascending number with Distinct's
+// keys sorted, so equal values encode to equal bytes. The one JSON left is
+// OpStats' ServerStats document, which travels as the encoding/json bytes
+// of one length-delimited field, so its keys are those
+// deploy/OBSERVABILITY.md documents.
+//
+// Payloads were JSON documents until the encoding/json steps of a round
+// trip cost 10.8 µs against the 1.3 µs a plan-cache hit costs in process
+// (a 100-row query response: 110 µs and 430 allocations), which made the
+// codec a fifth of a mixed serving workload's CPU. The binary codec keeps
+// what JSON was chosen for, evolution field by field: to add a field, give
+// it the next unused number in its message's const block, encode it in
+// Encode*, and decode it in Decode*'s switch. An older decoder skips a
+// field number it does not know by its kind, and a newer decoder reads
+// an absent field as its zero value. A payload whose first byte is not
+// the version, a truncated varint, a length past the bytes left, or a
+// known field of the wrong kind is ErrBadWire.
 //
 // # Error taxonomy on the wire
 //
@@ -30,7 +52,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -43,8 +64,8 @@ import (
 )
 
 // DefaultMaxFrame bounds a frame payload unless the server or client is
-// configured otherwise — requests and responses are small JSON documents,
-// so 4 MiB is generous while still refusing absurd allocations.
+// configured otherwise — requests and responses are small documents, so
+// 4 MiB is generous while still refusing absurd allocations.
 const DefaultMaxFrame = 4 << 20
 
 // frameHeaderSize is the envelope: u32 length + u32 crc.
@@ -147,86 +168,86 @@ const (
 type Request struct {
 	// ID is echoed in the response so a client can detect desynced
 	// streams.
-	ID uint64 `json:"id"`
+	ID uint64
 	// Op names the operation (Op* constants).
-	Op string `json:"op"`
+	Op string
 	// Tenant routes the request to one tenant's bulkhead.
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 	// SQL is the statement for estimate/query/explain.
-	SQL string `json:"sql,omitempty"`
+	SQL string
 	// Algo selects the estimation algorithm by its String() name
 	// (case-insensitive); empty means ELS.
-	Algo string `json:"algo,omitempty"`
+	Algo string
 	// DeadlineMillis is the client's remaining budget for this call; the
 	// server derives the serving context's deadline from it, so a client
 	// deadline bounds queue wait, planning, and execution exactly like an
 	// in-process context deadline would.
-	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
+	DeadlineMillis int64
 	// Table, Rows, and Distinct carry an OpDeclare mutation.
-	Table    string             `json:"table,omitempty"`
-	Rows     float64            `json:"rows,omitempty"`
-	Distinct map[string]float64 `json:"distinct,omitempty"`
+	Table    string
+	Rows     float64
+	Distinct map[string]float64
 	// Fault selects the OpFault kind ("panic", "stall").
-	Fault string `json:"fault,omitempty"`
+	Fault string
 	// StallMillis is how long an OpFault stall sleeps.
-	StallMillis int64 `json:"stall_ms,omitempty"`
+	StallMillis int64
 }
 
 // Estimate is the wire form of an els.Estimate.
 type Estimate struct {
-	Algorithm      string   `json:"algorithm"`
-	FinalSize      float64  `json:"final_size"`
-	JoinOrder      []string `json:"join_order,omitempty"`
-	CatalogVersion uint64   `json:"catalog_version"`
-	Warnings       []string `json:"warnings,omitempty"`
+	Algorithm      string
+	FinalSize      float64
+	JoinOrder      []string
+	CatalogVersion uint64
+	Warnings       []string
 }
 
 // Result is the wire form of an executed query's els.Result.
 type Result struct {
-	Count          int64      `json:"count"`
-	Columns        []string   `json:"columns,omitempty"`
-	Rows           [][]string `json:"rows,omitempty"`
-	CatalogVersion uint64     `json:"catalog_version"`
+	Count          int64
+	Columns        []string
+	Rows           [][]string
+	CatalogVersion uint64
 }
 
 // Response is one server response.
 type Response struct {
 	// ID echoes the request's ID.
-	ID uint64 `json:"id"`
+	ID uint64
 	// OK is true iff Err is nil.
-	OK bool `json:"ok"`
+	OK bool
 	// Err carries the typed failure of a refused or failed request.
-	Err *Error `json:"error,omitempty"`
+	Err *Error
 	// Estimate, Result, and Explain carry the op-specific success
 	// payloads.
-	Estimate *Estimate `json:"estimate,omitempty"`
-	Result   *Result   `json:"result,omitempty"`
-	Explain  string    `json:"explain,omitempty"`
+	Estimate *Estimate
+	Result   *Result
+	Explain  string
 	// Version and Digest carry OpDigest (and OpDeclare acknowledges with
 	// the published Version).
-	Version uint64 `json:"version,omitempty"`
-	Digest  string `json:"digest,omitempty"`
+	Version uint64
+	Digest  string
 	// Stats carries OpStats.
-	Stats *ServerStats `json:"stats,omitempty"`
+	Stats *ServerStats
 }
 
 // Error is the wire form of a typed failure.
 type Error struct {
 	// Code is the failure class's stable wire name: the Code column of
 	// the taxonomy table in internal/governor.
-	Code string `json:"code"`
+	Code string
 	// Message is the server-side error text.
-	Message string `json:"message"`
+	Message string
 	// Retryable mirrors els.Retryable's verdict on the server side, so a
 	// client need not re-derive the classification.
-	Retryable bool `json:"retryable"`
+	Retryable bool
 	// RetryAfterMillis hints when a retryable, load-dependent failure
 	// (overloaded, draining, stale replica) is worth resubmitting; 0
 	// means no hint.
-	RetryAfterMillis int64 `json:"retry_after_ms,omitempty"`
+	RetryAfterMillis int64
 	// Tenant and Quarantined detail CodeTenant failures.
-	Tenant      string `json:"tenant,omitempty"`
-	Quarantined bool   `json:"quarantined,omitempty"`
+	Tenant      string
+	Quarantined bool
 }
 
 // CodeOf classifies err into its wire code, by the taxonomy table's
@@ -346,44 +367,4 @@ type ServerStats struct {
 	DrainMillis float64 `json:"drain_ms"`
 	// UptimeMillis is time since the server started accepting.
 	UptimeMillis float64 `json:"uptime_ms"`
-}
-
-// EncodeRequest and DecodeResponse (and their mirrors) are the canonical
-// JSON codecs — trivial today, but the single place to version the
-// payload format later.
-
-// EncodeRequest marshals a request payload.
-func EncodeRequest(req *Request) ([]byte, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding request: %w", governor.ErrBadWire, err)
-	}
-	return b, nil
-}
-
-// DecodeRequest unmarshals a request payload.
-func DecodeRequest(b []byte) (*Request, error) {
-	var req Request
-	if err := json.Unmarshal(b, &req); err != nil {
-		return nil, fmt.Errorf("%w: decoding request: %w", governor.ErrBadWire, err)
-	}
-	return &req, nil
-}
-
-// EncodeResponse marshals a response payload.
-func EncodeResponse(resp *Response) ([]byte, error) {
-	b, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding response: %w", governor.ErrBadWire, err)
-	}
-	return b, nil
-}
-
-// DecodeResponse unmarshals a response payload.
-func DecodeResponse(b []byte) (*Response, error) {
-	var resp Response
-	if err := json.Unmarshal(b, &resp); err != nil {
-		return nil, fmt.Errorf("%w: decoding response: %w", governor.ErrBadWire, err)
-	}
-	return &resp, nil
 }

@@ -175,32 +175,6 @@ func TestFromErrorRetryableAndHints(t *testing.T) {
 	}
 }
 
-func TestRequestResponseJSONRoundTrip(t *testing.T) {
-	req := &Request{
-		ID: 7, Op: OpDeclare, Tenant: "acme", Table: "T", Rows: 1000,
-		Distinct: map[string]float64{"a": 10}, DeadlineMillis: 250,
-	}
-	raw, err := EncodeRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRequest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != req.ID || back.Op != req.Op || back.Tenant != req.Tenant ||
-		back.Table != req.Table || back.Rows != req.Rows || back.Distinct["a"] != 10 ||
-		back.DeadlineMillis != 250 {
-		t.Fatalf("request round trip mangled: %+v", back)
-	}
-	if _, err := DecodeRequest([]byte("not json")); !errors.Is(err, governor.ErrBadWire) {
-		t.Fatalf("garbage request decode = %v, want ErrBadWire", err)
-	}
-	if _, err := DecodeResponse([]byte("{")); !errors.Is(err, governor.ErrBadWire) {
-		t.Fatalf("garbage response decode = %v, want ErrBadWire", err)
-	}
-}
-
 // Every row of the taxonomy table crosses the wire intact: FromError
 // encodes the row's code and retryable flag, and the RemoteError rebuilt
 // from them classifies back to the same row.
